@@ -24,8 +24,9 @@ type Session struct {
 // WithTracing creates a session-private collector (retrieve it with
 // Session.Profiler) rather than installing a device-wide one, so concurrent
 // sessions' timelines stay separate. WithScheduler and WithWatchdogInterval
-// still configure the shared device — they are device-wide knobs; a daemon
-// managing several sessions per device sets them once at device creation.
+// still configure the shared device — they are device-wide knobs — and are
+// applied inside the driver gate's admission window, so they never change
+// under another session's launch.
 // The tool's AtInit fires before OpenSession returns; its AtTerm fires at
 // Session.Close.
 func OpenSession(api *driver.API, tool Tool, opts ...Option) (*Session, error) {
@@ -39,7 +40,13 @@ func OpenSession(api *driver.API, tool Tool, opts ...Option) (*Session, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	// The knobs are device state and launches read them: like every other
+	// device-owning operation, setting them takes the gate.
+	if err := api.Gate().Admit(0); err != nil {
+		return nil, err
+	}
 	cfg.applyShared(api.Device())
+	api.Gate().Release(0, 0)
 	n.cache = cfg.cache
 	n.injectMode = cfg.injectMode
 	if cfg.tracing {

@@ -9,9 +9,9 @@ const (
 )
 
 // cache is a set-associative LRU cache model tracking line presence only (no
-// data — the simulator is functionally backed by d.mem; the cache model just
-// informs the timing model and statistics). A cache instance is owned by a
-// single scheduler worker at a time and is not safe for concurrent use.
+// data — the simulator is functionally backed by Device.pages; the cache model
+// just informs the timing model and statistics). A cache instance is owned by
+// a single scheduler worker at a time and is not safe for concurrent use.
 type cache struct {
 	sets  int
 	ways  int

@@ -14,6 +14,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,20 +102,23 @@ type Device struct {
 	cfg   Config
 	codec *sass.Codec
 
-	mem   []byte // global memory
+	// pages backs global memory lazily: a page exists once something has
+	// been stored to it and reads as zero until then, so a device costs what
+	// its workload touches rather than GlobalMemBytes. Pages are published
+	// with a compare-and-swap, so concurrent first stores agree on one.
+	pages []atomic.Pointer[memPage]
 	alloc *allocator
 
-	code    []byte      // code space; PCs are word indexes into it
-	codeTop int         // bump pointer (bytes)
-	decoded []sass.Inst // decode cache, one entry per code word
-	// decValid publishes decoded entries: 1 under atomic load/store once
-	// decoded[w] is filled. SM workers fill concurrently under decMu and
-	// publish with a release store, so hits need no lock.
-	decValid []uint32
-	decMu    sync.Mutex
+	// chunks backs code space (PCs are word indexes into it) the same way,
+	// together with its decode cache.
+	chunks    []atomic.Pointer[codeChunk]
+	codeWords int // CodeBytes in instruction words
+	codeTop   int // bump pointer (bytes)
+	decMu     sync.Mutex
 
-	l2  *cache
-	l1s []*cache
+	l2        *cache
+	l1s       []*cache
+	lineShift uint // log2(L1LineBytes)
 
 	stats Stats
 
@@ -276,17 +280,17 @@ func New(cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("gpu: cache line size %d not a power of two", cfg.L1LineBytes)
 	}
 	d := &Device{
-		cfg:      cfg,
-		codec:    sass.CodecFor(cfg.Family),
-		mem:      make([]byte, cfg.GlobalMemBytes),
-		alloc:    newAllocator(heapBase, cfg.GlobalMemBytes-heapBase),
-		code:     make([]byte, cfg.CodeBytes),
-		decoded:  make([]sass.Inst, cfg.CodeBytes/ib),
-		decValid: make([]uint32, cfg.CodeBytes/ib),
-		l2:       newCache(cfg.L2Lines, l2Ways),
-		smCycles: make([]uint64, cfg.NumSMs),
-		smWarps:  make([]uint64, cfg.NumSMs),
+		cfg:       cfg,
+		codec:     sass.CodecFor(cfg.Family),
+		pages:     make([]atomic.Pointer[memPage], (cfg.GlobalMemBytes+pageSize-1)>>pageShift),
+		alloc:     newAllocator(heapBase, cfg.GlobalMemBytes-heapBase),
+		l2:        newCache(cfg.L2Lines, l2Ways),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.L1LineBytes))),
+		smCycles:  make([]uint64, cfg.NumSMs),
+		smWarps:   make([]uint64, cfg.NumSMs),
+		codeWords: cfg.CodeBytes / ib,
 	}
+	d.chunks = make([]atomic.Pointer[codeChunk], (d.codeWords+chunkWords-1)/chunkWords)
 	for i := 0; i < cfg.NumSMs; i++ {
 		d.l1s = append(d.l1s, newCache(cfg.L1Lines, l1Ways))
 	}
@@ -295,6 +299,39 @@ func New(cfg Config) (*Device, error) {
 
 // heapBase keeps address 0 unmapped so nil-pointer dereferences trap.
 const heapBase = 1 << 16
+
+// Global memory is backed in pages of pageSize bytes. Accesses are aligned to
+// their width, so none straddles a page.
+const (
+	pageShift = 16
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type memPage [pageSize]byte
+
+// zeroPage stands in for every page nothing has been stored to. Read-only.
+var zeroPage memPage
+
+// peek returns the page holding addr for reading.
+func (d *Device) peek(addr uint64) *memPage {
+	if pg := d.pages[addr>>pageShift].Load(); pg != nil {
+		return pg
+	}
+	return &zeroPage
+}
+
+// touch returns the page holding addr for writing, creating it on first use.
+func (d *Device) touch(addr uint64) *memPage {
+	slot := &d.pages[addr>>pageShift]
+	if pg := slot.Load(); pg != nil {
+		return pg
+	}
+	if pg := new(memPage); slot.CompareAndSwap(nil, pg) {
+		return pg
+	}
+	return slot.Load()
+}
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -417,8 +454,14 @@ func (d *Device) QueryAddr(addr uint64) (AllocSpan, AllocState) {
 	return AllocSpan{}, AddrUnallocated
 }
 
+// inHeap reports whether the n-byte access at addr lies wholly inside the
+// device heap.
+func (d *Device) inHeap(addr, n uint64) bool {
+	return addr >= heapBase && addr+n <= d.cfg.GlobalMemBytes && addr+n >= addr
+}
+
 func (d *Device) checkRange(addr uint64, n int) error {
-	if addr < heapBase || addr+uint64(n) > uint64(len(d.mem)) || addr+uint64(n) < addr {
+	if !d.inHeap(addr, uint64(n)) {
 		return fmt.Errorf("gpu: global memory access [%#x,+%d) out of range", addr, n)
 	}
 	return nil
@@ -429,7 +472,10 @@ func (d *Device) Write(addr uint64, p []byte) error {
 	if err := d.checkRange(addr, len(p)); err != nil {
 		return err
 	}
-	copy(d.mem[addr:], p)
+	for len(p) > 0 {
+		n := copy(d.touch(addr)[addr&pageMask:], p)
+		p, addr = p[n:], addr+uint64(n)
+	}
 	return nil
 }
 
@@ -438,7 +484,10 @@ func (d *Device) Read(addr uint64, p []byte) error {
 	if err := d.checkRange(addr, len(p)); err != nil {
 		return err
 	}
-	copy(p, d.mem[addr:])
+	for len(p) > 0 {
+		n := copy(p, d.peek(addr)[addr&pageMask:])
+		p, addr = p[n:], addr+uint64(n)
+	}
 	return nil
 }
 
@@ -457,8 +506,8 @@ func (d *Device) AllocCode(nWords int) (CodeAddr, error) {
 		d.codeTop = ib // reserve word 0
 	}
 	need := nWords * ib
-	if d.codeTop+need > len(d.code) {
-		return 0, fmt.Errorf("gpu: out of code space (%d of %d bytes used, %d requested)", d.codeTop, len(d.code), need)
+	if d.codeTop+need > d.cfg.CodeBytes {
+		return 0, fmt.Errorf("gpu: out of code space (%d of %d bytes used, %d requested)", d.codeTop, d.cfg.CodeBytes, need)
 	}
 	base := CodeAddr(d.codeTop / ib)
 	d.codeTop += need
@@ -474,14 +523,18 @@ func (d *Device) WriteCode(addr CodeAddr, raw []byte) error {
 		return fmt.Errorf("gpu: code write of %d bytes not a multiple of the %d-byte instruction size", len(raw), ib)
 	}
 	off := int(addr) * ib
-	if off < 0 || off+len(raw) > len(d.code) {
+	if off < 0 || off+len(raw) > d.cfg.CodeBytes {
 		return fmt.Errorf("gpu: code write at word %d (+%d bytes) out of range", addr, len(raw))
 	}
-	copy(d.code[off:], raw)
-	for w := int(addr); w < int(addr)+len(raw)/ib; w++ {
-		atomic.StoreUint32(&d.decValid[w], 0)
-	}
 	d.stats.CodeBytesWritten += uint64(len(raw))
+	for w := int(addr); len(raw) > 0; {
+		ch, i := d.chunk(w), w%chunkWords
+		n := copy(ch.raw[i*ib:], raw)
+		for k := i; k < i+n/ib; k++ {
+			atomic.StoreUint32(&ch.valid[k], 0)
+		}
+		raw, w = raw[n:], w+n/ib
+	}
 	return nil
 }
 
@@ -490,40 +543,79 @@ func (d *Device) WriteCode(addr CodeAddr, raw []byte) error {
 func (d *Device) ReadCode(addr CodeAddr, nWords int) ([]byte, error) {
 	ib := d.codec.InstBytes()
 	off, n := int(addr)*ib, nWords*ib
-	if off < 0 || off+n > len(d.code) {
+	if off < 0 || off+n > d.cfg.CodeBytes {
 		return nil, fmt.Errorf("gpu: code read at word %d (+%d words) out of range", addr, nWords)
 	}
 	out := make([]byte, n)
-	copy(out, d.code[off:])
+	for w, p := int(addr), out; len(p) > 0; {
+		k := min(len(p), (chunkWords-w%chunkWords)*ib)
+		if ch := d.chunks[w/chunkWords].Load(); ch != nil {
+			copy(p[:k], ch.raw[w%chunkWords*ib:])
+		}
+		p, w = p[k:], w+k/ib
+	}
 	return out, nil
 }
 
-// fetch decodes the instruction at word index pc, using the decode cache.
-// Hits take a single acquire load; misses decode under decMu and publish the
+// chunkWords is the number of instruction words backed and decoded together.
+const chunkWords = 1024
+
+// codeChunk is the backing of chunkWords consecutive words of code space.
+type codeChunk struct {
+	raw  []byte                // the instruction bytes
+	inst [chunkWords]sass.Inst // decode cache
+	// valid publishes decoded entries: 1 under atomic load/store once
+	// inst[i] is filled.
+	valid [chunkWords]uint32
+}
+
+// chunk returns the chunk holding code word w, creating it (all zero, as
+// never-written code space reads) on first use.
+func (d *Device) chunk(w int) *codeChunk {
+	slot := &d.chunks[w/chunkWords]
+	if ch := slot.Load(); ch != nil {
+		return ch
+	}
+	ch := &codeChunk{raw: make([]byte, chunkWords*d.codec.InstBytes())}
+	if slot.CompareAndSwap(nil, ch) {
+		return ch
+	}
+	return slot.Load()
+}
+
+// fetch returns the instruction at word index pc as the decode cache's own
+// entry (read-only to callers). A hit takes two acquire loads. Code writes
+// only happen between launches (WriteCode), so an entry never changes while
+// any worker can fetch it.
+func (d *Device) fetch(pc int32) (*sass.Inst, error) {
+	if w := int(pc); w > 0 && w < d.codeWords {
+		if ch := d.chunks[w/chunkWords].Load(); ch != nil && atomic.LoadUint32(&ch.valid[w%chunkWords]) != 0 {
+			return &ch.inst[w%chunkWords], nil
+		}
+	}
+	return d.decode(pc)
+}
+
+// decode is the miss path of fetch: it decodes under decMu and publishes the
 // entry with a release store, so concurrent SM workers never observe a torn
-// sass.Inst. Code writes only happen between launches (WriteCode), so an
-// entry never changes while any worker can fetch it.
-func (d *Device) fetch(pc int32) (sass.Inst, error) {
+// sass.Inst.
+func (d *Device) decode(pc int32) (*sass.Inst, error) {
 	w := int(pc)
-	if w <= 0 || w >= len(d.decValid) {
-		return sass.Inst{}, fmt.Errorf("gpu: PC %#x outside code space", pc)
+	if w <= 0 || w >= d.codeWords {
+		return nil, fmt.Errorf("gpu: PC %#x outside code space", pc)
 	}
-	if atomic.LoadUint32(&d.decValid[w]) != 0 {
-		return d.decoded[w], nil
-	}
+	ch, i := d.chunk(w), w%chunkWords
 	d.decMu.Lock()
 	defer d.decMu.Unlock()
-	if atomic.LoadUint32(&d.decValid[w]) != 0 {
-		return d.decoded[w], nil
+	if atomic.LoadUint32(&ch.valid[i]) == 0 {
+		in, err := d.codec.Decode(ch.raw[i*d.codec.InstBytes():])
+		if err != nil {
+			return nil, fmt.Errorf("gpu: at PC %#x: %w", pc, err)
+		}
+		ch.inst[i] = in
+		atomic.StoreUint32(&ch.valid[i], 1)
 	}
-	ib := d.codec.InstBytes()
-	in, err := d.codec.Decode(d.code[w*ib:])
-	if err != nil {
-		return sass.Inst{}, fmt.Errorf("gpu: at PC %#x: %w", pc, err)
-	}
-	d.decoded[w] = in
-	atomic.StoreUint32(&d.decValid[w], 1)
-	return in, nil
+	return &ch.inst[i], nil
 }
 
 // --- Allocator ---------------------------------------------------------------

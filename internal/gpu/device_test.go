@@ -1,7 +1,11 @@
 package gpu
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nvbitgo/internal/sass"
@@ -96,6 +100,150 @@ func TestMemoryRangeChecks(t *testing.T) {
 	}
 	if err := d.Read(d.cfg.GlobalMemBytes-2, make([]byte, 8)); err == nil {
 		t.Fatal("out-of-range read accepted")
+	}
+}
+
+// TestLazyGlobalMemory: global memory is backed page by page on first store,
+// and nothing observable depends on whether a page exists yet.
+func TestLazyGlobalMemory(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	fresh, _ := d.Malloc(4 * pageSize) // nothing has touched these pages
+	out, _ := d.Malloc(8)
+
+	// A kernel loads a never-written word (reads 0) and stores next to it.
+	entry := loadSASS(t, d, `
+		LDC.W R2, c[1][0]
+		LDC.W R4, c[1][8]
+		LDG R6, [R2]
+		IADD R6, R6, RZ, 41
+		STG [R4], R6
+		STG [R2+8], R6
+		EXIT
+	`)
+	launch(t, d, entry, D1(1), D1(1), u64param(fresh+pageSize, out), 0)
+	var word [4]byte
+	for _, addr := range []uint64{out, fresh + pageSize + 8} {
+		if err := d.Read(addr, word[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint32(word[:]); got != 41 {
+			t.Errorf("word at %#x = %d, want 41 (0 loaded from untouched memory, plus 41)", addr, got)
+		}
+	}
+	if d.pages[fresh>>pageShift].Load() != nil {
+		t.Error("a load materialized a page no store touched")
+	}
+
+	// Host copies spanning a page boundary, into and out of untouched pages.
+	pattern := make([]byte, 300)
+	for i := range pattern {
+		pattern[i] = byte(i + 1)
+	}
+	edge := fresh + 3*pageSize - 100
+	if err := d.Write(edge, pattern); err != nil {
+		t.Fatal(err)
+	}
+	back := make([]byte, 500)
+	if err := d.Read(edge-100, back); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(make([]byte, 100), pattern...), make([]byte, 100)...)
+	if !bytes.Equal(back, want) {
+		t.Error("read across a page boundary does not match what was written around it")
+	}
+	whole := make([]byte, 4*pageSize)
+	whole[0] = 0xff // Read must overwrite, also from pages that do not exist
+	if err := d.Read(fresh, whole); err != nil {
+		t.Fatal(err)
+	}
+	if whole[0] != 0 || !bytes.Equal(whole[3*pageSize-100:][:300], pattern) {
+		t.Error("multi-page read wrong")
+	}
+
+	// The heap bounds are the configured size, not what happens to be backed.
+	if err := d.Write(d.cfg.GlobalMemBytes-4, word[:]); err != nil {
+		t.Errorf("write to the last heap word: %v", err)
+	}
+	if err := d.Write(d.cfg.GlobalMemBytes-3, word[:]); err == nil {
+		t.Error("write past the heap accepted")
+	}
+}
+
+// TestConcurrentFirstStores: under the parallel scheduler the CTAs of one
+// launch make the first stores to one page at once (run with -race); they
+// must all land in the same page.
+func TestConcurrentFirstStores(t *testing.T) {
+	cfg := DefaultConfig(sass.Volta)
+	cfg.Scheduler = SchedulerParallelSM
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ctas, threads = 64, 32
+	out, _ := d.Malloc(4 * ctas * threads)
+	if out>>pageShift != (out+4*ctas*threads-1)>>pageShift {
+		t.Fatalf("test buffer at %#x spans pages", out)
+	}
+	entry := loadSASS(t, d, gidProlog+`
+		LDC.W R4, c[1][0]
+		MOVI R6, 4
+		IMAD.W R4, R0, R6, R4
+		STG [R4], R0
+		EXIT
+	`)
+	launch(t, d, entry, D1(ctas), D1(threads), u64param(out), 0)
+	buf := make([]byte, 4*ctas*threads)
+	if err := d.Read(out, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ctas*threads; i++ {
+		if got := binary.LittleEndian.Uint32(buf[4*i:]); got != uint32(i) {
+			t.Fatalf("out[%d] = %d: a first store was lost", i, got)
+		}
+	}
+}
+
+// TestUnwrittenCodeSpace: an in-range code word nothing was written to is an
+// all-zero word — for ReadCode, and for fetch, which treats it exactly like
+// a zero word that was written.
+func TestUnwrittenCodeSpace(t *testing.T) {
+	for _, f := range []sass.Family{sass.Kepler, sass.Volta} {
+		t.Run(f.String(), func(t *testing.T) {
+			d := newTestDevice(t, f)
+			ib := d.Codec().InstBytes()
+			written, _ := d.AllocCode(1)
+			if err := d.WriteCode(written, make([]byte, ib)); err != nil {
+				t.Fatal(err)
+			}
+			last := CodeAddr(d.cfg.CodeBytes/ib - 1) // far above anything allocated
+			raw, err := d.ReadCode(last, 1)
+			if err != nil || !bytes.Equal(raw, make([]byte, ib)) {
+				t.Fatalf("ReadCode of unwritten word: %v, %v", raw, err)
+			}
+			inW, errW := d.fetch(int32(written))
+			inU, errU := d.fetch(int32(last))
+			switch {
+			case errW == nil && errU == nil:
+				if *inW != *inU {
+					t.Errorf("unwritten word decodes to %v, a written zero word to %v", *inU, *inW)
+				}
+			case errW != nil && errU != nil:
+				if w, u := errors.Unwrap(errW), errors.Unwrap(errU); w == nil || u == nil || w.Error() != u.Error() {
+					t.Errorf("unwritten word: %v; written zero word: %v", errU, errW)
+				}
+			default:
+				t.Errorf("unwritten word: %v; written zero word: %v", errU, errW)
+			}
+			if _, err := d.fetch(int32(last) + 1); err == nil || !strings.Contains(err.Error(), "outside code space") {
+				t.Errorf("fetch past code space: %v", err)
+			}
+			if err := d.WriteCode(last, make([]byte, ib)); err != nil {
+				t.Errorf("write to the last code word: %v", err)
+			}
+			if err := d.WriteCode(last+1, make([]byte, ib)); err == nil {
+				t.Error("write past code space accepted")
+			}
+		})
 	}
 }
 

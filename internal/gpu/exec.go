@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"nvbitgo/internal/sass"
@@ -21,357 +22,258 @@ func minF32u(a, b uint32) uint32 { return f32bits(float32(math.Min(float64(f32(a
 const maxStackDepth = 1024
 
 // step executes one warp-level instruction (the group of live lanes sharing
-// the minimum PC).
+// the minimum PC). The warp must have a live lane.
 func (c *execContext) step(w *warp) error {
-	pc := w.minPC()
-	if pc == pcExited {
-		return nil
-	}
+	pc, act := w.upc, w.act
 	if c.wdLeft--; c.wdLeft < 0 {
-		f := c.trap(FaultWatchdogTimeout, pc, sass.Inst{}, -1,
+		return c.trap(FaultWatchdogTimeout, pc, nil, -1,
 			"CTA exceeded the launch watchdog budget of %d warp instructions", c.wdBudget)
-		f.SASS = ""
-		return f
 	}
 	in, err := c.dev.fetch(pc)
 	if err != nil {
-		f := c.trap(FaultInvalidInstruction, pc, sass.Inst{}, -1, "%v", err)
-		f.SASS = ""
-		return f
+		return c.trap(FaultInvalidInstruction, pc, nil, -1, "%v", err)
 	}
-
-	var active [WarpSize]bool
-	var execLanes [WarpSize]bool
-	nActive := 0
-	var execMask uint32
-	for i := 0; i < w.nLanes; i++ {
-		if w.pc[i] != pc {
-			continue
-		}
-		active[i] = true
-		nActive++
-		if w.predTrue(i, in.Pred, in.PredNeg) {
-			execLanes[i] = true
-			execMask |= 1 << uint(i)
-		}
-	}
+	exec := w.guard(act, in.Pred, in.PredNeg)
 
 	st := &c.stats
+	nActive := uint64(bits.OnesCount32(act))
 	st.WarpInstrs++
-	st.ThreadInstrs += uint64(nActive)
+	st.ThreadInstrs += nActive
 	st.OpCounts[in.Op]++
-	st.OpThreads[in.Op] += uint64(nActive)
+	st.OpThreads[in.Op] += nActive
 	w.cycles += issueCost(in.Op)
 
-	// Default: all active lanes fall through (w.advance); control flow
-	// overrides. The per-step helpers are plain methods/functions rather
-	// than closures so the dispatch loop does not allocate.
+	// Control flow moves the lanes itself and returns; after any other
+	// instruction the whole active group falls through to next. Operands
+	// are resolved to register rows once, outside the lane loops; b[i]+imm
+	// is the effective second source. The per-step helpers are plain
+	// methods/functions rather than closures so the dispatch loop does not
+	// allocate.
 	next := pc + 1
+	d, a, b := w.dst(in.Dst), w.src(in.Src1), w.src(in.Src2)
+	imm := uint32(int32(in.Imm))
 
 	switch in.Op {
 	case sass.OpNOP:
-		w.advance(&active, next)
 
 	case sass.OpEXIT:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
-			}
-			if execLanes[i] {
-				w.pc[i] = pcExited
-			} else {
-				w.pc[i] = next
-			}
-		}
+		w.split(exec, pcExited, next)
+		return nil
 
-	case sass.OpBRA, sass.OpJMP:
-		var target int32
-		if in.Op == sass.OpBRA {
-			target = next + int32(in.Imm)
-		} else {
-			target = int32(in.Imm)
-		}
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
-			}
-			if execLanes[i] {
-				w.pc[i] = target
-			} else {
-				w.pc[i] = next
-			}
-		}
+	case sass.OpBRA:
+		w.split(exec, next+int32(in.Imm), next)
+		return nil
+
+	case sass.OpJMP:
+		w.split(exec, int32(in.Imm), next)
+		return nil
 
 	case sass.OpBRX:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
-			}
-			if execLanes[i] {
-				w.pc[i] = int32(w.reg(i, in.Src1)) + int32(in.Imm)
-			} else {
-				w.pc[i] = next
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			w.pc[i] = int32(a[i]) + int32(in.Imm)
 		}
+		w.scatter(exec, next)
+		return nil
 
 	case sass.OpCAL:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			if len(w.callStack[i]) >= maxStackDepth {
+				return c.trap(FaultStackOverflow, pc, in, i, "call stack exceeds %d frames", maxStackDepth)
 			}
-			if execLanes[i] {
-				if len(w.callStack[i]) >= maxStackDepth {
-					return c.trap(FaultStackOverflow, pc, in, i, "call stack exceeds %d frames", maxStackDepth)
-				}
-				w.callStack[i] = append(w.callStack[i], next)
-				w.pc[i] = int32(in.Imm)
-			} else {
-				w.pc[i] = next
-			}
+			w.callStack[i] = append(w.callStack[i], next)
 		}
+		w.split(exec, int32(in.Imm), next)
+		return nil
 
 	case sass.OpRET:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			n := len(w.callStack[i])
+			if n == 0 {
+				return c.trap(FaultStackUnderflow, pc, in, i, "RET with empty call stack")
 			}
-			if execLanes[i] {
-				n := len(w.callStack[i])
-				if n == 0 {
-					return c.trap(FaultStackUnderflow, pc, in, i, "RET with empty call stack")
-				}
-				w.pc[i] = w.callStack[i][n-1]
-				w.callStack[i] = w.callStack[i][:n-1]
-			} else {
-				w.pc[i] = next
-			}
+			w.pc[i] = w.callStack[i][n-1]
+			w.callStack[i] = w.callStack[i][:n-1]
 		}
+		w.scatter(exec, next)
+		return nil
 
 	case sass.OpBAR:
-		w.advance(&active, next)
-		if execMask != 0 {
-			w.barWait = true
-		}
+		w.barWait = exec != 0
 
 	case sass.OpMOV:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if in.Mods.Wide() {
-					w.setReg64(i, in.Dst, w.reg64(i, in.Src1))
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1))
-				}
+		if in.Mods.Wide() {
+			for m := exec; m != 0; m &= m - 1 {
+				i := lane(m)
+				w.setReg64(i, in.Dst, w.reg64(i, in.Src1))
+			}
+		} else {
+			for m := exec; m != 0; m &= m - 1 {
+				i := lane(m)
+				d[i] = a[i]
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpMOVI:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, uint32(int32(in.Imm)))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			d[lane(m)] = imm
 		}
-		w.advance(&active, next)
 
 	case sass.OpMOVIH:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				v := w.reg(i, in.Dst)&0xFFFFF | uint32(in.Imm)<<20
-				w.setReg(i, in.Dst, v)
-			}
+		lo := w.src(in.Dst)
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = lo[i]&0xFFFFF | uint32(in.Imm)<<20
 		}
-		w.advance(&active, next)
 
 	case sass.OpS2R:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, c.specialReg(w, i, in.Imm))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = c.specialReg(w, i, in.Imm)
 		}
-		w.advance(&active, next)
 
 	case sass.OpP2R:
 		single := in.Mods.SubOp() == sass.P2RSingle
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			v := uint32(w.preds[i])
 			if single {
-				v := uint32(0)
-				if w.predTrue(i, in.Mods.Aux(), false) {
+				v = 0
+				if w.predTrue(i, in.Mods.Aux()) {
 					v = 1
 				}
-				w.setReg(i, in.Dst, v)
-			} else {
-				w.setReg(i, in.Dst, uint32(w.preds[i]))
 			}
+			d[i] = v
 		}
-		w.advance(&active, next)
 
 	case sass.OpR2P:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.preds[i] = uint8(w.reg(i, in.Src1)) & 0x7f
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			w.preds[i] = uint8(a[i]) & 0x7f
 		}
-		w.advance(&active, next)
 
 	case sass.OpSEL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if w.predTrue(i, in.Mods.Aux(), false) {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1))
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src2))
-				}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			if w.predTrue(i, in.Mods.Aux()) {
+				d[i] = a[i]
+			} else {
+				d[i] = b[i]
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpIADD:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if in.Mods.Wide() {
-					w.setReg64(i, in.Dst, w.reg64(i, in.Src1)+w.reg64(i, in.Src2)+uint64(in.Imm))
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1)+eff2(w, &in, i))
-				}
+		if in.Mods.Wide() {
+			for m := exec; m != 0; m &= m - 1 {
+				i := lane(m)
+				w.setReg64(i, in.Dst, w.reg64(i, in.Src1)+w.reg64(i, in.Src2)+uint64(in.Imm))
+			}
+		} else {
+			for m := exec; m != 0; m &= m - 1 {
+				i := lane(m)
+				d[i] = a[i] + b[i] + imm
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpIMUL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, w.reg(i, in.Src1)*w.reg(i, in.Src2))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = a[i] * b[i]
 		}
-		w.advance(&active, next)
 
 	case sass.OpIMAD:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if in.Mods.Wide() {
-					// IMAD.WIDE: 32x32 unsigned multiply + 64-bit add.
-					v := uint64(w.reg(i, in.Src1))*uint64(w.reg(i, in.Src2)) + w.reg64(i, in.Src3)
-					w.setReg64(i, in.Dst, v)
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1)*w.reg(i, in.Src2)+w.reg(i, in.Src3))
-				}
+		if in.Mods.Wide() {
+			// IMAD.WIDE: 32x32 unsigned multiply + 64-bit add.
+			for m := exec; m != 0; m &= m - 1 {
+				i := lane(m)
+				w.setReg64(i, in.Dst, uint64(a[i])*uint64(b[i])+w.reg64(i, in.Src3))
+			}
+		} else {
+			c3 := w.src(in.Src3)
+			for m := exec; m != 0; m &= m - 1 {
+				i := lane(m)
+				d[i] = a[i]*b[i] + c3[i]
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpISETP:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			var r bool
-			if in.Mods.Flag() { // unsigned
-				a, b := w.reg(i, in.Src1), eff2(w, &in, i)
-				r = cmpU32(in.Mods.SubOp(), a, b)
+		sub, p, unsigned := in.Mods.SubOp(), in.Mods.Aux(), in.Mods.Flag()
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			if unsigned {
+				w.setPred(i, p, cmp(sub, a[i], b[i]+imm))
 			} else {
-				a, b := int32(w.reg(i, in.Src1)), int32(eff2(w, &in, i))
-				r = cmpI32(in.Mods.SubOp(), a, b)
+				w.setPred(i, p, cmp(sub, int32(a[i]), int32(b[i]+imm)))
 			}
-			w.setPred(i, in.Mods.Aux(), r)
 		}
-		w.advance(&active, next)
 
 	case sass.OpSHL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, w.reg(i, in.Src1)<<(eff2(w, &in, i)&31))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = a[i] << ((b[i] + imm) & 31)
 		}
-		w.advance(&active, next)
 
 	case sass.OpSHR:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, w.reg(i, in.Src1)>>(eff2(w, &in, i)&31))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = a[i] >> ((b[i] + imm) & 31)
 		}
-		w.advance(&active, next)
 
 	case sass.OpLOP:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			a, b := w.reg(i, in.Src1), eff2(w, &in, i)
-			var v uint32
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			x, y := a[i], b[i]+imm
 			switch in.Mods.SubOp() {
 			case sass.LopAnd:
-				v = a & b
+				d[i] = x & y
 			case sass.LopOr:
-				v = a | b
+				d[i] = x | y
 			case sass.LopXor:
-				v = a ^ b
+				d[i] = x ^ y
 			case sass.LopNot:
-				v = ^a
+				d[i] = ^x
 			default:
 				return c.trap(FaultInvalidInstruction, pc, in, i, "bad LOP sub-op %d", in.Mods.SubOp())
 			}
-			w.setReg(i, in.Dst, v)
 		}
-		w.advance(&active, next)
 
 	case sass.OpPOPC:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				v := w.reg(i, in.Src1)
-				n := uint32(0)
-				for v != 0 {
-					v &= v - 1
-					n++
-				}
-				w.setReg(i, in.Dst, n)
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = uint32(bits.OnesCount32(a[i]))
 		}
-		w.advance(&active, next)
 
 	case sass.OpFADD:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, addF32(w.reg(i, in.Src1), w.reg(i, in.Src2)))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = addF32(a[i], b[i])
 		}
-		w.advance(&active, next)
 
 	case sass.OpFMUL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, f32bits(f32(w.reg(i, in.Src1))*f32(w.reg(i, in.Src2))))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = f32bits(f32(a[i]) * f32(b[i]))
 		}
-		w.advance(&active, next)
 
 	case sass.OpFFMA:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				v := f32(w.reg(i, in.Src1))*f32(w.reg(i, in.Src2)) + f32(w.reg(i, in.Src3))
-				w.setReg(i, in.Dst, f32bits(v))
-			}
+		c3 := w.src(in.Src3)
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = f32bits(f32(a[i])*f32(b[i]) + f32(c3[i]))
 		}
-		w.advance(&active, next)
 
 	case sass.OpFSETP:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				a, b := f32(w.reg(i, in.Src1)), f32(w.reg(i, in.Src2))
-				w.setPred(i, in.Mods.Aux(), cmpF32(in.Mods.SubOp(), a, b))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			w.setPred(i, in.Mods.Aux(), cmp(in.Mods.SubOp(), f32(a[i]), f32(b[i])))
 		}
-		w.advance(&active, next)
 
 	case sass.OpMUFU:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			x := float64(f32(w.reg(i, in.Src1)))
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			x := float64(f32(a[i]))
 			var v float64
 			switch in.Mods.SubOp() {
 			case sass.MufuRcp:
@@ -391,49 +293,40 @@ func (c *execContext) step(w *warp) error {
 			default:
 				return c.trap(FaultInvalidInstruction, pc, in, i, "bad MUFU sub-op %d", in.Mods.SubOp())
 			}
-			w.setReg(i, in.Dst, f32bits(float32(v)))
+			d[i] = f32bits(float32(v))
 		}
-		w.advance(&active, next)
 
 	case sass.OpI2F:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, f32bits(float32(int32(w.reg(i, in.Src1)))))
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = f32bits(float32(int32(a[i])))
 		}
-		w.advance(&active, next)
 
 	case sass.OpF2I:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				f := f32(w.reg(i, in.Src1))
-				switch {
-				case math.IsNaN(float64(f)):
-					w.setReg(i, in.Dst, 0)
-				case f >= math.MaxInt32:
-					w.setReg(i, in.Dst, uint32(math.MaxInt32))
-				case f <= math.MinInt32:
-					w.setReg(i, in.Dst, 0x80000000)
-				default:
-					w.setReg(i, in.Dst, uint32(int32(f)))
-				}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			switch f := f32(a[i]); {
+			case math.IsNaN(float64(f)):
+				d[i] = 0
+			case f >= math.MaxInt32:
+				d[i] = uint32(math.MaxInt32)
+			case f <= math.MinInt32:
+				d[i] = 0x80000000
+			default:
+				d[i] = uint32(int32(f))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDG, sass.OpSTG:
-		if err := c.globalAccess(w, in, &execLanes, pc); err != nil {
+		if err := c.globalAccess(w, in, exec, pc); err != nil {
 			return err
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDS, sass.OpSTS:
 		width := accessWidth(in)
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			addr := int(int32(w.reg(i, in.Src1)) + int32(in.Imm))
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			addr := int(int32(a[i]) + int32(in.Imm))
 			if addr%width != 0 {
 				f := c.trap(FaultMisalignedAddress, pc, in, i, "shared access at %#x not %d-byte aligned", addr, width)
 				f.Addr = uint64(uint32(addr))
@@ -444,91 +337,50 @@ func (c *execContext) step(w *warp) error {
 				f.Addr = uint64(uint32(addr))
 				return f
 			}
-			if in.Op == sass.OpLDS {
-				if width == 8 {
-					w.setReg64(i, in.Dst, binary.LittleEndian.Uint64(c.shared[addr:]))
-				} else {
-					w.setReg(i, in.Dst, binary.LittleEndian.Uint32(c.shared[addr:]))
-				}
-			} else {
-				if width == 8 {
-					binary.LittleEndian.PutUint64(c.shared[addr:], w.reg64(i, in.Src2))
-				} else {
-					binary.LittleEndian.PutUint32(c.shared[addr:], w.reg(i, in.Src2))
-				}
-			}
+			w.transfer(in, i, c.shared[addr:], in.Op == sass.OpLDS)
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDL, sass.OpSTL:
 		width := accessWidth(in)
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
 			if w.local[i] == nil {
 				w.local[i] = make([]byte, c.dev.cfg.LocalMemPerThr)
 			}
-			addr := int(int32(w.reg(i, in.Src1)) + int32(in.Imm))
+			addr := int(int32(a[i]) + int32(in.Imm))
 			if addr < 0 || addr+width > len(w.local[i]) {
 				f := c.trap(FaultLocalOOB, pc, in, i, "local access [%#x,+%d) out of range", addr, width)
 				f.Addr = uint64(uint32(addr))
 				return f
 			}
-			if in.Op == sass.OpLDL {
-				if width == 8 {
-					w.setReg64(i, in.Dst, binary.LittleEndian.Uint64(w.local[i][addr:]))
-				} else {
-					w.setReg(i, in.Dst, binary.LittleEndian.Uint32(w.local[i][addr:]))
-				}
-			} else {
-				if width == 8 {
-					binary.LittleEndian.PutUint64(w.local[i][addr:], w.reg64(i, in.Src2))
-				} else {
-					binary.LittleEndian.PutUint32(w.local[i][addr:], w.reg(i, in.Src2))
-				}
-			}
+			w.transfer(in, i, w.local[i][addr:], in.Op == sass.OpLDL)
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDC:
 		bank := in.Mods.SubOp()
 		data := c.banks[bank]
 		width := accessWidth(in)
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			addr := int(int32(w.reg(i, in.Src1)) + int32(in.Imm))
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			addr := int(int32(a[i]) + int32(in.Imm))
 			if addr < 0 || addr+width > len(data) {
 				f := c.trap(FaultConstOOB, pc, in, i, "constant access c[%d][%#x] out of range (%d bytes in bank)", bank, addr, len(data))
 				f.Addr = uint64(uint32(addr))
 				return f
 			}
-			if width == 8 {
-				w.setReg64(i, in.Dst, binary.LittleEndian.Uint64(data[addr:]))
-			} else {
-				w.setReg(i, in.Dst, binary.LittleEndian.Uint32(data[addr:]))
-			}
+			w.transfer(in, i, data[addr:], true)
 		}
-		w.advance(&active, next)
 
 	case sass.OpATOM, sass.OpRED:
-		if err := c.atomicAccess(w, in, &execLanes, pc); err != nil {
+		if err := c.atomicAccess(w, in, exec, pc); err != nil {
 			return err
 		}
-		w.advance(&active, next)
 
 	case sass.OpSHFL:
-		var vals [WarpSize]uint32
-		for i := 0; i < w.nLanes; i++ {
-			vals[i] = w.reg(i, in.Src1)
-		}
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			delta := int(int32(eff2(w, &in, i)))
+		vals := *a
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			delta := int(int32(b[i] + imm))
 			src := i
 			switch in.Mods.SubOp() {
 			case sass.ShflUp:
@@ -540,174 +392,239 @@ func (c *execContext) step(w *warp) error {
 			case sass.ShflIdx:
 				src = delta
 			}
-			if src >= 0 && src < WarpSize && execLanes[src] {
-				w.setReg(i, in.Dst, vals[src])
+			if src >= 0 && src < WarpSize && exec>>uint(src)&1 != 0 {
+				d[i] = vals[src]
 			} else {
 				// Out-of-range or inactive source returns the lane's
 				// own source value, as CUDA shuffles do.
-				w.setReg(i, in.Dst, vals[i])
+				d[i] = vals[i]
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpVOTE:
 		var mask uint32
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] && w.predTrue(i, in.Mods.Aux(), false) {
+		for m := exec; m != 0; m &= m - 1 {
+			if i := lane(m); w.predTrue(i, in.Mods.Aux()) {
 				mask |= 1 << uint(i)
 			}
 		}
+		p := sass.Pred(in.Dst & 7)
 		switch in.Mods.SubOp() {
 		case sass.VoteBallot:
-			for i := 0; i < w.nLanes; i++ {
-				if execLanes[i] {
-					w.setReg(i, in.Dst, mask)
-				}
+			for m := exec; m != 0; m &= m - 1 {
+				d[lane(m)] = mask
 			}
 		case sass.VoteAny:
-			for i := 0; i < w.nLanes; i++ {
-				if execLanes[i] {
-					w.setPred(i, sass.Pred(in.Dst&7), mask != 0)
-				}
+			for m := exec; m != 0; m &= m - 1 {
+				w.setPred(lane(m), p, mask != 0)
 			}
 		case sass.VoteAll:
-			for i := 0; i < w.nLanes; i++ {
-				if execLanes[i] {
-					w.setPred(i, sass.Pred(in.Dst&7), mask == execMask)
-				}
+			for m := exec; m != 0; m &= m - 1 {
+				w.setPred(lane(m), p, mask == exec)
 			}
 		default:
 			return c.trap(FaultInvalidInstruction, pc, in, -1, "bad VOTE sub-op %d", in.Mods.SubOp())
 		}
-		w.advance(&active, next)
 
 	case sass.OpMATCH:
-		wide := in.Mods.Wide()
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			var mine uint64
-			if wide {
-				mine = w.reg64(i, in.Src1)
-			} else {
-				mine = uint64(w.reg(i, in.Src1))
-			}
-			var m uint32
-			for j := 0; j < w.nLanes; j++ {
-				if !execLanes[j] {
-					continue
-				}
-				var theirs uint64
-				if wide {
-					theirs = w.reg64(j, in.Src1)
-				} else {
-					theirs = uint64(w.reg(j, in.Src1))
-				}
-				if theirs == mine {
-					m |= 1 << uint(j)
+		// Keys are read as the lanes are written, lowest lane first, so a
+		// MATCH whose destination is its own source sees what hardware
+		// issuing the lanes in that order would.
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			mine := w.matchKey(in, i)
+			var same uint32
+			for n := exec; n != 0; n &= n - 1 {
+				if j := lane(n); w.matchKey(in, j) == mine {
+					same |= 1 << uint(j)
 				}
 			}
-			w.setReg(i, in.Dst, m)
+			d[i] = same
 		}
-		w.advance(&active, next)
 
 	case sass.OpWFFT32:
 		if !c.dev.cfg.EnableWFFT {
 			return c.trap(FaultInvalidInstruction, pc, in, -1, "WFFT32 is a hypothetical instruction; this device does not implement it "+
 				"(instrument it with the emulation tool, or enable Config.EnableWFFT)")
 		}
-		execWFFT32(w, in, &execLanes)
-		w.advance(&active, next)
+		execWFFT32(w, in, exec)
 
 	case sass.OpSAVEPUSH:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if len(w.saveStack[i]) >= maxStackDepth {
-					return c.trap(FaultStackOverflow, pc, in, i, "save stack exceeds %d frames", maxStackDepth)
-				}
-				w.saveStack[i] = append(w.saveStack[i], saveFrame{regs: make([]uint32, in.Imm)})
-			}
+		if err := c.savePush(w, in, exec, pc); err != nil {
+			return err
 		}
-		w.advance(&active, next)
 
 	case sass.OpSAVEPOP:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				n := len(w.saveStack[i])
-				if n == 0 {
-					return c.trap(FaultStackUnderflow, pc, in, i, "SAVEPOP with empty save stack")
-				}
-				w.saveStack[i] = w.saveStack[i][:n-1]
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			if w.saveDepth[i] == 0 {
+				return c.trap(FaultStackUnderflow, pc, in, i, "SAVEPOP with empty save stack")
 			}
+			w.saveDepth[i]--
 		}
-		w.advance(&active, next)
+		w.cohort &^= exec
 
 	case sass.OpSTSA, sass.OpLDSA, sass.OpSTSP, sass.OpLDSP, sass.OpSTSB, sass.OpLDSB,
 		sass.OpRDREG, sass.OpWRREG, sass.OpRDPRED, sass.OpWRPRED:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
-			n := len(w.saveStack[i])
-			if n == 0 {
-				return c.trap(FaultStackUnderflow, pc, in, i, "%v with no save frame", in.Op)
-			}
-			fr := &w.saveStack[i][n-1]
-			switch in.Op {
-			case sass.OpSTSA:
-				if int(in.Imm) >= len(fr.regs) {
-					return c.trap(FaultInvalidInstruction, pc, in, i, "save slot %d beyond frame of %d", in.Imm, len(fr.regs))
-				}
-				fr.regs[in.Imm] = w.reg(i, in.Src1)
-			case sass.OpLDSA:
-				if int(in.Imm) >= len(fr.regs) {
-					return c.trap(FaultInvalidInstruction, pc, in, i, "save slot %d beyond frame of %d", in.Imm, len(fr.regs))
-				}
-				w.setReg(i, in.Dst, fr.regs[in.Imm])
-			case sass.OpSTSP:
-				fr.preds = w.preds[i]
-			case sass.OpLDSP:
-				w.preds[i] = fr.preds
-			case sass.OpSTSB:
-				fr.barrier = w.barrier[i]
-			case sass.OpLDSB:
-				w.barrier[i] = fr.barrier
-			case sass.OpRDREG:
-				idx := int(w.reg(i, in.Src1)) + int(in.Imm)
-				if idx < 0 || idx >= len(fr.regs) {
-					return c.trap(FaultInvalidInstruction, pc, in, i, "RDREG of register %d beyond saved set of %d", idx, len(fr.regs))
-				}
-				w.setReg(i, in.Dst, fr.regs[idx])
-			case sass.OpWRREG:
-				idx := int(w.reg(i, in.Src1)) + int(in.Imm)
-				if idx < 0 || idx >= len(fr.regs) {
-					return c.trap(FaultInvalidInstruction, pc, in, i, "WRREG of register %d beyond saved set of %d", idx, len(fr.regs))
-				}
-				fr.regs[idx] = w.reg(i, in.Src2)
-			case sass.OpRDPRED:
-				w.setReg(i, in.Dst, uint32(fr.preds))
-			case sass.OpWRPRED:
-				fr.preds = uint8(w.reg(i, in.Src2)) & 0x7f
-			}
+		if err := c.saveAccess(w, in, exec, pc); err != nil {
+			return err
 		}
-		w.advance(&active, next)
 
 	default:
 		return c.trap(FaultInvalidInstruction, pc, in, -1, "unimplemented opcode")
 	}
+	w.jump(next)
 	return nil
 }
 
-// trap builds a structured execution fault at the current instruction,
-// stamping it with the worker's full provenance (kernel, SM, CTA, warp).
-// It is the cold path of step; keeping it a method (not a per-step closure)
-// keeps the dispatch loop allocation-free. Lane is -1 for warp-wide faults.
-func (c *execContext) trap(kind FaultKind, pc int32, in sass.Inst, lane int, format string, args ...any) *Fault {
-	return &Fault{
+// savePush executes SAVEPUSH: every executing lane pushes a zeroed frame of
+// in.Imm register slots.
+func (c *execContext) savePush(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	if exec == 0 {
+		return nil
+	}
+	n := int(in.Imm)
+	if n < 0 || n > maxFrameRegs {
+		return c.trap(FaultInvalidInstruction, pc, in, lane(exec), "save frame of %d registers (a thread has %d)", in.Imm, maxFrameRegs)
+	}
+	level, sameLevel := w.saveDepth[lane(exec)], true
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		dp := w.saveDepth[i]
+		if dp >= maxStackDepth {
+			return c.trap(FaultStackOverflow, pc, in, i, "save stack exceeds %d frames", maxStackDepth)
+		}
+		if dp == len(w.saveMeta)/WarpSize {
+			w.pushLevel()
+		}
+		sameLevel = sameLevel && dp == level
+	}
+	// When every live lane pushes at one level, no other frame lives in the
+	// rows and they are cleared whole; otherwise each lane clears its own
+	// column of them.
+	rows := sameLevel && exec == w.live
+	if rows {
+		clear(w.saveRegs[level*levelWords:][:n*WarpSize])
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		dp := w.saveDepth[i]
+		if !rows {
+			col := w.saveRegs[dp*levelWords+i:]
+			for k := 0; k < n; k++ {
+				col[k*WarpSize] = 0
+			}
+		}
+		w.saveMeta[dp*WarpSize+i] = saveFrame{n: int32(n)}
+		w.saveDepth[i]++
+	}
+	w.cohort = 0
+	if sameLevel {
+		w.cohort, w.cohortRow, w.cohortLen = exec, level*maxFrameRegs, n
+	}
+	return nil
+}
+
+// saveAccess executes the instructions that address a lane's innermost save
+// frame: the save/restore traffic of a trampoline and the device API's
+// register reads and writes.
+func (c *execContext) saveAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	// A trampoline's STSA/LDSA run on the lanes that pushed together: one
+	// slot of their frames is a row, moved against a register row.
+	if (in.Op == sass.OpSTSA || in.Op == sass.OpLDSA) && exec&^w.cohort == 0 && uint64(in.Imm) < uint64(w.cohortLen) {
+		row := (*[WarpSize]uint32)(w.saveRegs[(w.cohortRow+int(in.Imm))*WarpSize:])
+		from, to := w.src(in.Src1), row
+		if in.Op == sass.OpLDSA {
+			from, to = row, w.dst(in.Dst)
+		}
+		if exec == fullMask {
+			*to = *from
+			return nil
+		}
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			to[i] = from[i]
+		}
+		return nil
+	}
+	d, a := w.dst(in.Dst), w.src(in.Src1)
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		dp := w.saveDepth[i]
+		if dp == 0 {
+			return c.trap(FaultStackUnderflow, pc, in, i, "%v with no save frame", in.Op)
+		}
+		fr := &w.saveMeta[(dp-1)*WarpSize+i]
+		slots := w.saveRegs[(dp-1)*levelWords+i:] // slot k is slots[k*WarpSize]
+		switch in.Op {
+		case sass.OpSTSA, sass.OpLDSA:
+			if uint64(in.Imm) >= uint64(fr.n) {
+				return c.trap(FaultInvalidInstruction, pc, in, i, "save slot %d beyond frame of %d", in.Imm, fr.n)
+			}
+			if in.Op == sass.OpSTSA {
+				slots[int(in.Imm)*WarpSize] = a[i]
+			} else {
+				d[i] = slots[int(in.Imm)*WarpSize]
+			}
+		case sass.OpSTSP:
+			fr.preds = w.preds[i]
+		case sass.OpLDSP:
+			w.preds[i] = fr.preds
+		case sass.OpSTSB:
+			fr.barrier = w.barrier[i]
+		case sass.OpLDSB:
+			w.barrier[i] = fr.barrier
+		case sass.OpRDREG, sass.OpWRREG:
+			idx := int(a[i]) + int(in.Imm)
+			if idx < 0 || idx >= int(fr.n) {
+				return c.trap(FaultInvalidInstruction, pc, in, i, "%v of register %d beyond saved set of %d", in.Op, idx, fr.n)
+			}
+			if in.Op == sass.OpRDREG {
+				d[i] = slots[idx*WarpSize]
+			} else {
+				slots[idx*WarpSize] = w.reg(i, in.Src2)
+			}
+		case sass.OpRDPRED:
+			d[i] = uint32(fr.preds)
+		case sass.OpWRPRED:
+			fr.preds = uint8(w.reg(i, in.Src2)) & 0x7f
+		}
+	}
+	return nil
+}
+
+// transfer moves one lane's 4- or 8-byte value between its register and mem,
+// the bounds-checked bytes a memory instruction addresses.
+func (w *warp) transfer(in *sass.Inst, lane int, mem []byte, load bool) {
+	switch wide := in.Mods.Wide(); {
+	case load && wide:
+		w.setReg64(lane, in.Dst, binary.LittleEndian.Uint64(mem))
+	case load:
+		w.setReg(lane, in.Dst, binary.LittleEndian.Uint32(mem))
+	case wide:
+		binary.LittleEndian.PutUint64(mem, w.reg64(lane, in.Src2))
+	default:
+		binary.LittleEndian.PutUint32(mem, w.reg(lane, in.Src2))
+	}
+}
+
+// matchKey is the value MATCH compares for one lane.
+func (w *warp) matchKey(in *sass.Inst, lane int) uint64 {
+	if in.Mods.Wide() {
+		return w.reg64(lane, in.Src1)
+	}
+	return uint64(w.reg(lane, in.Src1))
+}
+
+// trap builds a structured execution fault at the current instruction (nil
+// when none could be fetched), stamping it with the worker's full provenance
+// (kernel, SM, CTA, warp). It is the cold path of step; keeping it a method
+// (not a per-step closure) keeps the dispatch loop allocation-free. Lane is
+// -1 for warp-wide faults.
+func (c *execContext) trap(kind FaultKind, pc int32, in *sass.Inst, lane int, format string, args ...any) *Fault {
+	f := &Fault{
 		Kind:   kind,
 		PC:     pc,
-		SASS:   sass.Format(in),
 		Entry:  c.spec.Entry,
 		Kernel: c.spec.Name,
 		SM:     c.sm,
@@ -716,50 +633,14 @@ func (c *execContext) trap(kind FaultKind, pc int32, in sass.Inst, lane int, for
 		Lane:   lane,
 		Detail: fmt.Sprintf(format, args...),
 	}
-}
-
-// eff2 computes the effective second source: Src2 plus the signed immediate.
-func eff2(w *warp, in *sass.Inst, lane int) uint32 {
-	return w.reg(lane, in.Src2) + uint32(int32(in.Imm))
-}
-
-func cmpI32(sub int, a, b int32) bool {
-	switch sub {
-	case sass.CmpEQ:
-		return a == b
-	case sass.CmpNE:
-		return a != b
-	case sass.CmpLT:
-		return a < b
-	case sass.CmpLE:
-		return a <= b
-	case sass.CmpGT:
-		return a > b
-	case sass.CmpGE:
-		return a >= b
+	if in != nil {
+		f.SASS = sass.Format(*in)
 	}
-	return false
+	return f
 }
 
-func cmpU32(sub int, a, b uint32) bool {
-	switch sub {
-	case sass.CmpEQ:
-		return a == b
-	case sass.CmpNE:
-		return a != b
-	case sass.CmpLT:
-		return a < b
-	case sass.CmpLE:
-		return a <= b
-	case sass.CmpGT:
-		return a > b
-	case sass.CmpGE:
-		return a >= b
-	}
-	return false
-}
-
-func cmpF32(sub int, a, b float32) bool {
+// cmp evaluates an ISETP/FSETP comparison.
+func cmp[T int32 | uint32 | float32](sub int, a, b T) bool {
 	switch sub {
 	case sass.CmpEQ:
 		return a == b
@@ -818,7 +699,7 @@ func (c *execContext) specialReg(w *warp, lane int, id int64) uint32 {
 	return 0
 }
 
-func accessWidth(in sass.Inst) int {
+func accessWidth(in *sass.Inst) int {
 	if in.Mods.Wide() {
 		return 8
 	}
@@ -827,49 +708,36 @@ func accessWidth(in sass.Inst) int {
 
 // globalAccess performs a coalesced warp-level global load/store and feeds
 // the cache/timing model.
-func (c *execContext) globalAccess(w *warp, in sass.Inst, execLanes *[WarpSize]bool, pc int32) error {
-	width := accessWidth(in)
-	d := c.dev
-	lineShift := uint(0)
-	for 1<<lineShift < d.cfg.L1LineBytes {
-		lineShift++
+func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	if exec == 0 {
+		return nil
 	}
+	width := uint64(accessWidth(in))
+	d := c.dev
 	var lines [WarpSize]uint64
 	nLines := 0
-	any := false
-	for i := 0; i < w.nLanes; i++ {
-		if !execLanes[i] {
-			continue
-		}
-		any = true
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
 		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
-		if addr%uint64(width) != 0 {
+		if addr%width != 0 {
 			f := c.trap(FaultMisalignedAddress, pc, in, i, "global access at %#x not %d-byte aligned", addr, width)
 			f.Addr = addr
 			return f
 		}
-		if addr < heapBase || addr+uint64(width) > uint64(len(d.mem)) || addr+uint64(width) < addr {
+		if !d.inHeap(addr, width) {
 			f := c.trap(FaultIllegalAddress, pc, in, i, "global access [%#x,+%d) outside the device heap", addr, width)
 			f.Addr = addr
 			return f
 		}
 		if in.Op == sass.OpLDG {
-			if width == 8 {
-				w.setReg64(i, in.Dst, binary.LittleEndian.Uint64(d.mem[addr:]))
-			} else {
-				w.setReg(i, in.Dst, binary.LittleEndian.Uint32(d.mem[addr:]))
-			}
+			w.transfer(in, i, d.peek(addr)[addr&pageMask:], true)
 		} else {
-			if width == 8 {
-				binary.LittleEndian.PutUint64(d.mem[addr:], w.reg64(i, in.Src2))
-			} else {
-				binary.LittleEndian.PutUint32(d.mem[addr:], w.reg(i, in.Src2))
-			}
+			w.transfer(in, i, d.touch(addr)[addr&pageMask:], false)
 		}
 		// Record the unique lines touched (both words of a straddling
 		// access count, matching hardware sectoring).
-		for _, a := range [2]uint64{addr, addr + uint64(width) - 1} {
-			line := a >> lineShift
+		for _, a := range [2]uint64{addr, addr + width - 1} {
+			line := a >> d.lineShift
 			dup := false
 			for k := 0; k < nLines; k++ {
 				if lines[k] == line {
@@ -882,9 +750,6 @@ func (c *execContext) globalAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 				nLines++
 			}
 		}
-	}
-	if !any {
-		return nil
 	}
 	st := &c.stats
 	st.GlobalAccesses++
@@ -919,26 +784,18 @@ func (c *execContext) lineCost(line uint64) uint64 {
 // read-modify-write is serialized through an address-striped device lock, so
 // concurrent CTAs interleave atomically — in an undefined cross-CTA order,
 // exactly as on real hardware — and the race detector stays clean.
-func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]bool, pc int32) error {
+func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
 	d := c.dev
-	width := accessWidth(in)
-	lineShift := uint(0)
-	for 1<<lineShift < d.cfg.L1LineBytes {
-		lineShift++
-	}
-	any := false
-	for i := 0; i < w.nLanes; i++ {
-		if !execLanes[i] {
-			continue
-		}
-		any = true
+	width := uint64(accessWidth(in))
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
 		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
-		if addr%uint64(width) != 0 {
+		if addr%width != 0 {
 			f := c.trap(FaultMisalignedAddress, pc, in, i, "atomic access at %#x not %d-byte aligned", addr, width)
 			f.Addr = addr
 			return f
 		}
-		if addr < heapBase || addr+uint64(width) > uint64(len(d.mem)) || addr+uint64(width) < addr {
+		if !d.inHeap(addr, width) {
 			f := c.trap(FaultIllegalAddress, pc, in, i, "atomic access [%#x,+%d) outside the device heap", addr, width)
 			f.Addr = addr
 			return f
@@ -948,38 +805,15 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 			mu = &d.atomLocks[(addr>>3)&(atomStripes-1)]
 			mu.Lock()
 		}
+		mem := d.touch(addr)[addr&pageMask:]
 		if width == 8 {
-			old := binary.LittleEndian.Uint64(d.mem[addr:])
-			val := w.reg64(i, in.Src2)
-			var nv uint64
-			switch in.Mods.SubOp() {
-			case sass.AtomAdd:
-				nv = old + val
-			case sass.AtomMin:
-				nv = old
-				if val < old {
-					nv = val
-				}
-			case sass.AtomMax:
-				nv = old
-				if val > old {
-					nv = val
-				}
-			case sass.AtomExch:
-				nv = val
-			case sass.AtomAnd:
-				nv = old & val
-			case sass.AtomOr:
-				nv = old | val
-			case sass.AtomXor:
-				nv = old ^ val
-			}
-			binary.LittleEndian.PutUint64(d.mem[addr:], nv)
+			old := binary.LittleEndian.Uint64(mem)
+			binary.LittleEndian.PutUint64(mem, atomInt(in.Mods.SubOp(), old, w.reg64(i, in.Src2)))
 			if in.Op == sass.OpATOM {
 				w.setReg64(i, in.Dst, old)
 			}
 		} else {
-			old := binary.LittleEndian.Uint32(d.mem[addr:])
+			old := binary.LittleEndian.Uint32(mem)
 			val := w.reg(i, in.Src2)
 			var nv uint32
 			if in.Mods.Flag() { // float atomic
@@ -999,30 +833,9 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 					return c.trap(FaultInvalidInstruction, pc, in, i, "float atomic %s unsupported", sass.AtomName(in.Mods.SubOp()))
 				}
 			} else {
-				switch in.Mods.SubOp() {
-				case sass.AtomAdd:
-					nv = old + val
-				case sass.AtomMin:
-					nv = old
-					if val < old {
-						nv = val
-					}
-				case sass.AtomMax:
-					nv = old
-					if val > old {
-						nv = val
-					}
-				case sass.AtomExch:
-					nv = val
-				case sass.AtomAnd:
-					nv = old & val
-				case sass.AtomOr:
-					nv = old | val
-				case sass.AtomXor:
-					nv = old ^ val
-				}
+				nv = atomInt(in.Mods.SubOp(), old, val)
 			}
-			binary.LittleEndian.PutUint32(d.mem[addr:], nv)
+			binary.LittleEndian.PutUint32(mem, nv)
 			if in.Op == sass.OpATOM {
 				w.setReg(i, in.Dst, old)
 			}
@@ -1030,29 +843,47 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 		if mu != nil {
 			mu.Unlock()
 		}
-		w.cycles += c.lineCost((w.reg64(i, in.Src1) + uint64(in.Imm)) >> lineShift)
+		w.cycles += c.lineCost(addr >> d.lineShift)
 	}
-	if any {
+	if exec != 0 {
 		c.stats.GlobalAccesses++
 	}
 	return nil
 }
 
+// atomInt computes the value an integer ATOM/RED leaves in memory.
+func atomInt[T uint32 | uint64](sub int, old, val T) T {
+	switch sub {
+	case sass.AtomAdd:
+		return old + val
+	case sass.AtomMin:
+		return min(old, val)
+	case sass.AtomMax:
+		return max(old, val)
+	case sass.AtomExch:
+		return val
+	case sass.AtomAnd:
+		return old & val
+	case sass.AtomOr:
+		return old | val
+	case sass.AtomXor:
+		return old ^ val
+	}
+	return 0
+}
+
 // execWFFT32 natively evaluates the hypothetical warp-wide 32-point FFT:
 // lane k receives X[k] = sum_n x[n] * e^(-2*pi*i*k*n/32), with the real parts
 // in register Dst and the imaginary parts in register Src1 across the warp.
-func execWFFT32(w *warp, in sass.Inst, execLanes *[WarpSize]bool) {
+func execWFFT32(w *warp, in *sass.Inst, exec uint32) {
 	var re, im [WarpSize]float64
-	for n := 0; n < WarpSize; n++ {
-		if execLanes[n] {
-			re[n] = float64(f32(w.reg(n, in.Dst)))
-			im[n] = float64(f32(w.reg(n, in.Src1)))
-		}
+	for m := exec; m != 0; m &= m - 1 {
+		n := lane(m)
+		re[n] = float64(f32(w.reg(n, in.Dst)))
+		im[n] = float64(f32(w.reg(n, in.Src1)))
 	}
-	for k := 0; k < w.nLanes; k++ {
-		if !execLanes[k] {
-			continue
-		}
+	for m := exec; m != 0; m &= m - 1 {
+		k := lane(m)
 		var sr, si float64
 		for n := 0; n < WarpSize; n++ {
 			ang := -2 * math.Pi * float64(k*n) / WarpSize

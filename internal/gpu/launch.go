@@ -512,7 +512,7 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 		allDoneOrBarred := true
 		anyBarred := false
 		for _, wp := range c.warps {
-			if wp.done() {
+			if wp.live == 0 {
 				continue
 			}
 			if wp.barWait {
@@ -522,7 +522,7 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 			allDoneOrBarred = false
 			c.curWarp = wp.id
 			// Run a burst of instructions for locality.
-			for i := 0; i < 64 && !wp.done() && !wp.barWait; i++ {
+			for i := 0; i < 64 && wp.live != 0 && !wp.barWait; i++ {
 				if err := c.step(wp); err != nil {
 					return 0, err
 				}

@@ -56,6 +56,29 @@ func TestLaunchNoTracingZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInstrumentedLaunchAllocs pins the same for instrumented code: a steady
+// launch whose every thread goes through a trampoline (CAL, SAVEPUSH, STSA,
+// LDSA, SAVEPOP, RET — schedKernel's, entered by divergent groups) allocates
+// nothing either, because save frames live in the pooled warps.
+func TestInstrumentedLaunchAllocs(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	counter, _ := d.Malloc(8)
+	out, _ := d.Malloc(4 * (schedCTAs*schedThreads + schedCTAs))
+	spec := LaunchSpec{Entry: loadSASS(t, d, schedKernel), Name: "k", Grid: D1(schedCTAs), Block: D1(schedThreads),
+		Params: u64param(counter, out), SharedBytes: 4 * schedThreads}
+	if _, err := d.Launch(spec); err != nil {
+		t.Fatal(err) // warm the pools, the save slabs and the decode cache
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := d.Launch(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("instrumented launch allocates %v objects per run, want 0", allocs)
+	}
+}
+
 func BenchmarkLaunchNoTracing(b *testing.B) {
 	cfg := DefaultConfig(sass.Volta)
 	d, err := New(cfg)

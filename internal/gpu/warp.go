@@ -1,39 +1,89 @@
 package gpu
 
-import "nvbitgo/internal/sass"
+import (
+	"math"
+	"math/bits"
+
+	"nvbitgo/internal/sass"
+)
 
 const (
 	pcExited = -1
+	// noWaiter is warp.wmin when no lane waits behind the active group.
+	noWaiter = math.MaxInt32
+	// fullMask is the lane mask of a complete warp.
+	fullMask = 1<<WarpSize - 1
 )
 
-// saveFrame is one pushed register-save frame on a thread's save stack — the
-// synthetic equivalent of the stack area where NVBit's pre-built routines
-// save general-purpose registers, predicates and (on Volta) convergence
-// barrier state before entering an instrumentation function.
+// maxFrameRegs bounds one save frame: a frame holds general-purpose
+// registers, of which a thread has 256. It is also the slot stride between
+// stack levels in the save slab.
+const maxFrameRegs = 256
+
+// levelWords is the size of one stack level of the save slab.
+const levelWords = maxFrameRegs * WarpSize
+
+// saveFrame is the header of one pushed register-save frame on a thread's
+// save stack — the synthetic equivalent of the stack area where NVBit's
+// pre-built routines save general-purpose registers, predicates and (on
+// Volta) convergence barrier state before entering an instrumentation
+// function. The saved registers themselves live in warp.saveRegs.
 type saveFrame struct {
-	regs    []uint32
+	n       int32 // register slots in the frame (the SAVEPUSH immediate)
 	preds   uint8
 	barrier uint32
 }
+
+// lane returns the lowest lane in a non-empty mask; `for m := mask; m != 0;
+// m &= m - 1 { i := lane(m) … }` visits a mask's lanes in ascending order.
+// The &31 lets the compiler drop bounds checks on [WarpSize] arrays.
+func lane(m uint32) int { return bits.TrailingZeros32(m) & (WarpSize - 1) }
 
 // warp is the execution state of one 32-thread warp. Threads have individual
 // program counters; the scheduler issues, per step, the group of live
 // threads sharing the minimum PC (min-PC reconvergence), which handles
 // arbitrary control flow including the trampolines NVBit splices in.
+//
+// That minimum-PC view is cached rather than rescanned: act is the group the
+// next step issues and upc its PC, kept only there; pc[] holds the PCs of
+// the waiting lanes (live &^ act), all above upc, with wmin the smallest. A
+// converged warp (act == live) has no waiters, so it never touches pc[] and
+// every PC change is one store to upc.
 type warp struct {
 	id      int
-	nLanes  int // live lanes in this warp (< 32 for the tail warp)
 	barWait bool
 	cycles  uint64
 
-	pc      [WarpSize]int32
-	regs    [WarpSize][256]uint32
-	preds   [WarpSize]uint8
-	barrier [WarpSize]uint32 // Volta convergence-barrier state (opaque)
+	upc  int32  // PC of the active group; pcExited once live == 0
+	wmin int32  // smallest waiting PC, noWaiter when act == live
+	live uint32 // lanes that have not exited
+	act  uint32 // live lanes at upc
+	pc   [WarpSize]int32
+
+	// The register file is register-major, so one operand of a whole warp is
+	// a contiguous row. RZ is not backed by its row: reads go to zero, which
+	// is never written, and writes to sink, which is never read.
+	regs       [256][WarpSize]uint32
+	zero, sink [WarpSize]uint32
+	preds      [WarpSize]uint8
+	barrier    [WarpSize]uint32 // Volta convergence-barrier state (opaque)
 
 	callStack [WarpSize][]int32
-	saveStack [WarpSize][]saveFrame
 	local     [WarpSize][]byte
+
+	// Save stacks, one per lane, in slabs that stay with the pooled warp.
+	// Lane l's frame at stack level d has its header at saveMeta[d*WarpSize+l]
+	// and register slot k at saveRegs[d*levelWords+k*WarpSize+l]: slot-major,
+	// so one slot of a whole warp is a contiguous row like a register.
+	saveDepth [WarpSize]int
+	saveMeta  []saveFrame
+	saveRegs  []uint32
+	// cohort caches the lanes of the last SAVEPUSH when they all pushed at
+	// the same level: their innermost frames are cohortLen slots starting at
+	// row cohortRow, so STSA/LDSA need no per-lane frame lookup. Lanes leave
+	// it when they pop; it is only ever an under-approximation.
+	cohort               uint32
+	cohortRow, cohortLen int
 }
 
 func newWarp() *warp { return &warp{} }
@@ -45,69 +95,109 @@ func newWarp() *warp { return &warp{} }
 // (docs/scheduler.md), so runs stay deterministic regardless.
 func (w *warp) reset(id, lanes int, entry int32) {
 	w.id = id
-	w.nLanes = lanes
 	w.barWait = false
-	for i := 0; i < WarpSize; i++ {
-		if i < lanes {
-			w.pc[i] = entry
-		} else {
-			w.pc[i] = pcExited
-		}
-		w.preds[i] = 0
+	w.live = fullMask >> uint(WarpSize-lanes)
+	w.act, w.upc, w.wmin = w.live, entry, noWaiter
+	w.preds = [WarpSize]uint8{}
+	w.saveDepth = [WarpSize]int{}
+	w.cohort = 0
+	for i := range w.callStack {
 		w.callStack[i] = w.callStack[i][:0]
-		w.saveStack[i] = w.saveStack[i][:0]
 	}
 }
 
-// advance moves every active lane to the fall-through PC (the default
-// outcome of a non-control-flow step).
-func (w *warp) advance(active *[WarpSize]bool, next int32) {
-	for i := 0; i < w.nLanes; i++ {
-		if active[i] {
-			w.pc[i] = next
+// jump moves the whole active group to PC t: the fall-through of every
+// non-control-flow step, and a branch all active lanes take. While t stays
+// below every waiting PC the group is still the minimum and nothing else
+// changes.
+func (w *warp) jump(t int32) {
+	if t < w.wmin && t != pcExited {
+		w.upc = t
+		return
+	}
+	w.retarget(w.act, t)
+	w.regroup()
+}
+
+// split sends the taken lanes of the active group to t (pcExited retires
+// them) and the rest to the fall-through PC.
+func (w *warp) split(taken uint32, t, next int32) {
+	switch taken {
+	case 0:
+		w.jump(next)
+	case w.act:
+		w.jump(t)
+	default:
+		w.retarget(w.act&^taken, next)
+		w.retarget(taken, t)
+		w.regroup()
+	}
+}
+
+// scatter finishes a step whose taken lanes stored their own targets in pc[]
+// (BRX, RET); the rest of the active group falls through.
+func (w *warp) scatter(taken uint32, next int32) {
+	t, m := w.pc[lane(taken)], taken
+	for m != 0 && w.pc[lane(m)] == t {
+		m &= m - 1
+	}
+	if m == 0 { // one common target
+		w.split(taken, t, next)
+		return
+	}
+	w.retarget(w.act&^taken, next)
+	w.regroup()
+}
+
+// retarget records t as the PC of the lanes in m.
+func (w *warp) retarget(m uint32, t int32) {
+	for ; m != 0; m &= m - 1 {
+		w.pc[lane(m)] = t
+	}
+}
+
+// regroup rebuilds the minimum-PC view from pc[], which must hold the PC of
+// every live lane; lanes sent to pcExited retire here.
+func (w *warp) regroup() {
+	lo := int32(noWaiter)
+	w.upc, w.wmin, w.act = pcExited, noWaiter, 0
+	for m := w.live; m != 0; m &= m - 1 {
+		i := lane(m)
+		switch p := w.pc[i]; {
+		case p == pcExited:
+			w.live &^= 1 << uint(i)
+		case p < lo:
+			w.wmin, lo, w.act = lo, p, 1<<uint(i)
+		case p == lo:
+			w.act |= 1 << uint(i)
+		case p < w.wmin:
+			w.wmin = p
 		}
 	}
+	if w.live != 0 {
+		w.upc = lo
+	}
 }
 
-// done reports whether every lane has exited.
-func (w *warp) done() bool {
-	for i := 0; i < w.nLanes; i++ {
-		if w.pc[i] != pcExited {
-			return false
+// guard returns the lanes of act whose guard predicate holds.
+func (w *warp) guard(act uint32, p sass.Pred, neg bool) uint32 {
+	t := act
+	if p != sass.PT {
+		t = 0
+		for m := act; m != 0; m &= m - 1 {
+			i := lane(m)
+			t |= uint32(w.preds[i]>>p&1) << uint(i)
 		}
 	}
-	return true
-}
-
-// minPC returns the smallest live PC, or pcExited when none.
-func (w *warp) minPC() int32 {
-	min := int32(pcExited)
-	for i := 0; i < w.nLanes; i++ {
-		if p := w.pc[i]; p != pcExited && (min == pcExited || p < min) {
-			min = p
-		}
-	}
-	return min
-}
-
-// activeMask returns the lanes whose PC equals pc.
-func (w *warp) activeMask(pc int32) uint32 {
-	var m uint32
-	for i := 0; i < w.nLanes; i++ {
-		if w.pc[i] == pc {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
-// predTrue evaluates a guard predicate for one lane.
-func (w *warp) predTrue(lane int, p sass.Pred, neg bool) bool {
-	v := p == sass.PT || w.preds[lane]&(1<<uint(p)) != 0
 	if neg {
-		return !v
+		return act &^ t
 	}
-	return v
+	return t
+}
+
+// predTrue evaluates a predicate for one lane.
+func (w *warp) predTrue(lane int, p sass.Pred) bool {
+	return p == sass.PT || w.preds[lane]&(1<<uint(p)) != 0
 }
 
 // setPred writes one predicate bit for one lane (writes to PT are dropped).
@@ -122,33 +212,35 @@ func (w *warp) setPred(lane int, p sass.Pred, v bool) {
 	}
 }
 
-// reg reads a general-purpose register (RZ reads zero).
-func (w *warp) reg(lane int, r sass.Reg) uint32 {
+// src returns the row a register is read from, one word per lane.
+func (w *warp) src(r sass.Reg) *[WarpSize]uint32 {
 	if r == sass.RZ {
-		return 0
+		return &w.zero
 	}
-	return w.regs[lane][r]
+	return &w.regs[r]
 }
+
+// dst returns the row a register is written to, one word per lane.
+func (w *warp) dst(r sass.Reg) *[WarpSize]uint32 {
+	if r == sass.RZ {
+		return &w.sink
+	}
+	return &w.regs[r]
+}
+
+// reg reads a general-purpose register (RZ reads zero).
+func (w *warp) reg(lane int, r sass.Reg) uint32 { return w.src(r)[lane] }
 
 // setReg writes a general-purpose register (writes to RZ are dropped).
-func (w *warp) setReg(lane int, r sass.Reg, v uint32) {
-	if r == sass.RZ {
-		return
-	}
-	w.regs[lane][r] = v
-}
+func (w *warp) setReg(lane int, r sass.Reg, v uint32) { w.dst(r)[lane] = v }
 
-// reg64 reads the 64-bit value in the register pair (r, r+1).
+// reg64 reads the 64-bit value in the register pair (r, r+1). The pair at
+// R254 has its high word in RZ's otherwise unused row.
 func (w *warp) reg64(lane int, r sass.Reg) uint64 {
 	if r == sass.RZ {
 		return 0
 	}
-	lo := uint64(w.regs[lane][r])
-	hi := uint64(0)
-	if int(r)+1 < 256 {
-		hi = uint64(w.regs[lane][r+1])
-	}
-	return lo | hi<<32
+	return uint64(w.regs[r][lane]) | uint64(w.regs[r+1][lane])<<32
 }
 
 // setReg64 writes the register pair (r, r+1).
@@ -156,8 +248,12 @@ func (w *warp) setReg64(lane int, r sass.Reg, v uint64) {
 	if r == sass.RZ {
 		return
 	}
-	w.regs[lane][r] = uint32(v)
-	if int(r)+1 < 256 {
-		w.regs[lane][r+1] = uint32(v >> 32)
-	}
+	w.regs[r][lane] = uint32(v)
+	w.regs[r+1][lane] = uint32(v >> 32)
+}
+
+// pushLevel makes room for frames at one more stack level.
+func (w *warp) pushLevel() {
+	w.saveMeta = append(w.saveMeta, make([]saveFrame, WarpSize)...)
+	w.saveRegs = append(w.saveRegs, make([]uint32, levelWords)...)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,8 +302,11 @@ func TestDoSingleflight(t *testing.T) {
 			results[i], hits[i] = data, hit
 		}(i)
 	}
-	// Wait until the one generator is inside gen, then release it.
-	for gens.Load() == 0 {
+	// Release the generator only once every caller has looked the key up: a
+	// lookup made while the flight is open joins it, whereas one made after
+	// it lands is a plain memory hit and would not count as coalesced.
+	for c.Stats().Lookups < goroutines {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

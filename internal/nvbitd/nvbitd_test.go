@@ -141,6 +141,55 @@ func TestConcurrentSessionsMatchStandalone(t *testing.T) {
 	}
 }
 
+// TestSessionOpenDuringPeerLaunches opens sessions on a one-device pool while
+// another session's kernels run there. Opening applies the daemon's scheduler
+// and watchdog to the shared device, which must never happen under a peer's
+// launch; this is the -race regression for that, and the running session's
+// report must still match standalone.
+func TestSessionOpenDuringPeerLaunches(t *testing.T) {
+	sock := startServer(t, nvbitd.Config{Family: sass.Volta, Devices: 1, QueueLimit: -1})
+
+	done := make(chan struct{})
+	var report string
+	go func() {
+		defer close(done)
+		s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "instrcount"})
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		defer s.Close()
+		if err := findBenchmark(t, "cg").Run(s, specaccel.Small); err != nil {
+			t.Errorf("run: %v", err)
+			return
+		}
+		r, err := s.Report()
+		if err != nil {
+			t.Errorf("report: %v", err)
+			return
+		}
+		report = r.Text
+	}()
+	for opened := 0; ; opened++ {
+		select {
+		case <-done:
+			if opened == 0 {
+				t.Fatal("no session was opened while the peer ran")
+			}
+			if want := standaloneReport(t, "instrcount", "cg"); !t.Failed() && report != want {
+				t.Errorf("report differs from standalone:\ndaemon:\n%s\nstandalone:\n%s", report, want)
+			}
+			return
+		default:
+		}
+		s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "none"})
+		if err != nil {
+			t.Fatalf("dial during peer launches: %v", err)
+		}
+		s.Close()
+	}
+}
+
 // TestRunCaptureOverDaemon checks the data-path ops (alloc, h2d, launch,
 // d2h) by comparing a benchmark's captured output buffer across remote and
 // local execution.
