@@ -446,7 +446,9 @@ func BenchmarkSaveSet(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nv.ForceFullSaveSet(fullSave)
+			if fullSave {
+				nv.SetInjectionMode(nvbit.InjectFullSave)
+			}
 			ctx, _ := api.CtxCreate()
 			mod, err := ctx.ModuleLoadPTX("m", benchKernelPTX)
 			if err != nil {
@@ -488,7 +490,9 @@ func BenchmarkSaveSetSizing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nv.ForceFullSaveSet(fullSave)
+		if fullSave {
+			nv.SetInjectionMode(core.InjectFullSave)
+		}
 		ctx, _ := api.CtxCreate()
 		mod, err := ctx.ModuleLoadPTX("m", benchKernelPTX)
 		if err != nil {

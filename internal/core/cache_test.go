@@ -25,7 +25,9 @@ func cacheRun(t *testing.T, cache *jitcache.Cache, fullSave bool, sites func(idx
 	var ctr uint64
 	tool := &testTool{}
 	env := setup(t, sass.Volta, tool, WithJITCache(cache))
-	env.nv.ForceFullSaveSet(fullSave)
+	if fullSave {
+		env.nv.SetInjectionMode(InjectFullSave)
+	}
 	ctr, err := env.nv.Malloc(8)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +186,7 @@ func TestCacheCorruptDiskEntriesFallBack(t *testing.T) {
 }
 
 // TestCacheFullSaveNeverServedLivenessArtifact pins the key invariant for
-// ForceFullSaveSet: artifacts generated with liveness-minimal save sets are
+// the full-save mode: artifacts generated with liveness-minimal save sets are
 // unreachable from a full-save attach (and vice versa) because the flag is
 // part of the code-object fingerprint. A stale liveness artifact served to a
 // full-save run would silently under-save — this test makes that a miss by

@@ -23,17 +23,15 @@ func (n *NVBit) generate(fs *funcState) error {
 }
 
 // buildArtifact runs the device-independent half of the Code Generator: it
-// sizes each site's save set from the liveness analysis, builds one
-// trampoline body per instrumented instruction, and records relocations for
-// every immediate that depends on device placement (save/restore routines,
-// tool-function load addresses, the return jump, relocated relative
-// branches). It performs no device writes and no trampoline allocation, so
-// its output is a pure function of (function bytes, plan, tool sources,
-// family, MaxRegs, injection mode) — exactly the inputs the cache key covers,
-// which is what makes artifacts shareable across attaches.
+// builds one trampoline body per instrumented instruction and records
+// relocations for every immediate that depends on device placement
+// (save/restore routines, tool-function load addresses, the return jump,
+// relocated relative branches). It performs no device writes and no
+// trampoline allocation, so its output is a pure function of (function bytes,
+// plan, tool sources, family, MaxRegs, injection mode) — exactly the inputs
+// the cache key covers, which is what makes artifacts shareable across
+// attaches.
 func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
-	hal := n.hal
-	f := fs.f
 	art := &codeArtifact{}
 	toolIdx := make(map[string]int)
 	internName := func(name string) int64 {
@@ -54,200 +52,221 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 			art.sites = append(art.sites, siteArtifact{idx: i.idx, nopOnly: true})
 			continue
 		}
-
-		// Size the save set per site: the registers the liveness pass
-		// proves live at this instruction (clipped to the function's
-		// register requirement, which is also the fallback when the
-		// analysis is conservative), every injected function, and every
-		// register the argument marshalling reads. Registers above the
-		// save set are provably dead here and never written by
-		// trampoline code, so skipping them cannot change tool output.
-		maxRegs := f.MaxRegs()
-		if live := fs.liveness(); !live.Conservative() {
-			rs, _ := live.SiteLive(i.idx)
-			if m := rs.Max() + 1; m < maxRegs {
-				maxRegs = m
-			}
+		before, err := n.resolveCalls(i, i.before)
+		if err != nil {
+			return nil, err
 		}
-		// needCapture: some injected call is guarded by a real predicate,
-		// so the trampoline snapshots the site-entry predicate bank into a
-		// scratch register (chosen above every register the app or the
-		// tool functions touch) and re-materializes it before each guarded
-		// CAL. Without this, an after-group guard would read the value
-		// left by the relocated original instruction — wrong when the
-		// instruction defines its own guard predicate — and a guard in a
-		// multi-call group would read predicates a preceding tool function
-		// clobbered.
-		needCapture := false
-		scratch := f.MaxRegs()
-		calls := make([]*callRequest, 0, len(i.before)+len(i.after))
-		calls = append(calls, i.before...)
-		calls = append(calls, i.after...)
-		for _, cr := range calls {
-			tf, err := n.loader.lookup(cr.funcName)
-			if err != nil {
-				return nil, err
-			}
-			if err := validateArgs(tf, cr.args); err != nil {
-				return nil, err
-			}
-			if tf.numRegs > maxRegs {
-				maxRegs = tf.numRegs
-			}
-			if tf.numRegs > scratch {
-				scratch = tf.numRegs
-			}
-			if cr.guarded {
-				p := cr.guardP
-				if cr.useSite {
-					p = i.inst.Pred
-				}
-				if p != sass.PT {
-					needCapture = true
-				}
-			}
-			for _, a := range cr.args {
-				if a.kind == argRegVal && a.reg+1 > maxRegs {
-					maxRegs = a.reg + 1
-				}
-				if a.kind == argRegVal64 && a.reg+2 > maxRegs {
-					maxRegs = a.reg + 2
-				}
-				if a.kind == argMRefAddr {
-					mref, ok := i.inst.MemOperand()
-					if !ok {
-						return nil, fmt.Errorf("nvbit: ArgMRefAddr on %s word %d: instruction has no memory operand", f.Name, i.idx)
-					}
-					if mref.Base != sass.RZ {
-						width := 1
-						if mref.Space == sass.MemGlobal {
-							width = 2 // 64-bit base register pair
-						}
-						if r := int(mref.Base) + width; r > maxRegs {
-							maxRegs = r
-						}
-					}
-				}
-			}
+		after, err := n.resolveCalls(i, i.after)
+		if err != nil {
+			return nil, err
 		}
 		// Inline injection: when liveness proves enough dead registers to
 		// hold every injected body's renamed working set, splice the bodies
 		// into the relocated stream and skip the save/restore machinery
-		// entirely. Any ineligible call falls the whole site back to the
-		// trampoline path below.
+		// entirely. Any ineligible call falls the whole site back to
+		// save/CAL/restore.
+		var site siteArtifact
+		inlined := false
 		if n.injectMode == InjectInline {
-			if site, ok := n.buildInlineSite(fs, i); ok {
-				art.sites = append(art.sites, site)
-				continue
-			}
+			site, inlined = n.inlineSite(fs, i, before, after)
 		}
-
-		saveN := hal.SaveSetSize(maxRegs)
-		if n.injectMode == InjectFullSave {
-			saveN = hal.RegsPerThread
-		}
-		// The capture scratch register must exist; when the function and
-		// tools together already consume the whole register file there is
-		// no dead register to borrow, and guards keep the pre-liveness
-		// behavior of reading the bank at call time.
-		capture := needCapture && scratch < sass.NumRegs
-
-		// Build the trampoline body with trampoline-relative positions and
-		// relocation records for every placement-dependent immediate.
-		site := siteArtifact{idx: i.idx, saveN: saveN}
-		tr := &site.insts
-		emitCall := func(kind relocKind, aux int64) {
-			site.relocs = append(site.relocs, reloc{kind: kind, slot: len(*tr), aux: aux})
-			*tr = append(*tr, sass.NewInst(sass.OpCAL))
-		}
-		emitGroup := func(group []*callRequest) error {
-			if len(group) == 0 {
-				return nil
-			}
-			emitCall(relocSaveFn, int64(saveN))
-			for _, cr := range group {
-				tf, _ := n.loader.lookup(cr.funcName)
-				insts, err := n.marshalArgs(tf, cr.args, i)
-				if err != nil {
-					return err
-				}
-				*tr = append(*tr, insts...)
-				if cr.guarded && capture {
-					// Re-materialize the site-entry predicate bank
-					// snapshot so the CAL's predicate match sees the
-					// values that held when the trampoline was
-					// entered — not values the relocated original
-					// (after groups) or an earlier tool function in
-					// this group may have written. The group's
-					// closing restore reloads the bank from the save
-					// frame, so the app never observes this write.
-					r2p := sass.NewInst(sass.OpR2P)
-					r2p.Src1 = sass.Reg(scratch)
-					*tr = append(*tr, r2p)
-				}
-				emitCall(relocToolFn, internName(cr.funcName))
-				if cr.guarded {
-					// Predicate matching on the call itself (Section
-					// 7 future work): non-matching lanes fall through
-					// past the CAL.
-					cal := &(*tr)[len(*tr)-1]
-					if cr.useSite {
-						cal.Pred, cal.PredNeg = i.inst.Pred, i.inst.PredNeg
-					} else {
-						cal.Pred, cal.PredNeg = cr.guardP, cr.guardNeg
-					}
-				}
-			}
-			emitCall(relocRestoreFn, int64(saveN))
-			return nil
-		}
-
-		if capture {
-			// Snapshot the predicate bank at trampoline entry. The
-			// scratch register sits above everything the app, the
-			// marshalling and the tool functions write, so the snapshot
-			// survives until the last guarded CAL re-reads it.
-			p2r := sass.NewInst(sass.OpP2R)
-			p2r.Dst = sass.Reg(scratch)
-			*tr = append(*tr, p2r)
-		}
-		if err := emitGroup(i.before); err != nil {
-			return nil, err
-		}
-		// The relocated original instruction (step 5 of Figure 4), or a
-		// NOP when nvbit_remove_orig was requested. A relocated relative
-		// control-flow instruction must have its offset adjusted for its
-		// new position (Section 5.1), which depends on the trampoline
-		// base; the original immediate rides along in the reloc.
-		relocSlot := len(*tr)
-		if i.removeOrig {
-			*tr = append(*tr, sass.NewInst(sass.OpNOP))
-		} else {
-			*tr = append(*tr, i.inst)
-			if i.inst.Op.IsRelativeBranch() {
-				site.relocs = append(site.relocs, reloc{kind: relocRelBranch, slot: relocSlot, aux: i.inst.Imm})
-			}
-		}
-		if err := emitGroup(i.after); err != nil {
-			return nil, err
-		}
-		// Return to the instrumented code at the next program counter.
-		site.relocs = append(site.relocs, reloc{kind: relocRetJump, slot: len(*tr)})
-		*tr = append(*tr, sass.NewInst(sass.OpJMP))
-
-		// SavedRegs counts the registers this site must preserve (the
-		// liveness-derived requirement), not the granularity-rounded
-		// frame the HAL caches save routines by: the requirement is the
-		// quantity the paper's minimality claim is about, and rounding
-		// would mask per-site variation below one granule.
-		if n.injectMode == InjectFullSave {
-			site.savedRegs = hal.RegsPerThread
-		} else {
-			site.savedRegs = maxRegs
+		if !inlined {
+			site = n.trampolineSite(fs, i, before, after, internName)
 		}
 		art.sites = append(art.sites, site)
 	}
 	return art, nil
+}
+
+// siteCall is one injected call resolved against the loaded tool functions
+// and the instrumented instruction.
+type siteCall struct {
+	cr *callRequest
+	tf *toolFunc
+	// p/neg is the call's guard; PT (never negated) when it has none.
+	p   sass.Pred
+	neg bool
+	// reads and predReads are the site's registers and predicates the
+	// argument marshalling reads. A trampoline's save set must cover them;
+	// inline renaming must not hand them out as targets.
+	reads     sass.RegSet
+	predReads sass.PredSet
+}
+
+// resolveCalls looks up and validates one group of call requests.
+func (n *NVBit) resolveCalls(i *Instr, group []*callRequest) ([]siteCall, error) {
+	calls := make([]siteCall, 0, len(group))
+	for _, cr := range group {
+		tf, err := n.loader.lookup(cr.funcName)
+		if err != nil {
+			return nil, err
+		}
+		if err := validateArgs(tf, cr.args); err != nil {
+			return nil, err
+		}
+		c := siteCall{cr: cr, tf: tf, p: sass.PT}
+		if cr.guarded {
+			c.p, c.neg = cr.guardP, cr.guardNeg
+			if cr.useSite {
+				c.p, c.neg = i.inst.Pred, i.inst.PredNeg
+			}
+		}
+		for _, a := range cr.args {
+			switch a.kind {
+			case argRegVal:
+				c.reads.AddRange(sass.Reg(a.reg), 1)
+			case argRegVal64:
+				c.reads.AddRange(sass.Reg(a.reg), 2)
+			case argPredVal:
+				c.predReads.Add(a.pred)
+			case argGuardPred:
+				c.predReads.Add(i.inst.Pred)
+			case argMRefAddr:
+				mref, ok := i.inst.MemOperand()
+				if !ok {
+					return nil, fmt.Errorf("nvbit: ArgMRefAddr on %s word %d: instruction has no memory operand", i.fs.f.Name, i.idx)
+				}
+				width := 1
+				if mref.Space == sass.MemGlobal {
+					width = 2 // 64-bit base register pair
+				}
+				c.reads.AddRange(mref.Base, width)
+			}
+		}
+		calls = append(calls, c)
+	}
+	return calls, nil
+}
+
+// layoutSite is the per-site skeleton every injection strategy shares:
+// before-calls, the relocated original instruction (step 5 of Figure 4) or a
+// NOP when nvbit_remove_orig was requested, after-calls, and the jump back to
+// the instrumented code at the next program counter. emitGroup appends one
+// group's code to the site and reports whether it could. A relocated relative
+// control-flow instruction must have its offset adjusted for its new position
+// (Section 5.1), which depends on the trampoline base; the original
+// immediate rides along in the reloc.
+func layoutSite(site *siteArtifact, i *Instr, before, after []siteCall, emitGroup func([]siteCall) bool) bool {
+	if !emitGroup(before) {
+		return false
+	}
+	if i.removeOrig {
+		site.insts = append(site.insts, sass.NewInst(sass.OpNOP))
+	} else {
+		if i.inst.Op.IsRelativeBranch() {
+			site.relocs = append(site.relocs, reloc{kind: relocRelBranch, slot: len(site.insts), aux: i.inst.Imm})
+		}
+		site.insts = append(site.insts, i.inst)
+	}
+	if !emitGroup(after) {
+		return false
+	}
+	site.relocs = append(site.relocs, reloc{kind: relocRetJump, slot: len(site.insts)})
+	site.insts = append(site.insts, sass.NewInst(sass.OpJMP))
+	return true
+}
+
+// trampolineSite generates the save/CAL/restore form of a site.
+func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall, internName func(string) int64) siteArtifact {
+	hal := n.hal
+	f := fs.f
+	// Size the save set per site: the registers the liveness pass proves
+	// live at this instruction (clipped to the function's register
+	// requirement, which is also the fallback when the analysis is
+	// conservative), every injected function, and every register the
+	// argument marshalling reads. Registers above the save set are provably
+	// dead here and never written by trampoline code, so skipping them
+	// cannot change tool output.
+	maxRegs := f.MaxRegs()
+	if live := fs.liveness(); !live.Conservative() {
+		rs, _ := live.SiteLive(i.idx)
+		if m := rs.Max() + 1; m < maxRegs {
+			maxRegs = m
+		}
+	}
+	// needCapture: some injected call is guarded by a real predicate, so the
+	// trampoline snapshots the site-entry predicate bank into a scratch
+	// register (chosen above every register the app or the tool functions
+	// touch) and re-materializes it before each guarded CAL. Without this, an
+	// after-group guard would read the value left by the relocated original
+	// instruction — wrong when the instruction defines its own guard
+	// predicate — and a guard in a multi-call group would read predicates a
+	// preceding tool function clobbered.
+	needCapture := false
+	scratch := f.MaxRegs()
+	for _, group := range [2][]siteCall{before, after} {
+		for _, c := range group {
+			if c.tf.numRegs > maxRegs {
+				maxRegs = c.tf.numRegs
+			}
+			if c.tf.numRegs > scratch {
+				scratch = c.tf.numRegs
+			}
+			if c.p != sass.PT {
+				needCapture = true
+			}
+			if m := c.reads.Max() + 1; m > maxRegs {
+				maxRegs = m
+			}
+		}
+	}
+	saveN := hal.SaveSetSize(maxRegs)
+	// SavedRegs counts the registers this site must preserve (the
+	// liveness-derived requirement), not the granularity-rounded frame the
+	// HAL caches save routines by: the requirement is the quantity the
+	// paper's minimality claim is about, and rounding would mask per-site
+	// variation below one granule.
+	site := siteArtifact{idx: i.idx, saveN: saveN, savedRegs: maxRegs}
+	if n.injectMode == InjectFullSave {
+		site.saveN, site.savedRegs = hal.RegsPerThread, hal.RegsPerThread
+	}
+	// The capture scratch register must exist; when the function and tools
+	// together already consume the whole register file there is no dead
+	// register to borrow, and guards keep the pre-liveness behavior of
+	// reading the bank at call time.
+	capture := needCapture && scratch < sass.NumRegs
+	if capture {
+		// Snapshot the predicate bank at trampoline entry. The scratch
+		// register sits above everything the app, the marshalling and the
+		// tool functions write, so the snapshot survives until the last
+		// guarded CAL re-reads it.
+		p2r := sass.NewInst(sass.OpP2R)
+		p2r.Dst = sass.Reg(scratch)
+		site.insts = append(site.insts, p2r)
+	}
+	emitCall := func(kind relocKind, aux int64) *sass.Inst {
+		site.relocs = append(site.relocs, reloc{kind: kind, slot: len(site.insts), aux: aux})
+		site.insts = append(site.insts, sass.NewInst(sass.OpCAL))
+		return &site.insts[len(site.insts)-1]
+	}
+	layoutSite(&site, i, before, after, func(group []siteCall) bool {
+		if len(group) == 0 {
+			return true
+		}
+		emitCall(relocSaveFn, int64(site.saveN))
+		for _, c := range group {
+			site.insts = append(site.insts, n.marshalArgs(c, i, nil)...)
+			if c.cr.guarded && capture {
+				// Re-materialize the site-entry predicate bank snapshot so
+				// the CAL's predicate match sees the values that held when
+				// the trampoline was entered — not values the relocated
+				// original (after groups) or an earlier tool function in
+				// this group may have written. The group's closing restore
+				// reloads the bank from the save frame, so the app never
+				// observes this write.
+				r2p := sass.NewInst(sass.OpR2P)
+				r2p.Src1 = sass.Reg(scratch)
+				site.insts = append(site.insts, r2p)
+			}
+			// Predicate matching on the call itself (Section 7 future
+			// work): non-matching lanes fall through past the CAL.
+			cal := emitCall(relocToolFn, internName(c.cr.funcName))
+			cal.Pred, cal.PredNeg = c.p, c.neg
+		}
+		emitCall(relocRestoreFn, int64(site.saveN))
+		return true
+	})
+	return site
 }
 
 // materializeArtifact is the device-side half of the Code Generator: it
@@ -366,33 +385,51 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact, fromCache 
 	return nil
 }
 
-// marshalArgs emits the argument-passing sequence for one injected call.
-// Arguments are read from the save frame (not live registers, which earlier
-// marshalling or previous injected calls may have clobbered) and placed in
-// ABI argument registers according to the device calling convention.
-func (n *NVBit) marshalArgs(tf *toolFunc, args []CallArg, site *Instr) ([]sass.Inst, error) {
+// marshalArgs emits the argument-passing sequence for one injected call,
+// placing each argument in its ABI register according to the device calling
+// convention. regMap says where the interrupted thread's state is read from.
+// A nil regMap is the trampoline: state comes from the save frame (LDSA,
+// RDPRED), not from live registers, which earlier marshalling or previous
+// injected calls may have clobbered. A non-nil regMap is the inline splice:
+// the ABI registers are renamed through it and state is read live (MOV,
+// P2R.ONE) — safe because inline code written so far has only touched renamed
+// dead registers and predicates.
+func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Reg) []sass.Inst {
+	live := regMap != nil
 	var out []sass.Inst
-	for k, a := range args {
-		abiReg := sass.Reg(tf.params[k].Offset)
+	// readRegs leaves the site's register r (a pair when width is 2) in dst.
+	readRegs := func(dst, r sass.Reg, width int) {
+		if live {
+			mv := sass.NewInst(sass.OpMOV)
+			mv.Dst, mv.Src1 = dst, r
+			mv.Mods = sass.MakeMods(0, width == 2, false, sass.PT)
+			out = append(out, mv)
+			return
+		}
+		for k := 0; k < width; k++ {
+			ld := sass.NewInst(sass.OpLDSA)
+			ld.Dst, ld.Imm = dst+sass.Reg(k), int64(r)+int64(k)
+			out = append(out, ld)
+		}
+	}
+	for k, a := range c.cr.args {
+		abi := sass.Reg(c.tf.params[k].Offset)
+		if live {
+			abi = regMap[abi]
+		}
 		switch a.kind {
 		case argRegVal:
-			ld := sass.NewInst(sass.OpLDSA)
-			ld.Dst, ld.Imm = abiReg, int64(a.reg)
-			out = append(out, ld)
+			readRegs(abi, sass.Reg(a.reg), 1)
 		case argRegVal64:
-			lo := sass.NewInst(sass.OpLDSA)
-			lo.Dst, lo.Imm = abiReg, int64(a.reg)
-			hi := sass.NewInst(sass.OpLDSA)
-			hi.Dst, hi.Imm = abiReg+1, int64(a.reg+1)
-			out = append(out, lo, hi)
+			readRegs(abi, sass.Reg(a.reg), 2)
 		case argImm32:
-			out = append(out, n.materialize(abiReg, uint32(a.imm))...)
+			out = append(out, n.materialize(abi, uint32(a.imm))...)
 		case argImm64:
-			out = append(out, n.materialize(abiReg, uint32(a.imm))...)
-			out = append(out, n.materialize(abiReg+1, uint32(a.imm>>32))...)
+			out = append(out, n.materialize(abi, uint32(a.imm))...)
+			out = append(out, n.materialize(abi+1, uint32(a.imm>>32))...)
 		case argCBank:
 			ld := sass.NewInst(sass.OpLDC)
-			ld.Dst, ld.Src1, ld.Imm = abiReg, sass.RZ, int64(a.off)
+			ld.Dst, ld.Src1, ld.Imm = abi, sass.RZ, int64(a.off)
 			ld.Mods = sass.MakeMods(a.bank, false, false, sass.PT)
 			out = append(out, ld)
 		case argPredVal, argGuardPred:
@@ -400,62 +437,45 @@ func (n *NVBit) marshalArgs(tf *toolFunc, args []CallArg, site *Instr) ([]sass.I
 			if a.kind == argGuardPred {
 				p, neg = site.inst.Pred, site.inst.PredNeg
 			}
-			out = append(out, predValSeq(abiReg, p, neg)...)
+			out = append(out, predValSeq(abi, p, neg, live)...)
 		case argMRefAddr:
-			insts, err := n.mrefAddrSeq(abiReg, site)
-			if err != nil {
-				return nil, err
+			// The 64-bit effective address of the site's memory reference
+			// (resolveCalls checked there is one): the base register plus
+			// the encoded offset, added with a wide IADD. Global references
+			// use a 64-bit base pair; shared, local and constant references
+			// a 32-bit base (zero-extended), and an RZ base degenerates to
+			// the absolute offset.
+			mref, _ := site.inst.MemOperand()
+			if mref.Base == sass.RZ {
+				addr := uint64(mref.Offset)
+				out = append(out, n.materialize(abi, uint32(addr))...)
+				out = append(out, n.materialize(abi+1, uint32(addr>>32))...)
+				break
 			}
-			out = append(out, insts...)
-		default:
-			return nil, fmt.Errorf("nvbit: unknown argument kind %d", a.kind)
+			if mref.Space == sass.MemGlobal {
+				readRegs(abi, mref.Base, 2)
+			} else {
+				readRegs(abi, mref.Base, 1)
+				hi := sass.NewInst(sass.OpMOVI)
+				hi.Dst = abi + 1
+				out = append(out, hi)
+			}
+			if mref.Offset != 0 {
+				add := sass.NewInst(sass.OpIADD)
+				add.Dst, add.Src1, add.Src2, add.Imm = abi, abi, sass.RZ, mref.Offset
+				add.Mods = sass.MakeMods(0, true, false, sass.PT)
+				out = append(out, add)
+			}
 		}
 	}
-	return out, nil
+	return out
 }
 
-// mrefAddrSeq emits code leaving the 64-bit effective address of the site's
-// memory reference in the ABI register pair (dst, dst+1): the saved base
-// register (pair) is loaded from the save frame and the encoded offset is
-// added with a wide IADD. Global references use a 64-bit base pair; shared,
-// local and constant references use a 32-bit base (zero-extended), and an RZ
-// base degenerates to the absolute offset.
-func (n *NVBit) mrefAddrSeq(dst sass.Reg, site *Instr) ([]sass.Inst, error) {
-	mref, ok := site.inst.MemOperand()
-	if !ok {
-		return nil, fmt.Errorf("nvbit: ArgMRefAddr: %s has no memory operand", sass.Format(site.inst))
-	}
-	var out []sass.Inst
-	if mref.Base == sass.RZ {
-		addr := uint64(mref.Offset)
-		out = append(out, n.materialize(dst, uint32(addr))...)
-		out = append(out, n.materialize(dst+1, uint32(addr>>32))...)
-		return out, nil
-	}
-	lo := sass.NewInst(sass.OpLDSA)
-	lo.Dst, lo.Imm = dst, int64(mref.Base)
-	out = append(out, lo)
-	if mref.Space == sass.MemGlobal {
-		hi := sass.NewInst(sass.OpLDSA)
-		hi.Dst, hi.Imm = dst+1, int64(mref.Base+1)
-		out = append(out, hi)
-	} else {
-		hi := sass.NewInst(sass.OpMOVI)
-		hi.Dst = dst + 1
-		out = append(out, hi)
-	}
-	if mref.Offset != 0 {
-		add := sass.NewInst(sass.OpIADD)
-		add.Dst, add.Src1, add.Src2, add.Imm = dst, dst, sass.RZ, mref.Offset
-		add.Mods = sass.MakeMods(0, true, false, sass.PT)
-		out = append(out, add)
-	}
-	return out, nil
-}
-
-// predValSeq emits code leaving the (saved) value of a predicate, as 0/1, in
-// dst. PT is constant-folded.
-func predValSeq(dst sass.Reg, p sass.Pred, neg bool) []sass.Inst {
+// predValSeq emits code leaving the value of predicate p at the site, as
+// 0/1, in dst: from the live bank through a single-predicate P2R, or from the
+// saved predicate image (RDPRED, which traps without a save frame). PT is
+// constant-folded.
+func predValSeq(dst sass.Reg, p sass.Pred, neg, live bool) []sass.Inst {
 	if p == sass.PT {
 		mv := sass.NewInst(sass.OpMOVI)
 		mv.Dst = dst
@@ -464,14 +484,22 @@ func predValSeq(dst sass.Reg, p sass.Pred, neg bool) []sass.Inst {
 		}
 		return []sass.Inst{mv}
 	}
-	rd := sass.NewInst(sass.OpRDPRED)
-	rd.Dst = dst
-	sh := sass.NewInst(sass.OpSHR)
-	sh.Dst, sh.Src1, sh.Src2, sh.Imm = dst, dst, sass.RZ, int64(p)
-	and := sass.NewInst(sass.OpLOP)
-	and.Dst, and.Src1, and.Src2, and.Imm = dst, dst, sass.RZ, 1
-	and.Mods = sass.MakeMods(sass.LopAnd, false, false, sass.PT)
-	seq := []sass.Inst{rd, sh, and}
+	var seq []sass.Inst
+	if live {
+		rd := sass.NewInst(sass.OpP2R)
+		rd.Dst = dst
+		rd.Mods = sass.MakeMods(sass.P2RSingle, false, false, p)
+		seq = append(seq, rd)
+	} else {
+		rd := sass.NewInst(sass.OpRDPRED)
+		rd.Dst = dst
+		sh := sass.NewInst(sass.OpSHR)
+		sh.Dst, sh.Src1, sh.Src2, sh.Imm = dst, dst, sass.RZ, int64(p)
+		and := sass.NewInst(sass.OpLOP)
+		and.Dst, and.Src1, and.Src2, and.Imm = dst, dst, sass.RZ, 1
+		and.Mods = sass.MakeMods(sass.LopAnd, false, false, sass.PT)
+		seq = append(seq, rd, sh, and)
+	}
 	if neg {
 		x := sass.NewInst(sass.OpLOP)
 		x.Dst, x.Src1, x.Src2, x.Imm = dst, dst, sass.RZ, 1

@@ -80,19 +80,8 @@ type NVBit struct {
 // (WithScheduler, WithWatchdogInterval, WithTracing); they are applied
 // before the tool's AtInit runs, so the tool observes the configured device.
 func Attach(api *driver.API, tool Tool, opts ...Option) (*NVBit, error) {
-	n := &NVBit{
-		api:   api,
-		tool:  tool,
-		funcs: make(map[*driver.Function]*funcState),
-	}
-	n.loader = newToolLoader(n)
-	var cfg attachConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	n, cfg := newNVBit(api, tool, opts)
 	cfg.apply(api.Device())
-	n.cache = cfg.cache
-	n.injectMode = cfg.injectMode
 	if err := api.SetHook((*hook)(n)); err != nil {
 		return nil, err
 	}
@@ -100,6 +89,25 @@ func Attach(api *driver.API, tool Tool, opts ...Option) (*NVBit, error) {
 		return nil, err
 	}
 	return n, nil
+}
+
+// newNVBit builds the framework instance Attach and OpenSession share and
+// returns the collected options, whose device-side half each caller applies
+// its own way.
+func newNVBit(api *driver.API, tool Tool, opts []Option) (*NVBit, attachConfig) {
+	var cfg attachConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	n := &NVBit{
+		api:        api,
+		tool:       tool,
+		funcs:      make(map[*driver.Function]*funcState),
+		cache:      cfg.cache,
+		injectMode: cfg.injectMode,
+	}
+	n.loader = newToolLoader(n)
+	return n, cfg
 }
 
 // safeAtInit runs the tool's AtInit with panic recovery: a broken tool must

@@ -1,0 +1,280 @@
+// Codegen byte-identity golden: the Code Generator's device-independent
+// output — what the JIT cache stores and what every simulated number derives
+// from — is pinned by SHA-256 per function, so a refactor of the generator or
+// of the sass operand view it consumes must reproduce it bit for bit.
+package core_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"nvbitgo/internal/core"
+	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/sass"
+	"nvbitgo/internal/tools/instrcount"
+	"nvbitgo/internal/tools/memcheck"
+	"nvbitgo/internal/tools/memtrace"
+	"nvbitgo/internal/workloads/specaccel"
+	"nvbitgo/nvbit"
+)
+
+const goldenPath = "testdata/codegen_golden.txt"
+
+var (
+	goldenFamilies = []sass.Family{sass.Kepler, sass.Volta}
+	goldenModes    = []core.InjectionMode{core.InjectTrampoline, core.InjectFullSave, core.InjectInline}
+)
+
+// goldenTools are the three tools whose plans cover before-calls on every
+// instruction (instrcount), ArgMRefAddr with site-predicate arguments on
+// memory instructions (memtrace) and multi-argument bounds checks (memcheck).
+var goldenTools = map[string]func() nvbit.Tool{
+	"instrcount": func() nvbit.Tool { return instrcount.New() },
+	"memtrace": func() nvbit.Tool {
+		t := memtrace.New(1 << 16)
+		t.Policy = nvbit.ChannelBlock
+		return t
+	},
+	"memcheck": func() nvbit.Tool { return memcheck.New(1 << 20) },
+}
+
+// synthPTX is the synthetic application: an ISETP guarded by the predicate
+// it writes, a guarded add that redefines its own source, a global load that
+// overwrites its base pair, and shared accesses through a register base and
+// an absolute address.
+const synthPTX = `
+.visible .entry synth(.param .u64 out)
+{
+	.reg .u32 %r<6>;
+	.reg .u64 %rd<6>;
+	.reg .pred %p<2>;
+	.shared .b8 smem[256];
+	mov.u32 %r0, %tid.x;
+	setp.lt.u32 %p0, %r0, 12;
+	@%p0 setp.ge.u32 %p0, %r0, 100;
+	mov.u32 %r1, 0;
+	@%p0 add.u32 %r1, %r1, 1;
+	ld.param.u64 %rd0, [out];
+	mul.wide.u32 %rd2, %r0, 8;
+	add.u64 %rd0, %rd0, %rd2;
+	@!%p0 ld.global.u64 %rd0, [%rd0+16];
+	shl.b32 %r2, %r0, 2;
+	st.shared.u32 [%r2+4], %r1;
+	ld.shared.u32 %r3, [8];
+	st.global.u32 [%rd0], %r3;
+	exit;
+}
+`
+
+// synthToolPTX: a 32-bit and a 64-bit probe whose bodies use registers, a
+// predicate and an interior return, so inline renaming has work to do.
+const synthToolPTX = `
+.toolfunc probe32(.param .u32 v, .param .u64 ctr)
+{
+	.reg .u32 %r<2>;
+	.reg .u64 %rd<4>;
+	.reg .pred %p<2>;
+	ld.param.u32 %r0, [v];
+	setp.eq.u32 %p0, %r0, 0;
+	@%p0 ret;
+	ld.param.u64 %rd0, [ctr];
+	mov.u64 %rd2, 1;
+	red.global.add.u64 [%rd0], %rd2;
+	ret;
+}
+.toolfunc probe64(.param .u64 v, .param .u64 out)
+{
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd0, [v];
+	ld.param.u64 %rd2, [out];
+	st.global.u64 [%rd2], %rd0;
+	ret;
+}
+`
+
+type synthTool struct{}
+
+func (synthTool) AtInit(n *core.NVBit) {
+	if err := n.RegisterToolPTX(synthToolPTX); err != nil {
+		panic(err)
+	}
+}
+func (synthTool) AtTerm(*core.NVBit) {}
+func (synthTool) AtCUDACall(*core.NVBit, bool, driver.CBID, string, *driver.CallParams) {
+}
+
+// synthArgs is one entry per Arg* constructor. wide selects probe64.
+var synthArgs = []struct {
+	name string
+	wide bool
+	mref bool
+	arg  func(i *core.Instr) core.CallArg
+}{
+	{"ArgReg", false, false, func(i *core.Instr) core.CallArg { return core.ArgReg(int(i.Raw().Src1)) }},
+	{"ArgReg64", true, false, func(i *core.Instr) core.CallArg { return core.ArgReg64(int(i.Raw().Src1) &^ 1) }},
+	{"ArgConst32", false, false, func(*core.Instr) core.CallArg { return core.ArgConst32(0xdeadbeef) }},
+	{"ArgConst64", true, false, func(*core.Instr) core.CallArg { return core.ArgConst64(0x0123456789abcdef) }},
+	{"ArgConstBank", false, false, func(*core.Instr) core.CallArg { return core.ArgConstBank(1, 0x44) }},
+	{"ArgPred", false, false, func(*core.Instr) core.CallArg { return core.ArgPred(0, true) }},
+	{"ArgSitePred", false, false, func(*core.Instr) core.CallArg { return core.ArgSitePred() }},
+	{"ArgMRefAddr", true, true, func(*core.Instr) core.CallArg { return core.ArgMRefAddr() }},
+	{"ArgLaunchDim", false, false, func(*core.Instr) core.CallArg { return core.ArgLaunchDim(core.BlockDimX) }},
+}
+
+// synthGuards are the call-guard variants each argument kind is generated
+// under.
+var synthGuards = []func(n *core.NVBit, i *core.Instr){
+	func(*core.NVBit, *core.Instr) {},
+	func(n *core.NVBit, i *core.Instr) { n.GuardCallBySite(i) },
+	func(n *core.NVBit, i *core.Instr) { n.GuardCall(i, 1, true) },
+}
+
+// synthDigests returns one line per Arg* kind: the hash over the artifacts of
+// every (site, guard variant) the kind applies to, each site carrying the
+// call both before and after the instruction. Nothing is launched.
+func synthDigests(fam sass.Family, mode core.InjectionMode) ([]string, error) {
+	api, err := driver.New(gpu.DefaultConfig(fam))
+	if err != nil {
+		return nil, err
+	}
+	defer api.Close()
+	nv, err := core.Attach(api, synthTool{}, core.WithInjectionMode(mode))
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := api.CtxCreate()
+	if err != nil {
+		return nil, err
+	}
+	mod, err := ctx.ModuleLoadPTX("synth", synthPTX)
+	if err != nil {
+		return nil, err
+	}
+	f, err := mod.GetFunction("synth")
+	if err != nil {
+		return nil, err
+	}
+	insts, err := nv.GetInstrs(f)
+	if err != nil {
+		return nil, err
+	}
+	var lines []string
+	for _, a := range synthArgs {
+		h := sha256.New()
+		sites := 0
+		for _, i := range insts {
+			_, isMem := i.MemOperand()
+			_, _, guarded := i.GetPredicate()
+			if a.mref != isMem || (!a.mref && !guarded) {
+				continue
+			}
+			for _, guard := range synthGuards {
+				probe, second := "probe32", core.ArgConst64(0x7000)
+				if a.wide {
+					probe = "probe64"
+				}
+				for _, where := range []core.IPoint{core.IPointBefore, core.IPointAfter} {
+					nv.InsertCallArgs(i, probe, where, a.arg(i), second)
+					guard(nv, i)
+				}
+				ds, err := nv.ArtifactDigests()
+				if err != nil {
+					return nil, fmt.Errorf("%s at word %d: %w", a.name, i.Idx(), err)
+				}
+				fmt.Fprintf(h, "%d %s\n", i.Idx(), strings.Join(ds, "\n"))
+				if err := nv.ResetInstrumented(f); err != nil {
+					return nil, err
+				}
+				sites++
+			}
+		}
+		if sites == 0 {
+			return nil, fmt.Errorf("%s: no applicable site in the synthetic kernel", a.name)
+		}
+		lines = append(lines, fmt.Sprintf("synth/%v/%v/%s %x", fam, mode, a.name, h.Sum(nil)))
+	}
+	return lines, nil
+}
+
+// cgDigests runs specaccel:cg Small under one tool and returns a line per
+// instrumented function.
+func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]string, error) {
+	api, err := driver.New(gpu.DefaultConfig(fam))
+	if err != nil {
+		return nil, err
+	}
+	defer api.Close()
+	nv, err := core.Attach(api, goldenTools[toolName](), core.WithInjectionMode(mode))
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := api.CtxCreate()
+	if err != nil {
+		return nil, err
+	}
+	if err := sessionBenchmark("cg").Run(ctx, specaccel.Small); err != nil {
+		return nil, err
+	}
+	ds, err := nv.ArtifactDigests()
+	if err != nil {
+		return nil, err
+	}
+	if len(ds) == 0 {
+		return nil, fmt.Errorf("%s instrumented nothing", toolName)
+	}
+	for k := range ds {
+		ds[k] = fmt.Sprintf("cg/%v/%v/%s/%s", fam, mode, toolName, ds[k])
+	}
+	return ds, nil
+}
+
+// TestCodegenGolden compares every digest with testdata/codegen_golden.txt.
+// Delete the file to record a new golden; the recording run fails so it is
+// never mistaken for a comparison.
+func TestCodegenGolden(t *testing.T) {
+	var got []string
+	for _, fam := range goldenFamilies {
+		for _, mode := range goldenModes {
+			for _, tool := range []string{"instrcount", "memtrace", "memcheck"} {
+				ds, err := cgDigests(fam, mode, tool)
+				if err != nil {
+					t.Fatalf("cg %v/%v/%s: %v", fam, mode, tool, err)
+				}
+				got = append(got, ds...)
+			}
+			ds, err := synthDigests(fam, mode)
+			if err != nil {
+				t.Fatalf("synth %v/%v: %v", fam, mode, err)
+			}
+			got = append(got, ds...)
+		}
+	}
+	text := strings.Join(got, "\n") + "\n"
+	want, err := os.ReadFile(goldenPath)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %d digests in %s; run again to compare", len(got), goldenPath)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(got) {
+		t.Fatalf("%d digests, golden has %d", len(got), len(wantLines))
+	}
+	for k := range got {
+		if got[k] != wantLines[k] {
+			t.Errorf("generated code changed:\n got %s\nwant %s", got[k], wantLines[k])
+		}
+	}
+}

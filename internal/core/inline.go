@@ -33,21 +33,10 @@ import (
 // save area instead). The cap is an occupancy policy, not a correctness
 // requirement.
 
-// inlineCall is one injected call, resolved and vetted for inlining.
-type inlineCall struct {
-	cr    *callRequest
-	tf    *toolFunc
-	fp    sass.Footprint
-	p     sass.Pred // effective guard predicate (PT when unguarded)
-	neg   bool
-	after bool
-}
-
-// buildInlineSite attempts inline injection for one instrumented site. It
-// returns ok=false when any call at the site is ineligible, in which case the
-// caller emits an ordinary trampoline. The caller has already resolved and
-// validated every callRequest.
-func (n *NVBit) buildInlineSite(fs *funcState, i *Instr) (siteArtifact, bool) {
+// inlineSite attempts inline injection for one instrumented site. It returns
+// ok=false when any call at the site is ineligible, in which case the caller
+// emits an ordinary trampoline.
+func (n *NVBit) inlineSite(fs *funcState, i *Instr, before, after []siteCall) (siteArtifact, bool) {
 	live := fs.liveness()
 	if live.Conservative() {
 		return siteArtifact{}, false
@@ -55,86 +44,28 @@ func (n *NVBit) buildInlineSite(fs *funcState, i *Instr) (siteArtifact, bool) {
 	liveRegs, livePreds := live.SiteLive(i.idx)
 	origDefs, _, origPDefs, _ := sass.DefUse(i.inst)
 
-	// Resolve calls, vet bodies, and collect the registers and predicates
-	// the marshalling sequences read from live site state — those must never
-	// be allocated as renaming targets, or an earlier inlined body would
-	// clobber a later call's inputs.
-	var calls []inlineCall
+	// The registers and predicates the marshalling sequences and guards read
+	// from live site state must never be allocated as renaming targets, or an
+	// earlier inlined body would clobber a later call's inputs.
 	var marshalReads sass.RegSet
 	var predExcl sass.PredSet
-	vet := func(cr *callRequest, after bool) bool {
-		tf, err := n.loader.lookup(cr.funcName)
-		if err != nil {
-			return false
-		}
-		fp, ok := sass.BodyFootprint(tf.insts)
-		if !ok {
-			return false
-		}
-		p, neg := sass.PT, false
-		if cr.guarded {
-			if cr.useSite {
-				p, neg = i.inst.Pred, i.inst.PredNeg
-			} else {
-				p, neg = cr.guardP, cr.guardNeg
-			}
-		}
-		predExcl.Add(p)
-		var reads sass.RegSet
-		var predReads sass.PredSet
-		for _, a := range cr.args {
-			switch a.kind {
-			case argRegVal:
-				reads.AddRange(sass.Reg(a.reg), 1)
-			case argRegVal64:
-				reads.AddRange(sass.Reg(a.reg), 2)
-			case argPredVal:
-				predReads.Add(a.pred)
-			case argGuardPred:
-				predReads.Add(i.inst.Pred)
-			case argMRefAddr:
-				if mref, ok := i.inst.MemOperand(); ok && mref.Base != sass.RZ {
-					width := 1
-					if mref.Space == sass.MemGlobal {
-						width = 2
-					}
-					reads.AddRange(mref.Base, width)
-				}
-			}
-		}
-		if after && !i.removeOrig {
+	for g, group := range [2][]siteCall{before, after} {
+		for _, c := range group {
 			// After-injections must observe site-entry state, exactly as a
 			// trampoline (which marshals from the save frame and snapshots
 			// the predicate bank at entry) would. If the original
 			// instruction defines its own guard predicate or any state the
 			// marshalling reads, inline code executing after it would see
 			// post-original values — fall back.
-			if p != sass.PT && origPDefs.Has(p) {
-				return false
+			if g == 1 && !i.removeOrig &&
+				(origPDefs.Has(c.p) || !c.reads.Intersect(origDefs).Empty() || c.predReads&origPDefs != 0) {
+				return siteArtifact{}, false
 			}
-			if !reads.Intersect(origDefs).Empty() {
-				return false
-			}
-			if predReads&origPDefs != 0 {
-				return false
-			}
-		}
-		marshalReads = marshalReads.Union(reads)
-		predExcl |= predReads
-		calls = append(calls, inlineCall{cr: cr, tf: tf, fp: fp, p: p, neg: neg, after: after})
-		return true
-	}
-	for _, cr := range i.before {
-		if !vet(cr, false) {
-			return siteArtifact{}, false
+			marshalReads = marshalReads.Union(c.reads)
+			predExcl |= c.predReads
+			predExcl.Add(c.p)
 		}
 	}
-	for _, cr := range i.after {
-		if !vet(cr, true) {
-			return siteArtifact{}, false
-		}
-	}
-
 	pool := sass.RegRange(fs.f.MaxRegs()).Diff(liveRegs).Diff(marshalReads)
 	deadPreds := (sass.AllPreds &^ livePreds) &^ predExcl
 
@@ -142,41 +73,26 @@ func (n *NVBit) buildInlineSite(fs *funcState, i *Instr) (siteArtifact, bool) {
 	// another body's renamed registers, so reuse across calls is safe and
 	// keeps the per-site demand at the largest single working set.
 	site := siteArtifact{idx: i.idx, inline: true}
-	tr := &site.insts
-	for _, c := range calls {
-		if c.after {
-			continue
+	ok := layoutSite(&site, i, before, after, func(group []siteCall) bool {
+		for _, c := range group {
+			if !n.spliceCall(&site, c, i, pool, deadPreds) {
+				return false
+			}
 		}
-		if !n.emitInlineCall(&site, tr, c, i, pool, deadPreds) {
-			return siteArtifact{}, false
-		}
-	}
-	relocSlot := len(*tr)
-	if i.removeOrig {
-		*tr = append(*tr, sass.NewInst(sass.OpNOP))
-	} else {
-		*tr = append(*tr, i.inst)
-		if i.inst.Op.IsRelativeBranch() {
-			site.relocs = append(site.relocs, reloc{kind: relocRelBranch, slot: relocSlot, aux: i.inst.Imm})
-		}
-	}
-	for _, c := range calls {
-		if !c.after {
-			continue
-		}
-		if !n.emitInlineCall(&site, tr, c, i, pool, deadPreds) {
-			return siteArtifact{}, false
-		}
-	}
-	site.relocs = append(site.relocs, reloc{kind: relocRetJump, slot: len(*tr)})
-	*tr = append(*tr, sass.NewInst(sass.OpJMP))
-	return site, true
+		return true
+	})
+	return site, ok
 }
 
-// emitInlineCall renames one tool body into dead registers and appends its
+// spliceCall renames one tool body into dead registers and appends its
 // marshalling, guard skip and body to the site. It reports false when the
-// dead set cannot hold the working set or a skip distance is unencodable.
-func (n *NVBit) emitInlineCall(site *siteArtifact, tr *[]sass.Inst, c inlineCall, i *Instr, pool sass.RegSet, deadPreds sass.PredSet) bool {
+// body cannot be spliced at all (see sass.BodyFootprint), the dead set cannot
+// hold the working set, or a skip distance is unencodable.
+func (n *NVBit) spliceCall(site *siteArtifact, c siteCall, i *Instr, pool sass.RegSet, deadPreds sass.PredSet) bool {
+	fp, ok := sass.BodyFootprint(c.tf.insts)
+	if !ok {
+		return false
+	}
 	if c.p == sass.PT && c.neg {
 		// The guard is statically false: neither the tool function nor — in
 		// a trampoline — its marshalling has an observable effect. Emit
@@ -186,7 +102,7 @@ func (n *NVBit) emitInlineCall(site *siteArtifact, tr *[]sass.Inst, c inlineCall
 	// The working set: every register the body touches plus the ABI
 	// argument registers the marshalling writes (a body may ignore an
 	// argument, but the marshalling still needs a renamed target).
-	need, pairs := c.fp.Regs, c.fp.PairBases
+	need, pairs := fp.Regs, fp.PairBases
 	for _, pr := range c.tf.params {
 		width := 1
 		if pr.Bytes == 8 {
@@ -199,16 +115,12 @@ func (n *NVBit) emitInlineCall(site *siteArtifact, tr *[]sass.Inst, c inlineCall
 	if !ok {
 		return false
 	}
-	predMap, ok := allocPredRenames(c.fp.Preds, deadPreds)
+	predMap, ok := allocPredRenames(fp.Preds, deadPreds)
 	if !ok {
 		return false
 	}
-
-	marshal, ok := n.inlineMarshal(c.tf, c.cr.args, i, regMap)
-	if !ok {
-		return false
-	}
-	*tr = append(*tr, marshal...)
+	tr := &site.insts
+	*tr = append(*tr, n.marshalArgs(c, i, regMap)...)
 
 	body := sass.RenameBody(c.tf.insts, regMap, predMap)
 	emitLen := len(body)
@@ -325,115 +237,4 @@ func allocPredRenames(need, dead sass.PredSet) (map[sass.Pred]sass.Pred, bool) {
 		}
 	}
 	return m, true
-}
-
-// inlineMarshal emits the argument-passing sequence for one inlined call.
-// Unlike the trampoline marshalling (which reads the save frame), arguments
-// are read straight from live registers — safe because inline code written so
-// far has only touched renamed dead registers — and land in the renamed ABI
-// argument registers.
-func (n *NVBit) inlineMarshal(tf *toolFunc, args []CallArg, site *Instr, regMap map[sass.Reg]sass.Reg) ([]sass.Inst, bool) {
-	var out []sass.Inst
-	for k, a := range args {
-		abi := regMap[sass.Reg(tf.params[k].Offset)]
-		switch a.kind {
-		case argRegVal:
-			mv := sass.NewInst(sass.OpMOV)
-			mv.Dst, mv.Src1 = abi, sass.Reg(a.reg)
-			out = append(out, mv)
-		case argRegVal64:
-			mv := sass.NewInst(sass.OpMOV)
-			mv.Dst, mv.Src1 = abi, sass.Reg(a.reg)
-			mv.Mods = sass.MakeMods(0, true, false, sass.PT)
-			out = append(out, mv)
-		case argImm32:
-			out = append(out, n.materialize(abi, uint32(a.imm))...)
-		case argImm64:
-			out = append(out, n.materialize(abi, uint32(a.imm))...)
-			out = append(out, n.materialize(abi+1, uint32(a.imm>>32))...)
-		case argCBank:
-			ld := sass.NewInst(sass.OpLDC)
-			ld.Dst, ld.Src1, ld.Imm = abi, sass.RZ, int64(a.off)
-			ld.Mods = sass.MakeMods(a.bank, false, false, sass.PT)
-			out = append(out, ld)
-		case argPredVal, argGuardPred:
-			p, neg := a.pred, a.predNeg
-			if a.kind == argGuardPred {
-				p, neg = site.inst.Pred, site.inst.PredNeg
-			}
-			out = append(out, inlinePredVal(abi, p, neg)...)
-		case argMRefAddr:
-			seq, ok := n.inlineMRefAddr(abi, site)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, seq...)
-		default:
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// inlinePredVal leaves the live value of predicate p, as 0/1, in dst. The
-// trampoline equivalent reads the saved predicate image (RDPRED), which traps
-// without a save frame; inline code reads the live bank directly through a
-// single-predicate P2R — equivalent because inline code never writes
-// unrenamed predicates before this point.
-func inlinePredVal(dst sass.Reg, p sass.Pred, neg bool) []sass.Inst {
-	if p == sass.PT {
-		mv := sass.NewInst(sass.OpMOVI)
-		mv.Dst = dst
-		if !neg {
-			mv.Imm = 1
-		}
-		return []sass.Inst{mv}
-	}
-	rd := sass.NewInst(sass.OpP2R)
-	rd.Dst = dst
-	rd.Mods = sass.MakeMods(sass.P2RSingle, false, false, p)
-	seq := []sass.Inst{rd}
-	if neg {
-		x := sass.NewInst(sass.OpLOP)
-		x.Dst, x.Src1, x.Src2, x.Imm = dst, dst, sass.RZ, 1
-		x.Mods = sass.MakeMods(sass.LopXor, false, false, sass.PT)
-		seq = append(seq, x)
-	}
-	return seq
-}
-
-// inlineMRefAddr leaves the 64-bit effective address of the site's memory
-// reference in the renamed ABI pair (dst, dst+1), reading the live base
-// register(s) — mirroring mrefAddrSeq without the save frame.
-func (n *NVBit) inlineMRefAddr(dst sass.Reg, site *Instr) ([]sass.Inst, bool) {
-	mref, ok := site.inst.MemOperand()
-	if !ok {
-		return nil, false
-	}
-	var out []sass.Inst
-	if mref.Base == sass.RZ {
-		addr := uint64(mref.Offset)
-		out = append(out, n.materialize(dst, uint32(addr))...)
-		out = append(out, n.materialize(dst+1, uint32(addr>>32))...)
-		return out, true
-	}
-	if mref.Space == sass.MemGlobal {
-		mv := sass.NewInst(sass.OpMOV)
-		mv.Dst, mv.Src1 = dst, mref.Base
-		mv.Mods = sass.MakeMods(0, true, false, sass.PT)
-		out = append(out, mv)
-	} else {
-		lo := sass.NewInst(sass.OpMOV)
-		lo.Dst, lo.Src1 = dst, mref.Base
-		hi := sass.NewInst(sass.OpMOVI)
-		hi.Dst = dst + 1
-		out = append(out, lo, hi)
-	}
-	if mref.Offset != 0 {
-		add := sass.NewInst(sass.OpIADD)
-		add.Dst, add.Src1, add.Src2, add.Imm = dst, dst, sass.RZ, mref.Offset
-		add.Mods = sass.MakeMods(0, true, false, sass.PT)
-		out = append(out, add)
-	}
-	return out, true
 }

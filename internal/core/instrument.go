@@ -228,20 +228,6 @@ func (n *NVBit) SetInjectionMode(m InjectionMode) { n.injectMode = m }
 // InjectionMode returns the active injection strategy.
 func (n *NVBit) InjectionMode() InjectionMode { return n.injectMode }
 
-// ForceFullSaveSet makes the Code Generator always save the entire register
-// file instead of the per-site minimal set derived from the backward
-// register-liveness analysis (see LiveRegs). It exists as the ablation
-// baseline for the paper's design choice that "NVBit saves only the minimum
-// amount of general purpose registers" (Section 5.1); no real tool should
-// enable it. Equivalent to SetInjectionMode(InjectFullSave) / (InjectTrampoline).
-func (n *NVBit) ForceFullSaveSet(v bool) {
-	if v {
-		n.injectMode = InjectFullSave
-	} else {
-		n.injectMode = InjectTrampoline
-	}
-}
-
 // hasWork reports whether the instruction carries instrumentation requests.
 func (i *Instr) hasWork() bool {
 	return len(i.before) > 0 || len(i.after) > 0 || i.removeOrig

@@ -30,16 +30,7 @@ type Session struct {
 // The tool's AtInit fires before OpenSession returns; its AtTerm fires at
 // Session.Close.
 func OpenSession(api *driver.API, tool Tool, opts ...Option) (*Session, error) {
-	n := &NVBit{
-		api:   api,
-		tool:  tool,
-		funcs: make(map[*driver.Function]*funcState),
-	}
-	n.loader = newToolLoader(n)
-	var cfg attachConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	n, cfg := newNVBit(api, tool, opts)
 	// The knobs are device state and launches read them: like every other
 	// device-owning operation, setting them takes the gate.
 	if err := api.Gate().Admit(0); err != nil {
@@ -47,8 +38,6 @@ func OpenSession(api *driver.API, tool Tool, opts ...Option) (*Session, error) {
 	}
 	cfg.applyShared(api.Device())
 	api.Gate().Release(0, 0)
-	n.cache = cfg.cache
-	n.injectMode = cfg.injectMode
 	if cfg.tracing {
 		n.prof = profile.NewCollector(cfg.traceBuffer)
 	}

@@ -75,34 +75,22 @@ func BasicBlocks(insts []Inst) (blocks []BlockRange, ok bool) {
 // the full register pair. Returns -1 when no register/predicate is used.
 func MaxReadReg(insts []Inst) (maxReg, maxPred int) {
 	maxReg, maxPred = -1, -1
-	note := func(r Reg, wide bool) {
-		if r == RZ {
-			return
-		}
-		n := int(r)
-		if wide {
-			n++
-		}
-		if n > maxReg {
-			maxReg = n
-		}
-	}
 	noteP := func(p Pred) {
 		if p != PT && int(p) > maxPred {
 			maxPred = int(p)
 		}
 	}
-	for _, in := range insts {
+	for k := range insts {
+		in := &insts[k]
 		noteP(in.Pred)
-		for _, o := range in.Operands() {
-			switch o.Kind {
-			case OpdReg:
-				note(o.Reg, o.Wide)
-			case OpdPred:
-				noteP(o.Pred)
-			case OpdMRef:
-				// Global bases are 64-bit register pairs.
-				note(o.Base, o.Space == MemGlobal)
+		sh := in.shape()
+		for _, s := range sh.slots {
+			if r, width, ok := in.reg(sh, s); ok {
+				if n := int(*r) + width - 1; *r != RZ && n > maxReg {
+					maxReg = n
+				}
+			} else if p, ok := in.pred(s); ok {
+				noteP(p)
 			}
 		}
 	}

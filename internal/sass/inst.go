@@ -47,6 +47,9 @@ func (m Mods) Flag() bool { return m&modFlag != 0 }
 // Aux returns the auxiliary predicate field.
 func (m Mods) Aux() Pred { return Pred(m >> 5) }
 
+// withAux returns m with the auxiliary predicate field replaced.
+func (m Mods) withAux(p Pred) Mods { return m&0x1f | Mods(p&7)<<5 }
+
 // Comparison sub-operations (ISETP, FSETP).
 const (
 	CmpEQ = iota
@@ -187,18 +190,15 @@ type Inst struct {
 func (in Inst) Guarded() bool { return in.Pred != PT || in.PredNeg }
 
 // HasSrc3 reports whether the opcode uses a third register source.
-func (in Inst) HasSrc3() bool { return in.Op == OpIMAD || in.Op == OpFFMA }
+func (in Inst) HasSrc3() bool { return in.Op.shape().src3 }
 
 // WritesPred reports whether the instruction writes a predicate register and
 // returns it. For ISETP/FSETP the destination predicate lives in Mods.Aux;
 // for VOTE.ANY/ALL it lives in the Dst field's low bits.
 func (in Inst) WritesPred() (Pred, bool) {
-	switch in.Op {
-	case OpISETP, OpFSETP:
-		return in.Mods.Aux(), true
-	case OpVOTE:
-		if in.Mods.SubOp() != VoteBallot {
-			return Pred(in.Dst & 7), true
+	for _, s := range in.shape().slots {
+		if p, ok := in.pred(s); ok && s.r&def != 0 {
+			return p, true
 		}
 	}
 	return PT, false

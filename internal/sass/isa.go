@@ -205,31 +205,13 @@ func (op Opcode) IsControlFlow() bool {
 func (op Opcode) IsRelativeBranch() bool { return op == OpBRA }
 
 // IsMemory reports whether the opcode performs a load/store-style access.
-func (op Opcode) IsMemory() bool {
-	switch op {
-	case OpLDG, OpSTG, OpLDS, OpSTS, OpLDL, OpSTL, OpLDC, OpATOM, OpRED:
-		return true
-	}
-	return false
-}
+func (op Opcode) IsMemory() bool { return op.shape().space != MemNone }
 
 // IsLoad reports whether the opcode reads memory into a register.
-func (op Opcode) IsLoad() bool {
-	switch op {
-	case OpLDG, OpLDS, OpLDL, OpLDC, OpATOM:
-		return true
-	}
-	return false
-}
+func (op Opcode) IsLoad() bool { return op.shape().load }
 
 // IsStore reports whether the opcode writes memory.
-func (op Opcode) IsStore() bool {
-	switch op {
-	case OpSTG, OpSTS, OpSTL, OpATOM, OpRED:
-		return true
-	}
-	return false
-}
+func (op Opcode) IsStore() bool { return op.shape().store }
 
 // MemSpace identifies the memory space an instruction references. It mirrors
 // the paper's Instr::getMemOpType values (NONE, GLOBAL, SHARED, LOCAL, CONST).
@@ -253,19 +235,7 @@ func (s MemSpace) String() string {
 }
 
 // MemOpSpace returns the memory space referenced by the opcode.
-func (op Opcode) MemOpSpace() MemSpace {
-	switch op {
-	case OpLDG, OpSTG, OpATOM, OpRED:
-		return MemGlobal
-	case OpLDS, OpSTS:
-		return MemShared
-	case OpLDL, OpSTL:
-		return MemLocal
-	case OpLDC:
-		return MemConst
-	}
-	return MemNone
-}
+func (op Opcode) MemOpSpace() MemSpace { return op.shape().space }
 
 // Special register identifiers for S2R (values of Inst.Imm).
 const (

@@ -152,54 +152,34 @@ func (s PredSet) Count() int {
 }
 
 // DefUse returns the registers and predicates the instruction writes (defs)
-// and reads (uses). The sets are derived from the structured operand view,
-// plus the cases the operand model cannot express positionally:
-//
-//   - the guard predicate is a use;
-//   - global memory references read a 64-bit base register pair;
-//   - WFFT32 transforms (re, im) in place, so both are uses and defs;
-//   - R2P/LDSP overwrite the whole predicate bank, P2R (pack) and STSP read
-//     all of it.
+// and reads (uses), as the operand-shape table gives them, plus the guard
+// predicate, which is a use. Global memory references read a 64-bit base
+// register pair; R2P/LDSP overwrite the whole predicate bank, P2R (pack) and
+// STSP read all of it.
 func DefUse(in Inst) (defs, uses RegSet, pdefs, puses PredSet) {
 	puses.Add(in.Pred)
-	for _, o := range in.Operands() {
-		switch o.Kind {
-		case OpdReg:
-			width := 1
-			if o.Wide {
-				width = 2
+	sh := in.shape()
+	for _, s := range sh.slots {
+		if r, width, ok := in.reg(sh, s); ok {
+			if s.r&def != 0 {
+				defs.AddRange(*r, width)
 			}
-			if o.Dst {
-				defs.AddRange(o.Reg, width)
-				if in.Op == OpWFFT32 {
-					uses.AddRange(o.Reg, width) // in-place butterfly
-				}
+			if s.r&use != 0 {
+				uses.AddRange(*r, width)
+			}
+		} else if p, ok := in.pred(s); ok {
+			if s.r&def != 0 {
+				pdefs.Add(p)
 			} else {
-				uses.AddRange(o.Reg, width)
+				puses.Add(p)
 			}
-		case OpdPred:
-			if o.Dst {
-				pdefs.Add(o.Pred)
-			} else {
-				puses.Add(o.Pred)
-			}
-		case OpdMRef:
-			width := 1
-			if o.Space == MemGlobal {
-				width = 2 // 64-bit base register pair
-			}
-			uses.AddRange(o.Base, width)
 		}
 	}
-	switch in.Op {
-	case OpR2P, OpLDSP:
+	if sh.bank&def != 0 {
 		pdefs = AllPreds
-	case OpSTSP:
+	}
+	if sh.bank&use != 0 {
 		puses = AllPreds
-	case OpP2R:
-		if in.Mods.SubOp() == P2RPack {
-			puses = AllPreds
-		}
 	}
 	return defs, uses, pdefs, puses
 }

@@ -45,107 +45,41 @@ type Operand struct {
 	CBank  int // OpdMRef with Space == MemConst
 }
 
-func regOpd(r Reg, wide, dst bool) Operand {
-	return Operand{Kind: OpdReg, Reg: r, Wide: wide, Dst: dst}
-}
-func predOpd(p Pred, dst bool) Operand { return Operand{Kind: OpdPred, Pred: p, Dst: dst} }
-func immOpd(v int64) Operand           { return Operand{Kind: OpdImm, Imm: v} }
-
-func mrefOpd(space MemSpace, base Reg, off int64, wide, store bool, bank int) Operand {
-	return Operand{Kind: OpdMRef, Space: space, Base: base, Offset: off, Wide: wide, Dst: store, CBank: bank}
-}
-
 // Operands returns the structured operand list of the instruction,
 // destination first. This is the data model behind the NVBit inspection API's
 // getNumOperands/getOperand methods.
 func (in Inst) Operands() []Operand {
-	w := in.Mods.Wide()
-	switch in.Op {
-	case OpNOP, OpEXIT, OpRET, OpBAR, OpSAVEPOP, OpSTSP, OpLDSP, OpSTSB, OpLDSB:
+	sh := in.shape()
+	if len(sh.slots) == 0 {
 		return nil
-	case OpBRA, OpJMP, OpSAVEPUSH:
-		return []Operand{immOpd(in.Imm)}
-	case OpCAL:
-		return []Operand{immOpd(in.Imm)}
-	case OpBRX:
-		return []Operand{regOpd(in.Src1, false, false), immOpd(in.Imm)}
-	case OpMOV:
-		return []Operand{regOpd(in.Dst, w, true), regOpd(in.Src1, w, false)}
-	case OpMOVI, OpMOVIH:
-		return []Operand{regOpd(in.Dst, false, true), immOpd(in.Imm)}
-	case OpS2R:
-		return []Operand{regOpd(in.Dst, false, true), {Kind: OpdSpecial, Imm: in.Imm}}
-	case OpP2R:
-		if in.Mods.SubOp() == P2RSingle {
-			return []Operand{regOpd(in.Dst, false, true), predOpd(in.Mods.Aux(), false)}
-		}
-		return []Operand{regOpd(in.Dst, false, true)}
-	case OpR2P:
-		return []Operand{regOpd(in.Src1, false, false)}
-	case OpSEL:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, false, false),
-			regOpd(in.Src2, false, false), predOpd(in.Mods.Aux(), false)}
-	case OpIADD, OpSHL, OpSHR, OpLOP:
-		return []Operand{regOpd(in.Dst, w, true), regOpd(in.Src1, w, false),
-			regOpd(in.Src2, w, false), immOpd(in.Imm)}
-	case OpIMUL:
-		return []Operand{regOpd(in.Dst, w, true), regOpd(in.Src1, w, false), regOpd(in.Src2, w, false)}
-	case OpIMAD, OpFFMA:
-		return []Operand{regOpd(in.Dst, w, true), regOpd(in.Src1, w, false),
-			regOpd(in.Src2, w, false), regOpd(in.Src3, w, false)}
-	case OpISETP:
-		return []Operand{predOpd(in.Mods.Aux(), true), regOpd(in.Src1, w, false),
-			regOpd(in.Src2, w, false), immOpd(in.Imm)}
-	case OpFSETP:
-		return []Operand{predOpd(in.Mods.Aux(), true), regOpd(in.Src1, false, false), regOpd(in.Src2, false, false)}
-	case OpFADD, OpFMUL:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, false, false), regOpd(in.Src2, false, false)}
-	case OpMUFU, OpI2F, OpF2I, OpPOPC:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, false, false)}
-	case OpLDG:
-		return []Operand{regOpd(in.Dst, w, true), mrefOpd(MemGlobal, in.Src1, in.Imm, w, false, 0)}
-	case OpSTG:
-		return []Operand{mrefOpd(MemGlobal, in.Src1, in.Imm, w, true, 0), regOpd(in.Src2, w, false)}
-	case OpLDS:
-		return []Operand{regOpd(in.Dst, w, true), mrefOpd(MemShared, in.Src1, in.Imm, w, false, 0)}
-	case OpSTS:
-		return []Operand{mrefOpd(MemShared, in.Src1, in.Imm, w, true, 0), regOpd(in.Src2, w, false)}
-	case OpLDL:
-		return []Operand{regOpd(in.Dst, w, true), mrefOpd(MemLocal, in.Src1, in.Imm, w, false, 0)}
-	case OpSTL:
-		return []Operand{mrefOpd(MemLocal, in.Src1, in.Imm, w, true, 0), regOpd(in.Src2, w, false)}
-	case OpLDC:
-		return []Operand{regOpd(in.Dst, w, true), mrefOpd(MemConst, in.Src1, in.Imm, w, false, in.Mods.SubOp())}
-	case OpATOM:
-		return []Operand{regOpd(in.Dst, w, true), mrefOpd(MemGlobal, in.Src1, in.Imm, w, true, 0), regOpd(in.Src2, w, false)}
-	case OpRED:
-		return []Operand{mrefOpd(MemGlobal, in.Src1, in.Imm, w, true, 0), regOpd(in.Src2, w, false)}
-	case OpSHFL:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, false, false),
-			regOpd(in.Src2, false, false), immOpd(in.Imm)}
-	case OpVOTE:
-		if in.Mods.SubOp() == VoteBallot {
-			return []Operand{regOpd(in.Dst, false, true), predOpd(in.Mods.Aux(), false)}
-		}
-		return []Operand{predOpd(Pred(in.Dst&7), true), predOpd(in.Mods.Aux(), false)}
-	case OpMATCH:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, w, false)}
-	case OpWFFT32:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, false, true)}
-	case OpSTSA:
-		return []Operand{immOpd(in.Imm), regOpd(in.Src1, false, false)}
-	case OpLDSA:
-		return []Operand{regOpd(in.Dst, false, true), immOpd(in.Imm)}
-	case OpRDREG:
-		return []Operand{regOpd(in.Dst, false, true), regOpd(in.Src1, false, false), immOpd(in.Imm)}
-	case OpWRREG:
-		return []Operand{regOpd(in.Src1, false, false), immOpd(in.Imm), regOpd(in.Src2, false, false)}
-	case OpRDPRED:
-		return []Operand{regOpd(in.Dst, false, true)}
-	case OpWRPRED:
-		return []Operand{regOpd(in.Src2, false, false)}
 	}
-	return nil
+	out := make([]Operand, 0, len(sh.slots)+1)
+	for _, s := range sh.slots {
+		o := Operand{Dst: s.r&def != 0}
+		switch s.f {
+		case fImm, fFrame:
+			o.Kind, o.Imm = OpdImm, in.Imm
+		case fSpecial:
+			o.Kind, o.Imm = OpdSpecial, in.Imm
+		case fMRef:
+			o = Operand{Kind: OpdMRef, Dst: sh.store, Space: sh.space, Base: in.Src1, Offset: in.Imm, Wide: in.Mods.Wide()}
+			if sh.space == MemConst {
+				o.CBank = in.Mods.SubOp()
+			}
+		case fRegImm:
+			out = append(out, Operand{Kind: OpdReg, Reg: in.Src1})
+			o.Kind, o.Imm = OpdImm, in.Imm
+		default:
+			if p, ok := in.pred(s); ok {
+				o.Kind, o.Pred = OpdPred, p
+			} else {
+				r, width, _ := in.reg(sh, s)
+				o.Kind, o.Reg, o.Wide = OpdReg, *r, width == 2
+			}
+		}
+		out = append(out, o)
+	}
+	return out
 }
 
 // MemOperand returns the memory-reference operand of the instruction, if any.

@@ -38,31 +38,23 @@ func BodyFootprint(insts []Inst) (Footprint, bool) {
 			// Control transfers whose targets cannot be relocated with the
 			// body.
 			return Footprint{}, false
-		case OpR2P:
-			// Overwrites the whole predicate bank; no dead renaming exists.
-			return Footprint{}, false
-		case OpP2R:
-			if in.Mods.SubOp() == P2RPack {
-				return Footprint{}, false // reads the whole bank
-			}
 		case OpBRA:
 			if t := pc + 1 + int(in.Imm); t < 0 || t >= len(insts) {
 				return Footprint{}, false // escapes the body
 			}
 		}
+		sh := in.shape()
+		if sh.bank != 0 {
+			// Whole-bank predicate moves (R2P, P2R pack): no dead renaming
+			// exists.
+			return Footprint{}, false
+		}
 		defs, uses, pdefs, puses := DefUse(in)
 		fp.Regs = fp.Regs.Union(defs).Union(uses)
 		fp.Preds |= pdefs | puses
-		for _, o := range in.Operands() {
-			switch o.Kind {
-			case OpdReg:
-				if o.Wide {
-					fp.PairBases.Add(o.Reg)
-				}
-			case OpdMRef:
-				if o.Space == MemGlobal {
-					fp.PairBases.Add(o.Base)
-				}
+		for _, s := range sh.slots {
+			if r, width, ok := in.reg(sh, s); ok && width == 2 {
+				fp.PairBases.Add(*r)
 			}
 		}
 	}
@@ -87,56 +79,18 @@ func mapPred(m map[Pred]Pred, p Pred) Pred {
 // rewritten through regMap and every predicate through predMap. Registers and
 // predicates absent from the maps are left alone (RZ and PT are never
 // remapped). The caller must supply entries for both halves of every pair in
-// the footprint, mapped to an adjacent pair. The body must have passed
-// BodyFootprint: opcodes rejected there are not handled here.
+// the footprint, mapped to an adjacent pair.
 func RenameBody(insts []Inst, regMap map[Reg]Reg, predMap map[Pred]Pred) []Inst {
 	out := make([]Inst, len(insts))
 	for i, in := range insts {
 		in.Pred = mapPred(predMap, in.Pred)
-		switch in.Op {
-		case OpMOV, OpMUFU, OpI2F, OpF2I, OpPOPC, OpMATCH, OpWFFT32,
-			OpLDG, OpLDS, OpLDL, OpLDC:
-			in.Dst = mapReg(regMap, in.Dst)
-			in.Src1 = mapReg(regMap, in.Src1)
-		case OpMOVI, OpMOVIH, OpS2R:
-			in.Dst = mapReg(regMap, in.Dst)
-		case OpP2R: // single mode only; pack was rejected by BodyFootprint
-			in.Dst = mapReg(regMap, in.Dst)
-			in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(),
-				mapPred(predMap, in.Mods.Aux()))
-		case OpSEL:
-			in.Dst = mapReg(regMap, in.Dst)
-			in.Src1 = mapReg(regMap, in.Src1)
-			in.Src2 = mapReg(regMap, in.Src2)
-			in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(),
-				mapPred(predMap, in.Mods.Aux()))
-		case OpIADD, OpIMUL, OpSHL, OpSHR, OpLOP, OpFADD, OpFMUL, OpSHFL, OpATOM:
-			in.Dst = mapReg(regMap, in.Dst)
-			in.Src1 = mapReg(regMap, in.Src1)
-			in.Src2 = mapReg(regMap, in.Src2)
-		case OpIMAD, OpFFMA:
-			in.Dst = mapReg(regMap, in.Dst)
-			in.Src1 = mapReg(regMap, in.Src1)
-			in.Src2 = mapReg(regMap, in.Src2)
-			in.Src3 = mapReg(regMap, in.Src3)
-		case OpISETP, OpFSETP:
-			in.Src1 = mapReg(regMap, in.Src1)
-			in.Src2 = mapReg(regMap, in.Src2)
-			in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(),
-				mapPred(predMap, in.Mods.Aux()))
-		case OpSTG, OpSTS, OpSTL, OpRED:
-			in.Src1 = mapReg(regMap, in.Src1)
-			in.Src2 = mapReg(regMap, in.Src2)
-		case OpVOTE:
-			if in.Mods.SubOp() == VoteBallot {
-				in.Dst = mapReg(regMap, in.Dst)
-			} else {
-				// Non-ballot VOTE keeps its destination predicate in the
-				// low bits of Dst.
-				in.Dst = Reg(int(in.Dst)&^7 | int(mapPred(predMap, Pred(in.Dst&7))&7))
+		sh := in.shape()
+		for _, s := range sh.slots {
+			if r, _, ok := in.reg(sh, s); ok {
+				*r = mapReg(regMap, *r)
+			} else if p, ok := in.pred(s); ok {
+				in.setPred(s, mapPred(predMap, p))
 			}
-			in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(),
-				mapPred(predMap, in.Mods.Aux()))
 		}
 		out[i] = in
 	}

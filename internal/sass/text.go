@@ -25,11 +25,7 @@ func Format(in Inst) string {
 	}
 	b.WriteString(in.Op.String())
 	b.WriteString(opSuffix(in))
-	ops := formatOperands(in)
-	if ops != "" {
-		b.WriteByte(' ')
-		b.WriteString(ops)
-	}
+	formatOperands(&b, &in)
 	b.WriteString(" ;")
 	return b.String()
 }
@@ -68,51 +64,53 @@ func opSuffix(in Inst) string {
 	return s
 }
 
-func formatOperands(in Inst) string {
-	switch in.Op {
-	case OpRDREG:
-		return fmt.Sprintf("%v, %v+%d", in.Dst, in.Src1, in.Imm)
-	case OpWRREG:
-		return fmt.Sprintf("%v+%d, %v", in.Src1, in.Imm, in.Src2)
-	case OpSTSA:
-		return fmt.Sprintf("[%d], %v", in.Imm, in.Src1)
-	case OpLDSA:
-		return fmt.Sprintf("%v, [%d]", in.Dst, in.Imm)
+// formatOperands writes " op, op, ..." for the instruction's operand slots.
+func formatOperands(b *strings.Builder, in *Inst) {
+	sh := in.shape()
+	for k, s := range sh.slots {
+		if k == 0 {
+			b.WriteByte(' ')
+		} else {
+			b.WriteString(", ")
+		}
+		switch s.f {
+		case fImm:
+			b.WriteString(formatImm(in.Imm))
+		case fSpecial:
+			b.WriteString(SpecialRegName(in.Imm))
+		case fMRef:
+			if sh.space == MemConst {
+				fmt.Fprintf(b, "c[%d]", in.Mods.SubOp())
+			}
+			b.WriteByte('[')
+			b.WriteString(in.Src1.String())
+			switch {
+			case in.Imm > 0:
+				fmt.Fprintf(b, "+0x%x", in.Imm)
+			case in.Imm < 0:
+				fmt.Fprintf(b, "-0x%x", -in.Imm)
+			}
+			b.WriteByte(']')
+		case fFrame:
+			fmt.Fprintf(b, "[%d]", in.Imm)
+		case fRegImm:
+			fmt.Fprintf(b, "%v+%d", in.Src1, in.Imm)
+		default:
+			if p, ok := in.pred(s); ok {
+				b.WriteString(p.String())
+			} else {
+				r, _, _ := in.reg(sh, s)
+				b.WriteString(r.String())
+			}
+		}
 	}
-	parts := make([]string, 0, 4)
-	for _, o := range in.Operands() {
-		parts = append(parts, formatOperand(o))
-	}
-	return strings.Join(parts, ", ")
 }
 
-func formatOperand(o Operand) string {
-	switch o.Kind {
-	case OpdReg:
-		return o.Reg.String()
-	case OpdPred:
-		return o.Pred.String()
-	case OpdImm:
-		if o.Imm < 0 || o.Imm < 10 {
-			return strconv.FormatInt(o.Imm, 10)
-		}
-		return "0x" + strconv.FormatInt(o.Imm, 16)
-	case OpdSpecial:
-		return SpecialRegName(o.Imm)
-	case OpdMRef:
-		inner := o.Base.String()
-		switch {
-		case o.Offset > 0:
-			inner += fmt.Sprintf("+0x%x", o.Offset)
-		case o.Offset < 0:
-			inner += fmt.Sprintf("-0x%x", -o.Offset)
-		}
-		if o.Space == MemConst {
-			return fmt.Sprintf("c[%d][%s]", o.CBank, inner)
-		}
-		return "[" + inner + "]"
+func formatImm(v int64) string {
+	if v < 10 {
+		return strconv.FormatInt(v, 10)
 	}
-	return "?"
+	return "0x" + strconv.FormatInt(v, 16)
 }
 
 // ParseInst parses a single instruction in the syntax produced by Format.
@@ -296,337 +294,73 @@ func splitOperands(s string) []string {
 	return parts
 }
 
+// parseOperands parses one comma-separated token per operand slot of the
+// opcode (and sub-op) already set in in.
 func parseOperands(in *Inst, rest string) error {
 	t := splitOperands(rest)
-	need := func(n int) error {
-		if len(t) != n {
-			return fmt.Errorf("want %d operands, got %d", n, len(t))
-		}
-		return nil
+	sh := in.shape()
+	if len(t) != len(sh.slots) {
+		return fmt.Errorf("want %d operands, got %d", len(sh.slots), len(t))
 	}
-	var err error
-	switch in.Op {
-	case OpNOP, OpEXIT, OpRET, OpBAR, OpSAVEPOP, OpSTSP, OpLDSP, OpSTSB, OpLDSB:
-		return need(0)
-	case OpBRA, OpJMP, OpCAL, OpSAVEPUSH:
-		if err = need(1); err != nil {
-			return err
-		}
-		in.Imm, err = parseImm(t[0])
-		return err
-	case OpBRX:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Src1, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Imm, err = parseImm(t[1])
-		return err
-	case OpMOV:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Src1, err = parseReg(t[1])
-		return err
-	case OpMOVI, OpMOVIH:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Imm, err = parseImm(t[1])
-		return err
-	case OpS2R:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		for id := int64(0); id < NumSpecialRegs; id++ {
-			if SpecialRegName(id) == t[1] {
-				in.Imm = id
-				return nil
+	for k, s := range sh.slots {
+		var err error
+		switch s.f {
+		case fImm:
+			in.Imm, err = parseImm(t[k])
+		case fSpecial:
+			in.Imm, err = parseSpecialReg(t[k])
+		case fMRef:
+			ref := t[k]
+			if sh.space == MemConst {
+				if ref, err = parseCBank(in, ref); err != nil {
+					return err
+				}
 			}
+			in.Src1, in.Imm, err = parseMRef(ref)
+		case fFrame:
+			_, in.Imm, err = parseMRef(t[k])
+		case fRegImm:
+			in.Src1, in.Imm, err = parseRegPlus(t[k])
+		case fAux, fDstPred:
+			var p Pred
+			p, err = parsePred(t[k])
+			in.setPred(s, p)
+		default:
+			r, _, _ := in.reg(sh, s)
+			*r, err = parseReg(t[k])
 		}
-		return fmt.Errorf("unknown special register %q", t[1])
-	case OpP2R:
-		if in.Mods.SubOp() == P2RSingle {
-			if err = need(2); err != nil {
-				return err
-			}
-			if in.Dst, err = parseReg(t[0]); err != nil {
-				return err
-			}
-			p, err := parsePred(t[1])
-			if err != nil {
-				return err
-			}
-			in.Mods = MakeMods(P2RSingle, false, false, p)
-			return nil
-		}
-		if err = need(1); err != nil {
-			return err
-		}
-		in.Dst, err = parseReg(t[0])
-		return err
-	case OpR2P:
-		if err = need(1); err != nil {
-			return err
-		}
-		in.Src1, err = parseReg(t[0])
-		return err
-	case OpSEL:
-		if err = need(4); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		if in.Src1, err = parseReg(t[1]); err != nil {
-			return err
-		}
-		if in.Src2, err = parseReg(t[2]); err != nil {
-			return err
-		}
-		p, err := parsePred(t[3])
 		if err != nil {
 			return err
 		}
-		in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(), p)
-		return nil
-	case OpIADD, OpSHL, OpSHR, OpLOP, OpSHFL:
-		if err = need(4); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		if in.Src1, err = parseReg(t[1]); err != nil {
-			return err
-		}
-		if in.Src2, err = parseReg(t[2]); err != nil {
-			return err
-		}
-		in.Imm, err = parseImm(t[3])
-		return err
-	case OpIMUL, OpFADD, OpFMUL:
-		if err = need(3); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		if in.Src1, err = parseReg(t[1]); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[2])
-		return err
-	case OpIMAD, OpFFMA:
-		if err = need(4); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		if in.Src1, err = parseReg(t[1]); err != nil {
-			return err
-		}
-		if in.Src2, err = parseReg(t[2]); err != nil {
-			return err
-		}
-		in.Src3, err = parseReg(t[3])
-		return err
-	case OpISETP:
-		if err = need(4); err != nil {
-			return err
-		}
-		p, err := parsePred(t[0])
-		if err != nil {
-			return err
-		}
-		in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(), p)
-		if in.Src1, err = parseReg(t[1]); err != nil {
-			return err
-		}
-		if in.Src2, err = parseReg(t[2]); err != nil {
-			return err
-		}
-		in.Imm, err = parseImm(t[3])
-		return err
-	case OpFSETP:
-		if err = need(3); err != nil {
-			return err
-		}
-		p, err := parsePred(t[0])
-		if err != nil {
-			return err
-		}
-		in.Mods = MakeMods(in.Mods.SubOp(), in.Mods.Wide(), in.Mods.Flag(), p)
-		if in.Src1, err = parseReg(t[1]); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[2])
-		return err
-	case OpMUFU, OpI2F, OpF2I, OpPOPC:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Src1, err = parseReg(t[1])
-		return err
-	case OpLDG, OpLDS, OpLDL:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Src1, in.Imm, err = parseMRef(t[1])
-		return err
-	case OpSTG, OpSTS, OpSTL:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Src1, in.Imm, err = parseMRef(t[0]); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[1])
-		return err
-	case OpLDC:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		s := t[1]
-		if !strings.HasPrefix(s, "c[") {
-			return fmt.Errorf("expected constant reference, got %q", s)
-		}
-		end := strings.Index(s, "]")
-		bank, err := parseImm(s[2:end])
-		if err != nil {
-			return err
-		}
-		in.Mods = MakeMods(int(bank), in.Mods.Wide(), false, PT)
-		in.Src1, in.Imm, err = parseMRef(s[end+1:])
-		return err
-	case OpATOM:
-		if err = need(3); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		if in.Src1, in.Imm, err = parseMRef(t[1]); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[2])
-		return err
-	case OpRED:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Src1, in.Imm, err = parseMRef(t[0]); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[1])
-		return err
-	case OpVOTE:
-		if err = need(2); err != nil {
-			return err
-		}
-		src, err := parsePred(t[1])
-		if err != nil {
-			return err
-		}
-		in.Mods = MakeMods(in.Mods.SubOp(), false, false, src)
-		if in.Mods.SubOp() == VoteBallot {
-			in.Dst, err = parseReg(t[0])
-			return err
-		}
-		p, err := parsePred(t[0])
-		if err != nil {
-			return err
-		}
-		in.Dst = Reg(p)
-		return nil
-	case OpMATCH:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Src1, err = parseReg(t[1])
-		return err
-	case OpWFFT32:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Src1, err = parseReg(t[1])
-		return err
-	case OpSTSA:
-		if err = need(2); err != nil {
-			return err
-		}
-		if _, in.Imm, err = parseMRef(t[0]); err != nil {
-			return err
-		}
-		in.Src1, err = parseReg(t[1])
-		return err
-	case OpLDSA:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		_, in.Imm, err = parseMRef(t[1])
-		return err
-	case OpRDREG:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Dst, err = parseReg(t[0]); err != nil {
-			return err
-		}
-		in.Src1, in.Imm, err = parseRegPlus(t[1])
-		return err
-	case OpWRREG:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Src1, in.Imm, err = parseRegPlus(t[0]); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[1])
-		return err
-	case OpRDPRED:
-		if err = need(1); err != nil {
-			return err
-		}
-		in.Dst, err = parseReg(t[0])
-		return err
-	case OpWRPRED:
-		if err = need(1); err != nil {
-			return err
-		}
-		in.Src2, err = parseReg(t[0])
-		return err
 	}
-	return fmt.Errorf("no operand grammar for %v", in.Op)
+	return nil
+}
+
+func parseSpecialReg(s string) (int64, error) {
+	for id := int64(0); id < NumSpecialRegs; id++ {
+		if SpecialRegName(id) == s {
+			return id, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown special register %q", s)
+}
+
+// parseCBank consumes the "c[bank]" prefix of a constant reference, stores
+// the bank in the sub-op field and returns the "[Rn+off]" remainder.
+func parseCBank(in *Inst, s string) (string, error) {
+	end := strings.Index(s, "]")
+	if !strings.HasPrefix(s, "c[") || end < 0 {
+		return "", fmt.Errorf("expected constant reference, got %q", s)
+	}
+	bank, err := parseImm(s[2:end])
+	if err != nil {
+		return "", err
+	}
+	if bank < 0 || bank > 7 {
+		return "", fmt.Errorf("constant bank %d out of range 0..7", bank)
+	}
+	in.Mods = in.Mods&^7 | Mods(bank)
+	return s[end+1:], nil
 }
 
 // parseRegPlus parses "Rn+imm" (RDREG/WRREG register-index expressions).

@@ -10,24 +10,9 @@ import (
 // the range the assembly syntax can spell for that opcode.
 func textSafeInst(r *rand.Rand) Inst {
 	in := randomInst(r, Volta)
-	sub := in.Mods.SubOp()
-	switch in.Op {
-	case OpISETP, OpFSETP:
-		sub %= 6
-	case OpLOP, OpSHFL:
-		sub %= 4
-	case OpATOM, OpRED, OpMUFU:
-		sub %= 7
-	case OpVOTE:
-		sub %= 3
-	case OpP2R:
-		sub %= 2
-	case OpS2R:
+	sub := in.Mods.SubOp() % spellableSubOps(in.Op)
+	if in.Op == OpS2R {
 		in.Imm = int64(r.Intn(NumSpecialRegs))
-	case OpLDC:
-		// bank is the sub-op; any 3-bit value is printable
-	default:
-		sub = 0
 	}
 	wide := in.Mods.Wide()
 	switch in.Op {
@@ -205,6 +190,19 @@ func TestParseProgramErrors(t *testing.T) {
 	}
 	if _, err := ParseProgram("FROB R1, R2"); err == nil {
 		t.Fatal("unknown opcode accepted")
+	}
+	for _, src := range []string{
+		"LDC R0, c[0",        // unterminated bank
+		"LDC R0, c[9][R0]",   // bank outside 0..7
+		"LDC R0, c[-1][R0]",  // negative bank
+		"LDC R0, c[1]",       // bank without a reference
+		"IADD R1, R2, R3",    // missing operand
+		"VOTE.ANY R1, P2",    // register where the mode writes a predicate
+		"S2R R1, SR_NOWHERE", // unknown special register
+	} {
+		if _, err := ParseProgram(src); err == nil {
+			t.Errorf("%q accepted", src)
+		}
 	}
 }
 
