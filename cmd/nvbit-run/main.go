@@ -356,12 +356,12 @@ exit codes:
 		fmt.Printf("jit: lifted %d funcs / %d instrs, %d trampolines (%.1f saved regs each), %d inlined sites, %v total (%v disasm)\n",
 			js.FunctionsLifted, js.InstrsLifted, js.TrampolinesEmitted, js.AvgSavedRegs(), js.InlinedSites, js.Total().Round(time.Microsecond), js.Disassemble.Round(time.Microsecond))
 		if jc != nil {
-			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d bytes in, %d bytes out, %d trampolines from cache\n",
+			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d bytes in, %d bytes out\n",
 				js.CacheLookups, js.CacheHits, js.CacheMisses, 100*js.CacheHitRatio(),
-				js.CacheBytesRead, js.CacheBytesWritten, js.TrampolinesFromCache)
+				js.CacheBytesRead, js.CacheBytesWritten)
 		}
 	}
-	if prof := api.Device().Profiler(); prof != nil {
+	if prof := api.Scope0().Collector(); prof != nil {
 		if *c.metrics {
 			fmt.Print(profile.FormatMetrics(prof.Metrics()))
 		}

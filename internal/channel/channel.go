@@ -9,7 +9,7 @@
 // CommitPTX — the idiom previously hand-rolled by itrace and cachesim,
 // factored out here), selecting their shard with %smid so no two scheduler
 // workers ever touch the same shard. The simulator's flush hooks
-// (gpu.AddFlushHook) give the host control at every CTA-completion and
+// (gpu.AddFlushHookScoped) give the host control at every CTA-completion and
 // warp-sweep boundary: when a shard's buffer is full and quiescent the hook
 // swaps it for the spare and ships the full one to an asynchronous receiver
 // goroutine — a mid-kernel flush, so long kernels no longer lose records at
@@ -122,15 +122,15 @@ type Config struct {
 	OnBatch func(data []byte)
 	// QueueDepth bounds the flush→receiver Go channel (default 64).
 	QueueDepth int
-	// Scope, when non-zero, ties the channel's flush hooks to one session:
-	// they fire only during launches carrying the same gpu.LaunchSpec
-	// HookScope, so concurrent sessions' channels never observe each
-	// other's kernels. Zero (the default) flushes at every launch's
-	// boundaries. NVBit.OpenChannel fills this in for session attachments.
+	// Scope ties the channel's flush hooks to one driver scope: they fire
+	// only during launches carrying the same gpu.LaunchSpec HookScope, so
+	// concurrent tenants' channels never observe each other's kernels. Zero
+	// is the process scope (a preloaded tool's launches). NVBit.OpenChannel
+	// fills this in with the attachment's scope.
 	Scope uint64
 	// Profiler, when non-nil, receives the channel's flush/drain activity
-	// records instead of the device-wide collector — a session's private
-	// timeline.
+	// records; nil turns them off. NVBit.OpenChannel fills this in with the
+	// attachment's collector.
 	Profiler *profile.Collector
 }
 
@@ -249,14 +249,6 @@ func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 	return c, nil
 }
 
-// prof resolves the collector for the channel's activity records.
-func (c *Channel) prof() *profile.Collector {
-	if c.cfg.Profiler != nil {
-		return c.cfg.Profiler
-	}
-	return c.dev.Profiler()
-}
-
 // CtrlAddr returns the device address of the shard control-block array —
 // the value tools pass to their injected functions (ArgConst64) and name in
 // ReservePTX's CtrlParam.
@@ -317,7 +309,7 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 		}
 	}
 
-	prof := c.prof()
+	prof := c.cfg.Profiler
 	var t0 time.Duration
 	if prof != nil {
 		t0 = prof.Now()
@@ -414,7 +406,7 @@ func (c *Channel) receive() {
 func (c *Channel) Drain() {
 	before := c.delivered.Load()
 	bytesBefore := c.bytesShipped.Load()
-	prof := c.prof()
+	prof := c.cfg.Profiler
 	var t0 time.Duration
 	if prof != nil {
 		t0 = prof.Now()

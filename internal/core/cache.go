@@ -113,112 +113,97 @@ func hashCalls(h *jitcache.Hasher, calls []*callRequest) {
 	}
 }
 
+// throughCache resolves one cached object, the template both object kinds
+// share. t0 is when the caller started fingerprinting, so that key
+// derivation and probing land in CacheLookup — net of build, which runs only
+// for the winner of a miss (Do coalesces concurrent attaches onto a single
+// generation; the result is a pure function of the key's inputs, so they can
+// share it bit for bit) and whose duration comes back as genDur for the
+// caller to attribute to the phase it replaces. A hit's decode lands in
+// CacheHit. A nil object with a nil error means the entry passed the store's
+// integrity checksum but not decode — a codec skew the versioned keys should
+// have prevented: it has been evicted, no device state was touched, and the
+// caller falls back to its uncached path.
+func throughCache[T any](n *NVBit, t0 time.Time, key jitcache.Key, build func() (*T, []byte, error), decode func([]byte) (*T, bool)) (obj *T, hit bool, genDur time.Duration, err error) {
+	n.stats.CacheLookups++
+	data, hit, err := n.cache.Do(key, func() ([]byte, error) {
+		g0 := time.Now()
+		built, blob, berr := build()
+		obj, genDur = built, time.Since(g0)
+		return blob, berr
+	})
+	n.stats.CacheLookup += time.Since(t0) - genDur
+	if err != nil || !hit {
+		n.stats.CacheMisses++
+		n.stats.CacheBytesWritten += len(data)
+		return obj, false, genDur, err
+	}
+	h0 := time.Now()
+	obj, ok := decode(data)
+	n.stats.CacheHit += time.Since(h0)
+	if !ok {
+		n.cache.Delete(key)
+		n.stats.CacheMisses++
+		return nil, false, 0, nil
+	}
+	n.stats.CacheHits++
+	n.stats.CacheBytesRead += len(data)
+	return obj, true, 0, nil
+}
+
 // instrument is the cache-aware entry point the Code Loader calls for a
 // function with pending instrumentation. Without a cache it is exactly
 // generate. With one, it resolves the function's code object through the
-// cache — coalescing concurrent attaches onto a single generation via
-// Do — and materializes the artifact on this attach's device.
+// cache and materializes the artifact on this attach's device.
 //
-// Phase accounting: fingerprinting plus cache probing lands in CacheLookup;
-// a hit's artifact decode and materialization land in CacheHit; a miss's
-// generation and materialization land in CodeGen, exactly as if no cache
-// were attached. On a fully warm run CodeGen is therefore zero.
+// Phase accounting: a hit's artifact decode and materialization land in
+// CacheHit; a miss's generation and materialization land in CodeGen, exactly
+// as if no cache were attached. On a fully warm run CodeGen is therefore
+// zero.
 func (n *NVBit) instrument(fs *funcState) error {
 	if n.cache == nil {
 		return n.generate(fs)
 	}
 	t0 := time.Now()
-	key := n.codeKey(fs)
-	n.stats.CacheLookups++
-	var genDur time.Duration
-	var built *codeArtifact
-	data, hit, err := n.cache.Do(key, func() ([]byte, error) {
-		// Winner of the flight: build the artifact on this attach. The
-		// result is a pure function of the key's inputs, so coalesced
-		// attaches with the same key can share it bit for bit.
-		g0 := time.Now()
-		art, aerr := n.buildArtifact(fs)
-		if aerr != nil {
-			return nil, aerr
+	art, hit, genDur, err := throughCache(n, t0, n.codeKey(fs), func() (*codeArtifact, []byte, error) {
+		art, err := n.buildArtifact(fs)
+		if err != nil {
+			return nil, nil, err
 		}
-		built = art
-		blob := encodeCodeArtifact(art)
-		genDur = time.Since(g0)
-		return blob, nil
+		return art, encodeCodeArtifact(art), nil
+	}, func(data []byte) (*codeArtifact, bool) {
+		art, err := decodeCodeArtifact(data)
+		return art, err == nil
 	})
-	n.stats.CacheLookup += time.Since(t0) - genDur
 	if err != nil {
-		n.stats.CacheMisses++
 		return err
 	}
-	if !hit {
-		n.stats.CacheMisses++
-		n.stats.CacheBytesWritten += len(data)
-		m0 := time.Now()
-		merr := n.materializeArtifact(fs, built, false)
-		n.stats.CodeGen += genDur + time.Since(m0)
-		return merr
-	}
-	h0 := time.Now()
-	art, derr := decodeCodeArtifact(data)
-	if derr != nil {
-		// The blob passed the store's integrity checksum but not the
-		// artifact codec — a codec skew the versioned keys should have
-		// prevented. Evict the entry and fall back to a fresh JIT before
-		// any device state was touched.
-		n.cache.Delete(key)
-		n.stats.CacheHit += time.Since(h0)
-		n.stats.CacheMisses++
+	if art == nil {
 		return n.generate(fs)
 	}
-	n.stats.CacheHits++
-	n.stats.CacheBytesRead += len(data)
-	merr := n.materializeArtifact(fs, art, true)
-	n.stats.CacheHit += time.Since(h0)
-	return merr
+	m0 := time.Now()
+	err = n.materializeArtifact(fs, art)
+	if hit {
+		n.stats.CacheHit += time.Since(m0)
+	} else {
+		n.stats.CodeGen += genDur + time.Since(m0)
+	}
+	return err
 }
 
 // liftThroughCache resolves one function's lift object through the cache.
-// It returns nil when the cached payload cannot be decoded (the caller then
-// lifts inline, and the bad entry has been evicted). Phase accounting
-// mirrors instrument: probe overhead → CacheLookup, hit-path decode →
-// CacheHit, miss-path generation → Disassemble (it is the nvdisasm-
-// equivalent work).
+// It returns nil when the cached payload cannot be used (the caller then
+// lifts inline). A miss's generation lands in Disassemble — it is the
+// nvdisasm-equivalent work.
 func (n *NVBit) liftThroughCache(raw []byte, insts []sass.Inst) *liftArtifact {
 	t0 := time.Now()
-	key := n.liftKey(raw)
-	n.stats.CacheLookups++
-	var genDur time.Duration
-	var built *liftArtifact
-	data, hit, err := n.cache.Do(key, func() ([]byte, error) {
-		g0 := time.Now()
+	art, _, genDur, _ := throughCache(n, t0, n.liftKey(raw), func() (*liftArtifact, []byte, error) {
 		art := buildLiftArtifact(insts)
-		built = art
-		blob := encodeLiftArtifact(art)
-		genDur = time.Since(g0)
-		return blob, nil
+		return art, encodeLiftArtifact(art), nil
+	}, func(data []byte) (*liftArtifact, bool) {
+		art, err := decodeLiftArtifact(data)
+		return art, err == nil && validLiftArtifact(art, len(insts))
 	})
-	n.stats.CacheLookup += time.Since(t0) - genDur
-	if err != nil {
-		n.stats.CacheMisses++
-		return nil
-	}
-	if !hit {
-		n.stats.CacheMisses++
-		n.stats.CacheBytesWritten += len(data)
-		n.stats.Disassemble += genDur
-		return built
-	}
-	h0 := time.Now()
-	art, derr := decodeLiftArtifact(data)
-	if derr != nil || !validLiftArtifact(art, len(insts)) {
-		n.cache.Delete(key)
-		n.stats.CacheHit += time.Since(h0)
-		n.stats.CacheMisses++
-		return nil
-	}
-	n.stats.CacheHits++
-	n.stats.CacheBytesRead += len(data)
-	n.stats.CacheHit += time.Since(h0)
+	n.stats.Disassemble += genDur
 	return art
 }

@@ -19,7 +19,7 @@ func (n *NVBit) generate(fs *funcState) error {
 	if err != nil {
 		return err
 	}
-	return n.materializeArtifact(fs, art, false)
+	return n.materializeArtifact(fs, art)
 }
 
 // buildArtifact runs the device-independent half of the Code Generator: it
@@ -277,9 +277,8 @@ func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall
 // Inserting trampolines preserves the instruction layout — instrumented and
 // original code have the exact same size and occupy the same location in GPU
 // memory, so absolute jumps keep working regardless of which version is
-// resident. fromCache routes the per-site stats to the cache-hit counters so
-// the profile's codegen/cache_hit records split correctly.
-func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact, fromCache bool) error {
+// resident.
+func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	hal := n.hal
 	ib := hal.InstBytes
 	if fs.instrCode == nil {
@@ -367,17 +366,10 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact, fromCache 
 		if site.inline {
 			n.stats.InlinedSites++
 			n.stats.InlineWords += len(tr)
-			if fromCache {
-				n.stats.InlinedFromCache++
-			}
 		} else {
 			n.stats.TrampolinesEmitted++
 			n.stats.TrampolineWords += len(tr)
 			n.stats.SavedRegs += site.savedRegs
-			if fromCache {
-				n.stats.TrampolinesFromCache++
-				n.stats.SavedRegsFromCache += site.savedRegs
-			}
 		}
 	}
 	fs.instrumented = true

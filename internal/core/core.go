@@ -45,12 +45,10 @@ type NVBit struct {
 	tool Tool
 	hal  *HAL
 
-	// ctx is the session context this instance is scoped to; nil for a
-	// process-wide Attach.
-	ctx *driver.Context
-	// prof is the session's private activity collector; nil routes to the
-	// device-wide collector.
-	prof *profile.Collector
+	// scope is the driver scope the instance is bound to: scope 0 for
+	// Attach, a fresh one for OpenSession. Its ID scopes the instance's
+	// channels and its collector receives the instance's records.
+	scope *driver.Tenant
 
 	loader *toolLoader
 	funcs  map[*driver.Function]*funcState
@@ -71,43 +69,58 @@ type NVBit struct {
 	cache *jitcache.Cache
 }
 
-// Attach injects the tool into the driver as its process-wide interposer
-// library and fires the tool's AtInit callback — the one-session
-// compatibility wrapper over the session model (OpenSession): the attached
-// tool observes every unscoped context's driver calls, and exactly one such
-// tool can be attached per driver instance, matching the
-// single-LD_PRELOAD-library rule. Options configure the attachment
-// (WithScheduler, WithWatchdogInterval, WithTracing); they are applied
-// before the tool's AtInit runs, so the tool observes the configured device.
+// Attach injects the tool into the driver as the process's preloaded
+// interposer library and fires the tool's AtInit callback. The tool is bound
+// to scope 0, the scope of every context the application creates itself, so
+// it observes all of their driver calls, and exactly one tool can be attached
+// this way per driver instance, matching the single-LD_PRELOAD-library rule.
+// Options configure the attachment (WithScheduler, WithWatchdogInterval,
+// WithTracing); they are applied before the tool's AtInit runs, so the tool
+// observes the configured device.
 func Attach(api *driver.API, tool Tool, opts ...Option) (*NVBit, error) {
-	n, cfg := newNVBit(api, tool, opts)
-	cfg.apply(api.Device())
-	if err := api.SetHook((*hook)(n)); err != nil {
-		return nil, err
-	}
-	if err := safeAtInit(tool, n); err != nil {
-		return nil, err
-	}
-	return n, nil
+	n, _, err := attach(api, tool, opts, false)
+	return n, err
 }
 
-// newNVBit builds the framework instance Attach and OpenSession share and
-// returns the collected options, whose device-side half each caller applies
-// its own way.
-func newNVBit(api *driver.API, tool Tool, opts []Option) (*NVBit, attachConfig) {
-	var cfg attachConfig
-	for _, o := range opts {
-		o(&cfg)
+// attach is the one body behind Attach and OpenSession. They differ only in
+// where the tool is bound: scope 0, which the application's own contexts
+// belong to, or a fresh scope with a context of its own.
+func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *driver.Context, error) {
+	cfg := collect(opts)
+	scope := api.Scope0()
+	if session {
+		scope = api.NewScope()
 	}
 	n := &NVBit{
 		api:        api,
 		tool:       tool,
+		scope:      scope,
 		funcs:      make(map[*driver.Function]*funcState),
 		cache:      cfg.cache,
 		injectMode: cfg.injectMode,
 	}
 	n.loader = newToolLoader(n)
-	return n, cfg
+	if err := cfg.apply(api, scope); err != nil {
+		return nil, nil, err
+	}
+	if err := scope.Bind((*hook)(n)); err != nil {
+		return nil, nil, err
+	}
+	var ctx *driver.Context
+	var err error
+	if session {
+		ctx, err = scope.CtxCreate()
+	}
+	if err == nil {
+		err = safeAtInit(tool, n)
+	}
+	if err != nil {
+		// Dropped without exit callbacks: a tool whose AtInit did not
+		// complete must not see its AtTerm.
+		_ = scope.Unbind(false)
+		return nil, nil, err
+	}
+	return n, ctx, nil
 }
 
 // safeAtInit runs the tool's AtInit with panic recovery: a broken tool must
@@ -145,7 +158,7 @@ func (h *hook) Before(cbid driver.CBID, name string, p *driver.CallParams) {
 		n.hal = newHAL(n.api.Device())
 	}
 	if cbid == driver.CBLaunchKernel {
-		prof := n.profiler()
+		prof := n.Profiler()
 		var jitBefore JITStats
 		var profT0 time.Duration
 		if prof != nil {
@@ -193,18 +206,17 @@ func (n *NVBit) emitJITPhases(prof *profile.Collector, before JITStats, t0 time.
 	if f.Module != nil {
 		parent = f.Module.TraceID
 	}
-	// Trampolines materialized from cached artifacts ride on the cache_hit
-	// record; freshly generated ones stay on codegen. The two partitions
-	// sum to the launch's totals, so metrics aggregation never
-	// double-counts a mixed hit/miss finalize.
+	// The launch's site counts ride on one carrier record: codegen when
+	// code was generated in this launch, else cache_hit (every site came
+	// from cached artifacts). Metrics aggregation sums both, so a mixed
+	// hit/miss finalize is never double-counted.
 	tramps := uint64(n.stats.TrampolinesEmitted - before.TrampolinesEmitted)
 	saved := uint64(n.stats.SavedRegs - before.SavedRegs)
-	cachedTramps := uint64(n.stats.TrampolinesFromCache - before.TrampolinesFromCache)
-	cachedSaved := uint64(n.stats.SavedRegsFromCache - before.SavedRegsFromCache)
-	genTramps, genSaved := tramps-cachedTramps, saved-cachedSaved
 	inlined := uint64(n.stats.InlinedSites - before.InlinedSites)
-	cachedInlined := uint64(n.stats.InlinedFromCache - before.InlinedFromCache)
-	genInlined := inlined - cachedInlined
+	carrier := "cache_hit"
+	if n.stats.CodeGen > before.CodeGen {
+		carrier = "codegen"
+	}
 	t := t0
 	for i := range cur {
 		d := cur[i] - prev[i]
@@ -212,20 +224,14 @@ func (n *NVBit) emitJITPhases(prof *profile.Collector, before JITStats, t0 time.
 			Kind: profile.KindJITPhase, Name: names[i], Kernel: f.Name,
 			Parent: parent, Start: t, Dur: d, SM: -1,
 		}
-		withSites := uint64(0)
-		switch names[i] {
-		case "codegen":
-			rec.Trampolines, rec.SavedRegs, rec.InlinedSites = genTramps, genSaved, genInlined
-			withSites = genTramps + genInlined
-		case "cache_hit":
-			rec.Trampolines, rec.SavedRegs, rec.InlinedSites = cachedTramps, cachedSaved, cachedInlined
-			withSites = cachedTramps + cachedInlined
+		carries := names[i] == carrier && tramps+inlined > 0
+		if carries {
+			rec.Trampolines, rec.SavedRegs, rec.InlinedSites = tramps, saved, inlined
 		}
-		// Phases that did no work are skipped — except a carrier phase
-		// that emitted trampolines or inline splices, whose codegen
-		// metrics must survive even when the measured duration rounds to
-		// zero.
-		if d <= 0 && withSites == 0 {
+		// Phases that did no work are skipped — except the carrier, whose
+		// codegen metrics must survive even when the measured duration
+		// rounds to zero.
+		if d <= 0 && !carries {
 			continue
 		}
 		prof.Emit(rec)

@@ -54,12 +54,6 @@ type JITStats struct {
 	CacheMisses       int
 	CacheBytesRead    int // artifact bytes served from the cache
 	CacheBytesWritten int // artifact bytes stored into the cache
-	// TrampolinesFromCache / SavedRegsFromCache / InlinedFromCache are the
-	// subset of TrampolinesEmitted / SavedRegs / InlinedSites materialized
-	// from cached artifacts rather than fresh code generation.
-	TrampolinesFromCache int
-	SavedRegsFromCache   int
-	InlinedFromCache     int
 }
 
 // AvgSavedRegs returns the mean save-set size per emitted trampoline — the

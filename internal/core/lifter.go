@@ -100,23 +100,14 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 
 	var lift *liftArtifact
 	if n.cache != nil {
-		lift = n.liftThroughCache(raw, insts)
-		t2 = time.Now() // cache time is attributed inside liftThroughCache
+		lift = n.liftThroughCache(raw, insts) // attributes its own time
 	}
 	if lift == nil {
-		lift = &liftArtifact{sassText: make([]string, len(insts))}
-		for i, in := range insts {
-			lift.sassText[i] = sass.Format(in)
-		}
-		tf := time.Now()
-		n.stats.Disassemble += tf.Sub(t2)
-		t2 = tf
-		if ranges, ok := sass.BasicBlocks(insts); ok {
-			lift.blocks = ranges
-		} else {
-			lift.hasICF = true
-		}
+		t := time.Now()
+		lift = buildLiftArtifact(insts)
+		n.stats.Disassemble += time.Since(t)
 	}
+	t2 = time.Now()
 	fs.sassText = lift.sassText
 	fs.hasICF = lift.hasICF
 

@@ -40,8 +40,8 @@ func WithWatchdogInterval(v int64) Option {
 	return func(c *attachConfig) { c.watchdog = v; c.setWatchdog = true }
 }
 
-// WithTracing attaches an activity-record collector to the device, enabling
-// the CUPTI-style tracing and metrics surface (NVBit.Profiler,
+// WithTracing gives the attachment's scope an activity-record collector,
+// enabling the CUPTI-style tracing and metrics surface (NVBit.Profiler,
 // docs/observability.md). bufferRecords bounds the collector's ring; zero or
 // negative selects profile.DefaultCapacity. Without this option the launch
 // path stays allocation-free.
@@ -67,51 +67,50 @@ func WithInjectionMode(m InjectionMode) Option {
 	return func(c *attachConfig) { c.injectMode = m }
 }
 
-// apply mutates the device per the collected options (the process-wide
-// Attach path: tracing installs a device-wide collector).
-func (c *attachConfig) apply(dev *gpu.Device) {
-	c.applyShared(dev)
-	if c.tracing && dev.Profiler() == nil {
-		dev.SetProfiler(profile.NewCollector(c.traceBuffer))
-	}
-}
-
-// applyShared applies the device-wide knobs both Attach and OpenSession
-// honor; session tracing is handled separately (a private collector).
-func (c *attachConfig) applyShared(dev *gpu.Device) {
-	if c.setScheduler {
-		dev.SetScheduler(c.scheduler)
-	}
-	if c.setWatchdog {
-		dev.SetWatchdogInterval(c.watchdog)
-	}
-}
-
-// Configure applies attach options to a driver instance's device without
-// attaching a tool — the launcher path for running a workload uninjected
-// while still selecting the scheduler, watchdog budget, or tracing through
-// the same options struct every attachment uses. Attachment-only options
-// (WithJITCache) are accepted and ignored: there is no JIT without a tool.
-func Configure(api *driver.API, opts ...Option) {
+func collect(opts []Option) attachConfig {
 	var cfg attachConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.apply(api.Device())
+	return cfg
+}
+
+// apply configures the device and the scope an attachment is about to bind
+// to. The knobs are device state and launches read them: like every other
+// device-owning operation, setting them takes the gate. Tracing gives the
+// scope a collector unless it already has one.
+func (c *attachConfig) apply(api *driver.API, scope *driver.Tenant) error {
+	if err := api.Gate().Admit(scope.ID); err != nil {
+		return err
+	}
+	if c.setScheduler {
+		api.Device().SetScheduler(c.scheduler)
+	}
+	if c.setWatchdog {
+		api.Device().SetWatchdogInterval(c.watchdog)
+	}
+	api.Gate().Release(scope.ID, 0)
+	if c.tracing && scope.Collector() == nil {
+		scope.SetCollector(profile.NewCollector(c.traceBuffer))
+	}
+	return nil
+}
+
+// Configure applies attach options to a driver instance's device and scope 0
+// without attaching a tool — the launcher path for running a workload
+// uninjected while still selecting the scheduler, watchdog budget, or tracing
+// through the same options struct every attachment uses. Attachment-only
+// options (WithJITCache) are accepted and ignored: there is no JIT without a
+// tool.
+func Configure(api *driver.API, opts ...Option) {
+	cfg := collect(opts)
+	// A bare device is configured before any work is queued on it, so its
+	// admission cannot be shed.
+	_ = cfg.apply(api, api.Scope0())
 }
 
 // Profiler returns the activity collector this attachment's records go to —
-// the session's private collector for OpenSession attachments, else the
-// device-wide one; nil when tracing is off. Tools and launchers use it to
+// its scope's; nil when tracing is off. Tools and launchers use it to
 // subscribe to records, drain the timeline, or read the per-kernel metrics
 // table.
-func (n *NVBit) Profiler() *profile.Collector { return n.profiler() }
-
-// profiler resolves this instance's collector: session-private first, then
-// device-wide.
-func (n *NVBit) profiler() *profile.Collector {
-	if n.prof != nil {
-		return n.prof
-	}
-	return n.api.Device().Profiler()
-}
+func (n *NVBit) Profiler() *profile.Collector { return n.scope.Collector() }

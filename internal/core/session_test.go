@@ -6,12 +6,16 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
@@ -19,6 +23,7 @@ import (
 	"nvbitgo/internal/sass"
 	"nvbitgo/internal/tools/instrcount"
 	"nvbitgo/internal/tools/itrace"
+	"nvbitgo/internal/tools/registry"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
 )
@@ -161,12 +166,14 @@ func instrSession(api *driver.API, bench string) (uint64, error) {
 	return tool.AppInstrs(sess.NVBit()), nil
 }
 
-// TestSharedDeviceSessionIsolation runs two sessions concurrently on ONE
-// device and requires each session's count to equal its solo-run count:
-// neither session may observe the other's launches.
+// TestSharedDeviceSessionIsolation runs three tenants concurrently on ONE
+// device — two sessions and a process-wide Attach on scope 0 — and requires
+// each tool's count to equal its solo-run count: no tenant may observe
+// another scope's launches, each keeps its own collector, and scope 0 still
+// takes exactly one preloaded tool.
 func TestSharedDeviceSessionIsolation(t *testing.T) {
 	solo := make(map[string]uint64)
-	for _, b := range []string{"cg", "olbm"} {
+	for _, b := range []string{"cg", "olbm", "ostencil"} {
 		api, err := driver.New(gpu.DefaultConfig(sass.Volta))
 		if err != nil {
 			t.Fatal(err)
@@ -187,10 +194,33 @@ func TestSharedDeviceSessionIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer api.Close()
+
+	preloaded := instrcount.New()
+	nv, err := nvbit.Attach(api, preloaded, nvbit.WithTracing(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = nvbit.Attach(api, instrcount.New())
+	if err == nil || err.Error() != "driver: an interposer library is already injected" {
+		t.Fatalf("second scope-0 attach: %v, want the single-preload rejection", err)
+	}
+	appCtx, err := api.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	var wg sync.WaitGroup
-	got := make(map[string]uint64, 2)
-	errs := make(map[string]error, 2)
+	got := make(map[string]uint64, 3)
+	errs := make(map[string]error, 3)
 	var mu sync.Mutex
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		err := sessionBenchmark("ostencil").Run(appCtx, specaccel.Small)
+		mu.Lock()
+		got["ostencil"], errs["ostencil"] = preloaded.AppInstrs(nv), err
+		mu.Unlock()
+	}()
 	for _, b := range []string{"cg", "olbm"} {
 		wg.Add(1)
 		go func() {
@@ -209,14 +239,32 @@ func TestSharedDeviceSessionIsolation(t *testing.T) {
 	}
 	for b, n := range got {
 		if n != solo[b] {
-			t.Errorf("%s: shared-device session counted %d instructions, solo run counted %d", b, n, solo[b])
+			t.Errorf("%s: shared-device tenant counted %d instructions, solo run counted %d", b, n, solo[b])
+		}
+	}
+
+	// Scope 0 traced, the sessions did not: its collector holds its own
+	// kernels and nobody else's.
+	kernels := map[string]bool{}
+	for _, r := range nv.Profiler().Records() {
+		if r.Kind == nvbit.KindKernel {
+			kernels[r.Name] = true
+		}
+	}
+	if len(kernels) == 0 {
+		t.Fatal("scope 0's collector recorded no kernels")
+	}
+	for name := range kernels {
+		if name != "st3" { // ostencil's only kernel
+			t.Errorf("scope 0's collector recorded %s, a session's kernel", name)
 		}
 	}
 }
 
 // TestSessionCloseReleasesResources cycles sessions open/closed on one
 // driver and checks hooks, flush hooks and device allocations return to
-// baseline every time.
+// baseline every time, and that the driver keeps no closed session's context
+// reachable — a daemon's pool device outlives every session it serves.
 func TestSessionCloseReleasesResources(t *testing.T) {
 	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
 	if err != nil {
@@ -229,12 +277,16 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	baseFlush := dev.FlushHookCount()
 	baseAllocs := len(dev.Allocations())
 
-	for i := 0; i < 100; i++ {
+	const cycles = 100
+	collected := make(chan struct{}, cycles)
+	// One cycle per call, so nothing of it stays live on this frame.
+	cycle := func(i int) {
 		tool := itrace.New(1 << 12)
 		sess, err := nvbit.OpenSession(api, tool)
 		if err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
+		runtime.SetFinalizer(sess.Ctx(), func(*driver.Context) { collected <- struct{}{} })
 		if api.HookCount() != baseHooks+1 {
 			t.Fatalf("cycle %d: hook count %d while open, want %d", i, api.HookCount(), baseHooks+1)
 		}
@@ -249,6 +301,18 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 		}
 		if got := len(dev.Allocations()); got != baseAllocs {
 			t.Fatalf("cycle %d: %d device allocations leaked", i, got-baseAllocs)
+		}
+	}
+	for i := 0; i < cycles; i++ {
+		cycle(i)
+	}
+	runtime.GC()
+	timeout := time.After(10 * time.Second)
+	for n := 0; n < cycles; n++ {
+		select {
+		case <-collected:
+		case <-timeout:
+			t.Fatalf("%d of %d closed sessions' contexts are still reachable from the driver", cycles-n, cycles)
 		}
 	}
 
@@ -300,5 +364,82 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("post-close session counted nothing")
+	}
+}
+
+// TestAttachAndSessionAreOneAttachment runs the same tool over the same
+// benchmark bound to scope 0 (Attach, launching on an application context)
+// and bound to a fresh scope (OpenSession) and requires the two attachments
+// to be indistinguishable from outside: byte-identical tool reports and the
+// same sequence of activity-record kinds in the scope's collector.
+func TestAttachAndSessionAreOneAttachment(t *testing.T) {
+	type attachment struct {
+		report string
+		kinds  []nvbit.RecordKind
+	}
+	run := func(t *testing.T, tool, bench string, session bool) attachment {
+		t.Helper()
+		api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := registry.New(tool, registry.Options{Policy: nvbit.ChannelBlock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nv *nvbit.NVBit
+		var ctx *driver.Context
+		detach := api.Close
+		if session {
+			sess, err := nvbit.OpenSession(api, inst.Tool, nvbit.WithTracing(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv, ctx, detach = sess.NVBit(), sess.Ctx(), sess.Close
+		} else {
+			if nv, err = nvbit.Attach(api, inst.Tool, nvbit.WithTracing(0)); err != nil {
+				t.Fatal(err)
+			}
+			if ctx, err = api.CtxCreate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sessionBenchmark(bench).Run(ctx, specaccel.Small); err != nil {
+			t.Fatal(err)
+		}
+		if err := detach(); err != nil {
+			t.Fatal(err)
+		}
+		var report bytes.Buffer
+		if _, err := inst.Report(&report, nv); err != nil {
+			t.Fatal(err)
+		}
+		var a attachment
+		a.report = report.String()
+		for _, r := range nv.Profiler().Records() {
+			a.kinds = append(a.kinds, r.Kind)
+		}
+		return a
+	}
+	for _, c := range []struct{ tool, bench string }{
+		{"instrcount", "cg"},
+		{"memtrace", "olbm"},
+		{"itrace", "ostencil"},
+	} {
+		t.Run(c.tool+"/"+c.bench, func(t *testing.T) {
+			attached, sess := run(t, c.tool, c.bench, false), run(t, c.tool, c.bench, true)
+			if attached.report == "" {
+				t.Fatal("empty report")
+			}
+			if attached.report != sess.report {
+				t.Errorf("reports differ:\nAttach:\n%s\nOpenSession:\n%s", attached.report, sess.report)
+			}
+			if len(attached.kinds) == 0 {
+				t.Fatal("no activity records")
+			}
+			if !slices.Equal(attached.kinds, sess.kinds) {
+				t.Errorf("activity-record kinds differ: Attach emitted %d records, OpenSession %d", len(attached.kinds), len(sess.kinds))
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
@@ -88,8 +89,6 @@ func (l *toolLoader) loadSource(modName, src string) error {
 	if err != nil {
 		return fmt.Errorf("nvbit: compiling tool functions: %w", err)
 	}
-	// Place all functions, then resolve intra-source calls.
-	addrs := make(map[string]gpu.CodeAddr)
 	for _, f := range pm.Funcs {
 		if f.Entry {
 			return fmt.Errorf("nvbit: tool source declares kernel %q; tool functions must be .toolfunc or .func", f.Name)
@@ -97,35 +96,20 @@ func (l *toolLoader) loadSource(modName, src string) error {
 		if _, dup := l.funcs[f.Name]; dup {
 			return fmt.Errorf("nvbit: duplicate tool function %q", f.Name)
 		}
-		addr, err := dev.AllocCode(len(f.Insts))
-		if err != nil {
-			return err
-		}
-		addrs[f.Name] = addr
 	}
-	codec := dev.Codec()
-	for _, f := range pm.Funcs {
-		insts := append([]sass.Inst(nil), f.Insts...)
-		for _, rl := range f.Relocs {
-			t, ok := addrs[rl.Symbol]
-			if !ok {
-				return fmt.Errorf("nvbit: tool function %s calls unresolved %q", f.Name, rl.Symbol)
-			}
-			insts[rl.InstIdx].Imm = int64(t)
-		}
-		raw, err := codec.EncodeAll(insts)
-		if err != nil {
-			return fmt.Errorf("nvbit: encoding tool function %s: %w", f.Name, err)
-		}
-		if err := dev.WriteCode(addrs[f.Name], raw); err != nil {
-			return err
-		}
+	// The driver is unaware of these functions, but they are linked into
+	// code space exactly as its modules are.
+	placed, err := driver.Link(dev, pm)
+	if err != nil {
+		return fmt.Errorf("nvbit: loading tool functions: %w", err)
+	}
+	for i, f := range pm.Funcs {
 		l.funcs[f.Name] = &toolFunc{
 			name:    f.Name,
-			addr:    addrs[f.Name],
+			addr:    placed[i].Addr,
 			numRegs: f.NumRegs,
 			params:  f.Params,
-			insts:   insts,
+			insts:   placed[i].Insts,
 		}
 	}
 	return nil

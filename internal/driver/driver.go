@@ -6,27 +6,25 @@
 // all sit on top of the CUDA driver API, and NVBit interposes that API via
 // LD_PRELOAD. Here, applications call this package directly, and Hooks
 // observe driver calls with CUPTI-style enter/exit callbacks and callback
-// ids at two scopes:
+// ids.
 //
-//   - A process-wide interposer (SetHook) — the analog of one preloaded tool
-//     library. At most one may be attached, matching the paper's "only a
-//     single library can be injected" rule, and it observes every call made
-//     on unscoped contexts.
-//   - Session hooks (CtxCreateScoped) — each bound to its own context, with
-//     its own activity collector and flush-hook scope. Any number of
-//     sessions coexist on one device; each hook observes only its own
-//     context's calls, and the fair-share Gate serializes their
-//     device-owning operations (module loads, memory traffic, launches)
-//     with least-accumulated-cycles admission and bounded-queue
-//     load-shedding (OverloadError).
-//
-// The process-wide interposer and session hooks are mutually isolated: a
-// preloaded tool does not observe other sessions' private contexts, so two
-// tools never instrument the same loaded function.
+// Tenancy has one key, the scope. Every context belongs to a scope, and a
+// scope (Tenant) holds what is bound to it: the hook observing its calls and
+// the collector recording its activity. Scope 0 exists from New and owns
+// every CtxCreate context — it is the process a tool library is preloaded
+// into, so at most one hook binds to it, matching the paper's "only a single
+// library can be injected" rule. A session is a fresh scope with its own
+// context (NewScope); any number coexist on one device. A hook observes a
+// call iff the call's context is in the hook's scope, so two tools never
+// instrument the same loaded function, and the fair-share Gate serializes
+// the scopes' device-owning operations (module loads, memory traffic,
+// launches) with least-accumulated-cycles admission and bounded-queue
+// load-shedding (OverloadError).
 package driver
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,50 +104,33 @@ type Launcher interface {
 
 var _ Launcher = (*Context)(nil)
 
-// hookEntry binds one attached Hook to its scope. ctx == nil is the
-// process-wide interposer (the classic preloaded-library model); a non-nil
-// ctx scopes the hook to that context's session. prof, when non-nil, is the
-// session's private collector for the hook's tool-callback records; nil
-// falls back to the device-wide collector.
-type hookEntry struct {
-	h    Hook
-	ctx  *Context
+// Tenant is one scope of the driver and what is bound to it. "Whose hook,
+// whose collector, whose flush hooks" has one answer, the Tenant of the
+// call's context: its ID is the gate's fair-share key and the flush-hook
+// scope of its launches and channels, and resolve is the only place a scope
+// is mapped to its hook and collector.
+type Tenant struct {
+	// ID is the scope id: 0 for the process scope, unique per NewScope.
+	ID  uint64
+	api *API
+
+	// hook and prof are guarded by api.mu.
+	hook Hook
 	prof *profile.Collector
-}
-
-// observes reports whether the entry's hook sees a call with the given
-// parameters. Session hooks see only their own context's calls; the
-// process-wide interposer sees everything except other sessions' private
-// contexts (so a preloaded tool and a session tool never fight over one
-// function's code).
-func (e *hookEntry) observes(p *CallParams) bool {
-	if e.ctx != nil {
-		return p != nil && p.Ctx == e.ctx
-	}
-	return p == nil || p.Ctx == nil || p.Ctx.scope == 0
-}
-
-func (e *hookEntry) profFor(a *API) *profile.Collector {
-	if e.prof != nil {
-		return e.prof
-	}
-	return a.dev.Profiler()
 }
 
 // API is the driver instance bound to one simulated device.
 type API struct {
-	dev *gpu.Device
+	dev  *gpu.Device
+	gate *Gate
 
-	// mu guards hooks/ctxs/closed/nextScope. hooks is copy-on-write: it is
-	// replaced wholesale on attach/detach, so driver calls iterate a
-	// snapshot lock-free.
+	scope0 *Tenant
+
+	// mu guards bound/closed/nextScope and every Tenant's binding.
 	mu        sync.Mutex
-	hooks     []hookEntry
-	ctxs      []*Context
+	bound     []*Tenant // tenants with a hook, in bind order
 	closed    bool
 	nextScope uint64
-
-	gate *Gate
 }
 
 // New initializes the driver on a fresh simulated device.
@@ -158,65 +139,103 @@ func New(cfg gpu.Config) (*API, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &API{dev: dev, gate: NewGate(DefaultQueueLimit)}, nil
+	a := &API{dev: dev, gate: NewGate(DefaultQueueLimit)}
+	a.scope0 = &Tenant{api: a}
+	return a, nil
 }
 
-// SetHook attaches the process-wide interposer library. A second process-wide
-// attachment fails, matching the paper's "only a single library can be
-// injected" rule; context-scoped session hooks (CtxCreateScoped) are not
-// limited by it.
-func (a *API) SetHook(h Hook) error {
+// Scope0 returns the process scope: the one every CtxCreate context belongs
+// to and a preloaded tool library binds to.
+func (a *API) Scope0() *Tenant { return a.scope0 }
+
+// NewScope creates a fresh scope for one session. Nothing is bound to it and
+// it has no context yet (Tenant.CtxCreate); the driver keeps no reference to
+// it beyond its binding, so a closed session is garbage.
+func (a *API) NewScope() *Tenant {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, e := range a.hooks {
-		if e.ctx == nil {
-			return fmt.Errorf("driver: an interposer library is already injected")
-		}
+	a.nextScope++
+	return &Tenant{ID: a.nextScope, api: a}
+}
+
+// Bind attaches a hook to the scope: from now on it observes exactly the
+// driver calls made on the scope's contexts, the creation of those contexts
+// included. A scope takes one hook — for scope 0 that is the paper's "only a
+// single library can be injected" rule.
+func (t *Tenant) Bind(h Hook) error {
+	if h == nil {
+		return fmt.Errorf("driver: nil hook")
 	}
-	a.addHookLocked(hookEntry{h: h})
+	a := t.api
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if t.hook != nil {
+		return fmt.Errorf("driver: an interposer library is already injected")
+	}
+	t.hook = h
+	a.bound = append(a.bound, t)
 	return nil
 }
 
-// addHookLocked installs a hook entry copy-on-write.
-func (a *API) addHookLocked(e hookEntry) {
-	next := make([]hookEntry, len(a.hooks), len(a.hooks)+1)
-	copy(next, a.hooks)
-	a.hooks = append(next, e)
-}
-
-// takeCtxHook atomically unregisters and returns a context's session hook.
-func (a *API) takeCtxHook(c *Context) (hookEntry, bool) {
+// Unbind detaches the scope's hook; further driver calls on the scope run
+// uninstrumented. With atExit the hook first receives its synthetic
+// application-exit callbacks (where tools flush their results) — no other
+// scope sees them — and the first error of the two is returned; without, it
+// is dropped silently, the cleanup path when attaching failed partway. The
+// scope keeps its collector. Unbind is idempotent.
+func (t *Tenant) Unbind(atExit bool) error {
+	a := t.api
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, e := range a.hooks {
-		if e.ctx == c {
-			next := make([]hookEntry, 0, len(a.hooks)-1)
-			for _, o := range a.hooks {
-				if o.ctx != c {
-					next = append(next, o)
-				}
-			}
-			a.hooks = next
-			return e, true
-		}
+	h, prof := t.hook, t.prof
+	t.hook = nil
+	if i := slices.Index(a.bound, t); i >= 0 {
+		a.bound = slices.Delete(a.bound, i, i+1)
 	}
-	return hookEntry{}, false
-}
-
-func (a *API) hookSnapshot() []hookEntry {
-	a.mu.Lock()
-	h := a.hooks
 	a.mu.Unlock()
-	return h
+	if h == nil || !atExit {
+		return nil
+	}
+	p := &CallParams{}
+	err := fire(h, prof, CBAppExit, false, p, nil)
+	if aerr := fire(h, prof, CBAppExit, true, p, nil); err == nil {
+		err = aerr
+	}
+	return err
 }
 
-// HookCount reports how many hooks — process-wide and session — are
-// currently registered. Monitoring and leak tests use it: every session
-// close must return the count to its pre-open value.
+// SetCollector gives the scope its activity collector (nil turns tracing
+// off): the scope's driver calls, kernel launches and tool callbacks record
+// into it from the next call on. Channels are handed it when they open.
+func (t *Tenant) SetCollector(p *profile.Collector) {
+	t.api.mu.Lock()
+	t.prof = p
+	t.api.mu.Unlock()
+}
+
+// Collector returns the scope's activity collector, nil when it does not
+// trace.
+func (t *Tenant) Collector() *profile.Collector {
+	_, prof := t.resolve()
+	return prof
+}
+
+// resolve maps the scope to the hook observing its calls (nil when none is
+// bound) and the collector recording them (nil when tracing is off). A hook
+// observes a call iff the call's context is in its scope, so this lookup is
+// the whole isolation rule.
+func (t *Tenant) resolve() (Hook, *profile.Collector) {
+	t.api.mu.Lock()
+	defer t.api.mu.Unlock()
+	return t.hook, t.prof
+}
+
+// HookCount reports how many scopes have a hook bound. Monitoring and leak
+// tests use it: every session close must return the count to its pre-open
+// value.
 func (a *API) HookCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.hooks)
+	return len(a.bound)
 }
 
 // Device exposes the underlying simulated device. The NVBit core uses this
@@ -229,66 +248,37 @@ func (a *API) Device() *gpu.Device { return a.dev }
 // load-shedding.
 func (a *API) Gate() *Gate { return a.gate }
 
-// fireBefore runs one hook entry's enter callback, wrapped in its
-// tool-callback activity record (emitted even when the callback panics, via
-// defer, so the trace shows where the time went).
-func (a *API) fireBefore(e hookEntry, cbid CBID, p *CallParams) {
-	if prof := e.profFor(a); prof != nil {
-		t0 := prof.Now()
+// fire runs one callback of a hook — enter, or with exit set the exit
+// callback carrying the call's result — inside its tool-callback activity
+// record (emitted even when the callback panics, so the trace shows where
+// the time went). A panic is recovered into an ErrToolCallback error: a
+// broken tool turns into a failing driver call instead of a crashed host
+// process.
+func fire(h Hook, prof *profile.Collector, cbid CBID, exit bool, p *CallParams, result error) (err error) {
+	defer recoverHookPanic(cbid, &err)
+	if prof != nil {
+		name, t0 := cbid.String()+":enter", prof.Now()
+		if exit {
+			name = cbid.String() + ":exit"
+		}
 		defer func() {
 			prof.Emit(profile.Record{
-				Kind: profile.KindToolCallback, Name: cbid.String() + ":enter",
+				Kind: profile.KindToolCallback, Name: name,
 				Start: t0, Dur: prof.Now() - t0, SM: -1,
 			})
 		}()
 	}
-	e.h.Before(cbid, cbid.String(), p)
-}
-
-// fireAfter is fireBefore's exit-callback counterpart.
-func (a *API) fireAfter(e hookEntry, cbid CBID, p *CallParams, result error) {
-	if prof := e.profFor(a); prof != nil {
-		t0 := prof.Now()
-		defer func() {
-			prof.Emit(profile.Record{
-				Kind: profile.KindToolCallback, Name: cbid.String() + ":exit",
-				Start: t0, Dur: prof.Now() - t0, SM: -1,
-			})
-		}()
-	}
-	e.h.After(cbid, cbid.String(), p, result)
-}
-
-// before fires the enter callbacks of every hook observing this call. A
-// panic inside a callback is recovered into an ErrToolCallback error; the
-// caller must then skip the interposed operation, so a broken tool turns
-// into a failing driver call instead of a crashed host process.
-func (a *API) before(cbid CBID, p *CallParams) (err error) {
-	defer recoverHookPanic(cbid, &err)
-	for _, e := range a.hookSnapshot() {
-		if e.observes(p) {
-			a.fireBefore(e, cbid, p)
-		}
+	if exit {
+		h.After(cbid, cbid.String(), p, result)
+	} else {
+		h.Before(cbid, cbid.String(), p)
 	}
 	return nil
 }
 
-// after fires the exit callbacks, with the same panic recovery as before.
-// The operation itself has already happened; a panicking After only changes
-// the error the application sees.
-func (a *API) after(cbid CBID, p *CallParams, result error) (err error) {
-	defer recoverHookPanic(cbid, &err)
-	for _, e := range a.hookSnapshot() {
-		if e.observes(p) {
-			a.fireAfter(e, cbid, p, result)
-		}
-	}
-	return nil
-}
-
-// Close shuts the driver down. Sessions still attached receive their
-// synthetic application-exit callbacks first (scoped to their contexts),
-// then the process-wide interposer's fires. It returns the first error (tools
+// Close shuts the driver down, detaching every bound scope the same way:
+// each hook receives its synthetic application-exit callbacks — sessions
+// first, then scope 0's preloaded tool. It returns the first error (tools
 // flush their results at exit, so a panicking AtTerm matters).
 func (a *API) Close() error {
 	a.mu.Lock()
@@ -297,169 +287,57 @@ func (a *API) Close() error {
 		return nil
 	}
 	a.closed = true
-	entries := a.hooks
+	sessions := slices.DeleteFunc(slices.Clone(a.bound), func(t *Tenant) bool { return t == a.scope0 })
 	a.mu.Unlock()
 	var first error
-	for _, e := range entries {
-		if e.ctx == nil {
-			continue
-		}
-		if err := e.ctx.DetachHook(); err != nil && first == nil {
+	for _, t := range append(sessions, a.scope0) {
+		if err := t.Unbind(true); err != nil && first == nil {
 			first = err
 		}
-	}
-	p := &CallParams{}
-	if err := a.before(CBAppExit, p); err != nil {
-		if first == nil {
-			first = err
-		}
-		return first
-	}
-	if err := a.after(CBAppExit, p, nil); err != nil && first == nil {
-		first = err
 	}
 	return first
 }
 
-// Context is the CUcontext analog: per-context module and allocation state,
-// plus the CUDA-style sticky error. After a kernel faults, the context is
+// Context is the CUcontext analog: the handle driver calls are made on, plus
+// the CUDA-style sticky error. After a kernel faults, the context is
 // poisoned: every subsequent call on it fails with the sticky error until
 // ResetPersistingError (or a fresh context) — exactly how a real context
 // behaves after CUDA_ERROR_ILLEGAL_ADDRESS and friends.
 type Context struct {
-	api     *API
-	modules []*Module
-	nextMod int
-
-	// scope is the context's session/tenant id: 0 for classic CtxCreate
-	// contexts, unique per CtxCreateScoped session. It tags launches'
-	// flush-hook scope and the gate's per-tenant fair-share accounting.
-	scope uint64
-	// profOv is the session's private activity collector; nil routes the
-	// context's records to the device-wide collector (gpu.SetProfiler).
-	profOv *profile.Collector
-	// hook is the session hook bound by CtxCreateScoped, nil otherwise.
-	hook Hook
+	api    *API
+	tenant *Tenant
 
 	mu     sync.Mutex
 	sticky error
 }
 
-// CtxCreate creates a context on the device.
-func (a *API) CtxCreate() (*Context, error) {
-	return a.ctxCreate(nil, nil)
-}
+// CtxCreate creates a context in scope 0.
+func (a *API) CtxCreate() (*Context, error) { return a.scope0.CtxCreate() }
 
-// CtxCreateScoped creates a context with its own session hook. The hook is
-// registered before the CBCtxCreate callback fires — so it observes its own
-// context's creation (where the NVBit core initializes its HAL) — and from
-// then on it observes exactly this context's driver calls. prof, when
-// non-nil, is the session's private activity collector: the context's
-// memory/module records, its launches' kernel records and its hook's
-// tool-callback records all go there instead of the device-wide collector.
-// Detach with Context.DetachHook.
-func (a *API) CtxCreateScoped(h Hook, prof *profile.Collector) (*Context, error) {
-	if h == nil {
-		return nil, fmt.Errorf("driver: nil session hook")
-	}
-	return a.ctxCreate(h, prof)
-}
-
-func (a *API) ctxCreate(h Hook, sessProf *profile.Collector) (*Context, error) {
+// CtxCreate creates a context in the scope. A hook bound to the scope
+// observes the creation itself (where the NVBit core initializes its HAL).
+func (t *Tenant) CtxCreate() (*Context, error) {
+	a := t.api
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	closed := a.closed
+	a.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("driver: closed")
 	}
-	c := &Context{api: a}
-	if h != nil {
-		a.nextScope++
-		c.scope = a.nextScope
-		c.profOv = sessProf
-		c.hook = h
-		a.addHookLocked(hookEntry{h: h, ctx: c, prof: sessProf})
-	}
-	a.mu.Unlock()
-
+	c := &Context{api: a, tenant: t}
+	p := CallParams{Ctx: c}
+	rec := profile.Record{Kind: profile.KindCtxCreate, Name: CBCtxCreate.String()}
 	// Context creation is device-owning work (the core's HAL init may write
 	// device state), so it runs inside the gate's admission window.
-	if err := a.gate.Admit(c.scope); err != nil {
-		a.takeCtxHook(c)
-		return nil, err
-	}
-	defer a.gate.Release(c.scope, 0)
-
-	p := &CallParams{Ctx: c}
-	var t0 time.Duration
-	if prof := c.prof(); prof != nil {
-		t0 = prof.Now()
-	}
-	if err := a.before(CBCtxCreate, p); err != nil {
-		a.takeCtxHook(c)
-		return nil, err
-	}
-	a.mu.Lock()
-	a.ctxs = append(a.ctxs, c)
-	a.mu.Unlock()
-	if prof := c.prof(); prof != nil {
-		prof.Emit(profile.Record{
-			Kind: profile.KindCtxCreate, Name: CBCtxCreate.String(),
-			Start: t0, Dur: prof.Now() - t0, SM: -1,
-		})
-	}
-	if err := a.after(CBCtxCreate, p, nil); err != nil {
-		a.takeCtxHook(c)
+	if err := c.interposed(CBCtxCreate, true, &p, &rec, func() error { return nil }); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// DetachHook fires the session hook's synthetic application-exit callback —
-// scoped to this context; the process-wide interposer does not see it — and
-// unregisters the hook. Further driver calls on the context run
-// uninstrumented. It is idempotent and a no-op for unscoped contexts.
-func (c *Context) DetachHook() error {
-	e, ok := c.api.takeCtxHook(c)
-	if !ok {
-		return nil
-	}
-	p := &CallParams{Ctx: c}
-	var err error
-	func() {
-		defer recoverHookPanic(CBAppExit, &err)
-		c.api.fireBefore(e, CBAppExit, p)
-	}()
-	var aerr error
-	func() {
-		defer recoverHookPanic(CBAppExit, &aerr)
-		c.api.fireAfter(e, CBAppExit, p, nil)
-	}()
-	if err == nil {
-		err = aerr
-	}
-	return err
-}
-
-// DiscardHook unregisters the session hook without firing its exit callback
-// — the cleanup path when session setup fails partway (the tool's AtInit
-// errored, so its AtTerm must not run).
-func (c *Context) DiscardHook() {
-	c.api.takeCtxHook(c)
-}
-
-// Scope returns the context's session/tenant id (0 for unscoped contexts).
-// Channels bound to a session pass it as their flush-hook scope so their
-// mid-kernel flushes fire only during this context's launches.
-func (c *Context) Scope() uint64 { return c.scope }
-
-// prof resolves the collector receiving this context's activity records: the
-// session's private collector when set, else the device-wide one.
-func (c *Context) prof() *profile.Collector {
-	if c.profOv != nil {
-		return c.profOv
-	}
-	return c.api.dev.Profiler()
-}
+// Scope returns the id of the scope the context belongs to (0 for CtxCreate
+// contexts). It is the flush-hook scope of the context's launches.
+func (c *Context) Scope() uint64 { return c.tenant.ID }
 
 // stickyErr returns the context's persisting error, if any.
 func (c *Context) stickyErr() error {
@@ -500,129 +378,87 @@ func (c *Context) API() *API { return c.api }
 // Device returns the context's device.
 func (c *Context) Device() *gpu.Device { return c.api.dev }
 
-// MemAlloc allocates device global memory (cuMemAlloc).
-func (c *Context) MemAlloc(n uint64) (uint64, error) {
-	if err := c.stickyErr(); err != nil {
-		return 0, err
+// interposed is the one path a driver call takes through the interposition
+// boundary: the scope's hook sees the call enter, op does the work, the
+// scope's collector records it, the hook sees it exit with op's error, and
+// an error from either callback fails the call (after an enter failure op is
+// skipped). With gated the call owns the device: a poisoned context refuses
+// it, and it runs — callbacks included — inside the gate's admission window.
+//
+// p and rec belong to the caller, whose op fills in what only the operation
+// learns (an allocation's address, a looked-up function). rec is stamped and
+// emitted when the scope traces and op succeeded, and gets its ID back; nil
+// means the call has no record of its own. The callbacks get a copy of p,
+// made only when a hook observes the call: what an interface method
+// receives escapes, and an unobserved call must not allocate.
+func (c *Context) interposed(cbid CBID, gated bool, p *CallParams, rec *profile.Record, op func() error) error {
+	if gated {
+		if err := c.stickyErr(); err != nil {
+			return err
+		}
+		if err := c.api.gate.Admit(c.tenant.ID); err != nil {
+			return err
+		}
+		defer c.api.gate.Release(c.tenant.ID, 0)
 	}
-	if err := c.api.gate.Admit(c.scope); err != nil {
-		return 0, err
-	}
-	defer c.api.gate.Release(c.scope, 0)
-	p := &CallParams{Ctx: c, Bytes: int(n)}
-	if err := c.api.before(CBMemAlloc, p); err != nil {
-		return 0, err
+	hook, prof := c.tenant.resolve()
+	var seen *CallParams
+	if hook != nil {
+		seen = new(CallParams)
+		*seen = *p
+		if err := fire(hook, prof, cbid, false, seen, nil); err != nil {
+			return err
+		}
 	}
 	var t0 time.Duration
-	prof := c.prof()
 	if prof != nil {
 		t0 = prof.Now()
 	}
-	addr, err := c.api.dev.Malloc(n)
-	p.Addr = addr
-	if prof != nil && err == nil {
-		prof.Emit(profile.Record{
-			Kind: profile.KindMemAlloc, Name: CBMemAlloc.String(),
-			Start: t0, Dur: prof.Now() - t0, SM: -1, Addr: addr, Bytes: n,
-		})
+	err := op()
+	if prof != nil && rec != nil && err == nil {
+		rec.Start, rec.Dur, rec.SM = t0, prof.Now()-t0, -1
+		rec.ID = prof.Emit(*rec)
 	}
-	if aerr := c.api.after(CBMemAlloc, p, err); err == nil {
-		err = aerr
+	if hook != nil {
+		*seen = *p
+		if aerr := fire(hook, prof, cbid, true, seen, err); err == nil {
+			err = aerr
+		}
 	}
-	return addr, err
+	return err
+}
+
+// MemAlloc allocates device global memory (cuMemAlloc).
+func (c *Context) MemAlloc(n uint64) (uint64, error) {
+	p := CallParams{Ctx: c, Bytes: int(n)}
+	rec := profile.Record{Kind: profile.KindMemAlloc, Name: CBMemAlloc.String(), Bytes: n}
+	err := c.interposed(CBMemAlloc, true, &p, &rec, func() (err error) {
+		p.Addr, err = c.api.dev.Malloc(n)
+		rec.Addr = p.Addr
+		return err
+	})
+	return p.Addr, err
 }
 
 // MemFree releases device memory (cuMemFree).
 func (c *Context) MemFree(addr uint64) error {
-	if err := c.stickyErr(); err != nil {
-		return err
-	}
-	if err := c.api.gate.Admit(c.scope); err != nil {
-		return err
-	}
-	defer c.api.gate.Release(c.scope, 0)
-	p := &CallParams{Ctx: c, Addr: addr}
-	if err := c.api.before(CBMemFree, p); err != nil {
-		return err
-	}
-	var t0 time.Duration
-	prof := c.prof()
-	if prof != nil {
-		t0 = prof.Now()
-	}
-	err := c.api.dev.Free(addr)
-	if prof != nil && err == nil {
-		prof.Emit(profile.Record{
-			Kind: profile.KindMemFree, Name: CBMemFree.String(),
-			Start: t0, Dur: prof.Now() - t0, SM: -1, Addr: addr,
-		})
-	}
-	if aerr := c.api.after(CBMemFree, p, err); err == nil {
-		err = aerr
-	}
-	return err
+	p := CallParams{Ctx: c, Addr: addr}
+	rec := profile.Record{Kind: profile.KindMemFree, Name: CBMemFree.String(), Addr: addr}
+	return c.interposed(CBMemFree, true, &p, &rec, func() error { return c.api.dev.Free(addr) })
 }
 
 // MemcpyHtoD copies host memory to the device (cuMemcpyHtoD).
 func (c *Context) MemcpyHtoD(dst uint64, src []byte) error {
-	if err := c.stickyErr(); err != nil {
-		return err
-	}
-	if err := c.api.gate.Admit(c.scope); err != nil {
-		return err
-	}
-	defer c.api.gate.Release(c.scope, 0)
-	p := &CallParams{Ctx: c, Addr: dst, Bytes: len(src)}
-	if err := c.api.before(CBMemcpyHtoD, p); err != nil {
-		return err
-	}
-	var t0 time.Duration
-	prof := c.prof()
-	if prof != nil {
-		t0 = prof.Now()
-	}
-	err := c.api.dev.Write(dst, src)
-	if prof != nil && err == nil {
-		prof.Emit(profile.Record{
-			Kind: profile.KindMemcpyH2D, Name: CBMemcpyHtoD.String(),
-			Start: t0, Dur: prof.Now() - t0, SM: -1, Addr: dst, Bytes: uint64(len(src)),
-		})
-	}
-	if aerr := c.api.after(CBMemcpyHtoD, p, err); err == nil {
-		err = aerr
-	}
-	return err
+	p := CallParams{Ctx: c, Addr: dst, Bytes: len(src)}
+	rec := profile.Record{Kind: profile.KindMemcpyH2D, Name: CBMemcpyHtoD.String(), Addr: dst, Bytes: uint64(len(src))}
+	return c.interposed(CBMemcpyHtoD, true, &p, &rec, func() error { return c.api.dev.Write(dst, src) })
 }
 
 // MemcpyDtoH copies device memory to the host (cuMemcpyDtoH).
 func (c *Context) MemcpyDtoH(dst []byte, src uint64) error {
-	if err := c.stickyErr(); err != nil {
-		return err
-	}
-	if err := c.api.gate.Admit(c.scope); err != nil {
-		return err
-	}
-	defer c.api.gate.Release(c.scope, 0)
-	p := &CallParams{Ctx: c, Addr: src, Bytes: len(dst)}
-	if err := c.api.before(CBMemcpyDtoH, p); err != nil {
-		return err
-	}
-	var t0 time.Duration
-	prof := c.prof()
-	if prof != nil {
-		t0 = prof.Now()
-	}
-	err := c.api.dev.Read(src, dst)
-	if prof != nil && err == nil {
-		prof.Emit(profile.Record{
-			Kind: profile.KindMemcpyD2H, Name: CBMemcpyDtoH.String(),
-			Start: t0, Dur: prof.Now() - t0, SM: -1, Addr: src, Bytes: uint64(len(dst)),
-		})
-	}
-	if aerr := c.api.after(CBMemcpyDtoH, p, err); err == nil {
-		err = aerr
-	}
-	return err
+	p := CallParams{Ctx: c, Addr: src, Bytes: len(dst)}
+	rec := profile.Record{Kind: profile.KindMemcpyD2H, Name: CBMemcpyDtoH.String(), Addr: src, Bytes: uint64(len(dst))}
+	return c.interposed(CBMemcpyDtoH, true, &p, &rec, func() error { return c.api.dev.Read(src, dst) })
 }
 
 // LaunchKernel launches a kernel function (cuLaunchKernel). The interposer's
@@ -632,6 +468,9 @@ func (c *Context) MemcpyDtoH(dst []byte, src uint64) error {
 // the gate's admission, so concurrent sessions' launches are serialized onto
 // the shared SM capacity in least-accumulated-cycles order; under overload
 // the launch is rejected with an OverloadError before any tool work runs.
+// Unlike the other device-owning calls it returns the window as soon as the
+// kernel has run, charged with the launch's cycles, so the exit callbacks
+// (where tools drain their channels) do not hold the device.
 func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes int, params []byte) error {
 	if err := c.stickyErr(); err != nil {
 		return err
@@ -642,38 +481,40 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 	if !f.Entry {
 		return fmt.Errorf("driver: %s is not a kernel entry", f.Name)
 	}
-	if err := c.api.gate.Admit(c.scope); err != nil {
+	scope := c.tenant.ID
+	if err := c.api.gate.Admit(scope); err != nil {
 		return fmt.Errorf("driver: launching %s: %w", f.Name, err)
 	}
 	lp := &LaunchParams{Func: f, Grid: grid, Block: block, SharedBytes: sharedBytes, ParamData: params}
-	p := &CallParams{Ctx: c, Launch: lp}
-	if err := c.api.before(CBLaunchKernel, p); err != nil {
-		c.api.gate.Release(c.scope, 0)
-		return err
-	}
-	st, err := c.api.dev.Launch(gpu.LaunchSpec{
-		Entry:       f.launchAddr(),
-		Name:        f.Name,
-		Grid:        lp.Grid,
-		Block:       lp.Block,
-		Params:      lp.ParamData,
-		SharedBytes: f.SharedBytes + lp.SharedBytes,
-		Prof:        c.profOv,
-		HookScope:   c.scope,
-	})
-	c.api.gate.Release(c.scope, st.Cycles)
-	if err != nil {
-		_, isFault := gpu.AsFault(err)
-		err = mapLaunchError(f.Name, err)
-		if isFault {
-			// Device faults poison the context, CUDA-style; host-side
-			// launch validation failures (bad grid, oversized shared
-			// memory) leave it usable.
-			c.poison(err)
+	p := CallParams{Ctx: c, Launch: lp}
+	launched := false
+	err := c.interposed(CBLaunchKernel, false, &p, nil, func() error {
+		st, err := c.api.dev.Launch(gpu.LaunchSpec{
+			Entry:       f.launchAddr(),
+			Name:        f.Name,
+			Grid:        lp.Grid,
+			Block:       lp.Block,
+			Params:      lp.ParamData,
+			SharedBytes: f.SharedBytes + lp.SharedBytes,
+			Prof:        c.tenant.Collector(),
+			HookScope:   scope,
+		})
+		launched = true
+		c.api.gate.Release(scope, st.Cycles)
+		if err != nil {
+			_, isFault := gpu.AsFault(err)
+			err = mapLaunchError(f.Name, err)
+			if isFault {
+				// Device faults poison the context, CUDA-style; host-side
+				// launch validation failures (bad grid, oversized shared
+				// memory) leave it usable.
+				c.poison(err)
+			}
 		}
-	}
-	if aerr := c.api.after(CBLaunchKernel, p, err); err == nil {
-		err = aerr
+		return err
+	})
+	if !launched {
+		c.api.gate.Release(scope, 0) // the enter callbacks refused the launch
 	}
 	return err
 }

@@ -58,10 +58,10 @@ func newAPI(t *testing.T, f sass.Family) *API {
 func TestDriverEndToEndWithHook(t *testing.T) {
 	a := newAPI(t, sass.Volta)
 	h := &recordingHook{}
-	if err := a.SetHook(h); err != nil {
+	if err := a.Scope0().Bind(h); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SetHook(h); err == nil {
+	if err := a.Scope0().Bind(h); err == nil {
 		t.Fatal("second interposer injection accepted")
 	}
 
@@ -314,5 +314,30 @@ func TestModuleFunctionOrder(t *testing.T) {
 	fs := mod.Functions()
 	if len(fs) != 3 || fs[0].Name != "b1" || fs[1].Name != "a2" || fs[2].Name != "c3" {
 		t.Fatalf("function order: %v", []string{fs[0].Name, fs[1].Name, fs[2].Name})
+	}
+}
+
+// TestInterposedCallZeroAlloc pins that an unobserved, untraced driver call
+// allocates nothing: the call path's operation closure and the caller-owned
+// parameters it fills stay on the stack, and the callbacks' copy is made only
+// when a hook is bound.
+func TestInterposedCallZeroAlloc(t *testing.T) {
+	a := newAPI(t, sass.Volta)
+	ctx, err := a.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := ctx.MemAlloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]byte, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ctx.MemcpyHtoD(dst, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("tracing-off MemcpyHtoD allocates %v objects per call, want 0", allocs)
 	}
 }

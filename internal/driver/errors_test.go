@@ -27,7 +27,7 @@ func (h *errorHook) After(cbid CBID, name string, p *CallParams, err error) {
 func TestAfterCallbackSeesErrors(t *testing.T) {
 	a := newAPI(t, sass.Volta)
 	h := &errorHook{}
-	if err := a.SetHook(h); err != nil {
+	if err := a.Scope0().Bind(h); err != nil {
 		t.Fatal(err)
 	}
 	ctx, err := a.CtxCreate()

@@ -17,7 +17,7 @@ var ErrDeviceOverloaded = errors.New("CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES: device
 // bound. The rejected context is NOT poisoned — the session stays healthy
 // and may retry.
 type OverloadError struct {
-	Tenant  uint64 // session scope of the rejected context (0: unscoped)
+	Tenant  uint64 // scope of the rejected context (0: the process scope)
 	Waiting int    // operations already queued when this one was shed
 	Limit   int    // the queue bound that was hit
 }

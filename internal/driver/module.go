@@ -3,7 +3,6 @@ package driver
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
@@ -102,37 +101,28 @@ func NewDetachedModule(name string, funcs []*Function) *Module {
 	return m
 }
 
-// GetFunction resolves a kernel by name (cuModuleGetFunction).
+// GetFunction resolves a kernel by name (cuModuleGetFunction). On a detached
+// module it is a plain lookup: there is no local driver to interpose.
 func (m *Module) GetFunction(name string) (*Function, error) {
-	if m.ctx == nil {
-		// Detached module: plain lookup, there is no local driver to
-		// interpose.
+	p := CallParams{Ctx: m.ctx, Module: m}
+	lookup := func() error {
 		f, ok := m.funcs[name]
 		if !ok {
-			return nil, fmt.Errorf("driver: module %s has no function %q", m.Name, name)
+			return fmt.Errorf("driver: module %s has no function %q", m.Name, name)
 		}
-		return f, nil
+		p.Func = f
+		return nil
 	}
-	if err := m.ctx.stickyErr(); err != nil {
-		return nil, err
-	}
-	p := &CallParams{Ctx: m.ctx, Module: m}
-	if err := m.ctx.api.before(CBModuleGetFunction, p); err != nil {
-		return nil, err
-	}
-	f, ok := m.funcs[name]
 	var err error
-	if !ok {
-		err = fmt.Errorf("driver: module %s has no function %q", m.Name, name)
-	}
-	p.Func = f
-	if aerr := m.ctx.api.after(CBModuleGetFunction, p, err); err == nil {
-		err = aerr
+	if m.ctx == nil {
+		err = lookup()
+	} else if err = m.ctx.stickyErr(); err == nil {
+		err = m.ctx.interposed(CBModuleGetFunction, false, &p, nil, lookup)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return p.Func, nil
 }
 
 // ModuleLoadPTX JIT-compiles embedded PTX for the context's device and loads
@@ -187,101 +177,100 @@ func (c *Context) ModuleLoadCubin(image []byte) (*Module, error) {
 	return c.loadCompiled(cm.Name, pm, true, false)
 }
 
-// loadCompiled places every function of a compiled module into device code
-// space, resolves intra-module CAL relocations, and encodes the final bytes.
+// loadCompiled links a compiled module into device code space (module loads
+// write it, so they own the device like launches do) and builds the module's
+// function table.
 func (c *Context) loadCompiled(name string, pm *ptx.Module, fromCubin, withLines bool) (*Module, error) {
-	// Module loads write device code space, so they run inside the gate's
-	// admission window like launches do.
-	if err := c.api.gate.Admit(c.scope); err != nil {
-		return nil, fmt.Errorf("driver: loading module %s: %w", name, err)
-	}
-	defer c.api.gate.Release(c.scope, 0)
 	m := &Module{Name: name, FromCubin: fromCubin, ctx: c, funcs: make(map[string]*Function)}
-	p := &CallParams{Ctx: c, Module: m}
-	if err := c.api.before(CBModuleLoadData, p); err != nil {
-		return nil, err
-	}
-	var t0 time.Duration
-	var code0 uint64
-	prof := c.prof()
-	if prof != nil {
-		t0 = prof.Now()
-		code0 = c.api.dev.Stats().CodeBytesWritten
-	}
-	err := c.doLoad(m, pm, withLines)
-	if prof != nil && err == nil {
-		m.TraceID = prof.Emit(profile.Record{
-			Kind: profile.KindModuleLoad, Name: m.Name,
-			Start: t0, Dur: prof.Now() - t0, SM: -1,
-			Bytes: c.api.dev.Stats().CodeBytesWritten - code0,
-		})
-	}
-	if aerr := c.api.after(CBModuleLoadData, p, err); err == nil {
-		err = aerr
-	}
+	p := CallParams{Ctx: c, Module: m}
+	rec := profile.Record{Kind: profile.KindModuleLoad, Name: name}
+	err := c.interposed(CBModuleLoadData, true, &p, &rec, func() error {
+		code0 := c.api.dev.Stats().CodeBytesWritten
+		placed, err := Link(c.api.dev, pm)
+		if err != nil {
+			return err
+		}
+		rec.Bytes = c.api.dev.Stats().CodeBytesWritten - code0
+		for i, pf := range pm.Funcs {
+			f := &Function{
+				Name:        pf.Name,
+				Module:      m,
+				Entry:       pf.Entry,
+				Addr:        placed[i].Addr,
+				NumWords:    len(pf.Insts),
+				NumRegs:     pf.NumRegs,
+				NumPred:     pf.NumPred,
+				Params:      pf.Params,
+				ParamBytes:  pf.ParamBytes,
+				SharedBytes: pf.SharedBytes,
+				SourceName:  name,
+			}
+			if withLines || fromCubin {
+				f.Lines = pf.Lines
+			}
+			m.funcs[pf.Name] = f
+			m.order = append(m.order, pf.Name)
+		}
+		for _, pf := range pm.Funcs {
+			f := m.funcs[pf.Name]
+			for _, rel := range pf.Related {
+				rf, ok := m.funcs[rel]
+				if !ok {
+					return fmt.Errorf("driver: module %s: missing related function %q", name, rel)
+				}
+				f.Related = append(f.Related, rf)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.modules = append(c.modules, m)
+	m.TraceID = rec.ID
 	return m, nil
 }
 
-func (c *Context) doLoad(m *Module, pm *ptx.Module, withLines bool) error {
-	dev := c.api.dev
-	codec := dev.Codec()
-	// First pass: place functions.
-	for _, pf := range pm.Funcs {
-		if _, dup := m.funcs[pf.Name]; dup {
-			return fmt.Errorf("driver: module %s: duplicate function %q", m.Name, pf.Name)
+// Placed is one function of a linked module: its load address and its body
+// with call relocations resolved.
+type Placed struct {
+	Addr  gpu.CodeAddr
+	Insts []sass.Inst
+}
+
+// Link loads a compiled module into device code space in two passes: every
+// function is placed first, so that calls can then be patched with their
+// callee's load address before the bodies are encoded and written. The
+// result is parallel to pm.Funcs. Application modules and the NVBit core's
+// tool functions are both linked here.
+func Link(dev *gpu.Device, pm *ptx.Module) ([]Placed, error) {
+	placed := make([]Placed, len(pm.Funcs))
+	index := make(map[string]int, len(pm.Funcs))
+	for i, pf := range pm.Funcs {
+		if _, dup := index[pf.Name]; dup {
+			return nil, fmt.Errorf("driver: module %s: duplicate function %q", pm.Name, pf.Name)
 		}
 		addr, err := dev.AllocCode(len(pf.Insts))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		f := &Function{
-			Name:        pf.Name,
-			Module:      m,
-			Entry:       pf.Entry,
-			Addr:        addr,
-			NumWords:    len(pf.Insts),
-			NumRegs:     pf.NumRegs,
-			NumPred:     pf.NumPred,
-			Params:      pf.Params,
-			ParamBytes:  pf.ParamBytes,
-			SharedBytes: pf.SharedBytes,
-			SourceName:  m.Name,
-		}
-		if withLines || m.FromCubin {
-			f.Lines = pf.Lines
-		}
-		m.funcs[pf.Name] = f
-		m.order = append(m.order, pf.Name)
+		index[pf.Name] = i
+		placed[i] = Placed{Addr: addr, Insts: append([]sass.Inst(nil), pf.Insts...)}
 	}
-	// Second pass: resolve relocations, link related functions, encode.
-	for _, pf := range pm.Funcs {
-		f := m.funcs[pf.Name]
-		insts := append([]sass.Inst(nil), pf.Insts...)
+	for i, pf := range pm.Funcs {
 		for _, rl := range pf.Relocs {
-			target, ok := m.funcs[rl.Symbol]
+			target, ok := index[rl.Symbol]
 			if !ok {
-				return fmt.Errorf("driver: module %s: function %s calls unresolved symbol %q", m.Name, pf.Name, rl.Symbol)
+				return nil, fmt.Errorf("driver: module %s: function %s calls unresolved symbol %q", pm.Name, pf.Name, rl.Symbol)
 			}
-			insts[rl.InstIdx].Imm = int64(target.Addr)
+			placed[i].Insts[rl.InstIdx].Imm = int64(placed[target].Addr)
 		}
-		for _, rel := range pf.Related {
-			rf, ok := m.funcs[rel]
-			if !ok {
-				return fmt.Errorf("driver: module %s: missing related function %q", m.Name, rel)
-			}
-			f.Related = append(f.Related, rf)
-		}
-		raw, err := codec.EncodeAll(insts)
+		raw, err := dev.Codec().EncodeAll(placed[i].Insts)
 		if err != nil {
-			return fmt.Errorf("driver: module %s: encoding %s: %w", m.Name, pf.Name, err)
+			return nil, fmt.Errorf("driver: module %s: encoding %s: %w", pm.Name, pf.Name, err)
 		}
-		if err := dev.WriteCode(f.Addr, raw); err != nil {
-			return err
+		if err := dev.WriteCode(placed[i].Addr, raw); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return placed, nil
 }

@@ -33,8 +33,8 @@ loop:
 `
 
 // crashCtx creates a context, loads crashPTX and faults one launch on it,
-// returning the context and the launch error.
-func crashCtx(t *testing.T, sched gpu.SchedulerKind) (*Context, error) {
+// returning the context, the loaded module and the launch error.
+func crashCtx(t *testing.T, sched gpu.SchedulerKind) (*Context, *Module, error) {
 	t.Helper()
 	cfg := gpu.DefaultConfig(sass.Volta)
 	cfg.Scheduler = sched
@@ -59,13 +59,13 @@ func crashCtx(t *testing.T, sched gpu.SchedulerKind) (*Context, error) {
 	if lerr == nil {
 		t.Fatal("trapping kernel did not error")
 	}
-	return ctx, lerr
+	return ctx, mod, lerr
 }
 
 // TestLaunchFaultSentinels: every fault kind surfaces with its CUresult
 // sentinel visible to errors.Is, plus the *gpu.Fault to errors.As.
 func TestLaunchFaultSentinels(t *testing.T) {
-	ctx, lerr := crashCtx(t, gpu.SchedulerSequential)
+	ctx, _, lerr := crashCtx(t, gpu.SchedulerSequential)
 	if !errors.Is(lerr, ErrIllegalAddress) {
 		t.Fatalf("errors.Is(ErrIllegalAddress) false: %v", lerr)
 	}
@@ -123,7 +123,7 @@ func TestWatchdogSentinel(t *testing.T) {
 // with the sticky error until ResetPersistingError; fresh contexts are
 // unaffected.
 func TestStickyContext(t *testing.T) {
-	ctx, lerr := crashCtx(t, gpu.SchedulerSequential)
+	ctx, mod, lerr := crashCtx(t, gpu.SchedulerSequential)
 
 	// GetLastError reports without clearing.
 	if got := ctx.GetLastError(); got == nil || got.Error() != lerr.Error() {
@@ -146,7 +146,6 @@ func TestStickyContext(t *testing.T) {
 	if _, err := ctx.ModuleLoadPTX("again", crashPTX); !errors.Is(err, ErrIllegalAddress) {
 		t.Fatalf("ModuleLoadPTX after fault: %v", err)
 	}
-	mod := ctx.modules[0]
 	if _, err := mod.GetFunction("crash"); !errors.Is(err, ErrIllegalAddress) {
 		t.Fatalf("GetFunction after fault: %v", err)
 	}
@@ -235,7 +234,7 @@ func (h *panicHook) After(cbid CBID, name string, p *CallParams, result error) {
 func TestHookPanicRecovered(t *testing.T) {
 	a := newAPI(t, sass.Volta)
 	h := &panicHook{panicBefore: map[CBID]bool{CBMemAlloc: true}, panicAfter: map[CBID]bool{CBMemcpyHtoD: true}}
-	if err := a.SetHook(h); err != nil {
+	if err := a.Scope0().Bind(h); err != nil {
 		t.Fatal(err)
 	}
 	ctx, err := a.CtxCreate()

@@ -122,11 +122,6 @@ type Device struct {
 
 	stats Stats
 
-	// prof, when non-nil, receives activity records for every launch
-	// (kernel spans and their per-SM children). The nil path is the
-	// allocation-free fast path.
-	prof *profile.Collector
-
 	// warpFree recycles warp slabs (32 KiB of registers each) across
 	// launches. Touched only on the launching goroutine (newExecContext /
 	// releaseContext), never by SM workers.
@@ -145,14 +140,14 @@ type Device struct {
 
 	// flushHooks are invoked by the scheduler at CTA-completion and
 	// warp-sweep boundaries (see FlushHook); nil when no channel is bound,
-	// which keeps the launch hot path allocation- and call-free. Entries
-	// registered with a non-zero scope fire only for launches whose
-	// LaunchSpec.HookScope matches — how concurrent sessions keep their
-	// channels out of each other's kernels.
+	// which keeps the launch hot path allocation- and call-free. An entry
+	// fires only for launches whose LaunchSpec.HookScope equals its scope —
+	// how concurrent sessions keep their channels out of each other's
+	// kernels.
 	flushHooks []*flushHookEntry
-	// activeHooks is the per-launch filtered view of flushHooks (scope 0
-	// plus the launch's own scope), reused across launches so scoped
-	// sessions keep the tracing-off launch path allocation-free.
+	// activeHooks is the per-launch filtered view of flushHooks (the
+	// launch's own scope), reused across launches so the tracing-off launch
+	// path stays allocation-free.
 	activeHooks []*flushHookEntry
 	// launchFlush is the hook view resolved once at the top of Launch and
 	// read by every worker context of that launch; resolving once keeps
@@ -197,19 +192,12 @@ type flushHookEntry struct {
 	scope uint64
 }
 
-// AddFlushHook registers a flush hook that fires for every launch and
-// returns a function that removes it. Both registration and removal must
-// happen between launches — the hook slice is captured by each launch's
-// execution contexts.
-func (d *Device) AddFlushHook(h FlushHook) (remove func()) {
-	return d.AddFlushHookScoped(0, h)
-}
-
-// AddFlushHookScoped registers a flush hook bound to a hook scope: it fires
-// only for launches whose LaunchSpec.HookScope equals scope. Scope 0 is the
-// unscoped default — such hooks fire for every launch. Sessions give their
-// channels a private scope so one session's mid-kernel flushes never run
-// inside another session's kernels.
+// AddFlushHookScoped registers a flush hook bound to a hook scope and returns
+// a function that removes it: the hook fires only for launches whose
+// LaunchSpec.HookScope equals scope, so one tenant's mid-kernel flushes never
+// run inside another's kernels. Both registration and removal must happen
+// between launches — the hook slice is captured by each launch's execution
+// contexts.
 func (d *Device) AddFlushHookScoped(scope uint64, h FlushHook) (remove func()) {
 	e := &flushHookEntry{fn: h, scope: scope}
 	d.flushHooks = append(d.flushHooks, e)
@@ -230,28 +218,14 @@ func (d *Device) AddFlushHookScoped(scope uint64, h FlushHook) (remove func()) {
 // use it: closing a channel must return the count to its prior value.
 func (d *Device) FlushHookCount() int { return len(d.flushHooks) }
 
-// hooksFor filters the registered flush hooks down to those a launch with
-// the given scope must run (unscoped entries plus matching scoped ones),
-// reusing a device-owned buffer so the filter itself never allocates after
-// the first scoped launch. Launches on one device are serialized by the
-// driver's launch gate, so the shared buffer is never aliased.
+// hooksFor filters the registered flush hooks down to those of the launch's
+// scope, reusing a device-owned buffer so the filter itself never allocates
+// once warm. Launches on one device are serialized by the driver's launch
+// gate, so the shared buffer is never aliased.
 func (d *Device) hooksFor(scope uint64) []*flushHookEntry {
-	if len(d.flushHooks) == 0 {
-		return nil
-	}
-	all := true
-	for _, e := range d.flushHooks {
-		if e.scope != 0 && e.scope != scope {
-			all = false
-			break
-		}
-	}
-	if all {
-		return d.flushHooks
-	}
 	d.activeHooks = d.activeHooks[:0]
 	for _, e := range d.flushHooks {
-		if e.scope == 0 || e.scope == scope {
+		if e.scope == scope {
 			d.activeHooks = append(d.activeHooks, e)
 		}
 	}
@@ -347,15 +321,6 @@ func (d *Device) Stats() Stats { return d.stats }
 
 // ResetStats zeroes the accumulated statistics.
 func (d *Device) ResetStats() { d.stats = Stats{} }
-
-// SetProfiler attaches (or, with nil, detaches) an activity-record
-// collector. Launches emit one kernel record plus per-SM span children into
-// it; with no collector the launch path stays allocation-free. Must not be
-// called concurrently with a launch.
-func (d *Device) SetProfiler(p *profile.Collector) { d.prof = p }
-
-// Profiler returns the attached activity collector, nil when tracing is off.
-func (d *Device) Profiler() *profile.Collector { return d.prof }
 
 // SetScheduler switches the CTA-to-SM execution backend. The choice is read
 // at each launch; launches are synchronous, so switching between launches is

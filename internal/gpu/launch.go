@@ -32,12 +32,12 @@ type LaunchSpec struct {
 	Grid, Block Dim3
 	Params      []byte // raw parameter block, mapped to constant bank 1
 	SharedBytes int    // dynamic shared memory per CTA
-	// Prof, when non-nil, overrides the device-wide collector for this
-	// launch's activity records — how each session keeps its own profiler
-	// shard on a shared device. Nil falls back to SetProfiler's collector.
+	// Prof, when non-nil, receives this launch's activity records (one
+	// kernel record plus per-SM span children). The driver passes the
+	// launching scope's collector; nil is the allocation-free fast path.
 	Prof *profile.Collector
-	// HookScope selects which scoped flush hooks run during this launch
-	// (see AddFlushHookScoped). Zero runs only unscoped hooks.
+	// HookScope selects which flush hooks run during this launch: those
+	// registered under the same scope (see AddFlushHookScoped).
 	HookScope uint64
 }
 
@@ -45,8 +45,8 @@ type LaunchSpec struct {
 // launch only (they are also accumulated on the device). The CTA-to-SM
 // mapping is fixed (cta % NumSMs); Config.Scheduler selects whether the SMs
 // execute sequentially on one goroutine or concurrently with one worker per
-// SM (see docs/scheduler.md for the determinism contract). With a profiler
-// attached (SetProfiler), the launch additionally emits one kernel activity
+// SM (see docs/scheduler.md for the determinism contract). With a collector
+// in spec.Prof, the launch additionally emits one kernel activity
 // record plus per-SM span children, merged in ascending SM order so record
 // ordering is deterministic under both schedulers; without one, the launch
 // path allocates nothing.
@@ -61,7 +61,7 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 		return Stats{}, fmt.Errorf("gpu: %d bytes of shared memory exceed the per-CTA limit %d", spec.SharedBytes, d.cfg.SharedMemPerCTA)
 	}
 
-	prof := d.launchProf(spec)
+	prof := spec.Prof
 	var profStart time.Duration
 	if prof != nil {
 		profStart = prof.Now()
@@ -164,15 +164,6 @@ func (d *Device) emitKernelRecord(prof *profile.Collector, spec LaunchSpec, star
 	}
 }
 
-// launchProf resolves the collector for one launch: the spec's per-session
-// override when set, else the device-wide collector.
-func (d *Device) launchProf(spec LaunchSpec) *profile.Collector {
-	if spec.Prof != nil {
-		return spec.Prof
-	}
-	return d.prof
-}
-
 // ctasOnSM returns how many of nCTA blocks the fixed cta%NumSMs mapping
 // places on the given SM.
 func (d *Device) ctasOnSM(sm, nCTA int) int {
@@ -196,7 +187,7 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 		smWarps[sm] += warpsPerCTA
 	}
 	launch.Add(ctx.stats)
-	if prof := d.launchProf(spec); prof != nil {
+	if prof := spec.Prof; prof != nil {
 		// Synthesize the per-SM spans in ascending SM order from the
 		// per-SM accumulators (the single walking context has no
 		// per-worker wall clocks; span content matches the parallel
@@ -227,7 +218,7 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 // counts derived from it) can differ from the sequential backend. See
 // docs/scheduler.md.
 func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) error {
-	prof := d.launchProf(spec)
+	prof := spec.Prof
 	nWorkers := d.cfg.NumSMs
 	if nWorkers > nCTA {
 		nWorkers = nCTA // trailing SMs would have no CTAs

@@ -120,8 +120,7 @@ func traceFingerprints(t *testing.T, kind SchedulerKind) []profile.Record {
 	t.Helper()
 	d, entry, params := setupProfKernel(t, kind)
 	prof := profile.NewCollector(0)
-	d.SetProfiler(prof)
-	spec := LaunchSpec{Entry: entry, Name: "k", Grid: D1(32), Block: D1(32), Params: params, SharedBytes: 128}
+	spec := LaunchSpec{Entry: entry, Name: "k", Grid: D1(32), Block: D1(32), Params: params, SharedBytes: 128, Prof: prof}
 	for i := 0; i < 3; i++ {
 		if _, err := d.Launch(spec); err != nil {
 			t.Fatal(err)
@@ -164,8 +163,7 @@ func TestTraceRecordsSchedulerInvariant(t *testing.T) {
 func TestKernelRecordShape(t *testing.T) {
 	d, entry, params := setupProfKernel(t, SchedulerParallelSM)
 	prof := profile.NewCollector(0)
-	d.SetProfiler(prof)
-	st, err := d.Launch(LaunchSpec{Entry: entry, Name: "k", Grid: D1(32), Block: D1(32), Params: params, SharedBytes: 128})
+	st, err := d.Launch(LaunchSpec{Entry: entry, Name: "k", Grid: D1(32), Block: D1(32), Params: params, SharedBytes: 128, Prof: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +219,13 @@ func TestFaultedLaunchRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := profile.NewCollector(0)
-	d.SetProfiler(prof)
 	entry := loadSASS(t, d, `
 	MOVI R0, 0
 	MOVI R1, 0
 	STG [R0], R1
 	EXIT
 `)
-	if _, err := d.Launch(LaunchSpec{Entry: entry, Name: "bad", Grid: D1(1), Block: D1(32)}); err == nil {
+	if _, err := d.Launch(LaunchSpec{Entry: entry, Name: "bad", Grid: D1(1), Block: D1(32), Prof: prof}); err == nil {
 		t.Fatal("expected a fault")
 	}
 	recs := prof.Records()

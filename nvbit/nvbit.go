@@ -285,37 +285,38 @@ const (
 	MemConst  = sass.MemConst
 )
 
-// Attach injects a tool into an application's driver instance as its
-// process-wide interposer and fires its AtInit callback — the one-session
-// compatibility wrapper over the session model: only one such tool can be
-// attached per driver (the paper's single-LD_PRELOAD-library rule), and it
-// observes every unscoped context. Options configure the attachment
+// Attach injects a tool into an application's driver instance as the
+// process's preloaded interposer library and fires its AtInit callback. The
+// tool is bound to the driver's scope 0, the scope of every context the
+// application creates with CtxCreate: it observes all of their driver calls,
+// and only one such tool can be attached per driver (the paper's
+// single-LD_PRELOAD-library rule). Options configure the attachment
 // (WithScheduler, WithWatchdogInterval, WithTracing) and are applied before
 // AtInit runs. Use OpenSession to run several tools concurrently on one
-// device, each scoped to its own context.
+// device, each bound to a scope and context of its own.
 func Attach(api *driver.API, tool Tool, opts ...Option) (*NVBit, error) {
 	return core.Attach(api, tool, opts...)
 }
 
 // Configure applies attach options (scheduler, watchdog, tracing) to a
-// driver instance's device without attaching a tool — the single options
+// driver instance's device and scope 0 without attaching a tool — the single options
 // struct also covers the uninjected-run path, so launchers need no
 // tool-or-not special casing.
 func Configure(api *driver.API, opts ...Option) {
 	core.Configure(api, opts...)
 }
 
-// Session is one tenant's attachment to a shared driver: its own context,
-// tool, JIT state and (with WithTracing) private activity timeline. Any
+// Session is one tenant's attachment to a shared driver: its own scope and
+// context, tool, JIT state and (with WithTracing) activity timeline. Any
 // number of sessions coexist on one device; the driver schedules their
 // kernels onto the shared SM capacity with fair-share admission and rejects
 // work with ErrDeviceOverloaded under overload. See docs/nvbitd.md for the
-// daemon built on top of sessions, and docs/tools.md for migrating Attach
-// calls.
+// daemon built on top of sessions, and docs/tools.md for how Attach and
+// OpenSession relate.
 type Session = core.Session
 
-// OpenSession attaches a tool to a fresh context on the driver instead of to
-// the whole process. The tool's AtInit fires before OpenSession returns; its
+// OpenSession attaches a tool to a fresh scope and context on the driver
+// instead of to the whole process. The tool's AtInit fires before OpenSession returns; its
 // AtTerm fires at Session.Close. The session's launches, channels and
 // activity records are isolated from every other session's.
 func OpenSession(api *driver.API, tool Tool, opts ...Option) (*Session, error) {
