@@ -415,10 +415,10 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 		case argRegVal64:
 			readRegs(abi, sass.Reg(a.reg), 2)
 		case argImm32:
-			out = append(out, n.materialize(abi, uint32(a.imm))...)
+			out = append(out, sass.LoadImm32(n.hal.family, abi, uint32(a.imm))...)
 		case argImm64:
-			out = append(out, n.materialize(abi, uint32(a.imm))...)
-			out = append(out, n.materialize(abi+1, uint32(a.imm>>32))...)
+			out = append(out, sass.LoadImm32(n.hal.family, abi, uint32(a.imm))...)
+			out = append(out, sass.LoadImm32(n.hal.family, abi+1, uint32(a.imm>>32))...)
 		case argCBank:
 			ld := sass.NewInst(sass.OpLDC)
 			ld.Dst, ld.Src1, ld.Imm = abi, sass.RZ, int64(a.off)
@@ -440,8 +440,8 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 			mref, _ := site.inst.MemOperand()
 			if mref.Base == sass.RZ {
 				addr := uint64(mref.Offset)
-				out = append(out, n.materialize(abi, uint32(addr))...)
-				out = append(out, n.materialize(abi+1, uint32(addr>>32))...)
+				out = append(out, sass.LoadImm32(n.hal.family, abi, uint32(addr))...)
+				out = append(out, sass.LoadImm32(n.hal.family, abi+1, uint32(addr>>32))...)
 				break
 			}
 			if mref.Space == sass.MemGlobal {
@@ -499,23 +499,4 @@ func predValSeq(dst sass.Reg, p sass.Pred, neg, live bool) []sass.Inst {
 		seq = append(seq, x)
 	}
 	return seq
-}
-
-// materialize emits a 32-bit constant load legalized for the family.
-func (n *NVBit) materialize(dst sass.Reg, v uint32) []sass.Inst {
-	sv := int64(int32(v))
-	if n.hal.ImmFits(sass.OpMOVI, sv) {
-		mv := sass.NewInst(sass.OpMOVI)
-		mv.Dst, mv.Imm = dst, sv
-		return []sass.Inst{mv}
-	}
-	lo := sass.NewInst(sass.OpMOVI)
-	lo.Dst = dst
-	lo.Imm = int64(v & 0xFFFFF)
-	if lo.Imm > 1<<19-1 {
-		lo.Imm -= 1 << 20
-	}
-	hi := sass.NewInst(sass.OpMOVIH)
-	hi.Dst, hi.Imm = dst, int64(v>>20)
-	return []sass.Inst{lo, hi}
 }

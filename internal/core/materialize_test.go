@@ -67,10 +67,9 @@ func runMaterialize(t *testing.T, fam sass.Family, seq []sass.Inst, dst sass.Reg
 // wide MOVI).
 func TestMaterializeBoundaries(t *testing.T) {
 	for _, fam := range []sass.Family{sass.Pascal, sass.Volta} {
-		env := setup(t, fam, &testTool{})
 		const dst = sass.Reg(9)
 		for _, v := range materializeCases {
-			seq := env.nv.materialize(dst, v)
+			seq := sass.LoadImm32(fam, dst, v)
 			if fam == sass.Volta && len(seq) != 1 {
 				t.Errorf("%v: Volta materialize(%#x) used %d instructions, want 1", fam, v, len(seq))
 			}
@@ -99,9 +98,8 @@ func b2i(b bool) int {
 // must land in signed 20 bits after the carry adjustment, the hi part in
 // MOVIH's unsigned 12 bits.
 func TestMaterializeSplitImmediatesEncodable(t *testing.T) {
-	env := setup(t, sass.Pascal, &testTool{})
 	for _, v := range materializeCases {
-		for _, in := range env.nv.materialize(3, v) {
+		for _, in := range sass.LoadImm32(sass.Pascal, 3, v) {
 			if !sass.ImmFits(sass.Pascal, in.Op, in.Imm) {
 				t.Errorf("materialize(%#x): %v immediate %#x not encodable on Pascal", v, in.Op, in.Imm)
 			}

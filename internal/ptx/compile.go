@@ -2,9 +2,6 @@ package ptx
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"nvbitgo/internal/sass"
 )
@@ -17,8 +14,7 @@ type compiler struct {
 	out   []sass.Inst
 	lines []int32
 
-	regMap  map[string]sass.Reg
-	predMap map[string]sass.Pred
+	regs    map[string]vreg
 	nextReg int
 	maxReg  int // highest physical GPR touched
 	maxPred int
@@ -34,9 +30,23 @@ type compiler struct {
 	relocs    []Reloc
 	related   []string
 
+	// Per statement: the rule being applied, the guard and line every
+	// emitted instruction carries, and the first error. Once err is set the
+	// operand resolvers below do nothing, so a rule's slots are resolved
+	// without a check after each.
+	st       *pstmt
+	rule     *rule
 	guard    sass.Pred
 	guardNeg bool
 	line     int32
+	err      error
+}
+
+// vreg is a declared virtual register's class and physical register (the
+// predicate index for ClassPred).
+type vreg struct {
+	class RegClass
+	r     sass.Reg
 }
 
 type branchFixup struct {
@@ -49,8 +59,9 @@ func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
 	c := &compiler{
 		f:          pf,
 		family:     family,
-		regMap:     make(map[string]sass.Reg),
-		predMap:    make(map[string]sass.Pred),
+		out:        make([]sass.Inst, 0, len(pf.body)+16),
+		lines:      make([]int32, 0, len(pf.body)+16),
+		regs:       make(map[string]vreg, len(pf.regOrd)),
 		params:     make(map[string]Param),
 		sharedSyms: make(map[string]int),
 		maxReg:     -1,
@@ -66,15 +77,23 @@ func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
 		c.sharedSyms[sh.name] = sh.offset
 		c.sharedSize = sh.offset + sh.bytes
 	}
-	for _, st := range pf.body {
+	c.stmtStart = make([]int, 0, len(pf.body)+1)
+	for i := range pf.body {
 		c.stmtStart = append(c.stmtStart, len(c.out))
-		if err := c.lowerStmt(st); err != nil {
-			return nil, fmt.Errorf("line %d: %w", st.line, err)
+		if err := c.lower(&pf.body[i]); err != nil {
+			return nil, fmt.Errorf("line %d: %w", pf.body[i].line, err)
 		}
 	}
 	c.stmtStart = append(c.stmtStart, len(c.out))
-	// Implicit terminator if the body does not end in one.
-	if n := len(c.out); n == 0 || (c.out[n-1].Op != sass.OpEXIT && c.out[n-1].Op != sass.OpRET) {
+	// Implicit terminator unless the body ends in an unguarded one that no
+	// label follows.
+	endLabel := false
+	for _, target := range pf.labels {
+		endLabel = endLabel || target == len(pf.body)
+	}
+	if n := len(c.out); n == 0 || endLabel || c.out[n-1].Guarded() ||
+		(c.out[n-1].Op != sass.OpEXIT && c.out[n-1].Op != sass.OpRET) {
+		c.guard, c.guardNeg = sass.PT, false
 		c.emit(sass.NewInst(c.terminator()))
 	}
 	// Resolve local branch targets.
@@ -83,7 +102,11 @@ func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
 		if !ok {
 			return nil, fmt.Errorf("line %d: undefined label %q", fx.line, fx.label)
 		}
-		c.out[fx.instIdx].Imm = int64(c.stmtStart[target] - (fx.instIdx + 1))
+		rel := int64(c.stmtStart[target] - (fx.instIdx + 1))
+		if !sass.ImmFits(family, sass.OpBRA, rel) {
+			return nil, fmt.Errorf("line %d: branch to %q out of range", fx.line, fx.label)
+		}
+		c.out[fx.instIdx].Imm = rel
 	}
 	return &Func{
 		Name:        pf.name,
@@ -147,7 +170,7 @@ func (c *compiler) allocRegs() error {
 	switch {
 	case c.f.entry:
 		c.nextReg = 4
-	case c.f.declIdx == declToolFunc:
+	case c.f.tool:
 		c.nextReg = abiArgBase + abiMaxArgs // R16: everything below is saved by the trampoline
 	default:
 		c.nextReg = calleeRegBase
@@ -155,14 +178,11 @@ func (c *compiler) allocRegs() error {
 	for _, name := range c.f.regOrd {
 		switch c.f.regs[name] {
 		case ClassPred:
-			p := len(c.predMap)
-			if p >= sass.NumPreds {
+			c.maxPred++
+			if c.maxPred >= sass.NumPreds {
 				return fmt.Errorf("function %s: more than %d predicate registers", c.f.name, sass.NumPreds)
 			}
-			c.predMap[name] = sass.Pred(p)
-			if p > c.maxPred {
-				c.maxPred = p
-			}
+			c.regs[name] = vreg{ClassPred, sass.Reg(c.maxPred)}
 		case ClassB64:
 			if c.nextReg%2 != 0 {
 				c.nextReg++
@@ -170,14 +190,14 @@ func (c *compiler) allocRegs() error {
 			if c.nextReg+1 >= sass.NumRegs {
 				return fmt.Errorf("function %s: out of registers", c.f.name)
 			}
-			c.regMap[name] = sass.Reg(c.nextReg)
+			c.regs[name] = vreg{ClassB64, sass.Reg(c.nextReg)}
 			c.touchReg(sass.Reg(c.nextReg), true)
 			c.nextReg += 2
 		default:
 			if c.nextReg >= sass.NumRegs {
 				return fmt.Errorf("function %s: out of registers", c.f.name)
 			}
-			c.regMap[name] = sass.Reg(c.nextReg)
+			c.regs[name] = vreg{ClassB32, sass.Reg(c.nextReg)}
 			c.touchReg(sass.Reg(c.nextReg), false)
 			c.nextReg++
 		}
@@ -195,212 +215,102 @@ func (c *compiler) touchReg(r sass.Reg, wide bool) {
 	}
 }
 
-// tmp allocates a fresh scratch physical register (counted in the budget).
-func (c *compiler) tmp() (sass.Reg, error) {
-	if c.nextReg >= sass.NumRegs {
-		return sass.RZ, fmt.Errorf("out of registers for scratch")
-	}
-	r := sass.Reg(c.nextReg)
-	c.nextReg++
-	c.touchReg(r, false)
-	return r, nil
-}
-
-func (c *compiler) tmpPair() (sass.Reg, error) {
-	if c.nextReg%2 != 0 {
-		c.nextReg++
-	}
-	if c.nextReg+1 >= sass.NumRegs {
-		return sass.RZ, fmt.Errorf("out of registers for scratch pair")
-	}
-	r := sass.Reg(c.nextReg)
-	c.nextReg += 2
-	c.touchReg(r, true)
-	return r, nil
-}
-
+// emit appends one instruction under the statement's guard and line. An
+// immediate the family cannot encode fails the statement here, whatever
+// produced it.
 func (c *compiler) emit(in sass.Inst) {
+	if !sass.ImmFits(c.family, in.Op, in.Imm) {
+		c.fail("immediate %d out of range for %v", in.Imm, c.family)
+	}
 	in.Pred, in.PredNeg = c.guard, c.guardNeg
 	c.out = append(c.out, in)
 	c.lines = append(c.lines, c.line)
 }
 
-// --- operand helpers ---------------------------------------------------------
+// --- sticky-error operand resolvers ------------------------------------------
 
-func (c *compiler) gpr(arg string) (sass.Reg, error) {
-	if r, ok := c.regMap[arg]; ok {
-		if c.f.regs[arg] == ClassB64 {
-			return sass.RZ, fmt.Errorf("%s is a 64-bit register where 32-bit is required", arg)
-		}
-		return r, nil
+func (c *compiler) fail(format string, a ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, a...)
 	}
-	return sass.RZ, fmt.Errorf("undeclared register %q", arg)
 }
 
-func (c *compiler) pair(arg string) (sass.Reg, error) {
-	if r, ok := c.regMap[arg]; ok {
-		if c.f.regs[arg] != ClassB64 {
-			return sass.RZ, fmt.Errorf("%s is a 32-bit register where 64-bit is required", arg)
-		}
-		return r, nil
+// want fails the statement with the operand shape its rule row accepts.
+func (c *compiler) want() { c.fail("want %s", c.rule.shape()) }
+
+var classNames = [...]string{ClassB32: "32-bit", ClassB64: "64-bit", ClassPred: "predicate"}
+
+// reg resolves a register operand of the wanted class.
+func (c *compiler) reg(o *operand, class RegClass) sass.Reg {
+	if o.kind != opdReg || o.neg && class != ClassPred {
+		c.want()
 	}
-	return sass.RZ, fmt.Errorf("undeclared register %q", arg)
+	return c.lookup(o.name, class)
 }
 
-func (c *compiler) pred(arg string) (sass.Pred, bool, error) {
-	neg := false
-	if strings.HasPrefix(arg, "!") {
-		neg = true
-		arg = arg[1:]
+// lookup resolves a declared register by name.
+func (c *compiler) lookup(name string, class RegClass) sass.Reg {
+	if c.err != nil {
+		return sass.RZ
 	}
-	if p, ok := c.predMap[arg]; ok {
-		return p, neg, nil
+	v, ok := c.regs[name]
+	switch {
+	case !ok:
+		c.fail("undeclared register %q", name)
+	case v.class != class:
+		c.fail("%s is a %s register where %s is required", name, classNames[v.class], classNames[class])
 	}
-	return sass.PT, false, fmt.Errorf("undeclared predicate %q", arg)
+	return v.r
 }
 
-// immValue parses integer immediates and float immediates (decimal like 1.5
-// or PTX hex-float 0F3f800000); floats are returned as their bit patterns.
-func immValue(arg string) (int64, bool) {
-	if strings.HasPrefix(arg, "0F") || strings.HasPrefix(arg, "0f") {
-		bits, err := strconv.ParseUint(arg[2:], 16, 32)
-		if err != nil {
-			return 0, false
-		}
-		return int64(bits), true
+// tmp allocates a fresh scratch register, or an aligned pair (counted in
+// the budget).
+func (c *compiler) tmp(wide bool) sass.Reg {
+	if wide && c.nextReg%2 != 0 {
+		c.nextReg++
 	}
-	if strings.ContainsAny(arg, ".eE") && !strings.HasPrefix(arg, "0x") {
-		f, err := strconv.ParseFloat(arg, 32)
-		if err != nil {
-			return 0, false
-		}
-		return int64(math.Float32bits(float32(f))), true
+	n := 1
+	if wide {
+		n = 2
 	}
-	v, err := strconv.ParseInt(arg, 0, 64)
-	if err != nil {
-		u, uerr := strconv.ParseUint(arg, 0, 64)
-		if uerr != nil {
-			return 0, false
-		}
-		return int64(u), true
+	if c.err != nil || c.nextReg+n > sass.NumRegs {
+		c.fail("out of registers for scratch")
+		return sass.RZ
 	}
-	return v, true
+	r := sass.Reg(c.nextReg)
+	c.nextReg += n
+	c.touchReg(r, wide)
+	return r
 }
 
-var specialRegs = map[string]int64{
-	"%laneid":   sass.SRLaneID,
-	"%warpid":   sass.SRWarpID,
-	"%tid.x":    sass.SRTIDX,
-	"%tid.y":    sass.SRTIDY,
-	"%tid.z":    sass.SRTIDZ,
-	"%ctaid.x":  sass.SRCTAIDX,
-	"%ctaid.y":  sass.SRCTAIDY,
-	"%ctaid.z":  sass.SRCTAIDZ,
-	"%ntid.x":   sass.SRNTIDX,
-	"%ntid.y":   sass.SRNTIDY,
-	"%ntid.z":   sass.SRNTIDZ,
-	"%nctaid.x": sass.SRNCTAIDX,
-	"%nctaid.y": sass.SRNCTAIDY,
-	"%nctaid.z": sass.SRNCTAIDZ,
-	"%clock":    sass.SRClock,
-	"%smid":     sass.SRSMID,
-}
-
-// materialize32 emits code loading a 32-bit constant into dst, legalizing
-// for the family's immediate width.
-func (c *compiler) materialize32(dst sass.Reg, v uint32) {
-	sv := int64(int32(v))
-	if sass.ImmFits(c.family, sass.OpMOVI, sv) {
-		in := sass.NewInst(sass.OpMOVI)
-		in.Dst, in.Imm = dst, sv
+// loadImm emits code loading a 32-bit constant into dst.
+func (c *compiler) loadImm(dst sass.Reg, v uint32) {
+	for _, in := range sass.LoadImm32(c.family, dst, v) {
 		c.emit(in)
-		return
 	}
-	// Two-instruction sequence on 64-bit families: MOVI sets the low 20
-	// bits (encoded sign-extended; MOVIH overwrites the top bits anyway),
-	// MOVIH completes bits 20..31.
-	lo := sass.NewInst(sass.OpMOVI)
-	lo.Dst = dst
-	lo.Imm = int64(v & 0xFFFFF)
-	if lo.Imm > 1<<19-1 {
-		lo.Imm -= 1 << 20
-	}
-	c.emit(lo)
-	hi := sass.NewInst(sass.OpMOVIH)
-	hi.Dst, hi.Imm = dst, int64(v>>20)
-	c.emit(hi)
 }
 
-// materialize64 loads a 64-bit constant into the pair at dst.
-func (c *compiler) materialize64(dst sass.Reg, v uint64) {
-	c.materialize32(dst, uint32(v))
-	c.materialize32(dst+1, uint32(v>>32))
+// loadImm64 loads a 64-bit constant into the pair at dst.
+func (c *compiler) loadImm64(dst sass.Reg, v uint64) {
+	c.loadImm(dst, uint32(v))
+	c.loadImm(dst+1, uint32(v>>32))
 }
 
-// valueB32 resolves an argument that may be a 32-bit register or an
-// immediate; immediates are materialized into a scratch register.
-func (c *compiler) valueB32(arg string) (sass.Reg, error) {
-	if strings.HasPrefix(arg, "%") {
-		return c.gpr(arg)
+// typedValue resolves a pair under a 64-bit type, else a 32-bit value.
+func (c *compiler) typedValue(o *operand, wide bool) sass.Reg {
+	if wide {
+		return c.reg(o, ClassB64)
 	}
-	v, ok := immValue(arg)
-	if !ok {
-		return sass.RZ, fmt.Errorf("bad operand %q", arg)
-	}
-	t, err := c.tmp()
-	if err != nil {
-		return sass.RZ, err
-	}
-	c.materialize32(t, uint32(v))
-	return t, nil
+	return c.value(o)
 }
 
-// regPlusImm resolves reg-or-immediate second operands for ops whose SASS
-// form folds a small immediate (IADD/SHL/SHR/LOP/ISETP/SHFL): returns the
-// register (RZ if pure immediate) and the folded immediate.
-func (c *compiler) regPlusImm(arg string) (sass.Reg, int64, error) {
-	if strings.HasPrefix(arg, "%") {
-		r, err := c.gpr(arg)
-		return r, 0, err
+// value resolves a 32-bit register, or materialises an immediate into a
+// scratch register.
+func (c *compiler) value(o *operand) sass.Reg {
+	if o.kind != opdImm {
+		return c.reg(o, ClassB32)
 	}
-	v, ok := immValue(arg)
-	if !ok {
-		return sass.RZ, 0, fmt.Errorf("bad operand %q", arg)
-	}
-	if sass.ImmFits(c.family, sass.OpIADD, v) {
-		return sass.RZ, v, nil
-	}
-	t, err := c.tmp()
-	if err != nil {
-		return sass.RZ, 0, err
-	}
-	c.materialize32(t, uint32(v))
-	return t, 0, nil
-}
-
-// memRef parses "[%rd1+8]", "[%r2]", "[sym]", "[sym+4]" forms. It returns
-// the base register name (empty for symbol-based refs), symbol and offset.
-func parseMemArg(arg string) (base, sym string, off int64, err error) {
-	if !strings.HasPrefix(arg, "[") || !strings.HasSuffix(arg, "]") {
-		return "", "", 0, fmt.Errorf("expected memory operand, got %q", arg)
-	}
-	inner := strings.TrimSpace(arg[1 : len(arg)-1])
-	expr := inner
-	if i := strings.LastIndexAny(inner, "+-"); i > 0 {
-		v, perr := strconv.ParseInt(strings.TrimSpace(inner[i+1:]), 0, 64)
-		if perr == nil {
-			if inner[i] == '-' {
-				v = -v
-			}
-			off = v
-			expr = strings.TrimSpace(inner[:i])
-		}
-	}
-	if strings.HasPrefix(expr, "%") {
-		return expr, "", off, nil
-	}
-	if v, perr := strconv.ParseInt(expr, 0, 64); perr == nil {
-		return "", "", off + v, nil
-	}
-	return "", expr, off, nil
+	t := c.tmp(false)
+	c.loadImm(t, uint32(o.imm))
+	return t
 }

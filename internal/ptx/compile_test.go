@@ -559,3 +559,123 @@ func TestShr64HighWordExtraction(t *testing.T) {
 		}
 	}
 }
+
+// TestDialectForms executes the documented forms no workload or tool uses —
+// the rows of the rules table that only this kernel exercises — and checks
+// what each computes.
+func TestDialectForms(t *testing.T) {
+	src := `
+.visible .entry forms(.param .u64 out)
+{
+	.reg .u32 %r<12>;
+	.reg .u64 %rd<6>;
+	.reg .f32 %f<14>;
+	.reg .pred %p<4>;
+	ld.param.u64 %rd0, [out];
+	mov.u32 %r0, %laneid;
+	setp.lt.u32 %p0, %r0, 16;
+	vote.any.pred %p1, %p0;
+	vote.all.pred %p2, %p0;
+	selp.u32 %r1, 1, 0, %p1;
+	selp.u32 %r2, 1, 0, !%p2;
+	setp.ne.u32 %p3, %r0, 0;
+	@%p3 ret;                         // lane 0 stores
+	st.global.u32 [%rd0], %r1;        // [0] any = 1
+	st.global.u32 [%rd0+4], %r2;      // [1] !all = 1
+	mov.u64 %rd2, 100;
+	sub.u64 %rd2, %rd2, 58;
+	cvt.u32.u64 %r3, %rd2;
+	st.global.u32 [%rd0+8], %r3;      // [2] 42
+	mov.u32 %r4, 8;
+	st.local.u32 [%r4+4], 77;
+	ld.local.u32 %r5, [%r4+4];
+	st.global.u32 [%rd0+12], %r5;     // [3] 77
+	atom.global.and.b32 %r6, [%rd0+16], 0x0F;
+	st.global.u32 [%rd0+20], %r6;     // [5] old word 4 = 0xFF, word 4 now 0x0F
+	red.global.or.b32 [%rd0+16], 0xF0;
+	atom.global.xor.b32 %r7, [%rd0+16], 0xFF;
+	st.global.u32 [%rd0+24], %r7;     // [6] 0xFF, word 4 now 0
+	mov.f32 %f0, 4.0;
+	rcp.f32 %f1, %f0;                 // 0.25
+	rsqrt.approx.f32 %f2, %f0;        // 0.5
+	rsqrt.f32 %f3, %f0;
+	sqrt.approx.f32 %f4, %f0;         // 2
+	sqrt.f32 %f5, %f0;
+	ex2.approx.f32 %f6, %f0;          // 16
+	ex2.f32 %f7, %f0;
+	lg2.approx.f32 %f8, %f0;          // 2
+	lg2.f32 %f9, %f0;
+	mov.f32 %f10, 0.0;
+	sin.f32 %f11, %f10;               // 0
+	cos.f32 %f12, %f10;               // 1
+	add.f32 %f1, %f1, %f2;
+	add.f32 %f1, %f1, %f3;
+	add.f32 %f1, %f1, %f4;
+	add.f32 %f1, %f1, %f5;
+	add.f32 %f1, %f1, %f6;
+	add.f32 %f1, %f1, %f7;
+	add.f32 %f1, %f1, %f8;
+	add.f32 %f1, %f1, %f9;
+	add.f32 %f1, %f1, %f11;
+	add.f32 %f1, %f1, %f12;
+	st.global.f32 [%rd0+28], %f1;     // [7] 42.25
+	ret;
+}
+.toolfunc preds
+{
+	.reg .u32 %r<2>;
+	rdpred.b32 %r0;
+	xor.b32 %r0, %r0, 1;
+	wrpred.b32 %r0;
+	ret;
+}
+`
+	for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
+		m := mustCompile(t, src, fam)
+		tf, _ := m.Lookup("preds")
+		if tf.Insts[0].Op != sass.OpRDPRED || tf.Insts[2].Op != sass.OpWRPRED || tf.Insts[2].Src2 != tf.Insts[0].Dst {
+			t.Fatalf("%v: device-API predicate ops lowered to\n%s", fam, sass.FormatProgram(tf.Insts))
+		}
+		d := newDev(t, fam)
+		addrs := loadModule(t, d, m)
+		out, _ := d.Malloc(32)
+		buf := make([]byte, 32)
+		binary.LittleEndian.PutUint32(buf[16:], 0xFF)
+		if err := d.Write(out, buf); err != nil {
+			t.Fatal(err)
+		}
+		params := make([]byte, 8)
+		binary.LittleEndian.PutUint64(params, out)
+		run(t, d, addrs["forms"], gpu.D1(1), gpu.D1(32), params, 0)
+		if err := d.Read(out, buf); err != nil {
+			t.Fatal(err)
+		}
+		want := []uint32{1, 1, 42, 77, 0, 0xFF, 0xFF, math.Float32bits(42.25)}
+		for i, w := range want {
+			if got := binary.LittleEndian.Uint32(buf[4*i:]); got != w {
+				t.Errorf("%v: out[%d] = %#x, want %#x", fam, i, got, w)
+			}
+		}
+	}
+}
+
+// TestImplicitTerminator: a body that can run past its last statement gets a
+// terminator appended — after a guarded exit, and where a label sits at the
+// very end — and a body that cannot does not.
+func TestImplicitTerminator(t *testing.T) {
+	for _, c := range []struct {
+		body  string
+		insts int
+	}{
+		{"exit;", 1},
+		{"@%p0 exit;", 2},
+		{"@%p0 bra END; exit; END:", 3},
+		{"mov.u32 %r0, 1;", 2},
+	} {
+		m := mustCompile(t, ".visible .entry f { .reg .u32 %r<2>; .reg .pred %p<2>; "+c.body+" }", sass.Volta)
+		insts := m.Funcs[0].Insts
+		if last := insts[len(insts)-1]; len(insts) != c.insts || last.Op != sass.OpEXIT || last.Guarded() {
+			t.Errorf("%q lowered to\n%s", c.body, sass.FormatProgram(insts))
+		}
+	}
+}

@@ -11,9 +11,8 @@ import (
 // module must be rejected with a message naming the problem.
 func TestCompileErrors(t *testing.T) {
 	cases := []struct {
-		name string
-		src  string
-		want string // substring of the error
+		name, src string
+		want      string // substring of the error
 	}{
 		{"too many predicates",
 			".visible .entry f { .reg .pred %p<9>; exit; }",
@@ -74,10 +73,70 @@ func TestCompileErrors(t *testing.T) {
 		{"unknown param",
 			".visible .entry f { .reg .u32 %r<2>; ld.param.u32 %r0, [ghost]; }",
 			"unknown parameter"},
+		{"offset into a register parameter",
+			".func f(.param .u64 x) { .reg .u32 %r<2>; ld.param.u32 %r0, [x+4]; }",
+			"register parameter"},
+		{"immediate the family cannot encode",
+			".visible .entry f { .reg .u32 %r<2>; .reg .u64 %rd<2>; ld.global.u32 %r0, [%rd0+99999999]; }",
+			"out of range"},
+		{"negated setp destination",
+			".visible .entry f { .reg .u32 %r<2>; .reg .pred %p<2>; setp.eq.u32 !%p0, %r0, %r1; }",
+			"negated destination"},
+		{"operand count",
+			".visible .entry f { .reg .u32 %r<2>; add.u32 %r0, %r1; }",
+			"add.u32: want r32, r32, r32|imm"},
+		{"call argument list",
+			".visible .entry f { .reg .u32 %r<2>; call g, %r0; }",
+			"call: want"},
+		{"call with two results",
+			".visible .entry f { .reg .u32 %r<2>; call g, (%r0), (%r0, %r1); }",
+			"exactly one return value"},
+		{"bad guard",
+			".visible .entry f { .reg .u32 %r<2>; @5 exit; }",
+			"bad guard"},
+		{"guard of the wrong class",
+			".visible .entry f { .reg .u32 %r<2>; @%r0 exit; }",
+			"predicate is required"},
+	}
+	// Forms the ISA cannot express: each is rejected by name instead of being
+	// lowered to something else (a 4-byte access, a logical shift, a signed
+	// 32-bit compare, ...).
+	for _, stmt := range []string{
+		"ld.global.u8 %r0, [%rd0]", "ld.global.u16 %r0, [%rd0]", "ld.shared.s8 %r0, [%r1]",
+		"ld.param.f64 %rd0, [x]", "st.global.u8 [%rd0], %r0", "st.global.s16 [%rd0], %r0",
+		"st.shared.b8 [%r1], %r0", "st.global.b16 [%rd0], %r0", "st.global.f64 [%rd0], %rd2",
+		"mov.u16 %r0, 1", "mov.f64 %rd0, %rd2", "atom.global.add.u16 %r0, [%rd0], %r1",
+		"atom.global.add.f64 %rd2, [%rd0], %rd2", "red.global.add.u8 [%rd0], %r0",
+		"setp.lt.u64 %p0, %r0, %r1", "setp.eq.s64 %p0, %rd0, %rd2", "selp.b64 %rd0, %rd0, %rd2, %p0",
+		"shfl.bfly.b64 %rd0, %rd2, 1", "popc.b64 %r0, %rd0",
+		"shr.s32 %r0, %r0, 1", "cvt.s64.s32 %rd0, %r0", "cvt.u64.s32 %rd0, %r0",
+		"mul.wide.s32 %rd0, %r0, %r1", "mad.wide.s32 %rd0, %r0, %r1, %rd2",
+		"and.f32 %r0, %r0, %r1", "or.f32 %r0, %r0, %r1", "xor.f32 %r0, %r0, %r1", "not.f32 %r0, %r1",
+		"shl.f32 %r0, %r0, 1", "shr.f32 %r0, %r0, 1",
+		"atom.global.and.f32 %r0, [%rd0], %r1", "atom.global.or.f32 %r0, [%rd0], %r1",
+		"red.global.xor.f32 [%rd0], %r0", "atom.global.min.s32 %r0, [%rd0], %r1",
+		"match.any.f64 %r0, %rd0", "match.any.u32 %r0, %r1", "match.all.b32 %r0, %r1",
+		"mad.hi.f32 %r0, %r0, %r1, %r1", "div.u32.f32 %r0, %r0, %r1", "div.f32 %r0, %r0, %r1",
+		"wfft32.anything %r0, %r1", "wfft32 %r0, %r1", "rdreg.b64 %r0, %r1", "rcp %r0, %r1", "popc %r0, %r1",
+		"shl %r0, %r0, 1", "and %r0, %r0, %r1", "setp.lt.b32 %p0, %r0, %r1", "setp.zz.u32 %p0, %r0, %r1",
+		"exit %r0", "ret %r0", "bar.sync 0, 1, 2, 3", "bar.sync 1", "bar.sync", "bar",
+		"sub.u64 %rd0, %rd0, %rd2", "add.u32 %r0, %r0, [%rd0]", "add.u32 %r0, %tid.x, 1", "bra %r0",
+		"ld.global.u32 %r0, [smem]", "ld.local.u32 %r0, [smem]", "st.global.u32 [%r0], %r1",
+	} {
+		mnem, _, _ := strings.Cut(stmt, " ")
+		cases = append(cases, struct{ name, src, want string }{stmt,
+			".visible .entry f(.param .u64 x) { .reg .u32 %r<4>; .reg .u64 %rd<4>; .reg .pred %p<2>; .shared .b8 smem[16]; " + stmt + "; }",
+			mnem})
+	}
+	// Memory operands take one base and at most one literal offset.
+	for _, m := range []string{"[%rd0 + -8]", "[%rd0+4+4]", "[%rd0+]", "[]", "[%rd0+%r1]", "[smem+x]", "[%rd0", "[a b]"} {
+		cases = append(cases, struct{ name, src, want string }{"memory operand " + m,
+			".visible .entry f { .reg .u32 %r<4>; .reg .u64 %rd<4>; ld.global.u32 %r0, " + m + "; }",
+			"bad memory operand"})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Compile("bad", c.src, sass.Volta)
+			_, err := Compile("bad", c.src, sass.Kepler)
 			if err == nil {
 				t.Fatalf("accepted invalid module:\n%s", c.src)
 			}

@@ -2,7 +2,11 @@ package ptx
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
+
+	"nvbitgo/internal/sass"
 )
 
 type pparam struct {
@@ -16,23 +20,75 @@ type pshared struct {
 	offset int
 }
 
+// ptype is a statement's type suffix, one bit each so that a rule row can
+// name the set it accepts. The suffix is the last place operand types exist:
+// the register file the statement lowers to is untyped.
+type ptype uint16
+
+const (
+	tU32 ptype = 1 << iota
+	tS32
+	tB32
+	tF32
+	tU64
+	tS64
+	tB64
+	tPred
+
+	tI32 = tU32 | tS32 | tB32
+	tI64 = tU64 | tS64 | tB64
+	t32  = tI32 | tF32
+)
+
+var typeNames = map[string]ptype{
+	"u32": tU32, "s32": tS32, "b32": tB32, "f32": tF32,
+	"u64": tU64, "s64": tS64, "b64": tB64, "pred": tPred,
+}
+
+// opdKind classifies an operand by its syntax alone.
+type opdKind uint8
+
+const (
+	opdReg     opdKind = iota // %name; neg marks a !%p predicate
+	opdImm                    // integer, or the bit pattern of a float
+	opdSpecial                // %tid.x and friends; imm is the S2R selector
+	opdSym                    // bare name: label, function or shared symbol
+	opdMemReg                 // [%reg ± imm]
+	opdMemSym                 // [name ± imm]; the absolute [imm] has no name
+	opdList                   // (a, b, ...): call arguments and results
+)
+
+type operand struct {
+	kind opdKind
+	neg  bool
+	name string
+	imm  int64
+	list []operand
+}
+
+// pstmt is one typed statement: the mnemonic split into opcode, modifiers
+// and type suffixes, and every operand parsed, once.
 type pstmt struct {
-	guard string // "", "%p1" or "!%p1"
-	parts []string
-	args  []string
 	line  int
+	guard operand // kind opdReg with a name when the statement is guarded
+	mnem  string  // full mnemonic, for diagnostics
+	op    string  // opcode: the mnemonic up to its first '.'
+	mods  string  // modifiers between the opcode and the type suffix
+	typ   ptype   // type suffix; for cvt the destination type
+	from  ptype   // cvt only: the source type
+	args  []operand
 }
 
 type pfunc struct {
-	name    string
-	entry   bool
-	params  []pparam
-	regs    map[string]RegClass
-	regOrd  []string // declaration order, for deterministic allocation
-	shared  []pshared
-	body    []pstmt
-	labels  map[string]int
-	declIdx int
+	name   string
+	entry  bool
+	params []pparam
+	regs   map[string]RegClass
+	regOrd []string // declaration order, for deterministic allocation
+	shared []pshared
+	body   []pstmt
+	labels map[string]int
+	tool   bool // .toolfunc: locals sit right above the ABI registers
 }
 
 type pmodule struct {
@@ -45,6 +101,11 @@ type pmodule struct {
 func parse(src string) (*pmodule, error) {
 	m := &pmodule{}
 	var cur *pfunc
+	// Every function's statements live in one array sized up front (a ';'
+	// ends each): a body is the next free stretch of it, not a slice grown
+	// statement by statement. A malformed source can hold more statements
+	// than ';'; its body then outgrows the array into one of its own.
+	free := make([]pstmt, 0, strings.Count(src, ";"))
 	line := 0
 	var pending strings.Builder // accumulates until ';', '{', or '}'
 
@@ -67,6 +128,7 @@ func parse(src string) (*pmodule, error) {
 				return err
 			}
 			cur = f
+			cur.body = free[:0]
 			return nil
 		}
 		if cur == nil {
@@ -124,6 +186,9 @@ func parse(src string) (*pmodule, error) {
 					return nil, fmt.Errorf("line %d: unmatched '}'", line)
 				}
 				m.funcs = append(m.funcs, cur)
+				if n := len(cur.body); n <= cap(free) {
+					free = free[n:cap(free)]
+				}
 				cur = nil
 			case ':':
 				name := strings.TrimSpace(text)
@@ -173,7 +238,7 @@ func parseHeader(text string, line int) (*pfunc, error) {
 		// NVBit instrumentation functions: callable only from trampolines
 		// (which save all caller state), so their locals may sit right
 		// above the ABI argument registers. See deviceABI in ptx.go.
-		f.declIdx = declToolFunc
+		f.tool = true
 		s = strings.TrimSpace(strings.TrimPrefix(s, ".toolfunc"))
 	case strings.HasPrefix(s, ".func"):
 		s = strings.TrimSpace(strings.TrimPrefix(s, ".func"))
@@ -298,46 +363,175 @@ func parseSharedDecl(f *pfunc, text string, line int) error {
 func parseStmt(text string, line int) (pstmt, error) {
 	st := pstmt{line: line}
 	s := strings.TrimSpace(text)
+	var err error
 	if strings.HasPrefix(s, "@") {
 		sp := strings.IndexAny(s, " \t")
 		if sp < 0 {
 			return st, fmt.Errorf("line %d: guard without instruction in %q", line, text)
 		}
-		st.guard = s[1:sp]
+		if st.guard, err = parseOperand(s[1:sp]); err != nil || st.guard.kind != opdReg {
+			return st, fmt.Errorf("line %d: bad guard %q", line, s[:sp])
+		}
 		s = strings.TrimSpace(s[sp:])
 	}
-	sp := strings.IndexAny(s, " \t")
-	mnem := s
 	rest := ""
-	if sp >= 0 {
-		mnem, rest = s[:sp], strings.TrimSpace(s[sp:])
+	if sp := strings.IndexAny(s, " \t"); sp >= 0 {
+		s, rest = s[:sp], strings.TrimSpace(s[sp:])
 	}
-	st.parts = strings.Split(mnem, ".")
+	st.mnem = s
+	st.op, s, _ = strings.Cut(s, ".")
+	// Peel up to two type suffixes off the end; what is left are modifiers.
+	for n := 0; n < 2 && s != ""; n++ {
+		i := strings.LastIndexByte(s, '.')
+		t, ok := typeNames[s[i+1:]]
+		if !ok {
+			break
+		}
+		st.from, st.typ = st.typ, t
+		s = s[:max(i, 0)]
+	}
+	st.mods = s
 	if rest != "" {
-		st.args = splitArgs(rest)
+		if st.args, err = parseOperands(rest); err != nil {
+			return st, fmt.Errorf("line %d: %w", line, err)
+		}
 	}
 	return st, nil
 }
 
-// splitArgs splits on top-level commas (ignoring commas inside parentheses,
-// which the call syntax uses).
-func splitArgs(s string) []string {
-	var args []string
-	depth := 0
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
+// parseOperands splits on top-level commas (commas inside parentheses
+// belong to the call syntax's lists) and parses each piece.
+func parseOperands(s string) ([]operand, error) {
+	out := make([]operand, 0, strings.Count(s, ",")+1)
+	depth, start := 0, 0
+	for i := 0; i <= len(s); i++ {
+		switch {
+		case i < len(s) && s[i] == '(':
 			depth++
-		case ')':
+		case i < len(s) && s[i] == ')':
 			depth--
-		case ',':
-			if depth == 0 {
-				args = append(args, strings.TrimSpace(s[start:i]))
-				start = i + 1
+		case i == len(s) || s[i] == ',' && depth == 0:
+			o, err := parseOperand(strings.TrimSpace(s[start:i]))
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, o)
+			start = i + 1
 		}
 	}
-	args = append(args, strings.TrimSpace(s[start:]))
-	return args
+	return out, nil
+}
+
+func parseOperand(s string) (operand, error) {
+	bad := func() (operand, error) { return operand{}, fmt.Errorf("bad operand %q", s) }
+	switch {
+	case s == "":
+		return bad()
+	case s[0] == '[':
+		return parseMemOperand(s)
+	case s[0] == '(':
+		if len(s) < 2 || s[len(s)-1] != ')' || strings.ContainsAny(s[1:len(s)-1], "()") {
+			return bad() // lists do not nest
+		}
+		inner := strings.TrimSpace(s[1 : len(s)-1])
+		o := operand{kind: opdList}
+		var err error
+		if inner != "" {
+			o.list, err = parseOperands(inner)
+		}
+		return o, err
+	case s[0] == '%' || s[0] == '!':
+		o := operand{kind: opdReg, neg: s[0] == '!', name: strings.TrimPrefix(s, "!")}
+		if id, ok := specialRegs[o.name]; ok && !o.neg {
+			return operand{kind: opdSpecial, name: o.name, imm: id}, nil
+		}
+		if len(o.name) < 2 || o.name[0] != '%' {
+			return bad()
+		}
+		return o, nil
+	case s[0] >= '0' && s[0] <= '9' || strings.IndexByte("+-.", s[0]) >= 0:
+		v, ok := immValue(s)
+		if !ok {
+			return bad()
+		}
+		return operand{kind: opdImm, imm: v}, nil
+	}
+	return operand{kind: opdSym, name: s}, nil
+}
+
+// parseMemOperand parses "[%rd1+8]", "[%r2]", "[sym]", "[sym-4]" and the
+// absolute "[8]": one base, at most one signed literal offset.
+func parseMemOperand(s string) (operand, error) {
+	bad := func() (operand, error) { return operand{}, fmt.Errorf("bad memory operand %q", s) }
+	if len(s) < 3 || s[len(s)-1] != ']' {
+		return bad()
+	}
+	base := strings.TrimSpace(s[1 : len(s)-1])
+	o := operand{kind: opdMemSym}
+	if i := strings.IndexAny(base[min(1, len(base)):], "+-"); i >= 0 {
+		off := strings.TrimSpace(base[i+2:])
+		if off == "" || off[0] < '0' || off[0] > '9' {
+			return bad()
+		}
+		v, err := strconv.ParseInt(off, 0, 64)
+		if err != nil {
+			return bad()
+		}
+		if base[i+1] == '-' {
+			v = -v
+		}
+		o.imm, base = v, strings.TrimSpace(base[:i+1])
+	}
+	switch {
+	case base == "" || strings.ContainsAny(base, " \t[]()!,"):
+		return bad()
+	case base[0] == '%':
+		o.kind, o.name = opdMemReg, base
+	case base[0] >= '0' && base[0] <= '9' || base[0] == '-':
+		v, err := strconv.ParseInt(base, 0, 64)
+		if err != nil {
+			return bad()
+		}
+		o.imm += v
+	default:
+		o.name = base
+	}
+	return o, nil
+}
+
+// immValue parses integer immediates and float immediates (decimal like 1.5
+// or PTX hex-float 0F3f800000); floats are returned as their bit patterns.
+func immValue(arg string) (int64, bool) {
+	if strings.HasPrefix(arg, "0F") || strings.HasPrefix(arg, "0f") {
+		bits, err := strconv.ParseUint(arg[2:], 16, 32)
+		return int64(bits), err == nil
+	}
+	if strings.ContainsAny(arg, ".eE") && !strings.HasPrefix(arg, "0x") {
+		f, err := strconv.ParseFloat(arg, 32)
+		return int64(math.Float32bits(float32(f))), err == nil
+	}
+	if v, err := strconv.ParseInt(arg, 0, 64); err == nil {
+		return v, true
+	}
+	u, err := strconv.ParseUint(arg, 0, 64)
+	return int64(u), err == nil
+}
+
+var specialRegs = map[string]int64{
+	"%laneid":   sass.SRLaneID,
+	"%warpid":   sass.SRWarpID,
+	"%tid.x":    sass.SRTIDX,
+	"%tid.y":    sass.SRTIDY,
+	"%tid.z":    sass.SRTIDZ,
+	"%ctaid.x":  sass.SRCTAIDX,
+	"%ctaid.y":  sass.SRCTAIDY,
+	"%ctaid.z":  sass.SRCTAIDZ,
+	"%ntid.x":   sass.SRNTIDX,
+	"%ntid.y":   sass.SRNTIDY,
+	"%ntid.z":   sass.SRNTIDZ,
+	"%nctaid.x": sass.SRNCTAIDX,
+	"%nctaid.y": sass.SRNCTAIDY,
+	"%nctaid.z": sass.SRNCTAIDZ,
+	"%clock":    sass.SRClock,
+	"%smid":     sass.SRSMID,
 }

@@ -118,6 +118,22 @@ func ImmFits(f Family, op Opcode, imm int64) bool {
 	return imm >= imm20Min && imm <= imm20Max
 }
 
+// LoadImm32 returns the instructions that load a 32-bit constant into dst,
+// legalized for the family's immediate width: one MOVI where the value fits,
+// else MOVI for the low 20 bits (encoded sign-extended; MOVIH overwrites the
+// top bits anyway) and MOVIH for bits 20..31.
+func LoadImm32(f Family, dst Reg, v uint32) []Inst {
+	lo := NewInst(OpMOVI)
+	lo.Dst, lo.Imm = dst, int64(int32(v))
+	if ImmFits(f, OpMOVI, lo.Imm) {
+		return []Inst{lo}
+	}
+	lo.Imm = int64(v&0xFFFFF) << 44 >> 44
+	hi := NewInst(OpMOVIH)
+	hi.Dst, hi.Imm = dst, int64(v>>20)
+	return []Inst{lo, hi}
+}
+
 // Encode writes the instruction into dst, which must be at least InstBytes
 // long. It validates immediate ranges and the three-source multiplexing rule.
 func (c *Codec) Encode(in Inst, dst []byte) error {
