@@ -30,11 +30,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
 
 	"nvbitgo/internal/campaign"
+	"nvbitgo/internal/channel"
 	"nvbitgo/internal/cliconf"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
@@ -91,7 +93,7 @@ func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 	c := &appConfig{
 		tool:         cc.String("tool", "", "tool: none, instrcount, instrcount-bb, memdiv, ophisto, opcode_hist, ophisto-sampled, cachesim, itrace, memtrace, memcheck, faultinject"),
 		out:          cc.String("out", "", "write tool reports to this file instead of stdout"),
-		backpressure: cc.String("backpressure", "drop", "channel tools (cachesim, itrace, memtrace): drop or block when buffers fill"),
+		backpressure: cc.String("backpressure", "drop", "channel tools (cachesim, itrace, memcheck, memtrace): drop or block when buffers fill"),
 		traceOut:     cc.String("trace-out", "", "itrace: write the collected warp trace to this file"),
 		traceJSON:    cc.String("trace", "", "write a chrome://tracing activity timeline (JSON) to this file"),
 		metrics:      cc.Bool("metrics", false, "print the per-kernel metrics table after the run"),
@@ -242,12 +244,12 @@ exit codes:
 		os.Exit(exitOK)
 	}
 
-	if _, ok := map[string]bool{"drop": true, "block": true}[*c.backpressure]; !ok {
-		usage(fmt.Errorf("unknown backpressure policy %q (want drop or block)", *c.backpressure))
+	policy, err := channel.ParsePolicy(*c.backpressure)
+	if err != nil {
+		usage(err)
 	}
-	policy := nvbit.ChannelDrop
-	if *c.backpressure == "block" {
-		policy = nvbit.ChannelBlock
+	if *c.fiValue > math.MaxUint32 {
+		usage(fmt.Errorf("-fi-value %d does not fit the 32-bit register it replaces", *c.fiValue))
 	}
 
 	// Tool reports go to -out when given; everything else stays on stdout.

@@ -3,18 +3,12 @@ package main_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"nvbitgo/gpusim"
-	"nvbitgo/internal/tools/cachesim"
-	"nvbitgo/internal/tools/instrcount"
-	"nvbitgo/internal/tools/itrace"
-	"nvbitgo/internal/tools/memcheck"
-	"nvbitgo/internal/tools/memtrace"
-	"nvbitgo/internal/tools/ophisto"
+	"nvbitgo/internal/tools/registry"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
 )
@@ -22,71 +16,13 @@ import (
 // The differential instrumentation suite: liveness-minimal save sets are a
 // pure performance optimization, so every in-tree tool must produce output
 // byte-identical to the full-save ablation (InjectFullSave), under both schedulers.
-// The report closures mirror cmd/nvbit-run so the comparison covers what a
-// user actually sees.
+// Tools and reports are the registry's — the ones nvbit-run and nvbitd serve —
+// so the comparison covers what a user actually sees.
 
-// diffTools builds each tool fresh per run (tools carry state) together
-// with its nvbit-run-style report.
-var diffTools = map[string]func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)){
-	"instrcount": func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)) {
-		t := instrcount.New()
-		return t, func(w io.Writer, nv *nvbit.NVBit) {
-			fmt.Fprintf(w, "thread-level instructions: app %d, libraries %d (%.1f%% in libraries)\n",
-				t.AppInstrs(nv), t.LibInstrs(nv), 100*t.LibraryFraction(nv))
-		}
-	},
-	"ophisto": func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)) {
-		t := ophisto.New(false)
-		return t, func(w io.Writer, nv *nvbit.NVBit) {
-			for _, e := range t.Top(nv, 10) {
-				fmt.Fprintf(w, "%-8s %12d\n", e.Opcode, e.Count)
-			}
-		}
-	},
-	"itrace": func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)) {
-		t := itrace.New(1 << 20)
-		t.Policy = nvbit.ChannelBlock
-		return t, func(w io.Writer, nv *nvbit.NVBit) {
-			kernels := map[uint32]bool{}
-			for _, r := range t.Records {
-				kernels[r.KernelID] = true
-			}
-			fmt.Fprintf(w, "trace: %d warp-level records across %d kernels, %d dropped\n",
-				len(t.Records), len(kernels), t.Dropped())
-		}
-	},
-	"memtrace": func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)) {
-		t := memtrace.New(1 << 16)
-		t.Policy = nvbit.ChannelBlock
-		return t, func(w io.Writer, nv *nvbit.NVBit) {
-			var lanes uint64
-			for _, r := range t.Records {
-				for m := r.ExecMask; m != 0; m &= m - 1 {
-					lanes++
-				}
-			}
-			st := t.Stats()
-			fmt.Fprintf(w, "memtrace: %d warp-level accesses (%d lane addresses), %d dropped, %d bytes shipped\n",
-				len(t.Records), lanes, st.Dropped, st.BytesShipped)
-		}
-	},
-	"memcheck": func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)) {
-		t := memcheck.New(1 << 20)
-		return t, func(w io.Writer, nv *nvbit.NVBit) { t.Report(w) }
-	},
-	"cachesim": func() (nvbit.Tool, func(io.Writer, *nvbit.NVBit)) {
-		cfg := cachesim.DefaultConfig()
-		// Block backpressure: drops under load (e.g. -race) would make the
-		// replayed stream — and thus the report — timing-dependent.
-		cfg.Policy = nvbit.ChannelBlock
-		t := cachesim.New(cfg)
-		return t, func(w io.Writer, nv *nvbit.NVBit) {
-			st := t.Stats()
-			fmt.Fprintf(w, "cache replay: %d accesses, L1 %.1f%% hit, L2 %d hits / %d misses, %d dropped\n",
-				st.Accesses, 100*st.L1HitRate(), st.L2Hits, st.L2Misses, st.Dropped)
-		}
-	},
-}
+// diffTools names the tools the differential runs cover. They are built with
+// Block backpressure: drops under load (e.g. -race) would make a channel
+// tool's stream — and thus its report — timing-dependent.
+var diffTools = []string{"instrcount", "ophisto", "itrace", "memtrace", "memcheck", "cachesim"}
 
 // diffBenchmark returns the workload the differential runs execute.
 func diffBenchmark(t *testing.T) *specaccel.Benchmark {
@@ -109,11 +45,14 @@ func diffRun(t *testing.T, toolName string, mode nvbit.InjectionMode, sched gpus
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool, report := diffTools[toolName]()
+	inst, err := registry.New(toolName, registry.Options{Policy: nvbit.ChannelBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := append([]nvbit.Option{
 		nvbit.WithScheduler(sched), nvbit.WithInjectionMode(mode),
 	}, extra...)
-	nv, err := nvbit.Attach(api, tool, opts...)
+	nv, err := nvbit.Attach(api, inst.Tool, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +65,9 @@ func diffRun(t *testing.T, toolName string, mode nvbit.InjectionMode, sched gpus
 	}
 	api.Close() // fires AtTerm: channel tools drain before reporting
 	var buf bytes.Buffer
-	report(&buf, nv)
+	if _, err := inst.Report(&buf, nv); err != nil {
+		t.Fatal(err)
+	}
 
 	js := nv.JITStats()
 	if mode == nvbit.InjectInline {
@@ -297,7 +238,7 @@ func TestDifferentialInlineInjection(t *testing.T) {
 	var mu sync.Mutex
 	inlined := 0
 	t.Run("tools", func(t *testing.T) {
-		for toolName := range diffTools {
+		for _, toolName := range diffTools {
 			for schedName, sched := range scheds {
 				toolName, schedName, sched := toolName, schedName, sched
 				t.Run(toolName+"/"+schedName, func(t *testing.T) {
@@ -333,7 +274,7 @@ func TestDifferentialSaveSets(t *testing.T) {
 		"sequential": gpusim.SchedulerSequential,
 		"parallel":   gpusim.SchedulerParallelSM,
 	}
-	for toolName := range diffTools {
+	for _, toolName := range diffTools {
 		for schedName, sched := range scheds {
 			toolName, schedName, sched := toolName, schedName, sched
 			t.Run(toolName+"/"+schedName, func(t *testing.T) {

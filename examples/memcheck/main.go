@@ -3,9 +3,9 @@
 // traps accesses that leave the device heap entirely; an off-by-one overrun
 // into the allocator's free space or a read through a stale pointer executes
 // silently. The memcheck tool instruments every global load and store,
-// collects the effective lane addresses into a device-resident ring buffer,
-// and validates them against the driver's allocation table at each launch
-// exit — catching exactly the bugs the hardware cannot.
+// streams the effective lane addresses to the host through a channel, and
+// validates them against the driver's allocation table at each launch exit —
+// catching exactly the bugs the hardware cannot.
 //
 //	go run ./examples/memcheck
 package main

@@ -5,15 +5,15 @@
 //
 // A Channel owns, per SM, one 64-byte control block and a double-buffered
 // record area in device memory. Injected tool functions push fixed-size
-// records with a warp-aggregated atomic-reserve protocol (ReservePTX /
-// CommitPTX — the idiom previously hand-rolled by itrace and cachesim,
-// factored out here), selecting their shard with %smid so no two scheduler
-// workers ever touch the same shard. The simulator's flush hooks
-// (gpu.AddFlushHookScoped) give the host control at every CTA-completion and
-// warp-sweep boundary: when a shard's buffer is full and quiescent the hook
-// swaps it for the spare and ships the full one to an asynchronous receiver
-// goroutine — a mid-kernel flush, so long kernels no longer lose records at
-// the old launch-exit-only drain.
+// records with a warp-aggregated atomic-reserve protocol (the fragments
+// Config.ExpandToolPTX writes into the tool's device function), selecting
+// their shard with %smid so no two scheduler workers ever touch the same
+// shard. The simulator's flush hooks (gpu.LaunchSpec.FlushHooks, which the
+// driver fills with the launching scope's channels) give the host control at
+// every CTA-completion and warp-sweep boundary: when a shard's buffer is
+// full and quiescent the hook swaps it for the spare and ships the full one
+// to an asynchronous receiver goroutine — a mid-kernel flush, so long
+// kernels no longer lose records at the old launch-exit-only drain.
 //
 // Backpressure is selectable per channel: Drop (the pre-channel behaviour —
 // a push into a full buffer is counted and discarded) or Block (the device
@@ -61,6 +61,18 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
+// ParsePolicy maps a command-line or wire name to a Policy; the empty name
+// is the default, Drop.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "", "drop":
+		return Drop, nil
+	case "block":
+		return Block, nil
+	}
+	return Drop, fmt.Errorf("channel: unknown backpressure policy %q (want drop or block)", s)
+}
+
 // Per-SM control block layout (ctrlBytes each, at CtrlAddr() + sm*ctrlBytes):
 //
 //	[0]  u64 head   — claim cursor, atomically advanced by warp leaders by
@@ -76,7 +88,7 @@ func (p Policy) String() string {
 //	                  leader after detecting fullness. head-failed is the
 //	                  successfully claimed count.
 //	[32] u64 commit — fully written slots, published by the leader after
-//	                  all record stores (CommitPTX).
+//	                  all record stores (the commit fragment).
 //
 // The quiescence rule that makes mid-kernel buffer swaps safe: the host
 // ships only when commit == head-failed. The head atomic itself publishes
@@ -99,39 +111,48 @@ const (
 // it.
 const MinBufRecords = 32
 
-// Config describes one channel.
+// queueDepth bounds the flush→receiver Go channel: a flush only blocks an SM
+// worker once the receiver is this many shipped buffers behind, far more
+// than a sweep of every SM produces.
+const queueDepth = 64
+
+// Config describes one channel: the host half Open sets up and the device
+// half ExpandToolPTX writes. NVBit.OpenChannel does both.
 type Config struct {
 	// Name labels the channel in activity records and errors.
 	Name string
 	// RecordBytes is the fixed record size; must be a positive multiple
 	// of 8 (records hold 64-bit words and are stored 8-aligned).
 	RecordBytes int
-	// BufRecords is the per-SM, per-buffer capacity in records. Zero
-	// derives it from TotalRecords; either way it is clamped up to
-	// MinBufRecords.
-	BufRecords int
 	// TotalRecords sizes the channel the way the old ring buffers were
 	// sized — an aggregate record capacity, divided evenly across the
-	// SM shards. Ignored when BufRecords is set.
+	// SM shards and clamped up to MinBufRecords per shard.
 	TotalRecords int
-	// Policy selects the full-buffer backpressure behaviour.
+	// Policy selects the full-buffer backpressure behaviour, on the host
+	// (are failed claims losses?) and in the device fragment (count and
+	// skip, or wait and retry).
 	Policy Policy
 	// OnBatch, if set, receives each shipped buffer's raw bytes (a whole
 	// number of records) in delivered order during Drain. The slice is
 	// owned by the callee.
 	OnBatch func(data []byte)
-	// QueueDepth bounds the flush→receiver Go channel (default 64).
-	QueueDepth int
-	// Scope ties the channel's flush hooks to one driver scope: they fire
-	// only during launches carrying the same gpu.LaunchSpec HookScope, so
-	// concurrent tenants' channels never observe each other's kernels. Zero
-	// is the process scope (a preloaded tool's launches). NVBit.OpenChannel
-	// fills this in with the attachment's scope.
-	Scope uint64
 	// Profiler, when non-nil, receives the channel's flush/drain activity
 	// records; nil turns them off. NVBit.OpenChannel fills this in with the
 	// attachment's collector.
 	Profiler *profile.Collector
+
+	// ToolPTX is the source of the tool's pushing device function, with a
+	// line "@RESERVE@" where the record slot is claimed and a line
+	// "@COMMIT@" after the record stores (see ExpandToolPTX).
+	ToolPTX string
+	// PushPred is the predicate register (e.g. "%p1") selecting the lanes
+	// that push one record each. Under SharedSlot it selects the single
+	// lane (per warp) that claims the shared record.
+	PushPred string
+	// SharedSlot selects one-record-per-warp mode: every lane receives
+	// the address of the record PushPred's lane claimed, and the lanes
+	// cooperate to fill it.
+	SharedSlot bool
 }
 
 // Stats is a consistent snapshot of a channel's counters. All counters are
@@ -151,14 +172,13 @@ type Stats struct {
 // scheduler's SM goroutines; Open, Drain and Close must be called from the
 // host (launching) goroutine, between launches.
 type Channel struct {
-	cfg    Config
-	dev    *gpu.Device
-	nSMs   int
-	slots  uint64 // records per buffer (per SM)
-	ctrl   uint64 // nSMs control blocks
-	bufs   uint64 // nSMs × 2 record buffers
-	sms    []smState
-	unhook func()
+	cfg   Config
+	dev   *gpu.Device
+	nSMs  int
+	slots uint64 // records per buffer (per SM)
+	ctrl  uint64 // nSMs control blocks
+	bufs  uint64 // nSMs × 2 record buffers
+	sms   []smState
 
 	delivered    atomic.Uint64
 	dropped      atomic.Uint64
@@ -190,8 +210,9 @@ type flushMsg struct {
 	sync chan struct{} // drain barrier when non-nil
 }
 
-// Open allocates a channel's device memory on dev, registers its flush hook
-// and starts the receiver goroutine. Call between launches.
+// Open allocates a channel's device memory on dev and starts the receiver
+// goroutine. Mid-kernel flushes happen in the launches that carry
+// OnFlushPoint among their flush hooks.
 func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 	if cfg.RecordBytes <= 0 || cfg.RecordBytes%8 != 0 {
 		return nil, fmt.Errorf("channel: record size %d not a positive multiple of 8", cfg.RecordBytes)
@@ -199,25 +220,18 @@ func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 	if cfg.Name == "" {
 		cfg.Name = "channel"
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	nSMs := dev.Config().NumSMs
-	slots := cfg.BufRecords
-	if slots == 0 && cfg.TotalRecords > 0 {
-		slots = cfg.TotalRecords / nSMs
-	}
+	slots := cfg.TotalRecords / nSMs
 	if slots < MinBufRecords {
 		slots = MinBufRecords
 	}
-	cfg.BufRecords = slots
 
 	c := &Channel{
 		cfg:   cfg,
 		dev:   dev,
 		nSMs:  nSMs,
 		slots: uint64(slots),
-		msgs:  make(chan flushMsg, cfg.QueueDepth),
+		msgs:  make(chan flushMsg, queueDepth),
 		done:  make(chan struct{}),
 		sms:   make([]smState, nSMs),
 	}
@@ -244,19 +258,14 @@ func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 			return nil, fmt.Errorf("channel %s: %w", cfg.Name, err)
 		}
 	}
-	c.unhook = dev.AddFlushHookScoped(cfg.Scope, c.onFlushPoint)
 	go c.receive()
 	return c, nil
 }
 
 // CtrlAddr returns the device address of the shard control-block array —
-// the value tools pass to their injected functions (ArgConst64) and name in
-// ReservePTX's CtrlParam.
+// the value tools pass (ArgConst64) as their device function's ctrl
+// parameter.
 func (c *Channel) CtrlAddr() uint64 { return c.ctrl }
-
-// Config returns the channel's configuration with sizing resolved
-// (BufRecords holds the actual per-SM buffer capacity).
-func (c *Channel) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the channel counters.
 func (c *Channel) Stats() Stats {
@@ -271,13 +280,16 @@ func (c *Channel) Stats() Stats {
 	}
 }
 
-// onFlushPoint is the gpu.FlushHook: at each sweep/CTA boundary of SM sm it
-// ships the shard's buffer if (and only if) the buffer is full and every
-// claimed record has been committed. The quiescence check (commit ==
+// OnFlushPoint is the channel's gpu.FlushHook: at each sweep/CTA boundary of
+// SM sm it ships the shard's buffer if (and only if) the buffer is full and
+// every claimed record has been committed. The quiescence check (commit ==
 // claimed) makes the swap safe even when another warp was interrupted
 // mid-push: that warp's claim keeps the buffer pinned until its stores land.
-func (c *Channel) onFlushPoint(sm int, point gpu.FlushPoint) {
-	c.flushShard(sm, point, false)
+// A closed channel's hook does nothing.
+func (c *Channel) OnFlushPoint(sm int, point gpu.FlushPoint) {
+	if c.ctrl != 0 {
+		c.flushShard(sm, point, false)
+	}
 }
 
 func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
@@ -433,14 +445,12 @@ func (c *Channel) Drain() {
 	}
 }
 
-// Close unregisters the flush hook, stops the receiver and frees the
-// channel's device memory. Buffers shipped but not yet drained are
-// discarded; call Drain first. Call between launches.
+// Close stops the receiver and frees the channel's device memory; Stats
+// keeps answering. Buffers shipped but not yet drained are discarded; call
+// Drain first. Call between launches. The framework closes the channels an
+// attachment opened with NVBit.OpenChannel when the attachment ends. Close is
+// idempotent.
 func (c *Channel) Close() {
-	if c.unhook != nil {
-		c.unhook()
-		c.unhook = nil
-	}
 	if c.msgs != nil {
 		close(c.msgs)
 		<-c.done

@@ -36,33 +36,16 @@ func TestCapacitySizing(t *testing.T) {
 	nSMs := dev.Config().NumSMs
 
 	// TotalRecords splits across shards; tiny totals clamp to MinBufRecords.
-	c, err := Open(dev, Config{RecordBytes: 8, TotalRecords: 64 * nSMs})
-	if err != nil {
-		t.Fatal(err)
+	for total, want := range map[int]uint64{64 * nSMs: 64, 1: MinBufRecords, 0: MinBufRecords} {
+		c, err := Open(dev, Config{RecordBytes: 8, TotalRecords: total})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.slots != want {
+			t.Fatalf("TotalRecords %d: %d slots per shard, want %d", total, c.slots, want)
+		}
+		c.Close()
 	}
-	if got := c.Config().BufRecords; got != 64 {
-		t.Fatalf("BufRecords = %d, want 64", got)
-	}
-	c.Close()
-
-	c, err = Open(dev, Config{RecordBytes: 8, TotalRecords: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Config().BufRecords; got != MinBufRecords {
-		t.Fatalf("BufRecords = %d, want the %d-record clamp", got, MinBufRecords)
-	}
-	c.Close()
-
-	// Explicit BufRecords wins over TotalRecords.
-	c, err = Open(dev, Config{RecordBytes: 8, BufRecords: 100, TotalRecords: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Config().BufRecords; got != 100 {
-		t.Fatalf("BufRecords = %d, want 100", got)
-	}
-	c.Close()
 }
 
 // TestDrainDeliversAscendingSM fills several shards by writing the device
@@ -74,7 +57,6 @@ func TestDrainDeliversAscendingSM(t *testing.T) {
 	var got []uint64
 	c, err := Open(dev, Config{
 		RecordBytes: 8,
-		BufRecords:  MinBufRecords,
 		OnBatch: func(data []byte) {
 			for off := 0; off+8 <= len(data); off += 8 {
 				got = append(got, binary.LittleEndian.Uint64(data[off:]))
@@ -143,7 +125,6 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 	batches := 0
 	c, err := Open(dev, Config{
 		RecordBytes: 8,
-		BufRecords:  MinBufRecords,
 		OnBatch:     func([]byte) { batches++ },
 	})
 	if err != nil {
@@ -195,33 +176,39 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 }
 
 func TestReservePTXValidation(t *testing.T) {
-	base := ReserveSpec{CtrlParam: "ctrl", PushPred: "%p1", RecAddr: "%rd1",
-		SkipLabel: "skip", RecordBytes: 16, R: 4, RD: 2, P: 3}
-	if _, err := base.ReservePTX(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	const fn = ".toolfunc f(.param .u64 ctrl)\n{\n@RESERVE@\n@COMMIT@\n\tret;\n}\n"
+	base := Config{Name: "t", RecordBytes: 16, ToolPTX: fn, PushPred: "%p1"}
+	src, err := base.ExpandToolPTX()
+	if err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(*ReserveSpec){
-		"no ctrl":      func(s *ReserveSpec) { s.CtrlParam = "" },
-		"no pred":      func(s *ReserveSpec) { s.PushPred = "" },
-		"no recaddr":   func(s *ReserveSpec) { s.RecAddr = "" },
-		"bad stride":   func(s *ReserveSpec) { s.RecordBytes = 10 },
-		"drop no skip": func(s *ReserveSpec) { s.SkipLabel = "" },
+	if strings.Contains(src, "@RESERVE@") || strings.Contains(src, "@COMMIT@") {
+		t.Fatalf("markers survive expansion:\n%s", src)
+	}
+	if !strings.Contains(src, "bra nvch_skip;") || !strings.Contains(src, "nvch_skip:\n") {
+		t.Fatal("Drop fragment lacks the skip path")
+	}
+	for name, mutate := range map[string]func(*Config){
+		"no pred":     func(c *Config) { c.PushPred = "" },
+		"bad stride":  func(c *Config) { c.RecordBytes = 10 },
+		"no template": func(c *Config) { c.ToolPTX = "" },
+		"no reserve":  func(c *Config) { c.ToolPTX = strings.Replace(fn, "@RESERVE@", "", 1) },
+		"two commits": func(c *Config) { c.ToolPTX = fn + "@COMMIT@\n" },
+		"no ctrl":     func(c *Config) { c.ToolPTX = strings.Replace(fn, "ctrl", "ring", 1) },
 	} {
-		s := base
-		mutate(&s)
-		if _, err := s.ReservePTX(); err == nil {
+		c := base
+		mutate(&c)
+		if _, err := c.ExpandToolPTX(); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
-	// Block needs no SkipLabel but must emit the load-only wait loop.
-	s := base
-	s.SkipLabel = ""
-	s.Policy = Block
-	frag, err := s.ReservePTX()
+	// Block never skips but must emit the load-only wait loop.
+	base.Policy = Block
+	frag, err := base.ExpandToolPTX()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(frag, "nvch_wait") {
+	if strings.Contains(frag, "bra nvch_skip;") || !strings.Contains(frag, "nvch_wait") {
 		t.Fatal("Block fragment lacks the wait loop")
 	}
 	if strings.Contains(strings.SplitN(frag, "nvch_wait", 2)[1], "atom.") {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"nvbitgo/internal/channel"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/jitcache"
@@ -46,9 +47,12 @@ type NVBit struct {
 	hal  *HAL
 
 	// scope is the driver scope the instance is bound to: scope 0 for
-	// Attach, a fresh one for OpenSession. Its ID scopes the instance's
-	// channels and its collector receives the instance's records.
+	// Attach, a fresh one for OpenSession. It holds the flush hooks of the
+	// instance's channels and its collector receives the instance's records.
 	scope *driver.Tenant
+	// channels are the channels OpenChannel opened, closed when the
+	// attachment ends.
+	channels []*channel.Channel
 
 	loader *toolLoader
 	funcs  map[*driver.Function]*funcState
@@ -118,6 +122,7 @@ func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *d
 		// Dropped without exit callbacks: a tool whose AtInit did not
 		// complete must not see its AtTerm.
 		_ = scope.Unbind(false)
+		n.closeChannels()
 		return nil, nil, err
 	}
 	return n, ctx, nil
@@ -243,6 +248,7 @@ func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err er
 	n := (*NVBit)(h)
 	n.tool.AtCUDACall(n, true, cbid, name, p)
 	if cbid == driver.CBAppExit {
+		defer n.closeChannels()
 		n.tool.AtTerm(n)
 	}
 }

@@ -4,7 +4,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+
+	"nvbitgo/internal/driver"
 )
+
+// Scope exposes the driver scope the attachment is bound to; leak tests read
+// its flush-hook list.
+func (n *NVBit) Scope() *driver.Tenant { return n.scope }
 
 // ArtifactDigests re-runs the device-independent half of the Code Generator
 // over every function that carries an instrumentation plan and returns one

@@ -274,7 +274,6 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	dev := api.Device()
 
 	baseHooks := api.HookCount()
-	baseFlush := dev.FlushHookCount()
 	baseAllocs := len(dev.Allocations())
 
 	const cycles = 100
@@ -290,14 +289,18 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 		if api.HookCount() != baseHooks+1 {
 			t.Fatalf("cycle %d: hook count %d while open, want %d", i, api.HookCount(), baseHooks+1)
 		}
+		scope := sess.NVBit().Scope()
+		if got := len(scope.FlushHooks()); got != 1 {
+			t.Fatalf("cycle %d: %d flush hooks while open, want the channel's", i, got)
+		}
 		if err := sess.Close(); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		if got := api.HookCount(); got != baseHooks {
 			t.Fatalf("cycle %d: %d hooks leaked", i, got-baseHooks)
 		}
-		if got := dev.FlushHookCount(); got != baseFlush {
-			t.Fatalf("cycle %d: %d flush hooks leaked", i, got-baseFlush)
+		if got := len(scope.FlushHooks()); got != 0 {
+			t.Fatalf("cycle %d: %d flush hooks leaked", i, got)
 		}
 		if got := len(dev.Allocations()); got != baseAllocs {
 			t.Fatalf("cycle %d: %d device allocations leaked", i, got-baseAllocs)
@@ -332,11 +335,43 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	if got := api.HookCount(); got != baseHooks {
 		t.Errorf("after launching cycle: %d hooks leaked", got-baseHooks)
 	}
-	if got := dev.FlushHookCount(); got != baseFlush {
-		t.Errorf("after launching cycle: %d flush hooks leaked", got-baseFlush)
+	if got := len(sess.NVBit().Scope().FlushHooks()); got != 0 {
+		t.Errorf("after launching cycle: %d flush hooks leaked", got)
 	}
 	if len(tool.Records) == 0 {
 		t.Error("launching cycle produced no records")
+	}
+}
+
+// initPanics is a tool whose AtInit fails after it has opened its channel.
+type initPanics struct{ nvbit.Tool }
+
+func (t initPanics) AtInit(n *nvbit.NVBit) {
+	t.Tool.AtInit(n)
+	panic("AtInit failed after OpenChannel")
+}
+
+// TestFailedAtInitReleasesChannel: an attachment whose AtInit does not
+// complete leaves nothing behind — the channel it opened is closed by the
+// framework, so the device's allocation table and the scope's flush hooks are
+// what they were (the receiver goroutine has exited once Close returns).
+func TestFailedAtInitReleasesChannel(t *testing.T) {
+	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	before := api.Device().Allocations()
+	for i := 0; i < 3; i++ {
+		if _, err := nvbit.Attach(api, initPanics{itrace.New(1 << 12)}); err == nil {
+			t.Fatal("Attach succeeded although AtInit panicked")
+		}
+		if got := api.Device().Allocations(); !slices.Equal(got, before) {
+			t.Fatalf("attempt %d: device allocations %v, want %v", i, got, before)
+		}
+		if got := len(api.Scope0().FlushHooks()); got != 0 {
+			t.Fatalf("attempt %d: %d flush hooks left on the scope", i, got)
+		}
 	}
 }
 

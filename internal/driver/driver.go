@@ -106,17 +106,18 @@ var _ Launcher = (*Context)(nil)
 
 // Tenant is one scope of the driver and what is bound to it. "Whose hook,
 // whose collector, whose flush hooks" has one answer, the Tenant of the
-// call's context: its ID is the gate's fair-share key and the flush-hook
-// scope of its launches and channels, and resolve is the only place a scope
-// is mapped to its hook and collector.
+// call's context: its ID is the gate's fair-share key, and resolve is the
+// only place a scope is mapped to its hook, its collector and the flush
+// hooks of its launches.
 type Tenant struct {
 	// ID is the scope id: 0 for the process scope, unique per NewScope.
 	ID  uint64
 	api *API
 
-	// hook and prof are guarded by api.mu.
-	hook Hook
-	prof *profile.Collector
+	// hook, prof and flush are guarded by api.mu.
+	hook  Hook
+	prof  *profile.Collector
+	flush []gpu.FlushHook
 }
 
 // API is the driver instance bound to one simulated device.
@@ -215,18 +216,35 @@ func (t *Tenant) SetCollector(p *profile.Collector) {
 // Collector returns the scope's activity collector, nil when it does not
 // trace.
 func (t *Tenant) Collector() *profile.Collector {
-	_, prof := t.resolve()
+	_, prof, _ := t.resolve()
 	return prof
 }
 
+// SetFlushHooks replaces the hooks the simulator runs at the sweep and CTA
+// boundaries of the scope's launches — the mid-kernel flush points of the
+// channels the scope's attachment opened. Call between the scope's launches,
+// with a slice nothing writes afterwards: a launch reads it as it is.
+func (t *Tenant) SetFlushHooks(hooks []gpu.FlushHook) {
+	t.api.mu.Lock()
+	t.flush = hooks
+	t.api.mu.Unlock()
+}
+
+// FlushHooks returns the scope's flush hooks.
+func (t *Tenant) FlushHooks() []gpu.FlushHook {
+	_, _, flush := t.resolve()
+	return flush
+}
+
 // resolve maps the scope to the hook observing its calls (nil when none is
-// bound) and the collector recording them (nil when tracing is off). A hook
-// observes a call iff the call's context is in its scope, so this lookup is
-// the whole isolation rule.
-func (t *Tenant) resolve() (Hook, *profile.Collector) {
+// bound), the collector recording them (nil when tracing is off) and the
+// flush hooks its launches run. A hook of either kind observes a call iff
+// the call's context is in its scope, so this lookup is the whole isolation
+// rule.
+func (t *Tenant) resolve() (Hook, *profile.Collector, []gpu.FlushHook) {
 	t.api.mu.Lock()
 	defer t.api.mu.Unlock()
-	return t.hook, t.prof
+	return t.hook, t.prof, t.flush
 }
 
 // HookCount reports how many scopes have a hook bound. Monitoring and leak
@@ -336,7 +354,7 @@ func (t *Tenant) CtxCreate() (*Context, error) {
 }
 
 // Scope returns the id of the scope the context belongs to (0 for CtxCreate
-// contexts). It is the flush-hook scope of the context's launches.
+// contexts).
 func (c *Context) Scope() uint64 { return c.tenant.ID }
 
 // stickyErr returns the context's persisting error, if any.
@@ -401,7 +419,7 @@ func (c *Context) interposed(cbid CBID, gated bool, p *CallParams, rec *profile.
 		}
 		defer c.api.gate.Release(c.tenant.ID, 0)
 	}
-	hook, prof := c.tenant.resolve()
+	hook, prof, _ := c.tenant.resolve()
 	var seen *CallParams
 	if hook != nil {
 		seen = new(CallParams)
@@ -489,6 +507,7 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 	p := CallParams{Ctx: c, Launch: lp}
 	launched := false
 	err := c.interposed(CBLaunchKernel, false, &p, nil, func() error {
+		_, prof, flush := c.tenant.resolve()
 		st, err := c.api.dev.Launch(gpu.LaunchSpec{
 			Entry:       f.launchAddr(),
 			Name:        f.Name,
@@ -496,8 +515,8 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 			Block:       lp.Block,
 			Params:      lp.ParamData,
 			SharedBytes: f.SharedBytes + lp.SharedBytes,
-			Prof:        c.tenant.Collector(),
-			HookScope:   scope,
+			Prof:        prof,
+			FlushHooks:  flush,
 		})
 		launched = true
 		c.api.gate.Release(scope, st.Cycles)

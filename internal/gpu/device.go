@@ -138,22 +138,6 @@ type Device struct {
 	// record's ID. Only set while tracing is on.
 	smSpanShard *profile.Shard
 
-	// flushHooks are invoked by the scheduler at CTA-completion and
-	// warp-sweep boundaries (see FlushHook); nil when no channel is bound,
-	// which keeps the launch hot path allocation- and call-free. An entry
-	// fires only for launches whose LaunchSpec.HookScope equals its scope —
-	// how concurrent sessions keep their channels out of each other's
-	// kernels.
-	flushHooks []*flushHookEntry
-	// activeHooks is the per-launch filtered view of flushHooks (the
-	// launch's own scope), reused across launches so the tracing-off launch
-	// path stays allocation-free.
-	activeHooks []*flushHookEntry
-	// launchFlush is the hook view resolved once at the top of Launch and
-	// read by every worker context of that launch; resolving once keeps
-	// parallel workers off the reused activeHooks buffer.
-	launchFlush []*flushHookEntry
-
 	// allocMu guards the global-memory allocator. Concurrent sessions open
 	// channels and allocate tool state between launches; none of these
 	// paths are on the per-instruction hot path.
@@ -179,58 +163,14 @@ const (
 )
 
 // FlushHook observes SM execution boundaries. The scheduler invokes every
-// registered hook with the SM index at each FlushTick and FlushCTA boundary,
-// on the goroutine that owns that SM (the single walking goroutine under the
-// sequential backend, SM worker i under the parallel backend) — so a hook
-// that touches only per-SM state needs no synchronization. Hooks run on the
+// hook of the launch (LaunchSpec.FlushHooks) with the SM index at each
+// FlushTick and FlushCTA boundary, on the goroutine that owns that SM (the
+// single walking goroutine under the sequential backend, SM worker i under
+// the parallel backend) — so a hook that touches only per-SM state needs no
+// synchronization. Hooks run on the
 // launch hot path: they must be cheap and must not allocate when they have
 // nothing to do.
 type FlushHook func(sm int, point FlushPoint)
-
-type flushHookEntry struct {
-	fn    FlushHook
-	scope uint64
-}
-
-// AddFlushHookScoped registers a flush hook bound to a hook scope and returns
-// a function that removes it: the hook fires only for launches whose
-// LaunchSpec.HookScope equals scope, so one tenant's mid-kernel flushes never
-// run inside another's kernels. Both registration and removal must happen
-// between launches — the hook slice is captured by each launch's execution
-// contexts.
-func (d *Device) AddFlushHookScoped(scope uint64, h FlushHook) (remove func()) {
-	e := &flushHookEntry{fn: h, scope: scope}
-	d.flushHooks = append(d.flushHooks, e)
-	return func() {
-		for i, cur := range d.flushHooks {
-			if cur == e {
-				d.flushHooks = append(d.flushHooks[:i], d.flushHooks[i+1:]...)
-				if len(d.flushHooks) == 0 {
-					d.flushHooks = nil
-				}
-				return
-			}
-		}
-	}
-}
-
-// FlushHookCount reports how many flush hooks are registered. Leak tests
-// use it: closing a channel must return the count to its prior value.
-func (d *Device) FlushHookCount() int { return len(d.flushHooks) }
-
-// hooksFor filters the registered flush hooks down to those of the launch's
-// scope, reusing a device-owned buffer so the filter itself never allocates
-// once warm. Launches on one device are serialized by the driver's launch
-// gate, so the shared buffer is never aliased.
-func (d *Device) hooksFor(scope uint64) []*flushHookEntry {
-	d.activeHooks = d.activeHooks[:0]
-	for _, e := range d.flushHooks {
-		if e.scope == scope {
-			d.activeHooks = append(d.activeHooks, e)
-		}
-	}
-	return d.activeHooks
-}
 
 // atomStripes is the number of address-hashed locks serializing simulated
 // global atomics under the parallel scheduler (power of two for masking).

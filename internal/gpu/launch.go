@@ -36,9 +36,12 @@ type LaunchSpec struct {
 	// kernel record plus per-SM span children). The driver passes the
 	// launching scope's collector; nil is the allocation-free fast path.
 	Prof *profile.Collector
-	// HookScope selects which flush hooks run during this launch: those
-	// registered under the same scope (see AddFlushHookScoped).
-	HookScope uint64
+	// FlushHooks run at every sweep and CTA boundary of this launch (see
+	// FlushHook). The driver passes the launching scope's hooks, so one
+	// tenant's mid-kernel flushes never run inside another's kernels; nil
+	// keeps the hot path call-free. The slice is read by every SM worker
+	// and must not change while the launch runs.
+	FlushHooks []FlushHook
 }
 
 // Launch executes a kernel to completion and returns the statistics of this
@@ -66,11 +69,6 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 	if prof != nil {
 		profStart = prof.Now()
 	}
-	// Resolve the flush-hook view once per launch: parallel workers share
-	// the returned slice read-only, so the reused filter buffer is never
-	// touched while a worker iterates it.
-	d.launchFlush = d.hooksFor(spec.HookScope)
-
 	nCTA := spec.Grid.Count()
 	smCycles, smWarps := d.smCycles, d.smWarps
 	for i := range smCycles {
@@ -359,11 +357,6 @@ type execContext struct {
 	// is off.
 	shard *profile.Shard
 
-	// flush holds the device's registered flush hooks for the duration of
-	// the launch; empty when no channel is bound (the hot path pays one
-	// length check per sweep).
-	flush []*flushHookEntry
-
 	// Watchdog: every CTA gets wdBudget warp instructions; wdLeft counts
 	// down in step. A per-CTA (not per-launch) budget keeps watchdog faults
 	// scheduler-invariant: the budget does not depend on how CTAs are
@@ -403,7 +396,6 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	c.cancel = nil
 	c.heedCancel = false
 	c.shard = nil
-	c.flush = d.launchFlush
 	c.wdBudget = d.watchdogBudget()
 
 	// Constant bank 0: launch configuration (grid and block dimensions),
@@ -456,7 +448,7 @@ func (d *Device) releaseContext(c *execContext) {
 	c.spec.Params = nil
 	c.l2 = nil
 	c.shard = nil
-	c.flush = nil
+	c.spec.FlushHooks = nil
 	d.ctxFree = append(d.ctxFree, c)
 }
 
@@ -494,10 +486,8 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 		// Sweep boundary: no warp is mid-burst, so a bound channel can
 		// swap a full record buffer to the host here — this is what turns
 		// Block-policy device spins into forward progress.
-		if len(c.flush) != 0 {
-			for _, h := range c.flush {
-				h.fn(sm, FlushTick)
-			}
+		for _, h := range c.spec.FlushHooks {
+			h(sm, FlushTick)
 		}
 		progress := false
 		allDoneOrBarred := true
@@ -538,10 +528,8 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 		cycles += wp.cycles
 		wp.cycles = 0
 	}
-	if len(c.flush) != 0 {
-		for _, h := range c.flush {
-			h.fn(sm, FlushCTA)
-		}
+	for _, h := range c.spec.FlushHooks {
+		h(sm, FlushCTA)
 	}
 	return cycles, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,13 @@ import (
 // startServer launches a daemon on a fresh unix socket and returns the
 // socket path.
 func startServer(t *testing.T, cfg nvbitd.Config) string {
+	t.Helper()
+	_, sock := startServerOn(t, cfg)
+	return sock
+}
+
+// startServerOn is startServer for tests that also inspect the server.
+func startServerOn(t *testing.T, cfg nvbitd.Config) (*nvbitd.Server, string) {
 	t.Helper()
 	srv, err := nvbitd.NewServer(cfg)
 	if err != nil {
@@ -39,7 +47,7 @@ func startServer(t *testing.T, cfg nvbitd.Config) string {
 	for {
 		if s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "instrcount"}); err == nil {
 			s.Close()
-			return sock
+			return srv, sock
 		} else if time.Now().After(deadline) {
 			t.Fatalf("daemon did not come up: %v", err)
 		}
@@ -346,7 +354,7 @@ func TestSessionChurn(t *testing.T) {
 	sock := startServer(t, nvbitd.Config{Family: sass.Volta, QueueLimit: -1})
 	b := findBenchmark(t, "ostencil")
 	for i := 0; i < 20; i++ {
-		tool := []string{"instrcount", "ophisto", "memdiv"}[i%3]
+		tool := []string{"instrcount", "ophisto", "memdiv", "memcheck"}[i%4]
 		s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: tool})
 		if err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
@@ -363,6 +371,58 @@ func TestSessionChurn(t *testing.T) {
 	}
 }
 
+// freeingLauncher frees what the workload allocated once it has run, so a
+// session's own buffers do not show up as leaks of the daemon.
+type freeingLauncher struct {
+	*nvbitd.RemoteSession
+	allocs []uint64
+}
+
+func (l *freeingLauncher) MemAlloc(n uint64) (uint64, error) {
+	addr, err := l.RemoteSession.MemAlloc(n)
+	l.allocs = append(l.allocs, addr)
+	return addr, err
+}
+
+// TestMemcheckSessionsReturnDeviceMemory serves eight memcheck sessions in a
+// row from one pool device: each must open (the checker's record buffers
+// are returned when its session ends, so the device never fills up), report
+// exactly what a standalone run reports, and leave the device's allocation
+// table as it found it.
+func TestMemcheckSessionsReturnDeviceMemory(t *testing.T) {
+	srv, sock := startServerOn(t, nvbitd.Config{Family: sass.Volta, Devices: 1, QueueLimit: -1})
+	want := standaloneReport(t, "memcheck", "cg")
+	before := srv.PoolDevice(0).Allocations()
+	for i := 0; i < 8; i++ {
+		s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "memcheck"})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		l := &freeingLauncher{RemoteSession: s}
+		if err := findBenchmark(t, "cg").Run(l, specaccel.Small); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		for _, addr := range l.allocs {
+			if err := s.MemFree(addr); err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+		}
+		r, err := s.Report()
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if r.Text != want {
+			t.Errorf("session %d report differs from standalone:\ndaemon:\n%s\nstandalone:\n%s", i, r.Text, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if got := srv.PoolDevice(0).Allocations(); !slices.Equal(got, before) {
+			t.Fatalf("after session %d the device holds %v, want %v", i, got, before)
+		}
+	}
+}
+
 // TestBadRequests exercises protocol error paths.
 func TestBadRequests(t *testing.T) {
 	sock := startServer(t, nvbitd.Config{Family: sass.Volta, QueueLimit: -1})
@@ -372,6 +432,9 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "itrace", Policy: "bogus"}); err == nil {
 		t.Error("opening with a bogus policy succeeded")
+	}
+	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "faultinject", FIModel: "flip2", FIBit: 31}); err == nil {
+		t.Error("opening with a fault spec the device would rewrite succeeded")
 	}
 
 	s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "instrcount"})

@@ -279,13 +279,9 @@ func (ss *session) slotIndex() int {
 // open builds the tool from the registry and opens a session for it on the
 // least-loaded pool device.
 func (s *Server) open(req *request) (*session, *response) {
-	policy := channel.Drop
-	switch req.Policy {
-	case "", "drop":
-	case "block":
-		policy = channel.Block
-	default:
-		return nil, &response{Err: fmt.Sprintf("nvbitd: unknown backpressure policy %q (want drop or block)", req.Policy)}
+	policy, err := channel.ParsePolicy(req.Policy)
+	if err != nil {
+		return nil, &response{Err: err.Error()}
 	}
 	inst, err := registry.New(req.Tool, registry.Options{
 		Policy:   policy,

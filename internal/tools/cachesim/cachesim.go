@@ -17,7 +17,6 @@ package cachesim
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"nvbitgo/nvbit"
 )
@@ -32,13 +31,11 @@ const (
 // recBytes is the size of one trace record: u64 address + u32 flags + u32 pad.
 const recBytes = 16
 
-// toolPTXTemplate wraps the channel reserve/commit fragments with the
-// per-lane record stores. Guard-false lanes retire before the fragment, so
-// the always-true %p1 makes every remaining lane claim its own slot.
-// Register budget: %r0 and %p0/%p1 belong to the tool; the reserve fragment
-// owns %r4–%r10, %rd2–%rd5 and %p3–%p4 per its ReserveSpec; %rd1 receives
-// each lane's record address.
-const toolPTXTemplate = `
+// toolPTX is the pushing device function; the channel writes its claim and
+// commit at the two markers (nvbit.ChannelConfig.ToolPTX). Guard-false lanes
+// retire before the claim, so the always-true %p1 makes every remaining lane
+// claim its own slot; %rd1 receives each lane's record address.
+const toolPTX = `
 .toolfunc cachesim_rec(.param .u32 pred, .param .u64 base, .param .u32 off, .param .u32 flags, .param .u64 ctrl)
 {
 	.reg .u32 %r<11>;
@@ -58,7 +55,6 @@ const toolPTXTemplate = `
 	ld.param.u32 %r0, [flags];
 	st.global.u32 [%rd1+8], %r0;
 @COMMIT@
-cs_skip:
 	ret;
 }
 `
@@ -109,7 +105,6 @@ func (s Stats) L1HitRate() float64 {
 type Tool struct {
 	cfg   Config
 	ch    *nvbit.Channel
-	final nvbit.ChannelStats // snapshot at AtTerm, after the channel closes
 	l1    *lru
 	l2    *lru
 	stats Stats
@@ -128,7 +123,7 @@ func New(cfg Config) *Tool {
 	return t
 }
 
-// AtInit opens the trace channel and registers the device function.
+// AtInit opens the trace channel, which registers the device function.
 func (t *Tool) AtInit(n *nvbit.NVBit) {
 	var err error
 	t.ch, err = n.OpenChannel(nvbit.ChannelConfig{
@@ -137,40 +132,16 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 		TotalRecords: t.cfg.Capacity,
 		Policy:       t.cfg.Policy,
 		OnBatch:      t.replay,
+		ToolPTX:      toolPTX,
+		PushPred:     "%p1",
 	})
 	if err != nil {
 		panic(fmt.Sprintf("cachesim: %v", err))
 	}
-	spec := nvbit.ChannelReserveSpec{
-		CtrlParam:   "ctrl",
-		PushPred:    "%p1",
-		RecAddr:     "%rd1",
-		SkipLabel:   "cs_skip",
-		RecordBytes: recBytes,
-		Policy:      t.cfg.Policy,
-		R:           4,
-		RD:          2,
-		P:           3,
-	}
-	reserve, err := spec.ReservePTX()
-	if err != nil {
-		panic(fmt.Sprintf("cachesim: %v", err))
-	}
-	ptx := strings.Replace(toolPTXTemplate, "@RESERVE@", reserve, 1)
-	ptx = strings.Replace(ptx, "@COMMIT@", spec.CommitPTX(), 1)
-	if err := n.RegisterToolPTX(ptx); err != nil {
-		panic(fmt.Sprintf("cachesim: %v", err))
-	}
 }
 
-// AtTerm closes the channel, keeping a final stats snapshot.
-func (t *Tool) AtTerm(n *nvbit.NVBit) {
-	if t.ch != nil {
-		t.final = t.ch.Stats()
-		t.ch.Close()
-		t.ch = nil
-	}
-}
+// AtTerm implements the Tool interface; the framework closes the channel.
+func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
 // AtCUDACall instruments memory instructions at launch entry and drains the
 // trace channel at launch exit.
@@ -249,14 +220,8 @@ func (t *Tool) Stats() Stats {
 	return st
 }
 
-// ChannelStats returns the trace channel's counter snapshot (the final
-// snapshot once the tool has been terminated).
-func (t *Tool) ChannelStats() nvbit.ChannelStats {
-	if t.ch == nil {
-		return t.final
-	}
-	return t.ch.Stats()
-}
+// ChannelStats returns the trace channel's counter snapshot.
+func (t *Tool) ChannelStats() nvbit.ChannelStats { return t.ch.Stats() }
 
 // lru is a set-associative LRU cache model (host side).
 type lru struct {

@@ -17,20 +17,17 @@ package itrace
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"nvbitgo/nvbit"
 )
 
 const recBytes = 16
 
-// toolPTXTemplate wraps the channel reserve/commit fragments with the
-// itrace record stores. Non-leader lanes retire before the fragment, so the
-// always-true %p1 selects exactly one pushing lane per warp. Register
-// budget: %r0–%r3 and %p0–%p2 belong to the tool; the reserve fragment owns
-// %r4–%r10, %rd2–%rd5 and %p3–%p4 per its ReserveSpec; %rd1 receives the
-// claimed record address.
-const toolPTXTemplate = `
+// toolPTX is the pushing device function; the channel writes its claim and
+// commit at the two markers (nvbit.ChannelConfig.ToolPTX). Non-leader lanes
+// retire before the claim, so the always-true %p1 selects exactly one
+// pushing lane per warp; %rd1 receives the claimed record address.
+const toolPTX = `
 .toolfunc itrace_rec(.param .u32 pred, .param .u32 kid, .param .u32 idx, .param .u64 ctrl)
 {
 	.reg .u32 %r<11>;
@@ -67,7 +64,6 @@ const toolPTXTemplate = `
 	st.global.u32 [%rd1+8], %r0;
 	st.global.u32 [%rd1+12], %r1;
 @COMMIT@
-it_skip:
 	ret;
 }
 `
@@ -98,7 +94,6 @@ type Tool struct {
 	Records []Record
 
 	ch      *nvbit.Channel
-	final   nvbit.ChannelStats // snapshot at AtTerm, after the channel closes
 	kernels map[*nvbit.Function]uint32
 	names   []string
 }
@@ -120,19 +115,10 @@ func (t *Tool) KernelName(id uint32) string {
 // under ChannelBlock).
 func (t *Tool) Dropped() uint64 { return t.Stats().Dropped }
 
-// Stats returns the channel's counter snapshot (the final snapshot once the
-// tool has been terminated).
-func (t *Tool) Stats() nvbit.ChannelStats {
-	if t.ch == nil {
-		return t.final
-	}
-	return t.ch.Stats()
-}
+// Stats returns the channel's counter snapshot.
+func (t *Tool) Stats() nvbit.ChannelStats { return t.ch.Stats() }
 
-// Channel exposes the underlying streaming channel (for flush statistics).
-func (t *Tool) Channel() *nvbit.Channel { return t.ch }
-
-// AtInit opens the streaming channel and registers the device function.
+// AtInit opens the streaming channel, which registers the device function.
 func (t *Tool) AtInit(n *nvbit.NVBit) {
 	var err error
 	t.ch, err = n.OpenChannel(nvbit.ChannelConfig{
@@ -141,40 +127,16 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 		TotalRecords: t.Capacity,
 		Policy:       t.Policy,
 		OnBatch:      t.decode,
+		ToolPTX:      toolPTX,
+		PushPred:     "%p1",
 	})
 	if err != nil {
 		panic(fmt.Sprintf("itrace: %v", err))
 	}
-	spec := nvbit.ChannelReserveSpec{
-		CtrlParam:   "ctrl",
-		PushPred:    "%p1",
-		RecAddr:     "%rd1",
-		SkipLabel:   "it_skip",
-		RecordBytes: recBytes,
-		Policy:      t.Policy,
-		R:           4,
-		RD:          2,
-		P:           3,
-	}
-	reserve, err := spec.ReservePTX()
-	if err != nil {
-		panic(fmt.Sprintf("itrace: %v", err))
-	}
-	ptx := strings.Replace(toolPTXTemplate, "@RESERVE@", reserve, 1)
-	ptx = strings.Replace(ptx, "@COMMIT@", spec.CommitPTX(), 1)
-	if err := n.RegisterToolPTX(ptx); err != nil {
-		panic(fmt.Sprintf("itrace: %v", err))
-	}
 }
 
-// AtTerm closes the channel, keeping a final stats snapshot.
-func (t *Tool) AtTerm(n *nvbit.NVBit) {
-	if t.ch != nil {
-		t.final = t.ch.Stats()
-		t.ch.Close()
-		t.ch = nil
-	}
-}
+// AtTerm implements the Tool interface; the framework closes the channel.
+func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
 // AtCUDACall instruments at launch entry and drains the channel at launch
 // exit.

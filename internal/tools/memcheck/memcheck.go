@@ -5,11 +5,12 @@
 // simulators).
 //
 // Every global load, store and atomic of every instrumented kernel is
-// injected with a device function that appends one record per executing
+// injected with a device function that pushes one record per executing
 // lane — the effective 64-bit address, a static site id, and the lane —
-// into a device-resident ring buffer. At the exit of each cuLaunchKernel
-// driver callback the host drains the buffer and validates every address
-// against the device's live allocation table: an access that falls outside
+// into a device→host streaming channel. At the exit of each cuLaunchKernel
+// driver callback the host snapshots the device's allocation table, drains
+// the channel and validates every delivered address against it: an access
+// that falls outside
 // every live allocation is a violation, and one that lands inside a freed
 // span is classified as a use-after-free. The simulated hardware only traps
 // accesses outside the heap entirely, so memcheck catches exactly the bugs
@@ -30,48 +31,35 @@ import (
 // recBytes is one trace record: u64 address + u32 site id + u32 lane.
 const recBytes = 16
 
-// Control block layout (device memory):
-//
-//	[0]  u64 head   — next free record index (atomically reserved)
-//	[8]  u64 cap    — record capacity
-//	[16] u64 buf    — record buffer base address
-//	[24] u64 drops  — records dropped on overflow
-const ctrlBytes = 32
-
+// toolPTX is the pushing device function; the channel writes its claim and
+// commit at the two markers (nvbit.ChannelConfig.ToolPTX). Guard-false lanes
+// retire before the claim, so the always-true %p1 makes every remaining lane
+// claim its own slot; %rd1 receives each lane's record address. It declares
+// more registers than the fragments need (%r<11>, %rd<6>): the function's
+// register demand sizes the save set of every memcheck trampoline, and 52
+// registers is what core's codegen golden pins for them.
 const toolPTX = `
 .toolfunc memcheck_rec(.param .u32 pred, .param .u64 base, .param .u32 off, .param .u32 site, .param .u64 ctrl)
 {
-	.reg .u32 %r<8>;
-	.reg .u64 %rd<14>;
-	.reg .pred %p<3>;
+	.reg .u32 %r<12>;
+	.reg .u64 %rd<12>;
+	.reg .pred %p<5>;
 	ld.param.u32 %r0, [pred];
 	setp.eq.u32 %p0, %r0, 0;
 	@%p0 ret;
-	// Reconstruct the effective address.
+	setp.ne.u32 %p1, %r0, 0;
+@RESERVE@
+	// Reconstruct and store the effective address, then site and lane.
 	ld.param.u64 %rd0, [base];
-	ld.param.u32 %r1, [off];
-	cvt.u64.u32 %rd2, %r1;
-	add.u64 %rd0, %rd0, %rd2;
-	// Reserve a slot: old = atomicAdd(&head, 1).
-	ld.param.u64 %rd4, [ctrl];
-	mov.u64 %rd6, 1;
-	atom.global.add.u64 %rd8, [%rd4], %rd6;
-	// Drop on overflow, counting the loss.
-	ld.global.u64 %rd10, [%rd4+8];
-	cvt.u32.u64 %r2, %rd8;
-	cvt.u32.u64 %r3, %rd10;
-	setp.ge.u32 %p1, %r2, %r3;
-	@%p1 red.global.add.u64 [%rd4+24], %rd6;
-	@%p1 ret;
-	// rec = buf + old*16
-	ld.global.u64 %rd10, [%rd4+16];
-	mov.u32 %r4, 16;
-	mad.wide.u32 %rd12, %r2, %r4, %rd10;
-	st.global.u64 [%rd12], %rd0;
-	ld.param.u32 %r5, [site];
-	st.global.u32 [%rd12+8], %r5;
-	mov.u32 %r6, %laneid;
-	st.global.u32 [%rd12+12], %r6;
+	ld.param.u32 %r0, [off];
+	cvt.u64.u32 %rd4, %r0;
+	add.u64 %rd0, %rd0, %rd4;
+	st.global.u64 [%rd1], %rd0;
+	ld.param.u32 %r0, [site];
+	st.global.u32 [%rd1+8], %r0;
+	mov.u32 %r0, %laneid;
+	st.global.u32 [%rd1+12], %r0;
+@COMMIT@
 	ret;
 }
 `
@@ -136,54 +124,59 @@ type site struct {
 
 // Tool is the memory checker.
 type Tool struct {
-	// Capacity is the device ring-buffer size in records.
+	// Capacity is the aggregate channel capacity in records (split across
+	// the per-SM shards).
 	Capacity int
+	// Policy selects what happens when a shard's buffer fills between
+	// flushes: ChannelDrop leaves (and counts) those accesses unchecked,
+	// ChannelBlock checks every access.
+	Policy nvbit.ChannelPolicy
 	// MaxViolations caps the detailed Violations list; TotalViolations
 	// keeps counting past it.
 	MaxViolations int
 
-	// Violations holds the first MaxViolations detailed reports.
+	// Violations holds the first MaxViolations detailed reports, in the
+	// channel's delivery order: ascending SM, push order within one.
 	Violations []Violation
 	// TotalViolations counts every invalid access, capped or not.
 	TotalViolations uint64
 	// Checked counts every validated lane-level access.
 	Checked uint64
-	// Dropped counts trace records lost to ring-buffer overflow (those
-	// addresses went unchecked).
-	Dropped uint64
 
-	ctrl, buf uint64
-	sites     []site
+	ch    *nvbit.Channel
+	sites []site
+	// live (sorted by base) and freed (most recent first) are the
+	// allocation snapshot the draining launch's records are checked against.
+	live, freed []nvbit.AllocSpan
 }
 
-// New returns a memory checker with the given ring-buffer capacity.
+// New returns a memory checker with the given aggregate channel capacity.
 func New(capacity int) *Tool {
 	return &Tool{Capacity: capacity, MaxViolations: 64}
 }
 
-// AtInit registers the checker device function and allocates the ring buffer.
+// Dropped returns how many accesses went unchecked because their records
+// were lost to full buffers (always zero under ChannelBlock).
+func (t *Tool) Dropped() uint64 { return t.ch.Stats().Dropped }
+
+// AtInit opens the record channel, which registers the device function.
 func (t *Tool) AtInit(n *nvbit.NVBit) {
-	if err := n.RegisterToolPTX(toolPTX); err != nil {
-		panic(err)
-	}
 	var err error
-	if t.ctrl, err = n.Malloc(ctrlBytes); err != nil {
-		panic(err)
-	}
-	if t.buf, err = n.Malloc(uint64(t.Capacity * recBytes)); err != nil {
-		panic(err)
-	}
-	for _, init := range []struct {
-		off uint64
-		v   uint64
-	}{{0, 0}, {8, uint64(t.Capacity)}, {16, t.buf}, {24, 0}} {
-		if err := n.WriteU64(t.ctrl+init.off, init.v); err != nil {
-			panic(err)
-		}
+	t.ch, err = n.OpenChannel(nvbit.ChannelConfig{
+		Name:         "memcheck",
+		RecordBytes:  recBytes,
+		TotalRecords: t.Capacity,
+		Policy:       t.Policy,
+		OnBatch:      t.validate,
+		ToolPTX:      toolPTX,
+		PushPred:     "%p1",
+	})
+	if err != nil {
+		panic(fmt.Sprintf("memcheck: %v", err))
 	}
 }
 
-// AtTerm implements the Tool interface.
+// AtTerm implements the Tool interface; the framework closes the channel.
 func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
 // AtCUDACall instruments global memory instructions at launch entry and
@@ -193,7 +186,8 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 		return
 	}
 	if exit {
-		t.drain(n)
+		t.live, t.freed = n.Device().Allocations(), n.Device().FreedSpans()
+		t.ch.Drain()
 		return
 	}
 	f := p.Launch.Func
@@ -229,53 +223,27 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			nvbit.ArgReg64(int(mref.Base)),
 			nvbit.ArgConst32(uint32(mref.Offset)),
 			nvbit.ArgConst32(id),
-			nvbit.ArgConst64(t.ctrl))
+			nvbit.ArgConst64(t.ch.CtrlAddr()))
 	}
 }
 
-// drain validates the collected addresses against a snapshot of the device's
-// allocation table and resets the ring buffer.
-func (t *Tool) drain(n *nvbit.NVBit) {
-	head, err := n.ReadU64(t.ctrl)
-	if err != nil {
-		panic(err)
-	}
-	drops, err := n.ReadU64(t.ctrl + 24)
-	if err != nil {
-		panic(err)
-	}
-	t.Dropped += drops
-	records := head
-	if records > uint64(t.Capacity) {
-		records = uint64(t.Capacity)
-	}
-	if records > 0 {
-		raw := make([]byte, records*recBytes)
-		if err := n.Device().Read(t.buf, raw); err != nil {
-			panic(err)
+// validate is the channel's OnBatch consumer: it checks each delivered
+// record against the snapshot taken before the drain.
+func (t *Tool) validate(data []byte) {
+	for off := 0; off+recBytes <= len(data); off += recBytes {
+		addr := binary.LittleEndian.Uint64(data[off:])
+		siteID := binary.LittleEndian.Uint32(data[off+8:])
+		lane := binary.LittleEndian.Uint32(data[off+12:])
+		if int(siteID) >= len(t.sites) {
+			continue // corrupt record; never attribute it to a wrong site
 		}
-		live := n.Device().Allocations() // sorted by base
-		freed := n.Device().FreedSpans() // most recent first
-		for r := uint64(0); r < records; r++ {
-			addr := binary.LittleEndian.Uint64(raw[r*recBytes:])
-			siteID := binary.LittleEndian.Uint32(raw[r*recBytes+8:])
-			lane := binary.LittleEndian.Uint32(raw[r*recBytes+12:])
-			if int(siteID) >= len(t.sites) {
-				continue // corrupt record; never attribute it to a wrong site
-			}
-			t.check(addr, int(lane), t.sites[siteID], live, freed)
-		}
-	}
-	if err := n.WriteU64(t.ctrl, 0); err != nil {
-		panic(err)
-	}
-	if err := n.WriteU64(t.ctrl+24, 0); err != nil {
-		panic(err)
+		t.check(addr, int(lane), t.sites[siteID])
 	}
 }
 
 // check classifies one lane-level access against the allocation snapshot.
-func (t *Tool) check(addr uint64, lane int, s site, live, freed []nvbit.AllocSpan) {
+func (t *Tool) check(addr uint64, lane int, s site) {
+	live, freed := t.live, t.freed
 	t.Checked++
 	// Last live span with Base <= addr: live spans never overlap, so it is
 	// the only candidate.
@@ -314,7 +282,7 @@ func (t *Tool) check(addr uint64, lane int, s site, live, freed []nvbit.AllocSpa
 // Report writes a compute-sanitizer-style summary of the run.
 func (t *Tool) Report(w io.Writer) {
 	fmt.Fprintf(w, "memcheck: %d accesses checked, %d violations, %d unchecked (dropped)\n",
-		t.Checked, t.TotalViolations, t.Dropped)
+		t.Checked, t.TotalViolations, t.Dropped())
 	for _, v := range t.Violations {
 		fmt.Fprintf(w, "  %s\n", v)
 	}

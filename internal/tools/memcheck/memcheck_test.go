@@ -31,14 +31,14 @@ const strideKernel = `
 
 // checkEnv attaches a fresh memcheck tool to a fresh device and loads the
 // stride kernel.
-func checkEnv(t *testing.T) (*Tool, *gpusim.Context, *gpusim.Function) {
+func checkEnv(t *testing.T, opts ...nvbit.Option) (*Tool, *gpusim.Context, *gpusim.Function) {
 	t.Helper()
 	api, err := gpusim.New(gpusim.Volta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tool := New(1 << 16)
-	if _, err := nvbit.Attach(api, tool); err != nil {
+	if _, err := nvbit.Attach(api, tool, opts...); err != nil {
 		t.Fatal(err)
 	}
 	ctx, err := api.CtxCreate()
@@ -82,8 +82,8 @@ func TestCleanRun(t *testing.T) {
 	if tool.Checked != 128 {
 		t.Fatalf("checked = %d, want 128", tool.Checked)
 	}
-	if tool.Dropped != 0 {
-		t.Fatalf("dropped = %d", tool.Dropped)
+	if tool.Dropped() != 0 {
+		t.Fatalf("dropped = %d", tool.Dropped())
 	}
 }
 
@@ -203,6 +203,40 @@ func TestViolationCap(t *testing.T) {
 	tool.Report(&sb)
 	if !strings.Contains(sb.String(), "and 376 more") {
 		t.Fatalf("report: %s", sb.String())
+	}
+}
+
+// TestReportSchedulerInvariant: an overrun issued by CTAs on every SM is
+// reported identically — the listed violations and their order included —
+// under both schedulers, because records reach the checker in the channel's
+// ascending-SM delivery order, not in the order SM workers happened to run.
+func TestReportSchedulerInvariant(t *testing.T) {
+	report := func(sched gpusim.SchedulerKind) string {
+		tool, ctx, f := checkEnv(t, nvbit.WithScheduler(sched))
+		tool.MaxViolations = 1 << 14 // list every violation, from every SM
+		data, err := ctx.MemAlloc(64 * 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 128 CTAs of one warp, round-robin over the SMs; all but the
+		// first two overrun the 64-element buffer.
+		launchStride(t, ctx, f, data, 4096)
+		if want := uint64(4096-64) * 2; tool.TotalViolations != want || len(tool.Violations) != int(want) {
+			t.Fatalf("%d violations (%d listed), want %d", tool.TotalViolations, len(tool.Violations), want)
+		}
+		var sb strings.Builder
+		tool.Report(&sb)
+		return sb.String()
+	}
+	seq, par := report(gpusim.SchedulerSequential), report(gpusim.SchedulerParallelSM)
+	if seq != par {
+		a, b := strings.Split(seq, "\n"), strings.Split(par, "\n")
+		for i := range a {
+			if i >= len(b) || a[i] != b[i] {
+				t.Fatalf("reports diverge at line %d:\nsequential: %s\nparallel:   %s", i, a[i], b[min(i, len(b)-1)])
+			}
+		}
+		t.Fatal("parallel report is longer than the sequential one")
 	}
 }
 

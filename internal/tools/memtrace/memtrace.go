@@ -37,12 +37,11 @@ const (
 //	[24] u64 addrs[32]     — lane i's effective address, 0 if inactive
 const recBytes = 24 + 32*8
 
-// toolPTXTemplate wraps the channel reserve/commit fragments with the
-// memtrace record stores. Register budget: %r0–%r3 and %p0–%p2 belong to
-// the tool (exec ballot, leader election, scratch); the reserve fragment
-// owns %r4–%r10, %rd2–%rd5 and %p3–%p4 per its ReserveSpec; %rd0/%rd1 hold
-// the lane address and the claimed record address.
-const toolPTXTemplate = `
+// toolPTX is the pushing device function; the channel writes its claim and
+// commit at the two markers (nvbit.ChannelConfig.ToolPTX). The leader %p2
+// claims one shared record per warp; %rd0/%rd1 hold the lane address and the
+// claimed record address.
+const toolPTX = `
 .toolfunc memtrace_rec(.param .u32 pred, .param .u32 kid, .param .u32 idx, .param .u32 op, .param .u32 flags, .param .u64 addr, .param .u64 ctrl)
 {
 	.reg .u32 %r<11>;
@@ -88,7 +87,6 @@ const toolPTXTemplate = `
 	mad.wide.u32 %rd4, %r0, %r3, %rd1;
 	st.global.u64 [%rd4+24], %rd0;
 @COMMIT@
-mt_skip:
 	ret;
 }
 `
@@ -122,7 +120,6 @@ type Tool struct {
 	Records []Record
 
 	ch      *nvbit.Channel
-	final   nvbit.ChannelStats // snapshot at AtTerm, after the channel closes
 	kernels map[*nvbit.Function]uint32
 	names   []string
 }
@@ -144,19 +141,10 @@ func (t *Tool) KernelName(id uint32) string {
 // under ChannelBlock).
 func (t *Tool) Dropped() uint64 { return t.Stats().Dropped }
 
-// Stats returns the channel's counter snapshot (the final snapshot once the
-// tool has been terminated).
-func (t *Tool) Stats() nvbit.ChannelStats {
-	if t.ch == nil {
-		return t.final
-	}
-	return t.ch.Stats()
-}
+// Stats returns the channel's counter snapshot.
+func (t *Tool) Stats() nvbit.ChannelStats { return t.ch.Stats() }
 
-// Channel exposes the underlying streaming channel (for flush statistics).
-func (t *Tool) Channel() *nvbit.Channel { return t.ch }
-
-// AtInit opens the streaming channel and registers the device function.
+// AtInit opens the streaming channel, which registers the device function.
 func (t *Tool) AtInit(n *nvbit.NVBit) {
 	var err error
 	t.ch, err = n.OpenChannel(nvbit.ChannelConfig{
@@ -165,41 +153,17 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 		TotalRecords: t.Capacity,
 		Policy:       t.Policy,
 		OnBatch:      t.decode,
+		ToolPTX:      toolPTX,
+		PushPred:     "%p2",
+		SharedSlot:   true,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("memtrace: %v", err))
 	}
-	spec := nvbit.ChannelReserveSpec{
-		CtrlParam:   "ctrl",
-		PushPred:    "%p2",
-		RecAddr:     "%rd1",
-		SkipLabel:   "mt_skip",
-		SharedSlot:  true,
-		RecordBytes: recBytes,
-		Policy:      t.Policy,
-		R:           4,
-		RD:          2,
-		P:           3,
-	}
-	reserve, err := spec.ReservePTX()
-	if err != nil {
-		panic(fmt.Sprintf("memtrace: %v", err))
-	}
-	ptx := strings.Replace(toolPTXTemplate, "@RESERVE@", reserve, 1)
-	ptx = strings.Replace(ptx, "@COMMIT@", spec.CommitPTX(), 1)
-	if err := n.RegisterToolPTX(ptx); err != nil {
-		panic(fmt.Sprintf("memtrace: %v", err))
-	}
 }
 
-// AtTerm closes the channel, keeping a final stats snapshot.
-func (t *Tool) AtTerm(n *nvbit.NVBit) {
-	if t.ch != nil {
-		t.final = t.ch.Stats()
-		t.ch.Close()
-		t.ch = nil
-	}
-}
+// AtTerm implements the Tool interface; the framework closes the channel.
+func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
 // AtCUDACall instruments global memory instructions at launch entry and
 // drains the channel at launch exit.

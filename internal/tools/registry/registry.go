@@ -28,7 +28,7 @@ import (
 // constructor. Zero values select the documented defaults.
 type Options struct {
 	// Policy selects channel backpressure for channel-backed tools
-	// (cachesim, itrace, memtrace).
+	// (cachesim, itrace, memcheck, memtrace).
 	Policy channel.Policy
 	// TraceOut, when non-nil, receives itrace's raw warp trace at report
 	// time (nvbit-run's -trace-out).
@@ -175,8 +175,11 @@ func newMemtrace(o Options) (*Instance, error) {
 	}}, nil
 }
 
-func newMemcheck(Options) (*Instance, error) {
-	t := memcheck.New(1 << 20)
+func newMemcheck(o Options) (*Instance, error) {
+	// 16-byte records are double-buffered per SM: 512K aggregate slots
+	// cost 16 MB of device memory, a quarter of a pool device.
+	t := memcheck.New(1 << 19)
+	t.Policy = o.Policy
 	return &Instance{Tool: t, Report: func(w io.Writer, nv *core.NVBit) (bool, error) {
 		t.Report(w)
 		return t.TotalViolations > 0, nil
@@ -198,6 +201,14 @@ func newFaultinject(o Options) (*Instance, error) {
 	model, err := faultinject.ParseModel(modelName)
 	if err != nil {
 		return nil, err
+	}
+	// The device rule masks the bit position into the register, so an
+	// out-of-range one would silently flip some other bit (or, for the top
+	// pair, only one).
+	if model == faultinject.ModelFlip && o.FIBit > faultinject.MaxFlipBit ||
+		model == faultinject.ModelFlip2 && o.FIBit > faultinject.MaxFlip2Bit {
+		return nil, fmt.Errorf("faultinject: bit %d out of range for model %s (flip takes 0..%d, flip2 0..%d)",
+			o.FIBit, model, faultinject.MaxFlipBit, faultinject.MaxFlip2Bit)
 	}
 	t := faultinject.New(faultinject.Injection{
 		Group: group, Target: o.FITarget, Model: model,

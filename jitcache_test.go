@@ -33,7 +33,7 @@ func TestDifferentialJITCache(t *testing.T) {
 		"sequential": gpusim.SchedulerSequential,
 		"parallel":   gpusim.SchedulerParallelSM,
 	}
-	for toolName := range diffTools {
+	for _, toolName := range diffTools {
 		for schedName, sched := range scheds {
 			toolName, schedName, sched := toolName, schedName, sched
 			t.Run(toolName+"/"+schedName, func(t *testing.T) {

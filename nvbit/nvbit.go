@@ -107,9 +107,8 @@ const (
 
 // Device→host streaming channels (docs/channels.md): a per-SM double-
 // buffered record stream with mid-kernel flushes, an async host receiver
-// and selectable backpressure. Tools open one with NVBit.OpenChannel from
-// AtInit and embed its ChannelReserveSpec PTX fragments in their injected
-// functions.
+// and selectable backpressure. A tool opens one with NVBit.OpenChannel from
+// AtInit, handing over the device function that pushes its records.
 type (
 	// Channel is one open device→host record stream.
 	Channel = channel.Channel
@@ -119,8 +118,6 @@ type (
 	ChannelStats = channel.Stats
 	// ChannelPolicy selects the full-buffer backpressure behaviour.
 	ChannelPolicy = channel.Policy
-	// ChannelReserveSpec parameterizes the device-side push fragments.
-	ChannelReserveSpec = channel.ReserveSpec
 )
 
 // Channel backpressure policies.
