@@ -206,6 +206,7 @@ func BenchmarkCodegen(b *testing.B) {
 	}
 	ctx, _ := api.CtxCreate()
 	data, _ := ctx.MemAlloc(4 * 256)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mod, err := ctx.ModuleLoadPTX(fmt.Sprintf("m%d", i), benchKernelPTX)

@@ -364,7 +364,13 @@ func boundaryPTX(dead int) string {
 	b.WriteString(".visible .entry bnd(.param .u64 out)\n{\n")
 	fmt.Fprintf(&b, "\t.reg .u32 %%r<%d>;\n", dead+4)
 	b.WriteString("\t.reg .u64 %rd<4>;\n")
+	// %r0 is the global thread index, so each thread of the two CTAs stores
+	// to a word of its own; %r1 and %r2 are scratch here and defined again
+	// below, before the site, so the site's dead pool does not notice.
 	b.WriteString("\tmov.u32 %r0, %tid.x;\n")
+	b.WriteString("\tmov.u32 %r1, %ctaid.x;\n")
+	b.WriteString("\tmov.u32 %r2, %ntid.x;\n")
+	b.WriteString("\tmad.lo.u32 %r0, %r1, %r2, %r0;\n")
 	b.WriteString("\tld.param.u64 %rd0, [out];\n")
 	b.WriteString("\tmul.wide.u32 %rd2, %r0, 4;\n")
 	b.WriteString("\tadd.u64 %rd0, %rd0, %rd2;\n")

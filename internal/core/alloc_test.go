@@ -1,0 +1,142 @@
+package core_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"nvbitgo/internal/core"
+	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/jitcache"
+	"nvbitgo/internal/sass"
+	"nvbitgo/internal/tools/instrcount"
+)
+
+// coldKernelPTX generates a kernel of body PTX instructions (loads, stores,
+// fma, mad, add and guarded forward branches over sixteen registers) behind a
+// bounds check, so a launch with n=0 retires the warp at once and what is left
+// of the launch is the JIT. Different seeds give different bytes of the same
+// size, so every kernel misses the cache.
+func coldKernelPTX(name string, seed int64, body int) string {
+	rng := rand.New(rand.NewSource(seed))
+	r := func() string { return fmt.Sprintf("%%r%d", 5+rng.Intn(11)) }
+	f := func() string { return fmt.Sprintf("%%f%d", rng.Intn(8)) }
+	var b strings.Builder
+	fmt.Fprintf(&b, ".visible .entry %s(.param .u64 data, .param .u32 n)\n{\n", name)
+	b.WriteString(`	.reg .u32 %r<16>;
+	.reg .u64 %rd<6>;
+	.reg .f32 %f<8>;
+	.reg .pred %p<3>;
+	mov.u32 %r2, %tid.x;
+	ld.param.u32 %r4, [n];
+	setp.ge.u32 %p0, %r2, %r4;
+	@%p0 exit;
+	ld.param.u64 %rd0, [data];
+	mul.wide.u32 %rd2, %r2, 4;
+	add.u64 %rd4, %rd0, %rd2;
+`)
+	labels := 0
+	for k := 0; k < body; k++ {
+		switch rng.Intn(8) {
+		case 0:
+			fmt.Fprintf(&b, "\tld.global.u32 %s, [%%rd4+%d];\n", r(), 4*rng.Intn(256))
+		case 1:
+			fmt.Fprintf(&b, "\tst.global.f32 [%%rd4+%d], %s;\n", 4*rng.Intn(256), f())
+		case 2, 3:
+			fmt.Fprintf(&b, "\tfma.rn.f32 %s, %s, %s, %s;\n", f(), f(), f(), f())
+		case 4, 5:
+			fmt.Fprintf(&b, "\tmad.lo.u32 %s, %s, %s, %s;\n", r(), r(), r(), r())
+		case 6:
+			fmt.Fprintf(&b, "\tadd.u32 %s, %s, %s;\n", r(), r(), r())
+		case 7:
+			fmt.Fprintf(&b, "\tsetp.lt.u32 %%p1, %s, %s;\n\t@%%p1 bra L%d;\n", r(), r(), labels)
+			fmt.Fprintf(&b, "\tadd.f32 %s, %s, %s;\nL%d:\n", f(), f(), f(), labels)
+			labels++
+			k += 2
+		}
+	}
+	b.WriteString("\texit;\n}\n")
+	return b.String()
+}
+
+// coldJITAllocBudget is the most heap objects the cold JIT may allocate per
+// lifted instruction between the launch callback's GetInstrs and the end of
+// finalize: a third of the 25.54 PR 16 allocated on these kernels. Three of
+// them are the tool's: InsertCallArgs makes a call request, the instruction's
+// list of them and the request's argument list.
+const coldJITAllocBudget = 8.5
+
+// TestColdJITAllocBudget pins the cold path's allocation count: a generated
+// kernel of at least 400 instructions, instrumented at every instruction by
+// instrcount with a memory-only cache attached, first launch.
+func TestColdJITAllocBudget(t *testing.T) {
+	const runs = 4
+	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	cache, err := jitcache.New("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv, err := core.Attach(api, instrcount.New(), core.WithJITCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := api.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := ctx.MemAlloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls the function once to warm up (that launch also
+	// compiles and loads the tool functions) and then runs times.
+	var fns []*driver.Function
+	for k := 0; k <= runs; k++ {
+		name := fmt.Sprintf("cold%d", k)
+		mod, err := ctx.ModuleLoadPTX(name, coldKernelPTX(name, int64(k+1), 420))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := mod.GetFunction(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fns = append(fns, fn)
+	}
+	params, err := driver.PackParams(fns[0], data, uint32(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	var before core.JITStats
+	allocs := testing.AllocsPerRun(runs, func() {
+		if next == 1 {
+			before = nv.JITStats()
+		}
+		fn := fns[next]
+		next++
+		if err := ctx.LaunchKernel(fn, gpu.D1(1), gpu.D1(32), 0, params); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st := nv.JITStats()
+	if st.CacheHits != 0 || st.TrampolinesEmitted != st.InstrsLifted {
+		t.Fatalf("not a cold full instrumentation: %d cache hits, %d trampolines for %d instructions",
+			st.CacheHits, st.TrampolinesEmitted, st.InstrsLifted)
+	}
+	perRun := float64(st.InstrsLifted-before.InstrsLifted) / runs
+	if perRun < 400 {
+		t.Fatalf("kernels average %.0f instructions, want at least 400", perRun)
+	}
+	perInstr := allocs / perRun
+	t.Logf("%.0f heap objects per first launch of %.0f instructions: %.2f per lifted instruction", allocs, perRun, perInstr)
+	if perInstr > coldJITAllocBudget {
+		t.Errorf("cold JIT allocates %.2f heap objects per lifted instruction, budget %.1f", perInstr, coldJITAllocBudget)
+	}
+}

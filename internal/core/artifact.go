@@ -63,9 +63,15 @@ const (
 // reloc is one deferred immediate fix-up within a site's trampoline body.
 type reloc struct {
 	kind relocKind
-	slot int   // index into siteArtifact.insts
+	slot int   // index into the site's instructions
 	aux  int64 // kind-specific operand (frame size, name index, branch imm)
 }
+
+// span is a run of a code artifact's instruction or relocation array.
+type span struct{ off, n int32 }
+
+// of returns the elements of a the span covers, with no room to append.
+func of[T any](s span, a []T) []T { return a[s.off : s.off+s.n : s.off+s.n] }
 
 // siteArtifact is the generated trampoline for one instrumented instruction.
 type siteArtifact struct {
@@ -78,14 +84,40 @@ type siteArtifact struct {
 	// savedRegs is the site's contribution to JITStats.SavedRegs — the
 	// liveness-derived requirement before granularity rounding.
 	savedRegs int
+	// insts and relocs are the site's runs of the artifact's arrays.
+	insts, relocs span
+}
+
+// codeArtifact is one function's complete device-independent codegen result.
+// It is flat: every site's trampoline body lives in one instruction array and
+// every fix-up in one relocation array, in site order with nothing between
+// the sites' runs, so building, decoding and encoding a function allocate per
+// function, not per site. The wire format is per site and does not show it.
+type codeArtifact struct {
+	toolNames []string
+	sites     []siteArtifact
 	insts     []sass.Inst
 	relocs    []reloc
 }
 
-// codeArtifact is one function's complete device-independent codegen result.
-type codeArtifact struct {
-	toolNames []string
-	sites     []siteArtifact
+// toolIndex returns name's index in toolNames, adding it when new. A function
+// names a handful of tool functions, so the search is linear.
+func (a *codeArtifact) toolIndex(name string) int64 {
+	for k, have := range a.toolNames {
+		if have == name {
+			return int64(k)
+		}
+	}
+	a.toolNames = append(a.toolNames, name)
+	return int64(len(a.toolNames) - 1)
+}
+
+// addSite appends s, whose code is what was appended to the arrays since they
+// were i0 instructions and r0 relocations long.
+func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {
+	s.insts = span{int32(i0), int32(len(a.insts) - i0)}
+	s.relocs = span{int32(r0), int32(len(a.relocs) - r0)}
+	a.sites = append(a.sites, s)
 }
 
 // liftArtifact is the cacheable output of the disassembly/convert phases.
@@ -97,6 +129,16 @@ type liftArtifact struct {
 
 // --- binary writer/reader ---------------------------------------------------
 
+// Serialized widths: an instruction is 8 one-byte fields and the 64-bit
+// immediate; a relocation is kind, slot and aux; a site with neither is its
+// index, two flags, two frame sizes and two counts.
+const (
+	instBinBytes  = 16
+	relocBinBytes = 13
+	siteBinBytes  = 22
+)
+
+// artWriter appends to a buffer its user sized exactly beforehand.
 type artWriter struct{ b []byte }
 
 func (w *artWriter) u8(v uint8)   { w.b = append(w.b, v) }
@@ -115,18 +157,20 @@ func (w *artWriter) str(s string) {
 	w.b = append(w.b, s...)
 }
 func (w *artWriter) inst(in sass.Inst) {
-	w.u8(uint8(in.Op))
-	w.u8(uint8(in.Pred))
-	w.bool(in.PredNeg)
-	w.u8(uint8(in.Dst))
-	w.u8(uint8(in.Src1))
-	w.u8(uint8(in.Src2))
-	w.u8(uint8(in.Src3))
-	w.u8(uint8(in.Mods))
+	var neg uint8
+	if in.PredNeg {
+		neg = 1
+	}
+	w.b = append(w.b, uint8(in.Op), uint8(in.Pred), neg, uint8(in.Dst), uint8(in.Src1), uint8(in.Src2), uint8(in.Src3), uint8(in.Mods))
 	w.i64(in.Imm)
 }
 
-var errArtifactTruncated = fmt.Errorf("nvbit: artifact truncated")
+var (
+	errArtifactTruncated = fmt.Errorf("nvbit: artifact truncated")
+	// errArtifactValue rejects a byte no encoder writes: decode accepts only
+	// what encodes back to the same bytes.
+	errArtifactValue = fmt.Errorf("nvbit: artifact holds a flag, opcode or relocation kind out of range")
+)
 
 type artReader struct {
 	b   []byte
@@ -160,29 +204,25 @@ func (r *artReader) u32() uint32 {
 	}
 	return binary.LittleEndian.Uint32(s)
 }
-func (r *artReader) u64() uint64 {
-	s := r.take(8)
-	if s == nil {
-		return 0
+func (r *artReader) flag(b byte) bool {
+	if b > 1 && r.err == nil {
+		r.err = errArtifactValue
 	}
-	return binary.LittleEndian.Uint64(s)
+	return b == 1
 }
-func (r *artReader) i64() int64 { return int64(r.u64()) }
-func (r *artReader) bool() bool { return r.u8() != 0 }
+func (r *artReader) bool() bool { return r.flag(r.u8()) }
 func (r *artReader) str() string {
 	n := r.u32()
 	return string(r.take(int(n)))
 }
 
-// count reads a length field and sanity-bounds it against the bytes left, so
-// a corrupt count cannot drive a huge allocation before take() would fail.
+// count reads a length field and bounds it against the bytes left, elemMin
+// for each element, so a corrupt count can neither drive an allocation larger
+// than a constant multiple of the input nor pass for a valid one.
 func (r *artReader) count(elemMin int) int {
 	n := int(r.u32())
 	if r.err != nil {
 		return 0
-	}
-	if elemMin < 1 {
-		elemMin = 1
 	}
 	if n < 0 || n > (len(r.b)-r.off)/elemMin {
 		r.err = errArtifactTruncated
@@ -192,27 +232,41 @@ func (r *artReader) count(elemMin int) int {
 }
 
 func (r *artReader) inst() sass.Inst {
-	var in sass.Inst
-	in.Op = sass.Opcode(r.u8())
-	in.Pred = sass.Pred(r.u8())
-	in.PredNeg = r.bool()
-	in.Dst = sass.Reg(r.u8())
-	in.Src1 = sass.Reg(r.u8())
-	in.Src2 = sass.Reg(r.u8())
-	in.Src3 = sass.Reg(r.u8())
-	in.Mods = sass.Mods(r.u8())
-	in.Imm = r.i64()
+	s := r.take(instBinBytes)
+	if s == nil {
+		return sass.Inst{}
+	}
+	in := sass.Inst{
+		Op: sass.Opcode(s[0]), Pred: sass.Pred(s[1]), PredNeg: r.flag(s[2]),
+		Dst: sass.Reg(s[3]), Src1: sass.Reg(s[4]), Src2: sass.Reg(s[5]), Src3: sass.Reg(s[6]),
+		Mods: sass.Mods(s[7]), Imm: int64(binary.LittleEndian.Uint64(s[8:])),
+	}
+	if !in.Op.Valid() && r.err == nil {
+		r.err = errArtifactValue
+	}
 	return in
 }
 
-// instBinBytes is one serialized instruction's width (8 one-byte fields +
-// the 64-bit immediate).
-const instBinBytes = 16
+func (r *artReader) reloc() reloc {
+	s := r.take(relocBinBytes)
+	if s == nil {
+		return reloc{}
+	}
+	rl := reloc{kind: relocKind(s[0]), slot: int(binary.LittleEndian.Uint32(s[1:])), aux: int64(binary.LittleEndian.Uint64(s[5:]))}
+	if rl.kind > relocInlineSkip && r.err == nil {
+		r.err = errArtifactValue
+	}
+	return rl
+}
 
 // --- code artifact codec ----------------------------------------------------
 
 func encodeCodeArtifact(a *codeArtifact) []byte {
-	var w artWriter
+	size := 12 + len(a.sites)*siteBinBytes + len(a.insts)*instBinBytes + len(a.relocs)*relocBinBytes
+	for _, name := range a.toolNames {
+		size += 4 + len(name)
+	}
+	w := artWriter{b: make([]byte, 0, size)}
 	w.u32(artifactVersion)
 	w.u32(uint32(len(a.toolNames)))
 	for _, name := range a.toolNames {
@@ -226,12 +280,12 @@ func encodeCodeArtifact(a *codeArtifact) []byte {
 		w.bool(s.inline)
 		w.u32(uint32(s.saveN))
 		w.u32(uint32(s.savedRegs))
-		w.u32(uint32(len(s.insts)))
-		for _, in := range s.insts {
+		w.u32(uint32(s.insts.n))
+		for _, in := range of(s.insts, a.insts) {
 			w.inst(in)
 		}
-		w.u32(uint32(len(s.relocs)))
-		for _, rl := range s.relocs {
+		w.u32(uint32(s.relocs.n))
+		for _, rl := range of(s.relocs, a.relocs) {
 			w.u8(uint8(rl.kind))
 			w.u32(uint32(rl.slot))
 			w.i64(rl.aux)
@@ -246,34 +300,49 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		return nil, fmt.Errorf("nvbit: code artifact version %d, want %d", v, artifactVersion)
 	}
 	a := &codeArtifact{}
-	nNames := r.count(5)
-	for i := 0; i < nNames && r.err == nil; i++ {
-		a.toolNames = append(a.toolNames, r.str())
-	}
-	nSites := r.count(18)
-	for i := 0; i < nSites && r.err == nil; i++ {
-		var s siteArtifact
-		s.idx = int(r.u32())
-		s.nopOnly = r.bool()
-		s.inline = r.bool()
-		s.saveN = int(r.u32())
-		s.savedRegs = int(r.u32())
-		nInsts := r.count(instBinBytes)
-		for k := 0; k < nInsts && r.err == nil; k++ {
-			s.insts = append(s.insts, r.inst())
+	if n := r.count(5); n > 0 {
+		a.toolNames = make([]string, n)
+		for i := range a.toolNames {
+			a.toolNames[i] = r.str()
 		}
-		nRelocs := r.count(13)
-		for k := 0; k < nRelocs && r.err == nil; k++ {
-			rl := reloc{kind: relocKind(r.u8()), slot: int(r.u32()), aux: r.i64()}
-			if r.err == nil && (rl.slot < 0 || rl.slot >= len(s.insts)) {
+	}
+	// Walk the sites once for the totals, so the shared arrays are made at
+	// their final size and only after every count was checked against the
+	// bytes that follow it.
+	nSites := r.count(siteBinBytes)
+	m, nInsts, nRelocs := *r, 0, 0
+	for i := 0; i < nSites; i++ {
+		m.take(siteBinBytes - 8) // all of a site but its two counts
+		k := m.count(instBinBytes)
+		m.take(k * instBinBytes)
+		nInsts += k
+		k = m.count(relocBinBytes)
+		m.take(k * relocBinBytes)
+		nRelocs += k
+	}
+	if m.err != nil {
+		return nil, m.err
+	}
+	a.sites = make([]siteArtifact, 0, nSites)
+	a.insts = make([]sass.Inst, 0, nInsts)
+	a.relocs = make([]reloc, 0, nRelocs)
+	for i := 0; i < nSites && r.err == nil; i++ {
+		s := siteArtifact{idx: int(r.u32()), nopOnly: r.bool(), inline: r.bool(), saveN: int(r.u32()), savedRegs: int(r.u32())}
+		i0, r0 := len(a.insts), len(a.relocs)
+		for k := r.count(instBinBytes); k > 0; k-- {
+			a.insts = append(a.insts, r.inst())
+		}
+		for k := r.count(relocBinBytes); k > 0; k-- {
+			rl := r.reloc()
+			if rl.slot >= len(a.insts)-i0 {
 				return nil, fmt.Errorf("nvbit: artifact reloc slot %d out of range", rl.slot)
 			}
-			if r.err == nil && rl.kind == relocToolFn && (rl.aux < 0 || rl.aux >= int64(len(a.toolNames))) {
+			if rl.kind == relocToolFn && (rl.aux < 0 || rl.aux >= int64(len(a.toolNames))) {
 				return nil, fmt.Errorf("nvbit: artifact reloc tool index %d out of range", rl.aux)
 			}
-			s.relocs = append(s.relocs, rl)
+			a.relocs = append(a.relocs, rl)
 		}
-		a.sites = append(a.sites, s)
+		a.addSite(s, i0, r0)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -287,7 +356,11 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 // --- lift artifact codec ----------------------------------------------------
 
 func encodeLiftArtifact(a *liftArtifact) []byte {
-	var w artWriter
+	size := 13 + 4*len(a.sassText) + 8*len(a.blocks)
+	for _, s := range a.sassText {
+		size += len(s)
+	}
+	w := artWriter{b: make([]byte, 0, size)}
 	w.u32(artifactVersion)
 	w.u32(uint32(len(a.sassText)))
 	for _, s := range a.sassText {
@@ -308,18 +381,31 @@ func decodeLiftArtifact(b []byte) (*liftArtifact, error) {
 		return nil, fmt.Errorf("nvbit: lift artifact version %d, want %d", v, artifactVersion)
 	}
 	a := &liftArtifact{}
+	// The instructions' text becomes one string (length fields included) that
+	// each instruction's is a piece of.
 	nText := r.count(4)
-	if nText > 0 {
-		a.sassText = make([]string, 0, nText)
+	m := *r
+	for i := 0; i < nText; i++ {
+		m.take(int(m.u32()))
 	}
-	for i := 0; i < nText && r.err == nil; i++ {
-		a.sassText = append(a.sassText, r.str())
+	if m.err != nil {
+		return nil, m.err
+	}
+	base, text := r.off, string(b[r.off:m.off])
+	if nText > 0 {
+		a.sassText = make([]string, nText)
+	}
+	for i := range a.sassText {
+		n := int(r.u32())
+		a.sassText[i] = text[r.off-base : r.off-base+n]
+		r.take(n)
 	}
 	a.hasICF = r.bool()
-	nBlocks := r.count(8)
-	for i := 0; i < nBlocks && r.err == nil; i++ {
-		blk := sass.BlockRange{Start: int(r.u32()), End: int(r.u32())}
-		a.blocks = append(a.blocks, blk)
+	if n := r.count(8); n > 0 {
+		a.blocks = make([]sass.BlockRange, n)
+		for i := range a.blocks {
+			a.blocks[i] = sass.BlockRange{Start: int(r.u32()), End: int(r.u32())}
+		}
 	}
 	if r.err != nil {
 		return nil, r.err

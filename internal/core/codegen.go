@@ -32,17 +32,48 @@ func (n *NVBit) generate(fs *funcState) error {
 // the cache key covers, which is what makes artifacts shareable across
 // attaches.
 func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
-	art := &codeArtifact{}
-	toolIdx := make(map[string]int)
-	internName := func(name string) int64 {
-		if k, ok := toolIdx[name]; ok {
-			return int64(k)
-		}
-		k := len(art.toolNames)
-		toolIdx[name] = k
-		art.toolNames = append(art.toolNames, name)
-		return int64(k)
+	// Count the sites and what their trampolines hold — the relocated
+	// instruction (with a relocation when it is a relative branch) and the
+	// jump back; per group a save and a restore call; per call the CAL and a
+	// word (two where an immediate takes MOVI and MOVIH) for each 32 bits of
+	// argument — so the artifact's three arrays are each allocated once. Where
+	// a site needs more (predicate arguments, a predicate snapshot, an inlined
+	// body), append grows the array as usual.
+	sites, words, relocs := 0, 0, 0
+	argWords := 2
+	if n.hal.ImmFits(sass.OpMOVI, 1<<31) {
+		argWords = 1
 	}
+	for _, i := range fs.insts {
+		if !i.hasWork() {
+			continue
+		}
+		sites++
+		words += 2
+		relocs++
+		if i.inst.Op.IsRelativeBranch() {
+			relocs++
+		}
+		for _, group := range [2][]*callRequest{i.before, i.after} {
+			if len(group) > 0 {
+				words += 2
+				relocs += 2
+			}
+			for _, cr := range group {
+				words++
+				relocs++
+				for _, a := range cr.args {
+					words += a.bytes() / 4 * argWords
+				}
+			}
+		}
+	}
+	art := &codeArtifact{
+		sites:  make([]siteArtifact, 0, sites),
+		insts:  make([]sass.Inst, 0, words),
+		relocs: make([]reloc, 0, relocs),
+	}
+	var calls []siteCall // every site's resolved calls in turn
 	for _, i := range fs.insts {
 		if !i.hasWork() {
 			continue
@@ -52,28 +83,23 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 			art.sites = append(art.sites, siteArtifact{idx: i.idx, nopOnly: true})
 			continue
 		}
-		before, err := n.resolveCalls(i, i.before)
-		if err != nil {
+		var err error
+		if calls, err = n.resolveCalls(calls[:0], i, i.before); err != nil {
 			return nil, err
 		}
-		after, err := n.resolveCalls(i, i.after)
-		if err != nil {
+		nBefore := len(calls)
+		if calls, err = n.resolveCalls(calls, i, i.after); err != nil {
 			return nil, err
 		}
+		before, after := calls[:nBefore], calls[nBefore:]
 		// Inline injection: when liveness proves enough dead registers to
 		// hold every injected body's renamed working set, splice the bodies
 		// into the relocated stream and skip the save/restore machinery
 		// entirely. Any ineligible call falls the whole site back to
 		// save/CAL/restore.
-		var site siteArtifact
-		inlined := false
-		if n.injectMode == InjectInline {
-			site, inlined = n.inlineSite(fs, i, before, after)
+		if n.injectMode != InjectInline || !n.inlineSite(art, fs, i, before, after) {
+			n.trampolineSite(art, fs, i, before, after)
 		}
-		if !inlined {
-			site = n.trampolineSite(fs, i, before, after, internName)
-		}
-		art.sites = append(art.sites, site)
 	}
 	return art, nil
 }
@@ -93,9 +119,9 @@ type siteCall struct {
 	predReads sass.PredSet
 }
 
-// resolveCalls looks up and validates one group of call requests.
-func (n *NVBit) resolveCalls(i *Instr, group []*callRequest) ([]siteCall, error) {
-	calls := make([]siteCall, 0, len(group))
+// resolveCalls looks up and validates one group of call requests and appends
+// them to calls.
+func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, group []*callRequest) ([]siteCall, error) {
 	for _, cr := range group {
 		tf, err := n.loader.lookup(cr.funcName)
 		if err != nil {
@@ -141,33 +167,34 @@ func (n *NVBit) resolveCalls(i *Instr, group []*callRequest) ([]siteCall, error)
 // layoutSite is the per-site skeleton every injection strategy shares:
 // before-calls, the relocated original instruction (step 5 of Figure 4) or a
 // NOP when nvbit_remove_orig was requested, after-calls, and the jump back to
-// the instrumented code at the next program counter. emitGroup appends one
-// group's code to the site and reports whether it could. A relocated relative
-// control-flow instruction must have its offset adjusted for its new position
-// (Section 5.1), which depends on the trampoline base; the original
-// immediate rides along in the reloc.
-func layoutSite(site *siteArtifact, i *Instr, before, after []siteCall, emitGroup func([]siteCall) bool) bool {
+// the instrumented code at the next program counter. It appends to the
+// artifact's arrays; the site's code started at instruction i0, which is what
+// relocation slots count from. emitGroup appends one group's code and reports
+// whether it could. A relocated relative control-flow instruction must have
+// its offset adjusted for its new position (Section 5.1), which depends on the
+// trampoline base; the original immediate rides along in the reloc.
+func layoutSite(art *codeArtifact, i0 int, i *Instr, before, after []siteCall, emitGroup func([]siteCall) bool) bool {
 	if !emitGroup(before) {
 		return false
 	}
 	if i.removeOrig {
-		site.insts = append(site.insts, sass.NewInst(sass.OpNOP))
+		art.insts = append(art.insts, sass.NewInst(sass.OpNOP))
 	} else {
 		if i.inst.Op.IsRelativeBranch() {
-			site.relocs = append(site.relocs, reloc{kind: relocRelBranch, slot: len(site.insts), aux: i.inst.Imm})
+			art.relocs = append(art.relocs, reloc{kind: relocRelBranch, slot: len(art.insts) - i0, aux: i.inst.Imm})
 		}
-		site.insts = append(site.insts, i.inst)
+		art.insts = append(art.insts, i.inst)
 	}
 	if !emitGroup(after) {
 		return false
 	}
-	site.relocs = append(site.relocs, reloc{kind: relocRetJump, slot: len(site.insts)})
-	site.insts = append(site.insts, sass.NewInst(sass.OpJMP))
+	art.relocs = append(art.relocs, reloc{kind: relocRetJump, slot: len(art.insts) - i0})
+	art.insts = append(art.insts, sass.NewInst(sass.OpJMP))
 	return true
 }
 
-// trampolineSite generates the save/CAL/restore form of a site.
-func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall, internName func(string) int64) siteArtifact {
+// trampolineSite appends the save/CAL/restore form of a site to the artifact.
+func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, before, after []siteCall) {
 	hal := n.hal
 	f := fs.f
 	// Size the save set per site: the registers the liveness pass proves
@@ -225,6 +252,7 @@ func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall
 	// register to borrow, and guards keep the pre-liveness behavior of
 	// reading the bank at call time.
 	capture := needCapture && scratch < sass.NumRegs
+	i0, r0 := len(art.insts), len(art.relocs)
 	if capture {
 		// Snapshot the predicate bank at trampoline entry. The scratch
 		// register sits above everything the app, the marshalling and the
@@ -232,20 +260,21 @@ func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall
 		// guarded CAL re-reads it.
 		p2r := sass.NewInst(sass.OpP2R)
 		p2r.Dst = sass.Reg(scratch)
-		site.insts = append(site.insts, p2r)
+		art.insts = append(art.insts, p2r)
 	}
-	emitCall := func(kind relocKind, aux int64) *sass.Inst {
-		site.relocs = append(site.relocs, reloc{kind: kind, slot: len(site.insts), aux: aux})
-		site.insts = append(site.insts, sass.NewInst(sass.OpCAL))
-		return &site.insts[len(site.insts)-1]
+	emitCall := func(kind relocKind, aux int64, p sass.Pred, neg bool) {
+		art.relocs = append(art.relocs, reloc{kind: kind, slot: len(art.insts) - i0, aux: aux})
+		cal := sass.NewInst(sass.OpCAL)
+		cal.Pred, cal.PredNeg = p, neg
+		art.insts = append(art.insts, cal)
 	}
-	layoutSite(&site, i, before, after, func(group []siteCall) bool {
+	layoutSite(art, i0, i, before, after, func(group []siteCall) bool {
 		if len(group) == 0 {
 			return true
 		}
-		emitCall(relocSaveFn, int64(site.saveN))
+		emitCall(relocSaveFn, int64(site.saveN), sass.PT, false)
 		for _, c := range group {
-			site.insts = append(site.insts, n.marshalArgs(c, i, nil)...)
+			art.insts = n.marshalArgs(art.insts, c, i, nil)
 			if c.cr.guarded && capture {
 				// Re-materialize the site-entry predicate bank snapshot so
 				// the CAL's predicate match sees the values that held when
@@ -256,17 +285,16 @@ func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall
 				// observes this write.
 				r2p := sass.NewInst(sass.OpR2P)
 				r2p.Src1 = sass.Reg(scratch)
-				site.insts = append(site.insts, r2p)
+				art.insts = append(art.insts, r2p)
 			}
 			// Predicate matching on the call itself (Section 7 future
 			// work): non-matching lanes fall through past the CAL.
-			cal := emitCall(relocToolFn, internName(c.cr.funcName))
-			cal.Pred, cal.PredNeg = c.p, c.neg
+			emitCall(relocToolFn, art.toolIndex(c.cr.funcName), c.p, c.neg)
 		}
-		emitCall(relocRestoreFn, int64(site.saveN))
+		emitCall(relocRestoreFn, int64(site.saveN), sass.PT, false)
 		return true
 	})
-	return site
+	art.addSite(site, i0, r0)
 }
 
 // materializeArtifact is the device-side half of the Code Generator: it
@@ -274,6 +302,8 @@ func (n *NVBit) trampolineSite(fs *funcState, i *Instr, before, after []siteCall
 // resolves each site's relocations against this attach's save/restore and
 // tool-function load addresses, writes the trampolines to the device, and
 // substitutes each instrumented instruction with a jump to its trampoline.
+// Every site is resolved in and encoded from the instance's one scratch pair
+// (trampInsts, trampRaw), so the artifact stays as the cache holds it.
 // Inserting trampolines preserves the instruction layout — instrumented and
 // original code have the exact same size and occupy the same location in GPU
 // memory, so absolute jumps keep working regardless of which version is
@@ -297,13 +327,14 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			}
 			continue
 		}
-		// The artifact may be shared with concurrent attaches; resolve
-		// relocations on a private copy.
-		tr := append([]sass.Inst(nil), site.insts...)
+		// The artifact is device-independent; relocations are resolved on the
+		// instance's scratch copy of the site.
+		n.trampInsts = append(n.trampInsts[:0], of(site.insts, art.insts)...)
+		tr, relocs := n.trampInsts, of(site.relocs, art.relocs)
 		// Device-placement-independent relocations first (save/restore and
 		// tool functions load on demand, before trampoline space is carved,
 		// preserving the pre-artifact device allocation order).
-		for _, rl := range site.relocs {
+		for _, rl := range relocs {
 			switch rl.kind {
 			case relocSaveFn, relocRestoreFn:
 				save, restore, err := n.loader.saveRestore(int(rl.aux))
@@ -337,7 +368,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 		if err != nil {
 			return err
 		}
-		for _, rl := range site.relocs {
+		for _, rl := range relocs {
 			if rl.kind != relocRelBranch {
 				continue
 			}
@@ -348,10 +379,11 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			}
 			tr[rl.slot].Imm = newImm
 		}
-		raw, err := hal.Codec().EncodeAll(tr)
+		raw, err := hal.Codec().AppendEncode(n.trampRaw[:0], tr)
 		if err != nil {
 			return fmt.Errorf("nvbit: encoding trampoline for %s word %d: %w", f.Name, site.idx, err)
 		}
+		n.trampRaw = raw
 		if err := n.Device().WriteCode(base, raw); err != nil {
 			return err
 		}
@@ -377,18 +409,17 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	return nil
 }
 
-// marshalArgs emits the argument-passing sequence for one injected call,
-// placing each argument in its ABI register according to the device calling
-// convention. regMap says where the interrupted thread's state is read from.
-// A nil regMap is the trampoline: state comes from the save frame (LDSA,
+// marshalArgs appends to out the argument-passing sequence for one injected
+// call, placing each argument in its ABI register according to the device
+// calling convention. regMap says where the interrupted thread's state is read
+// from. A nil regMap is the trampoline: state comes from the save frame (LDSA,
 // RDPRED), not from live registers, which earlier marshalling or previous
 // injected calls may have clobbered. A non-nil regMap is the inline splice:
 // the ABI registers are renamed through it and state is read live (MOV,
 // P2R.ONE) — safe because inline code written so far has only touched renamed
 // dead registers and predicates.
-func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Reg) []sass.Inst {
+func (n *NVBit) marshalArgs(out []sass.Inst, c siteCall, site *Instr, regMap map[sass.Reg]sass.Reg) []sass.Inst {
 	live := regMap != nil
-	var out []sass.Inst
 	// readRegs leaves the site's register r (a pair when width is 2) in dst.
 	readRegs := func(dst, r sass.Reg, width int) {
 		if live {
@@ -404,6 +435,10 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 			out = append(out, ld)
 		}
 	}
+	loadImm64 := func(dst sass.Reg, v uint64) {
+		out = sass.AppendLoadImm32(out, n.hal.family, dst, uint32(v))
+		out = sass.AppendLoadImm32(out, n.hal.family, dst+1, uint32(v>>32))
+	}
 	for k, a := range c.cr.args {
 		abi := sass.Reg(c.tf.params[k].Offset)
 		if live {
@@ -415,10 +450,9 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 		case argRegVal64:
 			readRegs(abi, sass.Reg(a.reg), 2)
 		case argImm32:
-			out = append(out, sass.LoadImm32(n.hal.family, abi, uint32(a.imm))...)
+			out = sass.AppendLoadImm32(out, n.hal.family, abi, uint32(a.imm))
 		case argImm64:
-			out = append(out, sass.LoadImm32(n.hal.family, abi, uint32(a.imm))...)
-			out = append(out, sass.LoadImm32(n.hal.family, abi+1, uint32(a.imm>>32))...)
+			loadImm64(abi, a.imm)
 		case argCBank:
 			ld := sass.NewInst(sass.OpLDC)
 			ld.Dst, ld.Src1, ld.Imm = abi, sass.RZ, int64(a.off)
@@ -429,7 +463,7 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 			if a.kind == argGuardPred {
 				p, neg = site.inst.Pred, site.inst.PredNeg
 			}
-			out = append(out, predValSeq(abi, p, neg, live)...)
+			out = predValSeq(out, abi, p, neg, live)
 		case argMRefAddr:
 			// The 64-bit effective address of the site's memory reference
 			// (resolveCalls checked there is one): the base register plus
@@ -439,9 +473,7 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 			// the absolute offset.
 			mref, _ := site.inst.MemOperand()
 			if mref.Base == sass.RZ {
-				addr := uint64(mref.Offset)
-				out = append(out, sass.LoadImm32(n.hal.family, abi, uint32(addr))...)
-				out = append(out, sass.LoadImm32(n.hal.family, abi+1, uint32(addr>>32))...)
+				loadImm64(abi, uint64(mref.Offset))
 				break
 			}
 			if mref.Space == sass.MemGlobal {
@@ -463,25 +495,24 @@ func (n *NVBit) marshalArgs(c siteCall, site *Instr, regMap map[sass.Reg]sass.Re
 	return out
 }
 
-// predValSeq emits code leaving the value of predicate p at the site, as
-// 0/1, in dst: from the live bank through a single-predicate P2R, or from the
-// saved predicate image (RDPRED, which traps without a save frame). PT is
-// constant-folded.
-func predValSeq(dst sass.Reg, p sass.Pred, neg, live bool) []sass.Inst {
+// predValSeq appends to out code leaving the value of predicate p at the
+// site, as 0/1, in dst: from the live bank through a single-predicate P2R, or
+// from the saved predicate image (RDPRED, which traps without a save frame).
+// PT is constant-folded.
+func predValSeq(out []sass.Inst, dst sass.Reg, p sass.Pred, neg, live bool) []sass.Inst {
 	if p == sass.PT {
 		mv := sass.NewInst(sass.OpMOVI)
 		mv.Dst = dst
 		if !neg {
 			mv.Imm = 1
 		}
-		return []sass.Inst{mv}
+		return append(out, mv)
 	}
-	var seq []sass.Inst
 	if live {
 		rd := sass.NewInst(sass.OpP2R)
 		rd.Dst = dst
 		rd.Mods = sass.MakeMods(sass.P2RSingle, false, false, p)
-		seq = append(seq, rd)
+		out = append(out, rd)
 	} else {
 		rd := sass.NewInst(sass.OpRDPRED)
 		rd.Dst = dst
@@ -490,13 +521,13 @@ func predValSeq(dst sass.Reg, p sass.Pred, neg, live bool) []sass.Inst {
 		and := sass.NewInst(sass.OpLOP)
 		and.Dst, and.Src1, and.Src2, and.Imm = dst, dst, sass.RZ, 1
 		and.Mods = sass.MakeMods(sass.LopAnd, false, false, sass.PT)
-		seq = append(seq, rd, sh, and)
+		out = append(out, rd, sh, and)
 	}
 	if neg {
 		x := sass.NewInst(sass.OpLOP)
 		x.Dst, x.Src1, x.Src2, x.Imm = dst, dst, sass.RZ, 1
 		x.Mods = sass.MakeMods(sass.LopXor, false, false, sass.PT)
-		seq = append(seq, x)
+		out = append(out, x)
 	}
-	return seq
+	return out
 }

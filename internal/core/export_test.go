@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -12,13 +13,13 @@ import (
 // its flush-hook list.
 func (n *NVBit) Scope() *driver.Tenant { return n.scope }
 
-// ArtifactDigests re-runs the device-independent half of the Code Generator
-// over every function that carries an instrumentation plan and returns one
-// "<function> <SHA-256 of the encoded artifact>" line per function, sorted.
-// The plan stays attached to a function after it has been instrumented, so
-// this works both before and after the launch that materialized it.
-func (n *NVBit) ArtifactDigests() ([]string, error) {
-	var out []string
+// CodeArtifacts re-runs the device-independent half of the Code Generator
+// over every function that carries an instrumentation plan and returns each
+// one's encoded artifact by function name. The plan stays attached to a
+// function after it has been instrumented, so this works both before and after
+// the launch that materialized it.
+func (n *NVBit) CodeArtifacts() (map[string][]byte, error) {
+	out := make(map[string][]byte)
 	for f, fs := range n.funcs {
 		planned := false
 		for _, i := range fs.insts {
@@ -31,8 +32,40 @@ func (n *NVBit) ArtifactDigests() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}
-		out = append(out, fmt.Sprintf("%s %x", f.Name, sha256.Sum256(encodeCodeArtifact(art))))
+		out[f.Name] = encodeCodeArtifact(art)
+	}
+	return out, nil
+}
+
+// LiftArtifacts returns the encoded lift artifact of every function lifted.
+func (n *NVBit) LiftArtifacts() [][]byte {
+	var out [][]byte
+	for _, fs := range n.funcs {
+		out = append(out, encodeLiftArtifact(buildLiftArtifact(fs.raw)))
+	}
+	return out
+}
+
+// ArtifactDigests returns one "<function> <SHA-256 of the encoded artifact>"
+// line per function of CodeArtifacts, sorted.
+func (n *NVBit) ArtifactDigests() ([]string, error) {
+	code, err := n.CodeArtifacts()
+	var out []string
+	for name, blob := range code {
+		out = append(out, fmt.Sprintf("%s %x", name, sha256.Sum256(blob)))
 	}
 	sort.Strings(out)
-	return out, nil
+	return out, err
+}
+
+// RecodeCodeArtifact and RecodeLiftArtifact decode a blob and, when it is
+// accepted, report whether encoding the result gives the blob back.
+func RecodeCodeArtifact(b []byte) (accepted, same bool) {
+	a, err := decodeCodeArtifact(b)
+	return err == nil, err == nil && bytes.Equal(encodeCodeArtifact(a), b)
+}
+
+func RecodeLiftArtifact(b []byte) (accepted, same bool) {
+	a, err := decodeLiftArtifact(b)
+	return err == nil, err == nil && bytes.Equal(encodeLiftArtifact(a), b)
 }

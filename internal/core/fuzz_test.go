@@ -1,0 +1,85 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"nvbitgo/internal/core"
+)
+
+// artifactSeeds returns real encoded artifacts, each once: those of
+// specaccel:cg under the three golden tools, for both families and all three
+// injection modes. pick chooses the code or the lift artifacts of a run.
+func artifactSeeds(f *testing.F, pick func(cgArtifacts) [][]byte) [][]byte {
+	runs, err := cgRuns()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	var seeds [][]byte
+	for _, run := range runs {
+		for _, blob := range pick(run) {
+			if !seen[string(blob)] {
+				seen[string(blob)] = true
+				seeds = append(seeds, blob)
+			}
+		}
+	}
+	return seeds
+}
+
+// fuzzDecoder seeds f with the encoder's own output, which must decode, and
+// fuzzes recode under checkRecode.
+func fuzzDecoder(f *testing.F, seeds [][]byte, recode func([]byte) (accepted, same bool)) {
+	for _, blob := range seeds {
+		if ok, _ := recode(blob); !ok {
+			f.Fatalf("an encoded artifact of %d bytes does not decode", len(blob))
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) { checkRecode(t, blob, recode) })
+}
+
+// checkRecode holds a decoder to what a cache entry read from disk may
+// assume of it: it does not panic, it allocates no more than a constant
+// multiple of the input (a corrupt count must not size an array), and what it
+// accepts encodes back to the same bytes — so nothing in a blob is ignored.
+func checkRecode(t *testing.T, blob []byte, recode func([]byte) (accepted, same bool)) {
+	var accepted, same bool
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		accepted, same = recode(blob)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// In memory a site is 48 bytes for 22 serialized, an instruction 24 for
+	// 16, a relocation 24 for 13, a string's header 16 for its 4-byte length;
+	// re-encoding an accepted blob adds its length once more. The counter is
+	// the process's, and the fuzzing engine's own goroutines allocate now and
+	// then, so a reading past the bound is taken again.
+	got, max := allocated(), uint64(8*len(blob)+4096)
+	for try := 0; got > max && try < 3; try++ {
+		got = allocated()
+	}
+	if got > max {
+		t.Errorf("decoding %d bytes allocated %d, more than %d", len(blob), got, max)
+	}
+	if accepted && !same {
+		t.Errorf("a blob of %d bytes was accepted and encodes back to different bytes", len(blob))
+	}
+}
+
+func FuzzDecodeCodeArtifact(f *testing.F) {
+	seeds := artifactSeeds(f, func(run cgArtifacts) (blobs [][]byte) {
+		for _, blob := range run.code {
+			blobs = append(blobs, blob)
+		}
+		return blobs
+	})
+	fuzzDecoder(f, seeds, core.RecodeCodeArtifact)
+}
+
+func FuzzDecodeLiftArtifact(f *testing.F) {
+	fuzzDecoder(f, artifactSeeds(f, func(run cgArtifacts) [][]byte { return run.lift }), core.RecodeLiftArtifact)
+}

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"nvbitgo/internal/core"
@@ -201,36 +203,113 @@ func synthDigests(fam sass.Family, mode core.InjectionMode) ([]string, error) {
 	return lines, nil
 }
 
-// cgDigests runs specaccel:cg Small under one tool and returns a line per
-// instrumented function.
-func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]string, error) {
+// instrumentCG runs specaccel:cg Small under one tool on a fresh device. The
+// caller closes the driver.
+func instrumentCG(fam sass.Family, mode core.InjectionMode, toolName string) (*driver.API, *core.NVBit, error) {
 	api, err := driver.New(gpu.DefaultConfig(fam))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer api.Close()
 	nv, err := core.Attach(api, goldenTools[toolName](), core.WithInjectionMode(mode))
+	if err == nil {
+		var ctx *driver.Context
+		if ctx, err = api.CtxCreate(); err == nil {
+			err = sessionBenchmark("cg").Run(ctx, specaccel.Small)
+		}
+	}
+	if err != nil {
+		api.Close()
+		return nil, nil, err
+	}
+	return api, nv, nil
+}
+
+// cgArtifacts is what one instrumented cg run generated: each instrumented
+// function's encoded code artifact by name, and every lifted function's
+// encoded lift artifact.
+type cgArtifacts struct {
+	code map[string][]byte
+	lift [][]byte
+}
+
+// cgRuns runs cg once for every golden family, injection mode and tool, for
+// the golden below and the decoders' fuzz seeds alike.
+var cgRuns = sync.OnceValues(func() (map[string]cgArtifacts, error) {
+	runs := make(map[string]cgArtifacts)
+	for _, fam := range goldenFamilies {
+		for _, mode := range goldenModes {
+			for tool := range goldenTools {
+				name := fmt.Sprintf("cg/%v/%v/%s", fam, mode, tool)
+				api, nv, err := instrumentCG(fam, mode, tool)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", name, err)
+				}
+				code, err := nv.CodeArtifacts()
+				api.Close()
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", name, err)
+				}
+				runs[name] = cgArtifacts{code: code, lift: nv.LiftArtifacts()}
+			}
+		}
+	}
+	return runs, nil
+})
+
+// cgDigests returns a line per function cg instrumented under the tool.
+func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]string, error) {
+	runs, err := cgRuns()
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := api.CtxCreate()
-	if err != nil {
-		return nil, err
-	}
-	if err := sessionBenchmark("cg").Run(ctx, specaccel.Small); err != nil {
-		return nil, err
-	}
-	ds, err := nv.ArtifactDigests()
-	if err != nil {
-		return nil, err
+	name := fmt.Sprintf("cg/%v/%v/%s", fam, mode, toolName)
+	var ds []string
+	for fn, blob := range runs[name].code {
+		ds = append(ds, fmt.Sprintf("%s/%s %x", name, fn, sha256.Sum256(blob)))
 	}
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("%s instrumented nothing", toolName)
 	}
-	for k := range ds {
-		ds[k] = fmt.Sprintf("cg/%v/%v/%s/%s", fam, mode, toolName, ds[k])
-	}
+	sort.Strings(ds)
 	return ds, nil
+}
+
+// materializedGolden is the SHA-256 of the device's whole code space — the
+// application's modules with the instrumented functions resident, the tool
+// functions, the save and restore routines and every trampoline — after cg
+// ran under instrcount, recorded at PR 16. TestCodegenGolden pins the
+// device-independent artifact; this pins what materialization makes of it:
+// the order device addresses are handed out in and the encoded bytes.
+var materializedGolden = map[string]string{
+	"Kepler/trampoline": "da49a178f4ebd17694ea8c2133be9d7c2380dcaa2d63ed2cab82a7c26ac38f25",
+	"Kepler/inline":     "7a3d2a639cc8fe8b4d2a977e8d0f9ae04b6fdac02629fb148d50904d25b684bb",
+	"Volta/trampoline":  "9c420faf7da6ef898cde8632ebbafa38ff6c535768e57ca451da71f4bd0dbf4e",
+	"Volta/inline":      "ee8cbd1b00248e15fb09d16f62400dd9777277790532ba1e1a61001d3850d8e6",
+}
+
+func TestMaterializedCodeGolden(t *testing.T) {
+	for _, fam := range goldenFamilies {
+		for _, mode := range []core.InjectionMode{core.InjectTrampoline, core.InjectInline} {
+			api, _, err := instrumentCG(fam, mode, "instrcount")
+			if err != nil {
+				t.Fatalf("%v/%v: %v", fam, mode, err)
+			}
+			// Nothing is allocated; the address returned is the first free word.
+			top, err := api.Device().AllocCode(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, err := api.Device().ReadCode(0, int(top))
+			api.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%v/%v", fam, mode)
+			if got := fmt.Sprintf("%x", sha256.Sum256(code)); got != materializedGolden[name] {
+				t.Errorf("%s: %d code words hash to %s, want %s", name, top, got, materializedGolden[name])
+			}
+		}
+	}
 }
 
 // TestCodegenGolden compares every digest with testdata/codegen_golden.txt.

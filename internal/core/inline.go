@@ -33,13 +33,14 @@ import (
 // save area instead). The cap is an occupancy policy, not a correctness
 // requirement.
 
-// inlineSite attempts inline injection for one instrumented site. It returns
-// ok=false when any call at the site is ineligible, in which case the caller
-// emits an ordinary trampoline.
-func (n *NVBit) inlineSite(fs *funcState, i *Instr, before, after []siteCall) (siteArtifact, bool) {
+// inlineSite attempts inline injection for one instrumented site, appending
+// the site to the artifact. It reports false, with the artifact as it found
+// it, when any call at the site is ineligible; the caller then emits an
+// ordinary trampoline.
+func (n *NVBit) inlineSite(art *codeArtifact, fs *funcState, i *Instr, before, after []siteCall) bool {
 	live := fs.liveness()
 	if live.Conservative() {
-		return siteArtifact{}, false
+		return false
 	}
 	liveRegs, livePreds := live.SiteLive(i.idx)
 	origDefs, _, origPDefs, _ := sass.DefUse(i.inst)
@@ -59,7 +60,7 @@ func (n *NVBit) inlineSite(fs *funcState, i *Instr, before, after []siteCall) (s
 			// post-original values — fall back.
 			if g == 1 && !i.removeOrig &&
 				(origPDefs.Has(c.p) || !c.reads.Intersect(origDefs).Empty() || c.predReads&origPDefs != 0) {
-				return siteArtifact{}, false
+				return false
 			}
 			marshalReads = marshalReads.Union(c.reads)
 			predExcl |= c.predReads
@@ -72,23 +73,29 @@ func (n *NVBit) inlineSite(fs *funcState, i *Instr, before, after []siteCall) (s
 	// Allocate each call independently from the full pool: bodies never read
 	// another body's renamed registers, so reuse across calls is safe and
 	// keeps the per-site demand at the largest single working set.
-	site := siteArtifact{idx: i.idx, inline: true}
-	ok := layoutSite(&site, i, before, after, func(group []siteCall) bool {
+	i0, r0 := len(art.insts), len(art.relocs)
+	ok := layoutSite(art, i0, i, before, after, func(group []siteCall) bool {
 		for _, c := range group {
-			if !n.spliceCall(&site, c, i, pool, deadPreds) {
+			if !n.spliceCall(art, i0, c, i, pool, deadPreds) {
 				return false
 			}
 		}
 		return true
 	})
-	return site, ok
+	if !ok {
+		art.insts, art.relocs = art.insts[:i0], art.relocs[:r0]
+		return false
+	}
+	art.addSite(siteArtifact{idx: i.idx, inline: true}, i0, r0)
+	return true
 }
 
 // spliceCall renames one tool body into dead registers and appends its
-// marshalling, guard skip and body to the site. It reports false when the
-// body cannot be spliced at all (see sass.BodyFootprint), the dead set cannot
-// hold the working set, or a skip distance is unencodable.
-func (n *NVBit) spliceCall(site *siteArtifact, c siteCall, i *Instr, pool sass.RegSet, deadPreds sass.PredSet) bool {
+// marshalling, guard skip and body to the site that started at instruction
+// i0. It reports false when the body cannot be spliced at all (see
+// sass.BodyFootprint), the dead set cannot hold the working set, or a skip
+// distance is unencodable.
+func (n *NVBit) spliceCall(art *codeArtifact, i0 int, c siteCall, i *Instr, pool sass.RegSet, deadPreds sass.PredSet) bool {
 	fp, ok := sass.BodyFootprint(c.tf.insts)
 	if !ok {
 		return false
@@ -119,44 +126,42 @@ func (n *NVBit) spliceCall(site *siteArtifact, c siteCall, i *Instr, pool sass.R
 	if !ok {
 		return false
 	}
-	tr := &site.insts
-	*tr = append(*tr, n.marshalArgs(c, i, regMap)...)
+	art.insts = n.marshalArgs(art.insts, c, i, regMap)
+	// skip appends a branch over the next d instructions.
+	skip := func(p sass.Pred, neg bool, d int) bool {
+		if !n.hal.ImmFits(sass.OpBRA, int64(d)) {
+			return false
+		}
+		br := sass.NewInst(sass.OpBRA)
+		br.Pred, br.PredNeg = p, neg
+		art.relocs = append(art.relocs, reloc{kind: relocInlineSkip, slot: len(art.insts) - i0, aux: int64(d)})
+		art.insts = append(art.insts, br)
+		return true
+	}
 
 	body := sass.RenameBody(c.tf.insts, regMap, predMap)
 	emitLen := len(body)
 	if emitLen > 0 && body[emitLen-1].Op == sass.OpRET && !body[emitLen-1].Guarded() {
 		emitLen-- // the return point is simply the next inline instruction
 	}
-	if c.p != sass.PT {
-		// Skip the body when the guard does not match. The skip distance is
-		// body-relative and thus placement-independent; it is recorded as a
-		// relocation so cached artifacts stay self-describing.
-		if !n.hal.ImmFits(sass.OpBRA, int64(emitLen)) {
-			return false
-		}
-		skip := sass.NewInst(sass.OpBRA)
-		skip.Pred, skip.PredNeg = c.p, !c.neg
-		site.relocs = append(site.relocs, reloc{kind: relocInlineSkip, slot: len(*tr), aux: int64(emitLen)})
-		*tr = append(*tr, skip)
+	// Skip the body when the guard does not match. The skip distance is
+	// body-relative and thus placement-independent; it is recorded as a
+	// relocation so cached artifacts stay self-describing.
+	if c.p != sass.PT && !skip(c.p, !c.neg, emitLen) {
+		return false
 	}
-	for k := 0; k < emitLen; k++ {
-		in := body[k]
-		if in.Op == sass.OpRET {
-			// An interior return becomes a (possibly guarded) skip over the
-			// rest of the body. A branch that targeted the dropped trailing
-			// RET keeps working: its target is now the instruction after the
-			// body, which is exactly the return point.
-			d := int64(emitLen - k - 1)
-			if !n.hal.ImmFits(sass.OpBRA, d) {
-				return false
-			}
-			skip := sass.NewInst(sass.OpBRA)
-			skip.Pred, skip.PredNeg = in.Pred, in.PredNeg
-			site.relocs = append(site.relocs, reloc{kind: relocInlineSkip, slot: len(*tr), aux: d})
-			*tr = append(*tr, skip)
+	for k, in := range body[:emitLen] {
+		if in.Op != sass.OpRET {
+			art.insts = append(art.insts, in)
 			continue
 		}
-		*tr = append(*tr, in)
+		// An interior return becomes a (possibly guarded) skip over the rest
+		// of the body. A branch that targeted the dropped trailing RET keeps
+		// working: its target is now the instruction after the body, which is
+		// exactly the return point.
+		if !skip(in.Pred, in.PredNeg, emitLen-k-1) {
+			return false
+		}
 	}
 	return true
 }

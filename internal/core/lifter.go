@@ -136,9 +136,18 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 // buildLiftArtifact runs the expensive half of the lift — per-instruction
 // SASS text and the basic-block partition — producing the cacheable form.
 func buildLiftArtifact(insts []sass.Inst) *liftArtifact {
+	// The function's text is rendered into one buffer and becomes one string
+	// that each instruction's is a piece of.
 	a := &liftArtifact{sassText: make([]string, len(insts))}
+	buf := make([]byte, 0, 32*len(insts))
+	ends := make([]int, len(insts))
 	for i, in := range insts {
-		a.sassText[i] = sass.Format(in)
+		buf = sass.AppendFormat(buf, in)
+		ends[i] = len(buf)
+	}
+	text, start := string(buf), 0
+	for i, end := range ends {
+		a.sassText[i], start = text[start:end], end
 	}
 	if ranges, ok := sass.BasicBlocks(insts); ok {
 		a.blocks = ranges

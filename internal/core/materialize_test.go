@@ -69,7 +69,7 @@ func TestMaterializeBoundaries(t *testing.T) {
 	for _, fam := range []sass.Family{sass.Pascal, sass.Volta} {
 		const dst = sass.Reg(9)
 		for _, v := range materializeCases {
-			seq := sass.LoadImm32(fam, dst, v)
+			seq := sass.AppendLoadImm32(nil, fam, dst, v)
 			if fam == sass.Volta && len(seq) != 1 {
 				t.Errorf("%v: Volta materialize(%#x) used %d instructions, want 1", fam, v, len(seq))
 			}
@@ -99,7 +99,7 @@ func b2i(b bool) int {
 // MOVIH's unsigned 12 bits.
 func TestMaterializeSplitImmediatesEncodable(t *testing.T) {
 	for _, v := range materializeCases {
-		for _, in := range sass.LoadImm32(sass.Pascal, 3, v) {
+		for _, in := range sass.AppendLoadImm32(nil, sass.Pascal, 3, v) {
 			if !sass.ImmFits(sass.Pascal, in.Op, in.Imm) {
 				t.Errorf("materialize(%#x): %v immediate %#x not encodable on Pascal", v, in.Op, in.Imm)
 			}

@@ -19,9 +19,14 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // ("ab","c" vs "a","bc"). The domain string separates key namespaces (e.g.
 // lift objects vs code objects) and doubles as the schema version: bumping
 // it invalidates every existing entry without touching the store.
+//
+// Fields collect in a buffer of whole SHA-256 blocks that is handed to the
+// hash when full: a key is thousands of eight-byte fields, and the digest is
+// that of the same bytes written one field at a time.
 type Hasher struct {
 	h   hash.Hash
-	buf [binary.MaxVarintLen64]byte
+	n   int // bytes of buf in use
+	buf [8 * sha256.BlockSize]byte
 }
 
 // NewHasher starts a fingerprint in the given domain.
@@ -31,10 +36,34 @@ func NewHasher(domain string) *Hasher {
 	return h
 }
 
+func (h *Hasher) flush() {
+	h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
+// write appends the bytes of b, a string or a byte slice.
+func write[T string | []byte](h *Hasher, b T) {
+	for len(b) > 0 {
+		if h.n == len(h.buf) {
+			h.flush()
+		}
+		k := copy(h.buf[h.n:], b)
+		h.n += k
+		b = b[k:]
+	}
+}
+
 // Uint64 appends a fixed-width unsigned field.
 func (h *Hasher) Uint64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:8], v)
-	h.h.Write(h.buf[:8])
+	if h.n+8 > len(h.buf) {
+		// The field straddles the end of the buffer.
+		var f [8]byte
+		binary.LittleEndian.PutUint64(f[:], v)
+		write(h, f[:])
+		return
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
+	h.n += 8
 }
 
 // Int64 appends a fixed-width signed field.
@@ -55,17 +84,18 @@ func (h *Hasher) Bool(v bool) {
 // Bytes appends a length-prefixed variable-length field.
 func (h *Hasher) Bytes(b []byte) {
 	h.Uint64(uint64(len(b)))
-	h.h.Write(b)
+	write(h, b)
 }
 
 // String appends a length-prefixed string field.
 func (h *Hasher) String(s string) {
 	h.Uint64(uint64(len(s)))
-	h.h.Write([]byte(s))
+	write(h, s)
 }
 
 // Sum finalizes the fingerprint. The Hasher must not be reused after Sum.
 func (h *Hasher) Sum() Key {
+	h.flush()
 	var k Key
 	h.h.Sum(k[:0])
 	return k

@@ -50,6 +50,63 @@ func TestFingerprintFieldBoundaries(t *testing.T) {
 	}
 }
 
+// TestHasherDigestGolden pins the byte stream behind a key: digests recorded
+// with the hasher that wrote each field straight to SHA-256, which a cache
+// directory primed by an older binary depends on. The sequences cover every
+// field method, a string longer than the hasher's buffer, and byte fields
+// that end just short of, on and just past the point where it flushes.
+func TestHasherDigestGolden(t *testing.T) {
+	// The field sizes below are fixed, as the digests are; they were chosen
+	// around this buffer length.
+	const bufLen = 512
+	if n := len((&Hasher{}).buf); n != bufLen {
+		t.Fatalf("the hasher buffers %d bytes; choose field sizes around that and keep the old ones", n)
+	}
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + n)
+		}
+		return b
+	}
+	fields := func(h *Hasher) {
+		h.Uint64(0xfeedfacecafebeef)
+		h.Int64(-2)
+		h.Int(-3)
+		h.Bool(true)
+		h.Bool(false)
+		h.String("")
+		h.Bytes(nil)
+		h.String("instrcount_tally")
+	}
+	cases := []struct {
+		name string
+		feed func(h *Hasher)
+		want string
+	}{
+		{"domain only", func(*Hasher) {}, "926ebe3232c5a1c4d6c8a1de44b680b57f3cd6f4907c50420b95e53b737cb37c"},
+		{"every field method", fields, "5d90dd53c602a4bc4967206d23d3f0e9f547d80f3f387a300c320d2b1dcb9490"},
+		{"string longer than the buffer", func(h *Hasher) {
+			h.String(string(pattern(3*bufLen + 5)))
+			fields(h)
+		}, "ce06514a12dc77bf343504a5a6614dc7801d60ba343a02ecf47b15cc4f3c40d4"},
+		{"bytes straddling a flush", func(h *Hasher) {
+			for _, n := range []int{bufLen - 64, 1, 7, 8, 9, bufLen, 2*bufLen + 3} {
+				fields(h)
+				h.Bytes(pattern(n))
+			}
+			h.Int(1)
+		}, "06c6e3566abfaa963803ada54802dfe68c65610d993e4865d15417b44d758147"},
+	}
+	for _, c := range cases {
+		h := NewHasher("nvbitgo/golden/v1")
+		c.feed(h)
+		if got := h.Sum().String(); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestMemoryRoundtrip(t *testing.T) {
 	c, err := New("", 0)
 	if err != nil {

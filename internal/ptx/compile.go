@@ -285,7 +285,8 @@ func (c *compiler) tmp(wide bool) sass.Reg {
 
 // loadImm emits code loading a 32-bit constant into dst.
 func (c *compiler) loadImm(dst sass.Reg, v uint32) {
-	for _, in := range sass.LoadImm32(c.family, dst, v) {
+	var seq [2]sass.Inst
+	for _, in := range sass.AppendLoadImm32(seq[:0], c.family, dst, v) {
 		c.emit(in)
 	}
 }

@@ -118,20 +118,20 @@ func ImmFits(f Family, op Opcode, imm int64) bool {
 	return imm >= imm20Min && imm <= imm20Max
 }
 
-// LoadImm32 returns the instructions that load a 32-bit constant into dst,
-// legalized for the family's immediate width: one MOVI where the value fits,
-// else MOVI for the low 20 bits (encoded sign-extended; MOVIH overwrites the
-// top bits anyway) and MOVIH for bits 20..31.
-func LoadImm32(f Family, dst Reg, v uint32) []Inst {
+// AppendLoadImm32 appends the instructions that load a 32-bit constant into
+// r, legalized for the family's immediate width: one MOVI where the value
+// fits, else MOVI for the low 20 bits (encoded sign-extended; MOVIH overwrites
+// the top bits anyway) and MOVIH for bits 20..31.
+func AppendLoadImm32(dst []Inst, f Family, r Reg, v uint32) []Inst {
 	lo := NewInst(OpMOVI)
-	lo.Dst, lo.Imm = dst, int64(int32(v))
+	lo.Dst, lo.Imm = r, int64(int32(v))
 	if ImmFits(f, OpMOVI, lo.Imm) {
-		return []Inst{lo}
+		return append(dst, lo)
 	}
 	lo.Imm = int64(v&0xFFFFF) << 44 >> 44
 	hi := NewInst(OpMOVIH)
-	hi.Dst, hi.Imm = dst, int64(v>>20)
-	return []Inst{lo, hi}
+	hi.Dst, hi.Imm = r, int64(v>>20)
+	return append(dst, lo, hi)
 }
 
 // Encode writes the instruction into dst, which must be at least InstBytes
@@ -236,14 +236,19 @@ func (c *Codec) Decode(src []byte) (Inst, error) {
 
 // EncodeAll encodes a sequence of instructions into a fresh buffer.
 func (c *Codec) EncodeAll(insts []Inst) ([]byte, error) {
-	ib := c.InstBytes()
-	buf := make([]byte, len(insts)*ib)
+	return c.AppendEncode(make([]byte, 0, len(insts)*c.InstBytes()), insts)
+}
+
+// AppendEncode appends the encoding of insts to dst.
+func (c *Codec) AppendEncode(dst []byte, insts []Inst) ([]byte, error) {
+	ib, n := c.InstBytes(), len(dst)
+	dst = append(dst, make([]byte, len(insts)*ib)...)
 	for i, in := range insts {
-		if err := c.Encode(in, buf[i*ib:]); err != nil {
+		if err := c.Encode(in, dst[n+i*ib:]); err != nil {
 			return nil, fmt.Errorf("at instruction %d: %w", i, err)
 		}
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // DecodeAll decodes a whole code buffer, which must be a multiple of the

@@ -1,7 +1,5 @@
 package sass
 
-import "fmt"
-
 // Mods packs the per-opcode modifier bits of an instruction. The field is a
 // union: its meaning depends on the opcode, exactly as modifier bits do in
 // real machine encodings.
@@ -63,12 +61,7 @@ const (
 var cmpNames = [...]string{"EQ", "NE", "LT", "LE", "GT", "GE"}
 
 // CmpName returns the assembly suffix for a comparison sub-op.
-func CmpName(s int) string {
-	if s >= 0 && s < len(cmpNames) {
-		return cmpNames[s]
-	}
-	return fmt.Sprintf("CMP%d", s)
-}
+func CmpName(s int) string { return numbered(cmpNames[:], "CMP", int64(s)) }
 
 // Atomic sub-operations (ATOM, RED).
 const (
@@ -84,12 +77,7 @@ const (
 var atomNames = [...]string{"ADD", "MIN", "MAX", "EXCH", "AND", "OR", "XOR"}
 
 // AtomName returns the assembly suffix for an atomic sub-op.
-func AtomName(s int) string {
-	if s >= 0 && s < len(atomNames) {
-		return atomNames[s]
-	}
-	return fmt.Sprintf("ATOM%d", s)
-}
+func AtomName(s int) string { return numbered(atomNames[:], "ATOM", int64(s)) }
 
 // MUFU sub-operations.
 const (
@@ -105,12 +93,7 @@ const (
 var mufuNames = [...]string{"RCP", "RSQ", "SQRT", "SIN", "COS", "EX2", "LG2"}
 
 // MufuName returns the assembly suffix for a MUFU sub-op.
-func MufuName(s int) string {
-	if s >= 0 && s < len(mufuNames) {
-		return mufuNames[s]
-	}
-	return fmt.Sprintf("MUFU%d", s)
-}
+func MufuName(s int) string { return numbered(mufuNames[:], "MUFU", int64(s)) }
 
 // SHFL modes.
 const (
@@ -123,12 +106,7 @@ const (
 var shflNames = [...]string{"UP", "DOWN", "BFLY", "IDX"}
 
 // ShflName returns the assembly suffix for a SHFL mode.
-func ShflName(s int) string {
-	if s >= 0 && s < len(shflNames) {
-		return shflNames[s]
-	}
-	return fmt.Sprintf("SHFL%d", s)
-}
+func ShflName(s int) string { return numbered(shflNames[:], "SHFL", int64(s)) }
 
 // VOTE modes.
 const (
@@ -140,12 +118,7 @@ const (
 var voteNames = [...]string{"BALLOT", "ANY", "ALL"}
 
 // VoteName returns the assembly suffix for a VOTE mode.
-func VoteName(s int) string {
-	if s >= 0 && s < len(voteNames) {
-		return voteNames[s]
-	}
-	return fmt.Sprintf("VOTE%d", s)
-}
+func VoteName(s int) string { return numbered(voteNames[:], "VOTE", int64(s)) }
 
 // LOP sub-operations.
 const (
@@ -158,12 +131,7 @@ const (
 var lopNames = [...]string{"AND", "OR", "XOR", "NOT"}
 
 // LopName returns the assembly suffix for a LOP sub-op.
-func LopName(s int) string {
-	if s >= 0 && s < len(lopNames) {
-		return lopNames[s]
-	}
-	return fmt.Sprintf("LOP%d", s)
-}
+func LopName(s int) string { return numbered(lopNames[:], "LOP", int64(s)) }
 
 // P2R modes.
 const (

@@ -13,7 +13,10 @@
 // libnvbit.a).
 package sass
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Family identifies a GPU architecture family. The instruction width and the
 // opcode numbering differ per family; the hardware abstraction layer in the
@@ -54,12 +57,17 @@ const RZ Reg = 255
 // NumRegs is the number of allocatable general-purpose registers per thread.
 const NumRegs = 255
 
-func (r Reg) String() string {
-	if r == RZ {
-		return "RZ"
+// regNames holds every register's assembly name, so that printing one is a
+// table read.
+var regNames = func() (t [256]string) {
+	for r := range t {
+		t[r] = "R" + strconv.Itoa(r)
 	}
-	return fmt.Sprintf("R%d", int(r))
-}
+	t[RZ] = "RZ"
+	return t
+}()
+
+func (r Reg) String() string { return regNames[r] }
 
 // Pred is a predicate register index. P0..P6 are ordinary predicates; PT (7)
 // is hardwired true and discards writes.
@@ -71,11 +79,17 @@ const PT Pred = 7
 // NumPreds is the number of writable predicate registers per thread.
 const NumPreds = 7
 
-func (p Pred) String() string {
-	if p == PT {
-		return "PT"
+var predNames = [...]string{"P0", "P1", "P2", "P3", "P4", "P5", "P6", "PT"}
+
+func (p Pred) String() string { return numbered(predNames[:], "P", int64(p)) }
+
+// numbered returns names[i], or prefix followed by i in decimal for an index
+// the table does not name (only a hand-built Inst carries one).
+func numbered(names []string, prefix string, i int64) string {
+	if i >= 0 && i < int64(len(names)) && names[i] != "" {
+		return names[i]
 	}
-	return fmt.Sprintf("P%d", int(p))
+	return prefix + strconv.FormatInt(i, 10)
 }
 
 // Opcode enumerates the synthetic SASS operations. The numeric values here
@@ -180,12 +194,7 @@ var opNames = [...]string{
 	OpRDREG: "RDREG", OpWRREG: "WRREG", OpRDPRED: "RDPRED", OpWRPRED: "WRPRED",
 }
 
-func (op Opcode) String() string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
-	}
-	return fmt.Sprintf("OP%d", int(op))
-}
+func (op Opcode) String() string { return numbered(opNames[:], "OP", int64(op)) }
 
 // Valid reports whether op is a defined opcode.
 func (op Opcode) Valid() bool { return int(op) < NumOpcodes }
@@ -268,9 +277,4 @@ var srNames = [...]string{
 }
 
 // SpecialRegName returns the assembly name of an S2R source.
-func SpecialRegName(id int64) string {
-	if id >= 0 && id < NumSpecialRegs {
-		return srNames[id]
-	}
-	return fmt.Sprintf("SR_%d", id)
-}
+func SpecialRegName(id int64) string { return numbered(srNames[:], "SR_", id) }

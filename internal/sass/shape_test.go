@@ -68,12 +68,21 @@ func everyInst(f func(Inst)) {
 
 // TestFormatParseFixedPointExhaustive: Format → ParseInst → Format is a fixed
 // point, and parsing recovers the same operands, for every opcode, sub-op
-// variant and width.
+// variant and width. AppendFormat writes the same text after whatever the
+// destination already holds, from a nil destination too.
 func TestFormatParseFixedPointExhaustive(t *testing.T) {
 	n := 0
+	var buf []byte
 	everyInst(func(in Inst) {
 		n++
 		text := Format(in)
+		if got := string(AppendFormat(nil, in)); got != text {
+			t.Fatalf("AppendFormat(nil) = %q, Format = %q", got, text)
+		}
+		buf = AppendFormat(append(buf[:0], "/*0*/ "...), in)
+		if got := string(buf); got != "/*0*/ "+text {
+			t.Fatalf("AppendFormat after a prefix = %q, want the prefix and %q", got, text)
+		}
 		got, err := ParseInst(text)
 		if err != nil {
 			t.Fatalf("parse %q (from %+v): %v", text, in, err)

@@ -13,104 +13,113 @@ import (
 //	     ISETP.LT.U32 P1, R7, RZ, 100 ;
 //
 // The output round-trips through ParseInst.
-func Format(in Inst) string {
-	var b strings.Builder
+func Format(in Inst) string { return string(AppendFormat(make([]byte, 0, 48), in)) }
+
+// AppendFormat appends Format(in) to dst. It allocates only when dst has to
+// grow, so a caller rendering a whole function pays for one buffer.
+func AppendFormat(dst []byte, in Inst) []byte {
 	if in.Guarded() {
-		b.WriteByte('@')
+		dst = append(dst, '@')
 		if in.PredNeg {
-			b.WriteByte('!')
+			dst = append(dst, '!')
 		}
-		b.WriteString(in.Pred.String())
-		b.WriteByte(' ')
+		dst = append(dst, in.Pred.String()...)
+		dst = append(dst, ' ')
 	}
-	b.WriteString(in.Op.String())
-	b.WriteString(opSuffix(in))
-	formatOperands(&b, &in)
-	b.WriteString(" ;")
-	return b.String()
+	dst = append(dst, in.Op.String()...)
+	dst = appendSuffix(dst, in)
+	dst = appendOperands(dst, &in)
+	return append(dst, " ;"...)
 }
 
-func opSuffix(in Inst) string {
-	var s string
+func appendSuffix(dst []byte, in Inst) []byte {
+	sub, flag := "", ""
 	switch in.Op {
 	case OpISETP:
-		s = "." + CmpName(in.Mods.SubOp())
-		if in.Mods.Flag() {
-			s += ".U32"
-		}
+		sub, flag = CmpName(in.Mods.SubOp()), ".U32"
 	case OpFSETP:
-		s = "." + CmpName(in.Mods.SubOp())
+		sub = CmpName(in.Mods.SubOp())
 	case OpLOP:
-		s = "." + LopName(in.Mods.SubOp())
+		sub = LopName(in.Mods.SubOp())
 	case OpATOM, OpRED:
-		s = "." + AtomName(in.Mods.SubOp())
-		if in.Mods.Flag() {
-			s += ".F"
-		}
+		sub, flag = AtomName(in.Mods.SubOp()), ".F"
 	case OpMUFU:
-		s = "." + MufuName(in.Mods.SubOp())
+		sub = MufuName(in.Mods.SubOp())
 	case OpSHFL:
-		s = "." + ShflName(in.Mods.SubOp())
+		sub = ShflName(in.Mods.SubOp())
 	case OpVOTE:
-		s = "." + VoteName(in.Mods.SubOp())
+		sub = VoteName(in.Mods.SubOp())
 	case OpP2R:
 		if in.Mods.SubOp() == P2RSingle {
-			s = ".ONE"
+			sub = "ONE"
 		}
 	}
-	if in.Mods.Wide() {
-		s += ".W"
+	if sub != "" {
+		dst = append(append(dst, '.'), sub...)
 	}
-	return s
+	if in.Mods.Flag() {
+		dst = append(dst, flag...)
+	}
+	if in.Mods.Wide() {
+		dst = append(dst, ".W"...)
+	}
+	return dst
 }
 
-// formatOperands writes " op, op, ..." for the instruction's operand slots.
-func formatOperands(b *strings.Builder, in *Inst) {
+// appendOperands writes " op, op, ..." for the instruction's operand slots.
+func appendOperands(dst []byte, in *Inst) []byte {
 	sh := in.shape()
 	for k, s := range sh.slots {
 		if k == 0 {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		} else {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
 		switch s.f {
 		case fImm:
-			b.WriteString(formatImm(in.Imm))
+			if in.Imm >= 10 {
+				dst = append(dst, "0x"...)
+				dst = strconv.AppendInt(dst, in.Imm, 16)
+			} else {
+				dst = strconv.AppendInt(dst, in.Imm, 10)
+			}
 		case fSpecial:
-			b.WriteString(SpecialRegName(in.Imm))
+			dst = append(dst, SpecialRegName(in.Imm)...)
 		case fMRef:
 			if sh.space == MemConst {
-				fmt.Fprintf(b, "c[%d]", in.Mods.SubOp())
+				dst = append(dst, "c["...)
+				dst = strconv.AppendInt(dst, int64(in.Mods.SubOp()), 10)
+				dst = append(dst, ']')
 			}
-			b.WriteByte('[')
-			b.WriteString(in.Src1.String())
+			dst = append(dst, '[')
+			dst = append(dst, in.Src1.String()...)
 			switch {
 			case in.Imm > 0:
-				fmt.Fprintf(b, "+0x%x", in.Imm)
+				dst = append(dst, "+0x"...)
+				dst = strconv.AppendInt(dst, in.Imm, 16)
 			case in.Imm < 0:
-				fmt.Fprintf(b, "-0x%x", -in.Imm)
+				dst = append(dst, "-0x"...)
+				dst = strconv.AppendInt(dst, -in.Imm, 16)
 			}
-			b.WriteByte(']')
+			dst = append(dst, ']')
 		case fFrame:
-			fmt.Fprintf(b, "[%d]", in.Imm)
+			dst = append(dst, '[')
+			dst = strconv.AppendInt(dst, in.Imm, 10)
+			dst = append(dst, ']')
 		case fRegImm:
-			fmt.Fprintf(b, "%v+%d", in.Src1, in.Imm)
+			dst = append(dst, in.Src1.String()...)
+			dst = append(dst, '+')
+			dst = strconv.AppendInt(dst, in.Imm, 10)
 		default:
 			if p, ok := in.pred(s); ok {
-				b.WriteString(p.String())
+				dst = append(dst, p.String()...)
 			} else {
 				r, _, _ := in.reg(sh, s)
-				b.WriteString(r.String())
+				dst = append(dst, r.String()...)
 			}
 		}
 	}
-}
-
-func formatImm(v int64) string {
-	if v < 10 {
-		return strconv.FormatInt(v, 10)
-	}
-	return "0x" + strconv.FormatInt(v, 16)
+	return dst
 }
 
 // ParseInst parses a single instruction in the syntax produced by Format.
