@@ -229,7 +229,7 @@ func BenchmarkCodegen(b *testing.B) {
 // one full attach→first-launch cycle of the bench kernel per iteration,
 // cold (a fresh cache every iteration, so every object is generated and
 // stored) vs warm (fresh attaches sharing one pre-populated cache, so
-// lift and codegen are skipped entirely). The gap is what a cache hit
+// codegen is skipped entirely). The gap is what a cache hit
 // saves; allocs/op shows the hit path's footprint.
 func BenchmarkJITCache(b *testing.B) {
 	iter := func(b *testing.B, cache *nvbit.JITCache) *nvbit.NVBit {

@@ -7,8 +7,8 @@ import (
 	"nvbitgo/internal/sass"
 )
 
-// This file defines the device-independent instrumentation artifacts the
-// jitcache stores, and their binary codec.
+// This file defines the device-independent instrumentation artifact the
+// jitcache stores, and its binary codec.
 //
 // A code artifact is everything the Code Generator produces for one function
 // minus the device addresses: per-site trampoline bodies with relocation
@@ -21,17 +21,12 @@ import (
 // because the cache key covers the full instrumentation plan, so an artifact
 // is only ever served to an attach whose plan carries the same immediates.
 //
-// A lift artifact is the expensive output of the Instruction Lifter's
-// disassembly phase: the per-instruction SASS text (the nvdisasm-equivalent
-// run the paper's Figure 5 shows dominating JIT overhead) and the
-// basic-block partition. The cheap bit-level decode re-runs on every attach.
-//
-// Both codecs are versioned; decode is fully bounds-checked and returns an
-// error on any malformed input, which the cache layer treats as a
-// codec-version skew: evict and regenerate.
+// The codec is versioned; decode is fully bounds-checked and returns an error
+// on any malformed input, which the cache layer treats as a codec-version
+// skew: evict and regenerate.
 
 // artifactVersion invalidates serialized artifacts when the codec layout
-// changes. It is also folded into the cache keys, so a bump makes old
+// changes. It is also folded into the cache key, so a bump makes old
 // entries unreachable rather than merely undecodable. Version 2 added the
 // per-site inline flag and the relocInlineSkip relocation kind.
 const artifactVersion = 2
@@ -118,13 +113,6 @@ func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {
 	s.insts = span{int32(i0), int32(len(a.insts) - i0)}
 	s.relocs = span{int32(r0), int32(len(a.relocs) - r0)}
 	a.sites = append(a.sites, s)
-}
-
-// liftArtifact is the cacheable output of the disassembly/convert phases.
-type liftArtifact struct {
-	sassText []string
-	hasICF   bool
-	blocks   []sass.BlockRange
 }
 
 // --- binary writer/reader ---------------------------------------------------
@@ -349,69 +337,6 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 	}
 	if r.off != len(b) {
 		return nil, fmt.Errorf("nvbit: %d trailing bytes after code artifact", len(b)-r.off)
-	}
-	return a, nil
-}
-
-// --- lift artifact codec ----------------------------------------------------
-
-func encodeLiftArtifact(a *liftArtifact) []byte {
-	size := 13 + 4*len(a.sassText) + 8*len(a.blocks)
-	for _, s := range a.sassText {
-		size += len(s)
-	}
-	w := artWriter{b: make([]byte, 0, size)}
-	w.u32(artifactVersion)
-	w.u32(uint32(len(a.sassText)))
-	for _, s := range a.sassText {
-		w.str(s)
-	}
-	w.bool(a.hasICF)
-	w.u32(uint32(len(a.blocks)))
-	for _, blk := range a.blocks {
-		w.u32(uint32(blk.Start))
-		w.u32(uint32(blk.End))
-	}
-	return w.b
-}
-
-func decodeLiftArtifact(b []byte) (*liftArtifact, error) {
-	r := &artReader{b: b}
-	if v := r.u32(); r.err == nil && v != artifactVersion {
-		return nil, fmt.Errorf("nvbit: lift artifact version %d, want %d", v, artifactVersion)
-	}
-	a := &liftArtifact{}
-	// The instructions' text becomes one string (length fields included) that
-	// each instruction's is a piece of.
-	nText := r.count(4)
-	m := *r
-	for i := 0; i < nText; i++ {
-		m.take(int(m.u32()))
-	}
-	if m.err != nil {
-		return nil, m.err
-	}
-	base, text := r.off, string(b[r.off:m.off])
-	if nText > 0 {
-		a.sassText = make([]string, nText)
-	}
-	for i := range a.sassText {
-		n := int(r.u32())
-		a.sassText[i] = text[r.off-base : r.off-base+n]
-		r.take(n)
-	}
-	a.hasICF = r.bool()
-	if n := r.count(8); n > 0 {
-		a.blocks = make([]sass.BlockRange, n)
-		for i := range a.blocks {
-			a.blocks[i] = sass.BlockRange{Start: int(r.u32()), End: int(r.u32())}
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("nvbit: %d trailing bytes after lift artifact", len(b)-r.off)
 	}
 	return a, nil
 }

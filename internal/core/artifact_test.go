@@ -28,11 +28,6 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		t.Fatalf("decoded sites %+v", back.sites)
 	}
 
-	lift := encodeLiftArtifact(&liftArtifact{sassText: []string{"NOP ;", "", "EXIT ;"}, blocks: []sass.BlockRange{{Start: 0, End: 3}}})
-	if a, err := decodeLiftArtifact(lift); err != nil || len(a.sassText) != 3 || a.sassText[2] != "EXIT ;" || !bytes.Equal(encodeLiftArtifact(a), lift) {
-		t.Fatalf("lift round trip: %+v, %v", a, err)
-	}
-
 	// Offsets into code: version, name count, the name, site count, then the
 	// first site's fields.
 	site := 4 + 4 + 4 + len("probe") + 4
@@ -58,18 +53,6 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	} {
 		if _, err := decodeCodeArtifact(blob); err == nil {
 			t.Errorf("code artifact with %s accepted", name)
-		}
-	}
-	icf := len(lift) - 4 - 8 - 1
-	for name, blob := range map[string][]byte{
-		"hasICF flag 2":    patch(lift, icf, 2),
-		"text count 200":   patch(lift, 4, 200),
-		"string length 99": patch(lift, 8, 99),
-		"block count 2":    patch(lift, icf+1, 2),
-		"trailing byte":    append(append([]byte(nil), lift...), 0),
-	} {
-		if _, err := decodeLiftArtifact(blob); err == nil {
-			t.Errorf("lift artifact with %s accepted", name)
 		}
 	}
 }

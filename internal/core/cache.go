@@ -4,43 +4,36 @@ import (
 	"time"
 
 	"nvbitgo/internal/jitcache"
-	"nvbitgo/internal/sass"
 )
 
 // This file wires the content-addressed instrumentation cache
-// (internal/jitcache) into the JIT pipeline. Two object kinds are cached:
+// (internal/jitcache) into the JIT pipeline. One object is cached per
+// instrumented function: the Code Generator's device-independent artifact
+// (trampoline bodies plus relocations, see artifact.go), keyed by everything
+// that determines the generated code: function bytes, HAL identity, the
+// tool's registered PTX sources, the function's register requirement, the
+// injection mode, and the complete instrumentation plan down to each
+// argument's kind and immediate. A hit skips liveness analysis and code
+// generation and goes straight to materialization. Disassembly is not cached:
+// the lift costs about what a lookup does, and the tool callback runs on every
+// attach anyway (its plan can embed fresh device addresses).
 //
-//   - lift objects — the Instruction Lifter's disassembly output (SASS text
-//     and basic-block partition), keyed by the function's code bytes and the
-//     HAL identity. The tool callback still runs on every attach (it must:
-//     its plan can embed fresh device addresses), but runs against cached
-//     disassembly instead of re-formatting every instruction.
-//
-//   - code objects — the Code Generator's device-independent artifact
-//     (trampoline bodies plus relocations, see artifact.go), keyed by
-//     everything that determines the generated code: function bytes, HAL
-//     identity, the tool's registered PTX sources, the function's register
-//     requirement, the injection mode, and the complete instrumentation plan
-//     down to each argument's kind and immediate. A hit skips liveness
-//     analysis and code generation and goes straight to materialization.
-//
-// Because a code key covers the full plan — including ArgConst immediates
-// such as device addresses of tool state — a cached artifact can never be
-// served to an attach whose plan differs: the key simply misses. That is the
+// Because the key covers the full plan — including ArgConst immediates such
+// as device addresses of tool state — a cached artifact can never be served
+// to an attach whose plan differs: the key simply misses. That is the
 // invariant that makes the baked-in immediates in artifacts safe, and it is
 // why the plan is hashed argument by argument rather than summarized.
 //
-// Key domains carry a schema version; artifactVersion is additionally mixed
-// into every key so a codec change makes old entries unreachable.
-const (
-	liftKeyDomain = "nvbitgo/lift/v1"
-	codeKeyDomain = "nvbitgo/code/v1"
-)
+// The key domain carries a schema version; artifactVersion is additionally
+// mixed into the key so a codec change makes old entries unreachable.
+const codeKeyDomain = "nvbitgo/code/v1"
 
-// hashHAL folds the hardware identity every cached object depends on:
-// instruction encoding family, instruction width, register file, ABI and
-// save-routine shape — plus the artifact codec version.
-func (n *NVBit) hashHAL(h *jitcache.Hasher) {
+// codeKey fingerprints one function plus its instrumentation plan.
+func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
+	h := jitcache.NewHasher(codeKeyDomain)
+	// The hardware identity generated code depends on: instruction encoding
+	// family, instruction width, register file, ABI and save-routine shape —
+	// plus the artifact codec version.
 	hal := n.hal
 	h.Int(int(hal.Family()))
 	h.Int(hal.InstBytes)
@@ -49,21 +42,6 @@ func (n *NVBit) hashHAL(h *jitcache.Hasher) {
 	h.Bool(hal.SaveBarrierState)
 	h.Int(hal.SaveGranularity)
 	h.Int(artifactVersion)
-}
-
-// liftKey fingerprints one function for the lift-object cache.
-func (n *NVBit) liftKey(raw []byte) jitcache.Key {
-	h := jitcache.NewHasher(liftKeyDomain)
-	n.hashHAL(h)
-	h.Bytes(raw)
-	return h.Sum()
-}
-
-// codeKey fingerprints one function plus its instrumentation plan for the
-// code-object cache.
-func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
-	h := jitcache.NewHasher(codeKeyDomain)
-	n.hashHAL(h)
 	// The injection mode decides the codegen strategy per site (trampoline,
 	// full-save ablation, or inline splicing), so artifacts generated under
 	// different modes never alias.
@@ -113,97 +91,69 @@ func hashCalls(h *jitcache.Hasher, calls []*callRequest) {
 	}
 }
 
-// throughCache resolves one cached object, the template both object kinds
-// share. t0 is when the caller started fingerprinting, so that key
-// derivation and probing land in CacheLookup — net of build, which runs only
-// for the winner of a miss (Do coalesces concurrent attaches onto a single
-// generation; the result is a pure function of the key's inputs, so they can
-// share it bit for bit) and whose duration comes back as genDur for the
-// caller to attribute to the phase it replaces. A hit's decode lands in
-// CacheHit. A nil object with a nil error means the entry passed the store's
-// integrity checksum but not decode — a codec skew the versioned keys should
-// have prevented: it has been evicted, no device state was touched, and the
-// caller falls back to its uncached path.
-func throughCache[T any](n *NVBit, t0 time.Time, key jitcache.Key, build func() (*T, []byte, error), decode func([]byte) (*T, bool)) (obj *T, hit bool, genDur time.Duration, err error) {
-	n.stats.CacheLookups++
-	data, hit, err := n.cache.Do(key, func() ([]byte, error) {
-		g0 := time.Now()
-		built, blob, berr := build()
-		obj, genDur = built, time.Since(g0)
-		return blob, berr
-	})
-	n.stats.CacheLookup += time.Since(t0) - genDur
-	if err != nil || !hit {
-		n.stats.CacheMisses++
-		n.stats.CacheBytesWritten += len(data)
-		return obj, false, genDur, err
-	}
-	h0 := time.Now()
-	obj, ok := decode(data)
-	n.stats.CacheHit += time.Since(h0)
-	if !ok {
-		n.cache.Delete(key)
-		n.stats.CacheMisses++
-		return nil, false, 0, nil
-	}
-	n.stats.CacheHits++
-	n.stats.CacheBytesRead += len(data)
-	return obj, true, 0, nil
-}
-
-// instrument is the cache-aware entry point the Code Loader calls for a
-// function with pending instrumentation. Without a cache it is exactly
-// generate. With one, it resolves the function's code object through the
-// cache and materializes the artifact on this attach's device.
+// instrument runs the Code Generator (paper Section 5.1, Figure 4) for one
+// function with pending instrumentation: it obtains the function's
+// device-independent artifact and materializes it on this attach's device.
+// Without a cache the artifact is built. With one it is resolved through Do,
+// which runs the build only for the winner of a miss — concurrent attaches
+// coalesce onto a single generation; the artifact is a pure function of the
+// key's inputs, so they can share it bit for bit. An entry that passes the
+// store's integrity checksum but not decode is a codec skew the versioned key
+// should have prevented: it is evicted and, no device state having been
+// touched, the artifact is built as if no cache were attached.
 //
-// Phase accounting: a hit's artifact decode and materialization land in
-// CacheHit; a miss's generation and materialization land in CodeGen, exactly
-// as if no cache were attached. On a fully warm run CodeGen is therefore
-// zero.
+// Phase accounting: building and materializing land in CodeGen, exactly as
+// without a cache; key derivation, the probe and the store land in
+// CacheLookup; a hit's decode and materialization land in CacheHit. On a
+// fully warm run CodeGen is therefore zero.
 func (n *NVBit) instrument(fs *funcState) error {
-	if n.cache == nil {
-		return n.generate(fs)
-	}
-	t0 := time.Now()
-	art, hit, genDur, err := throughCache(n, t0, n.codeKey(fs), func() (*codeArtifact, []byte, error) {
-		art, err := n.buildArtifact(fs)
-		if err != nil {
-			return nil, nil, err
+	var (
+		art *codeArtifact
+		err error
+		hit bool
+		gen time.Duration // building and encoding inside Do
+	)
+	if n.cache != nil {
+		t0 := time.Now()
+		key := n.codeKey(fs)
+		var data []byte
+		data, hit, err = n.cache.Do(key, func() (blob []byte, berr error) {
+			g0 := time.Now()
+			if art, berr = n.buildArtifact(fs); berr == nil {
+				blob = encodeCodeArtifact(art)
+			}
+			gen = time.Since(g0)
+			return blob, berr
+		})
+		n.stats.CacheLookups++
+		n.stats.CacheLookup += time.Since(t0) - gen
+		if hit {
+			h0 := time.Now()
+			if art, err = decodeCodeArtifact(data); err != nil {
+				n.cache.Delete(key)
+				hit, data, err = false, nil, nil
+			}
+			n.stats.CacheHit += time.Since(h0)
 		}
-		return art, encodeCodeArtifact(art), nil
-	}, func(data []byte) (*codeArtifact, bool) {
-		art, err := decodeCodeArtifact(data)
-		return art, err == nil
-	})
-	if err != nil {
-		return err
-	}
-	if art == nil {
-		return n.generate(fs)
+		if hit {
+			n.stats.CacheHits++
+			n.stats.CacheBytesRead += len(data)
+		} else {
+			n.stats.CacheMisses++
+			n.stats.CacheBytesWritten += len(data)
+		}
 	}
 	m0 := time.Now()
-	err = n.materializeArtifact(fs, art)
+	if art == nil && err == nil {
+		art, err = n.buildArtifact(fs)
+	}
+	if err == nil {
+		err = n.materializeArtifact(fs, art)
+	}
 	if hit {
 		n.stats.CacheHit += time.Since(m0)
 	} else {
-		n.stats.CodeGen += genDur + time.Since(m0)
+		n.stats.CodeGen += gen + time.Since(m0)
 	}
 	return err
-}
-
-// liftThroughCache resolves one function's lift object through the cache.
-// It returns nil when the cached payload cannot be used (the caller then
-// lifts inline). A miss's generation lands in Disassemble — it is the
-// nvdisasm-equivalent work.
-func (n *NVBit) liftThroughCache(raw []byte, insts []sass.Inst) *liftArtifact {
-	t0 := time.Now()
-	art, _, genDur, _ := throughCache(n, t0, n.liftKey(raw), func() (*liftArtifact, []byte, error) {
-		art := buildLiftArtifact(insts)
-		return art, encodeLiftArtifact(art), nil
-	}, func(data []byte) (*liftArtifact, bool) {
-		art, err := decodeLiftArtifact(data)
-		return art, err == nil && validLiftArtifact(art, len(insts))
-	})
-	n.stats.Disassemble += genDur
-	return art
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -200,8 +202,8 @@ func TestCacheFullSaveNeverServedLivenessArtifact(t *testing.T) {
 			minStats.AvgSavedRegs(), regsPerThread)
 	}
 
-	// Full-save attach against the liveness-populated directory: the lift
-	// object may hit, but every trampoline must be freshly generated.
+	// Full-save attach against the liveness-populated directory: every
+	// trampoline must be freshly generated.
 	full := cacheRun(t, newDiskCache(t, dir), true, nil)
 	fullStats := full.env.nv.JITStats()
 	if fullStats.CodeGen == 0 {
@@ -309,8 +311,8 @@ func TestCacheVersionSkewRegenerates(t *testing.T) {
 }
 
 // TestCachePlanChangeMisses: a different instrumentation plan over the same
-// function must miss the code cache (the plan is hashed site by site,
-// argument by argument) while still reusing the lift object.
+// function must miss the cache (the plan is hashed site by site, argument by
+// argument) and leave a second object beside the first.
 func TestCachePlanChangeMisses(t *testing.T) {
 	dir := t.TempDir()
 
@@ -319,11 +321,11 @@ func TestCachePlanChangeMisses(t *testing.T) {
 	evenCache := newDiskCache(t, dir)
 	even := cacheRun(t, evenCache, false, func(idx int) bool { return idx%2 == 0 })
 	evenStats := even.env.nv.JITStats()
-	if evenStats.CodeGen == 0 {
-		t.Fatal("changed plan was served from cache, want fresh code generation")
+	if evenStats.CodeGen == 0 || evenStats.CacheHits != 0 {
+		t.Fatalf("changed plan was served from cache, want fresh code generation: %+v", evenStats)
 	}
-	if st := evenCache.Stats(); st.DiskHits == 0 {
-		t.Fatalf("lift object was not reused across plans: %+v", st)
+	if st := evenCache.Stats(); st.DiskHits != 0 || st.Generations != 1 {
+		t.Fatalf("changed plan: %+v, want no disk hit and one generation", st)
 	}
 	if even.count == 0 || even.count >= all.count {
 		t.Fatalf("even-site count %d, want nonzero and below all-site count %d", even.count, all.count)
@@ -331,60 +333,69 @@ func TestCachePlanChangeMisses(t *testing.T) {
 	sameResults(t, "plan-change", all.results, even.results)
 }
 
-// TestCacheLiftArtifactRoundtrip: disassembly served from the cache is
-// textually and structurally identical to a fresh lift — per-instruction
-// SASS and the basic-block partition survive the artifact codec.
-func TestCacheLiftArtifactRoundtrip(t *testing.T) {
-	dir := t.TempDir()
+// staleKey is where the binary before this one kept the disassembly of
+// workPTX's kernel on Volta: a second object kind under its own key domain,
+// which nothing derives any more.
+const staleKey = "043319f8f52bed0e5f64627af1f79a8c5c35222a22d3810d53e996d748221396"
 
-	capture := func(cache *jitcache.Cache) ([]string, [][2]int) {
-		env := setup(t, sass.Volta, &testTool{}, WithJITCache(cache))
-		insts, err := env.nv.GetInstrs(env.fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var text []string
-		for _, i := range insts {
-			text = append(text, i.GetSASS())
-		}
-		blocks, err := env.nv.GetBasicBlocks(env.fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ranges [][2]int
-		for _, b := range blocks {
-			if len(b.Instrs) == 0 {
-				t.Fatal("empty basic block")
-			}
-			ranges = append(ranges, [2]int{b.Instrs[0].Idx(), b.Instrs[len(b.Instrs)-1].Idx()})
-		}
-		return text, ranges
+// TestCacheOneObjectPerFunction: the cache holds one object per instrumented
+// function and is asked once per instrumented function, cold and warm. A warm
+// attach still disassembles (Disassemble > 0) and generates nothing, and an
+// object a previous binary left under a key of its own is neither read nor
+// removed.
+func TestCacheOneObjectPerFunction(t *testing.T) {
+	dir := t.TempDir()
+	var stale jitcache.Key
+	if _, err := hex.Decode(stale[:], []byte(staleKey)); err != nil {
+		t.Fatal(err)
+	}
+	if err := newDiskCache(t, dir).Put(stale, []byte("left by an older binary")); err != nil {
+		t.Fatal(err)
+	}
+	stalePath := filepath.Join(dir, "objects", staleKey)
+	staleBytes, err := os.ReadFile(stalePath)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	coldText, coldBlocks := capture(newDiskCache(t, dir))
+	instrumented := func(n *NVBit) (k int) {
+		for _, fs := range n.funcs {
+			if fs.instrumented {
+				k++
+			}
+		}
+		return k
+	}
+	coldCache := newDiskCache(t, dir)
+	cold := cacheRun(t, coldCache, false, nil)
+	cs, funcs := cold.env.nv.JITStats(), instrumented(cold.env.nv)
+	if funcs == 0 || cs.CacheLookups != funcs || cs.CacheMisses != funcs || cs.CacheHits != 0 {
+		t.Fatalf("cold: %d instrumented functions, %d lookups, %d misses, %d hits", funcs, cs.CacheLookups, cs.CacheMisses, cs.CacheHits)
+	}
+	if st := coldCache.Stats(); st.Lookups != uint64(funcs) || st.Generations != uint64(funcs) {
+		t.Fatalf("cold cache: %+v, want %d lookups and generations", st, funcs)
+	}
+	objects, err := filepath.Glob(filepath.Join(dir, "objects", "*"))
+	if err != nil || len(objects) != funcs+1 {
+		t.Fatalf("%d files under objects/ (%v), want %d and the stale one", len(objects), err, funcs)
+	}
 
 	warmCache := newDiskCache(t, dir)
-	warmText, warmBlocks := capture(warmCache)
-	if st := warmCache.Stats(); st.DiskHits == 0 {
-		t.Fatalf("lift object not served from disk: %+v", st)
+	warm := cacheRun(t, warmCache, false, nil)
+	ws := warm.env.nv.JITStats()
+	if ws.CacheLookups != funcs || ws.CacheHits != funcs || ws.CacheMisses != 0 {
+		t.Fatalf("warm: %d lookups, %d hits, %d misses, want %d/%d/0", ws.CacheLookups, ws.CacheHits, ws.CacheMisses, funcs, funcs)
 	}
-	if len(coldText) == 0 || len(coldBlocks) == 0 {
-		t.Fatal("empty lift output")
+	if ws.CodeGen != 0 || ws.Disassemble <= 0 {
+		t.Fatalf("warm: CodeGen %v, Disassemble %v, want 0 and > 0", ws.CodeGen, ws.Disassemble)
 	}
-	if len(warmText) != len(coldText) {
-		t.Fatalf("instruction counts diverge: %d vs %d", len(warmText), len(coldText))
+	if st := warmCache.Stats(); st.Lookups != uint64(funcs) || st.DiskHits != uint64(funcs) || st.BytesRead != uint64(ws.CacheBytesRead) || st.CorruptEvicted != 0 {
+		t.Fatalf("warm cache: %+v, want %d lookups, all disk hits of %d bytes", st, funcs, ws.CacheBytesRead)
 	}
-	for i := range coldText {
-		if coldText[i] != warmText[i] {
-			t.Fatalf("SASS diverges at %d: cold %q, warm %q", i, coldText[i], warmText[i])
-		}
+	if cold.count != warm.count {
+		t.Fatalf("instruction counts diverge: cold %d, warm %d", cold.count, warm.count)
 	}
-	if len(warmBlocks) != len(coldBlocks) {
-		t.Fatalf("block counts diverge: %d vs %d", len(warmBlocks), len(coldBlocks))
-	}
-	for i := range coldBlocks {
-		if coldBlocks[i] != warmBlocks[i] {
-			t.Fatalf("block %d diverges: cold %v, warm %v", i, coldBlocks[i], warmBlocks[i])
-		}
+	if now, err := os.ReadFile(stalePath); err != nil || !bytes.Equal(now, staleBytes) {
+		t.Fatalf("stale object changed or gone: %v", err)
 	}
 }

@@ -2,25 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"nvbitgo/internal/sass"
 )
-
-// generate runs the Code Generator (paper Section 5.1, Figure 4) for one
-// function: it builds the device-independent artifact and immediately
-// materializes it on this attach's device. This is the uncached JIT path;
-// the cache-aware entry point is instrument (cache.go), which stores and
-// reuses the artifact across functions with identical content and plan.
-func (n *NVBit) generate(fs *funcState) error {
-	start := time.Now()
-	defer func() { n.stats.CodeGen += time.Since(start) }()
-	art, err := n.buildArtifact(fs)
-	if err != nil {
-		return err
-	}
-	return n.materializeArtifact(fs, art)
-}
 
 // buildArtifact runs the device-independent half of the Code Generator: it
 // builds one trampoline body per instrumented instruction and records

@@ -737,8 +737,8 @@ func TestInstrInspectionAPI(t *testing.T) {
 		if i.Idx() < 0 || i.Offset() != i.Idx()*16 {
 			t.Fatalf("offset mismatch at %d", i.Idx())
 		}
-		if i.GetSASS() == "" || i.GetOpcode() == "" {
-			t.Fatal("empty disassembly")
+		if i.GetSASS() != sass.Format(i.Raw()) || i.GetOpcode() == "" {
+			t.Fatalf("instruction %d disassembles to %q, want %q", i.Idx(), i.GetSASS(), sass.Format(i.Raw()))
 		}
 		if i.IsLoad() && i.GetMemOpSpace() == sass.MemGlobal {
 			sawLoad = true

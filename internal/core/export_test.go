@@ -37,11 +37,14 @@ func (n *NVBit) CodeArtifacts() (map[string][]byte, error) {
 	return out, nil
 }
 
-// LiftArtifacts returns the encoded lift artifact of every function lifted.
-func (n *NVBit) LiftArtifacts() [][]byte {
-	var out [][]byte
-	for _, fs := range n.funcs {
-		out = append(out, encodeLiftArtifact(buildLiftArtifact(fs.raw)))
+// CodeKeys returns the cache key of every instrumented function, in hex by
+// function name.
+func (n *NVBit) CodeKeys() map[string]string {
+	out := make(map[string]string)
+	for f, fs := range n.funcs {
+		if fs.instrumented {
+			out[f.Name] = n.codeKey(fs).String()
+		}
 	}
 	return out
 }
@@ -58,14 +61,9 @@ func (n *NVBit) ArtifactDigests() ([]string, error) {
 	return out, err
 }
 
-// RecodeCodeArtifact and RecodeLiftArtifact decode a blob and, when it is
-// accepted, report whether encoding the result gives the blob back.
+// RecodeCodeArtifact decodes a blob and, when it is accepted, reports whether
+// encoding the result gives the blob back.
 func RecodeCodeArtifact(b []byte) (accepted, same bool) {
 	a, err := decodeCodeArtifact(b)
 	return err == nil, err == nil && bytes.Equal(encodeCodeArtifact(a), b)
-}
-
-func RecodeLiftArtifact(b []byte) (accepted, same bool) {
-	a, err := decodeLiftArtifact(b)
-	return err == nil, err == nil && bytes.Equal(encodeLiftArtifact(a), b)
 }

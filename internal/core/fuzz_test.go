@@ -7,10 +7,10 @@ import (
 	"nvbitgo/internal/core"
 )
 
-// artifactSeeds returns real encoded artifacts, each once: those of
+// artifactSeeds returns real encoded code artifacts, each once: those of
 // specaccel:cg under the three golden tools, for both families and all three
-// injection modes. pick chooses the code or the lift artifacts of a run.
-func artifactSeeds(f *testing.F, pick func(cgArtifacts) [][]byte) [][]byte {
+// injection modes.
+func artifactSeeds(f *testing.F) [][]byte {
 	runs, err := cgRuns()
 	if err != nil {
 		f.Fatal(err)
@@ -18,7 +18,7 @@ func artifactSeeds(f *testing.F, pick func(cgArtifacts) [][]byte) [][]byte {
 	seen := make(map[string]bool)
 	var seeds [][]byte
 	for _, run := range runs {
-		for _, blob := range pick(run) {
+		for _, blob := range run {
 			if !seen[string(blob)] {
 				seen[string(blob)] = true
 				seeds = append(seeds, blob)
@@ -28,28 +28,16 @@ func artifactSeeds(f *testing.F, pick func(cgArtifacts) [][]byte) [][]byte {
 	return seeds
 }
 
-// fuzzDecoder seeds f with the encoder's own output, which must decode, and
-// fuzzes recode under checkRecode.
-func fuzzDecoder(f *testing.F, seeds [][]byte, recode func([]byte) (accepted, same bool)) {
-	for _, blob := range seeds {
-		if ok, _ := recode(blob); !ok {
-			f.Fatalf("an encoded artifact of %d bytes does not decode", len(blob))
-		}
-		f.Add(blob)
-	}
-	f.Fuzz(func(t *testing.T, blob []byte) { checkRecode(t, blob, recode) })
-}
-
-// checkRecode holds a decoder to what a cache entry read from disk may
+// checkRecode holds the decoder to what a cache entry read from disk may
 // assume of it: it does not panic, it allocates no more than a constant
 // multiple of the input (a corrupt count must not size an array), and what it
 // accepts encodes back to the same bytes — so nothing in a blob is ignored.
-func checkRecode(t *testing.T, blob []byte, recode func([]byte) (accepted, same bool)) {
+func checkRecode(t *testing.T, blob []byte) {
 	var accepted, same bool
 	allocated := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		accepted, same = recode(blob)
+		accepted, same = core.RecodeCodeArtifact(blob)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -70,16 +58,14 @@ func checkRecode(t *testing.T, blob []byte, recode func([]byte) (accepted, same 
 	}
 }
 
+// FuzzDecodeCodeArtifact seeds with the encoder's own output, which must
+// decode, and fuzzes the decoder under checkRecode.
 func FuzzDecodeCodeArtifact(f *testing.F) {
-	seeds := artifactSeeds(f, func(run cgArtifacts) (blobs [][]byte) {
-		for _, blob := range run.code {
-			blobs = append(blobs, blob)
+	for _, blob := range artifactSeeds(f) {
+		if ok, _ := core.RecodeCodeArtifact(blob); !ok {
+			f.Fatalf("an encoded artifact of %d bytes does not decode", len(blob))
 		}
-		return blobs
-	})
-	fuzzDecoder(f, seeds, core.RecodeCodeArtifact)
-}
-
-func FuzzDecodeLiftArtifact(f *testing.F) {
-	fuzzDecoder(f, artifactSeeds(f, func(run cgArtifacts) [][]byte { return run.lift }), core.RecodeLiftArtifact)
+		f.Add(blob)
+	}
+	f.Fuzz(checkRecode)
 }

@@ -224,18 +224,11 @@ func instrumentCG(fam sass.Family, mode core.InjectionMode, toolName string) (*d
 	return api, nv, nil
 }
 
-// cgArtifacts is what one instrumented cg run generated: each instrumented
-// function's encoded code artifact by name, and every lifted function's
-// encoded lift artifact.
-type cgArtifacts struct {
-	code map[string][]byte
-	lift [][]byte
-}
-
-// cgRuns runs cg once for every golden family, injection mode and tool, for
-// the golden below and the decoders' fuzz seeds alike.
-var cgRuns = sync.OnceValues(func() (map[string]cgArtifacts, error) {
-	runs := make(map[string]cgArtifacts)
+// cgRuns runs cg once for every golden family, injection mode and tool and
+// keeps each instrumented function's encoded code artifact by name, for the
+// golden below and the decoder's fuzz seeds alike.
+var cgRuns = sync.OnceValues(func() (map[string]map[string][]byte, error) {
+	runs := make(map[string]map[string][]byte)
 	for _, fam := range goldenFamilies {
 		for _, mode := range goldenModes {
 			for tool := range goldenTools {
@@ -249,7 +242,7 @@ var cgRuns = sync.OnceValues(func() (map[string]cgArtifacts, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", name, err)
 				}
-				runs[name] = cgArtifacts{code: code, lift: nv.LiftArtifacts()}
+				runs[name] = code
 			}
 		}
 	}
@@ -264,7 +257,7 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 	}
 	name := fmt.Sprintf("cg/%v/%v/%s", fam, mode, toolName)
 	var ds []string
-	for fn, blob := range runs[name].code {
+	for fn, blob := range runs[name] {
 		ds = append(ds, fmt.Sprintf("%s/%s %x", name, fn, sha256.Sum256(blob)))
 	}
 	if len(ds) == 0 {
@@ -307,6 +300,36 @@ func TestMaterializedCodeGolden(t *testing.T) {
 			name := fmt.Sprintf("%v/%v", fam, mode)
 			if got := fmt.Sprintf("%x", sha256.Sum256(code)); got != materializedGolden[name] {
 				t.Errorf("%s: %d code words hash to %s, want %s", name, top, got, materializedGolden[name])
+			}
+		}
+	}
+}
+
+// codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
+// PR 17. A key that moves orphans every primed cache directory, so a change
+// to what is hashed, or to the order, shows here and not only in a manual run
+// of two binaries over one directory.
+var codeKeyGolden = map[string]string{
+	"Kepler/trampoline": "ff3fe2328ed9e83f6302acddefac91aabba2e654b21b2e82b5a23a18bbaf516f",
+	"Kepler/full-save":  "e95d1d3d54bbd84afcef63ea75df550ed1cc77c3fa65e1e3ad191ac88dd93a5d",
+	"Kepler/inline":     "67dbf5bd824059bf9c8d7dc9b2802bb7bc1256006d4e7871ff5485e80fa93826",
+	"Volta/trampoline":  "0b45c8c7808b0ab20c43aaca2fdd9cf5e15e81dfbee0ed1c9810a74a4054258d",
+	"Volta/full-save":   "588e58af6ad3e5aeae6eec6ac2b4fc6979216ae6c3b828f98162b6e8b1e4e689",
+	"Volta/inline":      "dd6c5a094572697ccbb7513a2c19409e616d99ead70c81755c7afa9d5045e0ea",
+}
+
+func TestCodeKeyGolden(t *testing.T) {
+	for _, fam := range goldenFamilies {
+		for _, mode := range goldenModes {
+			api, nv, err := instrumentCG(fam, mode, "instrcount")
+			if err != nil {
+				t.Fatalf("%v/%v: %v", fam, mode, err)
+			}
+			got := nv.CodeKeys()["cg_spmv"]
+			api.Close()
+			name := fmt.Sprintf("%v/%v", fam, mode)
+			if got != codeKeyGolden[name] {
+				t.Errorf("%s: cg_spmv's code key is %s, want %s", name, got, codeKeyGolden[name])
 			}
 		}
 	}

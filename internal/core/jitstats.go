@@ -46,9 +46,8 @@ type JITStats struct {
 	InlineWords  int
 	SwapBytes    int
 
-	// Instrumentation-cache counters (all zero without WithJITCache). One
-	// lookup covers one cached object — a function has a lift object and a
-	// code object, so a fully warm function counts two lookups/hits.
+	// Instrumentation-cache counters (all zero without WithJITCache). There
+	// is one lookup per instrumented function, for its code artifact.
 	CacheLookups      int
 	CacheHits         int
 	CacheMisses       int

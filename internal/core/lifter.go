@@ -45,7 +45,8 @@ type funcState struct {
 	insts     []*Instr
 	raw       []sass.Inst    // decoded body, input to the liveness pass
 	live      *sass.Liveness // lazily computed by liveness()
-	sassText  []string       // per-instruction disassembly, built at lift time
+	text      string         // the function's disassembly, built at lift time
+	textEnds  []int32        // where each instruction's piece of text ends
 	blocks    []BasicBlock
 	hasICF    bool
 	instBytes int
@@ -86,30 +87,25 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 	// Phase 2: disassemble into the internal representation. Like the
 	// real framework — whose lifter drives the nvdisasm-equivalent and
 	// consumes its textual output — disassembly materializes the SASS
-	// text alongside the decoded form; this is the dominant JIT phase in
-	// the paper's Figure 5 breakdown. The bit-level decode always runs
-	// (it is cheap and the in-memory forms are needed regardless); the
-	// expensive text formatting and block partition come from the
-	// instrumentation cache when one is attached.
+	// text alongside the decoded form (the dominant JIT phase in the
+	// paper's Figure 5 breakdown) and finds the basic-block partition. The
+	// function's text is rendered into one buffer and becomes one string
+	// that each instruction's is a piece of (GetSASS).
 	insts, err := n.hal.Codec().DecodeAll(raw)
 	if err != nil {
 		return nil, fmt.Errorf("nvbit: disassembling %s: %w", f.Name, err)
 	}
+	buf := make([]byte, 0, 32*len(insts))
+	fs.textEnds = make([]int32, len(insts))
+	for i, in := range insts {
+		buf = sass.AppendFormat(buf, in)
+		fs.textEnds[i] = int32(len(buf))
+	}
+	fs.text = string(buf)
+	ranges, ok := sass.BasicBlocks(insts)
+	fs.hasICF = !ok
 	t2 := time.Now()
 	n.stats.Disassemble += t2.Sub(t1)
-
-	var lift *liftArtifact
-	if n.cache != nil {
-		lift = n.liftThroughCache(raw, insts) // attributes its own time
-	}
-	if lift == nil {
-		t := time.Now()
-		lift = buildLiftArtifact(insts)
-		n.stats.Disassemble += time.Since(t)
-	}
-	t2 = time.Now()
-	fs.sassText = lift.sassText
-	fs.hasICF = lift.hasICF
 
 	// Phase 3: convert to the user-facing Instr form, including the
 	// structured operand views and the basic-block partition.
@@ -120,7 +116,7 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 		backing[i] = Instr{fs: fs, idx: i, inst: in}
 		fs.insts[i] = &backing[i]
 	}
-	for _, r := range lift.blocks {
+	for _, r := range ranges {
 		fs.blocks = append(fs.blocks, BasicBlock{Instrs: fs.insts[r.Start:r.End]})
 	}
 	t3 := time.Now()
@@ -131,47 +127,6 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 
 	n.funcs[f] = fs
 	return fs, nil
-}
-
-// buildLiftArtifact runs the expensive half of the lift — per-instruction
-// SASS text and the basic-block partition — producing the cacheable form.
-func buildLiftArtifact(insts []sass.Inst) *liftArtifact {
-	// The function's text is rendered into one buffer and becomes one string
-	// that each instruction's is a piece of.
-	a := &liftArtifact{sassText: make([]string, len(insts))}
-	buf := make([]byte, 0, 32*len(insts))
-	ends := make([]int, len(insts))
-	for i, in := range insts {
-		buf = sass.AppendFormat(buf, in)
-		ends[i] = len(buf)
-	}
-	text, start := string(buf), 0
-	for i, end := range ends {
-		a.sassText[i], start = text[start:end], end
-	}
-	if ranges, ok := sass.BasicBlocks(insts); ok {
-		a.blocks = ranges
-	} else {
-		a.hasICF = true
-	}
-	return a
-}
-
-// validLiftArtifact checks a decoded lift object against the function it is
-// about to serve: the text must cover every instruction and every block
-// range must be in bounds. The key derivation makes a mismatch impossible
-// for honestly produced entries; this guards the decode path against the
-// same class of damage the store's checksum guards the byte path against.
-func validLiftArtifact(a *liftArtifact, nInsts int) bool {
-	if len(a.sassText) != nInsts {
-		return false
-	}
-	for _, r := range a.blocks {
-		if r.Start < 0 || r.End < r.Start || r.End > nInsts {
-			return false
-		}
-	}
-	return true
 }
 
 // GetInstrs returns the function body as a flat vector of instructions in
@@ -248,7 +203,13 @@ func (i *Instr) Idx() int { return i.idx }
 func (i *Instr) Offset() int { return i.idx * i.fs.instBytes }
 
 // GetSASS returns the disassembled text of the instruction.
-func (i *Instr) GetSASS() string { return i.fs.sassText[i.idx] }
+func (i *Instr) GetSASS() string {
+	start, ends := int32(0), i.fs.textEnds
+	if i.idx > 0 {
+		start = ends[i.idx-1]
+	}
+	return i.fs.text[start:ends[i.idx]]
+}
 
 // GetOpcode returns the mnemonic, e.g. "IADD" or "LDG".
 func (i *Instr) GetOpcode() string { return i.inst.Op.String() }

@@ -17,8 +17,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // length field is length-prefixed and every fixed-width field has a fixed
 // encoding, so distinct field sequences can never collide by concatenation
 // ("ab","c" vs "a","bc"). The domain string separates key namespaces (e.g.
-// lift objects vs code objects) and doubles as the schema version: bumping
-// it invalidates every existing entry without touching the store.
+// "nvbitgo/code/v1", core's code objects) and doubles as the schema version:
+// bumping it invalidates every existing entry without touching the store.
 //
 // Fields collect in a buffer of whole SHA-256 blocks that is handed to the
 // hash when full: a key is thousands of eight-byte fields, and the digest is

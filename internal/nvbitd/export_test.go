@@ -4,3 +4,10 @@ import "nvbitgo/internal/gpu"
 
 // PoolDevice exposes pool device i; leak tests read its allocation table.
 func (s *Server) PoolDevice(i int) *gpu.Device { return s.pool[i].api.Device() }
+
+// Conns is how many connections the server is tracking.
+func (s *Server) Conns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}

@@ -2,7 +2,10 @@ package nvbitd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -420,6 +423,59 @@ func TestMemcheckSessionsReturnDeviceMemory(t *testing.T) {
 		if got := srv.PoolDevice(0).Allocations(); !slices.Equal(got, before) {
 			t.Fatalf("after session %d the device holds %v, want %v", i, got, before)
 		}
+	}
+}
+
+// TestRefusedConnectionsLeaveNoEntry: a connection that never becomes a
+// session — its first frame is unreadable, is not an open, or asks for an open
+// the daemon refuses — must leave the server's connection table when it ends,
+// or a daemon that runs forever grows by one closed socket per bad client.
+func TestRefusedConnectionsLeaveNoEntry(t *testing.T) {
+	srv, sock := startServerOn(t, nvbitd.Config{Family: sass.Volta, QueueLimit: -1})
+	frame := func(header string) []byte {
+		pre := binary.BigEndian.AppendUint32(nil, uint32(len(header)))
+		return append(append(pre, 0, 0, 0, 0), header...)
+	}
+	refused := [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, // a header length no frame may have
+		frame(`{"op":`),
+		frame(`{"op":"memalloc","n":64}`),
+		frame(`{"op":"open","tool":"no-such-tool"}`),
+		frame(`{"op":"open","tool":"itrace","policy":"bogus"}`),
+		frame(`{"op":"open","tool":"instrcount","inject":"bogus"}`),
+		frame(`{"op":"open","tool":"faultinject","fiModel":"flip2","fiBit":31}`), // OpenSession fails
+	}
+	for i := 0; i < 200; i++ {
+		conn, err := net.Dial("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(refused[i%len(refused)]); err != nil {
+			t.Fatal(err)
+		}
+		// The daemon answers, or not, and hangs up.
+		if _, err := io.ReadAll(conn); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		conn.Close()
+	}
+	// A handler drops its entry as it returns, which the peer cannot see.
+	for deadline := time.Now().Add(5 * time.Second); srv.Conns() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server still tracks %d connections after 200 refused ones", srv.Conns())
+		}
+	}
+
+	s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "instrcount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := findBenchmark(t, "ostencil").Run(s, specaccel.Small); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.Report(); err != nil || r.Launches == 0 || r.Text == "" {
+		t.Fatalf("session after the refused ones: report %+v, error %v", r, err)
 	}
 }
 

@@ -16,8 +16,10 @@
 package nvbitd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -38,9 +40,18 @@ const (
 	opClose    = "close"
 )
 
-// maxFrame bounds a single frame's header or body (defensive: device
-// buffers cross this wire, but nothing near a quarter gigabyte).
-const maxFrame = 1 << 28
+// maxFrame bounds a single frame's body (defensive: device buffers cross
+// this wire, but nothing near a quarter gigabyte). maxHeader bounds the JSON
+// header, and is also the most readFrame allocates on a length prefix's word
+// alone: a larger body is allocated as its bytes arrive.
+const (
+	maxFrame  = 1 << 28
+	maxHeader = 1 << 20
+)
+
+// errFrameTooLarge is what readFrame wraps when a length prefix is over the
+// limits above; nothing of the frame is read or allocated.
+var errFrameTooLarge = errors.New("nvbitd: frame too large")
 
 // request is the JSON header of a client→server frame. Fields beyond Op
 // are op-specific; unused ones stay at their zero value and are omitted.
@@ -147,8 +158,8 @@ func readFrame(r io.Reader, header any) ([]byte, error) {
 	}
 	hn := binary.BigEndian.Uint32(pre[0:])
 	bn := binary.BigEndian.Uint32(pre[4:])
-	if hn > maxFrame || bn > maxFrame {
-		return nil, fmt.Errorf("nvbitd: frame too large (%d-byte header, %d-byte body)", hn, bn)
+	if hn > maxHeader || bn > maxFrame {
+		return nil, fmt.Errorf("%w (%d-byte header, %d-byte body)", errFrameTooLarge, hn, bn)
 	}
 	hdr := make([]byte, hn)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -160,9 +171,24 @@ func readFrame(r io.Reader, header any) ([]byte, error) {
 	if bn == 0 {
 		return nil, nil
 	}
-	body := make([]byte, bn)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	if bn <= maxHeader {
+		body := make([]byte, bn)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return body, nil
 	}
-	return body, nil
+	// A peer that sends a prefix and stalls must cost one piece, not the
+	// length it claimed: a large body is collected in maxHeader-sized pieces
+	// and assembled when the last byte is in.
+	var pieces [][]byte
+	for left := int(bn); left > 0; {
+		piece := make([]byte, min(left, maxHeader))
+		if _, err := io.ReadFull(r, piece); err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, piece)
+		left -= len(piece)
+	}
+	return bytes.Join(pieces, nil), nil
 }

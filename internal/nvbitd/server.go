@@ -203,10 +203,9 @@ func (s *Server) place() *poolSlot {
 	return best
 }
 
-func (s *Server) release(p *poolSlot, conn net.Conn) {
+func (s *Server) release(p *poolSlot) {
 	s.mu.Lock()
 	p.sessions--
-	delete(s.conns, conn)
 	s.mu.Unlock()
 }
 
@@ -222,9 +221,16 @@ type session struct {
 	reported bool
 }
 
-// handle runs one connection: an open frame, then a request loop.
+// handle runs one connection: an open frame, then a request loop. However it
+// ends — an unreadable first frame and a refused open included — the
+// connection is closed and leaves the server's table.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 
 	var req request
 	if _, err := readFrame(conn, &req); err != nil {
@@ -243,7 +249,7 @@ func (s *Server) handle(conn net.Conn) {
 		if !ss.reported {
 			ss.sess.Close()
 		}
-		s.release(ss.slot, conn)
+		s.release(ss.slot)
 		s.logf("session %d closed (%s)", ss.sess.Ctx().Scope(), req.Tool)
 	}()
 	s.logf("session %d open: tool %s on device %d", ss.sess.Ctx().Scope(), req.Tool, ss.slotIndex())
@@ -311,9 +317,7 @@ func (s *Server) open(req *request) (*session, *response) {
 	}
 	sess, err := core.OpenSession(slot.api, inst.Tool, opts...)
 	if err != nil {
-		s.mu.Lock()
-		slot.sessions--
-		s.mu.Unlock()
+		s.release(slot)
 		return nil, &response{Err: err.Error()}
 	}
 	ss := &session{srv: s, slot: slot, sess: sess, inst: inst, mods: make(map[uint64]*driver.Module)}

@@ -19,14 +19,15 @@ import (
 //	bits 28..35  src1
 //	bits 36..43  src2
 //	bits 44..63  imm (20-bit; signed except JMP/CAL which are unsigned word
-//	             indexes). Three-source ops (IMAD, FFMA) multiplex src3 into
-//	             the low 8 immediate bits and require Imm == 0.
+//	             indexes and MOVIH which is unsigned and at most MovihMax).
+//	             Three-source ops (IMAD, FFMA) multiplex src3 into the low 8
+//	             immediate bits and require Imm == 0.
 //
 // 128-bit word (Volta):
 //
 //	byte 0 opcode, byte 1 mods, byte 2 guard (bits 0..2 pred, bit 3 neg),
 //	byte 3 dst, byte 4 src1, byte 5 src2, byte 6 src3, byte 7 reserved,
-//	bytes 8..15 imm (little-endian 64-bit).
+//	bytes 8..15 imm (little-endian 64-bit; zero for three-source ops).
 //
 // Opcode numbering is permuted per family with a deterministic shuffle, so a
 // raw byte stream can only be disassembled with the right family codec —
@@ -183,7 +184,10 @@ func (c *Codec) Encode(in Inst, dst []byte) error {
 	return nil
 }
 
-// Decode parses one instruction from src.
+// Decode parses one instruction from src. It accepts only what Encode can
+// write back: an opcode byte outside the family's permutation, a 64-bit MOVIH
+// whose field exceeds MovihMax and a Volta three-source op with a non-zero
+// immediate are illegal encodings.
 func (c *Codec) Decode(src []byte) (Inst, error) {
 	if len(src) < c.InstBytes() {
 		return Inst{}, fmt.Errorf("sass: decode: short buffer (%d < %d)", len(src), c.InstBytes())
@@ -203,6 +207,9 @@ func (c *Codec) Decode(src []byte) (Inst, error) {
 			Src2:    Reg(src[5]),
 			Src3:    Reg(src[6]),
 			Imm:     int64(binary.LittleEndian.Uint64(src[8:16])),
+		}
+		if in.Imm != 0 && in.HasSrc3() {
+			return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: %v carries immediate %d", c.family, in.Op, in.Imm)
 		}
 		return in, nil
 	}
@@ -225,6 +232,9 @@ func (c *Codec) Decode(src []byte) (Inst, error) {
 	if in.HasSrc3() {
 		in.Src3 = Reg(raw)
 		return in, nil
+	}
+	if in.Op == OpMOVIH && raw > MovihMax {
+		return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: MOVIH immediate %#x over %#x", c.family, raw, MovihMax)
 	}
 	if immUnsigned(in.Op) || in.Op == OpMOVIH {
 		in.Imm = int64(raw)

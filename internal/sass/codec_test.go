@@ -149,6 +149,82 @@ func TestCodecRejectsIllegalOpcodeByte(t *testing.T) {
 	}
 }
 
+// unencodable are words no encoder writes: each is a legal instruction's
+// word with the one field patched.
+var unencodable = []struct {
+	name  string
+	f     Family
+	legal Inst
+	patch func(word []byte)
+}{
+	{"64-bit MOVIH field one past MovihMax", Kepler, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ, Imm: MovihMax},
+		func(w []byte) { w[7], w[6], w[5] = 0x01, 0, w[5]&0x0f }},
+	{"64-bit MOVIH field all ones", Pascal, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ},
+		func(w []byte) { w[7], w[6], w[5] = 0xff, 0xff, w[5]|0xf0 }},
+	{"Volta IMAD with an immediate", Volta, Inst{Op: OpIMAD, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9},
+		func(w []byte) { w[8] = 5 }},
+	{"Volta FFMA with an immediate", Volta, Inst{Op: OpFFMA, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9},
+		func(w []byte) { w[15] = 0x80 }},
+}
+
+// TestCodecRejectsUnencodable: a word no encoder writes is an illegal
+// encoding, not an instruction Encode then refuses.
+func TestCodecRejectsUnencodable(t *testing.T) {
+	for _, row := range unencodable {
+		c := CodecFor(row.f)
+		word := make([]byte, c.InstBytes())
+		if err := c.Encode(row.legal, word); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if got, err := c.Decode(word); err != nil || got != row.legal {
+			t.Fatalf("%s: the legal word decodes to %+v, %v", row.name, got, err)
+		}
+		row.patch(word)
+		if got, err := c.Decode(word); err == nil {
+			t.Errorf("%s: decoded to %+v, which Encode refuses (%v)", row.name, got, c.Encode(got, make([]byte, c.InstBytes())))
+		}
+	}
+}
+
+// FuzzCodecFixedPoint: for both layouts, any word Decode accepts must Encode,
+// and the word Encode writes must decode to the same instruction.
+func FuzzCodecFixedPoint(f *testing.F) {
+	r := rand.New(rand.NewSource(11))
+	for _, fam := range []Family{Kepler, Volta} {
+		for i := 0; i < 64; i++ {
+			word := make([]byte, 16)
+			if err := CodecFor(fam).Encode(randomInst(r, fam), word); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(word)
+		}
+	}
+	for _, row := range unencodable {
+		word := make([]byte, 16)
+		if err := CodecFor(row.f).Encode(row.legal, word); err != nil {
+			f.Fatal(err)
+		}
+		row.patch(word)
+		f.Add(word)
+	}
+	f.Fuzz(func(t *testing.T, word []byte) {
+		for fam := Kepler; fam <= Volta; fam++ {
+			c := CodecFor(fam)
+			in, err := c.Decode(word)
+			if err != nil {
+				continue
+			}
+			again := make([]byte, c.InstBytes())
+			if err := c.Encode(in, again); err != nil {
+				t.Fatalf("%v: % x decodes to %+v, which does not encode: %v", fam, word[:c.InstBytes()], in, err)
+			}
+			if back, err := c.Decode(again); err != nil || back != in {
+				t.Fatalf("%v: % x decodes to %+v, re-encoded % x decodes to %+v (%v)", fam, word[:c.InstBytes()], in, again, back, err)
+			}
+		}
+	})
+}
+
 func TestCodecImmediateRangeEnforced(t *testing.T) {
 	c := CodecFor(Kepler)
 	in := NewInst(OpIADD)

@@ -59,7 +59,7 @@ func TestDifferentialJITCache(t *testing.T) {
 // TestJITCacheConcurrentAttaches races N simultaneous attaches — each with
 // its own device and framework instance — against one shared cache, under
 // both schedulers. Singleflight must coalesce the racing JITs so each unique
-// object (one lift, one code) is generated exactly once, and every attach
+// function's object is generated exactly once, and every attach
 // must end up with the same instruction count and byte-identical device code.
 // The root package runs under -race in CI, which is the point.
 func TestJITCacheConcurrentAttaches(t *testing.T) {
@@ -148,13 +148,13 @@ func TestJITCacheConcurrentAttaches(t *testing.T) {
 				t.Fatal("no instructions counted")
 			}
 			st := cache.Stats()
-			// One unique function → one lift object + one code object; the
-			// other 2*attaches-2 lookups hit or coalesce, never regenerate.
-			if st.Generations != 2 {
-				t.Errorf("cache generated %d objects for one unique function, want 2 (stats %+v)", st.Generations, st)
+			// One unique function → one object; the other attaches' lookups
+			// hit or coalesce, never regenerate.
+			if st.Generations != 1 {
+				t.Errorf("cache generated %d objects for one unique function, want 1 (stats %+v)", st.Generations, st)
 			}
-			if got := st.MemHits + st.DiskHits + st.Coalesced; got != 2*attaches-2 {
-				t.Errorf("hits+coalesced = %d, want %d (stats %+v)", got, 2*attaches-2, st)
+			if got := st.MemHits + st.DiskHits + st.Coalesced; got != attaches-1 {
+				t.Errorf("hits+coalesced = %d, want %d (stats %+v)", got, attaches-1, st)
 			}
 		})
 	}
