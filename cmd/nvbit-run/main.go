@@ -358,9 +358,10 @@ exit codes:
 		fmt.Printf("jit: lifted %d funcs / %d instrs, %d trampolines (%.1f saved regs each), %d inlined sites, %v total (%v disasm)\n",
 			js.FunctionsLifted, js.InstrsLifted, js.TrampolinesEmitted, js.AvgSavedRegs(), js.InlinedSites, js.Total().Round(time.Microsecond), js.Disassemble.Round(time.Microsecond))
 		if jc != nil {
-			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d bytes in, %d bytes out\n",
+			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d bytes in, %d bytes out, lookup %v, hit %v, codegen %v\n",
 				js.CacheLookups, js.CacheHits, js.CacheMisses, 100*js.CacheHitRatio(),
-				js.CacheBytesRead, js.CacheBytesWritten)
+				js.CacheBytesRead, js.CacheBytesWritten,
+				js.CacheLookup.Round(time.Microsecond), js.CacheHit.Round(time.Microsecond), js.CodeGen.Round(time.Microsecond))
 		}
 	}
 	if prof := api.Scope0().Collector(); prof != nil {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,5 +139,113 @@ func TestColdJITAllocBudget(t *testing.T) {
 	t.Logf("%.0f heap objects per first launch of %.0f instructions: %.2f per lifted instruction", allocs, perRun, perInstr)
 	if perInstr > coldJITAllocBudget {
 		t.Errorf("cold JIT allocates %.2f heap objects per lifted instruction, budget %.1f", perInstr, coldJITAllocBudget)
+	}
+}
+
+// warmHitObjectBudget and warmHitByteBudget are the most heap objects and
+// bytes a first launch served from the cache's disk tier may allocate per
+// materialized instruction, everything from the launch callback's GetInstrs
+// to the end of finalize included. The objects are the lift's and the tool's
+// plan, three an instruction, as on a miss; a hit adds a handful per function
+// (the entry read into one buffer, the artifact's four arrays) and none per
+// site. The bytes are what moves: measured 3.14 objects and 1005 bytes, where
+// artifactVersion 2 with its 24-byte relocations and a decode cache made for
+// every trampoline chunk allocated 1271 bytes. A -race build allocates one
+// object and 113 bytes more per instruction; the budgets leave it room.
+const (
+	warmHitObjectBudget = 4.5
+	warmHitByteBudget   = 1150
+)
+
+// TestWarmHitAllocBudget pins what a disk-tier hit allocates: the kernels of
+// TestColdJITAllocBudget, generated once into a cache directory, then
+// launched for the first time on a fresh device through a fresh cache object
+// over that directory, as a re-run of a process does.
+func TestWarmHitAllocBudget(t *testing.T) {
+	const runs = 4
+	dir := t.TempDir()
+	// launchAll loads every kernel and launches each once under instrcount
+	// with a new cache over dir; measured wraps all launches but the first,
+	// which also compiles and loads the tool functions.
+	launchAll := func(measured func(launch func())) core.JITStats {
+		api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer api.Close()
+		cache, err := jitcache.New(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nv, err := core.Attach(api, instrcount.New(), core.WithJITCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := api.CtxCreate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := ctx.MemAlloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fns []*driver.Function
+		for k := 0; k <= runs; k++ {
+			name := fmt.Sprintf("cold%d", k)
+			mod, err := ctx.ModuleLoadPTX(name, coldKernelPTX(name, int64(k+1), 420))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn, err := mod.GetFunction(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fns = append(fns, fn)
+		}
+		params, err := driver.PackParams(fns[0], data, uint32(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch := func(fn *driver.Function) {
+			if err := ctx.LaunchKernel(fn, gpu.D1(1), gpu.D1(32), 0, params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		launch(fns[0])
+		first := nv.JITStats()
+		measured(func() {
+			for _, fn := range fns[1:] {
+				launch(fn)
+			}
+		})
+		st := nv.JITStats()
+		st.InstrsLifted -= first.InstrsLifted
+		return st
+	}
+	launchAll(func(launch func()) { launch() })
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	st := launchAll(func(launch func()) {
+		runtime.ReadMemStats(&before)
+		launch()
+		runtime.ReadMemStats(&after)
+	})
+	if st.CacheHits != st.CacheLookups || st.CacheLookups != runs+1 || st.CodeGen != 0 || st.TrampolinesEmitted == 0 {
+		t.Fatalf("not a warm run: %d of %d lookups hit, %v generating code, %d trampolines",
+			st.CacheHits, st.CacheLookups, st.CodeGen, st.TrampolinesEmitted)
+	}
+	instrs := float64(st.InstrsLifted)
+	if instrs/runs < 400 {
+		t.Fatalf("kernels average %.0f instructions, want at least 400", instrs/runs)
+	}
+	objects := float64(after.Mallocs-before.Mallocs) / instrs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / instrs
+	t.Logf("%d first launches of %.0f instructions served from disk: %.2f heap objects and %.0f bytes per instruction", runs, instrs/runs, objects, bytes)
+	if objects > warmHitObjectBudget {
+		t.Errorf("a disk-tier hit allocates %.2f heap objects per instruction, budget %.1f", objects, warmHitObjectBudget)
+	}
+	if bytes > warmHitByteBudget {
+		t.Errorf("a disk-tier hit allocates %.0f bytes per instruction, budget %d", bytes, warmHitByteBudget)
 	}
 }

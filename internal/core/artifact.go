@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"nvbitgo/internal/sass"
 )
@@ -24,12 +25,20 @@ import (
 // The codec is versioned; decode is fully bounds-checked and returns an error
 // on any malformed input, which the cache layer treats as a codec-version
 // skew: evict and regenerate.
+//
+// The artifact is flat in memory — a site list over one instruction array and
+// one relocation array — and the wire format is that same shape: a header
+// holding every count, the tool names, then each array packed at a fixed
+// record width. A blob's size follows from its header alone, so decode checks
+// it against len(blob) once, allocates each array once at its final size and
+// fills it in one loop.
 
 // artifactVersion invalidates serialized artifacts when the codec layout
 // changes. It is also folded into the cache key, so a bump makes old
 // entries unreachable rather than merely undecodable. Version 2 added the
-// per-site inline flag and the relocInlineSkip relocation kind.
-const artifactVersion = 2
+// per-site inline flag and the relocInlineSkip relocation kind; version 3 is
+// the flat layout.
+const artifactVersion = 3
 
 // relocKind says how one trampoline instruction's immediate is resolved at
 // materialization time.
@@ -46,7 +55,7 @@ const (
 	// code at the next program counter).
 	relocRetJump
 	// relocRelBranch: the relocated original instruction is a relative
-	// branch; aux holds its original immediate and the new immediate is
+	// branch; the slot still holds its original immediate and the new one is
 	// origTarget − (trampoline base + slot + 1).
 	relocRelBranch
 	// relocInlineSkip: a branch skipping over (part of) an inlined tool
@@ -58,8 +67,8 @@ const (
 // reloc is one deferred immediate fix-up within a site's trampoline body.
 type reloc struct {
 	kind relocKind
-	slot int   // index into the site's instructions
-	aux  int64 // kind-specific operand (frame size, name index, branch imm)
+	slot int32 // index into the site's instructions
+	aux  int32 // kind-specific operand (frame size, name index, skip distance)
 }
 
 // span is a run of a code artifact's instruction or relocation array.
@@ -87,7 +96,8 @@ type siteArtifact struct {
 // It is flat: every site's trampoline body lives in one instruction array and
 // every fix-up in one relocation array, in site order with nothing between
 // the sites' runs, so building, decoding and encoding a function allocate per
-// function, not per site. The wire format is per site and does not show it.
+// function, not per site, and a site is serialized with its two run lengths
+// and no offsets.
 type codeArtifact struct {
 	toolNames []string
 	sites     []siteArtifact
@@ -97,14 +107,14 @@ type codeArtifact struct {
 
 // toolIndex returns name's index in toolNames, adding it when new. A function
 // names a handful of tool functions, so the search is linear.
-func (a *codeArtifact) toolIndex(name string) int64 {
+func (a *codeArtifact) toolIndex(name string) int32 {
 	for k, have := range a.toolNames {
 		if have == name {
-			return int64(k)
+			return int32(k)
 		}
 	}
 	a.toolNames = append(a.toolNames, name)
-	return int64(len(a.toolNames) - 1)
+	return int32(len(a.toolNames) - 1)
 }
 
 // addSite appends s, whose code is what was appended to the arrays since they
@@ -115,228 +125,190 @@ func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {
 	a.sites = append(a.sites, s)
 }
 
-// --- binary writer/reader ---------------------------------------------------
-
-// Serialized widths: an instruction is 8 one-byte fields and the 64-bit
-// immediate; a relocation is kind, slot and aux; a site with neither is its
-// index, two flags, two frame sizes and two counts.
-const (
-	instBinBytes  = 16
-	relocBinBytes = 13
-	siteBinBytes  = 22
-)
-
-// artWriter appends to a buffer its user sized exactly beforehand.
-type artWriter struct{ b []byte }
-
-func (w *artWriter) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *artWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *artWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *artWriter) i64(v int64)  { w.u64(uint64(v)) }
-func (w *artWriter) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *artWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *artWriter) inst(in sass.Inst) {
-	var neg uint8
-	if in.PredNeg {
-		neg = 1
-	}
-	w.b = append(w.b, uint8(in.Op), uint8(in.Pred), neg, uint8(in.Dst), uint8(in.Src1), uint8(in.Src2), uint8(in.Src3), uint8(in.Mods))
-	w.i64(in.Imm)
-}
-
-var (
-	errArtifactTruncated = fmt.Errorf("nvbit: artifact truncated")
-	// errArtifactValue rejects a byte no encoder writes: decode accepts only
-	// what encodes back to the same bytes.
-	errArtifactValue = fmt.Errorf("nvbit: artifact holds a flag, opcode or relocation kind out of range")
-)
-
-type artReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *artReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) || r.off+n < r.off {
-		r.err = errArtifactTruncated
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-func (r *artReader) u8() uint8 {
-	s := r.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-func (r *artReader) u32() uint32 {
-	s := r.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-func (r *artReader) flag(b byte) bool {
-	if b > 1 && r.err == nil {
-		r.err = errArtifactValue
-	}
-	return b == 1
-}
-func (r *artReader) bool() bool { return r.flag(r.u8()) }
-func (r *artReader) str() string {
-	n := r.u32()
-	return string(r.take(int(n)))
-}
-
-// count reads a length field and bounds it against the bytes left, elemMin
-// for each element, so a corrupt count can neither drive an allocation larger
-// than a constant multiple of the input nor pass for a valid one.
-func (r *artReader) count(elemMin int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n > (len(r.b)-r.off)/elemMin {
-		r.err = errArtifactTruncated
-		return 0
-	}
-	return n
-}
-
-func (r *artReader) inst() sass.Inst {
-	s := r.take(instBinBytes)
-	if s == nil {
-		return sass.Inst{}
-	}
-	in := sass.Inst{
-		Op: sass.Opcode(s[0]), Pred: sass.Pred(s[1]), PredNeg: r.flag(s[2]),
-		Dst: sass.Reg(s[3]), Src1: sass.Reg(s[4]), Src2: sass.Reg(s[5]), Src3: sass.Reg(s[6]),
-		Mods: sass.Mods(s[7]), Imm: int64(binary.LittleEndian.Uint64(s[8:])),
-	}
-	if !in.Op.Valid() && r.err == nil {
-		r.err = errArtifactValue
-	}
-	return in
-}
-
-func (r *artReader) reloc() reloc {
-	s := r.take(relocBinBytes)
-	if s == nil {
-		return reloc{}
-	}
-	rl := reloc{kind: relocKind(s[0]), slot: int(binary.LittleEndian.Uint32(s[1:])), aux: int64(binary.LittleEndian.Uint64(s[5:]))}
-	if rl.kind > relocInlineSkip && r.err == nil {
-		r.err = errArtifactValue
-	}
-	return rl
-}
-
 // --- code artifact codec ----------------------------------------------------
 
+// Serialized layout, little-endian, sections in this order:
+//
+//	header  version, then the counts of tool names, name-section bytes, sites,
+//	        instructions, immediates and relocations, 4 bytes each
+//	names   per tool name a 4-byte length and the bytes
+//	sites   idx 4, instructions 4, relocations 4, saveN 2, savedRegs 2, flags 1
+//	insts   Op, Pred, flags, Dst, Src1, Src2, Src3, Mods, a byte each
+//	imms    8 bytes for each instruction whose flags say it has one, in order
+//	relocs  kind 1, slot 4, aux 4
+//
+// Most trampoline immediates are zero until materialization fills them in, so
+// an instruction carries only a presence bit and the non-zero ones sit in an
+// array of their own.
+const (
+	headerBinBytes = 28
+	siteBinBytes   = 17
+	instBinBytes   = 8
+	immBinBytes    = 8
+	relocBinBytes  = 9
+
+	siteFlagNopOnly, siteFlagInline = 1, 2
+	instFlagPredNeg, instFlagImm    = 1, 2
+)
+
+var (
+	errArtifactTruncated = fmt.Errorf("nvbit: artifact size does not match its header")
+	// errArtifactValue rejects a byte no encoder writes: decode accepts only
+	// what encodes back to the same bytes.
+	errArtifactValue = fmt.Errorf("nvbit: artifact holds a flag, opcode, count or relocation out of range")
+)
+
 func encodeCodeArtifact(a *codeArtifact) []byte {
-	size := 12 + len(a.sites)*siteBinBytes + len(a.insts)*instBinBytes + len(a.relocs)*relocBinBytes
+	le := binary.LittleEndian
+	nameBytes, imms := 0, 0
 	for _, name := range a.toolNames {
-		size += 4 + len(name)
+		nameBytes += 4 + len(name)
 	}
-	w := artWriter{b: make([]byte, 0, size)}
-	w.u32(artifactVersion)
-	w.u32(uint32(len(a.toolNames)))
+	for i := range a.insts {
+		if a.insts[i].Imm != 0 {
+			imms++
+		}
+	}
+	b := make([]byte, headerBinBytes+nameBytes+len(a.sites)*siteBinBytes+
+		len(a.insts)*instBinBytes+imms*immBinBytes+len(a.relocs)*relocBinBytes)
+	for k, v := range [...]int{artifactVersion, len(a.toolNames), nameBytes, len(a.sites), len(a.insts), imms, len(a.relocs)} {
+		le.PutUint32(b[4*k:], uint32(v))
+	}
+	p := b[headerBinBytes:]
 	for _, name := range a.toolNames {
-		w.str(name)
+		le.PutUint32(p, uint32(len(name)))
+		p = p[4+copy(p[4:], name):]
 	}
-	w.u32(uint32(len(a.sites)))
 	for i := range a.sites {
 		s := &a.sites[i]
-		w.u32(uint32(s.idx))
-		w.bool(s.nopOnly)
-		w.bool(s.inline)
-		w.u32(uint32(s.saveN))
-		w.u32(uint32(s.savedRegs))
-		w.u32(uint32(s.insts.n))
-		for _, in := range of(s.insts, a.insts) {
-			w.inst(in)
+		le.PutUint32(p, uint32(s.idx))
+		le.PutUint32(p[4:], uint32(s.insts.n))
+		le.PutUint32(p[8:], uint32(s.relocs.n))
+		le.PutUint16(p[12:], uint16(s.saveN))
+		le.PutUint16(p[14:], uint16(s.savedRegs))
+		if s.nopOnly {
+			p[16] |= siteFlagNopOnly
 		}
-		w.u32(uint32(s.relocs.n))
-		for _, rl := range of(s.relocs, a.relocs) {
-			w.u8(uint8(rl.kind))
-			w.u32(uint32(rl.slot))
-			w.i64(rl.aux)
+		if s.inline {
+			p[16] |= siteFlagInline
 		}
+		p = p[siteBinBytes:]
 	}
-	return w.b
+	imm := p[len(a.insts)*instBinBytes:]
+	for i := range a.insts {
+		in := &a.insts[i]
+		var flags uint8
+		if in.PredNeg {
+			flags = instFlagPredNeg
+		}
+		if in.Imm != 0 {
+			flags |= instFlagImm
+			le.PutUint64(imm, uint64(in.Imm))
+			imm = imm[immBinBytes:]
+		}
+		p[0], p[1], p[2], p[3] = uint8(in.Op), uint8(in.Pred), flags, uint8(in.Dst)
+		p[4], p[5], p[6], p[7] = uint8(in.Src1), uint8(in.Src2), uint8(in.Src3), uint8(in.Mods)
+		p = p[instBinBytes:]
+	}
+	p = imm
+	for _, rl := range a.relocs {
+		p[0] = uint8(rl.kind)
+		le.PutUint32(p[1:], uint32(rl.slot))
+		le.PutUint32(p[5:], uint32(rl.aux))
+		p = p[relocBinBytes:]
+	}
+	return b
 }
 
 func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
-	r := &artReader{b: b}
-	if v := r.u32(); r.err == nil && v != artifactVersion {
+	le := binary.LittleEndian
+	if len(b) < headerBinBytes {
+		return nil, errArtifactTruncated
+	}
+	if v := le.Uint32(b); v != artifactVersion {
 		return nil, fmt.Errorf("nvbit: code artifact version %d, want %d", v, artifactVersion)
 	}
-	a := &codeArtifact{}
-	if n := r.count(5); n > 0 {
-		a.toolNames = make([]string, n)
-		for i := range a.toolNames {
-			a.toolNames[i] = r.str()
+	// The six counts, widened so that no product or sum of them wraps.
+	var n [6]uint64
+	for k := range n {
+		n[k] = uint64(le.Uint32(b[4+4*k:]))
+	}
+	nTools, nameBytes, nSites, nInsts, nImms, nRelocs := n[0], n[1], n[2], n[3], n[4], n[5]
+	if headerBinBytes+nameBytes+nSites*siteBinBytes+nInsts*instBinBytes+nImms*immBinBytes+nRelocs*relocBinBytes != uint64(len(b)) ||
+		4*nTools > nameBytes || nImms > nInsts || nInsts|nRelocs > math.MaxInt32 {
+		return nil, errArtifactTruncated
+	}
+	// Every array is now known to be no larger than a small multiple of the
+	// bytes that hold it.
+	a := &codeArtifact{
+		toolNames: make([]string, nTools),
+		sites:     make([]siteArtifact, nSites),
+		insts:     make([]sass.Inst, nInsts),
+		relocs:    make([]reloc, nRelocs),
+	}
+	p := b[headerBinBytes:]
+	names, p := p[:nameBytes], p[nameBytes:]
+	for i := range a.toolNames {
+		if len(names) < 4 || uint64(le.Uint32(names)) > uint64(len(names)-4) {
+			return nil, errArtifactTruncated
 		}
+		k := 4 + int(le.Uint32(names))
+		a.toolNames[i], names = string(names[4:k]), names[k:]
 	}
-	// Walk the sites once for the totals, so the shared arrays are made at
-	// their final size and only after every count was checked against the
-	// bytes that follow it.
-	nSites := r.count(siteBinBytes)
-	m, nInsts, nRelocs := *r, 0, 0
-	for i := 0; i < nSites; i++ {
-		m.take(siteBinBytes - 8) // all of a site but its two counts
-		k := m.count(instBinBytes)
-		m.take(k * instBinBytes)
-		nInsts += k
-		k = m.count(relocBinBytes)
-		m.take(k * relocBinBytes)
-		nRelocs += k
+	if len(names) != 0 {
+		return nil, errArtifactTruncated
 	}
-	if m.err != nil {
-		return nil, m.err
-	}
-	a.sites = make([]siteArtifact, 0, nSites)
-	a.insts = make([]sass.Inst, 0, nInsts)
-	a.relocs = make([]reloc, 0, nRelocs)
-	for i := 0; i < nSites && r.err == nil; i++ {
-		s := siteArtifact{idx: int(r.u32()), nopOnly: r.bool(), inline: r.bool(), saveN: int(r.u32()), savedRegs: int(r.u32())}
-		i0, r0 := len(a.insts), len(a.relocs)
-		for k := r.count(instBinBytes); k > 0; k-- {
-			a.insts = append(a.insts, r.inst())
+	// Sites tile the two arrays in order; a run past an array's end is caught
+	// as it is laid out, an array longer than its sites' runs after.
+	var iOff, rOff uint64
+	for i := range a.sites {
+		s := &a.sites[i]
+		ni, nr, flags := uint64(le.Uint32(p[4:])), uint64(le.Uint32(p[8:])), p[16]
+		if flags > siteFlagNopOnly|siteFlagInline || iOff+ni > nInsts || rOff+nr > nRelocs {
+			return nil, errArtifactValue
 		}
-		for k := r.count(relocBinBytes); k > 0; k-- {
-			rl := r.reloc()
-			if rl.slot >= len(a.insts)-i0 {
-				return nil, fmt.Errorf("nvbit: artifact reloc slot %d out of range", rl.slot)
+		*s = siteArtifact{
+			idx: int(le.Uint32(p)), nopOnly: flags&siteFlagNopOnly != 0, inline: flags&siteFlagInline != 0,
+			saveN: int(le.Uint16(p[12:])), savedRegs: int(le.Uint16(p[14:])),
+			insts: span{int32(iOff), int32(ni)}, relocs: span{int32(rOff), int32(nr)},
+		}
+		iOff, rOff, p = iOff+ni, rOff+nr, p[siteBinBytes:]
+	}
+	if iOff != nInsts || rOff != nRelocs {
+		return nil, errArtifactValue
+	}
+	imm, relocs := p[nInsts*instBinBytes:][:nImms*immBinBytes], p[nInsts*instBinBytes+nImms*immBinBytes:]
+	for i := range a.insts {
+		in := sass.Inst{
+			Op: sass.Opcode(p[0]), Pred: sass.Pred(p[1]), PredNeg: p[2]&instFlagPredNeg != 0,
+			Dst: sass.Reg(p[3]), Src1: sass.Reg(p[4]), Src2: sass.Reg(p[5]), Src3: sass.Reg(p[6]), Mods: sass.Mods(p[7]),
+		}
+		if p[2] > instFlagPredNeg|instFlagImm || !in.Op.Valid() {
+			return nil, errArtifactValue
+		}
+		if p[2]&instFlagImm != 0 {
+			// A presence bit over a zero immediate is not what encode writes.
+			if len(imm) == 0 || le.Uint64(imm) == 0 {
+				return nil, errArtifactValue
 			}
-			if rl.kind == relocToolFn && (rl.aux < 0 || rl.aux >= int64(len(a.toolNames))) {
-				return nil, fmt.Errorf("nvbit: artifact reloc tool index %d out of range", rl.aux)
-			}
-			a.relocs = append(a.relocs, rl)
+			in.Imm, imm = int64(le.Uint64(imm)), imm[immBinBytes:]
 		}
-		a.addSite(s, i0, r0)
+		a.insts[i], p = in, p[instBinBytes:]
 	}
-	if r.err != nil {
-		return nil, r.err
+	if len(imm) != 0 {
+		return nil, errArtifactValue
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("nvbit: %d trailing bytes after code artifact", len(b)-r.off)
+	for i := range a.sites {
+		s := &a.sites[i]
+		for k := range of(s.relocs, a.relocs) {
+			rl := reloc{kind: relocKind(relocs[0]), slot: int32(le.Uint32(relocs[1:])), aux: int32(le.Uint32(relocs[5:]))}
+			if rl.kind > relocInlineSkip || rl.slot < 0 || rl.slot >= s.insts.n ||
+				(rl.kind == relocToolFn && uint64(uint32(rl.aux)) >= nTools) ||
+				(rl.kind <= relocRestoreFn && uint32(rl.aux) > sass.NumRegs) {
+				return nil, errArtifactValue
+			}
+			a.relocs[int(s.relocs.off)+k], relocs = rl, relocs[relocBinBytes:]
+		}
 	}
 	return a, nil
 }

@@ -8,15 +8,18 @@ import (
 )
 
 // TestArtifactDecodeStrict: decode accepts exactly what encode writes. A flag
-// byte other than 0 or 1, an undefined opcode and a relocation kind past the
-// last would all decode to an artifact that encodes to different bytes (or,
-// for the kind, that materialization silently ignores), so each is rejected,
-// as are a count the remaining bytes cannot hold and trailing bytes.
+// bit no encoder sets, an undefined opcode, a presence bit over a zero
+// immediate and a relocation kind past the last would all decode to an
+// artifact that encodes to different bytes (or, for the kind, that
+// materialization silently ignores), so each is rejected, as are a frame size
+// no register file has, a count the blob's size does not bear out, sites
+// whose runs do not tile the arrays and bytes past the end.
 func TestArtifactDecodeStrict(t *testing.T) {
 	art := &codeArtifact{toolNames: []string{"probe"}}
-	jmp := sass.NewInst(sass.OpJMP)
-	art.insts = append(art.insts, sass.NewInst(sass.OpCAL), jmp)
-	art.relocs = append(art.relocs, reloc{kind: relocToolFn, slot: 0, aux: 0}, reloc{kind: relocInlineSkip, slot: 1, aux: 3})
+	movi := sass.NewInst(sass.OpMOVI)
+	movi.Imm = 5
+	art.insts = append(art.insts, sass.NewInst(sass.OpCAL), movi, sass.NewInst(sass.OpCAL), sass.NewInst(sass.OpJMP))
+	art.relocs = append(art.relocs, reloc{kind: relocSaveFn, slot: 0, aux: 16}, reloc{kind: relocToolFn, slot: 2, aux: 0}, reloc{kind: relocInlineSkip, slot: 3, aux: 3})
 	art.addSite(siteArtifact{idx: 7, saveN: 16, savedRegs: 9}, 0, 0)
 	art.sites = append(art.sites, siteArtifact{idx: 9, nopOnly: true})
 	code := encodeCodeArtifact(art)
@@ -24,32 +27,45 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	if err != nil || !bytes.Equal(encodeCodeArtifact(back), code) {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(back.sites) != 2 || back.sites[0].insts != (span{0, 2}) || back.sites[0].relocs != (span{0, 2}) || back.sites[1].insts.n != 0 {
-		t.Fatalf("decoded sites %+v", back.sites)
+	if len(back.sites) != 2 || back.sites[0].insts != (span{0, 4}) || back.sites[0].relocs != (span{0, 3}) || back.sites[1].insts.n != 0 ||
+		back.insts[1] != movi || back.relocs[2] != art.relocs[2] {
+		t.Fatalf("decoded %+v", back)
 	}
 
-	// Offsets into code: version, name count, the name, site count, then the
-	// first site's fields.
-	site := 4 + 4 + 4 + len("probe") + 4
-	inst0 := site + siteBinBytes - 4
-	reloc0 := inst0 + 2*instBinBytes + 4
-	patch := func(b []byte, off int, v byte) []byte {
-		b = append([]byte(nil), b...)
+	// Offsets into code: the header's counts, then the sections in order.
+	const (
+		hdrSites, hdrInsts, hdrImms, hdrRelocs = 12, 16, 20, 24
+	)
+	site0 := headerBinBytes + 4 + len("probe")
+	inst0 := site0 + 2*siteBinBytes
+	imm0 := inst0 + 4*instBinBytes
+	reloc0 := imm0 + immBinBytes
+	patch := func(off int, v byte) []byte {
+		b := append([]byte(nil), code...)
 		b[off] = v
 		return b
 	}
 	for name, blob := range map[string][]byte{
-		"nopOnly flag 2":        patch(code, site+4, 2),
-		"inline flag 0x80":      patch(code, site+5, 0x80),
-		"undefined opcode":      patch(code, inst0, byte(sass.NumOpcodes)),
-		"PredNeg flag 2":        patch(code, inst0+2, 2),
-		"relocation kind 6":     patch(code, reloc0, byte(relocInlineSkip)+1),
-		"relocation slot 2":     patch(code, reloc0+1, 2),
-		"tool index 1":          patch(code, reloc0+5, 1),
-		"site count 3":          patch(code, site-4, 3),
-		"instruction count 200": patch(code, inst0-4, 200),
-		"trailing byte":         append(append([]byte(nil), code...), 0),
-		"truncated":             code[:len(code)-1],
+		"site flag 4":                  patch(site0+16, 4),
+		"undefined opcode":             patch(inst0, byte(sass.NumOpcodes)),
+		"instruction flag 4":           patch(inst0+2, 4),
+		"presence bit, no immediate":   patch(inst0+2, instFlagImm),
+		"presence bit over zero":       patch(imm0, 0),
+		"immediate nobody claims":      patch(inst0+instBinBytes+2, 0),
+		"relocation kind 6":            patch(reloc0, byte(relocInlineSkip)+1),
+		"relocation slot 4":            patch(reloc0+1, 4),
+		"frame size 256":               patch(reloc0+6, 1),
+		"tool index 1":                 patch(reloc0+relocBinBytes+5, 1),
+		"site count 3":                 patch(hdrSites, 3),
+		"instruction count 200":        patch(hdrInsts, 200),
+		"immediate count 0":            patch(hdrImms, 0),
+		"relocation count 2":           patch(hdrRelocs, 2),
+		"site run past the array":      patch(site0+4, 5),
+		"site run short of the array":  patch(site0+4, 3),
+		"name longer than its section": patch(headerBinBytes, 6),
+		"trailing byte":                append(append([]byte(nil), code...), 0),
+		"truncated":                    code[:len(code)-1],
+		"header only":                  code[:headerBinBytes-1],
 	} {
 		if _, err := decodeCodeArtifact(blob); err == nil {
 			t.Errorf("code artifact with %s accepted", name)

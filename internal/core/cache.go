@@ -25,8 +25,12 @@ import (
 // why the plan is hashed argument by argument rather than summarized.
 //
 // The key domain carries a schema version; artifactVersion is additionally
-// mixed into the key so a codec change makes old entries unreachable.
-const codeKeyDomain = "nvbitgo/code/v1"
+// mixed into the key so a codec change makes old entries unreachable. Schema
+// v2 hashes the plan — the bulk of a key — in fields as wide as their types:
+// a byte for a flag, a predicate or an argument kind, four for a word index,
+// a count, a register or a constant bank (of which generated code keeps the
+// low bits only), eight for what a tool may set to any value.
+const codeKeyDomain = "nvbitgo/code/v2"
 
 // codeKey fingerprints one function plus its instrumentation plan.
 func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
@@ -62,31 +66,38 @@ func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
 		if !i.hasWork() {
 			continue
 		}
-		h.Int(i.idx)
-		h.Bool(i.removeOrig)
+		h.Uint32(uint32(i.idx))
+		h.Uint8(flagByte(i.removeOrig))
 		hashCalls(h, i.before)
 		hashCalls(h, i.after)
 	}
 	return h.Sum()
 }
 
+func flagByte(v bool) uint8 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 func hashCalls(h *jitcache.Hasher, calls []*callRequest) {
-	h.Int(len(calls))
+	h.Uint32(uint32(len(calls)))
 	for _, cr := range calls {
 		h.String(cr.funcName)
-		h.Bool(cr.guarded)
-		h.Int(int(cr.guardP))
-		h.Bool(cr.guardNeg)
-		h.Bool(cr.useSite)
-		h.Int(len(cr.args))
+		h.Uint8(flagByte(cr.guarded))
+		h.Uint8(uint8(cr.guardP))
+		h.Uint8(flagByte(cr.guardNeg))
+		h.Uint8(flagByte(cr.useSite))
+		h.Uint32(uint32(len(cr.args)))
 		for _, a := range cr.args {
-			h.Int(int(a.kind))
-			h.Int(a.reg)
+			h.Uint8(uint8(a.kind))
+			h.Uint32(uint32(a.reg))
 			h.Uint64(a.imm)
-			h.Int(a.bank)
+			h.Uint32(uint32(a.bank))
 			h.Int(a.off)
-			h.Int(int(a.pred))
-			h.Bool(a.predNeg)
+			h.Uint8(uint8(a.pred))
+			h.Uint8(flagByte(a.predNeg))
 		}
 	}
 }

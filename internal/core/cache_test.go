@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -251,15 +252,12 @@ func TestCacheVersionSkewRegenerates(t *testing.T) {
 	}
 	key := cold.env.nv.codeKey(fs)
 
-	// A minimal well-formed v1 blob: version=1, zero tool names, zero sites.
-	// It passes the store's integrity checksum (Put recomputes it) but must
-	// fail the artifact codec's version check.
+	// A minimal well-formed blob of the previous codec: version 2, zero tool
+	// names, zero sites. It passes the store's integrity checksum (Put
+	// recomputes it) but must fail the artifact codec's version check.
 	v1 := func() []byte {
-		var w artWriter
-		w.u32(1)
-		w.u32(0)
-		w.u32(0)
-		return w.b
+		b := binary.LittleEndian.AppendUint32(nil, artifactVersion-1)
+		return append(b, 0, 0, 0, 0, 0, 0, 0, 0)
 	}
 
 	// Memory tier: Put seeds both the seeding instance's LRU and the disk;

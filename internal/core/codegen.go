@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/sass"
 )
 
@@ -156,7 +157,8 @@ func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, group []*callRequest) (
 // relocation slots count from. emitGroup appends one group's code and reports
 // whether it could. A relocated relative control-flow instruction must have
 // its offset adjusted for its new position (Section 5.1), which depends on the
-// trampoline base; the original immediate rides along in the reloc.
+// trampoline base; the relocation marks the slot, which keeps the original
+// immediate until then.
 func layoutSite(art *codeArtifact, i0 int, i *Instr, before, after []siteCall, emitGroup func([]siteCall) bool) bool {
 	if !emitGroup(before) {
 		return false
@@ -165,14 +167,14 @@ func layoutSite(art *codeArtifact, i0 int, i *Instr, before, after []siteCall, e
 		art.insts = append(art.insts, sass.NewInst(sass.OpNOP))
 	} else {
 		if i.inst.Op.IsRelativeBranch() {
-			art.relocs = append(art.relocs, reloc{kind: relocRelBranch, slot: len(art.insts) - i0, aux: i.inst.Imm})
+			art.relocs = append(art.relocs, reloc{kind: relocRelBranch, slot: int32(len(art.insts) - i0)})
 		}
 		art.insts = append(art.insts, i.inst)
 	}
 	if !emitGroup(after) {
 		return false
 	}
-	art.relocs = append(art.relocs, reloc{kind: relocRetJump, slot: len(art.insts) - i0})
+	art.relocs = append(art.relocs, reloc{kind: relocRetJump, slot: int32(len(art.insts) - i0)})
 	art.insts = append(art.insts, sass.NewInst(sass.OpJMP))
 	return true
 }
@@ -246,8 +248,8 @@ func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, befor
 		p2r.Dst = sass.Reg(scratch)
 		art.insts = append(art.insts, p2r)
 	}
-	emitCall := func(kind relocKind, aux int64, p sass.Pred, neg bool) {
-		art.relocs = append(art.relocs, reloc{kind: kind, slot: len(art.insts) - i0, aux: aux})
+	emitCall := func(kind relocKind, aux int32, p sass.Pred, neg bool) {
+		art.relocs = append(art.relocs, reloc{kind: kind, slot: int32(len(art.insts) - i0), aux: aux})
 		cal := sass.NewInst(sass.OpCAL)
 		cal.Pred, cal.PredNeg = p, neg
 		art.insts = append(art.insts, cal)
@@ -256,7 +258,7 @@ func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, befor
 		if len(group) == 0 {
 			return true
 		}
-		emitCall(relocSaveFn, int64(site.saveN), sass.PT, false)
+		emitCall(relocSaveFn, int32(site.saveN), sass.PT, false)
 		for _, c := range group {
 			art.insts = n.marshalArgs(art.insts, c, i, nil)
 			if c.cr.guarded && capture {
@@ -275,7 +277,7 @@ func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, befor
 			// work): non-matching lanes fall through past the CAL.
 			emitCall(relocToolFn, art.toolIndex(c.cr.funcName), c.p, c.neg)
 		}
-		emitCall(relocRestoreFn, int64(site.saveN), sass.PT, false)
+		emitCall(relocRestoreFn, int32(site.saveN), sass.PT, false)
 		return true
 	})
 	art.addSite(site, i0, r0)
@@ -286,19 +288,44 @@ func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, befor
 // resolves each site's relocations against this attach's save/restore and
 // tool-function load addresses, writes the trampolines to the device, and
 // substitutes each instrumented instruction with a jump to its trampoline.
-// Every site is resolved in and encoded from the instance's one scratch pair
-// (trampInsts, trampRaw), so the artifact stays as the cache holds it.
+// Relocations are resolved in the artifact's own instructions: the cache holds
+// an artifact as bytes, and the one passed here was built or decoded for this
+// attach alone, which is done with it when this returns. Trampolines that land
+// back to back — all that one bulk chunk holds — are encoded into trampRaw and
+// written to the device together.
 // Inserting trampolines preserves the instruction layout — instrumented and
 // original code have the exact same size and occupy the same location in GPU
 // memory, so absolute jumps keep working regardless of which version is
 // resident.
 func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	hal := n.hal
-	ib := hal.InstBytes
+	ib, codec := hal.InstBytes, hal.Codec()
 	if fs.instrCode == nil {
 		fs.instrCode = append([]byte(nil), fs.origCode...)
 	}
 	f := fs.f
+	// A tool function's address and a frame size's routines are asked of the
+	// loader at their first use in the function and remembered for the rest
+	// of it. The loader loads on demand, so first uses in site order keep
+	// every device allocation where resolving each relocation afresh put it.
+	type frame struct {
+		n             int32
+		save, restore int64
+	}
+	frames := make([]frame, 0, 4)
+	tools := make([]int64, len(art.toolNames)) // 0: not asked yet; word 0 holds no code
+	// The pending run: encoded trampolines not yet written, destined for
+	// runBase onward. One bulk chunk bounds it, and so does the function.
+	run, runBase := n.trampRaw[:0], gpu.CodeAddr(0)
+	if need := min(len(art.insts), trampChunkWords) * ib; cap(run) < need {
+		run = make([]byte, 0, need)
+	}
+	flush := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		return n.Device().WriteCode(runBase, run)
+	}
 	for si := range art.sites {
 		site := &art.sites[si]
 		if site.idx < 0 || (site.idx+1)*ib > len(fs.instrCode) {
@@ -306,77 +333,87 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 		}
 		if site.nopOnly {
 			nop := sass.NewInst(sass.OpNOP)
-			if err := hal.Codec().Encode(nop, fs.instrCode[site.idx*ib:]); err != nil {
+			if err := codec.Encode(nop, fs.instrCode[site.idx*ib:]); err != nil {
 				return err
 			}
 			continue
 		}
-		// The artifact is device-independent; relocations are resolved on the
-		// instance's scratch copy of the site.
-		n.trampInsts = append(n.trampInsts[:0], of(site.insts, art.insts)...)
-		tr, relocs := n.trampInsts, of(site.relocs, art.relocs)
+		tr, relocs := of(site.insts, art.insts), of(site.relocs, art.relocs)
 		// Device-placement-independent relocations first (save/restore and
 		// tool functions load on demand, before trampoline space is carved,
 		// preserving the pre-artifact device allocation order).
 		for _, rl := range relocs {
 			switch rl.kind {
 			case relocSaveFn, relocRestoreFn:
-				save, restore, err := n.loader.saveRestore(int(rl.aux))
-				if err != nil {
-					return err
+				k := 0
+				for k < len(frames) && frames[k].n != rl.aux {
+					k++
+				}
+				if k == len(frames) {
+					save, restore, err := n.loader.saveRestore(int(rl.aux))
+					if err != nil {
+						return err
+					}
+					frames = append(frames, frame{rl.aux, int64(save), int64(restore)})
 				}
 				if rl.kind == relocSaveFn {
-					tr[rl.slot].Imm = int64(save)
+					tr[rl.slot].Imm = frames[k].save
 				} else {
-					tr[rl.slot].Imm = int64(restore)
+					tr[rl.slot].Imm = frames[k].restore
 				}
 			case relocToolFn:
-				tf, err := n.loader.lookup(art.toolNames[rl.aux])
-				if err != nil {
-					return err
+				if tools[rl.aux] == 0 {
+					tf, err := n.loader.lookup(art.toolNames[rl.aux])
+					if err != nil {
+						return err
+					}
+					tools[rl.aux] = int64(tf.addr)
 				}
-				tr[rl.slot].Imm = int64(tf.addr)
+				tr[rl.slot].Imm = tools[rl.aux]
 			case relocRetJump:
 				tr[rl.slot].Imm = int64(f.Addr) + int64(site.idx) + 1
 			case relocInlineSkip:
 				// Skip over (part of) an inlined body: the distance is
 				// body-relative, so it is placement-independent and carried
 				// verbatim in the relocation.
-				if !hal.ImmFits(sass.OpBRA, rl.aux) {
+				if !hal.ImmFits(sass.OpBRA, int64(rl.aux)) {
 					return fmt.Errorf("nvbit: inline skip in %s at word %d out of branch range (%d)", f.Name, site.idx, rl.aux)
 				}
-				tr[rl.slot].Imm = rl.aux
+				tr[rl.slot].Imm = int64(rl.aux)
 			}
 		}
 		base, err := n.loader.allocTramp(len(tr))
 		if err != nil {
 			return err
 		}
+		if base != runBase+gpu.CodeAddr(len(run)/ib) {
+			if err := flush(); err != nil {
+				return err
+			}
+			run, runBase = run[:0], base
+		}
 		for _, rl := range relocs {
 			if rl.kind != relocRelBranch {
 				continue
 			}
-			origTarget := int64(f.Addr) + int64(site.idx) + 1 + rl.aux
+			origTarget := int64(f.Addr) + int64(site.idx) + 1 + tr[rl.slot].Imm
 			newImm := origTarget - (int64(base) + int64(rl.slot) + 1)
 			if !hal.ImmFits(sass.OpBRA, newImm) {
 				return fmt.Errorf("nvbit: relocated branch in %s at word %d cannot reach its target (offset %d)", f.Name, site.idx, newImm)
 			}
 			tr[rl.slot].Imm = newImm
 		}
-		raw, err := hal.Codec().AppendEncode(n.trampRaw[:0], tr)
+		enc, err := codec.AppendEncode(run, tr)
 		if err != nil {
 			return fmt.Errorf("nvbit: encoding trampoline for %s word %d: %w", f.Name, site.idx, err)
 		}
-		n.trampRaw = raw
-		if err := n.Device().WriteCode(base, raw); err != nil {
-			return err
-		}
+		run = enc
 		// Substitute the instrumented instruction with an unguarded jump
 		// to the trampoline; every active thread enters it, and the guard
 		// predicate travels as an argument when the tool asked for it.
 		jmp := sass.NewInst(sass.OpJMP)
 		jmp.Imm = int64(base)
-		if err := hal.Codec().Encode(jmp, fs.instrCode[site.idx*ib:]); err != nil {
+		if err := codec.Encode(jmp, fs.instrCode[site.idx*ib:]); err != nil {
 			return err
 		}
 		if site.inline {
@@ -387,6 +424,10 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			n.stats.TrampolineWords += len(tr)
 			n.stats.SavedRegs += site.savedRegs
 		}
+	}
+	n.trampRaw = run
+	if err := flush(); err != nil {
+		return err
 	}
 	fs.instrumented = true
 	fs.dirty = false

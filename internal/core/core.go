@@ -29,7 +29,6 @@ import (
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/jitcache"
 	"nvbitgo/internal/profile"
-	"nvbitgo/internal/sass"
 )
 
 // Tool is the interface an NVBit tool implements. AtCUDACall mirrors
@@ -72,10 +71,9 @@ type NVBit struct {
 	// cache is the content-addressed instrumentation cache (WithJITCache);
 	// nil keeps the uncached JIT pipeline.
 	cache *jitcache.Cache
-	// trampInsts and trampRaw are materializeArtifact's scratch: the site
-	// being placed, with its relocations resolved, and its encoding.
-	trampInsts []sass.Inst
-	trampRaw   []byte
+	// trampRaw is materializeArtifact's scratch: the encoding of the
+	// trampolines not yet written to the device.
+	trampRaw []byte
 }
 
 // Attach injects the tool into the driver as the process's preloaded

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -49,13 +50,66 @@ func (n *NVBit) CodeKeys() map[string]string {
 	return out
 }
 
-// ArtifactDigests returns one "<function> <SHA-256 of the encoded artifact>"
-// line per function of CodeArtifacts, sorted.
+// CanonicalCodeArtifact decodes an encoded artifact and renders it site by
+// site, every field at full width and a relative branch's original immediate
+// repeated in its relocation: the bytes artifactVersion 2 stored, which
+// testdata/codegen_golden.txt was recorded over. The golden pins what the Code
+// Generator produced, so it reads this rendering and a change of wire format
+// leaves it alone.
+func CanonicalCodeArtifact(blob []byte) ([]byte, error) {
+	a, err := decodeCodeArtifact(blob)
+	if err != nil {
+		return nil, err
+	}
+	le := binary.LittleEndian
+	flag := func(b []byte, v bool) []byte {
+		if v {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	}
+	b := le.AppendUint32(nil, 2)
+	b = le.AppendUint32(b, uint32(len(a.toolNames)))
+	for _, name := range a.toolNames {
+		b = append(le.AppendUint32(b, uint32(len(name))), name...)
+	}
+	b = le.AppendUint32(b, uint32(len(a.sites)))
+	for _, s := range a.sites {
+		b = flag(flag(le.AppendUint32(b, uint32(s.idx)), s.nopOnly), s.inline)
+		b = le.AppendUint32(le.AppendUint32(b, uint32(s.saveN)), uint32(s.savedRegs))
+		insts := of(s.insts, a.insts)
+		b = le.AppendUint32(b, uint32(len(insts)))
+		for _, in := range insts {
+			b = flag(append(b, uint8(in.Op), uint8(in.Pred)), in.PredNeg)
+			b = append(b, uint8(in.Dst), uint8(in.Src1), uint8(in.Src2), uint8(in.Src3), uint8(in.Mods))
+			b = le.AppendUint64(b, uint64(in.Imm))
+		}
+		b = le.AppendUint32(b, uint32(s.relocs.n))
+		for _, rl := range of(s.relocs, a.relocs) {
+			aux := int64(rl.aux)
+			if rl.kind == relocRelBranch {
+				aux = insts[rl.slot].Imm
+			}
+			b = le.AppendUint64(le.AppendUint32(append(b, uint8(rl.kind)), uint32(rl.slot)), uint64(aux))
+		}
+	}
+	return b, nil
+}
+
+// CodeKey returns the cache key f's current plan would be looked up under.
+func (n *NVBit) CodeKey(f *driver.Function) string { return n.codeKey(n.funcs[f]).String() }
+
+// ArtifactDigests returns one "<function> <SHA-256 of the artifact's canonical
+// rendering>" line per function of CodeArtifacts, sorted.
 func (n *NVBit) ArtifactDigests() ([]string, error) {
 	code, err := n.CodeArtifacts()
 	var out []string
 	for name, blob := range code {
-		out = append(out, fmt.Sprintf("%s %x", name, sha256.Sum256(blob)))
+		canon, cerr := CanonicalCodeArtifact(blob)
+		if cerr != nil {
+			return nil, fmt.Errorf("%s: %w", name, cerr)
+		}
+		out = append(out, fmt.Sprintf("%s %x", name, sha256.Sum256(canon)))
 	}
 	sort.Strings(out)
 	return out, err

@@ -41,9 +41,10 @@ func checkRecode(t *testing.T, blob []byte) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// In memory a site is 48 bytes for 22 serialized, an instruction 24 for
-	// 16, a relocation 24 for 13, a string's header 16 for its 4-byte length;
-	// re-encoding an accepted blob adds its length once more. The counter is
+	// In memory a site is 48 bytes for 17 serialized, an instruction 24 for
+	// 8, a relocation 12 for 9, a string's header 16 for its 4-byte length,
+	// and a rejected header sizes nothing; re-encoding an accepted blob adds
+	// its length once more. The counter is
 	// the process's, and the fuzzing engine's own goroutines allocate now and
 	// then, so a reading past the bound is taken again.
 	got, max := allocated(), uint64(8*len(blob)+4096)

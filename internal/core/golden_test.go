@@ -258,7 +258,11 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 	name := fmt.Sprintf("cg/%v/%v/%s", fam, mode, toolName)
 	var ds []string
 	for fn, blob := range runs[name] {
-		ds = append(ds, fmt.Sprintf("%s/%s %x", name, fn, sha256.Sum256(blob)))
+		canon, err := core.CanonicalCodeArtifact(blob)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", name, fn, err)
+		}
+		ds = append(ds, fmt.Sprintf("%s/%s %x", name, fn, sha256.Sum256(canon)))
 	}
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("%s instrumented nothing", toolName)
@@ -306,16 +310,16 @@ func TestMaterializedCodeGolden(t *testing.T) {
 }
 
 // codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
-// PR 17. A key that moves orphans every primed cache directory, so a change
-// to what is hashed, or to the order, shows here and not only in a manual run
-// of two binaries over one directory.
+// PR 19 (artifactVersion 3, key schema v2). A key that moves orphans every
+// primed cache directory, so a change to what is hashed, or to the order,
+// shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "ff3fe2328ed9e83f6302acddefac91aabba2e654b21b2e82b5a23a18bbaf516f",
-	"Kepler/full-save":  "e95d1d3d54bbd84afcef63ea75df550ed1cc77c3fa65e1e3ad191ac88dd93a5d",
-	"Kepler/inline":     "67dbf5bd824059bf9c8d7dc9b2802bb7bc1256006d4e7871ff5485e80fa93826",
-	"Volta/trampoline":  "0b45c8c7808b0ab20c43aaca2fdd9cf5e15e81dfbee0ed1c9810a74a4054258d",
-	"Volta/full-save":   "588e58af6ad3e5aeae6eec6ac2b4fc6979216ae6c3b828f98162b6e8b1e4e689",
-	"Volta/inline":      "dd6c5a094572697ccbb7513a2c19409e616d99ead70c81755c7afa9d5045e0ea",
+	"Kepler/trampoline": "1e23e378e6dbf9a7f306f8e511d80433096126a7c66fd6a856ba37572e2fa794",
+	"Kepler/full-save":  "e123986e628617d3b85c5a0755abbcc71696d27cf0bb914322a22590c7b91139",
+	"Kepler/inline":     "0fb1492bbf2f0fc6786adc3ccd60c5cdc426c5d65629254bb6454850e3b94475",
+	"Volta/trampoline":  "bef010e4d1c4f17a9fd8c46fadc85c9a1b4dbd85b21b80862a9c2f4e4af54440",
+	"Volta/full-save":   "f089ebf4d0cbe78a93db98002669da9313f6eb8aefc96d5d847182c7a8b4070a",
+	"Volta/inline":      "9ab6e6dc61692d3ab06c53f1863a6e122f68b6c756a5743bd55f73ccb5c55a47",
 }
 
 func TestCodeKeyGolden(t *testing.T) {
@@ -331,6 +335,77 @@ func TestCodeKeyGolden(t *testing.T) {
 			if got != codeKeyGolden[name] {
 				t.Errorf("%s: cg_spmv's code key is %s, want %s", name, got, codeKeyGolden[name])
 			}
+		}
+	}
+
+	// The plan is hashed in fields as narrow as a byte; every one of them
+	// still tells two plans apart. Each variant below differs from the first
+	// in one such field of one call on one instruction.
+	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	nv, err := core.Attach(api, synthTool{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := api.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ctx.ModuleLoadPTX("synth", synthPTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := mod.GetFunction("synth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts, err := nv.GetInstrs(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type plan struct {
+		arg       core.CallArg
+		where     core.IPoint
+		guardNeg  bool
+		bySite    bool
+		unguarded bool
+		remove    bool
+	}
+	base := plan{arg: core.ArgPred(0, false)}
+	variants := map[string]plan{
+		"base":               base,
+		"guard polarity":     {arg: base.arg, guardNeg: true},
+		"guard by site":      {arg: base.arg, bySite: true},
+		"no guard":           {arg: base.arg, unguarded: true},
+		"argument polarity":  {arg: core.ArgPred(0, true)},
+		"argument predicate": {arg: core.ArgPred(1, false)},
+		"argument kind":      {arg: core.ArgSitePred()},
+		"after":              {arg: base.arg, where: core.IPointAfter},
+		"original removed":   {arg: base.arg, remove: true},
+	}
+	seen := make(map[string]string)
+	for name, p := range variants {
+		i := insts[2]
+		nv.InsertCallArgs(i, "probe32", p.where, p.arg, core.ArgConst64(0x7000))
+		switch {
+		case p.bySite:
+			nv.GuardCallBySite(i)
+		case !p.unguarded:
+			nv.GuardCall(i, 0, p.guardNeg)
+		}
+		if p.remove {
+			nv.RemoveOrig(i)
+		}
+		key := nv.CodeKey(f)
+		if other, dup := seen[key]; dup {
+			t.Errorf("plans %q and %q share the key %s", name, other, key)
+		}
+		seen[key] = name
+		if err := nv.ResetInstrumented(f); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

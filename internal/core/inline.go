@@ -134,7 +134,7 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, c siteCall, i *Instr, pool
 		}
 		br := sass.NewInst(sass.OpBRA)
 		br.Pred, br.PredNeg = p, neg
-		art.relocs = append(art.relocs, reloc{kind: relocInlineSkip, slot: len(art.insts) - i0, aux: int64(d)})
+		art.relocs = append(art.relocs, reloc{kind: relocInlineSkip, slot: int32(len(art.insts) - i0), aux: int32(d)})
 		art.insts = append(art.insts, br)
 		return true
 	}

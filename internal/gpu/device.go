@@ -109,9 +109,10 @@ type Device struct {
 	pages []atomic.Pointer[memPage]
 	alloc *allocator
 
-	// chunks backs code space (PCs are word indexes into it) the same way,
-	// together with its decode cache.
+	// chunks backs code space (PCs are word indexes into it) the same way;
+	// decoded holds, chunk for chunk, the decode cache of what ran there.
 	chunks    []atomic.Pointer[codeChunk]
+	decoded   []atomic.Pointer[decodeCache]
 	codeWords int // CodeBytes in instruction words
 	codeTop   int // bump pointer (bytes)
 	decMu     sync.Mutex
@@ -205,6 +206,7 @@ func New(cfg Config) (*Device, error) {
 		codeWords: cfg.CodeBytes / ib,
 	}
 	d.chunks = make([]atomic.Pointer[codeChunk], (d.codeWords+chunkWords-1)/chunkWords)
+	d.decoded = make([]atomic.Pointer[decodeCache], len(d.chunks))
 	for i := 0; i < cfg.NumSMs; i++ {
 		d.l1s = append(d.l1s, newCache(cfg.L1Lines, l1Ways))
 	}
@@ -420,8 +422,10 @@ func (d *Device) AllocCode(nWords int) (CodeAddr, error) {
 }
 
 // WriteCode copies raw instruction bytes into code space and invalidates the
-// decode cache for the covered words. This is the operation whose cost the
-// paper equates to a host-to-device cudaMemcpy of the code size.
+// decode cache for the covered words that were decoded — none, for code placed
+// where nothing ran yet, which is every trampoline's first write. This is the
+// operation whose cost the paper equates to a host-to-device cudaMemcpy of the
+// code size.
 func (d *Device) WriteCode(addr CodeAddr, raw []byte) error {
 	ib := d.codec.InstBytes()
 	if len(raw)%ib != 0 {
@@ -435,8 +439,12 @@ func (d *Device) WriteCode(addr CodeAddr, raw []byte) error {
 	for w := int(addr); len(raw) > 0; {
 		ch, i := d.chunk(w), w%chunkWords
 		n := copy(ch.raw[i*ib:], raw)
-		for k := i; k < i+n/ib; k++ {
-			atomic.StoreUint32(&ch.valid[k], 0)
+		if dc := d.decoded[w/chunkWords].Load(); dc != nil {
+			for k := i; k < i+n/ib; k++ {
+				if atomic.LoadUint32(&dc.valid[k]) != 0 {
+					atomic.StoreUint32(&dc.valid[k], 0)
+				}
+			}
 		}
 		raw, w = raw[n:], w+n/ib
 	}
@@ -467,8 +475,14 @@ const chunkWords = 1024
 
 // codeChunk is the backing of chunkWords consecutive words of code space.
 type codeChunk struct {
-	raw  []byte                // the instruction bytes
-	inst [chunkWords]sass.Inst // decode cache
+	raw []byte // the instruction bytes
+}
+
+// decodeCache holds the decoded form of a chunk's words. It is made by the
+// first decode in the chunk (under decMu), so code that is written and never
+// run — most of a trampoline chunk, on a short run — costs its bytes alone.
+type decodeCache struct {
+	inst [chunkWords]sass.Inst
 	// valid publishes decoded entries: 1 under atomic load/store once
 	// inst[i] is filled.
 	valid [chunkWords]uint32
@@ -489,21 +503,22 @@ func (d *Device) chunk(w int) *codeChunk {
 }
 
 // fetch returns the instruction at word index pc as the decode cache's own
-// entry (read-only to callers). A hit takes two acquire loads. Code writes
-// only happen between launches (WriteCode), so an entry never changes while
-// any worker can fetch it.
+// entry (read-only to callers). A hit takes two acquire loads and no lock.
+// Code writes only happen between launches (WriteCode), so an entry never
+// changes while any worker can fetch it.
 func (d *Device) fetch(pc int32) (*sass.Inst, error) {
 	if w := int(pc); w > 0 && w < d.codeWords {
-		if ch := d.chunks[w/chunkWords].Load(); ch != nil && atomic.LoadUint32(&ch.valid[w%chunkWords]) != 0 {
-			return &ch.inst[w%chunkWords], nil
+		if dc := d.decoded[w/chunkWords].Load(); dc != nil && atomic.LoadUint32(&dc.valid[w%chunkWords]) != 0 {
+			return &dc.inst[w%chunkWords], nil
 		}
 	}
 	return d.decode(pc)
 }
 
-// decode is the miss path of fetch: it decodes under decMu and publishes the
-// entry with a release store, so concurrent SM workers never observe a torn
-// sass.Inst.
+// decode is the miss path of fetch: it decodes under decMu — making the
+// chunk's decode cache if this is its first decode, and publishing that before
+// anything in it — and publishes the entry with a release store, so concurrent
+// SM workers never observe a torn sass.Inst.
 func (d *Device) decode(pc int32) (*sass.Inst, error) {
 	w := int(pc)
 	if w <= 0 || w >= d.codeWords {
@@ -512,15 +527,20 @@ func (d *Device) decode(pc int32) (*sass.Inst, error) {
 	ch, i := d.chunk(w), w%chunkWords
 	d.decMu.Lock()
 	defer d.decMu.Unlock()
-	if atomic.LoadUint32(&ch.valid[i]) == 0 {
+	dc := d.decoded[w/chunkWords].Load()
+	if dc == nil {
+		dc = new(decodeCache)
+		d.decoded[w/chunkWords].Store(dc)
+	}
+	if atomic.LoadUint32(&dc.valid[i]) == 0 {
 		in, err := d.codec.Decode(ch.raw[i*d.codec.InstBytes():])
 		if err != nil {
 			return nil, fmt.Errorf("gpu: at PC %#x: %w", pc, err)
 		}
-		ch.inst[i] = in
-		atomic.StoreUint32(&ch.valid[i], 1)
+		dc.inst[i] = in
+		atomic.StoreUint32(&dc.valid[i], 1)
 	}
-	return &ch.inst[i], nil
+	return &dc.inst[i], nil
 }
 
 // --- Allocator ---------------------------------------------------------------

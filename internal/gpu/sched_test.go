@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"nvbitgo/internal/sass"
@@ -246,4 +247,114 @@ func TestParallelSchedulerSmallGrid(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, got)
 		}
 	}
+}
+
+// TestParallelFirstDecodeInFreshChunks: a chunk's decode cache is made by the
+// first decode in it, and on a fresh device under the parallel scheduler that
+// first decode is a race between SM workers — in every chunk the kernel
+// enters. The kernel calls three routines that each sit in a chunk of their
+// own; a fourth routine is written and never run. Run with -race: a worker
+// that sees a word valid must see the cache the word is in.
+func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
+	cfg := DefaultConfig(sass.Volta)
+	cfg.Scheduler = SchedulerParallelSM
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := func(src string) (CodeAddr, []sass.Inst) {
+		t.Helper()
+		insts, err := sass.ParseProgram(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every placement starts a new chunk.
+		base, err := d.AllocCode(chunkWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base, insts
+	}
+	write := func(base CodeAddr, insts []sass.Inst) {
+		t.Helper()
+		raw, err := d.Codec().EncodeAll(insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteCode(base, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded := func(base CodeAddr) bool { return d.decoded[int(base)/chunkWords].Load() != nil }
+	if _, err := d.AllocCode(chunkWords - 1); err != nil { // word 0 is reserved; start on a chunk boundary
+		t.Fatal(err)
+	}
+	entry, kernel := place(gidProlog + `
+	MOVI R6, 0
+	CAL 0
+	CAL 0
+	CAL 0
+	LDC.W R8, c[1][0]
+	MOVI R10, 4
+	IMAD.W R8, R0, R10, R8
+	STG [R8], R6
+	EXIT`)
+	var routines [4]CodeAddr
+	var bodies [4][]sass.Inst
+	for k := range routines {
+		routines[k], bodies[k] = place(fmt.Sprintf("IADD R6, R6, RZ, %d\nRET", 1<<k))
+		write(routines[k], bodies[k])
+	}
+	next := 0
+	for i := range kernel {
+		if kernel[i].Op == sass.OpCAL {
+			kernel[i].Imm = int64(routines[next])
+			next++
+		}
+	}
+	write(entry, kernel)
+	for _, base := range append(routines[:], entry) {
+		if decoded(base) {
+			t.Fatalf("the chunk of word %d has a decode cache before anything ran", base)
+		}
+	}
+
+	const ctas, threads = 64, 64
+	out, _ := d.Malloc(4 * ctas * threads)
+	run := func(want uint32) {
+		t.Helper()
+		launch(t, d, entry, D1(ctas), D1(threads), u64param(out), 0)
+		buf := make([]byte, 4*ctas*threads)
+		if err := d.Read(out, buf); err != nil {
+			t.Fatal(err)
+		}
+		for gid := 0; gid < ctas*threads; gid++ {
+			if got := binary.LittleEndian.Uint32(buf[4*gid:]); got != want {
+				t.Fatalf("out[%d] = %d, want %d", gid, got, want)
+			}
+		}
+	}
+	run(1 + 2 + 4)
+	for k, base := range routines {
+		if got, want := decoded(base), k < 3; got != want {
+			t.Errorf("routine %d's chunk has a decode cache: %v, want %v", k, got, want)
+		}
+	}
+
+	// A write over a decoded word shows at the next launch; one over words
+	// nothing decoded, in a chunk with and without a cache, leaves no cache
+	// behind and is what runs when the kernel gets there.
+	bodies[1][0].Imm = 32
+	write(routines[1], bodies[1])
+	write(routines[2]+8, bodies[3])
+	write(routines[3], bodies[3])
+	if decoded(routines[3]) {
+		t.Error("writing to a chunk made it a decode cache")
+	}
+	kernel[len(kernel)-6].Imm = int64(routines[2] + 8) // the third CAL
+	if kernel[len(kernel)-6].Op != sass.OpCAL {
+		t.Fatal("kernel layout changed; the third CAL is not where the test patches")
+	}
+	write(entry, kernel)
+	run(1 + 32 + 8)
 }

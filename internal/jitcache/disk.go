@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -50,11 +51,12 @@ func (c *Cache) diskGet(key Key) ([]byte, bool) {
 		return nil, false
 	}
 	path := c.objectPath(key)
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false
 	}
-	payload, err := validateEntry(raw)
+	payload, err := readEntry(f)
+	f.Close()
 	if err != nil {
 		os.Remove(path)
 		c.mu.Lock()
@@ -65,25 +67,34 @@ func (c *Cache) diskGet(key Key) ([]byte, bool) {
 	return payload, true
 }
 
-// validateEntry checks an entry file's header and checksum, returning the
-// payload.
-func validateEntry(raw []byte) ([]byte, error) {
-	if len(raw) < diskHeaderSize {
-		return nil, fmt.Errorf("jitcache: entry truncated below header (%d bytes)", len(raw))
+// readEntry checks an entry file's header against the file's size before it
+// reads, and allocates for, the payload: what a foreign or torn file under an
+// entry's name costs is its first diskHeaderSize bytes, whatever its length.
+// It returns the payload once its checksum holds.
+func readEntry(f *os.File) ([]byte, error) {
+	var hdr [diskHeaderSize]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, fmt.Errorf("jitcache: entry truncated below header: %w", err)
 	}
-	if string(raw[:4]) != diskMagic {
-		return nil, fmt.Errorf("jitcache: bad magic %q", raw[:4])
+	if string(hdr[:4]) != diskMagic {
+		return nil, fmt.Errorf("jitcache: bad magic %q", hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint32(raw[4:8]); v != diskVersion {
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != diskVersion {
 		return nil, fmt.Errorf("jitcache: entry format version %d, want %d", v, diskVersion)
 	}
-	n := binary.LittleEndian.Uint64(raw[8:16])
-	if n != uint64(len(raw)-diskHeaderSize) {
-		return nil, fmt.Errorf("jitcache: entry payload length %d, have %d bytes", n, len(raw)-diskHeaderSize)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	payload := raw[diskHeaderSize:]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], raw[16:16+sha256.Size]) {
+	n := binary.LittleEndian.Uint64(hdr[8:16])
+	if have := st.Size() - diskHeaderSize; n != uint64(have) {
+		return nil, fmt.Errorf("jitcache: entry payload length %d, have %d bytes", n, have)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(f, payload); err != nil {
+		return nil, fmt.Errorf("jitcache: reading entry payload: %w", err)
+	}
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], hdr[16:]) {
 		return nil, fmt.Errorf("jitcache: entry payload checksum mismatch")
 	}
 	return payload, nil

@@ -17,12 +17,12 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // length field is length-prefixed and every fixed-width field has a fixed
 // encoding, so distinct field sequences can never collide by concatenation
 // ("ab","c" vs "a","bc"). The domain string separates key namespaces (e.g.
-// "nvbitgo/code/v1", core's code objects) and doubles as the schema version:
+// "nvbitgo/code/v2", core's code objects) and doubles as the schema version:
 // bumping it invalidates every existing entry without touching the store.
 //
 // Fields collect in a buffer of whole SHA-256 blocks that is handed to the
-// hash when full: a key is thousands of eight-byte fields, and the digest is
-// that of the same bytes written one field at a time.
+// hash when full: a key is thousands of small fields, and the digest is that
+// of the same bytes written one field at a time.
 type Hasher struct {
 	h   hash.Hash
 	n   int // bytes of buf in use
@@ -64,6 +64,25 @@ func (h *Hasher) Uint64(v uint64) {
 	}
 	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
 	h.n += 8
+}
+
+// Uint32 appends a four-byte field, for a value whose type or origin bounds it
+// below 1<<32.
+func (h *Hasher) Uint32(v uint32) {
+	if h.n+4 > len(h.buf) {
+		h.flush() // short of a whole block; the hash buffers the remainder
+	}
+	binary.LittleEndian.PutUint32(h.buf[h.n:], v)
+	h.n += 4
+}
+
+// Uint8 appends a one-byte field: a flag or a small enumeration.
+func (h *Hasher) Uint8(v uint8) {
+	if h.n == len(h.buf) {
+		h.flush()
+	}
+	h.buf[h.n] = v
+	h.n++
 }
 
 // Int64 appends a fixed-width signed field.

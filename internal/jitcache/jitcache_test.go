@@ -2,6 +2,8 @@ package jitcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,6 +106,27 @@ func TestHasherDigestGolden(t *testing.T) {
 		if got := h.Sum().String(); got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestHasherNarrowFields: one- and four-byte fields hash as their bytes in
+// order, wherever in the buffer they fall. Field widths cycle with period 13
+// bytes against the 512-byte buffer, so a flush meets every field at every
+// offset.
+func TestHasherNarrowFields(t *testing.T) {
+	h := NewHasher("d")
+	want := binary.LittleEndian.AppendUint64(nil, 1)
+	want = append(want, 'd')
+	for i := 0; i < 4096; i++ {
+		h.Uint8(uint8(i))
+		h.Uint32(uint32(i) * 0x01010101)
+		h.Uint64(uint64(i) << 40)
+		want = append(want, uint8(i))
+		want = binary.LittleEndian.AppendUint32(want, uint32(i)*0x01010101)
+		want = binary.LittleEndian.AppendUint64(want, uint64(i)<<40)
+	}
+	if got := h.Sum(); got != Key(sha256.Sum256(want)) {
+		t.Errorf("digest %s is not that of the fields' bytes", got)
 	}
 }
 
@@ -329,6 +352,47 @@ func TestBadMagicEvicted(t *testing.T) {
 	}
 	if st := c.Stats(); st.CorruptEvicted != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestOversizedForeignEntryBounded: a file under a live key's name costs a
+// lookup its header, not its length. 64 MiB of zeros is evicted on the magic
+// having allocated almost nothing; so is a file whose valid header declares a
+// payload shorter than what follows it.
+func TestOversizedForeignEntryBounded(t *testing.T) {
+	const planted = 64 << 20
+	for name, header := range map[string]func(raw []byte){
+		"zeros":                   func([]byte) {},
+		"header of a short entry": func(raw []byte) { copy(raw, "NVJC\x01\x00\x00\x00\x07") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, k := freshDiskPair(t, []byte("payload"))
+			p := entryPath(t, c, k)
+			hdr := make([]byte, diskHeaderSize)
+			header(hdr)
+			if err := os.WriteFile(p, hdr, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(p, planted); err != nil { // sparse: reads as zeros
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, ok := c.Get(k)
+			runtime.ReadMemStats(&after)
+			if ok {
+				t.Fatal("foreign file served")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+				t.Errorf("rejecting a %d-byte file allocated %d bytes, want under 64 KiB", planted, got)
+			}
+			if st := c.Stats(); st.CorruptEvicted != 1 {
+				t.Fatalf("stats = %+v", st)
+			}
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatal("foreign file not evicted")
+			}
+		})
 	}
 }
 

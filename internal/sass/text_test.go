@@ -213,3 +213,43 @@ func TestFormatProgram(t *testing.T) {
 		t.Fatalf("unexpected listing:\n%s", out)
 	}
 }
+
+// FuzzParseProgram: the assembler takes text from outside the program
+// (sassdump, tests, hand-written tool bodies), so no input may panic it, and
+// what it accepts it must mean: every instruction of an accepted program,
+// printed by Format and assembled again, is the same instruction.
+func FuzzParseProgram(f *testing.F) {
+	f.Add("// simple loop\n\tMOVI R4, 10\nloop:\n\tIADD R4, R4, RZ, -1\n\tISETP.GT P0, R4, RZ, 0\n\t@P0 BRA loop\n\tJMP done\n\tNOP\ndone: EXIT ;")
+	f.Add("a: b: @!P3 CAL b # twice labelled\nLDC.W R10, c[1][8]\nSTG [R16+0x10], R12\nRED.ADD [R10], R8\nS2R R0, SR_TID.X\nBRA nowhere")
+	f.Add("x:\nx:\nFROB R1, R2\nLDC R0, c[0\nLDC R0, c[9][R0]\nVOTE.ANY R1, P2\nIADD R1, R2, R3")
+	r := rand.New(rand.NewSource(19))
+	for k := 0; k < 8; k++ {
+		var src string
+		for i := 0; i < 24; i++ {
+			src += Format(randomInst(r, Volta)) + "\n"
+		}
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		insts, err := ParseProgram(src)
+		if err != nil {
+			return
+		}
+		var text string
+		for _, in := range insts {
+			text += Format(in) + "\n"
+		}
+		back, err := ParseProgram(text)
+		if err != nil {
+			t.Fatalf("accepted program prints as\n%s\nwhich does not assemble: %v", text, err)
+		}
+		if len(back) != len(insts) {
+			t.Fatalf("%d instructions print as\n%s\nwhich assembles to %d", len(insts), text, len(back))
+		}
+		for i := range insts {
+			if back[i] != insts[i] {
+				t.Fatalf("instruction %d: %+v prints as %q, which assembles to %+v", i, insts[i], Format(insts[i]), back[i])
+			}
+		}
+	})
+}
