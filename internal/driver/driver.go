@@ -406,9 +406,11 @@ func (c *Context) Device() *gpu.Device { return c.api.dev }
 // p and rec belong to the caller, whose op fills in what only the operation
 // learns (an allocation's address, a looked-up function). rec is stamped and
 // emitted when the scope traces and op succeeded, and gets its ID back; nil
-// means the call has no record of its own. The callbacks get a copy of p,
-// made only when a hook observes the call: what an interface method
-// receives escapes, and an unobserved call must not allocate.
+// means the call has no record of its own. A caller that did part of the
+// call's work before it (a PTX load compiles first) passes rec with the
+// Start it read then, and the record spans from there. The callbacks get a
+// copy of p, made only when a hook observes the call: what an interface
+// method receives escapes, and an unobserved call must not allocate.
 func (c *Context) interposed(cbid CBID, gated bool, p *CallParams, rec *profile.Record, op func() error) error {
 	if gated {
 		if err := c.stickyErr(); err != nil {
@@ -434,7 +436,10 @@ func (c *Context) interposed(cbid CBID, gated bool, p *CallParams, rec *profile.
 	}
 	err := op()
 	if prof != nil && rec != nil && err == nil {
-		rec.Start, rec.Dur, rec.SM = t0, prof.Now()-t0, -1
+		if rec.Start == 0 {
+			rec.Start = t0
+		}
+		rec.Dur, rec.SM = prof.Now()-rec.Start, -1
 		rec.ID = prof.Emit(*rec)
 	}
 	if hook != nil {

@@ -2,11 +2,14 @@ package driver
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/profile"
 	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 )
@@ -339,5 +342,45 @@ func TestInterposedCallZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("tracing-off MemcpyHtoD allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestModuleLoadRecordCoversCompile: the module_load record of a PTX module
+// spans the load as the caller sees it. Compilation is the larger part of a
+// JIT load and runs before the interposed link; a record started at the link
+// showed PTX loads as nearly free.
+func TestModuleLoadRecordCoversCompile(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(".visible .entry k(.param .u64 p)\n{\n\t.reg .u32 %r<8>;\n\t.reg .f32 %f<8>;\n")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&src, "\tmad.lo.u32 %%r%d, %%r%d, %%r%d, %%r%d;\n", i%8, (i+1)%8, (i+3)%8, (i+5)%8)
+	}
+	src.WriteString("}\n")
+
+	a := newAPI(t, sass.Volta)
+	prof := profile.NewCollector(64)
+	a.Scope0().SetCollector(prof)
+	ctx, err := a.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The share of the wall time is noisy when the test shares its cores:
+	// the best of a few loads decides.
+	best := 0.0
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		if _, err := ctx.ModuleLoadPTX("k", src.String()); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(t0)
+		recs := prof.Records()
+		rec := recs[len(recs)-1]
+		if rec.Kind != profile.KindModuleLoad || rec.Name != "k" {
+			t.Fatalf("last record is %+v, want the load of k", rec)
+		}
+		best = max(best, float64(rec.Dur)/float64(wall))
+	}
+	if best < 0.5 {
+		t.Fatalf("module_load record covers %.0f%% of the call, want at least half", 100*best)
 	}
 }

@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
@@ -127,16 +128,22 @@ func (m *Module) GetFunction(name string) (*Function, error) {
 
 // ModuleLoadPTX JIT-compiles embedded PTX for the context's device and loads
 // the result — the run-time path of the backend compiler embedded in the GPU
-// driver (paper Section 2.2).
+// driver (paper Section 2.2). Compilation needs no device, so it runs before
+// the interposed load and outside the gate; a scope that traces still sees
+// it, as the first part of the load's activity record.
 func (c *Context) ModuleLoadPTX(name, source string) (*Module, error) {
 	if err := c.stickyErr(); err != nil {
 		return nil, err
+	}
+	var start time.Duration
+	if prof := c.tenant.Collector(); prof != nil {
+		start = prof.Now()
 	}
 	pm, err := ptx.Compile(name, source, c.api.dev.Family())
 	if err != nil {
 		return nil, err
 	}
-	return c.loadCompiled(name, pm, false, source != "")
+	return c.loadCompiled(name, pm, false, source != "", start)
 }
 
 // ModuleLoadCubin loads a precompiled device binary. The binary must target
@@ -174,16 +181,17 @@ func (c *Context) ModuleLoadCubin(image []byte) (*Module, error) {
 			Lines:       cf.Lines,
 		})
 	}
-	return c.loadCompiled(cm.Name, pm, true, false)
+	return c.loadCompiled(cm.Name, pm, true, false, 0)
 }
 
 // loadCompiled links a compiled module into device code space (module loads
 // write it, so they own the device like launches do) and builds the module's
-// function table.
-func (c *Context) loadCompiled(name string, pm *ptx.Module, fromCubin, withLines bool) (*Module, error) {
+// function table. A nonzero start is when work on the load began, on the
+// scope's collector clock.
+func (c *Context) loadCompiled(name string, pm *ptx.Module, fromCubin, withLines bool, start time.Duration) (*Module, error) {
 	m := &Module{Name: name, FromCubin: fromCubin, ctx: c, funcs: make(map[string]*Function)}
 	p := CallParams{Ctx: c, Module: m}
-	rec := profile.Record{Kind: profile.KindModuleLoad, Name: name}
+	rec := profile.Record{Kind: profile.KindModuleLoad, Name: name, Start: start}
 	err := c.interposed(CBModuleLoadData, true, &p, &rec, func() error {
 		code0 := c.api.dev.Stats().CodeBytesWritten
 		placed, err := Link(c.api.dev, pm)

@@ -2,30 +2,29 @@ package ptx
 
 import (
 	"fmt"
+	"strconv"
 
 	"nvbitgo/internal/sass"
 )
 
 // compiler holds per-function lowering state.
 type compiler struct {
+	m      *pmodule
 	f      *pfunc
 	family sass.Family
 
 	out   []sass.Inst
 	lines []int32
 
-	regs    map[string]vreg
 	nextReg int
 	maxReg  int // highest physical GPR touched
 	maxPred int
 
-	params     map[string]Param
-	paramList  []Param
+	params     []Param
 	paramBytes int
-	sharedSyms map[string]int
 	sharedSize int
 
-	stmtStart []int // body stmt index -> first emitted inst index
+	stmtStart []int32 // body stmt index -> first emitted inst index
 	branchFix []branchFixup
 	relocs    []Reloc
 	related   []string
@@ -34,19 +33,12 @@ type compiler struct {
 	// emitted instruction carries, and the first error. Once err is set the
 	// operand resolvers below do nothing, so a rule's slots are resolved
 	// without a check after each.
-	st       *pstmt
-	rule     *rule
+	form     *pform
+	args     []operand
 	guard    sass.Pred
 	guardNeg bool
 	line     int32
 	err      error
-}
-
-// vreg is a declared virtual register's class and physical register (the
-// predicate index for ClassPred).
-type vreg struct {
-	class RegClass
-	r     sass.Reg
 }
 
 type branchFixup struct {
@@ -55,17 +47,15 @@ type branchFixup struct {
 	line    int
 }
 
-func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
+func compileFunc(pm *pmodule, pf *pfunc, family sass.Family) (*Func, error) {
 	c := &compiler{
-		f:          pf,
-		family:     family,
-		out:        make([]sass.Inst, 0, len(pf.body)+16),
-		lines:      make([]int32, 0, len(pf.body)+16),
-		regs:       make(map[string]vreg, len(pf.regOrd)),
-		params:     make(map[string]Param),
-		sharedSyms: make(map[string]int),
-		maxReg:     -1,
-		maxPred:    -1,
+		m:       pm,
+		f:       pf,
+		family:  family,
+		out:     make([]sass.Inst, 0, len(pf.body)+16),
+		lines:   make([]int32, 0, len(pf.body)+16),
+		maxReg:  -1,
+		maxPred: -1,
 	}
 	if err := c.layoutParams(); err != nil {
 		return nil, err
@@ -73,18 +63,17 @@ func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
 	if err := c.allocRegs(); err != nil {
 		return nil, err
 	}
-	for _, sh := range pf.shared {
-		c.sharedSyms[sh.name] = sh.offset
-		c.sharedSize = sh.offset + sh.bytes
+	if n := len(pf.shared); n > 0 {
+		c.sharedSize = pf.shared[n-1].offset + pf.shared[n-1].bytes
 	}
-	c.stmtStart = make([]int, 0, len(pf.body)+1)
+	c.stmtStart = make([]int32, 0, len(pf.body)+1)
 	for i := range pf.body {
-		c.stmtStart = append(c.stmtStart, len(c.out))
+		c.stmtStart = append(c.stmtStart, int32(len(c.out)))
 		if err := c.lower(&pf.body[i]); err != nil {
 			return nil, fmt.Errorf("line %d: %w", pf.body[i].line, err)
 		}
 	}
-	c.stmtStart = append(c.stmtStart, len(c.out))
+	c.stmtStart = append(c.stmtStart, int32(len(c.out)))
 	// Implicit terminator unless the body ends in an unguarded one that no
 	// label follows.
 	endLabel := false
@@ -102,7 +91,7 @@ func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
 		if !ok {
 			return nil, fmt.Errorf("line %d: undefined label %q", fx.line, fx.label)
 		}
-		rel := int64(c.stmtStart[target] - (fx.instIdx + 1))
+		rel := int64(int(c.stmtStart[target]) - (fx.instIdx + 1))
 		if !sass.ImmFits(family, sass.OpBRA, rel) {
 			return nil, fmt.Errorf("line %d: branch to %q out of range", fx.line, fx.label)
 		}
@@ -114,7 +103,7 @@ func compileFunc(pf *pfunc, family sass.Family) (*Func, error) {
 		Insts:       c.out,
 		NumRegs:     c.maxReg + 1,
 		NumPred:     c.maxPred + 1,
-		Params:      c.paramList,
+		Params:      c.params,
 		ParamBytes:  c.paramBytes,
 		SharedBytes: c.sharedSize,
 		Relocs:      c.relocs,
@@ -133,13 +122,14 @@ func (c *compiler) terminator() sass.Opcode {
 // layoutParams assigns parameter locations: constant-bank offsets for
 // entries, ABI registers for device functions.
 func (c *compiler) layoutParams() error {
+	if len(c.f.params) > 0 {
+		c.params = make([]Param, 0, len(c.f.params))
+	}
 	if c.f.entry {
 		off := 0
 		for _, p := range c.f.params {
 			off = (off + p.bytes - 1) &^ (p.bytes - 1)
-			pp := Param{Name: p.name, Bytes: p.bytes, Offset: off}
-			c.params[p.name] = pp
-			c.paramList = append(c.paramList, pp)
+			c.params = append(c.params, Param{Name: p.name, Bytes: p.bytes, Offset: off})
 			off += p.bytes
 		}
 		c.paramBytes = off
@@ -153,9 +143,7 @@ func (c *compiler) layoutParams() error {
 		if reg+p.bytes/4 > abiArgBase+abiMaxArgs {
 			return fmt.Errorf("function %s: too many parameter registers", c.f.name)
 		}
-		pp := Param{Name: p.name, Bytes: p.bytes, Offset: reg} // Offset = ABI register
-		c.params[p.name] = pp
-		c.paramList = append(c.paramList, pp)
+		c.params = append(c.params, Param{Name: p.name, Bytes: p.bytes, Offset: reg}) // Offset = ABI register
 		c.touchReg(sass.Reg(reg), p.bytes == 8)
 		reg += p.bytes / 4
 	}
@@ -175,34 +163,47 @@ func (c *compiler) allocRegs() error {
 	default:
 		c.nextReg = calleeRegBase
 	}
-	for _, name := range c.f.regOrd {
-		switch c.f.regs[name] {
-		case ClassPred:
-			c.maxPred++
-			if c.maxPred >= sass.NumPreds {
-				return fmt.Errorf("function %s: more than %d predicate registers", c.f.name, sass.NumPreds)
-			}
-			c.regs[name] = vreg{ClassPred, sass.Reg(c.maxPred)}
-		case ClassB64:
-			if c.nextReg%2 != 0 {
+	for i := range c.f.regs {
+		d := &c.f.regs[i]
+		if d.class == ClassB64 && c.nextReg%2 != 0 {
+			c.nextReg++
+		}
+		d.base = sass.Reg(c.nextReg)
+		if d.class == ClassPred {
+			d.base = sass.Reg(c.maxPred + 1)
+		}
+		for k := 0; k < max(d.n, 1); k++ {
+			switch d.class {
+			case ClassPred:
+				c.maxPred++
+				if c.maxPred >= sass.NumPreds {
+					return fmt.Errorf("function %s: more than %d predicate registers", c.f.name, sass.NumPreds)
+				}
+			case ClassB64:
+				if c.nextReg+1 >= sass.NumRegs {
+					return fmt.Errorf("function %s: out of registers", c.f.name)
+				}
+				c.touchReg(sass.Reg(c.nextReg), true)
+				c.nextReg += 2
+			default:
+				if c.nextReg >= sass.NumRegs {
+					return fmt.Errorf("function %s: out of registers", c.f.name)
+				}
+				c.touchReg(sass.Reg(c.nextReg), false)
 				c.nextReg++
 			}
-			if c.nextReg+1 >= sass.NumRegs {
-				return fmt.Errorf("function %s: out of registers", c.f.name)
-			}
-			c.regs[name] = vreg{ClassB64, sass.Reg(c.nextReg)}
-			c.touchReg(sass.Reg(c.nextReg), true)
-			c.nextReg += 2
-		default:
-			if c.nextReg >= sass.NumRegs {
-				return fmt.Errorf("function %s: out of registers", c.f.name)
-			}
-			c.regs[name] = vreg{ClassB32, sass.Reg(c.nextReg)}
-			c.touchReg(sass.Reg(c.nextReg), false)
-			c.nextReg++
 		}
 	}
 	return nil
+}
+
+// physical is member k of a declaration: consecutive registers, pairs or
+// predicates from its base.
+func (d *pregs) physical(k int) sass.Reg {
+	if d.class == ClassB64 {
+		k *= 2
+	}
+	return d.base + sass.Reg(k)
 }
 
 func (c *compiler) touchReg(r sass.Reg, wide bool) {
@@ -236,7 +237,7 @@ func (c *compiler) fail(format string, a ...any) {
 }
 
 // want fails the statement with the operand shape its rule row accepts.
-func (c *compiler) want() { c.fail("want %s", c.rule.shape()) }
+func (c *compiler) want() { c.fail("want %s", c.form.rule.shape()) }
 
 var classNames = [...]string{ClassB32: "32-bit", ClassB64: "64-bit", ClassPred: "predicate"}
 
@@ -245,22 +246,39 @@ func (c *compiler) reg(o *operand, class RegClass) sass.Reg {
 	if o.kind != opdReg || o.neg && class != ClassPred {
 		c.want()
 	}
-	return c.lookup(o.name, class)
+	return c.lookup(o, class)
 }
 
-// lookup resolves a declared register by name.
-func (c *compiler) lookup(name string, class RegClass) sass.Reg {
+// declOf returns the declaration and family index of a register operand,
+// looking up the name of one that was used before it was declared.
+func (c *compiler) declOf(o *operand) (*pregs, int) {
+	decl, k := int(o.ref), int(o.k)
+	if o.k == unresolved {
+		if decl, k = c.f.findReg(c.m.names[o.ref]); decl < 0 {
+			return nil, 0
+		}
+	}
+	return &c.f.regs[decl], k
+}
+
+// lookup resolves a register operand to its physical register.
+func (c *compiler) lookup(o *operand, class RegClass) sass.Reg {
 	if c.err != nil {
 		return sass.RZ
 	}
-	v, ok := c.regs[name]
+	d, k := c.declOf(o)
 	switch {
-	case !ok:
-		c.fail("undeclared register %q", name)
-	case v.class != class:
-		c.fail("%s is a %s register where %s is required", name, classNames[v.class], classNames[class])
+	case d == nil:
+		c.fail("undeclared register %q", c.m.names[o.ref])
+		return sass.RZ
+	case d.class != class:
+		name := d.prefix
+		if d.n > 0 {
+			name += strconv.Itoa(k)
+		}
+		c.fail("%s is a %s register where %s is required", name, classNames[d.class], classNames[class])
 	}
-	return v.r
+	return d.physical(k)
 }
 
 // tmp allocates a fresh scratch register, or an aligned pair (counted in

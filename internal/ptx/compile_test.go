@@ -410,15 +410,16 @@ func TestWFFTProxyCompiles(t *testing.T) {
 	}
 }
 
+var parserErrorCases = []string{
+	"mov.u32 %r0, 1;",                       // statement outside function
+	".visible .entry f { mov.u32 %r0, 1; }", // undeclared register -> compile error
+	".visible .entry f { .reg .u32 %r<2>; bra NOWHERE; }",
+	".visible .entry f { .reg .u32 %r<2>; frob.u32 %r0, %r1; }",
+	".visible .entry f { .reg .u32 %r<2>; .reg .u32 %r<2>; exit; }",
+}
+
 func TestParserErrors(t *testing.T) {
-	cases := []string{
-		"mov.u32 %r0, 1;",                       // statement outside function
-		".visible .entry f { mov.u32 %r0, 1; }", // undeclared register -> compile error
-		".visible .entry f { .reg .u32 %r<2>; bra NOWHERE; }",
-		".visible .entry f { .reg .u32 %r<2>; frob.u32 %r0, %r1; }",
-		".visible .entry f { .reg .u32 %r<2>; .reg .u32 %r<2>; exit; }",
-	}
-	for _, src := range cases {
+	for _, src := range parserErrorCases {
 		if _, err := Compile("bad", src, sass.Volta); err == nil {
 			t.Errorf("accepted invalid module:\n%s", src)
 		}

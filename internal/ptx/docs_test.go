@@ -156,8 +156,8 @@ func TestDialectDoc(t *testing.T) {
 			if !documented[form] {
 				t.Errorf("%s is accepted (rules[%d]) but not listed in %s", form, i, dialectDoc)
 			}
-			st, _ := parseStmt(form, 0)
-			wide := r.wide || st.typ&tI64 != 0
+			_, _, typ, _ := splitMnemonic(form)
+			wide := r.wide || typ&tI64 != 0
 			var args []string
 			for _, s := range r.slots {
 				args = append(args, sampleOperand(s.kind, wide))

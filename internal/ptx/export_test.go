@@ -18,9 +18,8 @@ func RuleHits(src string, hits []int) {
 	}
 	for _, pf := range pm.funcs {
 		for i := range pf.body {
-			r, _ := selectRule(&pf.body[i], pf.entry)
 			for j := range rules {
-				if r == &rules[j] {
+				if pm.forms[pf.body[i].form].rule == &rules[j] {
 					hits[j]++
 				}
 			}

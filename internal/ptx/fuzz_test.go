@@ -17,7 +17,8 @@ import (
 // loadable: every instruction encodes for the family and decodes back to
 // itself, branches and relocations stay inside the function, and the
 // register budget fits the register file.
-func FuzzCompile(f *testing.F) {
+// seedCompile adds the corpus both fuzzers start from.
+func seedCompile(f *testing.F) {
 	doc, err := os.ReadFile("../../docs/ptx-dialect.md")
 	if err != nil {
 		f.Fatal(err)
@@ -50,7 +51,10 @@ func FuzzCompile(f *testing.F) {
 	ret;
 }
 `)
+}
 
+func FuzzCompile(f *testing.F) {
+	seedCompile(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
 			m, err := ptx.Compile("fuzz", src, fam)
@@ -80,6 +84,72 @@ func FuzzCompile(f *testing.F) {
 				}
 				if fn.NumRegs > sass.NumRegs || len(fn.Lines) != len(fn.Insts) {
 					t.Fatalf("%v: %s: NumRegs %d, %d lines for %d instructions", fam, fn.Name, fn.NumRegs, len(fn.Lines), len(fn.Insts))
+				}
+			}
+		}
+	})
+}
+
+// relayout changes how a source is laid out and nothing else: every run of
+// blanks becomes one tab, every line gets a comment and ends in CRLF, and a
+// line break follows every comma.
+func relayout(src string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(src, "\n") {
+		code, _, _ := strings.Cut(line, "//")
+		blank := false
+		for i := 0; i < len(code); i++ {
+			switch c := code[i]; c {
+			case ' ', '\t', '\r':
+				blank = true
+				continue
+			default:
+				if blank {
+					b.WriteByte('\t')
+				}
+				blank = false
+				if b.WriteByte(c); c == ',' {
+					b.WriteString("\r\n")
+				}
+			}
+		}
+		b.WriteString("\t// c\r\n")
+	}
+	return b.String()
+}
+
+// FuzzCompileLayout: layout carries no meaning. Whatever compiles compiles to
+// the same instructions, budgets and relocations after relayout (the line
+// table moves with the lines). The module directives are the one construct a
+// line break ends, so sources that have one are left out.
+func FuzzCompileLayout(f *testing.F) {
+	seedCompile(f)
+	f.Add(".visible .entry f { .reg .u32 %r<2>; L: add.u32 %r0,%r1, 0x10 ; @%p0 bra L; }")
+	f.Fuzz(func(t *testing.T, src string) {
+		for _, dir := range []string{".version", ".target", ".address_size"} {
+			if strings.Contains(src, dir) {
+				t.Skip()
+			}
+		}
+		for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
+			m, err := ptx.Compile("fuzz", src, fam)
+			if err != nil {
+				continue
+			}
+			again, err := ptx.Compile("fuzz", relayout(src), fam)
+			if err != nil {
+				t.Fatalf("%v: accepted, but rejected after relayout: %v\n%q", fam, err, relayout(src))
+			}
+			if len(again.Funcs) != len(m.Funcs) {
+				t.Fatalf("%v: %d functions, %d after relayout", fam, len(m.Funcs), len(again.Funcs))
+			}
+			for i, fn := range m.Funcs {
+				a := again.Funcs[i]
+				if !reflect.DeepEqual(fn.Insts, a.Insts) || !reflect.DeepEqual(fn.Relocs, a.Relocs) ||
+					fn.NumRegs != a.NumRegs || fn.NumPred != a.NumPred ||
+					fn.ParamBytes != a.ParamBytes || fn.SharedBytes != a.SharedBytes {
+					t.Fatalf("%v: %s differs after relayout:\n%s\nvs\n%s", fam, fn.Name,
+						sass.FormatProgram(fn.Insts), sass.FormatProgram(a.Insts))
 				}
 			}
 		}

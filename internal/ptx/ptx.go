@@ -101,9 +101,9 @@ func Compile(name, src string, family sass.Family) (*Module, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ptx: %s: %w", name, err)
 	}
-	m := &Module{Name: name, Family: family}
+	m := &Module{Name: name, Family: family, Funcs: make([]*Func, 0, len(pm.funcs))}
 	for _, pf := range pm.funcs {
-		f, err := compileFunc(pf, family)
+		f, err := compileFunc(pm, pf, family)
 		if err != nil {
 			return nil, fmt.Errorf("ptx: %s: function %s: %w", name, pf.name, err)
 		}

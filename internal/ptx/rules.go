@@ -216,20 +216,20 @@ var rulesByOp = func() map[string][]*rule {
 	return m
 }()
 
-// selectRule returns the row a statement matches and the sub-op its
-// modifiers select, or nil.
-func selectRule(st *pstmt, entry bool) (*rule, int) {
-	for _, r := range rulesByOp[st.op] {
-		if st.typ != r.types&st.typ || (st.typ == 0) != (r.types == 0) ||
-			st.from != r.from&st.from || (st.from == 0) != (r.from == 0) ||
+// selectRule returns the row a split mnemonic matches in an entry or a
+// device function and the sub-op its modifiers select, or nil.
+func selectRule(op, mods string, typ, from ptype, entry bool) (*rule, int) {
+	for _, r := range rulesByOp[op] {
+		if typ != r.types&typ || (typ == 0) != (r.types == 0) ||
+			from != r.from&from || (from == 0) != (r.from == 0) ||
 			r.only == inEntry && !entry || r.only == inDevice && entry {
 			continue
 		}
 		if r.subs == nil {
-			if st.mods == r.mods {
+			if mods == r.mods {
 				return r, r.sub
 			}
-		} else if word, ok := strings.CutPrefix(st.mods, r.mods); ok {
+		} else if word, ok := strings.CutPrefix(mods, r.mods); ok {
 			if i := slices.Index(r.subs, word); i >= 0 {
 				return r, r.sub + i
 			}
@@ -256,28 +256,30 @@ func (r *rule) shape() string {
 	return b.String()
 }
 
-// lower translates one statement: it finds the statement's row, resolves
-// the operands left to right as the row's slots say, and emits the
+// lower translates one statement: it takes the row its form matched,
+// resolves the operands left to right as the row's slots say, and emits the
 // instruction (or hands it to the row's expander).
 func (c *compiler) lower(st *pstmt) error {
-	c.st, c.err, c.line = st, nil, int32(st.line)
+	form := &c.m.forms[st.form]
+	args := c.m.ops[st.args : st.args+st.nargs]
+	c.form, c.args, c.err, c.line = form, args, nil, st.line
 	c.guard, c.guardNeg = sass.PT, false
-	r, sub := selectRule(st, c.f.entry)
+	r := form.rule
 	if r == nil {
-		return fmt.Errorf("unsupported instruction %q", st.mnem)
+		return fmt.Errorf("unsupported instruction %q", form.mnem)
 	}
-	c.rule = r
-	if st.guard.name != "" {
-		c.guard, c.guardNeg = sass.Pred(c.reg(&st.guard, ClassPred)), st.guard.neg
+	if st.guarded {
+		g := &c.m.ops[st.args-1]
+		c.guard, c.guardNeg = sass.Pred(c.reg(g, ClassPred)), g.neg
 	}
-	if n := len(st.args); n > len(r.slots) || n < len(r.slots)-r.optional {
+	if n := len(args); n > len(r.slots) || n < len(r.slots)-r.optional {
 		c.want()
 	}
 	in := sass.NewInst(r.sass)
-	wide := r.wide || st.typ&tI64 != 0
+	wide := r.wide || form.typ&tI64 != 0
 	aux, label := sass.PT, ""
-	for i := 0; i < len(st.args) && c.err == nil; i++ {
-		o, s := &st.args[i], r.slots[i]
+	for i := 0; i < len(args) && c.err == nil; i++ {
+		o, s := &args[i], r.slots[i]
 		v := sass.RZ
 		switch s.kind {
 		case kReg:
@@ -314,7 +316,7 @@ func (c *compiler) lower(st *pstmt) error {
 			if o.kind != opdSym {
 				c.want()
 			}
-			label = o.name
+			label = c.m.name(o)
 		}
 		switch s.to {
 		case toDst:
@@ -329,7 +331,7 @@ func (c *compiler) lower(st *pstmt) error {
 			aux = sass.Pred(v)
 		}
 	}
-	in.Mods = sass.MakeMods(sub, wide, st.typ&r.flag != 0, aux)
+	in.Mods = sass.MakeMods(int(form.sub), wide, form.typ&r.flag != 0, aux)
 	if c.err == nil {
 		if r.expand != nil {
 			r.expand(c, in)
@@ -337,11 +339,11 @@ func (c *compiler) lower(st *pstmt) error {
 			c.emit(in)
 		}
 		if label != "" {
-			c.branchFix = append(c.branchFix, branchFixup{len(c.out) - 1, label, st.line})
+			c.branchFix = append(c.branchFix, branchFixup{len(c.out) - 1, label, int(st.line)})
 		}
 	}
 	if c.err != nil {
-		return fmt.Errorf("%s: %w", st.mnem, c.err)
+		return fmt.Errorf("%s: %w", form.mnem, c.err)
 	}
 	return nil
 }
@@ -387,28 +389,32 @@ func (c *compiler) mem(o *operand, k slotKind, in *sass.Inst) sass.Reg {
 	in.Imm = o.imm
 	switch {
 	case o.kind == opdMemReg && k == kGlobal:
-		return c.lookup(o.name, ClassB64)
+		return c.lookup(o, ClassB64)
 	case o.kind == opdMemReg && k != kParam:
-		return c.lookup(o.name, ClassB32)
+		return c.lookup(o, ClassB32)
 	case o.kind == opdMemSym && k == kShared:
-		if o.name == "" {
+		name := c.m.name(o)
+		if name == "" {
 			return sass.RZ // absolute shared offset
 		}
-		off, ok := c.sharedSyms[o.name]
+		off, ok := c.sharedOffset(name)
 		if !ok {
-			c.fail("unknown shared symbol %q", o.name)
+			c.fail("unknown shared symbol %q", name)
 		}
 		in.Imm += int64(off)
 		return sass.RZ
 	case o.kind == opdMemSym && k == kParam:
-		p, ok := c.params[o.name]
-		switch {
-		case !ok:
-			c.fail("unknown parameter %q", o.name)
+		name := c.m.name(o)
+		i := slices.IndexFunc(c.params, func(p Param) bool { return p.Name == name })
+		if i < 0 {
+			c.fail("unknown parameter %q", name)
+			return sass.RZ
+		}
+		switch p := c.params[i]; {
 		case c.f.entry:
 			in.Imm += int64(p.Offset)
 		case o.imm != 0:
-			c.fail("offset into the register parameter %q", o.name)
+			c.fail("offset into the register parameter %q", name)
 		default:
 			return sass.Reg(p.Offset)
 		}
@@ -416,6 +422,16 @@ func (c *compiler) mem(o *operand, k slotKind, in *sass.Inst) sass.Reg {
 	}
 	c.want()
 	return sass.RZ
+}
+
+// sharedOffset is the offset of a declared shared array.
+func (c *compiler) sharedOffset(name string) (int, bool) {
+	for i := range c.f.shared {
+		if c.f.shared[i].name == name {
+			return c.f.shared[i].offset, true
+		}
+	}
+	return 0, false
 }
 
 // --- expanders: the forms that are more than one instruction -----------------
@@ -431,7 +447,7 @@ func (c *compiler) move(dst, src sass.Reg, wide bool) {
 // expandSubReg: a - b with b in a register is a + ^b + 1 (IADD carries the
 // 1). An immediate b was already negated by its slot.
 func expandSubReg(c *compiler, in sass.Inst) {
-	if c.st.args[2].kind == opdReg {
+	if c.args[2].kind == opdReg {
 		n := sass.NewInst(sass.OpLOP)
 		n.Dst, n.Src1 = c.tmp(false), in.Src2
 		n.Mods = sass.MakeMods(sass.LopNot, false, false, sass.PT)
@@ -499,7 +515,7 @@ func expandZext(c *compiler, in sass.Inst) {
 // expandMov picks by source: a register moves, an immediate or a shared
 // symbol's offset is materialised, a special register is read with S2R.
 func expandMov(c *compiler, in sass.Inst) {
-	src, wide := &c.st.args[1], in.Mods.Wide()
+	src, wide := &c.args[1], in.Mods.Wide()
 	switch {
 	case src.kind == opdReg:
 		c.move(in.Dst, c.reg(src, classOf(wide)), wide)
@@ -512,9 +528,9 @@ func expandMov(c *compiler, in sass.Inst) {
 		s2r.Dst, s2r.Imm = in.Dst, src.imm
 		c.emit(s2r)
 	case src.kind == opdSym && !wide:
-		off, ok := c.sharedSyms[src.name]
+		off, ok := c.sharedOffset(c.m.name(src))
 		if !ok {
-			c.fail("bad source %q", src.name)
+			c.fail("bad source %q", c.m.name(src))
 		}
 		c.loadImm(in.Dst, uint32(off))
 	default:
@@ -524,22 +540,27 @@ func expandMov(c *compiler, in sass.Inst) {
 
 // isPair reports whether a call operand is a declared 64-bit register.
 func (c *compiler) isPair(o *operand) bool {
-	return o.kind == opdReg && c.regs[o.name].class == ClassB64
+	if o.kind != opdReg {
+		return false
+	}
+	d, _ := c.declOf(o)
+	return d != nil && d.class == ClassB64
 }
 
 // expandCall marshals the arguments into the ABI registers, emits the CAL
 // with its relocation and copies the result out of R4.
 func expandCall(c *compiler, cal sass.Inst) {
-	st := c.st
-	name := st.args[0].name
-	if st.args[0].kind != opdSym || len(st.args) > 1 && st.args[1].kind != opdList {
+	args := c.args
+	name := c.m.name(&args[0])
+	if args[0].kind != opdSym || len(args) > 1 && args[1].kind != opdList {
 		c.want()
 		return
 	}
 	reg := abiArgBase
-	if len(st.args) > 1 {
-		for i := range st.args[1].list {
-			arg := &st.args[1].list[i]
+	if len(args) > 1 {
+		list := c.m.members[args[1].imm:][:args[1].ref]
+		for i := range list {
+			arg := &list[i]
 			wide, n := c.isPair(arg), 1
 			if wide {
 				reg, n = reg+reg&1, 2 // pairs are even-aligned
@@ -558,14 +579,14 @@ func expandCall(c *compiler, cal sass.Inst) {
 	if !slices.Contains(c.related, name) {
 		c.related = append(c.related, name)
 	}
-	if len(st.args) == 3 {
-		rets := st.args[2]
-		if rets.kind != opdList || len(rets.list) != 1 {
+	if len(args) == 3 {
+		if args[2].kind != opdList || args[2].ref != 1 {
 			c.fail("exactly one return value is supported")
 			return
 		}
-		wide := c.isPair(&rets.list[0])
-		c.move(c.reg(&rets.list[0], classOf(wide)), abiArgBase, wide)
+		ret := &c.m.members[args[2].imm]
+		wide := c.isPair(ret)
+		c.move(c.reg(ret, classOf(wide)), abiArgBase, wide)
 	}
 }
 
