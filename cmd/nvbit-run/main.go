@@ -355,8 +355,8 @@ exit codes:
 	}
 	if nv != nil {
 		js := nv.JITStats()
-		fmt.Printf("jit: lifted %d funcs / %d instrs, %d trampolines (%.1f saved regs each), %d inlined sites, %v total (%v disasm)\n",
-			js.FunctionsLifted, js.InstrsLifted, js.TrampolinesEmitted, js.AvgSavedRegs(), js.InlinedSites, js.Total().Round(time.Microsecond), js.Disassemble.Round(time.Microsecond))
+		fmt.Printf("jit: lifted %d funcs / %d instrs, %d trampolines for %d sites (%.1f sites per visit, %.1f saved regs per site), %d inlined sites, %v total (%v disasm)\n",
+			js.FunctionsLifted, js.InstrsLifted, js.Visits, js.TrampolinesEmitted, js.SitesPerVisit(), js.AvgSavedRegs(), js.InlinedSites, js.Total().Round(time.Microsecond), js.Disassemble.Round(time.Microsecond))
 		if jc != nil {
 			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d bytes in, %d bytes out, lookup %v, hit %v, codegen %v\n",
 				js.CacheLookups, js.CacheHits, js.CacheMisses, 100*js.CacheHitRatio(),

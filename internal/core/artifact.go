@@ -37,8 +37,8 @@ import (
 // changes. It is also folded into the cache key, so a bump makes old
 // entries unreachable rather than merely undecodable. Version 2 added the
 // per-site inline flag and the relocInlineSkip relocation kind; version 3 is
-// the flat layout.
-const artifactVersion = 3
+// the flat layout; version 4 gives a site the count of instructions it covers.
+const artifactVersion = 4
 
 // relocKind says how one trampoline instruction's immediate is resolved at
 // materialization time.
@@ -51,12 +51,14 @@ const (
 	relocRestoreFn
 	// relocToolFn: Imm = load address of tool function toolNames[aux].
 	relocToolFn
-	// relocRetJump: Imm = f.Addr + site.idx + 1 (return to the instrumented
-	// code at the next program counter).
+	// relocRetJump: Imm = f.Addr + site.idx + site.cover (return to the
+	// instrumented code at the program counter after the covered
+	// instructions).
 	relocRetJump
-	// relocRelBranch: the relocated original instruction is a relative
-	// branch; the slot still holds its original immediate and the new one is
-	// origTarget − (trampoline base + slot + 1).
+	// relocRelBranch: a relocated original instruction is a relative branch
+	// — the last one covered, since a branch ends its basic block; the slot
+	// still holds its original immediate and the new one is origTarget −
+	// (trampoline base + slot + 1).
 	relocRelBranch
 	// relocInlineSkip: a branch skipping over (part of) an inlined tool
 	// body; aux holds the body-relative distance, which is placement-
@@ -77,16 +79,22 @@ type span struct{ off, n int32 }
 // of returns the elements of a the span covers, with no room to append.
 func of[T any](s span, a []T) []T { return a[s.off : s.off+s.n : s.off+s.n] }
 
-// siteArtifact is the generated trampoline for one instrumented instruction.
+// siteArtifact is the generated trampoline for one visit: a run of
+// instrumented instructions relocated together (coalesce.go).
 type siteArtifact struct {
-	idx     int  // word index of the instrumented instruction
+	idx int // word index of the first covered instruction, the one replaced by the jump
+	// cover is the number of instructions the trampoline relocates, each of
+	// them an instrumented site: at least 1, and idx+cover stays inside the
+	// function (checked at materialization, which knows its size).
+	cover   int
 	nopOnly bool // removal without calls: in-place NOP, no trampoline
 	// inline marks a spliced-body site (InjectInline): no save/restore, no
 	// tool CALs; saveN and savedRegs are zero.
 	inline bool
 	saveN  int // granularity-rounded save-frame size
-	// savedRegs is the site's contribution to JITStats.SavedRegs — the
-	// liveness-derived requirement before granularity rounding.
+	// savedRegs is what each of the site's save/restore brackets adds to
+	// JITStats.SavedRegs — the liveness-derived requirement before
+	// granularity rounding.
 	savedRegs int
 	// insts and relocs are the site's runs of the artifact's arrays.
 	insts, relocs span
@@ -132,7 +140,8 @@ func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {
 //	header  version, then the counts of tool names, name-section bytes, sites,
 //	        instructions, immediates and relocations, 4 bytes each
 //	names   per tool name a 4-byte length and the bytes
-//	sites   idx 4, instructions 4, relocations 4, saveN 2, savedRegs 2, flags 1
+//	sites   idx 4, cover 4, instructions 4, relocations 4, saveN 2,
+//	        savedRegs 2, flags 1
 //	insts   Op, Pred, flags, Dst, Src1, Src2, Src3, Mods, a byte each
 //	imms    8 bytes for each instruction whose flags say it has one, in order
 //	relocs  kind 1, slot 4, aux 4
@@ -142,7 +151,7 @@ func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {
 // array of their own.
 const (
 	headerBinBytes = 28
-	siteBinBytes   = 17
+	siteBinBytes   = 21
 	instBinBytes   = 8
 	immBinBytes    = 8
 	relocBinBytes  = 9
@@ -182,15 +191,16 @@ func encodeCodeArtifact(a *codeArtifact) []byte {
 	for i := range a.sites {
 		s := &a.sites[i]
 		le.PutUint32(p, uint32(s.idx))
-		le.PutUint32(p[4:], uint32(s.insts.n))
-		le.PutUint32(p[8:], uint32(s.relocs.n))
-		le.PutUint16(p[12:], uint16(s.saveN))
-		le.PutUint16(p[14:], uint16(s.savedRegs))
+		le.PutUint32(p[4:], uint32(s.cover))
+		le.PutUint32(p[8:], uint32(s.insts.n))
+		le.PutUint32(p[12:], uint32(s.relocs.n))
+		le.PutUint16(p[16:], uint16(s.saveN))
+		le.PutUint16(p[18:], uint16(s.savedRegs))
 		if s.nopOnly {
-			p[16] |= siteFlagNopOnly
+			p[20] |= siteFlagNopOnly
 		}
 		if s.inline {
-			p[16] |= siteFlagInline
+			p[20] |= siteFlagInline
 		}
 		p = p[siteBinBytes:]
 	}
@@ -263,13 +273,16 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 	var iOff, rOff uint64
 	for i := range a.sites {
 		s := &a.sites[i]
-		ni, nr, flags := uint64(le.Uint32(p[4:])), uint64(le.Uint32(p[8:])), p[16]
-		if flags > siteFlagNopOnly|siteFlagInline || iOff+ni > nInsts || rOff+nr > nRelocs {
+		cover, ni, nr, flags := le.Uint32(p[4:]), uint64(le.Uint32(p[8:])), uint64(le.Uint32(p[12:])), p[20]
+		// A site covers at least its own instruction and no more than it has
+		// room to relocate; an in-place removal and an inline site cover one.
+		if flags > siteFlagNopOnly|siteFlagInline || iOff+ni > nInsts || rOff+nr > nRelocs ||
+			cover < 1 || cover > 1 && (flags != 0 || uint64(cover) >= ni) {
 			return nil, errArtifactValue
 		}
 		*s = siteArtifact{
-			idx: int(le.Uint32(p)), nopOnly: flags&siteFlagNopOnly != 0, inline: flags&siteFlagInline != 0,
-			saveN: int(le.Uint16(p[12:])), savedRegs: int(le.Uint16(p[14:])),
+			idx: int(le.Uint32(p)), cover: int(cover), nopOnly: flags&siteFlagNopOnly != 0, inline: flags&siteFlagInline != 0,
+			saveN: int(le.Uint16(p[16:])), savedRegs: int(le.Uint16(p[18:])),
 			insts: span{int32(iOff), int32(ni)}, relocs: span{int32(rOff), int32(nr)},
 		}
 		iOff, rOff, p = iOff+ni, rOff+nr, p[siteBinBytes:]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"nvbitgo/internal/sass"
@@ -13,21 +14,23 @@ import (
 // artifact that encodes to different bytes (or, for the kind, that
 // materialization silently ignores), so each is rejected, as are a frame size
 // no register file has, a count the blob's size does not bear out, sites
-// whose runs do not tile the arrays and bytes past the end.
+// whose runs do not tile the arrays, a site that covers no instruction or more
+// than its trampoline holds, a removal or an inline site that covers several,
+// and bytes past the end.
 func TestArtifactDecodeStrict(t *testing.T) {
 	art := &codeArtifact{toolNames: []string{"probe"}}
 	movi := sass.NewInst(sass.OpMOVI)
 	movi.Imm = 5
 	art.insts = append(art.insts, sass.NewInst(sass.OpCAL), movi, sass.NewInst(sass.OpCAL), sass.NewInst(sass.OpJMP))
 	art.relocs = append(art.relocs, reloc{kind: relocSaveFn, slot: 0, aux: 16}, reloc{kind: relocToolFn, slot: 2, aux: 0}, reloc{kind: relocInlineSkip, slot: 3, aux: 3})
-	art.addSite(siteArtifact{idx: 7, saveN: 16, savedRegs: 9}, 0, 0)
-	art.sites = append(art.sites, siteArtifact{idx: 9, nopOnly: true})
+	art.addSite(siteArtifact{idx: 7, cover: 2, saveN: 16, savedRegs: 9}, 0, 0)
+	art.sites = append(art.sites, siteArtifact{idx: 9, cover: 1, nopOnly: true})
 	code := encodeCodeArtifact(art)
 	back, err := decodeCodeArtifact(code)
 	if err != nil || !bytes.Equal(encodeCodeArtifact(back), code) {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(back.sites) != 2 || back.sites[0].insts != (span{0, 4}) || back.sites[0].relocs != (span{0, 3}) || back.sites[1].insts.n != 0 ||
+	if len(back.sites) != 2 || back.sites[0].cover != 2 || back.sites[1].cover != 1 || back.sites[0].insts != (span{0, 4}) || back.sites[0].relocs != (span{0, 3}) || back.sites[1].insts.n != 0 ||
 		back.insts[1] != movi || back.relocs[2] != art.relocs[2] {
 		t.Fatalf("decoded %+v", back)
 	}
@@ -46,7 +49,11 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		return b
 	}
 	for name, blob := range map[string][]byte{
-		"site flag 4":                  patch(site0+16, 4),
+		"site flag 4":                  patch(site0+20, 4),
+		"site covering nothing":        patch(site0+4, 0),
+		"site covering all it holds":   patch(site0+4, 4),
+		"inline site covering two":     patch(site0+20, siteFlagInline),
+		"removal covering two":         patch(site0+siteBinBytes+4, 2),
 		"undefined opcode":             patch(inst0, byte(sass.NumOpcodes)),
 		"instruction flag 4":           patch(inst0+2, 4),
 		"presence bit, no immediate":   patch(inst0+2, instFlagImm),
@@ -60,8 +67,8 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		"instruction count 200":        patch(hdrInsts, 200),
 		"immediate count 0":            patch(hdrImms, 0),
 		"relocation count 2":           patch(hdrRelocs, 2),
-		"site run past the array":      patch(site0+4, 5),
-		"site run short of the array":  patch(site0+4, 3),
+		"site run past the array":      patch(site0+8, 5),
+		"site run short of the array":  patch(site0+8, 3),
 		"name longer than its section": patch(headerBinBytes, 6),
 		"trailing byte":                append(append([]byte(nil), code...), 0),
 		"truncated":                    code[:len(code)-1],
@@ -69,6 +76,50 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	} {
 		if _, err := decodeCodeArtifact(blob); err == nil {
 			t.Errorf("code artifact with %s accepted", name)
+		}
+	}
+}
+
+// TestMaterializeRejectsCoverPastFunction: a site's covered-instruction count
+// reaches materialization from a cache file. One that runs past the function's
+// last word is refused with the decoder's value error and its jump is not
+// patched in, where decode (which does not know the function) had to accept
+// it.
+func TestMaterializeRejectsCoverPastFunction(t *testing.T) {
+	tool := &testTool{}
+	env := setup(t, sass.Volta, tool)
+	ctr, _ := env.nv.Malloc(8)
+	tool.onLaunch = instrumentAll(ctr)
+	env.launch(t)
+	fs := env.nv.funcs[env.fn]
+	for _, extra := range []int{1, 1 << 20} {
+		art, err := env.nv.buildArtifact(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := &art.sites[len(art.sites)-1]
+		if last.idx+last.cover != env.fn.NumWords || last.cover < 2 {
+			t.Fatalf("last visit covers words %d to %d of %d", last.idx, last.idx+last.cover, env.fn.NumWords)
+		}
+		// Pad the trampoline so that decode's own bound (a site relocates no
+		// more instructions than it holds) still passes.
+		last.cover += extra
+		pad := make([]sass.Inst, extra)
+		for k := range pad {
+			pad[k] = sass.NewInst(sass.OpNOP)
+		}
+		art.insts = append(art.insts, pad...)
+		last.insts.n += int32(extra)
+		back, err := decodeCodeArtifact(encodeCodeArtifact(art))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		before := append([]byte(nil), fs.instrCode...)
+		if err := env.nv.materializeArtifact(fs, back); !errors.Is(err, errArtifactValue) {
+			t.Fatalf("cover %d past the function: materialize returned %v, want errArtifactValue", extra, err)
+		}
+		if !bytes.Equal(fs.instrCode[last.idx*env.nv.hal.InstBytes:], before[last.idx*env.nv.hal.InstBytes:]) {
+			t.Fatal("the refused site was patched into the function")
 		}
 	}
 }

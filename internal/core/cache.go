@@ -29,8 +29,11 @@ import (
 // v2 hashes the plan — the bulk of a key — in fields as wide as their types:
 // a byte for a flag, a predicate or an argument kind, four for a word index,
 // a count, a register or a constant bank (of which generated code keeps the
-// low bits only), eight for what a tool may set to any value.
-const codeKeyDomain = "nvbitgo/code/v2"
+// low bits only), eight for what a tool may set to any value. Schema v3 hashes
+// the same fields: it marks the generator that coalesces visits (coalesce.go),
+// whose output for an unchanged plan differs from its predecessor's, so no
+// entry made before it is found.
+const codeKeyDomain = "nvbitgo/code/v3"
 
 // codeKey fingerprints one function plus its instrumentation plan.
 func (n *NVBit) codeKey(fs *funcState) jitcache.Key {

@@ -210,8 +210,9 @@ func TestCacheFullSaveNeverServedLivenessArtifact(t *testing.T) {
 	if fullStats.CodeGen == 0 {
 		t.Fatal("full-save run was served from the liveness cache, want fresh code generation")
 	}
-	if got := fullStats.AvgSavedRegs(); got != float64(regsPerThread) {
-		t.Fatalf("full-save run saved %.1f regs/site, want the full file (%d)", got, regsPerThread)
+	// One bracket per visit here (before-calls only), each saving the file.
+	if got := float64(fullStats.SavedRegs) / float64(fullStats.Visits); got != float64(regsPerThread) {
+		t.Fatalf("full-save run saved %.1f regs/visit, want the full file (%d)", got, regsPerThread)
 	}
 	if minimal.count != full.count {
 		t.Fatalf("instruction counts diverge: minimal %d, full %d", minimal.count, full.count)
@@ -225,8 +226,8 @@ func TestCacheFullSaveNeverServedLivenessArtifact(t *testing.T) {
 	if fwStats.CodeGen != 0 {
 		t.Fatal("second full-save run did not hit the full-save artifact")
 	}
-	if got := fwStats.AvgSavedRegs(); got != float64(regsPerThread) {
-		t.Fatalf("cached full-save artifact saved %.1f regs/site, want %d", got, regsPerThread)
+	if got := float64(fwStats.SavedRegs) / float64(fwStats.Visits); got != float64(regsPerThread) {
+		t.Fatalf("cached full-save artifact saved %.1f regs/visit, want %d", got, regsPerThread)
 	}
 	if full.count != fullWarm.count {
 		t.Fatalf("counts diverge between full-save runs: %d vs %d", full.count, fullWarm.count)

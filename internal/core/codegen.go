@@ -8,82 +8,73 @@ import (
 )
 
 // buildArtifact runs the device-independent half of the Code Generator: it
-// builds one trampoline body per instrumented instruction and records
-// relocations for every immediate that depends on device placement
-// (save/restore routines, tool-function load addresses, the return jump,
-// relocated relative branches). It performs no device writes and no
-// trampoline allocation, so its output is a pure function of (function bytes,
-// plan, tool sources, family, MaxRegs, injection mode) — exactly the inputs
-// the cache key covers, which is what makes artifacts shareable across
-// attaches.
+// builds one trampoline body per visit — a straight-line run of instrumented
+// instructions (planVisits) — and records relocations for every immediate that
+// depends on device placement (save/restore routines, tool-function load
+// addresses, the return jump, relocated relative branches). It performs no
+// device writes and no trampoline allocation, so its output is a pure function
+// of (function bytes, plan, tool sources, family, MaxRegs, injection mode) —
+// exactly the inputs the cache key covers, which is what makes artifacts
+// shareable across attaches.
 func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
-	// Count the sites and what their trampolines hold — the relocated
-	// instruction (with a relocation when it is a relative branch) and the
-	// jump back; per group a save and a restore call; per call the CAL and a
-	// word (two where an immediate takes MOVI and MOVIH) for each 32 bits of
-	// argument — so the artifact's three arrays are each allocated once. Where
-	// a site needs more (predicate arguments, a predicate snapshot, an inlined
-	// body), append grows the array as usual.
-	sites, words, relocs := 0, 0, 0
+	calls, visits, err := n.planVisits(fs)
+	if err != nil {
+		return nil, err
+	}
+	// Count what the trampolines hold — the relocated instructions (with a
+	// relocation for a relative branch, which only ends a visit) and the jump
+	// back; per bracket a save and a restore call; per call the CAL and a word
+	// (two where an immediate takes MOVI and MOVIH) for each 32 bits of
+	// argument it marshals — so the artifact's three arrays are each allocated
+	// once. Where a visit needs more (predicate arguments, a predicate
+	// snapshot, an inlined body), append grows the array as usual.
+	words, relocs := 0, 0
 	argWords := 2
 	if n.hal.ImmFits(sass.OpMOVI, 1<<31) {
 		argWords = 1
 	}
-	for _, i := range fs.insts {
-		if !i.hasWork() {
+	for _, v := range visits {
+		if v.calls.n == 0 {
 			continue
 		}
-		sites++
-		words += 2
-		relocs++
-		if i.inst.Op.IsRelativeBranch() {
-			relocs++
-		}
-		for _, group := range [2][]*callRequest{i.before, i.after} {
+		words += v.cover + 1
+		relocs += 2
+		vc := of(v.calls, calls)
+		for _, group := range [2][]siteCall{vc[:v.head], vc[v.head:]} {
 			if len(group) > 0 {
 				words += 2
 				relocs += 2
 			}
-			for _, cr := range group {
+			for k := range group {
 				words++
 				relocs++
-				for _, a := range cr.args {
-					words += a.bytes() / 4 * argWords
+				for a, arg := range group[k].cr.args {
+					if !reusesArg(group, k, a) {
+						words += arg.bytes() / 4 * argWords
+					}
 				}
 			}
 		}
 	}
 	art := &codeArtifact{
-		sites:  make([]siteArtifact, 0, sites),
+		sites:  make([]siteArtifact, 0, len(visits)),
 		insts:  make([]sass.Inst, 0, words),
 		relocs: make([]reloc, 0, relocs),
 	}
-	var calls []siteCall // every site's resolved calls in turn
-	for _, i := range fs.insts {
-		if !i.hasWork() {
-			continue
-		}
+	for _, v := range visits {
 		// Removal without injected calls degenerates to an in-place NOP.
-		if i.removeOrig && len(i.before) == 0 && len(i.after) == 0 {
-			art.sites = append(art.sites, siteArtifact{idx: i.idx, nopOnly: true})
+		if v.calls.n == 0 {
+			art.sites = append(art.sites, siteArtifact{idx: v.first, cover: 1, nopOnly: true})
 			continue
 		}
-		var err error
-		if calls, err = n.resolveCalls(calls[:0], i, i.before); err != nil {
-			return nil, err
-		}
-		nBefore := len(calls)
-		if calls, err = n.resolveCalls(calls, i, i.after); err != nil {
-			return nil, err
-		}
-		before, after := calls[:nBefore], calls[nBefore:]
+		vc := of(v.calls, calls)
 		// Inline injection: when liveness proves enough dead registers to
 		// hold every injected body's renamed working set, splice the bodies
 		// into the relocated stream and skip the save/restore machinery
 		// entirely. Any ineligible call falls the whole site back to
 		// save/CAL/restore.
-		if n.injectMode != InjectInline || !n.inlineSite(art, fs, i, before, after) {
-			n.trampolineSite(art, fs, i, before, after)
+		if n.injectMode != InjectInline || !n.inlineSite(art, fs, fs.insts[v.first], vc[:v.head], vc[v.head:]) {
+			n.trampolineVisit(art, fs, v, vc)
 		}
 	}
 	return art, nil
@@ -92,14 +83,16 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 // siteCall is one injected call resolved against the loaded tool functions
 // and the instrumented instruction.
 type siteCall struct {
-	cr *callRequest
-	tf *toolFunc
+	cr   *callRequest
+	tf   *toolFunc
+	site *Instr // the instruction the call was inserted at
 	// p/neg is the call's guard; PT (never negated) when it has none.
 	p   sass.Pred
 	neg bool
 	// reads and predReads are the site's registers and predicates the
 	// argument marshalling reads. A trampoline's save set must cover them;
-	// inline renaming must not hand them out as targets.
+	// inline renaming must not hand them out as targets; a call moves over no
+	// instruction that writes them.
 	reads     sass.RegSet
 	predReads sass.PredSet
 }
@@ -115,7 +108,7 @@ func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, group []*callRequest) (
 		if err := validateArgs(tf, cr.args); err != nil {
 			return nil, err
 		}
-		c := siteCall{cr: cr, tf: tf, p: sass.PT}
+		c := siteCall{cr: cr, tf: tf, site: i, p: sass.PT}
 		if cr.guarded {
 			c.p, c.neg = cr.guardP, cr.guardNeg
 			if cr.useSite {
@@ -149,56 +142,71 @@ func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, group []*callRequest) (
 	return calls, nil
 }
 
-// layoutSite is the per-site skeleton every injection strategy shares:
-// before-calls, the relocated original instruction (step 5 of Figure 4) or a
-// NOP when nvbit_remove_orig was requested, after-calls, and the jump back to
-// the instrumented code at the next program counter. It appends to the
-// artifact's arrays; the site's code started at instruction i0, which is what
-// relocation slots count from. emitGroup appends one group's code and reports
-// whether it could. A relocated relative control-flow instruction must have
-// its offset adjusted for its new position (Section 5.1), which depends on the
-// trampoline base; the relocation marks the slot, which keeps the original
-// immediate until then.
-func layoutSite(art *codeArtifact, i0 int, i *Instr, before, after []siteCall, emitGroup func([]siteCall) bool) bool {
-	if !emitGroup(before) {
+// layoutVisit is the skeleton every injection strategy shares: the calls that
+// run before the visit's first instruction, that instruction relocated (step 5
+// of Figure 4) or a NOP when nvbit_remove_orig was requested, the calls that
+// run after it, the visit's other instructions the same way, and the jump back
+// to the instrumented code at the program counter after the last of them. It
+// appends to the artifact's arrays; the visit's code started at instruction
+// i0, which is what relocation slots count from. emitGroup appends one group's
+// code and reports whether it could. A relocated relative control-flow
+// instruction must have its offset adjusted for its new position (Section
+// 5.1), which depends on the trampoline base; the relocation marks the slot,
+// which keeps the original immediate until then.
+func layoutVisit(art *codeArtifact, i0 int, insts []*Instr, head, tail []siteCall, emitGroup func([]siteCall) bool) bool {
+	if !emitGroup(head) {
 		return false
 	}
-	if i.removeOrig {
-		art.insts = append(art.insts, sass.NewInst(sass.OpNOP))
-	} else {
-		if i.inst.Op.IsRelativeBranch() {
-			art.relocs = append(art.relocs, reloc{kind: relocRelBranch, slot: int32(len(art.insts) - i0)})
+	for k, i := range insts {
+		if i.removeOrig {
+			art.insts = append(art.insts, sass.NewInst(sass.OpNOP))
+		} else {
+			if i.inst.Op.IsRelativeBranch() {
+				art.relocs = append(art.relocs, reloc{kind: relocRelBranch, slot: int32(len(art.insts) - i0)})
+			}
+			art.insts = append(art.insts, i.inst)
 		}
-		art.insts = append(art.insts, i.inst)
-	}
-	if !emitGroup(after) {
-		return false
+		if k == 0 && !emitGroup(tail) {
+			return false
+		}
 	}
 	art.relocs = append(art.relocs, reloc{kind: relocRetJump, slot: int32(len(art.insts) - i0)})
 	art.insts = append(art.insts, sass.NewInst(sass.OpJMP))
 	return true
 }
 
-// trampolineSite appends the save/CAL/restore form of a site to the artifact.
-func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, before, after []siteCall) {
+// trampolineVisit appends the save/CAL/restore form of a visit to the
+// artifact: vc[:v.head] in one bracket before the first instruction, the rest
+// in one after it.
+func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []siteCall) {
 	hal := n.hal
 	f := fs.f
-	// Size the save set per site: the registers the liveness pass proves
-	// live at this instruction (clipped to the function's register
-	// requirement, which is also the fallback when the analysis is
-	// conservative), every injected function, and every register the
-	// argument marshalling reads. Registers above the save set are provably
-	// dead here and never written by trampoline code, so skipping them
-	// cannot change tool output.
-	maxRegs := f.MaxRegs()
-	if live := fs.liveness(); !live.Conservative() {
-		rs, _ := live.SiteLive(i.idx)
-		if m := rs.Max() + 1; m < maxRegs {
-			maxRegs = m
+	// Size the save set per visit. The frame always holds every injected
+	// function's registers and every register the argument marshalling reads
+	// (added below): nothing else is written by trampoline code, and registers
+	// above the frame are never touched, so skipping them cannot change tool
+	// output. A function that can look at the saved context (rdreg and
+	// friends) must also find in it whatever the application has live around
+	// the instruction, operands included: the registers the liveness pass
+	// proves live at the visit's first site, the only one whose calls can be
+	// pinned, clipped to the function's register requirement, which is also
+	// the fallback when the analysis is conservative. An ordered function is
+	// sized the same way although it cannot look: its save set is part of its
+	// timing, and its timing decides the order of its records across warps
+	// (docs/tools.md).
+	maxRegs := 0
+	for _, c := range vc {
+		if c.tf.pinned() {
+			maxRegs = f.MaxRegs()
+			if live := fs.liveness(); !live.Conservative() {
+				rs, _ := live.SiteLive(v.first)
+				maxRegs = min(maxRegs, rs.Max()+1)
+			}
+			break
 		}
 	}
 	// needCapture: some injected call is guarded by a real predicate, so the
-	// trampoline snapshots the site-entry predicate bank into a scratch
+	// trampoline snapshots the visit-entry predicate bank into a scratch
 	// register (chosen above every register the app or the tool functions
 	// touch) and re-materializes it before each guarded CAL. Without this, an
 	// after-group guard would read the value left by the relocated original
@@ -207,36 +215,35 @@ func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, befor
 	// preceding tool function clobbered.
 	needCapture := false
 	scratch := f.MaxRegs()
-	for _, group := range [2][]siteCall{before, after} {
-		for _, c := range group {
-			if c.tf.numRegs > maxRegs {
-				maxRegs = c.tf.numRegs
-			}
-			if c.tf.numRegs > scratch {
-				scratch = c.tf.numRegs
-			}
-			if c.p != sass.PT {
-				needCapture = true
-			}
-			if m := c.reads.Max() + 1; m > maxRegs {
-				maxRegs = m
-			}
+	for _, c := range vc {
+		if c.tf.numRegs > maxRegs {
+			maxRegs = c.tf.numRegs
+		}
+		if c.tf.numRegs > scratch {
+			scratch = c.tf.numRegs
+		}
+		if c.p != sass.PT {
+			needCapture = true
+		}
+		if m := c.reads.Max() + 1; m > maxRegs {
+			maxRegs = m
 		}
 	}
 	saveN := hal.SaveSetSize(maxRegs)
-	// SavedRegs counts the registers this site must preserve (the
+	// SavedRegs counts the registers a bracket must preserve (the
 	// liveness-derived requirement), not the granularity-rounded frame the
 	// HAL caches save routines by: the requirement is the quantity the
 	// paper's minimality claim is about, and rounding would mask per-site
 	// variation below one granule.
-	site := siteArtifact{idx: i.idx, saveN: saveN, savedRegs: maxRegs}
+	site := siteArtifact{idx: v.first, cover: v.cover, saveN: saveN, savedRegs: maxRegs}
 	if n.injectMode == InjectFullSave {
 		site.saveN, site.savedRegs = hal.RegsPerThread, hal.RegsPerThread
 	}
 	// The capture scratch register must exist; when the function and tools
 	// together already consume the whole register file there is no dead
 	// register to borrow, and guards keep the pre-liveness behavior of
-	// reading the bank at call time.
+	// reading the bank at call time (planVisits lets no call join such a
+	// visit).
 	capture := needCapture && scratch < sass.NumRegs
 	i0, r0 := len(art.insts), len(art.relocs)
 	if capture {
@@ -254,21 +261,22 @@ func (n *NVBit) trampolineSite(art *codeArtifact, fs *funcState, i *Instr, befor
 		cal.Pred, cal.PredNeg = p, neg
 		art.insts = append(art.insts, cal)
 	}
-	layoutSite(art, i0, i, before, after, func(group []siteCall) bool {
+	layoutVisit(art, i0, fs.insts[v.first:v.first+v.cover], vc[:v.head], vc[v.head:], func(group []siteCall) bool {
 		if len(group) == 0 {
 			return true
 		}
 		emitCall(relocSaveFn, int32(site.saveN), sass.PT, false)
-		for _, c := range group {
-			art.insts = n.marshalArgs(art.insts, c, i, nil)
+		for k, c := range group {
+			art.insts = n.marshalArgs(art.insts, group, k, nil)
 			if c.cr.guarded && capture {
-				// Re-materialize the site-entry predicate bank snapshot so
-				// the CAL's predicate match sees the values that held when
-				// the trampoline was entered — not values the relocated
-				// original (after groups) or an earlier tool function in
-				// this group may have written. The group's closing restore
-				// reloads the bank from the save frame, so the app never
-				// observes this write.
+				// Re-materialize the entry predicate bank snapshot so the
+				// CAL's predicate match sees the values that held when the
+				// trampoline was entered — not values a relocated original or
+				// an earlier tool function in this group may have written
+				// (planVisits lets a guarded call join only while no
+				// instruction since entry wrote its predicate). The group's
+				// closing restore reloads the bank from the save frame, so the
+				// app never observes this write.
 				r2p := sass.NewInst(sass.OpR2P)
 				r2p.Src1 = sass.Reg(scratch)
 				art.insts = append(art.insts, r2p)
@@ -328,8 +336,11 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	}
 	for si := range art.sites {
 		site := &art.sites[si]
-		if site.idx < 0 || (site.idx+1)*ib > len(fs.instrCode) {
-			return fmt.Errorf("nvbit: artifact site index %d out of range for %s", site.idx, f.Name)
+		// The artifact may come from a cache file: what it says it covers must
+		// lie inside this function.
+		if site.idx < 0 || site.cover < 1 || site.idx+site.cover > f.NumWords {
+			return fmt.Errorf("nvbit: artifact site covers words %d to %d of %s, which has %d: %w",
+				site.idx, site.idx+site.cover, f.Name, f.NumWords, errArtifactValue)
 		}
 		if site.nopOnly {
 			nop := sass.NewInst(sass.OpNOP)
@@ -358,6 +369,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 				}
 				if rl.kind == relocSaveFn {
 					tr[rl.slot].Imm = frames[k].save
+					n.stats.SavedRegs += site.savedRegs
 				} else {
 					tr[rl.slot].Imm = frames[k].restore
 				}
@@ -371,7 +383,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 				}
 				tr[rl.slot].Imm = tools[rl.aux]
 			case relocRetJump:
-				tr[rl.slot].Imm = int64(f.Addr) + int64(site.idx) + 1
+				tr[rl.slot].Imm = int64(f.Addr) + int64(site.idx+site.cover)
 			case relocInlineSkip:
 				// Skip over (part of) an inlined body: the distance is
 				// body-relative, so it is placement-independent and carried
@@ -396,7 +408,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			if rl.kind != relocRelBranch {
 				continue
 			}
-			origTarget := int64(f.Addr) + int64(site.idx) + 1 + tr[rl.slot].Imm
+			origTarget := int64(f.Addr) + int64(site.idx+site.cover) + tr[rl.slot].Imm
 			newImm := origTarget - (int64(base) + int64(rl.slot) + 1)
 			if !hal.ImmFits(sass.OpBRA, newImm) {
 				return fmt.Errorf("nvbit: relocated branch in %s at word %d cannot reach its target (offset %d)", f.Name, site.idx, newImm)
@@ -420,9 +432,9 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			n.stats.InlinedSites++
 			n.stats.InlineWords += len(tr)
 		} else {
-			n.stats.TrampolinesEmitted++
+			n.stats.Visits++
+			n.stats.TrampolinesEmitted += site.cover
 			n.stats.TrampolineWords += len(tr)
-			n.stats.SavedRegs += site.savedRegs
 		}
 	}
 	n.trampRaw = run
@@ -434,16 +446,30 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	return nil
 }
 
-// marshalArgs appends to out the argument-passing sequence for one injected
-// call, placing each argument in its ABI register according to the device
-// calling convention. regMap says where the interrupted thread's state is read
-// from. A nil regMap is the trampoline: state comes from the save frame (LDSA,
-// RDPRED), not from live registers, which earlier marshalling or previous
-// injected calls may have clobbered. A non-nil regMap is the inline splice:
-// the ABI registers are renamed through it and state is read live (MOV,
-// P2R.ONE) — safe because inline code written so far has only touched renamed
-// dead registers and predicates.
-func (n *NVBit) marshalArgs(out []sass.Inst, c siteCall, site *Instr, regMap map[sass.Reg]sass.Reg) []sass.Inst {
+// reusesArg reports whether argument a of group[k] is already in its ABI
+// register when that call's marshalling starts: the call before it in the
+// bracket was to the same tool function with the same constant there, and the
+// function's body leaves its parameter registers alone.
+func reusesArg(group []siteCall, k, a int) bool {
+	if k == 0 || group[k-1].tf != group[k].tf || !group[k].tf.keepsParams {
+		return false
+	}
+	arg := group[k].cr.args[a]
+	return (arg.kind == argImm32 || arg.kind == argImm64 || arg.kind == argCBank) && group[k-1].cr.args[a] == arg
+}
+
+// marshalArgs appends to out the argument-passing sequence for the injected
+// call group[k], placing each argument in its ABI register according to the
+// device calling convention. regMap says where the interrupted thread's state
+// is read from. A nil regMap is the trampoline: state comes from the save
+// frame (LDSA, RDPRED), not from live registers, which earlier marshalling or
+// previous injected calls may have clobbered, and group is the bracket, whose
+// previous call may have left a constant in place (reusesArg). A non-nil
+// regMap is the inline splice: the ABI registers are renamed through it and
+// state is read live (MOV, P2R.ONE) — safe because inline code written so far
+// has only touched renamed dead registers and predicates.
+func (n *NVBit) marshalArgs(out []sass.Inst, group []siteCall, k int, regMap map[sass.Reg]sass.Reg) []sass.Inst {
+	c, site := group[k], group[k].site
 	live := regMap != nil
 	// readRegs leaves the site's register r (a pair when width is 2) in dst.
 	readRegs := func(dst, r sass.Reg, width int) {
@@ -464,10 +490,12 @@ func (n *NVBit) marshalArgs(out []sass.Inst, c siteCall, site *Instr, regMap map
 		out = sass.AppendLoadImm32(out, n.hal.family, dst, uint32(v))
 		out = sass.AppendLoadImm32(out, n.hal.family, dst+1, uint32(v>>32))
 	}
-	for k, a := range c.cr.args {
-		abi := sass.Reg(c.tf.params[k].Offset)
+	for ai, a := range c.cr.args {
+		abi := sass.Reg(c.tf.params[ai].Offset)
 		if live {
 			abi = regMap[abi]
+		} else if reusesArg(group, k, ai) {
+			continue
 		}
 		switch a.kind {
 		case argRegVal:

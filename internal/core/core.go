@@ -71,6 +71,11 @@ type NVBit struct {
 	// cache is the content-addressed instrumentation cache (WithJITCache);
 	// nil keeps the uncached JIT pipeline.
 	cache *jitcache.Cache
+	// perSiteVisits keeps one trampoline per instrumented instruction, as the
+	// Code Generator made them before it coalesced visits. Only tests set it
+	// (export_test.go), for the per-site build their differentials compare
+	// with; the cache key does not cover it.
+	perSiteVisits bool
 	// trampRaw is materializeArtifact's scratch: the encoding of the
 	// trampolines not yet written to the device.
 	trampRaw []byte
@@ -219,6 +224,7 @@ func (n *NVBit) emitJITPhases(prof *profile.Collector, before JITStats, t0 time.
 	// from cached artifacts). Metrics aggregation sums both, so a mixed
 	// hit/miss finalize is never double-counted.
 	tramps := uint64(n.stats.TrampolinesEmitted - before.TrampolinesEmitted)
+	visits := uint64(n.stats.Visits - before.Visits)
 	saved := uint64(n.stats.SavedRegs - before.SavedRegs)
 	inlined := uint64(n.stats.InlinedSites - before.InlinedSites)
 	carrier := "cache_hit"
@@ -234,7 +240,7 @@ func (n *NVBit) emitJITPhases(prof *profile.Collector, before JITStats, t0 time.
 		}
 		carries := names[i] == carrier && tramps+inlined > 0
 		if carries {
-			rec.Trampolines, rec.SavedRegs, rec.InlinedSites = tramps, saved, inlined
+			rec.Trampolines, rec.Visits, rec.SavedRegs, rec.InlinedSites = tramps, visits, saved, inlined
 		}
 		// Phases that did no work are skipped — except the carrier, whose
 		// codegen metrics must survive even when the measured duration

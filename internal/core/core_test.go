@@ -69,6 +69,13 @@ const toolSrc = `
 	ld.param.u32 %r0, [v];
 	ret;
 }
+.toolfunc peek(.param .u32 reg)
+{
+	.reg .u32 %r<2>;
+	ld.param.u32 %r0, [reg];
+	rdreg.b32 %r1, %r0;
+	ret;
+}
 `
 
 // workPTX is a small application kernel with predication, a data-dependent
@@ -539,7 +546,9 @@ func TestResetInstrumented(t *testing.T) {
 
 // fatKernelPTX builds a kernel whose register pressure ramps from 2 live
 // registers up to ~28 and back down: a chain of definitions all consumed by
-// a final summing phase. Per-site save sets must track that ramp.
+// a final summing phase, cut into basic blocks of five by branches to the
+// next instruction. A visit's save set is sized where it starts, so the save
+// sets of the blocks must track that ramp.
 func fatKernelPTX() string {
 	var b strings.Builder
 	b.WriteString(".visible .entry fat(.param .u64 out)\n{\n")
@@ -550,83 +559,111 @@ func fatKernelPTX() string {
 	b.WriteString("\tadd.u64 %rd0, %rd0, %rd2;\n")
 	for k := 1; k <= 25; k++ {
 		fmt.Fprintf(&b, "\tadd.u32 %%r%d, %%r%d, 1;\n", k, k-1)
+		if k%5 == 0 {
+			fmt.Fprintf(&b, "\tbra UP%d;\nUP%d:\n", k, k)
+		}
 	}
 	for k := 1; k <= 25; k++ {
 		fmt.Fprintf(&b, "\tadd.u32 %%r0, %%r0, %%r%d;\n", k)
+		if k%5 == 0 {
+			fmt.Fprintf(&b, "\tbra DOWN%d;\nDOWN%d:\n", k, k)
+		}
 	}
 	b.WriteString("\tst.global.u32 [%rd0], %r0;\n\texit;\n}\n")
 	return b.String()
 }
 
 func TestSaveSetSizing(t *testing.T) {
-	// A near-register-free tool function on a register-fat kernel, so the
-	// save sets are shaped by the per-site liveness analysis (above the
-	// tool ABI's R16+ locals floor).
-	tool := &testTool{}
-	env := setup(t, sass.Volta, tool)
-	mod, err := env.ctx.ModuleLoadPTX("fat.ptx", fatKernelPTX())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := mod.GetFunction("fat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tool.onLaunch = func(n *NVBit, p *driver.CallParams) {
-		f := p.Launch.Func
-		if n.IsInstrumented(f) {
-			return
-		}
-		insts, err := n.GetInstrs(f)
+	// Near-register-free tool functions on a register-fat kernel, so any save
+	// set above the tool ABI's R16+ locals floor comes from the application.
+	// peek reads the saved context, so each of its calls stays at its own site
+	// and its frame must hold what liveness proves live there: the save sets
+	// track the ramp. touch cannot look, so its calls coalesce into one visit
+	// per basic block and its frame holds its own registers and no more.
+	for _, funcName := range []string{"peek", "touch"} {
+		tool := &testTool{}
+		env := setup(t, sass.Volta, tool)
+		mod, err := env.ctx.ModuleLoadPTX("fat.ptx", fatKernelPTX())
 		if err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
-		for _, i := range insts {
-			n.InsertCallArgs(i, "touch", IPointBefore, ArgConst32(7))
+		fn, err := mod.GetFunction("fat")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	out, err := env.ctx.MemAlloc(4 * 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := driver.PackParams(fn, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.ctx.LaunchKernel(fn, gpu.D1(1), gpu.D1(64), 0, params); err != nil {
-		t.Fatal(err)
-	}
-	full := env.nv.hal.SaveSetSize(fn.MaxRegs())
-	if len(env.nv.loader.saves) < 2 {
-		t.Fatalf("per-site sizing should load several save-routine sizes, got %v", env.nv.loader.saves)
-	}
-	for nRegs := range env.nv.loader.saves {
-		if nRegs%env.nv.hal.SaveGranularity != 0 {
-			t.Fatalf("save set %d not a multiple of granularity", nRegs)
+		tool.onLaunch = func(n *NVBit, p *driver.CallParams) {
+			f := p.Launch.Func
+			if n.IsInstrumented(f) {
+				return
+			}
+			insts, err := n.GetInstrs(f)
+			if err != nil {
+				panic(err)
+			}
+			for _, i := range insts {
+				n.InsertCallArgs(i, funcName, IPointBefore, ArgConst32(7))
+			}
 		}
-		if nRegs < 1 || nRegs > full {
-			t.Fatalf("save set %d outside (0, %d]: liveness must never save more than the whole-function bound", nRegs, full)
+		out, err := env.ctx.MemAlloc(4 * 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	js := env.nv.JITStats()
-	if js.TrampolinesEmitted == 0 || js.SavedRegs == 0 {
-		t.Fatalf("save-set metric not accumulated: %+v", js)
-	}
-	if js.AvgSavedRegs() >= float64(fn.MaxRegs()) {
-		t.Fatalf("mean save set %.1f not below the whole-function requirement %d",
-			js.AvgSavedRegs(), fn.MaxRegs())
-	}
-	// The kernel must still compute the right answer under minimal saves:
-	// each thread stores tid*26 + (1+2+...+25).
-	host := make([]byte, 4*64)
-	if err := env.ctx.MemcpyDtoH(host, out); err != nil {
-		t.Fatal(err)
-	}
-	for tid := 0; tid < 64; tid++ {
-		got := uint32(host[4*tid]) | uint32(host[4*tid+1])<<8 | uint32(host[4*tid+2])<<16 | uint32(host[4*tid+3])<<24
-		want := uint32(tid*26 + 325)
-		if got != want {
-			t.Fatalf("thread %d: got %d, want %d", tid, got, want)
+		params, err := driver.PackParams(fn, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.ctx.LaunchKernel(fn, gpu.D1(1), gpu.D1(64), 0, params); err != nil {
+			t.Fatal(err)
+		}
+		full := env.nv.hal.SaveSetSize(fn.MaxRegs())
+		for nRegs := range env.nv.loader.saves {
+			if nRegs%env.nv.hal.SaveGranularity != 0 {
+				t.Fatalf("%s: save set %d not a multiple of granularity", funcName, nRegs)
+			}
+			if nRegs < 1 || nRegs > full {
+				t.Fatalf("%s: save set %d outside (0, %d]: liveness must never save more than the whole-function bound", funcName, nRegs, full)
+			}
+		}
+		js := env.nv.JITStats()
+		if js.TrampolinesEmitted == 0 || js.SavedRegs == 0 {
+			t.Fatalf("%s: save-set metric not accumulated: %+v", funcName, js)
+		}
+		perVisit := float64(js.SavedRegs) / float64(js.Visits)
+		if perVisit >= float64(fn.MaxRegs()) {
+			t.Fatalf("%s: mean save set %.1f not below the whole-function requirement %d", funcName, perVisit, fn.MaxRegs())
+		}
+		if funcName == "peek" {
+			if len(env.nv.loader.saves) < 2 {
+				t.Fatalf("per-site sizing should load several save-routine sizes, got %v", env.nv.loader.saves)
+			}
+			if js.Visits != js.TrampolinesEmitted {
+				t.Fatalf("%d visits for %d sites of a function that reads the saved context", js.Visits, js.TrampolinesEmitted)
+			}
+		} else {
+			tf, _ := env.nv.loader.lookup(funcName)
+			if len(env.nv.loader.saves) != 1 || int(perVisit) != tf.numRegs {
+				t.Fatalf("a function that cannot see the context saves %v (%.1f per visit), want its own %d registers everywhere",
+					env.nv.loader.saves, perVisit, tf.numRegs)
+			}
+			if js.Visits < 10 || js.Visits >= js.TrampolinesEmitted {
+				t.Fatalf("%d visits for %d sites, want one per basic block", js.Visits, js.TrampolinesEmitted)
+			}
+			if js.AvgSavedRegs() >= perVisit {
+				t.Fatalf("%.1f registers saved per site, want fewer than the %.1f per visit its sites share", js.AvgSavedRegs(), perVisit)
+			}
+		}
+		// The kernel must still compute the right answer under minimal saves:
+		// each thread stores tid*26 + (1+2+...+25).
+		host := make([]byte, 4*64)
+		if err := env.ctx.MemcpyDtoH(host, out); err != nil {
+			t.Fatal(err)
+		}
+		for tid := 0; tid < 64; tid++ {
+			got := uint32(host[4*tid]) | uint32(host[4*tid+1])<<8 | uint32(host[4*tid+2])<<16 | uint32(host[4*tid+3])<<24
+			want := uint32(tid*26 + 325)
+			if got != want {
+				t.Fatalf("%s: thread %d: got %d, want %d", funcName, tid, got, want)
+			}
 		}
 	}
 }
@@ -681,7 +718,15 @@ func TestJITStatsPopulated(t *testing.T) {
 		t.Fatalf("lift counters: %+v", st)
 	}
 	if st.TrampolinesEmitted != st.InstrsLifted {
-		t.Fatalf("trampolines %d != instrumented instructions %d", st.TrampolinesEmitted, st.InstrsLifted)
+		t.Fatalf("trampolines serve %d sites != instrumented instructions %d", st.TrampolinesEmitted, st.InstrsLifted)
+	}
+	// The tally moves freely, so the work kernel's four basic blocks are four
+	// visits, each with one save/restore bracket as large as the tally needs.
+	if st.Visits != 4 || st.SitesPerVisit() != float64(st.InstrsLifted)/4 {
+		t.Fatalf("%d visits, %.2f sites each, want 4 covering %d sites", st.Visits, st.SitesPerVisit(), st.InstrsLifted)
+	}
+	if st.SavedRegs != 4*24 {
+		t.Fatalf("SavedRegs %d, want the tally's 24 registers once for each of 4 visits", st.SavedRegs)
 	}
 	if st.SwapBytes == 0 {
 		t.Fatal("no swap recorded")

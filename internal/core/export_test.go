@@ -14,6 +14,12 @@ import (
 // its flush-hook list.
 func (n *NVBit) Scope() *driver.Tenant { return n.scope }
 
+// SetPerSiteVisits makes the Code Generator emit one trampoline per
+// instrumented instruction — the build every coalescing differential compares
+// with. Set it before the first launch; it is not part of the cache key, so
+// leave the cache off.
+func (n *NVBit) SetPerSiteVisits(on bool) { n.perSiteVisits = on }
+
 // CodeArtifacts re-runs the device-independent half of the Code Generator
 // over every function that carries an instrumentation plan and returns each
 // one's encoded artifact by function name. The plan stays attached to a
@@ -53,9 +59,10 @@ func (n *NVBit) CodeKeys() map[string]string {
 // CanonicalCodeArtifact decodes an encoded artifact and renders it site by
 // site, every field at full width and a relative branch's original immediate
 // repeated in its relocation: the bytes artifactVersion 2 stored, which
-// testdata/codegen_golden.txt was recorded over. The golden pins what the Code
-// Generator produced, so it reads this rendering and a change of wire format
-// leaves it alone.
+// testdata/codegen_golden.txt was recorded over, with the instructions a site
+// covers beyond its first in the return jump's relocation (zero in version 2,
+// which had no such sites). The golden pins what the Code Generator produced,
+// so it reads this rendering and a change of wire format leaves it alone.
 func CanonicalCodeArtifact(blob []byte) ([]byte, error) {
 	a, err := decodeCodeArtifact(blob)
 	if err != nil {
@@ -87,8 +94,11 @@ func CanonicalCodeArtifact(blob []byte) ([]byte, error) {
 		b = le.AppendUint32(b, uint32(s.relocs.n))
 		for _, rl := range of(s.relocs, a.relocs) {
 			aux := int64(rl.aux)
-			if rl.kind == relocRelBranch {
+			switch rl.kind {
+			case relocRelBranch:
 				aux = insts[rl.slot].Imm
+			case relocRetJump:
+				aux = int64(s.cover - 1)
 			}
 			b = le.AppendUint64(le.AppendUint32(append(b, uint8(rl.kind)), uint32(rl.slot)), uint64(aux))
 		}
@@ -120,4 +130,29 @@ func (n *NVBit) ArtifactDigests() ([]string, error) {
 func RecodeCodeArtifact(b []byte) (accepted, same bool) {
 	a, err := decodeCodeArtifact(b)
 	return err == nil, err == nil && bytes.Equal(encodeCodeArtifact(a), b)
+}
+
+// VisitSpans returns, for f's current plan, the first word and the instruction
+// count of every visit the Code Generator would make, in program order.
+func (n *NVBit) VisitSpans(f *driver.Function) ([][2]int, error) {
+	_, visits, err := n.planVisits(n.funcs[f])
+	out := make([][2]int, len(visits))
+	for k, v := range visits {
+		out[k] = [2]int{v.first, v.cover}
+	}
+	return out, err
+}
+
+// MaxCover returns the largest instruction count any site of an encoded
+// artifact covers.
+func MaxCover(blob []byte) (int, error) {
+	a, err := decodeCodeArtifact(blob)
+	if err != nil {
+		return 0, err
+	}
+	most := 0
+	for _, s := range a.sites {
+		most = max(most, s.cover)
+	}
+	return most, nil
 }

@@ -60,13 +60,20 @@ func checkRecode(t *testing.T, blob []byte) {
 }
 
 // FuzzDecodeCodeArtifact seeds with the encoder's own output, which must
-// decode, and fuzzes the decoder under checkRecode.
+// decode and must include a visit of several instructions (instrcount's calls
+// coalesce), and fuzzes the decoder under checkRecode.
 func FuzzDecodeCodeArtifact(f *testing.F) {
+	most := 0
 	for _, blob := range artifactSeeds(f) {
-		if ok, _ := core.RecodeCodeArtifact(blob); !ok {
-			f.Fatalf("an encoded artifact of %d bytes does not decode", len(blob))
+		cover, err := core.MaxCover(blob)
+		if err != nil {
+			f.Fatalf("an encoded artifact of %d bytes does not decode: %v", len(blob), err)
 		}
+		most = max(most, cover)
 		f.Add(blob)
+	}
+	if most < 2 {
+		f.Fatal("no seed holds a visit of more than one instruction")
 	}
 	f.Fuzz(checkRecode)
 }

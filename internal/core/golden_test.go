@@ -274,13 +274,14 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 // materializedGolden is the SHA-256 of the device's whole code space — the
 // application's modules with the instrumented functions resident, the tool
 // functions, the save and restore routines and every trampoline — after cg
-// ran under instrcount, recorded at PR 16. TestCodegenGolden pins the
+// ran under instrcount, recorded at PR 16 (inline) and PR 22 (trampoline:
+// coalesced visits). TestCodegenGolden pins the
 // device-independent artifact; this pins what materialization makes of it:
 // the order device addresses are handed out in and the encoded bytes.
 var materializedGolden = map[string]string{
-	"Kepler/trampoline": "da49a178f4ebd17694ea8c2133be9d7c2380dcaa2d63ed2cab82a7c26ac38f25",
+	"Kepler/trampoline": "5bf328852f1ba561888126d3952394e9421c84468e681b967d8d8b3b80458d78",
 	"Kepler/inline":     "7a3d2a639cc8fe8b4d2a977e8d0f9ae04b6fdac02629fb148d50904d25b684bb",
-	"Volta/trampoline":  "9c420faf7da6ef898cde8632ebbafa38ff6c535768e57ca451da71f4bd0dbf4e",
+	"Volta/trampoline":  "98df9848313f986218087bd7fc0982aa50ac6a4c7b7111cabed1080fbf7f669b",
 	"Volta/inline":      "ee8cbd1b00248e15fb09d16f62400dd9777277790532ba1e1a61001d3850d8e6",
 }
 
@@ -310,16 +311,16 @@ func TestMaterializedCodeGolden(t *testing.T) {
 }
 
 // codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
-// PR 19 (artifactVersion 3, key schema v2). A key that moves orphans every
+// PR 22 (artifactVersion 4, key schema v3). A key that moves orphans every
 // primed cache directory, so a change to what is hashed, or to the order,
 // shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "1e23e378e6dbf9a7f306f8e511d80433096126a7c66fd6a856ba37572e2fa794",
-	"Kepler/full-save":  "e123986e628617d3b85c5a0755abbcc71696d27cf0bb914322a22590c7b91139",
-	"Kepler/inline":     "0fb1492bbf2f0fc6786adc3ccd60c5cdc426c5d65629254bb6454850e3b94475",
-	"Volta/trampoline":  "bef010e4d1c4f17a9fd8c46fadc85c9a1b4dbd85b21b80862a9c2f4e4af54440",
-	"Volta/full-save":   "f089ebf4d0cbe78a93db98002669da9313f6eb8aefc96d5d847182c7a8b4070a",
-	"Volta/inline":      "9ab6e6dc61692d3ab06c53f1863a6e122f68b6c756a5743bd55f73ccb5c55a47",
+	"Kepler/trampoline": "03052785ac7cc1bd0a10b14c9dbf77fd8c2410a4c512401a8ba402354776dc2e",
+	"Kepler/full-save":  "3ef1ce977301c0f238d436b6b097047577bd8b234ffa3e360d8e2bf5ea2f818c",
+	"Kepler/inline":     "88748d4ca1a98316b78100c69999e9a7df2eca8cb57018db5b6dd5bf752dd80c",
+	"Volta/trampoline":  "44dfc78fee2a1a427fd42e6536cc629b596a1cbe121fc64d42cba78ae49f8541",
+	"Volta/full-save":   "96e5508952971ed9697d89c5e6f17858bd846f46e4a66cada74993b468d0fd6d",
+	"Volta/inline":      "acf708093e5edb588fdf43c67b5176a81224f2957f914d8630d3d332c9bc76cc",
 }
 
 func TestCodeKeyGolden(t *testing.T) {

@@ -74,9 +74,9 @@ func (n *NVBit) inlineSite(art *codeArtifact, fs *funcState, i *Instr, before, a
 	// another body's renamed registers, so reuse across calls is safe and
 	// keeps the per-site demand at the largest single working set.
 	i0, r0 := len(art.insts), len(art.relocs)
-	ok := layoutSite(art, i0, i, before, after, func(group []siteCall) bool {
-		for _, c := range group {
-			if !n.spliceCall(art, i0, c, i, pool, deadPreds) {
+	ok := layoutVisit(art, i0, fs.insts[i.idx:i.idx+1], before, after, func(group []siteCall) bool {
+		for k := range group {
+			if !n.spliceCall(art, i0, group, k, pool, deadPreds) {
 				return false
 			}
 		}
@@ -86,20 +86,21 @@ func (n *NVBit) inlineSite(art *codeArtifact, fs *funcState, i *Instr, before, a
 		art.insts, art.relocs = art.insts[:i0], art.relocs[:r0]
 		return false
 	}
-	art.addSite(siteArtifact{idx: i.idx, inline: true}, i0, r0)
+	art.addSite(siteArtifact{idx: i.idx, cover: 1, inline: true}, i0, r0)
 	return true
 }
 
-// spliceCall renames one tool body into dead registers and appends its
-// marshalling, guard skip and body to the site that started at instruction
+// spliceCall renames the tool body of group[k] into dead registers and appends
+// its marshalling, guard skip and body to the site that started at instruction
 // i0. It reports false when the body cannot be spliced at all (see
-// sass.BodyFootprint), the dead set cannot hold the working set, or a skip
-// distance is unencodable.
-func (n *NVBit) spliceCall(art *codeArtifact, i0 int, c siteCall, i *Instr, pool sass.RegSet, deadPreds sass.PredSet) bool {
-	fp, ok := sass.BodyFootprint(c.tf.insts)
-	if !ok {
+// sass.BodyFootprint, asked once when the function was loaded), the dead set
+// cannot hold the working set, or a skip distance is unencodable.
+func (n *NVBit) spliceCall(art *codeArtifact, i0 int, group []siteCall, k int, pool sass.RegSet, deadPreds sass.PredSet) bool {
+	c := group[k]
+	if !c.tf.inlinable {
 		return false
 	}
+	fp := c.tf.footprint
 	if c.p == sass.PT && c.neg {
 		// The guard is statically false: neither the tool function nor — in
 		// a trampoline — its marshalling has an observable effect. Emit
@@ -126,7 +127,7 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, c siteCall, i *Instr, pool
 	if !ok {
 		return false
 	}
-	art.insts = n.marshalArgs(art.insts, c, i, regMap)
+	art.insts = n.marshalArgs(art.insts, group, k, regMap)
 	// skip appends a branch over the next d instructions.
 	skip := func(p sass.Pred, neg bool, d int) bool {
 		if !n.hal.ImmFits(sass.OpBRA, int64(d)) {
@@ -150,7 +151,7 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, c siteCall, i *Instr, pool
 	if c.p != sass.PT && !skip(c.p, !c.neg, emitLen) {
 		return false
 	}
-	for k, in := range body[:emitLen] {
+	for b, in := range body[:emitLen] {
 		if in.Op != sass.OpRET {
 			art.insts = append(art.insts, in)
 			continue
@@ -159,7 +160,7 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, c siteCall, i *Instr, pool
 		// of the body. A branch that targeted the dropped trailing RET keeps
 		// working: its target is now the instruction after the body, which is
 		// exactly the return point.
-		if !skip(in.Pred, in.PredNeg, emitLen-k-1) {
+		if !skip(in.Pred, in.PredNeg, emitLen-b-1) {
 			return false
 		}
 	}

@@ -32,16 +32,25 @@ type JITStats struct {
 	CacheLookup time.Duration // (7) zero without a cache
 	CacheHit    time.Duration // (8) zero without a cache
 
-	FunctionsLifted    int
-	InstrsLifted       int
+	FunctionsLifted int
+	InstrsLifted    int
+	// TrampolinesEmitted counts instrumented sites served by a trampoline;
+	// Visits counts the trampolines themselves (the jumps patched into the
+	// function). One visit serves a straight-line run of sites, so Visits ≤
+	// TrampolinesEmitted, with equality when no call could move.
 	TrampolinesEmitted int
+	Visits             int
 	TrampolineWords    int // total instruction words across emitted trampolines
-	SavedRegs          int // total save-set registers across emitted trampolines
+	// SavedRegs totals the save-set registers of every save/restore bracket
+	// emitted: a visit has one bracket, or two when calls stay both before
+	// and after its first instruction.
+	SavedRegs int
 	// InlinedSites / InlineWords count sites materialized through the
 	// inline-injection strategy (InjectInline) and their total instruction
 	// words. Inline sites save no registers and are deliberately kept out of
-	// TrampolinesEmitted / TrampolineWords / SavedRegs, so AvgSavedRegs
-	// keeps meaning "save-set size per trampoline" when both kinds coexist.
+	// TrampolinesEmitted / Visits / TrampolineWords / SavedRegs, so
+	// AvgSavedRegs keeps meaning "registers saved per trampoline-served
+	// site" when both kinds coexist.
 	InlinedSites int
 	InlineWords  int
 	SwapBytes    int
@@ -55,15 +64,26 @@ type JITStats struct {
 	CacheBytesWritten int // artifact bytes stored into the cache
 }
 
-// AvgSavedRegs returns the mean save-set size per emitted trampoline — the
-// per-site cost the liveness pass minimizes (paper Section 5.1) — or 0 when
-// no trampolines were emitted. Inline sites save nothing and are excluded
-// from the denominator: an all-inline run reports 0, not a division artifact.
+// AvgSavedRegs returns the save-set registers emitted per site a trampoline
+// serves — the static per-site cost that liveness sizing (paper Section 5.1)
+// and visit coalescing both lower: a bracket's registers are charged once and
+// shared by every site of its visit — or 0 when no trampolines were emitted.
+// Inline sites save nothing and are excluded from the denominator: an
+// all-inline run reports 0, not a division artifact.
 func (s JITStats) AvgSavedRegs() float64 {
 	if s.TrampolinesEmitted == 0 {
 		return 0
 	}
 	return float64(s.SavedRegs) / float64(s.TrampolinesEmitted)
+}
+
+// SitesPerVisit returns the mean number of instrumented sites one trampoline
+// serves, or 0 when no trampolines were emitted.
+func (s JITStats) SitesPerVisit() float64 {
+	if s.Visits == 0 {
+		return 0
+	}
+	return float64(s.TrampolinesEmitted) / float64(s.Visits)
 }
 
 // CacheHitRatio returns CacheHits/CacheLookups, or 0 before the first

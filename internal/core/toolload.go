@@ -19,6 +19,49 @@ type toolFunc struct {
 	numRegs int
 	params  []ptx.Param // Offset = ABI register index
 	insts   []sass.Inst // resolved body, kept for inline splicing
+
+	// Facts about the body, worked out once when it is loaded; the inline
+	// splice, the visit coalescer and the argument-reuse check read them at
+	// every site.
+	footprint sass.Footprint // what a splice renames (sass.BodyFootprint)
+	// inlinable: the footprint exists. The body is self-contained: it neither
+	// reads nor writes the interrupted thread's saved image or the save
+	// frame, nor leaves through a call or jump, so it can be spliced, and
+	// what it sees does not depend on where it runs.
+	inlinable bool
+	// keepsParams: the body leaves its ABI parameter registers as the
+	// marshalling set them, so a constant argument survives to the next call.
+	keepsParams bool
+	// ordered: the body takes a value back from an atomic or exchanges values
+	// across the warp, so its result depends on which calls ran before it.
+	ordered bool
+	// loads: the body reads memory, which a store it crossed would have
+	// changed.
+	loads bool
+}
+
+// pinned reports whether a call to tf must run at its own site; inlinable,
+// ordered and loads are the three facts that decide whether one may run
+// earlier (docs/tools.md, "What the code generator may move").
+func (tf *toolFunc) pinned() bool { return !tf.inlinable || tf.ordered }
+
+// setBodyFacts fills in the facts about tf's body.
+func (tf *toolFunc) setBodyFacts() {
+	tf.footprint, tf.inlinable = sass.BodyFootprint(tf.insts)
+	var writes, params sass.RegSet
+	for _, in := range tf.insts {
+		switch in.Op {
+		case sass.OpATOM, sass.OpSHFL, sass.OpVOTE, sass.OpMATCH:
+			tf.ordered = true
+		}
+		tf.loads = tf.loads || in.Op.IsLoad() && in.Op != sass.OpLDC
+		defs, _, _, _ := sass.DefUse(in)
+		writes = writes.Union(defs)
+	}
+	for _, pr := range tf.params {
+		params.AddRange(sass.Reg(pr.Offset), pr.Bytes/4)
+	}
+	tf.keepsParams = tf.inlinable && writes.Intersect(params).Empty()
 }
 
 // toolLoader is the Tool Functions Loader. It compiles and loads the tool's
@@ -104,13 +147,15 @@ func (l *toolLoader) loadSource(modName, src string) error {
 		return fmt.Errorf("nvbit: loading tool functions: %w", err)
 	}
 	for i, f := range pm.Funcs {
-		l.funcs[f.Name] = &toolFunc{
+		tf := &toolFunc{
 			name:    f.Name,
 			addr:    placed[i].Addr,
 			numRegs: f.NumRegs,
 			params:  f.Params,
 			insts:   placed[i].Insts,
 		}
+		tf.setBodyFacts()
+		l.funcs[f.Name] = tf
 	}
 	return nil
 }

@@ -13,7 +13,8 @@ import (
 // full-register-file save baseline, the liveness-minimal trampoline (the
 // paper's Section 5.1 "saves only the minimum amount of general purpose
 // registers"), and inline splicing (no save/restore, no CAL/RET, when enough
-// dead registers exist). Register columns are static per-trampoline means;
+// dead registers exist). Register columns are static means per site a
+// trampoline serves (a visit's one save is shared by the run of sites it covers);
 // the words/site columns are the executed instrumentation instructions per
 // site visit — the dynamic cost a site pays, which is where inlining wins
 // (its static footprint is *larger*: the tool body is duplicated per site).
@@ -24,8 +25,8 @@ type SaveSetRow struct {
 	// spliced instead of routing through a trampoline.
 	Trampolines  uint64
 	InlinedSites uint64
-	// LiveRegs and FullRegs are mean saved registers per trampoline under
-	// liveness-minimal and full-save trampolines.
+	// LiveRegs and FullRegs are mean saved registers per trampoline-served
+	// site under minimal-save and full-save trampolines.
 	LiveRegs float64
 	FullRegs float64
 	// FullWords/TrampWords/InlineWords are executed instrumentation

@@ -27,24 +27,35 @@ type KernelMetrics struct {
 	WallInstrumented time.Duration
 
 	// Code-generator shape, from the JIT codegen phase records: how many
-	// trampolines this kernel's instrumentation emitted and the summed
-	// size of their register save sets. InlinedSites counts sites spliced
-	// inline instead (no trampoline, no saved registers).
+	// sites of this kernel trampolines serve, how many trampolines that took
+	// (Visits) and the summed size of their register save sets. InlinedSites
+	// counts sites spliced inline instead (no trampoline, no saved
+	// registers).
 	Trampolines  uint64
+	Visits       uint64
 	SavedRegs    uint64
 	InlinedSites uint64
 }
 
-// AvgSavedRegs returns the mean save-set size per trampoline — the per-site
-// register count the liveness analysis minimizes — or 0 when the kernel was
-// never instrumented. Inline sites are excluded from the denominator: a
-// fully inlined kernel reports 0 rather than attributing save traffic it
-// never paid.
+// AvgSavedRegs returns the save-set registers emitted per site a trampoline
+// serves — what liveness sizing and visit coalescing lower — or 0 when the
+// kernel was never instrumented. Inline sites are excluded from the
+// denominator: a fully inlined kernel reports 0 rather than attributing save
+// traffic it never paid.
 func (m KernelMetrics) AvgSavedRegs() float64 {
 	if m.Trampolines == 0 {
 		return 0
 	}
 	return float64(m.SavedRegs) / float64(m.Trampolines)
+}
+
+// SitesPerVisit returns the mean number of sites one trampoline serves, or 0
+// when the kernel has none.
+func (m KernelMetrics) SitesPerVisit() float64 {
+	if m.Visits == 0 {
+		return 0
+	}
+	return float64(m.Trampolines) / float64(m.Visits)
 }
 
 // Slowdown returns the ratio of mean instrumented to mean native launch
@@ -96,6 +107,7 @@ func (c *Collector) aggregateCodegen(r Record) {
 		c.agg[name] = m
 	}
 	m.Trampolines += r.Trampolines
+	m.Visits += r.Visits
 	m.SavedRegs += r.SavedRegs
 	m.InlinedSites += r.InlinedSites
 }
@@ -121,8 +133,8 @@ func (c *Collector) Metrics() []KernelMetrics {
 // FormatMetrics renders the per-kernel metrics table as aligned text.
 func FormatMetrics(ms []KernelMetrics) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %8s %6s %6s %14s %14s %12s %9s %9s %8s\n",
-		"kernel", "launches", "instr", "faults", "warp-instrs", "thread-instrs", "cycles", "slowdown", "avg-save", "inlined")
+	fmt.Fprintf(&b, "%-28s %8s %6s %6s %14s %14s %12s %9s %9s %11s %8s\n",
+		"kernel", "launches", "instr", "faults", "warp-instrs", "thread-instrs", "cycles", "slowdown", "avg-save", "sites/visit", "inlined")
 	for _, m := range ms {
 		slow := "-"
 		if s := m.Slowdown(); s > 0 {
@@ -132,9 +144,13 @@ func FormatMetrics(ms []KernelMetrics) string {
 		if s := m.AvgSavedRegs(); s > 0 {
 			save = fmt.Sprintf("%.1f", s)
 		}
-		fmt.Fprintf(&b, "%-28s %8d %6d %6d %14d %14d %12d %9s %9s %8d\n",
+		perVisit := "-"
+		if s := m.SitesPerVisit(); s > 0 {
+			perVisit = fmt.Sprintf("%.1f", s)
+		}
+		fmt.Fprintf(&b, "%-28s %8d %6d %6d %14d %14d %12d %9s %9s %11s %8d\n",
 			m.Name, m.Launches, m.InstrumentedLaunches, m.Faults,
-			m.WarpInstrs, m.ThreadInstrs, m.Cycles, slow, save, m.InlinedSites)
+			m.WarpInstrs, m.ThreadInstrs, m.Cycles, slow, save, perVisit, m.InlinedSites)
 	}
 	return b.String()
 }

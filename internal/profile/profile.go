@@ -109,12 +109,15 @@ type Record struct {
 	Instrumented bool   // the instrumented code version was resident
 	Fault        string // fault kind name; empty on success
 
-	// Code-generator metrics (KindJITPhase "codegen" records): trampolines
-	// emitted during this phase and the summed size of their save sets, so
-	// the liveness pass's per-site savings are visible in the timeline.
-	// InlinedSites counts sites materialized via inline injection instead of
-	// a trampoline; they contribute nothing to Trampolines or SavedRegs.
+	// Code-generator metrics (KindJITPhase "codegen" records): the sites
+	// trampolines emitted during this phase serve, the trampolines themselves
+	// (Visits: one serves a straight-line run of sites) and the summed size
+	// of their save sets, so what liveness sizing and visit coalescing save
+	// per site is visible in the timeline. InlinedSites counts sites
+	// materialized via inline injection instead of a trampoline; they
+	// contribute nothing to Trampolines, Visits or SavedRegs.
 	Trampolines  uint64
+	Visits       uint64
 	SavedRegs    uint64
 	InlinedSites uint64
 }
