@@ -7,12 +7,14 @@
 //	experiments -fig all            # everything at the default sizes
 //	experiments -fig 5 -size medium # Figure 5 (paper uses medium)
 //	experiments -fig 8 -size large  # Figures 7/8/9 (paper uses large)
+//	experiments -fig 8 -cpuprofile cpu.prof   # where the host time went
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"nvbitgo/internal/experiments"
@@ -26,12 +28,37 @@ func main() {
 	fiSeed := flag.Uint64("fi-seed", 1, "faultinject: campaign manifest seed")
 	sizeName := flag.String("size", "", "problem size: small, medium, large (default: per-figure paper size)")
 	schedName := flag.String("scheduler", "sequential", "CTA scheduler: sequential (reference, used for published figures) or parallel")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
+
+	// os.Exit runs no deferred calls and a CPU profile is only complete once
+	// stopped, so every exit below goes through exit.
+	stopProfile := func() {}
+	exit := func(code int) {
+		stopProfile()
+		os.Exit(code)
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+			}
+		}
+	}
 
 	sched, err := gpu.ParseScheduler(*schedName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		exit(2)
 	}
 	experiments.SetScheduler(sched)
 
@@ -47,14 +74,14 @@ func main() {
 			return def
 		default:
 			fmt.Fprintf(os.Stderr, "unknown size %q\n", *sizeName)
-			os.Exit(2)
+			exit(2)
 		}
 		return def
 	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	section := func(name string, fn func() error) {
 		start := time.Now()
@@ -167,6 +194,7 @@ func main() {
 		section("faultinject", runFaultInject)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		os.Exit(2)
+		exit(2)
 	}
+	stopProfile()
 }

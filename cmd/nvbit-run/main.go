@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -84,6 +85,7 @@ type appConfig struct {
 	familyName   *string
 	schedName    *string
 	injectName   *string
+	cpuProfile   *string
 }
 
 // newFlags declares the flag surface on fs. flags_test.go keeps
@@ -114,6 +116,7 @@ func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 		familyName:   cc.String("family", "volta", "device family"),
 		schedName:    cc.String("scheduler", "sequential", "CTA scheduler: sequential or parallel (one worker per SM)"),
 		injectName:   cc.String("inject", "trampoline", "injection codegen mode: trampoline, full-save, or inline"),
+		cpuProfile:   cc.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)"),
 	}
 	return c, cc
 }
@@ -141,6 +144,16 @@ func (d *deferredFile) Close() error {
 		return nil
 	}
 	return d.f.Close()
+}
+
+// stopProfile finishes the -cpuprofile file. os.Exit runs no deferred calls
+// and a CPU profile is only complete once stopped, so every exit after the
+// flags are parsed goes through exit.
+var stopProfile = func() {}
+
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }
 
 func main() {
@@ -176,15 +189,30 @@ exit codes:
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "nvbit-run:", err)
-		os.Exit(exitFailure)
+		exit(exitFailure)
 	}
 	usage := func(err error) {
 		fmt.Fprintln(os.Stderr, "nvbit-run:", err)
-		os.Exit(exitUsage)
+		exit(exitUsage)
 	}
 
 	if err := cc.Resolve(); err != nil {
 		usage(err)
+	}
+	if *c.cpuProfile != "" {
+		f, err := os.Create(*c.cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fail(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "nvbit-run:", err)
+			}
+		}
 	}
 
 	fam, ok := map[string]sass.Family{
@@ -241,7 +269,7 @@ exit codes:
 		fmt.Printf("campaign %s: %d runs this invocation (%.2fs wall, %d workers)\n",
 			*c.campaignDir, done, time.Since(start).Seconds(), *c.workers)
 		fmt.Print(cmp.Report())
-		os.Exit(exitOK)
+		exit(exitOK)
 	}
 
 	policy, err := channel.ParsePolicy(*c.backpressure)
@@ -385,8 +413,9 @@ exit codes:
 		}
 	}
 	if violations {
-		os.Exit(exitViolation)
+		exit(exitViolation)
 	}
+	stopProfile()
 }
 
 // runWorkload dispatches the -workload argument onto a launcher. The ml
@@ -488,7 +517,7 @@ func runConnected(c *appConfig, cc *cliconf.Set, size specaccel.Size, reportW io
 		}
 	}
 	if r.Violation {
-		os.Exit(exitViolation)
+		exit(exitViolation)
 	}
-	os.Exit(exitOK)
+	exit(exitOK)
 }

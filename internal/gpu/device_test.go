@@ -11,7 +11,7 @@ import (
 	"nvbitgo/internal/sass"
 )
 
-func newTestDevice(t *testing.T, f sass.Family) *Device {
+func newTestDevice(t testing.TB, f sass.Family) *Device {
 	t.Helper()
 	d, err := New(DefaultConfig(f))
 	if err != nil {

@@ -10,12 +10,6 @@ import (
 	"nvbitgo/internal/sass"
 )
 
-func f32(bits uint32) float32    { return math.Float32frombits(bits) }
-func f32bits(f float32) uint32   { return math.Float32bits(f) }
-func addF32(a, b uint32) uint32  { return f32bits(f32(a) + f32(b)) }
-func maxF32u(a, b uint32) uint32 { return f32bits(float32(math.Max(float64(f32(a)), float64(f32(b))))) }
-func minF32u(a, b uint32) uint32 { return f32bits(float32(math.Min(float64(f32(a)), float64(f32(b))))) }
-
 // maxStackDepth bounds the per-thread call and save stacks, as the finite
 // stack RAM of real hardware does; exceeding it is a FaultStackOverflow
 // rather than unbounded host-memory growth.
@@ -105,9 +99,11 @@ func (c *execContext) step(w *warp) error {
 
 	case sass.OpMOV:
 		if in.Mods.Wide() {
+			_, dh := w.dst64(in.Dst)
+			_, ah := w.src64(in.Src1)
 			for m := exec; m != 0; m &= m - 1 {
 				i := lane(m)
-				w.setReg64(i, in.Dst, w.reg64(i, in.Src1))
+				d[i], dh[i] = a[i], ah[i]
 			}
 		} else {
 			for m := exec; m != 0; m &= m - 1 {
@@ -129,10 +125,7 @@ func (c *execContext) step(w *warp) error {
 		}
 
 	case sass.OpS2R:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = c.specialReg(w, i, in.Imm)
-		}
+		c.s2r(w, d, exec, in.Imm)
 
 	case sass.OpP2R:
 		single := in.Mods.SubOp() == sass.P2RSingle
@@ -166,9 +159,13 @@ func (c *execContext) step(w *warp) error {
 
 	case sass.OpIADD:
 		if in.Mods.Wide() {
+			_, dh := w.dst64(in.Dst)
+			_, ah := w.src64(in.Src1)
+			_, bh := w.src64(in.Src2)
 			for m := exec; m != 0; m &= m - 1 {
 				i := lane(m)
-				w.setReg64(i, in.Dst, w.reg64(i, in.Src1)+w.reg64(i, in.Src2)+uint64(in.Imm))
+				v := pair(a[i], ah[i]) + pair(b[i], bh[i]) + uint64(in.Imm)
+				d[i], dh[i] = uint32(v), uint32(v>>32)
 			}
 		} else {
 			for m := exec; m != 0; m &= m - 1 {
@@ -186,9 +183,12 @@ func (c *execContext) step(w *warp) error {
 	case sass.OpIMAD:
 		if in.Mods.Wide() {
 			// IMAD.WIDE: 32x32 unsigned multiply + 64-bit add.
+			_, dh := w.dst64(in.Dst)
+			cl, ch := w.src64(in.Src3)
 			for m := exec; m != 0; m &= m - 1 {
 				i := lane(m)
-				w.setReg64(i, in.Dst, uint64(a[i])*uint64(b[i])+w.reg64(i, in.Src3))
+				v := uint64(a[i])*uint64(b[i]) + pair(cl[i], ch[i])
+				d[i], dh[i] = uint32(v), uint32(v>>32)
 			}
 		} else {
 			c3 := w.src(in.Src3)
@@ -248,20 +248,32 @@ func (c *execContext) step(w *warp) error {
 	case sass.OpFADD:
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
-			d[i] = addF32(a[i], b[i])
+			if x, y := a[i], b[i]; ordinary(x) && ordinary(y) {
+				d[i] = addPlain(x, y)
+			} else {
+				d[i] = addF32(x, y)
+			}
 		}
 
 	case sass.OpFMUL:
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
-			d[i] = f32bits(f32(a[i]) * f32(b[i]))
+			if x, y := a[i], b[i]; ordinary(x) && ordinary(y) {
+				d[i] = mulPlain(x, y)
+			} else {
+				d[i] = mulF32(x, y)
+			}
 		}
 
 	case sass.OpFFMA:
 		c3 := w.src(in.Src3)
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
-			d[i] = f32bits(f32(a[i])*f32(b[i]) + f32(c3[i]))
+			if x, y, z := a[i], b[i], c3[i]; ordinary(x) && ordinary(y) && ordinary(z) {
+				d[i] = fmaPlain(x, y, z)
+			} else {
+				d[i] = fmaF32(x, y, z)
+			}
 		}
 
 	case sass.OpFSETP:
@@ -273,7 +285,7 @@ func (c *execContext) step(w *warp) error {
 	case sass.OpMUFU:
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
-			x := float64(f32(a[i]))
+			x := widen(a[i])
 			var v float64
 			switch in.Mods.SubOp() {
 			case sass.MufuRcp:
@@ -293,7 +305,7 @@ func (c *execContext) step(w *warp) error {
 			default:
 				return c.trap(FaultInvalidInstruction, pc, in, i, "bad MUFU sub-op %d", in.Mods.SubOp())
 			}
-			d[i] = f32bits(float32(v))
+			d[i] = narrow(v)
 		}
 
 	case sass.OpI2F:
@@ -323,11 +335,11 @@ func (c *execContext) step(w *warp) error {
 		}
 
 	case sass.OpLDS, sass.OpSTS:
-		width := accessWidth(in)
+		width, mv := accessWidth(in), w.mover(in, in.Op == sass.OpLDS)
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
 			addr := int(int32(a[i]) + int32(in.Imm))
-			if addr%width != 0 {
+			if addr&(width-1) != 0 {
 				f := c.trap(FaultMisalignedAddress, pc, in, i, "shared access at %#x not %d-byte aligned", addr, width)
 				f.Addr = uint64(uint32(addr))
 				return f
@@ -337,11 +349,11 @@ func (c *execContext) step(w *warp) error {
 				f.Addr = uint64(uint32(addr))
 				return f
 			}
-			w.transfer(in, i, c.shared[addr:], in.Op == sass.OpLDS)
+			mv.transfer(i, c.shared[addr:])
 		}
 
 	case sass.OpLDL, sass.OpSTL:
-		width := accessWidth(in)
+		width, mv := accessWidth(in), w.mover(in, in.Op == sass.OpLDL)
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
 			if w.local[i] == nil {
@@ -353,13 +365,13 @@ func (c *execContext) step(w *warp) error {
 				f.Addr = uint64(uint32(addr))
 				return f
 			}
-			w.transfer(in, i, w.local[i][addr:], in.Op == sass.OpLDL)
+			mv.transfer(i, w.local[i][addr:])
 		}
 
 	case sass.OpLDC:
 		bank := in.Mods.SubOp()
 		data := c.banks[bank]
-		width := accessWidth(in)
+		width, mv := accessWidth(in), w.mover(in, true)
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
 			addr := int(int32(a[i]) + int32(in.Imm))
@@ -368,7 +380,7 @@ func (c *execContext) step(w *warp) error {
 				f.Addr = uint64(uint32(addr))
 				return f
 			}
-			w.transfer(in, i, data[addr:], true)
+			mv.transfer(i, data[addr:])
 		}
 
 	case sass.OpATOM, sass.OpRED:
@@ -593,18 +605,36 @@ func (c *execContext) saveAccess(w *warp, in *sass.Inst, exec uint32, pc int32) 
 	return nil
 }
 
-// transfer moves one lane's 4- or 8-byte value between its register and mem,
-// the bounds-checked bytes a memory instruction addresses.
-func (w *warp) transfer(in *sass.Inst, lane int, mem []byte, load bool) {
-	switch wide := in.Mods.Wide(); {
-	case load && wide:
-		w.setReg64(lane, in.Dst, binary.LittleEndian.Uint64(mem))
-	case load:
-		w.setReg(lane, in.Dst, binary.LittleEndian.Uint32(mem))
-	case wide:
-		binary.LittleEndian.PutUint64(mem, w.reg64(lane, in.Src2))
+// mover moves the lanes of one memory instruction between the register rows
+// it names — the pair at Dst for a load, at Src2 for a store — and memory.
+type mover struct {
+	lo, hi     *[WarpSize]uint32
+	load, wide bool
+}
+
+func (w *warp) mover(in *sass.Inst, load bool) mover {
+	mv := mover{load: load, wide: in.Mods.Wide()}
+	if load {
+		mv.lo, mv.hi = w.dst64(in.Dst)
+	} else {
+		mv.lo, mv.hi = w.src64(in.Src2)
+	}
+	return mv
+}
+
+// transfer moves one lane's 4- or 8-byte value to or from mem, the
+// bounds-checked bytes the instruction addresses.
+func (mv *mover) transfer(lane int, mem []byte) {
+	switch {
+	case mv.load && mv.wide:
+		v := binary.LittleEndian.Uint64(mem)
+		mv.lo[lane], mv.hi[lane] = uint32(v), uint32(v>>32)
+	case mv.load:
+		mv.lo[lane] = binary.LittleEndian.Uint32(mem)
+	case mv.wide:
+		binary.LittleEndian.PutUint64(mem, pair(mv.lo[lane], mv.hi[lane]))
 	default:
-		binary.LittleEndian.PutUint32(mem, w.reg(lane, in.Src2))
+		binary.LittleEndian.PutUint32(mem, mv.lo[lane])
 	}
 }
 
@@ -658,21 +688,46 @@ func cmp[T int32 | uint32 | float32](sub int, a, b T) bool {
 	return false
 }
 
-// specialReg evaluates an S2R source for one lane.
-func (c *execContext) specialReg(w *warp, lane int, id int64) uint32 {
-	t := w.id*WarpSize + lane // linear thread index within the CTA
-	b := c.spec.Block
+// s2r executes S2R on the lanes of exec. Only the lane and thread ids differ
+// between the lanes of a warp. A thread id is divided out of the linear
+// index once, for the warp's first thread; the others follow by carry.
+func (c *execContext) s2r(w *warp, d *[WarpSize]uint32, exec uint32, id int64) {
 	switch id {
 	case sass.SRLaneID:
-		return uint32(lane)
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			d[i] = uint32(i)
+		}
+	case sass.SRTIDX, sass.SRTIDY, sass.SRTIDZ:
+		bx, by := max1(c.spec.Block.X), max1(c.spec.Block.Y)
+		t := w.id * WarpSize
+		tid := [3]int{t % bx, t / bx % by, t / (bx * by)}
+		for i := 0; i < WarpSize; i++ {
+			if exec>>uint(i)&1 != 0 {
+				d[i] = uint32(tid[id-sass.SRTIDX])
+			}
+			if tid[0]++; tid[0] == bx {
+				tid[0] = 0
+				if tid[1]++; tid[1] == by {
+					tid[1] = 0
+					tid[2]++
+				}
+			}
+		}
+	default:
+		v := c.specialReg(w, id)
+		for m := exec; m != 0; m &= m - 1 {
+			d[lane(m)] = v
+		}
+	}
+}
+
+// specialReg evaluates an S2R source that all lanes of a warp read alike.
+func (c *execContext) specialReg(w *warp, id int64) uint32 {
+	b := c.spec.Block
+	switch id {
 	case sass.SRWarpID:
 		return uint32(w.id)
-	case sass.SRTIDX:
-		return uint32(t % max1(b.X))
-	case sass.SRTIDY:
-		return uint32(t / max1(b.X) % max1(b.Y))
-	case sass.SRTIDZ:
-		return uint32(t / (max1(b.X) * max1(b.Y)))
 	case sass.SRCTAIDX:
 		return uint32(c.cta.X)
 	case sass.SRCTAIDY:
@@ -706,6 +761,29 @@ func accessWidth(in *sass.Inst) int {
 	return 4
 }
 
+// lineSet collects the distinct cache lines of one warp access in the order
+// the lanes first touch them. Neighbouring lanes mostly share a line: one
+// equal to the line before it is in the set already and is not searched for.
+type lineSet struct {
+	n     int
+	last  uint64
+	lines [2 * WarpSize]uint64 // each lane can straddle two lines
+}
+
+func (s *lineSet) add(line uint64) {
+	if line == s.last {
+		return
+	}
+	s.last = line
+	for _, l := range s.lines[:s.n] {
+		if l == line {
+			return
+		}
+	}
+	s.lines[s.n] = line
+	s.n++
+}
+
 // globalAccess performs a coalesced warp-level global load/store and feeds
 // the cache/timing model.
 func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
@@ -714,12 +792,20 @@ func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 	}
 	width := uint64(accessWidth(in))
 	d := c.dev
-	var lines [WarpSize]uint64
-	nLines := 0
+	mv := w.mover(in, in.Op == sass.OpLDG)
+	alo, ahi := w.src64(in.Src1)
+	// An aligned access lies within one line unless lines are narrower than
+	// it (Config.L1LineBytes may be 4): only then is its last byte probed.
+	straddle := uint64(1)<<d.lineShift < width
+	// No address reaches line or page ^0. The page is looked up again only
+	// when a lane leaves the page of the lane before it.
+	set := lineSet{last: ^uint64(0)}
+	var page *memPage
+	pageNo := ^uint64(0)
 	for m := exec; m != 0; m &= m - 1 {
 		i := lane(m)
-		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
-		if addr%width != 0 {
+		addr := pair(alo[i], ahi[i]) + uint64(in.Imm)
+		if addr&(width-1) != 0 {
 			f := c.trap(FaultMisalignedAddress, pc, in, i, "global access at %#x not %d-byte aligned", addr, width)
 			f.Addr = addr
 			return f
@@ -729,33 +815,25 @@ func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 			f.Addr = addr
 			return f
 		}
-		if in.Op == sass.OpLDG {
-			w.transfer(in, i, d.peek(addr)[addr&pageMask:], true)
-		} else {
-			w.transfer(in, i, d.touch(addr)[addr&pageMask:], false)
+		if addr>>pageShift != pageNo {
+			pageNo = addr >> pageShift
+			if mv.load {
+				page = d.peek(addr)
+			} else {
+				page = d.touch(addr)
+			}
 		}
-		// Record the unique lines touched (both words of a straddling
-		// access count, matching hardware sectoring).
-		for _, a := range [2]uint64{addr, addr + width - 1} {
-			line := a >> d.lineShift
-			dup := false
-			for k := 0; k < nLines; k++ {
-				if lines[k] == line {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				lines[nLines] = line
-				nLines++
-			}
+		mv.transfer(i, page[addr&pageMask:])
+		set.add(addr >> d.lineShift)
+		if straddle {
+			set.add((addr + width - 1) >> d.lineShift)
 		}
 	}
 	st := &c.stats
 	st.GlobalAccesses++
-	st.GlobalLines += uint64(nLines)
-	for k := 0; k < nLines; k++ {
-		w.cycles += c.lineCost(lines[k])
+	st.GlobalLines += uint64(set.n)
+	for _, line := range set.lines[:set.n] {
+		w.cycles += c.lineCost(line)
 	}
 	return nil
 }
@@ -790,7 +868,7 @@ func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 	for m := exec; m != 0; m &= m - 1 {
 		i := lane(m)
 		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
-		if addr%width != 0 {
+		if addr&(width-1) != 0 {
 			f := c.trap(FaultMisalignedAddress, pc, in, i, "atomic access at %#x not %d-byte aligned", addr, width)
 			f.Addr = addr
 			return f

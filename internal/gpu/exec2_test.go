@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"nvbitgo/internal/sass"
@@ -194,5 +196,231 @@ func TestStatsAdd(t *testing.T) {
 	a.Add(b)
 	if a.WarpInstrs != 12 || a.OpCounts[sass.OpIADD] != 5 || a.OpThreads[sass.OpIADD] != 160 {
 		t.Fatalf("Stats.Add: %+v", a)
+	}
+}
+
+// refGlobalAccess is the coalescer as it was before it remembered anything:
+// a page lookup per lane, and both ends of every access searched for in the
+// list of lines. globalAccess must do and count exactly what it does.
+func (c *execContext) refGlobalAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	width := uint64(accessWidth(in))
+	d := c.dev
+	var lines []uint64
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
+		if addr%width != 0 {
+			f := c.trap(FaultMisalignedAddress, pc, in, i, "global access at %#x not %d-byte aligned", addr, width)
+			f.Addr = addr
+			return f
+		}
+		if !d.inHeap(addr, width) {
+			f := c.trap(FaultIllegalAddress, pc, in, i, "global access [%#x,+%d) outside the device heap", addr, width)
+			f.Addr = addr
+			return f
+		}
+		mem := d.peek(addr)[addr&pageMask:]
+		if in.Op == sass.OpSTG {
+			mem = d.touch(addr)[addr&pageMask:]
+		}
+		switch wide := in.Mods.Wide(); {
+		case in.Op == sass.OpLDG && wide:
+			w.setReg64(i, in.Dst, binary.LittleEndian.Uint64(mem))
+		case in.Op == sass.OpLDG:
+			w.setReg(i, in.Dst, binary.LittleEndian.Uint32(mem))
+		case wide:
+			binary.LittleEndian.PutUint64(mem, w.reg64(i, in.Src2))
+		default:
+			binary.LittleEndian.PutUint32(mem, w.reg(i, in.Src2))
+		}
+	probe:
+		for _, a := range [2]uint64{addr, addr + width - 1} {
+			line := a >> d.lineShift
+			for _, l := range lines {
+				if l == line {
+					continue probe
+				}
+			}
+			lines = append(lines, line)
+		}
+	}
+	if exec == 0 {
+		return nil
+	}
+	c.stats.GlobalAccesses++
+	c.stats.GlobalLines += uint64(len(lines))
+	for _, l := range lines {
+		w.cycles += c.lineCost(l)
+	}
+	return nil
+}
+
+// TestCoalescerEquivalence drives globalAccess and the reference with the
+// same sequences of warp accesses on twin devices and compares everything
+// either leaves behind: registers, memory, statistics, cycles, the state of
+// both cache levels (which records the order lines were first seen in) and
+// the fault, if any, with the lanes before it already transferred.
+func TestCoalescerEquivalence(t *testing.T) {
+	const bufBytes = 3 * pageSize
+	patterns := []struct {
+		name string
+		addr func(buf uint64, i int) uint64 // lane i's address
+		mask uint32
+	}{
+		{"unit stride", func(b uint64, i int) uint64 { return b + 8*uint64(i) }, fullMask},
+		{"one address", func(b uint64, i int) uint64 { return b + 256 }, fullMask},
+		{"stride of a line", func(b uint64, i int) uint64 { return b + 128*uint64(i) }, fullMask},
+		{"descending", func(b uint64, i int) uint64 { return b + 4096 - 8*uint64(i) }, fullMask},
+		{"alternating lines", func(b uint64, i int) uint64 { return b + 128*uint64(i%2) + 8*uint64(i/2) }, fullMask},
+		{"across a page", func(b uint64, i int) uint64 { return b + pageSize - 64 + 8*uint64(i) }, fullMask},
+		{"page to page and back", func(b uint64, i int) uint64 { return b + pageSize*uint64(i%3) + 8*uint64(i) }, fullMask},
+		{"partial mask", func(b uint64, i int) uint64 { return b + 40*8*uint64(i) }, 0xa5a50ff1},
+		{"one lane", func(b uint64, i int) uint64 { return b + 8*uint64(i) }, 1 << 19},
+		{"misaligned lane 5", func(b uint64, i int) uint64 {
+			if i == 5 {
+				return b + 8*5 + 2
+			}
+			return b + 8*uint64(i)
+		}, fullMask},
+		{"lane 17 outside the heap", func(b uint64, i int) uint64 {
+			if i == 17 {
+				return 64<<20 + 8
+			}
+			return b + 8*uint64(i)
+		}, fullMask},
+		{"lane 3 on the null page", func(b uint64, i int) uint64 {
+			if i == 3 {
+				return 8
+			}
+			return b + 16*uint64(i)
+		}, 0xfffffff8},
+	}
+	for _, lineBytes := range []int{128, 32, 4} {
+		for _, inst := range []string{"LDG R8, [R2+8]", "LDG.W R8, [R2]", "LDG.W R2, [R2]", "STG [R2], R6", "STG.W [R2+16], R6"} {
+			var devs [2]*Device
+			var hs [2]*stepHarness
+			var buf uint64
+			for k := range devs {
+				cfg := DefaultConfig(sass.Volta)
+				cfg.L1LineBytes = lineBytes
+				d, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if buf, err = d.Malloc(bufBytes); err != nil {
+					t.Fatal(err)
+				}
+				// The first page holds data, the second is never written
+				// by the host, the third holds data again.
+				data := make([]byte, pageSize)
+				rand.New(rand.NewSource(9)).Read(data)
+				for _, off := range []uint64{0, 2 * pageSize} {
+					if err := d.Write(buf+off, data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				devs[k], hs[k] = d, newStepHarness(t, d, inst)
+			}
+			in, err := devs[0].fetch(hs[0].entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every pattern twice over, so that later accesses meet the
+			// cache state the earlier ones left.
+			for round := 0; round < 2; round++ {
+				for _, p := range patterns {
+					var errs [2]error
+					for _, h := range hs {
+						for i := 0; i < WarpSize; i++ {
+							h.w.setReg64(i, 2, p.addr(buf, i))
+							h.w.setReg64(i, 6, uint64(i)<<32|uint64(round))
+							h.w.setReg64(i, 8, 0xdead0000beef0000)
+						}
+					}
+					errs[0] = hs[0].c.globalAccess(hs[0].w, in, p.mask, hs[0].entry)
+					errs[1] = hs[1].c.refGlobalAccess(hs[1].w, in, p.mask, hs[1].entry)
+					where := inst + ", " + p.name
+					if !reflect.DeepEqual(errs[0], errs[1]) {
+						t.Fatalf("%s (%d-byte lines): fault %v, reference %v", where, lineBytes, errs[0], errs[1])
+					}
+					if hs[0].w.regs != hs[1].w.regs {
+						t.Fatalf("%s (%d-byte lines): registers differ from the reference", where, lineBytes)
+					}
+					if hs[0].c.stats != hs[1].c.stats || hs[0].w.cycles != hs[1].w.cycles {
+						t.Fatalf("%s (%d-byte lines): stats %+v cycles %d, reference %+v cycles %d", where, lineBytes,
+							hs[0].c.stats, hs[0].w.cycles, hs[1].c.stats, hs[1].w.cycles)
+					}
+					if !reflect.DeepEqual(devs[0].l1s[0], devs[1].l1s[0]) || !reflect.DeepEqual(devs[0].l2, devs[1].l2) {
+						t.Fatalf("%s (%d-byte lines): cache state differs from the reference", where, lineBytes)
+					}
+				}
+			}
+			got, want := make([]byte, bufBytes), make([]byte, bufBytes)
+			if err := devs[0].Read(buf, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := devs[1].Read(buf, want); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%s (%d-byte lines): memory differs from the reference", inst, lineBytes)
+			}
+			if lineBytes == 4 && in.Mods.Wide() && hs[0].c.stats.GlobalLines < 2*WarpSize {
+				t.Fatalf("%s: %d lines counted, a wide access spans two 4-byte lines", inst, hs[0].c.stats.GlobalLines)
+			}
+		}
+	}
+}
+
+// TestGuardGather compares the packed gather of guard with the loop over the
+// lanes it replaced.
+func TestGuardGather(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var w warp
+	for p := sass.Pred(0); p <= sass.PT; p++ {
+		for _, neg := range []bool{false, true} {
+			for n := 0; n < 1000; n++ {
+				for i := range w.preds {
+					w.preds[i] = uint8(r.Intn(128))
+				}
+				act := r.Uint32() >> uint(r.Intn(3)*8)
+				var want uint32
+				for i := 0; i < WarpSize; i++ {
+					if act>>uint(i)&1 != 0 && w.predTrue(i, p) != neg {
+						want |= 1 << uint(i)
+					}
+				}
+				if got := w.guard(act, p, neg); got != want {
+					t.Fatalf("guard(%#x, P%d, %v) = %#x, want %#x (preds %v)", act, p, neg, got, want, w.preds)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGlobalAccess is the host cost of one coalesced warp load: lanes
+// on consecutive words of one line, and lanes on 32 lines of 32 pages.
+func BenchmarkGlobalAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stride uint64
+	}{{"unit", 4}, {"scatter", pageSize + 128}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := newTestDevice(b, sass.Volta)
+			buf, err := d.Malloc(WarpSize * bc.stride)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := newStepHarness(b, d, "LDG R8, [R2]")
+			for i := 0; i < WarpSize; i++ {
+				h.w.setReg64(i, 2, buf+uint64(i)*bc.stride)
+			}
+			h.step(b) // the first fetch decodes and allocates the chunk's cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				h.step(b)
+			}
+		})
 	}
 }

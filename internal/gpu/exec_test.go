@@ -11,7 +11,7 @@ import (
 
 // loadSASS assembles a base-0 program, relocates its absolute JMP/CAL
 // targets to the load address and writes it into device code space.
-func loadSASS(t *testing.T, d *Device, src string) CodeAddr {
+func loadSASS(t testing.TB, d *Device, src string) CodeAddr {
 	t.Helper()
 	insts, err := sass.ParseProgram(src)
 	if err != nil {

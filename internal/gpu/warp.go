@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 
@@ -179,15 +180,19 @@ func (w *warp) regroup() {
 	}
 }
 
-// guard returns the lanes of act whose guard predicate holds.
+// guard returns the lanes of act whose guard predicate holds. The predicate
+// bits are gathered eight lanes at a time: the multiplication moves bit 8j of
+// x, lane j's predicate, to bit 56+j, and no two of its partial products meet
+// in one bit.
 func (w *warp) guard(act uint32, p sass.Pred, neg bool) uint32 {
 	t := act
 	if p != sass.PT {
 		t = 0
-		for m := act; m != 0; m &= m - 1 {
-			i := lane(m)
-			t |= uint32(w.preds[i]>>p&1) << uint(i)
+		for k := 0; k < WarpSize; k += 8 {
+			x := binary.LittleEndian.Uint64(w.preds[k:k+8]) >> (p & 7) & 0x0101010101010101
+			t |= uint32(x*0x0102040810204080>>56) << uint(k)
 		}
+		t &= act
 	}
 	if neg {
 		return act &^ t
@@ -234,22 +239,36 @@ func (w *warp) reg(lane int, r sass.Reg) uint32 { return w.src(r)[lane] }
 // setReg writes a general-purpose register (writes to RZ are dropped).
 func (w *warp) setReg(lane int, r sass.Reg, v uint32) { w.dst(r)[lane] = v }
 
-// reg64 reads the 64-bit value in the register pair (r, r+1). The pair at
-// R254 has its high word in RZ's otherwise unused row.
-func (w *warp) reg64(lane int, r sass.Reg) uint64 {
+// src64 returns the rows the register pair (r, r+1) is read from, low word
+// first. The pair at R254 has its high word in RZ's otherwise unused row.
+func (w *warp) src64(r sass.Reg) (lo, hi *[WarpSize]uint32) {
 	if r == sass.RZ {
-		return 0
+		return &w.zero, &w.zero
 	}
-	return uint64(w.regs[r][lane]) | uint64(w.regs[r+1][lane])<<32
+	return &w.regs[r], &w.regs[r+1]
+}
+
+// dst64 returns the rows the register pair (r, r+1) is written to.
+func (w *warp) dst64(r sass.Reg) (lo, hi *[WarpSize]uint32) {
+	if r == sass.RZ {
+		return &w.sink, &w.sink
+	}
+	return &w.regs[r], &w.regs[r+1]
+}
+
+// pair is the 64-bit value of a register pair's two words.
+func pair(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
+
+// reg64 reads the 64-bit value in the register pair (r, r+1).
+func (w *warp) reg64(lane int, r sass.Reg) uint64 {
+	lo, hi := w.src64(r)
+	return pair(lo[lane], hi[lane])
 }
 
 // setReg64 writes the register pair (r, r+1).
 func (w *warp) setReg64(lane int, r sass.Reg, v uint64) {
-	if r == sass.RZ {
-		return
-	}
-	w.regs[r][lane] = uint32(v)
-	w.regs[r+1][lane] = uint32(v >> 32)
+	lo, hi := w.dst64(r)
+	lo[lane], hi[lane] = uint32(v), uint32(v>>32)
 }
 
 // pushLevel makes room for frames at one more stack level.

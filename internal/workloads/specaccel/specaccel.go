@@ -452,9 +452,12 @@ func (b *Benchmark) run(ctx driver.Launcher, size Size) (data uint64, words int,
 	}
 	seed := make([]byte, 4*words)
 	for i := 0; i < words; i++ {
-		// Small positive integers: valid float payloads are not needed
-		// (bit patterns act as denormals), and decay kernels read these
-		// as loop trip counts.
+		// Small positive integers: decay kernels read these as loop trip
+		// counts, and the float kernels read them as subnormal floats
+		// (2..6 times 2⁻¹⁴⁹). On x86 that once made every FFMA over these
+		// buffers a microcode assist, a third of the native suite's host
+		// time; the simulator's float datapath (internal/gpu/float.go) now
+		// costs the same whatever the values.
 		seed[4*i] = byte(i%5 + 2)
 	}
 	if err := ctx.MemcpyHtoD(data, seed); err != nil {
