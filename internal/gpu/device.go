@@ -515,6 +515,21 @@ func (d *Device) fetch(pc int32) (*sass.Inst, error) {
 	return d.decode(pc)
 }
 
+// fetch is Device.fetch behind a memo of the chunk this worker last fetched
+// from. The entry's valid flag is still read each time, so the memo never
+// serves what WriteCode invalidated; a chunk's decode cache is never replaced.
+func (c *execContext) fetch(pc int32) (*sass.Inst, error) {
+	u := uint32(pc)
+	if dc := c.dc; dc != nil && u/chunkWords == c.dcChunk && atomic.LoadUint32(&dc.valid[u%chunkWords]) != 0 {
+		return &dc.inst[u%chunkWords], nil
+	}
+	in, err := c.dev.fetch(pc)
+	if err == nil {
+		c.dc, c.dcChunk = c.dev.decoded[u/chunkWords].Load(), u/chunkWords
+	}
+	return in, err
+}
+
 // decode is the miss path of fetch: it decodes under decMu — making the
 // chunk's decode cache if this is its first decode, and publishing that before
 // anything in it — and publishes the entry with a release store, so concurrent

@@ -23,7 +23,7 @@ func (c *execContext) step(w *warp) error {
 		return c.trap(FaultWatchdogTimeout, pc, nil, -1,
 			"CTA exceeded the launch watchdog budget of %d warp instructions", c.wdBudget)
 	}
-	in, err := c.dev.fetch(pc)
+	in, err := c.fetch(pc)
 	if err != nil {
 		return c.trap(FaultInvalidInstruction, pc, nil, -1, "%v", err)
 	}
@@ -38,14 +38,36 @@ func (c *execContext) step(w *warp) error {
 	w.cycles += issueCost(in.Op)
 
 	// Control flow moves the lanes itself and returns; after any other
-	// instruction the whole active group falls through to next. Operands
-	// are resolved to register rows once, outside the lane loops; b[i]+imm
-	// is the effective second source. The per-step helpers are plain
+	// instruction the whole active group falls through to next.
+	next := pc + 1
+	if exec == 0 && in.Op != sass.OpVOTE && in.Op != sass.OpWFFT32 {
+		// No lane passed its guard. Nothing below touches state then, and
+		// only those two opcodes can still trap.
+		w.jump(next)
+		return nil
+	}
+
+	// Operands are resolved to register rows once, outside the lane loops;
+	// b[i]+imm is the effective second source. The per-step helpers are plain
 	// methods/functions rather than closures so the dispatch loop does not
 	// allocate.
-	next := pc + 1
-	d, a, b := w.dst(in.Dst), w.src(in.Src1), w.src(in.Src2)
+	//
+	// A register-to-register opcode (rowOps) is one plain loop over all 32
+	// lanes into o, and oh for the high word of a pair: the destination rows
+	// when the whole warp executes, else scratch rows whose executing lanes
+	// are merged in after the switch. A lane reads its own column, before it
+	// writes it, so rows may alias. What a dead lane holds costs an integer
+	// loop nothing; where it could cost time or fault (float64 paths, memory,
+	// stacks) the lanes of exec are walked with a bit scan.
+	d, dh := w.dst64(in.Dst)
+	a, b := w.src(in.Src1), w.src(in.Src2)
 	imm := uint32(int32(in.Imm))
+	full := exec == fullMask
+	o, oh := d, dh
+	merge := !full && rowOps[in.Op]
+	if merge {
+		o, oh = &c.row[0], &c.row[1]
+	}
 
 	switch in.Op {
 	case sass.OpNOP:
@@ -99,46 +121,35 @@ func (c *execContext) step(w *warp) error {
 
 	case sass.OpMOV:
 		if in.Mods.Wide() {
-			_, dh := w.dst64(in.Dst)
 			_, ah := w.src64(in.Src1)
-			for m := exec; m != 0; m &= m - 1 {
-				i := lane(m)
-				d[i], dh[i] = a[i], ah[i]
+			for i := range o {
+				o[i], oh[i] = a[i], ah[i]
 			}
+			mergeRow(dh, oh, exec)
 		} else {
-			for m := exec; m != 0; m &= m - 1 {
-				i := lane(m)
-				d[i] = a[i]
-			}
+			*o = *a
 		}
 
 	case sass.OpMOVI:
-		for m := exec; m != 0; m &= m - 1 {
-			d[lane(m)] = imm
-		}
+		fillRow(o, imm)
 
 	case sass.OpMOVIH:
 		lo := w.src(in.Dst)
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = lo[i]&0xFFFFF | uint32(in.Imm)<<20
+		for i := range o {
+			o[i] = lo[i]&0xFFFFF | uint32(in.Imm)<<20
 		}
 
 	case sass.OpS2R:
-		c.s2r(w, d, exec, in.Imm)
+		c.s2r(w, o, in.Imm)
 
 	case sass.OpP2R:
-		single := in.Mods.SubOp() == sass.P2RSingle
+		single, t := in.Mods.SubOp() == sass.P2RSingle, w.guard(exec, in.Mods.Aux(), false)
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
-			v := uint32(w.preds[i])
+			d[i] = uint32(w.preds[i])
 			if single {
-				v = 0
-				if w.predTrue(i, in.Mods.Aux()) {
-					v = 1
-				}
+				d[i] = t >> uint(i) & 1
 			}
-			d[i] = v
 		}
 
 	case sass.OpR2P:
@@ -148,139 +159,145 @@ func (c *execContext) step(w *warp) error {
 		}
 
 	case sass.OpSEL:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			if w.predTrue(i, in.Mods.Aux()) {
-				d[i] = a[i]
-			} else {
-				d[i] = b[i]
-			}
+		t := w.guard(fullMask, in.Mods.Aux(), false)
+		for i := range o {
+			pick := -(t >> uint(i) & 1) // all ones where the predicate holds
+			o[i] = a[i]&pick | b[i]&^pick
 		}
 
 	case sass.OpIADD:
 		if in.Mods.Wide() {
-			_, dh := w.dst64(in.Dst)
 			_, ah := w.src64(in.Src1)
 			_, bh := w.src64(in.Src2)
-			for m := exec; m != 0; m &= m - 1 {
-				i := lane(m)
+			for i := range o {
 				v := pair(a[i], ah[i]) + pair(b[i], bh[i]) + uint64(in.Imm)
-				d[i], dh[i] = uint32(v), uint32(v>>32)
+				o[i], oh[i] = uint32(v), uint32(v>>32)
 			}
+			mergeRow(dh, oh, exec)
 		} else {
-			for m := exec; m != 0; m &= m - 1 {
-				i := lane(m)
-				d[i] = a[i] + b[i] + imm
+			for i := range o {
+				o[i] = a[i] + b[i] + imm
 			}
 		}
 
 	case sass.OpIMUL:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = a[i] * b[i]
+		for i := range o {
+			o[i] = a[i] * b[i]
 		}
 
 	case sass.OpIMAD:
 		if in.Mods.Wide() {
 			// IMAD.WIDE: 32x32 unsigned multiply + 64-bit add.
-			_, dh := w.dst64(in.Dst)
 			cl, ch := w.src64(in.Src3)
-			for m := exec; m != 0; m &= m - 1 {
-				i := lane(m)
+			for i := range o {
 				v := uint64(a[i])*uint64(b[i]) + pair(cl[i], ch[i])
-				d[i], dh[i] = uint32(v), uint32(v>>32)
+				o[i], oh[i] = uint32(v), uint32(v>>32)
 			}
+			mergeRow(dh, oh, exec)
 		} else {
 			c3 := w.src(in.Src3)
-			for m := exec; m != 0; m &= m - 1 {
-				i := lane(m)
-				d[i] = a[i]*b[i] + c3[i]
+			for i := range o {
+				o[i] = a[i]*b[i] + c3[i]
 			}
 		}
 
 	case sass.OpISETP:
-		sub, p, unsigned := in.Mods.SubOp(), in.Mods.Aux(), in.Mods.Flag()
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			if unsigned {
-				w.setPred(i, p, cmp(sub, a[i], b[i]+imm))
-			} else {
-				w.setPred(i, p, cmp(sub, int32(a[i]), int32(b[i]+imm)))
-			}
+		var lt, eq uint32
+		if in.Mods.Flag() {
+			lt, eq = cmpRows[uint32](a, b, imm)
+		} else {
+			lt, eq = cmpRows[int32](a, b, imm)
 		}
+		w.setPreds(in.Mods.Aux(), exec, cmpMask(in.Mods.SubOp(), lt, eq))
 
 	case sass.OpSHL:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = a[i] << ((b[i] + imm) & 31)
+		for i := range o {
+			o[i] = a[i] << ((b[i] + imm) & 31)
 		}
 
 	case sass.OpSHR:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = a[i] >> ((b[i] + imm) & 31)
+		for i := range o {
+			o[i] = a[i] >> ((b[i] + imm) & 31)
 		}
 
 	case sass.OpLOP:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			x, y := a[i], b[i]+imm
-			switch in.Mods.SubOp() {
-			case sass.LopAnd:
-				d[i] = x & y
-			case sass.LopOr:
-				d[i] = x | y
-			case sass.LopXor:
-				d[i] = x ^ y
-			case sass.LopNot:
-				d[i] = ^x
-			default:
-				return c.trap(FaultInvalidInstruction, pc, in, i, "bad LOP sub-op %d", in.Mods.SubOp())
+		switch in.Mods.SubOp() {
+		case sass.LopAnd:
+			for i := range o {
+				o[i] = a[i] & (b[i] + imm)
 			}
+		case sass.LopOr:
+			for i := range o {
+				o[i] = a[i] | (b[i] + imm)
+			}
+		case sass.LopXor:
+			for i := range o {
+				o[i] = a[i] ^ (b[i] + imm)
+			}
+		case sass.LopNot:
+			for i := range o {
+				o[i] = ^a[i]
+			}
+		default:
+			return c.trap(FaultInvalidInstruction, pc, in, lane(exec), "bad LOP sub-op %d", in.Mods.SubOp())
 		}
 
 	case sass.OpPOPC:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = uint32(bits.OnesCount32(a[i]))
+		for i := range o {
+			o[i] = uint32(bits.OnesCount32(a[i]))
 		}
 
 	case sass.OpFADD:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
+		var slow uint32 // lanes that need the float64 path
+		for i := range o {
 			if x, y := a[i], b[i]; ordinary(x) && ordinary(y) {
-				d[i] = addPlain(x, y)
+				o[i] = addPlain(x, y)
 			} else {
-				d[i] = addF32(x, y)
+				slow |= 1 << (uint(i) & 31)
 			}
+		}
+		for m := slow & exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			o[i] = addF32(a[i], b[i])
 		}
 
 	case sass.OpFMUL:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
+		var slow uint32
+		for i := range o {
 			if x, y := a[i], b[i]; ordinary(x) && ordinary(y) {
-				d[i] = mulPlain(x, y)
+				o[i] = mulPlain(x, y)
 			} else {
-				d[i] = mulF32(x, y)
+				slow |= 1 << (uint(i) & 31)
 			}
+		}
+		for m := slow & exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			o[i] = mulF32(a[i], b[i])
 		}
 
 	case sass.OpFFMA:
 		c3 := w.src(in.Src3)
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
+		var slow uint32
+		for i := range o {
 			if x, y, z := a[i], b[i], c3[i]; ordinary(x) && ordinary(y) && ordinary(z) {
-				d[i] = fmaPlain(x, y, z)
+				o[i] = fmaPlain(x, y, z)
 			} else {
-				d[i] = fmaF32(x, y, z)
+				slow |= 1 << (uint(i) & 31)
 			}
+		}
+		for m := slow & exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			o[i] = fmaF32(a[i], b[i], c3[i])
 		}
 
 	case sass.OpFSETP:
+		var holds uint32
 		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			w.setPred(i, in.Mods.Aux(), cmp(in.Mods.SubOp(), f32(a[i]), f32(b[i])))
+			if i := lane(m); cmp(in.Mods.SubOp(), f32(a[i]), f32(b[i])) {
+				holds |= 1 << uint(i)
+			}
 		}
+		w.setPreds(in.Mods.Aux(), exec, holds)
 
 	case sass.OpMUFU:
 		for m := exec; m != 0; m &= m - 1 {
@@ -309,9 +326,8 @@ func (c *execContext) step(w *warp) error {
 		}
 
 	case sass.OpI2F:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = f32bits(float32(int32(a[i])))
+		for i := range o {
+			o[i] = f32bits(float32(int32(a[i])))
 		}
 
 	case sass.OpF2I:
@@ -372,6 +388,14 @@ func (c *execContext) step(w *warp) error {
 		bank := in.Mods.SubOp()
 		data := c.banks[bank]
 		width, mv := accessWidth(in), w.mover(in, true)
+		if addr := int(int32(in.Imm)); full && in.Src1 == sass.RZ && addr >= 0 && addr+width <= len(data) {
+			// One constant for the whole warp: a kernel parameter, mostly.
+			fillRow(d, binary.LittleEndian.Uint32(data[addr:]))
+			if mv.wide {
+				fillRow(dh, binary.LittleEndian.Uint32(data[addr+4:]))
+			}
+			break
+		}
 		for m := exec; m != 0; m &= m - 1 {
 			i := lane(m)
 			addr := int(int32(a[i]) + int32(in.Imm))
@@ -414,26 +438,19 @@ func (c *execContext) step(w *warp) error {
 		}
 
 	case sass.OpVOTE:
-		var mask uint32
-		for m := exec; m != 0; m &= m - 1 {
-			if i := lane(m); w.predTrue(i, in.Mods.Aux()) {
-				mask |= 1 << uint(i)
-			}
-		}
+		mask := w.guard(exec, in.Mods.Aux(), false)
 		p := sass.Pred(in.Dst & 7)
 		switch in.Mods.SubOp() {
 		case sass.VoteBallot:
 			for m := exec; m != 0; m &= m - 1 {
 				d[lane(m)] = mask
 			}
-		case sass.VoteAny:
-			for m := exec; m != 0; m &= m - 1 {
-				w.setPred(lane(m), p, mask != 0)
+		case sass.VoteAny, sass.VoteAll:
+			var all uint32 // every lane reads the same answer
+			if mask == exec || mask != 0 && in.Mods.SubOp() == sass.VoteAny {
+				all = fullMask
 			}
-		case sass.VoteAll:
-			for m := exec; m != 0; m &= m - 1 {
-				w.setPred(lane(m), p, mask == exec)
-			}
+			w.setPreds(p, exec, all)
 		default:
 			return c.trap(FaultInvalidInstruction, pc, in, -1, "bad VOTE sub-op %d", in.Mods.SubOp())
 		}
@@ -485,8 +502,37 @@ func (c *execContext) step(w *warp) error {
 	default:
 		return c.trap(FaultInvalidInstruction, pc, in, -1, "unimplemented opcode")
 	}
+	if merge {
+		mergeRow(d, o, exec)
+	}
 	w.jump(next)
 	return nil
+}
+
+// rowOps marks the opcodes that step computes a whole row at a time.
+var rowOps = [sass.NumOpcodes]bool{
+	sass.OpMOV: true, sass.OpMOVI: true, sass.OpMOVIH: true, sass.OpS2R: true, sass.OpSEL: true,
+	sass.OpIADD: true, sass.OpIMUL: true, sass.OpIMAD: true, sass.OpSHL: true, sass.OpSHR: true,
+	sass.OpLOP: true, sass.OpPOPC: true, sass.OpI2F: true, sass.OpFADD: true, sass.OpFMUL: true, sass.OpFFMA: true,
+}
+
+// fillRow gives every lane of a row the same value.
+func fillRow(r *[WarpSize]uint32, v uint32) {
+	for i := range r {
+		r[i] = v
+	}
+}
+
+// mergeRow copies the lanes of exec from a scratch row to the destination
+// row, unless the row was computed in place.
+func mergeRow(d, o *[WarpSize]uint32, exec uint32) {
+	if o == d {
+		return
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		d[i] = o[i]
+	}
 }
 
 // savePush executes SAVEPUSH: every executing lane pushes a zeroed frame of
@@ -638,6 +684,32 @@ func (mv *mover) transfer(lane int, mem []byte) {
 	}
 }
 
+// transferRow moves the whole warp to or from the consecutive elements at the
+// start of mem. The bytes are spelled out because that, on an array, is what
+// compiles to one load and one store per word with no bounds check.
+func (mv *mover) transferRow(mem []byte) {
+	lo, hi, load := mv.lo, mv.hi, mv.load
+	if !mv.wide {
+		for i, m := 0, (*[4 * WarpSize]byte)(mem); i < WarpSize; i++ {
+			if j := 4 * i; load {
+				lo[i] = uint32(m[j]) | uint32(m[j+1])<<8 | uint32(m[j+2])<<16 | uint32(m[j+3])<<24
+			} else {
+				m[j], m[j+1], m[j+2], m[j+3] = byte(lo[i]), byte(lo[i]>>8), byte(lo[i]>>16), byte(lo[i]>>24)
+			}
+		}
+		return
+	}
+	for i, m := 0, (*[8 * WarpSize]byte)(mem); i < WarpSize; i++ {
+		if j := 8 * i; load {
+			lo[i] = uint32(m[j]) | uint32(m[j+1])<<8 | uint32(m[j+2])<<16 | uint32(m[j+3])<<24
+			hi[i] = uint32(m[j+4]) | uint32(m[j+5])<<8 | uint32(m[j+6])<<16 | uint32(m[j+7])<<24
+		} else {
+			m[j], m[j+1], m[j+2], m[j+3] = byte(lo[i]), byte(lo[i]>>8), byte(lo[i]>>16), byte(lo[i]>>24)
+			m[j+4], m[j+5], m[j+6], m[j+7] = byte(hi[i]), byte(hi[i]>>8), byte(hi[i]>>16), byte(hi[i]>>24)
+		}
+	}
+}
+
 // matchKey is the value MATCH compares for one lane.
 func (w *warp) matchKey(in *sass.Inst, lane int) uint64 {
 	if in.Mods.Wide() {
@@ -669,8 +741,28 @@ func (c *execContext) trap(kind FaultKind, pc int32, in *sass.Inst, lane int, fo
 	return f
 }
 
-// cmp evaluates an ISETP/FSETP comparison.
-func cmp[T int32 | uint32 | float32](sub int, a, b T) bool {
+// cmpRows returns the lanes where a is below b+imm, as T orders them, and
+// where the two are equal: each the borrow of a 64-bit subtraction, shifted
+// in last lane first, with no branch for the data to mispredict. Out of line,
+// so that its loop does not compete with step's variables for registers.
+//
+//go:noinline
+func cmpRows[T int32 | uint32](a, b *[WarpSize]uint32, imm uint32) (lt, eq uint32) {
+	for i := WarpSize - 1; i >= 0; i-- {
+		x, y := a[i], b[i]+imm
+		lt = lt<<1 | uint32(uint64(int64(T(x))-int64(T(y)))>>63)
+		eq = eq<<1 | uint32((uint64(x^y)-1)>>63)
+	}
+	return lt, eq
+}
+
+// cmpMask turns those two into the lanes where an ISETP comparison holds.
+func cmpMask(sub int, lt, eq uint32) uint32 {
+	return [8]uint32{sass.CmpEQ: eq, sass.CmpNE: ^eq, sass.CmpLT: lt, sass.CmpLE: lt | eq, sass.CmpGT: ^(lt | eq), sass.CmpGE: ^lt}[sub&7]
+}
+
+// cmp evaluates an FSETP comparison.
+func cmp(sub int, a, b float32) bool {
 	switch sub {
 	case sass.CmpEQ:
 		return a == b
@@ -688,24 +780,21 @@ func cmp[T int32 | uint32 | float32](sub int, a, b T) bool {
 	return false
 }
 
-// s2r executes S2R on the lanes of exec. Only the lane and thread ids differ
+// s2r executes S2R as a row operation. Only the lane and thread ids differ
 // between the lanes of a warp. A thread id is divided out of the linear
 // index once, for the warp's first thread; the others follow by carry.
-func (c *execContext) s2r(w *warp, d *[WarpSize]uint32, exec uint32, id int64) {
+func (c *execContext) s2r(w *warp, o *[WarpSize]uint32, id int64) {
 	switch id {
 	case sass.SRLaneID:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			d[i] = uint32(i)
+		for i := range o {
+			o[i] = uint32(i)
 		}
 	case sass.SRTIDX, sass.SRTIDY, sass.SRTIDZ:
 		bx, by := max1(c.spec.Block.X), max1(c.spec.Block.Y)
 		t := w.id * WarpSize
 		tid := [3]int{t % bx, t / bx % by, t / (bx * by)}
-		for i := 0; i < WarpSize; i++ {
-			if exec>>uint(i)&1 != 0 {
-				d[i] = uint32(tid[id-sass.SRTIDX])
-			}
+		for i := range o {
+			o[i] = uint32(tid[id-sass.SRTIDX])
 			if tid[0]++; tid[0] == bx {
 				tid[0] = 0
 				if tid[1]++; tid[1] == by {
@@ -715,10 +804,7 @@ func (c *execContext) s2r(w *warp, d *[WarpSize]uint32, exec uint32, id int64) {
 			}
 		}
 	default:
-		v := c.specialReg(w, id)
-		for m := exec; m != 0; m &= m - 1 {
-			d[lane(m)] = v
-		}
+		fillRow(o, c.specialReg(w, id))
 	}
 }
 
@@ -797,6 +883,9 @@ func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 	// An aligned access lies within one line unless lines are narrower than
 	// it (Config.L1LineBytes may be 4): only then is its last byte probed.
 	straddle := uint64(1)<<d.lineShift < width
+	if exec == fullMask && !straddle && alo[1]-alo[0] == uint32(width) && c.unitAccess(w, in, &mv, width) {
+		return nil
+	}
 	// No address reaches line or page ^0. The page is looked up again only
 	// when a lane leaves the page of the lane before it.
 	set := lineSet{last: ^uint64(0)}
@@ -838,6 +927,39 @@ func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 	return nil
 }
 
+// unitAccess performs the access of a full warp on consecutive elements,
+// aligned, inside the heap and inside one page — one range check, one page,
+// one copy, lines first..last as the lanes meet them — and reports whether it
+// did: anything else, every faulting access included, is left to the walk in
+// globalAccess (whose registers this loop would compete for if it were there).
+// The low words must not wrap: the page test reads base, offset included.
+func (c *execContext) unitAccess(w *warp, in *sass.Inst, mv *mover, width uint64) bool {
+	d := c.dev
+	alo, ahi := w.src64(in.Src1)
+	lo0, hi0 := alo[0], ahi[0]
+	base, span := pair(lo0, hi0)+uint64(in.Imm), WarpSize*width
+	off, want := uint32(0), lo0
+	for i := range alo {
+		off |= (alo[i] ^ want) | (ahi[i] ^ hi0)
+		want += uint32(width)
+	}
+	if off != 0 || want <= lo0 || base&(width-1) != 0 || !d.inHeap(base, span) || base>>pageShift != (base+span-1)>>pageShift {
+		return false
+	}
+	page := d.peek(base)
+	if !mv.load {
+		page = d.touch(base)
+	}
+	mv.transferRow(page[base&pageMask:])
+	first, last := base>>d.lineShift, (base+span-1)>>d.lineShift
+	c.stats.GlobalAccesses++
+	c.stats.GlobalLines += last - first + 1
+	for line := first; line <= last; line++ {
+		w.cycles += c.lineCost(line)
+	}
+	return true
+}
+
 // lineCost runs one line through L1/L2 and returns its latency contribution.
 // c.l1s[c.sm] is owned by this worker (each SM has exactly one owner); c.l2
 // is the device-shared L2 under the sequential scheduler and a private
@@ -865,6 +987,12 @@ func (c *execContext) lineCost(line uint64) uint64 {
 func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
 	d := c.dev
 	width := uint64(accessWidth(in))
+	sub, float := in.Mods.SubOp(), in.Mods.Flag()
+	// The ISA has no FP64 unit, and only these float atomics on 32 bits.
+	badFloat := float && (width == 8 || sub != sass.AtomAdd && sub != sass.AtomMin && sub != sass.AtomMax && sub != sass.AtomExch)
+	if in.Op == sass.OpRED && sub == sass.AtomAdd && !float && exec != 0 && c.redAddUniform(w, in, exec, width) {
+		return nil
+	}
 	for m := exec; m != 0; m &= m - 1 {
 		i := lane(m)
 		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
@@ -878,15 +1006,14 @@ func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 			f.Addr = addr
 			return f
 		}
-		var mu *sync.Mutex
-		if c.locked {
-			mu = &d.atomLocks[(addr>>3)&(atomStripes-1)]
-			mu.Lock()
+		if badFloat {
+			return c.trap(FaultInvalidInstruction, pc, in, i, "float atomic %s unsupported on %d-bit operands", sass.AtomName(sub), 8*width)
 		}
+		mu := c.lockAtomic(addr)
 		mem := d.touch(addr)[addr&pageMask:]
 		if width == 8 {
 			old := binary.LittleEndian.Uint64(mem)
-			binary.LittleEndian.PutUint64(mem, atomInt(in.Mods.SubOp(), old, w.reg64(i, in.Src2)))
+			binary.LittleEndian.PutUint64(mem, atomInt(sub, old, w.reg64(i, in.Src2)))
 			if in.Op == sass.OpATOM {
 				w.setReg64(i, in.Dst, old)
 			}
@@ -894,24 +1021,17 @@ func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 			old := binary.LittleEndian.Uint32(mem)
 			val := w.reg(i, in.Src2)
 			var nv uint32
-			if in.Mods.Flag() { // float atomic
-				switch in.Mods.SubOp() {
-				case sass.AtomAdd:
-					nv = addF32(old, val)
-				case sass.AtomMin:
-					nv = minF32u(old, val)
-				case sass.AtomMax:
-					nv = maxF32u(old, val)
-				case sass.AtomExch:
-					nv = val
-				default:
-					if mu != nil {
-						mu.Unlock()
-					}
-					return c.trap(FaultInvalidInstruction, pc, in, i, "float atomic %s unsupported", sass.AtomName(in.Mods.SubOp()))
-				}
-			} else {
-				nv = atomInt(in.Mods.SubOp(), old, val)
+			switch {
+			case !float:
+				nv = atomInt(sub, old, val)
+			case sub == sass.AtomAdd:
+				nv = addF32(old, val)
+			case sub == sass.AtomMin:
+				nv = minF32u(old, val)
+			case sub == sass.AtomMax:
+				nv = maxF32u(old, val)
+			default: // AtomExch
+				nv = val
 			}
 			binary.LittleEndian.PutUint32(mem, nv)
 			if in.Op == sass.OpATOM {
@@ -927,6 +1047,57 @@ func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 		c.stats.GlobalAccesses++
 	}
 	return nil
+}
+
+// lockAtomic takes the stripe lock of addr under the parallel scheduler and
+// returns it for the caller to release; nil under the sequential one.
+func (c *execContext) lockAtomic(addr uint64) *sync.Mutex {
+	if !c.locked {
+		return nil
+	}
+	mu := &c.dev.atomLocks[(addr>>3)&(atomStripes-1)]
+	mu.Lock()
+	return mu
+}
+
+// redAddUniform executes an integer RED.ADD whose lanes (exec is not empty)
+// all address one word, the counter an instrumentation tool bumps at every
+// site, as one read-modify-write of their sum, and reports whether it did; a
+// faulting address is left to the loop. Addition commutes, and to other
+// workers the lanes arrive back to back, one of the orders they always could.
+// The cache is charged as n probes in lane order: the first as it falls, the
+// rest hits of the line it brought in (repeating them would advance the LRU
+// clock, not reorder it).
+func (c *execContext) redAddUniform(w *warp, in *sass.Inst, exec uint32, width uint64) bool {
+	alo, ahi := w.src64(in.Src1)
+	vlo, vhi := w.src64(in.Src2)
+	first := lane(exec)
+	var diff uint32
+	var sum uint64 // its low word is the sum of the low words
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		diff |= (alo[i] ^ alo[first]) | (ahi[i] ^ ahi[first])
+		sum += pair(vlo[i], vhi[i])
+	}
+	addr := pair(alo[first], ahi[first]) + uint64(in.Imm)
+	if diff != 0 || addr&(width-1) != 0 || !c.dev.inHeap(addr, width) {
+		return false
+	}
+	mu := c.lockAtomic(addr)
+	mem := c.dev.touch(addr)[addr&pageMask:]
+	if width == 8 {
+		binary.LittleEndian.PutUint64(mem, binary.LittleEndian.Uint64(mem)+sum)
+	} else {
+		binary.LittleEndian.PutUint32(mem, binary.LittleEndian.Uint32(mem)+uint32(sum))
+	}
+	if mu != nil {
+		mu.Unlock()
+	}
+	n := uint64(bits.OnesCount32(exec))
+	w.cycles += c.lineCost(addr>>c.dev.lineShift) + (n-1)*costL1Hit
+	c.stats.L1Hits += n - 1
+	c.stats.GlobalAccesses++
+	return true
 }
 
 // atomInt computes the value an integer ATOM/RED leaves in memory.

@@ -386,7 +386,7 @@ func TestGuardGather(t *testing.T) {
 				act := r.Uint32() >> uint(r.Intn(3)*8)
 				var want uint32
 				for i := 0; i < WarpSize; i++ {
-					if act>>uint(i)&1 != 0 && w.predTrue(i, p) != neg {
+					if holds := p == sass.PT || w.preds[i]>>p&1 != 0; act>>uint(i)&1 != 0 && holds != neg {
 						want |= 1 << uint(i)
 					}
 				}

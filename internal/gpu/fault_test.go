@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -272,6 +273,44 @@ func TestInvalidInstructionFault(t *testing.T) {
 	}
 	if f.PC != 99999 {
 		t.Fatalf("PC = %d, want the wild target", f.PC)
+	}
+}
+
+// TestUnsupportedFloatAtomics: the ISA has no FP64 unit and no float AND, OR
+// or XOR. A float atomic on a register pair used to run as a 64-bit integer
+// one; both trap on the first executing lane and leave memory alone, whether
+// or not the lanes share an address.
+func TestUnsupportedFloatAtomics(t *testing.T) {
+	for _, inst := range []string{
+		"RED.ADD.F.W [R4], R2", "ATOM.ADD.F.W R6, [R4], R2", "RED.MIN.F.W [R4], R2", "ATOM.EXCH.F.W R6, [R4], R2",
+		"RED.AND.F [R4], R2", "ATOM.XOR.F R6, [R4], R2",
+	} {
+		for _, stride := range []int{0, 8} {
+			bothSchedulers(t, func(t *testing.T, kind SchedulerKind) {
+				d := faultDevice(t, kind)
+				buf, _ := d.Malloc(8 * WarpSize)
+				f := launchFault(t, d, fmt.Sprintf(`
+					LDC.W R4, c[1][0]
+					S2R R2, SR_LANEID
+					MOVI R3, 0x3ff00000           // R2:R3 is 1.0 and a bit as a double
+					MOVI R8, %d
+					IMAD.W R4, R2, R8, R4
+					ISETP.GE P0, R2, RZ, 3
+					@P0 %s
+					EXIT
+				`, stride, inst), D1(1), D1(32), u64param(buf))
+				if f.Kind != FaultInvalidInstruction || f.Lane != 3 || !strings.Contains(f.Detail, "float atomic") {
+					t.Fatalf("%s: want an invalid-instruction fault on lane 3, got %v", inst, f)
+				}
+				mem := make([]byte, 8*WarpSize)
+				if err := d.Read(buf, mem); err != nil {
+					t.Fatal(err)
+				}
+				if strings.Trim(string(mem), "\x00") != "" {
+					t.Fatalf("%s: the trapped atomic wrote memory", inst)
+				}
+			})
+		}
 	}
 }
 

@@ -309,3 +309,34 @@ func BenchmarkStepFloat(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepRow is the host cost of one register-to-register warp
+// instruction on a full warp and on one with a single lane off. CI compares
+// the two masks of each opcode: a converged warp is the cheap case.
+func BenchmarkStepRow(b *testing.B) {
+	for _, op := range []struct{ name, inst string }{
+		{"iadd", "IADD R3, R0, R1, 5"},
+		{"imad.wide", "IMAD.W R4, R0, R1, R2"},
+		{"isetp", "ISETP.LT P1, R0, R1, 0"},
+		{"ffma", "FFMA R3, R0, R1, R2"},
+	} {
+		for _, mask := range []struct {
+			name string
+			act  uint32
+		}{{"full", fullMask}, {"lanes31", fullMask &^ (1 << 13)}} {
+			b.Run(op.name+"/"+mask.name, func(b *testing.B) {
+				h := newStepHarness(b, newTestDevice(b, sass.Volta), op.inst)
+				for i := 0; i < WarpSize; i++ {
+					h.w.regs[0][i], h.w.regs[1][i], h.w.regs[2][i], h.w.regs[3][i] = 0x40400000+uint32(i), 0x40000000, 0x3f800000, 0
+				}
+				h.w.live, h.w.act = mask.act, mask.act
+				h.step(b) // the first fetch decodes and allocates the chunk's cache
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					h.step(b)
+				}
+			})
+		}
+	}
+}

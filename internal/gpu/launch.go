@@ -367,6 +367,12 @@ type execContext struct {
 	cancel     *atomic.Bool // parallel scheduler: peer-fault cancellation flag
 	heedCancel bool         // check cancel between warp sweeps of this CTA
 
+	// row: where step computes a row operation under a partial mask.
+	row [2][WarpSize]uint32
+	// dc is the decode cache of code chunk dcChunk, the last fetched from.
+	dc      *decodeCache
+	dcChunk uint32
+
 	cta     Dim3 // current CTA coordinates
 	ctaID   int
 	sm      int
@@ -396,6 +402,7 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	c.cancel = nil
 	c.heedCancel = false
 	c.shard = nil
+	c.dc = nil
 	c.wdBudget = d.watchdogBudget()
 
 	// Constant bank 0: launch configuration (grid and block dimensions),

@@ -200,21 +200,25 @@ func (w *warp) guard(act uint32, p sass.Pred, neg bool) uint32 {
 	return t
 }
 
-// predTrue evaluates a predicate for one lane.
-func (w *warp) predTrue(lane int, p sass.Pred) bool {
-	return p == sass.PT || w.preds[lane]&(1<<uint(p)) != 0
-}
-
-// setPred writes one predicate bit for one lane (writes to PT are dropped).
-func (w *warp) setPred(lane int, p sass.Pred, v bool) {
+// setPreds writes predicate p of the lanes in exec from their bits of val
+// (writes to PT are dropped), eight lanes at a time: spread is guard's gather
+// run backwards.
+func (w *warp) setPreds(p sass.Pred, exec, val uint32) {
 	if p == sass.PT {
 		return
 	}
-	if v {
-		w.preds[lane] |= 1 << uint(p)
-	} else {
-		w.preds[lane] &^= 1 << uint(p)
+	for k := 0; k < WarpSize; k += 8 {
+		e, v := spread(exec>>uint(k))<<p, spread(val>>uint(k))<<p
+		x := binary.LittleEndian.Uint64(w.preds[k : k+8])
+		binary.LittleEndian.PutUint64(w.preds[k:k+8], x&^e|v&e)
 	}
+}
+
+// spread moves bit j of b's low byte to bit 8j: the mask keeps bit j of the
+// j-th copy of the byte, and adding 0x7f carries it into that copy's top bit.
+func spread(b uint32) uint64 {
+	x := uint64(b&0xff) * 0x0101010101010101 & 0x8040201008040201
+	return (x + 0x7f7f7f7f7f7f7f7f) >> 7 & 0x0101010101010101
 }
 
 // src returns the row a register is read from, one word per lane.
