@@ -443,12 +443,13 @@ func BenchmarkSaveSet(b *testing.B) {
 				b.Fatal(err)
 			}
 			tool := instrcount.New()
-			nv, err := nvbit.Attach(api, tool)
+			mode := nvbit.InjectTrampoline
+			if fullSave {
+				mode = nvbit.InjectFullSave
+			}
+			nv, err := nvbit.Attach(api, tool, nvbit.WithInjectionMode(mode))
 			if err != nil {
 				b.Fatal(err)
-			}
-			if fullSave {
-				nv.SetInjectionMode(nvbit.InjectFullSave)
 			}
 			ctx, _ := api.CtxCreate()
 			mod, err := ctx.ModuleLoadPTX("m", benchKernelPTX)
@@ -487,12 +488,12 @@ func BenchmarkSaveSetSizing(b *testing.B) {
 			b.Fatal(err)
 		}
 		tool := instrcount.New()
-		nv, err := core.Attach(api, tool)
-		if err != nil {
-			b.Fatal(err)
-		}
+		mode := core.InjectTrampoline
 		if fullSave {
-			nv.SetInjectionMode(core.InjectFullSave)
+			mode = core.InjectFullSave
+		}
+		if _, err := core.Attach(api, tool, core.WithInjectionMode(mode)); err != nil {
+			b.Fatal(err)
 		}
 		ctx, _ := api.CtxCreate()
 		mod, err := ctx.ModuleLoadPTX("m", benchKernelPTX)

@@ -28,7 +28,6 @@ import (
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/nvbitd"
 	"nvbitgo/internal/sass"
-	"nvbitgo/nvbit"
 )
 
 const (
@@ -46,7 +45,6 @@ type daemonConfig struct {
 	familyName *string
 	schedName  *string
 	cacheDir   *string
-	inject     *string
 	quiet      *bool
 }
 
@@ -59,7 +57,6 @@ func newFlags(fs *flag.FlagSet) (*daemonConfig, *cliconf.Set) {
 		familyName: cc.String("family", "volta", "device family for every pool device"),
 		schedName:  cc.String("scheduler", "sequential", "CTA scheduler: sequential or parallel (one worker per SM)"),
 		cacheDir:   cc.String("jit-cache", "", "persist instrumented code to this directory, shared by all sessions"),
-		inject:     cc.String("inject", "trampoline", "default injection codegen mode for sessions: trampoline, full-save, or inline"),
 		quiet:      cc.Bool("quiet", false, "suppress per-session log lines"),
 	}
 	return c, cc
@@ -107,9 +104,6 @@ exit codes:
 	if *c.devices < 1 {
 		usage(fmt.Errorf("-devices must be at least 1, got %d", *c.devices))
 	}
-	if _, err := nvbit.ParseInjectionMode(*c.inject); err != nil {
-		usage(err)
-	}
 
 	logger := log.New(os.Stderr, "nvbitd: ", log.LstdFlags)
 	cfg := nvbitd.Config{
@@ -118,7 +112,6 @@ exit codes:
 		Devices:    *c.devices,
 		QueueLimit: *c.queueLimit,
 		CacheDir:   *c.cacheDir,
-		Inject:     *c.inject,
 	}
 	if !*c.quiet {
 		cfg.Log = logger

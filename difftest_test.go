@@ -167,12 +167,13 @@ func runQuickstart(t *testing.T, fullSave bool) (count uint64, avgSaved float64,
 		t.Fatal(err)
 	}
 	tool := &quickCounter{}
-	nv, err := nvbit.Attach(api, tool)
+	mode := nvbit.InjectTrampoline
+	if fullSave {
+		mode = nvbit.InjectFullSave
+	}
+	nv, err := nvbit.Attach(api, tool, nvbit.WithInjectionMode(mode))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fullSave {
-		nv.SetInjectionMode(nvbit.InjectFullSave)
 	}
 	ctx, err := api.CtxCreate()
 	if err != nil {
@@ -231,7 +232,7 @@ func TestQuickstartSaveSetBelowMaxRegs(t *testing.T) {
 
 // TestDifferentialInlineInjection is the same end-to-end guarantee for the
 // inline injection strategy: for all six tools and both schedulers, splicing
-// tool bodies into dead registers (with per-site trampoline fallback) yields
+// tool bodies into dead registers (with per-visit trampoline fallback) yields
 // reports byte-identical to pure trampoline codegen. At least one site must
 // actually inline somewhere across the matrix, or the mode silently
 // degenerated to the thing it is tested against.

@@ -37,8 +37,9 @@ import (
 // changes. It is also folded into the cache key, so a bump makes old
 // entries unreachable rather than merely undecodable. Version 2 added the
 // per-site inline flag and the relocInlineSkip relocation kind; version 3 is
-// the flat layout; version 4 gives a site the count of instructions it covers.
-const artifactVersion = 4
+// the flat layout; version 4 gives a site the count of instructions it covers;
+// version 5 lets an inline site cover more than one.
+const artifactVersion = 5
 
 // relocKind says how one trampoline instruction's immediate is resolved at
 // materialization time.
@@ -88,7 +89,7 @@ type siteArtifact struct {
 	// function (checked at materialization, which knows its size).
 	cover   int
 	nopOnly bool // removal without calls: in-place NOP, no trampoline
-	// inline marks a spliced-body site (InjectInline): no save/restore, no
+	// inline marks a spliced-body visit (InjectInline): no save/restore, no
 	// tool CALs; saveN and savedRegs are zero.
 	inline bool
 	saveN  int // granularity-rounded save-frame size
@@ -275,9 +276,9 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		s := &a.sites[i]
 		cover, ni, nr, flags := le.Uint32(p[4:]), uint64(le.Uint32(p[8:])), uint64(le.Uint32(p[12:])), p[20]
 		// A site covers at least its own instruction and no more than it has
-		// room to relocate; an in-place removal and an inline site cover one.
+		// room to relocate; an in-place removal covers one.
 		if flags > siteFlagNopOnly|siteFlagInline || iOff+ni > nInsts || rOff+nr > nRelocs ||
-			cover < 1 || cover > 1 && (flags != 0 || uint64(cover) >= ni) {
+			cover < 1 || cover > 1 && (flags&siteFlagNopOnly != 0 || uint64(cover) >= ni) {
 			return nil, errArtifactValue
 		}
 		*s = siteArtifact{

@@ -15,8 +15,8 @@ import (
 // materialization silently ignores), so each is rejected, as are a frame size
 // no register file has, a count the blob's size does not bear out, sites
 // whose runs do not tile the arrays, a site that covers no instruction or more
-// than its trampoline holds, a removal or an inline site that covers several,
-// and bytes past the end.
+// than its trampoline holds, a removal that covers several, and bytes past the
+// end. An inline site, which splices a whole visit, may cover several.
 func TestArtifactDecodeStrict(t *testing.T) {
 	art := &codeArtifact{toolNames: []string{"probe"}}
 	movi := sass.NewInst(sass.OpMOVI)
@@ -48,12 +48,15 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		b[off] = v
 		return b
 	}
+	if a, err := decodeCodeArtifact(patch(site0+20, siteFlagInline)); err != nil || !a.sites[0].inline || a.sites[0].cover != 2 {
+		t.Errorf("inline site covering two: %v", err)
+	}
 	for name, blob := range map[string][]byte{
 		"site flag 4":                  patch(site0+20, 4),
 		"site covering nothing":        patch(site0+4, 0),
 		"site covering all it holds":   patch(site0+4, 4),
-		"inline site covering two":     patch(site0+20, siteFlagInline),
 		"removal covering two":         patch(site0+siteBinBytes+4, 2),
+		"inline removal covering two":  patch(site0+20, siteFlagInline|siteFlagNopOnly),
 		"undefined opcode":             patch(inst0, byte(sass.NumOpcodes)),
 		"instruction flag 4":           patch(inst0+2, 4),
 		"presence bit, no immediate":   patch(inst0+2, instFlagImm),

@@ -27,10 +27,11 @@ func cacheRun(t *testing.T, cache *jitcache.Cache, fullSave bool, sites func(idx
 	t.Helper()
 	var ctr uint64
 	tool := &testTool{}
-	env := setup(t, sass.Volta, tool, WithJITCache(cache))
+	mode := InjectTrampoline
 	if fullSave {
-		env.nv.SetInjectionMode(InjectFullSave)
+		mode = InjectFullSave
 	}
+	env := setup(t, sass.Volta, tool, WithJITCache(cache), WithInjectionMode(mode))
 	ctr, err := env.nv.Malloc(8)
 	if err != nil {
 		t.Fatal(err)

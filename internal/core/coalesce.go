@@ -75,9 +75,10 @@ func (x *crossed) admits(group []siteCall) bool {
 }
 
 // planVisits resolves every call request of the function and partitions its
-// instrumented instructions into visits. Inline mode, functions with indirect
-// control flow (no basic blocks, no liveness) and the test hook keep one visit
-// per instrumented instruction, laid out as before visits existed.
+// instrumented instructions into visits, the same ones for every injection
+// mode. Functions with indirect control flow (no basic blocks, no liveness)
+// and the test hook keep one visit per instrumented instruction, laid out as
+// before visits existed.
 func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 	nSites, nCalls := 0, 0
 	for _, i := range fs.insts {
@@ -89,7 +90,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 	calls := make([]siteCall, 0, nCalls)
 	visits := make([]visit, 0, nSites)
 	live := fs.liveness()
-	perSite := n.perSiteVisits || n.injectMode == InjectInline || live.Conservative()
+	perSite := n.perSiteVisits || live.Conservative()
 	var (
 		open    bool    // the last visit may take in the next instruction
 		x       crossed // what lies between that visit's last bracket and the next instruction

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,12 +19,13 @@ import (
 
 // The visit coalescer's hazard table and differentials. One small kernel per
 // rule of coalesce.go: each case instruments it with recording tool functions,
-// runs it with visits coalesced and with the one-trampoline-per-site build the
-// test hook keeps, on both HAL families and both schedulers, and asserts that
-// every call received the same values, that the application's memory is the
-// same (and the native run's, unless the plan removes an instruction), and
-// that the visits are cut where the rule says — so a rule that stopped
-// applying fails here and not only where it happens to change a value.
+// runs it with visits coalesced and with the one-visit-per-site build the test
+// hook keeps, on both HAL families, both schedulers and both the trampoline
+// and the inline strategy, and asserts that every call received the same
+// values, that the application's memory is the same (and the native run's,
+// unless the plan removes an instruction), and that the visits are cut where
+// the rule says — so a rule that stopped applying fails here and not only
+// where it happens to change a value.
 
 // recSlots is the number of threads a recording buffer has room for per call
 // id, recIDs the number of ids; a plan with more calls than that shares ids
@@ -188,6 +190,25 @@ func longPTX(blocks, per int) string {
 	return b.String()
 }
 
+// deadArgPTX writes dead values into registers the application never reads
+// again, then runs a straight line of additions: a visit whose calls each
+// pass one of those registers.
+func deadArgPTX(dead int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, ".visible .entry k(.param .u64 data)\n{\n\t.reg .u32 %%r<%d>;\n\t.reg .u64 %%rd<4>;\n", dead+8)
+	b.WriteString("\tmov.u32 %r0, %ctaid.x;\n\tmov.u32 %r1, %ntid.x;\n\tmov.u32 %r2, %tid.x;\n\tmad.lo.u32 %r3, %r0, %r1, %r2;\n")
+	b.WriteString("\tld.param.u64 %rd0, [data];\n\tmul.wide.u32 %rd2, %r3, 4;\n\tadd.u64 %rd0, %rd0, %rd2;\n")
+	for k := 0; k < dead; k++ {
+		fmt.Fprintf(&b, "\tmov.u32 %%r%d, %d;\n", k+8, k+100)
+	}
+	b.WriteString("\tld.global.u32 %r4, [%rd0];\n")
+	for k := 0; k < dead; k++ {
+		fmt.Fprintf(&b, "\tadd.u32 %%r4, %%r4, %d;\n", k+1)
+	}
+	b.WriteString("\tst.global.u32 [%rd0], %r4;\n\texit;\n}\n")
+	return b.String()
+}
+
 // planner is what a case's plan inserts calls through.
 type planner struct {
 	nv    *core.NVBit
@@ -242,8 +263,19 @@ type hazardCase struct {
 	changesApp bool
 	// perSite: no call of the plan may move, so every site is its own visit.
 	perSite bool
-	// check is what else the case asserts of the two builds.
-	check func(t *testing.T, perSite, merged hazardRun)
+	// warpWide: the plan's body votes across the warp, so what it records
+	// depends on which lanes min-PC scheduling brings to it together, and
+	// that on where code lies — not the same for trampolines and inline
+	// splices, so only the two builds of one strategy are compared.
+	warpWide bool
+	// trampolineOnly: the case is about where trampolines land in code
+	// memory, and its recording body fits no dead-register pool of the
+	// kernel, so an inline build would be the trampoline build again
+	// (TestCoalesceTransparency splices the same kernel inline).
+	trampolineOnly bool
+	// check is what else the case asserts of the two trampoline builds, and
+	// checkInline of the two inline builds.
+	check, checkInline func(t *testing.T, perSite, merged hazardRun)
 }
 
 var hazardCases = []hazardCase{
@@ -414,12 +446,12 @@ var hazardCases = []hazardCase{
 			p.rec(i, core.IPointBefore, "recatom", core.ArgConst32(uint32(k)))
 		}
 	}},
-	{name: "a warp-wide body never moves", ptx: loopPTX, grid: 2, block: 64, perSite: true, plan: func(p *planner) {
+	{name: "a warp-wide body never moves", ptx: loopPTX, grid: 2, block: 64, perSite: true, warpWide: true, plan: func(p *planner) {
 		for k, i := range p.insts {
 			p.rec(i, core.IPointBefore, "recvote", core.ArgConst32(uint32(k)))
 		}
 	}},
-	{name: "a 300-instruction block and trampolines past a chunk's end", ptx: longPTX(6, 300), grid: 1, block: 32, plan: func(p *planner) {
+	{name: "a 300-instruction block and trampolines past a chunk's end", ptx: longPTX(6, 300), grid: 1, block: 32, trampolineOnly: true, plan: func(p *planner) {
 		// Six trampolines of some 1 200 words each: the fourth does not fit
 		// what is left of the first 4096-word chunk.
 		p.recAll(nil)
@@ -429,12 +461,46 @@ var hazardCases = []hazardCase{
 			t.Errorf("%d trampoline words in %d visits, want more than one chunk of trampolines that each fit one", w, merged.stats.Visits)
 		}
 	}},
-	{name: "one trampoline longer than a chunk", ptx: longPTX(1, 1500), grid: 1, block: 32, plan: func(p *planner) {
+	{name: "one trampoline longer than a chunk", ptx: longPTX(1, 1500), grid: 1, block: 32, trampolineOnly: true, plan: func(p *planner) {
 		p.recAll(nil)
 		p.mustJoin = []int{p.op(0, sass.OpBRA) + 1500}
 	}, check: func(t *testing.T, _, merged hazardRun) {
 		if w := merged.stats.TrampolineWords; w <= 4096 || merged.stats.Visits > 3 {
 			t.Errorf("%d trampoline words in %d visits, want one trampoline past a chunk's 4096 words", w, merged.stats.Visits)
+		}
+	}},
+	{name: "marshalling reads of a visit exhaust the dead registers", ptx: deadArgPTX(24), grid: 2, block: 64, plan: func(p *planner) {
+		// Each addition's call passes a register the application never reads
+		// again, so it stays out of the inline pool only until its call: at
+		// the k-th addition 24-k of them are still kept. Alone, the early
+		// additions cannot inline and the late ones can; their visit, whose
+		// calls all rename into the pool of its first instruction, cannot.
+		first := p.op(0, sass.OpLDG) + 1
+		p.recAll(func(k int, i *core.Instr) bool {
+			if k < first || k >= first+24 {
+				return false
+			}
+			mov := p.find(0, func(in sass.Inst) bool { return in.Op == sass.OpMOVI && in.Imm == int64(100+k-first) })
+			p.rec(i, core.IPointBefore, "rec32", core.ArgReg(int(p.insts[mov].Raw().Dst)))
+			return true
+		})
+		p.mustStart = []int{first}
+		for k := 1; k < 24; k++ {
+			p.mustJoin = append(p.mustJoin, first+k)
+		}
+	}, checkInline: func(t *testing.T, perSite, merged hazardRun) {
+		cover := 0
+		for _, v := range merged.visits {
+			if merged.raw[v[0]].Op == sass.OpIADD && v[1] >= 24 {
+				cover = v[1]
+			}
+		}
+		if n := perSite.stats.TrampolinesEmitted; n == 0 || n >= 24 {
+			t.Errorf("per-site build: %d sites in trampolines, want some of the 24 additions and not all", n)
+		}
+		if merged.stats.Visits != 1 || merged.stats.TrampolinesEmitted != cover || merged.stats.InlinedSites != len(merged.raw)-cover {
+			t.Errorf("coalesced build: %d sites in %d trampolines, %d inlined, want the %d of the additions' visit in one and the rest inlined",
+				merged.stats.TrampolinesEmitted, merged.stats.Visits, merged.stats.InlinedSites, cover)
 		}
 	}},
 }
@@ -622,32 +688,52 @@ func TestCoalesceHazards(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/%v", c.name, fam, sched), func(t *testing.T) {
 					t.Parallel()
 					native := runHazard(t, c, fam, sched, core.InjectTrampoline, nil, false)
-					perSite := runHazard(t, c, fam, sched, core.InjectTrampoline, c.plan, true)
-					merged := runHazard(t, c, fam, sched, core.InjectTrampoline, c.plan, false)
-					if native.err != nil || perSite.err != nil || merged.err != nil {
-						t.Fatalf("launch: native %v, per-site %v, coalesced %v", native.err, perSite.err, merged.err)
-					}
-					if !bytes.Equal(merged.rec, perSite.rec) {
-						t.Errorf("calls received different values: %s", firstRecDiff(merged.rec, perSite.rec))
-					}
-					if !bytes.Equal(merged.app, perSite.app) {
-						t.Error("application memory differs between the coalesced and the per-site build")
-					}
-					if !c.changesApp && !bytes.Equal(merged.app, native.app) {
-						t.Error("application memory differs from the native run")
-					}
-					if bytes.Equal(merged.rec, make([]byte, len(merged.rec))) {
-						t.Error("no call recorded anything")
-					}
-					sites := len(merged.raw)
-					if perSite.stats.Visits != sites || merged.stats.TrampolinesEmitted != sites {
-						t.Errorf("per-site build made %d visits, coalesced build served %d sites, want %d both", perSite.stats.Visits, merged.stats.TrampolinesEmitted, sites)
-					}
-					if c.perSite != (merged.stats.Visits == sites) {
-						t.Errorf("%d visits for %d sites", merged.stats.Visits, sites)
-					}
-					if c.check != nil {
-						c.check(t, perSite, merged)
+					var tramp hazardRun
+					for _, mode := range []core.InjectionMode{core.InjectTrampoline, core.InjectInline} {
+						if mode == core.InjectInline && c.trampolineOnly {
+							break
+						}
+						perSite := runHazard(t, c, fam, sched, mode, c.plan, true)
+						merged := runHazard(t, c, fam, sched, mode, c.plan, false)
+						if native.err != nil || perSite.err != nil || merged.err != nil {
+							t.Fatalf("%v: launch: native %v, per-site %v, coalesced %v", mode, native.err, perSite.err, merged.err)
+						}
+						if !bytes.Equal(merged.rec, perSite.rec) {
+							t.Errorf("%v: calls received different values: %s", mode, firstRecDiff(merged.rec, perSite.rec))
+						}
+						if !bytes.Equal(merged.app, perSite.app) {
+							t.Errorf("%v: application memory differs between the coalesced and the per-site build", mode)
+						}
+						if !c.changesApp && !bytes.Equal(merged.app, native.app) {
+							t.Errorf("%v: application memory differs from the native run", mode)
+						}
+						sites := len(merged.raw)
+						if mode == core.InjectInline {
+							if !c.warpWide && !bytes.Equal(merged.rec, tramp.rec) || !bytes.Equal(merged.app, tramp.app) {
+								t.Errorf("inline build differs from the trampoline build: %s", firstRecDiff(merged.rec, tramp.rec))
+							}
+							if perSite.stats.InlinedSites+perSite.stats.Visits != sites || merged.stats.InlinedSites+merged.stats.TrampolinesEmitted != sites {
+								t.Errorf("inline: per-site build served %d+%d sites, coalesced build %d+%d, want %d both",
+									perSite.stats.InlinedSites, perSite.stats.Visits, merged.stats.InlinedSites, merged.stats.TrampolinesEmitted, sites)
+							}
+							if c.checkInline != nil {
+								c.checkInline(t, perSite, merged)
+							}
+							continue
+						}
+						tramp = merged
+						if bytes.Equal(merged.rec, make([]byte, len(merged.rec))) {
+							t.Error("no call recorded anything")
+						}
+						if perSite.stats.Visits != sites || merged.stats.TrampolinesEmitted != sites {
+							t.Errorf("per-site build made %d visits, coalesced build served %d sites, want %d both", perSite.stats.Visits, merged.stats.TrampolinesEmitted, sites)
+						}
+						if c.perSite != (merged.stats.Visits == sites) {
+							t.Errorf("%d visits for %d sites", merged.stats.Visits, sites)
+						}
+						if c.check != nil {
+							c.check(t, perSite, merged)
+						}
 					}
 				})
 			}
@@ -667,7 +753,7 @@ func firstRecDiff(a, b []byte) string {
 
 // TestCoalesceTransparency: the empty tool function before and after every
 // instruction of every hazard kernel leaves the application's memory as the
-// native run does, in trampoline and full-save mode alike.
+// native run does, in trampoline, full-save and inline mode alike.
 func TestCoalesceTransparency(t *testing.T) {
 	for ci := range hazardCases {
 		c := &hazardCases[ci]
@@ -680,7 +766,7 @@ func TestCoalesceTransparency(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/%v", c.name, fam, sched), func(t *testing.T) {
 					t.Parallel()
 					native := runHazard(t, c, fam, sched, core.InjectTrampoline, nil, false)
-					for _, mode := range []core.InjectionMode{core.InjectTrampoline, core.InjectFullSave} {
+					for _, mode := range []core.InjectionMode{core.InjectTrampoline, core.InjectFullSave, core.InjectInline} {
 						plain := hazardCase{ptx: c.ptx, grid: c.grid, block: c.block}
 						got := runHazard(t, &plain, fam, sched, mode, emptyBeforeAfter, false)
 						if got.err != nil || native.err != nil {
@@ -689,11 +775,84 @@ func TestCoalesceTransparency(t *testing.T) {
 						if !bytes.Equal(got.app, native.app) {
 							t.Errorf("%v: application memory differs from the native run", mode)
 						}
-						if got.stats.Visits >= got.stats.TrampolinesEmitted {
+						if mode == core.InjectInline {
+							// The empty function needs no register: every visit inlines.
+							if sites := len(got.raw); got.stats.InlinedSites != sites || len(got.visits) >= sites {
+								t.Errorf("inline: %d of %d sites inlined in %d visits, want all of them, coalesced", got.stats.InlinedSites, sites, len(got.visits))
+							}
+						} else if got.stats.Visits >= got.stats.TrampolinesEmitted {
 							t.Errorf("%v: %d visits for %d sites, want the empty function coalesced", mode, got.stats.Visits, got.stats.TrampolinesEmitted)
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// afterArgPTX sets P0 from the thread's index (S) and adds to the index in
+// place (W); 24 registers written once and never read again leave the inline
+// strategy room.
+var afterArgPTX = func() string {
+	var b strings.Builder
+	b.WriteString(".visible .entry k(.param .u64 data)\n{\n\t.reg .u32 %r<32>;\n\t.reg .u64 %rd<4>;\n\t.reg .pred %p<2>;\n")
+	b.WriteString("\tmov.u32 %r0, %ctaid.x;\n\tmov.u32 %r1, %ntid.x;\n\tmov.u32 %r2, %tid.x;\n\tmad.lo.u32 %r3, %r0, %r1, %r2;\n")
+	b.WriteString("\tld.param.u64 %rd0, [data];\n\tmul.wide.u32 %rd2, %r3, 4;\n\tadd.u64 %rd0, %rd0, %rd2;\n")
+	for k := 8; k < 32; k++ {
+		fmt.Fprintf(&b, "\tmov.u32 %%r%d, %d;\n", k, k)
+	}
+	b.WriteString("\tsetp.lt.u32 %p0, %r3, 40;\n\tadd.u32 %r3, %r3, 1000;\n\t@%p0 add.u32 %r3, %r3, 1;\n")
+	b.WriteString("\tst.global.u32 [%rd0], %r3;\n\texit;\n}\n")
+	return b.String()
+}()
+
+// TestAfterCallArgumentsSeeTheInstruction: an after-call's ArgPred of the
+// predicate its instruction writes, and ArgReg of the register it writes,
+// receive the values the instruction left, in trampoline and inline mode and
+// in the per-site and the coalesced build alike — a trampoline's after bracket
+// saves its frame after the relocated instruction, and inline code reads the
+// live registers there.
+func TestAfterCallArgumentsSeeTheInstruction(t *testing.T) {
+	c := &hazardCase{ptx: afterArgPTX, grid: 2, block: 64}
+	var s, w uint32 // the two after-calls' ids
+	plan := func(p *planner) {
+		si := p.op(0, sass.OpISETP)
+		wi := p.find(0, func(in sass.Inst) bool { return in.Op == sass.OpIADD && in.Imm == 1000 })
+		p.recAll(func(k int, i *core.Instr) bool {
+			switch k {
+			case si:
+				s = p.ids
+				p.rec(i, core.IPointAfter, "rec32", core.ArgPred(i.Raw().Mods.Aux(), false))
+			case wi:
+				w = p.ids
+				p.rec(i, core.IPointAfter, "rec32", core.ArgReg(int(i.Raw().Dst)))
+			default:
+				return false
+			}
+			return true
+		})
+	}
+	for _, fam := range hazardFamilies {
+		for _, mode := range []core.InjectionMode{core.InjectTrampoline, core.InjectInline} {
+			for _, perSite := range []bool{true, false} {
+				run := runHazard(t, c, fam, gpu.SchedulerSequential, mode, plan, perSite)
+				if run.err != nil {
+					t.Fatalf("%v/%v: %v", fam, mode, run.err)
+				}
+				if sites := len(run.raw); mode == core.InjectInline && run.stats.InlinedSites != sites {
+					t.Errorf("%v/%v (per-site %v): %d of %d sites inlined, want all", fam, mode, perSite, run.stats.InlinedSites, sites)
+				}
+				for tid := 0; tid < c.grid*c.block; tid++ {
+					got := func(id uint32) uint64 { return binary.LittleEndian.Uint64(run.rec[16*(int(id)*recSlots+tid):]) }
+					var p uint64
+					if tid < 40 {
+						p = 1
+					}
+					if got(s) != p || got(w) != uint64(tid+1000) {
+						t.Fatalf("%v/%v (per-site %v), thread %d: ArgPred %d, ArgReg %d after the instruction, want %d and %d",
+							fam, mode, perSite, tid, got(s), got(w), p, tid+1000)
+					}
+				}
 			}
 		}
 	}

@@ -61,6 +61,10 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 		insts:  make([]sass.Inst, 0, words),
 		relocs: make([]reloc, 0, relocs),
 	}
+	var inlineLive *sass.Liveness
+	if n.injectMode == InjectInline {
+		inlineLive = inlineLiveness(fs, calls)
+	}
 	for _, v := range visits {
 		// Removal without injected calls degenerates to an in-place NOP.
 		if v.calls.n == 0 {
@@ -71,9 +75,9 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 		// Inline injection: when liveness proves enough dead registers to
 		// hold every injected body's renamed working set, splice the bodies
 		// into the relocated stream and skip the save/restore machinery
-		// entirely. Any ineligible call falls the whole site back to
+		// entirely. Any ineligible call falls the whole visit back to
 		// save/CAL/restore.
-		if n.injectMode != InjectInline || !n.inlineSite(art, fs, fs.insts[v.first], vc[:v.head], vc[v.head:]) {
+		if inlineLive == nil || !n.inlineVisit(art, fs, inlineLive, v, vc[:v.head], vc[v.head:]) {
 			n.trampolineVisit(art, fs, v, vc)
 		}
 	}
@@ -91,8 +95,8 @@ type siteCall struct {
 	neg bool
 	// reads and predReads are the site's registers and predicates the
 	// argument marshalling reads. A trampoline's save set must cover them;
-	// inline renaming must not hand them out as targets; a call moves over no
-	// instruction that writes them.
+	// inline renaming must not hand them out as targets (inlineLiveness); a
+	// call moves over no instruction that writes them.
 	reads     sass.RegSet
 	predReads sass.PredSet
 }
@@ -429,7 +433,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			return err
 		}
 		if site.inline {
-			n.stats.InlinedSites++
+			n.stats.InlinedSites += site.cover
 			n.stats.InlineWords += len(tr)
 		} else {
 			n.stats.Visits++

@@ -66,15 +66,16 @@ type NVBit struct {
 	// so nested inspection work is attributed to the right JIT phase.
 	inUserCallback bool
 	// injectMode selects trampoline, full-save (ablation) or inline
-	// code generation (see InjectionMode).
+	// code generation for every visit (see InjectionMode); it is fixed at
+	// attach (WithInjectionMode).
 	injectMode InjectionMode
 	// cache is the content-addressed instrumentation cache (WithJITCache);
 	// nil keeps the uncached JIT pipeline.
 	cache *jitcache.Cache
-	// perSiteVisits keeps one trampoline per instrumented instruction, as the
-	// Code Generator made them before it coalesced visits. Only tests set it
-	// (export_test.go), for the per-site build their differentials compare
-	// with; the cache key does not cover it.
+	// perSiteVisits keeps one visit per instrumented instruction in every
+	// mode, as the Code Generator made them before it coalesced visits. Only
+	// tests set it (export_test.go), for the per-site build their
+	// differentials compare with; the cache key does not cover it.
 	perSiteVisits bool
 	// trampRaw is materializeArtifact's scratch: the encoding of the
 	// trampolines not yet written to the device.

@@ -274,15 +274,15 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 // materializedGolden is the SHA-256 of the device's whole code space — the
 // application's modules with the instrumented functions resident, the tool
 // functions, the save and restore routines and every trampoline — after cg
-// ran under instrcount, recorded at PR 16 (inline) and PR 22 (trampoline:
-// coalesced visits). TestCodegenGolden pins the
+// ran under instrcount, both strategies laying out coalesced visits.
+// TestCodegenGolden pins the
 // device-independent artifact; this pins what materialization makes of it:
 // the order device addresses are handed out in and the encoded bytes.
 var materializedGolden = map[string]string{
 	"Kepler/trampoline": "5bf328852f1ba561888126d3952394e9421c84468e681b967d8d8b3b80458d78",
-	"Kepler/inline":     "7a3d2a639cc8fe8b4d2a977e8d0f9ae04b6fdac02629fb148d50904d25b684bb",
+	"Kepler/inline":     "e1cfb30a74737e01351717eb794f2ee79528b817b05477988610e0012f28d18b",
 	"Volta/trampoline":  "98df9848313f986218087bd7fc0982aa50ac6a4c7b7111cabed1080fbf7f669b",
-	"Volta/inline":      "ee8cbd1b00248e15fb09d16f62400dd9777277790532ba1e1a61001d3850d8e6",
+	"Volta/inline":      "d8c497940fa75fa3ded3ae009331945321b7c364a4fa9412c0b2e0038898f8d5",
 }
 
 func TestMaterializedCodeGolden(t *testing.T) {
@@ -311,16 +311,16 @@ func TestMaterializedCodeGolden(t *testing.T) {
 }
 
 // codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
-// PR 22 (artifactVersion 4, key schema v3). A key that moves orphans every
+// artifactVersion 5, key schema v3. A key that moves orphans every
 // primed cache directory, so a change to what is hashed, or to the order,
 // shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "03052785ac7cc1bd0a10b14c9dbf77fd8c2410a4c512401a8ba402354776dc2e",
-	"Kepler/full-save":  "3ef1ce977301c0f238d436b6b097047577bd8b234ffa3e360d8e2bf5ea2f818c",
-	"Kepler/inline":     "88748d4ca1a98316b78100c69999e9a7df2eca8cb57018db5b6dd5bf752dd80c",
-	"Volta/trampoline":  "44dfc78fee2a1a427fd42e6536cc629b596a1cbe121fc64d42cba78ae49f8541",
-	"Volta/full-save":   "96e5508952971ed9697d89c5e6f17858bd846f46e4a66cada74993b468d0fd6d",
-	"Volta/inline":      "acf708093e5edb588fdf43c67b5176a81224f2957f914d8630d3d332c9bc76cc",
+	"Kepler/trampoline": "eb6b0388e6d048ab23ac7c99ae4c94c9446265025ceee2fff292682f325ae3a2",
+	"Kepler/full-save":  "683d918c905cb0b6868132546f8c9858a3649b10ce08a5794a00d9eda4d2aaaa",
+	"Kepler/inline":     "f2122e91d7bdb9cd64917d66d92a37e2f9aefc36a6f173b600474febe01570a0",
+	"Volta/trampoline":  "148e10a26f48ee8442b8eb0df6bbca9b12a5450d35aad1027f935df11565d516",
+	"Volta/full-save":   "f3aa01a34e7e29fd6da2d65673c7613549a6b445f99f7ae1d5243dc88cab34da",
+	"Volta/inline":      "547558a4c7d79d6ef62dd56ad78e62bdd0ff484730b7904c8b887f3484aa749c",
 }
 
 func TestCodeKeyGolden(t *testing.T) {

@@ -7,24 +7,34 @@ import (
 )
 
 // This file implements the inline-injection half of the Code Generator
-// (InjectInline). Where the trampoline strategy preserves the site's live
-// state with save/restore routines around a CAL into the tool function, the
-// inline strategy proves — via the same backward liveness analysis that sizes
-// trampoline save sets — that enough registers are dead at the site to hold
-// the tool function's entire working set, renames the tool body into those
-// dead registers, and splices it directly into the relocated stream: no save
-// frame, no CAL/RET, no marshalling through the save area. Sites that cannot
-// inline fall back to the trampoline path per call site:
+// (InjectInline). Where the trampoline strategy preserves the live state of a
+// visit (coalesce.go) with save/restore routines around a CAL into the tool
+// function, the inline strategy proves — via the same backward liveness
+// analysis that sizes trampoline save sets — that enough registers are dead at
+// the visit's first instruction to hold the tool function's entire working
+// set, renames the tool body into those dead registers, and splices it
+// directly into the relocated stream: no save frame, no CAL/RET, no
+// marshalling through the save area. Both injection strategies lay out the
+// same visits; a visit that cannot inline falls back to the trampoline form as
+// a whole:
 //
 //   - the function has indirect control flow (liveness is conservative);
 //   - a tool body uses save-frame or device-API opcodes (they trap without a
 //     trampoline frame), calls, absolute/indirect jumps, or whole-bank
 //     predicate moves;
-//   - an after-injection reads state the original instruction itself defines
-//     (including the self-clobbering-guard case, where the guard predicate is
-//     written by the guarded instruction — the trampoline snapshots the
-//     site-entry bank, so inline code must see the same values);
+//   - a call after the first instruction is guarded by a predicate that
+//     instruction writes: the trampoline tests guards against the bank as the
+//     visit found it, and an inline skip would read the live bank;
 //   - the dead set is too small to hold the renamed working set.
+//
+// Arguments need no such rule: a trampoline's after bracket saves its frame
+// after the relocated instruction, so it marshals the values the instruction
+// left, which is what inline code reads live.
+//
+// The pool is what inlineLiveness proves dead around the visit's first
+// instruction: both brackets run next to it, planVisits lets a later site's
+// call join only while the instructions it crosses write nothing it reads, and
+// the visit's later instructions run after every body has finished.
 //
 // The dead-register pool is capped at the function's register high-water mark
 // (MaxRegs): registers above it are architecturally dead, but allocating them
@@ -33,48 +43,47 @@ import (
 // save area instead). The cap is an occupancy policy, not a correctness
 // requirement.
 
-// inlineSite attempts inline injection for one instrumented site, appending
-// the site to the artifact. It reports false, with the artifact as it found
-// it, when any call at the site is ineligible; the caller then emits an
+// inlineLiveness is the function's liveness with the registers and predicates
+// every call's marshalling and guard read counted as uses at the call's site.
+// A body renamed into what this proves dead clobbers no value a later call
+// reads — not even one the application itself never reads again, which a
+// trampoline, restoring everything it writes, would pass unchanged.
+func inlineLiveness(fs *funcState, calls []siteCall) *sass.Liveness {
+	uses := make([]sass.RegSet, len(fs.raw))
+	puses := make([]sass.PredSet, len(fs.raw))
+	for _, c := range calls {
+		uses[c.site.idx] = uses[c.site.idx].Union(c.reads)
+		puses[c.site.idx] |= c.predReads
+		puses[c.site.idx].Add(c.p)
+	}
+	return sass.AnalyzeLivenessWith(fs.raw, uses, puses)
+}
+
+// inlineVisit attempts inline injection for one visit, appending it to the
+// artifact; live is inlineLiveness. It reports false, with the artifact as it
+// found it, when any call of the visit is ineligible; the caller then emits an
 // ordinary trampoline.
-func (n *NVBit) inlineSite(art *codeArtifact, fs *funcState, i *Instr, before, after []siteCall) bool {
-	live := fs.liveness()
+func (n *NVBit) inlineVisit(art *codeArtifact, fs *funcState, live *sass.Liveness, v visit, head, tail []siteCall) bool {
 	if live.Conservative() {
 		return false
 	}
-	liveRegs, livePreds := live.SiteLive(i.idx)
-	origDefs, _, origPDefs, _ := sass.DefUse(i.inst)
-
-	// The registers and predicates the marshalling sequences and guards read
-	// from live site state must never be allocated as renaming targets, or an
-	// earlier inlined body would clobber a later call's inputs.
-	var marshalReads sass.RegSet
-	var predExcl sass.PredSet
-	for g, group := range [2][]siteCall{before, after} {
-		for _, c := range group {
-			// After-injections must observe site-entry state, exactly as a
-			// trampoline (which marshals from the save frame and snapshots
-			// the predicate bank at entry) would. If the original
-			// instruction defines its own guard predicate or any state the
-			// marshalling reads, inline code executing after it would see
-			// post-original values — fall back.
-			if g == 1 && !i.removeOrig &&
-				(origPDefs.Has(c.p) || !c.reads.Intersect(origDefs).Empty() || c.predReads&origPDefs != 0) {
+	if !fs.insts[v.first].removeOrig {
+		_, firstPDefs := live.Defs(v.first)
+		for _, c := range tail {
+			if firstPDefs.Has(c.p) {
 				return false
 			}
-			marshalReads = marshalReads.Union(c.reads)
-			predExcl |= c.predReads
-			predExcl.Add(c.p)
 		}
 	}
-	pool := sass.RegRange(fs.f.MaxRegs()).Diff(liveRegs).Diff(marshalReads)
-	deadPreds := (sass.AllPreds &^ livePreds) &^ predExcl
+	liveRegs, livePreds := live.SiteLive(v.first)
+	pool := sass.RegRange(fs.f.MaxRegs()).Diff(liveRegs)
+	deadPreds := sass.AllPreds &^ livePreds
 
 	// Allocate each call independently from the full pool: bodies never read
 	// another body's renamed registers, so reuse across calls is safe and
-	// keeps the per-site demand at the largest single working set.
+	// keeps the visit's demand at the largest single working set.
 	i0, r0 := len(art.insts), len(art.relocs)
-	ok := layoutVisit(art, i0, fs.insts[i.idx:i.idx+1], before, after, func(group []siteCall) bool {
+	ok := layoutVisit(art, i0, fs.insts[v.first:v.first+v.cover], head, tail, func(group []siteCall) bool {
 		for k := range group {
 			if !n.spliceCall(art, i0, group, k, pool, deadPreds) {
 				return false
@@ -86,7 +95,7 @@ func (n *NVBit) inlineSite(art *codeArtifact, fs *funcState, i *Instr, before, a
 		art.insts, art.relocs = art.insts[:i0], art.relocs[:r0]
 		return false
 	}
-	art.addSite(siteArtifact{idx: i.idx, cover: 1, inline: true}, i0, r0)
+	art.addSite(siteArtifact{idx: v.first, cover: v.cover, inline: true}, i0, r0)
 	return true
 }
 

@@ -185,7 +185,7 @@ func (n *NVBit) RemoveOrig(i *Instr) {
 type InjectionMode int
 
 const (
-	// InjectTrampoline (the default) jumps to a per-site trampoline that
+	// InjectTrampoline (the default) jumps to a per-visit trampoline that
 	// saves the liveness-minimal register set, marshals arguments, calls the
 	// tool function and restores (paper Section 5.1).
 	InjectTrampoline InjectionMode = iota
@@ -193,10 +193,10 @@ const (
 	// entire register file regardless of per-site liveness.
 	InjectFullSave
 	// InjectInline splices eligible tool bodies directly into the relocated
-	// stream, renamed into registers liveness proved dead at the site — no
-	// save/restore, no call. Sites that cannot inline (indirect control
+	// stream, renamed into registers liveness proved dead at the visit — no
+	// save/restore, no call. Visits that cannot inline (indirect control
 	// flow, self-clobbering guards, dead set too small) fall back to
-	// trampolines.
+	// trampolines as a whole.
 	InjectInline
 )
 
@@ -219,14 +219,6 @@ func ParseInjectionMode(s string) (InjectionMode, error) {
 	}
 	return InjectTrampoline, fmt.Errorf("nvbit: unknown injection mode %q (want trampoline, full-save or inline)", s)
 }
-
-// SetInjectionMode switches the Code Generator's injection strategy. It takes
-// effect at the next instrumentation pass; cached artifacts are keyed on the
-// mode, so switching never reuses code generated under another mode.
-func (n *NVBit) SetInjectionMode(m InjectionMode) { n.injectMode = m }
-
-// InjectionMode returns the active injection strategy.
-func (n *NVBit) InjectionMode() InjectionMode { return n.injectMode }
 
 // hasWork reports whether the instruction carries instrumentation requests.
 func (i *Instr) hasWork() bool {

@@ -45,12 +45,12 @@ type JITStats struct {
 	// emitted: a visit has one bracket, or two when calls stay both before
 	// and after its first instruction.
 	SavedRegs int
-	// InlinedSites / InlineWords count sites materialized through the
-	// inline-injection strategy (InjectInline) and their total instruction
-	// words. Inline sites save no registers and are deliberately kept out of
-	// TrampolinesEmitted / Visits / TrampolineWords / SavedRegs, so
-	// AvgSavedRegs keeps meaning "registers saved per trampoline-served
-	// site" when both kinds coexist.
+	// InlinedSites / InlineWords count the sites of the visits materialized
+	// through the inline-injection strategy (InjectInline) and those visits'
+	// total instruction words. Inline sites save no registers and are
+	// deliberately kept out of TrampolinesEmitted / Visits / TrampolineWords
+	// / SavedRegs, so AvgSavedRegs keeps meaning "registers saved per
+	// trampoline-served site" when both kinds coexist.
 	InlinedSites int
 	InlineWords  int
 	SwapBytes    int

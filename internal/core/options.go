@@ -62,7 +62,7 @@ func WithJITCache(c *jitcache.Cache) Option {
 // WithInjectionMode selects the Code Generator's injection strategy for this
 // attachment: trampoline (default), full-save (ablation baseline), or inline
 // (splice eligible tool bodies into dead registers; see docs/tools.md). The
-// mode can also be switched later via SetInjectionMode.
+// mode is fixed for the life of the attachment.
 func WithInjectionMode(m InjectionMode) Option {
 	return func(c *attachConfig) { c.injectMode = m }
 }

@@ -15,7 +15,7 @@ type OpenSpec struct {
 	Tool   string // registry tool name
 	Policy string // channel backpressure: "", "drop", or "block"
 	// Inject selects the injected-call codegen strategy for this session:
-	// "trampoline", "full-save" or "inline"; "" keeps the daemon's default.
+	// "trampoline" (also what "" means), "full-save" or "inline".
 	Inject string
 
 	// Fault-injection knobs (tool "faultinject"); zero values pick the

@@ -61,7 +61,7 @@ type request struct {
 	// open
 	Tool     string `json:"tool,omitempty"`
 	Policy   string `json:"policy,omitempty"` // "drop" (default) or "block"
-	Inject   string `json:"inject,omitempty"` // injection mode; "" = daemon default
+	Inject   string `json:"inject,omitempty"` // injection mode; "" = trampoline
 	FIGroup  string `json:"fiGroup,omitempty"`
 	FIModel  string `json:"fiModel,omitempty"`
 	FITarget uint64 `json:"fiTarget,omitempty"`

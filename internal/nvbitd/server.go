@@ -39,10 +39,6 @@ type Config struct {
 	// CacheDir, when non-empty, backs a persistent JIT cache shared by
 	// every session of every pool device.
 	CacheDir string
-	// Inject is the default injected-call codegen strategy for sessions
-	// that don't pick one at open: "trampoline" (also the "" default),
-	// "full-save" or "inline". A session's open request overrides it.
-	Inject string
 	// Log receives one line per session open/close and per error; nil
 	// discards.
 	Log *log.Logger
@@ -50,9 +46,8 @@ type Config struct {
 
 // Server owns the device pool and serves sessions over a listener.
 type Server struct {
-	cfg    Config
-	cache  *jitcache.Cache
-	inject core.InjectionMode // parsed Config.Inject
+	cfg   Config
+	cache *jitcache.Cache
 
 	mu     sync.Mutex
 	pool   []*poolSlot
@@ -75,13 +70,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.Devices = 1
 	}
 	s := &Server{cfg: cfg, conns: make(map[net.Conn]bool)}
-	if cfg.Inject != "" {
-		mode, err := core.ParseInjectionMode(cfg.Inject)
-		if err != nil {
-			return nil, err
-		}
-		s.inject = mode
-	}
 	if cfg.CacheDir != "" {
 		c, err := jitcache.New(cfg.CacheDir, 0)
 		if err != nil {
@@ -300,9 +288,9 @@ func (s *Server) open(req *request) (*session, *response) {
 	if err != nil {
 		return nil, &response{Err: err.Error()}
 	}
-	// The injection mode is per-session: the open request's choice wins,
-	// the daemon's -inject default covers sessions that don't pick one.
-	inject := s.inject
+	// The injection mode is per-session: the open request picks it, and a
+	// session that does not gets the trampoline default.
+	inject := core.InjectTrampoline
 	if req.Inject != "" {
 		mode, err := core.ParseInjectionMode(req.Inject)
 		if err != nil {

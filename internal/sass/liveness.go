@@ -205,7 +205,13 @@ type Liveness struct {
 // everything is conservatively live before a call. Functions with indirect
 // control flow (BRX) get a fully conservative instance, matching the paper's
 // flat-view degradation.
-func AnalyzeLiveness(insts []Inst) *Liveness {
+func AnalyzeLiveness(insts []Inst) *Liveness { return AnalyzeLivenessWith(insts, nil, nil) }
+
+// AnalyzeLivenessWith is AnalyzeLiveness with extra reads: instruction pc
+// also uses uses[pc] and puses[pc] (nil slices add nothing). The Code
+// Generator adds what injected calls read, which keeps those registers and
+// predicates live back to where the application last wrote them.
+func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness {
 	if HasICF(insts) {
 		return &Liveness{conservative: true}
 	}
@@ -218,6 +224,10 @@ func AnalyzeLiveness(insts []Inst) *Liveness {
 	}
 	for pc, in := range insts {
 		l.defs[pc], l.uses[pc], l.pdefs[pc], l.puses[pc] = DefUse(in)
+		if uses != nil {
+			l.uses[pc] = l.uses[pc].Union(uses[pc])
+			l.puses[pc] |= puses[pc]
+		}
 	}
 	// succs/escape per instruction. An escape edge (RET, off-body branch,
 	// falling off the end) makes everything live-out.

@@ -52,9 +52,9 @@ type (
 	InjectionMode = core.InjectionMode
 )
 
-// Injection modes (WithInjectionMode, NVBit.SetInjectionMode).
+// Injection modes (WithInjectionMode).
 const (
-	// InjectTrampoline is the paper's default: per-site trampolines with
+	// InjectTrampoline is the paper's default: per-visit trampolines with
 	// liveness-minimal register save sets.
 	InjectTrampoline = core.InjectTrampoline
 	// InjectFullSave is the ablation mode: trampolines saving the full
