@@ -6,17 +6,20 @@
 // A campaign lives in a directory:
 //
 //	<dir>/plan.json     written once by Plan: config, the profiled
-//	                    dynamic-instruction space, the golden output hash and
-//	                    the full run manifest drawn from a seeded RNG
+//	                    dynamic-instruction space, the golden output hash,
+//	                    the launch table and the full run manifest drawn
+//	                    from a seeded RNG
 //	<dir>/results.json  rewritten atomically after every completed run
 //
 // The lifecycle is profile → plan → run → report. Profiling executes the
 // victim once under a counting tool to measure the dynamic
 // thread-instruction population per kernel per instruction group; the
+// golden pass splits the same population per launch (the launch table); the
 // planner draws each run's target uniformly from that space, so the manifest
 // is reproducible from (plan, seed) alone. Each run then executes the victim
-// in a fresh simulator instance with exactly one injection armed and
-// classifies the outcome:
+// in a fresh simulator instance with exactly one injection armed,
+// instrumenting only the launch its target falls in, and classifies the
+// outcome:
 //
 //	masked  the run completed and its output matches the golden hash
 //	sdc     the run completed with corrupted output (silent data corruption)
@@ -93,10 +96,20 @@ type planFile struct {
 	Profile  []faultinject.KernelCounts `json:"profile"`
 	Space    uint64                     `json:"space"`
 	Golden   string                     `json:"golden_sha256"`
+	Launches []launch                   `json:"launches"`
 	Manifest []RunSpec                  `json:"manifest"`
 }
 
-const planVersion = 1
+// launch is one row of the launch table: a kernel launch of the golden pass,
+// in launch order, and how many dynamic thread-instructions of the
+// campaign's group it executed.
+type launch struct {
+	Kernel string `json:"kernel"`
+	Count  uint64 `json:"count"`
+}
+
+// planVersion 2 added the launch table; Load converts a version-1 plan.
+const planVersion = 2
 
 // Campaign is one on-disk campaign: a plan plus the completed results.
 type Campaign struct {
@@ -105,7 +118,6 @@ type Campaign struct {
 
 	bench *specaccel.Benchmark
 	size  specaccel.Size
-	group faultinject.Group
 
 	mu      sync.Mutex
 	results map[int]RunResult
@@ -153,16 +165,17 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 		return nil, fmt.Errorf("campaign: %s already holds a plan (use Load/Open to resume)", dir)
 	}
 
-	// Golden pass: the victim under the injection tool instrumented but
-	// disarmed, so the reference output comes from exactly the binary the
-	// injection runs execute.
-	golden, _, err := executeVictim(bench, size, group, disarmedInjection(group), cfg.watchdog())
+	golden, launches, err := goldenPass(bench, size, group, cfg.watchdog())
 	if err != nil {
-		return nil, fmt.Errorf("campaign: golden run failed: %w", err)
+		return nil, err
 	}
 
 	// Profile pass: count the dynamic thread-instruction population.
-	profile, err := profileVictim(bench, size, cfg.watchdog())
+	prof := faultinject.NewProfiler()
+	if _, err := executeVictim(bench, size, prof, cfg.watchdog()); err != nil {
+		return nil, fmt.Errorf("campaign: profile run failed: %w", err)
+	}
+	profile, err := prof.Counts()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: profile run failed: %w", err)
 	}
@@ -174,19 +187,22 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 		return nil, fmt.Errorf("campaign: %s/%s has no dynamic instructions in group %s",
 			cfg.Benchmark, cfg.Size, cfg.Group)
 	}
+	if err := checkLaunches(launches, profile, group, space); err != nil {
+		return nil, err
+	}
 
 	c := &Campaign{
 		dir: dir,
 		plan: planFile{
-			Version: planVersion,
-			Config:  cfg,
-			Profile: profile,
-			Space:   space,
-			Golden:  hashOutput(golden),
+			Version:  planVersion,
+			Config:   cfg,
+			Profile:  profile,
+			Space:    space,
+			Golden:   golden,
+			Launches: launches,
 		},
 		bench:   bench,
 		size:    size,
-		group:   group,
 		results: make(map[int]RunResult),
 	}
 	c.plan.Manifest = drawManifest(cfg, group, space)
@@ -230,14 +246,16 @@ func drawManifest(cfg Config, group faultinject.Group, space uint64) []RunSpec {
 	return manifest
 }
 
-// Load opens an existing campaign directory.
+// Load opens an existing campaign directory. A version-1 plan, which has no
+// launch table, gets one from a fresh golden pass that must reproduce the
+// plan's golden output; plan.json itself is left as it was.
 func Load(dir string) (*Campaign, error) {
 	var plan planFile
 	if err := readFile(filepath.Join(dir, planName), &plan); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	if plan.Version != planVersion {
-		return nil, fmt.Errorf("campaign: plan version %d, want %d", plan.Version, planVersion)
+	if plan.Version != 1 && plan.Version != planVersion {
+		return nil, fmt.Errorf("campaign: plan version %d, want 1 or %d", plan.Version, planVersion)
 	}
 	bench, size, group, err := resolve(plan.Config)
 	if err != nil {
@@ -247,12 +265,25 @@ func Load(dir string) (*Campaign, error) {
 		return nil, fmt.Errorf("campaign: manifest holds %d runs, config plans %d",
 			len(plan.Manifest), plan.Config.Runs)
 	}
+	if plan.Version == 1 {
+		golden, launches, err := goldenPass(bench, size, group, plan.Config.watchdog())
+		if err != nil {
+			return nil, err
+		}
+		if golden != plan.Golden {
+			return nil, fmt.Errorf("campaign: version-1 plan: golden pass output %s, plan recorded %s",
+				golden, plan.Golden)
+		}
+		plan.Version, plan.Launches = planVersion, launches
+	}
+	if err := checkLaunches(plan.Launches, plan.Profile, group, plan.Space); err != nil {
+		return nil, err
+	}
 	c := &Campaign{
 		dir:     dir,
 		plan:    plan,
 		bench:   bench,
 		size:    size,
-		group:   group,
 		results: make(map[int]RunResult),
 	}
 	if err := c.loadResults(); err != nil {
@@ -329,57 +360,95 @@ func hashOutput(out []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// disarmedInjection is an injection that never fires: the golden-run arming.
-func disarmedInjection(group faultinject.Group) faultinject.Injection {
-	return faultinject.Injection{Group: group, Target: faultinject.NoTarget}
+// goldenPass runs the victim under the injection tool instrumented at every
+// launch but disarmed, so the reference output comes from the binary the
+// injection runs execute. It returns the output's hash and the launch table:
+// the tool's counter read at the exit of each launch.
+func goldenPass(bench *specaccel.Benchmark, size specaccel.Size, group faultinject.Group,
+	watchdog int64) (string, []launch, error) {
+	rec := &launchRecorder{Tool: faultinject.New(faultinject.Injection{Group: group, Target: faultinject.NoTarget})}
+	out, err := executeVictim(bench, size, rec, watchdog)
+	if err != nil {
+		return "", nil, fmt.Errorf("campaign: golden run failed: %w", err)
+	}
+	return hashOutput(out), rec.launches, nil
 }
 
-// executeVictim runs the benchmark in a fresh simulator with the injection
-// tool armed as specified and returns the captured output and the tool.
-// Every campaign execution — golden, and each injection run — goes through
-// here, so they share scheduler (sequential: the dynamic-instruction order
-// the targets index must be deterministic) and watchdog configuration.
-func executeVictim(bench *specaccel.Benchmark, size specaccel.Size, group faultinject.Group,
-	inj faultinject.Injection, watchdog int64) ([]byte, *faultinject.Tool, error) {
+// launchRecorder is the injection tool plus the launch table: at the exit of
+// every launch it records how far the tool's counter moved.
+type launchRecorder struct {
+	*faultinject.Tool
+	launches []launch
+	counted  uint64
+}
+
+func (r *launchRecorder) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
+	r.Tool.AtCUDACall(n, exit, cbid, name, p)
+	if !exit || cbid != nvbit.CBLaunchKernel {
+		return
+	}
+	res, err := r.Result()
+	if err != nil {
+		panic(err)
+	}
+	r.launches = append(r.launches, launch{Kernel: p.Launch.Func.Name, Count: res.Executed - r.counted})
+	r.counted = res.Executed
+}
+
+// checkLaunches cross-checks the golden pass's launch table against the
+// profile pass: per kernel, the launches must sum to the profiled count of
+// the group, and all of them to the space.
+func checkLaunches(launches []launch, profile []faultinject.KernelCounts, group faultinject.Group, space uint64) error {
+	sums := make(map[string]uint64)
+	var total uint64
+	for _, l := range launches {
+		sums[l.Kernel] += l.Count
+		total += l.Count
+	}
+	for _, kc := range profile {
+		if sums[kc.Kernel] != kc.Counts[group] {
+			return fmt.Errorf("campaign: kernel %s: launch table counts %d, profile %d",
+				kc.Kernel, sums[kc.Kernel], kc.Counts[group])
+		}
+	}
+	if total != space {
+		return fmt.Errorf("campaign: launch table counts %d, space is %d", total, space)
+	}
+	return nil
+}
+
+// targetLaunch maps a target, an index over the whole run, to the launch
+// that executes it and that launch's base: the count of the launches before
+// it. A target beyond the space maps past the last launch, so no launch is
+// instrumented and nothing fires, as with every launch instrumented.
+func (c *Campaign) targetLaunch(target uint64) (k int, base uint64) {
+	for k, l := range c.plan.Launches {
+		if target < base+l.Count {
+			return k, base
+		}
+		base += l.Count
+	}
+	return len(c.plan.Launches), base
+}
+
+// executeVictim runs the benchmark in a fresh simulator under tool and
+// returns the captured output. Every campaign execution — golden, profile,
+// and each injection run — goes through here, so they share scheduler
+// (sequential: the dynamic-instruction order the targets index must be
+// deterministic) and watchdog configuration.
+func executeVictim(bench *specaccel.Benchmark, size specaccel.Size, tool nvbit.Tool, watchdog int64) ([]byte, error) {
 	api, err := gpusim.New(gpusim.Volta)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tool := faultinject.New(inj)
 	if _, err := nvbit.Attach(api, tool,
 		nvbit.WithScheduler(nvbit.SchedulerSequential),
 		nvbit.WithWatchdogInterval(watchdog)); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := api.CtxCreate()
-	if err != nil {
-		return nil, tool, err
-	}
-	out, err := bench.RunCapture(ctx, size)
-	if err != nil {
-		return nil, tool, err
-	}
-	return out, tool, nil
-}
-
-// profileVictim runs the benchmark once under the counting tool.
-func profileVictim(bench *specaccel.Benchmark, size specaccel.Size, watchdog int64) ([]faultinject.KernelCounts, error) {
-	api, err := gpusim.New(gpusim.Volta)
-	if err != nil {
-		return nil, err
-	}
-	prof := faultinject.NewProfiler()
-	if _, err := nvbit.Attach(api, prof,
-		nvbit.WithScheduler(nvbit.SchedulerSequential),
-		nvbit.WithWatchdogInterval(watchdog)); err != nil {
 		return nil, err
 	}
 	ctx, err := api.CtxCreate()
 	if err != nil {
 		return nil, err
 	}
-	if err := bench.Run(ctx, size); err != nil {
-		return nil, err
-	}
-	return prof.Counts()
+	return bench.RunCapture(ctx, size)
 }

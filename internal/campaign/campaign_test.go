@@ -7,9 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/tools/faultinject"
 	"nvbitgo/nvbit"
 )
 
@@ -92,7 +95,7 @@ func TestPlanSpaceMatchesProfile(t *testing.T) {
 	c := mustPlan(t, t.TempDir(), smallCfg(4, 7))
 	var sum uint64
 	for _, kc := range c.Profile() {
-		sum += kc.Counts[c.group]
+		sum += kc.Counts[faultinject.GroupGPR]
 	}
 	if sum == 0 || sum != c.Space() {
 		t.Fatalf("space %d, profile sum %d", c.Space(), sum)
@@ -101,6 +104,179 @@ func TestPlanSpaceMatchesProfile(t *testing.T) {
 		if spec.Injection.Target >= c.Space() {
 			t.Fatalf("run %d target %d outside space %d", spec.ID, spec.Injection.Target, c.Space())
 		}
+	}
+	// ostencil/small launches its one kernel twice, over the same grid.
+	want := []launch{{"st3", sum / 2}, {"st3", sum / 2}}
+	if fmt.Sprint(c.plan.Launches) != fmt.Sprint(want) {
+		t.Fatalf("launch table %v, want %v", c.plan.Launches, want)
+	}
+}
+
+func TestCheckLaunches(t *testing.T) {
+	profile := []faultinject.KernelCounts{
+		{Kernel: "a", Counts: [faultinject.NumGroups]uint64{faultinject.GroupLD: 30}},
+		{Kernel: "b", Counts: [faultinject.NumGroups]uint64{faultinject.GroupLD: 5}},
+	}
+	good := []launch{{"a", 10}, {"b", 5}, {"a", 20}}
+	if err := checkLaunches(good, profile, faultinject.GroupLD, 35); err != nil {
+		t.Fatalf("consistent table rejected: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		launches []launch
+		space    uint64
+	}{
+		"kernel sum":     {[]launch{{"a", 10}, {"b", 5}, {"a", 21}}, 36},
+		"missing kernel": {[]launch{{"a", 30}}, 30},
+		"extra kernel":   {[]launch{{"a", 30}, {"b", 5}, {"c", 1}}, 35},
+		"space":          {good, 36},
+	} {
+		if err := checkLaunches(tc.launches, profile, faultinject.GroupLD, tc.space); err == nil {
+			t.Errorf("%s: inconsistent table accepted", name)
+		}
+	}
+}
+
+// TestTargetLaunch pins the mapping from a run-wide target to (launch,
+// base) at every launch's first and last index, across an empty launch.
+func TestTargetLaunch(t *testing.T) {
+	c := &Campaign{plan: planFile{Launches: []launch{{"a", 4}, {"b", 0}, {"a", 3}, {"c", 1}}}}
+	for _, tc := range []struct {
+		target uint64
+		k      int
+		base   uint64
+	}{
+		{0, 0, 0}, {3, 0, 0}, {4, 2, 4}, {6, 2, 4}, {7, 3, 7}, {8, 4, 8}, {faultinject.NoTarget, 4, 8},
+	} {
+		if k, base := c.targetLaunch(tc.target); k != tc.k || base != tc.base {
+			t.Errorf("targetLaunch(%d) = %d, %d; want %d, %d", tc.target, k, base, tc.k, tc.base)
+		}
+	}
+}
+
+// matchEveryLaunch re-runs each run with the injector instrumenting every
+// launch, the tool's default, and fails the test for every run whose result
+// differs from the campaign's, which instrumented the target launch only.
+func matchEveryLaunch(t *testing.T, c *Campaign, workers int) {
+	t.Helper()
+	got := c.Results()
+	if len(got) != len(c.plan.Manifest) {
+		t.Fatalf("%d results for %d planned runs", len(got), len(c.plan.Manifest))
+	}
+	specs := make(chan RunSpec)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for spec := range specs {
+				want := c.runWith(spec.ID, faultinject.New(spec.Injection))
+				if got[spec.ID] != want {
+					mu.Lock()
+					t.Errorf("%s/%s run %d (%v): target launch only %+v, every launch %+v",
+						c.plan.Config.Benchmark, c.plan.Config.Group, spec.ID, spec.Injection, got[spec.ID], want)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for _, spec := range c.plan.Manifest {
+		specs <- spec
+	}
+	close(specs)
+	wg.Wait()
+}
+
+// TestTargetLaunchOnlyMatchesEveryLaunch is the licence for instrumenting
+// one launch per run: on single- and multi-kernel victims, every run
+// classifies exactly as it does with every launch instrumented — outcome,
+// detail and the injection record.
+func TestTargetLaunchOnlyMatchesEveryLaunch(t *testing.T) {
+	runs := 96
+	if testing.Short() {
+		runs = 48
+	}
+	for _, bench := range []string{"ostencil", "olbm", "palm", "cg"} {
+		for _, group := range []string{"gpr", "ld"} {
+			t.Run(bench+"/"+group, func(t *testing.T) {
+				cfg := Config{Benchmark: bench, Size: "small", Group: group, Model: "mix", Runs: runs, Seed: 5}
+				c := mustPlan(t, t.TempDir(), cfg)
+				if _, err := c.Run(2, 0); err != nil {
+					t.Fatal(err)
+				}
+				matchEveryLaunch(t, c, 2)
+			})
+		}
+	}
+}
+
+// TestLoadVersion1Plan resumes a campaign a version-1 build planned and
+// partly ran (testdata/v1: 8 runs, 3 done). Load rebuilds the launch table
+// from a fresh golden pass; the old results stay as they were, the new ones
+// equal a fresh campaign's, and plan.json is not rewritten.
+func TestLoadVersion1Plan(t *testing.T) {
+	dir := t.TempDir()
+	var plan []byte
+	for _, name := range []string{planName, resultsName} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == planName {
+			plan = data
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := smallCfg(8, 11)
+	c, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if c.Completed() != 3 {
+		t.Fatalf("version-1 campaign has %d completed runs, want 3", c.Completed())
+	}
+	old := c.Results()
+	if done, err := c.Run(2, 0); err != nil || done != 5 {
+		t.Fatalf("Run: done=%d err=%v, want 5 runs", done, err)
+	}
+	for i, r := range c.Results()[:3] {
+		if r != old[i] {
+			t.Fatalf("old result %d changed: %+v -> %+v", i, old[i], r)
+		}
+	}
+
+	fresh := t.TempDir()
+	f := mustPlan(t, fresh, cfg)
+	if fmt.Sprint(f.plan.Launches) != fmt.Sprint(c.plan.Launches) {
+		t.Fatalf("converted launch table %v, fresh plan's %v", c.plan.Launches, f.plan.Launches)
+	}
+	if _, err := f.Run(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	read := func(dir, name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if !bytes.Equal(read(dir, planName), plan) {
+		t.Fatalf("Load rewrote the version-1 plan.json")
+	}
+	if got, want := read(dir, resultsName), read(fresh, resultsName); !bytes.Equal(got, want) {
+		t.Fatalf("resumed version-1 results differ from a fresh campaign's:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+
+	// A version-1 plan whose golden pass no longer reproduces is refused.
+	bad := t.TempDir()
+	tampered := bytes.Replace(plan, []byte(`"golden_sha256": "`), []byte(`"golden_sha256": "0`), 1)
+	if err := os.WriteFile(filepath.Join(bad, planName), tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), "golden") {
+		t.Fatalf("Load of a version-1 plan with another golden hash: %v", err)
 	}
 }
 
@@ -326,9 +502,10 @@ func TestRNG(t *testing.T) {
 	}
 }
 
-// TestAcceptanceCampaign is the ISSUE acceptance bar: a 1000-run campaign
-// over a SpecAccel victim across 4 workers, killed mid-campaign and resumed,
-// with every run classified and none lost or duplicated. Takes minutes;
+// TestAcceptanceCampaign is the campaign engine's acceptance bar: a 1000-run
+// campaign over a SpecAccel victim across 4 workers, killed mid-campaign and
+// resumed, with every run classified, none lost or duplicated, and each one
+// classified as it is with every launch instrumented. Takes a few seconds;
 // skipped under -short.
 func TestAcceptanceCampaign(t *testing.T) {
 	if testing.Short() {
@@ -376,4 +553,5 @@ func TestAcceptanceCampaign(t *testing.T) {
 	if masked == 1000 || masked == 0 {
 		t.Fatalf("degenerate campaign: masked=%d of 1000", masked)
 	}
+	matchEveryLaunch(t, r, 4)
 }

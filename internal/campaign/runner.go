@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"nvbitgo/internal/tools/faultinject"
 	"nvbitgo/nvbit"
 )
 
@@ -59,11 +60,21 @@ func (c *Campaign) Run(workers, maxRuns int) (int, error) {
 	return done, firstErr
 }
 
-// execute performs one injection run and classifies it. A panic anywhere in
-// the victim or the simulator is contained to this run and classified DUE:
-// a campaign must never lose 999 completed runs to run 1000 crashing.
-func (c *Campaign) execute(spec RunSpec) (res RunResult) {
-	res = RunResult{ID: spec.ID}
+// execute performs one injection run and classifies it. Only the launch the
+// target falls in runs instrumented; every other launch runs the original
+// code.
+func (c *Campaign) execute(spec RunSpec) RunResult {
+	tool := faultinject.New(spec.Injection)
+	tool.OnlyLaunch(c.targetLaunch(spec.Injection.Target))
+	return c.runWith(spec.ID, tool)
+}
+
+// runWith runs the victim under an armed injection tool and classifies the
+// run. A panic anywhere in the victim or the simulator is contained to this
+// run and classified DUE: a campaign must never lose 999 completed runs to
+// run 1000 crashing.
+func (c *Campaign) runWith(id int, tool *faultinject.Tool) (res RunResult) {
+	res = RunResult{ID: id}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Outcome = OutcomeDUE
@@ -71,15 +82,13 @@ func (c *Campaign) execute(spec RunSpec) (res RunResult) {
 		}
 	}()
 
-	out, tool, err := executeVictim(c.bench, c.size, c.group, spec.Injection, c.plan.Config.watchdog())
-	if tool != nil {
-		if r, rerr := tool.Result(); rerr == nil {
-			res.Fired = r.Fired
-			res.Kernel = r.Kernel
-			res.Site = r.Site
-			res.Old = r.Old
-			res.New = r.New
-		}
+	out, err := executeVictim(c.bench, c.size, tool, c.plan.Config.watchdog())
+	if r, rerr := tool.Result(); rerr == nil {
+		res.Fired = r.Fired
+		res.Kernel = r.Kernel
+		res.Site = r.Site
+		res.Old = r.Old
+		res.New = r.New
 	}
 	switch {
 	case err != nil:

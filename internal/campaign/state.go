@@ -11,6 +11,10 @@ import (
 const (
 	planName    = "plan.json"
 	resultsName = "results.json"
+
+	// resultsVersion versions results.json apart from plan.json, whose
+	// launch table left the results format unchanged.
+	resultsVersion = 1
 )
 
 // Outcome classes, following the NVBitFI taxonomy.
@@ -98,8 +102,8 @@ func (c *Campaign) loadResults() error {
 		}
 		return fmt.Errorf("campaign: %w", err)
 	}
-	if rf.Version != planVersion {
-		return fmt.Errorf("campaign: results version %d, want %d", rf.Version, planVersion)
+	if rf.Version != resultsVersion {
+		return fmt.Errorf("campaign: results version %d, want %d", rf.Version, resultsVersion)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -120,7 +124,7 @@ func (c *Campaign) record(r RunResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.results[r.ID] = r
-	rf := resultsFile{Version: planVersion, Results: make([]RunResult, 0, len(c.results))}
+	rf := resultsFile{Version: resultsVersion, Results: make([]RunResult, 0, len(c.results))}
 	for _, res := range c.results {
 		rf.Results = append(rf.Results, res)
 	}

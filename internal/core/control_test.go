@@ -5,6 +5,7 @@ import (
 
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/jitcache"
 	"nvbitgo/internal/sass"
 )
 
@@ -99,6 +100,64 @@ func TestEnableBeforeInstrumentIsHarmless(t *testing.T) {
 		if want := wantWorkResults(env.n)[i]; got != want {
 			t.Fatalf("result[%d] = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// TestEnableToggleIsOnlyASwap: switching a function between its versions at
+// every launch is a code swap and nothing else — across 1 000 alternating
+// launches no lift, codegen or cache lookup repeats after the first, and
+// each toggle copies exactly the function's code once. Per-launch sampling
+// and fault-injection runs that instrument one launch rely on this.
+func TestEnableToggleIsOnlyASwap(t *testing.T) {
+	cache, err := jitcache.New("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := &testTool{}
+	env := setup(t, sass.Volta, tool, WithJITCache(cache))
+	ctr, err := env.nv.Malloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.nv.WriteU64(ctr, 0); err != nil {
+		t.Fatal(err)
+	}
+	instrument := instrumentAll(ctr)
+	enable := true
+	tool.onLaunch = func(n *NVBit, p *driver.CallParams) {
+		instrument(n, p)
+		if err := n.EnableInstrumented(p.Launch.Func, enable); err != nil {
+			panic(err)
+		}
+	}
+	env.launch(t)
+	first := env.nv.JITStats()
+	code := len(env.nv.funcs[env.fn].origCode)
+	if first.FunctionsLifted != 1 || first.CacheLookups != 1 || first.Visits == 0 || first.SwapBytes != code {
+		t.Fatalf("first launch: %+v, want one lift, one lookup and one %d-byte swap", first, code)
+	}
+	perLaunch, err := env.nv.ReadU64(ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const launches = 1000
+	for i := 1; i < launches; i++ {
+		enable = i%2 == 0
+		env.launch(t)
+		s := env.nv.JITStats()
+		if s.FunctionsLifted != first.FunctionsLifted || s.TrampolinesEmitted != first.TrampolinesEmitted ||
+			s.Visits != first.Visits || s.CacheLookups != first.CacheLookups {
+			t.Fatalf("launch %d repeated JIT work: %+v, after the first launch %+v", i, s, first)
+		}
+		if s.SwapBytes != (i+1)*code {
+			t.Fatalf("launch %d: %d bytes swapped, want %d (one %d-byte copy per toggle)",
+				i, s.SwapBytes, (i+1)*code, code)
+		}
+	}
+	if total, err := env.nv.ReadU64(ctr); err != nil || total != launches/2*perLaunch {
+		t.Fatalf("counter %d (%v), want %d: only the enabled half of the launches counts",
+			total, err, launches/2*perLaunch)
 	}
 }
 

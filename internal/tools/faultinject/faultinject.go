@@ -299,7 +299,11 @@ func classify(in sass.Inst) (reg sass.Reg, groups [NumGroups]bool, ok bool) {
 
 // Result is the device-side record of what one armed injection did.
 type Result struct {
-	Executed uint64 // dynamic thread-instructions counted in the group
+	// Executed is the group's dynamic thread-instructions counted so far.
+	// Under OnlyLaunch the counter starts at the launch's base and nothing
+	// counts outside that launch, so it reads base + the target launch's
+	// population, not the run's total.
+	Executed uint64
 	Fired    bool   // the target index was reached
 	Lane     uint32 // firing warp lane
 	Old      uint32 // value the instruction produced
@@ -328,6 +332,14 @@ type Tool struct {
 	sites   int      // instrumented static sites
 	kernels []string // kernel id -> name, instrumentation order
 	nv      *nvbit.NVBit
+
+	// OnlyLaunch state: only restricts instrumentation to launch onlyK,
+	// whose counter starts at onlyBase; launches counts the launches seen
+	// since OnlyLaunch was called.
+	only     bool
+	onlyK    int
+	onlyBase uint64
+	launches int
 }
 
 // New returns a fault injector armed with inj.
@@ -448,19 +460,64 @@ func (t *Tool) Sites() (int, []string) {
 	return t.sites, append([]string(nil), t.kernels...)
 }
 
+// OnlyLaunch restricts the tool to one kernel launch: the k-th (0-based)
+// launch after this call runs instrumented with the counter set to base, and
+// every other launch runs the original code. base must be the group's
+// dynamic thread-instruction count of the launches before k, so the armed
+// target keeps its meaning as an index over the whole run; it is what a
+// campaign's launch table gives. A function first launched before k is not
+// lifted until k, one instrumented at k is switched back to its original
+// code by EnableInstrumented (a code swap, no re-JIT) when launched again,
+// and a function never launched at k is never lifted at all. Reset does not
+// restart the launch count; call OnlyLaunch again after it.
+//
+// Without OnlyLaunch the tool instruments every launch.
+func (t *Tool) OnlyLaunch(k int, base uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.only, t.onlyK, t.onlyBase, t.launches = true, k, base, 0
+}
+
 // AtTerm implements the Tool interface.
 func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
 // AtCUDACall instruments every eligible site of every kernel at its first
-// launch.
+// launch, or under OnlyLaunch those of the target launch's kernel only.
 func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
 	if exit || cbid != nvbit.CBLaunchKernel {
 		return
 	}
 	f := p.Launch.Func
-	if n.IsInstrumented(f) {
+	t.mu.Lock()
+	only, target, base, st := t.only, t.launches == t.onlyK, t.onlyBase, t.st
+	t.launches++
+	t.mu.Unlock()
+	if only && !target {
+		if n.IsInstrumented(f) {
+			must(n.EnableInstrumented(f, false))
+		}
 		return
 	}
+	if !n.IsInstrumented(f) {
+		t.instrument(n, f)
+	}
+	if only {
+		must(n.EnableInstrumented(f, true))
+		must(n.WriteU64(st, base))
+	}
+}
+
+// must routes a failed control or device call through the tool-callback
+// recovery path (see instrument).
+func must(err error) {
+	if err != nil {
+		panic(fmt.Errorf("faultinject: %w", err))
+	}
+}
+
+// instrument inserts fi_inject after every eligible site of f in the tool's
+// group.
+func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 	insts, err := n.GetInstrs(f)
 	if err != nil {
 		// Deliberately routed through the tool-callback recovery path: the

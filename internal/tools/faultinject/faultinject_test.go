@@ -3,6 +3,7 @@ package faultinject
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -473,6 +474,163 @@ func TestProfileMatchesInjectionSpace(t *testing.T) {
 	if res.Executed != counts[0].Counts[GroupFP32] {
 		t.Fatalf("injector counted %d, profiler counted %d",
 			res.Executed, counts[0].Counts[GroupFP32])
+	}
+}
+
+// launchSeq launches two kernels twice each; each one's first launch comes
+// after a launch of the other.
+var launchSeq = []string{"predhalf", "addone", "addone", "predhalf"}
+
+const seqThreads = 64
+
+// seqRun is what runSeq observed, per launch of launchSeq.
+type seqRun struct {
+	outs     [][]uint32 // the launch's own output buffer
+	warps    []uint64   // warp instructions the launch executed
+	executed []uint64   // the tool's counter after the launch
+	nv       *nvbit.NVBit
+	fns      map[string]*gpusim.Function
+}
+
+// runSeq runs launchSeq under tool (nil: no tool) on the sequential
+// scheduler, as a campaign run does.
+func runSeq(t *testing.T, tool *Tool) seqRun {
+	t.Helper()
+	api, err := gpusim.New(gpusim.Volta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r seqRun
+	if tool != nil {
+		if r.nv, err = nvbit.Attach(api, tool, nvbit.WithScheduler(nvbit.SchedulerSequential)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, err := api.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ctx.ModuleLoadPTX("app", appPTX+predPTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.fns = map[string]*gpusim.Function{}
+	for _, name := range []string{"addone", "predhalf"} {
+		if r.fns[name], err = mod.GetFunction(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, err := ctx.MemAlloc(4 * seqThreads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := make([]byte, 4*seqThreads)
+	for i := 0; i < seqThreads; i++ {
+		binary.LittleEndian.PutUint32(host[4*i:], math.Float32bits(float32(i)))
+	}
+	if err := ctx.MemcpyHtoD(in, host); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range launchSeq {
+		out, err := ctx.MemAlloc(4 * seqThreads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := gpusim.PackParams(r.fns[name], out, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := api.Device().Stats().WarpInstrs
+		if err := ctx.LaunchKernel(r.fns[name], gpusim.D1(seqThreads/32), gpusim.D1(32), 0, params); err != nil {
+			t.Fatal(err)
+		}
+		r.warps = append(r.warps, api.Device().Stats().WarpInstrs-before)
+		if err := ctx.MemcpyDtoH(host, out); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]uint32, seqThreads)
+		for i := range vals {
+			vals[i] = binary.LittleEndian.Uint32(host[4*i:])
+		}
+		r.outs = append(r.outs, vals)
+		if tool != nil {
+			res, err := tool.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.executed = append(r.executed, res.Executed)
+		}
+	}
+	return r
+}
+
+// TestOnlyLaunch fires at the first and the last index of every launch with
+// only that launch instrumented. The injection must land where it lands with
+// every launch instrumented, every other launch must execute exactly its
+// native warp instructions, and a kernel never launched at the target
+// ordinal must never be lifted.
+func TestOnlyLaunch(t *testing.T) {
+	native := runSeq(t, nil)
+	every := runSeq(t, New(Injection{Group: GroupFP32, Target: NoTarget}))
+	var base uint64
+	for k, name := range launchSeq {
+		count := every.executed[k] - base
+		// One add.f32 per thread; predhalf guards it off in half of each warp.
+		want := uint64(seqThreads)
+		if name == "predhalf" {
+			want /= 2
+		}
+		if count != want {
+			t.Fatalf("launch %d (%s) counted %d, want %d", k, name, count, want)
+		}
+		for _, target := range []uint64{base, base + count - 1} {
+			inj := Injection{Group: GroupFP32, Target: target, Model: ModelFlip, Bit: 5}
+			ref := New(inj)
+			refRun := runSeq(t, ref)
+			refRes, err := ref.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tool := New(inj)
+			tool.OnlyLaunch(k, base)
+			run := runSeq(t, tool)
+			res, err := tool.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Fired || res.Kernel != name {
+				t.Fatalf("launch %d target %d: fired=%v in %q, want fired in %s", k, target, res.Fired, res.Kernel, name)
+			}
+			// The counter runs from base through the target launch only.
+			if res.Executed != base+count {
+				t.Fatalf("launch %d target %d: executed %d, want %d", k, target, res.Executed, base+count)
+			}
+			res.Executed = refRes.Executed
+			if res != refRes {
+				t.Fatalf("launch %d target %d: injected %+v, every launch instrumented %+v", k, target, res, refRes)
+			}
+			if fmt.Sprint(run.outs) != fmt.Sprint(refRun.outs) {
+				t.Fatalf("launch %d target %d: outputs differ from every launch instrumented", k, target)
+			}
+			for j := range launchSeq {
+				if j != k && run.warps[j] != native.warps[j] {
+					t.Fatalf("launch %d target %d: launch %d ran %d warp instructions, natively %d",
+						k, target, j, run.warps[j], native.warps[j])
+				}
+			}
+			if run.warps[k] <= native.warps[k] {
+				t.Fatalf("launch %d target %d: target launch ran uninstrumented", k, target)
+			}
+			if lifted := run.nv.JITStats().FunctionsLifted; lifted != 1 {
+				t.Fatalf("launch %d target %d: %d functions lifted, want only %s", k, target, lifted, name)
+			}
+			for fname, f := range run.fns {
+				if got := run.nv.IsInstrumented(f); got != (fname == name) {
+					t.Fatalf("launch %d target %d: %s instrumented = %v", k, target, fname, got)
+				}
+			}
+		}
+		base += count
 	}
 }
 
