@@ -215,12 +215,9 @@ exit codes:
 		}
 	}
 
-	fam, ok := map[string]sass.Family{
-		"kepler": sass.Kepler, "maxwell": sass.Maxwell,
-		"pascal": sass.Pascal, "volta": sass.Volta,
-	}[*c.familyName]
-	if !ok {
-		usage(fmt.Errorf("unknown family %q", *c.familyName))
+	fam, err := sass.ParseFamily(*c.familyName)
+	if err != nil {
+		usage(err)
 	}
 	size, ok := map[string]specaccel.Size{
 		"small": specaccel.Small, "medium": specaccel.Medium, "large": specaccel.Large,

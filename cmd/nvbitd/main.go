@@ -90,12 +90,9 @@ exit codes:
 		usage(err)
 	}
 
-	fam, ok := map[string]sass.Family{
-		"kepler": sass.Kepler, "maxwell": sass.Maxwell,
-		"pascal": sass.Pascal, "volta": sass.Volta,
-	}[*c.familyName]
-	if !ok {
-		usage(fmt.Errorf("unknown family %q", *c.familyName))
+	fam, err := sass.ParseFamily(*c.familyName)
+	if err != nil {
+		usage(err)
 	}
 	sched, err := gpu.ParseScheduler(*c.schedName)
 	if err != nil {

@@ -27,12 +27,9 @@ func main() {
 	dumpLib := flag.Bool("nvlib", false, "dump the bundled accelerated library instead of a file")
 	flag.Parse()
 
-	fam, ok := map[string]sass.Family{
-		"kepler": sass.Kepler, "maxwell": sass.Maxwell,
-		"pascal": sass.Pascal, "volta": sass.Volta,
-	}[*familyName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "sassdump: unknown family %q\n", *familyName)
+	fam, err := sass.ParseFamily(*familyName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sassdump:", err)
 		os.Exit(2)
 	}
 

@@ -80,5 +80,5 @@ func main() {
 	}
 	fmt.Println("\nthe trace is ~50x the channel capacity: mid-kernel flushes recycle the")
 	fmt.Println("tiny buffers. If a burst ever outruns a flush, Drop counts the loss")
-	fmt.Println("exactly while Block paces warps against the receiver for zero loss.")
+	fmt.Println("exactly while Block paces warps against the flushes for zero loss.")
 }

@@ -3,27 +3,30 @@
 // ChannelDev/ChannelHost utility pair that every data-heavy tool (mem_trace,
 // cache simulators, the Section 6.3 tracing workflow) is built on.
 //
-// A Channel owns, per SM, one 64-byte control block and a double-buffered
-// record area in device memory. Injected tool functions push fixed-size
-// records with a warp-aggregated atomic-reserve protocol (the fragments
+// A Channel owns, per SM, one 64-byte control block and one record buffer in
+// device memory. Injected tool functions push fixed-size records with a
+// warp-aggregated atomic-reserve protocol (the fragments
 // Config.ExpandToolPTX writes into the tool's device function), selecting
 // their shard with %smid so no two scheduler workers ever touch the same
 // shard. The simulator's flush hooks (gpu.LaunchSpec.FlushHooks, which the
 // driver fills with the launching scope's channels) give the host control at
-// every CTA-completion and warp-sweep boundary: when a shard's buffer is
-// full and quiescent the hook swaps it for the spare and ships the full one
-// to an asynchronous receiver goroutine — a mid-kernel flush, so long
-// kernels no longer lose records at the old launch-exit-only drain.
+// every CTA-completion and warp-sweep boundary, on the goroutine that owns
+// the SM while its warps are paused: when a shard's buffer is full and
+// quiescent the hook copies the records off the device and hands the same
+// buffer back empty — a mid-kernel flush, so long kernels no longer lose
+// records at the old launch-exit-only drain. No warp of that SM runs between
+// the copy and the reset, so one buffer per SM is all the protocol needs.
 //
 // Backpressure is selectable per channel: Drop (the pre-channel behaviour —
 // a push into a full buffer is counted and discarded) or Block (the device
 // side retries until a flush frees the buffer, guaranteeing zero loss).
 //
 // Ordering guarantee: within one shard, records are delivered in push order;
-// Drain merges shards in ascending-SM order (the PR 1/PR 3 merge
-// discipline). Because the per-SM CTA schedule, warp scheduling, and flush
-// points are identical under the sequential and parallel schedulers, the
-// delivered record stream is byte-identical across both.
+// Drain delivers the shards in ascending-SM order, the merge discipline of
+// the sharded stats and profiler. Because the per-SM CTA schedule, warp
+// scheduling, and flush points are identical under the sequential and
+// parallel schedulers, the delivered record stream is byte-identical across
+// both.
 package channel
 
 import (
@@ -36,8 +39,8 @@ import (
 	"nvbitgo/internal/profile"
 )
 
-// Policy selects what the device-side push does when the shard's active
-// buffer is full.
+// Policy selects what the device-side push does when the shard's buffer is
+// full.
 type Policy int
 
 const (
@@ -83,14 +86,14 @@ func ParsePolicy(s string) (Policy, error) {
 //	                  after the first failure also fails — successful
 //	                  claims therefore form a contiguous slot prefix.
 //	[8]  u64 cap    — record slots per buffer
-//	[16] u64 buf    — active buffer base address (the host swaps it)
+//	[16] u64 buf    — the shard's record buffer base address
 //	[24] u64 failed — slots claimed by failed attempts, published by the
 //	                  leader after detecting fullness. head-failed is the
 //	                  successfully claimed count.
 //	[32] u64 commit — fully written slots, published by the leader after
 //	                  all record stores (the commit fragment).
 //
-// The quiescence rule that makes mid-kernel buffer swaps safe: the host
+// The quiescence rule that makes mid-kernel buffer resets safe: the host
 // ships only when commit == head-failed. The head atomic itself publishes
 // a claim, so a warp interrupted anywhere mid-push (between claim and
 // failed-publish, or between claim and commit) makes head-failed strictly
@@ -110,11 +113,6 @@ const (
 // Block-policy push could spin forever against a buffer that can never fit
 // it.
 const MinBufRecords = 32
-
-// queueDepth bounds the flush→receiver Go channel: a flush only blocks an SM
-// worker once the receiver is this many shipped buffers behind, far more
-// than a sweep of every SM produces.
-const queueDepth = 64
 
 // Config describes one channel: the host half Open sets up and the device
 // half ExpandToolPTX writes. NVBit.OpenChannel does both.
@@ -174,10 +172,9 @@ type Stats struct {
 type Channel struct {
 	cfg   Config
 	dev   *gpu.Device
-	nSMs  int
 	slots uint64 // records per buffer (per SM)
-	ctrl  uint64 // nSMs control blocks
-	bufs  uint64 // nSMs × 2 record buffers
+	ctrl  uint64 // one control block per SM
+	bufs  uint64 // one record buffer per SM
 	sms   []smState
 
 	delivered    atomic.Uint64
@@ -187,32 +184,22 @@ type Channel struct {
 	ctaFlushes   atomic.Uint64
 	drainFlushes atomic.Uint64
 	bytesShipped atomic.Uint64
-
-	msgs chan flushMsg
-	done chan struct{}
 }
 
 // smState is the host-side state of one SM shard, touched only by the
 // goroutine that owns the SM (plus the launching goroutine at Drain, after
-// workers have joined).
+// workers have joined) — the single-writer discipline of profile.Shard.
 type smState struct {
 	ctrl    uint64 // this shard's control block
-	bufA    uint64
-	bufB    uint64
-	activeB bool // bufB is the device's active buffer
+	buf     uint64 // this shard's record buffer
 	scratch [ctrlBytes]byte
+	pending [][]byte       // shipped buffers in flush order, delivered at Drain
 	shard   *profile.Shard // KindChannelFlush spans, merged at Drain
 }
 
-type flushMsg struct {
-	sm   int
-	data []byte
-	sync chan struct{} // drain barrier when non-nil
-}
-
-// Open allocates a channel's device memory on dev and starts the receiver
-// goroutine. Mid-kernel flushes happen in the launches that carry
-// OnFlushPoint among their flush hooks.
+// Open allocates a channel's device memory on dev: NumSMs control blocks
+// and NumSMs record buffers. Mid-kernel flushes happen in the launches that
+// carry OnFlushPoint among their flush hooks.
 func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 	if cfg.RecordBytes <= 0 || cfg.RecordBytes%8 != 0 {
 		return nil, fmt.Errorf("channel: record size %d not a positive multiple of 8", cfg.RecordBytes)
@@ -221,45 +208,36 @@ func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 		cfg.Name = "channel"
 	}
 	nSMs := dev.Config().NumSMs
-	slots := cfg.TotalRecords / nSMs
-	if slots < MinBufRecords {
-		slots = MinBufRecords
-	}
-
-	c := &Channel{
-		cfg:   cfg,
-		dev:   dev,
-		nSMs:  nSMs,
-		slots: uint64(slots),
-		msgs:  make(chan flushMsg, queueDepth),
-		done:  make(chan struct{}),
-		sms:   make([]smState, nSMs),
-	}
+	slots := max(cfg.TotalRecords/nSMs, MinBufRecords)
+	c := &Channel{cfg: cfg, dev: dev, slots: uint64(slots), sms: make([]smState, nSMs)}
 	var err error
 	if c.ctrl, err = dev.Malloc(uint64(nSMs) * ctrlBytes); err != nil {
 		return nil, fmt.Errorf("channel %s: %w", cfg.Name, err)
 	}
 	bufBytes := uint64(slots * cfg.RecordBytes)
-	if c.bufs, err = dev.Malloc(uint64(nSMs) * 2 * bufBytes); err != nil {
+	if c.bufs, err = dev.Malloc(uint64(nSMs) * bufBytes); err != nil {
 		_ = dev.Free(c.ctrl)
 		return nil, fmt.Errorf("channel %s: %w", cfg.Name, err)
 	}
-	for sm := 0; sm < nSMs; sm++ {
+	for sm := range c.sms {
 		s := &c.sms[sm]
 		s.ctrl = c.ctrl + uint64(sm)*ctrlBytes
-		s.bufA = c.bufs + uint64(sm)*2*bufBytes
-		s.bufB = s.bufA + bufBytes
+		s.buf = c.bufs + uint64(sm)*bufBytes
 		s.shard = profile.NewShard(0)
-		binary.LittleEndian.PutUint64(s.scratch[offCap:], c.slots)
-		binary.LittleEndian.PutUint64(s.scratch[offBuf:], s.bufA)
-		if err := dev.Write(s.ctrl, s.scratch[:]); err != nil {
-			_ = dev.Free(c.ctrl)
-			_ = dev.Free(c.bufs)
+		if err := c.reset(s); err != nil {
+			c.Close()
 			return nil, fmt.Errorf("channel %s: %w", cfg.Name, err)
 		}
 	}
-	go c.receive()
 	return c, nil
+}
+
+// reset starts a new buffer epoch on shard s: an empty buffer, no claims.
+func (c *Channel) reset(s *smState) error {
+	clear(s.scratch[:])
+	binary.LittleEndian.PutUint64(s.scratch[offCap:], c.slots)
+	binary.LittleEndian.PutUint64(s.scratch[offBuf:], s.buf)
+	return c.dev.Write(s.ctrl, s.scratch[:])
 }
 
 // CtrlAddr returns the device address of the shard control-block array —
@@ -283,7 +261,7 @@ func (c *Channel) Stats() Stats {
 // OnFlushPoint is the channel's gpu.FlushHook: at each sweep/CTA boundary of
 // SM sm it ships the shard's buffer if (and only if) the buffer is full and
 // every claimed record has been committed. The quiescence check (commit ==
-// claimed) makes the swap safe even when another warp was interrupted
+// claimed) makes the reset safe even when another warp was interrupted
 // mid-push: that warp's claim keeps the buffer pinned until its stores land.
 // A closed channel's hook does nothing.
 func (c *Channel) OnFlushPoint(sm int, point gpu.FlushPoint) {
@@ -292,6 +270,10 @@ func (c *Channel) OnFlushPoint(sm int, point gpu.FlushPoint) {
 	}
 }
 
+// flushShard copies shard sm's committed records into its pending list and
+// resets the shard to an empty buffer. It runs on the goroutine that owns
+// the SM (or on the launching goroutine at Drain), so the copy completes
+// before any warp of the SM pushes again.
 func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 	s := &c.sms[sm]
 	if err := c.dev.Read(s.ctrl, s.scratch[:]); err != nil {
@@ -328,26 +310,12 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 	}
 	var data []byte
 	if claimed > 0 {
-		src := s.bufA
-		if s.activeB {
-			src = s.bufB
-		}
 		data = make([]byte, claimed*uint64(c.cfg.RecordBytes))
-		if err := c.dev.Read(src, data); err != nil {
+		if err := c.dev.Read(s.buf, data); err != nil {
 			return
 		}
-		s.activeB = !s.activeB // swap: the device fills the spare next
 	}
-	next := s.bufA
-	if s.activeB {
-		next = s.bufB
-	}
-	for i := range s.scratch {
-		s.scratch[i] = 0
-	}
-	binary.LittleEndian.PutUint64(s.scratch[offCap:], c.slots)
-	binary.LittleEndian.PutUint64(s.scratch[offBuf:], next)
-	if err := c.dev.Write(s.ctrl, s.scratch[:]); err != nil {
+	if err := c.reset(s); err != nil {
 		return
 	}
 
@@ -367,7 +335,7 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 		default:
 			c.tickFlushes.Add(1)
 		}
-		c.msgs <- flushMsg{sm: sm, data: data}
+		s.pending = append(s.pending, data)
 		if prof != nil {
 			s.shard.Append(profile.Record{
 				Kind:  profile.KindChannelFlush,
@@ -382,39 +350,14 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 	}
 }
 
-// receive is the channel's host receiver: it consumes shipped buffers
-// concurrently with kernel execution, bucketing them per SM shard in arrival
-// order (which, per sender, is flush order). Delivery to OnBatch happens at
-// each Drain barrier, shard by shard in ascending-SM order, so the record
-// stream a consumer sees is scheduler-independent.
-func (c *Channel) receive() {
-	defer close(c.done)
-	pending := make([][][]byte, c.nSMs)
-	for m := range c.msgs {
-		if m.sync == nil {
-			pending[m.sm] = append(pending[m.sm], m.data)
-			continue
-		}
-		for sm := range pending {
-			for _, data := range pending[sm] {
-				if c.cfg.OnBatch != nil {
-					c.cfg.OnBatch(data)
-				}
-				c.delivered.Add(uint64(len(data) / c.cfg.RecordBytes))
-			}
-			pending[sm] = pending[sm][:0]
-		}
-		close(m.sync)
-	}
-}
-
-// Drain ships every shard's remaining records (and residual drop counts),
-// then waits for the receiver to deliver all buffered batches in
-// ascending-SM order. Tools call it from their launch-exit callback; it must
-// run on the launching goroutine with no launch in flight. With a profiler
-// attached it emits one KindChannelDrain record whose children are the
-// drain's (and the preceding launch's mid-kernel) flush spans, merged in
-// ascending-SM order.
+// Drain ships every shard's remaining records (and residual drop counts) and
+// delivers everything shipped since the last Drain to OnBatch: shard by
+// shard in ascending-SM order, flush order within a shard, so the record
+// stream a consumer sees is scheduler-independent. Tools call it from their
+// launch-exit callback; it must run on the launching goroutine with no
+// launch in flight. With a profiler attached it emits one KindChannelDrain
+// record whose children are the drain's (and the preceding launch's
+// mid-kernel) flush spans, merged in ascending-SM order.
 func (c *Channel) Drain() {
 	before := c.delivered.Load()
 	bytesBefore := c.bytesShipped.Load()
@@ -423,12 +366,18 @@ func (c *Channel) Drain() {
 	if prof != nil {
 		t0 = prof.Now()
 	}
-	for sm := 0; sm < c.nSMs; sm++ {
+	for sm := range c.sms {
 		c.flushShard(sm, gpu.FlushCTA, true)
+		s := &c.sms[sm]
+		for _, data := range s.pending {
+			if c.cfg.OnBatch != nil {
+				c.cfg.OnBatch(data)
+			}
+			c.delivered.Add(uint64(len(data) / c.cfg.RecordBytes))
+		}
+		clear(s.pending)
+		s.pending = s.pending[:0]
 	}
-	syn := make(chan struct{})
-	c.msgs <- flushMsg{sync: syn}
-	<-syn
 	if prof != nil {
 		id := prof.Emit(profile.Record{
 			Kind:  profile.KindChannelDrain,
@@ -439,26 +388,23 @@ func (c *Channel) Drain() {
 			Bytes: c.bytesShipped.Load() - bytesBefore,
 			Count: c.delivered.Load() - before,
 		})
-		for sm := 0; sm < c.nSMs; sm++ {
+		for sm := range c.sms {
 			prof.MergeShard(c.sms[sm].shard, id)
 		}
 	}
 }
 
-// Close stops the receiver and frees the channel's device memory; Stats
-// keeps answering. Buffers shipped but not yet drained are discarded; call
-// Drain first. Call between launches. The framework closes the channels an
-// attachment opened with NVBit.OpenChannel when the attachment ends. Close is
-// idempotent.
+// Close frees the channel's device memory; Stats keeps answering. Buffers
+// shipped but not yet drained are discarded; call Drain first. Call between
+// launches. The framework closes the channels an attachment opened with
+// NVBit.OpenChannel when the attachment ends. Close is idempotent.
 func (c *Channel) Close() {
-	if c.msgs != nil {
-		close(c.msgs)
-		<-c.done
-		c.msgs = nil
-	}
 	if c.ctrl != 0 {
 		_ = c.dev.Free(c.ctrl)
 		_ = c.dev.Free(c.bufs)
 		c.ctrl, c.bufs = 0, 0
+	}
+	for sm := range c.sms {
+		c.sms[sm].pending = nil
 	}
 }

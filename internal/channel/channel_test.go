@@ -2,6 +2,7 @@ package channel
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,36 @@ func TestCapacitySizing(t *testing.T) {
 		}
 		c.Close()
 	}
+}
+
+// TestDeviceMemoryFormula pins the layout docs/channels.md states: one
+// 64-byte control block and one buffer of slots × RecordBytes per SM, in two
+// allocations that Close returns. With memtrace's sizes (280-byte records,
+// 64K slots) that is 17.5 MiB of buffers.
+func TestDeviceMemoryFormula(t *testing.T) {
+	dev := testDevice(t)
+	nSMs := uint64(dev.Config().NumSMs)
+	before := dev.Allocations()
+	c, err := Open(dev, Config{RecordBytes: 280, TotalRecords: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var added []uint64
+	for _, span := range dev.Allocations() {
+		if !slices.Contains(before, span) {
+			added = append(added, span.Size)
+		}
+	}
+	slices.Sort(added)
+	want := []uint64{nSMs * ctrlBytes, nSMs * c.slots * 280}
+	if !slices.Equal(added, want) {
+		t.Fatalf("Open allocated %v bytes, want %v (NumSMs × 64 and NumSMs × slots × RecordBytes)", added, want)
+	}
+	c.Close()
+	if got := dev.Allocations(); !slices.Equal(got, before) {
+		t.Fatalf("after Close the device holds %v, want %v", got, before)
+	}
+	c.Close() // idempotent
 }
 
 // TestDrainDeliversAscendingSM fills several shards by writing the device
@@ -146,6 +177,14 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 		}
 	}
 	flushes := func() uint64 { return c.Stats().Flushes }
+	ctrlWord := func(off int) uint64 {
+		buf := make([]byte, ctrlBytes)
+		if err := dev.Read(ctrl, buf); err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint64(buf[off:])
+	}
+	buf := ctrlWord(offBuf)
 
 	// Not full: no mid-kernel ship even though quiescent.
 	set(2, 0, 2)
@@ -164,6 +203,11 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 	c.flushShard(0, gpu.FlushTick, false)
 	if flushes() != 1 {
 		t.Fatal("full quiescent buffer did not ship")
+	}
+	// The flush hands the shard its one buffer back, empty.
+	if ctrlWord(offBuf) != buf || ctrlWord(offHead) != 0 || ctrlWord(offCommit) != 0 {
+		t.Fatalf("after a flush the shard fills %#x from head %d, want %#x from 0",
+			ctrlWord(offBuf), ctrlWord(offHead), buf)
 	}
 	// Wedged (failed claim) and quiescent: ships the successful prefix and
 	// counts the loss under Drop.

@@ -42,8 +42,8 @@ const (
 //   - At least one lane reaching the claim has PushPred true (ret lanes
 //     that push nothing before it — an empty ballot would elect no leader).
 //   - After the claim every pushing lane's %rd1 points at its slot (under
-//     SharedSlot, every lane's at the shared one) in the shard's active
-//     buffer; non-pushing lanes' %rd1 aliases a pushing lane's slot, so
+//     SharedSlot, every lane's at the shared one) in the shard's buffer;
+//     non-pushing lanes' %rd1 aliases a pushing lane's slot, so
 //     per-lane record stores are guarded by PushPred. Under Drop a warp that
 //     finds the buffer full skips to the end of the commit instead.
 //   - Between the two it does not write %rd2, %rd3 or %p3.
@@ -112,7 +112,7 @@ func (cfg Config) ExpandToolPTX() (string, error) {
 	line("cvt.u32.u64 %s, %s;", r(0), rd(3))
 	line("setp.gt.u32 %s, %s, %s;", p(1), r(6), r(0))
 	line("@%s bra nvch_full;", p(1))
-	// Success: slot address in the active buffer.
+	// Success: slot address in the shard's buffer.
 	line("ld.global.u64 %s, [%s+%d];", rd(2), rd(0), offBuf)
 	line("mov.u32 %s, %d;", r(0), cfg.RecordBytes)
 	if cfg.SharedSlot {

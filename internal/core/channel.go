@@ -35,7 +35,7 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 }
 
 // closeChannels ends the attachment's channels: their hooks leave the scope
-// and their receivers and device buffers are released.
+// and their device buffers are released.
 func (n *NVBit) closeChannels() {
 	n.scope.SetFlushHooks(nil)
 	for _, ch := range n.channels {

@@ -100,17 +100,21 @@ func standaloneReport(t *testing.T, tool, bench string) string {
 	return buf.String()
 }
 
-// TestConcurrentSessionsMatchStandalone runs two different tools over two
-// concurrent daemon sessions and checks each session's report against a
-// standalone in-process run of the same tool/workload pair. The pool has
-// two devices: itrace's and memtrace's channel buffers together exceed one
-// simulated device's memory, the situation device pooling exists for.
-func TestConcurrentSessionsMatchStandalone(t *testing.T) {
-	sock := startServer(t, nvbitd.Config{Family: sass.Volta, Devices: 2, QueueLimit: -1})
+type toolRun struct{ tool, bench string }
 
-	cases := []struct{ tool, bench string }{
-		{"itrace", "cg"},
-		{"memtrace", "olbm"},
+// runConcurrently opens one daemon session per tool/workload pair, so they
+// all hold their tool state at once, runs them concurrently and checks each
+// session's report against a standalone in-process run of the same pair.
+func runConcurrently(t *testing.T, sock string, cases []toolRun) {
+	t.Helper()
+	sessions := make([]*nvbitd.RemoteSession, len(cases))
+	for i, c := range cases {
+		s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: c.tool})
+		if err != nil {
+			t.Fatalf("%s: open with %d sessions already open: %v", c.tool, i, err)
+		}
+		defer s.Close()
+		sessions[i] = s
 	}
 	reports := make([]string, len(cases))
 	var wg sync.WaitGroup
@@ -118,12 +122,7 @@ func TestConcurrentSessionsMatchStandalone(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: c.tool})
-			if err != nil {
-				t.Errorf("%s: dial: %v", c.tool, err)
-				return
-			}
-			defer s.Close()
+			s := sessions[i]
 			if err := findBenchmark(t, c.bench).Run(s, specaccel.Small); err != nil {
 				t.Errorf("%s: run: %v", c.tool, err)
 				return
@@ -149,6 +148,26 @@ func TestConcurrentSessionsMatchStandalone(t *testing.T) {
 			t.Errorf("%s/%s report differs from standalone:\ndaemon:\n%s\nstandalone:\n%s",
 				c.tool, c.bench, reports[i], want)
 		}
+	}
+}
+
+// TestConcurrentSessionsMatchStandalone places two concurrent sessions of
+// different tools on a two-device pool.
+func TestConcurrentSessionsMatchStandalone(t *testing.T) {
+	sock := startServer(t, nvbitd.Config{Family: sass.Volta, Devices: 2, QueueLimit: -1})
+	runConcurrently(t, sock, []toolRun{{"itrace", "cg"}, {"memtrace", "olbm"}})
+}
+
+// TestTraceSessionsShareOneDevice runs two concurrent trace sessions on one
+// pool device. Each channel holds one record buffer per SM (itrace 16 MiB,
+// memtrace 17.5 MiB), so any two of them fit the default 64 MB device.
+func TestTraceSessionsShareOneDevice(t *testing.T) {
+	sock := startServer(t, nvbitd.Config{Family: sass.Volta, Devices: 1, QueueLimit: -1})
+	for _, pair := range [][]toolRun{
+		{{"itrace", "cg"}, {"memtrace", "cg"}},
+		{{"memtrace", "cg"}, {"memtrace", "cg"}},
+	} {
+		runConcurrently(t, sock, pair)
 	}
 }
 

@@ -16,6 +16,7 @@ package sass
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Family identifies a GPU architecture family. The instruction width and the
@@ -37,6 +38,17 @@ func (f Family) String() string {
 		return fmt.Sprintf("Family(%d)", int(f))
 	}
 	return familyNames[f]
+}
+
+// ParseFamily maps a family name in any letter case ("volta", "Volta") to
+// its Family; an unknown name fails with an error listing the accepted ones.
+func ParseFamily(name string) (Family, error) {
+	for f, n := range familyNames {
+		if strings.EqualFold(name, n) {
+			return Family(f), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown family %q (want %s)", name, strings.ToLower(strings.Join(familyNames[:], ", ")))
 }
 
 // InstBytes returns the fixed instruction width in bytes for the family.

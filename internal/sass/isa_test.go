@@ -22,6 +22,20 @@ func TestFamilyProperties(t *testing.T) {
 	}
 }
 
+func TestParseFamilyRoundTrip(t *testing.T) {
+	for f := Kepler; f <= Volta; f++ {
+		for _, name := range []string{f.String(), strings.ToLower(f.String())} {
+			if got, err := ParseFamily(name); err != nil || got != f {
+				t.Errorf("ParseFamily(%q) = %v, %v; want %v", name, got, err, f)
+			}
+		}
+	}
+	_, err := ParseFamily("ampere")
+	if err == nil || !strings.Contains(err.Error(), "kepler, maxwell, pascal, volta") {
+		t.Fatalf("unknown family: error %v, want one listing the accepted names", err)
+	}
+}
+
 func TestRegisterAndPredicateNames(t *testing.T) {
 	if RZ.String() != "RZ" || Reg(7).String() != "R7" {
 		t.Fatal("register names")

@@ -151,8 +151,8 @@ func newItrace(o Options) (*Instance, error) {
 }
 
 func newMemtrace(o Options) (*Instance, error) {
-	// 280-byte records are double-buffered per SM: 64K aggregate slots
-	// cost ~36 MB of device memory and mid-kernel flushes recycle them.
+	// 280-byte records, one buffer per SM: 64K aggregate slots cost
+	// ~18 MB of device memory and mid-kernel flushes recycle them.
 	t := memtrace.New(1 << 16)
 	t.Policy = o.Policy
 	return &Instance{Tool: t, Report: func(w io.Writer, nv *core.NVBit) (bool, error) {
@@ -176,8 +176,8 @@ func newMemtrace(o Options) (*Instance, error) {
 }
 
 func newMemcheck(o Options) (*Instance, error) {
-	// 16-byte records are double-buffered per SM: 512K aggregate slots
-	// cost 16 MB of device memory, a quarter of a pool device.
+	// 16-byte records, one buffer per SM: 512K aggregate slots cost 8 MB
+	// of device memory, an eighth of a pool device.
 	t := memcheck.New(1 << 19)
 	t.Policy = o.Policy
 	return &Instance{Tool: t, Report: func(w io.Writer, nv *core.NVBit) (bool, error) {

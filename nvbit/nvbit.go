@@ -105,10 +105,10 @@ const (
 	KindChannelDrain = profile.KindChannelDrain
 )
 
-// Device→host streaming channels (docs/channels.md): a per-SM double-
-// buffered record stream with mid-kernel flushes, an async host receiver
-// and selectable backpressure. A tool opens one with NVBit.OpenChannel from
-// AtInit, handing over the device function that pushes its records.
+// Device→host streaming channels (docs/channels.md): a record stream with
+// one buffer per SM, mid-kernel flushes, delivery at Drain and selectable
+// backpressure. A tool opens one with NVBit.OpenChannel from AtInit, handing
+// over the device function that pushes its records.
 type (
 	// Channel is one open device→host record stream.
 	Channel = channel.Channel
