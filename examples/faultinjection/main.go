@@ -1,9 +1,10 @@
 // Fault-injection sweep — the SASSIFI/NVBitFI-style resilience study the
-// paper cites as an NVBit use case. The victim kernel is first profiled to
-// count its dynamic thread-instruction population; then every dynamic
-// instruction is injected with a single-bit flip in its destination register
-// (after the instruction executes, through the NVBit device API) and the
-// run's outcome is classified the way resilience studies do:
+// paper cites as an NVBit use case. The victim kernel first runs under the
+// injector disarmed, which counts its dynamic thread-instruction population;
+// then every dynamic instruction is injected with a single-bit flip in its
+// destination register (after the instruction executes, through the NVBit
+// device API) and the run's outcome is classified the way resilience studies
+// do:
 //
 //	masked  — output identical to the golden run (the fault was benign)
 //	SDC     — silent data corruption (wrong output, no error)
@@ -112,19 +113,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Profile pass: count the dynamic thread-instruction population.
-	prof := faultinject.NewProfiler()
+	// Profile pass: the injector disarmed only counts the dynamic
+	// thread-instruction population.
+	prof := faultinject.New(faultinject.Injection{Group: faultinject.GroupAll, Target: faultinject.NoTarget})
 	if _, err := run(prof); err != nil {
 		log.Fatal(err)
 	}
-	counts, err := prof.Counts()
+	res, err := prof.Result()
 	if err != nil {
 		log.Fatal(err)
 	}
-	var space uint64
-	for _, kc := range counts {
-		space += kc.Counts[faultinject.GroupAll]
-	}
+	space := res.Executed
 
 	// The kernel is one warp, so with the sequential scheduler the dynamic
 	// order is 32 lanes per eligible instruction: target site*32+5 hits

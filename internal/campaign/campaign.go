@@ -5,19 +5,19 @@
 //
 // A campaign lives in a directory:
 //
-//	<dir>/plan.json     written once by Plan: config, the profiled
+//	<dir>/plan.json     written once by Plan: config, the
 //	                    dynamic-instruction space, the golden output hash,
 //	                    the launch table and the full run manifest drawn
 //	                    from a seeded RNG
 //	<dir>/results.json  rewritten atomically after every completed run
 //
-// The lifecycle is profile → plan → run → report. Profiling executes the
-// victim once under a counting tool to measure the dynamic
-// thread-instruction population per kernel per instruction group; the
-// golden pass splits the same population per launch (the launch table); the
-// planner draws each run's target uniformly from that space, so the manifest
-// is reproducible from (plan, seed) alone. Each run then executes the victim
-// in a fresh simulator instance with exactly one injection armed,
+// The lifecycle is plan → run → report. Planning executes the victim once,
+// the golden pass, under the injection tool disarmed: it hashes the output
+// and counts the dynamic thread-instructions of the campaign's instruction
+// group in each launch (the launch table). The table's sum is the space the
+// planner draws each run's target from uniformly, so the manifest is
+// reproducible from (plan, seed) alone. Each run then executes the victim in
+// a fresh simulator instance with exactly one injection armed,
 // instrumenting only the launch its target falls in, and classifies the
 // outcome:
 //
@@ -91,13 +91,12 @@ type RunSpec struct {
 // maps), so encoding is deterministic and two same-seed plans are
 // byte-identical.
 type planFile struct {
-	Version  int                        `json:"version"`
-	Config   Config                     `json:"config"`
-	Profile  []faultinject.KernelCounts `json:"profile"`
-	Space    uint64                     `json:"space"`
-	Golden   string                     `json:"golden_sha256"`
-	Launches []launch                   `json:"launches"`
-	Manifest []RunSpec                  `json:"manifest"`
+	Version  int       `json:"version"`
+	Config   Config    `json:"config"`
+	Space    uint64    `json:"space"`
+	Golden   string    `json:"golden_sha256"`
+	Launches []launch  `json:"launches"`
+	Manifest []RunSpec `json:"manifest"`
 }
 
 // launch is one row of the launch table: a kernel launch of the golden pass,
@@ -109,6 +108,8 @@ type launch struct {
 }
 
 // planVersion 2 added the launch table; Load converts a version-1 plan.
+// Plans written before the golden pass became the only counting pass also
+// carry a per-kernel "profile", which decoding ignores.
 const planVersion = 2
 
 // Campaign is one on-disk campaign: a plan plus the completed results.
@@ -154,8 +155,8 @@ func resolve(cfg Config) (*specaccel.Benchmark, specaccel.Size, faultinject.Grou
 	return bench, size, group, nil
 }
 
-// Plan profiles the victim, draws the run manifest and writes plan.json.
-// The directory must not already hold a campaign.
+// Plan runs the golden pass, draws the run manifest from the launch table's
+// sum and writes plan.json. The directory must not already hold a campaign.
 func Plan(dir string, cfg Config) (*Campaign, error) {
 	bench, size, group, err := resolve(cfg)
 	if err != nil {
@@ -169,26 +170,13 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Profile pass: count the dynamic thread-instruction population.
-	prof := faultinject.NewProfiler()
-	if _, err := executeVictim(bench, size, prof, cfg.watchdog()); err != nil {
-		return nil, fmt.Errorf("campaign: profile run failed: %w", err)
-	}
-	profile, err := prof.Counts()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: profile run failed: %w", err)
-	}
 	var space uint64
-	for _, kc := range profile {
-		space += kc.Counts[group]
+	for _, l := range launches {
+		space += l.Count
 	}
 	if space == 0 {
 		return nil, fmt.Errorf("campaign: %s/%s has no dynamic instructions in group %s",
 			cfg.Benchmark, cfg.Size, cfg.Group)
-	}
-	if err := checkLaunches(launches, profile, group, space); err != nil {
-		return nil, err
 	}
 
 	c := &Campaign{
@@ -196,7 +184,6 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 		plan: planFile{
 			Version:  planVersion,
 			Config:   cfg,
-			Profile:  profile,
 			Space:    space,
 			Golden:   golden,
 			Launches: launches,
@@ -276,7 +263,10 @@ func Load(dir string) (*Campaign, error) {
 		}
 		plan.Version, plan.Launches = planVersion, launches
 	}
-	if err := checkLaunches(plan.Launches, plan.Profile, group, plan.Space); err != nil {
+	if err := checkLaunches(plan.Launches, plan.Space); err != nil {
+		return nil, err
+	}
+	if err := checkManifest(plan.Manifest, group, plan.Space); err != nil {
 		return nil, err
 	}
 	c := &Campaign{
@@ -312,12 +302,9 @@ func Open(dir string, cfg Config) (*Campaign, error) {
 // Config returns the campaign's planned configuration.
 func (c *Campaign) Config() Config { return c.plan.Config }
 
-// Space returns the profiled dynamic thread-instruction population of the
-// campaign's instruction group.
+// Space returns the dynamic thread-instruction population of the campaign's
+// instruction group: the sum of the golden pass's launch table.
 func (c *Campaign) Space() uint64 { return c.plan.Space }
-
-// Profile returns the per-kernel per-group dynamic-instruction counts.
-func (c *Campaign) Profile() []faultinject.KernelCounts { return c.plan.Profile }
 
 // Manifest returns the planned runs.
 func (c *Campaign) Manifest() []RunSpec { return append([]RunSpec(nil), c.plan.Manifest...) }
@@ -395,24 +382,42 @@ func (r *launchRecorder) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, 
 	r.counted = res.Executed
 }
 
-// checkLaunches cross-checks the golden pass's launch table against the
-// profile pass: per kernel, the launches must sum to the profiled count of
-// the group, and all of them to the space.
-func checkLaunches(launches []launch, profile []faultinject.KernelCounts, group faultinject.Group, space uint64) error {
-	sums := make(map[string]uint64)
+// checkLaunches checks that a loaded plan's launch table sums to its space.
+func checkLaunches(launches []launch, space uint64) error {
 	var total uint64
 	for _, l := range launches {
-		sums[l.Kernel] += l.Count
 		total += l.Count
-	}
-	for _, kc := range profile {
-		if sums[kc.Kernel] != kc.Counts[group] {
-			return fmt.Errorf("campaign: kernel %s: launch table counts %d, profile %d",
-				kc.Kernel, sums[kc.Kernel], kc.Counts[group])
-		}
 	}
 	if total != space {
 		return fmt.Errorf("campaign: launch table counts %d, space is %d", total, space)
+	}
+	return nil
+}
+
+// checkManifest checks that a loaded plan's runs are what drawManifest could
+// have drawn for it: each run's ID is its index, its group the config's, its
+// model one of the models, its bit inside the register and its target inside
+// the space.
+func checkManifest(manifest []RunSpec, group faultinject.Group, space uint64) error {
+	for i, spec := range manifest {
+		inj := spec.Injection
+		var bad string
+		switch {
+		case spec.ID != i:
+			bad = fmt.Sprintf("at index %d", i)
+		case inj.Group != group:
+			bad = fmt.Sprintf("injects group %s, the config %s", inj.Group, group)
+		case inj.Model < 0 || inj.Model >= faultinject.NumModels:
+			bad = fmt.Sprintf("has unknown model %d", int(inj.Model))
+		case inj.Model == faultinject.ModelFlip && inj.Bit > faultinject.MaxFlipBit,
+			inj.Model == faultinject.ModelFlip2 && inj.Bit > faultinject.MaxFlip2Bit:
+			bad = fmt.Sprintf("flips bit %d under model %s", inj.Bit, inj.Model)
+		case inj.Target >= space:
+			bad = fmt.Sprintf("targets %d outside space %d", inj.Target, space)
+		default:
+			continue
+		}
+		return fmt.Errorf("campaign: manifest run %d %s", spec.ID, bad)
 	}
 	return nil
 }
@@ -432,7 +437,7 @@ func (c *Campaign) targetLaunch(target uint64) (k int, base uint64) {
 }
 
 // executeVictim runs the benchmark in a fresh simulator under tool and
-// returns the captured output. Every campaign execution — golden, profile,
+// returns the captured output. Every campaign execution — the golden pass
 // and each injection run — goes through here, so they share scheduler
 // (sequential: the dynamic-instruction order the targets index must be
 // deterministic) and watchdog configuration.

@@ -91,14 +91,16 @@ func TestPlanRefusesExistingDir(t *testing.T) {
 	}
 }
 
+// TestPlanSpaceMatchesProfile: the golden pass's launch table is the
+// campaign's profile; its sum is the space every target is drawn from.
 func TestPlanSpaceMatchesProfile(t *testing.T) {
 	c := mustPlan(t, t.TempDir(), smallCfg(4, 7))
 	var sum uint64
-	for _, kc := range c.Profile() {
-		sum += kc.Counts[faultinject.GroupGPR]
+	for _, l := range c.plan.Launches {
+		sum += l.Count
 	}
 	if sum == 0 || sum != c.Space() {
-		t.Fatalf("space %d, profile sum %d", c.Space(), sum)
+		t.Fatalf("space %d, launch table sum %d", c.Space(), sum)
 	}
 	for _, spec := range c.Manifest() {
 		if spec.Injection.Target >= c.Space() {
@@ -113,25 +115,42 @@ func TestPlanSpaceMatchesProfile(t *testing.T) {
 }
 
 func TestCheckLaunches(t *testing.T) {
-	profile := []faultinject.KernelCounts{
-		{Kernel: "a", Counts: [faultinject.NumGroups]uint64{faultinject.GroupLD: 30}},
-		{Kernel: "b", Counts: [faultinject.NumGroups]uint64{faultinject.GroupLD: 5}},
-	}
-	good := []launch{{"a", 10}, {"b", 5}, {"a", 20}}
-	if err := checkLaunches(good, profile, faultinject.GroupLD, 35); err != nil {
+	table := []launch{{"a", 10}, {"b", 5}, {"a", 20}}
+	if err := checkLaunches(table, 35); err != nil {
 		t.Fatalf("consistent table rejected: %v", err)
 	}
-	for name, tc := range map[string]struct {
-		launches []launch
-		space    uint64
-	}{
-		"kernel sum":     {[]launch{{"a", 10}, {"b", 5}, {"a", 21}}, 36},
-		"missing kernel": {[]launch{{"a", 30}}, 30},
-		"extra kernel":   {[]launch{{"a", 30}, {"b", 5}, {"c", 1}}, 35},
-		"space":          {good, 36},
+	for _, space := range []uint64{0, 34, 36} {
+		if err := checkLaunches(table, space); err == nil {
+			t.Errorf("table summing to 35 accepted for space %d", space)
+		}
+	}
+}
+
+// TestLoadRejectsBadManifest tampers with one manifest entry of a fresh plan
+// per rule Load enforces; each tampered plan must be refused, naming the
+// run, and the untampered one must load.
+func TestLoadRejectsBadManifest(t *testing.T) {
+	src := t.TempDir()
+	good := mustPlan(t, src, smallCfg(8, 3)).plan
+	mustLoad(t, src)
+	for name, tamper := range map[string]func(*RunSpec){
+		"id":     func(r *RunSpec) { r.ID++ },
+		"group":  func(r *RunSpec) { r.Injection.Group = faultinject.GroupLD },
+		"model":  func(r *RunSpec) { r.Injection.Model = 7 },
+		"flip":   func(r *RunSpec) { r.Injection.Model, r.Injection.Bit = faultinject.ModelFlip, 40 },
+		"flip2":  func(r *RunSpec) { r.Injection.Model, r.Injection.Bit = faultinject.ModelFlip2, 31 },
+		"target": func(r *RunSpec) { r.Injection.Target = good.Space },
 	} {
-		if err := checkLaunches(tc.launches, profile, faultinject.GroupLD, tc.space); err == nil {
-			t.Errorf("%s: inconsistent table accepted", name)
+		plan := good
+		plan.Manifest = append([]RunSpec(nil), good.Manifest...)
+		tamper(&plan.Manifest[5])
+		dir := t.TempDir()
+		if err := writeFileAtomic(filepath.Join(dir, planName), &plan); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(dir)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("run %d ", plan.Manifest[5].ID)) {
+			t.Errorf("%s: Load of a tampered manifest: %v", name, err)
 		}
 	}
 }
@@ -210,32 +229,31 @@ func TestTargetLaunchOnlyMatchesEveryLaunch(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1Plan resumes a campaign a version-1 build planned and
-// partly ran (testdata/v1: 8 runs, 3 done). Load rebuilds the launch table
-// from a fresh golden pass; the old results stay as they were, the new ones
-// equal a fresh campaign's, and plan.json is not rewritten.
-func TestLoadVersion1Plan(t *testing.T) {
+// resumeFixture resumes the campaign in testdata/<version>: ostencil Small,
+// 8 runs, 3 done, planned and run by an older build. The old results must
+// stay as they were, the finished results.json must equal a fresh
+// campaign's, and plan.json must not be rewritten. It returns the resumed
+// campaign, the fixture's plan.json and a fresh campaign's directory.
+func resumeFixture(t *testing.T, version string) (*Campaign, []byte, string) {
+	t.Helper()
 	dir := t.TempDir()
-	var plan []byte
 	for _, name := range []string{planName, resultsName} {
-		data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		data, err := os.ReadFile(filepath.Join("testdata", version, name))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if name == planName {
-			plan = data
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	plan := fileBytes(t, dir, planName)
 	cfg := smallCfg(8, 11)
 	c, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	if c.Completed() != 3 {
-		t.Fatalf("version-1 campaign has %d completed runs, want 3", c.Completed())
+		t.Fatalf("%s campaign has %d completed runs, want 3", version, c.Completed())
 	}
 	old := c.Results()
 	if done, err := c.Run(2, 0); err != nil || done != 5 {
@@ -248,25 +266,34 @@ func TestLoadVersion1Plan(t *testing.T) {
 	}
 
 	fresh := t.TempDir()
-	f := mustPlan(t, fresh, cfg)
-	if fmt.Sprint(f.plan.Launches) != fmt.Sprint(c.plan.Launches) {
-		t.Fatalf("converted launch table %v, fresh plan's %v", c.plan.Launches, f.plan.Launches)
-	}
-	if _, err := f.Run(2, 0); err != nil {
+	if _, err := mustPlan(t, fresh, cfg).Run(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	read := func(dir, name string) []byte {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	if !bytes.Equal(fileBytes(t, dir, planName), plan) {
+		t.Fatalf("Load rewrote the %s plan.json", version)
 	}
-	if !bytes.Equal(read(dir, planName), plan) {
-		t.Fatalf("Load rewrote the version-1 plan.json")
+	if got, want := fileBytes(t, dir, resultsName), fileBytes(t, fresh, resultsName); !bytes.Equal(got, want) {
+		t.Fatalf("resumed %s results differ from a fresh campaign's:\n--- resumed ---\n%s\n--- fresh ---\n%s", version, got, want)
 	}
-	if got, want := read(dir, resultsName), read(fresh, resultsName); !bytes.Equal(got, want) {
-		t.Fatalf("resumed version-1 results differ from a fresh campaign's:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+	return c, plan, fresh
+}
+
+func fileBytes(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestLoadVersion1Plan resumes a campaign a version-1 build planned and
+// partly ran (testdata/v1). Load rebuilds the launch table from a fresh
+// golden pass, which must sum to the space the version-1 plan recorded.
+func TestLoadVersion1Plan(t *testing.T) {
+	c, plan, _ := resumeFixture(t, "v1")
+	if err := checkLaunches(c.plan.Launches, c.Space()); err != nil || c.Space() != 32768 {
+		t.Fatalf("converted launch table %v for version-1 space %d: %v", c.plan.Launches, c.Space(), err)
 	}
 
 	// A version-1 plan whose golden pass no longer reproduces is refused.
@@ -277,6 +304,19 @@ func TestLoadVersion1Plan(t *testing.T) {
 	}
 	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), "golden") {
 		t.Fatalf("Load of a version-1 plan with another golden hash: %v", err)
+	}
+}
+
+// TestLoadVersion2PlanWithProfile resumes a version-2 campaign planned by a
+// build that still ran a separate profile pass (testdata/v2), whose plan.json
+// carries the per-kernel "profile" this build no longer writes.
+func TestLoadVersion2PlanWithProfile(t *testing.T) {
+	_, plan, fresh := resumeFixture(t, "v2")
+	if !bytes.Contains(plan, []byte(`"profile"`)) {
+		t.Fatalf("testdata/v2 plan.json has no profile")
+	}
+	if bytes.Contains(fileBytes(t, fresh, planName), []byte(`"profile"`)) {
+		t.Fatalf("this build wrote a profile into plan.json")
 	}
 }
 

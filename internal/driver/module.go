@@ -66,18 +66,6 @@ func (f *Function) MaxRegs() int {
 	return n
 }
 
-// MaxPreds returns the predicate high-water mark across the function and its
-// dependent functions.
-func (f *Function) MaxPreds() int {
-	n := f.NumPred
-	for _, r := range f.Related {
-		if r.NumPred > n {
-			n = r.NumPred
-		}
-	}
-	return n
-}
-
 // Functions returns the module's functions in load order.
 func (m *Module) Functions() []*Function {
 	out := make([]*Function, 0, len(m.order))

@@ -67,32 +67,3 @@ func BasicBlocks(insts []Inst) (blocks []BlockRange, ok bool) {
 	}
 	return blocks, true
 }
-
-// MaxReadReg returns the highest general-purpose register index read or
-// written by the instruction sequence, and the highest predicate index
-// touched. The NVBit core uses this liveness upper bound when sizing the
-// save/restore set for a trampoline (paper Section 5.1). Wide operands count
-// the full register pair. Returns -1 when no register/predicate is used.
-func MaxReadReg(insts []Inst) (maxReg, maxPred int) {
-	maxReg, maxPred = -1, -1
-	noteP := func(p Pred) {
-		if p != PT && int(p) > maxPred {
-			maxPred = int(p)
-		}
-	}
-	for k := range insts {
-		in := &insts[k]
-		noteP(in.Pred)
-		sh := in.shape()
-		for _, s := range sh.slots {
-			if r, width, ok := in.reg(sh, s); ok {
-				if n := int(*r) + width - 1; *r != RZ && n > maxReg {
-					maxReg = n
-				}
-			} else if p, ok := in.pred(s); ok {
-				noteP(p)
-			}
-		}
-	}
-	return maxReg, maxPred
-}

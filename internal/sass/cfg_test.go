@@ -119,34 +119,3 @@ func TestCallEndsBlock(t *testing.T) {
 		t.Fatalf("blocks = %v", blocks)
 	}
 }
-
-func TestMaxReadReg(t *testing.T) {
-	insts := mustProgram(t, `
-		LDG.W R8, [R4+0x10]
-		ISETP.LT P2, R20, RZ, 5
-		@P3 MOVI R0, 1
-		EXIT
-	`)
-	maxReg, maxPred := MaxReadReg(insts)
-	// LDG.W writes R8,R9 and reads pair R4,R5; ISETP reads R20.
-	if maxReg != 20 {
-		t.Fatalf("maxReg = %d, want 20", maxReg)
-	}
-	if maxPred != 3 {
-		t.Fatalf("maxPred = %d, want 3", maxPred)
-	}
-	if r, p := MaxReadReg([]Inst{NewInst(OpEXIT)}); r != -1 || p != -1 {
-		t.Fatalf("empty usage = %d,%d", r, p)
-	}
-}
-
-func TestMaxReadRegWidePair(t *testing.T) {
-	in := NewInst(OpLDG)
-	in.Dst, in.Src1 = 10, 30
-	in.Mods = MakeMods(0, true, false, PT)
-	maxReg, _ := MaxReadReg([]Inst{in})
-	// Base pair R30,R31 dominates dst pair R10,R11.
-	if maxReg != 31 {
-		t.Fatalf("maxReg = %d, want 31", maxReg)
-	}
-}

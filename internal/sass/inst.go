@@ -160,18 +160,6 @@ func (in Inst) Guarded() bool { return in.Pred != PT || in.PredNeg }
 // HasSrc3 reports whether the opcode uses a third register source.
 func (in Inst) HasSrc3() bool { return in.Op.shape().src3 }
 
-// WritesPred reports whether the instruction writes a predicate register and
-// returns it. For ISETP/FSETP the destination predicate lives in Mods.Aux;
-// for VOTE.ANY/ALL it lives in the Dst field's low bits.
-func (in Inst) WritesPred() (Pred, bool) {
-	for _, s := range in.shape().slots {
-		if p, ok := in.pred(s); ok && s.r&def != 0 {
-			return p, true
-		}
-	}
-	return PT, false
-}
-
 // NewInst returns an instruction with the conventional zero-operand defaults
 // (unguarded, RZ sources/destination, PT aux).
 func NewInst(op Opcode) Inst {

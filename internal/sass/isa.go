@@ -225,9 +225,6 @@ func (op Opcode) IsControlFlow() bool {
 // instruction into a trampoline (paper Section 5.1, step 5).
 func (op Opcode) IsRelativeBranch() bool { return op == OpBRA }
 
-// IsMemory reports whether the opcode performs a load/store-style access.
-func (op Opcode) IsMemory() bool { return op.shape().space != MemNone }
-
 // IsLoad reports whether the opcode reads memory into a register.
 func (op Opcode) IsLoad() bool { return op.shape().load }
 

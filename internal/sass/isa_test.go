@@ -54,17 +54,17 @@ func TestOpcodeClassifiers(t *testing.T) {
 	}
 	loads := []Opcode{OpLDG, OpLDS, OpLDL, OpLDC, OpATOM}
 	for _, op := range loads {
-		if !op.IsLoad() || !op.IsMemory() {
+		if !op.IsLoad() {
 			t.Fatalf("%v should be a memory load", op)
 		}
 	}
 	stores := []Opcode{OpSTG, OpSTS, OpSTL, OpATOM, OpRED}
 	for _, op := range stores {
-		if !op.IsStore() || !op.IsMemory() {
+		if !op.IsStore() {
 			t.Fatalf("%v should be a memory store", op)
 		}
 	}
-	if OpMOV.IsMemory() || OpMOV.IsLoad() {
+	if OpMOV.IsStore() || OpMOV.IsLoad() {
 		t.Fatal("MOV misclassified")
 	}
 	spaces := map[Opcode]MemSpace{
@@ -113,28 +113,6 @@ func TestModsRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestWritesPred(t *testing.T) {
-	setp := NewInst(OpISETP)
-	setp.Mods = MakeMods(CmpLT, false, false, 3)
-	if p, ok := setp.WritesPred(); !ok || p != 3 {
-		t.Fatalf("ISETP pred dest = %v/%v", p, ok)
-	}
-	vote := NewInst(OpVOTE)
-	vote.Dst = Reg(2)
-	vote.Mods = MakeMods(VoteAny, false, false, 1)
-	if p, ok := vote.WritesPred(); !ok || p != 2 {
-		t.Fatalf("VOTE.ANY pred dest = %v/%v", p, ok)
-	}
-	ballot := NewInst(OpVOTE)
-	ballot.Mods = MakeMods(VoteBallot, false, false, 1)
-	if _, ok := ballot.WritesPred(); ok {
-		t.Fatal("VOTE.BALLOT writes a register, not a predicate")
-	}
-	if _, ok := NewInst(OpIADD).WritesPred(); ok {
-		t.Fatal("IADD writes no predicate")
 	}
 }
 

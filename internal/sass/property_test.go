@@ -81,42 +81,6 @@ func TestBasicBlockPartitionProperties(t *testing.T) {
 	}
 }
 
-// TestMaxReadRegIsAnUpperBound: no operand of any instruction may reference
-// a register above the reported high-water mark.
-func TestMaxReadRegIsAnUpperBound(t *testing.T) {
-	fn := func(seed int64, sizeRaw uint8) bool {
-		n := int(sizeRaw)%40 + 2
-		r := rand.New(rand.NewSource(seed))
-		insts := randomBody(r, n)
-		maxReg, maxPred := MaxReadReg(insts)
-		for _, in := range insts {
-			for _, o := range in.Operands() {
-				switch o.Kind {
-				case OpdReg:
-					hi := int(o.Reg)
-					if o.Wide {
-						hi++
-					}
-					if o.Reg != RZ && hi > maxReg {
-						return false
-					}
-				case OpdPred:
-					if o.Pred != PT && int(o.Pred) > maxPred {
-						return false
-					}
-				}
-			}
-			if in.Pred != PT && int(in.Pred) > maxPred {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestProgramTextRoundTrip: FormatProgram-style listings of random bodies
 // re-assemble to the identical instruction stream.
 func TestProgramTextRoundTrip(t *testing.T) {

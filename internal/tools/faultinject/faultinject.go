@@ -15,10 +15,11 @@
 //
 // so the device function never branches on the model.
 //
-// Two tools share the instrumentation: Tool injects (one Tool arming = one
-// injection; Reset re-arms it for the next run), and Profiler only counts,
-// producing the per-kernel per-group dynamic-instruction populations a
-// campaign planner draws targets from (internal/campaign).
+// A Tool is armed once, at AtInit, and injects at most once; a run that
+// injects again makes a fresh Tool. Armed with NoTarget it only counts: a
+// campaign's golden pass (internal/campaign) reads its counter after every
+// launch, and those per-launch populations are the space the planner draws
+// targets from.
 package faultinject
 
 import (
@@ -178,32 +179,21 @@ const (
 	MaxFlip2Bit = 30
 )
 
-// The injected device functions. fi_count only counts (Profiler; one counter
-// per instruction group). fi_inject counts and, on the firing dynamic
-// thread-instruction, corrupts the destination register.
+// toolPTX is the injected device function; its comments say what it does.
+const toolPTX = `
+// fi_inject runs after every eligible site of the tool's group, once per
+// executing lane: it counts the lane's dynamic thread-instruction and, on
+// the firing one, corrupts the destination register. The state block it
+// reads and writes is laid out as the table above stBytes shows.
 //
-// Both take the site predicate as their first argument (ArgSitePred) and
-// return immediately for lanes where the original instruction's guard was
+// It takes the site predicate as its first argument (ArgSitePred) and
+// returns immediately for lanes where the original instruction's guard was
 // false: a predicated-off lane executes nothing, so it neither counts toward
 // the dynamic-instruction space nor hosts an injection.
 //
 // The 64-bit equality check has no direct dialect form (setp is 32-bit), so
 // it is computed half by half: XOR the low words, XOR the high words
-// (extracted with shr.b64), OR the two — zero iff the values are equal.
-const toolPTX = `
-.toolfunc fi_count(.param .u32 pred, .param .u64 ctr)
-{
-	.reg .u32 %r<2>;
-	.reg .u64 %rd<4>;
-	.reg .pred %p<2>;
-	ld.param.u32 %r0, [pred];
-	setp.eq.u32 %p0, %r0, 0;
-	@%p0 ret;
-	ld.param.u64 %rd0, [ctr];
-	mov.u64 %rd2, 1;
-	red.global.add.u64 [%rd0], %rd2;
-	ret;
-}
+// (extracted with shr.b64), OR the two: zero iff the values are equal.
 
 .toolfunc fi_inject(.param .u32 pred, .param .u32 reg, .param .u32 site, .param .u32 kid, .param .u64 st)
 {
@@ -320,16 +310,13 @@ func (r Result) String() string {
 		r.Kernel, r.Site, r.Lane, r.Old, r.New)
 }
 
-// Tool arms one fault injection. One arming corrupts at most one dynamic
-// thread-instruction; Reset re-arms the same Tool for the next run without
-// re-instrumenting (the instrumentation is armed-state-independent: only the
-// state block changes). The instruction-group filter is baked into the
-// instrumentation at first launch and cannot change across Reset.
+// Tool arms one fault injection: it corrupts at most one dynamic
+// thread-instruction. The injection, instruction-group filter included, is
+// fixed at New; AtInit writes it to the device state block.
 type Tool struct {
 	mu      sync.Mutex
 	inj     Injection
 	st      uint64   // device state block
-	sites   int      // instrumented static sites
 	kernels []string // kernel id -> name, instrumentation order
 	nv      *nvbit.NVBit
 
@@ -345,7 +332,8 @@ type Tool struct {
 // New returns a fault injector armed with inj.
 func New(inj Injection) *Tool { return &Tool{inj: inj} }
 
-// AtInit registers the device functions and arms the state block.
+// AtInit registers the device function and arms the state block: a zero
+// counter, the target, the model's masks and a clear firing record.
 func (t *Tool) AtInit(n *nvbit.NVBit) {
 	if err := n.RegisterToolPTX(toolPTX); err != nil {
 		panic(err)
@@ -354,59 +342,16 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 	if err != nil {
 		panic(err)
 	}
+	and, xor := t.inj.masks()
+	must(n.WriteU64(st, 0))
+	must(n.WriteU64(st+8, t.inj.Target))
+	for k, v := range [...]uint32{and, xor, 0, 0, 0, 0, 0, 0} { // offsets 16..44
+		must(n.WriteU32(st+16+4*uint64(k), v))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nv = n
 	t.st = st
-	if err := t.arm(t.inj); err != nil {
-		panic(err)
-	}
-}
-
-// arm writes the full state block for inj. Caller holds t.mu.
-func (t *Tool) arm(inj Injection) error {
-	and, xor := inj.masks()
-	if err := t.nv.WriteU64(t.st, 0); err != nil { // counter
-		return err
-	}
-	if err := t.nv.WriteU64(t.st+8, inj.Target); err != nil {
-		return err
-	}
-	words := [...]uint32{and, xor, 0, 0, 0, 0, 0, 0} // offsets 16..44
-	for k, v := range words {
-		if err := t.nv.WriteU32(t.st+16+4*uint64(k), v); err != nil {
-			return err
-		}
-	}
-	t.inj = inj
-	return nil
-}
-
-// Reset re-arms the tool for another run in the same process: the counter
-// and firing record are cleared and the new target/model take effect at the
-// next launch. The group must match the group the tool was constructed with,
-// because group membership selected which static sites were instrumented.
-func (t *Tool) Reset(inj Injection) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.nv == nil {
-		return fmt.Errorf("faultinject: Reset before AtInit")
-	}
-	if inj.Group != t.inj.Group {
-		return fmt.Errorf("faultinject: cannot re-arm group %s on a tool instrumented for group %s",
-			inj.Group, t.inj.Group)
-	}
-	return t.arm(inj)
-}
-
-// Disarm re-arms the tool as a pure dynamic-instruction counter (no target
-// ever fires), preserving the group filter.
-func (t *Tool) Disarm() error {
-	t.mu.Lock()
-	inj := t.inj
-	t.mu.Unlock()
-	inj.Target = NoTarget
-	return t.Reset(inj)
 }
 
 // Result reads back the device-side injection record.
@@ -445,21 +390,6 @@ func (t *Tool) Result() (Result, error) {
 	return r, nil
 }
 
-// Injection returns the currently armed injection.
-func (t *Tool) Injection() Injection {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.inj
-}
-
-// Sites returns the instrumented static site count and the kernels seen, for
-// reporting.
-func (t *Tool) Sites() (int, []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sites, append([]string(nil), t.kernels...)
-}
-
 // OnlyLaunch restricts the tool to one kernel launch: the k-th (0-based)
 // launch after this call runs instrumented with the counter set to base, and
 // every other launch runs the original code. base must be the group's
@@ -468,8 +398,7 @@ func (t *Tool) Sites() (int, []string) {
 // campaign's launch table gives. A function first launched before k is not
 // lifted until k, one instrumented at k is switched back to its original
 // code by EnableInstrumented (a code swap, no re-JIT) when launched again,
-// and a function never launched at k is never lifted at all. Reset does not
-// restart the launch count; call OnlyLaunch again after it.
+// and a function never launched at k is never lifted at all.
 //
 // Without OnlyLaunch the tool instruments every launch.
 func (t *Tool) OnlyLaunch(k int, base uint64) {
@@ -541,115 +470,7 @@ func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 			nvbit.ArgConst32(uint32(i.Idx())),
 			nvbit.ArgConst32(uint32(kid)),
 			nvbit.ArgConst64(t.st))
-		t.sites++
 	}
 }
 
 var _ nvbit.Tool = (*Tool)(nil)
-
-// KernelCounts is one kernel's dynamic thread-instruction population, per
-// instruction group — the sampling space a campaign planner draws targets
-// from.
-type KernelCounts struct {
-	Kernel string            `json:"kernel"`
-	Counts [NumGroups]uint64 `json:"counts"`
-}
-
-// Profiler counts eligible dynamic thread-instructions per kernel per group
-// without injecting anything: the campaign profiling pass.
-type Profiler struct {
-	mu     sync.Mutex
-	nv     *nvbit.NVBit
-	order  []string          // kernel names, instrumentation order
-	blocks map[string]uint64 // kernel name -> base of NumGroups u64 counters
-}
-
-// NewProfiler returns a profiling-only tool.
-func NewProfiler() *Profiler { return &Profiler{blocks: make(map[string]uint64)} }
-
-// AtInit registers the counting device function.
-func (p *Profiler) AtInit(n *nvbit.NVBit) {
-	if err := n.RegisterToolPTX(toolPTX); err != nil {
-		panic(err)
-	}
-	p.mu.Lock()
-	p.nv = n
-	p.mu.Unlock()
-}
-
-// AtTerm implements the Tool interface.
-func (p *Profiler) AtTerm(n *nvbit.NVBit) {}
-
-// AtCUDACall instruments each kernel's eligible sites with per-group
-// counters at first launch.
-func (p *Profiler) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, cp *nvbit.CallParams) {
-	if exit || cbid != nvbit.CBLaunchKernel {
-		return
-	}
-	f := cp.Launch.Func
-	if n.IsInstrumented(f) {
-		return
-	}
-	insts, err := n.GetInstrs(f)
-	if err != nil {
-		// Same ErrToolCallback routing as Tool.AtCUDACall.
-		panic(fmt.Errorf("faultinject: lifting %s: %w", f.Name, err))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	base, seen := p.blocks[f.Name]
-	if !seen {
-		b, err := n.Malloc(8 * uint64(NumGroups))
-		if err != nil {
-			panic(fmt.Errorf("faultinject: profiler counters: %w", err))
-		}
-		for g := Group(0); g < NumGroups; g++ {
-			if err := n.WriteU64(b+8*uint64(g), 0); err != nil {
-				panic(fmt.Errorf("faultinject: profiler counters: %w", err))
-			}
-		}
-		p.blocks[f.Name] = b
-		p.order = append(p.order, f.Name)
-		base = b
-	}
-	for _, i := range insts {
-		_, groups, ok := eligible(i)
-		if !ok {
-			continue
-		}
-		for g := Group(0); g < NumGroups; g++ {
-			if groups[g] {
-				n.InsertCallArgs(i, "fi_count", nvbit.IPointAfter,
-					nvbit.ArgSitePred(),
-					nvbit.ArgConst64(base+8*uint64(g)))
-			}
-		}
-	}
-}
-
-// Counts returns the per-kernel per-group dynamic thread-instruction
-// populations, in kernel instrumentation order. Kernels sharing a name
-// (across modules) share counters.
-func (p *Profiler) Counts() ([]KernelCounts, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nv == nil {
-		return nil, fmt.Errorf("faultinject: Counts before AtInit")
-	}
-	out := make([]KernelCounts, 0, len(p.order))
-	for _, name := range p.order {
-		kc := KernelCounts{Kernel: name}
-		base := p.blocks[name]
-		for g := Group(0); g < NumGroups; g++ {
-			v, err := p.nv.ReadU64(base + 8*uint64(g))
-			if err != nil {
-				return nil, err
-			}
-			kc.Counts[g] = v
-		}
-		out = append(out, kc)
-	}
-	return out, nil
-}
-
-var _ nvbit.Tool = (*Profiler)(nil)

@@ -199,9 +199,6 @@ func TestSingleBitFlipPropagates(t *testing.T) {
 	if res.Kernel != "addone" {
 		t.Fatalf("firing kernel = %q", res.Kernel)
 	}
-	if sites, kernels := tool.Sites(); sites != 1 || len(kernels) != 1 {
-		t.Fatalf("sites=%d kernels=%v, want exactly the add.f32", sites, kernels)
-	}
 	t.Log(res)
 }
 
@@ -272,96 +269,59 @@ func TestModelMasks(t *testing.T) {
 	}
 }
 
+// TestReArmAcrossLaunches: a run that injects again arms a fresh Tool, and
+// one arming counts across every launch of its run: only the launch that
+// holds the target corrupts, and only once.
 func TestReArmAcrossLaunches(t *testing.T) {
-	tool := New(Injection{Group: GroupFP32, Target: 2, Model: ModelFlip, Bit: 8})
-	env := setup(t, tool, appPTX, "addone", 32)
 	want := golden(32)
-
-	for run, target := range []uint64{2, 19, 31} {
-		if run > 0 {
-			if err := tool.Reset(Injection{Group: GroupFP32, Target: target, Model: ModelFlip, Bit: 8}); err != nil {
+	for _, target := range []uint64{2, 32 + 19, 64 + 31} {
+		tool := New(Injection{Group: GroupFP32, Target: target, Model: ModelFlip, Bit: 8})
+		env := setup(t, tool, appPTX, "addone", 32)
+		for k := uint64(0); k < 3; k++ {
+			out := env.launch(t)
+			if k == target/32 {
+				idx := diffOne(t, want, out)
+				if out[idx]^want[idx] != 1<<8 {
+					t.Fatalf("target %d launch %d: corruption %#x", target, k, out[idx]^want[idx])
+				}
+			} else if fmt.Sprint(out) != fmt.Sprint(want) {
+				t.Fatalf("target %d: launch %d corrupted", target, k)
+			}
+			res, err := tool.Result()
+			if err != nil {
 				t.Fatal(err)
 			}
+			if res.Fired != (k >= target/32) || res.Executed != 32*(k+1) {
+				t.Fatalf("target %d launch %d: fired=%v executed=%d", target, k, res.Fired, res.Executed)
+			}
 		}
+	}
+}
+
+// TestParallelSchedulerRace exercises the device-side counter atomics under
+// the parallel scheduler (run with -race): many CTAs execute fi_inject
+// concurrently, and exactly one dynamic thread-instruction fires per arming.
+func TestParallelSchedulerRace(t *testing.T) {
+	const n = 32 * 64 // 64 warps across the SM pool
+	want := golden(n)
+	for _, inj := range []Injection{
+		{Group: GroupFP32, Target: n / 2, Model: ModelFlip, Bit: 3},
+		{Group: GroupFP32, Target: 5, Model: ModelZero},
+	} {
+		tool := New(inj)
+		env := setup(t, tool, appPTX, "addone", n, nvbit.WithScheduler(nvbit.SchedulerParallelSM))
 		out := env.launch(t)
 		idx := diffOne(t, want, out)
-		if out[idx]^want[idx] != 1<<8 {
-			t.Fatalf("run %d: corruption %#x", run, out[idx]^want[idx])
+		if and, xor := inj.masks(); out[idx] != want[idx]&and^xor {
+			t.Fatalf("%v: wrote %#x over %#x", inj, out[idx], want[idx])
 		}
 		res, err := tool.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Fired {
-			t.Fatalf("run %d: did not fire", run)
+		if !res.Fired || res.Executed != n {
+			t.Fatalf("%v: fired=%v executed=%d, want fired with %d counted", inj, res.Fired, res.Executed, n)
 		}
-		if res.Executed != 32 {
-			t.Fatalf("run %d: executed = %d, want 32 (counter not reset?)", run, res.Executed)
-		}
-	}
-
-	// The group filter is baked into the instrumentation: re-arming a
-	// different group must be refused.
-	if err := tool.Reset(Injection{Group: GroupLD, Target: 0}); err == nil {
-		t.Fatal("Reset with a different group succeeded")
-	}
-
-	// Disarm turns the tool into a pure counter.
-	if err := tool.Disarm(); err != nil {
-		t.Fatal(err)
-	}
-	out := env.launch(t)
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("disarmed run corrupted element %d", i)
-		}
-	}
-}
-
-// TestParallelSchedulerRace exercises the device-side counter atomics and the
-// host-side Tool locking under the parallel scheduler (run with -race): many
-// CTAs execute fi_inject concurrently while the host polls Result.
-func TestParallelSchedulerRace(t *testing.T) {
-	const n = 32 * 64 // 64 warps across the SM pool
-	tool := New(Injection{Group: GroupFP32, Target: n / 2, Model: ModelFlip, Bit: 3})
-	env := setup(t, tool, appPTX, "addone", n, nvbit.WithScheduler(nvbit.SchedulerParallelSM))
-
-	// Poll the host-side tool state while the kernel runs. (Reading the
-	// device state block mid-launch is not synchronized — same as a host
-	// read during kernel execution on real hardware — so Result() waits
-	// for the launch.)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = tool.Injection()
-			_, _ = tool.Sites()
-		}
-	}()
-	out := env.launch(t)
-	<-done
-
-	want := golden(n)
-	idx := diffOne(t, want, out)
-	if out[idx]^want[idx] != 1<<3 {
-		t.Fatalf("corruption %#x", out[idx]^want[idx])
-	}
-	res, err := tool.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Fired || res.Executed != n {
-		t.Fatalf("fired=%v executed=%d, want fired with %d counted", res.Fired, res.Executed, n)
-	}
-
-	// Re-arm and run again on the parallel scheduler.
-	if err := tool.Reset(Injection{Group: GroupFP32, Target: 5, Model: ModelZero}); err != nil {
-		t.Fatal(err)
-	}
-	out = env.launch(t)
-	idx = diffOne(t, want, out)
-	if out[idx] != 0 {
-		t.Fatalf("zero model wrote %#x", out[idx])
 	}
 }
 
@@ -374,7 +334,8 @@ func TestGetInstrsErrorBecomesToolCallback(t *testing.T) {
 		tool nvbit.Tool
 	}{
 		{"injector", New(Injection{Group: GroupAll, Target: 0, Model: ModelFlip})},
-		{"profiler", NewProfiler()},
+		// Disarmed, the tool is a campaign's profiler: its golden pass.
+		{"profiler", New(Injection{Group: GroupAll, Target: NoTarget})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := setup(t, tc.tool, appPTX, "addone", 32)
@@ -404,19 +365,29 @@ func TestGetInstrsErrorBecomesToolCallback(t *testing.T) {
 	}
 }
 
-func TestProfilerCounts(t *testing.T) {
-	prof := NewProfiler()
-	env := setup(t, prof, appPTX, "addone", 64)
-	env.launch(t)
-
-	counts, err := prof.Counts()
+// counted runs kernel from src over nthreads under a disarmed Tool of group
+// g and returns how many dynamic thread-instructions it counted.
+func counted(t *testing.T, g Group, src, kernel string, nthreads int) uint64 {
+	t.Helper()
+	tool := New(Injection{Group: g, Target: NoTarget})
+	setup(t, tool, src, kernel, nthreads).launch(t)
+	res, err := tool.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(counts) != 1 || counts[0].Kernel != "addone" {
-		t.Fatalf("counts = %+v", counts)
+	if res.Fired {
+		t.Fatalf("disarmed %s tool fired", g)
 	}
-	c := counts[0].Counts
+	return res.Executed
+}
+
+// TestProfilerCounts: the disarmed tool's count per group — the population
+// a campaign draws targets from — on a kernel whose groups are known.
+func TestProfilerCounts(t *testing.T) {
+	var c [NumGroups]uint64
+	for g := Group(0); g < NumGroups; g++ {
+		c[g] = counted(t, g, appPTX, "addone", 64)
+	}
 	if c[GroupFP32] != 64 {
 		t.Fatalf("fp32 count = %d, want 64 (one add.f32 per thread)", c[GroupFP32])
 	}
@@ -436,44 +407,28 @@ func TestProfilerCounts(t *testing.T) {
 // TestProfilerPredication: predicated-off lanes execute nothing, so they must
 // not count (the Listing 8 site-predicate idiom).
 func TestProfilerPredication(t *testing.T) {
-	prof := NewProfiler()
-	env := setup(t, prof, predPTX, "predhalf", 32)
-	env.launch(t)
-
-	counts, err := prof.Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := counts[0].Counts[GroupFP32]; c != 16 {
+	if c := counted(t, GroupFP32, predPTX, "predhalf", 32); c != 16 {
 		t.Fatalf("fp32 count = %d, want 16 (half the warp predicated off)", c)
 	}
 }
 
-// TestProfileMatchesInjectionSpace: the profiler's count for a group is
-// exactly the number of targets an injection can hit — arm the injector as a
-// pure counter and compare.
+// TestProfileMatchesInjectionSpace: the disarmed count is exactly the number
+// of targets an injection can hit — the last index fires, the next does not.
 func TestProfileMatchesInjectionSpace(t *testing.T) {
-	prof := NewProfiler()
-	penv := setup(t, prof, predPTX, "predhalf", 32)
-	penv.launch(t)
-	counts, err := prof.Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tool := New(Injection{Group: GroupFP32, Target: NoTarget})
-	ienv := setup(t, tool, predPTX, "predhalf", 32)
-	ienv.launch(t)
-	res, err := tool.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fired {
-		t.Fatal("disarmed tool fired")
-	}
-	if res.Executed != counts[0].Counts[GroupFP32] {
-		t.Fatalf("injector counted %d, profiler counted %d",
-			res.Executed, counts[0].Counts[GroupFP32])
+	space := counted(t, GroupFP32, predPTX, "predhalf", 32)
+	for _, tc := range []struct {
+		target uint64
+		fires  bool
+	}{{space - 1, true}, {space, false}} {
+		tool := New(Injection{Group: GroupFP32, Target: tc.target, Model: ModelZero})
+		setup(t, tool, predPTX, "predhalf", 32).launch(t)
+		res, err := tool.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fired != tc.fires || res.Executed != space {
+			t.Fatalf("target %d of a %d space: fired=%v executed=%d", tc.target, space, res.Fired, res.Executed)
+		}
 	}
 }
 
@@ -485,16 +440,15 @@ const seqThreads = 64
 
 // seqRun is what runSeq observed, per launch of launchSeq.
 type seqRun struct {
-	outs     [][]uint32 // the launch's own output buffer
-	warps    []uint64   // warp instructions the launch executed
-	executed []uint64   // the tool's counter after the launch
-	nv       *nvbit.NVBit
-	fns      map[string]*gpusim.Function
+	outs  [][]uint32 // the launch's own output buffer
+	warps []uint64   // warp instructions the launch executed
+	nv    *nvbit.NVBit
+	fns   map[string]*gpusim.Function
 }
 
 // runSeq runs launchSeq under tool (nil: no tool) on the sequential
 // scheduler, as a campaign run does.
-func runSeq(t *testing.T, tool *Tool) seqRun {
+func runSeq(t *testing.T, tool nvbit.Tool) seqRun {
 	t.Helper()
 	api, err := gpusim.New(gpusim.Volta)
 	if err != nil {
@@ -553,13 +507,6 @@ func runSeq(t *testing.T, tool *Tool) seqRun {
 			vals[i] = binary.LittleEndian.Uint32(host[4*i:])
 		}
 		r.outs = append(r.outs, vals)
-		if tool != nil {
-			res, err := tool.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.executed = append(r.executed, res.Executed)
-		}
 	}
 	return r
 }
@@ -571,10 +518,11 @@ func runSeq(t *testing.T, tool *Tool) seqRun {
 // ordinal must never be lifted.
 func TestOnlyLaunch(t *testing.T) {
 	native := runSeq(t, nil)
-	every := runSeq(t, New(Injection{Group: GroupFP32, Target: NoTarget}))
+	every := &launchTable{Tool: New(Injection{Group: GroupFP32, Target: NoTarget})}
+	runSeq(t, every)
 	var base uint64
 	for k, name := range launchSeq {
-		count := every.executed[k] - base
+		count := every.counts[k]
 		// One add.f32 per thread; predhalf guards it off in half of each warp.
 		want := uint64(seqThreads)
 		if name == "predhalf" {
