@@ -1,7 +1,7 @@
 // Package campaign is the NVBitFI-style fault-injection campaign engine: the
 // scale layer over internal/tools/faultinject that turns one-injection-per-run
-// experiments into statistically meaningful error-resilience numbers
-// (ROADMAP item 3; the SASSIFI use case of paper Sections 1 and 6.3).
+// experiments into statistically meaningful error-resilience numbers (the
+// SASSIFI use case of paper Sections 1 and 6.3).
 //
 // A campaign lives in a directory:
 //
@@ -14,11 +14,11 @@
 // The lifecycle is plan → run → report. Planning executes the victim once,
 // the golden pass, under the injection tool disarmed: it hashes the output
 // and counts the dynamic thread-instructions of the campaign's instruction
-// group in each launch (the launch table). The table's sum is the space the
-// planner draws each run's target from uniformly, so the manifest is
-// reproducible from (plan, seed) alone. Each run then executes the victim in
-// a fresh simulator instance with exactly one injection armed,
-// instrumenting only the launch its target falls in, and classifies the
+// group in each CTA of each launch (the launch table). The table's sum is the
+// space the planner draws each run's target from uniformly, so the manifest
+// is reproducible from (plan, seed) alone. Each run then executes the victim
+// in a fresh simulator instance with exactly one injection armed,
+// instrumenting only the CTA its target falls in, and classifies the
 // outcome:
 //
 //	masked  the run completed and its output matches the golden hash
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -100,16 +101,19 @@ type planFile struct {
 }
 
 // launch is one row of the launch table: a kernel launch of the golden pass,
-// in launch order, and how many dynamic thread-instructions of the
-// campaign's group it executed.
+// in launch order, how many dynamic thread-instructions of the campaign's
+// group it executed, and how many each of its CTAs did, in the order the
+// sequential scheduler runs them. Count is the sum of CTAs.
 type launch struct {
-	Kernel string `json:"kernel"`
-	Count  uint64 `json:"count"`
+	Kernel string   `json:"kernel"`
+	Count  uint64   `json:"count"`
+	CTAs   []uint64 `json:"ctas,omitempty"`
 }
 
 // planVersion 2 added the launch table; Load converts a version-1 plan.
-// Plans written before the golden pass became the only counting pass also
-// carry a per-kernel "profile", which decoding ignores.
+// Version-2 plans written before the table had CTA counts are converted the
+// same way, and those written before the golden pass became the only
+// counting pass also carry a per-kernel "profile", which decoding ignores.
 const planVersion = 2
 
 // Campaign is one on-disk campaign: a plan plus the completed results.
@@ -134,23 +138,23 @@ func resolve(cfg Config) (*specaccel.Benchmark, specaccel.Size, faultinject.Grou
 		}
 	}
 	if bench == nil {
-		return nil, 0, 0, fmt.Errorf("campaign: unknown benchmark %q", cfg.Benchmark)
+		return nil, 0, 0, fmt.Errorf("unknown benchmark %q", cfg.Benchmark)
 	}
 	size, err := specaccel.ParseSize(cfg.Size)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("campaign: %w", err)
+		return nil, 0, 0, err
 	}
 	group, err := faultinject.ParseGroup(cfg.Group)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("campaign: %w", err)
+		return nil, 0, 0, err
 	}
 	if cfg.Model != "mix" {
 		if _, err := faultinject.ParseModel(cfg.Model); err != nil {
-			return nil, 0, 0, fmt.Errorf("campaign: %w", err)
+			return nil, 0, 0, err
 		}
 	}
 	if cfg.Runs <= 0 {
-		return nil, 0, 0, fmt.Errorf("campaign: runs must be positive, got %d", cfg.Runs)
+		return nil, 0, 0, fmt.Errorf("runs must be positive, got %d", cfg.Runs)
 	}
 	return bench, size, group, nil
 }
@@ -160,7 +164,7 @@ func resolve(cfg Config) (*specaccel.Benchmark, specaccel.Size, faultinject.Grou
 func Plan(dir string, cfg Config) (*Campaign, error) {
 	bench, size, group, err := resolve(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, planName)); err == nil {
 		return nil, fmt.Errorf("campaign: %s already holds a plan (use Load/Open to resume)", dir)
@@ -168,7 +172,7 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 
 	golden, launches, err := goldenPass(bench, size, group, cfg.watchdog())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	var space uint64
 	for _, l := range launches {
@@ -233,41 +237,19 @@ func drawManifest(cfg Config, group faultinject.Group, space uint64) []RunSpec {
 	return manifest
 }
 
-// Load opens an existing campaign directory. A version-1 plan, which has no
-// launch table, gets one from a fresh golden pass that must reproduce the
-// plan's golden output; plan.json itself is left as it was.
+// Load opens an existing campaign directory. A plan without CTA counts —
+// version 1, which has no launch table, or version 2 from an older build —
+// gets its whole table from one fresh golden pass, which must reproduce the
+// plan's golden output and, for version 2, its launch counts; plan.json
+// itself is left as it was. A refusal names the file, then the field or run.
 func Load(dir string) (*Campaign, error) {
 	var plan planFile
 	if err := readFile(filepath.Join(dir, planName), &plan); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	if plan.Version != 1 && plan.Version != planVersion {
-		return nil, fmt.Errorf("campaign: plan version %d, want 1 or %d", plan.Version, planVersion)
-	}
-	bench, size, group, err := resolve(plan.Config)
+	bench, size, err := plan.load()
 	if err != nil {
-		return nil, err
-	}
-	if len(plan.Manifest) != plan.Config.Runs {
-		return nil, fmt.Errorf("campaign: manifest holds %d runs, config plans %d",
-			len(plan.Manifest), plan.Config.Runs)
-	}
-	if plan.Version == 1 {
-		golden, launches, err := goldenPass(bench, size, group, plan.Config.watchdog())
-		if err != nil {
-			return nil, err
-		}
-		if golden != plan.Golden {
-			return nil, fmt.Errorf("campaign: version-1 plan: golden pass output %s, plan recorded %s",
-				golden, plan.Golden)
-		}
-		plan.Version, plan.Launches = planVersion, launches
-	}
-	if err := checkLaunches(plan.Launches, plan.Space); err != nil {
-		return nil, err
-	}
-	if err := checkManifest(plan.Manifest, group, plan.Space); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: %s: %w", planName, err)
 	}
 	c := &Campaign{
 		dir:     dir,
@@ -280,6 +262,40 @@ func Load(dir string) (*Campaign, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// load checks a decoded plan.json against what Plan could have written and
+// gives a plan without CTA counts its launch table.
+func (p *planFile) load() (*specaccel.Benchmark, specaccel.Size, error) {
+	if p.Version != 1 && p.Version != planVersion {
+		return nil, 0, fmt.Errorf("version %d, want 1 or %d", p.Version, planVersion)
+	}
+	bench, size, group, err := resolve(p.Config)
+	if err != nil {
+		return nil, 0, fmt.Errorf("config: %w", err)
+	}
+	if len(p.Manifest) != p.Config.Runs {
+		return nil, 0, fmt.Errorf("manifest holds %d runs, config plans %d", len(p.Manifest), p.Config.Runs)
+	}
+	if err := checkManifest(p.Manifest, group, p.Space); err != nil {
+		return nil, 0, err
+	}
+	if p.Version == 1 || !slices.ContainsFunc(p.Launches, func(l launch) bool { return len(l.CTAs) > 0 }) {
+		golden, launches, err := goldenPass(bench, size, group, p.Config.watchdog())
+		if err != nil {
+			return nil, 0, err
+		}
+		if golden != p.Golden {
+			return nil, 0, fmt.Errorf("golden_sha256: the golden pass output %s, the plan recorded %s", golden, p.Golden)
+		}
+		if p.Version == planVersion && !slices.EqualFunc(p.Launches, launches, func(a, b launch) bool {
+			return a.Kernel == b.Kernel && a.Count == b.Count
+		}) {
+			return nil, 0, fmt.Errorf("launches: the golden pass does not reproduce the plan's kernels and counts")
+		}
+		p.Version, p.Launches = planVersion, launches
+	}
+	return bench, size, checkLaunches(p.Launches, p.Space)
 }
 
 // Open loads the campaign in dir if one exists (verifying it was planned
@@ -350,46 +366,81 @@ func hashOutput(out []byte) string {
 // goldenPass runs the victim under the injection tool instrumented at every
 // launch but disarmed, so the reference output comes from the binary the
 // injection runs execute. It returns the output's hash and the launch table:
-// the tool's counter read at the exit of each launch.
+// the tool's counter read at the exit of each CTA of each launch.
 func goldenPass(bench *specaccel.Benchmark, size specaccel.Size, group faultinject.Group,
 	watchdog int64) (string, []launch, error) {
 	rec := &launchRecorder{Tool: faultinject.New(faultinject.Injection{Group: group, Target: faultinject.NoTarget})}
 	out, err := executeVictim(bench, size, rec, watchdog)
 	if err != nil {
-		return "", nil, fmt.Errorf("campaign: golden run failed: %w", err)
+		return "", nil, fmt.Errorf("golden run failed: %w", err)
 	}
 	return hashOutput(out), rec.launches, nil
 }
 
 // launchRecorder is the injection tool plus the launch table: at the exit of
-// every launch it records how far the tool's counter moved.
+// every CTA (OnCTAExit) it records how far the tool's counter moved, and at
+// the exit of every launch it closes the launch's row.
 type launchRecorder struct {
 	*faultinject.Tool
 	launches []launch
-	counted  uint64
+	ctas     []uint64 // the running launch's CTA counts
+	counted  uint64   // the counter at the last CTA exit
 }
 
 func (r *launchRecorder) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
 	r.Tool.AtCUDACall(n, exit, cbid, name, p)
-	if !exit || cbid != nvbit.CBLaunchKernel {
+	if cbid != nvbit.CBLaunchKernel {
 		return
 	}
+	if !exit {
+		r.ctas = nil
+		if err := n.OnCTAExit(r.ctaExit); err != nil {
+			panic(err)
+		}
+		return
+	}
+	l := launch{Kernel: p.Launch.Func.Name, CTAs: r.ctas}
+	for _, c := range r.ctas {
+		l.Count += c
+	}
+	r.launches = append(r.launches, l)
+}
+
+func (r *launchRecorder) ctaExit(int) {
 	res, err := r.Result()
 	if err != nil {
 		panic(err)
 	}
-	r.launches = append(r.launches, launch{Kernel: p.Launch.Func.Name, Count: res.Executed - r.counted})
+	r.ctas = append(r.ctas, res.Executed-r.counted)
 	r.counted = res.Executed
 }
 
-// checkLaunches checks that a loaded plan's launch table sums to its space.
+// checkLaunches checks that a loaded plan's launch table adds up: each
+// launch's CTA counts sum to its count and the counts to the space, with no
+// sum overflowing.
 func checkLaunches(launches []launch, space uint64) error {
 	var total uint64
-	for _, l := range launches {
+	for k, l := range launches {
+		if len(l.CTAs) == 0 {
+			return fmt.Errorf("launches[%d] has no ctas", k)
+		}
+		var sum uint64
+		for _, c := range l.CTAs {
+			if sum+c < sum {
+				return fmt.Errorf("launches[%d].ctas overflow", k)
+			}
+			sum += c
+		}
+		if sum != l.Count {
+			return fmt.Errorf("launches[%d].ctas sum to %d, count is %d", k, sum, l.Count)
+		}
+		if total+l.Count < total {
+			return fmt.Errorf("launches[%d].count overflows the table's sum", k)
+		}
 		total += l.Count
 	}
 	if total != space {
-		return fmt.Errorf("campaign: launch table counts %d, space is %d", total, space)
+		return fmt.Errorf("launches count %d, space is %d", total, space)
 	}
 	return nil
 }
@@ -417,23 +468,30 @@ func checkManifest(manifest []RunSpec, group faultinject.Group, space uint64) er
 		default:
 			continue
 		}
-		return fmt.Errorf("campaign: manifest run %d %s", spec.ID, bad)
+		return fmt.Errorf("manifest run %d %s", spec.ID, bad)
 	}
 	return nil
 }
 
-// targetLaunch maps a target, an index over the whole run, to the launch
-// that executes it and that launch's base: the count of the launches before
-// it. A target beyond the space maps past the last launch, so no launch is
-// instrumented and nothing fires, as with every launch instrumented.
-func (c *Campaign) targetLaunch(target uint64) (k int, base uint64) {
+// targetLaunch maps a target, an index over the whole run, to the launch and
+// the CTA of that launch that execute it, and to the CTA's base: the count of
+// every launch and CTA before it. A target beyond the space maps past the
+// last launch, so nothing is instrumented and nothing fires, as with every
+// launch instrumented.
+func (c *Campaign) targetLaunch(target uint64) (k, cta int, base uint64) {
 	for k, l := range c.plan.Launches {
-		if target < base+l.Count {
-			return k, base
+		if target-base >= l.Count {
+			base += l.Count
+			continue
 		}
-		base += l.Count
+		for cta, n := range l.CTAs {
+			if target-base < n {
+				return k, cta, base
+			}
+			base += n
+		}
 	}
-	return len(c.plan.Launches), base
+	return len(c.plan.Launches), 0, base
 }
 
 // executeVictim runs the benchmark in a fresh simulator under tool and

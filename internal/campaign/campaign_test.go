@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -107,21 +108,47 @@ func TestPlanSpaceMatchesProfile(t *testing.T) {
 			t.Fatalf("run %d target %d outside space %d", spec.ID, spec.Injection.Target, c.Space())
 		}
 	}
-	// ostencil/small launches its one kernel twice, over the same grid.
-	want := []launch{{"st3", sum / 2}, {"st3", sum / 2}}
-	if fmt.Sprint(c.plan.Launches) != fmt.Sprint(want) {
-		t.Fatalf("launch table %v, want %v", c.plan.Launches, want)
+	// ostencil/small launches its one kernel twice, over the same grid of
+	// four CTAs.
+	if err := checkLaunches(c.plan.Launches, c.Space()); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.plan.Launches) != 2 {
+		t.Fatalf("launch table %v, want two launches", c.plan.Launches)
+	}
+	for _, l := range c.plan.Launches {
+		if l.Kernel != "st3" || l.Count != sum/2 || len(l.CTAs) != 4 {
+			t.Fatalf("launch table %v, want two launches of st3 counting %d in four CTAs each", c.plan.Launches, sum/2)
+		}
 	}
 }
 
 func TestCheckLaunches(t *testing.T) {
-	table := []launch{{"a", 10}, {"b", 5}, {"a", 20}}
+	table := []launch{{"a", 10, []uint64{4, 6}}, {"b", 5, []uint64{5}}, {"a", 20, []uint64{0, 20}}}
 	if err := checkLaunches(table, 35); err != nil {
 		t.Fatalf("consistent table rejected: %v", err)
 	}
 	for _, space := range []uint64{0, 34, 36} {
 		if err := checkLaunches(table, space); err == nil {
 			t.Errorf("table summing to 35 accepted for space %d", space)
+		}
+	}
+	// A launch whose CTA counts are missing, miss its count or wrap to it,
+	// and counts that wrap to the space, are refused naming the launch.
+	for _, tc := range []struct {
+		k int
+		l launch
+	}{
+		{1, launch{"b", 5, nil}},
+		{1, launch{"b", 5, []uint64{4}}},
+		{2, launch{"a", 20, []uint64{math.MaxUint64, 21}}},
+		{2, launch{"a", math.MaxUint64 - 14, []uint64{math.MaxUint64 - 14}}},
+	} {
+		bad := slices.Clone(table)
+		bad[tc.k] = tc.l
+		space := uint64(15) + tc.l.Count // the other two launches count 15
+		if err := checkLaunches(bad, space); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("launches[%d]", tc.k)) {
+			t.Errorf("launch %d = %v: %v", tc.k, tc.l, err)
 		}
 	}
 }
@@ -155,26 +182,30 @@ func TestLoadRejectsBadManifest(t *testing.T) {
 	}
 }
 
-// TestTargetLaunch pins the mapping from a run-wide target to (launch,
-// base) at every launch's first and last index, across an empty launch.
+// TestTargetLaunch pins the mapping from a run-wide target to (launch, CTA,
+// base) at every CTA's first and last index, across an empty launch and an
+// empty CTA.
 func TestTargetLaunch(t *testing.T) {
-	c := &Campaign{plan: planFile{Launches: []launch{{"a", 4}, {"b", 0}, {"a", 3}, {"c", 1}}}}
+	c := &Campaign{plan: planFile{Launches: []launch{
+		{"a", 4, []uint64{3, 1}}, {"b", 0, []uint64{0, 0}}, {"a", 3, []uint64{0, 2, 1}}, {"c", 1, []uint64{1}},
+	}}}
 	for _, tc := range []struct {
 		target uint64
-		k      int
+		k, cta int
 		base   uint64
 	}{
-		{0, 0, 0}, {3, 0, 0}, {4, 2, 4}, {6, 2, 4}, {7, 3, 7}, {8, 4, 8}, {faultinject.NoTarget, 4, 8},
+		{0, 0, 0, 0}, {2, 0, 0, 0}, {3, 0, 1, 3}, {4, 2, 1, 4}, {5, 2, 1, 4}, {6, 2, 2, 6}, {7, 3, 0, 7},
+		{8, 4, 0, 8}, {faultinject.NoTarget, 4, 0, 8},
 	} {
-		if k, base := c.targetLaunch(tc.target); k != tc.k || base != tc.base {
-			t.Errorf("targetLaunch(%d) = %d, %d; want %d, %d", tc.target, k, base, tc.k, tc.base)
+		if k, cta, base := c.targetLaunch(tc.target); k != tc.k || cta != tc.cta || base != tc.base {
+			t.Errorf("targetLaunch(%d) = %d, %d, %d; want %d, %d, %d", tc.target, k, cta, base, tc.k, tc.cta, tc.base)
 		}
 	}
 }
 
 // matchEveryLaunch re-runs each run with the injector instrumenting every
 // launch, the tool's default, and fails the test for every run whose result
-// differs from the campaign's, which instrumented the target launch only.
+// differs from the campaign's, which instrumented the target CTA only.
 func matchEveryLaunch(t *testing.T, c *Campaign, workers int) {
 	t.Helper()
 	got := c.Results()
@@ -192,8 +223,8 @@ func matchEveryLaunch(t *testing.T, c *Campaign, workers int) {
 				want := c.runWith(spec.ID, faultinject.New(spec.Injection))
 				if got[spec.ID] != want {
 					mu.Lock()
-					t.Errorf("%s/%s run %d (%v): target launch only %+v, every launch %+v",
-						c.plan.Config.Benchmark, c.plan.Config.Group, spec.ID, spec.Injection, got[spec.ID], want)
+					t.Errorf("%s/%s/%s run %d (%v): target CTA only %+v, every launch %+v",
+						c.plan.Config.Benchmark, c.plan.Config.Size, c.plan.Config.Group, spec.ID, spec.Injection, got[spec.ID], want)
 					mu.Unlock()
 				}
 			}
@@ -207,25 +238,38 @@ func matchEveryLaunch(t *testing.T, c *Campaign, workers int) {
 }
 
 // TestTargetLaunchOnlyMatchesEveryLaunch is the licence for instrumenting
-// one launch per run: on single- and multi-kernel victims, every run
+// one CTA of one launch per run: on single- and multi-kernel victims at
+// Small (four CTAs a launch) and on ostencil at Medium (sixteen), every run
 // classifies exactly as it does with every launch instrumented — outcome,
-// detail and the injection record.
+// detail and the injection record. (The name predates the CTA cut; it is
+// kept so the test's history stays one series.)
 func TestTargetLaunchOnlyMatchesEveryLaunch(t *testing.T) {
 	runs := 96
 	if testing.Short() {
 		runs = 48
 	}
+	type victim struct {
+		name, bench, size, group string
+		runs                     int
+	}
+	var victims []victim
 	for _, bench := range []string{"ostencil", "olbm", "palm", "cg"} {
 		for _, group := range []string{"gpr", "ld"} {
-			t.Run(bench+"/"+group, func(t *testing.T) {
-				cfg := Config{Benchmark: bench, Size: "small", Group: group, Model: "mix", Runs: runs, Seed: 5}
-				c := mustPlan(t, t.TempDir(), cfg)
-				if _, err := c.Run(2, 0); err != nil {
-					t.Fatal(err)
-				}
-				matchEveryLaunch(t, c, 2)
-			})
+			victims = append(victims, victim{bench + "/" + group, bench, "small", group, runs})
 		}
+	}
+	// A Medium run with every launch instrumented costs about sixteen Small
+	// ones.
+	victims = append(victims, victim{"ostencil/gpr/medium", "ostencil", "medium", "gpr", runs / 8})
+	for _, v := range victims {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := Config{Benchmark: v.bench, Size: v.size, Group: v.group, Model: "mix", Runs: v.runs, Seed: 5}
+			c := mustPlan(t, t.TempDir(), cfg)
+			if _, err := c.Run(2, 0); err != nil {
+				t.Fatal(err)
+			}
+			matchEveryLaunch(t, c, 2)
+		})
 	}
 }
 

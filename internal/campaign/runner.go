@@ -60,12 +60,12 @@ func (c *Campaign) Run(workers, maxRuns int) (int, error) {
 	return done, firstErr
 }
 
-// execute performs one injection run and classifies it. Only the launch the
-// target falls in runs instrumented; every other launch runs the original
-// code.
+// execute performs one injection run and classifies it. Only the CTA the
+// target falls in runs instrumented; every other CTA and launch runs the
+// original code.
 func (c *Campaign) execute(spec RunSpec) RunResult {
 	tool := faultinject.New(spec.Injection)
-	tool.OnlyLaunch(c.targetLaunch(spec.Injection.Target))
+	tool.OnlyCTA(c.targetLaunch(spec.Injection.Target))
 	return c.runWith(spec.ID, tool)
 }
 

@@ -103,14 +103,14 @@ func (c *Campaign) loadResults() error {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	if rf.Version != resultsVersion {
-		return fmt.Errorf("campaign: results version %d, want %d", rf.Version, resultsVersion)
+		return fmt.Errorf("campaign: %s: version %d, want %d", resultsName, rf.Version, resultsVersion)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range rf.Results {
 		if r.ID < 0 || r.ID >= len(c.plan.Manifest) {
-			return fmt.Errorf("campaign: result for run %d outside manifest [0,%d)",
-				r.ID, len(c.plan.Manifest))
+			return fmt.Errorf("campaign: %s: result for run %d outside manifest [0,%d)",
+				resultsName, r.ID, len(c.plan.Manifest))
 		}
 		c.results[r.ID] = r
 	}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"slices"
-
 	"nvbitgo/internal/channel"
+	"nvbitgo/internal/gpu"
 )
 
 // OpenChannel opens a device→host streaming record channel on the current
@@ -29,17 +28,30 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 		return nil, err
 	}
 	n.channels = append(n.channels, ch)
-	// Clip forces a fresh slice: SetFlushHooks wants one nothing writes.
-	n.scope.SetFlushHooks(append(slices.Clip(n.scope.FlushHooks()), ch.OnFlushPoint))
+	n.setFlushHooks()
 	return ch, nil
 }
 
 // closeChannels ends the attachment's channels: their hooks leave the scope
 // and their device buffers are released.
 func (n *NVBit) closeChannels() {
-	n.scope.SetFlushHooks(nil)
 	for _, ch := range n.channels {
 		ch.Close()
 	}
 	n.channels = nil
+	n.setFlushHooks()
+}
+
+// setFlushHooks installs the attachment's flush hooks on its scope: one per
+// open channel and, while a launch has an OnCTAExit callback, the CTA hook.
+// The slice is a fresh one each time, as SetFlushHooks wants.
+func (n *NVBit) setFlushHooks() {
+	var hooks []gpu.FlushHook
+	for _, ch := range n.channels {
+		hooks = append(hooks, ch.OnFlushPoint)
+	}
+	if n.ctaExit != nil {
+		hooks = append(hooks, n.atCTAExit)
+	}
+	n.scope.SetFlushHooks(hooks)
 }

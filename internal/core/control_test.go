@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"nvbitgo/internal/driver"
@@ -158,6 +159,105 @@ func TestEnableToggleIsOnlyASwap(t *testing.T) {
 	if total, err := env.nv.ReadU64(ctr); err != nil || total != launches/2*perLaunch {
 		t.Fatalf("counter %d (%v), want %d: only the enabled half of the launches counts",
 			total, err, launches/2*perLaunch)
+	}
+}
+
+// TestOnCTAExit: a code version chosen from an OnCTAExit callback runs from
+// the launch's next CTA on. With the tally switched in for CTA c only, the
+// tally counts in CTA c exactly what it counts there with every CTA
+// instrumented and nothing elsewhere, and the results are the native ones.
+// Closing the attachment's channels leaves the CTA hook, and the hook leaves
+// the scope with its launch. OnCTAExit is refused outside a launch
+// callback, a second time in one launch, and under the parallel scheduler.
+func TestOnCTAExit(t *testing.T) {
+	// perCTA runs one launch of work (four CTAs) with the tally switched in
+	// for CTA only, or for every CTA when only < 0, and returns the tally's
+	// count in each CTA.
+	perCTA := func(only int) []uint64 {
+		tool := &testTool{}
+		env := setup(t, sass.Volta, tool)
+		ctr, err := env.nv.Malloc(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.nv.WriteU64(ctr, 0); err != nil {
+			t.Fatal(err)
+		}
+		instrument := instrumentAll(ctr)
+		var counts []uint64
+		var last uint64
+		hooks := -1
+		tool.onLaunch = func(n *NVBit, p *driver.CallParams) {
+			instrument(n, p)
+			f := p.Launch.Func
+			if only >= 0 {
+				if err := n.EnableInstrumented(f, only == 0); err != nil {
+					panic(err)
+				}
+			}
+			if err := n.OnCTAExit(func(cta int) {
+				v, err := n.ReadU64(ctr)
+				if err != nil {
+					panic(err)
+				}
+				counts, last = append(counts, v-last), v
+				if only >= 0 && (cta == only-1 || cta == only) {
+					if err := n.EnableInstrumented(f, cta == only-1); err != nil {
+						panic(err)
+					}
+				}
+			}); err != nil {
+				panic(err)
+			}
+			n.closeChannels()
+			hooks = len(n.scope.FlushHooks())
+		}
+		env.launch(t)
+		if hooks != 1 {
+			t.Fatalf("CTA %d: %d flush hooks after closing the channels, want the CTA hook", only, hooks)
+		}
+		if got := len(env.nv.scope.FlushHooks()); got != 0 {
+			t.Fatalf("CTA %d: %d flush hooks outlived the launch", only, got)
+		}
+		for i, got := range env.results(t) {
+			if want := wantWorkResults(env.n)[i]; got != want {
+				t.Fatalf("CTA %d: result[%d] = %d, want %d", only, i, got, want)
+			}
+		}
+		return counts
+	}
+	all := perCTA(-1)
+	if len(all) != 4 || slices.Contains(all, 0) {
+		t.Fatalf("every CTA instrumented: per-CTA tallies %v, want four nonzero", all)
+	}
+	for only := range all {
+		want := make([]uint64, len(all))
+		want[only] = all[only]
+		if got := perCTA(only); !slices.Equal(got, want) {
+			t.Errorf("CTA %d switched in: per-CTA tallies %v, want %v", only, got, want)
+		}
+	}
+
+	none := func(int) {}
+	var second, parallel error
+	tool := &testTool{onLaunch: func(n *NVBit, p *driver.CallParams) {
+		if err := n.OnCTAExit(none); err != nil {
+			panic(err)
+		}
+		second = n.OnCTAExit(none)
+	}}
+	env := setup(t, sass.Volta, tool)
+	if err := env.nv.OnCTAExit(none); err == nil {
+		t.Error("OnCTAExit outside a launch callback succeeded")
+	}
+	env.launch(t)
+	if second == nil {
+		t.Error("a second OnCTAExit in one launch succeeded")
+	}
+	tool = &testTool{onLaunch: func(n *NVBit, p *driver.CallParams) { parallel = n.OnCTAExit(none) }}
+	setup(t, sass.Volta, tool, WithScheduler(gpu.SchedulerParallelSM)).launch(t)
+	if parallel == nil {
+		t.Error("OnCTAExit under the parallel scheduler succeeded")
 	}
 }
 

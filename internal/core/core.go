@@ -10,7 +10,7 @@
 //   - Inspection API  — GetInstrs / GetBasicBlocks / GetRelatedFuncs and the
 //     Instr abstraction over machine-level SASS
 //   - Instrumentation — InsertCall / AddCallArg / RemoveOrig
-//   - Control API     — EnableInstrumented / ResetInstrumented
+//   - Control API     — EnableInstrumented / ResetInstrumented / OnCTAExit
 //   - Device API      — tool device functions use rdreg/wrreg/rdpred/wrpred
 //     (lowered by the PTX dialect) against the saved context image
 //
@@ -53,6 +53,10 @@ type NVBit struct {
 	// channels are the channels OpenChannel opened, closed when the
 	// attachment ends.
 	channels []*channel.Channel
+	// ctaExit is the running launch's OnCTAExit callback, nil when it has
+	// none; ctaNext is the index of the launch's next CTA to retire.
+	ctaExit func(cta int)
+	ctaNext int
 
 	loader *toolLoader
 	funcs  map[*driver.Function]*funcState
@@ -172,6 +176,9 @@ func (h *hook) Before(cbid driver.CBID, name string, p *driver.CallParams) {
 		n.hal = newHAL(n.api.Device())
 	}
 	if cbid == driver.CBLaunchKernel {
+		// An earlier launch whose enter callback failed never reached
+		// After, so its OnCTAExit callback may still be set.
+		n.endCTAExit()
 		prof := n.Profiler()
 		var jitBefore JITStats
 		var profT0 time.Duration
@@ -256,6 +263,9 @@ func (n *NVBit) emitJITPhases(prof *profile.Collector, before JITStats, t0 time.
 
 func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err error) {
 	n := (*NVBit)(h)
+	if cbid == driver.CBLaunchKernel {
+		n.endCTAExit()
+	}
 	n.tool.AtCUDACall(n, true, cbid, name, p)
 	if cbid == driver.CBAppExit {
 		defer n.closeChannels()

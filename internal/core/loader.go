@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
 )
 
 // EnableInstrumented selects, at run time, whether the instrumented or the
@@ -21,6 +22,56 @@ func (n *NVBit) EnableInstrumented(f *driver.Function, enable bool) error {
 	fs.enabled = enable
 	fs.enabledExplicit = true
 	return nil
+}
+
+// OnCTAExit runs fn at the exit of every CTA of the launch whose callback is
+// running, with the CTA's linear index. It needs the sequential scheduler,
+// which runs a launch's CTAs one at a time in index order: no warp is
+// resident when fn runs, so a code version fn selects with
+// EnableInstrumented is swapped in there (the same copy, no re-JIT) and the
+// launch's next CTA runs it. One launch can thus run some CTAs instrumented
+// and the rest native. New instrumentation fn requests waits for the next
+// launch. fn ends with its launch, and a launch without one runs no hook.
+// OnCTAExit is for a kernel launch's enter callback, once per launch; under
+// SchedulerParallelSM, whose CTAs retire concurrently, it returns an error.
+func (n *NVBit) OnCTAExit(fn func(cta int)) error {
+	switch {
+	case !n.inUserCallback:
+		return fmt.Errorf("nvbit: OnCTAExit outside a kernel launch callback")
+	case n.Device().Config().Scheduler != gpu.SchedulerSequential:
+		return fmt.Errorf("nvbit: OnCTAExit needs the sequential scheduler (parallel SMs retire CTAs concurrently)")
+	case n.ctaExit != nil:
+		return fmt.Errorf("nvbit: OnCTAExit already set for this launch")
+	}
+	n.ctaExit, n.ctaNext = fn, 0
+	n.setFlushHooks()
+	return nil
+}
+
+// atCTAExit is the flush hook OnCTAExit installs. At a CTA's exit it runs
+// the callback, then makes resident the code version each function asks for.
+func (n *NVBit) atCTAExit(_ int, point gpu.FlushPoint) {
+	if point != gpu.FlushCTA {
+		return
+	}
+	cta := n.ctaNext
+	n.ctaNext++
+	n.ctaExit(cta)
+	for _, fs := range n.funcs {
+		if want := fs.enabled && fs.instrumented; want != fs.resident {
+			if err := n.swapIn(fs, want); err != nil {
+				panic(fmt.Sprintf("nvbit: switching %s after CTA %d: %v", fs.f.Name, cta, err))
+			}
+		}
+	}
+}
+
+// endCTAExit removes the OnCTAExit callback of the launch that ended.
+func (n *NVBit) endCTAExit() {
+	if n.ctaExit != nil {
+		n.ctaExit = nil
+		n.setFlushHooks()
+	}
 }
 
 // ResetInstrumented discards a function's instrumentation: the original code

@@ -168,9 +168,11 @@ const (
 // FlushTick and FlushCTA boundary, on the goroutine that owns that SM (the
 // single walking goroutine under the sequential backend, SM worker i under
 // the parallel backend) — so a hook that touches only per-SM state needs no
-// synchronization. Hooks run on the
-// launch hot path: they must be cheap and must not allocate when they have
-// nothing to do.
+// synchronization. At a FlushCTA boundary of the sequential backend no warp
+// is resident, so a hook may write code there (WriteCode) and the launch's
+// next CTA runs what it wrote; under the parallel backend other SMs keep
+// executing, and a hook must not. Hooks run on the launch hot path: they
+// must be cheap and must not allocate when they have nothing to do.
 type FlushHook func(sm int, point FlushPoint)
 
 // atomStripes is the number of address-hashed locks serializing simulated
@@ -504,8 +506,9 @@ func (d *Device) chunk(w int) *codeChunk {
 
 // fetch returns the instruction at word index pc as the decode cache's own
 // entry (read-only to callers). A hit takes two acquire loads and no lock.
-// Code writes only happen between launches (WriteCode), so an entry never
-// changes while any worker can fetch it.
+// Code is written (WriteCode) between launches, or by a flush hook at a CTA
+// boundary of a sequential launch, where no warp is resident; so an entry
+// never changes while any worker can fetch it.
 func (d *Device) fetch(pc int32) (*sass.Inst, error) {
 	if w := int(pc); w > 0 && w < d.codeWords {
 		if dc := d.decoded[w/chunkWords].Load(); dc != nil && atomic.LoadUint32(&dc.valid[w%chunkWords]) != 0 {

@@ -1,5 +1,5 @@
 // Package jitcache is the content-addressed instrumentation cache behind
-// the framework's JIT pipeline (ROADMAP item 1).
+// the framework's JIT pipeline.
 //
 // The paper's Figure 5 shows that the dominant instrumentation cost is
 // first-launch disassembly and code generation, and its measured worst case

@@ -17,8 +17,8 @@
 //
 // A Tool is armed once, at AtInit, and injects at most once; a run that
 // injects again makes a fresh Tool. Armed with NoTarget it only counts: a
-// campaign's golden pass (internal/campaign) reads its counter after every
-// launch, and those per-launch populations are the space the planner draws
+// campaign's golden pass (internal/campaign) reads its counter at the exit of
+// every CTA, and those per-CTA populations are the space the planner draws
 // targets from.
 package faultinject
 
@@ -290,9 +290,9 @@ func classify(in sass.Inst) (reg sass.Reg, groups [NumGroups]bool, ok bool) {
 // Result is the device-side record of what one armed injection did.
 type Result struct {
 	// Executed is the group's dynamic thread-instructions counted so far.
-	// Under OnlyLaunch the counter starts at the launch's base and nothing
-	// counts outside that launch, so it reads base + the target launch's
-	// population, not the run's total.
+	// Under OnlyCTA the counter starts at the target CTA's base and nothing
+	// counts outside that CTA, so it reads the count through the target CTA
+	// (base + its population), not the run's total.
 	Executed uint64
 	Fired    bool   // the target index was reached
 	Lane     uint32 // firing warp lane
@@ -320,11 +320,12 @@ type Tool struct {
 	kernels []string // kernel id -> name, instrumentation order
 	nv      *nvbit.NVBit
 
-	// OnlyLaunch state: only restricts instrumentation to launch onlyK,
-	// whose counter starts at onlyBase; launches counts the launches seen
-	// since OnlyLaunch was called.
+	// OnlyCTA state: only restricts instrumentation to CTA onlyCTA of
+	// launch onlyK, whose counter starts at onlyBase; launches counts the
+	// launches seen since OnlyCTA was called.
 	only     bool
 	onlyK    int
+	onlyCTA  int
 	onlyBase uint64
 	launches int
 }
@@ -390,35 +391,40 @@ func (t *Tool) Result() (Result, error) {
 	return r, nil
 }
 
-// OnlyLaunch restricts the tool to one kernel launch: the k-th (0-based)
-// launch after this call runs instrumented with the counter set to base, and
-// every other launch runs the original code. base must be the group's
-// dynamic thread-instruction count of the launches before k, so the armed
+// OnlyCTA restricts the tool to one CTA of one kernel launch: CTA cta of the
+// k-th (0-based) launch after this call runs instrumented with the counter
+// set to base, and every other CTA and launch runs the original code. base
+// must be the group's dynamic thread-instruction count of everything before
+// that CTA, the launches before k and the CTAs of k before cta, so the armed
 // target keeps its meaning as an index over the whole run; it is what a
-// campaign's launch table gives. A function first launched before k is not
-// lifted until k, one instrumented at k is switched back to its original
-// code by EnableInstrumented (a code swap, no re-JIT) when launched again,
-// and a function never launched at k is never lifted at all.
+// campaign's launch table gives. Launch k's function is lifted and
+// instrumented at k, starts native unless cta is 0, and is switched in at
+// the exit of CTA cta-1 and out at the exit of CTA cta (OnCTAExit: a code
+// swap, no re-JIT). It runs its original code when launched again, and a
+// function never launched at k is never lifted at all. OnCTAExit needs the
+// sequential scheduler, so under the parallel one launch k fails with
+// ErrToolCallback.
 //
-// Without OnlyLaunch the tool instruments every launch.
-func (t *Tool) OnlyLaunch(k int, base uint64) {
+// Without OnlyCTA the tool instruments every launch.
+func (t *Tool) OnlyCTA(k, cta int, base uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.only, t.onlyK, t.onlyBase, t.launches = true, k, base, 0
+	t.only, t.onlyK, t.onlyCTA, t.onlyBase, t.launches = true, k, cta, base, 0
 }
 
 // AtTerm implements the Tool interface.
 func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
 // AtCUDACall instruments every eligible site of every kernel at its first
-// launch, or under OnlyLaunch those of the target launch's kernel only.
+// launch, or under OnlyCTA those of the target launch's kernel, switched in
+// for the target CTA only.
 func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
 	if exit || cbid != nvbit.CBLaunchKernel {
 		return
 	}
 	f := p.Launch.Func
 	t.mu.Lock()
-	only, target, base, st := t.only, t.launches == t.onlyK, t.onlyBase, t.st
+	only, target, cta, base, st := t.only, t.launches == t.onlyK, t.onlyCTA, t.onlyBase, t.st
 	t.launches++
 	t.mu.Unlock()
 	if only && !target {
@@ -430,10 +436,16 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	if !n.IsInstrumented(f) {
 		t.instrument(n, f)
 	}
-	if only {
-		must(n.EnableInstrumented(f, true))
-		must(n.WriteU64(st, base))
+	if !only {
+		return
 	}
+	must(n.WriteU64(st, base))
+	must(n.EnableInstrumented(f, cta == 0))
+	must(n.OnCTAExit(func(exited int) {
+		if exited == cta-1 || exited == cta {
+			must(n.EnableInstrumented(f, exited == cta-1))
+		}
+	}))
 }
 
 // must routes a failed control or device call through the tool-callback

@@ -511,74 +511,94 @@ func runSeq(t *testing.T, tool nvbit.Tool) seqRun {
 	return r
 }
 
-// TestOnlyLaunch fires at the first and the last index of every launch with
-// only that launch instrumented. The injection must land where it lands with
-// every launch instrumented, every other launch must execute exactly its
-// native warp instructions, and a kernel never launched at the target
-// ordinal must never be lifted.
-func TestOnlyLaunch(t *testing.T) {
+// TestOnlyCTA fires at the first and the last index of every CTA of every
+// launch with only that CTA instrumented. The injection must land where it
+// lands with every launch instrumented; every other launch must execute
+// exactly its native warp instructions; the target launch must execute what
+// it does with every launch instrumented less its other CTAs' share of the
+// instrumentation (launchSeq's CTAs all do the same work, so each CTA's
+// share is the disarmed launch's instrumentation over its CTAs); and a
+// kernel never launched at the target ordinal must never be lifted. Under
+// the parallel scheduler the target launch fails instead.
+func TestOnlyCTA(t *testing.T) {
 	native := runSeq(t, nil)
 	every := &launchTable{Tool: New(Injection{Group: GroupFP32, Target: NoTarget})}
-	runSeq(t, every)
+	full := runSeq(t, every)
+	const nCTA = seqThreads / 32
 	var base uint64
 	for k, name := range launchSeq {
-		count := every.counts[k]
-		// One add.f32 per thread; predhalf guards it off in half of each warp.
-		want := uint64(seqThreads)
-		if name == "predhalf" {
-			want /= 2
+		share := (full.warps[k] - native.warps[k]) / nCTA
+		if len(every.ctas[k]) != nCTA || share*nCTA != full.warps[k]-native.warps[k] {
+			t.Fatalf("launch %d (%s): CTA counts %v and %d instrumentation warp instructions, want %d alike CTAs",
+				k, name, every.ctas[k], full.warps[k]-native.warps[k], nCTA)
 		}
-		if count != want {
-			t.Fatalf("launch %d (%s) counted %d, want %d", k, name, count, want)
-		}
-		for _, target := range []uint64{base, base + count - 1} {
-			inj := Injection{Group: GroupFP32, Target: target, Model: ModelFlip, Bit: 5}
-			ref := New(inj)
-			refRun := runSeq(t, ref)
-			refRes, err := ref.Result()
-			if err != nil {
-				t.Fatal(err)
+		for cta, count := range every.ctas[k] {
+			// One add.f32 per thread; predhalf guards it off in half of each warp.
+			want := uint64(32)
+			if name == "predhalf" {
+				want /= 2
 			}
-			tool := New(inj)
-			tool.OnlyLaunch(k, base)
-			run := runSeq(t, tool)
-			res, err := tool.Result()
-			if err != nil {
-				t.Fatal(err)
+			if count != want {
+				t.Fatalf("launch %d (%s) CTA %d counted %d, want %d", k, name, cta, count, want)
 			}
-			if !res.Fired || res.Kernel != name {
-				t.Fatalf("launch %d target %d: fired=%v in %q, want fired in %s", k, target, res.Fired, res.Kernel, name)
-			}
-			// The counter runs from base through the target launch only.
-			if res.Executed != base+count {
-				t.Fatalf("launch %d target %d: executed %d, want %d", k, target, res.Executed, base+count)
-			}
-			res.Executed = refRes.Executed
-			if res != refRes {
-				t.Fatalf("launch %d target %d: injected %+v, every launch instrumented %+v", k, target, res, refRes)
-			}
-			if fmt.Sprint(run.outs) != fmt.Sprint(refRun.outs) {
-				t.Fatalf("launch %d target %d: outputs differ from every launch instrumented", k, target)
-			}
-			for j := range launchSeq {
-				if j != k && run.warps[j] != native.warps[j] {
-					t.Fatalf("launch %d target %d: launch %d ran %d warp instructions, natively %d",
-						k, target, j, run.warps[j], native.warps[j])
+			for _, target := range []uint64{base, base + count - 1} {
+				at := fmt.Sprintf("launch %d CTA %d target %d", k, cta, target)
+				inj := Injection{Group: GroupFP32, Target: target, Model: ModelFlip, Bit: 5}
+				ref := New(inj)
+				refRun := runSeq(t, ref)
+				refRes, err := ref.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tool := New(inj)
+				tool.OnlyCTA(k, cta, base)
+				run := runSeq(t, tool)
+				res, err := tool.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Fired || res.Kernel != name {
+					t.Fatalf("%s: fired=%v in %q, want fired in %s", at, res.Fired, res.Kernel, name)
+				}
+				// The counter runs from base through the target CTA only.
+				if res.Executed != base+count {
+					t.Fatalf("%s: executed %d, want %d", at, res.Executed, base+count)
+				}
+				res.Executed = refRes.Executed
+				if res != refRes {
+					t.Fatalf("%s: injected %+v, every launch instrumented %+v", at, res, refRes)
+				}
+				if fmt.Sprint(run.outs) != fmt.Sprint(refRun.outs) {
+					t.Fatalf("%s: outputs differ from every launch instrumented", at)
+				}
+				for j := range launchSeq {
+					if j != k && run.warps[j] != native.warps[j] {
+						t.Fatalf("%s: launch %d ran %d warp instructions, natively %d",
+							at, j, run.warps[j], native.warps[j])
+					}
+				}
+				if want := refRun.warps[k] - (nCTA-1)*share; run.warps[k] != want {
+					t.Fatalf("%s: the target launch ran %d warp instructions, want %d (%d with every launch instrumented, less %d a CTA for the other %d)",
+						at, run.warps[k], want, refRun.warps[k], share, nCTA-1)
+				}
+				if lifted := run.nv.JITStats().FunctionsLifted; lifted != 1 {
+					t.Fatalf("%s: %d functions lifted, want only %s", at, lifted, name)
+				}
+				for fname, f := range run.fns {
+					if got := run.nv.IsInstrumented(f); got != (fname == name) {
+						t.Fatalf("%s: %s instrumented = %v", at, fname, got)
+					}
 				}
 			}
-			if run.warps[k] <= native.warps[k] {
-				t.Fatalf("launch %d target %d: target launch ran uninstrumented", k, target)
-			}
-			if lifted := run.nv.JITStats().FunctionsLifted; lifted != 1 {
-				t.Fatalf("launch %d target %d: %d functions lifted, want only %s", k, target, lifted, name)
-			}
-			for fname, f := range run.fns {
-				if got := run.nv.IsInstrumented(f); got != (fname == name) {
-					t.Fatalf("launch %d target %d: %s instrumented = %v", k, target, fname, got)
-				}
-			}
+			base += count
 		}
-		base += count
+	}
+
+	tool := New(Injection{Group: GroupFP32, Target: 0, Model: ModelZero})
+	tool.OnlyCTA(0, 1, 0)
+	env := setup(t, tool, appPTX, "addone", seqThreads, nvbit.WithScheduler(nvbit.SchedulerParallelSM))
+	if _, err := env.launchErr(); !errors.Is(err, nvbit.ErrToolCallback) || !strings.Contains(err.Error(), "sequential scheduler") {
+		t.Fatalf("OnlyCTA under the parallel scheduler: %v, want the launch refused", err)
 	}
 }
 

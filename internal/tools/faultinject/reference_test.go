@@ -12,25 +12,41 @@ import (
 )
 
 // launchTable is a disarmed Tool that reads its counter at the exit of every
-// launch, as a campaign's golden pass does: each launch's population of the
-// group.
+// CTA (OnCTAExit) and of every launch, as a campaign's golden pass does: each
+// launch's population of the group, and each of its CTAs'.
 type launchTable struct {
 	*Tool
-	counts  []uint64
-	counted uint64
+	counts []uint64   // per launch
+	ctas   [][]uint64 // per launch, per CTA
+	start  uint64     // the counter when the running launch began
 }
 
 func (r *launchTable) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
 	r.Tool.AtCUDACall(n, exit, cbid, name, p)
-	if !exit || cbid != nvbit.CBLaunchKernel {
+	if cbid != nvbit.CBLaunchKernel {
 		return
 	}
+	if exit {
+		r.counts = append(r.counts, r.read()-r.start)
+		return
+	}
+	r.start = r.read()
+	k, last := len(r.ctas), r.start
+	r.ctas = append(r.ctas, nil)
+	must(n.OnCTAExit(func(int) {
+		v := r.read()
+		r.ctas[k] = append(r.ctas[k], v-last)
+		last = v
+	}))
+}
+
+// read returns the tool's counter.
+func (r *launchTable) read() uint64 {
 	res, err := r.Result()
 	if err != nil {
 		panic(err)
 	}
-	r.counts = append(r.counts, res.Executed-r.counted)
-	r.counted = res.Executed
+	return res.Executed
 }
 
 // traceGroups is itrace under ChannelBlock that folds every record into its

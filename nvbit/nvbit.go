@@ -9,7 +9,7 @@
 // From its callbacks the tool uses the Inspection API (GetInstrs,
 // GetBasicBlocks, GetRelatedFuncs, the Instr methods), the Instrumentation
 // API (InsertCall, AddCallArg, RemoveOrig), and the Control API
-// (EnableInstrumented, ResetInstrumented).
+// (EnableInstrumented, ResetInstrumented, OnCTAExit).
 package nvbit
 
 import (
