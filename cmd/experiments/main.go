@@ -63,20 +63,15 @@ func main() {
 	experiments.SetScheduler(sched)
 
 	size := func(def specaccel.Size) specaccel.Size {
-		switch *sizeName {
-		case "small":
-			return specaccel.Small
-		case "medium":
-			return specaccel.Medium
-		case "large":
-			return specaccel.Large
-		case "":
+		if *sizeName == "" {
 			return def
-		default:
-			fmt.Fprintf(os.Stderr, "unknown size %q\n", *sizeName)
+		}
+		s, err := specaccel.ParseSize(*sizeName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
 			exit(2)
 		}
-		return def
+		return s
 	}
 
 	fail := func(err error) {

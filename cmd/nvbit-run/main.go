@@ -219,11 +219,9 @@ exit codes:
 	if err != nil {
 		usage(err)
 	}
-	size, ok := map[string]specaccel.Size{
-		"small": specaccel.Small, "medium": specaccel.Medium, "large": specaccel.Large,
-	}[*c.sizeName]
-	if !ok {
-		usage(fmt.Errorf("unknown size %q", *c.sizeName))
+	size, err := specaccel.ParseSize(*c.sizeName)
+	if err != nil {
+		usage(err)
 	}
 
 	sched, err := gpu.ParseScheduler(*c.schedName)
@@ -422,9 +420,9 @@ func runWorkload(ctx *driver.Context, workload string, size specaccel.Size, fail
 	kind, name, _ := strings.Cut(workload, ":")
 	switch kind {
 	case "specaccel":
-		b := findBenchmark(name)
-		if b == nil {
-			usage(fmt.Errorf("unknown specaccel benchmark %q", name))
+		b, err := specaccel.Find(name)
+		if err != nil {
+			usage(err)
 		}
 		if err := b.Run(ctx, size); err != nil {
 			fail(err)
@@ -448,15 +446,6 @@ func runWorkload(ctx *driver.Context, workload string, size specaccel.Size, fail
 	}
 }
 
-func findBenchmark(name string) *specaccel.Benchmark {
-	for _, cand := range specaccel.Benchmarks() {
-		if cand.Name == name {
-			return cand
-		}
-	}
-	return nil
-}
-
 // runConnected executes the workload as one session of an nvbitd daemon.
 // Device-side knobs (-family, -scheduler, -jit-cache) belong to the daemon
 // and are rejected when set explicitly, as are the in-process-only
@@ -471,9 +460,9 @@ func runConnected(c *appConfig, cc *cliconf.Set, size specaccel.Size, reportW io
 	if kind != "specaccel" {
 		usage(fmt.Errorf("connect mode runs specaccel workloads, got %q (the ml suite needs an in-process device)", *c.workload))
 	}
-	b := findBenchmark(name)
-	if b == nil {
-		usage(fmt.Errorf("unknown specaccel benchmark %q", name))
+	b, err := specaccel.Find(name)
+	if err != nil {
+		usage(err)
 	}
 	toolName := *c.tool
 	if toolName == "" {

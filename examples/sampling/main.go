@@ -46,11 +46,9 @@ func run(b *specaccel.Benchmark, mode string) (map[string]uint64, uint64) {
 }
 
 func main() {
-	var bench *specaccel.Benchmark
-	for _, b := range specaccel.Benchmarks() {
-		if b.Name == "clvrleaf" {
-			bench = b
-		}
+	bench, err := specaccel.Find("clvrleaf")
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	_, nativeCycles := run(bench, "native")

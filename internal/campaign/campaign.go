@@ -64,23 +64,14 @@ type Config struct {
 	Runs int `json:"runs"`
 	// Seed seeds the manifest RNG; same (plan, seed) => same manifest.
 	Seed uint64 `json:"seed"`
-	// Watchdog bounds each CTA to this many warp-instructions so corrupted
-	// loop bounds surface as DUE timeouts rather than hangs. 0 selects
-	// DefaultWatchdog.
-	Watchdog int64 `json:"watchdog,omitempty"`
 }
 
-// DefaultWatchdog is the per-CTA warp-instruction budget campaigns run
-// under: roughly 100x the heaviest small-size victim CTA, and small enough
-// that an injected infinite loop turns around in well under a second.
+// DefaultWatchdog is the per-CTA warp-instruction budget every campaign
+// execution runs under, so corrupted loop bounds surface as DUE timeouts
+// rather than hangs: roughly 100x the heaviest small-size victim CTA, and
+// small enough that an injected infinite loop turns around in well under a
+// second.
 const DefaultWatchdog = int64(1) << 22
-
-func (cfg *Config) watchdog() int64 {
-	if cfg.Watchdog == 0 {
-		return DefaultWatchdog
-	}
-	return cfg.Watchdog
-}
 
 // RunSpec is one planned run: an ID and the injection it arms.
 type RunSpec struct {
@@ -130,15 +121,9 @@ type Campaign struct {
 
 // resolve validates the config against the workload registry.
 func resolve(cfg Config) (*specaccel.Benchmark, specaccel.Size, faultinject.Group, error) {
-	var bench *specaccel.Benchmark
-	for _, b := range specaccel.Benchmarks() {
-		if b.Name == cfg.Benchmark {
-			bench = b
-			break
-		}
-	}
-	if bench == nil {
-		return nil, 0, 0, fmt.Errorf("unknown benchmark %q", cfg.Benchmark)
+	bench, err := specaccel.Find(cfg.Benchmark)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	size, err := specaccel.ParseSize(cfg.Size)
 	if err != nil {
@@ -170,7 +155,7 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 		return nil, fmt.Errorf("campaign: %s already holds a plan (use Load/Open to resume)", dir)
 	}
 
-	golden, launches, err := goldenPass(bench, size, group, cfg.watchdog())
+	golden, launches, err := goldenPass(bench, size, group)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -281,7 +266,7 @@ func (p *planFile) load() (*specaccel.Benchmark, specaccel.Size, error) {
 		return nil, 0, err
 	}
 	if p.Version == 1 || !slices.ContainsFunc(p.Launches, func(l launch) bool { return len(l.CTAs) > 0 }) {
-		golden, launches, err := goldenPass(bench, size, group, p.Config.watchdog())
+		golden, launches, err := goldenPass(bench, size, group)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -367,10 +352,9 @@ func hashOutput(out []byte) string {
 // launch but disarmed, so the reference output comes from the binary the
 // injection runs execute. It returns the output's hash and the launch table:
 // the tool's counter read at the exit of each CTA of each launch.
-func goldenPass(bench *specaccel.Benchmark, size specaccel.Size, group faultinject.Group,
-	watchdog int64) (string, []launch, error) {
+func goldenPass(bench *specaccel.Benchmark, size specaccel.Size, group faultinject.Group) (string, []launch, error) {
 	rec := &launchRecorder{Tool: faultinject.New(faultinject.Injection{Group: group, Target: faultinject.NoTarget})}
-	out, err := executeVictim(bench, size, rec, watchdog)
+	out, err := executeVictim(bench, size, rec)
 	if err != nil {
 		return "", nil, fmt.Errorf("golden run failed: %w", err)
 	}
@@ -498,15 +482,15 @@ func (c *Campaign) targetLaunch(target uint64) (k, cta int, base uint64) {
 // returns the captured output. Every campaign execution — the golden pass
 // and each injection run — goes through here, so they share scheduler
 // (sequential: the dynamic-instruction order the targets index must be
-// deterministic) and watchdog configuration.
-func executeVictim(bench *specaccel.Benchmark, size specaccel.Size, tool nvbit.Tool, watchdog int64) ([]byte, error) {
+// deterministic) and watchdog (DefaultWatchdog).
+func executeVictim(bench *specaccel.Benchmark, size specaccel.Size, tool nvbit.Tool) ([]byte, error) {
 	api, err := gpusim.New(gpusim.Volta)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := nvbit.Attach(api, tool,
 		nvbit.WithScheduler(nvbit.SchedulerSequential),
-		nvbit.WithWatchdogInterval(watchdog)); err != nil {
+		nvbit.WithWatchdogInterval(DefaultWatchdog)); err != nil {
 		return nil, err
 	}
 	ctx, err := api.CtxCreate()

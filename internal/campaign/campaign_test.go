@@ -459,6 +459,37 @@ func TestOpenRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestWatchdogKeyIgnored: a plan whose config carries the watchdog key older
+// builds accepted ("watchdog": -1 switched the watchdog off) opens as the
+// plain config, so every pass of the campaign runs under DefaultWatchdog.
+func TestWatchdogKeyIgnored(t *testing.T) {
+	cfg := smallCfg(4, 5)
+	dir := t.TempDir()
+	mustPlan(t, dir, cfg)
+	path := filepath.Join(dir, planName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(data, []byte(`"config": {`), []byte(`"config": {"watchdog": -1, `), 1)
+	if bytes.Equal(edited, data) {
+		t.Fatalf("plan.json has no config object:\n%s", data)
+	}
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Config() != cfg {
+		t.Fatalf("Config() = %+v, want %+v", c.Config(), cfg)
+	}
+	if _, err := Open(dir, cfg); err != nil {
+		t.Fatalf("Open with the plain config: %v", err)
+	}
+}
+
 func TestResolveRejectsBadConfig(t *testing.T) {
 	bad := []Config{
 		{Benchmark: "nope", Size: "small", Group: "gpr", Model: "flip", Runs: 1},

@@ -82,7 +82,7 @@ func (c *Campaign) runWith(id int, tool *faultinject.Tool) (res RunResult) {
 		}
 	}()
 
-	out, err := executeVictim(c.bench, c.size, tool, c.plan.Config.watchdog())
+	out, err := executeVictim(c.bench, c.size, tool)
 	if r, rerr := tool.Result(); rerr == nil {
 		res.Fired = r.Fired
 		res.Kernel = r.Kernel

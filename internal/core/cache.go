@@ -32,8 +32,9 @@ import (
 // low bits only), eight for what a tool may set to any value. Schema v3 hashes
 // the same fields: it marks the generator that coalesces visits (coalesce.go),
 // whose output for an unchanged plan differs from its predecessor's, so no
-// entry made before it is found.
-const codeKeyDomain = "nvbitgo/code/v3"
+// entry made before it is found. Schema v4 drops the four guard bytes per call
+// that predicate-matched calls, since removed, added to the plan.
+const codeKeyDomain = "nvbitgo/code/v4"
 
 // codeKey fingerprints one function plus its instrumentation plan.
 func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
@@ -55,7 +56,7 @@ func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
 	h.Int(int(n.injectMode))
 	// MaxRegs comes from compiler metadata, not the code bytes: two
 	// byte-identical functions can declare different register budgets, and
-	// the budget feeds save-set sizing and the capture scratch register.
+	// the budget feeds save-set sizing and the inline dead-register pool.
 	h.Int(fs.f.MaxRegs())
 	// Tool identity: the registered PTX sources determine every tool
 	// function's register budget, parameter ABI and generated body.
@@ -88,10 +89,6 @@ func hashCalls(h *jitcache.Hasher, calls []*callRequest) {
 	h.Uint32(uint32(len(calls)))
 	for _, cr := range calls {
 		h.String(cr.funcName)
-		h.Uint8(flagByte(cr.guarded))
-		h.Uint8(uint8(cr.guardP))
-		h.Uint8(flagByte(cr.guardNeg))
-		h.Uint8(flagByte(cr.useSite))
 		h.Uint32(uint32(len(cr.args)))
 		for _, a := range cr.args {
 			h.Uint8(uint8(a.kind))

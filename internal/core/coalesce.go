@@ -19,10 +19,9 @@ import "nvbitgo/internal/sass"
 //
 //	(i)   none of them is control flow or a barrier (a block leader cannot be
 //	      among them: a visit never leaves its block),
-//	(ii)  none of them writes a register or predicate the call's arguments or
-//	      guard read — arguments are marshalled from the bracket's save frame
-//	      and guards tested against the predicate bank as the visit found it,
-//	      so both must still hold the values they have at the call's own site,
+//	(ii)  none of them writes a register or predicate the call's arguments
+//	      read — arguments are marshalled from the bracket's save frame, so it
+//	      must still hold the values they have at the call's own site,
 //	(iii) its tool function does not care where it runs (toolFunc.pinned) and,
 //	      if it loads memory, none of them stores to memory.
 //
@@ -41,20 +40,15 @@ type visit struct {
 // crossed is what the instructions between a visit's last bracket and the
 // next candidate call do, as far as rules (i)–(iii) ask.
 type crossed struct {
-	defs  sass.RegSet
-	pdefs sass.PredSet
-	// entryPdefs are the predicates written since the visit was entered, where
-	// the bank was snapshot for guards: pdefs, and the first instruction's when
-	// the last bracket sits after it.
-	entryPdefs sass.PredSet
-	stores     bool
-	fence      bool // control flow or a barrier
+	defs   sass.RegSet
+	pdefs  sass.PredSet
+	stores bool
+	fence  bool // control flow or a barrier
 }
 
 func (x *crossed) add(in sass.Inst, defs sass.RegSet, pdefs sass.PredSet) {
 	x.defs = x.defs.Union(defs)
 	x.pdefs |= pdefs
-	x.entryPdefs |= pdefs
 	x.stores = x.stores || in.Op.IsStore()
 	x.fence = x.fence || in.Op == sass.OpBAR || in.Op.IsControlFlow()
 }
@@ -64,10 +58,8 @@ func (x *crossed) add(in sass.Inst, defs sass.RegSet, pdefs sass.PredSet) {
 func (x *crossed) admits(group []siteCall) bool {
 	for k := range group {
 		c := &group[k]
-		var guard sass.PredSet
-		guard.Add(c.p)
 		if x.fence || c.tf.pinned() || c.tf.loads && x.stores ||
-			!c.reads.Intersect(x.defs).Empty() || c.predReads&x.pdefs != 0 || guard&x.entryPdefs != 0 {
+			!c.reads.Intersect(x.defs).Empty() || c.predReads&x.pdefs != 0 {
 			return false
 		}
 	}
@@ -92,12 +84,11 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 	live := fs.liveness()
 	perSite := n.perSiteVisits || live.Conservative()
 	var (
-		open    bool    // the last visit may take in the next instruction
-		x       crossed // what lies between that visit's last bracket and the next instruction
-		end     int     // where its basic block ends
-		scratch int     // its predicate-snapshot register so far (trampolineVisit)
-		blk     int     // the basic block the walk is in
-		err     error
+		open bool    // the last visit may take in the next instruction
+		x    crossed // what lies between that visit's last bracket and the next instruction
+		end  int     // where its basic block ends
+		blk  int     // the basic block the walk is in
+		err  error
 	)
 	for idx, i := range fs.insts {
 		if !i.hasWork() {
@@ -114,14 +105,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 		}
 		mine := calls[c0:]
 		defs, pdefs := live.Defs(idx)
-		// Guards are only tested against the entry snapshot while a register
-		// above the function and every tool function of the visit exists to
-		// hold it; a visit without one stays a single site.
-		regs := 0
-		for k := range mine {
-			regs = max(regs, mine[k].tf.numRegs)
-		}
-		if open && idx < end && len(mine) > 0 && max(scratch, regs) < sass.NumRegs && x.admits(mine[:head]) {
+		if open && idx < end && len(mine) > 0 && x.admits(mine[:head]) {
 			x.add(i.inst, defs, pdefs) // after-calls cross the instruction itself as well
 			if x.admits(mine[head:]) {
 				v := &visits[len(visits)-1]
@@ -130,13 +114,11 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 				}
 				v.calls.n += int32(len(mine))
 				v.cover++
-				scratch = max(scratch, regs)
 				continue
 			}
 		}
 		visits = append(visits, visit{first: idx, cover: 1, calls: span{int32(c0), int32(len(mine))}, head: head})
-		scratch = max(fs.f.MaxRegs(), regs)
-		open = !perSite && len(mine) > 0 && scratch < sass.NumRegs
+		open = !perSite && len(mine) > 0
 		if !open {
 			continue
 		}
@@ -152,7 +134,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 		if head > 0 && x.admits(mine[head:]) {
 			visits[len(visits)-1].head = len(mine)
 		} else {
-			x = crossed{entryPdefs: pdefs}
+			x = crossed{}
 		}
 	}
 	return calls, visits, nil

@@ -292,20 +292,24 @@ var hazardCases = []hazardCase{
 		p.mustJoin = []int{a, b + 1, b + 2}
 	}},
 	{name: "guard predicate written earlier", ptx: chainPTX, grid: 2, block: 64, plan: func(p *planner) {
-		d := p.find(0, func(in sass.Inst) bool { return in.Op == sass.OpIADD && in.Guarded() })
+		e, f := p.op(1, sass.OpISETP), p.op(0, sass.OpSTG)
 		g := p.find(0, func(in sass.Inst) bool { return in.Op == sass.OpSTG && in.Guarded() })
 		p.recAll(func(k int, i *core.Instr) bool {
-			if k == d || k == g {
-				p.rec(i, core.IPointBefore, "rec32", core.ArgConst32(1))
-				p.nv.GuardCallBySite(i)
+			switch k {
+			case f:
+				p.rec(i, core.IPointBefore, "rec32", core.ArgPred(p.insts[e].Raw().Mods.Aux(), false))
+			case g:
+				p.rec(i, core.IPointBefore, "rec32", core.ArgSitePred())
+			default:
+				return false
 			}
-			return k == d || k == g
+			return true
 		})
-		// D's guard is written by the instruction before it. G's is written by
-		// E, well before G but inside the visit D started, and a guard is
-		// tested against the bank as its visit found it.
-		p.mustStart = []int{d, g}
-		p.mustJoin = []int{d + 1, d + 2}
+		// F passes the predicate E writes, so F starts a visit. G's guard is
+		// that predicate, written before F's visit began, so G's call joins
+		// it.
+		p.mustStart = []int{f}
+		p.mustJoin = []int{f + 1, g}
 	}},
 	{name: "guard predicate written by the visit's first instruction", ptx: chainPTX, grid: 2, block: 64, plan: func(p *planner) {
 		c := p.op(0, sass.OpISETP)
@@ -316,17 +320,15 @@ var hazardCases = []hazardCase{
 				// bracket sits after it, where D's before-calls sit too.
 				p.rec(i, core.IPointAfter, "rec32", core.ArgPred(i.Raw().Mods.Aux(), false))
 			case c + 1:
-				// But a guard is tested against the bank as the visit found
-				// it, before C wrote D's.
-				p.rec(i, core.IPointBefore, "rec32", core.ArgConst32(1))
-				p.nv.GuardCallBySite(i)
+				// And so may D's guard, which C writes.
+				p.rec(i, core.IPointBefore, "rec32", core.ArgSitePred())
 			default:
 				return false
 			}
 			return true
 		})
-		p.mustStart = []int{c, c + 1}
-		p.mustJoin = []int{c + 2}
+		p.mustStart = []int{c}
+		p.mustJoin = []int{c + 1, c + 2}
 	}},
 	{name: "ArgSitePred and ArgMRefAddr of a later site", ptx: chainPTX, grid: 2, block: 64, plan: func(p *planner) {
 		d := p.find(0, func(in sass.Inst) bool { return in.Op == sass.OpIADD && in.Guarded() })
@@ -360,7 +362,7 @@ var hazardCases = []hazardCase{
 	}},
 	{name: "values at a relocated branch and a guarded EXIT", ptx: loopPTX, grid: 2, block: 64, plan: func(p *planner) {
 		// Every call reads a register its instruction uses and, where the
-		// instruction is guarded, its guard; guarded calls count the lanes.
+		// instruction is guarded, its guard.
 		for _, i := range p.insts {
 			in := i.Raw()
 			if in.Src1 != sass.RZ && in.Op != sass.OpBRA && in.Op != sass.OpEXIT && in.Op != sass.OpS2R && in.Op != sass.OpLDC && in.Op != sass.OpMOVI {
@@ -368,8 +370,6 @@ var hazardCases = []hazardCase{
 			}
 			if in.Guarded() {
 				p.rec(i, core.IPointBefore, "rec32", core.ArgSitePred())
-				p.rec(i, core.IPointBefore, "rec32", core.ArgConst32(1))
-				p.nv.GuardCallBySite(i)
 			}
 			p.rec(i, core.IPointBefore, "rec32", core.ArgConst32(5))
 		}

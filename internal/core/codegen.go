@@ -26,8 +26,8 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 	// back; per bracket a save and a restore call; per call the CAL and a word
 	// (two where an immediate takes MOVI and MOVIH) for each 32 bits of
 	// argument it marshals — so the artifact's three arrays are each allocated
-	// once. Where a visit needs more (predicate arguments, a predicate
-	// snapshot, an inlined body), append grows the array as usual.
+	// once. Where a visit needs more (predicate arguments, an inlined body),
+	// append grows the array as usual.
 	words, relocs := 0, 0
 	argWords := 2
 	if n.hal.ImmFits(sass.OpMOVI, 1<<31) {
@@ -90,9 +90,6 @@ type siteCall struct {
 	cr   *callRequest
 	tf   *toolFunc
 	site *Instr // the instruction the call was inserted at
-	// p/neg is the call's guard; PT (never negated) when it has none.
-	p   sass.Pred
-	neg bool
 	// reads and predReads are the site's registers and predicates the
 	// argument marshalling reads. A trampoline's save set must cover them;
 	// inline renaming must not hand them out as targets (inlineLiveness); a
@@ -112,13 +109,7 @@ func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, group []*callRequest) (
 		if err := validateArgs(tf, cr.args); err != nil {
 			return nil, err
 		}
-		c := siteCall{cr: cr, tf: tf, site: i, p: sass.PT}
-		if cr.guarded {
-			c.p, c.neg = cr.guardP, cr.guardNeg
-			if cr.useSite {
-				c.p, c.neg = i.inst.Pred, i.inst.PredNeg
-			}
-		}
+		c := siteCall{cr: cr, tf: tf, site: i}
 		for _, a := range cr.args {
 			switch a.kind {
 			case argRegVal:
@@ -209,29 +200,8 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 			break
 		}
 	}
-	// needCapture: some injected call is guarded by a real predicate, so the
-	// trampoline snapshots the visit-entry predicate bank into a scratch
-	// register (chosen above every register the app or the tool functions
-	// touch) and re-materializes it before each guarded CAL. Without this, an
-	// after-group guard would read the value left by the relocated original
-	// instruction — wrong when the instruction defines its own guard
-	// predicate — and a guard in a multi-call group would read predicates a
-	// preceding tool function clobbered.
-	needCapture := false
-	scratch := f.MaxRegs()
 	for _, c := range vc {
-		if c.tf.numRegs > maxRegs {
-			maxRegs = c.tf.numRegs
-		}
-		if c.tf.numRegs > scratch {
-			scratch = c.tf.numRegs
-		}
-		if c.p != sass.PT {
-			needCapture = true
-		}
-		if m := c.reads.Max() + 1; m > maxRegs {
-			maxRegs = m
-		}
+		maxRegs = max(maxRegs, c.tf.numRegs, c.reads.Max()+1)
 	}
 	saveN := hal.SaveSetSize(maxRegs)
 	// SavedRegs counts the registers a bracket must preserve (the
@@ -243,53 +213,21 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 	if n.injectMode == InjectFullSave {
 		site.saveN, site.savedRegs = hal.RegsPerThread, hal.RegsPerThread
 	}
-	// The capture scratch register must exist; when the function and tools
-	// together already consume the whole register file there is no dead
-	// register to borrow, and guards keep the pre-liveness behavior of
-	// reading the bank at call time (planVisits lets no call join such a
-	// visit).
-	capture := needCapture && scratch < sass.NumRegs
 	i0, r0 := len(art.insts), len(art.relocs)
-	if capture {
-		// Snapshot the predicate bank at trampoline entry. The scratch
-		// register sits above everything the app, the marshalling and the
-		// tool functions write, so the snapshot survives until the last
-		// guarded CAL re-reads it.
-		p2r := sass.NewInst(sass.OpP2R)
-		p2r.Dst = sass.Reg(scratch)
-		art.insts = append(art.insts, p2r)
-	}
-	emitCall := func(kind relocKind, aux int32, p sass.Pred, neg bool) {
+	emitCall := func(kind relocKind, aux int32) {
 		art.relocs = append(art.relocs, reloc{kind: kind, slot: int32(len(art.insts) - i0), aux: aux})
-		cal := sass.NewInst(sass.OpCAL)
-		cal.Pred, cal.PredNeg = p, neg
-		art.insts = append(art.insts, cal)
+		art.insts = append(art.insts, sass.NewInst(sass.OpCAL))
 	}
 	layoutVisit(art, i0, fs.insts[v.first:v.first+v.cover], vc[:v.head], vc[v.head:], func(group []siteCall) bool {
 		if len(group) == 0 {
 			return true
 		}
-		emitCall(relocSaveFn, int32(site.saveN), sass.PT, false)
+		emitCall(relocSaveFn, int32(site.saveN))
 		for k, c := range group {
 			art.insts = n.marshalArgs(art.insts, group, k, nil)
-			if c.cr.guarded && capture {
-				// Re-materialize the entry predicate bank snapshot so the
-				// CAL's predicate match sees the values that held when the
-				// trampoline was entered — not values a relocated original or
-				// an earlier tool function in this group may have written
-				// (planVisits lets a guarded call join only while no
-				// instruction since entry wrote its predicate). The group's
-				// closing restore reloads the bank from the save frame, so the
-				// app never observes this write.
-				r2p := sass.NewInst(sass.OpR2P)
-				r2p.Src1 = sass.Reg(scratch)
-				art.insts = append(art.insts, r2p)
-			}
-			// Predicate matching on the call itself (Section 7 future
-			// work): non-matching lanes fall through past the CAL.
-			emitCall(relocToolFn, art.toolIndex(c.cr.funcName), c.p, c.neg)
+			emitCall(relocToolFn, art.toolIndex(c.cr.funcName))
 		}
-		emitCall(relocRestoreFn, int32(site.saveN), sass.PT, false)
+		emitCall(relocRestoreFn, int32(site.saveN))
 		return true
 	})
 	art.addSite(site, i0, r0)

@@ -128,17 +128,9 @@ var synthArgs = []struct {
 	{"ArgLaunchDim", false, false, func(*core.Instr) core.CallArg { return core.ArgLaunchDim(core.BlockDimX) }},
 }
 
-// synthGuards are the call-guard variants each argument kind is generated
-// under.
-var synthGuards = []func(n *core.NVBit, i *core.Instr){
-	func(*core.NVBit, *core.Instr) {},
-	func(n *core.NVBit, i *core.Instr) { n.GuardCallBySite(i) },
-	func(n *core.NVBit, i *core.Instr) { n.GuardCall(i, 1, true) },
-}
-
 // synthDigests returns one line per Arg* kind: the hash over the artifacts of
-// every (site, guard variant) the kind applies to, each site carrying the
-// call both before and after the instruction. Nothing is launched.
+// every site the kind applies to, each site carrying the call both before and
+// after the instruction. Nothing is launched.
 func synthDigests(fam sass.Family, mode core.InjectionMode) ([]string, error) {
 	api, err := driver.New(gpu.DefaultConfig(fam))
 	if err != nil {
@@ -175,25 +167,22 @@ func synthDigests(fam sass.Family, mode core.InjectionMode) ([]string, error) {
 			if a.mref != isMem || (!a.mref && !guarded) {
 				continue
 			}
-			for _, guard := range synthGuards {
-				probe, second := "probe32", core.ArgConst64(0x7000)
-				if a.wide {
-					probe = "probe64"
-				}
-				for _, where := range []core.IPoint{core.IPointBefore, core.IPointAfter} {
-					nv.InsertCallArgs(i, probe, where, a.arg(i), second)
-					guard(nv, i)
-				}
-				ds, err := nv.ArtifactDigests()
-				if err != nil {
-					return nil, fmt.Errorf("%s at word %d: %w", a.name, i.Idx(), err)
-				}
-				fmt.Fprintf(h, "%d %s\n", i.Idx(), strings.Join(ds, "\n"))
-				if err := nv.ResetInstrumented(f); err != nil {
-					return nil, err
-				}
-				sites++
+			probe, second := "probe32", core.ArgConst64(0x7000)
+			if a.wide {
+				probe = "probe64"
 			}
+			for _, where := range []core.IPoint{core.IPointBefore, core.IPointAfter} {
+				nv.InsertCallArgs(i, probe, where, a.arg(i), second)
+			}
+			ds, err := nv.ArtifactDigests()
+			if err != nil {
+				return nil, fmt.Errorf("%s at word %d: %w", a.name, i.Idx(), err)
+			}
+			fmt.Fprintf(h, "%d %s\n", i.Idx(), strings.Join(ds, "\n"))
+			if err := nv.ResetInstrumented(f); err != nil {
+				return nil, err
+			}
+			sites++
 		}
 		if sites == 0 {
 			return nil, fmt.Errorf("%s: no applicable site in the synthetic kernel", a.name)
@@ -311,16 +300,16 @@ func TestMaterializedCodeGolden(t *testing.T) {
 }
 
 // codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
-// artifactVersion 5, key schema v3. A key that moves orphans every
+// artifactVersion 5, key schema v4. A key that moves orphans every
 // primed cache directory, so a change to what is hashed, or to the order,
 // shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "eb6b0388e6d048ab23ac7c99ae4c94c9446265025ceee2fff292682f325ae3a2",
-	"Kepler/full-save":  "683d918c905cb0b6868132546f8c9858a3649b10ce08a5794a00d9eda4d2aaaa",
-	"Kepler/inline":     "f2122e91d7bdb9cd64917d66d92a37e2f9aefc36a6f173b600474febe01570a0",
-	"Volta/trampoline":  "148e10a26f48ee8442b8eb0df6bbca9b12a5450d35aad1027f935df11565d516",
-	"Volta/full-save":   "f3aa01a34e7e29fd6da2d65673c7613549a6b445f99f7ae1d5243dc88cab34da",
-	"Volta/inline":      "547558a4c7d79d6ef62dd56ad78e62bdd0ff484730b7904c8b887f3484aa749c",
+	"Kepler/trampoline": "198a3f73442e84835527f48490308cb132dfe38a537ecb686f93d4ce54b2f8c0",
+	"Kepler/full-save":  "479bff316db811d5967c94cba72ea93e8c2dd3c7157df9c62b109c4f9fffb3ec",
+	"Kepler/inline":     "7e1ba909d853eb6450fa906a8c6898eece61caecd13c931fd4a76c7827edd272",
+	"Volta/trampoline":  "16eb131db7984fa9fd9b454f31b1b4eb342491227bb667e7c99c088fceb08245",
+	"Volta/full-save":   "f27b62c903a5f744b024ffdadb27eb52f8ffad56f69489115ab2ea3b9a608940",
+	"Volta/inline":      "cfef378c8e17910857fb036ebade50a99a34b9940f0cfeb4319adc3ab2e38f24",
 }
 
 func TestCodeKeyGolden(t *testing.T) {
@@ -368,19 +357,13 @@ func TestCodeKeyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	type plan struct {
-		arg       core.CallArg
-		where     core.IPoint
-		guardNeg  bool
-		bySite    bool
-		unguarded bool
-		remove    bool
+		arg    core.CallArg
+		where  core.IPoint
+		remove bool
 	}
 	base := plan{arg: core.ArgPred(0, false)}
 	variants := map[string]plan{
 		"base":               base,
-		"guard polarity":     {arg: base.arg, guardNeg: true},
-		"guard by site":      {arg: base.arg, bySite: true},
-		"no guard":           {arg: base.arg, unguarded: true},
 		"argument polarity":  {arg: core.ArgPred(0, true)},
 		"argument predicate": {arg: core.ArgPred(1, false)},
 		"argument kind":      {arg: core.ArgSitePred()},
@@ -391,12 +374,6 @@ func TestCodeKeyGolden(t *testing.T) {
 	for name, p := range variants {
 		i := insts[2]
 		nv.InsertCallArgs(i, "probe32", p.where, p.arg, core.ArgConst64(0x7000))
-		switch {
-		case p.bySite:
-			nv.GuardCallBySite(i)
-		case !p.unguarded:
-			nv.GuardCall(i, 0, p.guardNeg)
-		}
 		if p.remove {
 			nv.RemoveOrig(i)
 		}

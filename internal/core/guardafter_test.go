@@ -10,8 +10,8 @@ import (
 
 // selfClobberPTX sets P0 true for threads < 12, then executes an ISETP that
 // is guarded by the very predicate it writes: the executing lanes flip P0 to
-// false. A guarded IPointAfter call must still match the site-entry value
-// (12 lanes), not the clobbered one (0 lanes).
+// false. A call passed the site's guard sees it true for 12 lanes before the
+// instruction and for none after it.
 const selfClobberPTX = `
 .visible .entry selfclobber(.param .u64 out)
 {
@@ -32,16 +32,16 @@ const selfClobberPTX = `
 `
 
 // runSelfClobber instruments the self-clobbering ISETP (the only guarded
-// ISETP in the kernel) via arm, launches, and returns the tally count plus
-// the per-lane app results.
-func runSelfClobber(t *testing.T, arm func(n *NVBit, i *Instr, ctr uint64)) (uint64, []byte) {
+// ISETP in the kernel) via arm under the given injection mode, launches, and
+// returns the tally count plus the per-lane app results.
+func runSelfClobber(t *testing.T, mode InjectionMode, arm func(n *NVBit, i *Instr, ctr uint64)) (uint64, []byte) {
 	t.Helper()
 	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tool := &testTool{}
-	nv, err := Attach(api, tool)
+	nv, err := Attach(api, tool, WithInjectionMode(mode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,64 +94,56 @@ func checkClobberApp(t *testing.T, host []byte) {
 	}
 }
 
-// TestGuardAfterSelfClobberingPredicate is the regression test for guarded
-// after-injections: the CAL's predicate match must use the site-entry value
-// of the guard, captured before the relocated original executes.
+// selfClobberCount runs arm under the trampoline and the inline strategy and
+// requires both to count want lanes and leave the app's result alone.
+func selfClobberCount(t *testing.T, want uint64, arm func(n *NVBit, i *Instr, ctr uint64)) {
+	t.Helper()
+	for _, mode := range []InjectionMode{InjectTrampoline, InjectInline} {
+		count, host := runSelfClobber(t, mode, arm)
+		if count != want {
+			t.Fatalf("%v: counted %d, want %d", mode, count, want)
+		}
+		checkClobberApp(t, host)
+	}
+}
+
+// TestGuardAfterSelfClobberingPredicate: an after-call passed the site's
+// guard (ArgSitePred) sees the value the instruction left, false on every
+// lane; an unconditional after-call beside it counts all 64.
 func TestGuardAfterSelfClobberingPredicate(t *testing.T) {
-	count, host := runSelfClobber(t, func(n *NVBit, i *Instr, ctr uint64) {
+	selfClobberCount(t, 64, func(n *NVBit, i *Instr, ctr uint64) {
 		n.InsertCallArgs(i, "tally", IPointAfter, ArgConst64(ctr))
-		n.GuardCallBySite(i)
+		n.InsertCallArgs(i, "predtally", IPointAfter, ArgSitePred(), ArgConst64(ctr))
 	})
-	if count != 12 {
-		t.Fatalf("guarded after-call counted %d lanes, want the 12 lanes live at site entry", count)
-	}
-	checkClobberApp(t, host)
 }
 
-// TestGuardAfterExplicitNegatedPredicate: the complementary polarity must
-// also see the entry value — 52 lanes had !P0 at the site, not all 64.
+// TestGuardAfterExplicitNegatedPredicate: the negated predicate passed to an
+// after-call is true on all 64 lanes, not on the 52 that had !P0 at entry.
 func TestGuardAfterExplicitNegatedPredicate(t *testing.T) {
-	count, host := runSelfClobber(t, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "tally", IPointAfter, ArgConst64(ctr))
-		n.GuardCall(i, sass.Pred(0), true)
+	selfClobberCount(t, 64, func(n *NVBit, i *Instr, ctr uint64) {
+		n.InsertCallArgs(i, "predtally", IPointAfter, ArgPred(sass.Pred(0), true), ArgConst64(ctr))
 	})
-	if count != 52 {
-		t.Fatalf("negated guarded after-call counted %d lanes, want 52", count)
-	}
-	checkClobberApp(t, host)
 }
 
-// TestGuardBeforeUnaffectedBySelfClobber: before-injections matched on the
-// same site see the same 12 lanes (the entry value is the current value
-// there), so the fix must not change them.
+// TestGuardBeforeUnaffectedBySelfClobber: a before-call passed the site's
+// guard sees the 12 lanes it holds for at entry.
 func TestGuardBeforeUnaffectedBySelfClobber(t *testing.T) {
-	count, host := runSelfClobber(t, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
-		n.GuardCallBySite(i)
+	selfClobberCount(t, 12, func(n *NVBit, i *Instr, ctr uint64) {
+		n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgConst64(ctr))
 	})
-	if count != 12 {
-		t.Fatalf("guarded before-call counted %d lanes, want 12", count)
-	}
-	checkClobberApp(t, host)
 }
 
-// TestGuardAfterToolClobberingPredicate: within one injection group, a tool
-// function that writes predicates (predtally's own setp lands in the same
-// physical bank) must not perturb a later guarded call's match — the guard
-// snapshot is taken at trampoline entry.
+// TestGuardAfterToolClobberingPredicate: within one bracket, a tool function
+// that writes predicates (predtally's own setp lands in the same physical
+// bank in a trampoline) must not change what a later call is passed as the
+// site's guard — the trampoline reads it from the save frame, and an inlined
+// body writes renamed dead predicates.
 func TestGuardAfterToolClobberingPredicate(t *testing.T) {
-	count, host := runSelfClobber(t, func(n *NVBit, i *Instr, ctr uint64) {
-		// First call always runs and clobbers P0 inside the group (its
-		// pred argument is 1 for every lane, so its internal setp.eq
-		// writes false into P0); the second call is predicate-matched.
+	// The first call counts all 64 lanes (its pred argument is 1, so its
+	// setp.eq writes false into P0); the second counts the 12 lanes whose
+	// guard held at entry.
+	selfClobberCount(t, 64+12, func(n *NVBit, i *Instr, ctr uint64) {
 		n.InsertCallArgs(i, "predtally", IPointBefore, ArgConst32(1), ArgConst64(ctr))
-		n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
-		n.GuardCallBySite(i)
+		n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgConst64(ctr))
 	})
-	// predtally counts all 64 lanes (pred argument nonzero), the matched
-	// tally counts the 12 site-entry lanes.
-	if count != 64+12 {
-		t.Fatalf("counted %d, want 76 (64 unguarded + 12 matched at entry)", count)
-	}
-	checkClobberApp(t, host)
 }

@@ -22,14 +22,12 @@ import (
 //   - a tool body uses save-frame or device-API opcodes (they trap without a
 //     trampoline frame), calls, absolute/indirect jumps, or whole-bank
 //     predicate moves;
-//   - a call after the first instruction is guarded by a predicate that
-//     instruction writes: the trampoline tests guards against the bank as the
-//     visit found it, and an inline skip would read the live bank;
 //   - the dead set is too small to hold the renamed working set.
 //
-// Arguments need no such rule: a trampoline's after bracket saves its frame
-// after the relocated instruction, so it marshals the values the instruction
-// left, which is what inline code reads live.
+// Arguments read after the first instruction need no rule of their own: a
+// trampoline's after bracket saves its frame after the relocated instruction,
+// so it marshals the values the instruction left, which is what inline code
+// reads live.
 //
 // The pool is what inlineLiveness proves dead around the visit's first
 // instruction: both brackets run next to it, planVisits lets a later site's
@@ -44,7 +42,7 @@ import (
 // requirement.
 
 // inlineLiveness is the function's liveness with the registers and predicates
-// every call's marshalling and guard read counted as uses at the call's site.
+// every call's marshalling reads counted as uses at the call's site.
 // A body renamed into what this proves dead clobbers no value a later call
 // reads — not even one the application itself never reads again, which a
 // trampoline, restoring everything it writes, would pass unchanged.
@@ -54,7 +52,6 @@ func inlineLiveness(fs *funcState, calls []siteCall) *sass.Liveness {
 	for _, c := range calls {
 		uses[c.site.idx] = uses[c.site.idx].Union(c.reads)
 		puses[c.site.idx] |= c.predReads
-		puses[c.site.idx].Add(c.p)
 	}
 	return sass.AnalyzeLivenessWith(fs.raw, uses, puses)
 }
@@ -66,14 +63,6 @@ func inlineLiveness(fs *funcState, calls []siteCall) *sass.Liveness {
 func (n *NVBit) inlineVisit(art *codeArtifact, fs *funcState, live *sass.Liveness, v visit, head, tail []siteCall) bool {
 	if live.Conservative() {
 		return false
-	}
-	if !fs.insts[v.first].removeOrig {
-		_, firstPDefs := live.Defs(v.first)
-		for _, c := range tail {
-			if firstPDefs.Has(c.p) {
-				return false
-			}
-		}
 	}
 	liveRegs, livePreds := live.SiteLive(v.first)
 	pool := sass.RegRange(fs.f.MaxRegs()).Diff(liveRegs)
@@ -100,8 +89,8 @@ func (n *NVBit) inlineVisit(art *codeArtifact, fs *funcState, live *sass.Livenes
 }
 
 // spliceCall renames the tool body of group[k] into dead registers and appends
-// its marshalling, guard skip and body to the site that started at instruction
-// i0. It reports false when the body cannot be spliced at all (see
+// its marshalling and body to the site that started at instruction i0. It
+// reports false when the body cannot be spliced at all (see
 // sass.BodyFootprint, asked once when the function was loaded), the dead set
 // cannot hold the working set, or a skip distance is unencodable.
 func (n *NVBit) spliceCall(art *codeArtifact, i0 int, group []siteCall, k int, pool sass.RegSet, deadPreds sass.PredSet) bool {
@@ -110,12 +99,6 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, group []siteCall, k int, p
 		return false
 	}
 	fp := c.tf.footprint
-	if c.p == sass.PT && c.neg {
-		// The guard is statically false: neither the tool function nor — in
-		// a trampoline — its marshalling has an observable effect. Emit
-		// nothing.
-		return true
-	}
 	// The working set: every register the body touches plus the ABI
 	// argument registers the marshalling writes (a body may ignore an
 	// argument, but the marshalling still needs a renamed target).
@@ -137,41 +120,30 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, group []siteCall, k int, p
 		return false
 	}
 	art.insts = n.marshalArgs(art.insts, group, k, regMap)
-	// skip appends a branch over the next d instructions.
-	skip := func(p sass.Pred, neg bool, d int) bool {
-		if !n.hal.ImmFits(sass.OpBRA, int64(d)) {
-			return false
-		}
-		br := sass.NewInst(sass.OpBRA)
-		br.Pred, br.PredNeg = p, neg
-		art.relocs = append(art.relocs, reloc{kind: relocInlineSkip, slot: int32(len(art.insts) - i0), aux: int32(d)})
-		art.insts = append(art.insts, br)
-		return true
-	}
-
 	body := sass.RenameBody(c.tf.insts, regMap, predMap)
 	emitLen := len(body)
 	if emitLen > 0 && body[emitLen-1].Op == sass.OpRET && !body[emitLen-1].Guarded() {
 		emitLen-- // the return point is simply the next inline instruction
-	}
-	// Skip the body when the guard does not match. The skip distance is
-	// body-relative and thus placement-independent; it is recorded as a
-	// relocation so cached artifacts stay self-describing.
-	if c.p != sass.PT && !skip(c.p, !c.neg, emitLen) {
-		return false
 	}
 	for b, in := range body[:emitLen] {
 		if in.Op != sass.OpRET {
 			art.insts = append(art.insts, in)
 			continue
 		}
-		// An interior return becomes a (possibly guarded) skip over the rest
-		// of the body. A branch that targeted the dropped trailing RET keeps
-		// working: its target is now the instruction after the body, which is
-		// exactly the return point.
-		if !skip(in.Pred, in.PredNeg, emitLen-b-1) {
+		// An interior return becomes a (possibly guarded) branch over the
+		// rest of the body. A branch that targeted the dropped trailing RET
+		// keeps working: its target is now the instruction after the body,
+		// which is exactly the return point. The skip distance is
+		// body-relative and thus placement-independent; it is recorded as a
+		// relocation so cached artifacts stay self-describing.
+		d := emitLen - b - 1
+		if !n.hal.ImmFits(sass.OpBRA, int64(d)) {
 			return false
 		}
+		br := sass.NewInst(sass.OpBRA)
+		br.Pred, br.PredNeg = in.Pred, in.PredNeg
+		art.relocs = append(art.relocs, reloc{kind: relocInlineSkip, slot: int32(len(art.insts) - i0), aux: int32(d)})
+		art.insts = append(art.insts, br)
 	}
 	return true
 }

@@ -10,7 +10,7 @@ import (
 
 // The inline-injection mode (InjectInline) must be output-equivalent to the
 // trampoline mode while actually splicing bodies: these tests pin the
-// differential, the stats partition, and the guarded-site fallback rules.
+// differential and the stats partition.
 
 // runInlineWork instruments every instruction of the work kernel with the
 // tally under the given mode and returns the app results, the tool's count,
@@ -115,48 +115,30 @@ func TestInlineAllInlineAvgSavedRegsZero(t *testing.T) {
 	}
 }
 
-// selfClobPTX guards a setp with the very predicate it writes — the
-// self-clobbering-guard shape. P0 is true for tid < 12 at the site, and the
-// guarded setp flips it to false for exactly those lanes.
-const selfClobPTX = `
-.visible .entry selfclob(.param .u64 out)
+// predAppPTX sets P0 true for threads < 12 (only in the first warp of the
+// 64-thread block), then executes a guarded add.
+const predAppPTX = `
+.visible .entry predapp(.param .u64 out)
 {
-	.reg .u32 %r<4>;
+	.reg .u32 %r<6>;
 	.reg .u64 %rd<4>;
 	.reg .pred %p<2>;
 	mov.u32 %r0, %tid.x;
 	setp.lt.u32 %p0, %r0, 12;
-	@%p0 setp.ge.u32 %p0, %r0, 100;
+	mov.u32 %r1, 0;
+	@%p0 add.u32 %r1, %r1, 1;
 	ld.param.u64 %rd0, [out];
 	mul.wide.u32 %rd2, %r0, 4;
 	add.u64 %rd0, %rd0, %rd2;
-	st.global.u32 [%rd0], %r0;
+	st.global.u32 [%rd0], %r1;
 	exit;
 }
 `
 
-// cleanGuardPTX is the same kernel without the self-clobber: the guarded setp
-// writes P1, leaving its own guard intact.
-const cleanGuardPTX = `
-.visible .entry selfclob(.param .u64 out)
-{
-	.reg .u32 %r<4>;
-	.reg .u64 %rd<4>;
-	.reg .pred %p<2>;
-	mov.u32 %r0, %tid.x;
-	setp.lt.u32 %p0, %r0, 12;
-	@%p0 setp.ge.u32 %p1, %r0, 100;
-	ld.param.u64 %rd0, [out];
-	mul.wide.u32 %rd2, %r0, 4;
-	add.u64 %rd0, %rd0, %rd2;
-	st.global.u32 [%rd0], %r0;
-	exit;
-}
-`
-
-// runSelfClob arms a site-guarded after-injection on the guarded setp and
-// returns the tally count plus the JIT stats.
-func runSelfClob(t *testing.T, src string, mode InjectionMode) (uint64, JITStats) {
+// runPredApp counts, under the given mode, the lanes of one 64-thread CTA for
+// which P0 (negated if neg) holds at the guarded add, passing the predicate
+// to predtally, which returns early where it is false.
+func runPredApp(t *testing.T, mode InjectionMode, neg bool) (uint64, JITStats) {
 	t.Helper()
 	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
 	if err != nil {
@@ -177,18 +159,17 @@ func runSelfClob(t *testing.T, src string, mode InjectionMode) (uint64, JITStats
 			panic(err)
 		}
 		for _, i := range insts {
-			if _, _, guarded := i.GetPredicate(); guarded && i.Op() == sass.OpISETP {
-				n.InsertCallArgs(i, "tally", IPointAfter, ArgConst64(ctr))
-				n.GuardCallBySite(i)
+			if _, _, guarded := i.GetPredicate(); guarded && i.Op() == sass.OpIADD {
+				n.InsertCallArgs(i, "predtally", IPointBefore, ArgPred(0, neg), ArgConst64(ctr))
 			}
 		}
 	}
 	ctx, _ := api.CtxCreate()
-	mod, err := ctx.ModuleLoadPTX("app", src)
+	mod, err := ctx.ModuleLoadPTX("app", predAppPTX)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := mod.GetFunction("selfclob")
+	f, _ := mod.GetFunction("predapp")
 	out, _ := ctx.MemAlloc(4 * 64)
 	params, _ := driver.PackParams(f, out)
 	if err := ctx.LaunchKernel(f, gpu.D1(1), gpu.D1(64), 0, params); err != nil {
@@ -201,51 +182,22 @@ func runSelfClob(t *testing.T, src string, mode InjectionMode) (uint64, JITStats
 	return count, nv.JITStats()
 }
 
-// TestInlineSelfClobberGuardFallsBack: an after-injection guarded by the
-// site predicate, on an instruction that writes its own guard, must reuse the
-// trampoline path (whose entry snapshot preserves site-entry predicate
-// values) — an inlined guard skip would re-read the clobbered live bank and
-// count 0 lanes instead of 12.
-func TestInlineSelfClobberGuardFallsBack(t *testing.T) {
-	trCount, _ := runSelfClob(t, selfClobPTX, InjectTrampoline)
-	inCount, inStats := runSelfClob(t, selfClobPTX, InjectInline)
-	if trCount != 12 || inCount != 12 {
-		t.Fatalf("counts: trampoline %d, inline %d, want 12 (site-entry predicate values)", trCount, inCount)
-	}
-	if inStats.InlinedSites != 0 || inStats.TrampolinesEmitted != 1 {
-		t.Fatalf("self-clobbering guarded site not forced onto the trampoline path: %d inlined / %d trampolines",
-			inStats.InlinedSites, inStats.TrampolinesEmitted)
-	}
-
-	// Control: the identical site without the self-clobber is inline-eligible,
-	// proving the fallback above was the self-clobber rule and not a
-	// dead-set shortfall.
-	cleanCount, cleanStats := runSelfClob(t, cleanGuardPTX, InjectInline)
-	if cleanCount != 12 {
-		t.Fatalf("clean-guard count = %d, want 12", cleanCount)
-	}
-	if cleanStats.InlinedSites != 1 || cleanStats.TrampolinesEmitted != 0 {
-		t.Fatalf("clean guarded site did not inline: %d inlined / %d trampolines",
-			cleanStats.InlinedSites, cleanStats.TrampolinesEmitted)
-	}
-}
-
-// TestInlineGuardedCounts re-runs the guard-matching counts under inline
-// mode: predicate-matched skips must select the same lane sets as in
-// trampoline mode, for both polarities.
+// TestInlineGuardedCounts: a guarded site's predicate, passed as an argument
+// and read live by the inlined body, selects the same lane sets as the
+// trampoline reading it from the save frame, for both polarities.
 func TestInlineGuardedCounts(t *testing.T) {
-	pos, nv, _ := runPredApp(t, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
-		n.GuardCall(i, sass.Pred(0), false)
-	}, WithInjectionMode(InjectInline))
-	if st := nv.JITStats(); st.InlinedSites == 0 {
-		t.Fatalf("guarded site did not inline: %+v", st)
-	}
-	neg, _, _ := runPredApp(t, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
-		n.GuardCall(i, sass.Pred(0), true)
-	}, WithInjectionMode(InjectInline))
-	if pos != 12 || neg != 52 {
-		t.Fatalf("pos=%d neg=%d under inline mode, want 12/52", pos, neg)
+	for _, neg := range []bool{false, true} {
+		want := uint64(12)
+		if neg {
+			want = 52
+		}
+		tr, _ := runPredApp(t, InjectTrampoline, neg)
+		in, st := runPredApp(t, InjectInline, neg)
+		if st.InlinedSites != 1 || st.TrampolinesEmitted != 0 {
+			t.Fatalf("neg=%v: %d inlined / %d trampolines, want 1/0", neg, st.InlinedSites, st.TrampolinesEmitted)
+		}
+		if tr != want || in != want {
+			t.Fatalf("neg=%v: trampoline %d, inline %d, want %d", neg, tr, in, want)
+		}
 	}
 }

@@ -146,32 +146,6 @@ func (n *NVBit) InsertCallArgs(i *Instr, funcName string, where IPoint, args ...
 	}
 }
 
-// GuardCall restricts the most recently inserted call so that only lanes for
-// which predicate p (negated if neg) holds at the instrumentation site enter
-// the injected function at all — the lanes are filtered by predicate
-// matching on the call instruction itself rather than by an early return
-// inside the tool function. This implements the finer-grained thread
-// selection the paper sketches as future work in Section 7; when a whole
-// warp fails the predicate, the call is skipped entirely.
-func (n *NVBit) GuardCall(i *Instr, p sass.Pred, neg bool) {
-	if i.lastInserted == nil {
-		panic("nvbit: GuardCall before InsertCall")
-	}
-	i.lastInserted.guarded = true
-	i.lastInserted.guardP, i.lastInserted.guardNeg = p, neg
-}
-
-// GuardCallBySite restricts the most recently inserted call to the lanes for
-// which the instrumented instruction's own guard predicate holds — the
-// zero-argument alternative to passing ArgGuardPred and returning early.
-func (n *NVBit) GuardCallBySite(i *Instr) {
-	if i.lastInserted == nil {
-		panic("nvbit: GuardCallBySite before InsertCall")
-	}
-	i.lastInserted.guarded = true
-	i.lastInserted.useSite = true
-}
-
 // RemoveOrig removes the original instruction, keeping any injected calls
 // (nvbit_remove_orig) — the mechanism behind instruction emulation
 // (Section 6.3), where the injected function supersedes the instruction.
@@ -195,8 +169,8 @@ const (
 	// InjectInline splices eligible tool bodies directly into the relocated
 	// stream, renamed into registers liveness proved dead at the visit — no
 	// save/restore, no call. Visits that cannot inline (indirect control
-	// flow, self-clobbering guards, dead set too small) fall back to
-	// trampolines as a whole.
+	// flow, a body that cannot be spliced, a dead set too small) fall back
+	// to trampolines as a whole.
 	InjectInline
 )
 

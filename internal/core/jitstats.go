@@ -110,6 +110,3 @@ func (s JITStats) Components() ([8]time.Duration, [8]string) {
 
 // JITStats returns the accumulated JIT-compilation overhead breakdown.
 func (n *NVBit) JITStats() JITStats { return n.stats }
-
-// ResetJITStats zeroes the accumulated overhead counters.
-func (n *NVBit) ResetJITStats() { n.stats = JITStats{} }

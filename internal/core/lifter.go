@@ -29,14 +29,6 @@ type Instr struct {
 type callRequest struct {
 	funcName string
 	args     []CallArg
-	// Optional injection guard (the paper's Section 7 future work:
-	// "predicate matching before jumping to the instrumentation
-	// function"): when guarded, only lanes with the predicate in the
-	// stated polarity enter the tool function at all.
-	guarded  bool
-	guardP   sass.Pred
-	guardNeg bool
-	useSite  bool // guard by the instrumented instruction's own predicate
 }
 
 // funcState is the per-CUfunction instrumentation state.

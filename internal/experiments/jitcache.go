@@ -38,6 +38,10 @@ const JITCacheBenchmark = "ilbdc"
 // ratio and zero codegen time — the amortization a persistent code cache
 // buys (CPU DBI precedent: Pin/DynamoRIO persistent code caches).
 func JITCache(dir string, size specaccel.Size) ([]JITCacheRow, error) {
+	b, err := specaccel.Find(JITCacheBenchmark)
+	if err != nil {
+		return nil, fmt.Errorf("jitcache experiment: %w", err)
+	}
 	var rows []JITCacheRow
 	for _, run := range []string{"cold", "warm"} {
 		cache, err := nvbit.NewJITCache(dir, 0)
@@ -47,15 +51,6 @@ func JITCache(dir string, size specaccel.Size) ([]JITCacheRow, error) {
 		api, err := newAPI()
 		if err != nil {
 			return nil, err
-		}
-		var b *specaccel.Benchmark
-		for _, cand := range specaccel.Benchmarks() {
-			if cand.Name == JITCacheBenchmark {
-				b = cand
-			}
-		}
-		if b == nil {
-			return nil, fmt.Errorf("jitcache experiment: benchmark %q not found", JITCacheBenchmark)
 		}
 		tool := instrcount.New()
 		opts := append(attachOpts(), nvbit.WithJITCache(cache))

@@ -263,9 +263,6 @@ func (d *Device) Codec() *sass.Codec { return d.codec }
 // Stats returns a snapshot of accumulated execution statistics.
 func (d *Device) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the accumulated statistics.
-func (d *Device) ResetStats() { d.stats = Stats{} }
-
 // SetScheduler switches the CTA-to-SM execution backend. The choice is read
 // at each launch; launches are synchronous, so switching between launches is
 // safe.
@@ -301,20 +298,6 @@ func (s AllocSpan) Contains(addr uint64, n int) bool {
 	return addr >= s.Base && addr+uint64(n) <= s.Base+s.Size && addr+uint64(n) >= addr
 }
 
-// AllocState classifies an address against the allocation table.
-type AllocState int
-
-const (
-	// AddrUnallocated: the address was never part of an allocation still
-	// remembered by the device.
-	AddrUnallocated AllocState = iota
-	// AddrLive: the address lies inside a live allocation.
-	AddrLive
-	// AddrFreed: the address lies inside a freed allocation that has not
-	// been recycled (use-after-free).
-	AddrFreed
-)
-
 // Allocations returns the live allocation table, sorted by base address.
 // This is the allocation-query API memory-checker tools validate effective
 // addresses against; launches are synchronous, so the snapshot is stable
@@ -332,8 +315,8 @@ func (d *Device) Allocations() []AllocSpan {
 
 // FreedSpans returns recently freed allocations, most recent first (a
 // bounded history of freedHistory entries). A span stops being authoritative
-// once any part of it is handed out again; QueryAddr resolves that by
-// checking the live table first.
+// once any part of it is handed out again, so a caller classifying an
+// address checks Allocations first.
 func (d *Device) FreedSpans() []AllocSpan {
 	d.allocMu.Lock()
 	defer d.allocMu.Unlock()
@@ -342,25 +325,6 @@ func (d *Device) FreedSpans() []AllocSpan {
 		out[len(out)-1-i] = s
 	}
 	return out
-}
-
-// QueryAddr classifies one device address: inside a live allocation, inside
-// a remembered freed allocation, or unallocated. Live wins over freed (the
-// memory may have been recycled).
-func (d *Device) QueryAddr(addr uint64) (AllocSpan, AllocState) {
-	d.allocMu.Lock()
-	defer d.allocMu.Unlock()
-	for base, size := range d.alloc.sizes {
-		if s := (AllocSpan{base, size}); s.Contains(addr, 1) {
-			return s, AddrLive
-		}
-	}
-	for i := len(d.alloc.freed) - 1; i >= 0; i-- {
-		if s := d.alloc.freed[i]; s.Contains(addr, 1) {
-			return s, AddrFreed
-		}
-	}
-	return AllocSpan{}, AddrUnallocated
 }
 
 // inHeap reports whether the n-byte access at addr lies wholly inside the

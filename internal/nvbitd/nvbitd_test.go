@@ -60,13 +60,11 @@ func startServerOn(t *testing.T, cfg nvbitd.Config) (*nvbitd.Server, string) {
 
 func findBenchmark(t *testing.T, name string) *specaccel.Benchmark {
 	t.Helper()
-	for _, b := range specaccel.Benchmarks() {
-		if b.Name == name {
-			return b
-		}
+	b, err := specaccel.Find(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no specaccel benchmark %q", name)
-	return nil
+	return b
 }
 
 // standaloneReport runs the benchmark with the tool attached in-process on

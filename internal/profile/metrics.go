@@ -21,7 +21,7 @@ type KernelMetrics struct {
 	ThreadInstrs uint64
 	Cycles       uint64
 
-	// Wall time split by resident code version, so Slowdown can mirror
+	// Wall time split by resident code version, so slowdown can mirror
 	// Figure 8's instrumented-vs-native ratio when both versions ran.
 	WallNative       time.Duration
 	WallInstrumented time.Duration
@@ -58,9 +58,9 @@ func (m KernelMetrics) SitesPerVisit() float64 {
 	return float64(m.Trampolines) / float64(m.Visits)
 }
 
-// Slowdown returns the ratio of mean instrumented to mean native launch
+// slowdown returns the ratio of mean instrumented to mean native launch
 // wall time, or 0 when either version never ran.
-func (m KernelMetrics) Slowdown() float64 {
+func (m KernelMetrics) slowdown() float64 {
 	nNat := m.Launches - m.InstrumentedLaunches
 	if nNat == 0 || m.InstrumentedLaunches == 0 || m.WallNative == 0 {
 		return 0
@@ -137,7 +137,7 @@ func FormatMetrics(ms []KernelMetrics) string {
 		"kernel", "launches", "instr", "faults", "warp-instrs", "thread-instrs", "cycles", "slowdown", "avg-save", "sites/visit", "inlined")
 	for _, m := range ms {
 		slow := "-"
-		if s := m.Slowdown(); s > 0 {
+		if s := m.slowdown(); s > 0 {
 			slow = fmt.Sprintf("%.2fx", s)
 		}
 		save := "-"

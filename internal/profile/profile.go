@@ -144,8 +144,6 @@ type Collector struct {
 	dropped uint64
 	nextID  uint64
 
-	subs []func(Record)
-
 	// nextInstrumented annotates the next KindKernel record: the NVBit
 	// core sets it after the Code Loader decides which code version is
 	// resident, immediately before the device launch consumes it.
@@ -194,21 +192,8 @@ func (c *Collector) Emit(r Record) uint64 {
 	if r.Kind == KindJITPhase && (r.Name == "codegen" || r.Name == "cache_hit") {
 		c.aggregateCodegen(r)
 	}
-	subs := c.subs
 	c.mu.Unlock()
-	for _, fn := range subs {
-		fn(r)
-	}
 	return r.ID
-}
-
-// Subscribe registers fn to be called synchronously with every record
-// emitted from now on. Subscribers run on the emitting goroutine and must
-// not call back into the collector.
-func (c *Collector) Subscribe(fn func(Record)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.subs = append(c.subs, fn)
 }
 
 // Records returns a snapshot of the buffered records in emission order.

@@ -63,17 +63,6 @@ func TestDrainEmptiesRing(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	c := NewCollector(0)
-	var seen []uint64
-	c.Subscribe(func(r Record) { seen = append(seen, r.ID) })
-	c.Emit(Record{Kind: KindCtxCreate, SM: -1})
-	c.Emit(Record{Kind: KindMemAlloc, SM: -1})
-	if !reflect.DeepEqual(seen, []uint64{1, 2}) {
-		t.Fatalf("subscriber saw %v", seen)
-	}
-}
-
 func TestMergeShardParentsOrphans(t *testing.T) {
 	c := NewCollector(0)
 	kid := c.Emit(Record{Kind: KindKernel, Name: "k", SM: -1})
@@ -128,10 +117,10 @@ func TestSlowdown(t *testing.T) {
 		Launches: 3, InstrumentedLaunches: 2,
 		WallNative: 10 * time.Millisecond, WallInstrumented: 60 * time.Millisecond,
 	}
-	if got := m.Slowdown(); got != 3 {
+	if got := m.slowdown(); got != 3 {
 		t.Fatalf("slowdown = %v, want 3", got)
 	}
-	if got := (KernelMetrics{Launches: 2, InstrumentedLaunches: 2}).Slowdown(); got != 0 {
+	if got := (KernelMetrics{Launches: 2, InstrumentedLaunches: 2}).slowdown(); got != 0 {
 		t.Fatalf("all-instrumented slowdown = %v, want 0", got)
 	}
 }

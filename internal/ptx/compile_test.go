@@ -51,6 +51,18 @@ func mustCompile(t *testing.T, src string, f sass.Family) *Module {
 	return m
 }
 
+// funcNamed returns the module's function with the given name.
+func funcNamed(t *testing.T, m *Module, name string) *Func {
+	t.Helper()
+	for _, f := range m.Funcs {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("module has no function %s", name)
+	return nil
+}
+
 func newDev(t *testing.T, f sass.Family) *gpu.Device {
 	t.Helper()
 	d, err := gpu.New(gpu.DefaultConfig(f))
@@ -221,14 +233,14 @@ func TestDeviceFunctionCall(t *testing.T) {
 }
 `
 	m := mustCompile(t, src, sass.Pascal)
-	main, _ := m.Lookup("main")
+	main := funcNamed(t, m, "main")
 	if len(main.Related) != 1 || main.Related[0] != "triple" {
 		t.Fatalf("Related = %v", main.Related)
 	}
 	if len(main.Relocs) != 1 {
 		t.Fatalf("Relocs = %v", main.Relocs)
 	}
-	tri, _ := m.Lookup("triple")
+	tri := funcNamed(t, m, "triple")
 	if tri.Entry {
 		t.Fatal("triple marked as entry")
 	}
@@ -633,7 +645,7 @@ func TestDialectForms(t *testing.T) {
 `
 	for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
 		m := mustCompile(t, src, fam)
-		tf, _ := m.Lookup("preds")
+		tf := funcNamed(t, m, "preds")
 		if tf.Insts[0].Op != sass.OpRDPRED || tf.Insts[2].Op != sass.OpWRPRED || tf.Insts[2].Src2 != tf.Insts[0].Dst {
 			t.Fatalf("%v: device-API predicate ops lowered to\n%s", fam, sass.FormatProgram(tf.Insts))
 		}

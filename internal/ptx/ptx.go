@@ -85,16 +85,6 @@ type Module struct {
 	Funcs  []*Func
 }
 
-// Lookup returns the function with the given name.
-func (m *Module) Lookup(name string) (*Func, bool) {
-	for _, f := range m.Funcs {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
 // Compile parses and compiles a PTX source for the target family.
 func Compile(name, src string, family sass.Family) (*Module, error) {
 	pm, err := parse(src)

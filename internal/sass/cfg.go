@@ -1,10 +1,10 @@
 package sass
 
-// BranchTarget returns the word index targeted by a direct control-flow
+// branchTarget returns the word index targeted by a direct control-flow
 // instruction at word index pc, and whether the instruction has a statically
 // known target. BRA targets are PC-relative; JMP/CAL targets are absolute
 // word indexes. BRX (indirect control flow) has no static target.
-func BranchTarget(in Inst, pc int) (int, bool) {
+func branchTarget(in Inst, pc int) (int, bool) {
 	switch in.Op {
 	case OpBRA:
 		return pc + 1 + int(in.Imm), true
@@ -49,7 +49,7 @@ func BasicBlocks(insts []Inst) (blocks []BlockRange, ok bool) {
 	leader := make([]bool, len(insts)+1)
 	leader[0] = true
 	for pc, in := range insts {
-		if t, ok := BranchTarget(in, pc); ok {
+		if t, ok := branchTarget(in, pc); ok {
 			if t >= 0 && t < len(insts) {
 				leader[t] = true
 			}

@@ -84,18 +84,18 @@ func TestBasicBlocksICFFallsBack(t *testing.T) {
 func TestBranchTarget(t *testing.T) {
 	bra := NewInst(OpBRA)
 	bra.Imm = -3
-	if tgt, ok := BranchTarget(bra, 10); !ok || tgt != 8 {
+	if tgt, ok := branchTarget(bra, 10); !ok || tgt != 8 {
 		t.Fatalf("BRA target = %d ok=%v", tgt, ok)
 	}
 	jmp := NewInst(OpJMP)
 	jmp.Imm = 99
-	if tgt, ok := BranchTarget(jmp, 10); !ok || tgt != 99 {
+	if tgt, ok := branchTarget(jmp, 10); !ok || tgt != 99 {
 		t.Fatalf("JMP target = %d ok=%v", tgt, ok)
 	}
-	if _, ok := BranchTarget(NewInst(OpBRX), 0); ok {
+	if _, ok := branchTarget(NewInst(OpBRX), 0); ok {
 		t.Fatal("BRX should have no static target")
 	}
-	if _, ok := BranchTarget(NewInst(OpIADD), 0); ok {
+	if _, ok := branchTarget(NewInst(OpIADD), 0); ok {
 		t.Fatal("IADD should have no target")
 	}
 }

@@ -116,8 +116,8 @@ func RegRange(n int) RegSet {
 	return s
 }
 
-// AllRegs returns the full register file R0..R254.
-func AllRegs() RegSet { return RegRange(NumRegs) }
+// allRegs returns the full register file R0..R254.
+func allRegs() RegSet { return RegRange(NumRegs) }
 
 // PredSet is a bit set over the predicate registers P0..P6. PT is never a
 // member.
@@ -242,7 +242,7 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 					out = out.Union(l.in[s])
 					pout |= l.pin[s]
 				} else {
-					out = AllRegs()
+					out = allRegs()
 					pout = AllPreds
 				}
 			}
@@ -254,7 +254,7 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 					addSucc(pc + 1)
 				}
 			case OpRET:
-				out, pout = AllRegs(), AllPreds
+				out, pout = allRegs(), AllPreds
 			case OpJMP:
 				addSucc(int(in.Imm))
 				if in.Guarded() {
@@ -273,7 +273,7 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 			if in.Op == OpCAL {
 				// The callee's body is not visible; assume it reads
 				// everything.
-				liveIn, pliveIn = AllRegs(), AllPreds
+				liveIn, pliveIn = allRegs(), AllPreds
 			} else if !in.Guarded() {
 				// A guarded definition may not happen, so only
 				// unguarded defs kill liveness.
@@ -294,20 +294,20 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 // function contains indirect control flow).
 func (l *Liveness) Conservative() bool { return l.conservative }
 
-// LiveIn returns the registers and predicates live immediately before the
+// liveIn returns the registers and predicates live immediately before the
 // instruction at word index pc.
-func (l *Liveness) LiveIn(pc int) (RegSet, PredSet) {
+func (l *Liveness) liveIn(pc int) (RegSet, PredSet) {
 	if l.conservative || pc < 0 || pc >= len(l.in) {
-		return AllRegs(), AllPreds
+		return allRegs(), AllPreds
 	}
 	return l.in[pc], l.pin[pc]
 }
 
-// LiveOut returns the registers and predicates live immediately after the
+// liveOut returns the registers and predicates live immediately after the
 // instruction at word index pc.
-func (l *Liveness) LiveOut(pc int) (RegSet, PredSet) {
+func (l *Liveness) liveOut(pc int) (RegSet, PredSet) {
 	if l.conservative || pc < 0 || pc >= len(l.out) {
-		return AllRegs(), AllPreds
+		return allRegs(), AllPreds
 	}
 	return l.out[pc], l.pout[pc]
 }
@@ -317,7 +317,7 @@ func (l *Liveness) LiveOut(pc int) (RegSet, PredSet) {
 // Generator's question of what a moved call's inputs would cross.
 func (l *Liveness) Defs(pc int) (RegSet, PredSet) {
 	if l.conservative || pc < 0 || pc >= len(l.defs) {
-		return AllRegs(), AllPreds
+		return allRegs(), AllPreds
 	}
 	return l.defs[pc], l.pdefs[pc]
 }
@@ -329,7 +329,7 @@ func (l *Liveness) Defs(pc int) (RegSet, PredSet) {
 // the values are otherwise dead).
 func (l *Liveness) SiteLive(pc int) (RegSet, PredSet) {
 	if l.conservative || pc < 0 || pc >= len(l.in) {
-		return AllRegs(), AllPreds
+		return allRegs(), AllPreds
 	}
 	rs := l.in[pc].Union(l.out[pc]).Union(l.defs[pc]).Union(l.uses[pc])
 	ps := l.pin[pc] | l.pout[pc] | l.pdefs[pc] | l.puses[pc]

@@ -51,8 +51,8 @@ func TestRegSetOps(t *testing.T) {
 	if got := RegRange(3); got != regs(0, 1, 2) {
 		t.Fatalf("RegRange(3) = %v", got.Regs())
 	}
-	if AllRegs().Count() != NumRegs || AllRegs().Max() != NumRegs-1 {
-		t.Fatalf("AllRegs = %d regs, max %d", AllRegs().Count(), AllRegs().Max())
+	if allRegs().Count() != NumRegs || allRegs().Max() != NumRegs-1 {
+		t.Fatalf("allRegs = %d regs, max %d", allRegs().Count(), allRegs().Max())
 	}
 	if got := regs(1, 2).Union(regs(2, 3)); got != regs(1, 2, 3) {
 		t.Fatalf("union = %v", got.Regs())
@@ -165,18 +165,18 @@ func TestLivenessStraightLine(t *testing.T) {
 	}
 	// Before the MOVI: R2 live (used by STG, global base pair R2,R3); R0
 	// dead (defined here), R1 dead.
-	in0, _ := l.LiveIn(0)
+	in0, _ := l.liveIn(0)
 	if in0 != regs(2, 3) {
-		t.Fatalf("LiveIn(0) = %v", in0.Regs())
+		t.Fatalf("liveIn(0) = %v", in0.Regs())
 	}
-	out1, _ := l.LiveOut(1)
+	out1, _ := l.liveOut(1)
 	if !out1.Has(1) || out1.Has(0) {
-		t.Fatalf("LiveOut(1) = %v: R1 must be live, R0 dead after last use", out1.Regs())
+		t.Fatalf("liveOut(1) = %v: R1 must be live, R0 dead after last use", out1.Regs())
 	}
 	// Nothing is live after the EXIT.
-	out3, pout3 := l.LiveOut(3)
+	out3, pout3 := l.liveOut(3)
 	if !out3.Empty() || pout3 != 0 {
-		t.Fatalf("LiveOut(EXIT) = %v", out3.Regs())
+		t.Fatalf("liveOut(EXIT) = %v", out3.Regs())
 	}
 	// The site set at the MOVI includes its own def.
 	site0, _ := l.SiteLive(0)
@@ -211,16 +211,16 @@ func TestLivenessLoop(t *testing.T) {
 	l := AnalyzeLiveness(prog)
 	// R1 is loop-carried: live around the back edge, including at the
 	// loop header's entry.
-	in1, _ := l.LiveIn(1)
+	in1, _ := l.liveIn(1)
 	if !in1.Has(1) || !in1.Has(0) || !in1.Has(2) || !in1.Has(4) {
-		t.Fatalf("LiveIn(loop body) = %v", in1.Regs())
+		t.Fatalf("liveIn(loop body) = %v", in1.Regs())
 	}
 	// P0 is live out of the ISETP (consumed by the BRA) and dead after it.
-	_, pout3 := l.LiveOut(3)
+	_, pout3 := l.liveOut(3)
 	if !pout3.Has(0) {
 		t.Fatal("P0 not live out of ISETP")
 	}
-	_, pout4 := l.LiveOut(4)
+	_, pout4 := l.liveOut(4)
 	if pout4.Has(0) {
 		t.Fatalf("P0 should be dead after the backward branch: %b", pout4)
 	}
@@ -236,16 +236,16 @@ func TestLivenessGuardedDefDoesNotKill(t *testing.T) {
 		NewInst(OpEXIT),
 	}
 	l := AnalyzeLiveness(prog)
-	in0, _ := l.LiveIn(0)
+	in0, _ := l.liveIn(0)
 	if !in0.Has(0) {
-		t.Fatalf("guarded def killed R0: LiveIn(0) = %v", in0.Regs())
+		t.Fatalf("guarded def killed R0: liveIn(0) = %v", in0.Regs())
 	}
 	// The unguarded variant does kill.
 	prog[0] = mkMOVI(0, 1)
 	l = AnalyzeLiveness(prog)
-	in0, _ = l.LiveIn(0)
+	in0, _ = l.liveIn(0)
 	if in0.Has(0) {
-		t.Fatalf("unguarded def failed to kill R0: LiveIn(0) = %v", in0.Regs())
+		t.Fatalf("unguarded def failed to kill R0: liveIn(0) = %v", in0.Regs())
 	}
 }
 
@@ -258,15 +258,15 @@ func TestLivenessCallAndReturnConservative(t *testing.T) {
 		NewInst(OpEXIT),
 	}
 	l := AnalyzeLiveness(prog)
-	in1, pin1 := l.LiveIn(1)
-	if in1 != AllRegs() || pin1 != AllPreds {
+	in1, pin1 := l.liveIn(1)
+	if in1 != allRegs() || pin1 != AllPreds {
 		t.Fatal("everything must be live before a CAL (callee body unknown)")
 	}
 	// RET escapes the function: everything live across it.
 	prog = []Inst{mkMOVI(0, 1), NewInst(OpRET)}
 	l = AnalyzeLiveness(prog)
-	out1, _ := l.LiveOut(1)
-	if out1 != AllRegs() {
+	out1, _ := l.liveOut(1)
+	if out1 != allRegs() {
 		t.Fatal("everything must be live out of a RET")
 	}
 }
@@ -280,16 +280,16 @@ func TestLivenessICFFallsBack(t *testing.T) {
 		t.Fatal("BRX function must fall back to the conservative analysis")
 	}
 	rs, ps := l.SiteLive(0)
-	if rs != AllRegs() || ps != AllPreds {
+	if rs != allRegs() || ps != AllPreds {
 		t.Fatal("conservative analysis must report everything live")
 	}
-	rs, _ = l.LiveIn(0)
-	if rs != AllRegs() {
-		t.Fatal("conservative LiveIn must report everything live")
+	rs, _ = l.liveIn(0)
+	if rs != allRegs() {
+		t.Fatal("conservative liveIn must report everything live")
 	}
-	rs, _ = l.LiveOut(0)
-	if rs != AllRegs() {
-		t.Fatal("conservative LiveOut must report everything live")
+	rs, _ = l.liveOut(0)
+	if rs != allRegs() {
+		t.Fatal("conservative liveOut must report everything live")
 	}
 }
 
@@ -298,8 +298,8 @@ func TestLivenessBranchOutOfBodyEscapes(t *testing.T) {
 	bra.Imm = 100 // leaves the function body
 	prog := []Inst{mkMOVI(0, 1), bra}
 	l := AnalyzeLiveness(prog)
-	out1, _ := l.LiveOut(1)
-	if out1 != AllRegs() {
+	out1, _ := l.liveOut(1)
+	if out1 != allRegs() {
 		t.Fatal("a branch leaving the body must make everything live")
 	}
 }

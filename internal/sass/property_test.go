@@ -70,7 +70,7 @@ func TestBasicBlockPartitionProperties(t *testing.T) {
 			return false
 		}
 		for pc, in := range insts {
-			if tgt, isBranch := BranchTarget(in, pc); isBranch && tgt >= 0 && tgt < n && !leaders[tgt] {
+			if tgt, isBranch := branchTarget(in, pc); isBranch && tgt >= 0 && tgt < n && !leaders[tgt] {
 				return false
 			}
 		}

@@ -188,16 +188,4 @@ func (t *Tool) decode(data []byte) {
 	}
 }
 
-// WarpTrace extracts, in recorded order, the instruction indexes one warp of
-// one kernel executed.
-func (t *Tool) WarpTrace(kernelID, warpID uint32) []uint32 {
-	var out []uint32
-	for _, r := range t.Records {
-		if r.KernelID == kernelID && r.WarpID == warpID {
-			out = append(out, r.InstIdx)
-		}
-	}
-	return out
-}
-
 var _ nvbit.Tool = (*Tool)(nil)

@@ -95,9 +95,21 @@ func (h *hostTool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name s
 
 func (h *hostTool) AtTerm(n *nvbit.NVBit) { h.Tool.AtTerm(n) }
 
+// warpTrace extracts, in recorded order, the instruction indexes one warp of
+// one kernel executed.
+func warpTrace(tool *Tool, kernelID, warpID uint32) []uint32 {
+	var out []uint32
+	for _, r := range tool.Records {
+		if r.KernelID == kernelID && r.WarpID == warpID {
+			out = append(out, r.InstIdx)
+		}
+	}
+	return out
+}
+
 func TestStraightLineTraceIsProgramOrder(t *testing.T) {
 	tool := runTraced(t, straightPTX, "straight", 32, false)
-	trace := tool.WarpTrace(0, 0)
+	trace := warpTrace(tool, 0, 0)
 	// The compiled kernel has one record per static instruction, in order.
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
@@ -126,7 +138,7 @@ func TestStraightLineTraceIsProgramOrder(t *testing.T) {
 
 func TestLoopTraceShowsIterations(t *testing.T) {
 	tool := runTraced(t, loopPTX, "looper", 32, false)
-	trace := tool.WarpTrace(0, 0)
+	trace := warpTrace(tool, 0, 0)
 	// looper: MOVI(0); loop body {IADD(1), ISETP(2), BRA(3)} x3; EXIT(4).
 	want := []uint32{0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 4}
 	if len(trace) != len(want) {
@@ -154,7 +166,7 @@ func TestTraceNonexistentInstruction(t *testing.T) {
 }
 `
 	tool := runTraced(t, src, "fft", 32, true)
-	trace := tool.WarpTrace(0, 0)
+	trace := warpTrace(tool, 0, 0)
 	if len(trace) != 4 {
 		t.Fatalf("trace %v, want 4 records", trace)
 	}

@@ -122,15 +122,6 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	}
 }
 
-// UniqueLines returns the accumulated unique cache-line count.
-func (t *Tool) UniqueLines(n *nvbit.NVBit) float64 {
-	bits, err := n.ReadU32(t.ctrs)
-	if err != nil {
-		panic(err)
-	}
-	return float64(math.Float32frombits(bits))
-}
-
 // MemInstrs returns the executed warp-level global memory instructions.
 func (t *Tool) MemInstrs(n *nvbit.NVBit) uint64 {
 	v, err := n.ReadU64(t.ctrs + 8)
@@ -147,7 +138,11 @@ func (t *Tool) AvgLinesPerMemInstr(n *nvbit.NVBit) float64 {
 	if m == 0 {
 		return 0
 	}
-	return t.UniqueLines(n) / float64(m)
+	bits, err := n.ReadU32(t.ctrs) // the unique lines, summed as a float32
+	if err != nil {
+		panic(err)
+	}
+	return float64(math.Float32frombits(bits)) / float64(m)
 }
 
 var _ nvbit.Tool = (*Tool)(nil)

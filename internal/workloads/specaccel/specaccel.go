@@ -41,6 +41,16 @@ func ParseSize(name string) (Size, error) {
 	return 0, fmt.Errorf("specaccel: unknown size %q (want small, medium or large)", name)
 }
 
+// Find returns the suite benchmark with the given name.
+func Find(name string) (*Benchmark, error) {
+	for _, b := range Benchmarks() {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("specaccel: unknown benchmark %q", name)
+}
+
 // elems returns the per-size element count (powers of two; the synthetic
 // SASS has no integer division).
 func (s Size) elems() int {

@@ -232,21 +232,9 @@ const (
 	FaultConstOOB           = gpu.FaultConstOOB
 )
 
-// Allocation-query types (memory-checker tools validate effective addresses
-// against the device's allocation table).
-type (
-	// AllocSpan is one device-memory allocation: [Base, Base+Size).
-	AllocSpan = gpu.AllocSpan
-	// AllocState classifies an address against the allocation table.
-	AllocState = gpu.AllocState
-)
-
-// Allocation states.
-const (
-	AddrUnallocated = gpu.AddrUnallocated
-	AddrLive        = gpu.AddrLive
-	AddrFreed       = gpu.AddrFreed
-)
+// AllocSpan is one device-memory allocation, [Base, Base+Size): memory-checker
+// tools validate effective addresses against the device's allocation table.
+type AllocSpan = gpu.AllocSpan
 
 // AsFault unwraps a launch error looking for its *Fault.
 var AsFault = gpu.AsFault
@@ -262,7 +250,8 @@ var (
 	ErrToolCallback       = driver.ErrToolCallback
 )
 
-// Pred is a predicate register index (for GuardCall's predicate matching).
+// Pred is a predicate register index, as ArgPred takes and GetPredicate
+// returns.
 type Pred = sass.Pred
 
 // RegSet is a dense general-purpose-register set, as returned by
