@@ -3,8 +3,8 @@
 //
 //	nvbit-run -tool instrcount -workload specaccel:cg -size medium
 //	nvbit-run -tool memdiv -workload ml:ResNet
-//	nvbit-run -tool opcode_hist -workload specaccel:ostencil
-//	nvbit-run -trace out.json -metrics -tool opcode_hist
+//	nvbit-run -tool ophisto -workload specaccel:ostencil
+//	nvbit-run -trace out.json -metrics -tool ophisto
 //	nvbit-run -connect /run/nvbitd.sock -tool itrace -workload specaccel:cg
 //
 // Every flag has an NVBIT_* environment fallback (flag wins over the
@@ -65,7 +65,6 @@ type appConfig struct {
 	tool         *string
 	out          *string
 	backpressure *string
-	traceOut     *string
 	traceJSON    *string
 	metrics      *bool
 	jitCacheDir  *string
@@ -93,10 +92,9 @@ type appConfig struct {
 func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 	cc := cliconf.New(fs)
 	c := &appConfig{
-		tool:         cc.String("tool", "", "tool: none, instrcount, instrcount-bb, memdiv, ophisto, opcode_hist, ophisto-sampled, cachesim, itrace, memtrace, memcheck, faultinject"),
+		tool:         cc.String("tool", "", "tool: none, instrcount, instrcount-bb, memdiv, ophisto, ophisto-sampled, cachesim, itrace, memtrace, memcheck, faultinject"),
 		out:          cc.String("out", "", "write tool reports to this file instead of stdout"),
 		backpressure: cc.String("backpressure", "drop", "channel tools (cachesim, itrace, memcheck, memtrace): drop or block when buffers fill"),
-		traceOut:     cc.String("trace-out", "", "itrace: write the collected warp trace to this file"),
 		traceJSON:    cc.String("trace", "", "write a chrome://tracing activity timeline (JSON) to this file"),
 		metrics:      cc.Bool("metrics", false, "print the per-kernel metrics table after the run"),
 		jitCacheDir:  cc.String("jit-cache", "", "persist instrumented code to this directory and reuse it across runs"),
@@ -119,31 +117,6 @@ func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 		cpuProfile:   cc.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)"),
 	}
 	return c, cc
-}
-
-// deferredFile is an io.Writer that creates its file on first write, so a
-// failed run leaves no empty artifact behind.
-type deferredFile struct {
-	path string
-	f    *os.File
-}
-
-func (d *deferredFile) Write(p []byte) (int, error) {
-	if d.f == nil {
-		f, err := os.Create(d.path)
-		if err != nil {
-			return 0, err
-		}
-		d.f = f
-	}
-	return d.f.Write(p)
-}
-
-func (d *deferredFile) Close() error {
-	if d.f == nil {
-		return nil
-	}
-	return d.f.Close()
 }
 
 // stopProfile finishes the -cpuprofile file. os.Exit runs no deferred calls
@@ -298,20 +271,14 @@ exit codes:
 	if toolName == "" {
 		toolName = "none"
 	}
-	var traceFile *deferredFile
-	regOpts := registry.Options{
+	inst, err := registry.New(toolName, registry.Options{
 		Policy:   policy,
 		FIGroup:  *c.fiGroup,
 		FIModel:  *c.fiModel,
 		FITarget: *c.fiTarget,
 		FIBit:    *c.fiBit,
 		FIValue:  uint32(*c.fiValue),
-	}
-	if *c.traceOut != "" {
-		traceFile = &deferredFile{path: *c.traceOut}
-		regOpts.TraceOut = traceFile
-	}
-	inst, err := registry.New(toolName, regOpts)
+	})
 	if err != nil {
 		usage(err)
 	}
@@ -364,12 +331,6 @@ exit codes:
 			fail(err)
 		}
 		violations = v
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(reportW, "trace written to %s\n", *c.traceOut)
-		}
 	}
 	if outFile != nil {
 		if err := outFile.Close(); err != nil {
@@ -451,7 +412,7 @@ func runWorkload(ctx *driver.Context, workload string, size specaccel.Size, fail
 // and are rejected when set explicitly, as are the in-process-only
 // observability flags.
 func runConnected(c *appConfig, cc *cliconf.Set, size specaccel.Size, reportW io.Writer, outFile *os.File, fail, usage func(error)) {
-	for _, name := range []string{"family", "scheduler", "jit-cache", "trace", "trace-out", "metrics"} {
+	for _, name := range []string{"family", "scheduler", "jit-cache", "trace", "metrics"} {
 		if cc.Explicit(name) {
 			usage(fmt.Errorf("-%s is not available with -connect: the daemon owns its devices (see docs/nvbitd.md)", name))
 		}

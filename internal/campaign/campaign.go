@@ -262,8 +262,15 @@ func (p *planFile) load() (*specaccel.Benchmark, specaccel.Size, error) {
 	if len(p.Manifest) != p.Config.Runs {
 		return nil, 0, fmt.Errorf("manifest holds %d runs, config plans %d", len(p.Manifest), p.Config.Runs)
 	}
-	if err := checkManifest(p.Manifest, group, p.Space); err != nil {
-		return nil, 0, err
+	if p.Space == 0 {
+		return nil, 0, fmt.Errorf("space is 0, nothing to draw %d runs from", p.Config.Runs)
+	}
+	// The manifest is a pure function of (config, group, space), so the
+	// stored one must be the redraw.
+	for i, want := range drawManifest(p.Config, group, p.Space) {
+		if got := p.Manifest[i]; got != want {
+			return nil, 0, fmt.Errorf("manifest run %d is %+v, the config draws %+v", got.ID, got, want)
+		}
 	}
 	if p.Version == 1 || !slices.ContainsFunc(p.Launches, func(l launch) bool { return len(l.CTAs) > 0 }) {
 		golden, launches, err := goldenPass(bench, size, group)
@@ -425,34 +432,6 @@ func checkLaunches(launches []launch, space uint64) error {
 	}
 	if total != space {
 		return fmt.Errorf("launches count %d, space is %d", total, space)
-	}
-	return nil
-}
-
-// checkManifest checks that a loaded plan's runs are what drawManifest could
-// have drawn for it: each run's ID is its index, its group the config's, its
-// model one of the models, its bit inside the register and its target inside
-// the space.
-func checkManifest(manifest []RunSpec, group faultinject.Group, space uint64) error {
-	for i, spec := range manifest {
-		inj := spec.Injection
-		var bad string
-		switch {
-		case spec.ID != i:
-			bad = fmt.Sprintf("at index %d", i)
-		case inj.Group != group:
-			bad = fmt.Sprintf("injects group %s, the config %s", inj.Group, group)
-		case inj.Model < 0 || inj.Model >= faultinject.NumModels:
-			bad = fmt.Sprintf("has unknown model %d", int(inj.Model))
-		case inj.Model == faultinject.ModelFlip && inj.Bit > faultinject.MaxFlipBit,
-			inj.Model == faultinject.ModelFlip2 && inj.Bit > faultinject.MaxFlip2Bit:
-			bad = fmt.Sprintf("flips bit %d under model %s", inj.Bit, inj.Model)
-		case inj.Target >= space:
-			bad = fmt.Sprintf("targets %d outside space %d", inj.Target, space)
-		default:
-			continue
-		}
-		return fmt.Errorf("manifest run %d %s", spec.ID, bad)
 	}
 	return nil
 }

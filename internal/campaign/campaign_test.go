@@ -153,31 +153,50 @@ func TestCheckLaunches(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBadManifest tampers with one manifest entry of a fresh plan
-// per rule Load enforces; each tampered plan must be refused, naming the
-// run, and the untampered one must load.
+// TestLoadRejectsBadManifest tampers with the manifest of a fresh plan, one
+// entry per rule the old per-field check enforced and two that only the
+// redraw catches: a flip-config run switched to zero and two runs' targets
+// swapped. Each tampered plan must be refused, naming the first run that
+// differs, and the untampered ones must load.
 func TestLoadRejectsBadManifest(t *testing.T) {
-	src := t.TempDir()
-	good := mustPlan(t, src, smallCfg(8, 3)).plan
-	mustLoad(t, src)
-	for name, tamper := range map[string]func(*RunSpec){
-		"id":     func(r *RunSpec) { r.ID++ },
-		"group":  func(r *RunSpec) { r.Injection.Group = faultinject.GroupLD },
-		"model":  func(r *RunSpec) { r.Injection.Model = 7 },
-		"flip":   func(r *RunSpec) { r.Injection.Model, r.Injection.Bit = faultinject.ModelFlip, 40 },
-		"flip2":  func(r *RunSpec) { r.Injection.Model, r.Injection.Bit = faultinject.ModelFlip2, 31 },
-		"target": func(r *RunSpec) { r.Injection.Target = good.Space },
+	mix, flip := t.TempDir(), t.TempDir()
+	plans := map[string]planFile{"mix": mustPlan(t, mix, smallCfg(8, 3)).plan}
+	flipCfg := smallCfg(8, 3)
+	flipCfg.Model = "flip"
+	plans["flip"] = mustPlan(t, flip, flipCfg).plan
+	mustLoad(t, mix)
+	mustLoad(t, flip)
+	for _, tc := range []struct {
+		name, plan string
+		tamper     func(m []RunSpec)
+	}{
+		{"id", "mix", func(m []RunSpec) { m[5].ID++ }},
+		{"group", "mix", func(m []RunSpec) { m[5].Injection.Group = faultinject.GroupLD }},
+		{"model", "mix", func(m []RunSpec) { m[5].Injection.Model = 7 }},
+		{"flip", "mix", func(m []RunSpec) { m[5].Injection.Model, m[5].Injection.Bit = faultinject.ModelFlip, 40 }},
+		{"flip2", "mix", func(m []RunSpec) { m[5].Injection.Model, m[5].Injection.Bit = faultinject.ModelFlip2, 31 }},
+		{"target", "mix", func(m []RunSpec) { m[5].Injection.Target = plans["mix"].Space }},
+		{"zero under flip", "flip", func(m []RunSpec) { m[5].Injection.Model, m[5].Injection.Bit = faultinject.ModelZero, 0 }},
+		{"swapped targets", "flip", func(m []RunSpec) {
+			m[2].Injection.Target, m[5].Injection.Target = m[5].Injection.Target, m[2].Injection.Target
+		}},
 	} {
+		good := plans[tc.plan]
 		plan := good
 		plan.Manifest = append([]RunSpec(nil), good.Manifest...)
-		tamper(&plan.Manifest[5])
+		tc.tamper(plan.Manifest)
+		first := 0
+		for plan.Manifest[first] == good.Manifest[first] {
+			first++
+		}
 		dir := t.TempDir()
 		if err := writeFileAtomic(filepath.Join(dir, planName), &plan); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(dir)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("run %d ", plan.Manifest[5].ID)) {
-			t.Errorf("%s: Load of a tampered manifest: %v", name, err)
+		if err == nil || !strings.Contains(err.Error(), planName) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("run %d ", plan.Manifest[first].ID)) {
+			t.Errorf("%s: Load of a tampered manifest: %v", tc.name, err)
 		}
 	}
 }

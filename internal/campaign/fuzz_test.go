@@ -3,15 +3,19 @@ package campaign
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"nvbitgo/internal/tools/faultinject"
 )
 
 // FuzzLoadCampaign feeds Load any bytes as plan.json and results.json (an
 // empty results input means there is no results.json). Load either opens the
 // campaign or refuses it with an error that names the file and then the field
-// or run at fault. A plan it opens maps every planned target to a launch and
-// CTA whose range holds it, so no run arms a CTA the victim does not have.
+// or run at fault. A plan it opens holds exactly the manifest its config
+// draws, and maps every planned target to a launch and CTA whose range holds
+// it, so no run arms a CTA the victim does not have.
 // The seeds are a fresh plan with three results, and the version-1 and
 // version-2 fixtures, whose plans have no CTA counts.
 func FuzzLoadCampaign(f *testing.F) {
@@ -51,6 +55,13 @@ func FuzzLoadCampaign(f *testing.F) {
 				t.Fatalf("the refusal names neither file: %v", err)
 			}
 			return
+		}
+		group, err := faultinject.ParseGroup(c.plan.Config.Group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := drawManifest(c.plan.Config, group, c.plan.Space); !slices.Equal(c.plan.Manifest, want) {
+			t.Fatalf("loaded manifest %v, the config draws %v", c.plan.Manifest, want)
 		}
 		launches := c.plan.Launches
 		for _, spec := range c.plan.Manifest {

@@ -36,13 +36,13 @@ func New(fs *flag.FlagSet) *Set {
 	return &Set{fs: fs}
 }
 
-// EnvName derives the environment variable backing a flag.
-func EnvName(flagName string) string {
+// envName derives the environment variable backing a flag.
+func envName(flagName string) string {
 	return "NVBIT_" + strings.ToUpper(strings.ReplaceAll(flagName, "-", "_"))
 }
 
 func (s *Set) add(name, def, usage string) string {
-	env := EnvName(name)
+	env := envName(name)
 	s.items = append(s.items, &item{name: name, env: env, def: def, usage: usage})
 	return usage + " (env " + env + ")"
 }

@@ -21,8 +21,8 @@ func TestEnvName(t *testing.T) {
 		"jit-cache": "NVBIT_JIT_CACHE",
 		"fi-target": "NVBIT_FI_TARGET",
 	} {
-		if got := EnvName(in); got != want {
-			t.Errorf("EnvName(%q) = %q, want %q", in, got, want)
+		if got := envName(in); got != want {
+			t.Errorf("envName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

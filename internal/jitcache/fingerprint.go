@@ -85,9 +85,6 @@ func (h *Hasher) Uint8(v uint8) {
 	h.n++
 }
 
-// Int64 appends a fixed-width signed field.
-func (h *Hasher) Int64(v int64) { h.Uint64(uint64(v)) }
-
 // Int appends a fixed-width signed field.
 func (h *Hasher) Int(v int) { h.Uint64(uint64(int64(v))) }
 

@@ -73,7 +73,7 @@ func TestHasherDigestGolden(t *testing.T) {
 	}
 	fields := func(h *Hasher) {
 		h.Uint64(0xfeedfacecafebeef)
-		h.Int64(-2)
+		h.Int(-2)
 		h.Int(-3)
 		h.Bool(true)
 		h.Bool(false)

@@ -122,8 +122,8 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	}
 }
 
-// MemInstrs returns the executed warp-level global memory instructions.
-func (t *Tool) MemInstrs(n *nvbit.NVBit) uint64 {
+// memInstrs returns the executed warp-level global memory instructions.
+func (t *Tool) memInstrs(n *nvbit.NVBit) uint64 {
 	v, err := n.ReadU64(t.ctrs + 8)
 	if err != nil {
 		panic(err)
@@ -134,7 +134,7 @@ func (t *Tool) MemInstrs(n *nvbit.NVBit) uint64 {
 // AvgLinesPerMemInstr returns the average number of unique cache lines
 // requested per warp-level global memory instruction — the Figure 6 metric.
 func (t *Tool) AvgLinesPerMemInstr(n *nvbit.NVBit) float64 {
-	m := t.MemInstrs(n)
+	m := t.memInstrs(n)
 	if m == 0 {
 		return 0
 	}

@@ -80,7 +80,7 @@ func TestDivergenceByStride(t *testing.T) {
 			tool, nv := runStride(t, c.strideBytes)
 			// Kernel has one load and one store per warp = 2 warp-level
 			// global memory instructions.
-			if m := tool.MemInstrs(nv); m != 2 {
+			if m := tool.memInstrs(nv); m != 2 {
 				t.Fatalf("warp-level memory instructions = %d, want 2", m)
 			}
 			got := tool.AvgLinesPerMemInstr(nv)
@@ -159,7 +159,7 @@ func TestPredicatedOffLanesExcluded(t *testing.T) {
 	if err := ctx.LaunchKernel(f, gpusim.D1(1), gpusim.D1(32), 0, params); err != nil {
 		t.Fatal(err)
 	}
-	if m := tool.MemInstrs(nv); m != 1 {
+	if m := tool.memInstrs(nv); m != 1 {
 		t.Fatalf("memory instructions = %d, want 1", m)
 	}
 	if got := tool.AvgLinesPerMemInstr(nv); math.Abs(got-1) > 0.01 {

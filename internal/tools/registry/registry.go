@@ -30,9 +30,6 @@ type Options struct {
 	// Policy selects channel backpressure for channel-backed tools
 	// (cachesim, itrace, memcheck, memtrace).
 	Policy channel.Policy
-	// TraceOut, when non-nil, receives itrace's raw warp trace at report
-	// time (nvbit-run's -trace-out).
-	TraceOut io.Writer
 	// Fault-injection configuration (tool "faultinject").
 	FIGroup  string // instruction group; "" selects gpr
 	FIModel  string // injection model; "" selects flip
@@ -60,7 +57,7 @@ func (noop) AtTerm(*core.NVBit) {}
 func (noop) AtCUDACall(*core.NVBit, bool, driver.CBID, string, *driver.CallParams) {
 }
 
-// builders maps every canonical tool name (and alias) to its constructor.
+// builders maps every tool name to its constructor.
 var builders = map[string]func(Options) (*Instance, error){
 	"none": func(Options) (*Instance, error) {
 		return &Instance{Tool: noop{}, Report: func(io.Writer, *core.NVBit) (bool, error) { return false, nil }}, nil
@@ -74,7 +71,6 @@ var builders = map[string]func(Options) (*Instance, error){
 	"memcheck":        newMemcheck,
 	"faultinject":     newFaultinject,
 	"ophisto":         func(o Options) (*Instance, error) { return newOphisto(false) },
-	"opcode_hist":     func(o Options) (*Instance, error) { return newOphisto(false) },
 	"ophisto-sampled": func(o Options) (*Instance, error) { return newOphisto(true) },
 }
 
@@ -137,16 +133,9 @@ func newItrace(o Options) (*Instance, error) {
 		for _, r := range t.Records {
 			kernels[r.KernelID] = true
 		}
-		if _, err := fmt.Fprintf(w, "trace: %d warp-level records across %d kernels, %d dropped\n",
-			len(t.Records), len(kernels), t.Dropped()); err != nil {
-			return false, err
-		}
-		if o.TraceOut != nil {
-			if _, err := t.WriteTo(o.TraceOut); err != nil {
-				return false, err
-			}
-		}
-		return false, nil
+		_, err := fmt.Fprintf(w, "trace: %d warp-level records across %d kernels, %d dropped\n",
+			len(t.Records), len(kernels), t.Dropped())
+		return false, err
 	}}, nil
 }
 

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"sync"
 
+	"nvbitgo/gpusim"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
-	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 )
 
@@ -250,13 +250,9 @@ func CubinFor(f sass.Family) ([]byte, error) {
 	if img, ok := cubinCache[f]; ok {
 		return img, nil
 	}
-	m, err := ptx.Compile("nvaccel", source, f)
+	img, err := gpusim.CompileToCubin("nvaccel", source, f, true) // stripped: binary-only
 	if err != nil {
 		return nil, fmt.Errorf("nvlib: %w", err)
-	}
-	img, err := driver.BuildCubin(m, true) // stripped: binary-only
-	if err != nil {
-		return nil, err
 	}
 	cubinCache[f] = img
 	return img, nil
