@@ -9,7 +9,9 @@
 //	                    dynamic-instruction space, the golden output hash,
 //	                    the launch table and the full run manifest drawn
 //	                    from a seeded RNG
-//	<dir>/results.json  rewritten atomically after every completed run
+//	<dir>/results.log   one JSON line appended per completed run
+//	<dir>/results.json  the completed runs sorted by ID, which every Run
+//	                    rewrites atomically from the log when it returns
 //
 // The lifecycle is plan → run → report. Planning executes the victim once,
 // the golden pass, under the injection tool disarmed: it hashes the output
@@ -26,11 +28,15 @@
 //	due     the run failed detectably: a device fault, the launch watchdog,
 //	        or an instrumentation/tool error (detectable unrecoverable error)
 //
-// Because results.json is persisted after every run with the jitcache
-// write-then-rename idiom, killing the runner at any instant loses at most
-// the in-flight runs; resuming re-derives the missing run IDs from the
-// manifest and finishes exactly the planned set — no run is lost or executed
-// twice.
+// A run's result is appended to results.log with one write before its worker
+// takes the next run, so killing the runner at any instant loses at most the
+// in-flight runs, and a kill mid-append leaves a torn last line that Load
+// ignores. Load reads results.json, replays the log over it, and resuming
+// re-derives the missing run IDs from the manifest and finishes exactly the
+// planned set — no run is lost or executed twice. When Run returns, normally,
+// at its run bound or on an error, it compacts the log into results.json
+// with the jitcache write-then-rename idiom and deletes it, so only a killed
+// Run leaves a log behind.
 package campaign
 
 import (
@@ -117,6 +123,14 @@ type Campaign struct {
 
 	mu      sync.Mutex
 	results map[int]RunResult
+	// log is results.log, opened by the first record of a Run; logEnd is
+	// the length of its complete lines, where the next append goes; logged
+	// says the log holds results not yet compacted into results.json; logErr
+	// is the write failure that stopped this Run's appends.
+	log    *os.File
+	logEnd int64
+	logged bool
+	logErr error
 }
 
 // resolve validates the config against the workload registry.
@@ -461,12 +475,15 @@ func (c *Campaign) targetLaunch(target uint64) (k, cta int, base uint64) {
 // returns the captured output. Every campaign execution — the golden pass
 // and each injection run — goes through here, so they share scheduler
 // (sequential: the dynamic-instruction order the targets index must be
-// deterministic) and watchdog (DefaultWatchdog).
+// deterministic) and watchdog (DefaultWatchdog). It closes the simulator on
+// return, which ends the tool (AtTerm) and hands the device's execution state
+// to the next run's; device memory, and so the tool's results, stay readable.
 func executeVictim(bench *specaccel.Benchmark, size specaccel.Size, tool nvbit.Tool) ([]byte, error) {
 	api, err := gpusim.New(gpusim.Volta)
 	if err != nil {
 		return nil, err
 	}
+	defer api.Close()
 	if _, err := nvbit.Attach(api, tool,
 		nvbit.WithScheduler(nvbit.SchedulerSequential),
 		nvbit.WithWatchdogInterval(DefaultWatchdog)); err != nil {

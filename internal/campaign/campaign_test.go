@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -437,6 +438,203 @@ func TestInterruptAndResume(t *testing.T) {
 	// A further Run is a no-op.
 	if done, err := r.Run(2, 0); err != nil || done != 0 {
 		t.Fatalf("Run on complete campaign: done=%d err=%v", done, err)
+	}
+}
+
+// logLines returns results as results.log lines, one JSON result each.
+func logLines(t *testing.T, results []RunResult) [][]byte {
+	t.Helper()
+	var lines [][]byte
+	for _, r := range results {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, append(line, '\n'))
+	}
+	return lines
+}
+
+// TestKilledLogResumes: a Run killed mid-campaign leaves results.json as the
+// last Run that returned compacted it, and results.log holding what it
+// appended since, its last line possibly torn mid-write. Load reads both —
+// a run logged twice with the same result is one run, and the torn run is
+// still missing — and the resumed campaign finishes with the same
+// results.json as an uninterrupted one, and no log.
+func TestKilledLogResumes(t *testing.T) {
+	cfg := smallCfg(10, 99)
+	fresh := t.TempDir()
+	if _, err := mustPlan(t, fresh, cfg).Run(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	all := mustLoad(t, fresh).Results()
+
+	dir := t.TempDir()
+	c := mustPlan(t, dir, cfg)
+	if done, err := c.Run(2, 3); err != nil || done != 3 {
+		t.Fatalf("leg 1: done=%d err=%v, want 3", done, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
+		t.Fatalf("a Run that returned left %s: %v", logName, err)
+	}
+	// The killed leg appended runs 2 (again, as after a compaction the kill
+	// interrupted), 5, 4 and 6, and was killed halfway through run 7's line.
+	byID := logLines(t, all)
+	killed := bytes.Join([][]byte{byID[2], byID[5], byID[4], byID[6], byID[7][:len(byID[7])/2]}, nil)
+	if err := os.WriteFile(filepath.Join(dir, logName), killed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := mustLoad(t, dir)
+	var missing []int
+	for _, spec := range r.Missing() {
+		missing = append(missing, spec.ID)
+	}
+	if fmt.Sprint(missing) != "[3 7 8 9]" {
+		t.Fatalf("resumed campaign misses runs %v, want [3 7 8 9]", missing)
+	}
+	if done, err := r.Run(2, 0); err != nil || done != 4 {
+		t.Fatalf("leg 2: done=%d err=%v, want 4", done, err)
+	}
+	if got, want := fileBytes(t, dir, resultsName), fileBytes(t, fresh, resultsName); !bytes.Equal(got, want) {
+		t.Fatalf("resumed results.json differs from an uninterrupted campaign's:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
+		t.Fatalf("compaction left %s: %v", logName, err)
+	}
+}
+
+// TestResumedKillLoads: a Run resumed from a log that ends in a torn line,
+// and killed again before it compacts, leaves a log Load still takes — its
+// first append cut the torn line off instead of extending it into a
+// malformed one — and the campaign still finishes with the same results.json
+// as an uninterrupted one.
+func TestResumedKillLoads(t *testing.T) {
+	cfg := smallCfg(6, 99)
+	fresh := t.TempDir()
+	if _, err := mustPlan(t, fresh, cfg).Run(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	all := mustLoad(t, fresh).Results()
+	byID := logLines(t, all)
+
+	dir := t.TempDir()
+	mustPlan(t, dir, cfg)
+	// The first kill left runs 0 and 1 and half of run 2's line.
+	killed := bytes.Join([][]byte{byID[0], byID[1], byID[2][:len(byID[2])/2]}, nil)
+	if err := os.WriteFile(filepath.Join(dir, logName), killed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The resumed Run records runs 2 and 3 and is killed before it compacts.
+	r := mustLoad(t, dir)
+	for _, res := range all[2:4] {
+		if err := r.record(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.log.Close()
+	if got, want := fileBytes(t, dir, logName), bytes.Join(byID[:4], nil); !bytes.Equal(got, want) {
+		t.Fatalf("log after the second kill:\n%s\nwant:\n%s", got, want)
+	}
+
+	r = mustLoad(t, dir)
+	if n := r.Completed(); n != 4 {
+		t.Fatalf("after the second kill Load found %d completed runs, want 4", n)
+	}
+	if done, err := r.Run(2, 0); err != nil || done != 2 {
+		t.Fatalf("last leg: done=%d err=%v, want 2", done, err)
+	}
+	if got, want := fileBytes(t, dir, resultsName), fileBytes(t, fresh, resultsName); !bytes.Equal(got, want) {
+		t.Fatalf("results.json after two kills differs from an uninterrupted campaign's:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+}
+
+// TestLoadRefusesBadLog: a complete log line Load cannot take — malformed,
+// outside the manifest, or a second, different result for a run — refuses
+// the directory with an error naming results.log and the line.
+func TestLoadRefusesBadLog(t *testing.T) {
+	cfg := smallCfg(4, 5)
+	src := t.TempDir()
+	if _, err := mustPlan(t, src, cfg).Run(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	done := mustLoad(t, src).Results()
+	other := done[0]
+	other.Outcome = OutcomeDUE
+	if other == done[0] {
+		other.Outcome = OutcomeSDC
+	}
+	outside := done[0]
+	outside.ID = 4
+	for name, tc := range map[string]struct {
+		log  []byte
+		want string
+	}{
+		"malformed":  {[]byte("{\"id\": 3,\n"), "results.log: line 1"},
+		"not-json":   {append(logLines(t, done[1:])[0], "}\n"...), "results.log: line 2"},
+		"outside":    {logLines(t, []RunResult{outside})[0], "results.log: line 1: result for run 4 outside manifest"},
+		"conflict":   {logLines(t, []RunResult{other})[0], "results.log: line 1: run 0 recorded as"},
+		"self-clash": {bytes.Join(append(logLines(t, []RunResult{{ID: 3, Outcome: OutcomeMasked}}), logLines(t, []RunResult{{ID: 3, Outcome: OutcomeSDC}})...), nil), "results.log: line 2: run 3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, f := range []string{planName, resultsName} {
+				if err := os.WriteFile(filepath.Join(dir, f), fileBytes(t, src, f), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, logName), tc.log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir); err == nil || !strings.HasPrefix(err.Error(), "campaign: "+tc.want) {
+				t.Fatalf("Load: %v, want an error starting %q", err, "campaign: "+tc.want)
+			}
+		})
+	}
+}
+
+// TestRecordFailureNotCounted: a run whose result cannot be appended to
+// results.log — the log cannot be opened (it is a directory), or the write
+// fails (it is open read-only) — is not counted as completed, so Completed
+// and Missing agree with the disk, and a resume runs it again.
+func TestRecordFailureNotCounted(t *testing.T) {
+	cfg := smallCfg(4, 3)
+	dir := t.TempDir()
+	failed := func(c *Campaign) {
+		t.Helper()
+		if done, err := c.Run(2, 0); err == nil || done != 0 {
+			t.Fatalf("Run with an unwritable log: done=%d err=%v, want 0 runs and an error", done, err)
+		}
+		if n, missing := c.Completed(), len(c.Missing()); n != 0 || missing != 4 {
+			t.Fatalf("after failed appends: %d completed, %d missing, want 0 and 4", n, missing)
+		}
+		if _, err := os.Stat(filepath.Join(dir, resultsName)); !os.IsNotExist(err) {
+			t.Fatalf("failed appends wrote %s: %v", resultsName, err)
+		}
+	}
+	c := mustPlan(t, dir, cfg)
+	if err := os.Mkdir(filepath.Join(dir, logName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	failed(c)
+	if err := os.Remove(filepath.Join(dir, logName)); err != nil {
+		t.Fatal(err)
+	}
+
+	c = mustLoad(t, dir)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c.log = f
+	failed(c)
+
+	r, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := r.Run(2, 0); err != nil || done != 4 {
+		t.Fatalf("resume: done=%d err=%v, want all 4 runs", done, err)
 	}
 }
 

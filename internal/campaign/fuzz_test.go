@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,14 +11,17 @@ import (
 	"nvbitgo/internal/tools/faultinject"
 )
 
-// FuzzLoadCampaign feeds Load any bytes as plan.json and results.json (an
-// empty results input means there is no results.json). Load either opens the
-// campaign or refuses it with an error that names the file and then the field
-// or run at fault. A plan it opens holds exactly the manifest its config
-// draws, and maps every planned target to a launch and CTA whose range holds
-// it, so no run arms a CTA the victim does not have.
-// The seeds are a fresh plan with three results, and the version-1 and
-// version-2 fixtures, whose plans have no CTA counts.
+// FuzzLoadCampaign feeds Load any bytes as plan.json, results.json and
+// results.log (an empty input means there is no such file). Load either
+// opens the campaign or refuses it with an error that names the file and
+// then the field, line or run at fault. A plan it opens holds exactly the
+// manifest its config draws, and maps every planned target to a launch and
+// CTA whose range holds it, so no run arms a CTA the victim does not have;
+// and compacting the results it read into results.json loads back the same
+// results.
+// The seeds are a fresh plan with three results, as results.json and as a
+// killed Run's log with a torn last line, and the version-1 and version-2
+// fixtures, whose plans have no CTA counts.
 func FuzzLoadCampaign(f *testing.F) {
 	fresh := f.TempDir()
 	c, err := Plan(fresh, smallCfg(8, 3))
@@ -36,23 +40,36 @@ func FuzzLoadCampaign(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(plan, results)
+		f.Add(plan, results, []byte{})
 	}
-	f.Fuzz(func(t *testing.T, plan, results []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, planName), plan, 0o644); err != nil {
-			t.Fatal(err)
+	plan, err := os.ReadFile(filepath.Join(fresh, planName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var log []byte
+	for _, r := range c.Results() {
+		line, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
 		}
-		if len(results) > 0 {
-			if err := os.WriteFile(filepath.Join(dir, resultsName), results, 0o644); err != nil {
+		log = append(append(log, line...), '\n')
+	}
+	f.Add(plan, []byte{}, log[:len(log)-7])
+	f.Fuzz(func(t *testing.T, plan, results, log []byte) {
+		dir := t.TempDir()
+		for name, data := range map[string][]byte{planName: plan, resultsName: results, logName: log} {
+			if len(data) == 0 && name != planName {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c, err := Load(dir)
 		if err != nil {
 			if msg := err.Error(); !strings.HasPrefix(msg, "campaign: ") ||
-				!strings.Contains(msg, planName) && !strings.Contains(msg, resultsName) {
-				t.Fatalf("the refusal names neither file: %v", err)
+				!strings.Contains(msg, planName) && !strings.Contains(msg, resultsName) && !strings.Contains(msg, logName) {
+				t.Fatalf("the refusal names no file: %v", err)
 			}
 			return
 		}
@@ -72,6 +89,16 @@ func FuzzLoadCampaign(f *testing.F) {
 				t.Fatalf("run %d: target %d maps to launch %d CTA %d from %d, outside the table %v",
 					spec.ID, target, k, cta, base, launches)
 			}
+		}
+		if err := c.compact(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(dir)
+		if err != nil {
+			t.Fatalf("the compacted campaign does not load: %v", err)
+		}
+		if !slices.Equal(again.Results(), c.Results()) {
+			t.Fatalf("compacted results load back as %v, want %v", again.Results(), c.Results())
 		}
 	})
 }

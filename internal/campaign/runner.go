@@ -11,13 +11,19 @@ import (
 )
 
 // Run executes the campaign's missing runs over a pool of workers, each run
-// in its own fresh simulator instance, and persists every result as it
-// completes. maxRuns > 0 bounds how many runs this call executes (the CI
+// in its own fresh simulator instance, and appends every result to
+// results.log as it completes; on return the log is compacted into
+// results.json. maxRuns > 0 bounds how many runs this call executes (the CI
 // smoke uses it to stop a campaign mid-flight and exercise resume); 0 means
 // run everything that is missing. Run returns the number of runs it
 // completed and the first persistence error, if any; injection outcomes —
 // including victim crashes — are never errors, they are classified DUE.
-func (c *Campaign) Run(workers, maxRuns int) (int, error) {
+func (c *Campaign) Run(workers, maxRuns int) (done int, err error) {
+	defer func() {
+		if cerr := c.compact(); err == nil {
+			err = cerr
+		}
+	}()
 	if workers <= 0 {
 		workers = 1
 	}
@@ -33,7 +39,6 @@ func (c *Campaign) Run(workers, maxRuns int) (int, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	done := 0
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 const (
 	planName    = "plan.json"
 	resultsName = "results.json"
+	logName     = "results.log"
 
 	// resultsVersion versions results.json apart from plan.json, whose
 	// launch table left the results format unchanged.
@@ -91,43 +93,137 @@ func readFile(path string, v any) error {
 	return nil
 }
 
-// loadResults reads results.json if present and indexes it. Results whose ID
-// is not in the manifest are rejected: they indicate a mixed-up directory.
+// loadResults reads results.json if present and indexes it, then replays
+// results.log, the runs a killed Run appended after it. Results whose ID is
+// not in the manifest are rejected: they indicate a mixed-up directory.
 func (c *Campaign) loadResults() error {
-	path := filepath.Join(c.dir, resultsName)
 	var rf resultsFile
-	if err := readFile(path, &rf); err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+	switch err := readFile(filepath.Join(c.dir, resultsName), &rf); {
+	case os.IsNotExist(err):
+	case err != nil:
 		return fmt.Errorf("campaign: %w", err)
-	}
-	if rf.Version != resultsVersion {
+	case rf.Version != resultsVersion:
 		return fmt.Errorf("campaign: %s: version %d, want %d", resultsName, rf.Version, resultsVersion)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range rf.Results {
-		if r.ID < 0 || r.ID >= len(c.plan.Manifest) {
-			return fmt.Errorf("campaign: %s: result for run %d outside manifest [0,%d)",
-				resultsName, r.ID, len(c.plan.Manifest))
+		if err := c.checkID(r.ID); err != nil {
+			return fmt.Errorf("campaign: %s: %w", resultsName, err)
 		}
 		c.results[r.ID] = r
+	}
+	return c.replayLog()
+}
+
+// checkID refuses a result whose run is not in the manifest.
+func (c *Campaign) checkID(id int) error {
+	if id < 0 || id >= len(c.plan.Manifest) {
+		return fmt.Errorf("result for run %d outside manifest [0,%d)", id, len(c.plan.Manifest))
 	}
 	return nil
 }
 
-// record stores one result and persists the full result set atomically.
-// Persisting after every run is the crash-safety contract: an interrupt
-// loses only in-flight runs, never completed ones.
+// replayLog adds the results in results.log, one JSON RunResult per
+// newline-terminated line. A last line without its newline is a run killed
+// mid-append and is ignored: that run is still missing, and the next record
+// cuts the line off before it appends. A malformed complete line, or a run
+// recorded twice with different results, is refused.
+func (c *Campaign) replayLog() error {
+	data, err := os.ReadFile(filepath.Join(c.dir, logName))
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
+	c.logged = true
+	for n := 1; ; n++ {
+		line, rest, complete := bytes.Cut(data, []byte{'\n'})
+		if !complete {
+			return nil
+		}
+		c.logEnd += int64(len(line)) + 1
+		data = rest
+		var r RunResult
+		if err := json.Unmarshal(line, &r); err != nil {
+			return fmt.Errorf("campaign: %s: line %d: %w", logName, n, err)
+		}
+		if err := c.checkID(r.ID); err != nil {
+			return fmt.Errorf("campaign: %s: line %d: %w", logName, n, err)
+		}
+		if prev, ok := c.results[r.ID]; ok && prev != r {
+			return fmt.Errorf("campaign: %s: line %d: run %d recorded as %+v, already %+v", logName, n, r.ID, r, prev)
+		}
+		c.results[r.ID] = r
+	}
+}
+
+// record appends one result to results.log with one write, and counts the
+// run only once the write succeeded. A completed run is in the kernel before
+// its worker takes the next one, so a kill loses only in-flight runs. Opening
+// the log cuts it back to its complete lines, dropping the torn line a killed
+// Run may have left, so an append never extends one into a malformed line.
+// A failed write may leave a torn line too, so the first failure stops this
+// Run's appends.
 func (c *Campaign) record(r RunResult) error {
+	line, err := json.Marshal(r)
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.logErr != nil {
+		return c.logErr
+	}
+	if c.log == nil {
+		f, err := os.OpenFile(filepath.Join(c.dir, logName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			return err
+		}
+		if err := f.Truncate(c.logEnd); err != nil {
+			f.Close()
+			return err
+		}
+		c.log, c.logged = f, true
+	}
+	if _, err := c.log.Write(line); err != nil {
+		c.logErr = err
+		return err
+	}
+	c.logEnd += int64(len(line))
 	c.results[r.ID] = r
+	return nil
+}
+
+// compact folds results.log into results.json — the full result set, sorted
+// by run ID — and deletes the log. It is a no-op when there is no log.
+func (c *Campaign) compact() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.logged {
+		return nil
+	}
+	if c.log != nil {
+		err := c.log.Close()
+		c.log = nil
+		if err != nil {
+			return err
+		}
+	}
+	c.logErr = nil
 	rf := resultsFile{Version: resultsVersion, Results: make([]RunResult, 0, len(c.results))}
 	for _, res := range c.results {
 		rf.Results = append(rf.Results, res)
 	}
 	sort.Slice(rf.Results, func(i, j int) bool { return rf.Results[i].ID < rf.Results[j].ID })
-	return writeFileAtomic(filepath.Join(c.dir, resultsName), &rf)
+	if err := writeFileAtomic(filepath.Join(c.dir, resultsName), &rf); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(c.dir, logName)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	c.logEnd, c.logged = 0, false
+	return nil
 }

@@ -23,9 +23,11 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nvbitgo/internal/gpu"
@@ -127,12 +129,17 @@ type API struct {
 
 	scope0 *Tenant
 
-	// mu guards bound/closed/nextScope and every Tenant's binding.
+	// closed is set by Close; from then on every driver call fails.
+	closed atomic.Bool
+
+	// mu guards bound/nextScope and every Tenant's binding.
 	mu        sync.Mutex
 	bound     []*Tenant // tenants with a hook, in bind order
-	closed    bool
 	nextScope uint64
 }
+
+// errClosed is every driver call's error once the API is closed.
+var errClosed = errors.New("driver: closed")
 
 // New initializes the driver on a fresh simulated device.
 func New(cfg gpu.Config) (*API, error) {
@@ -296,15 +303,16 @@ func fire(h Hook, prof *profile.Collector, cbid CBID, exit bool, p *CallParams, 
 
 // Close shuts the driver down, detaching every bound scope the same way:
 // each hook receives its synthetic application-exit callbacks — sessions
-// first, then scope 0's preloaded tool. It returns the first error (tools
-// flush their results at exit, so a panicking AtTerm matters).
+// first, then scope 0's preloaded tool. Once every scope has unbound, the
+// device hands its execution state to the next device (gpu.Device.Close).
+// Every driver call after Close fails; the device's memory and Stats stay
+// readable. It returns the first error (tools flush their results at exit,
+// so a panicking AtTerm matters). Close must not race with a driver call.
 func (a *API) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	if a.closed.Swap(true) {
 		return nil
 	}
-	a.closed = true
+	a.mu.Lock()
 	sessions := slices.DeleteFunc(slices.Clone(a.bound), func(t *Tenant) bool { return t == a.scope0 })
 	a.mu.Unlock()
 	var first error
@@ -313,6 +321,7 @@ func (a *API) Close() error {
 			first = err
 		}
 	}
+	a.dev.Close()
 	return first
 }
 
@@ -336,12 +345,6 @@ func (a *API) CtxCreate() (*Context, error) { return a.scope0.CtxCreate() }
 // observes the creation itself (where the NVBit core initializes its HAL).
 func (t *Tenant) CtxCreate() (*Context, error) {
 	a := t.api
-	a.mu.Lock()
-	closed := a.closed
-	a.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("driver: closed")
-	}
 	c := &Context{api: a, tenant: t}
 	p := CallParams{Ctx: c}
 	rec := profile.Record{Kind: profile.KindCtxCreate, Name: CBCtxCreate.String()}
@@ -400,8 +403,8 @@ func (c *Context) Device() *gpu.Device { return c.api.dev }
 // boundary: the scope's hook sees the call enter, op does the work, the
 // scope's collector records it, the hook sees it exit with op's error, and
 // an error from either callback fails the call (after an enter failure op is
-// skipped). With gated the call owns the device: a poisoned context refuses
-// it, and it runs — callbacks included — inside the gate's admission window.
+// skipped). A closed API refuses every call. With gated the call owns the
+// device: a poisoned context refuses it, and it runs — callbacks included — inside the gate's admission window.
 //
 // p and rec belong to the caller, whose op fills in what only the operation
 // learns (an allocation's address, a looked-up function). rec is stamped and
@@ -412,6 +415,9 @@ func (c *Context) Device() *gpu.Device { return c.api.dev }
 // copy of p, made only when a hook observes the call: what an interface
 // method receives escapes, and an unobserved call must not allocate.
 func (c *Context) interposed(cbid CBID, gated bool, p *CallParams, rec *profile.Record, op func() error) error {
+	if c.api.closed.Load() {
+		return errClosed
+	}
 	if gated {
 		if err := c.stickyErr(); err != nil {
 			return err
@@ -495,6 +501,9 @@ func (c *Context) MemcpyDtoH(dst []byte, src uint64) error {
 // kernel has run, charged with the launch's cycles, so the exit callbacks
 // (where tools drain their channels) do not hold the device.
 func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes int, params []byte) error {
+	if c.api.closed.Load() {
+		return errClosed
+	}
 	if err := c.stickyErr(); err != nil {
 		return err
 	}

@@ -132,6 +132,67 @@ func TestDriverEndToEndWithHook(t *testing.T) {
 	}
 }
 
+// TestClosedAPIRefusesCalls: Close hands the device's execution state to
+// the next device, so every driver call after it fails — a launch on a
+// context made before Close included — and no hook observes it. The
+// device's memory stays readable.
+func TestClosedAPIRefusesCalls(t *testing.T) {
+	a := newAPI(t, sass.Volta)
+	h := &recordingHook{}
+	if err := a.Scope0().Bind(h); err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := a.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ctx.ModuleLoadPTX("app", addOnePTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := mod.GetFunction("addone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := ctx.MemAlloc(4 * 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := PackParams(f, buf, uint32(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.LaunchKernel(f, gpu.D1(1), gpu.D1(32), 0, params); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := len(h.events)
+	host := make([]byte, 4*32)
+	calls := map[string]func() error{
+		"CtxCreate":     func() error { _, err := a.CtxCreate(); return err },
+		"ModuleLoadPTX": func() error { _, err := ctx.ModuleLoadPTX("again", addOnePTX); return err },
+		"GetFunction":   func() error { _, err := mod.GetFunction("addone"); return err },
+		"MemAlloc":      func() error { _, err := ctx.MemAlloc(64); return err },
+		"MemFree":       func() error { return ctx.MemFree(buf) },
+		"MemcpyHtoD":    func() error { return ctx.MemcpyHtoD(buf, host) },
+		"MemcpyDtoH":    func() error { return ctx.MemcpyDtoH(host, buf) },
+		"LaunchKernel":  func() error { return ctx.LaunchKernel(f, gpu.D1(1), gpu.D1(32), 0, params) },
+	}
+	for name, call := range calls {
+		if err := call(); err == nil || err.Error() != "driver: closed" {
+			t.Errorf("%s after Close: %v, want driver: closed", name, err)
+		}
+	}
+	if len(h.events) != seen {
+		t.Errorf("the hook observed calls after Close: %v", h.events[seen:])
+	}
+	if err := a.Device().Read(buf, host); err != nil || binary.LittleEndian.Uint32(host) != 1 {
+		t.Errorf("device memory after Close: %v, first word %d, want 1", err, binary.LittleEndian.Uint32(host))
+	}
+}
+
 func TestCubinRoundTripAndFamilyCheck(t *testing.T) {
 	pm, err := ptx.Compile("lib", addOnePTX, sass.Pascal)
 	if err != nil {

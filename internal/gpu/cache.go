@@ -1,5 +1,7 @@
 package gpu
 
+import "sync"
+
 // Associativity of the two cache levels. The parallel scheduler builds its
 // per-SM L2 shards with l2Ways too, so a shard is a 1/NumSMs-capacity model
 // of the shared L2 (docs/scheduler.md).
@@ -20,6 +22,14 @@ type cache struct {
 	tick  uint64
 }
 
+// cacheShape keys cachePools: a pooled cache serves only its own geometry.
+type cacheShape struct{ sets, ways int }
+
+// cachePools holds, per geometry, the empty caches of closed devices and of
+// finished parallel launches (their L2 shards), so a device's caches are
+// drawn from there before they are allocated. Values are *sync.Pool.
+var cachePools sync.Map
+
 func newCache(lines, ways int) *cache {
 	if lines < ways {
 		lines = ways
@@ -28,6 +38,11 @@ func newCache(lines, ways int) *cache {
 	// Round sets down to a power of two for cheap indexing.
 	for sets&(sets-1) != 0 {
 		sets--
+	}
+	if p, ok := cachePools.Load(cacheShape{sets, ways}); ok {
+		if c, ok := p.(*sync.Pool).Get().(*cache); ok {
+			return c
+		}
 	}
 	return &cache{
 		sets:  sets,
@@ -58,10 +73,22 @@ func (c *cache) access(line uint64) bool {
 	return false
 }
 
-// reset empties the cache.
+// reset empties the cache and restarts its LRU clock: it is then what
+// newCache allocates.
 func (c *cache) reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.ticks[i] = 0
+	clear(c.tags)
+	clear(c.ticks)
+	c.tick = 0
+}
+
+// recycle resets the cache and pools it for the next newCache of its
+// geometry. The caller must drop its reference.
+func (c *cache) recycle() {
+	c.reset()
+	key := cacheShape{c.sets, c.ways}
+	p, ok := cachePools.Load(key)
+	if !ok {
+		p, _ = cachePools.LoadOrStore(key, new(sync.Pool))
 	}
+	p.(*sync.Pool).Put(c)
 }

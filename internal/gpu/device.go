@@ -144,6 +144,9 @@ type Device struct {
 	// paths are on the per-instruction hot path.
 	allocMu sync.Mutex
 
+	// closed is set by Close: the execution state is gone and Launch fails.
+	closed bool
+
 	// atomLocks stripes the simulated ATOM/RED read-modify-write path by
 	// global word address so concurrent CTA workers stay race-free.
 	atomLocks [atomStripes]sync.Mutex
@@ -214,6 +217,31 @@ func New(cfg Config) (*Device, error) {
 	}
 	return d, nil
 }
+
+// Close hands the device's execution state — its free warps with their save
+// slabs and its L1 and L2 tag arrays — to process-wide pools, from which
+// devices created later draw when their own free lists are empty. Everything pooled is reset to what a new device
+// allocates, so the first CTA on any device starts from the same zero state.
+// After Close the device fails every launch; its memory, code space and
+// Stats stay readable. Close must not run concurrently with a launch.
+func (d *Device) Close() {
+	if d.closed {
+		return
+	}
+	d.closed = true
+	for _, w := range d.warpFree {
+		w.clear()
+		warpPool.Put(w)
+	}
+	for _, c := range d.l1s {
+		c.recycle()
+	}
+	d.l2.recycle()
+	d.warpFree, d.ctxFree, d.l1s, d.l2 = nil, nil, nil, nil
+}
+
+// errClosed is Launch's error on a closed device.
+var errClosed = fmt.Errorf("gpu: device closed")
 
 // heapBase keeps address 0 unmapped so nil-pointer dereferences trap.
 const heapBase = 1 << 16

@@ -60,6 +60,9 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 	if spec.Grid.Count() <= 0 {
 		return Stats{}, fmt.Errorf("gpu: empty grid")
 	}
+	if d.closed {
+		return Stats{}, errClosed
+	}
 	if spec.SharedBytes > d.cfg.SharedMemPerCTA {
 		return Stats{}, fmt.Errorf("gpu: %d bytes of shared memory exceed the per-CTA limit %d", spec.SharedBytes, d.cfg.SharedMemPerCTA)
 	}
@@ -286,6 +289,7 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 	wg.Wait()
 	defer func() {
 		for _, ctx := range ctxs {
+			ctx.l2.recycle()
 			d.releaseContext(ctx)
 		}
 	}()
@@ -380,11 +384,14 @@ type execContext struct {
 }
 
 // newExecContext builds (or recycles) one worker's execution state, drawing
-// warps from the device's free pool (warp slabs dominate per-launch
+// warps from the device's free list (warp slabs dominate per-launch
 // allocation: 32 KiB of registers each) and the context itself from the
-// context pool, so a launch with tracing off allocates nothing. Must be
-// called on the launching goroutine — the pools are unsynchronized;
-// releaseContext returns everything once the worker is done.
+// context free list, so a launch with tracing off allocates nothing. A warp
+// falls back to the process-wide pool of closed devices' warps
+// (Device.Close) only when the free list is empty, and to allocation only
+// when the pool is empty too. Must be called on the launching goroutine — the
+// free lists are unsynchronized; releaseContext returns everything once the
+// worker is done.
 func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	var c *execContext
 	if n := len(d.ctxFree); n > 0 {
@@ -432,7 +439,7 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 		if n := len(d.warpFree); n > 0 {
 			c.warps[i] = d.warpFree[n-1]
 			d.warpFree = d.warpFree[:n-1]
-		} else {
+		} else if c.warps[i], _ = warpPool.Get().(*warp); c.warps[i] == nil {
 			c.warps[i] = newWarp()
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"sync"
 
 	"nvbitgo/internal/sass"
 )
@@ -88,6 +89,21 @@ type warp struct {
 }
 
 func newWarp() *warp { return &warp{} }
+
+// warpPool holds the warps of closed devices, cleared (see clear), for the
+// devices created after them.
+var warpPool sync.Pool
+
+// clear returns the warp to newWarp's state, so a warp that ran on one
+// device starts on the next exactly as a new one does: registers,
+// predicates, barrier state and save depths zero, call stacks and local
+// memory dropped. Only the save slabs stay allocated. Their contents are
+// unobservable: SAVEPUSH clears every frame it pushes, and nothing reads a
+// frame above a lane's save depth.
+func (w *warp) clear() {
+	saveMeta, saveRegs := w.saveMeta, w.saveRegs
+	*w = warp{saveMeta: saveMeta, saveRegs: saveRegs}
+}
 
 // reset prepares the warp for a fresh CTA. Register and local-memory
 // contents are deliberately not cleared: as on real hardware their initial

@@ -19,7 +19,10 @@
 // injects again makes a fresh Tool. Armed with NoTarget it only counts: a
 // campaign's golden pass (internal/campaign) reads its counter at the exit of
 // every CTA, and those per-CTA populations are the space the planner draws
-// targets from.
+// targets from. A counter need not know which instruction a lane is at, so
+// the disarmed tool counts per basic block, as the paper's Section 3 sketches
+// for instruction counting: one call at each block head adds the block's
+// unguarded sites per entering lane.
 package faultinject
 
 import (
@@ -181,10 +184,10 @@ const (
 
 // toolPTX is the injected device function; its comments say what it does.
 const toolPTX = `
-// fi_inject runs after every eligible site of the tool's group, once per
-// executing lane: it counts the lane's dynamic thread-instruction and, on
-// the firing one, corrupts the destination register. The state block it
-// reads and writes is laid out as the table above stBytes shows.
+// fi_inject runs after each eligible site of the tool's group (disarmed: each
+// guarded one), once per executing lane: it counts the lane's dynamic
+// thread-instruction and, on the firing one, corrupts the destination
+// register. Its state block is laid out as the table above stBytes shows.
 //
 // It takes the site predicate as its first argument (ArgSitePred) and
 // returns immediately for lanes where the original instruction's guard was
@@ -242,6 +245,21 @@ const toolPTX = `
 	st.global.u32 [%rd0+40], %r10;
 	ld.param.u32 %r11, [kid];
 	st.global.u32 [%rd0+44], %r11;
+	ret;
+}
+
+// fi_count runs at the head of a basic block, once per entering lane, when
+// the tool is disarmed: every lane that enters a block executes each of its
+// unguarded instructions once, so it adds their number, cnt, to the counter
+// in one step. Guarded sites keep their own fi_inject call.
+.toolfunc fi_count(.param .u32 cnt, .param .u64 st)
+{
+	.reg .u32 %r<2>;
+	.reg .u64 %rd<4>;
+	ld.param.u32 %r0, [cnt];
+	ld.param.u64 %rd0, [st];
+	cvt.u64.u32 %rd2, %r0;
+	red.global.add.u64 [%rd0], %rd2;
 	ret;
 }
 `
@@ -457,7 +475,13 @@ func must(err error) {
 }
 
 // instrument inserts fi_inject after every eligible site of f in the tool's
-// group.
+// group. Disarmed, it counts the unguarded sites of each basic block with one
+// fi_count call at the block's head instead: blocks end at every control-flow
+// instruction, EXIT included, so each lane that enters one executes all of
+// them once, and the counter at every CTA exit is what the per-site calls
+// would leave. A function with indirect control flow has no block view and
+// keeps the per-site calls. Armed, every site keeps its own call: the firing
+// lane must know its instruction.
 func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 	insts, err := n.GetInstrs(f)
 	if err != nil {
@@ -471,11 +495,7 @@ func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 	defer t.mu.Unlock()
 	kid := len(t.kernels)
 	t.kernels = append(t.kernels, f.Name)
-	for _, i := range insts {
-		reg, groups, ok := eligible(i)
-		if !ok || !groups[t.inj.Group] {
-			continue
-		}
+	inject := func(i *nvbit.Instr, reg sass.Reg) {
 		n.InsertCallArgs(i, "fi_inject", nvbit.IPointAfter,
 			nvbit.ArgSitePred(),
 			nvbit.ArgConst32(uint32(reg)),
@@ -483,6 +503,39 @@ func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 			nvbit.ArgConst32(uint32(kid)),
 			nvbit.ArgConst64(t.st))
 	}
+	if t.inj.Target == NoTarget {
+		if blocks, err := n.GetBasicBlocks(f); err == nil {
+			for _, bb := range blocks {
+				k := 0
+				for _, i := range bb.Instrs {
+					reg, ok := t.site(i)
+					switch {
+					case ok && i.Raw().Guarded():
+						inject(i, reg)
+					case ok:
+						k++
+					}
+				}
+				if k > 0 {
+					n.InsertCallArgs(bb.Instrs[0], "fi_count", nvbit.IPointBefore,
+						nvbit.ArgConst32(uint32(k)), nvbit.ArgConst64(t.st))
+				}
+			}
+			return
+		}
+	}
+	for _, i := range insts {
+		if reg, ok := t.site(i); ok {
+			inject(i, reg)
+		}
+	}
+}
+
+// site reports whether i is an eligible site of the tool's group, and its
+// destination register.
+func (t *Tool) site(i *nvbit.Instr) (sass.Reg, bool) {
+	reg, groups, ok := eligible(i)
+	return reg, ok && groups[t.inj.Group]
 }
 
 var _ nvbit.Tool = (*Tool)(nil)

@@ -517,12 +517,14 @@ func runSeq(t *testing.T, tool nvbit.Tool) seqRun {
 // exactly its native warp instructions; the target launch must execute what
 // it does with every launch instrumented less its other CTAs' share of the
 // instrumentation (launchSeq's CTAs all do the same work, so each CTA's
-// share is the disarmed launch's instrumentation over its CTAs); and a
+// share is the baseline launch's instrumentation over its CTAs); and a
 // kernel never launched at the target ordinal must never be lifted. Under
 // the parallel scheduler the target launch fails instead.
 func TestOnlyCTA(t *testing.T) {
 	native := runSeq(t, nil)
-	every := &launchTable{Tool: New(Injection{Group: GroupFP32, Target: NoTarget})}
+	// The baseline is armed past the space: it instruments every site as an
+	// injection run does (the disarmed tool counts per block) and never fires.
+	every := &launchTable{Tool: New(Injection{Group: GroupFP32, Target: NoTarget - 1})}
 	full := runSeq(t, every)
 	const nCTA = seqThreads / 32
 	var base uint64
