@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -210,9 +211,13 @@ exit codes:
 	// campaign engine executes the victim once per planned injection in its
 	// own simulator instances (Volta, sequential scheduler, watchdog).
 	if *c.campaignDir != "" {
-		if *c.connect != "" {
-			usage(fmt.Errorf("-campaign and -connect are mutually exclusive: campaigns own their simulator instances"))
-		}
+		var ignored []string
+		fs.VisitAll(func(f *flag.Flag) {
+			if !slices.Contains(campaignFlags, f.Name) {
+				ignored = append(ignored, f.Name)
+			}
+		})
+		refuseFlags(cc, ignored, "campaign", "campaigns run their victims on simulator instances of their own (see docs/faultinjection.md)", usage)
 		kind, name, _ := strings.Cut(*c.workload, ":")
 		if kind != "specaccel" {
 			usage(fmt.Errorf("campaigns run specaccel victims, got workload %q", *c.workload))
@@ -407,16 +412,28 @@ func runWorkload(ctx *driver.Context, workload string, size specaccel.Size, fail
 	}
 }
 
+// campaignFlags are the flags campaign mode reads; it refuses the others.
+var campaignFlags = []string{"campaign", "workload", "size", "fi-group", "fi-model",
+	"campaign-runs", "campaign-max-runs", "seed", "workers", "cpuprofile"}
+
+// refuseFlags fails with a usage error on the first of names the user set,
+// on the command line or through its NVBIT_* variable: mode would ignore it,
+// for the reason why.
+func refuseFlags(cc *cliconf.Set, names []string, mode, why string, usage func(error)) {
+	for _, name := range names {
+		if cc.Explicit(name) {
+			usage(fmt.Errorf("-%s is not available with -%s: %s", name, mode, why))
+		}
+	}
+}
+
 // runConnected executes the workload as one session of an nvbitd daemon.
 // Device-side knobs (-family, -scheduler, -jit-cache) belong to the daemon
 // and are rejected when set explicitly, as are the in-process-only
 // observability flags.
 func runConnected(c *appConfig, cc *cliconf.Set, size specaccel.Size, reportW io.Writer, outFile *os.File, fail, usage func(error)) {
-	for _, name := range []string{"family", "scheduler", "jit-cache", "trace", "metrics"} {
-		if cc.Explicit(name) {
-			usage(fmt.Errorf("-%s is not available with -connect: the daemon owns its devices (see docs/nvbitd.md)", name))
-		}
-	}
+	refuseFlags(cc, []string{"family", "scheduler", "jit-cache", "trace", "metrics"},
+		"connect", "the daemon owns its devices (see docs/nvbitd.md)", usage)
 	kind, name, _ := strings.Cut(*c.workload, ":")
 	if kind != "specaccel" {
 		usage(fmt.Errorf("connect mode runs specaccel workloads, got %q (the ml suite needs an in-process device)", *c.workload))

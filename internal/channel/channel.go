@@ -287,7 +287,10 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 	}
 	claimed := head - failed // successfully claimed slots (exact when quiescent)
 	if claimed > c.slots {
-		claimed = c.slots // defensive clamp; successes cannot exceed cap
+		// Successes cannot exceed cap: a failed claim has not published
+		// yet, and a reset now would let that publish land in the next
+		// epoch, where it would wedge the shard for good.
+		return
 	}
 	if drain {
 		if head == 0 && failed == 0 {

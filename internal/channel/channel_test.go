@@ -198,6 +198,13 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 	if flushes() != 0 {
 		t.Fatal("non-quiescent buffer shipped mid-kernel")
 	}
+	// Full and committed, but a warp's claim has failed and it has not
+	// published the failure yet: must skip.
+	set(MinBufRecords+1, 0, MinBufRecords)
+	c.flushShard(0, gpu.FlushTick, false)
+	if flushes() != 0 {
+		t.Fatal("buffer shipped with a failed claim unpublished")
+	}
 	// Full and quiescent: ships.
 	set(MinBufRecords, 0, MinBufRecords)
 	c.flushShard(0, gpu.FlushTick, false)

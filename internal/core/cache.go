@@ -33,8 +33,9 @@ import (
 // the same fields: it marks the generator that coalesces visits (coalesce.go),
 // whose output for an unchanged plan differs from its predecessor's, so no
 // entry made before it is found. Schema v4 drops the four guard bytes per call
-// that predicate-matched calls, since removed, added to the plan.
-const codeKeyDomain = "nvbitgo/code/v4"
+// that predicate-matched calls, since removed, added to the plan. Schema v5
+// marks the generator that no longer pads an ordered function's save set.
+const codeKeyDomain = "nvbitgo/code/v5"
 
 // codeKey fingerprints one function plus its instrumentation plan.
 func (n *NVBit) codeKey(fs *funcState) jitcache.Key {

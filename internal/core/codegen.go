@@ -185,13 +185,10 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 	// the instruction, operands included: the registers the liveness pass
 	// proves live at the visit's first site, the only one whose calls can be
 	// pinned, clipped to the function's register requirement, which is also
-	// the fallback when the analysis is conservative. An ordered function is
-	// sized the same way although it cannot look: its save set is part of its
-	// timing, and its timing decides the order of its records across warps
-	// (docs/tools.md).
+	// the fallback when the analysis is conservative.
 	maxRegs := 0
 	for _, c := range vc {
-		if c.tf.pinned() {
+		if !c.tf.inlinable {
 			maxRegs = f.MaxRegs()
 			if live := fs.liveness(); !live.Conservative() {
 				rs, _ := live.SiteLive(v.first)

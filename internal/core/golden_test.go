@@ -300,16 +300,16 @@ func TestMaterializedCodeGolden(t *testing.T) {
 }
 
 // codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
-// artifactVersion 5, key schema v4. A key that moves orphans every
+// artifactVersion 5, key schema v5. A key that moves orphans every
 // primed cache directory, so a change to what is hashed, or to the order,
 // shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "198a3f73442e84835527f48490308cb132dfe38a537ecb686f93d4ce54b2f8c0",
-	"Kepler/full-save":  "479bff316db811d5967c94cba72ea93e8c2dd3c7157df9c62b109c4f9fffb3ec",
-	"Kepler/inline":     "7e1ba909d853eb6450fa906a8c6898eece61caecd13c931fd4a76c7827edd272",
-	"Volta/trampoline":  "16eb131db7984fa9fd9b454f31b1b4eb342491227bb667e7c99c088fceb08245",
-	"Volta/full-save":   "f27b62c903a5f744b024ffdadb27eb52f8ffad56f69489115ab2ea3b9a608940",
-	"Volta/inline":      "cfef378c8e17910857fb036ebade50a99a34b9940f0cfeb4319adc3ab2e38f24",
+	"Kepler/trampoline": "d7250d8ee649f2dbac94a606bf0b63810365fdea1980db4c4a3ef9c10d16707a",
+	"Kepler/full-save":  "8615345ebf4c405d0c82c1668f5682389a332f76facca11afe095654eb0fd39b",
+	"Kepler/inline":     "415ee46e801c87e1ef2997315c1ee2b7f1cf594b46c56fbb4fad8e2f54f86a4c",
+	"Volta/trampoline":  "4366c1c020e931507631b6e5b24dbe39143d663389d36c71021146312ac15533",
+	"Volta/full-save":   "d4b3e2bba6cf05b4828e00cd23f61d54a504674c0f53dfcf12443e3dc2cb0022",
+	"Volta/inline":      "bab6f1a5b997b2cf85cff02a620305f72570450c47742d1c2eaeadf9ba1a6bcb",
 }
 
 func TestCodeKeyGolden(t *testing.T) {
