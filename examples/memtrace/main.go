@@ -63,12 +63,14 @@ func main() {
 	// trace length, so the stream only completes through mid-kernel flushes.
 	const capacity = 4096
 
+	var delivered uint64
 	for _, policy := range []nvbit.ChannelPolicy{nvbit.ChannelDrop, nvbit.ChannelBlock} {
 		sample, lines, st, tool := trace(policy, capacity)
+		delivered = st.Delivered
 		fmt.Printf("policy %v: %d warp-level accesses delivered, %d dropped\n",
 			policy, st.Delivered, st.Dropped)
-		fmt.Printf("  channel: %d flushes (%d sweep, %d cta, %d drain), %d bytes shipped\n",
-			st.Flushes, st.TickFlushes, st.CTAFlushes, st.DrainFlushes, st.BytesShipped)
+		fmt.Printf("  channel: %d flushes (%d sweep, %d drain), %d bytes shipped\n",
+			st.Flushes, st.TickFlushes, st.DrainFlushes, st.BytesShipped)
 		fmt.Printf("  footprint: %d distinct 128-byte lines touched\n", len(lines))
 		if policy == nvbit.ChannelBlock {
 			fmt.Println("  first records of the (complete) trace:")
@@ -78,7 +80,8 @@ func main() {
 			}
 		}
 	}
-	fmt.Println("\nthe trace is ~50x the channel capacity: mid-kernel flushes recycle the")
+	fmt.Printf("\nthe trace is %.1fx the channel capacity: mid-kernel flushes recycle the\n",
+		float64(delivered)/capacity)
 	fmt.Println("tiny buffers. If a burst ever outruns a flush, Drop counts the loss")
 	fmt.Println("exactly while Block paces warps against the flushes for zero loss.")
 }

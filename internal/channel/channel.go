@@ -8,13 +8,13 @@
 // warp-aggregated atomic-reserve protocol (the fragments
 // Config.ExpandToolPTX writes into the tool's device function), selecting
 // their shard with %smid so no two scheduler workers ever touch the same
-// shard. The simulator's flush hooks (gpu.LaunchSpec.FlushHooks, which the
-// driver fills with the launching scope's channels) give the host control at
-// every CTA-completion and warp-sweep boundary, on the goroutine that owns
-// the SM while its warps are paused: when a shard's buffer is full and
-// quiescent the hook copies the records off the device and hands the same
-// buffer back empty — a mid-kernel flush, so long kernels no longer lose
-// records at the old launch-exit-only drain. No warp of that SM runs between
+// shard. The simulator's flush hook (gpu.LaunchSpec.FlushHook, through which
+// the launching scope's attachment reaches its channels' OnSweep) gives the
+// host control at every warp-sweep boundary, on the goroutine that owns the
+// SM while its warps are paused: when a shard's buffer is full and quiescent
+// the sweep copies the records off the device and hands the same buffer
+// back empty — a mid-kernel flush, so long kernels no longer lose records at
+// the old launch-exit-only drain. No warp of that SM runs between
 // the copy and the reset, so one buffer per SM is all the protocol needs.
 //
 // Backpressure is selectable per channel: Drop (the pre-channel behaviour —
@@ -24,7 +24,7 @@
 // Ordering guarantee: within one shard, records are delivered in push order;
 // Drain delivers the shards in ascending-SM order, the merge discipline of
 // the sharded stats and profiler. Because the per-SM CTA schedule, warp
-// scheduling, and flush points are identical under the sequential and
+// scheduling, and sweep boundaries are identical under the sequential and
 // parallel schedulers, the delivered record stream is byte-identical across
 // both.
 package channel
@@ -154,14 +154,13 @@ type Config struct {
 }
 
 // Stats is a consistent snapshot of a channel's counters. All counters are
-// maintained atomically (the hook side runs on SM worker goroutines); a
+// maintained atomically (the sweep side runs on SM worker goroutines); a
 // snapshot taken after Drain returns reflects everything that launch pushed.
 type Stats struct {
 	Delivered    uint64 // records handed to OnBatch
 	Dropped      uint64 // records lost to Drop-policy overflow
-	Flushes      uint64 // buffers shipped (all flush points)
+	Flushes      uint64 // buffers shipped: TickFlushes + DrainFlushes
 	TickFlushes  uint64 // … at warp-sweep boundaries (mid-kernel)
-	CTAFlushes   uint64 // … at CTA completion (mid-kernel)
 	DrainFlushes uint64 // … at launch-exit Drain
 	BytesShipped uint64 // payload bytes copied off the device
 }
@@ -179,9 +178,7 @@ type Channel struct {
 
 	delivered    atomic.Uint64
 	dropped      atomic.Uint64
-	flushes      atomic.Uint64
 	tickFlushes  atomic.Uint64
-	ctaFlushes   atomic.Uint64
 	drainFlushes atomic.Uint64
 	bytesShipped atomic.Uint64
 }
@@ -198,8 +195,8 @@ type smState struct {
 }
 
 // Open allocates a channel's device memory on dev: NumSMs control blocks
-// and NumSMs record buffers. Mid-kernel flushes happen in the launches that
-// carry OnFlushPoint among their flush hooks.
+// and NumSMs record buffers. Mid-kernel flushes happen in the launches whose
+// flush hook calls OnSweep.
 func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 	if cfg.RecordBytes <= 0 || cfg.RecordBytes%8 != 0 {
 		return nil, fmt.Errorf("channel: record size %d not a positive multiple of 8", cfg.RecordBytes)
@@ -247,26 +244,26 @@ func (c *Channel) CtrlAddr() uint64 { return c.ctrl }
 
 // Stats returns a snapshot of the channel counters.
 func (c *Channel) Stats() Stats {
+	tick, drain := c.tickFlushes.Load(), c.drainFlushes.Load()
 	return Stats{
 		Delivered:    c.delivered.Load(),
 		Dropped:      c.dropped.Load(),
-		Flushes:      c.flushes.Load(),
-		TickFlushes:  c.tickFlushes.Load(),
-		CTAFlushes:   c.ctaFlushes.Load(),
-		DrainFlushes: c.drainFlushes.Load(),
+		Flushes:      tick + drain,
+		TickFlushes:  tick,
+		DrainFlushes: drain,
 		BytesShipped: c.bytesShipped.Load(),
 	}
 }
 
-// OnFlushPoint is the channel's gpu.FlushHook: at each sweep/CTA boundary of
-// SM sm it ships the shard's buffer if (and only if) the buffer is full and
-// every claimed record has been committed. The quiescence check (commit ==
-// claimed) makes the reset safe even when another warp was interrupted
-// mid-push: that warp's claim keeps the buffer pinned until its stores land.
-// A closed channel's hook does nothing.
-func (c *Channel) OnFlushPoint(sm int, point gpu.FlushPoint) {
+// OnSweep runs at each warp-sweep boundary (gpu.FlushTick) of SM sm: it ships
+// the shard's buffer if (and only if) the buffer is full and every claimed
+// record has been committed. The quiescence check (commit == claimed) makes
+// the reset safe even when another warp was interrupted mid-push: that
+// warp's claim keeps the buffer pinned until its stores land. A closed
+// channel's OnSweep does nothing.
+func (c *Channel) OnSweep(sm int) {
 	if c.ctrl != 0 {
-		c.flushShard(sm, point, false)
+		c.flushShard(sm, false)
 	}
 }
 
@@ -274,7 +271,7 @@ func (c *Channel) OnFlushPoint(sm int, point gpu.FlushPoint) {
 // resets the shard to an empty buffer. It runs on the goroutine that owns
 // the SM (or on the launching goroutine at Drain), so the copy completes
 // before any warp of the SM pushes again.
-func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
+func (c *Channel) flushShard(sm int, drain bool) {
 	s := &c.sms[sm]
 	if err := c.dev.Read(s.ctrl, s.scratch[:]); err != nil {
 		return
@@ -328,14 +325,10 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 		c.dropped.Add(failed)
 	}
 	if data != nil {
-		c.flushes.Add(1)
 		c.bytesShipped.Add(uint64(len(data)))
-		switch {
-		case drain:
+		if drain {
 			c.drainFlushes.Add(1)
-		case point == gpu.FlushCTA:
-			c.ctaFlushes.Add(1)
-		default:
+		} else {
 			c.tickFlushes.Add(1)
 		}
 		s.pending = append(s.pending, data)
@@ -356,12 +349,16 @@ func (c *Channel) flushShard(sm int, point gpu.FlushPoint, drain bool) {
 // Drain ships every shard's remaining records (and residual drop counts) and
 // delivers everything shipped since the last Drain to OnBatch: shard by
 // shard in ascending-SM order, flush order within a shard, so the record
-// stream a consumer sees is scheduler-independent. Tools call it from their
-// launch-exit callback; it must run on the launching goroutine with no
-// launch in flight. With a profiler attached it emits one KindChannelDrain
-// record whose children are the drain's (and the preceding launch's
-// mid-kernel) flush spans, merged in ascending-SM order.
+// stream a consumer sees is scheduler-independent. NVBit.OpenChannel's
+// attachment calls it at each of its launch exits, on the launching
+// goroutine with no launch in flight. With a profiler attached it emits one
+// KindChannelDrain record whose children are the drain's (and the preceding
+// launch's mid-kernel) flush spans, merged in ascending-SM order. A closed
+// channel's Drain does nothing: its memory may belong to someone else.
 func (c *Channel) Drain() {
+	if c.ctrl == 0 {
+		return
+	}
 	before := c.delivered.Load()
 	bytesBefore := c.bytesShipped.Load()
 	prof := c.cfg.Profiler
@@ -370,7 +367,7 @@ func (c *Channel) Drain() {
 		t0 = prof.Now()
 	}
 	for sm := range c.sms {
-		c.flushShard(sm, gpu.FlushCTA, true)
+		c.flushShard(sm, true)
 		s := &c.sms[sm]
 		for _, data := range s.pending {
 			if c.cfg.OnBatch != nil {

@@ -79,6 +79,44 @@ func TestDeviceMemoryFormula(t *testing.T) {
 	c.Close() // idempotent
 }
 
+// TestDrainAfterCloseTouchesNothing: a closed channel's device memory may
+// already belong to a new allocation, so Drain must not read or reset the
+// control blocks it had there.
+func TestDrainAfterCloseTouchesNothing(t *testing.T) {
+	dev := testDevice(t)
+	c, err := Open(dev, Config{RecordBytes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, size := c.CtrlAddr(), uint64(dev.Config().NumSMs)*ctrlBytes
+	c.Close()
+	addr, err := dev.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr != ctrl {
+		t.Fatalf("the allocator placed the new owner at %#x, not at the freed control blocks %#x", addr, ctrl)
+	}
+	// Every word 1: to a shard's control block that reads as a claim that
+	// failed, which a drain would ship and reset.
+	owned := make([]byte, size)
+	for off := 0; off < len(owned); off += 8 {
+		binary.LittleEndian.PutUint64(owned[off:], 1)
+	}
+	if err := dev.Write(addr, owned); err != nil {
+		t.Fatal(err)
+	}
+	c.Drain()
+	c.OnSweep(0)
+	got := make([]byte, size)
+	if err := dev.Read(addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, owned) {
+		t.Fatal("a closed channel wrote into memory it had freed")
+	}
+}
+
 // TestDrainDeliversAscendingSM fills several shards by writing the device
 // memory directly (the host-side protocol doesn't care who the producer is)
 // and checks Drain hands OnBatch the shards in ascending-SM order with exact
@@ -188,26 +226,26 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 
 	// Not full: no mid-kernel ship even though quiescent.
 	set(2, 0, 2)
-	c.flushShard(0, gpu.FlushTick, false)
+	c.flushShard(0, false)
 	if flushes() != 0 {
 		t.Fatal("partially full buffer shipped mid-kernel")
 	}
 	// Full but a claim is uncommitted (a warp is mid-push): must skip.
 	set(MinBufRecords, 0, MinBufRecords-1)
-	c.flushShard(0, gpu.FlushTick, false)
+	c.flushShard(0, false)
 	if flushes() != 0 {
 		t.Fatal("non-quiescent buffer shipped mid-kernel")
 	}
 	// Full and committed, but a warp's claim has failed and it has not
 	// published the failure yet: must skip.
 	set(MinBufRecords+1, 0, MinBufRecords)
-	c.flushShard(0, gpu.FlushTick, false)
+	c.flushShard(0, false)
 	if flushes() != 0 {
 		t.Fatal("buffer shipped with a failed claim unpublished")
 	}
 	// Full and quiescent: ships.
 	set(MinBufRecords, 0, MinBufRecords)
-	c.flushShard(0, gpu.FlushTick, false)
+	c.flushShard(0, false)
 	if flushes() != 1 {
 		t.Fatal("full quiescent buffer did not ship")
 	}
@@ -219,7 +257,7 @@ func TestMidKernelGateRequiresQuiescence(t *testing.T) {
 	// Wedged (failed claim) and quiescent: ships the successful prefix and
 	// counts the loss under Drop.
 	set(MinBufRecords+4, 4, MinBufRecords)
-	c.flushShard(0, gpu.FlushTick, false)
+	c.flushShard(0, false)
 	st := c.Stats()
 	if st.Flushes != 2 || st.Dropped != 4 {
 		t.Fatalf("stats %+v, want a second flush with 4 dropped", st)

@@ -9,10 +9,12 @@ import (
 // device and registers the device function that pushes into it
 // (cfg.ToolPTX, with the channel's claim and commit fragments written in) —
 // the framework-level entry point tools use from AtInit. The channel belongs
-// to the attachment: its mid-kernel flush hooks run only in the attachment's
-// scope's launches, its drain records go to that scope's collector, and the
-// framework closes it when the attachment ends — after the tool's AtTerm, or
-// when AtInit fails. Tools only Drain it, between launches.
+// to the attachment: it flushes mid-kernel only in the attachment's scope's
+// launches, the framework drains it at the exit of each of those launches
+// (before the tool's exit callback, so OnBatch has seen every record of a
+// launch when the tool hears of its end), its drain records go to that
+// scope's collector, and the framework closes it when the attachment ends —
+// after the tool's AtTerm, or when AtInit fails.
 func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 	cfg.Profiler = n.scope.Collector()
 	src, err := cfg.ExpandToolPTX()
@@ -28,30 +30,27 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 		return nil, err
 	}
 	n.channels = append(n.channels, ch)
-	n.setFlushHooks()
+	n.setFlushHook()
 	return ch, nil
 }
 
-// closeChannels ends the attachment's channels: their hooks leave the scope
-// and their device buffers are released.
+// closeChannels ends the attachment's channels: their flushes leave the
+// scope and their device buffers are released.
 func (n *NVBit) closeChannels() {
 	for _, ch := range n.channels {
 		ch.Close()
 	}
 	n.channels = nil
-	n.setFlushHooks()
+	n.setFlushHook()
 }
 
-// setFlushHooks installs the attachment's flush hooks on its scope: one per
-// open channel and, while a launch has an OnCTAExit callback, the CTA hook.
-// The slice is a fresh one each time, as SetFlushHooks wants.
-func (n *NVBit) setFlushHooks() {
-	var hooks []gpu.FlushHook
-	for _, ch := range n.channels {
-		hooks = append(hooks, ch.OnFlushPoint)
+// setFlushHook installs atFlushPoint on the attachment's scope while it has
+// work there — an open channel or a launch's OnCTAExit callback — and
+// removes it otherwise, so the launch path stays call-free.
+func (n *NVBit) setFlushHook() {
+	var hook gpu.FlushHook
+	if len(n.channels) > 0 || n.ctaExit != nil {
+		hook = n.atFlushPoint
 	}
-	if n.ctaExit != nil {
-		hooks = append(hooks, n.atCTAExit)
-	}
-	n.scope.SetFlushHooks(hooks)
+	n.scope.SetFlushHook(hook)
 }

@@ -186,7 +186,7 @@ func TestOnCTAExit(t *testing.T) {
 		instrument := instrumentAll(ctr)
 		var counts []uint64
 		var last uint64
-		hooks := -1
+		hooked := false
 		tool.onLaunch = func(n *NVBit, p *driver.CallParams) {
 			instrument(n, p)
 			f := p.Launch.Func
@@ -210,14 +210,14 @@ func TestOnCTAExit(t *testing.T) {
 				panic(err)
 			}
 			n.closeChannels()
-			hooks = len(n.scope.FlushHooks())
+			hooked = n.scope.FlushHook() != nil
 		}
 		env.launch(t)
-		if hooks != 1 {
-			t.Fatalf("CTA %d: %d flush hooks after closing the channels, want the CTA hook", only, hooks)
+		if !hooked {
+			t.Fatalf("CTA %d: no flush hook after closing the channels, want the CTA hook", only)
 		}
-		if got := len(env.nv.scope.FlushHooks()); got != 0 {
-			t.Fatalf("CTA %d: %d flush hooks outlived the launch", only, got)
+		if env.nv.scope.FlushHook() != nil {
+			t.Fatalf("CTA %d: the flush hook outlived the launch", only)
 		}
 		for i, got := range env.results(t) {
 			if want := wantWorkResults(env.n)[i]; got != want {

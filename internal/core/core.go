@@ -47,8 +47,8 @@ type NVBit struct {
 	hal  *HAL
 
 	// scope is the driver scope the instance is bound to: scope 0 for
-	// Attach, a fresh one for OpenSession. It holds the flush hooks of the
-	// instance's channels and its collector receives the instance's records.
+	// Attach, a fresh one for OpenSession. It holds the instance's flush hook
+	// (setFlushHook) and its collector receives the instance's records.
 	scope *driver.Tenant
 	// channels are the channels OpenChannel opened, closed when the
 	// attachment ends.
@@ -265,6 +265,10 @@ func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err er
 	n := (*NVBit)(h)
 	if cbid == driver.CBLaunchKernel {
 		n.endCTAExit()
+		// The launch's records reach the tool before its exit callback.
+		for _, ch := range n.channels {
+			ch.Drain()
+		}
 	}
 	n.tool.AtCUDACall(n, true, cbid, name, p)
 	if cbid == driver.CBAppExit {

@@ -44,14 +44,22 @@ func (n *NVBit) OnCTAExit(fn func(cta int)) error {
 		return fmt.Errorf("nvbit: OnCTAExit already set for this launch")
 	}
 	n.ctaExit, n.ctaNext = fn, 0
-	n.setFlushHooks()
+	n.setFlushHook()
 	return nil
 }
 
-// atCTAExit is the flush hook OnCTAExit installs. At a CTA's exit it runs
-// the callback, then makes resident the code version each function asks for.
-func (n *NVBit) atCTAExit(_ int, point gpu.FlushPoint) {
-	if point != gpu.FlushCTA {
+// atFlushPoint is the attachment's flush hook (setFlushHook). At a sweep
+// boundary it offers SM sm's shard of every open channel a flush. At a CTA's
+// exit it runs the launch's OnCTAExit callback, if any, then makes resident
+// the code version each function asks for.
+func (n *NVBit) atFlushPoint(sm int, point gpu.FlushPoint) {
+	if point == gpu.FlushTick {
+		for _, ch := range n.channels {
+			ch.OnSweep(sm)
+		}
+		return
+	}
+	if n.ctaExit == nil {
 		return
 	}
 	cta := n.ctaNext
@@ -70,7 +78,7 @@ func (n *NVBit) atCTAExit(_ int, point gpu.FlushPoint) {
 func (n *NVBit) endCTAExit() {
 	if n.ctaExit != nil {
 		n.ctaExit = nil
-		n.setFlushHooks()
+		n.setFlushHook()
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // scope of its own holding its context, its tool, its NVBit framework state
 // (JIT state, stats, HAL view), and — with WithTracing — its activity
 // collector. Any number of sessions coexist on one API/device; each
-// session's hook observes only its own scope's driver calls, its channels'
-// flush hooks fire only during its own launches, and the driver's fair-share
+// session's hook observes only its own scope's driver calls, its channels
+// flush only during its own launches, and the driver's fair-share
 // gate schedules the sessions' kernels onto the shared SM capacity. Attach is
 // the same attachment bound to scope 0, the classic whole-process
 // preloaded-tool model.

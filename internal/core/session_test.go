@@ -290,8 +290,8 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 			t.Fatalf("cycle %d: hook count %d while open, want %d", i, api.HookCount(), baseHooks+1)
 		}
 		scope := sess.NVBit().Scope()
-		if got := len(scope.FlushHooks()); got != 1 {
-			t.Fatalf("cycle %d: %d flush hooks while open, want the channel's", i, got)
+		if scope.FlushHook() == nil {
+			t.Fatalf("cycle %d: no flush hook while the channel is open", i)
 		}
 		if err := sess.Close(); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
@@ -299,8 +299,8 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 		if got := api.HookCount(); got != baseHooks {
 			t.Fatalf("cycle %d: %d hooks leaked", i, got-baseHooks)
 		}
-		if got := len(scope.FlushHooks()); got != 0 {
-			t.Fatalf("cycle %d: %d flush hooks leaked", i, got)
+		if scope.FlushHook() != nil {
+			t.Fatalf("cycle %d: flush hook leaked", i)
 		}
 		if got := len(dev.Allocations()); got != baseAllocs {
 			t.Fatalf("cycle %d: %d device allocations leaked", i, got-baseAllocs)
@@ -335,8 +335,8 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	if got := api.HookCount(); got != baseHooks {
 		t.Errorf("after launching cycle: %d hooks leaked", got-baseHooks)
 	}
-	if got := len(sess.NVBit().Scope().FlushHooks()); got != 0 {
-		t.Errorf("after launching cycle: %d flush hooks leaked", got)
+	if sess.NVBit().Scope().FlushHook() != nil {
+		t.Error("after launching cycle: flush hook leaked")
 	}
 	if len(tool.Records) == 0 {
 		t.Error("launching cycle produced no records")
@@ -353,7 +353,7 @@ func (t initPanics) AtInit(n *nvbit.NVBit) {
 
 // TestFailedAtInitReleasesChannel: an attachment whose AtInit does not
 // complete leaves nothing behind — the channel it opened is closed by the
-// framework, so the device's allocation table and the scope's flush hooks are
+// framework, so the device's allocation table and the scope's flush hook are
 // what they were (the receiver goroutine has exited once Close returns).
 func TestFailedAtInitReleasesChannel(t *testing.T) {
 	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
@@ -369,8 +369,8 @@ func TestFailedAtInitReleasesChannel(t *testing.T) {
 		if got := api.Device().Allocations(); !slices.Equal(got, before) {
 			t.Fatalf("attempt %d: device allocations %v, want %v", i, got, before)
 		}
-		if got := len(api.Scope0().FlushHooks()); got != 0 {
-			t.Fatalf("attempt %d: %d flush hooks left on the scope", i, got)
+		if api.Scope0().FlushHook() != nil {
+			t.Fatalf("attempt %d: flush hook left on the scope", i)
 		}
 	}
 }

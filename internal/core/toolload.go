@@ -73,8 +73,7 @@ type toolLoader struct {
 	sources  []string
 	compiled bool
 	funcs    map[string]*toolFunc
-	saves    map[int]gpu.CodeAddr
-	restores map[int]gpu.CodeAddr
+	saves    map[int]gpu.CodeAddr // restore routines follow (saveRestore)
 
 	// Bulk trampoline allocator (Section 5.1: trampoline space is
 	// allocated in bulk by a custom allocator).
@@ -86,10 +85,9 @@ const trampChunkWords = 4096
 
 func newToolLoader(n *NVBit) *toolLoader {
 	return &toolLoader{
-		n:        n,
-		funcs:    make(map[string]*toolFunc),
-		saves:    make(map[int]gpu.CodeAddr),
-		restores: make(map[int]gpu.CodeAddr),
+		n:     n,
+		funcs: make(map[string]*toolFunc),
+		saves: make(map[int]gpu.CodeAddr),
 	}
 }
 
@@ -163,12 +161,18 @@ func (l *toolLoader) loadSource(modName, src string) error {
 // saveRestore returns (loading on demand) the pre-built save and restore
 // routines covering n general-purpose registers. The save routine pushes a
 // frame and stores R0..R(n-1), the predicate bank and — on ABI v2 — the
-// convergence-barrier state; the restore routine is its exact inverse.
+// convergence-barrier state; the restore routine, right after it, is its
+// exact inverse.
 func (l *toolLoader) saveRestore(nRegs int) (save, restore gpu.CodeAddr, err error) {
-	if s, ok := l.saves[nRegs]; ok {
-		return s, l.restores[nRegs], nil
-	}
 	hal := l.n.hal
+	if s, ok := l.saves[nRegs]; ok {
+		// SAVEPUSH, one STSA per register, STSP, [STSB,] RET.
+		words := nRegs + 3
+		if hal.SaveBarrierState {
+			words++
+		}
+		return s, s + gpu.CodeAddr(words), nil
+	}
 	var sv []sass.Inst
 	push := sass.NewInst(sass.OpSAVEPUSH)
 	push.Imm = int64(nRegs)
@@ -221,7 +225,6 @@ func (l *toolLoader) saveRestore(nRegs int) (save, restore gpu.CodeAddr, err err
 		return 0, 0, err
 	}
 	l.saves[nRegs] = s
-	l.restores[nRegs] = r
 	return s, r, nil
 }
 

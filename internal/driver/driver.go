@@ -107,10 +107,10 @@ type Launcher interface {
 var _ Launcher = (*Context)(nil)
 
 // Tenant is one scope of the driver and what is bound to it. "Whose hook,
-// whose collector, whose flush hooks" has one answer, the Tenant of the
+// whose collector, whose flush hook" has one answer, the Tenant of the
 // call's context: its ID is the gate's fair-share key, and resolve is the
 // only place a scope is mapped to its hook, its collector and the flush
-// hooks of its launches.
+// hook of its launches.
 type Tenant struct {
 	// ID is the scope id: 0 for the process scope, unique per NewScope.
 	ID  uint64
@@ -119,7 +119,7 @@ type Tenant struct {
 	// hook, prof and flush are guarded by api.mu.
 	hook  Hook
 	prof  *profile.Collector
-	flush []gpu.FlushHook
+	flush gpu.FlushHook
 }
 
 // API is the driver instance bound to one simulated device.
@@ -227,28 +227,27 @@ func (t *Tenant) Collector() *profile.Collector {
 	return prof
 }
 
-// SetFlushHooks replaces the hooks the simulator runs at the sweep and CTA
-// boundaries of the scope's launches — the mid-kernel flush points of the
-// channels the scope's attachment opened. Call between the scope's launches,
-// with a slice nothing writes afterwards: a launch reads it as it is.
-func (t *Tenant) SetFlushHooks(hooks []gpu.FlushHook) {
+// SetFlushHook replaces the hook the simulator runs at the sweep and CTA
+// boundaries of the scope's launches (nil runs none): the attachment's
+// channel flushes and CTA-exit callback. Call between the scope's launches.
+func (t *Tenant) SetFlushHook(hook gpu.FlushHook) {
 	t.api.mu.Lock()
-	t.flush = hooks
+	t.flush = hook
 	t.api.mu.Unlock()
 }
 
-// FlushHooks returns the scope's flush hooks.
-func (t *Tenant) FlushHooks() []gpu.FlushHook {
+// FlushHook returns the scope's flush hook, nil when it has none.
+func (t *Tenant) FlushHook() gpu.FlushHook {
 	_, _, flush := t.resolve()
 	return flush
 }
 
 // resolve maps the scope to the hook observing its calls (nil when none is
 // bound), the collector recording them (nil when tracing is off) and the
-// flush hooks its launches run. A hook of either kind observes a call iff
+// flush hook its launches run. A hook of either kind observes a call iff
 // the call's context is in its scope, so this lookup is the whole isolation
 // rule.
-func (t *Tenant) resolve() (Hook, *profile.Collector, []gpu.FlushHook) {
+func (t *Tenant) resolve() (Hook, *profile.Collector, gpu.FlushHook) {
 	t.api.mu.Lock()
 	defer t.api.mu.Unlock()
 	return t.hook, t.prof, t.flush
@@ -499,7 +498,8 @@ func (c *Context) MemcpyDtoH(dst []byte, src uint64) error {
 // the launch is rejected with an OverloadError before any tool work runs.
 // Unlike the other device-owning calls it returns the window as soon as the
 // kernel has run, charged with the launch's cycles, so the exit callbacks
-// (where tools drain their channels) do not hold the device.
+// (where the framework drains the attachment's channels) do not hold the
+// device.
 func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes int, params []byte) error {
 	if c.api.closed.Load() {
 		return errClosed
@@ -530,7 +530,7 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 			Params:      lp.ParamData,
 			SharedBytes: f.SharedBytes + lp.SharedBytes,
 			Prof:        prof,
-			FlushHooks:  flush,
+			FlushHook:   flush,
 		})
 		launched = true
 		c.api.gate.Release(scope, st.Cycles)

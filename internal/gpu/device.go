@@ -166,11 +166,11 @@ const (
 	FlushCTA
 )
 
-// FlushHook observes SM execution boundaries. The scheduler invokes every
-// hook of the launch (LaunchSpec.FlushHooks) with the SM index at each
-// FlushTick and FlushCTA boundary, on the goroutine that owns that SM (the
-// single walking goroutine under the sequential backend, SM worker i under
-// the parallel backend) — so a hook that touches only per-SM state needs no
+// FlushHook observes SM execution boundaries. The scheduler invokes the
+// launch's hook (LaunchSpec.FlushHook) with the SM index at each FlushTick
+// and FlushCTA boundary, on the goroutine that owns that SM (the single
+// walking goroutine under the sequential backend, SM worker i under the
+// parallel backend) — so a hook that touches only per-SM state needs no
 // synchronization. At a FlushCTA boundary of the sequential backend no warp
 // is resident, so a hook may write code there (WriteCode) and the launch's
 // next CTA runs what it wrote; under the parallel backend other SMs keep

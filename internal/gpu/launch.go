@@ -36,12 +36,11 @@ type LaunchSpec struct {
 	// kernel record plus per-SM span children). The driver passes the
 	// launching scope's collector; nil is the allocation-free fast path.
 	Prof *profile.Collector
-	// FlushHooks run at every sweep and CTA boundary of this launch (see
-	// FlushHook). The driver passes the launching scope's hooks, so one
-	// tenant's mid-kernel flushes never run inside another's kernels; nil
-	// keeps the hot path call-free. The slice is read by every SM worker
-	// and must not change while the launch runs.
-	FlushHooks []FlushHook
+	// FlushHook, when non-nil, runs at every sweep and CTA boundary of this
+	// launch (see FlushHook). The driver passes the launching scope's hook,
+	// so one tenant's mid-kernel flushes never run inside another's
+	// kernels; nil keeps the hot path call-free.
+	FlushHook FlushHook
 }
 
 // Launch executes a kernel to completion and returns the statistics of this
@@ -219,7 +218,9 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 // counts derived from it) can differ from the sequential backend. See
 // docs/scheduler.md.
 func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) error {
-	prof := spec.Prof
+	// The workers capture the two fields they read, not spec: a closure
+	// copies a captured struct of up to 128 bytes into each worker's closure.
+	prof, name := spec.Prof, spec.Name
 	nWorkers := d.cfg.NumSMs
 	if nWorkers > nCTA {
 		nWorkers = nCTA // trailing SMs would have no CTAs
@@ -277,7 +278,7 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 				// launching goroutine merges shards in ascending SM
 				// order after the join.
 				ctx.shard.Append(profile.Record{
-					Kind: profile.KindSMSpan, Name: spec.Name, Kernel: spec.Name,
+					Kind: profile.KindSMSpan, Name: name, Kernel: name,
 					SM: sm, Start: t0, Dur: prof.Now() - t0,
 					CTAs:         ctas,
 					WarpsRetired: smWarps[sm],
@@ -462,7 +463,7 @@ func (d *Device) releaseContext(c *execContext) {
 	c.spec.Params = nil
 	c.l2 = nil
 	c.shard = nil
-	c.spec.FlushHooks = nil
+	c.spec.FlushHook = nil
 	d.ctxFree = append(d.ctxFree, c)
 }
 
@@ -500,8 +501,8 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 		// Sweep boundary: no warp is mid-burst, so a bound channel can
 		// swap a full record buffer to the host here — this is what turns
 		// Block-policy device spins into forward progress.
-		for _, h := range c.spec.FlushHooks {
-			h(sm, FlushTick)
+		if c.spec.FlushHook != nil {
+			c.spec.FlushHook(sm, FlushTick)
 		}
 		progress := false
 		allDoneOrBarred := true
@@ -542,8 +543,8 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 		cycles += wp.cycles
 		wp.cycles = 0
 	}
-	for _, h := range c.spec.FlushHooks {
-		h(sm, FlushCTA)
+	if c.spec.FlushHook != nil {
+		c.spec.FlushHook(sm, FlushCTA)
 	}
 	return cycles, nil
 }

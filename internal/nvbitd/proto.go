@@ -9,7 +9,7 @@
 // by the header and body bytes. A connection carries exactly one session:
 // the client opens it with "open", drives it with module/memory/launch
 // requests, finalizes it with "report" (which detaches the session's hook,
-// firing the tool's AtTerm and draining its channels), and ends it with
+// firing the tool's AtTerm and closing its channels), and ends it with
 // "close" or by closing the connection. Requests on one connection are
 // strictly sequential; concurrency comes from concurrent connections,
 // whose kernel launches the device gate schedules by fair share.

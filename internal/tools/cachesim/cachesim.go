@@ -143,14 +143,10 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 // AtTerm implements the Tool interface; the framework closes the channel.
 func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
-// AtCUDACall instruments memory instructions at launch entry and drains the
-// trace channel at launch exit.
+// AtCUDACall instruments memory instructions at launch entry; the framework
+// drains the trace channel at launch exit.
 func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
-	if cbid != nvbit.CBLaunchKernel {
-		return
-	}
-	if exit {
-		t.ch.Drain()
+	if cbid != nvbit.CBLaunchKernel || exit {
 		return
 	}
 	f := p.Launch.Func

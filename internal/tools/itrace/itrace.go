@@ -8,7 +8,7 @@
 // dynamic instruction) appends a compact record — kernel id, static
 // instruction index, global warp id, and the executing-lane mask — to a
 // device→host streaming channel. Records flow to the host through the
-// channel's mid-kernel flushes and are delivered at each launch-exit drain;
+// channel's mid-kernel flushes and are delivered at each launch exit;
 // the accumulated trace is a faithful warp-level dynamic instruction
 // stream, including instructions (like an emulated WFFT32) that no silicon
 // implements.
@@ -138,14 +138,10 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 // AtTerm implements the Tool interface; the framework closes the channel.
 func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
-// AtCUDACall instruments at launch entry and drains the channel at launch
-// exit.
+// AtCUDACall instruments at launch entry; the framework drains the channel
+// at launch exit.
 func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
-	if cbid != nvbit.CBLaunchKernel {
-		return
-	}
-	if exit {
-		t.ch.Drain()
+	if cbid != nvbit.CBLaunchKernel || exit {
 		return
 	}
 	f := p.Launch.Func

@@ -7,16 +7,15 @@
 // Every global load, store and atomic of every instrumented kernel is
 // injected with a device function that pushes one record per executing
 // lane — the effective 64-bit address, a static site id, and the lane —
-// into a device→host streaming channel. At the exit of each cuLaunchKernel
-// driver callback the host snapshots the device's allocation table, drains
-// the channel and validates every delivered address against it: an access
-// that falls outside
-// every live allocation is a violation, and one that lands inside a freed
-// span is classified as a use-after-free. The simulated hardware only traps
-// accesses outside the heap entirely, so memcheck catches exactly the bugs
-// the device cannot: off-by-one overruns into a neighbouring allocation,
-// reads through stale pointers, and writes into the allocator's recycled
-// memory.
+// into a device→host streaming channel. At the entry of each cuLaunchKernel
+// driver callback the host snapshots the device's allocation table; the
+// channel's records, delivered by the framework's launch-exit drain, are
+// validated against it: an access that falls outside every live allocation
+// is a violation, and one that lands inside a freed span is classified as a
+// use-after-free. The simulated hardware only traps accesses outside the
+// heap entirely, so memcheck catches exactly the bugs the device cannot:
+// off-by-one overruns into a neighbouring allocation, reads through stale
+// pointers, and writes into the allocator's recycled memory.
 package memcheck
 
 import (
@@ -146,7 +145,8 @@ type Tool struct {
 	ch    *nvbit.Channel
 	sites []site
 	// live (sorted by base) and freed (most recent first) are the
-	// allocation snapshot the draining launch's records are checked against.
+	// allocation state the last launch ran under, taken at its entry; its
+	// records are checked against it when they are delivered.
 	live, freed []nvbit.AllocSpan
 }
 
@@ -179,17 +179,14 @@ func (t *Tool) AtInit(n *nvbit.NVBit) {
 // AtTerm implements the Tool interface; the framework closes the channel.
 func (t *Tool) AtTerm(n *nvbit.NVBit) {}
 
-// AtCUDACall instruments global memory instructions at launch entry and
-// validates the collected addresses at launch exit.
+// AtCUDACall snapshots the allocation table and instruments global memory
+// instructions at launch entry. The launch's driver gate still holds the
+// device there, so the snapshot is exactly what the kernel runs under.
 func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
-	if cbid != nvbit.CBLaunchKernel {
+	if cbid != nvbit.CBLaunchKernel || exit {
 		return
 	}
-	if exit {
-		t.live, t.freed = n.Device().Allocations(), n.Device().FreedSpans()
-		t.ch.Drain()
-		return
-	}
+	t.live, t.freed = n.Device().Allocations(), n.Device().FreedSpans()
 	f := p.Launch.Func
 	if n.IsInstrumented(f) {
 		return
@@ -228,7 +225,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 }
 
 // validate is the channel's OnBatch consumer: it checks each delivered
-// record against the snapshot taken before the drain.
+// record against the snapshot taken at its launch's entry.
 func (t *Tool) validate(data []byte) {
 	for off := 0; off+recBytes <= len(data); off += recBytes {
 		addr := binary.LittleEndian.Uint64(data[off:])

@@ -158,8 +158,8 @@ func newMemtrace(o Options) (*Instance, error) {
 			len(t.Records), lanes, len(kernels), st.Dropped); err != nil {
 			return false, err
 		}
-		_, err := fmt.Fprintf(w, "memtrace channel: %d flushes (%d sweep, %d cta, %d drain), %d bytes shipped\n",
-			st.Flushes, st.TickFlushes, st.CTAFlushes, st.DrainFlushes, st.BytesShipped)
+		_, err := fmt.Fprintf(w, "memtrace channel: %d flushes (%d sweep, %d drain), %d bytes shipped\n",
+			st.Flushes, st.TickFlushes, st.DrainFlushes, st.BytesShipped)
 		return false, err
 	}}, nil
 }

@@ -106,9 +106,9 @@ const (
 )
 
 // Device→host streaming channels (docs/channels.md): a record stream with
-// one buffer per SM, mid-kernel flushes, delivery at Drain and selectable
-// backpressure. A tool opens one with NVBit.OpenChannel from AtInit, handing
-// over the device function that pushes its records.
+// one buffer per SM, mid-kernel flushes, delivery at every launch exit and
+// selectable backpressure. A tool opens one with NVBit.OpenChannel from
+// AtInit, handing over the device function that pushes its records.
 type (
 	// Channel is one open device→host record stream.
 	Channel = channel.Channel

@@ -57,7 +57,8 @@ type stream struct {
 
 // launchKeyed wraps a channel tool: it snapshots the application's
 // allocations at each launch entry and the channel counters after each
-// launch's exit, whose Drain is the only place records reach OnRecord.
+// launch's exit callback. The framework's drain before that callback is the
+// only place records reach OnRecord.
 type launchKeyed struct {
 	nvbit.Tool
 	s         *stream
@@ -81,7 +82,6 @@ func (w *launchKeyed) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, nam
 			Dropped:      st.Dropped - w.last.Dropped,
 			Flushes:      st.Flushes - w.last.Flushes,
 			TickFlushes:  st.TickFlushes - w.last.TickFlushes,
-			CTAFlushes:   st.CTAFlushes - w.last.CTAFlushes,
 			DrainFlushes: st.DrainFlushes - w.last.DrainFlushes,
 			BytesShipped: st.BytesShipped - w.last.BytesShipped,
 		})
@@ -226,10 +226,10 @@ func locate(allocs []nvbit.AllocSpan, addr uint64) int {
 
 func formatCounts(counts []nvbit.ChannelStats) string {
 	var b strings.Builder
-	b.WriteString("delivered,dropped,flushes,sweep,cta,drain,bytes:")
+	b.WriteString("delivered,dropped,flushes,sweep,drain,bytes:")
 	for _, c := range counts {
-		fmt.Fprintf(&b, " %d,%d,%d,%d,%d,%d,%d",
-			c.Delivered, c.Dropped, c.Flushes, c.TickFlushes, c.CTAFlushes, c.DrainFlushes, c.BytesShipped)
+		fmt.Fprintf(&b, " %d,%d,%d,%d,%d,%d",
+			c.Delivered, c.Dropped, c.Flushes, c.TickFlushes, c.DrainFlushes, c.BytesShipped)
 	}
 	return b.String()
 }
