@@ -98,7 +98,7 @@ func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 		backpressure: cc.String("backpressure", "drop", "channel tools (cachesim, itrace, memcheck, memtrace): drop or block when buffers fill"),
 		traceJSON:    cc.String("trace", "", "write a chrome://tracing activity timeline (JSON) to this file"),
 		metrics:      cc.Bool("metrics", false, "print the per-kernel metrics table after the run"),
-		jitCacheDir:  cc.String("jit-cache", "", "persist instrumented code to this directory and reuse it across runs"),
+		jitCacheDir:  cc.String("jit-cache", "", "persist compiled and instrumented code to this directory and reuse it across runs"),
 		workload:     cc.String("workload", "specaccel:ostencil", "workload: specaccel:<name> or ml:<Network>"),
 		connect:      cc.String("connect", "", "run as a session of the nvbitd daemon at this unix socket instead of in-process"),
 		fiGroup:      cc.String("fi-group", "gpr", "faultinject: instruction group (gpr, fp32, fp64, ld, all)"),
@@ -347,8 +347,9 @@ exit codes:
 		fmt.Printf("jit: lifted %d funcs / %d instrs, %d trampolines for %d sites (%.1f sites per visit, %.1f saved regs per site), %d inlined sites, %v total (%v disasm)\n",
 			js.FunctionsLifted, js.InstrsLifted, js.Visits, js.TrampolinesEmitted, js.SitesPerVisit(), js.AvgSavedRegs(), js.InlinedSites, js.Total().Round(time.Microsecond), js.Disassemble.Round(time.Microsecond))
 		if jc != nil {
-			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d bytes in, %d bytes out, lookup %v, hit %v, codegen %v\n",
+			fmt.Printf("jit-cache: %d lookups, %d hits, %d misses (%.1f%% hit ratio), %d modules (%d reused, %d compiled), %d bytes in, %d bytes out, lookup %v, hit %v, codegen %v\n",
 				js.CacheLookups, js.CacheHits, js.CacheMisses, 100*js.CacheHitRatio(),
+				js.ModuleLookups, js.ModuleHits, js.ModuleCompiles,
 				js.CacheBytesRead, js.CacheBytesWritten,
 				js.CacheLookup.Round(time.Microsecond), js.CacheHit.Round(time.Microsecond), js.CodeGen.Round(time.Microsecond))
 		}

@@ -56,7 +56,7 @@ func newFlags(fs *flag.FlagSet) (*daemonConfig, *cliconf.Set) {
 		queueLimit: cc.Int("queue-limit", -1, "admission queue bound per device before load-shedding (-1 = driver default)"),
 		familyName: cc.String("family", "volta", "device family for every pool device"),
 		schedName:  cc.String("scheduler", "sequential", "CTA scheduler: sequential or parallel (one worker per SM)"),
-		cacheDir:   cc.String("jit-cache", "", "persist instrumented code to this directory, shared by all sessions"),
+		cacheDir:   cc.String("jit-cache", "", "persist compiled and instrumented code to this directory, shared by all sessions"),
 		quiet:      cc.Bool("quiet", false, "suppress per-session log lines"),
 	}
 	return c, cc

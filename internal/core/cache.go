@@ -1,14 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
+	"nvbitgo/internal/driver"
 	"nvbitgo/internal/jitcache"
+	"nvbitgo/internal/ptx"
+	"nvbitgo/internal/sass"
 )
 
 // This file wires the content-addressed instrumentation cache
-// (internal/jitcache) into the JIT pipeline. One object is cached per
-// instrumented function: the Code Generator's device-independent artifact
+// (internal/jitcache) into the JIT pipeline. It holds two kinds of object:
+// compiled modules (compileModule, at the end of this file) and, one per
+// instrumented function, the Code Generator's device-independent artifact
 // (trampoline bodies plus relocations, see artifact.go), keyed by everything
 // that determines the generated code: function bytes, HAL identity, the
 // tool's registered PTX sources, the function's register requirement, the
@@ -168,4 +173,76 @@ func (n *NVBit) instrument(fs *funcState) error {
 		n.stats.CodeGen += gen + time.Since(m0)
 	}
 	return err
+}
+
+// moduleKeyDomain is the key domain of compiled modules, the second kind of
+// object in the cache. Its key also carries ptx.CompilerVersion and
+// driver.CubinVersion, so a compiler or image-format change makes old
+// entries unreachable.
+const moduleKeyDomain = "nvbitgo/module/v1"
+
+// moduleKey fingerprints one PTX compile: everything ptx.Compile reads.
+func moduleKey(name, src string, family sass.Family) jitcache.Key {
+	h := jitcache.NewHasher(moduleKeyDomain)
+	h.Int(ptx.CompilerVersion)
+	h.Int(driver.CubinVersion)
+	h.Int(int(family))
+	h.String(name)
+	h.String(src)
+	return h.Sum()
+}
+
+// compileModule is the scope's compiler while the attachment has a cache
+// (driver.Tenant.SetCompiler), as the driver's compute cache is for real
+// PTX: the application's PTX loads and the tool loader compile through it.
+// A module is stored as its device binary with line tables
+// (driver.BuildCubin); a hit rebuilds the same ptx.Module from it, which
+// still loads as PTX. A miss returns the module it compiled, undecoded. A
+// module the image format cannot hold is compiled and not stored, and an
+// entry that passes the store's checksum but does not parse back to this
+// module is evicted and compiled afresh, so a cached load never differs from
+// an uncached one.
+func (n *NVBit) compileModule(name, src string, family sass.Family) (*ptx.Module, error) {
+	key := moduleKey(name, src, family)
+	var (
+		pm  *ptx.Module
+		ran bool
+	)
+	data, hit, err := n.cache.Do(key, func() ([]byte, error) {
+		ran = true
+		var err error
+		if pm, err = ptx.Compile(name, src, family); err != nil {
+			return nil, err
+		}
+		return driver.BuildCubin(pm, false)
+	})
+	n.stats.ModuleLookups++
+	if hit {
+		if pm, err = cachedModule(data, name, family); err == nil {
+			n.stats.ModuleHits++
+			return pm, nil
+		}
+		n.cache.Delete(key)
+	}
+	n.stats.ModuleCompiles++
+	if !ran {
+		// The entry was bad, or the generation this call waited on failed.
+		return ptx.Compile(name, src, family)
+	}
+	if pm != nil {
+		err = nil // an image BuildCubin refused is just not stored
+	}
+	return pm, err
+}
+
+// cachedModule rebuilds a module from its cached device binary.
+func cachedModule(image []byte, name string, family sass.Family) (*ptx.Module, error) {
+	cm, err := driver.ParseCubin(image)
+	if err != nil {
+		return nil, err
+	}
+	if cm.Name != name || cm.Family != family {
+		return nil, fmt.Errorf("nvbit: cached module %q for %v, want %q for %v", cm.Name, cm.Family, name, family)
+	}
+	return driver.CubinModule(cm)
 }

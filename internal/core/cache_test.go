@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/jitcache"
 	"nvbitgo/internal/sass"
 )
@@ -324,8 +326,12 @@ func TestCachePlanChangeMisses(t *testing.T) {
 	if evenStats.CodeGen == 0 || evenStats.CacheHits != 0 {
 		t.Fatalf("changed plan was served from cache, want fresh code generation: %+v", evenStats)
 	}
-	if st := evenCache.Stats(); st.DiskHits != 0 || st.Generations != 1 {
-		t.Fatalf("changed plan: %+v, want no disk hit and one generation", st)
+	// The modules compiled for the first run are the same, and only they hit.
+	if evenStats.ModuleLookups == 0 || evenStats.ModuleHits != evenStats.ModuleLookups {
+		t.Fatalf("changed plan: %d of %d modules reused, want all", evenStats.ModuleHits, evenStats.ModuleLookups)
+	}
+	if st := evenCache.Stats(); st.DiskHits != uint64(evenStats.ModuleHits) || st.Generations != 1 {
+		t.Fatalf("changed plan: %+v, want a disk hit per module and one generation", st)
 	}
 	if even.count == 0 || even.count >= all.count {
 		t.Fatalf("even-site count %d, want nonzero and below all-site count %d", even.count, all.count)
@@ -339,8 +345,9 @@ func TestCachePlanChangeMisses(t *testing.T) {
 const staleKey = "043319f8f52bed0e5f64627af1f79a8c5c35222a22d3810d53e996d748221396"
 
 // TestCacheOneObjectPerFunction: the cache holds one object per instrumented
-// function and is asked once per instrumented function, cold and warm. A warm
-// attach still disassembles (Disassemble > 0) and generates nothing, and an
+// function and one per compiled module, and is asked once per instrumented
+// function and once per PTX compile, cold and warm. A warm attach still
+// disassembles (Disassemble > 0), and compiles and generates nothing; an
 // object a previous binary left under a key of its own is neither read nor
 // removed.
 func TestCacheOneObjectPerFunction(t *testing.T) {
@@ -372,12 +379,19 @@ func TestCacheOneObjectPerFunction(t *testing.T) {
 	if funcs == 0 || cs.CacheLookups != funcs || cs.CacheMisses != funcs || cs.CacheHits != 0 {
 		t.Fatalf("cold: %d instrumented functions, %d lookups, %d misses, %d hits", funcs, cs.CacheLookups, cs.CacheMisses, cs.CacheHits)
 	}
-	if st := coldCache.Stats(); st.Lookups != uint64(funcs) || st.Generations != uint64(funcs) {
-		t.Fatalf("cold cache: %+v, want %d lookups and generations", st, funcs)
+	// The application's module and the tool's.
+	const modules = 2
+	if cs.ModuleLookups != modules || cs.ModuleCompiles != modules || cs.ModuleHits != 0 {
+		t.Fatalf("cold: %d module lookups, %d compiles, %d hits, want %d/%d/0", cs.ModuleLookups, cs.ModuleCompiles, cs.ModuleHits, modules, modules)
+	}
+	objs := funcs + modules
+	coldStats := coldCache.Stats()
+	if coldStats.Lookups != uint64(objs) || coldStats.Generations != uint64(objs) {
+		t.Fatalf("cold cache: %+v, want %d lookups and generations", coldStats, objs)
 	}
 	objects, err := filepath.Glob(filepath.Join(dir, "objects", "*"))
-	if err != nil || len(objects) != funcs+1 {
-		t.Fatalf("%d files under objects/ (%v), want %d and the stale one", len(objects), err, funcs)
+	if err != nil || len(objects) != objs+1 {
+		t.Fatalf("%d files under objects/ (%v), want %d and the stale one", len(objects), err, objs)
 	}
 
 	warmCache := newDiskCache(t, dir)
@@ -386,16 +400,82 @@ func TestCacheOneObjectPerFunction(t *testing.T) {
 	if ws.CacheLookups != funcs || ws.CacheHits != funcs || ws.CacheMisses != 0 {
 		t.Fatalf("warm: %d lookups, %d hits, %d misses, want %d/%d/0", ws.CacheLookups, ws.CacheHits, ws.CacheMisses, funcs, funcs)
 	}
+	if ws.ModuleLookups != modules || ws.ModuleHits != modules || ws.ModuleCompiles != 0 {
+		t.Fatalf("warm: %d module lookups, %d hits, %d compiles, want %d/%d/0", ws.ModuleLookups, ws.ModuleHits, ws.ModuleCompiles, modules, modules)
+	}
 	if ws.CodeGen != 0 || ws.Disassemble <= 0 {
 		t.Fatalf("warm: CodeGen %v, Disassemble %v, want 0 and > 0", ws.CodeGen, ws.Disassemble)
 	}
-	if st := warmCache.Stats(); st.Lookups != uint64(funcs) || st.DiskHits != uint64(funcs) || st.BytesRead != uint64(ws.CacheBytesRead) || st.CorruptEvicted != 0 {
-		t.Fatalf("warm cache: %+v, want %d lookups, all disk hits of %d bytes", st, funcs, ws.CacheBytesRead)
+	// The warm run reads back exactly what the cold one wrote, of which the
+	// artifacts are what JITStats counts.
+	st := warmCache.Stats()
+	if st.Lookups != uint64(objs) || st.DiskHits != uint64(objs) || st.BytesRead != coldStats.BytesWritten || st.CorruptEvicted != 0 {
+		t.Fatalf("warm cache: %+v, want %d lookups, all disk hits of %d bytes", st, objs, coldStats.BytesWritten)
+	}
+	if ws.CacheBytesRead != cs.CacheBytesWritten {
+		t.Fatalf("warm run read %d artifact bytes, the cold run wrote %d", ws.CacheBytesRead, cs.CacheBytesWritten)
 	}
 	if cold.count != warm.count {
 		t.Fatalf("instruction counts diverge: cold %d, warm %d", cold.count, warm.count)
 	}
 	if now, err := os.ReadFile(stalePath); err != nil || !bytes.Equal(now, staleBytes) {
 		t.Fatalf("stale object changed or gone: %v", err)
+	}
+}
+
+// TestCacheModuleKey: a compiled module is served only to a compile of the
+// same PTX text, module name and family; any other compile misses, and the
+// first compile still hits afterwards. Loads compile through the cache only
+// while an attachment with one is bound to the scope.
+func TestCacheModuleKey(t *testing.T) {
+	dir := t.TempDir()
+	load := func(fam sass.Family, name, src string, opts ...Option) JITStats {
+		t.Helper()
+		api, err := driver.New(gpu.DefaultConfig(fam))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer api.Close()
+		s, err := OpenSession(api, &testTool{}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ctx().ModuleLoadPTX(name, src); err != nil {
+			t.Fatal(err)
+		}
+		// After the session ends its context compiles uncached.
+		js := s.NVBit().JITStats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ctx().ModuleLoadPTX(name, src); err != nil {
+			t.Fatal(err)
+		}
+		if after := s.NVBit().JITStats(); after.ModuleLookups != js.ModuleLookups {
+			t.Errorf("%d module lookups after the session closed, %d before", after.ModuleLookups, js.ModuleLookups)
+		}
+		return js
+	}
+	other := strings.Replace(workPTX, "mov.u32", "mov.u32 ", 1) // the same code from other text
+	for _, c := range []struct {
+		what      string
+		fam       sass.Family
+		name, src string
+		hit       bool
+	}{
+		{"first compile", sass.Volta, "app.ptx", workPTX, false},
+		{"same compile", sass.Volta, "app.ptx", workPTX, true},
+		{"other text", sass.Volta, "app.ptx", other, false},
+		{"other name", sass.Volta, "lib.ptx", workPTX, false},
+		{"other family", sass.Kepler, "app.ptx", workPTX, false},
+		{"first compile again", sass.Volta, "app.ptx", workPTX, true},
+	} {
+		js := load(c.fam, c.name, c.src, WithJITCache(newDiskCache(t, dir)))
+		if js.ModuleLookups != 1 || (js.ModuleHits == 1) != c.hit || js.ModuleHits+js.ModuleCompiles != 1 {
+			t.Errorf("%s: %d lookups, %d hits, %d compiles, want a hit: %v", c.what, js.ModuleLookups, js.ModuleHits, js.ModuleCompiles, c.hit)
+		}
+	}
+	if js := load(sass.Volta, "app.ptx", workPTX); js.ModuleLookups != 0 {
+		t.Errorf("an attachment without a cache counted %d module lookups", js.ModuleLookups)
 	}
 }

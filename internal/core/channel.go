@@ -34,6 +34,13 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 	return ch, nil
 }
 
+// release ends what the attachment keeps in its scope, at its end: its
+// channels close and its compiler is removed.
+func (n *NVBit) release() {
+	n.closeChannels()
+	n.scope.SetCompiler(nil)
+}
+
 // closeChannels ends the attachment's channels: their flushes leave the
 // scope and their device buffers are released.
 func (n *NVBit) closeChannels() {

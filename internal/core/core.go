@@ -48,7 +48,8 @@ type NVBit struct {
 
 	// scope is the driver scope the instance is bound to: scope 0 for
 	// Attach, a fresh one for OpenSession. It holds the instance's flush hook
-	// (setFlushHook) and its collector receives the instance's records.
+	// (setFlushHook) and, with a cache, its compiler (compileModule), and its
+	// collector receives the instance's records.
 	scope *driver.Tenant
 	// channels are the channels OpenChannel opened, closed when the
 	// attachment ends.
@@ -74,7 +75,8 @@ type NVBit struct {
 	// attach (WithInjectionMode).
 	injectMode InjectionMode
 	// cache is the content-addressed instrumentation cache (WithJITCache);
-	// nil keeps the uncached JIT pipeline.
+	// nil keeps the uncached JIT pipeline. With one, the scope's PTX
+	// compiles go through it too (compileModule).
 	cache *jitcache.Cache
 	// perSiteVisits keeps one visit per instrumented instruction in every
 	// mode, as the Code Generator made them before it coalesced visits. Only
@@ -123,6 +125,9 @@ func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *d
 	if err := scope.Bind((*hook)(n)); err != nil {
 		return nil, nil, err
 	}
+	if n.cache != nil {
+		scope.SetCompiler(n.compileModule)
+	}
 	var ctx *driver.Context
 	var err error
 	if session {
@@ -135,7 +140,7 @@ func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *d
 		// Dropped without exit callbacks: a tool whose AtInit did not
 		// complete must not see its AtTerm.
 		_ = scope.Unbind(false)
-		n.closeChannels()
+		n.release()
 		return nil, nil, err
 	}
 	return n, ctx, nil
@@ -272,7 +277,7 @@ func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err er
 	}
 	n.tool.AtCUDACall(n, true, cbid, name, p)
 	if cbid == driver.CBAppExit {
-		defer n.closeChannels()
+		defer n.release()
 		n.tool.AtTerm(n)
 	}
 }

@@ -62,6 +62,15 @@ type JITStats struct {
 	CacheMisses       int
 	CacheBytesRead    int // artifact bytes served from the cache
 	CacheBytesWritten int // artifact bytes stored into the cache
+
+	// Compiled-module counters (all zero without WithJITCache), kept apart
+	// from the instrumentation counters above: with a cache the scope's PTX
+	// loads and the tool's functions compile through it (compileModule).
+	// Every PTX compile is a lookup, and is served from the cache
+	// (ModuleHits) or compiled (ModuleCompiles).
+	ModuleLookups  int
+	ModuleHits     int
+	ModuleCompiles int
 }
 
 // AvgSavedRegs returns the save-set registers emitted per site a trampoline

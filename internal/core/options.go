@@ -51,10 +51,11 @@ func WithTracing(bufferRecords int) Option {
 
 // WithJITCache attaches a content-addressed instrumentation cache (see
 // internal/jitcache and docs/jitcache.md) to this attachment: JIT results —
-// disassembly and generated trampolines — are stored under fingerprints of
-// their inputs and reused across functions, attaches and (with a disk-backed
-// cache) processes. The same Cache may be shared by concurrent attaches; the
-// cache coalesces racing generations so each unique function is JITted once.
+// generated trampolines, and the modules the scope's PTX loads and the tool's
+// functions compile to — are stored under fingerprints of their inputs and
+// reused across functions, attaches and (with a disk-backed cache)
+// processes. The same Cache may be shared by concurrent attaches; the cache
+// coalesces racing generations so each unique function is JITted once.
 func WithJITCache(c *jitcache.Cache) Option {
 	return func(cfg *attachConfig) { cfg.cache = c }
 }

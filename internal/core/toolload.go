@@ -126,7 +126,7 @@ func (l *toolLoader) lookup(name string) (*toolFunc, error) {
 
 func (l *toolLoader) loadSource(modName, src string) error {
 	dev := l.n.Device()
-	pm, err := ptx.Compile(modName, src, dev.Family())
+	pm, err := l.n.scope.Compile(modName, src)
 	if err != nil {
 		return fmt.Errorf("nvbit: compiling tool functions: %w", err)
 	}

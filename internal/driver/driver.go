@@ -9,8 +9,9 @@
 // ids.
 //
 // Tenancy has one key, the scope. Every context belongs to a scope, and a
-// scope (Tenant) holds what is bound to it: the hook observing its calls and
-// the collector recording its activity. Scope 0 exists from New and owns
+// scope (Tenant) holds what is bound to it: the hook observing its calls,
+// the collector recording its activity, the flush hook its launches run and
+// the compiler its PTX loads go through. Scope 0 exists from New and owns
 // every CtxCreate context — it is the process a tool library is preloaded
 // into, so at most one hook binds to it, matching the paper's "only a single
 // library can be injected" rule. A session is a fresh scope with its own
@@ -33,6 +34,7 @@ import (
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
 	"nvbitgo/internal/ptx"
+	"nvbitgo/internal/sass"
 )
 
 // CBID enumerates driver API callback ids, mirroring CUPTI's driver-call
@@ -107,20 +109,26 @@ type Launcher interface {
 var _ Launcher = (*Context)(nil)
 
 // Tenant is one scope of the driver and what is bound to it. "Whose hook,
-// whose collector, whose flush hook" has one answer, the Tenant of the
-// call's context: its ID is the gate's fair-share key, and resolve is the
-// only place a scope is mapped to its hook, its collector and the flush
-// hook of its launches.
+// whose collector, whose flush hook, whose compiler" has one answer, the
+// Tenant of the call's context: its ID is the gate's fair-share key, and
+// resolve is the only place a scope is mapped to its hook, its collector and
+// the flush hook of its launches.
 type Tenant struct {
 	// ID is the scope id: 0 for the process scope, unique per NewScope.
 	ID  uint64
 	api *API
 
-	// hook, prof and flush are guarded by api.mu.
-	hook  Hook
-	prof  *profile.Collector
-	flush gpu.FlushHook
+	// hook, prof, flush and compile are guarded by api.mu.
+	hook    Hook
+	prof    *profile.Collector
+	flush   gpu.FlushHook
+	compile Compiler
 }
+
+// Compiler compiles one PTX module for a device family. ptx.Compile is the
+// default; a scope may put a front before it, such as the NVBit core's
+// module cache, which must return what ptx.Compile would.
+type Compiler func(name, source string, family sass.Family) (*ptx.Module, error)
 
 // API is the driver instance bound to one simulated device.
 type API struct {
@@ -240,6 +248,26 @@ func (t *Tenant) SetFlushHook(hook gpu.FlushHook) {
 func (t *Tenant) FlushHook() gpu.FlushHook {
 	_, _, flush := t.resolve()
 	return flush
+}
+
+// SetCompiler replaces the compiler the scope's PTX module loads and its
+// attachment's tool functions compile through (nil selects ptx.Compile).
+func (t *Tenant) SetCompiler(c Compiler) {
+	t.api.mu.Lock()
+	t.compile = c
+	t.api.mu.Unlock()
+}
+
+// Compile compiles a PTX module for the scope's device through the scope's
+// compiler.
+func (t *Tenant) Compile(name, source string) (*ptx.Module, error) {
+	t.api.mu.Lock()
+	compile := t.compile
+	t.api.mu.Unlock()
+	if compile == nil {
+		compile = ptx.Compile
+	}
+	return compile(name, source, t.api.dev.Family())
 }
 
 // resolve maps the scope to the hook observing its calls (nil when none is

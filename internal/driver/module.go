@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"nvbitgo/internal/gpu"
@@ -127,7 +128,7 @@ func (c *Context) ModuleLoadPTX(name, source string) (*Module, error) {
 	if prof := c.tenant.Collector(); prof != nil {
 		start = prof.Now()
 	}
-	pm, err := ptx.Compile(name, source, c.api.dev.Family())
+	pm, err := c.tenant.Compile(name, source)
 	if err != nil {
 		return nil, err
 	}
@@ -148,26 +149,9 @@ func (c *Context) ModuleLoadCubin(image []byte) (*Module, error) {
 	if cm.Family != c.api.dev.Family() {
 		return nil, fmt.Errorf("driver: cubin %s targets %v, device is %v", cm.Name, cm.Family, c.api.dev.Family())
 	}
-	pm := &ptx.Module{Name: cm.Name, Family: cm.Family}
-	codec := sass.CodecFor(cm.Family)
-	for _, cf := range cm.Funcs {
-		insts, err := codec.DecodeAll(cf.Code)
-		if err != nil {
-			return nil, fmt.Errorf("driver: cubin %s function %s: %w", cm.Name, cf.Name, err)
-		}
-		pm.Funcs = append(pm.Funcs, &ptx.Func{
-			Name:        cf.Name,
-			Entry:       cf.Entry,
-			Insts:       insts,
-			NumRegs:     cf.NumRegs,
-			NumPred:     cf.NumPred,
-			Params:      cf.Params,
-			ParamBytes:  cf.ParamBytes,
-			SharedBytes: cf.SharedBytes,
-			Relocs:      cf.Relocs,
-			Related:     cf.Related,
-			Lines:       cf.Lines,
-		})
+	pm, err := CubinModule(cm)
+	if err != nil {
+		return nil, err
 	}
 	return c.loadCompiled(cm.Name, pm, true, false, 0)
 }
@@ -227,7 +211,8 @@ func (c *Context) loadCompiled(name string, pm *ptx.Module, fromCubin, withLines
 }
 
 // Placed is one function of a linked module: its load address and its body
-// with call relocations resolved.
+// with call relocations resolved. The body is the compiled function's own
+// slice when it has no call to patch; neither may be modified.
 type Placed struct {
 	Addr  gpu.CodeAddr
 	Insts []sass.Inst
@@ -237,7 +222,8 @@ type Placed struct {
 // function is placed first, so that calls can then be patched with their
 // callee's load address before the bodies are encoded and written. The
 // result is parallel to pm.Funcs. Application modules and the NVBit core's
-// tool functions are both linked here.
+// tool functions are both linked here. Only a function with calls is copied
+// to be patched, and the bodies are encoded through one buffer.
 func Link(dev *gpu.Device, pm *ptx.Module) ([]Placed, error) {
 	placed := make([]Placed, len(pm.Funcs))
 	index := make(map[string]int, len(pm.Funcs))
@@ -250,9 +236,13 @@ func Link(dev *gpu.Device, pm *ptx.Module) ([]Placed, error) {
 			return nil, err
 		}
 		index[pf.Name] = i
-		placed[i] = Placed{Addr: addr, Insts: append([]sass.Inst(nil), pf.Insts...)}
+		placed[i] = Placed{Addr: addr, Insts: pf.Insts}
 	}
+	var raw []byte
 	for i, pf := range pm.Funcs {
+		if len(pf.Relocs) > 0 {
+			placed[i].Insts = slices.Clone(pf.Insts)
+		}
 		for _, rl := range pf.Relocs {
 			target, ok := index[rl.Symbol]
 			if !ok {
@@ -260,8 +250,8 @@ func Link(dev *gpu.Device, pm *ptx.Module) ([]Placed, error) {
 			}
 			placed[i].Insts[rl.InstIdx].Imm = int64(placed[target].Addr)
 		}
-		raw, err := dev.Codec().EncodeAll(placed[i].Insts)
-		if err != nil {
+		var err error
+		if raw, err = dev.Codec().AppendEncode(raw[:0], placed[i].Insts); err != nil {
 			return nil, fmt.Errorf("driver: module %s: encoding %s: %w", pm.Name, pf.Name, err)
 		}
 		if err := dev.WriteCode(placed[i].Addr, raw); err != nil {

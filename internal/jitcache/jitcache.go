@@ -10,8 +10,8 @@
 // The cache is a two-tier store of opaque, versioned blobs addressed by a
 // SHA-256 key derived from everything that can influence the cached bytes
 // (function code, HAL family, tool identity, instrumentation plan,
-// framework version — see internal/core's key derivation and
-// docs/jitcache.md):
+// framework version — or, for a compiled module, its PTX and the compiler's
+// version; see internal/core's key derivation and docs/jitcache.md):
 //
 //   - an in-memory LRU tier, bounded in bytes, shared safely between
 //     concurrent attaches;

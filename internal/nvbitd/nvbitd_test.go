@@ -156,6 +156,16 @@ func TestConcurrentSessionsMatchStandalone(t *testing.T) {
 	runConcurrently(t, sock, []toolRun{{"itrace", "cg"}, {"memtrace", "olbm"}})
 }
 
+// TestCachedSessionsMatchStandalone: with a cache directory, concurrent
+// sessions loading the same modules compile them through the shared cache
+// once, cold and then warm, and still report what a standalone run does.
+func TestCachedSessionsMatchStandalone(t *testing.T) {
+	sock := startServer(t, nvbitd.Config{Family: sass.Volta, Devices: 2, QueueLimit: -1, CacheDir: t.TempDir()})
+	cases := []toolRun{{"itrace", "cg"}, {"instrcount", "cg"}}
+	runConcurrently(t, sock, cases)
+	runConcurrently(t, sock, cases)
+}
+
 // TestTraceSessionsShareOneDevice runs two concurrent trace sessions on one
 // pool device. Each channel holds one record buffer per SM (itrace 16 MiB,
 // memtrace 17.5 MiB), so any two of them fit the default 64 MB device.

@@ -85,6 +85,12 @@ type Module struct {
 	Funcs  []*Func
 }
 
+// CompilerVersion names the code Compile emits. A store of compiled modules
+// keys them by it, so it changes whenever Compile's output for some source
+// does: testdata/compile_golden.txt pins that output, and a test fails when
+// the golden is re-recorded under an unchanged version.
+const CompilerVersion = 1
+
 // Compile parses and compiles a PTX source for the target family.
 func Compile(name, src string, family sass.Family) (*Module, error) {
 	pm, err := parse(src)

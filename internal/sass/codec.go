@@ -3,6 +3,7 @@ package sass
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Codec encodes and decodes instructions for one architecture family.
@@ -249,10 +250,11 @@ func (c *Codec) EncodeAll(insts []Inst) ([]byte, error) {
 	return c.AppendEncode(make([]byte, 0, len(insts)*c.InstBytes()), insts)
 }
 
-// AppendEncode appends the encoding of insts to dst.
+// AppendEncode appends the encoding of insts to dst. Encode writes every
+// byte of an instruction's slot, so the slots need no zeroing.
 func (c *Codec) AppendEncode(dst []byte, insts []Inst) ([]byte, error) {
 	ib, n := c.InstBytes(), len(dst)
-	dst = append(dst, make([]byte, len(insts)*ib)...)
+	dst = slices.Grow(dst, len(insts)*ib)[:n+len(insts)*ib]
 	for i, in := range insts {
 		if err := c.Encode(in, dst[n+i*ib:]); err != nil {
 			return nil, fmt.Errorf("at instruction %d: %w", i, err)

@@ -2,10 +2,12 @@ package main_test
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
 	"nvbitgo/gpusim"
+	"nvbitgo/internal/tools/registry"
 	"nvbitgo/nvbit"
 )
 
@@ -41,7 +43,7 @@ func TestDifferentialJITCache(t *testing.T) {
 				dir := t.TempDir()
 				uncached, _ := diffRun(t, toolName, nvbit.InjectTrampoline, sched)
 				cold, _ := diffRun(t, toolName, nvbit.InjectTrampoline, sched, nvbit.WithJITCache(newCache(t, dir)))
-				warm, _ := diffRun(t, toolName, nvbit.InjectTrampoline, sched, nvbit.WithJITCache(newCache(t, dir)))
+				warm, js := diffRun(t, toolName, nvbit.InjectTrampoline, sched, nvbit.WithJITCache(newCache(t, dir)))
 				if uncached == "" {
 					t.Fatal("empty report")
 				}
@@ -51,15 +53,43 @@ func TestDifferentialJITCache(t *testing.T) {
 				if warm != uncached {
 					t.Errorf("warm-cached output diverges from uncached:\nuncached:\n%s\nwarm:\n%s", uncached, warm)
 				}
+				if js.ModuleLookups == 0 || js.ModuleCompiles != 0 {
+					t.Errorf("warm run compiled %d of %d modules, want none of some", js.ModuleCompiles, js.ModuleLookups)
+				}
 			})
 		}
+	}
+}
+
+// TestJITCacheEveryTool: every other tool of the catalog reports the same
+// bytes uncached and from a warm cache, which served all of its compiled
+// modules and instrumented code.
+func TestJITCacheEveryTool(t *testing.T) {
+	for _, toolName := range registry.Names() {
+		if toolName == "none" || slices.Contains(diffTools, toolName) {
+			continue
+		}
+		t.Run(toolName, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			uncached, _ := diffRun(t, toolName, nvbit.InjectTrampoline, gpusim.SchedulerSequential)
+			diffRun(t, toolName, nvbit.InjectTrampoline, gpusim.SchedulerSequential, nvbit.WithJITCache(newCache(t, dir)))
+			warm, js := diffRun(t, toolName, nvbit.InjectTrampoline, gpusim.SchedulerSequential, nvbit.WithJITCache(newCache(t, dir)))
+			if warm != uncached {
+				t.Errorf("warm-cached output diverges from uncached:\nuncached:\n%s\nwarm:\n%s", uncached, warm)
+			}
+			if js.ModuleLookups == 0 || js.ModuleCompiles != 0 || js.CacheMisses != 0 {
+				t.Errorf("warm run: %d module lookups, %d compiles, %d instrumentation misses, want some, none and none", js.ModuleLookups, js.ModuleCompiles, js.CacheMisses)
+			}
+		})
 	}
 }
 
 // TestJITCacheConcurrentAttaches races N simultaneous attaches — each with
 // its own device and framework instance — against one shared cache, under
 // both schedulers. Singleflight must coalesce the racing JITs so each unique
-// function's object is generated exactly once, and every attach
+// function's object is generated exactly once and each unique module (the
+// application's and the tool's) compiled exactly once, and every attach
 // must end up with the same instruction count and byte-identical device code.
 // The root package runs under -race in CI, which is the point.
 func TestJITCacheConcurrentAttaches(t *testing.T) {
@@ -74,6 +104,7 @@ func TestJITCacheConcurrentAttaches(t *testing.T) {
 			cache := newCache(t, "") // memory-only: all sharing is in-process
 			counts := make([]uint64, attaches)
 			codes := make([][]byte, attaches)
+			stats := make([]nvbit.JITStats, attaches)
 			errs := make([]error, attaches)
 			var wg sync.WaitGroup
 			for g := 0; g < attaches; g++ {
@@ -125,6 +156,7 @@ func TestJITCacheConcurrentAttaches(t *testing.T) {
 						errs[g] = err
 						return
 					}
+					stats[g] = nv.JITStats()
 					// The instrumented body (with its trampoline jumps) as
 					// resident on this attach's device.
 					codes[g], errs[g] = api.Device().ReadCode(f.Addr, f.NumWords)
@@ -147,14 +179,24 @@ func TestJITCacheConcurrentAttaches(t *testing.T) {
 			if counts[0] == 0 {
 				t.Fatal("no instructions counted")
 			}
-			st := cache.Stats()
-			// One unique function → one object; the other attaches' lookups
-			// hit or coalesce, never regenerate.
-			if st.Generations != 1 {
-				t.Errorf("cache generated %d objects for one unique function, want 1 (stats %+v)", st.Generations, st)
+			// Every attach compiles two modules, saxpy and the tool's.
+			const modules = 2
+			compiles, moduleHits := 0, 0
+			for g, js := range stats {
+				if js.ModuleLookups != modules || js.ModuleHits+js.ModuleCompiles != modules {
+					t.Errorf("attach %d: %d module lookups, %d hits, %d compiles, want %d lookups", g, js.ModuleLookups, js.ModuleHits, js.ModuleCompiles, modules)
+				}
+				compiles += js.ModuleCompiles
+				moduleHits += js.ModuleHits
 			}
-			if got := st.MemHits + st.DiskHits + st.Coalesced; got != attaches-1 {
-				t.Errorf("hits+coalesced = %d, want %d (stats %+v)", got, attaches-1, st)
+			st := cache.Stats()
+			// One unique function → one object, and one per unique module;
+			// the other attaches' lookups hit or coalesce, never regenerate.
+			if compiles != modules || st.Generations != 1+modules {
+				t.Errorf("cache generated %d objects and compiled %d modules for one unique function and %d modules, want 1 and %d (stats %+v)", st.Generations, compiles, modules, modules, st)
+			}
+			if got := st.MemHits + st.DiskHits + st.Coalesced; got != uint64(attaches-1+moduleHits) {
+				t.Errorf("hits+coalesced = %d, want %d (stats %+v)", got, attaches-1+moduleHits, st)
 			}
 		})
 	}

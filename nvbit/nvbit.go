@@ -129,11 +129,12 @@ const (
 	ChannelBlock = channel.Block
 )
 
-// Content-addressed instrumentation cache (docs/jitcache.md): disassembly
-// and generated trampolines are fingerprinted by everything that determines
-// them and reused across functions, attaches and — with a disk directory —
-// processes. Share one JITCache between concurrent attaches to coalesce
-// racing JITs of the same function into a single generation.
+// Content-addressed instrumentation cache (docs/jitcache.md): generated
+// trampolines and the attachment's compiled PTX modules are fingerprinted by
+// everything that determines them and reused across functions, attaches and
+// — with a disk directory — processes. Share one JITCache between concurrent
+// attaches to coalesce racing JITs of the same function into a single
+// generation.
 type (
 	// JITCache is a two-tier (memory LRU + optional disk) artifact store.
 	JITCache = jitcache.Cache
