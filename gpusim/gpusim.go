@@ -17,7 +17,6 @@ package gpusim
 import (
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
-	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 )
 
@@ -84,9 +83,9 @@ var PackParams = driver.PackParams
 // reproduction's "precompiled accelerated library" ships binary-only
 // kernels.
 func CompileToCubin(name, src string, f Family, strip bool) ([]byte, error) {
-	m, err := ptx.Compile(name, src, f)
+	c, err := driver.Compile(name, src, f)
 	if err != nil {
 		return nil, err
 	}
-	return driver.BuildCubin(m, strip)
+	return driver.BuildCubin(c, strip)
 }

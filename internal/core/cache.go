@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"nvbitgo/internal/driver"
@@ -196,53 +195,35 @@ func moduleKey(name, src string, family sass.Family) jitcache.Key {
 // (driver.Tenant.SetCompiler), as the driver's compute cache is for real
 // PTX: the application's PTX loads and the tool loader compile through it.
 // A module is stored as its device binary with line tables
-// (driver.BuildCubin); a hit rebuilds the same ptx.Module from it, which
-// still loads as PTX. A miss returns the module it compiled, undecoded. A
-// module the image format cannot hold is compiled and not stored, and an
-// entry that passes the store's checksum but does not parse back to this
-// module is evicted and compiled afresh, so a cached load never differs from
-// an uncached one.
-func (n *NVBit) compileModule(name, src string, family sass.Family) (*ptx.Module, error) {
+// (driver.BuildCubin); a hit hands the driver the parsed image, whose code
+// is not decoded until the lifter reads it back from device memory. A miss
+// returns the binary it assembled. A module the image format cannot hold is
+// compiled and not stored, and an entry that passes the store's checksum
+// but does not parse as this module is evicted and compiled afresh, so a
+// cached load never differs from an uncached one.
+func (n *NVBit) compileModule(name, src string, family sass.Family) (*driver.Cubin, error) {
 	key := moduleKey(name, src, family)
-	var (
-		pm  *ptx.Module
-		ran bool
-	)
-	data, hit, err := n.cache.Do(key, func() ([]byte, error) {
-		ran = true
+	var cm *driver.Cubin
+	data, hit, _ := n.cache.Do(key, func() ([]byte, error) {
 		var err error
-		if pm, err = ptx.Compile(name, src, family); err != nil {
+		if cm, err = driver.Compile(name, src, family); err != nil {
 			return nil, err
 		}
-		return driver.BuildCubin(pm, false)
+		return driver.BuildCubin(cm, false)
 	})
 	n.stats.ModuleLookups++
 	if hit {
-		if pm, err = cachedModule(data, name, family); err == nil {
+		if c, err := driver.ParseCubin(data); err == nil && c.Name == name && c.Family == family {
 			n.stats.ModuleHits++
-			return pm, nil
+			return c, nil
 		}
 		n.cache.Delete(key)
 	}
 	n.stats.ModuleCompiles++
-	if !ran {
-		// The entry was bad, or the generation this call waited on failed.
-		return ptx.Compile(name, src, family)
+	if cm == nil {
+		// The entry was bad, or a compile failed (this call's, or the one
+		// it waited on), whose error compiling again returns.
+		return driver.Compile(name, src, family)
 	}
-	if pm != nil {
-		err = nil // an image BuildCubin refused is just not stored
-	}
-	return pm, err
-}
-
-// cachedModule rebuilds a module from its cached device binary.
-func cachedModule(image []byte, name string, family sass.Family) (*ptx.Module, error) {
-	cm, err := driver.ParseCubin(image)
-	if err != nil {
-		return nil, err
-	}
-	if cm.Name != name || cm.Family != family {
-		return nil, fmt.Errorf("nvbit: cached module %q for %v, want %q for %v", cm.Name, cm.Family, name, family)
-	}
-	return driver.CubinModule(cm)
+	return cm, nil // stored, unless BuildCubin refused the image
 }

@@ -45,15 +45,18 @@ func loadICF(t *testing.T, ctx *driver.Context) *driver.Function {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := &ptx.Module{Name: "icf", Family: ctx.Device().Family(), Funcs: []*ptx.Func{{
+	pm := &ptx.Module{Name: "icf", Family: ctx.Device().Family(), Funcs: []*ptx.Func{{Insts: insts, FuncInfo: ptx.FuncInfo{
 		Name:       "icf_kernel",
 		Entry:      true,
-		Insts:      insts,
 		NumRegs:    8,
 		Params:     []ptx.Param{{Name: "base", Bytes: 4, Offset: 0}, {Name: "out", Bytes: 8, Offset: 8}},
 		ParamBytes: 16,
-	}}}
-	img, err := driver.BuildCubin(pm, true)
+	}}}}
+	cm, err := driver.Assemble(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := driver.BuildCubin(cm, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,14 +255,14 @@ func (i *Instr) GetPredicate() (p sass.Pred, neg, guarded bool) {
 	return i.inst.Pred, i.inst.PredNeg, i.inst.Guarded()
 }
 
-// GetLineInfo correlates the instruction with application source (file name
-// and line), provided line information was not stripped from the binary.
+// GetLineInfo correlates the instruction with application source (module
+// name and line), provided line information was not stripped from the binary.
 func (i *Instr) GetLineInfo() (file string, line int, ok bool) {
 	f := i.fs.f
 	if len(f.Lines) != len(i.fs.insts) || i.idx >= len(f.Lines) {
 		return "", 0, false
 	}
-	return f.SourceName, int(f.Lines[i.idx]), true
+	return f.Module.Name, int(f.Lines[i.idx]), true
 }
 
 // Function returns the CUfunction the instruction belongs to.

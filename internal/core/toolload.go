@@ -126,11 +126,11 @@ func (l *toolLoader) lookup(name string) (*toolFunc, error) {
 
 func (l *toolLoader) loadSource(modName, src string) error {
 	dev := l.n.Device()
-	pm, err := l.n.scope.Compile(modName, src)
+	cm, err := l.n.scope.Compile(modName, src)
 	if err != nil {
 		return fmt.Errorf("nvbit: compiling tool functions: %w", err)
 	}
-	for _, f := range pm.Funcs {
+	for _, f := range cm.Funcs {
 		if f.Entry {
 			return fmt.Errorf("nvbit: tool source declares kernel %q; tool functions must be .toolfunc or .func", f.Name)
 		}
@@ -140,17 +140,27 @@ func (l *toolLoader) loadSource(modName, src string) error {
 	}
 	// The driver is unaware of these functions, but they are linked into
 	// code space exactly as its modules are.
-	placed, err := driver.Link(dev, pm)
+	addrs, err := driver.Link(dev, cm)
 	if err != nil {
 		return fmt.Errorf("nvbit: loading tool functions: %w", err)
 	}
-	for i, f := range pm.Funcs {
+	for i, f := range cm.Funcs {
+		// Inlining splices the bodies, so they are read back from device
+		// memory and disassembled, calls resolved, as the lifter does.
+		raw, err := dev.ReadCode(addrs[i], len(f.Code)/dev.Codec().InstBytes())
+		if err != nil {
+			return err
+		}
+		insts, err := dev.Codec().DecodeAll(raw)
+		if err != nil {
+			return fmt.Errorf("nvbit: disassembling tool function %s: %w", f.Name, err)
+		}
 		tf := &toolFunc{
 			name:    f.Name,
-			addr:    placed[i].Addr,
+			addr:    addrs[i],
 			numRegs: f.NumRegs,
 			params:  f.Params,
-			insts:   placed[i].Insts,
+			insts:   insts,
 		}
 		tf.setBodyFacts()
 		l.funcs[f.Name] = tf
@@ -173,59 +183,51 @@ func (l *toolLoader) saveRestore(nRegs int) (save, restore gpu.CodeAddr, err err
 		}
 		return s, s + gpu.CodeAddr(words), nil
 	}
-	var sv []sass.Inst
+	// The save routine, then the restore routine.
 	push := sass.NewInst(sass.OpSAVEPUSH)
 	push.Imm = int64(nRegs)
-	sv = append(sv, push)
+	code := []sass.Inst{push}
 	for r := 0; r < nRegs; r++ {
 		in := sass.NewInst(sass.OpSTSA)
 		in.Imm, in.Src1 = int64(r), sass.Reg(r)
-		sv = append(sv, in)
+		code = append(code, in)
 	}
-	sv = append(sv, sass.NewInst(sass.OpSTSP))
+	code = append(code, sass.NewInst(sass.OpSTSP))
 	if hal.SaveBarrierState {
-		sv = append(sv, sass.NewInst(sass.OpSTSB))
+		code = append(code, sass.NewInst(sass.OpSTSB))
 	}
-	sv = append(sv, sass.NewInst(sass.OpRET))
+	code = append(code, sass.NewInst(sass.OpRET))
+	nSave := len(code)
 
-	var rs []sass.Inst
 	if hal.SaveBarrierState {
-		rs = append(rs, sass.NewInst(sass.OpLDSB))
+		code = append(code, sass.NewInst(sass.OpLDSB))
 	}
-	rs = append(rs, sass.NewInst(sass.OpLDSP))
+	code = append(code, sass.NewInst(sass.OpLDSP))
 	for r := 0; r < nRegs; r++ {
 		in := sass.NewInst(sass.OpLDSA)
 		in.Dst, in.Imm = sass.Reg(r), int64(r)
-		rs = append(rs, in)
+		code = append(code, in)
 	}
-	rs = append(rs, sass.NewInst(sass.OpSAVEPOP), sass.NewInst(sass.OpRET))
+	code = append(code, sass.NewInst(sass.OpSAVEPOP), sass.NewInst(sass.OpRET))
 
-	// Encode both routines before touching device state, then place them
-	// with a single allocation: a codec error costs no device code space,
-	// an allocation failure leaks nothing, and the cache only ever records
-	// the save/restore addresses as a pair.
-	svRaw, err := hal.Codec().EncodeAll(sv)
-	if err != nil {
-		return 0, 0, err
-	}
-	rsRaw, err := hal.Codec().EncodeAll(rs)
+	// Encode both routines before touching device state, then place and
+	// write them together: a codec error costs no device code space, an
+	// allocation failure leaks nothing, and the cache only ever records the
+	// save/restore addresses as a pair.
+	raw, err := hal.Codec().EncodeAll(code)
 	if err != nil {
 		return 0, 0, err
 	}
 	dev := l.n.Device()
-	s, err := dev.AllocCode(len(sv) + len(rs))
+	s, err := dev.AllocCode(len(code))
 	if err != nil {
 		return 0, 0, err
 	}
-	r := s + gpu.CodeAddr(len(sv))
-	if err := dev.WriteCode(s, svRaw); err != nil {
-		return 0, 0, err
-	}
-	if err := dev.WriteCode(r, rsRaw); err != nil {
+	if err := dev.WriteCode(s, raw); err != nil {
 		return 0, 0, err
 	}
 	l.saves[nRegs] = s
-	return s, r, nil
+	return s, s + gpu.CodeAddr(nSave), nil
 }
 
 // allocTramp carves trampoline space out of bulk chunks.

@@ -10,12 +10,13 @@ import (
 	"nvbitgo/internal/sass"
 )
 
-// Cubin is the serialized device-binary container format — the analog of a
-// .cubin. It carries family-specific encoded SASS plus the per-function
-// metadata the driver records at load (register/predicate budgets, parameter
-// layout, relocations, related functions, and optional line tables).
+// Cubin is the device binary — the analog of a .cubin — and the one thing
+// the driver loads (Link): family-specific encoded SASS plus the
+// per-function metadata the driver records at load (register/predicate
+// budgets, parameter layout, relocations, related functions, and optional
+// line tables).
 //
-// Layout (little-endian):
+// Serialized layout (little-endian):
 //
 //	magic "NVBC", version byte, family byte
 //	name: u16 len + bytes
@@ -33,19 +34,10 @@ type Cubin struct {
 	Funcs  []CubinFunc
 }
 
-// CubinFunc is one serialized function.
+// CubinFunc is one function of a device binary: its metadata and its code.
 type CubinFunc struct {
-	Name        string
-	Entry       bool
-	NumRegs     int
-	NumPred     int
-	ParamBytes  int
-	SharedBytes int
-	Params      []ptx.Param
-	Relocs      []ptx.Reloc
-	Related     []string
-	Lines       []int32
-	Code        []byte // encoded SASS; ParseCubin leaves it aliasing the image
+	ptx.FuncInfo
+	Code []byte // encoded SASS, never written to: it may alias a shared image
 }
 
 var cubinMagic = []byte("NVBC")
@@ -54,25 +46,55 @@ var cubinMagic = []byte("NVBC")
 // version only, and a cache that stores images keys them by it.
 const CubinVersion = 1
 
-// BuildCubin serializes a compiled PTX module into a device binary. Setting
-// strip drops the line tables, like building without -lineinfo; the paper's
+// Compile is the default Compiler: ptx.Compile, then Assemble.
+func Compile(name, src string, family sass.Family) (*Cubin, error) {
+	pm, err := ptx.Compile(name, src, family)
+	if err != nil {
+		return nil, err
+	}
+	return Assemble(pm)
+}
+
+// Assemble encodes a compiled PTX module into the device binary the driver
+// loads: each function's code is encoded once, into one buffer the
+// functions' Code slices share, and its metadata is carried over.
+func Assemble(pm *ptx.Module) (*Cubin, error) {
+	codec := sass.CodecFor(pm.Family)
+	n := 0
+	for _, f := range pm.Funcs {
+		n += len(f.Insts)
+	}
+	code := make([]byte, 0, n*codec.InstBytes())
+	c := &Cubin{Name: pm.Name, Family: pm.Family, Funcs: make([]CubinFunc, len(pm.Funcs))}
+	for i, f := range pm.Funcs {
+		start := len(code)
+		var err error
+		if code, err = codec.AppendEncode(code, f.Insts); err != nil {
+			return nil, fmt.Errorf("driver: cubin %s: encoding %s: %w", pm.Name, f.Name, err)
+		}
+		c.Funcs[i] = CubinFunc{FuncInfo: f.FuncInfo, Code: code[start:len(code):len(code)]}
+	}
+	return c, nil
+}
+
+// BuildCubin serializes an assembled device binary. Setting strip drops the
+// line tables, like building without -lineinfo; the paper's
 // Instr::getLineInfo then has nothing to report. The image is written into
 // one buffer of its exact size. A module whose metadata does not fit the
 // format's field widths (a name past 65 535 bytes, say) is refused rather
 // than truncated, so an image always parses back to the module it was
 // built from.
-func BuildCubin(m *ptx.Module, strip bool) ([]byte, error) {
-	codec := sass.CodecFor(m.Family)
-	size, err := cubinSize(m, strip, codec.InstBytes())
+func BuildCubin(c *Cubin, strip bool) ([]byte, error) {
+	size, err := cubinSize(c, strip)
 	if err != nil {
-		return nil, fmt.Errorf("driver: cubin %s: %w", m.Name, err)
+		return nil, fmt.Errorf("driver: cubin %s: %w", c.Name, err)
 	}
 	b := make([]byte, 0, size)
 	b = append(b, cubinMagic...)
-	b = append(b, CubinVersion, byte(m.Family))
-	b = appendStr(b, m.Name)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Funcs)))
-	for _, f := range m.Funcs {
+	b = append(b, CubinVersion, byte(c.Family))
+	b = appendStr(b, c.Name)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.Funcs)))
+	for _, f := range c.Funcs {
 		b = appendStr(b, f.Name)
 		flags := byte(0)
 		if f.Entry {
@@ -109,23 +131,21 @@ func BuildCubin(m *ptx.Module, strip bool) ([]byte, error) {
 		for _, ln := range lines {
 			b = binary.LittleEndian.AppendUint32(b, uint32(ln))
 		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Insts)*codec.InstBytes()))
-		if b, err = codec.AppendEncode(b, f.Insts); err != nil {
-			return nil, fmt.Errorf("driver: cubin %s: encoding %s: %w", m.Name, f.Name, err)
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Code)))
+		b = append(b, f.Code...)
 	}
 	return b, nil
 }
 
-// cubinSize returns the exact length of m's image, or an error naming the
+// cubinSize returns the exact length of c's image, or an error naming the
 // first function with a value its field cannot hold.
-func cubinSize(m *ptx.Module, strip bool, instBytes int) (int, error) {
-	if !fitsField(len(m.Name), math.MaxUint16) {
-		return 0, fmt.Errorf("module name of %d bytes does not fit the image format", len(m.Name))
+func cubinSize(c *Cubin, strip bool) (int, error) {
+	if !fitsField(len(c.Name), math.MaxUint16) {
+		return 0, fmt.Errorf("module name of %d bytes does not fit the image format", len(c.Name))
 	}
-	n := len(cubinMagic) + 2 + 2 + len(m.Name) + 4
-	for _, f := range m.Funcs {
-		code := len(f.Insts) * instBytes
+	n := len(cubinMagic) + 2 + 2 + len(c.Name) + 4
+	for _, f := range c.Funcs {
+		code := len(f.Code)
 		n += 2 + len(f.Name) + 1 + 2 + 1 + 4 + 4 + 2 + 2 + 2 + 4 + 4 + code
 		ok := fitsField(len(f.Name), math.MaxUint16) &&
 			fitsField(f.NumRegs, math.MaxUint16) && fitsField(f.NumPred, math.MaxUint8) &&
@@ -160,8 +180,11 @@ func cubinSize(m *ptx.Module, strip bool, instBytes int) (int, error) {
 // limit.
 func fitsField(v, limit int) bool { return 0 <= v && v <= limit }
 
-// ParseCubin decodes a device binary. Each function's Code is a slice of
-// image, not a copy.
+// ParseCubin reads a device binary without decoding its code into
+// instructions: each function's Code is a slice of image, not a copy. It
+// checks what Link relies on, so a malformed image is refused here: each
+// function's code is whole instruction words that all decode, and each
+// relocation names a CAL inside its function.
 func ParseCubin(image []byte) (*Cubin, error) {
 	r := &reader{b: image}
 	if !bytes.Equal(r.bytes(4), cubinMagic) {
@@ -210,48 +233,42 @@ func ParseCubin(image []byte) (*Cubin, error) {
 			}
 		}
 		if code := r.bytes(int(r.u32())); r.err == nil {
-			f.Code = code
+			f.Code = code[:len(code):len(code)]
 		}
 		c.Funcs = append(c.Funcs, f)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("driver: truncated cubin: %w", r.err)
 	}
+	codec := sass.CodecFor(fam)
+	for i := range c.Funcs {
+		if err := checkCode(codec, &c.Funcs[i]); err != nil {
+			return nil, fmt.Errorf("driver: cubin %s function %s: %w", c.Name, c.Funcs[i].Name, err)
+		}
+	}
 	return c, nil
 }
 
-// CubinModule rebuilds the compiled module a parsed device binary holds:
-// its functions' code decoded for the image's family, with their metadata.
-// A relocation outside its function's code is refused, so Link can patch
-// every one.
-func CubinModule(cm *Cubin) (*ptx.Module, error) {
-	pm := &ptx.Module{Name: cm.Name, Family: cm.Family, Funcs: make([]*ptx.Func, 0, len(cm.Funcs))}
-	codec := sass.CodecFor(cm.Family)
-	for _, cf := range cm.Funcs {
-		insts, err := codec.DecodeAll(cf.Code)
-		if err != nil {
-			return nil, fmt.Errorf("driver: cubin %s function %s: %w", cm.Name, cf.Name, err)
-		}
-		for _, r := range cf.Relocs {
-			if r.InstIdx < 0 || r.InstIdx >= len(insts) {
-				return nil, fmt.Errorf("driver: cubin %s function %s: relocation at instruction %d of %d", cm.Name, cf.Name, r.InstIdx, len(insts))
-			}
-		}
-		pm.Funcs = append(pm.Funcs, &ptx.Func{
-			Name:        cf.Name,
-			Entry:       cf.Entry,
-			Insts:       insts,
-			NumRegs:     cf.NumRegs,
-			NumPred:     cf.NumPred,
-			Params:      cf.Params,
-			ParamBytes:  cf.ParamBytes,
-			SharedBytes: cf.SharedBytes,
-			Relocs:      cf.Relocs,
-			Related:     cf.Related,
-			Lines:       cf.Lines,
-		})
+// checkCode validates one parsed function's code, one word at a time.
+func checkCode(codec *sass.Codec, f *CubinFunc) error {
+	ib := codec.InstBytes()
+	if len(f.Code)%ib != 0 {
+		return fmt.Errorf("%d code bytes, not a multiple of %d", len(f.Code), ib)
 	}
-	return pm, nil
+	for off := 0; off < len(f.Code); off += ib {
+		if _, err := codec.Decode(f.Code[off:]); err != nil {
+			return fmt.Errorf("at offset %#x: %w", off, err)
+		}
+	}
+	for _, rl := range f.Relocs {
+		if rl.InstIdx < 0 || rl.InstIdx >= len(f.Code)/ib {
+			return fmt.Errorf("relocation at instruction %d of %d", rl.InstIdx, len(f.Code)/ib)
+		}
+		if in, _ := codec.Decode(f.Code[rl.InstIdx*ib:]); in.Op != sass.OpCAL {
+			return fmt.Errorf("relocation at instruction %d, a %v", rl.InstIdx, in.Op)
+		}
+	}
+	return nil
 }
 
 func appendStr(b []byte, s string) []byte {

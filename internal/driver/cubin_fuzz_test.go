@@ -1,9 +1,11 @@
 package driver
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
-	"nvbitgo/internal/ptx"
+	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/sass"
 )
 
@@ -30,20 +32,22 @@ const cachedModulePTX = `
 }
 `
 
-// FuzzParseCubin hammers the device-binary parser, and the decoder behind
-// CubinModule, with malformed images: they must return an error for garbage,
-// never panic, hang, or allocate attacker-controlled amounts of memory. A
-// cached module reaches both from a file, so every image the parser accepts
-// goes on to CubinModule. The seed corpus is real BuildCubin output
+// FuzzParseCubin hammers the device-binary parser with malformed images:
+// they must return an error for garbage, never panic, hang, or allocate
+// attacker-controlled amounts of memory. A cached module reaches it from a
+// file, so every image the parser accepts goes on to Link on a small
+// device: where that succeeds, each function's device bytes are its image
+// code except at relocated words, which hold a CAL to the callee, and the
+// image itself is left as it was. The seed corpus is real BuildCubin output
 // (stripped and unstripped, per family, and a cached module's image) plus
 // truncations and header mutations of it.
 func FuzzParseCubin(f *testing.F) {
 	for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
-		pm, err := ptx.Compile("seed", addOnePTX, fam)
+		pm, err := Compile("seed", addOnePTX, fam)
 		if err != nil {
 			f.Fatal(err)
 		}
-		cached, err := ptx.Compile("cached", cachedModulePTX, fam)
+		cached, err := Compile("cached", cachedModulePTX, fam)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -77,29 +81,52 @@ func FuzzParseCubin(f *testing.F) {
 		if err == nil && c == nil {
 			t.Fatal("nil cubin without error")
 		}
-		if err == nil {
-			// A successfully parsed image must round-trip through the
-			// loader-visible invariants: non-negative sizes everywhere.
-			for _, fn := range c.Funcs {
-				if fn.NumRegs < 0 || fn.NumPred < 0 || fn.ParamBytes < 0 || fn.SharedBytes < 0 {
-					t.Fatalf("negative metadata: %+v", fn)
-				}
+		if err != nil {
+			return
+		}
+		for _, fn := range c.Funcs {
+			if fn.NumRegs < 0 || fn.NumPred < 0 || fn.ParamBytes < 0 || fn.SharedBytes < 0 {
+				t.Fatalf("negative metadata: %+v", fn)
 			}
-			pm, err := CubinModule(c)
+		}
+		orig := slices.Clone(image)
+		cfg := gpu.DefaultConfig(c.Family)
+		cfg.NumSMs, cfg.GlobalMemBytes, cfg.CodeBytes = 1, 1<<20, 1<<16
+		dev, err := gpu.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs, err := Link(dev, c)
+		if err != nil {
+			return // a duplicate or unresolved name, or no room on the device
+		}
+		codec, ib := dev.Codec(), c.Family.InstBytes()
+		for i, fn := range c.Funcs {
+			callee := map[int]string{}
+			for _, r := range fn.Relocs {
+				callee[r.InstIdx] = r.Symbol
+			}
+			got, err := dev.ReadCode(addrs[i], len(fn.Code)/ib)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			ib := c.Family.InstBytes()
-			for i, fn := range pm.Funcs {
-				if len(fn.Insts)*ib != len(c.Funcs[i].Code) {
-					t.Fatalf("%s: %d instructions from %d code bytes", fn.Name, len(fn.Insts), len(c.Funcs[i].Code))
-				}
-				for _, r := range fn.Relocs {
-					if r.InstIdx < 0 || r.InstIdx >= len(fn.Insts) {
-						t.Fatalf("%s: relocation at instruction %d of %d accepted", fn.Name, r.InstIdx, len(fn.Insts))
+			for k := 0; k < len(got); k += ib {
+				word := got[k : k+ib]
+				sym, ok := callee[k/ib]
+				if !ok {
+					if !bytes.Equal(word, fn.Code[k:k+ib]) {
+						t.Fatalf("%s word %d: device % x, image % x", fn.Name, k/ib, word, fn.Code[k:k+ib])
 					}
+					continue
+				}
+				target := addrs[slices.IndexFunc(c.Funcs, func(g CubinFunc) bool { return g.Name == sym })]
+				if in, err := codec.Decode(word); err != nil || in.Op != sass.OpCAL || in.Imm != int64(target) {
+					t.Fatalf("%s word %d: %+v (%v), want a CAL to %s at %d", fn.Name, k/ib, in, err, sym, target)
 				}
 			}
+		}
+		if !bytes.Equal(image, orig) {
+			t.Fatal("linking wrote to the image")
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"testing"
 
 	"nvbitgo/internal/ptx"
@@ -12,13 +13,13 @@ import (
 // no growth. A warm-cache miss pays this on top of the compile.
 func TestBuildCubinAllocBudget(t *testing.T) {
 	for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
-		pm, err := ptx.Compile("cached", cachedModulePTX, fam)
+		c, err := Compile("cached", cachedModulePTX, fam)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var img []byte
 		allocs := testing.AllocsPerRun(20, func() {
-			if img, err = BuildCubin(pm, false); err != nil {
+			if img, err = BuildCubin(c, false); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -31,7 +32,7 @@ func TestBuildCubinAllocBudget(t *testing.T) {
 // TestBuildCubinRefusesOverflow: a value wider than its field is refused,
 // not truncated into an image that parses back to a different module.
 func TestBuildCubinRefusesOverflow(t *testing.T) {
-	pm, err := ptx.Compile("cached", cachedModulePTX, sass.Volta)
+	c, err := Compile("cached", cachedModulePTX, sass.Volta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,20 +40,15 @@ func TestBuildCubinRefusesOverflow(t *testing.T) {
 	for i := range long {
 		long[i] = 'a'
 	}
-	for name, edit := range map[string]func(m *ptx.Module){
-		"module name":    func(m *ptx.Module) { m.Name = string(long) },
-		"function name":  func(m *ptx.Module) { m.Funcs[1].Name = string(long) },
-		"predicates":     func(m *ptx.Module) { m.Funcs[0].NumPred = 256 },
-		"parameter size": func(m *ptx.Module) { m.Funcs[0].Params[0].Bytes = 256 },
-		"relocations":    func(m *ptx.Module) { m.Funcs[0].Relocs = make([]ptx.Reloc, 1<<16) },
+	for name, edit := range map[string]func(c *Cubin){
+		"module name":    func(c *Cubin) { c.Name = string(long) },
+		"function name":  func(c *Cubin) { c.Funcs[1].Name = string(long) },
+		"predicates":     func(c *Cubin) { c.Funcs[0].NumPred = 256 },
+		"parameter size": func(c *Cubin) { c.Funcs[0].Params = []ptx.Param{{Name: "out", Bytes: 256}} },
+		"relocations":    func(c *Cubin) { c.Funcs[0].Relocs = make([]ptx.Reloc, 1<<16) },
 	} {
-		m := *pm
-		m.Funcs = make([]*ptx.Func, len(pm.Funcs))
-		for i, f := range pm.Funcs {
-			g := *f
-			g.Params = append([]ptx.Param(nil), f.Params...)
-			m.Funcs[i] = &g
-		}
+		m := *c
+		m.Funcs = slices.Clone(c.Funcs)
 		edit(&m)
 		if img, err := BuildCubin(&m, false); err == nil {
 			t.Errorf("%s: built a %d-byte image, want an error", name, len(img))
@@ -60,31 +56,79 @@ func TestBuildCubinRefusesOverflow(t *testing.T) {
 	}
 }
 
-// TestCubinModuleRejectsStrayRelocation: a relocation past its function's
-// code, which Link would patch out of bounds, is refused when the image is
-// decoded.
-func TestCubinModuleRejectsStrayRelocation(t *testing.T) {
-	pm, err := ptx.Compile("cached", cachedModulePTX, sass.Volta)
-	if err != nil {
-		t.Fatal(err)
+// TestParseCubinRejectsStrayRelocation: a relocation Link could not patch —
+// past its function's code, or on a word that is not a CAL — is refused
+// when the image is parsed.
+func TestParseCubinRejectsStrayRelocation(t *testing.T) {
+	for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
+		c, err := Compile("cached", cachedModulePTX, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := BuildCubin(c, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseCubin(img); err != nil {
+			t.Fatal(err)
+		}
+		f := &c.Funcs[0]
+		if first, _ := sass.CodecFor(fam).Decode(f.Code); len(f.Relocs) == 0 || first.Op == sass.OpCAL {
+			t.Fatal("want a function with a call and a first word that is not a CAL")
+		}
+		for name, idx := range map[string]int{
+			"past the code": len(f.Code) / fam.InstBytes(),
+			"on a non-CAL":  0,
+		} {
+			m := *c
+			m.Funcs = slices.Clone(c.Funcs)
+			m.Funcs[0].Relocs = []ptx.Reloc{{InstIdx: idx, Symbol: f.Relocs[0].Symbol}}
+			img, err := BuildCubin(&m, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ParseCubin(img); err == nil {
+				t.Errorf("%v: relocation %s accepted", fam, name)
+			}
+		}
 	}
-	img, err := BuildCubin(pm, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ParseCubin(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CubinModule(c); err != nil {
-		t.Fatal(err)
-	}
-	f := &c.Funcs[0]
-	if len(f.Relocs) == 0 {
-		t.Fatal("no relocation to corrupt")
-	}
-	f.Relocs[0].InstIdx = len(f.Code) / sass.Volta.InstBytes()
-	if _, err := CubinModule(c); err == nil {
-		t.Fatal("relocation past the function's code accepted")
+}
+
+// TestLoadLeavesImageUnchanged: loading a device binary patches its calls in
+// device memory only. The JIT cache's memory tier hands one image's bytes
+// to every load of it, so a second load sees them as the first did and
+// patches its own callee address.
+func TestLoadLeavesImageUnchanged(t *testing.T) {
+	for _, fam := range []sass.Family{sass.Kepler, sass.Volta} {
+		c, err := Compile("cached", cachedModulePTX, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := BuildCubin(c, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := slices.Clone(img)
+		ctx, _ := newAPI(t, fam).CtxCreate()
+		for range 2 {
+			mod, err := ctx.ModuleLoadCubin(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(img, orig) {
+				t.Fatalf("%v: loading wrote to the image", fam)
+			}
+			main, _ := mod.GetFunction("main")
+			helper, _ := mod.GetFunction("helper")
+			raw, err := ctx.Device().ReadCode(main.Addr, main.NumWords)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ib := fam.InstBytes()
+			call := c.Funcs[0].Relocs[0].InstIdx
+			if in, err := sass.CodecFor(fam).Decode(raw[call*ib:]); err != nil || in.Op != sass.OpCAL || in.Imm != int64(helper.Addr) {
+				t.Fatalf("%v: call site %+v (%v), want a CAL to helper at %d", fam, in, err, helper.Addr)
+			}
+		}
 	}
 }

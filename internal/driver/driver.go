@@ -24,8 +24,10 @@
 package driver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,7 +35,6 @@ import (
 
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
-	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 )
 
@@ -125,10 +126,11 @@ type Tenant struct {
 	compile Compiler
 }
 
-// Compiler compiles one PTX module for a device family. ptx.Compile is the
-// default; a scope may put a front before it, such as the NVBit core's
-// module cache, which must return what ptx.Compile would.
-type Compiler func(name, source string, family sass.Family) (*ptx.Module, error)
+// Compiler compiles one PTX module for a device family into the device
+// binary the driver loads. Compile is the default; a scope may put a front
+// before it, such as the NVBit core's module cache, which must return what
+// Compile would.
+type Compiler func(name, source string, family sass.Family) (*Cubin, error)
 
 // API is the driver instance bound to one simulated device.
 type API struct {
@@ -251,7 +253,7 @@ func (t *Tenant) FlushHook() gpu.FlushHook {
 }
 
 // SetCompiler replaces the compiler the scope's PTX module loads and its
-// attachment's tool functions compile through (nil selects ptx.Compile).
+// attachment's tool functions compile through (nil selects Compile).
 func (t *Tenant) SetCompiler(c Compiler) {
 	t.api.mu.Lock()
 	t.compile = c
@@ -260,12 +262,12 @@ func (t *Tenant) SetCompiler(c Compiler) {
 
 // Compile compiles a PTX module for the scope's device through the scope's
 // compiler.
-func (t *Tenant) Compile(name, source string) (*ptx.Module, error) {
+func (t *Tenant) Compile(name, source string) (*Cubin, error) {
 	t.api.mu.Lock()
 	compile := t.compile
 	t.api.mu.Unlock()
 	if compile == nil {
-		compile = ptx.Compile
+		compile = Compile
 	}
 	return compile(name, source, t.api.dev.Family())
 }
@@ -551,7 +553,7 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 	err := c.interposed(CBLaunchKernel, false, &p, nil, func() error {
 		_, prof, flush := c.tenant.resolve()
 		st, err := c.api.dev.Launch(gpu.LaunchSpec{
-			Entry:       f.launchAddr(),
+			Entry:       f.Addr,
 			Name:        f.Name,
 			Grid:        lp.Grid,
 			Block:       lp.Block,
@@ -594,42 +596,26 @@ func PackParams(f *Function, args ...any) ([]byte, error) {
 			if p.Bytes != 8 {
 				return nil, fmt.Errorf("driver: %s parameter %s is %d bytes, got uint64", f.Name, p.Name, p.Bytes)
 			}
-			putU64(buf[p.Offset:], v)
+			binary.LittleEndian.PutUint64(buf[p.Offset:], v)
 		case uint32:
 			if p.Bytes != 4 {
 				return nil, fmt.Errorf("driver: %s parameter %s is %d bytes, got uint32", f.Name, p.Name, p.Bytes)
 			}
-			putU32(buf[p.Offset:], v)
+			binary.LittleEndian.PutUint32(buf[p.Offset:], v)
 		case int:
 			if p.Bytes == 8 {
-				putU64(buf[p.Offset:], uint64(v))
+				binary.LittleEndian.PutUint64(buf[p.Offset:], uint64(v))
 			} else {
-				putU32(buf[p.Offset:], uint32(v))
+				binary.LittleEndian.PutUint32(buf[p.Offset:], uint32(v))
 			}
 		case float32:
 			if p.Bytes != 4 {
 				return nil, fmt.Errorf("driver: %s parameter %s is %d bytes, got float32", f.Name, p.Name, p.Bytes)
 			}
-			putF32(buf[p.Offset:], v)
+			binary.LittleEndian.PutUint32(buf[p.Offset:], math.Float32bits(v))
 		default:
 			return nil, fmt.Errorf("driver: %s parameter %s: unsupported argument type %T", f.Name, p.Name, args[i])
 		}
 	}
 	return buf, nil
 }
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-
-func putF32(b []byte, v float32) {
-	putU32(b, f32bits(v))
-}
-
-// ptxParamsOf re-exports the compiled parameter table type for module.go.
-type ptxParam = ptx.Param

@@ -10,7 +10,6 @@ import (
 
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
-	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 )
 
@@ -194,7 +193,7 @@ func TestClosedAPIRefusesCalls(t *testing.T) {
 }
 
 func TestCubinRoundTripAndFamilyCheck(t *testing.T) {
-	pm, err := ptx.Compile("lib", addOnePTX, sass.Pascal)
+	pm, err := Compile("lib", addOnePTX, sass.Pascal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestCubinRoundTripAndFamilyCheck(t *testing.T) {
 }
 
 func TestStrippedCubinHasNoLines(t *testing.T) {
-	pm, err := ptx.Compile("lib", addOnePTX, sass.Volta)
+	pm, err := Compile("lib", addOnePTX, sass.Volta)
 	if err != nil {
 		t.Fatal(err)
 	}

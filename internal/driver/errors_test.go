@@ -81,25 +81,54 @@ func TestCtxCreateAfterClose(t *testing.T) {
 	}
 }
 
+// refuseLoad runs a module load that must be refused with want in its
+// error, and checks that the refused module took no code space: the next
+// allocation gets the address it would have got before the load.
+func refuseLoad(t *testing.T, ctx *Context, want string, load func() (*Module, error)) {
+	t.Helper()
+	before, _ := ctx.Device().AllocCode(0)
+	if _, err := load(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("load not refused with %q: %v", want, err)
+	}
+	if after, _ := ctx.Device().AllocCode(0); after != before {
+		t.Errorf("refused load took code space: next code address %d, was %d", after, before)
+	}
+}
+
 func TestDuplicateFunctionRejected(t *testing.T) {
 	a := newAPI(t, sass.Volta)
 	ctx, _ := a.CtxCreate()
-	_, err := ctx.ModuleLoadPTX("app", `
+	refuseLoad(t, ctx, "duplicate function", func() (*Module, error) {
+		return ctx.ModuleLoadPTX("app", `
 .visible .entry same { exit; }
 .visible .entry same { exit; }
 `)
-	if err == nil || !strings.Contains(err.Error(), "duplicate function") {
-		t.Fatalf("duplicate function not rejected: %v", err)
-	}
+	})
 }
 
 func TestCubinUnresolvedSymbol(t *testing.T) {
 	a := newAPI(t, sass.Volta)
 	ctx, _ := a.CtxCreate()
-	_, err := ctx.ModuleLoadPTX("app", `
+	refuseLoad(t, ctx, "unresolved symbol", func() (*Module, error) {
+		return ctx.ModuleLoadPTX("app", `
 .visible .entry main { .reg .u32 %r<2>; call ghost, (%r0); exit; }
 `)
-	if err == nil || !strings.Contains(err.Error(), "unresolved symbol") {
-		t.Fatalf("unresolved call target not rejected: %v", err)
+	})
+}
+
+// TestMissingRelatedFunctionRejected: an image whose function names a
+// related function the module lacks is refused before it is placed.
+func TestMissingRelatedFunctionRejected(t *testing.T) {
+	a := newAPI(t, sass.Volta)
+	ctx, _ := a.CtxCreate()
+	c, err := Compile("cached", cachedModulePTX, sass.Volta)
+	if err != nil {
+		t.Fatal(err)
 	}
+	c.Funcs[0].Related = []string{"ghost"}
+	img, err := BuildCubin(c, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuseLoad(t, ctx, "missing related function", func() (*Module, error) { return ctx.ModuleLoadCubin(img) })
 }

@@ -2,17 +2,12 @@ package driver
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"time"
 
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
 	"nvbitgo/internal/ptx"
-	"nvbitgo/internal/sass"
 )
-
-func f32bits(v float32) uint32 { return math.Float32bits(v) }
 
 // Module is the CUmodule analog: a container of loaded functions.
 type Module struct {
@@ -44,15 +39,12 @@ type Function struct {
 	NumWords    int
 	NumRegs     int
 	NumPred     int
-	Params      []ptxParam
+	Params      []ptx.Param
 	ParamBytes  int
 	SharedBytes int
 	Related     []*Function // functions this one can call
 	Lines       []int32     // per-instruction source lines; nil when stripped
-	SourceName  string      // source file for line correlation
 }
-
-func (f *Function) launchAddr() gpu.CodeAddr { return f.Addr }
 
 // MaxRegs returns the register high-water mark across the function and all
 // its dependent functions — the figure the NVBit core uses when sizing the
@@ -128,16 +120,14 @@ func (c *Context) ModuleLoadPTX(name, source string) (*Module, error) {
 	if prof := c.tenant.Collector(); prof != nil {
 		start = prof.Now()
 	}
-	pm, err := c.tenant.Compile(name, source)
+	cm, err := c.tenant.Compile(name, source)
 	if err != nil {
 		return nil, err
 	}
-	return c.loadCompiled(name, pm, false, source != "", start)
+	return c.load(cm, false, start)
 }
 
-// ModuleLoadCubin loads a precompiled device binary. The binary must target
-// the context's architecture family (there is no SASS compatibility across
-// families).
+// ModuleLoadCubin loads a precompiled device binary.
 func (c *Context) ModuleLoadCubin(image []byte) (*Module, error) {
 	if err := c.stickyErr(); err != nil {
 		return nil, err
@@ -146,59 +136,48 @@ func (c *Context) ModuleLoadCubin(image []byte) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.load(cm, true, 0)
+}
+
+// load links a device binary into device code space (module loads write it,
+// so they own the device like launches do) and builds the module's function
+// table. The binary must target the context's architecture family: there is
+// no SASS compatibility across families. A nonzero start is when work on the
+// load began, on the scope's collector clock.
+func (c *Context) load(cm *Cubin, fromCubin bool, start time.Duration) (*Module, error) {
 	if cm.Family != c.api.dev.Family() {
 		return nil, fmt.Errorf("driver: cubin %s targets %v, device is %v", cm.Name, cm.Family, c.api.dev.Family())
 	}
-	pm, err := CubinModule(cm)
-	if err != nil {
-		return nil, err
-	}
-	return c.loadCompiled(cm.Name, pm, true, false, 0)
-}
-
-// loadCompiled links a compiled module into device code space (module loads
-// write it, so they own the device like launches do) and builds the module's
-// function table. A nonzero start is when work on the load began, on the
-// scope's collector clock.
-func (c *Context) loadCompiled(name string, pm *ptx.Module, fromCubin, withLines bool, start time.Duration) (*Module, error) {
-	m := &Module{Name: name, FromCubin: fromCubin, ctx: c, funcs: make(map[string]*Function)}
+	m := &Module{Name: cm.Name, FromCubin: fromCubin, ctx: c, funcs: make(map[string]*Function, len(cm.Funcs))}
 	p := CallParams{Ctx: c, Module: m}
-	rec := profile.Record{Kind: profile.KindModuleLoad, Name: name, Start: start}
+	rec := profile.Record{Kind: profile.KindModuleLoad, Name: cm.Name, Start: start}
 	err := c.interposed(CBModuleLoadData, true, &p, &rec, func() error {
 		code0 := c.api.dev.Stats().CodeBytesWritten
-		placed, err := Link(c.api.dev, pm)
+		addrs, err := Link(c.api.dev, cm)
 		if err != nil {
 			return err
 		}
 		rec.Bytes = c.api.dev.Stats().CodeBytesWritten - code0
-		for i, pf := range pm.Funcs {
-			f := &Function{
-				Name:        pf.Name,
+		for i, cf := range cm.Funcs {
+			m.funcs[cf.Name] = &Function{
+				Name:        cf.Name,
 				Module:      m,
-				Entry:       pf.Entry,
-				Addr:        placed[i].Addr,
-				NumWords:    len(pf.Insts),
-				NumRegs:     pf.NumRegs,
-				NumPred:     pf.NumPred,
-				Params:      pf.Params,
-				ParamBytes:  pf.ParamBytes,
-				SharedBytes: pf.SharedBytes,
-				SourceName:  name,
+				Entry:       cf.Entry,
+				Addr:        addrs[i],
+				NumWords:    len(cf.Code) / cm.Family.InstBytes(),
+				NumRegs:     cf.NumRegs,
+				NumPred:     cf.NumPred,
+				Params:      cf.Params,
+				ParamBytes:  cf.ParamBytes,
+				SharedBytes: cf.SharedBytes,
+				Lines:       cf.Lines,
 			}
-			if withLines || fromCubin {
-				f.Lines = pf.Lines
-			}
-			m.funcs[pf.Name] = f
-			m.order = append(m.order, pf.Name)
+			m.order = append(m.order, cf.Name)
 		}
-		for _, pf := range pm.Funcs {
-			f := m.funcs[pf.Name]
-			for _, rel := range pf.Related {
-				rf, ok := m.funcs[rel]
-				if !ok {
-					return fmt.Errorf("driver: module %s: missing related function %q", name, rel)
-				}
-				f.Related = append(f.Related, rf)
+		for _, cf := range cm.Funcs {
+			f := m.funcs[cf.Name]
+			for _, rel := range cf.Related {
+				f.Related = append(f.Related, m.funcs[rel])
 			}
 		}
 		return nil
@@ -210,53 +189,63 @@ func (c *Context) loadCompiled(name string, pm *ptx.Module, fromCubin, withLines
 	return m, nil
 }
 
-// Placed is one function of a linked module: its load address and its body
-// with call relocations resolved. The body is the compiled function's own
-// slice when it has no call to patch; neither may be modified.
-type Placed struct {
-	Addr  gpu.CodeAddr
-	Insts []sass.Inst
-}
-
-// Link loads a compiled module into device code space in two passes: every
-// function is placed first, so that calls can then be patched with their
-// callee's load address before the bodies are encoded and written. The
-// result is parallel to pm.Funcs. Application modules and the NVBit core's
-// tool functions are both linked here. Only a function with calls is copied
-// to be patched, and the bodies are encoded through one buffer.
-func Link(dev *gpu.Device, pm *ptx.Module) ([]Placed, error) {
-	placed := make([]Placed, len(pm.Funcs))
-	index := make(map[string]int, len(pm.Funcs))
-	for i, pf := range pm.Funcs {
-		if _, dup := index[pf.Name]; dup {
-			return nil, fmt.Errorf("driver: module %s: duplicate function %q", pm.Name, pf.Name)
+// Link loads a device binary, as Assemble or ParseCubin return it, into
+// device code space and returns each function's load address, parallel to
+// c.Funcs. Application modules and the NVBit core's tool functions are both
+// linked here. Every name the module refers to is resolved before code
+// space is taken, so a refused module costs none; then the module is placed
+// in one allocation, each call relocation is patched with its callee's load
+// address and the bytes are written. c's code is never written to, since a
+// cached image's bytes are shared by every load of it: a function with
+// calls is patched in a scratch copy.
+func Link(dev *gpu.Device, c *Cubin) ([]gpu.CodeAddr, error) {
+	ib := dev.Codec().InstBytes()
+	index := make(map[string]int, len(c.Funcs))
+	words := 0
+	for i, f := range c.Funcs {
+		if _, dup := index[f.Name]; dup {
+			return nil, fmt.Errorf("driver: module %s: duplicate function %q", c.Name, f.Name)
 		}
-		addr, err := dev.AllocCode(len(pf.Insts))
-		if err != nil {
-			return nil, err
-		}
-		index[pf.Name] = i
-		placed[i] = Placed{Addr: addr, Insts: pf.Insts}
+		index[f.Name] = i
+		words += len(f.Code) / ib
 	}
-	var raw []byte
-	for i, pf := range pm.Funcs {
-		if len(pf.Relocs) > 0 {
-			placed[i].Insts = slices.Clone(pf.Insts)
-		}
-		for _, rl := range pf.Relocs {
-			target, ok := index[rl.Symbol]
-			if !ok {
-				return nil, fmt.Errorf("driver: module %s: function %s calls unresolved symbol %q", pm.Name, pf.Name, rl.Symbol)
+	for _, f := range c.Funcs {
+		for _, rl := range f.Relocs {
+			if _, ok := index[rl.Symbol]; !ok {
+				return nil, fmt.Errorf("driver: module %s: function %s calls unresolved symbol %q", c.Name, f.Name, rl.Symbol)
 			}
-			placed[i].Insts[rl.InstIdx].Imm = int64(placed[target].Addr)
 		}
-		var err error
-		if raw, err = dev.Codec().AppendEncode(raw[:0], placed[i].Insts); err != nil {
-			return nil, fmt.Errorf("driver: module %s: encoding %s: %w", pm.Name, pf.Name, err)
+		for _, rel := range f.Related {
+			if _, ok := index[rel]; !ok {
+				return nil, fmt.Errorf("driver: module %s: missing related function %q", c.Name, rel)
+			}
 		}
-		if err := dev.WriteCode(placed[i].Addr, raw); err != nil {
+	}
+	addr, err := dev.AllocCode(words)
+	if err != nil {
+		return nil, err
+	}
+	addrs := make([]gpu.CodeAddr, len(c.Funcs))
+	for i, f := range c.Funcs {
+		addrs[i] = addr
+		addr += gpu.CodeAddr(len(f.Code) / ib)
+	}
+	var scratch []byte
+	for i, f := range c.Funcs {
+		code := f.Code
+		if len(f.Relocs) > 0 {
+			scratch = append(scratch[:0], code...)
+			code = scratch
+		}
+		for _, rl := range f.Relocs {
+			word := code[rl.InstIdx*ib : (rl.InstIdx+1)*ib]
+			if err := dev.Codec().PatchCallTarget(word, int64(addrs[index[rl.Symbol]])); err != nil {
+				return nil, fmt.Errorf("driver: module %s: function %s: %w", c.Name, f.Name, err)
+			}
+		}
+		if err := dev.WriteCode(addrs[i], code); err != nil {
 			return nil, err
 		}
 	}
-	return placed, nil
+	return addrs, nil
 }

@@ -97,10 +97,9 @@ func compileFunc(pm *pmodule, pf *pfunc, family sass.Family) (*Func, error) {
 		}
 		c.out[fx.instIdx].Imm = rel
 	}
-	return &Func{
+	return &Func{Insts: c.out, FuncInfo: FuncInfo{
 		Name:        pf.name,
 		Entry:       pf.entry,
-		Insts:       c.out,
 		NumRegs:     c.maxReg + 1,
 		NumPred:     c.maxPred + 1,
 		Params:      c.params,
@@ -109,7 +108,7 @@ func compileFunc(pm *pmodule, pf *pfunc, family sass.Family) (*Func, error) {
 		Relocs:      c.relocs,
 		Related:     c.related,
 		Lines:       c.lines,
-	}, nil
+	}}, nil
 }
 
 func (c *compiler) terminator() sass.Opcode {

@@ -8,15 +8,19 @@ import (
 	"testing"
 
 	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/ptx"
+	"nvbitgo/internal/sass"
 )
 
 // TestCubinRoundTrip: every module the tree compiles — the golden corpus
 // (the specaccel benchmarks, nvlib, every registry tool's source, …) and the
-// kernels of compile_test.go that compile — comes back from its device
-// binary (driver.BuildCubin, ParseCubin, CubinModule) as the module
-// ptx.Compile returned, for both families. The JIT cache keeps compiled
-// modules that way, so a warm load is this round trip.
+// kernels of compile_test.go that compile — links from its device binary
+// (driver.Assemble, BuildCubin, ParseCubin) to the same device code as from
+// a fresh compile, for both families, and that code decodes to what
+// ptx.Compile returned with each call's target set to its callee's load
+// address. The JIT cache keeps compiled modules that way, so a warm load is
+// this round trip.
 func TestCubinRoundTrip(t *testing.T) {
 	srcs := corpus(t)
 	corpusLen := len(srcs)
@@ -31,20 +35,41 @@ func TestCubinRoundTrip(t *testing.T) {
 				}
 				continue // a kernel compile_test.go expects refused
 			}
-			img, err := driver.BuildCubin(m, false)
+			fresh, err := driver.Assemble(m)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", src.name, fam, err)
 			}
-			cm, err := driver.ParseCubin(img)
+			img, err := driver.BuildCubin(fresh, false)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", src.name, fam, err)
 			}
-			back, err := driver.CubinModule(cm)
+			back, err := driver.ParseCubin(img)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", src.name, fam, err)
 			}
-			if err := sameModule(m, back); err != nil {
+			if err := sameMetadata(m, back); err != nil {
 				t.Errorf("%s on %v: %v", src.name, fam, err)
+			}
+			want, addrs, err := linkedCode(fresh)
+			if err != nil {
+				t.Fatalf("%s on %v: %v", src.name, fam, err)
+			}
+			got, _, err := linkedCode(back)
+			if err != nil {
+				t.Fatalf("%s on %v: from the image: %v", src.name, fam, err)
+			}
+			if !slices.EqualFunc(want, got, slices.Equal) {
+				t.Errorf("%s on %v: device code linked from the image differs from a fresh compile's", src.name, fam)
+			}
+			for k, f := range m.Funcs {
+				ref := slices.Clone(f.Insts)
+				for _, r := range f.Relocs {
+					callee := slices.IndexFunc(m.Funcs, func(g *ptx.Func) bool { return g.Name == r.Symbol })
+					ref[r.InstIdx].Imm = int64(addrs[callee])
+				}
+				if insts, err := sass.CodecFor(fam).DecodeAll(want[k]); err != nil || !slices.Equal(insts, ref) {
+					t.Errorf("%s on %v: function %s's linked code does not decode to the compiled one (%v)", src.name, fam, f.Name, err)
+				}
 			}
 			modules++
 		}
@@ -52,9 +77,32 @@ func TestCubinRoundTrip(t *testing.T) {
 	t.Logf("%d modules round-tripped", modules)
 }
 
-// sameModule reports the first difference between two compiled modules; a
-// nil slice and an empty one are the same.
-func sameModule(a, b *ptx.Module) error {
+// linkedCode links c onto a fresh device and returns each function's code
+// as the device holds it, and its load address.
+func linkedCode(c *driver.Cubin) ([][]byte, []gpu.CodeAddr, error) {
+	cfg := gpu.DefaultConfig(c.Family)
+	cfg.NumSMs, cfg.GlobalMemBytes = 1, 1<<20
+	dev, err := gpu.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	addrs, err := driver.Link(dev, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	code := make([][]byte, len(c.Funcs))
+	for i, f := range c.Funcs {
+		if code[i], err = dev.ReadCode(addrs[i], len(f.Code)/c.Family.InstBytes()); err != nil {
+			return nil, nil, err
+		}
+	}
+	return code, addrs, nil
+}
+
+// sameMetadata reports the first difference between a compiled module and
+// the device binary parsed back from its image; a nil slice and an empty
+// one are the same.
+func sameMetadata(a *ptx.Module, b *driver.Cubin) error {
 	if a.Name != b.Name || a.Family != b.Family || len(a.Funcs) != len(b.Funcs) {
 		return fmt.Errorf("module %s/%v with %d functions came back as %s/%v with %d", a.Name, a.Family, len(a.Funcs), b.Name, b.Family, len(b.Funcs))
 	}
@@ -66,7 +114,7 @@ func sameModule(a, b *ptx.Module) error {
 		}{
 			{"name", f.Name == g.Name},
 			{"entry flag", f.Entry == g.Entry},
-			{"instructions", slices.Equal(f.Insts, g.Insts)},
+			{"code size", len(f.Insts)*a.Family.InstBytes() == len(g.Code)},
 			{"register count", f.NumRegs == g.NumRegs},
 			{"predicate count", f.NumPred == g.NumPred},
 			{"parameters", slices.Equal(f.Params, g.Params)},

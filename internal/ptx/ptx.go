@@ -59,14 +59,20 @@ type Reloc struct {
 	Symbol  string
 }
 
-// Func is one compiled function: family-specific SASS plus the metadata the
-// CUDA-driver analog records and the NVBit core later consumes.
+// Func is one compiled function: family-specific SASS plus its metadata.
 type Func struct {
+	FuncInfo
+	Insts []sass.Inst
+}
+
+// FuncInfo is a compiled function's metadata: what the CUDA-driver analog
+// records at load and the NVBit core later consumes. A device binary carries
+// it beside each function's encoded code.
+type FuncInfo struct {
 	Name    string
 	Entry   bool // .entry (kernel) vs .func (device function)
-	Insts   []sass.Inst
-	NumRegs int // general-purpose registers used (the register budget)
-	NumPred int // predicate registers used
+	NumRegs int  // general-purpose registers used (the register budget)
+	NumPred int  // predicate registers used
 	Params  []Param
 	// ParamBytes is the size of the parameter block (constant bank 1).
 	ParamBytes  int

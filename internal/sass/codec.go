@@ -245,6 +245,25 @@ func (c *Codec) Decode(src []byte) (Inst, error) {
 	return in, nil
 }
 
+// PatchCallTarget sets the absolute target of the encoded CAL in word, the
+// one field a loader resolves, and leaves every other bit as it was. A word
+// that is not a CAL, and a target Encode would refuse, are refused.
+func (c *Codec) PatchCallTarget(word []byte, target int64) error {
+	if len(word) != c.InstBytes() || c.dec[word[0]] != int16(OpCAL) {
+		return fmt.Errorf("sass: patch: % x is not a %v CAL", word, c.family)
+	}
+	if !ImmFits(c.family, OpCAL, target) {
+		return fmt.Errorf("sass: patch CAL: target %d out of range for %v", target, c.family)
+	}
+	if c.family == Volta {
+		binary.LittleEndian.PutUint64(word[8:], uint64(target))
+		return nil
+	}
+	w := binary.LittleEndian.Uint64(word)
+	binary.LittleEndian.PutUint64(word, w&^(0xFFFFF<<44)|uint64(target)<<44)
+	return nil
+}
+
 // EncodeAll encodes a sequence of instructions into a fresh buffer.
 func (c *Codec) EncodeAll(insts []Inst) ([]byte, error) {
 	return c.AppendEncode(make([]byte, 0, len(insts)*c.InstBytes()), insts)

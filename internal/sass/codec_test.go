@@ -1,7 +1,9 @@
 package sass
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -306,5 +308,75 @@ func TestCrossFamilyDecodeDiffers(t *testing.T) {
 	}
 	if same > n/4 {
 		t.Fatalf("cross-family decode agreed on %d/%d opcodes", same, n)
+	}
+}
+
+// TestPatchCallTarget: patching a CAL's target changes its immediate field
+// and nothing else, for both encodings. An out-of-range target on a 64-bit
+// family, as Encode refuses it, and a word that is not a CAL — a
+// three-source op, whose immediate bits carry Src3, among them — are
+// refused and left as they were.
+func TestPatchCallTarget(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for f := Kepler; f <= Volta; f++ {
+		c := CodecFor(f)
+		refused := func(word []byte, target int64, what string) {
+			t.Helper()
+			before := slices.Clone(word)
+			if err := c.PatchCallTarget(word, target); err == nil || !slices.Equal(word, before) {
+				t.Fatalf("%v: %s patched to %d: %v, % x became % x", f, what, target, err, before, word)
+			}
+		}
+		// Bits outside the immediate field: the low 44 of a 64-bit word,
+		// the first eight bytes of a Volta word.
+		rest := func(word []byte) uint64 {
+			w := binary.LittleEndian.Uint64(word)
+			if f == Volta {
+				return w
+			}
+			return w & (1<<44 - 1)
+		}
+		for i := 0; i < 2000; i++ {
+			call := randomInst(r, f)
+			for call.HasSrc3() {
+				call = randomInst(r, f)
+			}
+			call.Op, call.Imm = OpCAL, int64(r.Intn(Imm20UMax+1))
+			target := int64(r.Intn(Imm20UMax + 1))
+			if f == Volta {
+				target = r.Int63() - r.Int63()
+			}
+			word := make([]byte, c.InstBytes())
+			if err := c.Encode(call, word); err != nil {
+				t.Fatal(err)
+			}
+			before := slices.Clone(word)
+			if err := c.PatchCallTarget(word, target); err != nil {
+				t.Fatalf("%v: %+v to %d: %v", f, call, target, err)
+			}
+			want := call
+			want.Imm = target
+			if got, err := c.Decode(word); err != nil || got != want || rest(word) != rest(before) {
+				t.Fatalf("%v: %+v patched to %d decodes to %+v (%v); % x became % x", f, call, target, got, err, before, word)
+			}
+			if f != Volta {
+				refused(word, Imm20UMax+1+r.Int63n(1<<40), "CAL")
+				refused(word, -1-r.Int63n(1<<40), "CAL")
+			}
+			refused(word[:len(word)-1], 0, "short word")
+
+			other := randomInst(r, f)
+			if i%4 == 0 {
+				other = NewInst([]Opcode{OpIMAD, OpFFMA}[i/4%2])
+				other.Src3 = Reg(r.Intn(256))
+			}
+			if other.Op == OpCAL {
+				continue
+			}
+			if err := c.Encode(other, word); err != nil {
+				t.Fatal(err)
+			}
+			refused(word, 0, other.Op.String())
+		}
 	}
 }
