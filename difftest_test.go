@@ -124,7 +124,7 @@ func (t *quickCounter) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, na
 		panic(err)
 	}
 	for _, i := range insts {
-		n.InsertCallArgs(i, "count_instrs", nvbit.IPointBefore, nvbit.ArgConst64(t.counter))
+		n.InsertCallArgs(i, "count_instrs", nvbit.IPointBefore, nvbit.ArgDevPtr(t.counter))
 	}
 }
 
@@ -354,7 +354,7 @@ func (t *boundaryCounter) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID,
 	}
 	for _, i := range insts {
 		if i.GetOpcode() == "LOP" {
-			n.InsertCallArgs(i, "bnd_count", nvbit.IPointBefore, nvbit.ArgConst64(t.counter))
+			n.InsertCallArgs(i, "bnd_count", nvbit.IPointBefore, nvbit.ArgDevPtr(t.counter))
 		}
 	}
 }

@@ -87,7 +87,7 @@ func (t *instrCounter) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, na
 		log.Fatal(err)
 	}
 	for _, i := range insts {
-		n.InsertCallArgs(i, "count_instrs", nvbit.IPointBefore, nvbit.ArgConst64(t.counter))
+		n.InsertCallArgs(i, "count_instrs", nvbit.IPointBefore, nvbit.ArgDevPtr(t.counter))
 	}
 	fmt.Printf("[tool] instrumented %s: %d instructions\n", f.Name, len(insts))
 }

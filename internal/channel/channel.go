@@ -238,9 +238,12 @@ func (c *Channel) reset(s *smState) error {
 }
 
 // CtrlAddr returns the device address of the shard control-block array —
-// the value tools pass (ArgConst64) as their device function's ctrl
+// the value tools pass (nvbit.ArgDevPtr) as their device function's ctrl
 // parameter.
 func (c *Channel) CtrlAddr() uint64 { return c.ctrl }
+
+// CtrlBytes returns the size of the control-block array at CtrlAddr.
+func (c *Channel) CtrlBytes() uint64 { return uint64(len(c.sms)) * ctrlBytes }
 
 // Stats returns a snapshot of the channel counters.
 func (c *Channel) Stats() Stats {

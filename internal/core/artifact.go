@@ -14,13 +14,16 @@ import (
 // A code artifact is everything the Code Generator produces for one function
 // minus the device addresses: per-site trampoline bodies with relocation
 // records where the original generator baked in absolute targets. Save and
-// restore routines are referenced by frame size, tool functions by name, and
-// the return jump / relocated relative branches by site position — all
-// quantities a later attach (with its own trampoline allocator and its own
-// tool-function load addresses) can resolve during materialization. The
-// immediates of ArgConst arguments *are* baked into the body; that is safe
-// because the cache key covers the full instrumentation plan, so an artifact
-// is only ever served to an attach whose plan carries the same immediates.
+// restore routines are referenced by frame size, tool functions by name, the
+// return jump / relocated relative branches by site position, and ArgDevPtr
+// addresses of tool state by (span ordinal, offset) in the attachment's
+// allocations — all quantities a later attach (with its own trampoline
+// allocator, its own tool-function load addresses and its own allocations)
+// can resolve during materialization. The immediates of ArgConst arguments
+// *are* baked into the body; that is safe because the cache key holds them,
+// so an artifact is only ever served to an attach whose plan carries the same
+// constants. An ArgDevPtr load is baked in only as its form — how many
+// instructions each half of the address takes — which the key holds too.
 //
 // The codec is versioned; decode is fully bounds-checked and returns an error
 // on any malformed input, which the cache layer treats as a codec-version
@@ -38,8 +41,9 @@ import (
 // entries unreachable rather than merely undecodable. Version 2 added the
 // per-site inline flag and the relocInlineSkip relocation kind; version 3 is
 // the flat layout; version 4 gives a site the count of instructions it covers;
-// version 5 lets an inline site cover more than one.
-const artifactVersion = 5
+// version 5 lets an inline site cover more than one; version 6 adds the
+// relocAddr kind and the owned-address table it indexes.
+const artifactVersion = 6
 
 // relocKind says how one trampoline instruction's immediate is resolved at
 // materialization time.
@@ -65,13 +69,24 @@ const (
 	// body; aux holds the body-relative distance, which is placement-
 	// independent and becomes the immediate verbatim.
 	relocInlineSkip
+	// relocAddr: the slot starts the load of an ArgDevPtr address into a
+	// register pair, one or two instructions per half; the immediates are
+	// this attach's address for addrs[aux].
+	relocAddr
 )
 
 // reloc is one deferred immediate fix-up within a site's trampoline body.
 type reloc struct {
 	kind relocKind
 	slot int32 // index into the site's instructions
-	aux  int32 // kind-specific operand (frame size, name index, skip distance)
+	aux  int32 // kind-specific operand (frame size, name index, skip distance, address index)
+}
+
+// addrRef is an address the attachment owns, relative to its allocations:
+// the span's ordinal in allocation order and the offset in it.
+type addrRef struct {
+	span uint32
+	off  uint64
 }
 
 // span is a run of a code artifact's instruction or relocation array.
@@ -112,6 +127,7 @@ type codeArtifact struct {
 	sites     []siteArtifact
 	insts     []sass.Inst
 	relocs    []reloc
+	addrs     []addrRef
 }
 
 // toolIndex returns name's index in toolNames, adding it when new. A function
@@ -124,6 +140,18 @@ func (a *codeArtifact) toolIndex(name string) int32 {
 	}
 	a.toolNames = append(a.toolNames, name)
 	return int32(len(a.toolNames) - 1)
+}
+
+// addrIndex returns ref's index in addrs, adding it when new. A function's
+// tool state is a handful of addresses, so the search is linear.
+func (a *codeArtifact) addrIndex(ref addrRef) int32 {
+	for k, have := range a.addrs {
+		if have == ref {
+			return int32(k)
+		}
+	}
+	a.addrs = append(a.addrs, ref)
+	return int32(len(a.addrs) - 1)
 }
 
 // addSite appends s, whose code is what was appended to the arrays since they
@@ -139,23 +167,26 @@ func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {
 // Serialized layout, little-endian, sections in this order:
 //
 //	header  version, then the counts of tool names, name-section bytes, sites,
-//	        instructions, immediates and relocations, 4 bytes each
+//	        instructions, immediates, relocations and owned addresses,
+//	        4 bytes each
 //	names   per tool name a 4-byte length and the bytes
 //	sites   idx 4, cover 4, instructions 4, relocations 4, saveN 2,
 //	        savedRegs 2, flags 1
 //	insts   Op, Pred, flags, Dst, Src1, Src2, Src3, Mods, a byte each
 //	imms    8 bytes for each instruction whose flags say it has one, in order
 //	relocs  kind 1, slot 4, aux 4
+//	addrs   span 4, offset 8
 //
 // Most trampoline immediates are zero until materialization fills them in, so
 // an instruction carries only a presence bit and the non-zero ones sit in an
 // array of their own.
 const (
-	headerBinBytes = 28
+	headerBinBytes = 32
 	siteBinBytes   = 21
 	instBinBytes   = 8
 	immBinBytes    = 8
 	relocBinBytes  = 9
+	addrBinBytes   = 12
 
 	siteFlagNopOnly, siteFlagInline = 1, 2
 	instFlagPredNeg, instFlagImm    = 1, 2
@@ -180,8 +211,8 @@ func encodeCodeArtifact(a *codeArtifact) []byte {
 		}
 	}
 	b := make([]byte, headerBinBytes+nameBytes+len(a.sites)*siteBinBytes+
-		len(a.insts)*instBinBytes+imms*immBinBytes+len(a.relocs)*relocBinBytes)
-	for k, v := range [...]int{artifactVersion, len(a.toolNames), nameBytes, len(a.sites), len(a.insts), imms, len(a.relocs)} {
+		len(a.insts)*instBinBytes+imms*immBinBytes+len(a.relocs)*relocBinBytes+len(a.addrs)*addrBinBytes)
+	for k, v := range [...]int{artifactVersion, len(a.toolNames), nameBytes, len(a.sites), len(a.insts), imms, len(a.relocs), len(a.addrs)} {
 		le.PutUint32(b[4*k:], uint32(v))
 	}
 	p := b[headerBinBytes:]
@@ -228,6 +259,11 @@ func encodeCodeArtifact(a *codeArtifact) []byte {
 		le.PutUint32(p[5:], uint32(rl.aux))
 		p = p[relocBinBytes:]
 	}
+	for _, ad := range a.addrs {
+		le.PutUint32(p, ad.span)
+		le.PutUint64(p[4:], ad.off)
+		p = p[addrBinBytes:]
+	}
 	return b
 }
 
@@ -239,14 +275,14 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 	if v := le.Uint32(b); v != artifactVersion {
 		return nil, fmt.Errorf("nvbit: code artifact version %d, want %d", v, artifactVersion)
 	}
-	// The six counts, widened so that no product or sum of them wraps.
-	var n [6]uint64
+	// The seven counts, widened so that no product or sum of them wraps.
+	var n [7]uint64
 	for k := range n {
 		n[k] = uint64(le.Uint32(b[4+4*k:]))
 	}
-	nTools, nameBytes, nSites, nInsts, nImms, nRelocs := n[0], n[1], n[2], n[3], n[4], n[5]
-	if headerBinBytes+nameBytes+nSites*siteBinBytes+nInsts*instBinBytes+nImms*immBinBytes+nRelocs*relocBinBytes != uint64(len(b)) ||
-		4*nTools > nameBytes || nImms > nInsts || nInsts|nRelocs > math.MaxInt32 {
+	nTools, nameBytes, nSites, nInsts, nImms, nRelocs, nAddrs := n[0], n[1], n[2], n[3], n[4], n[5], n[6]
+	if headerBinBytes+nameBytes+nSites*siteBinBytes+nInsts*instBinBytes+nImms*immBinBytes+nRelocs*relocBinBytes+nAddrs*addrBinBytes != uint64(len(b)) ||
+		4*nTools > nameBytes || nImms > nInsts || nInsts|nRelocs|nAddrs > math.MaxInt32 {
 		return nil, errArtifactTruncated
 	}
 	// Every array is now known to be no larger than a small multiple of the
@@ -256,6 +292,7 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		sites:     make([]siteArtifact, nSites),
 		insts:     make([]sass.Inst, nInsts),
 		relocs:    make([]reloc, nRelocs),
+		addrs:     make([]addrRef, nAddrs),
 	}
 	p := b[headerBinBytes:]
 	names, p := p[:nameBytes], p[nameBytes:]
@@ -292,6 +329,7 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		return nil, errArtifactValue
 	}
 	imm, relocs := p[nInsts*instBinBytes:][:nImms*immBinBytes], p[nInsts*instBinBytes+nImms*immBinBytes:]
+	addrs := relocs[nRelocs*relocBinBytes:]
 	for i := range a.insts {
 		in := sass.Inst{
 			Op: sass.Opcode(p[0]), Pred: sass.Pred(p[1]), PredNeg: p[2]&instFlagPredNeg != 0,
@@ -316,13 +354,17 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		s := &a.sites[i]
 		for k := range of(s.relocs, a.relocs) {
 			rl := reloc{kind: relocKind(relocs[0]), slot: int32(le.Uint32(relocs[1:])), aux: int32(le.Uint32(relocs[5:]))}
-			if rl.kind > relocInlineSkip || rl.slot < 0 || rl.slot >= s.insts.n ||
+			if rl.kind > relocAddr || rl.slot < 0 || rl.slot >= s.insts.n ||
 				(rl.kind == relocToolFn && uint64(uint32(rl.aux)) >= nTools) ||
+				(rl.kind == relocAddr && uint64(uint32(rl.aux)) >= nAddrs) ||
 				(rl.kind <= relocRestoreFn && uint32(rl.aux) > sass.NumRegs) {
 				return nil, errArtifactValue
 			}
 			a.relocs[int(s.relocs.off)+k], relocs = rl, relocs[relocBinBytes:]
 		}
+	}
+	for k := range a.addrs {
+		a.addrs[k], addrs = addrRef{span: le.Uint32(addrs), off: le.Uint64(addrs[4:])}, addrs[addrBinBytes:]
 	}
 	return a, nil
 }

@@ -13,7 +13,8 @@ import (
 // immediate and a relocation kind past the last would all decode to an
 // artifact that encodes to different bytes (or, for the kind, that
 // materialization silently ignores), so each is rejected, as are a frame size
-// no register file has, a count the blob's size does not bear out, sites
+// no register file has, a tool or owned-address index past its table, a count
+// the blob's size does not bear out, sites
 // whose runs do not tile the arrays, a site that covers no instruction or more
 // than its trampoline holds, a removal that covers several, and bytes past the
 // end. An inline site, which splices a whole visit, may cover several.
@@ -22,7 +23,8 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	movi := sass.NewInst(sass.OpMOVI)
 	movi.Imm = 5
 	art.insts = append(art.insts, sass.NewInst(sass.OpCAL), movi, sass.NewInst(sass.OpCAL), sass.NewInst(sass.OpJMP))
-	art.relocs = append(art.relocs, reloc{kind: relocSaveFn, slot: 0, aux: 16}, reloc{kind: relocToolFn, slot: 2, aux: 0}, reloc{kind: relocInlineSkip, slot: 3, aux: 3})
+	art.relocs = append(art.relocs, reloc{kind: relocSaveFn, slot: 0, aux: 16}, reloc{kind: relocToolFn, slot: 2, aux: 0}, reloc{kind: relocInlineSkip, slot: 3, aux: 3},
+		reloc{kind: relocAddr, slot: 1, aux: art.addrIndex(addrRef{span: 1, off: 8})})
 	art.addSite(siteArtifact{idx: 7, cover: 2, saveN: 16, savedRegs: 9}, 0, 0)
 	art.sites = append(art.sites, siteArtifact{idx: 9, cover: 1, nopOnly: true})
 	code := encodeCodeArtifact(art)
@@ -30,14 +32,14 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	if err != nil || !bytes.Equal(encodeCodeArtifact(back), code) {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(back.sites) != 2 || back.sites[0].cover != 2 || back.sites[1].cover != 1 || back.sites[0].insts != (span{0, 4}) || back.sites[0].relocs != (span{0, 3}) || back.sites[1].insts.n != 0 ||
-		back.insts[1] != movi || back.relocs[2] != art.relocs[2] {
+	if len(back.sites) != 2 || back.sites[0].cover != 2 || back.sites[1].cover != 1 || back.sites[0].insts != (span{0, 4}) || back.sites[0].relocs != (span{0, 4}) || back.sites[1].insts.n != 0 ||
+		back.insts[1] != movi || back.relocs[2] != art.relocs[2] || back.relocs[3] != art.relocs[3] || len(back.addrs) != 1 || back.addrs[0] != art.addrs[0] {
 		t.Fatalf("decoded %+v", back)
 	}
 
 	// Offsets into code: the header's counts, then the sections in order.
 	const (
-		hdrSites, hdrInsts, hdrImms, hdrRelocs = 12, 16, 20, 24
+		hdrSites, hdrInsts, hdrImms, hdrRelocs, hdrAddrs = 12, 16, 20, 24, 28
 	)
 	site0 := headerBinBytes + 4 + len("probe")
 	inst0 := site0 + 2*siteBinBytes
@@ -62,14 +64,17 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		"presence bit, no immediate":   patch(inst0+2, instFlagImm),
 		"presence bit over zero":       patch(imm0, 0),
 		"immediate nobody claims":      patch(inst0+instBinBytes+2, 0),
-		"relocation kind 6":            patch(reloc0, byte(relocInlineSkip)+1),
+		"relocation kind 7":            patch(reloc0, byte(relocAddr)+1),
+		"address index 1":              patch(reloc0+3*relocBinBytes+5, 1),
+		"address count 2":              patch(hdrAddrs, 2),
+		"address count 0":              patch(hdrAddrs, 0),
 		"relocation slot 4":            patch(reloc0+1, 4),
 		"frame size 256":               patch(reloc0+6, 1),
 		"tool index 1":                 patch(reloc0+relocBinBytes+5, 1),
 		"site count 3":                 patch(hdrSites, 3),
 		"instruction count 200":        patch(hdrInsts, 200),
 		"immediate count 0":            patch(hdrImms, 0),
-		"relocation count 2":           patch(hdrRelocs, 2),
+		"relocation count 3":           patch(hdrRelocs, 3),
 		"site run past the array":      patch(site0+8, 5),
 		"site run short of the array":  patch(site0+8, 3),
 		"name longer than its section": patch(headerBinBytes, 6),
@@ -123,6 +128,32 @@ func TestMaterializeRejectsCoverPastFunction(t *testing.T) {
 		}
 		if !bytes.Equal(fs.instrCode[last.idx*env.nv.hal.InstBytes:], before[last.idx*env.nv.hal.InstBytes:]) {
 			t.Fatal("the refused site was patched into the function")
+		}
+	}
+}
+
+// TestMaterializeRejectsUnownedSpan: an owned address reaches materialization
+// as a span ordinal and an offset, from a cache file. One naming a span the
+// attachment does not have, or an offset past its span, is refused with the
+// decoder's value error.
+func TestMaterializeRejectsUnownedSpan(t *testing.T) {
+	tool := &testTool{}
+	env := setup(t, sass.Volta, tool)
+	ctr, _ := env.nv.Malloc(8)
+	tool.onLaunch = instrumentAll(ctr)
+	env.launch(t)
+	fs := env.nv.funcs[env.fn]
+	for _, ref := range []addrRef{{span: 1}, {span: 0, off: 8}} {
+		art, err := env.nv.buildArtifact(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(art.addrs) != 1 || art.addrs[0] != (addrRef{}) {
+			t.Fatalf("owned addresses %v, want the counter's alone", art.addrs)
+		}
+		art.addrs[0] = ref
+		if err := env.nv.materializeArtifact(fs, art); !errors.Is(err, errArtifactValue) {
+			t.Errorf("%+v: materialize returned %v, want errArtifactValue", ref, err)
 		}
 	}
 }

@@ -17,16 +17,22 @@ import (
 // that determines the generated code: function bytes, HAL identity, the
 // tool's registered PTX sources, the function's register requirement, the
 // injection mode, and the complete instrumentation plan down to each
-// argument's kind and immediate. A hit skips liveness analysis and code
+// argument's kind and constant. A hit skips liveness analysis and code
 // generation and goes straight to materialization. Disassembly is not cached:
 // the lift costs about what a lookup does, and the tool callback runs on every
-// attach anyway (its plan can embed fresh device addresses).
+// attach anyway (its plan is this attach's, with this attach's addresses).
 //
-// Because the key covers the full plan — including ArgConst immediates such
-// as device addresses of tool state — a cached artifact can never be served
-// to an attach whose plan differs: the key simply misses. That is the
-// invariant that makes the baked-in immediates in artifacts safe, and it is
-// why the plan is hashed argument by argument rather than summarized.
+// Because the key covers the full plan — including ArgConst constants — a
+// cached artifact can never be served to an attach whose plan differs: the
+// key simply misses. That is the invariant that makes the baked-in constants
+// in artifacts safe, and it is why the plan is hashed argument by argument
+// rather than summarized. The one thing of the plan the key does not hold is
+// where the attachment's own memory landed: an ArgDevPtr address is hashed as
+// its span's ordinal in allocation order, the span's size and the offset, plus
+// the form its load takes (loadForm), and the artifact leaves the address to
+// a relocation. Two sessions whose tool state landed at different addresses
+// therefore share one entry, and its code at each is what an uncached build
+// there gives.
 //
 // The key domain carries a schema version; artifactVersion is additionally
 // mixed into the key so a codec change makes old entries unreachable. Schema
@@ -39,7 +45,9 @@ import (
 // entry made before it is found. Schema v4 drops the four guard bytes per call
 // that predicate-matched calls, since removed, added to the plan. Schema v5
 // marks the generator that no longer pads an ordered function's save set.
-const codeKeyDomain = "nvbitgo/code/v5"
+// Schema v6 hashes an ArgDevPtr argument as (span ordinal, span size, offset,
+// load form) instead of its address.
+const codeKeyDomain = "nvbitgo/code/v6"
 
 // codeKey fingerprints one function plus its instrumentation plan.
 func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
@@ -77,8 +85,8 @@ func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
 		}
 		h.Uint32(uint32(i.idx))
 		h.Uint8(flagByte(i.removeOrig))
-		hashCalls(h, i.before)
-		hashCalls(h, i.after)
+		n.hashCalls(h, i.before)
+		n.hashCalls(h, i.after)
 	}
 	return h.Sum()
 }
@@ -90,13 +98,24 @@ func flagByte(v bool) uint8 {
 	return 0
 }
 
-func hashCalls(h *jitcache.Hasher, calls []*callRequest) {
+func (n *NVBit) hashCalls(h *jitcache.Hasher, calls []*callRequest) {
 	h.Uint32(uint32(len(calls)))
 	for _, cr := range calls {
 		h.String(cr.funcName)
 		h.Uint32(uint32(len(cr.args)))
 		for _, a := range cr.args {
 			h.Uint8(uint8(a.kind))
+			if a.kind == argDevPtr {
+				// An address no span holds fails code generation, so
+				// nothing is stored under the key it gets here.
+				h.Uint32(uint32(a.span))
+				if a.span >= 0 {
+					h.Uint64(n.spans[a.span].Size)
+				}
+				h.Uint64(uint64(a.off))
+				h.Uint8(loadForm(n.hal.family, a.imm))
+				continue
+			}
 			h.Uint32(uint32(a.reg))
 			h.Uint64(a.imm)
 			h.Uint32(uint32(a.bank))

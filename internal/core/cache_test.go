@@ -52,7 +52,7 @@ func cacheRun(t *testing.T, cache *jitcache.Cache, fullSave bool, sites func(idx
 			if sites != nil && !sites(i.Idx()) {
 				continue
 			}
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctr))
 		}
 	}
 	env.launch(t)

@@ -14,7 +14,8 @@ import (
 // (before the tool's exit callback, so OnBatch has seen every record of a
 // launch when the tool hears of its end), its drain records go to that
 // scope's collector, and the framework closes it when the attachment ends —
-// after the tool's AtTerm, or when AtInit fails.
+// after the tool's AtTerm, or when AtInit fails. Its control block is memory
+// the attachment owns: tools pass ArgDevPtr(ch.CtrlAddr()).
 func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 	cfg.Profiler = n.scope.Collector()
 	src, err := cfg.ExpandToolPTX()
@@ -30,6 +31,7 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 		return nil, err
 	}
 	n.channels = append(n.channels, ch)
+	n.spans = append(n.spans, gpu.AllocSpan{Base: ch.CtrlAddr(), Size: ch.CtrlBytes()})
 	n.setFlushHook()
 	return ch, nil
 }

@@ -84,7 +84,7 @@ func (t *pushTool) AtCUDACall(n *NVBit, exit bool, cbid driver.CBID, name string
 			panic(err)
 		}
 		for _, i := range insts {
-			n.InsertCallArgs(i, "push", IPointBefore, ArgSitePred(), ArgConst64(t.ctr), ArgConst64(t.ch.CtrlAddr()))
+			n.InsertCallArgs(i, "push", IPointBefore, ArgSitePred(), ArgDevPtr(t.ctr), ArgDevPtr(t.ch.CtrlAddr()))
 		}
 		return
 	}

@@ -222,7 +222,7 @@ type planner struct {
 
 // rec inserts a call of the named recording function with a fresh id.
 func (p *planner) rec(i *core.Instr, where core.IPoint, fn string, v core.CallArg) {
-	p.nv.InsertCallArgs(i, fn, where, core.ArgConst32(p.ids%recIDs), v, core.ArgConst64(p.buf))
+	p.nv.InsertCallArgs(i, fn, where, core.ArgConst32(p.ids%recIDs), v, core.ArgDevPtr(p.buf))
 	p.ids++
 }
 

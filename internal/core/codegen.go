@@ -11,11 +11,12 @@ import (
 // builds one trampoline body per visit — a straight-line run of instrumented
 // instructions (planVisits) — and records relocations for every immediate that
 // depends on device placement (save/restore routines, tool-function load
-// addresses, the return jump, relocated relative branches). It performs no
-// device writes and no trampoline allocation, so its output is a pure function
-// of (function bytes, plan, tool sources, family, MaxRegs, injection mode) —
-// exactly the inputs the cache key covers, which is what makes artifacts
-// shareable across attaches.
+// addresses, the return jump, relocated relative branches, ArgDevPtr
+// addresses). It performs no device writes and no trampoline allocation, so
+// its output is a pure function of (function bytes, plan with owned addresses
+// taken relative to their spans, tool sources, family, MaxRegs, injection
+// mode) — exactly the inputs the cache key covers, which is what makes
+// artifacts shareable across attaches.
 func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 	calls, visits, err := n.planVisits(fs)
 	if err != nil {
@@ -51,6 +52,9 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 				for a, arg := range group[k].cr.args {
 					if !reusesArg(group, k, a) {
 						words += arg.bytes() / 4 * argWords
+						if arg.kind == argDevPtr {
+							relocs++
+						}
 					}
 				}
 			}
@@ -221,7 +225,7 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 		}
 		emitCall(relocSaveFn, int32(site.saveN))
 		for k, c := range group {
-			art.insts = n.marshalArgs(art.insts, group, k, nil)
+			n.marshalArgs(art, i0, group, k, nil)
 			emitCall(relocToolFn, art.toolIndex(c.cr.funcName))
 		}
 		emitCall(relocRestoreFn, int32(site.saveN))
@@ -251,16 +255,27 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 		fs.instrCode = append([]byte(nil), fs.origCode...)
 	}
 	f := fs.f
-	// A tool function's address and a frame size's routines are asked of the
-	// loader at their first use in the function and remembered for the rest
-	// of it. The loader loads on demand, so first uses in site order keep
-	// every device allocation where resolving each relocation afresh put it.
+	// The tool functions' addresses come first: building the artifact looked
+	// them up (resolveCalls), and the loader loads the tool's sources at the
+	// first lookup, so a cached artifact looks them up first too and puts
+	// every later allocation where a build does. A frame size's routines are
+	// asked of the loader at their first use in the function and remembered
+	// for the rest of it; the loader loads on demand, so first uses in site
+	// order keep every device allocation where resolving each relocation
+	// afresh put it.
+	tools := make([]int64, len(art.toolNames))
+	for k, name := range art.toolNames {
+		tf, err := n.loader.lookup(name)
+		if err != nil {
+			return err
+		}
+		tools[k] = int64(tf.addr)
+	}
 	type frame struct {
 		n             int32
 		save, restore int64
 	}
 	frames := make([]frame, 0, 4)
-	tools := make([]int64, len(art.toolNames)) // 0: not asked yet; word 0 holds no code
 	// The pending run: encoded trampolines not yet written, destined for
 	// runBase onward. One bulk chunk bounds it, and so does the function.
 	run, runBase := n.trampRaw[:0], gpu.CodeAddr(0)
@@ -289,8 +304,8 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			continue
 		}
 		tr, relocs := of(site.insts, art.insts), of(site.relocs, art.relocs)
-		// Device-placement-independent relocations first (save/restore and
-		// tool functions load on demand, before trampoline space is carved,
+		// Device-placement-independent relocations first (save/restore
+		// routines load on demand, before trampoline space is carved,
 		// preserving the pre-artifact device allocation order).
 		for _, rl := range relocs {
 			switch rl.kind {
@@ -312,14 +327,11 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 				} else {
 					tr[rl.slot].Imm = frames[k].restore
 				}
-			case relocToolFn:
-				if tools[rl.aux] == 0 {
-					tf, err := n.loader.lookup(art.toolNames[rl.aux])
-					if err != nil {
-						return err
-					}
-					tools[rl.aux] = int64(tf.addr)
+			case relocAddr:
+				if err := n.resolveAddr(tr[rl.slot:], art.addrs[rl.aux]); err != nil {
+					return fmt.Errorf("nvbit: artifact for %s word %d: %w", f.Name, site.idx, err)
 				}
+			case relocToolFn:
 				tr[rl.slot].Imm = tools[rl.aux]
 			case relocRetJump:
 				tr[rl.slot].Imm = int64(f.Addr) + int64(site.idx+site.cover)
@@ -385,29 +397,81 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	return nil
 }
 
+// resolveAddr writes this attachment's address for ref into the load
+// sequence that starts at seq[0]: the immediates the generator emits for that
+// address, into instructions the artifact must hold in the same form — which
+// the cache key guarantees for an entry it serves (loadForm).
+func (n *NVBit) resolveAddr(seq []sass.Inst, ref addrRef) error {
+	if uint64(ref.span) >= uint64(len(n.spans)) || ref.off >= n.spans[ref.span].Size {
+		return fmt.Errorf("address in span %d at offset %d, which the attachment does not own: %w", ref.span, ref.off, errArtifactValue)
+	}
+	var buf [4]sass.Inst
+	want := appendLoadImm64(buf[:0], n.hal.family, seq[0].Dst, n.spans[ref.span].Base+ref.off)
+	if len(seq) < len(want) {
+		return fmt.Errorf("address load past the trampoline: %w", errArtifactValue)
+	}
+	for k := range want {
+		if seq[k].Op != want[k].Op || seq[k].Dst != want[k].Dst {
+			return fmt.Errorf("address load of another form: %w", errArtifactValue)
+		}
+		seq[k].Imm = want[k].Imm
+	}
+	return nil
+}
+
+// appendLoadImm64 appends the instructions that load v into the register
+// pair (dst, dst+1).
+func appendLoadImm64(out []sass.Inst, f sass.Family, dst sass.Reg, v uint64) []sass.Inst {
+	out = sass.AppendLoadImm32(out, f, dst, uint32(v))
+	return sass.AppendLoadImm32(out, f, dst+1, uint32(v>>32))
+}
+
+// loadForm is the shape appendLoadImm64 gives v on the family: per 32-bit
+// half, a bit set when the half takes MOVI and MOVIH rather than one MOVI.
+// Code for an ArgDevPtr address has the form of that address, so the cache
+// key holds it: an entry is served only where the address it is materialized
+// for has the same form, and the code is what the address alone would give.
+func loadForm(f sass.Family, v uint64) uint8 {
+	var form uint8
+	for k, half := range [2]uint32{uint32(v), uint32(v >> 32)} {
+		if sass.LoadImm32Words(f, half) == 2 {
+			form |= 1 << k
+		}
+	}
+	return form
+}
+
 // reusesArg reports whether argument a of group[k] is already in its ABI
 // register when that call's marshalling starts: the call before it in the
-// bracket was to the same tool function with the same constant there, and the
-// function's body leaves its parameter registers alone.
+// bracket was to the same tool function with the same constant or owned
+// address there, and the function's body leaves its parameter registers
+// alone.
 func reusesArg(group []siteCall, k, a int) bool {
 	if k == 0 || group[k-1].tf != group[k].tf || !group[k].tf.keepsParams {
 		return false
 	}
 	arg := group[k].cr.args[a]
-	return (arg.kind == argImm32 || arg.kind == argImm64 || arg.kind == argCBank) && group[k-1].cr.args[a] == arg
+	switch arg.kind {
+	case argImm32, argImm64, argCBank, argDevPtr:
+		return group[k-1].cr.args[a] == arg
+	}
+	return false
 }
 
-// marshalArgs appends to out the argument-passing sequence for the injected
-// call group[k], placing each argument in its ABI register according to the
-// device calling convention. regMap says where the interrupted thread's state
-// is read from. A nil regMap is the trampoline: state comes from the save
-// frame (LDSA, RDPRED), not from live registers, which earlier marshalling or
-// previous injected calls may have clobbered, and group is the bracket, whose
-// previous call may have left a constant in place (reusesArg). A non-nil
-// regMap is the inline splice: the ABI registers are renamed through it and
-// state is read live (MOV, P2R.ONE) — safe because inline code written so far
-// has only touched renamed dead registers and predicates.
-func (n *NVBit) marshalArgs(out []sass.Inst, group []siteCall, k int, regMap map[sass.Reg]sass.Reg) []sass.Inst {
+// marshalArgs appends to the artifact's instructions the argument-passing
+// sequence for the injected call group[k] of the site whose code started at
+// instruction i0, placing each argument in its ABI register according to the
+// device calling convention, and a relocation for each ArgDevPtr address.
+// regMap says where the interrupted thread's state is read from. A nil regMap
+// is the trampoline: state comes from the save frame (LDSA, RDPRED), not from
+// live registers, which earlier marshalling or previous injected calls may
+// have clobbered, and group is the bracket, whose previous call may have left
+// a constant in place (reusesArg). A non-nil regMap is the inline splice: the
+// ABI registers are renamed through it and state is read live (MOV, P2R.ONE)
+// — safe because inline code written so far has only touched renamed dead
+// registers and predicates.
+func (n *NVBit) marshalArgs(art *codeArtifact, i0 int, group []siteCall, k int, regMap map[sass.Reg]sass.Reg) {
+	out := art.insts
 	c, site := group[k], group[k].site
 	live := regMap != nil
 	// readRegs leaves the site's register r (a pair when width is 2) in dst.
@@ -425,10 +489,6 @@ func (n *NVBit) marshalArgs(out []sass.Inst, group []siteCall, k int, regMap map
 			out = append(out, ld)
 		}
 	}
-	loadImm64 := func(dst sass.Reg, v uint64) {
-		out = sass.AppendLoadImm32(out, n.hal.family, dst, uint32(v))
-		out = sass.AppendLoadImm32(out, n.hal.family, dst+1, uint32(v>>32))
-	}
 	for ai, a := range c.cr.args {
 		abi := sass.Reg(c.tf.params[ai].Offset)
 		if live {
@@ -444,11 +504,21 @@ func (n *NVBit) marshalArgs(out []sass.Inst, group []siteCall, k int, regMap map
 		case argImm32:
 			out = sass.AppendLoadImm32(out, n.hal.family, abi, uint32(a.imm))
 		case argImm64:
-			loadImm64(abi, a.imm)
+			out = appendLoadImm64(out, n.hal.family, abi, a.imm)
+		case argDevPtr:
+			// The load of this attachment's address, in its form, with the
+			// immediates left to materialization (resolveAddr).
+			art.relocs = append(art.relocs, reloc{kind: relocAddr, slot: int32(len(out) - i0),
+				aux: art.addrIndex(addrRef{span: uint32(a.span), off: uint64(a.off)})})
+			seq := len(out)
+			out = appendLoadImm64(out, n.hal.family, abi, a.imm)
+			for j := seq; j < len(out); j++ {
+				out[j].Imm = 0
+			}
 		case argCBank:
 			ld := sass.NewInst(sass.OpLDC)
 			ld.Dst, ld.Src1, ld.Imm = abi, sass.RZ, int64(a.off)
-			ld.Mods = sass.MakeMods(a.bank, false, false, sass.PT)
+			ld.Mods = sass.MakeMods(int(a.bank), false, false, sass.PT)
 			out = append(out, ld)
 		case argPredVal, argGuardPred:
 			p, neg := a.pred, a.predNeg
@@ -465,7 +535,7 @@ func (n *NVBit) marshalArgs(out []sass.Inst, group []siteCall, k int, regMap map
 			// the absolute offset.
 			mref, _ := site.inst.MemOperand()
 			if mref.Base == sass.RZ {
-				loadImm64(abi, uint64(mref.Offset))
+				out = appendLoadImm64(out, n.hal.family, abi, uint64(mref.Offset))
 				break
 			}
 			if mref.Space == sass.MemGlobal {
@@ -484,7 +554,7 @@ func (n *NVBit) marshalArgs(out []sass.Inst, group []siteCall, k int, regMap map
 			}
 		}
 	}
-	return out
+	art.insts = out
 }
 
 // predValSeq appends to out code leaving the value of predicate p at the

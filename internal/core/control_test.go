@@ -45,7 +45,7 @@ func (t *cbTool) AtCUDACall(n *NVBit, exit bool, cbid driver.CBID, name string, 
 		panic(err)
 	}
 	for _, i := range insts {
-		n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(t.ctr))
+		n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(t.ctr))
 	}
 }
 

@@ -86,6 +86,10 @@ type NVBit struct {
 	// trampRaw is materializeArtifact's scratch: the encoding of the
 	// trampolines not yet written to the device.
 	trampRaw []byte
+	// spans are the device memory the attachment owns, in allocation order:
+	// each Malloc and each channel's control block. An ArgDevPtr address is
+	// hashed and relocated as (ordinal here, size, offset).
+	spans []gpu.AllocSpan
 }
 
 // Attach injects the tool into the driver as the process's preloaded
@@ -283,9 +287,25 @@ func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err er
 }
 
 // Malloc allocates device memory for tool state (the __managed__ variables
-// of the paper's listings).
+// of the paper's listings). Tool functions get an address inside it through
+// ArgDevPtr.
 func (n *NVBit) Malloc(bytes uint64) (uint64, error) {
-	return n.api.Device().Malloc(bytes)
+	addr, err := n.api.Device().Malloc(bytes)
+	if err == nil {
+		n.spans = append(n.spans, gpu.AllocSpan{Base: addr, Size: bytes})
+	}
+	return addr, err
+}
+
+// ownerOf returns the ordinal of the owned span holding addr and addr's
+// offset in it, or -1 when no owned span holds it.
+func (n *NVBit) ownerOf(addr uint64) (int32, int) {
+	for k, s := range n.spans {
+		if s.Contains(addr, 1) {
+			return int32(k), int(addr - s.Base)
+		}
+	}
+	return -1, 0
 }
 
 // WriteU64 stores a 64-bit value into device memory.

@@ -239,7 +239,7 @@ func instrumentAll(ctr uint64) func(n *NVBit, p *driver.CallParams) {
 			panic(err)
 		}
 		for _, i := range insts {
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctr))
 		}
 	}
 }
@@ -362,8 +362,8 @@ func TestGuardPredArgCountsOnlyExecutingLanes(t *testing.T) {
 			panic(err)
 		}
 		for _, i := range insts {
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctrAll))
-			n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgConst64(ctrExec))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctrAll))
+			n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgDevPtr(ctrExec))
 		}
 	}
 	env.launch(t)
@@ -398,11 +398,11 @@ func TestBasicBlockInstrumentation(t *testing.T) {
 		for _, bb := range blocks {
 			first := bb.Instrs[0]
 			n.InsertCallArgs(first, "bbtally", IPointBefore,
-				ArgConst32(uint32(len(bb.Instrs))), ArgConst64(ctrBB))
+				ArgConst32(uint32(len(bb.Instrs))), ArgDevPtr(ctrBB))
 		}
 		insts, _ := n.GetInstrs(f)
 		for _, i := range insts {
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctrInstr))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctrInstr))
 		}
 	}
 	env.launch(t)
@@ -445,7 +445,7 @@ func TestIPointAfterAndRegVal(t *testing.T) {
 			// Capture the 64-bit address (base register pair), as in
 			// Listing 8, before the load executes.
 			n.InsertCallArgs(i, "capaddr", IPointBefore,
-				ArgReg64(int(mref.Base)), ArgConst64(slot))
+				ArgReg64(int(mref.Base)), ArgDevPtr(slot))
 		}
 	}
 	env.launch(t)

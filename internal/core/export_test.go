@@ -8,11 +8,16 @@ import (
 	"sort"
 
 	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
 )
 
 // Scope exposes the driver scope the attachment is bound to; leak tests read
 // its flush-hook list.
 func (n *NVBit) Scope() *driver.Tenant { return n.scope }
+
+// OwnedSpans returns the device memory the attachment owns, in allocation
+// order.
+func (n *NVBit) OwnedSpans() []gpu.AllocSpan { return n.spans }
 
 // SetPerSiteVisits makes the Code Generator emit one trampoline per
 // instrumented instruction — the build every coalescing differential compares
@@ -61,12 +66,24 @@ func (n *NVBit) CodeKeys() map[string]string {
 // repeated in its relocation: the bytes artifactVersion 2 stored, which
 // testdata/codegen_golden.txt was recorded over, with the instructions a site
 // covers beyond its first in the return jump's relocation (zero in version 2,
-// which had no such sites). The golden pins what the Code Generator produced,
+// which had no such sites). Version 2 baked ArgDevPtr addresses in as
+// constants, so each is rendered as this attachment's address and its
+// relocation is left out. The golden pins what the Code Generator produced,
 // so it reads this rendering and a change of wire format leaves it alone.
-func CanonicalCodeArtifact(blob []byte) ([]byte, error) {
+func (n *NVBit) CanonicalCodeArtifact(blob []byte) ([]byte, error) {
 	a, err := decodeCodeArtifact(blob)
 	if err != nil {
 		return nil, err
+	}
+	for _, s := range a.sites {
+		insts := of(s.insts, a.insts)
+		for _, rl := range of(s.relocs, a.relocs) {
+			if rl.kind == relocAddr {
+				if err := n.resolveAddr(insts[rl.slot:], a.addrs[rl.aux]); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 	le := binary.LittleEndian
 	flag := func(b []byte, v bool) []byte {
@@ -91,8 +108,18 @@ func CanonicalCodeArtifact(blob []byte) ([]byte, error) {
 			b = append(b, uint8(in.Dst), uint8(in.Src1), uint8(in.Src2), uint8(in.Src3), uint8(in.Mods))
 			b = le.AppendUint64(b, uint64(in.Imm))
 		}
-		b = le.AppendUint32(b, uint32(s.relocs.n))
-		for _, rl := range of(s.relocs, a.relocs) {
+		relocs := of(s.relocs, a.relocs)
+		addrRelocs := 0
+		for _, rl := range relocs {
+			if rl.kind == relocAddr {
+				addrRelocs++
+			}
+		}
+		b = le.AppendUint32(b, uint32(len(relocs)-addrRelocs))
+		for _, rl := range relocs {
+			if rl.kind == relocAddr {
+				continue
+			}
 			aux := int64(rl.aux)
 			switch rl.kind {
 			case relocRelBranch:
@@ -115,7 +142,7 @@ func (n *NVBit) ArtifactDigests() ([]string, error) {
 	code, err := n.CodeArtifacts()
 	var out []string
 	for name, blob := range code {
-		canon, cerr := CanonicalCodeArtifact(blob)
+		canon, cerr := n.CanonicalCodeArtifact(blob)
 		if cerr != nil {
 			return nil, fmt.Errorf("%s: %w", name, cerr)
 		}
@@ -143,16 +170,20 @@ func (n *NVBit) VisitSpans(f *driver.Function) ([][2]int, error) {
 	return out, err
 }
 
-// MaxCover returns the largest instruction count any site of an encoded
-// artifact covers.
-func MaxCover(blob []byte) (int, error) {
+// ArtifactShape returns the largest instruction count any site of an encoded
+// artifact covers and the number of its owned-address relocations.
+func ArtifactShape(blob []byte) (maxCover, addrRelocs int, err error) {
 	a, err := decodeCodeArtifact(blob)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	most := 0
 	for _, s := range a.sites {
-		most = max(most, s.cover)
+		maxCover = max(maxCover, s.cover)
 	}
-	return most, nil
+	for _, rl := range a.relocs {
+		if rl.kind == relocAddr {
+			addrRelocs++
+		}
+	}
+	return maxCover, addrRelocs, nil
 }

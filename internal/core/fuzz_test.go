@@ -18,7 +18,7 @@ func artifactSeeds(f *testing.F) [][]byte {
 	seen := make(map[string]bool)
 	var seeds [][]byte
 	for _, run := range runs {
-		for _, blob := range run {
+		for _, blob := range run.code {
 			if !seen[string(blob)] {
 				seen[string(blob)] = true
 				seeds = append(seeds, blob)
@@ -42,9 +42,9 @@ func checkRecode(t *testing.T, blob []byte) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	// In memory a site is 48 bytes for 17 serialized, an instruction 24 for
-	// 8, a relocation 12 for 9, a string's header 16 for its 4-byte length,
-	// and a rejected header sizes nothing; re-encoding an accepted blob adds
-	// its length once more. The counter is
+	// 8, a relocation 12 for 9, an owned address 16 for 12, a string's header
+	// 16 for its 4-byte length, and a rejected header sizes nothing;
+	// re-encoding an accepted blob adds its length once more. The counter is
 	// the process's, and the fuzzing engine's own goroutines allocate now and
 	// then, so a reading past the bound is taken again.
 	got, max := allocated(), uint64(8*len(blob)+4096)
@@ -61,19 +61,23 @@ func checkRecode(t *testing.T, blob []byte) {
 
 // FuzzDecodeCodeArtifact seeds with the encoder's own output, which must
 // decode and must include a visit of several instructions (instrcount's calls
-// coalesce), and fuzzes the decoder under checkRecode.
+// coalesce) and owned-address relocations (every golden tool passes its state
+// through ArgDevPtr), and fuzzes the decoder under checkRecode.
 func FuzzDecodeCodeArtifact(f *testing.F) {
-	most := 0
+	most, addrs := 0, 0
 	for _, blob := range artifactSeeds(f) {
-		cover, err := core.MaxCover(blob)
+		cover, n, err := core.ArtifactShape(blob)
 		if err != nil {
 			f.Fatalf("an encoded artifact of %d bytes does not decode: %v", len(blob), err)
 		}
-		most = max(most, cover)
+		most, addrs = max(most, cover), addrs+n
 		f.Add(blob)
 	}
 	if most < 2 {
 		f.Fatal("no seed holds a visit of more than one instruction")
+	}
+	if addrs == 0 {
+		f.Fatal("no seed holds an owned-address relocation")
 	}
 	f.Fuzz(checkRecode)
 }

@@ -213,11 +213,18 @@ func instrumentCG(fam sass.Family, mode core.InjectionMode, toolName string) (*d
 	return api, nv, nil
 }
 
+// cgRun is one run of cg: each instrumented function's encoded code artifact
+// by name, and the attachment whose addresses it was built for.
+type cgRun struct {
+	nv   *core.NVBit
+	code map[string][]byte
+}
+
 // cgRuns runs cg once for every golden family, injection mode and tool and
-// keeps each instrumented function's encoded code artifact by name, for the
-// golden below and the decoder's fuzz seeds alike.
-var cgRuns = sync.OnceValues(func() (map[string]map[string][]byte, error) {
-	runs := make(map[string]map[string][]byte)
+// keeps each run's artifacts, for the golden below and the decoder's fuzz
+// seeds alike.
+var cgRuns = sync.OnceValues(func() (map[string]cgRun, error) {
+	runs := make(map[string]cgRun)
 	for _, fam := range goldenFamilies {
 		for _, mode := range goldenModes {
 			for tool := range goldenTools {
@@ -231,7 +238,7 @@ var cgRuns = sync.OnceValues(func() (map[string]map[string][]byte, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", name, err)
 				}
-				runs[name] = code
+				runs[name] = cgRun{nv, code}
 			}
 		}
 	}
@@ -246,8 +253,9 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 	}
 	name := fmt.Sprintf("cg/%v/%v/%s", fam, mode, toolName)
 	var ds []string
-	for fn, blob := range runs[name] {
-		canon, err := core.CanonicalCodeArtifact(blob)
+	run := runs[name]
+	for fn, blob := range run.code {
+		canon, err := run.nv.CanonicalCodeArtifact(blob)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, fn, err)
 		}
@@ -300,16 +308,16 @@ func TestMaterializedCodeGolden(t *testing.T) {
 }
 
 // codeKeyGolden is the cache key of cg_spmv under instrcount, recorded at
-// artifactVersion 5, key schema v5. A key that moves orphans every
+// artifactVersion 6, key schema v6. A key that moves orphans every
 // primed cache directory, so a change to what is hashed, or to the order,
 // shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "d7250d8ee649f2dbac94a606bf0b63810365fdea1980db4c4a3ef9c10d16707a",
-	"Kepler/full-save":  "8615345ebf4c405d0c82c1668f5682389a332f76facca11afe095654eb0fd39b",
-	"Kepler/inline":     "415ee46e801c87e1ef2997315c1ee2b7f1cf594b46c56fbb4fad8e2f54f86a4c",
-	"Volta/trampoline":  "4366c1c020e931507631b6e5b24dbe39143d663389d36c71021146312ac15533",
-	"Volta/full-save":   "d4b3e2bba6cf05b4828e00cd23f61d54a504674c0f53dfcf12443e3dc2cb0022",
-	"Volta/inline":      "bab6f1a5b997b2cf85cff02a620305f72570450c47742d1c2eaeadf9ba1a6bcb",
+	"Kepler/trampoline": "eb20a6efb7c61c3a5a0e89140c8190e19b406f95f8e81d26451b644105947ec8",
+	"Kepler/full-save":  "ecff1d4f3112d5b967e2644bf8b50930855df348a443f2300930ddc2747cdc1a",
+	"Kepler/inline":     "b8132f7c67982efab8ee7f947007d86c453098ecb8344d30d219ad4624587b0b",
+	"Volta/trampoline":  "5705a2504f4db6f8fa4a3ebbf95c85b382393670c90c6dc684dab15991be9086",
+	"Volta/full-save":   "11eb497566ecae21bddfbe9358fd7c1ee3c7660079742867dd3dba6eb082f26f",
+	"Volta/inline":      "0b8cd835f6be3d7574bc3bebffb728647fadccd8f1fa66788798d78ce0d6bd33",
 }
 
 func TestCodeKeyGolden(t *testing.T) {
@@ -384,6 +392,81 @@ func TestCodeKeyGolden(t *testing.T) {
 		seen[key] = name
 		if err := nv.ResetInstrumented(f); err != nil {
 			t.Fatal(err)
+		}
+	}
+
+	// An ArgDevPtr address is hashed as where it lies among the
+	// attachment's allocations, not as where they landed: moving them all
+	// keeps the key, and a different span, span size or offset changes it.
+	// So does, on Kepler, moving the address across the edge of MOVI's
+	// 20-bit immediate, which changes the instructions that load it.
+	type owned struct {
+		fam   sass.Family
+		pad   uint64   // device memory allocated before the attachment's
+		sizes []uint64 // the attachment's allocations; the address is in the last
+		off   uint64
+	}
+	ownedKey := func(o owned) (key string, addr uint64) {
+		api, err := driver.New(gpu.DefaultConfig(o.fam))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer api.Close()
+		if o.pad > 0 {
+			if _, err := api.Device().Malloc(o.pad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nv, err := core.Attach(api, synthTool{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range o.sizes {
+			if addr, err = nv.Malloc(size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addr += o.off
+		ctx, err := api.CtxCreate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := ctx.ModuleLoadPTX("synth", synthPTX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := mod.GetFunction("synth")
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts, err := nv.GetInstrs(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nv.InsertCallArgs(insts[2], "probe32", core.IPointBefore, core.ArgPred(0, false), core.ArgDevPtr(addr))
+		return nv.CodeKey(f), addr
+	}
+	for _, c := range []struct {
+		name     string
+		a, b     owned
+		sameKey  bool
+		sameAddr bool
+	}{
+		{"moved", owned{sass.Volta, 0, []uint64{64}, 8}, owned{sass.Volta, 4096, []uint64{64}, 8}, true, false},
+		{"moved far", owned{sass.Volta, 0, []uint64{64}, 8}, owned{sass.Volta, 1 << 20, []uint64{64}, 8}, true, false},
+		{"Kepler moved", owned{sass.Kepler, 0, []uint64{64}, 8}, owned{sass.Kepler, 4096, []uint64{64}, 8}, true, false},
+		{"ordinal", owned{sass.Volta, 64, []uint64{64}, 8}, owned{sass.Volta, 0, []uint64{64, 64}, 8}, false, true},
+		{"span size", owned{sass.Volta, 0, []uint64{64}, 8}, owned{sass.Volta, 0, []uint64{128}, 8}, false, true},
+		{"offset", owned{sass.Volta, 0, []uint64{64}, 8}, owned{sass.Volta, 0, []uint64{64}, 16}, false, false},
+		{"Kepler across the MOVI range", owned{sass.Kepler, 0, []uint64{64}, 8}, owned{sass.Kepler, 1 << 20, []uint64{64}, 8}, false, false},
+	} {
+		ka, addrA := ownedKey(c.a)
+		kb, addrB := ownedKey(c.b)
+		if (addrA == addrB) != c.sameAddr {
+			t.Fatalf("%s: addresses %#x and %#x", c.name, addrA, addrB)
+		}
+		if (ka == kb) != c.sameKey {
+			t.Errorf("%s: keys %s at %#x and %s at %#x, want them equal: %v", c.name, ka, addrA, kb, addrB, c.sameKey)
 		}
 	}
 }

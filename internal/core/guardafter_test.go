@@ -112,8 +112,8 @@ func selfClobberCount(t *testing.T, want uint64, arm func(n *NVBit, i *Instr, ct
 // lane; an unconditional after-call beside it counts all 64.
 func TestGuardAfterSelfClobberingPredicate(t *testing.T) {
 	selfClobberCount(t, 64, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "tally", IPointAfter, ArgConst64(ctr))
-		n.InsertCallArgs(i, "predtally", IPointAfter, ArgSitePred(), ArgConst64(ctr))
+		n.InsertCallArgs(i, "tally", IPointAfter, ArgDevPtr(ctr))
+		n.InsertCallArgs(i, "predtally", IPointAfter, ArgSitePred(), ArgDevPtr(ctr))
 	})
 }
 
@@ -121,7 +121,7 @@ func TestGuardAfterSelfClobberingPredicate(t *testing.T) {
 // after-call is true on all 64 lanes, not on the 52 that had !P0 at entry.
 func TestGuardAfterExplicitNegatedPredicate(t *testing.T) {
 	selfClobberCount(t, 64, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "predtally", IPointAfter, ArgPred(sass.Pred(0), true), ArgConst64(ctr))
+		n.InsertCallArgs(i, "predtally", IPointAfter, ArgPred(sass.Pred(0), true), ArgDevPtr(ctr))
 	})
 }
 
@@ -129,7 +129,7 @@ func TestGuardAfterExplicitNegatedPredicate(t *testing.T) {
 // guard sees the 12 lanes it holds for at entry.
 func TestGuardBeforeUnaffectedBySelfClobber(t *testing.T) {
 	selfClobberCount(t, 12, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgConst64(ctr))
+		n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgDevPtr(ctr))
 	})
 }
 
@@ -143,7 +143,7 @@ func TestGuardAfterToolClobberingPredicate(t *testing.T) {
 	// setp.eq writes false into P0); the second counts the 12 lanes whose
 	// guard held at entry.
 	selfClobberCount(t, 64+12, func(n *NVBit, i *Instr, ctr uint64) {
-		n.InsertCallArgs(i, "predtally", IPointBefore, ArgConst32(1), ArgConst64(ctr))
-		n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgConst64(ctr))
+		n.InsertCallArgs(i, "predtally", IPointBefore, ArgConst32(1), ArgDevPtr(ctr))
+		n.InsertCallArgs(i, "predtally", IPointBefore, ArgSitePred(), ArgDevPtr(ctr))
 	})
 }

@@ -127,7 +127,7 @@ func TestICFBasicBlockFallback(t *testing.T) {
 			panic(err)
 		}
 		for _, i := range insts {
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctr))
 		}
 	}
 	ctx, _ := api.CtxCreate()
@@ -205,7 +205,7 @@ func TestICFLivenessConservative(t *testing.T) {
 			if rs != full {
 				t.Errorf("ICF live set %v, want the full bound %v", rs.Regs(), full.Regs())
 			}
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctr))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctr))
 		}
 	}
 	ctx, _ := api.CtxCreate()

@@ -71,7 +71,7 @@ func (n *NVBit) inlineVisit(art *codeArtifact, fs *funcState, live *sass.Livenes
 	// Allocate each call independently from the full pool: bodies never read
 	// another body's renamed registers, so reuse across calls is safe and
 	// keeps the visit's demand at the largest single working set.
-	i0, r0 := len(art.insts), len(art.relocs)
+	i0, r0, a0 := len(art.insts), len(art.relocs), len(art.addrs)
 	ok := layoutVisit(art, i0, fs.insts[v.first:v.first+v.cover], head, tail, func(group []siteCall) bool {
 		for k := range group {
 			if !n.spliceCall(art, i0, group, k, pool, deadPreds) {
@@ -81,7 +81,7 @@ func (n *NVBit) inlineVisit(art *codeArtifact, fs *funcState, live *sass.Livenes
 		return true
 	})
 	if !ok {
-		art.insts, art.relocs = art.insts[:i0], art.relocs[:r0]
+		art.insts, art.relocs, art.addrs = art.insts[:i0], art.relocs[:r0], art.addrs[:a0]
 		return false
 	}
 	art.addSite(siteArtifact{idx: v.first, cover: v.cover, inline: true}, i0, r0)
@@ -119,7 +119,7 @@ func (n *NVBit) spliceCall(art *codeArtifact, i0 int, group []siteCall, k int, p
 	if !ok {
 		return false
 	}
-	art.insts = n.marshalArgs(art.insts, group, k, regMap)
+	n.marshalArgs(art, i0, group, k, regMap)
 	body := sass.RenameBody(c.tf.insts, regMap, predMap)
 	emitLen := len(body)
 	if emitLen > 0 && body[emitLen-1].Op == sass.OpRET && !body[emitLen-1].Guarded() {

@@ -93,7 +93,7 @@ func TestInlineAllInlineAvgSavedRegsZero(t *testing.T) {
 		}
 		// Only the entry instruction: nothing is live there, so the site
 		// always inlines.
-		n.InsertCallArgs(insts[0], "tally", IPointBefore, ArgConst64(ctr))
+		n.InsertCallArgs(insts[0], "tally", IPointBefore, ArgDevPtr(ctr))
 	}
 	env.launch(t)
 	st := env.nv.JITStats()
@@ -160,7 +160,7 @@ func runPredApp(t *testing.T, mode InjectionMode, neg bool) (uint64, JITStats) {
 		}
 		for _, i := range insts {
 			if _, _, guarded := i.GetPredicate(); guarded && i.Op() == sass.OpIADD {
-				n.InsertCallArgs(i, "predtally", IPointBefore, ArgPred(0, neg), ArgConst64(ctr))
+				n.InsertCallArgs(i, "predtally", IPointBefore, ArgPred(0, neg), ArgDevPtr(ctr))
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func (p IPoint) String() string {
 	return "IPOINT_AFTER"
 }
 
-type argKind int
+type argKind uint8
 
 const (
 	argRegVal argKind = iota
@@ -33,6 +33,7 @@ const (
 	argPredVal
 	argGuardPred
 	argMRefAddr
+	argDevPtr
 )
 
 // CallArg is one positional argument for an injected function
@@ -41,12 +42,17 @@ const (
 // widths and arity against the tool function's parameter table.
 type CallArg struct {
 	kind    argKind
-	reg     int
-	imm     uint64
-	bank    int
-	off     int
 	pred    sass.Pred
 	predNeg bool
+	// span and off locate an ArgDevPtr address among the attachment's
+	// allocations: the ordinal of the owned span that holds it (-1: none
+	// does) and the offset in it, set when the argument is added
+	// (AddCallArg). Otherwise off is a constant-bank offset.
+	span int32
+	reg  int32
+	bank int32
+	imm  uint64 // a constant, or the address ArgDevPtr passes
+	off  int
 }
 
 // The unified argument-constructor API (nvbit_add_call_arg variants). Every
@@ -56,19 +62,29 @@ type CallArg struct {
 
 // ArgReg passes the run-time value of a 32-bit register at the
 // instrumentation site.
-func ArgReg(reg int) CallArg { return CallArg{kind: argRegVal, reg: reg} }
+func ArgReg(reg int) CallArg { return CallArg{kind: argRegVal, reg: int32(reg)} }
 
 // ArgReg64 passes the 64-bit value held in the register pair (reg, reg+1).
-func ArgReg64(reg int) CallArg { return CallArg{kind: argRegVal64, reg: reg} }
+func ArgReg64(reg int) CallArg { return CallArg{kind: argRegVal64, reg: int32(reg)} }
 
 // ArgConst32 passes a 32-bit constant chosen at instrumentation time.
 func ArgConst32(v uint32) CallArg { return CallArg{kind: argImm32, imm: uint64(v)} }
 
-// ArgConst64 passes a 64-bit constant (e.g. the device address of a counter).
+// ArgConst64 passes a 64-bit constant. The cache key holds its value, so a
+// device address of tool state goes through ArgDevPtr instead.
 func ArgConst64(v uint64) CallArg { return CallArg{kind: argImm64, imm: v} }
 
+// ArgDevPtr passes the device address of tool state the attachment owns: an
+// address inside a span from Malloc or inside the control block of a channel
+// from OpenChannel. The generated code is what ArgConst64(addr) gives, but
+// the cache key holds the span's ordinal in allocation order, its size and
+// the offset, not the address, so an attachment whose allocations landed
+// elsewhere reuses the code. An address no owned span holds fails code
+// generation with an *UnownedAddrError.
+func ArgDevPtr(addr uint64) CallArg { return CallArg{kind: argDevPtr, imm: addr} }
+
 // ArgConstBank passes a 32-bit value read from a constant bank at run time.
-func ArgConstBank(bank, off int) CallArg { return CallArg{kind: argCBank, bank: bank, off: off} }
+func ArgConstBank(bank, off int) CallArg { return CallArg{kind: argCBank, bank: int32(bank), off: off} }
 
 // ArgPred passes the run-time value (0/1) of a predicate register.
 func ArgPred(p sass.Pred, neg bool) CallArg {
@@ -104,12 +120,12 @@ const (
 // ArgLaunchDim passes one grid/block dimension of the current launch, read
 // from constant bank 0 where the driver places the launch configuration.
 func ArgLaunchDim(d LaunchDim) CallArg {
-	return CallArg{kind: argCBank, bank: 0, off: 4 * int(d)}
+	return CallArg{kind: argCBank, off: 4 * int(d)}
 }
 
 // bytes returns the argument's ABI width.
 func (a CallArg) bytes() int {
-	if a.kind == argRegVal64 || a.kind == argImm64 || a.kind == argMRefAddr {
+	if a.kind == argRegVal64 || a.kind == argImm64 || a.kind == argMRefAddr || a.kind == argDevPtr {
 		return 8
 	}
 	return 4
@@ -135,12 +151,16 @@ func (n *NVBit) AddCallArg(i *Instr, a CallArg) {
 	if i.lastInserted == nil {
 		panic("nvbit: AddCallArg before InsertCall")
 	}
+	if a.kind == argDevPtr {
+		a.span, a.off = n.ownerOf(a.imm)
+	}
 	i.lastInserted.args = append(i.lastInserted.args, a)
 }
 
 // InsertCallArgs is a convenience combining InsertCall and AddCallArg.
 func (n *NVBit) InsertCallArgs(i *Instr, funcName string, where IPoint, args ...CallArg) {
 	n.InsertCall(i, funcName, where)
+	i.lastInserted.args = make([]CallArg, 0, len(args))
 	for _, a := range args {
 		n.AddCallArg(i, a)
 	}
@@ -199,6 +219,20 @@ func (i *Instr) hasWork() bool {
 	return len(i.before) > 0 || len(i.after) > 0 || i.removeOrig
 }
 
+// UnownedAddrError is the code-generation error for an ArgDevPtr address
+// that lies in no span the attachment owns.
+type UnownedAddrError struct {
+	Func  string // the tool function
+	Arg   int    // the argument's position
+	Param string // and its parameter name
+	Addr  uint64
+}
+
+func (e *UnownedAddrError) Error() string {
+	return fmt.Sprintf("nvbit: tool function %s argument %d (%s): ArgDevPtr address %#x lies in no allocation of the attachment (Malloc or a channel)",
+		e.Func, e.Arg, e.Param, e.Addr)
+}
+
 func validateArgs(tf *toolFunc, args []CallArg) error {
 	if len(args) != len(tf.params) {
 		return fmt.Errorf("tool function %s takes %d arguments, got %d", tf.name, len(tf.params), len(args))
@@ -207,6 +241,9 @@ func validateArgs(tf *toolFunc, args []CallArg) error {
 		if a.bytes() != tf.params[k].Bytes {
 			return fmt.Errorf("tool function %s argument %d (%s) is %d bytes, got %d",
 				tf.name, k, tf.params[k].Name, tf.params[k].Bytes, a.bytes())
+		}
+		if a.kind == argDevPtr && a.span < 0 {
+			return &UnownedAddrError{Func: tf.name, Arg: k, Param: tf.params[k].Name, Addr: a.imm}
 		}
 	}
 	return nil

@@ -85,8 +85,8 @@ func TestMultipleToolSources(t *testing.T) {
 		// Inject functions from both sources at the same sites — the
 		// paper's "multiple function injections to the same location".
 		for _, i := range insts {
-			n.InsertCallArgs(i, "bump_a", IPointBefore, ArgConst64(tool.ctrA))
-			n.InsertCallArgs(i, "bump_b", IPointBefore, ArgConst64(tool.ctrB))
+			n.InsertCallArgs(i, "bump_a", IPointBefore, ArgDevPtr(tool.ctrA))
+			n.InsertCallArgs(i, "bump_b", IPointBefore, ArgDevPtr(tool.ctrB))
 		}
 	}
 	ctx, _ := api.CtxCreate()

@@ -55,8 +55,8 @@ func TestInstrumentRelatedFunctions(t *testing.T) {
 			panic(err)
 		}
 		for _, i := range insts {
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctrKernel))
-			n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctrAll))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctrKernel))
+			n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctrAll))
 		}
 		// Kernel + related functions counter: the Listing-1 pattern
 		// extended over nvbit_get_related_funcs.
@@ -69,7 +69,7 @@ func TestInstrumentRelatedFunctions(t *testing.T) {
 				panic(err)
 			}
 			for _, i := range rinsts {
-				n.InsertCallArgs(i, "tally", IPointBefore, ArgConst64(ctrAll))
+				n.InsertCallArgs(i, "tally", IPointBefore, ArgDevPtr(ctrAll))
 			}
 			// Related functions are finalized together with the kernel
 			// at the exit of the driver callback.

@@ -154,7 +154,7 @@ func (t *wfftTool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name s
 		panic(err)
 	}
 	for _, i := range insts {
-		n.InsertCallArgs(i, "wfft_tally", nvbit.IPointBefore, nvbit.ArgConst64(t.ctr))
+		n.InsertCallArgs(i, "wfft_tally", nvbit.IPointBefore, nvbit.ArgDevPtr(t.ctr))
 	}
 	if t.emulate {
 		if _, err := emu.Apply(n, f); err != nil {

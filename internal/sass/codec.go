@@ -120,6 +120,15 @@ func ImmFits(f Family, op Opcode, imm int64) bool {
 	return imm >= imm20Min && imm <= imm20Max
 }
 
+// LoadImm32Words is the number of instructions AppendLoadImm32 emits for v:
+// 1 where the value fits MOVI's immediate, else 2.
+func LoadImm32Words(f Family, v uint32) int {
+	if ImmFits(f, OpMOVI, int64(int32(v))) {
+		return 1
+	}
+	return 2
+}
+
 // AppendLoadImm32 appends the instructions that load a 32-bit constant into
 // r, legalized for the family's immediate width: one MOVI where the value
 // fits, else MOVI for the low 20 bits (encoded sign-extended; MOVIH overwrites
@@ -127,7 +136,7 @@ func ImmFits(f Family, op Opcode, imm int64) bool {
 func AppendLoadImm32(dst []Inst, f Family, r Reg, v uint32) []Inst {
 	lo := NewInst(OpMOVI)
 	lo.Dst, lo.Imm = r, int64(int32(v))
-	if ImmFits(f, OpMOVI, lo.Imm) {
+	if LoadImm32Words(f, v) == 1 {
 		return append(dst, lo)
 	}
 	lo.Imm = int64(v&0xFFFFF) << 44 >> 44

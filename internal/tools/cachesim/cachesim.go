@@ -180,7 +180,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			nvbit.ArgReg64(int(mref.Base)),
 			nvbit.ArgConst32(uint32(mref.Offset)),
 			nvbit.ArgConst32(flags),
-			nvbit.ArgConst64(t.ch.CtrlAddr()))
+			nvbit.ArgDevPtr(t.ch.CtrlAddr()))
 	}
 }
 

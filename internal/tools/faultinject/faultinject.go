@@ -501,7 +501,7 @@ func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 			nvbit.ArgConst32(uint32(reg)),
 			nvbit.ArgConst32(uint32(i.Idx())),
 			nvbit.ArgConst32(uint32(kid)),
-			nvbit.ArgConst64(t.st))
+			nvbit.ArgDevPtr(t.st))
 	}
 	if t.inj.Target == NoTarget {
 		if blocks, err := n.GetBasicBlocks(f); err == nil {
@@ -518,7 +518,7 @@ func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 				}
 				if k > 0 {
 					n.InsertCallArgs(bb.Instrs[0], "fi_count", nvbit.IPointBefore,
-						nvbit.ArgConst32(uint32(k)), nvbit.ArgConst64(t.st))
+						nvbit.ArgConst32(uint32(k)), nvbit.ArgDevPtr(t.st))
 				}
 			}
 			return

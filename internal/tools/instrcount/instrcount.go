@@ -96,7 +96,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			const bbTool = "instrcount_bbtally"
 			for _, bb := range blocks {
 				n.InsertCallArgs(bb.Instrs[0], bbTool, nvbit.IPointBefore,
-					nvbit.ArgConst32(uint32(len(bb.Instrs))), nvbit.ArgConst64(ctr))
+					nvbit.ArgConst32(uint32(len(bb.Instrs))), nvbit.ArgDevPtr(ctr))
 			}
 			return
 		}
@@ -107,7 +107,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 		panic(fmt.Sprintf("instrcount: %v", err))
 	}
 	for _, i := range insts {
-		n.InsertCallArgs(i, "instrcount_tally", nvbit.IPointBefore, nvbit.ArgConst64(ctr))
+		n.InsertCallArgs(i, "instrcount_tally", nvbit.IPointBefore, nvbit.ArgDevPtr(ctr))
 	}
 }
 

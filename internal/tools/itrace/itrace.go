@@ -162,7 +162,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			nvbit.ArgSitePred(),
 			nvbit.ArgConst32(kid),
 			nvbit.ArgConst32(uint32(i.Idx())),
-			nvbit.ArgConst64(t.ch.CtrlAddr()))
+			nvbit.ArgDevPtr(t.ch.CtrlAddr()))
 	}
 }
 

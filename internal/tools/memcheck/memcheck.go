@@ -220,7 +220,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			nvbit.ArgReg64(int(mref.Base)),
 			nvbit.ArgConst32(uint32(mref.Offset)),
 			nvbit.ArgConst32(id),
-			nvbit.ArgConst64(t.ch.CtrlAddr()))
+			nvbit.ArgDevPtr(t.ch.CtrlAddr()))
 	}
 }
 

@@ -118,7 +118,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			nvbit.ArgSitePred(),
 			nvbit.ArgReg64(int(mref.Base)),
 			nvbit.ArgConst32(uint32(mref.Offset)),
-			nvbit.ArgConst64(t.ctrs))
+			nvbit.ArgDevPtr(t.ctrs))
 	}
 }
 

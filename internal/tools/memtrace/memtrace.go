@@ -209,7 +209,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 			nvbit.ArgConst32(uint32(i.Op())),
 			nvbit.ArgConst32(flags),
 			nvbit.ArgMRefAddr(),
-			nvbit.ArgConst64(t.ch.CtrlAddr()))
+			nvbit.ArgDevPtr(t.ch.CtrlAddr()))
 	}
 }
 

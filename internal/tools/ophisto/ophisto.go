@@ -104,7 +104,7 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 		}
 		for _, i := range insts {
 			n.InsertCallArgs(i, "ophisto_tally", nvbit.IPointBefore,
-				nvbit.ArgConst64(t.basecell),
+				nvbit.ArgDevPtr(t.basecell),
 				nvbit.ArgConst32(uint32(i.Op())*8))
 		}
 	}

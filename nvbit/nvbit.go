@@ -329,12 +329,17 @@ var (
 	ArgReg64     = core.ArgReg64
 	ArgConst32   = core.ArgConst32
 	ArgConst64   = core.ArgConst64
+	ArgDevPtr    = core.ArgDevPtr
 	ArgConstBank = core.ArgConstBank
 	ArgPred      = core.ArgPred
 	ArgSitePred  = core.ArgSitePred
 	ArgMRefAddr  = core.ArgMRefAddr
 	ArgLaunchDim = core.ArgLaunchDim
 )
+
+// UnownedAddrError is the code-generation error for an ArgDevPtr address
+// that lies in no allocation of the attachment (Malloc or a channel).
+type UnownedAddrError = core.UnownedAddrError
 
 // Launch-configuration dimensions for ArgLaunchDim.
 const (

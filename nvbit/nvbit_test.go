@@ -72,7 +72,7 @@ func (t *lifecycleTool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, n
 	for _, i := range insts {
 		if i.GetMemOpSpace() == nvbit.MemGlobal {
 			t.memOps++
-			n.InsertCallArgs(i, "bump", nvbit.IPointBefore, nvbit.ArgConst64(t.ctr))
+			n.InsertCallArgs(i, "bump", nvbit.IPointBefore, nvbit.ArgDevPtr(t.ctr))
 		}
 	}
 }
