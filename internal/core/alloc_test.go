@@ -64,10 +64,11 @@ func coldKernelPTX(name string, seed int64, body int) string {
 
 // coldJITAllocBudget is the most heap objects the cold JIT may allocate per
 // lifted instruction between the launch callback's GetInstrs and the end of
-// finalize: a third of the 25.54 PR 16 allocated on these kernels. Three of
-// them are the tool's: InsertCallArgs makes a call request, the instruction's
-// list of them and the request's argument list.
-const coldJITAllocBudget = 8.5
+// finalize. What it allocates is per function: the lift's arrays, the
+// function's plan table (a call array and argument chunks of one argument per
+// instruction, which InsertCallArgs appends to) and the artifact's. Measured
+// 0.14, where one heap object per instruction or per call would add 1.
+const coldJITAllocBudget = 0.5
 
 // TestColdJITAllocBudget pins the cold path's allocation count: a generated
 // kernel of at least 400 instructions, instrumented at every instruction by
@@ -145,16 +146,15 @@ func TestColdJITAllocBudget(t *testing.T) {
 // warmHitObjectBudget and warmHitByteBudget are the most heap objects and
 // bytes a first launch served from the cache's disk tier may allocate per
 // materialized instruction, everything from the launch callback's GetInstrs
-// to the end of finalize included. The objects are the lift's and the tool's
-// plan, three an instruction, as on a miss; a hit adds a handful per function
-// (the entry read into one buffer, the artifact's four arrays) and none per
-// site. The bytes are what moves: measured 3.14 objects and 1005 bytes, where
-// artifactVersion 2 with its 24-byte relocations and a decode cache made for
-// every trampoline chunk allocated 1271 bytes. A -race build allocates one
-// object and 113 bytes more per instruction; the budgets leave it room.
+// to the end of finalize included. A hit makes a handful of objects per
+// function (the lift's arrays, the plan table, the entry read into one
+// buffer, the artifact's four arrays) and none per site or per call: measured
+// 0.14 objects and 553 bytes, the same under -race. The byte budget is that
+// plus 10 %. While a call was three heap objects and an Instr 128 bytes, a
+// hit allocated 3.13 objects and 674 bytes.
 const (
-	warmHitObjectBudget = 4.5
-	warmHitByteBudget   = 1150
+	warmHitObjectBudget = 0.5
+	warmHitByteBudget   = 608
 )
 
 // TestWarmHitAllocBudget pins what a disk-tier hit allocates: the kernels of

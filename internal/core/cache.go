@@ -85,8 +85,8 @@ func (n *NVBit) codeKey(fs *funcState) jitcache.Key {
 		}
 		h.Uint32(uint32(i.idx))
 		h.Uint8(flagByte(i.removeOrig))
-		n.hashCalls(h, i.before)
-		n.hashCalls(h, i.after)
+		n.hashCalls(h, &fs.plan, i.before)
+		n.hashCalls(h, &fs.plan, i.after)
 	}
 	return h.Sum()
 }
@@ -98,12 +98,14 @@ func flagByte(v bool) uint8 {
 	return 0
 }
 
-func (n *NVBit) hashCalls(h *jitcache.Hasher, calls []*callRequest) {
-	h.Uint32(uint32(len(calls)))
-	for _, cr := range calls {
-		h.String(cr.funcName)
-		h.Uint32(uint32(len(cr.args)))
-		for _, a := range cr.args {
+// hashCalls hashes the list of calls that starts at link head in p: its
+// length, then each call's tool function and arguments.
+func (n *NVBit) hashCalls(h *jitcache.Hasher, p *plan, head int32) {
+	h.Uint32(uint32(p.count(head)))
+	for c := head; c != 0; c = p.calls[c].next {
+		h.String(n.callNames[p.calls[c].name])
+		h.Uint32(uint32(p.calls[c].n))
+		for _, a := range p.argsOf(c) {
 			h.Uint8(uint8(a.kind))
 			if a.kind == argDevPtr {
 				// An address no span holds fails code generation, so

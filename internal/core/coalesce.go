@@ -76,7 +76,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 	for _, i := range fs.insts {
 		if i.hasWork() {
 			nSites++
-			nCalls += len(i.before) + len(i.after)
+			nCalls += fs.plan.count(i.before) + fs.plan.count(i.after)
 		}
 	}
 	calls := make([]siteCall, 0, nCalls)
@@ -124,7 +124,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 		}
 		for ; idx >= end; blk++ {
 			b := fs.blocks[blk].Instrs
-			end = b[0].idx + len(b)
+			end = int(b[0].idx) + len(b)
 		}
 		// The first instruction's after-calls join its before-calls when they
 		// may cross it; otherwise theirs is the bracket later calls join, and

@@ -49,7 +49,7 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 			for k := range group {
 				words++
 				relocs++
-				for a, arg := range group[k].cr.args {
+				for a, arg := range group[k].args {
 					if !reusesArg(group, k, a) {
 						words += arg.bytes() / 4 * argWords
 						if arg.kind == argDevPtr {
@@ -91,7 +91,7 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 // siteCall is one injected call resolved against the loaded tool functions
 // and the instrumented instruction.
 type siteCall struct {
-	cr   *callRequest
+	args []CallArg // in the function's plan
 	tf   *toolFunc
 	site *Instr // the instruction the call was inserted at
 	// reads and predReads are the site's registers and predicates the
@@ -102,19 +102,20 @@ type siteCall struct {
 	predReads sass.PredSet
 }
 
-// resolveCalls looks up and validates one group of call requests and appends
-// them to calls.
-func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, group []*callRequest) ([]siteCall, error) {
-	for _, cr := range group {
-		tf, err := n.loader.lookup(cr.funcName)
+// resolveCalls looks up and validates the list of i's calls that starts at
+// link head in the function's plan and appends them to calls.
+func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, head int32) ([]siteCall, error) {
+	p := &i.fs.plan
+	for k := head; k != 0; k = p.calls[k].next {
+		tf, err := n.loader.lookup(n.callNames[p.calls[k].name])
 		if err != nil {
 			return nil, err
 		}
-		if err := validateArgs(tf, cr.args); err != nil {
+		c := siteCall{args: p.argsOf(k), tf: tf, site: i}
+		if err := validateArgs(tf, c.args); err != nil {
 			return nil, err
 		}
-		c := siteCall{cr: cr, tf: tf, site: i}
-		for _, a := range cr.args {
+		for _, a := range c.args {
 			switch a.kind {
 			case argRegVal:
 				c.reads.AddRange(sass.Reg(a.reg), 1)
@@ -226,7 +227,7 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 		emitCall(relocSaveFn, int32(site.saveN))
 		for k, c := range group {
 			n.marshalArgs(art, i0, group, k, nil)
-			emitCall(relocToolFn, art.toolIndex(c.cr.funcName))
+			emitCall(relocToolFn, art.toolIndex(c.tf.name))
 		}
 		emitCall(relocRestoreFn, int32(site.saveN))
 		return true
@@ -450,10 +451,10 @@ func reusesArg(group []siteCall, k, a int) bool {
 	if k == 0 || group[k-1].tf != group[k].tf || !group[k].tf.keepsParams {
 		return false
 	}
-	arg := group[k].cr.args[a]
+	arg := group[k].args[a]
 	switch arg.kind {
 	case argImm32, argImm64, argCBank, argDevPtr:
-		return group[k-1].cr.args[a] == arg
+		return group[k-1].args[a] == arg
 	}
 	return false
 }
@@ -489,7 +490,7 @@ func (n *NVBit) marshalArgs(art *codeArtifact, i0 int, group []siteCall, k int, 
 			out = append(out, ld)
 		}
 	}
-	for ai, a := range c.cr.args {
+	for ai, a := range c.args {
 		abi := sass.Reg(c.tf.params[ai].Offset)
 		if live {
 			abi = regMap[abi]

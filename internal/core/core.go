@@ -61,7 +61,12 @@ type NVBit struct {
 
 	loader *toolLoader
 	funcs  map[*driver.Function]*funcState
-	stats  JITStats
+	// lifted holds the same functions in the order they were lifted, the
+	// order finalizeAll generates their code in.
+	lifted []*funcState
+	// callNames are the tool functions the functions' plans name.
+	callNames []string
+	stats     JITStats
 	// liftTime accumulates phases 1–3 so the user-code phase (4) can be
 	// measured net of inspection work the tool triggers from inside its
 	// callback.

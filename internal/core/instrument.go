@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"nvbitgo/internal/sass"
 )
@@ -135,35 +136,109 @@ func (a CallArg) bytes() int {
 // after the instruction (nvbit_insert_call). Multiple functions can be
 // injected at the same location; they execute in insertion order.
 func (n *NVBit) InsertCall(i *Instr, funcName string, where IPoint) {
-	req := &callRequest{funcName: funcName}
-	if where == IPointBefore {
-		i.before = append(i.before, req)
-	} else {
-		i.after = append(i.after, req)
+	p := &i.fs.plan
+	if p.calls == nil {
+		// Room for a call at every instruction, which is what a tool
+		// counting instructions plans.
+		p.calls = make([]call, 1, len(i.fs.insts)+1)
 	}
-	i.lastInserted = req
+	c := int32(len(p.calls))
+	p.calls = append(p.calls, call{name: n.callName(funcName)})
+	i.lastAfter = where != IPointBefore
+	switch tail := i.lastCall(); {
+	case tail != 0:
+		p.calls[tail].next = c
+	case i.lastAfter:
+		i.after = c
+	default:
+		i.before = c
+	}
 	i.fs.dirty = true
+}
+
+// lastCall returns the link to the last call of the list, before or after,
+// the instruction's latest InsertCall chose: the call AddCallArg extends. It
+// is 0 when that list is empty.
+func (i *Instr) lastCall() int32 {
+	c := i.before
+	if i.lastAfter {
+		c = i.after
+	}
+	if c != 0 {
+		for calls := i.fs.plan.calls; calls[c].next != 0; c = calls[c].next {
+		}
+	}
+	return c
+}
+
+// callName returns name's index in callNames, adding it when new. A tool
+// names a handful of device functions, so the search is linear.
+func (n *NVBit) callName(name string) int32 {
+	for k, have := range n.callNames {
+		if have == name {
+			return int32(k)
+		}
+	}
+	n.callNames = append(n.callNames, name)
+	return int32(len(n.callNames) - 1)
 }
 
 // AddCallArg appends a positional argument to the most recently inserted
 // call on this instruction (nvbit_add_call_arg).
 func (n *NVBit) AddCallArg(i *Instr, a CallArg) {
-	if i.lastInserted == nil {
+	c := i.lastCall()
+	if c == 0 {
 		panic("nvbit: AddCallArg before InsertCall")
 	}
 	if a.kind == argDevPtr {
 		a.span, a.off = n.ownerOf(a.imm)
 	}
-	i.lastInserted.args = append(i.lastInserted.args, a)
+	i.fs.plan.addArg(c, a, len(i.fs.insts))
+}
+
+// addArg appends a to the arguments of call c. They grow in place at the end
+// of the last chunk, and otherwise move there first: a call inserted after c
+// took arguments since, or the chunk is full. Every chunk holds first
+// arguments, or the run if it is longer, so the table never copies a chunk to
+// grow and wastes less than one chunk.
+func (p *plan) addArg(c int32, a CallArg, first int) {
+	k := &p.calls[c]
+	if k.n == math.MaxUint16 {
+		panic("nvbit: AddCallArg past 65535 arguments")
+	}
+	last := len(p.args) - 1
+	atEnd := last >= 0 && int(k.chunk) == last && int(k.off)+int(k.n) == len(p.args[last])
+	if !atEnd || len(p.args[last]) == cap(p.args[last]) {
+		run := p.argsOf(c)
+		if last < 0 || cap(p.args[last])-len(p.args[last]) <= len(run) {
+			if len(p.args) > math.MaxUint16 {
+				panic("nvbit: AddCallArg past 65536 argument chunks")
+			}
+			p.args = append(p.args, make([]CallArg, 0, max(first, len(run)+1)))
+			last++
+		}
+		k.chunk, k.off = uint16(last), int32(len(p.args[last]))
+		p.args[last] = append(p.args[last], run...)
+	}
+	p.args[last] = append(p.args[last], a)
+	k.n++
 }
 
 // InsertCallArgs is a convenience combining InsertCall and AddCallArg.
 func (n *NVBit) InsertCallArgs(i *Instr, funcName string, where IPoint, args ...CallArg) {
 	n.InsertCall(i, funcName, where)
-	i.lastInserted.args = make([]CallArg, 0, len(args))
 	for _, a := range args {
 		n.AddCallArg(i, a)
 	}
+}
+
+// count returns the length of the list of calls that starts at link c.
+func (p *plan) count(c int32) int {
+	n := 0
+	for ; c != 0; c = p.calls[c].next {
+		n++
+	}
+	return n
 }
 
 // RemoveOrig removes the original instruction, keeping any injected calls
@@ -216,7 +291,7 @@ func ParseInjectionMode(s string) (InjectionMode, error) {
 
 // hasWork reports whether the instruction carries instrumentation requests.
 func (i *Instr) hasWork() bool {
-	return len(i.before) > 0 || len(i.after) > 0 || i.removeOrig
+	return i.before != 0 || i.after != 0 || i.removeOrig
 }
 
 // UnownedAddrError is the code-generation error for an ArgDevPtr address

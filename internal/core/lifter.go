@@ -14,21 +14,43 @@ import (
 // sticks to the Instr across repeated inspections.
 type Instr struct {
 	fs   *funcState
-	idx  int // word index within the function
 	inst sass.Inst
-	opds []sass.Operand // built lazily by operands()
+	idx  int32 // word index within the function
 
-	// Pending instrumentation requests (consumed by the Code Generator).
-	before       []*callRequest
-	after        []*callRequest
-	removeOrig   bool
-	lastInserted *callRequest
+	// Instrumentation requests (consumed by the Code Generator): links into
+	// the function's plan to the first call injected before and after the
+	// instruction, and whether the call inserted last is an after-call.
+	before, after int32
+	lastAfter     bool
+	removeOrig    bool
 }
 
-// callRequest is one injected function call with its positional arguments.
-type callRequest struct {
-	funcName string
-	args     []CallArg
+// plan is a function's instrumentation plan. An instruction's calls at one
+// IPoint are a list through call.next in insertion order; calls[0] is never a
+// call, so a link of 0 is the end of a list. A call's arguments are one run in
+// one chunk of args (addArg).
+type plan struct {
+	calls []call
+	args  [][]CallArg
+}
+
+// call is one injected call.
+type call struct {
+	name  int32 // the tool function, an index into NVBit.callNames
+	next  int32 // the next call at the same instruction and IPoint
+	off   int32 // its arguments: n of them from args[chunk][off]
+	n     uint16
+	chunk uint16
+}
+
+// argsOf returns the arguments of call c.
+func (p *plan) argsOf(c int32) []CallArg {
+	k := &p.calls[c]
+	if k.n == 0 {
+		return nil
+	}
+	end := k.off + int32(k.n)
+	return p.args[k.chunk][k.off:end:end]
 }
 
 // funcState is the per-CUfunction instrumentation state.
@@ -50,6 +72,7 @@ type funcState struct {
 	dirty           bool   // instrumentation requests not yet generated
 	origCode        []byte // pristine copy in system memory
 	instrCode       []byte // instrumented copy (same size, same load address)
+	plan            plan   // the injected calls, kept after generation
 }
 
 // BasicBlock is one uninterrupted instruction sequence (paper Section 4).
@@ -105,7 +128,7 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 	fs.insts = make([]*Instr, len(insts))
 	backing := make([]Instr, len(insts))
 	for i, in := range insts {
-		backing[i] = Instr{fs: fs, idx: i, inst: in}
+		backing[i] = Instr{fs: fs, inst: in, idx: int32(i)}
 		fs.insts[i] = &backing[i]
 	}
 	for _, r := range ranges {
@@ -118,6 +141,7 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 	n.stats.InstrsLifted += len(insts)
 
 	n.funcs[f] = fs
+	n.lifted = append(n.lifted, fs)
 	return fs, nil
 }
 
@@ -174,7 +198,7 @@ func (n *NVBit) LiveRegs(i *Instr) (regs sass.RegSet, conservative bool) {
 	if live.Conservative() {
 		return bound, true
 	}
-	rs, _ := live.SiteLive(i.idx)
+	rs, _ := live.SiteLive(int(i.idx))
 	return rs.Intersect(bound), false
 }
 
@@ -189,10 +213,10 @@ func (n *NVBit) IsInstrumented(f *driver.Function) bool {
 // --- Instr inspection methods (Listing 4) -----------------------------------
 
 // Idx returns the instruction's index within the function body.
-func (i *Instr) Idx() int { return i.idx }
+func (i *Instr) Idx() int { return int(i.idx) }
 
 // Offset returns the instruction's byte offset within the function.
-func (i *Instr) Offset() int { return i.idx * i.fs.instBytes }
+func (i *Instr) Offset() int { return int(i.idx) * i.fs.instBytes }
 
 // GetSASS returns the disassembled text of the instruction.
 func (i *Instr) GetSASS() string {
@@ -224,22 +248,12 @@ func (i *Instr) IsStore() bool { return i.inst.Op.IsStore() }
 // IsControlFlow reports whether the instruction redirects the PC.
 func (i *Instr) IsControlFlow() bool { return i.inst.Op.IsControlFlow() }
 
-func (i *Instr) operands() []sass.Operand {
-	if i.opds == nil {
-		i.opds = i.inst.Operands()
-		if i.opds == nil {
-			i.opds = []sass.Operand{} // distinguish "computed, empty"
-		}
-	}
-	return i.opds
-}
-
 // GetNumOperands returns the operand count.
-func (i *Instr) GetNumOperands() int { return len(i.operands()) }
+func (i *Instr) GetNumOperands() int { return len(i.inst.Operands()) }
 
 // GetOperand returns the n-th structured operand, destination first.
 func (i *Instr) GetOperand(k int) (sass.Operand, bool) {
-	o := i.operands()
+	o := i.inst.Operands()
 	if k < 0 || k >= len(o) {
 		return sass.Operand{}, false
 	}
@@ -259,7 +273,7 @@ func (i *Instr) GetPredicate() (p sass.Pred, neg, guarded bool) {
 // name and line), provided line information was not stripped from the binary.
 func (i *Instr) GetLineInfo() (file string, line int, ok bool) {
 	f := i.fs.f
-	if len(f.Lines) != len(i.fs.insts) || i.idx >= len(f.Lines) {
+	if len(f.Lines) != len(i.fs.insts) || int(i.idx) >= len(f.Lines) {
 		return "", 0, false
 	}
 	return f.Module.Name, int(f.Lines[i.idx]), true

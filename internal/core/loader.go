@@ -65,7 +65,7 @@ func (n *NVBit) atFlushPoint(sm int, point gpu.FlushPoint) {
 	cta := n.ctaNext
 	n.ctaNext++
 	n.ctaExit(cta)
-	for _, fs := range n.funcs {
+	for _, fs := range n.lifted {
 		if want := fs.enabled && fs.instrumented; want != fs.resident {
 			if err := n.swapIn(fs, want); err != nil {
 				panic(fmt.Sprintf("nvbit: switching %s after CTA %d: %v", fs.f.Name, cta, err))
@@ -97,10 +97,9 @@ func (n *NVBit) ResetInstrumented(f *driver.Function) error {
 			return err
 		}
 	}
+	fs.plan = plan{}
 	for _, i := range fs.insts {
-		i.before, i.after = nil, nil
-		i.removeOrig = false
-		i.lastInserted = nil
+		i.before, i.after, i.lastAfter, i.removeOrig = 0, 0, false, false
 	}
 	fs.instrCode = nil
 	fs.instrumented = false
@@ -114,17 +113,19 @@ func (n *NVBit) ResetInstrumented(f *driver.Function) error {
 // launched function is finalized first, then every other function carrying
 // pending instrumentation or a stale resident version — tools may have
 // instrumented related (callee) device functions or other kernels from the
-// same callback, and their code generation happens now too.
+// same callback, and their code generation happens now too, in the order the
+// functions were lifted, so their trampolines land in the same places every
+// run.
 func (n *NVBit) finalizeAll(launched *driver.Function) error {
 	if err := n.finalize(launched); err != nil {
 		return err
 	}
-	for f, fs := range n.funcs {
-		if f == launched {
+	for _, fs := range n.lifted {
+		if fs.f == launched {
 			continue
 		}
 		if fs.dirty || (fs.enabled && fs.instrumented) != fs.resident {
-			if err := n.finalize(f); err != nil {
+			if err := n.finalize(fs.f); err != nil {
 				return err
 			}
 		}
