@@ -573,23 +573,31 @@ func BenchmarkBBvsInstrCounting(b *testing.B) {
 
 // BenchmarkToolOverheads compares the execution cost of the paper's tools on
 // one ML workload (tool bodies dominate; JIT overhead is negligible here).
+// One untimed pass runs first, so what a pass allocates does not depend on
+// which benchmarks ran before it and warmed the process's pools.
 func BenchmarkToolOverheads(b *testing.B) {
 	net := mlsuite.Networks()[0] // AlexNet
+	pass := func(b *testing.B, mk func() nvbit.Tool) {
+		api, err := gpusim.New(gpusim.Volta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer api.Close()
+		if mk != nil {
+			if _, err := nvbit.Attach(api, mk()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ctx, _ := api.CtxCreate()
+		if _, err := mlsuite.Run(ctx, nil, net); err != nil {
+			b.Fatal(err)
+		}
+	}
 	run := func(b *testing.B, mk func() nvbit.Tool) {
+		pass(b, mk)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			api, err := gpusim.New(gpusim.Volta)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mk != nil {
-				if _, err := nvbit.Attach(api, mk()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ctx, _ := api.CtxCreate()
-			if _, err := mlsuite.Run(ctx, nil, net); err != nil {
-				b.Fatal(err)
-			}
+			pass(b, mk)
 		}
 	}
 	b.Run("native", func(b *testing.B) { run(b, nil) })

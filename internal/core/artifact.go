@@ -33,8 +33,8 @@ import (
 // one relocation array — and the wire format is that same shape: a header
 // holding every count, the tool names, then each array packed at a fixed
 // record width. A blob's size follows from its header alone, so decode checks
-// it against len(blob) once, allocates each array once at its final size and
-// fills it in one loop.
+// it against len(blob) once, sizes each array once — reusing the destination
+// artifact's where it has the room — and fills it in one loop.
 
 // artifactVersion invalidates serialized artifacts when the codec layout
 // changes. It is also folded into the cache key, so a bump makes old
@@ -267,13 +267,17 @@ func encodeCodeArtifact(a *codeArtifact) []byte {
 	return b
 }
 
-func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
+// decodeCodeArtifact decodes b into a, reusing a's arrays where they have the
+// room (the workspace's artifact is decoded into function after function).
+// Every element of the result is written from b, so nothing a held before
+// survives; after an error a holds nothing usable.
+func decodeCodeArtifact(b []byte, a *codeArtifact) error {
 	le := binary.LittleEndian
 	if len(b) < headerBinBytes {
-		return nil, errArtifactTruncated
+		return errArtifactTruncated
 	}
 	if v := le.Uint32(b); v != artifactVersion {
-		return nil, fmt.Errorf("nvbit: code artifact version %d, want %d", v, artifactVersion)
+		return fmt.Errorf("nvbit: code artifact version %d, want %d", v, artifactVersion)
 	}
 	// The seven counts, widened so that no product or sum of them wraps.
 	var n [7]uint64
@@ -283,28 +287,31 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 	nTools, nameBytes, nSites, nInsts, nImms, nRelocs, nAddrs := n[0], n[1], n[2], n[3], n[4], n[5], n[6]
 	if headerBinBytes+nameBytes+nSites*siteBinBytes+nInsts*instBinBytes+nImms*immBinBytes+nRelocs*relocBinBytes+nAddrs*addrBinBytes != uint64(len(b)) ||
 		4*nTools > nameBytes || nImms > nInsts || nInsts|nRelocs|nAddrs > math.MaxInt32 {
-		return nil, errArtifactTruncated
+		return errArtifactTruncated
 	}
 	// Every array is now known to be no larger than a small multiple of the
 	// bytes that hold it.
-	a := &codeArtifact{
-		toolNames: make([]string, nTools),
-		sites:     make([]siteArtifact, nSites),
-		insts:     make([]sass.Inst, nInsts),
-		relocs:    make([]reloc, nRelocs),
-		addrs:     make([]addrRef, nAddrs),
-	}
+	a.toolNames = reuse(a.toolNames, int(nTools))[:nTools]
+	a.sites = reuse(a.sites, int(nSites))[:nSites]
+	a.insts = reuse(a.insts, int(nInsts))[:nInsts]
+	a.relocs = reuse(a.relocs, int(nRelocs))[:nRelocs]
+	a.addrs = reuse(a.addrs, int(nAddrs))[:nAddrs]
 	p := b[headerBinBytes:]
 	names, p := p[:nameBytes], p[nameBytes:]
 	for i := range a.toolNames {
 		if len(names) < 4 || uint64(le.Uint32(names)) > uint64(len(names)-4) {
-			return nil, errArtifactTruncated
+			return errArtifactTruncated
 		}
+		// A name already in place, usually the previous function's, is kept
+		// rather than allocated again.
 		k := 4 + int(le.Uint32(names))
-		a.toolNames[i], names = string(names[4:k]), names[k:]
+		if a.toolNames[i] != string(names[4:k]) {
+			a.toolNames[i] = string(names[4:k])
+		}
+		names = names[k:]
 	}
 	if len(names) != 0 {
-		return nil, errArtifactTruncated
+		return errArtifactTruncated
 	}
 	// Sites tile the two arrays in order; a run past an array's end is caught
 	// as it is laid out, an array longer than its sites' runs after.
@@ -316,7 +323,7 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		// room to relocate; an in-place removal covers one.
 		if flags > siteFlagNopOnly|siteFlagInline || iOff+ni > nInsts || rOff+nr > nRelocs ||
 			cover < 1 || cover > 1 && (flags&siteFlagNopOnly != 0 || uint64(cover) >= ni) {
-			return nil, errArtifactValue
+			return errArtifactValue
 		}
 		*s = siteArtifact{
 			idx: int(le.Uint32(p)), cover: int(cover), nopOnly: flags&siteFlagNopOnly != 0, inline: flags&siteFlagInline != 0,
@@ -326,7 +333,7 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 		iOff, rOff, p = iOff+ni, rOff+nr, p[siteBinBytes:]
 	}
 	if iOff != nInsts || rOff != nRelocs {
-		return nil, errArtifactValue
+		return errArtifactValue
 	}
 	imm, relocs := p[nInsts*instBinBytes:][:nImms*immBinBytes], p[nInsts*instBinBytes+nImms*immBinBytes:]
 	addrs := relocs[nRelocs*relocBinBytes:]
@@ -336,19 +343,19 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 			Dst: sass.Reg(p[3]), Src1: sass.Reg(p[4]), Src2: sass.Reg(p[5]), Src3: sass.Reg(p[6]), Mods: sass.Mods(p[7]),
 		}
 		if p[2] > instFlagPredNeg|instFlagImm || !in.Op.Valid() {
-			return nil, errArtifactValue
+			return errArtifactValue
 		}
 		if p[2]&instFlagImm != 0 {
 			// A presence bit over a zero immediate is not what encode writes.
 			if len(imm) == 0 || le.Uint64(imm) == 0 {
-				return nil, errArtifactValue
+				return errArtifactValue
 			}
 			in.Imm, imm = int64(le.Uint64(imm)), imm[immBinBytes:]
 		}
 		a.insts[i], p = in, p[instBinBytes:]
 	}
 	if len(imm) != 0 {
-		return nil, errArtifactValue
+		return errArtifactValue
 	}
 	for i := range a.sites {
 		s := &a.sites[i]
@@ -358,7 +365,7 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 				(rl.kind == relocToolFn && uint64(uint32(rl.aux)) >= nTools) ||
 				(rl.kind == relocAddr && uint64(uint32(rl.aux)) >= nAddrs) ||
 				(rl.kind <= relocRestoreFn && uint32(rl.aux) > sass.NumRegs) {
-				return nil, errArtifactValue
+				return errArtifactValue
 			}
 			a.relocs[int(s.relocs.off)+k], relocs = rl, relocs[relocBinBytes:]
 		}
@@ -366,5 +373,5 @@ func decodeCodeArtifact(b []byte) (*codeArtifact, error) {
 	for k := range a.addrs {
 		a.addrs[k], addrs = addrRef{span: le.Uint32(addrs), off: le.Uint64(addrs[4:])}, addrs[addrBinBytes:]
 	}
-	return a, nil
+	return nil
 }

@@ -8,6 +8,15 @@ import (
 	"nvbitgo/internal/sass"
 )
 
+// decodeFresh decodes b into a new artifact.
+func decodeFresh(b []byte) (*codeArtifact, error) {
+	a := new(codeArtifact)
+	if err := decodeCodeArtifact(b, a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // TestArtifactDecodeStrict: decode accepts exactly what encode writes. A flag
 // bit no encoder sets, an undefined opcode, a presence bit over a zero
 // immediate and a relocation kind past the last would all decode to an
@@ -28,7 +37,7 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	art.addSite(siteArtifact{idx: 7, cover: 2, saveN: 16, savedRegs: 9}, 0, 0)
 	art.sites = append(art.sites, siteArtifact{idx: 9, cover: 1, nopOnly: true})
 	code := encodeCodeArtifact(art)
-	back, err := decodeCodeArtifact(code)
+	back, err := decodeFresh(code)
 	if err != nil || !bytes.Equal(encodeCodeArtifact(back), code) {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -50,7 +59,7 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		b[off] = v
 		return b
 	}
-	if a, err := decodeCodeArtifact(patch(site0+20, siteFlagInline)); err != nil || !a.sites[0].inline || a.sites[0].cover != 2 {
+	if a, err := decodeFresh(patch(site0+20, siteFlagInline)); err != nil || !a.sites[0].inline || a.sites[0].cover != 2 {
 		t.Errorf("inline site covering two: %v", err)
 	}
 	for name, blob := range map[string][]byte{
@@ -82,7 +91,7 @@ func TestArtifactDecodeStrict(t *testing.T) {
 		"truncated":                    code[:len(code)-1],
 		"header only":                  code[:headerBinBytes-1],
 	} {
-		if _, err := decodeCodeArtifact(blob); err == nil {
+		if _, err := decodeFresh(blob); err == nil {
 			t.Errorf("code artifact with %s accepted", name)
 		}
 	}
@@ -118,7 +127,7 @@ func TestMaterializeRejectsCoverPastFunction(t *testing.T) {
 		}
 		art.insts = append(art.insts, pad...)
 		last.insts.n += int32(extra)
-		back, err := decodeCodeArtifact(encodeCodeArtifact(art))
+		back, err := decodeFresh(encodeCodeArtifact(art))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

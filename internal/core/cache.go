@@ -17,10 +17,12 @@ import (
 // that determines the generated code: function bytes, HAL identity, the
 // tool's registered PTX sources, the function's register requirement, the
 // injection mode, and the complete instrumentation plan down to each
-// argument's kind and constant. A hit skips liveness analysis and code
-// generation and goes straight to materialization. Disassembly is not cached:
-// the lift costs about what a lookup does, and the tool callback runs on every
-// attach anyway (its plan is this attach's, with this attach's addresses).
+// argument's kind and constant. A hit skips code generation (and with it any
+// liveness analysis a trampoline would need), decodes the stored bytes into
+// the attachment's workspace and goes straight to materialization.
+// Disassembly is not cached: the lift costs about what a lookup does, and the
+// tool callback runs on every attach anyway (its plan is this attach's, with
+// this attach's addresses).
 //
 // Because the key covers the full plan — including ArgConst constants — a
 // cached artifact can never be served to an attach whose plan differs: the
@@ -166,9 +168,10 @@ func (n *NVBit) instrument(fs *funcState) error {
 		n.stats.CacheLookup += time.Since(t0) - gen
 		if hit {
 			h0 := time.Now()
-			if art, err = decodeCodeArtifact(data); err != nil {
+			art = &n.ws.art
+			if err = decodeCodeArtifact(data, art); err != nil {
 				n.cache.Delete(key)
-				hit, data, err = false, nil, nil
+				art, hit, data, err = nil, false, nil, nil
 			}
 			n.stats.CacheHit += time.Since(h0)
 		}

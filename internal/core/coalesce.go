@@ -46,7 +46,8 @@ type crossed struct {
 	fence  bool // control flow or a barrier
 }
 
-func (x *crossed) add(in sass.Inst, defs sass.RegSet, pdefs sass.PredSet) {
+func (x *crossed) add(in sass.Inst) {
+	defs, _, pdefs, _ := sass.DefUse(in)
 	x.defs = x.defs.Union(defs)
 	x.pdefs |= pdefs
 	x.stores = x.stores || in.Op.IsStore()
@@ -70,7 +71,9 @@ func (x *crossed) admits(group []siteCall) bool {
 // instrumented instructions into visits, the same ones for every injection
 // mode. Functions with indirect control flow (no basic blocks, no liveness)
 // and the test hook keep one visit per instrumented instruction, laid out as
-// before visits existed.
+// before visits existed. The rules read each instruction's own def sets, not
+// the liveness fixed point, so planning runs no dataflow analysis. The two
+// arrays are the workspace's, valid until the next function's planning.
 func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 	nSites, nCalls := 0, 0
 	for _, i := range fs.insts {
@@ -79,10 +82,10 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 			nCalls += fs.plan.count(i.before) + fs.plan.count(i.after)
 		}
 	}
-	calls := make([]siteCall, 0, nCalls)
-	visits := make([]visit, 0, nSites)
-	live := fs.liveness()
-	perSite := n.perSiteVisits || live.Conservative()
+	// Both counts are exact, so appending never moves either array.
+	n.ws.calls, n.ws.visits = reuse(n.ws.calls, nCalls), reuse(n.ws.visits, nSites)
+	calls, visits := n.ws.calls, n.ws.visits
+	perSite := n.perSiteVisits || fs.hasICF
 	var (
 		open bool    // the last visit may take in the next instruction
 		x    crossed // what lies between that visit's last bracket and the next instruction
@@ -104,9 +107,8 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 			return nil, nil, err
 		}
 		mine := calls[c0:]
-		defs, pdefs := live.Defs(idx)
 		if open && idx < end && len(mine) > 0 && x.admits(mine[:head]) {
-			x.add(i.inst, defs, pdefs) // after-calls cross the instruction itself as well
+			x.add(i.inst) // after-calls cross the instruction itself as well
 			if x.admits(mine[head:]) {
 				v := &visits[len(visits)-1]
 				if v.head == int(v.calls.n) {
@@ -130,7 +132,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 		// may cross it; otherwise theirs is the bracket later calls join, and
 		// nothing lies between it and the next instruction yet.
 		x = crossed{}
-		x.add(i.inst, defs, pdefs)
+		x.add(i.inst)
 		if head > 0 && x.admits(mine[head:]) {
 			visits[len(visits)-1].head = len(mine)
 		} else {

@@ -7,6 +7,38 @@ import (
 	"nvbitgo/internal/sass"
 )
 
+// workspace is the Code Generator's scratch, one per attachment: everything
+// planning, building, decoding and materializing one function's code needs
+// and nothing keeps once instrument returns. Its arrays are emptied, not
+// freed, between functions, and one that is too small is replaced by one of
+// exactly the size the function needs. Nothing refers into it past the
+// function it serves: the cache holds an artifact as bytes, and the device
+// holds a copy of the code.
+type workspace struct {
+	calls  []siteCall
+	visits []visit
+	art    codeArtifact
+	tools  []int64 // the artifact's tool functions' addresses
+	frames []frame // the save frames the function's sites use so far
+	// raw is the encoding of the trampolines not yet written to the device.
+	raw []byte
+}
+
+// frame is a save-frame size and the addresses of its two routines.
+type frame struct {
+	n             int32
+	save, restore int64
+}
+
+// reuse returns s emptied with room for n elements: s's own array when it
+// has the room, otherwise a new one of exactly n.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // buildArtifact runs the device-independent half of the Code Generator: it
 // builds one trampoline body per visit — a straight-line run of instrumented
 // instructions (planVisits) — and records relocations for every immediate that
@@ -16,7 +48,7 @@ import (
 // its output is a pure function of (function bytes, plan with owned addresses
 // taken relative to their spans, tool sources, family, MaxRegs, injection
 // mode) — exactly the inputs the cache key covers, which is what makes
-// artifacts shareable across attaches.
+// artifacts shareable across attaches. The artifact is the workspace's.
 func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 	calls, visits, err := n.planVisits(fs)
 	if err != nil {
@@ -60,10 +92,13 @@ func (n *NVBit) buildArtifact(fs *funcState) (*codeArtifact, error) {
 			}
 		}
 	}
-	art := &codeArtifact{
-		sites:  make([]siteArtifact, 0, len(visits)),
-		insts:  make([]sass.Inst, 0, words),
-		relocs: make([]reloc, 0, relocs),
+	art := &n.ws.art
+	*art = codeArtifact{
+		toolNames: art.toolNames[:0],
+		sites:     reuse(art.sites, len(visits)),
+		insts:     reuse(art.insts, words),
+		relocs:    reuse(art.relocs, relocs),
+		addrs:     art.addrs[:0],
 	}
 	var inlineLive *sass.Liveness
 	if n.injectMode == InjectInline {
@@ -243,8 +278,8 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 // Relocations are resolved in the artifact's own instructions: the cache holds
 // an artifact as bytes, and the one passed here was built or decoded for this
 // attach alone, which is done with it when this returns. Trampolines that land
-// back to back — all that one bulk chunk holds — are encoded into trampRaw and
-// written to the device together.
+// back to back — all that one bulk chunk holds — are encoded into the
+// workspace and written to the device together.
 // Inserting trampolines preserves the instruction layout — instrumented and
 // original code have the exact same size and occupy the same location in GPU
 // memory, so absolute jumps keep working regardless of which version is
@@ -264,25 +299,19 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	// for the rest of it; the loader loads on demand, so first uses in site
 	// order keep every device allocation where resolving each relocation
 	// afresh put it.
-	tools := make([]int64, len(art.toolNames))
-	for k, name := range art.toolNames {
+	tools := reuse(n.ws.tools, len(art.toolNames))
+	for _, name := range art.toolNames {
 		tf, err := n.loader.lookup(name)
 		if err != nil {
 			return err
 		}
-		tools[k] = int64(tf.addr)
+		tools = append(tools, int64(tf.addr))
 	}
-	type frame struct {
-		n             int32
-		save, restore int64
-	}
-	frames := make([]frame, 0, 4)
+	n.ws.tools = tools
+	frames := n.ws.frames[:0]
 	// The pending run: encoded trampolines not yet written, destined for
 	// runBase onward. One bulk chunk bounds it, and so does the function.
-	run, runBase := n.trampRaw[:0], gpu.CodeAddr(0)
-	if need := min(len(art.insts), trampChunkWords) * ib; cap(run) < need {
-		run = make([]byte, 0, need)
-	}
+	run, runBase := reuse(n.ws.raw, min(len(art.insts), trampChunkWords)*ib), gpu.CodeAddr(0)
 	flush := func() error {
 		if len(run) == 0 {
 			return nil
@@ -389,7 +418,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			n.stats.TrampolineWords += len(tr)
 		}
 	}
-	n.trampRaw = run
+	n.ws.raw, n.ws.frames = run, frames
 	if err := flush(); err != nil {
 		return err
 	}

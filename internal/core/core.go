@@ -88,9 +88,8 @@ type NVBit struct {
 	// tests set it (export_test.go), for the per-site build their
 	// differentials compare with; the cache key does not cover it.
 	perSiteVisits bool
-	// trampRaw is materializeArtifact's scratch: the encoding of the
-	// trampolines not yet written to the device.
-	trampRaw []byte
+	// ws is the Code Generator's scratch, reused from function to function.
+	ws workspace
 	// spans are the device memory the attachment owns, in allocation order:
 	// each Malloc and each channel's control block. An ArgDevPtr address is
 	// hashed and relocated as (ordinal here, size, offset).

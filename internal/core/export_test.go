@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nvbitgo/internal/driver"
@@ -71,8 +72,8 @@ func (n *NVBit) CodeKeys() map[string]string {
 // relocation is left out. The golden pins what the Code Generator produced,
 // so it reads this rendering and a change of wire format leaves it alone.
 func (n *NVBit) CanonicalCodeArtifact(blob []byte) ([]byte, error) {
-	a, err := decodeCodeArtifact(blob)
-	if err != nil {
+	a := new(codeArtifact)
+	if err := decodeCodeArtifact(blob, a); err != nil {
 		return nil, err
 	}
 	for _, s := range a.sites {
@@ -155,7 +156,8 @@ func (n *NVBit) ArtifactDigests() ([]string, error) {
 // RecodeCodeArtifact decodes a blob and, when it is accepted, reports whether
 // encoding the result gives the blob back.
 func RecodeCodeArtifact(b []byte) (accepted, same bool) {
-	a, err := decodeCodeArtifact(b)
+	a := new(codeArtifact)
+	err := decodeCodeArtifact(b, a)
 	return err == nil, err == nil && bytes.Equal(encodeCodeArtifact(a), b)
 }
 
@@ -171,11 +173,12 @@ func (n *NVBit) VisitSpans(f *driver.Function) ([][2]int, error) {
 }
 
 // ArtifactShape returns the largest instruction count any site of an encoded
-// artifact covers and the number of its owned-address relocations.
-func ArtifactShape(blob []byte) (maxCover, addrRelocs int, err error) {
-	a, err := decodeCodeArtifact(blob)
-	if err != nil {
-		return 0, 0, err
+// artifact covers, the number of its owned-address relocations and of its
+// tool functions.
+func ArtifactShape(blob []byte) (maxCover, addrRelocs, tools int, err error) {
+	a := new(codeArtifact)
+	if err := decodeCodeArtifact(blob, a); err != nil {
+		return 0, 0, 0, err
 	}
 	for _, s := range a.sites {
 		maxCover = max(maxCover, s.cover)
@@ -185,5 +188,40 @@ func ArtifactShape(blob []byte) (maxCover, addrRelocs int, err error) {
 			addrRelocs++
 		}
 	}
-	return maxCover, addrRelocs, nil
+	return maxCover, addrRelocs, len(a.toolNames), nil
+}
+
+// AnalyzedFuncs returns how many functions the attachment instrumented and
+// how many of them hold the liveness fixed point's result, which a function
+// computes at most once (funcState.liveness).
+func (n *NVBit) AnalyzedFuncs() (instrumented, analyzed int) {
+	for _, fs := range n.funcs {
+		if fs.instrumented {
+			instrumented++
+			if fs.live != nil {
+				analyzed++
+			}
+		}
+	}
+	return instrumented, analyzed
+}
+
+// DecodeOver decodes blob twice, into a new artifact and into one that priors
+// were decoded into first, in turn, as the workspace's artifact is function
+// after function, and reports whether the two agree: both refuse blob, or
+// both accept it and are equal element for element.
+func DecodeOver(priors [][]byte, blob []byte) bool {
+	fresh, reused := new(codeArtifact), new(codeArtifact)
+	for _, prior := range priors {
+		if err := decodeCodeArtifact(prior, reused); err != nil {
+			panic(err)
+		}
+	}
+	errFresh, errReused := decodeCodeArtifact(blob, fresh), decodeCodeArtifact(blob, reused)
+	if errFresh != nil || errReused != nil {
+		return (errFresh == nil) == (errReused == nil)
+	}
+	return slices.Equal(fresh.toolNames, reused.toolNames) && slices.Equal(fresh.sites, reused.sites) &&
+		slices.Equal(fresh.insts, reused.insts) && slices.Equal(fresh.relocs, reused.relocs) &&
+		slices.Equal(fresh.addrs, reused.addrs)
 }

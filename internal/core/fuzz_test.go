@@ -62,15 +62,26 @@ func checkRecode(t *testing.T, blob []byte) {
 // FuzzDecodeCodeArtifact seeds with the encoder's own output, which must
 // decode and must include a visit of several instructions (instrcount's calls
 // coalesce) and owned-address relocations (every golden tool passes its state
-// through ArgDevPtr), and fuzzes the decoder under checkRecode.
+// through ArgDevPtr), and fuzzes the decoder under checkRecode. Each input is
+// also decoded over the largest seed and then the seed that names the most
+// tool functions, as a cache hit decodes into the workspace after larger
+// functions, and must come out as a fresh decode does: no element of an
+// earlier artifact survives.
 func FuzzDecodeCodeArtifact(f *testing.F) {
-	most, addrs := 0, 0
+	most, addrs, names := 0, 0, -1
+	var largest, named []byte
 	for _, blob := range artifactSeeds(f) {
-		cover, n, err := core.ArtifactShape(blob)
+		cover, n, tools, err := core.ArtifactShape(blob)
 		if err != nil {
 			f.Fatalf("an encoded artifact of %d bytes does not decode: %v", len(blob), err)
 		}
 		most, addrs = max(most, cover), addrs+n
+		if len(blob) > len(largest) {
+			largest = blob
+		}
+		if tools > names {
+			named, names = blob, tools
+		}
 		f.Add(blob)
 	}
 	if most < 2 {
@@ -79,5 +90,10 @@ func FuzzDecodeCodeArtifact(f *testing.F) {
 	if addrs == 0 {
 		f.Fatal("no seed holds an owned-address relocation")
 	}
-	f.Fuzz(checkRecode)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		checkRecode(t, blob)
+		if !core.DecodeOver([][]byte{largest, named}, blob) {
+			t.Errorf("a blob of %d bytes decodes over earlier artifacts to something else than a fresh decode does", len(blob))
+		}
+	})
 }

@@ -312,16 +312,6 @@ func (l *Liveness) liveOut(pc int) (RegSet, PredSet) {
 	return l.out[pc], l.pout[pc]
 }
 
-// Defs returns the registers and predicates the instruction at word index pc
-// writes — the def sets the dataflow pass already holds, for the Code
-// Generator's question of what a moved call's inputs would cross.
-func (l *Liveness) Defs(pc int) (RegSet, PredSet) {
-	if l.conservative || pc < 0 || pc >= len(l.defs) {
-		return allRegs(), AllPreds
-	}
-	return l.defs[pc], l.pdefs[pc]
-}
-
 // SiteLive returns the registers and predicates an instrumentation site at
 // word index pc must preserve and expose: everything live into or out of the
 // instruction, plus the instruction's own defs and uses (tools may read or
