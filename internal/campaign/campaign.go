@@ -34,14 +34,15 @@
 // ignores. Load reads results.json, replays the log over it, and resuming
 // re-derives the missing run IDs from the manifest and finishes exactly the
 // planned set — no run is lost or executed twice. When Run returns, normally,
-// at its run bound or on an error, it compacts the log into results.json
-// with the jitcache write-then-rename idiom and deletes it, so only a killed
-// Run leaves a log behind.
+// at its run bound or on an error, it compacts the log into results.json,
+// published whole through internal/atomicfile, and deletes it, so only a
+// killed Run leaves a log behind.
 package campaign
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,6 +51,7 @@ import (
 	"sync"
 
 	"nvbitgo/gpusim"
+	"nvbitgo/internal/atomicfile"
 	"nvbitgo/internal/tools/faultinject"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
@@ -199,7 +201,11 @@ func Plan(dir string, cfg Config) (*Campaign, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, planName), &c.plan); err != nil {
+	data, err := json.MarshalIndent(&c.plan, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := atomicfile.Write(filepath.Join(dir, planName), append(data, '\n')); err != nil {
 		return nil, err
 	}
 	return c, nil

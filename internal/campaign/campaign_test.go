@@ -191,10 +191,14 @@ func TestLoadRejectsBadManifest(t *testing.T) {
 			first++
 		}
 		dir := t.TempDir()
-		if err := writeFileAtomic(filepath.Join(dir, planName), &plan); err != nil {
+		data, err := json.MarshalIndent(&plan, "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(dir)
+		if err := os.WriteFile(filepath.Join(dir, planName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(dir)
 		if err == nil || !strings.Contains(err.Error(), planName) ||
 			!strings.Contains(err.Error(), fmt.Sprintf("run %d ", plan.Manifest[first].ID)) {
 			t.Errorf("%s: Load of a tampered manifest: %v", tc.name, err)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"nvbitgo/internal/atomicfile"
 )
 
 const (
@@ -52,34 +54,6 @@ type RunResult struct {
 type resultsFile struct {
 	Version int         `json:"version"`
 	Results []RunResult `json:"results"`
-}
-
-// writeFileAtomic writes v as JSON via a temp file in the same directory
-// followed by a rename, so readers (and a resuming campaign after a kill at
-// any instant) never observe a torn file. Same idiom as internal/jitcache.
-func writeFileAtomic(path string, v any) (err error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(data); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 func readFile(path string, v any) error {
@@ -218,7 +192,11 @@ func (c *Campaign) compact() error {
 		rf.Results = append(rf.Results, res)
 	}
 	sort.Slice(rf.Results, func(i, j int) bool { return rf.Results[i].ID < rf.Results[j].ID })
-	if err := writeFileAtomic(filepath.Join(c.dir, resultsName), &rf); err != nil {
+	data, err := json.MarshalIndent(&rf, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := atomicfile.Write(filepath.Join(c.dir, resultsName), append(data, '\n')); err != nil {
 		return err
 	}
 	if err := os.Remove(filepath.Join(c.dir, logName)); err != nil && !os.IsNotExist(err) {

@@ -130,30 +130,6 @@ type codeArtifact struct {
 	addrs     []addrRef
 }
 
-// toolIndex returns name's index in toolNames, adding it when new. A function
-// names a handful of tool functions, so the search is linear.
-func (a *codeArtifact) toolIndex(name string) int32 {
-	for k, have := range a.toolNames {
-		if have == name {
-			return int32(k)
-		}
-	}
-	a.toolNames = append(a.toolNames, name)
-	return int32(len(a.toolNames) - 1)
-}
-
-// addrIndex returns ref's index in addrs, adding it when new. A function's
-// tool state is a handful of addresses, so the search is linear.
-func (a *codeArtifact) addrIndex(ref addrRef) int32 {
-	for k, have := range a.addrs {
-		if have == ref {
-			return int32(k)
-		}
-	}
-	a.addrs = append(a.addrs, ref)
-	return int32(len(a.addrs) - 1)
-}
-
 // addSite appends s, whose code is what was appended to the arrays since they
 // were i0 instructions and r0 relocations long.
 func (a *codeArtifact) addSite(s siteArtifact, i0, r0 int) {

@@ -33,7 +33,7 @@ func TestArtifactDecodeStrict(t *testing.T) {
 	movi.Imm = 5
 	art.insts = append(art.insts, sass.NewInst(sass.OpCAL), movi, sass.NewInst(sass.OpCAL), sass.NewInst(sass.OpJMP))
 	art.relocs = append(art.relocs, reloc{kind: relocSaveFn, slot: 0, aux: 16}, reloc{kind: relocToolFn, slot: 2, aux: 0}, reloc{kind: relocInlineSkip, slot: 3, aux: 3},
-		reloc{kind: relocAddr, slot: 1, aux: art.addrIndex(addrRef{span: 1, off: 8})})
+		reloc{kind: relocAddr, slot: 1, aux: intern(&art.addrs, addrRef{span: 1, off: 8})})
 	art.addSite(siteArtifact{idx: 7, cover: 2, saveN: 16, savedRegs: 9}, 0, 0)
 	art.sites = append(art.sites, siteArtifact{idx: 9, cover: 1, nopOnly: true})
 	code := encodeCodeArtifact(art)

@@ -262,7 +262,7 @@ func (n *NVBit) trampolineVisit(art *codeArtifact, fs *funcState, v visit, vc []
 		emitCall(relocSaveFn, int32(site.saveN))
 		for k, c := range group {
 			n.marshalArgs(art, i0, group, k, nil)
-			emitCall(relocToolFn, art.toolIndex(c.tf.name))
+			emitCall(relocToolFn, intern(&art.toolNames, c.tf.name))
 		}
 		emitCall(relocRestoreFn, int32(site.saveN))
 		return true
@@ -539,7 +539,7 @@ func (n *NVBit) marshalArgs(art *codeArtifact, i0 int, group []siteCall, k int, 
 			// The load of this attachment's address, in its form, with the
 			// immediates left to materialization (resolveAddr).
 			art.relocs = append(art.relocs, reloc{kind: relocAddr, slot: int32(len(out) - i0),
-				aux: art.addrIndex(addrRef{span: uint32(a.span), off: uint64(a.off)})})
+				aux: intern(&art.addrs, addrRef{span: uint32(a.span), off: uint64(a.off)})})
 			seq := len(out)
 			out = appendLoadImm64(out, n.hal.family, abi, a.imm)
 			for j := seq; j < len(out); j++ {

@@ -143,7 +143,7 @@ func (n *NVBit) InsertCall(i *Instr, funcName string, where IPoint) {
 		p.calls = make([]call, 1, len(i.fs.insts)+1)
 	}
 	c := int32(len(p.calls))
-	p.calls = append(p.calls, call{name: n.callName(funcName)})
+	p.calls = append(p.calls, call{name: intern(&n.callNames, funcName)})
 	i.lastAfter = where != IPointBefore
 	switch tail := i.lastCall(); {
 	case tail != 0:
@@ -171,16 +171,17 @@ func (i *Instr) lastCall() int32 {
 	return c
 }
 
-// callName returns name's index in callNames, adding it when new. A tool
-// names a handful of device functions, so the search is linear.
-func (n *NVBit) callName(name string) int32 {
-	for k, have := range n.callNames {
-		if have == name {
+// intern returns v's index in *table, appending v when it is new. Its tables
+// are a tool's device functions and a function's tool functions and tool
+// state addresses, a handful each, so the search is linear.
+func intern[T comparable](table *[]T, v T) int32 {
+	for k, have := range *table {
+		if have == v {
 			return int32(k)
 		}
 	}
-	n.callNames = append(n.callNames, name)
-	return int32(len(n.callNames) - 1)
+	*table = append(*table, v)
+	return int32(len(*table) - 1)
 }
 
 // AddCallArg appends a positional argument to the most recently inserted

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+
+	"nvbitgo/internal/atomicfile"
 )
 
 // On-disk entry layout, little-endian:
@@ -30,8 +34,8 @@ const (
 	diskHeaderSize = 4 + 4 + 8 + sha256.Size
 )
 
-// objectsDir is the subdirectory holding entry files; temp files for
-// atomic publication live beside them so rename never crosses filesystems.
+// objectsDir is the subdirectory holding entry files; atomicfile's temp
+// files live beside them.
 const objectsDir = "objects"
 
 func (c *Cache) initDir() error {
@@ -100,36 +104,15 @@ func readEntry(f *os.File) ([]byte, error) {
 	return payload, nil
 }
 
-// diskPut atomically publishes one entry: the header+payload are written to
-// a temp file in the objects directory and renamed over the final name. A
-// writer that crashes mid-write leaves only a temp file the store never
-// reads; rename is atomic on POSIX, so readers observe either the old state
-// or the complete new entry, never a torn one. No fsync: this is a cache,
-// not a database — an entry torn by a power cut fails the header checksum
-// on its first read and is evicted (diskGet), which only costs one re-JIT,
-// whereas fsync-per-entry makes cold runs publish-bound (~3 ms/entry on a
-// loaded filesystem vs ~100 µs of codegen for a small kernel). Returns the
-// payload bytes written (0 on failure).
-func (c *Cache) diskPut(key Key, payload []byte) (uint64, error) {
+// diskPut publishes one entry through atomicfile, so readers never observe a
+// torn one, and counts its payload in BytesWritten. No fsync: this is a
+// cache, not a database — an entry torn by a power cut fails the header
+// checksum on its first read and is evicted (diskGet), which only costs one
+// re-JIT, whereas fsync-per-entry makes cold runs publish-bound (~3 ms/entry
+// on a loaded filesystem vs ~100 µs of codegen for a small kernel).
+func (c *Cache) diskPut(key Key, payload []byte) error {
 	if c.dir == "" {
-		return 0, nil
-	}
-	dir := filepath.Join(c.dir, objectsDir)
-	f, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		// The directory may have been removed behind us; recreate once.
-		if err := c.initDir(); err != nil {
-			return 0, err
-		}
-		if f, err = os.CreateTemp(dir, "tmp-*"); err != nil {
-			return 0, err
-		}
-	}
-	tmp := f.Name()
-	cleanup := func(err error) (uint64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+		return nil
 	}
 	var hdr [diskHeaderSize]byte
 	copy(hdr[:4], diskMagic)
@@ -137,21 +120,21 @@ func (c *Cache) diskPut(key Key, payload []byte) (uint64, error) {
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(hdr[16:], sum[:])
-	if _, err := f.Write(hdr[:]); err != nil {
-		return cleanup(err)
+	path := c.objectPath(key)
+	err := atomicfile.Write(path, hdr[:], payload)
+	if errors.Is(err, fs.ErrNotExist) {
+		// The directory may have been removed behind us; recreate once.
+		if err = c.initDir(); err == nil {
+			err = atomicfile.Write(path, hdr[:], payload)
+		}
 	}
-	if _, err := f.Write(payload); err != nil {
-		return cleanup(err)
+	if err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, c.objectPath(key)); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return uint64(len(payload)), nil
+	c.mu.Lock()
+	c.stats.BytesWritten += uint64(len(payload))
+	c.mu.Unlock()
+	return nil
 }
 
 // diskDelete removes one entry file, ignoring absence.

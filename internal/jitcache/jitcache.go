@@ -16,8 +16,8 @@
 //   - an in-memory LRU tier, bounded in bytes, shared safely between
 //     concurrent attaches;
 //   - an optional disk tier (content-addressed object files under
-//     <dir>/objects) written atomically via write-to-temp-then-rename, so
-//     a crashed or killed writer can never publish a torn entry.
+//     <dir>/objects) written through internal/atomicfile, so a crashed or
+//     killed writer can never publish a torn entry.
 //
 // Every disk entry carries a header with magic, format version, payload
 // length and payload checksum; corrupted, truncated or version-skewed
@@ -166,14 +166,7 @@ func (c *Cache) Put(key Key, data []byte) error {
 	c.mu.Lock()
 	c.memPutLocked(key, data)
 	c.mu.Unlock()
-	if c.dir == "" {
-		return nil
-	}
-	n, err := c.diskPut(key, data)
-	c.mu.Lock()
-	c.stats.BytesWritten += n
-	c.mu.Unlock()
-	return err
+	return c.diskPut(key, data)
 }
 
 // Delete removes key from both tiers. It exists for callers that discover
@@ -244,13 +237,7 @@ func (c *Cache) Do(key Key, gen func() ([]byte, error)) (data []byte, hit bool, 
 	c.memPutLocked(key, data)
 	c.finishFlightLocked(key, f, data, nil)
 	c.mu.Unlock()
-	if c.dir != "" {
-		n, werr := c.diskPut(key, data)
-		c.mu.Lock()
-		c.stats.BytesWritten += n
-		c.mu.Unlock()
-		_ = werr // disk degradation must not fail the JIT
-	}
+	_ = c.diskPut(key, data) // disk degradation must not fail the JIT
 	return data, false, nil
 }
 

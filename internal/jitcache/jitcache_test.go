@@ -190,6 +190,41 @@ func TestDiskRoundtripAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestPutRecreatesObjectsDir removes <dir>/objects between two Puts: the
+// second recreates it once and publishes, and a new instance serves the entry
+// from disk.
+func TestPutRecreatesObjectsDir(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := New(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Put(keyOf("before"), []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, objectsDir)); err != nil {
+		t.Fatal(err)
+	}
+	k, want := keyOf("after"), []byte("published after the directory went away")
+	if err := c1.Put(k, want); err != nil {
+		t.Fatalf("Put after removing %s: %v", objectsDir, err)
+	}
+	if st := c1.Stats(); st.BytesWritten != uint64(len("first")+len(want)) {
+		t.Fatalf("BytesWritten = %d, want %d", st.BytesWritten, len("first")+len(want))
+	}
+	c2, err := New(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c2.Get(k)
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("fresh instance Get = %q, %v; want %q, true", got, ok, want)
+	}
+	if st := c2.Stats(); st.DiskHits != 1 {
+		t.Fatalf("not a disk hit: %+v", st)
+	}
+}
+
 func TestLRUEvictionByBytes(t *testing.T) {
 	c, err := New("", 100)
 	if err != nil {
