@@ -607,11 +607,12 @@ func BenchmarkToolOverheads(b *testing.B) {
 }
 
 // BenchmarkChannelThroughput measures the streaming-channel subsystem
-// end-to-end — warp-aggregated device-side reservation, mid-kernel flushes,
-// async receipt — through its heaviest client (memtrace, 280-byte records
-// with all 32 lane addresses) on AlexNet. The channel is sized well below
-// the trace length so every run exercises buffer recycling; the Drop/Block
-// pair prices the backpressure guarantee.
+// end-to-end — warp-aggregated device-side reservation, synchronous
+// mid-kernel flushes into pooled host buffers, delivery at each launch exit
+// — through its heaviest client (memtrace, 280-byte records with all 32 lane
+// addresses) on AlexNet. The channel is sized well below the trace length so
+// every run exercises buffer recycling; the Drop/Block pair prices the
+// backpressure guarantee.
 func BenchmarkChannelThroughput(b *testing.B) {
 	net := mlsuite.Networks()[0] // AlexNet
 	run := func(b *testing.B, policy nvbit.ChannelPolicy) {

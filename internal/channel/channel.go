@@ -32,6 +32,7 @@ package channel
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -132,7 +133,7 @@ type Config struct {
 	Policy Policy
 	// OnBatch, if set, receives each shipped buffer's raw bytes (a whole
 	// number of records) in delivered order during Drain. The slice is
-	// owned by the callee.
+	// borrowed for the call; a consumer that keeps bytes copies them.
 	OnBatch func(data []byte)
 	// Profiler, when non-nil, receives the channel's flush/drain activity
 	// records; nil turns them off. NVBit.OpenChannel fills this in with the
@@ -175,6 +176,12 @@ type Channel struct {
 	ctrl  uint64 // one control block per SM
 	bufs  uint64 // one record buffer per SM
 	sms   []smState
+
+	// free holds host buffers of one device buffer's size (slots ×
+	// RecordBytes) that no pending list holds: flushes on any SM take
+	// from it, Drain gives back what OnBatch has returned.
+	freeMu sync.Mutex
+	free   [][]byte
 
 	delivered    atomic.Uint64
 	dropped      atomic.Uint64
@@ -313,7 +320,7 @@ func (c *Channel) flushShard(sm int, drain bool) {
 	}
 	var data []byte
 	if claimed > 0 {
-		data = make([]byte, claimed*uint64(c.cfg.RecordBytes))
+		data = c.takeBuf()[:claimed*uint64(c.cfg.RecordBytes)]
 		if err := c.dev.Read(s.buf, data); err != nil {
 			return
 		}
@@ -349,15 +356,37 @@ func (c *Channel) flushShard(sm int, drain bool) {
 	}
 }
 
+// takeBuf returns a free host buffer of one device buffer's size, making
+// one when none is free.
+func (c *Channel) takeBuf() []byte {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	if n := len(c.free); n > 0 {
+		buf := c.free[n-1]
+		c.free = c.free[:n-1]
+		return buf
+	}
+	return make([]byte, c.slots*uint64(c.cfg.RecordBytes))
+}
+
+// giveBuf returns a buffer takeBuf handed out to the free list.
+func (c *Channel) giveBuf(buf []byte) {
+	c.freeMu.Lock()
+	c.free = append(c.free, buf[:cap(buf)])
+	c.freeMu.Unlock()
+}
+
 // Drain ships every shard's remaining records (and residual drop counts) and
 // delivers everything shipped since the last Drain to OnBatch: shard by
 // shard in ascending-SM order, flush order within a shard, so the record
-// stream a consumer sees is scheduler-independent. NVBit.OpenChannel's
-// attachment calls it at each of its launch exits, on the launching
-// goroutine with no launch in flight. With a profiler attached it emits one
-// KindChannelDrain record whose children are the drain's (and the preceding
-// launch's mid-kernel) flush spans, merged in ascending-SM order. A closed
-// channel's Drain does nothing: its memory may belong to someone else.
+// stream a consumer sees is scheduler-independent. OnBatch borrows each
+// buffer for the call; once it returns, the buffer goes back on the free
+// list for a later flush to fill. NVBit.OpenChannel's attachment calls
+// Drain at each of its launch exits, on the launching goroutine with no
+// launch in flight. With a profiler attached it emits one KindChannelDrain
+// record whose children are the drain's (and the preceding launch's
+// mid-kernel) flush spans, merged in ascending-SM order. A closed channel's
+// Drain does nothing: its memory may belong to someone else.
 func (c *Channel) Drain() {
 	if c.ctrl == 0 {
 		return
@@ -374,9 +403,10 @@ func (c *Channel) Drain() {
 		s := &c.sms[sm]
 		for _, data := range s.pending {
 			if c.cfg.OnBatch != nil {
-				c.cfg.OnBatch(data)
+				c.cfg.OnBatch(data[:len(data):len(data)])
 			}
 			c.delivered.Add(uint64(len(data) / c.cfg.RecordBytes))
+			c.giveBuf(data)
 		}
 		clear(s.pending)
 		s.pending = s.pending[:0]
@@ -397,10 +427,11 @@ func (c *Channel) Drain() {
 	}
 }
 
-// Close frees the channel's device memory; Stats keeps answering. Buffers
-// shipped but not yet drained are discarded; call Drain first. Call between
-// launches. The framework closes the channels an attachment opened with
-// NVBit.OpenChannel when the attachment ends. Close is idempotent.
+// Close frees the channel's device memory and drops its host buffers;
+// Stats keeps answering. Buffers shipped but not yet drained are
+// discarded; call Drain first. Call between launches. The framework closes
+// the channels an attachment opened with NVBit.OpenChannel when the
+// attachment ends. Close is idempotent.
 func (c *Channel) Close() {
 	if c.ctrl != 0 {
 		_ = c.dev.Free(c.ctrl)
@@ -410,4 +441,7 @@ func (c *Channel) Close() {
 	for sm := range c.sms {
 		c.sms[sm].pending = nil
 	}
+	c.freeMu.Lock()
+	c.free = nil
+	c.freeMu.Unlock()
 }

@@ -186,6 +186,111 @@ func TestDrainDeliversAscendingSM(t *testing.T) {
 	}
 }
 
+// TestSteadyStateFlushesAllocateNothing runs one launch's worth of host-side
+// flushing twice — tick flushes on several shards, a Drop-policy overflow and
+// a launch-exit Drain of partial buffers — with the shards filled by writing
+// device memory directly. Once the free list holds the largest drain, the
+// second run makes no heap allocation and hands OnBatch the same batches,
+// byte for byte and boundary for boundary, as the first.
+func TestSteadyStateFlushesAllocateNothing(t *testing.T) {
+	dev := testDevice(t)
+	const batches = 9 // flushes per epoch, below
+	var got []byte
+	var bounds []int
+	c, err := Open(dev, Config{
+		RecordBytes: 8,
+		Policy:      Drop,
+		OnBatch: func(data []byte) {
+			got = append(got, data...)
+			bounds = append(bounds, len(got))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := int(c.slots)
+	got, bounds = make([]byte, 0, batches*slots*8), make([]int, 0, batches)
+
+	recs, ctrl := make([]byte, slots*8), make([]byte, ctrlBytes)
+	// fill writes n records tagged (sm, round, i) into shard sm's buffer and
+	// sets its control block as if n claims landed and then a claim of lost
+	// records failed: head n+lost, failed lost, commit n.
+	fill := func(sm, round, n int, lost uint64) {
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(recs[i*8:], uint64(sm)<<32|uint64(round)<<16|uint64(i))
+		}
+		s := &c.sms[sm]
+		if err := dev.Write(s.buf, recs[:n*8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Read(s.ctrl, ctrl); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(ctrl[offHead:], uint64(n)+lost)
+		binary.LittleEndian.PutUint64(ctrl[offFailed:], lost)
+		binary.LittleEndian.PutUint64(ctrl[offCommit:], uint64(n))
+		if err := dev.Write(s.ctrl, ctrl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := func() {
+		got, bounds = got[:0], bounds[:0]
+		for round := 0; round < 3; round++ {
+			for _, sm := range []int{4, 1} {
+				fill(sm, round, slots, 0)
+				c.OnSweep(sm)
+			}
+		}
+		// A full warp's claim fails after 20 records: the wedged buffer
+		// ships mid-kernel and its 32 records count as dropped.
+		fill(2, 0, 20, 32)
+		c.OnSweep(2)
+		// Partial buffers only the launch-exit Drain ships.
+		fill(0, 0, 5, 0)
+		fill(4, 3, 7, 0)
+		c.Drain()
+	}
+
+	epoch()
+	st := c.Stats()
+	if st.Flushes != batches || st.TickFlushes != 7 || st.Dropped != 32 || len(bounds) != batches {
+		t.Fatalf("first epoch: stats %+v and %d batches, want %d flushes (7 mid-kernel) and 32 dropped",
+			st, len(bounds), batches)
+	}
+	// Drain gives shard 0's buffer back before shard 4's drain flush takes
+	// one, so the free list holds the 7 mid-kernel buffers plus one.
+	const pooled = 8
+	if len(c.free) != pooled {
+		t.Fatalf("after Drain the free list holds %d buffers, want %d", len(c.free), pooled)
+	}
+	wantGot, wantBounds := slices.Clone(got), slices.Clone(bounds)
+
+	if allocs := testing.AllocsPerRun(5, epoch); allocs != 0 {
+		t.Fatalf("a steady-state epoch made %v allocations, want 0", allocs)
+	}
+	if !slices.Equal(got, wantGot) || !slices.Equal(bounds, wantBounds) {
+		t.Fatalf("a reused buffer changed delivery: batch ends %v, want %v", bounds, wantBounds)
+	}
+
+	// The overflow's buffer leaves the free list when it ships and is back
+	// once Drain has delivered it.
+	fill(2, 0, 20, 32)
+	c.OnSweep(2)
+	if len(c.free) != pooled-1 || len(c.sms[2].pending) != 1 {
+		t.Fatalf("a Drop overflow shipped %d buffers from a free list now %d long",
+			len(c.sms[2].pending), len(c.free))
+	}
+	c.Drain()
+	if len(c.free) != pooled {
+		t.Fatalf("after the overflow's Drain the free list holds %d buffers, want %d", len(c.free), pooled)
+	}
+
+	c.Close()
+	if c.free != nil {
+		t.Fatalf("Close kept %d host buffers", len(c.free))
+	}
+}
+
 // TestMidKernelGateRequiresQuiescence drives the flush decision table
 // directly: a partially committed buffer must not ship mid-kernel, a full
 // quiescent one must.

@@ -12,7 +12,8 @@ import (
 // to the attachment: it flushes mid-kernel only in the attachment's scope's
 // launches, the framework drains it at the exit of each of those launches
 // (before the tool's exit callback, so OnBatch has seen every record of a
-// launch when the tool hears of its end), its drain records go to that
+// launch when the tool hears of its end; OnBatch borrows each batch for the
+// call and copies what it keeps), its drain records go to that
 // scope's collector, and the framework closes it when the attachment ends —
 // after the tool's AtTerm, or when AtInit fails. Its control block is memory
 // the attachment owns: tools pass ArgDevPtr(ch.CtrlAddr()).

@@ -195,7 +195,8 @@ func (s *RemoteSession) Report() (*ReportResult, error) {
 
 // Close ends the session and the connection. Closing without Report
 // detaches the session server-side (its tool's AtTerm still runs); the
-// report is then lost. Close is idempotent.
+// report is then lost. The daemon replies once the session's device memory
+// is free, so Close returns after that. Close is idempotent.
 func (s *RemoteSession) Close() error {
 	s.mu.Lock()
 	if s.closed {

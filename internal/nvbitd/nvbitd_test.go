@@ -458,6 +458,37 @@ func TestMemcheckSessionsReturnDeviceMemory(t *testing.T) {
 	}
 }
 
+// TestUnreportedSessionsFreeBeforeCloseReturns serves twenty memtrace
+// sessions in a row from one pool device, each closed without Report. The
+// daemon detaches such a session itself, and it must have done so — the
+// channel's record buffers freed — by the time the client's Close returns,
+// or a client that opens again at once can find the device still full.
+func TestUnreportedSessionsFreeBeforeCloseReturns(t *testing.T) {
+	srv, sock := startServerOn(t, nvbitd.Config{Family: sass.Volta, Devices: 1, QueueLimit: -1})
+	before := srv.PoolDevice(0).Allocations()
+	for i := 0; i < 20; i++ {
+		s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "memtrace"})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		l := &freeingLauncher{RemoteSession: s}
+		if err := findBenchmark(t, "cg").Run(l, specaccel.Small); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		for _, addr := range l.allocs {
+			if err := s.MemFree(addr); err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if got := srv.PoolDevice(0).Allocations(); !slices.Equal(got, before) {
+			t.Fatalf("when session %d's Close returned the device held %v, want %v", i, got, before)
+		}
+	}
+}
+
 // TestRefusedConnectionsLeaveNoEntry: a connection that never becomes a
 // session — its first frame is unreadable, is not an open, or asks for an open
 // the daemon refuses — must leave the server's connection table when it ends,

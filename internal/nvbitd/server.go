@@ -233,13 +233,14 @@ func (s *Server) handle(conn net.Conn) {
 		writeFrame(conn, resp, nil)
 		return
 	}
-	defer func() {
+	end := sync.OnceFunc(func() {
 		if !ss.reported {
 			ss.sess.Close()
 		}
 		s.release(ss.slot)
 		s.logf("session %d closed (%s)", ss.sess.Ctx().Scope(), req.Tool)
-	}()
+	})
+	defer end()
 	s.logf("session %d open: tool %s on device %d", ss.sess.Ctx().Scope(), req.Tool, ss.slotIndex())
 	if err := writeFrame(conn, resp, nil); err != nil {
 		return
@@ -251,11 +252,15 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return // EOF or broken peer: deferred cleanup detaches the session
 		}
-		resp, respBody := ss.dispatch(&req, body)
-		if err := writeFrame(conn, resp, respBody); err != nil {
+		if req.Op == opClose {
+			// Detach first: when the client's Close returns, the session's
+			// device memory and its pool slot are free again.
+			end()
+			writeFrame(conn, &response{}, nil)
 			return
 		}
-		if req.Op == opClose {
+		resp, respBody := ss.dispatch(&req, body)
+		if err := writeFrame(conn, resp, respBody); err != nil {
 			return
 		}
 	}
@@ -312,9 +317,10 @@ func (s *Server) open(req *request) (*session, *response) {
 	return ss, &response{Session: sess.Ctx().Scope()}
 }
 
-// dispatch executes one post-open request.
+// dispatch executes one post-open request other than close, which handle
+// answers itself.
 func (ss *session) dispatch(req *request, body []byte) (*response, []byte) {
-	if ss.reported && req.Op != opClose {
+	if ss.reported {
 		return &response{Err: fmt.Sprintf("nvbitd: session already finalized, %q refused", req.Op)}, nil
 	}
 	ctx := ss.sess.Ctx()
@@ -394,8 +400,6 @@ func (ss *session) dispatch(req *request, body []byte) (*response, []byte) {
 			Launches:  ss.launches,
 			Cycles:    ss.slot.api.Gate().Cost(scope),
 		}, buf.Bytes()
-	case opClose:
-		return &response{}, nil
 	default:
 		return &response{Err: fmt.Sprintf("nvbitd: unknown op %q", req.Op)}, nil
 	}
