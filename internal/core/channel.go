@@ -38,20 +38,15 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 }
 
 // release ends what the attachment keeps in its scope, at its end: its
-// channels close and its compiler is removed.
+// channels close (their flushes leave the scope and their device buffers
+// are freed) and its compiler is removed.
 func (n *NVBit) release() {
-	n.closeChannels()
-	n.scope.SetCompiler(nil)
-}
-
-// closeChannels ends the attachment's channels: their flushes leave the
-// scope and their device buffers are released.
-func (n *NVBit) closeChannels() {
 	for _, ch := range n.channels {
 		ch.Close()
 	}
 	n.channels = nil
 	n.setFlushHook()
+	n.scope.SetCompiler(nil)
 }
 
 // setFlushHook installs atFlushPoint on the attachment's scope while it has

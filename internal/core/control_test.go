@@ -209,7 +209,7 @@ func TestOnCTAExit(t *testing.T) {
 			}); err != nil {
 				panic(err)
 			}
-			n.closeChannels()
+			n.release()
 			hooked = n.scope.FlushHook() != nil
 		}
 		env.launch(t)

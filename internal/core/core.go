@@ -55,9 +55,11 @@ type NVBit struct {
 	// attachment ends.
 	channels []*channel.Channel
 	// ctaExit is the running launch's OnCTAExit callback, nil when it has
-	// none; ctaNext is the index of the launch's next CTA to retire.
+	// none; ctaNext is the index of the launch's next CTA to retire; ctaErr
+	// is the first failure at one of its CTA exits.
 	ctaExit func(cta int)
 	ctaNext int
+	ctaErr  error
 
 	loader *toolLoader
 	funcs  map[*driver.Function]*funcState
@@ -142,7 +144,7 @@ func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *d
 		ctx, err = scope.CtxCreate()
 	}
 	if err == nil {
-		err = safeAtInit(tool, n)
+		err = n.atInit()
 	}
 	if err != nil {
 		// Dropped without exit callbacks: a tool whose AtInit did not
@@ -154,17 +156,19 @@ func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *d
 	return n, ctx, nil
 }
 
-// safeAtInit runs the tool's AtInit with panic recovery: a broken tool must
-// fail Attach with an error, not crash the host application it was injected
-// into.
-func safeAtInit(tool Tool, n *NVBit) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("nvbit: tool AtInit panicked: %v", r)
-		}
-	}()
-	tool.AtInit(n)
+// atInit runs the tool's AtInit, a panic in it failing the attachment.
+func (n *NVBit) atInit() (err error) {
+	defer recoverTool(&err)
+	n.tool.AtInit(n)
 	return nil
+}
+
+// recoverTool is the framework's one recover, deferred over all tool code:
+// a panic becomes the error in *err, failing the one call it ran in.
+func recoverTool(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("nvbit: tool panicked: %v", r)
+	}
 }
 
 // API returns the underlying driver instance.
@@ -181,7 +185,8 @@ func (n *NVBit) HAL() *HAL { return n.hal }
 // exporting Before/After on the user-visible type.
 type hook NVBit
 
-func (h *hook) Before(cbid driver.CBID, name string, p *driver.CallParams) {
+func (h *hook) Before(cbid driver.CBID, name string, p *driver.CallParams) (err error) {
+	defer recoverTool(&err)
 	n := (*NVBit)(h)
 	if cbid == driver.CBCtxCreate && n.hal == nil {
 		// HAL initialization happens when a context is started on a
@@ -204,28 +209,27 @@ func (h *hook) Before(cbid driver.CBID, name string, p *driver.CallParams) {
 		start := time.Now()
 		liftBefore := n.liftTime
 		n.inUserCallback = true
+		defer func() { n.inUserCallback = false }() // a panic too
 		n.tool.AtCUDACall(n, false, cbid, name, p)
-		n.inUserCallback = false
 		if d := time.Since(start) - (n.liftTime - liftBefore); d > 0 {
 			n.stats.UserCode += d
 		}
 		// At the exit of the driver callback the Code Generator runs
 		// for any function with pending instrumentation, and the Code
-		// Loader applies the requested code version (Section 5.1).
+		// Loader applies the requested code version (Section 5.1). A
+		// failure skips the launch.
 		if err := n.finalizeAll(p.Launch.Func); err != nil {
-			// Instrumentation failures must not be silent: the
-			// paper's core would crash the tool; we panic with a
-			// precise message, which tests can assert on.
-			panic(fmt.Sprintf("nvbit: instrumenting %s: %v", p.Launch.Func.Name, err))
+			return fmt.Errorf("nvbit: instrumenting %s: %w", p.Launch.Func.Name, err)
 		}
 		if prof != nil {
 			n.emitJITPhases(prof, jitBefore, profT0, p.Launch.Func)
 			fs := n.funcs[p.Launch.Func]
 			prof.SetNextKernelInstrumented(fs != nil && fs.resident)
 		}
-		return
+		return nil
 	}
 	n.tool.AtCUDACall(n, false, cbid, name, p)
+	return nil
 }
 
 // emitJITPhases turns the JITStats delta accumulated across one launch
@@ -274,10 +278,11 @@ func (n *NVBit) emitJITPhases(prof *profile.Collector, before JITStats, t0 time.
 	}
 }
 
-func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err error) {
+func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, _ error) (err error) {
+	defer recoverTool(&err)
 	n := (*NVBit)(h)
 	if cbid == driver.CBLaunchKernel {
-		n.endCTAExit()
+		err = n.endCTAExit()
 		// The launch's records reach the tool before its exit callback.
 		for _, ch := range n.channels {
 			ch.Drain()
@@ -288,6 +293,7 @@ func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err er
 		defer n.release()
 		n.tool.AtTerm(n)
 	}
+	return err
 }
 
 // Malloc allocates device memory for tool state (the __managed__ variables

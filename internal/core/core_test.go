@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -829,7 +830,7 @@ func TestInstrInspectionAPI(t *testing.T) {
 
 // launchErr launches the work kernel and returns the error instead of
 // failing the test — for instrumentation mistakes that must surface as
-// recovered ErrToolCallback launch failures, not process crashes.
+// ErrToolCallback launch failures, not process crashes.
 func (e *testEnv) launchErr(t *testing.T) error {
 	t.Helper()
 	params, err := driver.PackParams(e.fn, e.data, e.n)
@@ -843,8 +844,8 @@ func TestInstrumentationErrors(t *testing.T) {
 	tool := &testTool{}
 	env := setup(t, sass.Volta, tool)
 
-	// Unknown tool function: the core's instrumentation failure panics in
-	// the launch callback; the driver recovers it into ErrToolCallback.
+	// Unknown tool function: the core's instrumentation failure fails the
+	// launch callback, which the driver wraps in ErrToolCallback.
 	tool.onLaunch = func(n *NVBit, p *driver.CallParams) {
 		if n.IsInstrumented(p.Launch.Func) {
 			return
@@ -861,6 +862,111 @@ func TestInstrumentationErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no_such_func") {
 		t.Fatalf("error message: %v", err)
+	}
+}
+
+// panicTool panics in the enter callbacks of the calls in enter, in the exit
+// callbacks of those in exit and, with term, in AtTerm.
+type panicTool struct {
+	testTool
+	enter, exit map[driver.CBID]bool
+	term        bool
+}
+
+func (t *panicTool) AtTerm(*NVBit) {
+	if t.term {
+		panic("tool bug in AtTerm")
+	}
+}
+
+func (t *panicTool) AtCUDACall(n *NVBit, exit bool, cbid driver.CBID, name string, p *driver.CallParams) {
+	if exit && t.exit[cbid] || !exit && t.enter[cbid] {
+		panic("tool bug at " + name)
+	}
+}
+
+// TestToolPanicFailsCall: a tool that panics in a driver callback fails that
+// call with ErrToolCallback and nothing else. A panic on entry skips the
+// operation (a launch included), one on exit leaves it done, neither poisons
+// the context, and a panic in AtTerm surfaces through the driver's Close.
+func TestToolPanicFailsCall(t *testing.T) {
+	tool := &panicTool{}
+	env := setup(t, sass.Volta, tool)
+	tool.enter = map[driver.CBID]bool{driver.CBMemAlloc: true, driver.CBLaunchKernel: true}
+	tool.exit = map[driver.CBID]bool{driver.CBMemcpyHtoD: true}
+	dev := env.api.Device()
+
+	allocs := len(dev.Allocations())
+	if _, err := env.ctx.MemAlloc(64); !errors.Is(err, driver.ErrToolCallback) || !strings.Contains(err.Error(), "tool bug at cuMemAlloc") {
+		t.Fatalf("MemAlloc with a panicking enter callback: %v", err)
+	}
+	if got := len(dev.Allocations()); got != allocs {
+		t.Fatal("MemAlloc ran although its enter callback panicked")
+	}
+	launches := dev.Stats().Launches
+	if err := env.launchErr(t); !errors.Is(err, driver.ErrToolCallback) {
+		t.Fatalf("launch with a panicking enter callback: %v", err)
+	}
+	if dev.Stats().Launches != launches {
+		t.Fatal("the kernel ran although its enter callback panicked")
+	}
+	if err := env.nv.OnCTAExit(func(int) {}); err == nil {
+		t.Error("OnCTAExit outside a launch callback succeeded after a launch callback panicked")
+	}
+
+	host := []byte{9, 8, 7}
+	if err := env.ctx.MemcpyHtoD(env.data, host); !errors.Is(err, driver.ErrToolCallback) {
+		t.Fatalf("MemcpyHtoD with a panicking exit callback: %v", err)
+	}
+	got := make([]byte, len(host))
+	if err := dev.Read(env.data, got); err != nil || !slices.Equal(got, host) {
+		t.Fatalf("copy did not happen before the exit callback panicked: %v %v", got, err)
+	}
+
+	if err := env.ctx.GetLastError(); err != nil {
+		t.Fatalf("a tool panic poisoned the context: %v", err)
+	}
+	tool.enter, tool.exit = nil, nil
+	env.reloadData(t)
+	env.launch(t)
+	tool.term = true
+	if err := env.api.Close(); !errors.Is(err, driver.ErrToolCallback) || !strings.Contains(err.Error(), "tool bug in AtTerm") {
+		t.Fatalf("Close with a panicking AtTerm: %v", err)
+	}
+}
+
+// TestCTAExitFailure: an OnCTAExit callback that panics fails its launch's
+// exit callback with ErrToolCallback. The kernel runs to the end without the
+// callback, the context stays usable, and the next launch runs without it.
+func TestCTAExitFailure(t *testing.T) {
+	calls := 0
+	tool := &testTool{onLaunch: func(n *NVBit, p *driver.CallParams) {
+		if err := n.OnCTAExit(func(int) {
+			calls++
+			panic("tool bug in OnCTAExit")
+		}); err != nil {
+			panic(err)
+		}
+	}}
+	env := setup(t, sass.Volta, tool)
+	err := env.launchErr(t)
+	if !errors.Is(err, driver.ErrToolCallback) || !strings.Contains(err.Error(), "tool bug in OnCTAExit") {
+		t.Fatalf("launch with a panicking OnCTAExit callback: %v", err)
+	}
+	if calls != 1 {
+		t.Errorf("the failing callback ran %d times, want once", calls)
+	}
+	if !slices.Equal(env.results(t), wantWorkResults(env.n)) {
+		t.Error("the kernel did not run to the end")
+	}
+	if env.nv.scope.FlushHook() != nil {
+		t.Error("the CTA hook outlived the failed launch")
+	}
+	tool.onLaunch = nil
+	env.reloadData(t)
+	env.launch(t)
+	if calls != 1 {
+		t.Errorf("the failing callback ran in the next launch (%d calls)", calls)
 	}
 }
 

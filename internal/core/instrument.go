@@ -81,7 +81,8 @@ func ArgConst64(v uint64) CallArg { return CallArg{kind: argImm64, imm: v} }
 // the cache key holds the span's ordinal in allocation order, its size and
 // the offset, not the address, so an attachment whose allocations landed
 // elsewhere reuses the code. An address no owned span holds fails code
-// generation with an *UnownedAddrError.
+// generation with an *UnownedAddrError, which errors.As also finds in the
+// error of the launch that needed the code.
 func ArgDevPtr(addr uint64) CallArg { return CallArg{kind: argDevPtr, imm: addr} }
 
 // ArgConstBank passes a 32-bit value read from a constant bank at run time.

@@ -34,6 +34,8 @@ func (n *NVBit) EnableInstrumented(f *driver.Function, enable bool) error {
 // launch. fn ends with its launch, and a launch without one runs no hook.
 // OnCTAExit is for a kernel launch's enter callback, once per launch; under
 // SchedulerParallelSM, whose CTAs retire concurrently, it returns an error.
+// If fn panics or its swap fails, the launch's later CTAs run without fn,
+// and the launch, once run, fails with driver.ErrToolCallback.
 func (n *NVBit) OnCTAExit(fn func(cta int)) error {
 	switch {
 	case !n.inUserCallback:
@@ -51,7 +53,8 @@ func (n *NVBit) OnCTAExit(fn func(cta int)) error {
 // atFlushPoint is the attachment's flush hook (setFlushHook). At a sweep
 // boundary it offers SM sm's shard of every open channel a flush. At a CTA's
 // exit it runs the launch's OnCTAExit callback, if any, then makes resident
-// the code version each function asks for.
+// the code version each function asks for. The first failure there ends
+// that work for the launch and is kept for its exit callback to return.
 func (n *NVBit) atFlushPoint(sm int, point gpu.FlushPoint) {
 	if point == gpu.FlushTick {
 		for _, ch := range n.channels {
@@ -59,27 +62,32 @@ func (n *NVBit) atFlushPoint(sm int, point gpu.FlushPoint) {
 		}
 		return
 	}
-	if n.ctaExit == nil {
+	if n.ctaExit == nil || n.ctaErr != nil {
 		return
 	}
+	defer recoverTool(&n.ctaErr)
 	cta := n.ctaNext
 	n.ctaNext++
 	n.ctaExit(cta)
 	for _, fs := range n.lifted {
 		if want := fs.enabled && fs.instrumented; want != fs.resident {
 			if err := n.swapIn(fs, want); err != nil {
-				panic(fmt.Sprintf("nvbit: switching %s after CTA %d: %v", fs.f.Name, cta, err))
+				n.ctaErr = fmt.Errorf("nvbit: switching %s after CTA %d: %w", fs.f.Name, cta, err)
+				return
 			}
 		}
 	}
 }
 
-// endCTAExit removes the OnCTAExit callback of the launch that ended.
-func (n *NVBit) endCTAExit() {
+// endCTAExit removes the OnCTAExit callback of the launch that ended and
+// returns the failure kept at its CTA exits.
+func (n *NVBit) endCTAExit() (err error) {
+	err, n.ctaErr = n.ctaErr, nil
 	if n.ctaExit != nil {
 		n.ctaExit = nil
 		n.setFlushHook()
 	}
+	return err
 }
 
 // ResetInstrumented discards a function's instrumentation: the original code

@@ -134,7 +134,8 @@ func TestCachedCodeAtAnotherAddress(t *testing.T) {
 
 // TestUnownedAddrRefused: an ArgDevPtr address outside every allocation the
 // attachment owns — here one word past its counter — fails code generation
-// with an error naming the tool function and the argument.
+// with an error naming the tool function and the argument, and a launch
+// that needs the code fails with that error in its chain.
 func TestUnownedAddrRefused(t *testing.T) {
 	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
 	if err != nil {
@@ -178,7 +179,25 @@ func TestUnownedAddrRefused(t *testing.T) {
 	if !errors.As(err, &unowned) {
 		t.Fatalf("an address past the counter: %v, want an *UnownedAddrError", err)
 	}
-	if want := (core.UnownedAddrError{Func: "probe32", Arg: 1, Param: "ctr", Addr: ctr + 8}); *unowned != want {
+	want := core.UnownedAddrError{Func: "probe32", Arg: 1, Param: "ctr", Addr: ctr + 8}
+	if *unowned != want {
 		t.Errorf("error %+v, want %+v", *unowned, want)
+	}
+
+	out, err := ctx.MemAlloc(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := driver.PackParams(f, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ctx.LaunchKernel(f, gpu.D1(1), gpu.D1(32), 0, params)
+	unowned = nil
+	if !errors.Is(err, driver.ErrToolCallback) || !errors.As(err, &unowned) {
+		t.Fatalf("launching with an address past the counter: %v, want ErrToolCallback and an *UnownedAddrError", err)
+	}
+	if *unowned != want {
+		t.Errorf("launch error %+v, want %+v", *unowned, want)
 	}
 }

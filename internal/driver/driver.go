@@ -88,10 +88,12 @@ type CallParams struct {
 
 // Hook observes driver API calls. Before fires when the application enters
 // the driver call; After fires once the driver has performed it. This is the
-// boundary the NVBit core's Driver Interposer occupies.
+// boundary the NVBit core's Driver Interposer occupies. An error from either
+// fails the call with ErrToolCallback (Before's skips the operation) and
+// poisons nothing. The driver recovers no panic: a hook recovers its own.
 type Hook interface {
-	Before(cbid CBID, name string, p *CallParams)
-	After(cbid CBID, name string, p *CallParams, result error)
+	Before(cbid CBID, name string, p *CallParams) error
+	After(cbid CBID, name string, p *CallParams, result error) error
 }
 
 // Launcher is the minimal driver surface a workload needs to load code, move
@@ -198,9 +200,9 @@ func (t *Tenant) Bind(h Hook) error {
 // Unbind detaches the scope's hook; further driver calls on the scope run
 // uninstrumented. With atExit the hook first receives its synthetic
 // application-exit callbacks (where tools flush their results) — no other
-// scope sees them — and the first error of the two is returned; without, it
-// is dropped silently, the cleanup path when attaching failed partway. The
-// scope keeps its collector. Unbind is idempotent.
+// scope sees them — and it returns their errors; without, it is dropped
+// silently, the cleanup path when attaching failed partway. The scope keeps
+// its collector. Unbind is idempotent.
 func (t *Tenant) Unbind(atExit bool) error {
 	a := t.api
 	a.mu.Lock()
@@ -214,11 +216,7 @@ func (t *Tenant) Unbind(atExit bool) error {
 		return nil
 	}
 	p := &CallParams{}
-	err := fire(h, prof, CBAppExit, false, p, nil)
-	if aerr := fire(h, prof, CBAppExit, true, p, nil); err == nil {
-		err = aerr
-	}
-	return err
+	return errors.Join(fire(h, prof, CBAppExit, false, p, nil), fire(h, prof, CBAppExit, true, p, nil))
 }
 
 // SetCollector gives the scope its activity collector (nil turns tracing
@@ -304,12 +302,9 @@ func (a *API) Gate() *Gate { return a.gate }
 
 // fire runs one callback of a hook — enter, or with exit set the exit
 // callback carrying the call's result — inside its tool-callback activity
-// record (emitted even when the callback panics, so the trace shows where
-// the time went). A panic is recovered into an ErrToolCallback error: a
-// broken tool turns into a failing driver call instead of a crashed host
-// process.
-func fire(h Hook, prof *profile.Collector, cbid CBID, exit bool, p *CallParams, result error) (err error) {
-	defer recoverHookPanic(cbid, &err)
+// record. A callback's error comes back wrapped in ErrToolCallback, its own
+// chain intact for errors.Is and errors.As.
+func fire(h Hook, prof *profile.Collector, cbid CBID, exit bool, p *CallParams, result error) error {
 	if prof != nil {
 		name, t0 := cbid.String()+":enter", prof.Now()
 		if exit {
@@ -322,10 +317,14 @@ func fire(h Hook, prof *profile.Collector, cbid CBID, exit bool, p *CallParams, 
 			})
 		}()
 	}
+	var err error
 	if exit {
-		h.After(cbid, cbid.String(), p, result)
+		err = h.After(cbid, cbid.String(), p, result)
 	} else {
-		h.Before(cbid, cbid.String(), p)
+		err = h.Before(cbid, cbid.String(), p)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrToolCallback, cbid, err)
 	}
 	return nil
 }
@@ -335,8 +334,8 @@ func fire(h Hook, prof *profile.Collector, cbid CBID, exit bool, p *CallParams, 
 // first, then scope 0's preloaded tool. Once every scope has unbound, the
 // device hands its execution state to the next device (gpu.Device.Close).
 // Every driver call after Close fails; the device's memory and Stats stay
-// readable. It returns the first error (tools flush their results at exit,
-// so a panicking AtTerm matters). Close must not race with a driver call.
+// readable. It returns every scope's exit error, failed flushes of tool
+// results included. Close must not race with a driver call.
 func (a *API) Close() error {
 	if a.closed.Swap(true) {
 		return nil
@@ -344,14 +343,12 @@ func (a *API) Close() error {
 	a.mu.Lock()
 	sessions := slices.DeleteFunc(slices.Clone(a.bound), func(t *Tenant) bool { return t == a.scope0 })
 	a.mu.Unlock()
-	var first error
+	var errs []error
 	for _, t := range append(sessions, a.scope0) {
-		if err := t.Unbind(true); err != nil && first == nil {
-			first = err
-		}
+		errs = append(errs, t.Unbind(true))
 	}
 	a.dev.Close()
-	return first
+	return errors.Join(errs...)
 }
 
 // Context is the CUcontext analog: the handle driver calls are made on, plus
@@ -529,7 +526,7 @@ func (c *Context) MemcpyDtoH(dst []byte, src uint64) error {
 // Unlike the other device-owning calls it returns the window as soon as the
 // kernel has run, charged with the launch's cycles, so the exit callbacks
 // (where the framework drains the attachment's channels) do not hold the
-// device.
+// device; a launch refused or unwound before that returns it uncharged.
 func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes int, params []byte) error {
 	if c.api.closed.Load() {
 		return errClosed
@@ -547,10 +544,15 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 	if err := c.api.gate.Admit(scope); err != nil {
 		return fmt.Errorf("driver: launching %s: %w", f.Name, err)
 	}
+	held := true // until the kernel has run and returned the window
+	defer func() {
+		if held {
+			c.api.gate.Release(scope, 0)
+		}
+	}()
 	lp := &LaunchParams{Func: f, Grid: grid, Block: block, SharedBytes: sharedBytes, ParamData: params}
 	p := CallParams{Ctx: c, Launch: lp}
-	launched := false
-	err := c.interposed(CBLaunchKernel, false, &p, nil, func() error {
+	return c.interposed(CBLaunchKernel, false, &p, nil, func() error {
 		_, prof, flush := c.tenant.resolve()
 		st, err := c.api.dev.Launch(gpu.LaunchSpec{
 			Entry:       f.Addr,
@@ -562,7 +564,7 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 			Prof:        prof,
 			FlushHook:   flush,
 		})
-		launched = true
+		held = false
 		c.api.gate.Release(scope, st.Cycles)
 		if err != nil {
 			_, isFault := gpu.AsFault(err)
@@ -576,10 +578,6 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 		}
 		return err
 	})
-	if !launched {
-		c.api.gate.Release(scope, 0) // the enter callbacks refused the launch
-	}
-	return err
 }
 
 // PackParams marshals typed arguments into the raw parameter block matching

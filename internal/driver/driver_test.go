@@ -40,12 +40,14 @@ type recordingHook struct {
 	events []string
 }
 
-func (h *recordingHook) Before(cbid CBID, name string, p *CallParams) {
+func (h *recordingHook) Before(cbid CBID, name string, p *CallParams) error {
 	h.events = append(h.events, "enter:"+name)
+	return nil
 }
 
-func (h *recordingHook) After(cbid CBID, name string, p *CallParams, err error) {
+func (h *recordingHook) After(cbid CBID, name string, p *CallParams, err error) error {
 	h.events = append(h.events, "exit:"+name)
+	return nil
 }
 
 func newAPI(t *testing.T, f sass.Family) *API {

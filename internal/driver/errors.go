@@ -30,9 +30,9 @@ var (
 	// ErrLaunchFailed: any other device-side fault —
 	// CUDA_ERROR_LAUNCH_FAILED.
 	ErrLaunchFailed = errors.New("CUDA_ERROR_LAUNCH_FAILED")
-	// ErrToolCallback: a tool (interposer) callback panicked; the panic was
-	// recovered and the driver call failed instead of crashing the process.
-	ErrToolCallback = errors.New("driver: tool callback panicked")
+	// ErrToolCallback: a hook callback failed — in the NVBit core, a tool
+	// panic or a JIT or code-swap error, which follows it in the chain.
+	ErrToolCallback = errors.New("driver: tool callback failed")
 )
 
 // sentinelFor maps a device fault kind onto its CUresult sentinel.
@@ -61,12 +61,4 @@ func mapLaunchError(kernel string, err error) error {
 		return fmt.Errorf("driver: launching %s: %w: %w", kernel, sentinelFor(f.Kind), err)
 	}
 	return fmt.Errorf("driver: launching %s: %w", kernel, err)
-}
-
-// recoverHookPanic converts a panicking tool callback into an ErrToolCallback
-// error on the interposed driver call. Must be deferred.
-func recoverHookPanic(cbid CBID, dst *error) {
-	if r := recover(); r != nil {
-		*dst = fmt.Errorf("%w: %s: %v", ErrToolCallback, cbid, r)
-	}
 }

@@ -13,13 +13,14 @@ type errorHook struct {
 	results map[CBID][]error
 }
 
-func (h *errorHook) Before(cbid CBID, name string, p *CallParams) {}
+func (h *errorHook) Before(cbid CBID, name string, p *CallParams) error { return nil }
 
-func (h *errorHook) After(cbid CBID, name string, p *CallParams, err error) {
+func (h *errorHook) After(cbid CBID, name string, p *CallParams, err error) error {
 	if h.results == nil {
 		h.results = make(map[CBID][]error)
 	}
 	h.results[cbid] = append(h.results[cbid], err)
+	return nil
 }
 
 // TestAfterCallbackSeesErrors: the interposer must observe driver-call

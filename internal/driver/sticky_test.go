@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/sass"
@@ -208,32 +209,34 @@ func TestHostErrorsDoNotPoison(t *testing.T) {
 	}
 }
 
-// panicHook panics in the selected callbacks.
-type panicHook struct {
-	panicBefore map[CBID]bool
-	panicAfter  map[CBID]bool
-	calls       []CBID
+// failHook fails the selected callbacks with errToolBug.
+type failHook struct {
+	failBefore map[CBID]bool
+	failAfter  map[CBID]bool
 }
 
-func (h *panicHook) Before(cbid CBID, name string, p *CallParams) {
-	h.calls = append(h.calls, cbid)
-	if h.panicBefore[cbid] {
-		panic("tool bug in Before")
+var errToolBug = errors.New("tool bug")
+
+func (h *failHook) Before(cbid CBID, name string, p *CallParams) error {
+	if h.failBefore[cbid] {
+		return errToolBug
 	}
+	return nil
 }
 
-func (h *panicHook) After(cbid CBID, name string, p *CallParams, result error) {
-	if h.panicAfter[cbid] {
-		panic("tool bug in After")
+func (h *failHook) After(cbid CBID, name string, p *CallParams, result error) error {
+	if h.failAfter[cbid] {
+		return errToolBug
 	}
+	return nil
 }
 
-// TestHookPanicRecovered: a panicking interposer callback fails the driver
-// call with ErrToolCallback instead of crashing the process, and a Before
-// panic skips the underlying operation.
-func TestHookPanicRecovered(t *testing.T) {
+// TestHookErrorFailsCall: a failing interposer callback fails the driver
+// call with ErrToolCallback wrapped around the callback's own error, and a
+// Before failure skips the underlying operation.
+func TestHookErrorFailsCall(t *testing.T) {
 	a := newAPI(t, sass.Volta)
-	h := &panicHook{panicBefore: map[CBID]bool{CBMemAlloc: true}, panicAfter: map[CBID]bool{CBMemcpyHtoD: true}}
+	h := &failHook{failBefore: map[CBID]bool{CBMemAlloc: true}, failAfter: map[CBID]bool{CBMemcpyHtoD: true}}
 	if err := a.Scope0().Bind(h); err != nil {
 		t.Fatal(err)
 	}
@@ -242,36 +245,86 @@ func TestHookPanicRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Before panic: operation skipped, typed error returned.
-	if _, err := ctx.MemAlloc(64); !errors.Is(err, ErrToolCallback) {
-		t.Fatalf("MemAlloc with panicking Before: %v", err)
+	// Before failure: operation skipped, both errors in the chain.
+	if _, err := ctx.MemAlloc(64); !errors.Is(err, ErrToolCallback) || !errors.Is(err, errToolBug) {
+		t.Fatalf("MemAlloc with failing Before: %v", err)
 	}
 	if allocs := ctx.Device().Allocations(); len(allocs) != 0 {
-		t.Fatalf("operation ran despite Before panic: %+v", allocs)
+		t.Fatalf("operation ran despite a Before failure: %+v", allocs)
 	}
 
-	// After panic: operation performed, error still surfaced.
+	// After failure: operation performed, error still surfaced.
 	dst, err := ctx.Device().Malloc(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cerr := ctx.MemcpyHtoD(dst, []byte{1, 2, 3})
-	if !errors.Is(cerr, ErrToolCallback) {
-		t.Fatalf("MemcpyHtoD with panicking After: %v", cerr)
+	if !errors.Is(cerr, ErrToolCallback) || !errors.Is(cerr, errToolBug) {
+		t.Fatalf("MemcpyHtoD with failing After: %v", cerr)
 	}
 	buf := make([]byte, 3)
 	if err := ctx.Device().Read(dst, buf); err != nil || buf[0] != 1 || buf[2] != 3 {
-		t.Fatalf("copy did not happen before the After panic: %v %v", buf, err)
+		t.Fatalf("copy did not happen before the After failure: %v %v", buf, err)
 	}
 
-	// The panic does not poison the context: the next healthy call works.
+	// The failures do not poison the context: the next healthy call works.
 	if err := ctx.MemcpyDtoH(make([]byte, 3), dst); err != nil {
-		t.Fatalf("context unusable after recovered panics: %v", err)
+		t.Fatalf("context unusable after failed callbacks: %v", err)
 	}
 
-	// A panicking AppExit callback surfaces through Close.
-	h.panicBefore[CBAppExit] = true
+	// A failing AppExit callback surfaces through Close.
+	h.failBefore[CBAppExit] = true
 	if err := a.Close(); !errors.Is(err, ErrToolCallback) {
-		t.Fatalf("Close with panicking hook: %v", err)
+		t.Fatalf("Close with a failing hook: %v", err)
+	}
+}
+
+// TestLaunchReleasesGateOnPanic: a scope flush hook that panics inside a
+// launch unwinds LaunchKernel, and the launch still gives the device back,
+// so the next launch on the API runs instead of waiting forever.
+func TestLaunchReleasesGateOnPanic(t *testing.T) {
+	a := newAPI(t, sass.Volta)
+	ctx, err := a.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := ctx.ModuleLoadPTX("app", addOnePTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := mod.GetFunction("addone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := ctx.MemAlloc(4 * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := PackParams(f, buf, uint32(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Scope0().SetFlushHook(func(int, gpu.FlushPoint) { panic("flush hook bug") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the flush hook's panic did not propagate")
+			}
+		}()
+		_ = ctx.LaunchKernel(f, gpu.D1(2), gpu.D1(32), 0, params)
+	}()
+	a.Scope0().SetFlushHook(nil)
+	done := make(chan error, 1)
+	go func() { done <- ctx.LaunchKernel(f, gpu.D1(2), gpu.D1(32), 0, params) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("launch after the panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("launch after a panicking launch still waits for the device")
+	}
+	if n := a.Gate().Waiting(); n != 0 {
+		t.Fatalf("%d operations waiting at the gate", n)
 	}
 }

@@ -13,6 +13,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -398,6 +399,10 @@ func (d *Device) Read(addr uint64, p []byte) error {
 // all-zero kernel would otherwise be loaded at the JMP-to-zero target).
 type CodeAddr int
 
+// ErrOutOfCodeSpace is the sentinel AllocCode's error wraps when the
+// device's code space (Config.CodeBytes) cannot hold the request.
+var ErrOutOfCodeSpace = errors.New("gpu: out of code space")
+
 // AllocCode reserves space for n instruction words and returns its base.
 // Code space is never freed: like the paper's trampolines, loaded code stays
 // GPU-resident until module unload, which this simulator does not model.
@@ -408,7 +413,7 @@ func (d *Device) AllocCode(nWords int) (CodeAddr, error) {
 	}
 	need := nWords * ib
 	if d.codeTop+need > d.cfg.CodeBytes {
-		return 0, fmt.Errorf("gpu: out of code space (%d of %d bytes used, %d requested)", d.codeTop, d.cfg.CodeBytes, need)
+		return 0, fmt.Errorf("%w (%d of %d bytes used, %d requested)", ErrOutOfCodeSpace, d.codeTop, d.cfg.CodeBytes, need)
 	}
 	base := CodeAddr(d.codeTop / ib)
 	d.codeTop += need

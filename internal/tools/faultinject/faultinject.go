@@ -466,8 +466,10 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	}))
 }
 
-// must routes a failed control or device call through the tool-callback
-// recovery path (see instrument).
+// must routes a failed control or device call through the framework's
+// recovery of tool panics (see instrument): in a launch callback it fails
+// that launch, and in the OnCTAExit callback it fails the launch at its
+// exit, after the kernel has run.
 func must(err error) {
 	if err != nil {
 		panic(fmt.Errorf("faultinject: %w", err))
@@ -485,8 +487,8 @@ func must(err error) {
 func (t *Tool) instrument(n *nvbit.NVBit, f *nvbit.Function) {
 	insts, err := n.GetInstrs(f)
 	if err != nil {
-		// Deliberately routed through the tool-callback recovery path: the
-		// driver converts this panic into a launch failure wrapping
+		// Deliberately routed through the framework's recovery of tool
+		// panics: the launch fails with an error wrapping
 		// ErrToolCallback, which a campaign classifies as a DUE instead of
 		// losing the worker process.
 		panic(fmt.Errorf("faultinject: lifting %s: %w", f.Name, err))

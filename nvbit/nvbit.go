@@ -249,6 +249,9 @@ var (
 	ErrLaunchTimeout      = driver.ErrLaunchTimeout
 	ErrLaunchFailed       = driver.ErrLaunchFailed
 	ErrToolCallback       = driver.ErrToolCallback
+	// ErrOutOfCodeSpace: the device's code space cannot hold the code a
+	// module load or an instrumented launch needs.
+	ErrOutOfCodeSpace = gpu.ErrOutOfCodeSpace
 )
 
 // Pred is a predicate register index, as ArgPred takes and GetPredicate
