@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"nvbitgo/internal/experiments"
@@ -22,14 +24,30 @@ import (
 	"nvbitgo/internal/workloads/specaccel"
 )
 
+// all is the -fig key that runs every figure in table order.
+const all = "all"
+
+// figure is one section of the output: the name its timing line carries, the
+// -fig keys that select it (its name when it lists none) and what renders it.
+type figure struct {
+	name string
+	keys []string
+	run  func() (string, error)
+}
+
+func (f figure) selectors() []string {
+	if f.keys == nil {
+		return []string{f.name}
+	}
+	return f.keys
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, lib, wfft, saveset, jitcache, faultinject, all")
 	fiRuns := flag.Int("fi-runs", 250, "faultinject: injection runs per victim")
 	fiSeed := flag.Uint64("fi-seed", 1, "faultinject: campaign manifest seed")
 	sizeName := flag.String("size", "", "problem size: small, medium, large (default: per-figure paper size)")
 	schedName := flag.String("scheduler", "sequential", "CTA scheduler: sequential (reference, used for published figures) or parallel")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	flag.Parse()
 
 	// os.Exit runs no deferred calls and a CPU profile is only complete once
 	// stopped, so every exit below goes through exit.
@@ -38,6 +56,64 @@ func main() {
 		stopProfile()
 		os.Exit(code)
 	}
+	size := func(def specaccel.Size) specaccel.Size {
+		if *sizeName == "" {
+			return def
+		}
+		s, err := specaccel.ParseSize(*sizeName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			exit(2)
+		}
+		return s
+	}
+
+	figures := []figure{
+		{"fig5", []string{"5"}, func() (string, error) {
+			rows, err := experiments.Fig5(size(specaccel.Medium))
+			return experiments.RenderFig5(rows), err
+		}},
+		{"lib", nil, func() (string, error) {
+			rows, err := experiments.LibFraction()
+			return experiments.RenderLibFraction(rows), err
+		}},
+		{"fig6", []string{"6"}, func() (string, error) {
+			rows, err := experiments.Fig6()
+			return experiments.RenderFig6(rows), err
+		}},
+		{"fig789", []string{"7", "8", "9"}, func() (string, error) {
+			f7, f8, f9, err := experiments.Fig789(size(specaccel.Large))
+			return experiments.RenderFig7(f7) + "\n" + experiments.RenderFig8(f8) + "\n" + experiments.RenderFig9(f9), err
+		}},
+		{"wfft", nil, func() (string, error) {
+			r, err := experiments.WFFT()
+			return experiments.RenderWFFT(r), err
+		}},
+		{"saveset", nil, func() (string, error) {
+			rows, err := experiments.SaveSet(size(specaccel.Small))
+			return experiments.RenderSaveSet(rows), err
+		}},
+		{"jitcache", nil, func() (string, error) {
+			dir, err := os.MkdirTemp("", "nvbit-jitcache-*")
+			if err != nil {
+				return "", err
+			}
+			defer os.RemoveAll(dir)
+			rows, err := experiments.JITCache(dir, size(specaccel.Medium))
+			return experiments.RenderJITCache(rows), err
+		}},
+		{"faultinject", nil, func() (string, error) {
+			rows, err := experiments.FaultInject(*fiRuns, *fiSeed)
+			return experiments.RenderFaultInject(rows), err
+		}},
+	}
+	var keys []string
+	for _, f := range figures {
+		keys = append(keys, f.selectors()...)
+	}
+	fig := flag.String("fig", all, "figure to regenerate: "+strings.Join(append(keys, all), ", "))
+	flag.Parse()
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err == nil {
@@ -62,132 +138,22 @@ func main() {
 	}
 	experiments.SetScheduler(sched)
 
-	size := func(def specaccel.Size) specaccel.Size {
-		if *sizeName == "" {
-			return def
+	ran := false
+	for _, f := range figures {
+		if *fig != all && !slices.Contains(f.selectors(), *fig) {
+			continue
 		}
-		s, err := specaccel.ParseSize(*sizeName)
+		start := time.Now()
+		out, err := f.run()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			exit(2)
+			exit(1)
 		}
-		return s
+		fmt.Print(out)
+		fmt.Printf("[%s took %.1fs]\n\n", f.name, time.Since(start).Seconds())
+		ran = true
 	}
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		exit(1)
-	}
-	section := func(name string, fn func() error) {
-		start := time.Now()
-		if err := fn(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("[%s took %.1fs]\n\n", name, time.Since(start).Seconds())
-	}
-
-	runFig5 := func() error {
-		rows, err := experiments.Fig5(size(specaccel.Medium))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig5(rows))
-		return nil
-	}
-	runLib := func() error {
-		rows, err := experiments.LibFraction()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderLibFraction(rows))
-		return nil
-	}
-	runFig6 := func() error {
-		rows, err := experiments.Fig6()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig6(rows))
-		return nil
-	}
-	runFig789 := func() error {
-		f7, f8, f9, err := experiments.Fig789(size(specaccel.Large))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig7(f7))
-		fmt.Println()
-		fmt.Print(experiments.RenderFig8(f8))
-		fmt.Println()
-		fmt.Print(experiments.RenderFig9(f9))
-		return nil
-	}
-	runSaveSet := func() error {
-		rows, err := experiments.SaveSet(size(specaccel.Small))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderSaveSet(rows))
-		return nil
-	}
-	runWFFT := func() error {
-		r, err := experiments.WFFT()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderWFFT(r))
-		return nil
-	}
-	runJITCache := func() error {
-		dir, err := os.MkdirTemp("", "nvbit-jitcache-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		rows, err := experiments.JITCache(dir, size(specaccel.Medium))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderJITCache(rows))
-		return nil
-	}
-
-	runFaultInject := func() error {
-		rows, err := experiments.FaultInject(*fiRuns, *fiSeed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFaultInject(rows))
-		return nil
-	}
-
-	switch *fig {
-	case "5":
-		section("fig5", runFig5)
-	case "lib":
-		section("lib", runLib)
-	case "6":
-		section("fig6", runFig6)
-	case "7", "8", "9":
-		section("fig789", runFig789)
-	case "wfft":
-		section("wfft", runWFFT)
-	case "saveset":
-		section("saveset", runSaveSet)
-	case "jitcache":
-		section("jitcache", runJITCache)
-	case "faultinject":
-		section("faultinject", runFaultInject)
-	case "all":
-		section("fig5", runFig5)
-		section("lib", runLib)
-		section("fig6", runFig6)
-		section("fig789", runFig789)
-		section("wfft", runWFFT)
-		section("saveset", runSaveSet)
-		section("jitcache", runJITCache)
-		section("faultinject", runFaultInject)
-	default:
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		exit(2)
 	}

@@ -19,15 +19,8 @@ type workspace struct {
 	visits []visit
 	art    codeArtifact
 	tools  []int64 // the artifact's tool functions' addresses
-	frames []frame // the save frames the function's sites use so far
 	// raw is the encoding of the trampolines not yet written to the device.
 	raw []byte
-}
-
-// frame is a save-frame size and the addresses of its two routines.
-type frame struct {
-	n             int32
-	save, restore int64
 }
 
 // reuse returns s emptied with room for n elements: s's own array when it
@@ -295,10 +288,8 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 	// them up (resolveCalls), and the loader loads the tool's sources at the
 	// first lookup, so a cached artifact looks them up first too and puts
 	// every later allocation where a build does. A frame size's routines are
-	// asked of the loader at their first use in the function and remembered
-	// for the rest of it; the loader loads on demand, so first uses in site
-	// order keep every device allocation where resolving each relocation
-	// afresh put it.
+	// asked of the loader at each use; it loads them at the first, so first
+	// uses in site order keep every device allocation where a build puts it.
 	tools := reuse(n.ws.tools, len(art.toolNames))
 	for _, name := range art.toolNames {
 		tf, err := n.loader.lookup(name)
@@ -308,7 +299,6 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 		tools = append(tools, int64(tf.addr))
 	}
 	n.ws.tools = tools
-	frames := n.ws.frames[:0]
 	// The pending run: encoded trampolines not yet written, destined for
 	// runBase onward. One bulk chunk bounds it, and so does the function.
 	run, runBase := reuse(n.ws.raw, min(len(art.insts), trampChunkWords)*ib), gpu.CodeAddr(0)
@@ -340,22 +330,15 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 		for _, rl := range relocs {
 			switch rl.kind {
 			case relocSaveFn, relocRestoreFn:
-				k := 0
-				for k < len(frames) && frames[k].n != rl.aux {
-					k++
-				}
-				if k == len(frames) {
-					save, restore, err := n.loader.saveRestore(int(rl.aux))
-					if err != nil {
-						return err
-					}
-					frames = append(frames, frame{rl.aux, int64(save), int64(restore)})
+				save, restore, err := n.loader.saveRestore(int(rl.aux))
+				if err != nil {
+					return err
 				}
 				if rl.kind == relocSaveFn {
-					tr[rl.slot].Imm = frames[k].save
+					tr[rl.slot].Imm = int64(save)
 					n.stats.SavedRegs += site.savedRegs
 				} else {
-					tr[rl.slot].Imm = frames[k].restore
+					tr[rl.slot].Imm = int64(restore)
 				}
 			case relocAddr:
 				if err := n.resolveAddr(tr[rl.slot:], art.addrs[rl.aux]); err != nil {
@@ -418,7 +401,7 @@ func (n *NVBit) materializeArtifact(fs *funcState, art *codeArtifact) error {
 			n.stats.TrampolineWords += len(tr)
 		}
 	}
-	n.ws.raw, n.ws.frames = run, frames
+	n.ws.raw = run
 	if err := flush(); err != nil {
 		return err
 	}

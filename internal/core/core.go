@@ -21,6 +21,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -321,9 +322,7 @@ func (n *NVBit) ownerOf(addr uint64) (int32, int) {
 // WriteU64 stores a 64-bit value into device memory.
 func (n *NVBit) WriteU64(addr, v uint64) error {
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return n.api.Device().Write(addr, b[:])
 }
 
@@ -333,11 +332,7 @@ func (n *NVBit) ReadU64(addr uint64) (uint64, error) {
 	if err := n.api.Device().Read(addr, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := range b {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // ReadU32 loads a 32-bit value from device memory.
@@ -346,11 +341,12 @@ func (n *NVBit) ReadU32(addr uint64) (uint32, error) {
 	if err := n.api.Device().Read(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // WriteU32 stores a 32-bit value into device memory.
 func (n *NVBit) WriteU32(addr uint64, v uint32) error {
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
 	return n.api.Device().Write(addr, b[:])
 }

@@ -73,7 +73,7 @@ type toolLoader struct {
 	sources  []string
 	compiled bool
 	funcs    map[string]*toolFunc
-	saves    map[int]gpu.CodeAddr // restore routines follow (saveRestore)
+	saves    map[int][2]gpu.CodeAddr // frame size -> save, restore (saveRestore)
 
 	// Bulk trampoline allocator (Section 5.1: trampoline space is
 	// allocated in bulk by a custom allocator).
@@ -87,7 +87,7 @@ func newToolLoader(n *NVBit) *toolLoader {
 	return &toolLoader{
 		n:     n,
 		funcs: make(map[string]*toolFunc),
-		saves: make(map[int]gpu.CodeAddr),
+		saves: make(map[int][2]gpu.CodeAddr),
 	}
 }
 
@@ -174,15 +174,10 @@ func (l *toolLoader) loadSource(modName, src string) error {
 // convergence-barrier state; the restore routine, right after it, is its
 // exact inverse.
 func (l *toolLoader) saveRestore(nRegs int) (save, restore gpu.CodeAddr, err error) {
-	hal := l.n.hal
-	if s, ok := l.saves[nRegs]; ok {
-		// SAVEPUSH, one STSA per register, STSP, [STSB,] RET.
-		words := nRegs + 3
-		if hal.SaveBarrierState {
-			words++
-		}
-		return s, s + gpu.CodeAddr(words), nil
+	if r, ok := l.saves[nRegs]; ok {
+		return r[0], r[1], nil
 	}
+	hal := l.n.hal
 	// The save routine, then the restore routine.
 	push := sass.NewInst(sass.OpSAVEPUSH)
 	push.Imm = int64(nRegs)
@@ -226,7 +221,7 @@ func (l *toolLoader) saveRestore(nRegs int) (save, restore gpu.CodeAddr, err err
 	if err := dev.WriteCode(s, raw); err != nil {
 		return 0, 0, err
 	}
-	l.saves[nRegs] = s
+	l.saves[nRegs] = [2]gpu.CodeAddr{s, s + gpu.CodeAddr(nSave)}
 	return s, s + gpu.CodeAddr(nSave), nil
 }
 

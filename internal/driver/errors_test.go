@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,4 +134,48 @@ func TestMissingRelatedFunctionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	refuseLoad(t, ctx, "missing related function", func() (*Module, error) { return ctx.ModuleLoadCubin(img) })
+}
+
+// TestOutOfCodeSpaceNamesModule: a module load that finds the code space full
+// names the module it was loading and keeps gpu.ErrOutOfCodeSpace in the
+// chain.
+func TestOutOfCodeSpaceNamesModule(t *testing.T) {
+	cfg := gpu.DefaultConfig(sass.Volta)
+	cfg.CodeBytes = 4 << 10
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := a.CtxCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("app%d", i)
+		_, err := ctx.ModuleLoadPTX(name, fmt.Sprintf(`
+.visible .entry k%d(.param .u64 out)
+{
+	.reg .u32 %%r<2>;
+	.reg .u64 %%rd<2>;
+	ld.param.u64 %%rd0, [out];
+	mov.u32 %%r0, %d;
+	st.global.u32 [%%rd0], %%r0;
+	exit;
+}
+`, i, i))
+		if err == nil {
+			continue
+		}
+		if i == 0 {
+			t.Fatalf("first load refused: %v", err)
+		}
+		if !errors.Is(err, gpu.ErrOutOfCodeSpace) {
+			t.Fatalf("load %s: %v, want gpu.ErrOutOfCodeSpace", name, err)
+		}
+		if !strings.Contains(err.Error(), "module "+name+": ") {
+			t.Fatalf("load %s: %q does not name the module", name, err)
+		}
+		return
+	}
+	t.Fatal("1000 modules loaded into a 4 KiB code space")
 }

@@ -223,7 +223,7 @@ func Link(dev *gpu.Device, c *Cubin) ([]gpu.CodeAddr, error) {
 	}
 	addr, err := dev.AllocCode(words)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("driver: module %s: %w", c.Name, err)
 	}
 	addrs := make([]gpu.CodeAddr, len(c.Funcs))
 	for i, f := range c.Funcs {

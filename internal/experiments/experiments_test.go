@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"nvbitgo/internal/campaign"
+	"nvbitgo/internal/driver"
+	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/tools/instrcount"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
@@ -177,24 +179,15 @@ func TestWFFTShape(t *testing.T) {
 func TestFig8Budget(t *testing.T) {
 	const recorded = 35.0619 // spec_instr sim_slowdown_x at PR 22 (57.1112 before visits were coalesced)
 	cycles := func(b *specaccel.Benchmark, tool *instrcount.Tool) (uint64, uint64) {
-		api, err := newAPI()
+		var attach nvbit.Tool
+		if tool != nil {
+			attach = tool
+		}
+		api, nv, err := run(attach, func(ctx *driver.Context) error { return b.Run(ctx, specaccel.Small) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer api.Close()
-		var nv *nvbit.NVBit
-		if tool != nil {
-			if nv, err = nvbit.Attach(api, tool, attachOpts()...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx, err := api.CtxCreate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Run(ctx, specaccel.Small); err != nil {
-			t.Fatal(err)
-		}
 		st := api.Device().Stats()
 		if tool != nil {
 			return st.Cycles, tool.Total(nv)
@@ -303,5 +296,25 @@ func TestFaultInjectShape(t *testing.T) {
 	}
 	if out := RenderFaultInject(rows); len(out) == 0 {
 		t.Fatal("empty rendering")
+	}
+}
+
+// TestRunScheduler holds every experiment device to the scheduler
+// SetScheduler selected, with and without a tool attached: run sets it when
+// the device is built, and attaching passes no scheduler option to undo it.
+func TestRunScheduler(t *testing.T) {
+	defer SetScheduler(scheduler)
+	SetScheduler(gpu.SchedulerParallelSM)
+	for _, tool := range []nvbit.Tool{nil, instrcount.New()} {
+		api, _, err := run(tool, func(*driver.Context) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := api.Device().Config().Scheduler; got != gpu.SchedulerParallelSM {
+			t.Errorf("tool %T: device scheduler %v, want %v", tool, got, gpu.SchedulerParallelSM)
+		}
+		if err := api.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

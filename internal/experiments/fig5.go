@@ -30,22 +30,29 @@ var scheduler = gpu.SchedulerSequential
 // experiment devices.
 func SetScheduler(k gpu.SchedulerKind) { scheduler = k }
 
-func newAPI() (*driver.API, error) {
-	api, err := driver.New(gpu.DefaultConfig(Family))
+// run is every experiment's one set-up: a fresh Family device running the
+// package's scheduler from construction, tool attached with opts when it is
+// non-nil, a context, and work on that context. The device and the attachment
+// (nil without a tool) are returned for reading counters off; a caller that
+// times the workload does so inside work.
+func run(tool nvbit.Tool, work func(*driver.Context) error, opts ...nvbit.Option) (*driver.API, *nvbit.NVBit, error) {
+	cfg := gpu.DefaultConfig(Family)
+	cfg.Scheduler = scheduler
+	api, err := driver.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Native (uninstrumented) runs have no Attach call to carry options, so
-	// the backend is applied directly; instrumented runs restate it through
-	// attachOpts at their Attach site.
-	api.Device().SetScheduler(scheduler)
-	return api, nil
-}
-
-// attachOpts returns the Attach options every instrumented experiment run
-// uses, so the configured scheduler travels the supported options path.
-func attachOpts() []nvbit.Option {
-	return []nvbit.Option{nvbit.WithScheduler(scheduler)}
+	var nv *nvbit.NVBit
+	if tool != nil {
+		if nv, err = nvbit.Attach(api, tool, opts...); err != nil {
+			return nil, nil, err
+		}
+	}
+	ctx, err := api.CtxCreate()
+	if err != nil {
+		return nil, nil, err
+	}
+	return api, nv, work(ctx)
 }
 
 // Fig5Row is one benchmark's JIT-compilation overhead breakdown, as a
@@ -69,42 +76,24 @@ type Fig5Row struct {
 func Fig5(size specaccel.Size) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, b := range specaccel.Benchmarks() {
-		// Native wall time (median of three runs to steady the clock).
+		// Native wall time (fastest of three runs to steady the clock).
 		var native time.Duration
 		for rep := 0; rep < 3; rep++ {
-			api, err := newAPI()
-			if err != nil {
-				return nil, err
-			}
-			ctx, err := api.CtxCreate()
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := b.Run(ctx, size); err != nil {
+			if _, _, err := run(nil, func(ctx *driver.Context) error {
+				start := time.Now()
+				err := b.Run(ctx, size)
+				if d := time.Since(start); rep == 0 || d < native {
+					native = d
+				}
+				return err
+			}); err != nil {
 				return nil, fmt.Errorf("fig5: native %s: %w", b.Name, err)
-			}
-			d := time.Since(start)
-			if rep == 0 || d < native {
-				native = d
 			}
 		}
 
 		// Instrumented run: every instruction of every kernel once.
-		api, err := newAPI()
+		_, nv, err := run(instrcount.New(), func(ctx *driver.Context) error { return b.Run(ctx, size) })
 		if err != nil {
-			return nil, err
-		}
-		tool := instrcount.New()
-		nv, err := nvbit.Attach(api, tool, attachOpts()...)
-		if err != nil {
-			return nil, err
-		}
-		ctx, err := api.CtxCreate()
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Run(ctx, size); err != nil {
 			return nil, fmt.Errorf("fig5: instrumented %s: %w", b.Name, err)
 		}
 		st := nv.JITStats()

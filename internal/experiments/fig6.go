@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"nvbitgo/internal/driver"
 	"nvbitgo/internal/tools/instrcount"
 	"nvbitgo/internal/tools/memdiv"
 	"nvbitgo/internal/workloads/mlsuite"
-	"nvbitgo/nvbit"
 )
 
 // LibFracRow is one ML workload's fraction of executed instructions inside
@@ -23,20 +23,12 @@ type LibFracRow struct {
 func LibFraction() ([]LibFracRow, error) {
 	var rows []LibFracRow
 	for _, net := range mlsuite.Networks() {
-		api, err := newAPI()
-		if err != nil {
-			return nil, err
-		}
 		tool := instrcount.New()
-		nv, err := nvbit.Attach(api, tool, attachOpts()...)
+		_, nv, err := run(tool, func(ctx *driver.Context) error {
+			_, err := mlsuite.Run(ctx, nil, net)
+			return err
+		})
 		if err != nil {
-			return nil, err
-		}
-		ctx, err := api.CtxCreate()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := mlsuite.Run(ctx, nil, net); err != nil {
 			return nil, fmt.Errorf("libfraction: %s: %w", net.Name, err)
 		}
 		rows = append(rows, LibFracRow{Network: net.Name, Fraction: tool.LibraryFraction(nv)})
@@ -72,21 +64,13 @@ type Fig6Row struct {
 // application-side kernels remain visible.
 func Fig6() ([]Fig6Row, error) {
 	measure := func(net mlsuite.Network, skipLibs bool) (float64, error) {
-		api, err := newAPI()
-		if err != nil {
-			return 0, err
-		}
 		tool := memdiv.New()
 		tool.SkipLibraries = skipLibs
-		nv, err := nvbit.Attach(api, tool, attachOpts()...)
+		_, nv, err := run(tool, func(ctx *driver.Context) error {
+			_, err := mlsuite.Run(ctx, nil, net)
+			return err
+		})
 		if err != nil {
-			return 0, err
-		}
-		ctx, err := api.CtxCreate()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := mlsuite.Run(ctx, nil, net); err != nil {
 			return 0, err
 		}
 		return tool.AvgLinesPerMemInstr(nv), nil

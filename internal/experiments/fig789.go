@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"nvbitgo/internal/driver"
 	"nvbitgo/internal/tools/ophisto"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
@@ -49,36 +50,26 @@ type histoRun struct {
 // runHisto executes one benchmark under the opcode-histogram tool (or
 // natively when mode == "native") and returns counts and device cycles.
 func runHisto(b *specaccel.Benchmark, size specaccel.Size, mode string) (*histoRun, error) {
-	api, err := newAPI()
-	if err != nil {
-		return nil, err
-	}
 	var tool *ophisto.Tool
-	var nv *nvbit.NVBit
-	inject := nvbit.InjectTrampoline
+	var opts []nvbit.Option
 	switch mode {
 	case "native":
 	case "full":
 		tool = ophisto.New(false)
 	case "inline":
 		tool = ophisto.New(false)
-		inject = nvbit.InjectInline
+		opts = append(opts, nvbit.WithInjectionMode(nvbit.InjectInline))
 	case "sampled":
 		tool = ophisto.New(true)
 	default:
 		return nil, fmt.Errorf("bad mode %q", mode)
 	}
+	var attach nvbit.Tool // stays nil, not a nil *ophisto.Tool, for the native run
 	if tool != nil {
-		opts := append(attachOpts(), nvbit.WithInjectionMode(inject))
-		if nv, err = nvbit.Attach(api, tool, opts...); err != nil {
-			return nil, err
-		}
+		attach = tool
 	}
-	ctx, err := api.CtxCreate()
+	api, nv, err := run(attach, func(ctx *driver.Context) error { return b.Run(ctx, size) }, opts...)
 	if err != nil {
-		return nil, err
-	}
-	if err := b.Run(ctx, size); err != nil {
 		return nil, fmt.Errorf("%s (%s): %w", b.Name, mode, err)
 	}
 	out := &histoRun{cycles: api.Device().Stats().Cycles}

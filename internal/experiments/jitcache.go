@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"nvbitgo/internal/driver"
 	"nvbitgo/internal/tools/instrcount"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
@@ -43,32 +44,19 @@ func JITCache(dir string, size specaccel.Size) ([]JITCacheRow, error) {
 		return nil, fmt.Errorf("jitcache experiment: %w", err)
 	}
 	var rows []JITCacheRow
-	for _, run := range []string{"cold", "warm"} {
+	for _, pass := range []string{"cold", "warm"} {
 		cache, err := nvbit.NewJITCache(dir, 0)
 		if err != nil {
 			return nil, err
 		}
-		api, err := newAPI()
+		_, nv, err := run(instrcount.New(), func(ctx *driver.Context) error { return b.Run(ctx, size) }, nvbit.WithJITCache(cache))
 		if err != nil {
-			return nil, err
-		}
-		tool := instrcount.New()
-		opts := append(attachOpts(), nvbit.WithJITCache(cache))
-		nv, err := nvbit.Attach(api, tool, opts...)
-		if err != nil {
-			return nil, err
-		}
-		ctx, err := api.CtxCreate()
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Run(ctx, size); err != nil {
-			return nil, fmt.Errorf("jitcache experiment: %s run: %w", run, err)
+			return nil, fmt.Errorf("jitcache experiment: %s run: %w", pass, err)
 		}
 		st := nv.JITStats()
 		comps, _ := st.Components()
 		row := JITCacheRow{
-			Run:      run,
+			Run:      pass,
 			Total:    st.Total(),
 			Lookups:  st.CacheLookups,
 			Hits:     st.CacheHits,

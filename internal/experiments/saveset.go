@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nvbitgo/internal/driver"
 	"nvbitgo/internal/tools/instrcount"
 	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
@@ -54,30 +55,19 @@ type savesetRun struct {
 // instruction-counting tool on every instruction: one native pass plus one
 // pass per mode, all against the same workload.
 func SaveSet(size specaccel.Size) ([]SaveSetRow, error) {
-	run := func(b *specaccel.Benchmark, mode nvbit.InjectionMode, native bool) (*savesetRun, error) {
-		api, err := newAPI()
-		if err != nil {
-			return nil, err
-		}
-		var nv *nvbit.NVBit
-		var tool *instrcount.Tool
+	measure := func(b *specaccel.Benchmark, mode nvbit.InjectionMode, native bool) (*savesetRun, error) {
+		tool := instrcount.New()
+		var attach nvbit.Tool
 		if !native {
-			tool = instrcount.New()
-			opts := append(attachOpts(), nvbit.WithInjectionMode(mode))
-			if nv, err = nvbit.Attach(api, tool, opts...); err != nil {
-				return nil, err
-			}
+			attach = tool
 		}
-		ctx, err := api.CtxCreate()
+		api, nv, err := run(attach, func(ctx *driver.Context) error { return b.Run(ctx, size) }, nvbit.WithInjectionMode(mode))
 		if err != nil {
-			return nil, err
-		}
-		if err := b.Run(ctx, size); err != nil {
 			return nil, fmt.Errorf("saveset: %s: %w", b.Name, err)
 		}
 		st := api.Device().Stats()
 		out := &savesetRun{cycles: st.Cycles, threads: st.ThreadInstrs}
-		if !native {
+		if nv != nil {
 			out.stats = nv.JITStats()
 			out.visits = tool.Total(nv)
 		}
@@ -85,19 +75,19 @@ func SaveSet(size specaccel.Size) ([]SaveSetRow, error) {
 	}
 	var rows []SaveSetRow
 	for _, b := range specaccel.Benchmarks() {
-		native, err := run(b, nvbit.InjectTrampoline, true)
+		native, err := measure(b, nvbit.InjectTrampoline, true)
 		if err != nil {
 			return nil, err
 		}
-		full, err := run(b, nvbit.InjectFullSave, false)
+		full, err := measure(b, nvbit.InjectFullSave, false)
 		if err != nil {
 			return nil, err
 		}
-		tramp, err := run(b, nvbit.InjectTrampoline, false)
+		tramp, err := measure(b, nvbit.InjectTrampoline, false)
 		if err != nil {
 			return nil, err
 		}
-		inline, err := run(b, nvbit.InjectInline, false)
+		inline, err := measure(b, nvbit.InjectInline, false)
 		if err != nil {
 			return nil, err
 		}

@@ -178,41 +178,32 @@ type WFFTResult struct {
 // being emulated) versus as software, measured with the instruction-count
 // tool on one warp.
 func WFFT() (WFFTResult, error) {
-	run := func(src, entry string, emulate bool) (float64, error) {
-		api, err := newAPI()
-		if err != nil {
-			return 0, err
-		}
+	measure := func(src, entry string, emulate bool) (float64, error) {
 		tool := &wfftTool{emulate: emulate}
-		nv, err := nvbit.Attach(api, tool, attachOpts()...)
+		_, nv, err := run(tool, func(ctx *driver.Context) error {
+			mod, err := ctx.ModuleLoadPTX("fft", src)
+			if err != nil {
+				return err
+			}
+			f, err := mod.GetFunction(entry)
+			if err != nil {
+				return err
+			}
+			re, err := ctx.MemAlloc(4 * 32)
+			if err != nil {
+				return err
+			}
+			im, err := ctx.MemAlloc(4 * 32)
+			if err != nil {
+				return err
+			}
+			params, err := driver.PackParams(f, re, im)
+			if err != nil {
+				return err
+			}
+			return ctx.LaunchKernel(f, gpu.D1(1), gpu.D1(32), 0, params)
+		})
 		if err != nil {
-			return 0, err
-		}
-		ctx, err := api.CtxCreate()
-		if err != nil {
-			return 0, err
-		}
-		mod, err := ctx.ModuleLoadPTX("fft", src)
-		if err != nil {
-			return 0, err
-		}
-		f, err := mod.GetFunction(entry)
-		if err != nil {
-			return 0, err
-		}
-		re, err := ctx.MemAlloc(4 * 32)
-		if err != nil {
-			return 0, err
-		}
-		im, err := ctx.MemAlloc(4 * 32)
-		if err != nil {
-			return 0, err
-		}
-		params, err := driver.PackParams(f, re, im)
-		if err != nil {
-			return 0, err
-		}
-		if err := ctx.LaunchKernel(f, gpu.D1(1), gpu.D1(32), 0, params); err != nil {
 			return 0, err
 		}
 		count, err := nv.ReadU64(tool.ctr)
@@ -221,11 +212,11 @@ func WFFT() (WFFTResult, error) {
 		}
 		return float64(count) / 32, nil // one warp: thread-level / 32
 	}
-	proxy, err := run(proxyFFTPTX, "fft32", true)
+	proxy, err := measure(proxyFFTPTX, "fft32", true)
 	if err != nil {
 		return WFFTResult{}, fmt.Errorf("wfft proxy: %w", err)
 	}
-	software, err := run(softwareFFTPTX, "fft32sw", false)
+	software, err := measure(softwareFFTPTX, "fft32sw", false)
 	if err != nil {
 		return WFFTResult{}, fmt.Errorf("wfft software: %w", err)
 	}
