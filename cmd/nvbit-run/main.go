@@ -288,15 +288,15 @@ exit codes:
 		usage(err)
 	}
 
-	api, err := driver.New(gpu.DefaultConfig(fam))
+	devCfg := gpu.DefaultConfig(fam)
+	devCfg.Scheduler = sched
+	api, err := driver.New(devCfg)
 	if err != nil {
 		fail(err)
 	}
 	tracing := *c.traceJSON != "" || *c.metrics
 
-	// One options struct configures the attachment — or, with no tool, the
-	// bare device — so the two paths cannot drift.
-	opts := []nvbit.Option{nvbit.WithScheduler(sched), nvbit.WithInjectionMode(inject)}
+	opts := []nvbit.Option{nvbit.WithInjectionMode(inject)}
 	if tracing {
 		opts = append(opts, nvbit.WithTracing(0))
 	}
@@ -308,12 +308,12 @@ exit codes:
 		opts = append(opts, nvbit.WithJITCache(jc))
 	}
 	var nv *nvbit.NVBit
-	if toolName == "none" {
-		nvbit.Configure(api, opts...)
-	} else {
+	if toolName != "none" {
 		if nv, err = nvbit.Attach(api, inst.Tool, opts...); err != nil {
 			fail(err)
 		}
+	} else if tracing {
+		api.Scope0().SetCollector(profile.NewCollector(0))
 	}
 
 	ctx, err := api.CtxCreate()

@@ -33,7 +33,6 @@ func (n *NVBit) OpenChannel(cfg channel.Config) (*channel.Channel, error) {
 	}
 	n.channels = append(n.channels, ch)
 	n.spans = append(n.spans, gpu.AllocSpan{Base: ch.CtrlAddr(), Size: ch.CtrlBytes()})
-	n.setFlushHook()
 	return ch, nil
 }
 
@@ -45,17 +44,16 @@ func (n *NVBit) release() {
 		ch.Close()
 	}
 	n.channels = nil
-	n.setFlushHook()
 	n.scope.SetCompiler(nil)
 }
 
-// setFlushHook installs atFlushPoint on the attachment's scope while it has
-// work there — an open channel or a launch's OnCTAExit callback — and
-// removes it otherwise, so the launch path stays call-free.
-func (n *NVBit) setFlushHook() {
-	var hook gpu.FlushHook
+// launchFlushHook is the flush hook of the launch whose enter callback is
+// ending: atFlushPoint while the attachment has work in it — an open
+// channel or the launch's OnCTAExit callback — and nil otherwise, so the
+// launch path stays call-free.
+func (n *NVBit) launchFlushHook() gpu.FlushHook {
 	if len(n.channels) > 0 || n.ctaExit != nil {
-		hook = n.atFlushPoint
+		return n.atFlush
 	}
-	n.scope.SetFlushHook(hook)
+	return nil
 }

@@ -210,13 +210,13 @@ func TestOnCTAExit(t *testing.T) {
 				panic(err)
 			}
 			n.release()
-			hooked = n.scope.FlushHook() != nil
+			hooked = n.LaunchFlushHook() != nil
 		}
 		env.launch(t)
 		if !hooked {
 			t.Fatalf("CTA %d: no flush hook after closing the channels, want the CTA hook", only)
 		}
-		if env.nv.scope.FlushHook() != nil {
+		if env.nv.LaunchFlushHook() != nil {
 			t.Fatalf("CTA %d: the flush hook outlived the launch", only)
 		}
 		for i, got := range env.results(t) {

@@ -48,10 +48,13 @@ type NVBit struct {
 	hal  *HAL
 
 	// scope is the driver scope the instance is bound to: scope 0 for
-	// Attach, a fresh one for OpenSession. It holds the instance's flush hook
-	// (setFlushHook) and, with a cache, its compiler (compileModule), and its
-	// collector receives the instance's records.
+	// Attach, a fresh one for OpenSession. With a cache it holds the
+	// instance's compiler (compileModule), and its collector receives the
+	// instance's records.
 	scope *driver.Tenant
+	// atFlush is atFlushPoint, bound once so that handing it to a launch
+	// (launchFlushHook) allocates nothing.
+	atFlush gpu.FlushHook
 	// channels are the channels OpenChannel opened, closed when the
 	// attachment ends.
 	channels []*channel.Channel
@@ -130,6 +133,7 @@ func attach(api *driver.API, tool Tool, opts []Option, session bool) (*NVBit, *d
 		injectMode: cfg.injectMode,
 	}
 	n.loader = newToolLoader(n)
+	n.atFlush = n.atFlushPoint
 	if err := cfg.apply(api, scope); err != nil {
 		return nil, nil, err
 	}
@@ -217,15 +221,17 @@ func (h *hook) Before(cbid driver.CBID, name string, p *driver.CallParams) (err 
 		}
 		// At the exit of the driver callback the Code Generator runs
 		// for any function with pending instrumentation, and the Code
-		// Loader applies the requested code version (Section 5.1). A
-		// failure skips the launch.
+		// Loader applies the requested code version (Section 5.1), which
+		// the launch carries with its flush hook. A failure skips the
+		// launch.
 		if err := n.finalizeAll(p.Launch.Func); err != nil {
 			return fmt.Errorf("nvbit: instrumenting %s: %w", p.Launch.Func.Name, err)
 		}
+		fs := n.funcs[p.Launch.Func]
+		p.Launch.FlushHook = n.launchFlushHook()
+		p.Launch.Instrumented = fs != nil && fs.resident
 		if prof != nil {
 			n.emitJITPhases(prof, jitBefore, profT0, p.Launch.Func)
-			fs := n.funcs[p.Launch.Func]
-			prof.SetNextKernelInstrumented(fs != nil && fs.resident)
 		}
 		return nil
 	}

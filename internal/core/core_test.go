@@ -959,7 +959,7 @@ func TestCTAExitFailure(t *testing.T) {
 	if !slices.Equal(env.results(t), wantWorkResults(env.n)) {
 		t.Error("the kernel did not run to the end")
 	}
-	if env.nv.scope.FlushHook() != nil {
+	if env.nv.LaunchFlushHook() != nil {
 		t.Error("the CTA hook outlived the failed launch")
 	}
 	tool.onLaunch = nil

@@ -12,9 +12,9 @@ import (
 	"nvbitgo/internal/gpu"
 )
 
-// Scope exposes the driver scope the attachment is bound to; leak tests read
-// its flush-hook list.
-func (n *NVBit) Scope() *driver.Tenant { return n.scope }
+// LaunchFlushHook returns the flush hook the attachment would hand a launch
+// whose enter callback ended now; leak tests read it.
+func (n *NVBit) LaunchFlushHook() gpu.FlushHook { return n.launchFlushHook() }
 
 // OwnedSpans returns the device memory the attachment owns, in allocation
 // order.

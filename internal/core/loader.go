@@ -46,11 +46,10 @@ func (n *NVBit) OnCTAExit(fn func(cta int)) error {
 		return fmt.Errorf("nvbit: OnCTAExit already set for this launch")
 	}
 	n.ctaExit, n.ctaNext = fn, 0
-	n.setFlushHook()
 	return nil
 }
 
-// atFlushPoint is the attachment's flush hook (setFlushHook). At a sweep
+// atFlushPoint is the attachment's flush hook (launchFlushHook). At a sweep
 // boundary it offers SM sm's shard of every open channel a flush. At a CTA's
 // exit it runs the launch's OnCTAExit callback, if any, then makes resident
 // the code version each function asks for. The first failure there ends
@@ -82,11 +81,7 @@ func (n *NVBit) atFlushPoint(sm int, point gpu.FlushPoint) {
 // endCTAExit removes the OnCTAExit callback of the launch that ended and
 // returns the failure kept at its CTA exits.
 func (n *NVBit) endCTAExit() (err error) {
-	err, n.ctaErr = n.ctaErr, nil
-	if n.ctaExit != nil {
-		n.ctaExit = nil
-		n.setFlushHook()
-	}
+	err, n.ctaErr, n.ctaExit = n.ctaErr, nil, nil
 	return err
 }
 

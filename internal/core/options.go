@@ -97,19 +97,6 @@ func (c *attachConfig) apply(api *driver.API, scope *driver.Tenant) error {
 	return nil
 }
 
-// Configure applies attach options to a driver instance's device and scope 0
-// without attaching a tool — the launcher path for running a workload
-// uninjected while still selecting the scheduler, watchdog budget, or tracing
-// through the same options struct every attachment uses. Attachment-only
-// options (WithJITCache) are accepted and ignored: there is no JIT without a
-// tool.
-func Configure(api *driver.API, opts ...Option) {
-	cfg := collect(opts)
-	// A bare device is configured before any work is queued on it, so its
-	// admission cannot be shed.
-	_ = cfg.apply(api, api.Scope0())
-}
-
 // Profiler returns the activity collector this attachment's records go to —
 // its scope's; nil when tracing is off. Tools and launchers use it to
 // subscribe to records, drain the timeline, or read the per-kernel metrics

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -289,8 +290,8 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 		if api.HookCount() != baseHooks+1 {
 			t.Fatalf("cycle %d: hook count %d while open, want %d", i, api.HookCount(), baseHooks+1)
 		}
-		scope := sess.NVBit().Scope()
-		if scope.FlushHook() == nil {
+		nv := sess.NVBit()
+		if nv.LaunchFlushHook() == nil {
 			t.Fatalf("cycle %d: no flush hook while the channel is open", i)
 		}
 		if err := sess.Close(); err != nil {
@@ -299,7 +300,7 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 		if got := api.HookCount(); got != baseHooks {
 			t.Fatalf("cycle %d: %d hooks leaked", i, got-baseHooks)
 		}
-		if scope.FlushHook() != nil {
+		if nv.LaunchFlushHook() != nil {
 			t.Fatalf("cycle %d: flush hook leaked", i)
 		}
 		if got := len(dev.Allocations()); got != baseAllocs {
@@ -335,7 +336,7 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	if got := api.HookCount(); got != baseHooks {
 		t.Errorf("after launching cycle: %d hooks leaked", got-baseHooks)
 	}
-	if sess.NVBit().Scope().FlushHook() != nil {
+	if sess.NVBit().LaunchFlushHook() != nil {
 		t.Error("after launching cycle: flush hook leaked")
 	}
 	if len(tool.Records) == 0 {
@@ -353,8 +354,8 @@ func (t initPanics) AtInit(n *nvbit.NVBit) {
 
 // TestFailedAtInitReleasesChannel: an attachment whose AtInit does not
 // complete leaves nothing behind — the channel it opened is closed by the
-// framework, so the device's allocation table and the scope's flush hook are
-// what they were (the receiver goroutine has exited once Close returns).
+// framework, so the device's allocation table is what it was (the receiver
+// goroutine has exited once Close returns).
 func TestFailedAtInitReleasesChannel(t *testing.T) {
 	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
 	if err != nil {
@@ -369,9 +370,142 @@ func TestFailedAtInitReleasesChannel(t *testing.T) {
 		if got := api.Device().Allocations(); !slices.Equal(got, before) {
 			t.Fatalf("attempt %d: device allocations %v, want %v", i, got, before)
 		}
-		if api.Scope0().FlushHook() != nil {
-			t.Fatalf("attempt %d: flush hook left on the scope", i)
+	}
+}
+
+// launchTool runs onLaunch in the enter callback of every kernel launch.
+type launchTool struct {
+	onLaunch func(n *nvbit.NVBit)
+}
+
+func (launchTool) AtInit(*nvbit.NVBit) {}
+func (launchTool) AtTerm(*nvbit.NVBit) {}
+func (t launchTool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, _ string, _ *nvbit.CallParams) {
+	if !exit && cbid == nvbit.CBLaunchKernel {
+		t.onLaunch(n)
+	}
+}
+
+// storePTX holds two kernels that store each thread's index at out.
+const storePTX = `
+.visible .entry ka(.param .u64 out)
+{
+	.reg .u32 %r<2>;
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd0, [out];
+	mov.u32 %r0, %tid.x;
+	mul.wide.u32 %rd2, %r0, 4;
+	add.u64 %rd0, %rd0, %rd2;
+	st.global.u32 [%rd0], %r0;
+	exit;
+}
+.visible .entry kb(.param .u64 out)
+{
+	.reg .u32 %r<2>;
+	.reg .u64 %rd<4>;
+	ld.param.u64 %rd0, [out];
+	mov.u32 %r0, %tid.x;
+	mul.wide.u32 %rd2, %r0, 4;
+	add.u64 %rd0, %rd0, %rd2;
+	st.global.u32 [%rd0], %r0;
+	exit;
+}
+`
+
+// storeKernels loads storePTX on ctx and returns its two kernels and the
+// parameter block both take: a buffer for one block of up to 32 threads.
+func storeKernels(t *testing.T, ctx *driver.Context) (ka, kb *driver.Function, params []byte) {
+	t.Helper()
+	mod, err := ctx.ModuleLoadPTX("store.ptx", storePTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ka, err = mod.GetFunction("ka"); err == nil {
+		kb, err = mod.GetFunction("kb")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ctx.MemAlloc(4 * 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if params, err = driver.PackParams(ka, out); err != nil {
+		t.Fatal(err)
+	}
+	return ka, kb, params
+}
+
+// TestClosedSessionRunsNoCTAExit: a tool sets OnCTAExit and its launch's
+// enter callback then fails, so that launch never runs and never reaches its
+// exit callback. Once the session is closed, a launch on its context is
+// native and runs none of the closed tool's callbacks.
+func TestClosedSessionRunsNoCTAExit(t *testing.T) {
+	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	calls := 0
+	sess, err := nvbit.OpenSession(api, launchTool{func(n *nvbit.NVBit) {
+		if err := n.OnCTAExit(func(int) { calls++ }); err != nil {
+			panic(err)
 		}
+		panic("enter callback fails after OnCTAExit")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka, _, params := storeKernels(t, sess.Ctx())
+	if err := sess.Ctx().LaunchKernel(ka, gpu.D1(4), gpu.D1(32), 0, params); !errors.Is(err, nvbit.ErrToolCallback) {
+		t.Fatalf("launch whose enter callback fails: %v, want ErrToolCallback", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Ctx().LaunchKernel(ka, gpu.D1(4), gpu.D1(32), 0, params); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("the closed session's OnCTAExit callback ran %d times, want 0", calls)
+	}
+}
+
+// TestClosedSessionLaunchRecordIsNative: the device refuses an instrumented
+// launch (its block is too large), so the launch emits no kernel record.
+// Once the session is closed, the kernel record of a kernel that was never
+// instrumented says it ran native code.
+func TestClosedSessionLaunchRecordIsNative(t *testing.T) {
+	api, err := driver.New(gpu.DefaultConfig(sass.Volta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	sess, err := nvbit.OpenSession(api, instrcount.New(), nvbit.WithTracing(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka, kb, params := storeKernels(t, sess.Ctx())
+	if err := sess.Ctx().LaunchKernel(ka, gpu.D1(1), gpu.D1(2048), 0, params); err == nil {
+		t.Fatal("the device ran a block of 2048 threads")
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Ctx().LaunchKernel(kb, gpu.D1(1), gpu.D1(32), 0, params); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range sess.Profiler().Records() {
+		if r.Kind == nvbit.KindKernel && r.Name == "kb" {
+			found = true
+			if r.Instrumented {
+				t.Error("kb's kernel record says Instrumented, but kb never ran instrumented code")
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no kernel record for kb")
 	}
 }
 

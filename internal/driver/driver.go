@@ -10,8 +10,10 @@
 //
 // Tenancy has one key, the scope. Every context belongs to a scope, and a
 // scope (Tenant) holds what is bound to it: the hook observing its calls,
-// the collector recording its activity, the flush hook its launches run and
-// the compiler its PTX loads go through. Scope 0 exists from New and owns
+// the collector recording its activity and the compiler its PTX loads go
+// through. What a launch runs at its flush points, and whether its code is
+// instrumented, the hook's enter callback decides for that launch alone
+// (LaunchParams). Scope 0 exists from New and owns
 // every CtxCreate context — it is the process a tool library is preloaded
 // into, so at most one hook binds to it, matching the paper's "only a single
 // library can be injected" rule. A session is a fresh scope with its own
@@ -68,11 +70,17 @@ func (c CBID) String() string {
 }
 
 // LaunchParams are the mutable parameters of a cuLaunchKernel interposition.
+// The hook's enter callback decides the last two for this launch only: the
+// hook the simulator runs at its sweep and CTA boundaries (nil runs none)
+// and whether the code it runs is instrumented, which its kernel record
+// says.
 type LaunchParams struct {
-	Func        *Function
-	Grid, Block gpu.Dim3
-	SharedBytes int    // dynamic shared memory
-	ParamData   []byte // raw parameter block
+	Func         *Function
+	Grid, Block  gpu.Dim3
+	SharedBytes  int    // dynamic shared memory
+	ParamData    []byte // raw parameter block
+	FlushHook    gpu.FlushHook
+	Instrumented bool
 }
 
 // CallParams is the parameter union passed to hooks; the populated field
@@ -112,19 +120,17 @@ type Launcher interface {
 var _ Launcher = (*Context)(nil)
 
 // Tenant is one scope of the driver and what is bound to it. "Whose hook,
-// whose collector, whose flush hook, whose compiler" has one answer, the
-// Tenant of the call's context: its ID is the gate's fair-share key, and
-// resolve is the only place a scope is mapped to its hook, its collector and
-// the flush hook of its launches.
+// whose collector, whose compiler" has one answer, the Tenant of the call's
+// context: its ID is the gate's fair-share key, and resolve is the only
+// place a scope is mapped to its hook and its collector.
 type Tenant struct {
 	// ID is the scope id: 0 for the process scope, unique per NewScope.
 	ID  uint64
 	api *API
 
-	// hook, prof, flush and compile are guarded by api.mu.
+	// hook, prof and compile are guarded by api.mu.
 	hook    Hook
 	prof    *profile.Collector
-	flush   gpu.FlushHook
 	compile Compiler
 }
 
@@ -231,23 +237,8 @@ func (t *Tenant) SetCollector(p *profile.Collector) {
 // Collector returns the scope's activity collector, nil when it does not
 // trace.
 func (t *Tenant) Collector() *profile.Collector {
-	_, prof, _ := t.resolve()
+	_, prof := t.resolve()
 	return prof
-}
-
-// SetFlushHook replaces the hook the simulator runs at the sweep and CTA
-// boundaries of the scope's launches (nil runs none): the attachment's
-// channel flushes and CTA-exit callback. Call between the scope's launches.
-func (t *Tenant) SetFlushHook(hook gpu.FlushHook) {
-	t.api.mu.Lock()
-	t.flush = hook
-	t.api.mu.Unlock()
-}
-
-// FlushHook returns the scope's flush hook, nil when it has none.
-func (t *Tenant) FlushHook() gpu.FlushHook {
-	_, _, flush := t.resolve()
-	return flush
 }
 
 // SetCompiler replaces the compiler the scope's PTX module loads and its
@@ -271,14 +262,13 @@ func (t *Tenant) Compile(name, source string) (*Cubin, error) {
 }
 
 // resolve maps the scope to the hook observing its calls (nil when none is
-// bound), the collector recording them (nil when tracing is off) and the
-// flush hook its launches run. A hook of either kind observes a call iff
-// the call's context is in its scope, so this lookup is the whole isolation
-// rule.
-func (t *Tenant) resolve() (Hook, *profile.Collector, gpu.FlushHook) {
+// bound) and the collector recording them (nil when tracing is off). Either
+// observes a call iff the call's context is in its scope, so this lookup is
+// the whole isolation rule.
+func (t *Tenant) resolve() (Hook, *profile.Collector) {
 	t.api.mu.Lock()
 	defer t.api.mu.Unlock()
-	return t.hook, t.prof, t.flush
+	return t.hook, t.prof
 }
 
 // HookCount reports how many scopes have a hook bound. Monitoring and leak
@@ -453,7 +443,7 @@ func (c *Context) interposed(cbid CBID, gated bool, p *CallParams, rec *profile.
 		}
 		defer c.api.gate.Release(c.tenant.ID, 0)
 	}
-	hook, prof, _ := c.tenant.resolve()
+	hook, prof := c.tenant.resolve()
 	var seen *CallParams
 	if hook != nil {
 		seen = new(CallParams)
@@ -553,16 +543,17 @@ func (c *Context) LaunchKernel(f *Function, grid, block gpu.Dim3, sharedBytes in
 	lp := &LaunchParams{Func: f, Grid: grid, Block: block, SharedBytes: sharedBytes, ParamData: params}
 	p := CallParams{Ctx: c, Launch: lp}
 	return c.interposed(CBLaunchKernel, false, &p, nil, func() error {
-		_, prof, flush := c.tenant.resolve()
+		_, prof := c.tenant.resolve()
 		st, err := c.api.dev.Launch(gpu.LaunchSpec{
-			Entry:       f.Addr,
-			Name:        f.Name,
-			Grid:        lp.Grid,
-			Block:       lp.Block,
-			Params:      lp.ParamData,
-			SharedBytes: f.SharedBytes + lp.SharedBytes,
-			Prof:        prof,
-			FlushHook:   flush,
+			Entry:        f.Addr,
+			Name:         f.Name,
+			Grid:         lp.Grid,
+			Block:        lp.Block,
+			Params:       lp.ParamData,
+			SharedBytes:  f.SharedBytes + lp.SharedBytes,
+			Prof:         prof,
+			FlushHook:    lp.FlushHook,
+			Instrumented: lp.Instrumented,
 		})
 		held = false
 		c.api.gate.Release(scope, st.Cycles)

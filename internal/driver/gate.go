@@ -104,6 +104,15 @@ func (g *Gate) Cost(tenant uint64) uint64 {
 	return g.cost[tenant]
 }
 
+// Forget drops the cost accumulated against a tenant that takes the gate no
+// more, such as a finished daemon session, so a long-lived gate holds
+// entries only for tenants it still serves.
+func (g *Gate) Forget(tenant uint64) {
+	g.mu.Lock()
+	delete(g.cost, tenant)
+	g.mu.Unlock()
+}
+
 // Admit blocks until the caller owns the device window, or sheds the request
 // with an *OverloadError when the wait queue is full. Every successful Admit
 // must be paired with exactly one Release.

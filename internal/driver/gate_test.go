@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nvbitgo/internal/sass"
 )
 
 // admitAsync queues an Admit on a goroutine and returns a channel that
@@ -266,5 +268,27 @@ func TestGateStress(t *testing.T) {
 		if got := g.Cost(tenant); got != 200 {
 			t.Fatalf("tenant %d cost = %d, want 200", tenant, got)
 		}
+	}
+}
+
+// TestGateForgetsFinishedScopes: every scope that takes the gate gets a cost
+// entry, and forgetting the scope removes it, so scopes that come and go
+// leave the gate the size it was.
+func TestGateForgetsFinishedScopes(t *testing.T) {
+	a := newAPI(t, sass.Volta)
+	g := a.Gate()
+	base := len(g.cost)
+	for i := 0; i < 1000; i++ {
+		scope := a.NewScope()
+		if _, err := scope.CtxCreate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := g.cost[scope.ID]; !ok {
+			t.Fatalf("scope %d took the gate but has no cost entry", scope.ID)
+		}
+		g.Forget(scope.ID)
+	}
+	if got := len(g.cost); got != base {
+		t.Fatalf("%d cost entries after 1000 forgotten scopes, want %d", got, base)
 	}
 }

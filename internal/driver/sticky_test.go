@@ -279,11 +279,27 @@ func TestHookErrorFailsCall(t *testing.T) {
 	}
 }
 
-// TestLaunchReleasesGateOnPanic: a scope flush hook that panics inside a
+// flushHookSetter hands each launch it observes its flush hook.
+type flushHookSetter struct{ flush gpu.FlushHook }
+
+func (h *flushHookSetter) Before(cbid CBID, name string, p *CallParams) error {
+	if cbid == CBLaunchKernel {
+		p.Launch.FlushHook = h.flush
+	}
+	return nil
+}
+
+func (h *flushHookSetter) After(CBID, string, *CallParams, error) error { return nil }
+
+// TestLaunchReleasesGateOnPanic: a launch flush hook that panics inside a
 // launch unwinds LaunchKernel, and the launch still gives the device back,
 // so the next launch on the API runs instead of waiting forever.
 func TestLaunchReleasesGateOnPanic(t *testing.T) {
 	a := newAPI(t, sass.Volta)
+	h := &flushHookSetter{flush: func(int, gpu.FlushPoint) { panic("flush hook bug") }}
+	if err := a.Scope0().Bind(h); err != nil {
+		t.Fatal(err)
+	}
 	ctx, err := a.CtxCreate()
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +320,6 @@ func TestLaunchReleasesGateOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Scope0().SetFlushHook(func(int, gpu.FlushPoint) { panic("flush hook bug") })
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -313,7 +328,7 @@ func TestLaunchReleasesGateOnPanic(t *testing.T) {
 		}()
 		_ = ctx.LaunchKernel(f, gpu.D1(2), gpu.D1(32), 0, params)
 	}()
-	a.Scope0().SetFlushHook(nil)
+	h.flush = nil
 	done := make(chan error, 1)
 	go func() { done <- ctx.LaunchKernel(f, gpu.D1(2), gpu.D1(32), 0, params) }()
 	select {

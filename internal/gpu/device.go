@@ -20,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nvbitgo/internal/profile"
 	"nvbitgo/internal/sass"
 )
 
@@ -135,10 +134,6 @@ type Device struct {
 	// smCycles/smWarps are the per-launch per-SM accumulators, reused
 	// across launches (workers write disjoint indexes).
 	smCycles, smWarps []uint64
-	// smSpanShard hands the per-SM span records from the scheduler
-	// backends to emitKernelRecord, which merges them under the kernel
-	// record's ID. Only set while tracing is on.
-	smSpanShard *profile.Shard
 
 	// allocMu guards the global-memory allocator. Concurrent sessions open
 	// channels and allocate tool state between launches; none of these

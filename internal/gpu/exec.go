@@ -790,7 +790,7 @@ func (c *execContext) s2r(w *warp, o *[WarpSize]uint32, id int64) {
 			o[i] = uint32(i)
 		}
 	case sass.SRTIDX, sass.SRTIDY, sass.SRTIDZ:
-		bx, by := max1(c.spec.Block.X), max1(c.spec.Block.Y)
+		bx, by := max(c.spec.Block.X, 1), max(c.spec.Block.Y, 1)
 		t := w.id * WarpSize
 		tid := [3]int{t % bx, t / bx % by, t / (bx * by)}
 		for i := range o {
@@ -821,17 +821,17 @@ func (c *execContext) specialReg(w *warp, id int64) uint32 {
 	case sass.SRCTAIDZ:
 		return uint32(c.cta.Z)
 	case sass.SRNTIDX:
-		return uint32(max1(b.X))
+		return uint32(max(b.X, 1))
 	case sass.SRNTIDY:
-		return uint32(max1(b.Y))
+		return uint32(max(b.Y, 1))
 	case sass.SRNTIDZ:
-		return uint32(max1(b.Z))
+		return uint32(max(b.Z, 1))
 	case sass.SRNCTAIDX:
-		return uint32(max1(c.spec.Grid.X))
+		return uint32(max(c.spec.Grid.X, 1))
 	case sass.SRNCTAIDY:
-		return uint32(max1(c.spec.Grid.Y))
+		return uint32(max(c.spec.Grid.Y, 1))
 	case sass.SRNCTAIDZ:
-		return uint32(max1(c.spec.Grid.Z))
+		return uint32(max(c.spec.Grid.Z, 1))
 	case sass.SRClock:
 		return uint32(w.cycles)
 	case sass.SRSMID:

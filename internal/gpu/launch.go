@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -37,10 +38,14 @@ type LaunchSpec struct {
 	// launching scope's collector; nil is the allocation-free fast path.
 	Prof *profile.Collector
 	// FlushHook, when non-nil, runs at every sweep and CTA boundary of this
-	// launch (see FlushHook). The driver passes the launching scope's hook,
-	// so one tenant's mid-kernel flushes never run inside another's
-	// kernels; nil keeps the hot path call-free.
+	// launch (see FlushHook). The driver passes the hook the launching
+	// scope's enter callback chose for this launch, so one tenant's
+	// mid-kernel flushes never run inside another's kernels; nil keeps the
+	// hot path call-free.
 	FlushHook FlushHook
+	// Instrumented says the launch runs instrumented code; its kernel
+	// record carries it.
+	Instrumented bool
 }
 
 // Launch executes a kernel to completion and returns the statistics of this
@@ -79,15 +84,16 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 	}
 
 	var launch Stats
+	var spans *profile.Shard
 	var err error
 	if d.cfg.Scheduler == SchedulerParallelSM {
-		err = d.launchParallelSM(spec, nCTA, &launch, smCycles, smWarps)
+		spans, err = d.launchParallelSM(spec, nCTA, &launch, smCycles, smWarps)
 	} else {
-		err = d.launchSequential(spec, nCTA, &launch, smCycles, smWarps)
+		spans, err = d.launchSequential(spec, nCTA, &launch, smCycles, smWarps)
 	}
 	if err != nil {
 		if prof != nil {
-			d.emitKernelRecord(prof, spec, profStart, nCTA, Stats{}, smWarps, err)
+			emitKernelRecord(prof, spec, profStart, nCTA, Stats{}, smWarps, nil, err)
 		}
 		return Stats{}, err
 	}
@@ -113,19 +119,20 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 	launch.Launches++
 	d.stats.Add(launch)
 	if prof != nil {
-		d.emitKernelRecord(prof, spec, profStart, nCTA, launch, smWarps, nil)
+		emitKernelRecord(prof, spec, profStart, nCTA, launch, smWarps, spans, nil)
 	}
 	return launch, nil
 }
 
 // emitKernelRecord emits the KindKernel activity record for one launch,
-// followed by its per-SM KindSMSpan children in ascending SM order. SM spans
-// are produced by the scheduler workers into per-worker shards (parallel) or
-// synthesized in SM order (sequential); either way the merge order is fixed,
-// so record IDs and ordering are deterministic. On a failed launch only the
-// kernel record (with its fault outcome) is emitted — partial SM spans would
-// depend on cross-SM cancellation timing.
-func (d *Device) emitKernelRecord(prof *profile.Collector, spec LaunchSpec, start time.Duration, nCTA int, launch Stats, smWarps []uint64, lerr error) {
+// followed by its per-SM KindSMSpan children (spans) in ascending SM order.
+// SM spans are produced by the scheduler workers into per-worker shards
+// (parallel) or synthesized in SM order (sequential); either way the merge
+// order is fixed, so record IDs and ordering are deterministic. A failed
+// launch has no spans, so only its kernel record (with its fault outcome)
+// is emitted — partial SM spans would depend on cross-SM cancellation
+// timing.
+func emitKernelRecord(prof *profile.Collector, spec LaunchSpec, start time.Duration, nCTA int, launch Stats, smWarps []uint64, spans *profile.Shard, lerr error) {
 	var warpsRetired uint64
 	for _, w := range smWarps {
 		warpsRetired += w
@@ -144,7 +151,7 @@ func (d *Device) emitKernelRecord(prof *profile.Collector, spec LaunchSpec, star
 		WarpInstrs:   launch.WarpInstrs,
 		ThreadInstrs: launch.ThreadInstrs,
 		Cycles:       launch.Cycles,
-		Instrumented: prof.TakeNextKernelInstrumented(),
+		Instrumented: spec.Instrumented,
 	}
 	if lerr != nil {
 		if f, ok := AsFault(lerr); ok {
@@ -154,13 +161,8 @@ func (d *Device) emitKernelRecord(prof *profile.Collector, spec LaunchSpec, star
 		}
 	}
 	kid := prof.Emit(rec)
-	if lerr != nil {
-		d.smSpanShard = nil
-		return
-	}
-	if d.smSpanShard != nil {
-		prof.MergeShard(d.smSpanShard, kid)
-		d.smSpanShard = nil
+	if spans != nil {
+		prof.MergeShard(spans, kid)
 	}
 }
 
@@ -172,8 +174,9 @@ func (d *Device) ctasOnSM(sm, nCTA int) int {
 
 // launchSequential is the reference backend: one goroutine walks the CTAs in
 // linear order, so every counter — including shared-L2 hit/miss attribution —
-// is fully deterministic.
-func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) error {
+// is fully deterministic. With a collector in spec.Prof it returns the
+// launch's per-SM spans.
+func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) (*profile.Shard, error) {
 	ctx := d.newExecContext(spec, d.l2)
 	defer d.releaseContext(ctx)
 	warpsPerCTA := uint64(len(ctx.warps))
@@ -181,7 +184,7 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 		sm := cta % d.cfg.NumSMs
 		cycles, err := ctx.runCTA(cta, sm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		smCycles[sm] += cycles
 		smWarps[sm] += warpsPerCTA
@@ -203,9 +206,9 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 				Cycles:       smCycles[sm],
 			})
 		}
-		d.smSpanShard = sh
+		return sh, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // launchParallelSM runs one worker goroutine per SM. Worker i owns SM i
@@ -216,8 +219,9 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 // launch in ascending SM order after all workers join, so aggregate counts
 // are bit-identical run to run; only the L2 hit/miss split (and the cycle
 // counts derived from it) can differ from the sequential backend. See
-// docs/scheduler.md.
-func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) error {
+// docs/scheduler.md. With a collector in spec.Prof it returns the launch's
+// per-SM spans.
+func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) (*profile.Shard, error) {
 	// The workers capture the two fields they read, not spec: a closure
 	// copies a captured struct of up to 128 bytes into each worker's closure.
 	prof, name := spec.Prof, spec.Name
@@ -296,7 +300,7 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 	}()
 	for _, err := range errs {
 		if err != nil && err != errLaunchCanceled {
-			return err // lowest-SM fault, deterministically
+			return nil, err // lowest-SM fault, deterministically
 		}
 	}
 	// Merge the per-SM shards in ascending SM order: fixed order makes the
@@ -311,9 +315,9 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 				sh.Append(r)
 			}
 		}
-		d.smSpanShard = sh
+		return sh, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // errLaunchCanceled marks a worker stopped by a peer's fault; it is never
@@ -416,12 +420,12 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	// Constant bank 0: launch configuration (grid and block dimensions),
 	// as the backend compiler expects (see internal/ptx lowering).
 	c.bank0 = [32]byte{}
-	putU32(c.bank0[0:], uint32(spec.Grid.X))
-	putU32(c.bank0[4:], uint32(spec.Grid.Y))
-	putU32(c.bank0[8:], uint32(spec.Grid.Z))
-	putU32(c.bank0[12:], uint32(spec.Block.X))
-	putU32(c.bank0[16:], uint32(spec.Block.Y))
-	putU32(c.bank0[20:], uint32(spec.Block.Z))
+	binary.LittleEndian.PutUint32(c.bank0[0:], uint32(spec.Grid.X))
+	binary.LittleEndian.PutUint32(c.bank0[4:], uint32(spec.Grid.Y))
+	binary.LittleEndian.PutUint32(c.bank0[8:], uint32(spec.Grid.Z))
+	binary.LittleEndian.PutUint32(c.bank0[12:], uint32(spec.Block.X))
+	binary.LittleEndian.PutUint32(c.bank0[16:], uint32(spec.Block.Y))
+	binary.LittleEndian.PutUint32(c.bank0[20:], uint32(spec.Block.Z))
 	c.banks = [8][]byte{0: c.bank0[:], 1: spec.Params}
 
 	if cap(c.shared) >= spec.SharedBytes {
@@ -447,10 +451,6 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	return c
 }
 
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
 // releaseContext returns a context's warps to the device pool and the
 // context itself to the context pool for the next launch. As on hardware,
 // register and local-memory contents are undefined at CTA start, so recycled
@@ -471,8 +471,8 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 	g := c.spec.Grid
 	c.cta = Dim3{
 		X: ctaLinear % g.X,
-		Y: (ctaLinear / g.X) % max1(g.Y),
-		Z: ctaLinear / (g.X * max1(g.Y)),
+		Y: (ctaLinear / g.X) % max(g.Y, 1),
+		Z: ctaLinear / (g.X * max(g.Y, 1)),
 	}
 	c.ctaID = ctaLinear
 	c.sm = sm
@@ -547,11 +547,4 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 		c.spec.FlushHook(sm, FlushCTA)
 	}
 	return cycles, nil
-}
-
-func max1(v int) int {
-	if v <= 0 {
-		return 1
-	}
-	return v
 }

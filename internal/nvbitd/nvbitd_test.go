@@ -406,6 +406,33 @@ func TestSessionChurn(t *testing.T) {
 	}
 }
 
+// TestFinishedSessionLeavesNoGateCost: a session's report carries the
+// cycles the gate charged it, and once its connection ends the gate holds
+// no cost for it.
+func TestFinishedSessionLeavesNoGateCost(t *testing.T) {
+	srv, sock := startServerOn(t, nvbitd.Config{Family: sass.Volta, QueueLimit: -1})
+	s, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "instrcount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := findBenchmark(t, "ostencil").Run(s, specaccel.Small); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cycles == 0 {
+		t.Fatal("the report charged the session no cycles")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := srv.PoolGate(0).Cost(s.Session()); c != 0 {
+		t.Fatalf("the gate still charges the finished session %d cycles", c)
+	}
+}
+
 // freeingLauncher frees what the workload allocated once it has run, so a
 // session's own buffers do not show up as leaks of the daemon.
 type freeingLauncher struct {

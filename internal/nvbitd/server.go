@@ -237,6 +237,8 @@ func (s *Server) handle(conn net.Conn) {
 		if !ss.reported {
 			ss.sess.Close()
 		}
+		// The report has read the session's cost; the gate need not keep it.
+		ss.slot.api.Gate().Forget(ss.sess.Ctx().Scope())
 		s.release(ss.slot)
 		s.logf("session %d closed (%s)", ss.sess.Ctx().Scope(), req.Tool)
 	})

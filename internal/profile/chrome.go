@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 )
 
 // The chrome://tracing "Trace Event Format": a JSON object with a
@@ -60,25 +61,15 @@ func chromeTID(r Record) string {
 	case KindKernel:
 		return "gpu"
 	case KindSMSpan:
-		return "gpu-sm" + itoa(r.SM)
+		return "gpu-sm" + strconv.Itoa(r.SM)
 	case KindToolCallback:
 		return "tool"
 	case KindChannelFlush:
-		return "channel-sm" + itoa(r.SM)
+		return "channel-sm" + strconv.Itoa(r.SM)
 	case KindChannelDrain:
 		return "channel"
 	}
 	return "driver"
-}
-
-func itoa(v int) string {
-	if v < 0 {
-		return "?"
-	}
-	if v < 10 {
-		return string(rune('0' + v))
-	}
-	return itoa(v/10) + string(rune('0'+v%10))
 }
 
 // ToChromeTrace converts records into the chrome://tracing document form.

@@ -144,11 +144,6 @@ type Collector struct {
 	dropped uint64
 	nextID  uint64
 
-	// nextInstrumented annotates the next KindKernel record: the NVBit
-	// core sets it after the Code Loader decides which code version is
-	// resident, immediately before the device launch consumes it.
-	nextInstrumented bool
-
 	agg map[string]*KernelMetrics
 }
 
@@ -221,24 +216,6 @@ func (c *Collector) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
-}
-
-// SetNextKernelInstrumented annotates the next emitted KindKernel record
-// with the instrumented-vs-original code version flag. Launches are
-// synchronous, so set-then-launch cannot interleave.
-func (c *Collector) SetNextKernelInstrumented(v bool) {
-	c.mu.Lock()
-	c.nextInstrumented = v
-	c.mu.Unlock()
-}
-
-// TakeNextKernelInstrumented consumes the pending annotation.
-func (c *Collector) TakeNextKernelInstrumented() bool {
-	c.mu.Lock()
-	v := c.nextInstrumented
-	c.nextInstrumented = false
-	c.mu.Unlock()
-	return v
 }
 
 // MergeShard drains a worker's shard into the collector, re-parenting

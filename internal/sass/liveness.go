@@ -1,5 +1,7 @@
 package sass
 
+import "math/bits"
+
 // This file implements the backward register-liveness dataflow analysis the
 // Code Generator uses to size each trampoline's save set (paper Section 5.1:
 // "NVBit saves only the minimum amount of general purpose registers"). The
@@ -68,9 +70,7 @@ func (s RegSet) Intersect(o RegSet) RegSet {
 func (s RegSet) Count() int {
 	n := 0
 	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -81,14 +81,9 @@ func (s RegSet) Empty() bool { return s == RegSet{} }
 // Max returns the highest member register index, or -1 for the empty set.
 func (s RegSet) Max() int {
 	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == 0 {
-			continue
+		if s[i] != 0 {
+			return i*64 + bits.Len64(s[i]) - 1
 		}
-		top := 0
-		for w := s[i]; w > 1; w >>= 1 {
-			top++
-		}
-		return i*64 + top
 	}
 	return -1
 }
@@ -143,13 +138,7 @@ func (s PredSet) Has(p Pred) bool {
 }
 
 // Count returns the number of member predicates.
-func (s PredSet) Count() int {
-	n := 0
-	for w := s; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
-}
+func (s PredSet) Count() int { return bits.OnesCount8(uint8(s)) }
 
 // DefUse returns the registers and predicates the instruction writes (defs)
 // and reads (uses), as the operand-shape table gives them, plus the guard

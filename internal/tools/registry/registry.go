@@ -9,6 +9,7 @@ package registry
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"nvbitgo/internal/channel"
@@ -149,9 +150,7 @@ func newMemtrace(o Options) (*Instance, error) {
 		var lanes uint64
 		for _, r := range t.Records {
 			kernels[r.KernelID] = true
-			for m := r.ExecMask; m != 0; m &= m - 1 {
-				lanes++
-			}
+			lanes += uint64(bits.OnesCount32(r.ExecMask))
 		}
 		st := t.Stats()
 		if _, err := fmt.Fprintf(w, "memtrace: %d warp-level accesses (%d lane addresses) across %d kernels, %d dropped\n",

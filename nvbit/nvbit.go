@@ -288,14 +288,6 @@ func Attach(api *driver.API, tool Tool, opts ...Option) (*NVBit, error) {
 	return core.Attach(api, tool, opts...)
 }
 
-// Configure applies attach options (scheduler, watchdog, tracing) to a
-// driver instance's device and scope 0 without attaching a tool — the single options
-// struct also covers the uninjected-run path, so launchers need no
-// tool-or-not special casing.
-func Configure(api *driver.API, opts ...Option) {
-	core.Configure(api, opts...)
-}
-
 // Session is one tenant's attachment to a shared driver: its own scope and
 // context, tool, JIT state and (with WithTracing) activity timeline. Any
 // number of sessions coexist on one device; the driver schedules their
