@@ -276,6 +276,9 @@ exit codes:
 	if toolName == "" {
 		toolName = "none"
 	}
+	if toolName == "none" {
+		refuseFlags(cc, []string{"jit-cache", "inject"}, "tool none", "a run without a tool instruments nothing", usage)
+	}
 	inst, err := registry.New(toolName, registry.Options{
 		Policy:   policy,
 		FIGroup:  *c.fiGroup,

@@ -62,3 +62,37 @@ func TestCampaignRefusesIgnoredFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestToolNoneRefusesJITFlags: a run without a tool instruments nothing, so
+// -jit-cache and -inject are usage errors there, refused before the cache
+// directory is made; the run itself still works without them.
+func TestToolNoneRefusesJITFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		env  []string
+		args []string
+		flag string
+	}{
+		{"jit-cache", nil, []string{"-tool", "none", "-jit-cache", "DIR"}, "-jit-cache"},
+		{"inject, no tool named", nil, []string{"-inject", "full-save"}, "-inject"},
+		{"inject from the environment", []string{"NVBIT_INJECT=inline"}, []string{"-tool", "none"}, "-inject"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "d")
+			args := []string{"-workload", "specaccel:cg", "-size", "small"}
+			for _, a := range tc.args {
+				args = append(args, strings.ReplaceAll(a, "DIR", dir))
+			}
+			code, stderr := runMain(t, tc.env, args...)
+			if want := tc.flag + " is not available with -tool none"; code != exitUsage || !strings.Contains(stderr, want) {
+				t.Errorf("exit %d, stderr %q; want exit %d naming %q", code, stderr, exitUsage, want)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("a refused run created %s (%v)", dir, err)
+			}
+		})
+	}
+	if code, stderr := runMain(t, nil, "-tool", "none", "-workload", "specaccel:cg", "-size", "small"); code != exitOK {
+		t.Errorf("-tool none: exit %d, stderr %q", code, stderr)
+	}
+}

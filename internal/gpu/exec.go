@@ -93,28 +93,24 @@ func (c *execContext) step(w *warp) error {
 		return nil
 
 	case sass.OpCAL:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			if len(w.callStack[i]) >= maxStackDepth {
-				return c.trap(FaultStackOverflow, pc, in, i, "call stack exceeds %d frames", maxStackDepth)
+		// The whole warp at one depth: one return PC for the level.
+		if d := w.callDepth; exec == w.live && d != perLane && d < maxStackDepth {
+			if d == len(w.callPCs) {
+				w.growCalls()
 			}
-			w.callStack[i] = append(w.callStack[i], next)
+			w.callPCs[d], w.callDepth = next, d+1
+			w.jump(int32(in.Imm))
+			return nil
 		}
-		w.split(exec, int32(in.Imm), next)
-		return nil
+		return c.callLanes(w, in, exec, pc)
 
 	case sass.OpRET:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			n := len(w.callStack[i])
-			if n == 0 {
-				return c.trap(FaultStackUnderflow, pc, in, i, "RET with empty call stack")
-			}
-			w.pc[i] = w.callStack[i][n-1]
-			w.callStack[i] = w.callStack[i][:n-1]
+		if d := w.callDepth; exec == w.live && d > 0 && w.callPCs[d-1] != mixedPCs {
+			w.callDepth = d - 1
+			w.jump(w.callPCs[d-1])
+			return nil
 		}
-		w.scatter(exec, next)
-		return nil
+		return c.retLanes(w, in, exec, pc)
 
 	case sass.OpBAR:
 		w.barWait = exec != 0
@@ -484,14 +480,9 @@ func (c *execContext) step(w *warp) error {
 		}
 
 	case sass.OpSAVEPOP:
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			if w.saveDepth[i] == 0 {
-				return c.trap(FaultStackUnderflow, pc, in, i, "SAVEPOP with empty save stack")
-			}
-			w.saveDepth[i]--
+		if err := c.savePop(w, in, exec, pc); err != nil {
+			return err
 		}
-		w.cohort &^= exec
 
 	case sass.OpSTSA, sass.OpLDSA, sass.OpSTSP, sass.OpLDSP, sass.OpSTSB, sass.OpLDSB,
 		sass.OpRDREG, sass.OpWRREG, sass.OpRDPRED, sass.OpWRPRED:
@@ -535,6 +526,54 @@ func mergeRow(d, o *[WarpSize]uint32, exec uint32) {
 	}
 }
 
+// callLanes executes a CAL lane by lane, on the rows of the lanes' own
+// stacks: one under a partial mask, or one that overflows.
+func (c *execContext) callLanes(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	next := pc + 1
+	w.spillCalls()
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		d := w.callDepths[i]
+		if d >= maxStackDepth {
+			return c.trap(FaultStackOverflow, pc, in, i, "call stack exceeds %d frames", maxStackDepth)
+		}
+		if d == len(w.callPCs) {
+			w.growCalls()
+		}
+		w.callRows[d*WarpSize+i], w.callDepths[i] = next, d+1
+	}
+	w.flattenCalls(exec)
+	w.split(exec, int32(in.Imm), next)
+	return nil
+}
+
+// retLanes executes a RET whose lanes return to PCs of their own: from a
+// mixed level of the flat form, under a partial mask, or with an empty stack.
+func (c *execContext) retLanes(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	if d := w.callDepth; exec == w.live && d > 0 {
+		row := (*[WarpSize]int32)(w.callRows[(d-1)*WarpSize:])
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			w.pc[i] = row[i]
+		}
+		w.callDepth = d - 1
+		w.scatter(exec, pc+1)
+		return nil
+	}
+	w.spillCalls()
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		d := w.callDepths[i]
+		if d == 0 {
+			return c.trap(FaultStackUnderflow, pc, in, i, "RET with empty call stack")
+		}
+		w.pc[i], w.callDepths[i] = w.callRows[(d-1)*WarpSize+i], d-1
+	}
+	w.flattenCalls(exec)
+	w.scatter(exec, pc+1)
+	return nil
+}
+
 // savePush executes SAVEPUSH: every executing lane pushes a zeroed frame of
 // in.Imm register slots.
 func (c *execContext) savePush(w *warp, in *sass.Inst, exec uint32, pc int32) error {
@@ -545,41 +584,79 @@ func (c *execContext) savePush(w *warp, in *sass.Inst, exec uint32, pc int32) er
 	if n < 0 || n > maxFrameRegs {
 		return c.trap(FaultInvalidInstruction, pc, in, lane(exec), "save frame of %d registers (a thread has %d)", in.Imm, maxFrameRegs)
 	}
-	level, sameLevel := w.saveDepth[lane(exec)], true
+	// When every live lane pushes at one level, no other frame lives in the
+	// rows and they are cleared whole; otherwise each lane clears its own
+	// column of them.
+	if level := w.saveDepth; exec == w.live && level != perLane && level < maxStackDepth {
+		if level == len(w.saveN)/WarpSize {
+			w.pushLevel()
+		}
+		clear(w.saveRegs[level*levelWords:][:n*WarpSize])
+		h := level * WarpSize
+		lens := (*[WarpSize]int32)(w.saveN[h:])
+		for i := range lens {
+			lens[i] = int32(n)
+		}
+		clear(w.savePreds[h:][:WarpSize])
+		clear(w.saveBars[h:][:WarpSize])
+		w.saveDepth = level + 1
+		w.cohort, w.cohortLevel, w.cohortLen = exec, level, n
+		return nil
+	}
+	w.spillSaves()
+	level, sameLevel := w.saveDepths[lane(exec)], true
 	for m := exec; m != 0; m &= m - 1 {
 		i := lane(m)
-		dp := w.saveDepth[i]
+		dp := w.saveDepths[i]
 		if dp >= maxStackDepth {
 			return c.trap(FaultStackOverflow, pc, in, i, "save stack exceeds %d frames", maxStackDepth)
 		}
-		if dp == len(w.saveMeta)/WarpSize {
+		if dp == len(w.saveN)/WarpSize {
 			w.pushLevel()
 		}
 		sameLevel = sameLevel && dp == level
 	}
-	// When every live lane pushes at one level, no other frame lives in the
-	// rows and they are cleared whole; otherwise each lane clears its own
-	// column of them.
 	rows := sameLevel && exec == w.live
 	if rows {
 		clear(w.saveRegs[level*levelWords:][:n*WarpSize])
 	}
 	for m := exec; m != 0; m &= m - 1 {
 		i := lane(m)
-		dp := w.saveDepth[i]
+		dp := w.saveDepths[i]
 		if !rows {
 			col := w.saveRegs[dp*levelWords+i:]
 			for k := 0; k < n; k++ {
 				col[k*WarpSize] = 0
 			}
 		}
-		w.saveMeta[dp*WarpSize+i] = saveFrame{n: int32(n)}
-		w.saveDepth[i]++
+		h := dp*WarpSize + i
+		w.saveN[h], w.savePreds[h], w.saveBars[h] = int32(n), 0, 0
+		w.saveDepths[i]++
 	}
 	w.cohort = 0
 	if sameLevel {
-		w.cohort, w.cohortRow, w.cohortLen = exec, level*maxFrameRegs, n
+		w.cohort, w.cohortLevel, w.cohortLen = exec, level, n
 	}
+	w.flattenSaves()
+	return nil
+}
+
+// savePop executes SAVEPOP: every executing lane drops its innermost frame.
+func (c *execContext) savePop(w *warp, in *sass.Inst, exec uint32, pc int32) error {
+	w.cohort &^= exec
+	if d := w.saveDepth; exec == w.live && d > 0 {
+		w.saveDepth = d - 1
+		return nil
+	}
+	w.spillSaves()
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		if w.saveDepths[i] == 0 {
+			return c.trap(FaultStackUnderflow, pc, in, i, "SAVEPOP with empty save stack")
+		}
+		w.saveDepths[i]--
+	}
+	w.flattenSaves()
 	return nil
 }
 
@@ -587,68 +664,95 @@ func (c *execContext) savePush(w *warp, in *sass.Inst, exec uint32, pc int32) er
 // frame: the save/restore traffic of a trampoline and the device API's
 // register reads and writes.
 func (c *execContext) saveAccess(w *warp, in *sass.Inst, exec uint32, pc int32) error {
-	// A trampoline's STSA/LDSA run on the lanes that pushed together: one
-	// slot of their frames is a row, moved against a register row.
-	if (in.Op == sass.OpSTSA || in.Op == sass.OpLDSA) && exec&^w.cohort == 0 && uint64(in.Imm) < uint64(w.cohortLen) {
-		row := (*[WarpSize]uint32)(w.saveRegs[(w.cohortRow+int(in.Imm))*WarpSize:])
-		from, to := w.src(in.Src1), row
-		if in.Op == sass.OpLDSA {
-			from, to = row, w.dst(in.Dst)
-		}
-		if exec == fullMask {
-			*to = *from
+	// A trampoline's save traffic runs on the lanes that pushed together:
+	// one slot of their frames is a row, moved against a register row, and
+	// their headers are a row too.
+	if exec&^w.cohort == 0 {
+		switch h := w.cohortLevel * WarpSize; in.Op {
+		case sass.OpSTSA, sass.OpLDSA:
+			if uint64(in.Imm) < uint64(w.cohortLen) {
+				row := (*[WarpSize]uint32)(w.saveRegs[w.cohortLevel*levelWords+int(in.Imm)*WarpSize:])
+				if in.Op == sass.OpSTSA {
+					moveRow(row, w.src(in.Src1), exec)
+				} else {
+					moveRow(w.dst(in.Dst), row, exec)
+				}
+				return nil
+			}
+		case sass.OpSTSP:
+			moveRow((*[WarpSize]uint8)(w.savePreds[h:]), &w.preds, exec)
+			return nil
+		case sass.OpLDSP:
+			moveRow(&w.preds, (*[WarpSize]uint8)(w.savePreds[h:]), exec)
+			return nil
+		case sass.OpSTSB:
+			moveRow((*[WarpSize]uint32)(w.saveBars[h:]), &w.barrier, exec)
+			return nil
+		case sass.OpLDSB:
+			moveRow(&w.barrier, (*[WarpSize]uint32)(w.saveBars[h:]), exec)
 			return nil
 		}
-		for m := exec; m != 0; m &= m - 1 {
-			i := lane(m)
-			to[i] = from[i]
-		}
-		return nil
 	}
 	d, a := w.dst(in.Dst), w.src(in.Src1)
 	for m := exec; m != 0; m &= m - 1 {
 		i := lane(m)
-		dp := w.saveDepth[i]
+		dp := w.saveDepth
+		if dp == perLane {
+			dp = w.saveDepths[i]
+		}
 		if dp == 0 {
 			return c.trap(FaultStackUnderflow, pc, in, i, "%v with no save frame", in.Op)
 		}
-		fr := &w.saveMeta[(dp-1)*WarpSize+i]
-		slots := w.saveRegs[(dp-1)*levelWords+i:] // slot k is slots[k*WarpSize]
+		h, slots := (dp-1)*WarpSize+i, (dp-1)*levelWords+i // slot k is saveRegs[slots+k*WarpSize]
+		n := w.saveN[h]
 		switch in.Op {
 		case sass.OpSTSA, sass.OpLDSA:
-			if uint64(in.Imm) >= uint64(fr.n) {
-				return c.trap(FaultInvalidInstruction, pc, in, i, "save slot %d beyond frame of %d", in.Imm, fr.n)
+			if uint64(in.Imm) >= uint64(n) {
+				return c.trap(FaultInvalidInstruction, pc, in, i, "save slot %d beyond frame of %d", in.Imm, n)
 			}
 			if in.Op == sass.OpSTSA {
-				slots[int(in.Imm)*WarpSize] = a[i]
+				w.saveRegs[slots+int(in.Imm)*WarpSize] = a[i]
 			} else {
-				d[i] = slots[int(in.Imm)*WarpSize]
+				d[i] = w.saveRegs[slots+int(in.Imm)*WarpSize]
 			}
 		case sass.OpSTSP:
-			fr.preds = w.preds[i]
+			w.savePreds[h] = w.preds[i]
 		case sass.OpLDSP:
-			w.preds[i] = fr.preds
+			w.preds[i] = w.savePreds[h]
 		case sass.OpSTSB:
-			fr.barrier = w.barrier[i]
+			w.saveBars[h] = w.barrier[i]
 		case sass.OpLDSB:
-			w.barrier[i] = fr.barrier
+			w.barrier[i] = w.saveBars[h]
 		case sass.OpRDREG, sass.OpWRREG:
 			idx := int(a[i]) + int(in.Imm)
-			if idx < 0 || idx >= int(fr.n) {
-				return c.trap(FaultInvalidInstruction, pc, in, i, "%v of register %d beyond saved set of %d", in.Op, idx, fr.n)
+			if idx < 0 || idx >= int(n) {
+				return c.trap(FaultInvalidInstruction, pc, in, i, "%v of register %d beyond saved set of %d", in.Op, idx, n)
 			}
 			if in.Op == sass.OpRDREG {
-				d[i] = slots[idx*WarpSize]
+				d[i] = w.saveRegs[slots+idx*WarpSize]
 			} else {
-				slots[idx*WarpSize] = w.reg(i, in.Src2)
+				w.saveRegs[slots+idx*WarpSize] = w.reg(i, in.Src2)
 			}
 		case sass.OpRDPRED:
-			d[i] = uint32(fr.preds)
+			d[i] = uint32(w.savePreds[h])
 		case sass.OpWRPRED:
-			fr.preds = uint8(w.reg(i, in.Src2)) & 0x7f
+			w.savePreds[h] = uint8(w.reg(i, in.Src2)) & 0x7f
 		}
 	}
 	return nil
+}
+
+// moveRow copies the lanes of exec from one row to another: the whole row
+// when the whole warp executes.
+func moveRow[T uint8 | uint32](to, from *[WarpSize]T, exec uint32) {
+	if exec == fullMask {
+		*to = *from
+		return
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		i := lane(m)
+		to[i] = from[i]
+	}
 }
 
 // mover moves the lanes of one memory instruction between the register rows
@@ -1074,10 +1178,17 @@ func (c *execContext) redAddUniform(w *warp, in *sass.Inst, exec uint32, width u
 	first := lane(exec)
 	var diff uint32
 	var sum uint64 // its low word is the sum of the low words
-	for m := exec; m != 0; m &= m - 1 {
-		i := lane(m)
-		diff |= (alo[i] ^ alo[first]) | (ahi[i] ^ ahi[first])
-		sum += pair(vlo[i], vhi[i])
+	if exec == fullMask {
+		for i := range alo {
+			diff |= (alo[i] ^ alo[0]) | (ahi[i] ^ ahi[0])
+			sum += pair(vlo[i], vhi[i])
+		}
+	} else {
+		for m := exec; m != 0; m &= m - 1 {
+			i := lane(m)
+			diff |= (alo[i] ^ alo[first]) | (ahi[i] ^ ahi[first])
+			sum += pair(vlo[i], vhi[i])
+		}
 	}
 	addr := pair(alo[first], ahi[first]) + uint64(in.Imm)
 	if diff != 0 || addr&(width-1) != 0 || !c.dev.inHeap(addr, width) {

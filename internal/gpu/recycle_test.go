@@ -53,9 +53,10 @@ func fillNonzero(t *testing.T, v reflect.Value, path string) {
 }
 
 // TestPooledWarpIsFresh: a warp a closed device hands on is newWarp's warp,
-// field for field, but for its save slabs, which stay allocated (their
-// contents are unobservable: SAVEPUSH clears every frame it pushes). Every
-// field is dirtied first, so a field clear forgets fails here.
+// field for field, but for its call and save slabs, which stay allocated
+// (their contents are unobservable: CAL writes every return PC RET reads,
+// SAVEPUSH clears every frame it pushes). Every field is dirtied first, so a
+// field clear forgets fails here.
 func TestPooledWarpIsFresh(t *testing.T) {
 	w := newWarp()
 	v := reflect.ValueOf(w).Elem()
@@ -68,9 +69,9 @@ func TestPooledWarpIsFresh(t *testing.T) {
 		name := v.Type().Field(i).Name
 		got, want := field(v, i), field(fresh, i)
 		switch name {
-		case "saveMeta", "saveRegs":
+		case "callPCs", "callRows", "saveN", "savePreds", "saveBars", "saveRegs":
 			if k := field(kept, i); got.Len() != k.Len() || got.Pointer() != k.Pointer() {
-				t.Errorf("warp.%s: the save slab was not kept", name)
+				t.Errorf("warp.%s: the slab was not kept", name)
 			}
 		default:
 			if !reflect.DeepEqual(got.Interface(), want.Interface()) {

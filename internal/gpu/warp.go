@@ -25,16 +25,13 @@ const maxFrameRegs = 256
 // levelWords is the size of one stack level of the save slab.
 const levelWords = maxFrameRegs * WarpSize
 
-// saveFrame is the header of one pushed register-save frame on a thread's
-// save stack — the synthetic equivalent of the stack area where NVBit's
-// pre-built routines save general-purpose registers, predicates and (on
-// Volta) convergence barrier state before entering an instrumentation
-// function. The saved registers themselves live in warp.saveRegs.
-type saveFrame struct {
-	n       int32 // register slots in the frame (the SAVEPUSH immediate)
-	preds   uint8
-	barrier uint32
-}
+const (
+	// perLane is warp.callDepth or warp.saveDepth while the live lanes are
+	// at different depths of that stack.
+	perLane = -1
+	// mixedPCs is a flat call level whose lanes return to different PCs.
+	mixedPCs = math.MinInt32
+)
 
 // lane returns the lowest lane in a non-empty mask; `for m := mask; m != 0;
 // m &= m - 1 { i := lane(m) … }` visits a mask's lanes in ascending order.
@@ -70,22 +67,44 @@ type warp struct {
 	preds      [WarpSize]uint8
 	barrier    [WarpSize]uint32 // Volta convergence-barrier state (opaque)
 
-	callStack [WarpSize][]int32
-	local     [WarpSize][]byte
+	local [WarpSize][]byte
 
-	// Save stacks, one per lane, in slabs that stay with the pooled warp.
-	// Lane l's frame at stack level d has its header at saveMeta[d*WarpSize+l]
-	// and register slot k at saveRegs[d*levelWords+k*WarpSize+l]: slot-major,
-	// so one slot of a whole warp is a contiguous row like a register.
-	saveDepth [WarpSize]int
-	saveMeta  []saveFrame
-	saveRegs  []uint32
+	// Call stacks, one per lane, as rows of return PCs in slabs that stay
+	// with the pooled warp. While every live lane is at one depth the stacks
+	// are flat: callDepth is that depth and callPCs[d] the PC all lanes
+	// return to from level d, so a CAL or RET of the whole warp is one store.
+	// A level whose lanes return to different PCs is mixedPCs there, and
+	// callRows holds the lanes' own: lane l's at level d is
+	// callRows[d*WarpSize+l]. Once the live lanes' depths differ, callDepth is
+	// perLane, lane l's depth is callDepths[l] and every level is in callRows.
+	callDepth  int
+	callDepths [WarpSize]int
+	callPCs    []int32
+	callRows   []int32
+
+	// Save stacks, the synthetic equivalent of the stack area where NVBit's
+	// pre-built routines save general-purpose registers, predicates and (on
+	// Volta) convergence barrier state before entering an instrumentation
+	// function. They are kept as the call stacks are: saveDepth is the depth
+	// of every live lane, or perLane and saveDepths holds each lane's. Lane
+	// l's frame at stack level d has its header — register slots (the
+	// SAVEPUSH immediate), predicates, barrier state — at index d*WarpSize+l
+	// of saveN, savePreds and saveBars, and register slot k at
+	// saveRegs[d*levelWords+k*WarpSize+l]: slot-major, so one slot of a whole
+	// warp is a contiguous row like a register.
+	saveDepth  int
+	saveDepths [WarpSize]int
+	saveN      []int32
+	savePreds  []uint8
+	saveBars   []uint32
+	saveRegs   []uint32
 	// cohort caches the lanes of the last SAVEPUSH when they all pushed at
-	// the same level: their innermost frames are cohortLen slots starting at
-	// row cohortRow, so STSA/LDSA need no per-lane frame lookup. Lanes leave
-	// it when they pop; it is only ever an under-approximation.
-	cohort               uint32
-	cohortRow, cohortLen int
+	// the same level: their innermost frames are cohortLen slots at stack
+	// level cohortLevel, so the save traffic of a trampoline needs no
+	// per-lane frame lookup. Lanes leave it when they pop; it is only ever an
+	// under-approximation.
+	cohort                 uint32
+	cohortLevel, cohortLen int
 }
 
 func newWarp() *warp { return &warp{} }
@@ -96,13 +115,16 @@ var warpPool sync.Pool
 
 // clear returns the warp to newWarp's state, so a warp that ran on one
 // device starts on the next exactly as a new one does: registers,
-// predicates, barrier state and save depths zero, call stacks and local
-// memory dropped. Only the save slabs stay allocated. Their contents are
-// unobservable: SAVEPUSH clears every frame it pushes, and nothing reads a
-// frame above a lane's save depth.
+// predicates, barrier state and stack depths zero, local memory dropped.
+// Only the call and save slabs stay allocated. Their contents are
+// unobservable: CAL writes every return PC before RET reads it, SAVEPUSH
+// clears every frame it pushes, and nothing reads a level above a lane's
+// depth.
 func (w *warp) clear() {
-	saveMeta, saveRegs := w.saveMeta, w.saveRegs
-	*w = warp{saveMeta: saveMeta, saveRegs: saveRegs}
+	*w = warp{
+		callPCs: w.callPCs, callRows: w.callRows,
+		saveN: w.saveN, savePreds: w.savePreds, saveBars: w.saveBars, saveRegs: w.saveRegs,
+	}
 }
 
 // reset prepares the warp for a fresh CTA. Register and local-memory
@@ -116,11 +138,7 @@ func (w *warp) reset(id, lanes int, entry int32) {
 	w.live = fullMask >> uint(WarpSize-lanes)
 	w.act, w.upc, w.wmin = w.live, entry, noWaiter
 	w.preds = [WarpSize]uint8{}
-	w.saveDepth = [WarpSize]int{}
-	w.cohort = 0
-	for i := range w.callStack {
-		w.callStack[i] = w.callStack[i][:0]
-	}
+	w.callDepth, w.saveDepth, w.cohort = 0, 0, 0
 }
 
 // jump moves the whole active group to PC t: the fall-through of every
@@ -291,8 +309,89 @@ func (w *warp) setReg64(lane int, r sass.Reg, v uint64) {
 	lo[lane], hi[lane] = uint32(v), uint32(v>>32)
 }
 
-// pushLevel makes room for frames at one more stack level.
+// growCalls makes room for return PCs at one more call level.
+func (w *warp) growCalls() {
+	w.callPCs = append(w.callPCs, 0)
+	w.callRows = append(w.callRows, make([]int32, WarpSize)...)
+}
+
+// spillCalls leaves the flat form: every lane's depth goes to callDepths and
+// every level shared by all lanes to callRows.
+func (w *warp) spillCalls() {
+	d := w.callDepth
+	if d == perLane {
+		return
+	}
+	for l, pc := range w.callPCs[:d] {
+		if pc != mixedPCs {
+			row := (*[WarpSize]int32)(w.callRows[l*WarpSize:])
+			for i := range row {
+				row[i] = pc
+			}
+		}
+	}
+	for i := range w.callDepths {
+		w.callDepths[i] = d
+	}
+	w.callDepth = perLane
+}
+
+// flattenCalls returns to the flat form when every live lane is at one
+// depth, finding for each level whether its lanes share a return PC. The
+// lanes of moved have just called or returned: when one of them and a live
+// lane that did not move are at different depths, which is the usual case
+// after a call under a partial mask, it returns without a scan.
+func (w *warp) flattenCalls(moved uint32) {
+	if still := w.live &^ moved; still != 0 && w.callDepths[lane(still)] != w.callDepths[lane(moved)] {
+		return
+	}
+	d, ok := shared(&w.callDepths, w.live)
+	if !ok {
+		return
+	}
+	for l := range w.callPCs[:d] {
+		if pc, ok := shared((*[WarpSize]int32)(w.callRows[l*WarpSize:]), w.live); ok {
+			w.callPCs[l] = pc
+		} else {
+			w.callPCs[l] = mixedPCs
+		}
+	}
+	w.callDepth = d
+}
+
+// shared returns the value the live lanes of a row hold, and whether they
+// all hold it: one loop over the 32 lanes with no branch in it.
+func shared[T int | int32](row *[WarpSize]T, live uint32) (T, bool) {
+	v := row[lane(live)]
+	var diff T
+	for i, x := range row {
+		diff |= (x ^ v) & -T(live>>uint(i)&1)
+	}
+	return v, diff == 0
+}
+
+// pushLevel makes room for frames at one more save stack level.
 func (w *warp) pushLevel() {
-	w.saveMeta = append(w.saveMeta, make([]saveFrame, WarpSize)...)
+	w.saveN = append(w.saveN, make([]int32, WarpSize)...)
+	w.savePreds = append(w.savePreds, make([]uint8, WarpSize)...)
+	w.saveBars = append(w.saveBars, make([]uint32, WarpSize)...)
 	w.saveRegs = append(w.saveRegs, make([]uint32, levelWords)...)
+}
+
+// spillSaves leaves the flat form of the save stacks.
+func (w *warp) spillSaves() {
+	if d := w.saveDepth; d != perLane {
+		for i := range w.saveDepths {
+			w.saveDepths[i] = d
+		}
+		w.saveDepth = perLane
+	}
+}
+
+// flattenSaves returns to the flat form when every live lane is at one save
+// stack depth.
+func (w *warp) flattenSaves() {
+	if d, ok := shared(&w.saveDepths, w.live); ok {
+		w.saveDepth = d
+	}
 }
