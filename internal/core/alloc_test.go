@@ -69,14 +69,16 @@ func coldKernelPTX(name string, seed int64, body int) string {
 // argument chunks of one argument per instruction, which InsertCallArgs
 // appends to), the instrumented copy of its code and its encoded cache entry.
 // Planning, building and materializing reuse the attachment's workspace, and
-// planning runs no liveness fixed point. Measured 0.104 objects and 472
-// bytes, the same under -race; the budgets are that plus 10 %. One heap
-// object per instruction or per call would add 1. While each function's
-// planning ran the fixed point and allocated its own visit and artifact
-// arrays, it was 0.145 objects and 820 bytes.
+// planning runs no liveness fixed point. Measured 0.106 objects and 372
+// bytes, the same under -race; the budgets are that plus 2 %. One heap
+// object per instruction or per call would add 1. While an Instr carried its
+// own copy of its instruction and a device decoded code in 1024-word caches,
+// it was 0.104 objects and 472 bytes; while each function's planning ran the
+// fixed point and allocated its own visit and artifact arrays, 0.145 objects
+// and 820 bytes.
 const (
-	coldJITAllocBudget = 0.114
-	coldJITByteBudget  = 519
+	coldJITAllocBudget = 0.108
+	coldJITByteBudget  = 379
 )
 
 // TestColdJITAllocBudget pins the cold path's allocation: a generated kernel
@@ -149,9 +151,9 @@ func TestColdJITAllocBudget(t *testing.T) {
 	}
 	objects := float64(m1.Mallocs-m0.Mallocs) / instrs
 	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / instrs
-	t.Logf("%d first launches of %.0f instructions: %.3f heap objects and %.0f bytes per lifted instruction", runs, instrs/runs, objects, bytes)
+	t.Logf("%d first launches of %.0f instructions: %.4f heap objects and %.1f bytes per lifted instruction", runs, instrs/runs, objects, bytes)
 	if objects > coldJITAllocBudget {
-		t.Errorf("cold JIT allocates %.3f heap objects per lifted instruction, budget %.2f", objects, coldJITAllocBudget)
+		t.Errorf("cold JIT allocates %.4f heap objects per lifted instruction, budget %.3f", objects, coldJITAllocBudget)
 	}
 	if bytes > coldJITByteBudget {
 		t.Errorf("cold JIT allocates %.0f bytes per lifted instruction, budget %d", bytes, coldJITByteBudget)
@@ -164,13 +166,15 @@ func TestColdJITAllocBudget(t *testing.T) {
 // to the end of finalize included. A hit makes a handful of objects per
 // function (the lift's arrays, the plan table, the entry read into one
 // buffer) and none per site or per call, and decodes into the attachment's
-// workspace: measured 0.12 objects and 441 bytes, the same under -race. The
-// byte budget is that plus 10 %. While every hit decoded into new arrays it
-// allocated 0.14 objects and 553 bytes; while a call was three heap objects
-// and an Instr 128 bytes, 3.13 objects and 674 bytes.
+// workspace: measured 0.123 objects and 341 bytes, the same under -race.
+// The budgets are that plus 2 %. While an Instr carried its own copy of its
+// instruction and a device decoded code in 1024-word caches, it allocated
+// 0.12 objects and 441 bytes; while every hit decoded into new arrays, 0.14
+// objects and 553 bytes; while a call was three heap objects and an Instr 128
+// bytes, 3.13 objects and 674 bytes.
 const (
-	warmHitObjectBudget = 0.5
-	warmHitByteBudget   = 485
+	warmHitObjectBudget = 0.125
+	warmHitByteBudget   = 348
 )
 
 // TestWarmHitAllocBudget pins what a disk-tier hit allocates: the kernels of
@@ -257,9 +261,9 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	}
 	objects := float64(after.Mallocs-before.Mallocs) / instrs
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / instrs
-	t.Logf("%d first launches of %.0f instructions served from disk: %.2f heap objects and %.0f bytes per instruction", runs, instrs/runs, objects, bytes)
+	t.Logf("%d first launches of %.0f instructions served from disk: %.4f heap objects and %.1f bytes per instruction", runs, instrs/runs, objects, bytes)
 	if objects > warmHitObjectBudget {
-		t.Errorf("a disk-tier hit allocates %.2f heap objects per instruction, budget %.1f", objects, warmHitObjectBudget)
+		t.Errorf("a disk-tier hit allocates %.4f heap objects per instruction, budget %.3f", objects, warmHitObjectBudget)
 	}
 	if bytes > warmHitByteBudget {
 		t.Errorf("a disk-tier hit allocates %.0f bytes per instruction, budget %d", bytes, warmHitByteBudget)

@@ -108,7 +108,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 		}
 		mine := calls[c0:]
 		if open && idx < end && len(mine) > 0 && x.admits(mine[:head]) {
-			x.add(i.inst) // after-calls cross the instruction itself as well
+			x.add(*i.inst()) // after-calls cross the instruction itself as well
 			if x.admits(mine[head:]) {
 				v := &visits[len(visits)-1]
 				if v.head == int(v.calls.n) {
@@ -132,7 +132,7 @@ func (n *NVBit) planVisits(fs *funcState) ([]siteCall, []visit, error) {
 		// may cross it; otherwise theirs is the bracket later calls join, and
 		// nothing lies between it and the next instruction yet.
 		x = crossed{}
-		x.add(i.inst)
+		x.add(*i.inst())
 		if head > 0 && x.admits(mine[head:]) {
 			visits[len(visits)-1].head = len(mine)
 		} else {

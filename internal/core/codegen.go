@@ -152,9 +152,9 @@ func (n *NVBit) resolveCalls(calls []siteCall, i *Instr, head int32) ([]siteCall
 			case argPredVal:
 				c.predReads.Add(a.pred)
 			case argGuardPred:
-				c.predReads.Add(i.inst.Pred)
+				c.predReads.Add(i.inst().Pred)
 			case argMRefAddr:
-				mref, ok := i.inst.MemOperand()
+				mref, ok := i.inst().MemOperand()
 				if !ok {
 					return nil, fmt.Errorf("nvbit: ArgMRefAddr on %s word %d: instruction has no memory operand", i.fs.f.Name, i.idx)
 				}
@@ -189,10 +189,10 @@ func layoutVisit(art *codeArtifact, i0 int, insts []*Instr, head, tail []siteCal
 		if i.removeOrig {
 			art.insts = append(art.insts, sass.NewInst(sass.OpNOP))
 		} else {
-			if i.inst.Op.IsRelativeBranch() {
+			if i.inst().Op.IsRelativeBranch() {
 				art.relocs = append(art.relocs, reloc{kind: relocRelBranch, slot: int32(len(art.insts) - i0)})
 			}
-			art.insts = append(art.insts, i.inst)
+			art.insts = append(art.insts, *i.inst())
 		}
 		if k == 0 && !emitGroup(tail) {
 			return false
@@ -536,7 +536,7 @@ func (n *NVBit) marshalArgs(art *codeArtifact, i0 int, group []siteCall, k int, 
 		case argPredVal, argGuardPred:
 			p, neg := a.pred, a.predNeg
 			if a.kind == argGuardPred {
-				p, neg = site.inst.Pred, site.inst.PredNeg
+				p, neg = site.inst().Pred, site.inst().PredNeg
 			}
 			out = predValSeq(out, abi, p, neg, live)
 		case argMRefAddr:
@@ -546,7 +546,7 @@ func (n *NVBit) marshalArgs(art *codeArtifact, i0 int, group []siteCall, k int, 
 			// use a 64-bit base pair; shared, local and constant references
 			// a 32-bit base (zero-extended), and an RZ base degenerates to
 			// the absolute offset.
-			mref, _ := site.inst.MemOperand()
+			mref, _ := site.inst().MemOperand()
 			if mref.Base == sass.RZ {
 				out = appendLoadImm64(out, n.hal.family, abi, uint64(mref.Offset))
 				break

@@ -13,9 +13,8 @@ import (
 // mapping is one-to-one and cached per function, so instrumentation state
 // sticks to the Instr across repeated inspections.
 type Instr struct {
-	fs   *funcState
-	inst sass.Inst
-	idx  int32 // word index within the function
+	fs  *funcState
+	idx int32 // word index within the function
 
 	// Instrumentation requests (consumed by the Code Generator): links into
 	// the function's plan to the first call injected before and after the
@@ -127,8 +126,8 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 	fs.raw = insts
 	fs.insts = make([]*Instr, len(insts))
 	backing := make([]Instr, len(insts))
-	for i, in := range insts {
-		backing[i] = Instr{fs: fs, inst: in, idx: int32(i)}
+	for i := range insts {
+		backing[i] = Instr{fs: fs, idx: int32(i)}
 		fs.insts[i] = &backing[i]
 	}
 	for _, r := range ranges {
@@ -228,32 +227,35 @@ func (i *Instr) GetSASS() string {
 }
 
 // GetOpcode returns the mnemonic, e.g. "IADD" or "LDG".
-func (i *Instr) GetOpcode() string { return i.inst.Op.String() }
+func (i *Instr) GetOpcode() string { return i.inst().Op.String() }
 
 // Op returns the raw opcode.
-func (i *Instr) Op() sass.Opcode { return i.inst.Op }
+func (i *Instr) Op() sass.Opcode { return i.inst().Op }
+
+// inst is the decoded machine instruction, the function's own copy.
+func (i *Instr) inst() *sass.Inst { return &i.fs.raw[i.idx] }
 
 // Raw returns the decoded machine instruction.
-func (i *Instr) Raw() sass.Inst { return i.inst }
+func (i *Instr) Raw() sass.Inst { return *i.inst() }
 
 // GetMemOpSpace returns the memory space accessed (Instr::getMemOpType).
-func (i *Instr) GetMemOpSpace() sass.MemSpace { return i.inst.Op.MemOpSpace() }
+func (i *Instr) GetMemOpSpace() sass.MemSpace { return i.inst().Op.MemOpSpace() }
 
 // IsLoad reports whether the instruction loads from memory.
-func (i *Instr) IsLoad() bool { return i.inst.Op.IsLoad() }
+func (i *Instr) IsLoad() bool { return i.inst().Op.IsLoad() }
 
 // IsStore reports whether the instruction stores to memory.
-func (i *Instr) IsStore() bool { return i.inst.Op.IsStore() }
+func (i *Instr) IsStore() bool { return i.inst().Op.IsStore() }
 
 // IsControlFlow reports whether the instruction redirects the PC.
-func (i *Instr) IsControlFlow() bool { return i.inst.Op.IsControlFlow() }
+func (i *Instr) IsControlFlow() bool { return i.inst().Op.IsControlFlow() }
 
 // GetNumOperands returns the operand count.
-func (i *Instr) GetNumOperands() int { return len(i.inst.Operands()) }
+func (i *Instr) GetNumOperands() int { return len(i.inst().Operands()) }
 
 // GetOperand returns the n-th structured operand, destination first.
 func (i *Instr) GetOperand(k int) (sass.Operand, bool) {
-	o := i.inst.Operands()
+	o := i.inst().Operands()
 	if k < 0 || k >= len(o) {
 		return sass.Operand{}, false
 	}
@@ -261,12 +263,12 @@ func (i *Instr) GetOperand(k int) (sass.Operand, bool) {
 }
 
 // MemOperand returns the instruction's memory-reference operand, if any.
-func (i *Instr) MemOperand() (sass.Operand, bool) { return i.inst.MemOperand() }
+func (i *Instr) MemOperand() (sass.Operand, bool) { return i.inst().MemOperand() }
 
 // GetPredicate returns the guard predicate and its negation; guarded is
 // false for unguarded (@PT) instructions.
 func (i *Instr) GetPredicate() (p sass.Pred, neg, guarded bool) {
-	return i.inst.Pred, i.inst.PredNeg, i.inst.Guarded()
+	return i.inst().Pred, i.inst().PredNeg, i.inst().Guarded()
 }
 
 // GetLineInfo correlates the instruction with application source (module

@@ -68,8 +68,8 @@ func planAndLaunch(t *testing.T, plan func(t *testing.T, n *NVBit, insts []*Inst
 // TestPlanTable pins the paths through a function's plan that the tools,
 // which make every call with InsertCallArgs, leave alone.
 func TestPlanTable(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got > 48 {
-		t.Errorf("an Instr takes %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(Instr{}); got > 24 {
+		t.Errorf("an Instr takes %d bytes, want at most 24", got)
 	}
 
 	t.Run("AddCallArg after another call's", func(t *testing.T) {

@@ -102,17 +102,17 @@ type Device struct {
 	cfg   Config
 	codec *sass.Codec
 
-	// pages backs global memory lazily: a page exists once something has
-	// been stored to it and reads as zero until then, so a device costs what
-	// its workload touches rather than GlobalMemBytes. Pages are published
-	// with a compare-and-swap, so concurrent first stores agree on one.
-	pages []atomic.Pointer[memPage]
+	// pages backs global memory lazily, one region per entry: a region and
+	// a page in it exist once something has been stored to the page, which
+	// reads as zero until then, so a device costs what its workload touches
+	// rather than GlobalMemBytes. Both levels are published with a
+	// compare-and-swap, so concurrent first stores agree on one.
+	pages []atomic.Pointer[memRegion]
 	alloc *allocator
 
 	// chunks backs code space (PCs are word indexes into it) the same way;
-	// decoded holds, chunk for chunk, the decode cache of what ran there.
+	// a chunk holds the decode pages of what ran in it.
 	chunks    []atomic.Pointer[codeChunk]
-	decoded   []atomic.Pointer[decodeCache]
 	codeWords int // CodeBytes in instruction words
 	codeTop   int // bump pointer (bytes)
 	decMu     sync.Mutex
@@ -198,7 +198,7 @@ func New(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:       cfg,
 		codec:     sass.CodecFor(cfg.Family),
-		pages:     make([]atomic.Pointer[memPage], (cfg.GlobalMemBytes+pageSize-1)>>pageShift),
+		pages:     make([]atomic.Pointer[memRegion], (cfg.GlobalMemBytes+regionSize-1)>>regionShift),
 		alloc:     newAllocator(heapBase, cfg.GlobalMemBytes-heapBase),
 		l2:        newCache(cfg.L2Lines, l2Ways),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.L1LineBytes))),
@@ -207,7 +207,6 @@ func New(cfg Config) (*Device, error) {
 		codeWords: cfg.CodeBytes / ib,
 	}
 	d.chunks = make([]atomic.Pointer[codeChunk], (d.codeWords+chunkWords-1)/chunkWords)
-	d.decoded = make([]atomic.Pointer[decodeCache], len(d.chunks))
 	for i := 0; i < cfg.NumSMs; i++ {
 		d.l1s = append(d.l1s, newCache(cfg.L1Lines, l1Ways))
 	}
@@ -242,37 +241,53 @@ var errClosed = fmt.Errorf("gpu: device closed")
 // heapBase keeps address 0 unmapped so nil-pointer dereferences trap.
 const heapBase = 1 << 16
 
-// Global memory is backed in pages of pageSize bytes. Accesses are aligned to
-// their width, so none straddles a page.
+// Global memory is backed in pages of pageSize bytes, grouped in regions of
+// regionSize. Accesses are aligned to their width, so none straddles a page.
 const (
-	pageShift = 16
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	pageShift   = 12
+	pageSize    = 1 << pageShift
+	pageMask    = pageSize - 1
+	regionShift = 16
+	regionSize  = 1 << regionShift
+	regionPages = regionSize / pageSize
 )
 
 type memPage [pageSize]byte
+
+// memRegion holds the pages of one region, each nil until stored to.
+type memRegion [regionPages]atomic.Pointer[memPage]
 
 // zeroPage stands in for every page nothing has been stored to. Read-only.
 var zeroPage memPage
 
 // peek returns the page holding addr for reading.
 func (d *Device) peek(addr uint64) *memPage {
-	if pg := d.pages[addr>>pageShift].Load(); pg != nil {
-		return pg
+	if r := d.pages[addr>>regionShift].Load(); r != nil {
+		if pg := r[addr>>pageShift%regionPages].Load(); pg != nil {
+			return pg
+		}
 	}
 	return &zeroPage
 }
 
-// touch returns the page holding addr for writing, creating it on first use.
+// touch returns the page holding addr for writing, creating it (and its
+// region) on first use.
 func (d *Device) touch(addr uint64) *memPage {
-	slot := &d.pages[addr>>pageShift]
-	if pg := slot.Load(); pg != nil {
-		return pg
+	rs := &d.pages[addr>>regionShift]
+	r := rs.Load()
+	if r == nil {
+		if r = new(memRegion); !rs.CompareAndSwap(nil, r) {
+			r = rs.Load()
+		}
 	}
-	if pg := new(memPage); slot.CompareAndSwap(nil, pg) {
-		return pg
+	slot := &r[addr>>pageShift%regionPages]
+	pg := slot.Load()
+	if pg == nil {
+		if pg = new(memPage); !slot.CompareAndSwap(nil, pg) {
+			pg = slot.Load()
+		}
 	}
-	return slot.Load()
+	return pg
 }
 
 // Config returns the device configuration.
@@ -416,10 +431,10 @@ func (d *Device) AllocCode(nWords int) (CodeAddr, error) {
 }
 
 // WriteCode copies raw instruction bytes into code space and invalidates the
-// decode cache for the covered words that were decoded — none, for code placed
-// where nothing ran yet, which is every trampoline's first write. This is the
-// operation whose cost the paper equates to a host-to-device cudaMemcpy of the
-// code size.
+// decoded entries of the covered words that were decoded — none, for code
+// placed where nothing ran yet, which is every trampoline's first write. This
+// is the operation whose cost the paper equates to a host-to-device
+// cudaMemcpy of the code size.
 func (d *Device) WriteCode(addr CodeAddr, raw []byte) error {
 	ib := d.codec.InstBytes()
 	if len(raw)%ib != 0 {
@@ -433,11 +448,9 @@ func (d *Device) WriteCode(addr CodeAddr, raw []byte) error {
 	for w := int(addr); len(raw) > 0; {
 		ch, i := d.chunk(w), w%chunkWords
 		n := copy(ch.raw[i*ib:], raw)
-		if dc := d.decoded[w/chunkWords].Load(); dc != nil {
-			for k := i; k < i+n/ib; k++ {
-				if atomic.LoadUint32(&dc.valid[k]) != 0 {
-					atomic.StoreUint32(&dc.valid[k], 0)
-				}
+		for k := i; k < i+n/ib; k++ {
+			if dp := ch.dec[k/decodeWords].Load(); dp != nil && atomic.LoadUint32(&dp.valid[k%decodeWords]) != 0 {
+				atomic.StoreUint32(&dp.valid[k%decodeWords], 0)
 			}
 		}
 		raw, w = raw[n:], w+n/ib
@@ -464,22 +477,28 @@ func (d *Device) ReadCode(addr CodeAddr, nWords int) ([]byte, error) {
 	return out, nil
 }
 
-// chunkWords is the number of instruction words backed and decoded together.
-const chunkWords = 1024
+// chunkWords is the number of instruction words backed together; they are
+// decoded in pages of decodeWords.
+const (
+	chunkWords  = 1024
+	decodeWords = 64
+)
 
 // codeChunk is the backing of chunkWords consecutive words of code space.
 type codeChunk struct {
 	raw []byte // the instruction bytes
+	// dec holds the decode page of each decodeWords of raw, made by the
+	// first decode in it (under decMu), so code that is written and never
+	// run costs its bytes alone, and a short kernel one page.
+	dec [chunkWords / decodeWords]atomic.Pointer[decodePage]
 }
 
-// decodeCache holds the decoded form of a chunk's words. It is made by the
-// first decode in the chunk (under decMu), so code that is written and never
-// run — most of a trampoline chunk, on a short run — costs its bytes alone.
-type decodeCache struct {
-	inst [chunkWords]sass.Inst
+// decodePage holds the decoded form of decodeWords consecutive code words.
+type decodePage struct {
+	inst [decodeWords]sass.Inst
 	// valid publishes decoded entries: 1 under atomic load/store once
 	// inst[i] is filled.
-	valid [chunkWords]uint32
+	valid [decodeWords]uint32
 }
 
 // chunk returns the chunk holding code word w, creating it (all zero, as
@@ -496,37 +515,43 @@ func (d *Device) chunk(w int) *codeChunk {
 	return slot.Load()
 }
 
-// fetch returns the instruction at word index pc as the decode cache's own
-// entry (read-only to callers). A hit takes two acquire loads and no lock.
+// fetch returns the instruction at word index pc as its decode page's own
+// entry (read-only to callers). A hit takes three acquire loads and no lock.
 // Code is written (WriteCode) between launches, or by a flush hook at a CTA
 // boundary of a sequential launch, where no warp is resident; so an entry
 // never changes while any worker can fetch it.
 func (d *Device) fetch(pc int32) (*sass.Inst, error) {
 	if w := int(pc); w > 0 && w < d.codeWords {
-		if dc := d.decoded[w/chunkWords].Load(); dc != nil && atomic.LoadUint32(&dc.valid[w%chunkWords]) != 0 {
-			return &dc.inst[w%chunkWords], nil
+		if ch := d.chunks[w/chunkWords].Load(); ch != nil {
+			if dp := ch.dec[w%chunkWords/decodeWords].Load(); dp != nil && atomic.LoadUint32(&dp.valid[w%decodeWords]) != 0 {
+				return &dp.inst[w%decodeWords], nil
+			}
 		}
 	}
 	return d.decode(pc)
 }
 
-// fetch is Device.fetch behind a memo of the chunk this worker last fetched
-// from. The entry's valid flag is still read each time, so the memo never
-// serves what WriteCode invalidated; a chunk's decode cache is never replaced.
+// fetch is Device.fetch behind a memo of the code chunk this worker last
+// fetched from, so that a kernel and the trampolines placed after it keep
+// hitting as control passes between their pages. The entry's valid flag is
+// still read each time, so the memo never serves what WriteCode
+// invalidated; a chunk is never replaced, nor is a decode page in it.
 func (c *execContext) fetch(pc int32) (*sass.Inst, error) {
 	u := uint32(pc)
-	if dc := c.dc; dc != nil && u/chunkWords == c.dcChunk && atomic.LoadUint32(&dc.valid[u%chunkWords]) != 0 {
-		return &dc.inst[u%chunkWords], nil
+	if ch := c.ch; ch != nil && u/chunkWords == c.chIdx {
+		if dp := ch.dec[u%chunkWords/decodeWords].Load(); dp != nil && atomic.LoadUint32(&dp.valid[u%decodeWords]) != 0 {
+			return &dp.inst[u%decodeWords], nil
+		}
 	}
 	in, err := c.dev.fetch(pc)
 	if err == nil {
-		c.dc, c.dcChunk = c.dev.decoded[u/chunkWords].Load(), u/chunkWords
+		c.ch, c.chIdx = c.dev.chunks[u/chunkWords].Load(), u/chunkWords
 	}
 	return in, err
 }
 
 // decode is the miss path of fetch: it decodes under decMu — making the
-// chunk's decode cache if this is its first decode, and publishing that before
+// word's decode page if this is its first decode, and publishing that before
 // anything in it — and publishes the entry with a release store, so concurrent
 // SM workers never observe a torn sass.Inst.
 func (d *Device) decode(pc int32) (*sass.Inst, error) {
@@ -537,20 +562,22 @@ func (d *Device) decode(pc int32) (*sass.Inst, error) {
 	ch, i := d.chunk(w), w%chunkWords
 	d.decMu.Lock()
 	defer d.decMu.Unlock()
-	dc := d.decoded[w/chunkWords].Load()
-	if dc == nil {
-		dc = new(decodeCache)
-		d.decoded[w/chunkWords].Store(dc)
+	slot := &ch.dec[i/decodeWords]
+	dp := slot.Load()
+	if dp == nil {
+		dp = new(decodePage)
+		slot.Store(dp)
 	}
-	if atomic.LoadUint32(&dc.valid[i]) == 0 {
+	k := i % decodeWords
+	if atomic.LoadUint32(&dp.valid[k]) == 0 {
 		in, err := d.codec.Decode(ch.raw[i*d.codec.InstBytes():])
 		if err != nil {
 			return nil, fmt.Errorf("gpu: at PC %#x: %w", pc, err)
 		}
-		dc.inst[i] = in
-		atomic.StoreUint32(&dc.valid[i], 1)
+		dp.inst[k] = in
+		atomic.StoreUint32(&dp.valid[k], 1)
 	}
-	return &dc.inst[i], nil
+	return &dp.inst[k], nil
 }
 
 // --- Allocator ---------------------------------------------------------------

@@ -130,7 +130,7 @@ func TestLazyGlobalMemory(t *testing.T) {
 			t.Errorf("word at %#x = %d, want 41 (0 loaded from untouched memory, plus 41)", addr, got)
 		}
 	}
-	if d.pages[fresh>>pageShift].Load() != nil {
+	if d.peek(fresh) != &zeroPage {
 		t.Error("a load materialized a page no store touched")
 	}
 
@@ -169,9 +169,35 @@ func TestLazyGlobalMemory(t *testing.T) {
 	}
 }
 
+// backing counts what the device has backed: memory regions and pages, and
+// decode pages.
+func backing(d *Device) (regions, pages, decodePages int) {
+	for i := range d.pages {
+		if r := d.pages[i].Load(); r != nil {
+			regions++
+			for j := range r {
+				if r[j].Load() != nil {
+					pages++
+				}
+			}
+		}
+	}
+	for i := range d.chunks {
+		if ch := d.chunks[i].Load(); ch != nil {
+			for j := range ch.dec {
+				if ch.dec[j].Load() != nil {
+					decodePages++
+				}
+			}
+		}
+	}
+	return regions, pages, decodePages
+}
+
 // TestConcurrentFirstStores: under the parallel scheduler the CTAs of one
-// launch make the first stores to one page at once (run with -race); they
-// must all land in the same page.
+// launch make the first stores into fresh regions, and into several pages of
+// each, at once (run with -race); every store must land, in the one page and
+// region its address names.
 func TestConcurrentFirstStores(t *testing.T) {
 	cfg := DefaultConfig(sass.Volta)
 	cfg.Scheduler = SchedulerParallelSM
@@ -179,27 +205,107 @@ func TestConcurrentFirstStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ctas, threads = 64, 32
-	out, _ := d.Malloc(4 * ctas * threads)
-	if out>>pageShift != (out+4*ctas*threads-1)>>pageShift {
-		t.Fatalf("test buffer at %#x spans pages", out)
-	}
+	// CTA k of one warp stores its 128 bytes at out + k·stride.
+	const ctas, threads = 256, 32
 	entry := loadSASS(t, d, gidProlog+`
+		S2R R8, SR_TID.X
 		LDC.W R4, c[1][0]
+		LDC R6, c[1][8]
+		IMAD.W R4, R2, R6, R4
 		MOVI R6, 4
-		IMAD.W R4, R0, R6, R4
+		IMAD.W R4, R8, R6, R4
 		STG [R4], R0
 		EXIT
 	`)
-	launch(t, d, entry, D1(ctas), D1(threads), u64param(out), 0)
-	buf := make([]byte, 4*ctas*threads)
-	if err := d.Read(out, buf); err != nil {
+	block, _ := d.Malloc(ctas/2*regionSize + ctas*pageSize/2 + 2*regionSize)
+	out := (block + regionSize - 1) &^ (regionSize - 1)
+	var regions, pages int
+	// CTAs k and k+1, which run side by side, first share a page (and 32
+	// CTAs a region), then a region of pages of their own.
+	for _, stride := range []uint64{pageSize / 2, regionSize / 2} {
+		launch(t, d, entry, D1(ctas), D1(threads), u64param(out, stride), 0)
+		buf := make([]byte, 4*threads)
+		for k := uint64(0); k < ctas; k++ {
+			if err := d.Read(out+k*stride, buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < threads; i++ {
+				if got, want := binary.LittleEndian.Uint32(buf[4*i:]), uint32(k*threads+i); got != want {
+					t.Fatalf("stride %d: CTA %d, lane %d stored %d, read back %d: a first store was lost", stride, k, i, want, got)
+				}
+			}
+		}
+		out += ctas * stride
+		regions += int(ctas * stride / regionSize)
+		pages += int(ctas * min(stride, pageSize) / pageSize)
+		if r, p, _ := backing(d); r != regions || p != pages {
+			t.Errorf("stride %d: the stores backed %d regions and %d pages in all, want %d and %d", stride, r, p, regions, pages)
+		}
+	}
+}
+
+// TestDeviceBacksWhatItTouches: a device backs memory in the pages stores
+// touch and decodes code in the pages kernels run, and nothing that only
+// reads backs anything.
+func TestDeviceBacksWhatItTouches(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	buf, _ := d.Malloc(4 * regionSize)
+	fresh := (buf + regionSize - 1) &^ (regionSize - 1) // a region nothing has touched
+	entry := loadSASS(t, d, `
+		LDC.W R2, c[1][0]
+		LDC.W R4, c[1][8]
+		LDG R6, [R2]
+		STG [R4], R6
+		EXIT
+	`)
+	if int(entry)/decodeWords != (int(entry)+4)/decodeWords {
+		t.Fatalf("the kernel at %d straddles a decode page", entry)
+	}
+
+	// One thread loads an untouched word and stores it: one page, in one
+	// region, and one decode page for the five instructions.
+	launch(t, d, entry, D1(1), D1(1), u64param(fresh+regionSize+8, fresh+100), 0)
+	if regions, pages, dec := backing(d); regions != 1 || pages != 1 || dec != 1 {
+		t.Errorf("a 4-byte store backed %d regions and %d pages, a 5-instruction kernel %d decode pages; want 1, 1, 1", regions, pages, dec)
+	}
+	if d.peek(fresh+100) == &zeroPage || d.peek(fresh+pageSize) != &zeroPage {
+		t.Error("the store backed another page than its own")
+	}
+
+	// Host reads of untouched memory, in a backed region and in regions
+	// that are not, read zero and back nothing.
+	whole := bytes.Repeat([]byte{0xff}, 3*regionSize)
+	if err := d.Read(fresh+regionSize/2, whole); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ctas*threads; i++ {
-		if got := binary.LittleEndian.Uint32(buf[4*i:]); got != uint32(i) {
-			t.Fatalf("out[%d] = %d: a first store was lost", i, got)
-		}
+	if !bytes.Equal(whole, make([]byte, len(whole))) {
+		t.Error("untouched memory does not read zero")
+	}
+	if regions, pages, _ := backing(d); regions != 1 || pages != 1 {
+		t.Errorf("reads backed memory: %d regions, %d pages", regions, pages)
+	}
+
+	// A host write across two page boundaries and the region boundary
+	// between them backs the four pages it covers and reads back exactly,
+	// with zeros around it.
+	pattern := make([]byte, 2*pageSize+200)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 1)
+	}
+	at := fresh + 2*regionSize - pageSize - 100
+	if err := d.Write(at, pattern); err != nil {
+		t.Fatal(err)
+	}
+	back := bytes.Repeat([]byte{0xff}, len(pattern)+2*pageSize)
+	if err := d.Read(at-pageSize, back); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(make([]byte, pageSize), pattern...), make([]byte, pageSize)...)
+	if !bytes.Equal(back, want) {
+		t.Error("a read across page and region boundaries does not match what was written around it")
+	}
+	if regions, pages, _ := backing(d); regions != 3 || pages != 1+4 {
+		t.Errorf("after the write: %d regions, %d pages; want 3 and 5", regions, pages)
 	}
 }
 

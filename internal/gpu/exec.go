@@ -743,10 +743,12 @@ func (c *execContext) saveAccess(w *warp, in *sass.Inst, exec uint32, pc int32) 
 }
 
 // moveRow copies the lanes of exec from one row to another: the whole row
-// when the whole warp executes.
+// when the whole warp executes. That copy converts its source, because the
+// compiler makes an assignment between two array dereferences, which may
+// overlap, a runtime.memmove call; the rows never partly overlap.
 func moveRow[T uint8 | uint32](to, from *[WarpSize]T, exec uint32) {
 	if exec == fullMask {
-		*to = *from
+		*to = [WarpSize]T(*from)
 		return
 	}
 	for m := exec; m != 0; m &= m - 1 {
@@ -1032,11 +1034,14 @@ func (c *execContext) globalAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 }
 
 // unitAccess performs the access of a full warp on consecutive elements,
-// aligned, inside the heap and inside one page — one range check, one page,
-// one copy, lines first..last as the lanes meet them — and reports whether it
-// did: anything else, every faulting access included, is left to the walk in
-// globalAccess (whose registers this loop would compete for if it were there).
-// The low words must not wrap: the page test reads base, offset included.
+// aligned and inside the heap — one range check, one copy, lines first..last
+// as the lanes meet them — and reports whether it did: anything else, every
+// faulting access included, is left to the walk in globalAccess (whose
+// registers this loop would compete for if it were there). A span that
+// crosses into the next page (one in sixteen 256-byte spans at random
+// offsets, such as a channel's records) moves through a row-sized buffer.
+// The low words must not wrap: the page arithmetic reads base, offset
+// included.
 func (c *execContext) unitAccess(w *warp, in *sass.Inst, mv *mover, width uint64) bool {
 	d := c.dev
 	alo, ahi := w.src64(in.Src1)
@@ -1047,14 +1052,25 @@ func (c *execContext) unitAccess(w *warp, in *sass.Inst, mv *mover, width uint64
 		off |= (alo[i] ^ want) | (ahi[i] ^ hi0)
 		want += uint32(width)
 	}
-	if off != 0 || want <= lo0 || base&(width-1) != 0 || !d.inHeap(base, span) || base>>pageShift != (base+span-1)>>pageShift {
+	if off != 0 || want <= lo0 || base&(width-1) != 0 || !d.inHeap(base, span) {
 		return false
 	}
-	page := d.peek(base)
-	if !mv.load {
-		page = d.touch(base)
+	if n := pageSize - base&pageMask; n < span {
+		var buf [8 * WarpSize]byte
+		if mv.load {
+			copy(buf[:n], d.peek(base)[base&pageMask:])
+			copy(buf[n:span], d.peek(base + n)[:])
+			mv.transferRow(buf[:])
+		} else {
+			mv.transferRow(buf[:])
+			copy(d.touch(base)[base&pageMask:], buf[:n])
+			copy(d.touch(base + n)[:], buf[n:span])
+		}
+	} else if mv.load {
+		mv.transferRow(d.peek(base)[base&pageMask:])
+	} else {
+		mv.transferRow(d.touch(base)[base&pageMask:])
 	}
-	mv.transferRow(page[base&pageMask:])
 	first, last := base>>d.lineShift, (base+span-1)>>d.lineShift
 	c.stats.GlobalAccesses++
 	c.stats.GlobalLines += last - first + 1

@@ -269,6 +269,7 @@ func TestCoalescerEquivalence(t *testing.T) {
 		{"descending", func(b uint64, i int) uint64 { return b + 4096 - 8*uint64(i) }, fullMask},
 		{"alternating lines", func(b uint64, i int) uint64 { return b + 128*uint64(i%2) + 8*uint64(i/2) }, fullMask},
 		{"across a page", func(b uint64, i int) uint64 { return b + pageSize - 64 + 8*uint64(i) }, fullMask},
+		{"across into a written page", func(b uint64, i int) uint64 { return b + 2*pageSize - 64 + 8*uint64(i) }, fullMask},
 		{"page to page and back", func(b uint64, i int) uint64 { return b + pageSize*uint64(i%3) + 8*uint64(i) }, fullMask},
 		{"partial mask", func(b uint64, i int) uint64 { return b + 40*8*uint64(i) }, 0xa5a50ff1},
 		{"one lane", func(b uint64, i int) uint64 { return b + 8*uint64(i) }, 1 << 19},

@@ -378,9 +378,9 @@ type execContext struct {
 
 	// row: where step computes a row operation under a partial mask.
 	row [2][WarpSize]uint32
-	// dc is the decode cache of code chunk dcChunk, the last fetched from.
-	dc      *decodeCache
-	dcChunk uint32
+	// ch is code chunk chIdx, the last fetched from.
+	ch    *codeChunk
+	chIdx uint32
 
 	cta     Dim3 // current CTA coordinates
 	ctaID   int
@@ -414,7 +414,7 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	c.cancel = nil
 	c.heedCancel = false
 	c.shard = nil
-	c.dc = nil
+	c.ch = nil
 	c.wdBudget = d.watchdogBudget()
 
 	// Constant bank 0: launch configuration (grid and block dimensions),

@@ -249,12 +249,14 @@ func TestParallelSchedulerSmallGrid(t *testing.T) {
 	}
 }
 
-// TestParallelFirstDecodeInFreshChunks: a chunk's decode cache is made by the
-// first decode in it, and on a fresh device under the parallel scheduler that
-// first decode is a race between SM workers — in every chunk the kernel
-// enters. The kernel calls three routines that each sit in a chunk of their
-// own; a fourth routine is written and never run. Run with -race: a worker
-// that sees a word valid must see the cache the word is in.
+// TestParallelFirstDecodeInFreshChunks: a decode page is made by the first
+// decode in it, and on a fresh device under the parallel scheduler that first
+// decode is a race between SM workers — in every page the kernel enters. The
+// kernel sits at the start of a chunk, and the three routines it calls each
+// on a page of their own: two in the kernel's chunk, the third at the start
+// of the next one. A fourth routine, on the page after the third's, is
+// written and never run. Run with -race: a worker that sees a word valid must
+// see the page the word is in.
 func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
 	cfg := DefaultConfig(sass.Volta)
 	cfg.Scheduler = SchedulerParallelSM
@@ -262,14 +264,23 @@ func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// align pads code space up to the next multiple of words.
+	align := func(words int) {
+		t.Helper()
+		if r := max(d.codeTop/d.Codec().InstBytes(), 1) % words; r != 0 {
+			if _, err := d.AllocCode(words - r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	place := func(src string) (CodeAddr, []sass.Inst) {
 		t.Helper()
 		insts, err := sass.ParseProgram(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every placement starts a new chunk.
-		base, err := d.AllocCode(chunkWords)
+		// Every placement fills a decode page of its own.
+		base, err := d.AllocCode(decodeWords)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,10 +296,11 @@ func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decoded := func(base CodeAddr) bool { return d.decoded[int(base)/chunkWords].Load() != nil }
-	if _, err := d.AllocCode(chunkWords - 1); err != nil { // word 0 is reserved; start on a chunk boundary
-		t.Fatal(err)
+	decoded := func(base CodeAddr) bool {
+		ch := d.chunks[int(base)/chunkWords].Load()
+		return ch != nil && ch.dec[int(base)%chunkWords/decodeWords].Load() != nil
 	}
+	align(chunkWords)
 	entry, kernel := place(gidProlog + `
 	MOVI R6, 0
 	CAL 0
@@ -302,8 +314,14 @@ func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
 	var routines [4]CodeAddr
 	var bodies [4][]sass.Inst
 	for k := range routines {
+		if k == 2 {
+			align(chunkWords)
+		}
 		routines[k], bodies[k] = place(fmt.Sprintf("IADD R6, R6, RZ, %d\nRET", 1<<k))
 		write(routines[k], bodies[k])
+	}
+	if int(entry)/chunkWords != int(routines[1])/chunkWords || int(routines[2])/chunkWords != int(routines[3])/chunkWords || int(routines[1])/chunkWords == int(routines[2])/chunkWords {
+		t.Fatalf("layout: kernel at %d, routines at %v", entry, routines)
 	}
 	next := 0
 	for i := range kernel {
@@ -315,7 +333,7 @@ func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
 	write(entry, kernel)
 	for _, base := range append(routines[:], entry) {
 		if decoded(base) {
-			t.Fatalf("the chunk of word %d has a decode cache before anything ran", base)
+			t.Fatalf("the page of word %d is decoded before anything ran", base)
 		}
 	}
 
@@ -337,19 +355,19 @@ func TestParallelFirstDecodeInFreshChunks(t *testing.T) {
 	run(1 + 2 + 4)
 	for k, base := range routines {
 		if got, want := decoded(base), k < 3; got != want {
-			t.Errorf("routine %d's chunk has a decode cache: %v, want %v", k, got, want)
+			t.Errorf("routine %d's page is decoded: %v, want %v", k, got, want)
 		}
 	}
 
 	// A write over a decoded word shows at the next launch; one over words
-	// nothing decoded, in a chunk with and without a cache, leaves no cache
-	// behind and is what runs when the kernel gets there.
+	// nothing decoded, on a page with and without a decode page, leaves no
+	// decode page behind and is what runs when the kernel gets there.
 	bodies[1][0].Imm = 32
 	write(routines[1], bodies[1])
 	write(routines[2]+8, bodies[3])
 	write(routines[3], bodies[3])
 	if decoded(routines[3]) {
-		t.Error("writing to a chunk made it a decode cache")
+		t.Error("writing to a page decoded it")
 	}
 	kernel[len(kernel)-6].Imm = int64(routines[2] + 8) // the third CAL
 	if kernel[len(kernel)-6].Op != sass.OpCAL {
