@@ -33,12 +33,10 @@ import (
 	"math"
 	"os"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
 	"nvbitgo/internal/campaign"
-	"nvbitgo/internal/channel"
 	"nvbitgo/internal/cliconf"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
@@ -86,38 +84,89 @@ type appConfig struct {
 	schedName    *string
 	injectName   *string
 	cpuProfile   *string
+
+	// honoured is the mode table: the modes that read each flag. A flag set
+	// on the command line or through its NVBIT_* variable in any other mode
+	// is refused (exit 64); docs/nvbit-run.md's Modes column is drawn from it.
+	honoured map[string]modes
 }
 
-// newFlags declares the flag surface on fs. flags_test.go keeps
-// docs/nvbit-run.md's table in sync with these declarations.
+// modes is a set of the ways nvbit-run runs: standalone (in-process, the
+// default), connect (-connect) and campaign (-campaign). modeTool narrows
+// standalone and connect to runs with a tool: -tool none refuses the flag.
+type modes uint8
+
+const (
+	modeStandalone modes = 1 << iota
+	modeConnect
+	modeCampaign
+	modeTool
+
+	session = modeStandalone | modeConnect // a workload run under a tool
+	every   = session | modeCampaign
+)
+
+// newFlags declares the flag surface on fs, each flag with the modes that
+// read it. flags_test.go keeps docs/nvbit-run.md's table in sync with these
+// declarations.
 func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 	cc := cliconf.New(fs)
+	honoured := map[string]modes{}
+	on := func(m modes, name string) string { honoured[name] = m; return name }
 	c := &appConfig{
-		tool:         cc.String("tool", "", "tool: none, instrcount, instrcount-bb, memdiv, ophisto, ophisto-sampled, cachesim, itrace, memtrace, memcheck, faultinject"),
-		out:          cc.String("out", "", "write tool reports to this file instead of stdout"),
-		backpressure: cc.String("backpressure", "drop", "channel tools (cachesim, itrace, memcheck, memtrace): drop or block when buffers fill"),
-		traceJSON:    cc.String("trace", "", "write a chrome://tracing activity timeline (JSON) to this file"),
-		metrics:      cc.Bool("metrics", false, "print the per-kernel metrics table after the run"),
-		jitCacheDir:  cc.String("jit-cache", "", "persist compiled and instrumented code to this directory and reuse it across runs"),
-		workload:     cc.String("workload", "specaccel:ostencil", "workload: specaccel:<name> or ml:<Network>"),
-		connect:      cc.String("connect", "", "run as a session of the nvbitd daemon at this unix socket instead of in-process"),
-		fiGroup:      cc.String("fi-group", "gpr", "faultinject: instruction group (gpr, fp32, fp64, ld, all)"),
-		fiModel:      cc.String("fi-model", "flip", "faultinject: injection model (flip, flip2, rand, zero; campaigns also accept mix)"),
-		fiTarget:     cc.Uint64("fi-target", 0, "faultinject: dynamic thread-instruction index to corrupt"),
-		fiBit:        cc.Uint("fi-bit", 0, "faultinject: bit position for flip/flip2 models"),
-		fiValue:      cc.Uint("fi-value", 0, "faultinject: replacement value for the rand model"),
-		campaignDir:  cc.String("campaign", "", "fault-injection campaign directory: plan a campaign there if absent, resume it otherwise"),
-		campaignRuns: cc.Int("campaign-runs", 1000, "campaign: planned number of injection runs"),
-		campaignMax:  cc.Int("campaign-max-runs", 0, "campaign: stop this invocation after N runs (0 = finish the campaign)"),
-		seed:         cc.Uint64("seed", 1, "campaign: manifest RNG seed"),
-		workers:      cc.Int("workers", 4, "campaign: parallel simulator instances"),
-		sizeName:     cc.String("size", "medium", "specaccel size: small, medium, large"),
-		familyName:   cc.String("family", "volta", "device family"),
-		schedName:    cc.String("scheduler", "sequential", "CTA scheduler: sequential or parallel (one worker per SM)"),
-		injectName:   cc.String("inject", "trampoline", "injection codegen mode: trampoline, full-save, or inline"),
-		cpuProfile:   cc.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)"),
+		honoured:     honoured,
+		tool:         cc.String(on(session, "tool"), "", "tool: none, instrcount, instrcount-bb, memdiv, ophisto, ophisto-sampled, cachesim, itrace, memtrace, memcheck, faultinject"),
+		out:          cc.String(on(session, "out"), "", "write tool reports to this file instead of stdout"),
+		backpressure: cc.String(on(session|modeTool, "backpressure"), "drop", "channel tools (cachesim, itrace, memcheck, memtrace): drop or block when buffers fill"),
+		traceJSON:    cc.String(on(modeStandalone, "trace"), "", "write a chrome://tracing activity timeline (JSON) to this file"),
+		metrics:      cc.Bool(on(modeStandalone, "metrics"), false, "print the per-kernel metrics table after the run"),
+		jitCacheDir:  cc.String(on(modeStandalone|modeTool, "jit-cache"), "", "persist compiled and instrumented code to this directory and reuse it across runs"),
+		workload:     cc.String(on(every, "workload"), "specaccel:ostencil", "workload: specaccel:<name> or ml:<Network>"),
+		connect:      cc.String(on(modeConnect, "connect"), "", "run as a session of the nvbitd daemon at this unix socket instead of in-process"),
+		fiGroup:      cc.String(on(every|modeTool, "fi-group"), "gpr", "faultinject: instruction group (gpr, fp32, fp64, ld, all)"),
+		fiModel:      cc.String(on(every|modeTool, "fi-model"), "flip", "faultinject: injection model (flip, flip2, rand, zero; campaigns also accept mix)"),
+		fiTarget:     cc.Uint64(on(session|modeTool, "fi-target"), 0, "faultinject: dynamic thread-instruction index to corrupt"),
+		fiBit:        cc.Uint(on(session|modeTool, "fi-bit"), 0, "faultinject: bit position for flip/flip2 models"),
+		fiValue:      cc.Uint(on(session|modeTool, "fi-value"), 0, "faultinject: replacement value for the rand model"),
+		campaignDir:  cc.String(on(modeCampaign, "campaign"), "", "fault-injection campaign directory: plan a campaign there if absent, resume it otherwise"),
+		campaignRuns: cc.Int(on(modeCampaign, "campaign-runs"), 1000, "campaign: planned number of injection runs"),
+		campaignMax:  cc.Int(on(modeCampaign, "campaign-max-runs"), 0, "campaign: stop this invocation after N runs (0 = finish the campaign)"),
+		seed:         cc.Uint64(on(modeCampaign, "seed"), 1, "campaign: manifest RNG seed"),
+		workers:      cc.Int(on(modeCampaign, "workers"), 4, "campaign: parallel simulator instances"),
+		sizeName:     cc.String(on(every, "size"), "medium", "specaccel size: small, medium, large"),
+		familyName:   cc.String(on(modeStandalone, "family"), "volta", "device family"),
+		schedName:    cc.String(on(modeStandalone, "scheduler"), "sequential", "CTA scheduler: sequential or parallel (one worker per SM)"),
+		injectName:   cc.String(on(session|modeTool, "inject"), "trampoline", "injection codegen mode: trampoline, full-save, or inline"),
+		cpuProfile:   cc.String(on(every, "cpuprofile"), "", "write a CPU profile of the run to this file (go tool pprof)"),
 	}
 	return c, cc
+}
+
+// refusal says why a mode, or a run without a tool, refuses a flag.
+var refusal = map[modes]string{
+	modeStandalone: "in a standalone run: docs/nvbit-run.md lists the modes that read it",
+	modeConnect:    "with -connect: the daemon owns its devices (see docs/nvbitd.md)",
+	modeCampaign:   "with -campaign: campaigns run their victims on simulator instances of their own (see docs/faultinjection.md)",
+	modeTool:       "with -tool none: a run without a tool instruments nothing",
+}
+
+// refuse returns a usage error naming the first flag, in name order, that
+// the user set and mode m does not read; tool is false for -tool none.
+func (c *appConfig) refuse(fs *flag.FlagSet, cc *cliconf.Set, m modes, tool bool) error {
+	var err error
+	fs.VisitAll(func(f *flag.Flag) {
+		why := m
+		if h := c.honoured[f.Name]; h&m != 0 {
+			if tool || h&modeTool == 0 {
+				return
+			}
+			why = modeTool
+		}
+		if err == nil && cc.Explicit(f.Name) {
+			err = fmt.Errorf("-%s is not available %s", f.Name, refusal[why])
+		}
+	})
+	return err
 }
 
 // stopProfile finishes the -cpuprofile file. os.Exit runs no deferred calls
@@ -173,6 +222,36 @@ exit codes:
 	if err := cc.Resolve(); err != nil {
 		usage(err)
 	}
+	m := modeStandalone
+	switch {
+	case *c.campaignDir != "":
+		m = modeCampaign
+	case *c.connect != "":
+		m = modeConnect
+	}
+	// Outside a campaign the run builds its tool here, which parses and
+	// validates the session's spec, in connect mode before the daemon does.
+	var spec nvbitd.OpenSpec
+	var inst *registry.Instance
+	if m != modeCampaign {
+		if *c.fiValue > math.MaxUint32 {
+			usage(fmt.Errorf("-fi-value %d does not fit the 32-bit register it replaces", *c.fiValue))
+		}
+		spec = nvbitd.OpenSpec{Tool: *c.tool, Options: registry.Options{
+			Policy: *c.backpressure, Inject: *c.injectName,
+			FIGroup: *c.fiGroup, FIModel: *c.fiModel,
+			FITarget: *c.fiTarget, FIBit: *c.fiBit, FIValue: uint32(*c.fiValue),
+		}}
+		var err error
+		if inst, err = registry.New(spec.Tool, spec.Options); err != nil {
+			usage(err)
+		}
+		spec.Tool = inst.Name // a daemon is sent "none", as before, not ""
+	}
+	tool := inst == nil || inst.Name != "none" // a campaign injects its own faults
+	if err := c.refuse(fs, cc, m, tool); err != nil {
+		usage(err)
+	}
 	if *c.cpuProfile != "" {
 		f, err := os.Create(*c.cpuProfile)
 		if err == nil {
@@ -189,20 +268,15 @@ exit codes:
 		}
 	}
 
-	fam, err := sass.ParseFamily(*c.familyName)
-	if err != nil {
-		usage(err)
-	}
 	size, err := specaccel.ParseSize(*c.sizeName)
 	if err != nil {
 		usage(err)
 	}
-
-	sched, err := gpu.ParseScheduler(*c.schedName)
+	fam, err := sass.ParseFamily(*c.familyName)
 	if err != nil {
 		usage(err)
 	}
-	inject, err := nvbit.ParseInjectionMode(*c.injectName)
+	sched, err := gpu.ParseScheduler(*c.schedName)
 	if err != nil {
 		usage(err)
 	}
@@ -210,14 +284,7 @@ exit codes:
 	// Campaign mode: no single workload run, no tool injection here — the
 	// campaign engine executes the victim once per planned injection in its
 	// own simulator instances (Volta, sequential scheduler, watchdog).
-	if *c.campaignDir != "" {
-		var ignored []string
-		fs.VisitAll(func(f *flag.Flag) {
-			if !slices.Contains(campaignFlags, f.Name) {
-				ignored = append(ignored, f.Name)
-			}
-		})
-		refuseFlags(cc, ignored, "campaign", "campaigns run their victims on simulator instances of their own (see docs/faultinjection.md)", usage)
+	if m == modeCampaign {
 		kind, name, _ := strings.Cut(*c.workload, ":")
 		if kind != "specaccel" {
 			usage(fmt.Errorf("campaigns run specaccel victims, got workload %q", *c.workload))
@@ -245,14 +312,6 @@ exit codes:
 		exit(exitOK)
 	}
 
-	policy, err := channel.ParsePolicy(*c.backpressure)
-	if err != nil {
-		usage(err)
-	}
-	if *c.fiValue > math.MaxUint32 {
-		usage(fmt.Errorf("-fi-value %d does not fit the 32-bit register it replaces", *c.fiValue))
-	}
-
 	// Tool reports go to -out when given; everything else stays on stdout.
 	var reportW io.Writer = os.Stdout
 	var outFile *os.File
@@ -265,30 +324,9 @@ exit codes:
 		reportW = f
 	}
 
-	if *c.connect != "" {
-		runConnected(c, cc, size, reportW, outFile, fail, usage)
+	if m == modeConnect {
+		runConnected(c, spec, size, reportW, outFile, fail, usage)
 		return
-	}
-
-	// Resolve the tool through the registry (the same catalog nvbitd
-	// serves, so reports stay byte-identical across both paths).
-	toolName := *c.tool
-	if toolName == "" {
-		toolName = "none"
-	}
-	if toolName == "none" {
-		refuseFlags(cc, []string{"jit-cache", "inject"}, "tool none", "a run without a tool instruments nothing", usage)
-	}
-	inst, err := registry.New(toolName, registry.Options{
-		Policy:   policy,
-		FIGroup:  *c.fiGroup,
-		FIModel:  *c.fiModel,
-		FITarget: *c.fiTarget,
-		FIBit:    *c.fiBit,
-		FIValue:  uint32(*c.fiValue),
-	})
-	if err != nil {
-		usage(err)
 	}
 
 	devCfg := gpu.DefaultConfig(fam)
@@ -299,7 +337,7 @@ exit codes:
 	}
 	tracing := *c.traceJSON != "" || *c.metrics
 
-	opts := []nvbit.Option{nvbit.WithInjectionMode(inject)}
+	opts := []nvbit.Option{nvbit.WithInjectionMode(inst.Inject)}
 	if tracing {
 		opts = append(opts, nvbit.WithTracing(0))
 	}
@@ -311,7 +349,7 @@ exit codes:
 		opts = append(opts, nvbit.WithJITCache(jc))
 	}
 	var nv *nvbit.NVBit
-	if toolName != "none" {
+	if tool {
 		if nv, err = nvbit.Attach(api, inst.Tool, opts...); err != nil {
 			fail(err)
 		}
@@ -333,7 +371,7 @@ exit codes:
 	fmt.Printf("workload %s: %d launches, %d warp instructions, %d cycles, %.2fs wall\n",
 		*c.workload, st.Launches, st.WarpInstrs, st.Cycles, elapsed.Seconds())
 	violations := false
-	if toolName != "none" {
+	if tool {
 		v, err := inst.Report(reportW, nv)
 		if err != nil {
 			fail(err)
@@ -416,28 +454,8 @@ func runWorkload(ctx *driver.Context, workload string, size specaccel.Size, fail
 	}
 }
 
-// campaignFlags are the flags campaign mode reads; it refuses the others.
-var campaignFlags = []string{"campaign", "workload", "size", "fi-group", "fi-model",
-	"campaign-runs", "campaign-max-runs", "seed", "workers", "cpuprofile"}
-
-// refuseFlags fails with a usage error on the first of names the user set,
-// on the command line or through its NVBIT_* variable: mode would ignore it,
-// for the reason why.
-func refuseFlags(cc *cliconf.Set, names []string, mode, why string, usage func(error)) {
-	for _, name := range names {
-		if cc.Explicit(name) {
-			usage(fmt.Errorf("-%s is not available with -%s: %s", name, mode, why))
-		}
-	}
-}
-
 // runConnected executes the workload as one session of an nvbitd daemon.
-// Device-side knobs (-family, -scheduler, -jit-cache) belong to the daemon
-// and are rejected when set explicitly, as are the in-process-only
-// observability flags.
-func runConnected(c *appConfig, cc *cliconf.Set, size specaccel.Size, reportW io.Writer, outFile *os.File, fail, usage func(error)) {
-	refuseFlags(cc, []string{"family", "scheduler", "jit-cache", "trace", "metrics"},
-		"connect", "the daemon owns its devices (see docs/nvbitd.md)", usage)
+func runConnected(c *appConfig, spec nvbitd.OpenSpec, size specaccel.Size, reportW io.Writer, outFile *os.File, fail, usage func(error)) {
 	kind, name, _ := strings.Cut(*c.workload, ":")
 	if kind != "specaccel" {
 		usage(fmt.Errorf("connect mode runs specaccel workloads, got %q (the ml suite needs an in-process device)", *c.workload))
@@ -446,20 +464,7 @@ func runConnected(c *appConfig, cc *cliconf.Set, size specaccel.Size, reportW io
 	if err != nil {
 		usage(err)
 	}
-	toolName := *c.tool
-	if toolName == "" {
-		toolName = "none"
-	}
-	sess, err := nvbitd.Dial(*c.connect, nvbitd.OpenSpec{
-		Tool:     toolName,
-		Policy:   *c.backpressure,
-		Inject:   *c.injectName,
-		FIGroup:  *c.fiGroup,
-		FIModel:  *c.fiModel,
-		FITarget: *c.fiTarget,
-		FIBit:    *c.fiBit,
-		FIValue:  uint32(*c.fiValue),
-	})
+	sess, err := nvbitd.Dial(*c.connect, spec)
 	if err != nil {
 		fail(err)
 	}

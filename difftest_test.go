@@ -45,7 +45,7 @@ func diffRun(t *testing.T, toolName string, mode nvbit.InjectionMode, sched gpus
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := registry.New(toolName, registry.Options{Policy: nvbit.ChannelBlock})
+	inst, err := registry.New(toolName, registry.Options{Policy: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,19 +21,19 @@ import (
 // Set wraps a FlagSet, recording every declared flag for env resolution
 // and doc generation.
 type Set struct {
-	fs    *flag.FlagSet
-	items []*item
+	fs       *flag.FlagSet
+	items    []*item
+	explicit map[string]bool // flags the user set, filled by Resolve
 }
 
 type item struct {
 	name, env, def, usage string
-	envUsed               bool // env supplied the value at Resolve
 }
 
 // New wraps fs. Flags must be declared through the returned Set to take
 // part in env fallback and the generated table.
 func New(fs *flag.FlagSet) *Set {
-	return &Set{fs: fs}
+	return &Set{fs: fs, explicit: map[string]bool{}}
 }
 
 // envName derives the environment variable backing a flag.
@@ -78,10 +78,9 @@ func (s *Set) Uint64(name string, def uint64, usage string) *uint64 {
 // FlagSet.Parse. A malformed value fails with an error naming the
 // variable.
 func (s *Set) Resolve() error {
-	explicit := map[string]bool{}
-	s.fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	s.fs.Visit(func(f *flag.Flag) { s.explicit[f.Name] = true })
 	for _, it := range s.items {
-		if explicit[it.name] {
+		if s.explicit[it.name] {
 			continue
 		}
 		v, ok := os.LookupEnv(it.env)
@@ -91,46 +90,46 @@ func (s *Set) Resolve() error {
 		if err := s.fs.Set(it.name, v); err != nil {
 			return fmt.Errorf("invalid %s=%q: %w", it.env, v, err)
 		}
-		it.envUsed = true
+		s.explicit[it.name] = true
 	}
 	return nil
 }
 
-// Explicit reports whether the flag was supplied by the user — on the
-// command line or through its environment variable (after Resolve).
-func (s *Set) Explicit(name string) bool {
-	set := false
-	s.fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	if set {
-		return true
-	}
-	for _, it := range s.items {
-		if it.name == name {
-			return it.envUsed
-		}
-	}
-	return false
+// Explicit reports whether the user supplied the flag, on the command line
+// or through its environment variable. Call it after Resolve.
+func (s *Set) Explicit(name string) bool { return s.explicit[name] }
+
+// Column is an extra column of the generated table: Cell gives its entry
+// for a flag, by name.
+type Column struct {
+	Head string
+	Cell func(flag string) string
 }
 
 // TableMarkdown renders the declared flags as a markdown table, sorted by
-// flag name — the generated section the command's documentation embeds.
-func (s *Set) TableMarkdown() string {
+// flag name, with cols after the description — the generated section the
+// command's documentation embeds.
+func (s *Set) TableMarkdown(cols ...Column) string {
 	items := append([]*item(nil), s.items...)
 	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
 	var b strings.Builder
-	b.WriteString("| Flag | Environment | Default | Description |\n")
-	b.WriteString("|------|-------------|---------|-------------|\n")
+	head, rule := "| Flag | Environment | Default | Description |", "|------|-------------|---------|-------------|"
+	for _, c := range cols {
+		head += " " + c.Head + " |"
+		rule += strings.Repeat("-", len(c.Head)+2) + "|"
+	}
+	b.WriteString(head + "\n" + rule + "\n")
 	for _, it := range items {
 		def := it.def
 		if def != "" {
 			def = "`" + def + "`"
 		}
 		usage := strings.ReplaceAll(it.usage, "|", "\\|")
-		fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |\n", it.name, it.env, def, usage)
+		fmt.Fprintf(&b, "| `-%s` | `%s` | %s | %s |", it.name, it.env, def, usage)
+		for _, c := range cols {
+			b.WriteString(" " + c.Cell(it.name) + " |")
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

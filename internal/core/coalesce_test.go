@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nvbitgo/internal/channel"
 	"nvbitgo/internal/core"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
@@ -989,7 +988,7 @@ func suiteRun(t *testing.T, w suiteWorkload, toolName string, tool core.Tool, fa
 	var inst *registry.Instance
 	var nv *core.NVBit
 	if toolName != "" {
-		if inst, err = registry.New(toolName, registry.Options{Policy: channel.Block}); err != nil {
+		if inst, err = registry.New(toolName, registry.Options{Policy: "block"}); err != nil {
 			t.Fatal(err)
 		}
 		tool = inst.Tool

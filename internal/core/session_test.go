@@ -552,7 +552,7 @@ func TestAttachAndSessionAreOneAttachment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := registry.New(tool, registry.Options{Policy: nvbit.ChannelBlock})
+		inst, err := registry.New(tool, registry.Options{Policy: "block"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,23 +8,15 @@ import (
 
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/tools/registry"
 )
 
-// OpenSpec is what a client asks of the daemon when opening a session.
+// OpenSpec is what a client asks of the daemon when opening a session: a
+// registry tool name and the session's other choices, which the registry
+// parses daemon-side. It is the open frame's header, field for field.
 type OpenSpec struct {
-	Tool   string // registry tool name
-	Policy string // channel backpressure: "", "drop", or "block"
-	// Inject selects the injected-call codegen strategy for this session:
-	// "trampoline" (also what "" means), "full-save" or "inline".
-	Inject string
-
-	// Fault-injection knobs (tool "faultinject"); zero values pick the
-	// registry defaults.
-	FIGroup  string
-	FIModel  string
-	FITarget uint64
-	FIBit    uint
-	FIValue  uint32
+	Tool string `json:"tool,omitempty"` // registry tool name; "" is none
+	registry.Options
 }
 
 // ReportResult is the session's finalized outcome.
@@ -58,11 +50,7 @@ func Dial(socket string, spec OpenSpec) (*RemoteSession, error) {
 		return nil, fmt.Errorf("nvbitd: connecting to %s: %w", socket, err)
 	}
 	s := &RemoteSession{conn: conn, mods: make(map[*driver.Module]uint64)}
-	resp, _, err := s.rpc(&request{
-		Op: opOpen, Tool: spec.Tool, Policy: spec.Policy, Inject: spec.Inject,
-		FIGroup: spec.FIGroup, FIModel: spec.FIModel,
-		FITarget: spec.FITarget, FIBit: spec.FIBit, FIValue: spec.FIValue,
-	}, nil)
+	resp, _, err := s.rpc(&request{Op: opOpen, OpenSpec: spec}, nil)
 	if err != nil {
 		conn.Close()
 		return nil, err

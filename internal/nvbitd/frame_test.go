@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"nvbitgo/internal/tools/registry"
 )
 
 // prefix is a frame's two length words.
@@ -93,11 +98,12 @@ func FuzzReadFrame(f *testing.F) {
 	launch := frame(f, &request{Op: opLaunch, Module: 1, Func: "k", Shared: 16}, []byte{1, 2, 3, 4})
 	f.Add(launch)
 	f.Add(launch[:len(launch)-2])
-	f.Add(frame(f, &request{Op: opOpen, Tool: "memtrace", Policy: "block", Inject: "inline"}, nil))
+	f.Add(frame(f, &request{Op: opOpen, OpenSpec: OpenSpec{Tool: "memtrace", Options: registry.Options{Policy: "block", Inject: "inline"}}}, nil))
 	f.Add(frame(f, &response{Err: "nvbitd: unknown op", Overload: &overloadInfo{Tenant: 3, Waiting: 2, Limit: 2}}, nil))
 	f.Add(prefix(maxFrame, maxFrame))
 	f.Add(append(prefix(2, maxFrame), "{}0123456789"...))
 	f.Add(prefix(maxHeader+1, 0))
+	f.Add([]byte(openFrames[1].frame))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		max := frameAllocBound(data)
 		req, body, allocated, err := readAllocated(data, max)
@@ -113,4 +119,65 @@ func FuzzReadFrame(f *testing.F) {
 			t.Errorf("accepted frame %+v with %d body bytes reads back as %+v with %d (%v)", req, len(body), again, len(body2), err)
 		}
 	})
+}
+
+// openFrames are the bytes Dial wrote for two specs before OpenSpec became
+// {Tool; registry.Options}: nvbit-run's flag defaults, and a faultinject
+// spec with every field set. The JSON names and their order are the
+// protocol; a daemon of either build must read the other's open frame.
+var openFrames = []struct {
+	spec  OpenSpec
+	frame string
+}{
+	{
+		OpenSpec{Tool: "instrcount", Options: registry.Options{Policy: "drop", Inject: "trampoline", FIGroup: "gpr", FIModel: "flip"}},
+		"\x00\x00\x00\x9f\x00\x00\x00\x00" + `{"op":"open","tool":"instrcount","policy":"drop","inject":"trampoline","fiGroup":"gpr","fiModel":"flip","grid":{"X":0,"Y":0,"Z":0},"block":{"X":0,"Y":0,"Z":0}}`,
+	},
+	{
+		OpenSpec{Tool: "faultinject", Options: registry.Options{Policy: "block", Inject: "inline", FIGroup: "fp32", FIModel: "rand", FITarget: 123456789, FIBit: 7, FIValue: 0xdeadbeef}},
+		"\x00\x00\x00\xd2\x00\x00\x00\x00" + `{"op":"open","tool":"faultinject","policy":"block","inject":"inline","fiGroup":"fp32","fiModel":"rand","fiTarget":123456789,"fiBit":7,"fiValue":3735928559,"grid":{"X":0,"Y":0,"Z":0},"block":{"X":0,"Y":0,"Z":0}}`,
+	},
+}
+
+// TestOpenFrameBytes: the open frame Dial writes for a spec is byte-identical
+// to the one recorded, and reads back as the same spec.
+func TestOpenFrameBytes(t *testing.T) {
+	for _, c := range openFrames {
+		sock := filepath.Join(t.TempDir(), "s")
+		ln, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			defer close(got)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var pre [8]byte
+			if _, err := io.ReadFull(conn, pre[:]); err != nil {
+				return
+			}
+			rest := make([]byte, binary.BigEndian.Uint32(pre[:])+binary.BigEndian.Uint32(pre[4:]))
+			if _, err := io.ReadFull(conn, rest); err != nil {
+				return
+			}
+			writeFrame(conn, &response{Err: "refused by the test"}, nil)
+			got <- append(pre[:], rest...)
+		}()
+		if _, err := Dial(sock, c.spec); err == nil {
+			t.Errorf("%s: Dial accepted a refusal", c.spec.Tool)
+		}
+		ln.Close()
+		data := <-got
+		if string(data) != c.frame {
+			t.Errorf("%s: open frame\n%q\nwant\n%q", c.spec.Tool, data, c.frame)
+		}
+		var req request
+		if _, err := readFrame(bytes.NewReader(data), &req); err != nil || req.Op != opOpen || req.OpenSpec != c.spec {
+			t.Errorf("%s: frame reads back as %+v (%v)", c.spec.Tool, req, err)
+		}
+	}
 }

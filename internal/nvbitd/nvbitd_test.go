@@ -576,10 +576,10 @@ func TestBadRequests(t *testing.T) {
 	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "no-such-tool"}); err == nil {
 		t.Error("opening an unknown tool succeeded")
 	}
-	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "itrace", Policy: "bogus"}); err == nil {
+	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "itrace", Options: registry.Options{Policy: "bogus"}}); err == nil {
 		t.Error("opening with a bogus policy succeeded")
 	}
-	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "faultinject", FIModel: "flip2", FIBit: 31}); err == nil {
+	if _, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "faultinject", Options: registry.Options{FIModel: "flip2", FIBit: 31}}); err == nil {
 		t.Error("opening with a fault spec the device would rewrite succeeded")
 	}
 

@@ -58,15 +58,7 @@ var errFrameTooLarge = errors.New("nvbitd: frame too large")
 type request struct {
 	Op string `json:"op"`
 
-	// open
-	Tool     string `json:"tool,omitempty"`
-	Policy   string `json:"policy,omitempty"` // "drop" (default) or "block"
-	Inject   string `json:"inject,omitempty"` // injection mode; "" = trampoline
-	FIGroup  string `json:"fiGroup,omitempty"`
-	FIModel  string `json:"fiModel,omitempty"`
-	FITarget uint64 `json:"fiTarget,omitempty"`
-	FIBit    uint   `json:"fiBit,omitempty"`
-	FIValue  uint32 `json:"fiValue,omitempty"`
+	OpenSpec // open
 
 	// loadptx (body = PTX source), launch, getfunc
 	Name string `json:"name,omitempty"`

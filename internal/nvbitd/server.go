@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"nvbitgo/internal/channel"
 	"nvbitgo/internal/core"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
@@ -228,7 +227,7 @@ func (s *Server) handle(conn net.Conn) {
 		writeFrame(conn, &response{Err: fmt.Sprintf("nvbitd: first request must be open, got %q", req.Op)}, nil)
 		return
 	}
-	ss, resp := s.open(&req)
+	ss, resp := s.open(req.OpenSpec)
 	if resp.Err != "" {
 		writeFrame(conn, resp, nil)
 		return
@@ -240,10 +239,10 @@ func (s *Server) handle(conn net.Conn) {
 		// The report has read the session's cost; the gate need not keep it.
 		ss.slot.api.Gate().Forget(ss.sess.Ctx().Scope())
 		s.release(ss.slot)
-		s.logf("session %d closed (%s)", ss.sess.Ctx().Scope(), req.Tool)
+		s.logf("session %d closed (%s)", ss.sess.Ctx().Scope(), ss.inst.Name)
 	})
 	defer end()
-	s.logf("session %d open: tool %s on device %d", ss.sess.Ctx().Scope(), req.Tool, ss.slotIndex())
+	s.logf("session %d open: tool %s on device %d", ss.sess.Ctx().Scope(), ss.inst.Name, ss.slotIndex())
 	if err := writeFrame(conn, resp, nil); err != nil {
 		return
 	}
@@ -279,34 +278,13 @@ func (ss *session) slotIndex() int {
 
 // open builds the tool from the registry and opens a session for it on the
 // least-loaded pool device.
-func (s *Server) open(req *request) (*session, *response) {
-	policy, err := channel.ParsePolicy(req.Policy)
+func (s *Server) open(spec OpenSpec) (*session, *response) {
+	inst, err := registry.New(spec.Tool, spec.Options)
 	if err != nil {
 		return nil, &response{Err: err.Error()}
-	}
-	inst, err := registry.New(req.Tool, registry.Options{
-		Policy:   policy,
-		FIGroup:  req.FIGroup,
-		FIModel:  req.FIModel,
-		FITarget: req.FITarget,
-		FIBit:    req.FIBit,
-		FIValue:  req.FIValue,
-	})
-	if err != nil {
-		return nil, &response{Err: err.Error()}
-	}
-	// The injection mode is per-session: the open request picks it, and a
-	// session that does not gets the trampoline default.
-	inject := core.InjectTrampoline
-	if req.Inject != "" {
-		mode, err := core.ParseInjectionMode(req.Inject)
-		if err != nil {
-			return nil, &response{Err: err.Error()}
-		}
-		inject = mode
 	}
 	slot := s.place()
-	opts := []core.Option{core.WithScheduler(s.cfg.Scheduler), core.WithInjectionMode(inject)}
+	opts := []core.Option{core.WithScheduler(s.cfg.Scheduler), core.WithInjectionMode(inst.Inject)}
 	if s.cache != nil {
 		opts = append(opts, core.WithJITCache(s.cache))
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nvbitgo/internal/channel"
 	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 	"nvbitgo/internal/tools/registry"
@@ -26,7 +25,7 @@ func seedCompile(f *testing.F) {
 	example := strings.Split(string(doc), "\n```\n")[1]
 	f.Add(example)
 	// A tool function around a channel reserve/commit fragment.
-	memtrace, err := registry.New("memtrace", registry.Options{Policy: channel.Block})
+	memtrace, err := registry.New("memtrace", registry.Options{Policy: "block"})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func corpus(t *testing.T) []source {
 			if name == "none" {
 				continue // injects nothing
 			}
-			inst, err := registry.New(name, registry.Options{Policy: pol})
+			inst, err := registry.New(name, registry.Options{Policy: pol.String()})
 			if err != nil {
 				t.Fatal(err)
 			}
