@@ -318,7 +318,7 @@ func decodeCodeArtifact(b []byte, a *codeArtifact) error {
 			Op: sass.Opcode(p[0]), Pred: sass.Pred(p[1]), PredNeg: p[2]&instFlagPredNeg != 0,
 			Dst: sass.Reg(p[3]), Src1: sass.Reg(p[4]), Src2: sass.Reg(p[5]), Src3: sass.Reg(p[6]), Mods: sass.Mods(p[7]),
 		}
-		if p[2] > instFlagPredNeg|instFlagImm || !in.Op.Valid() {
+		if p[2] > instFlagPredNeg|instFlagImm {
 			return errArtifactValue
 		}
 		if p[2]&instFlagImm != 0 {
@@ -327,6 +327,9 @@ func decodeCodeArtifact(b []byte, a *codeArtifact) error {
 				return errArtifactValue
 			}
 			in.Imm, imm = int64(le.Uint64(imm)), imm[immBinBytes:]
+		}
+		if in.Check() != nil {
+			return errArtifactValue
 		}
 		a.insts[i], p = in, p[instBinBytes:]
 	}

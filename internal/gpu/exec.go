@@ -234,8 +234,6 @@ func (c *execContext) step(w *warp) error {
 			for i := range o {
 				o[i] = ^a[i]
 			}
-		default:
-			return c.trap(FaultInvalidInstruction, pc, in, lane(exec), "bad LOP sub-op %d", in.Mods.SubOp())
 		}
 
 	case sass.OpPOPC:
@@ -315,8 +313,6 @@ func (c *execContext) step(w *warp) error {
 				v = math.Exp2(x)
 			case sass.MufuLg2:
 				v = math.Log2(x)
-			default:
-				return c.trap(FaultInvalidInstruction, pc, in, i, "bad MUFU sub-op %d", in.Mods.SubOp())
 			}
 			d[i] = narrow(v)
 		}
@@ -447,8 +443,6 @@ func (c *execContext) step(w *warp) error {
 				all = fullMask
 			}
 			w.setPreds(p, exec, all)
-		default:
-			return c.trap(FaultInvalidInstruction, pc, in, -1, "bad VOTE sub-op %d", in.Mods.SubOp())
 		}
 
 	case sass.OpMATCH:
@@ -1127,7 +1121,7 @@ func (c *execContext) atomicAccess(w *warp, in *sass.Inst, exec uint32, pc int32
 			return f
 		}
 		if badFloat {
-			return c.trap(FaultInvalidInstruction, pc, in, i, "float atomic %s unsupported on %d-bit operands", sass.AtomName(sub), 8*width)
+			return c.trap(FaultInvalidInstruction, pc, in, i, "float atomic %s unsupported on %d-bit operands", in.Op.SubOpName(sub), 8*width)
 		}
 		mu := c.lockAtomic(addr)
 		mem := d.touch(addr)[addr&pageMask:]

@@ -276,6 +276,27 @@ func TestInvalidInstructionFault(t *testing.T) {
 	}
 }
 
+// TestUnnamedModifierFaults: a word whose modifiers its opcode's row does not
+// name (here LOP sub-op 4, which the executor has no meaning for) does not
+// decode, so fetching it faults.
+func TestUnnamedModifierFaults(t *testing.T) {
+	d := faultDevice(t, SchedulerSequential)
+	entry := loadSASS(t, d, "NOP\nLOP.NOT R1, R2, RZ, 0\nEXIT")
+	word, err := d.ReadCode(entry+1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word[1]++ // the Mods byte in both layouts: sub-op LopNot+1
+	if err := d.WriteCode(entry+1, word); err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Launch(LaunchSpec{Entry: entry, Name: "victim", Grid: D1(1), Block: D1(32)})
+	f, ok := AsFault(err)
+	if !ok || f.Kind != FaultInvalidInstruction || f.PC != int32(entry+1) || !strings.Contains(f.Detail, "LOP takes no mods 0xe4") {
+		t.Fatalf("want an invalid-instruction fault at the LOP, got %v", err)
+	}
+}
+
 // TestUnsupportedFloatAtomics: the ISA has no FP64 unit and no float AND, OR
 // or XOR. A float atomic on a register pair used to run as a 64-bit integer
 // one; both trap on the first executing lane and leave memory alone, whether

@@ -159,7 +159,7 @@ func TestStepFloatRows(t *testing.T) {
 	}
 	for sub := range mufuRef {
 		sub := sub
-		ops = append(ops, floatOp{"MUFU." + sass.MufuName(sub) + " R3, R0", func(x, _, _ uint32) uint32 { return refMufu(sub, x) }})
+		ops = append(ops, floatOp{"MUFU." + sass.OpMUFU.SubOpName(sub) + " R3, R0", func(x, _, _ uint32) uint32 { return refMufu(sub, x) }})
 	}
 	r := rand.New(rand.NewSource(5))
 	for _, op := range ops {
@@ -204,14 +204,14 @@ func TestMufuSubnormal(t *testing.T) {
 		0, 1 << 31, 0x7f800000, 0xff800000, 0x7fc00000,
 	}
 	for sub := range mufuRef {
-		h := newStepHarness(t, d, "MUFU."+sass.MufuName(sub)+" R3, R0")
+		h := newStepHarness(t, d, "MUFU."+sass.OpMUFU.SubOpName(sub)+" R3, R0")
 		for i, x := range inputs {
 			h.w.regs[0][i] = x
 		}
 		h.step(t)
 		for i, x := range inputs {
 			if got, want := h.w.regs[3][i], refMufu(sub, x); !sameF32(got, want) {
-				t.Errorf("MUFU.%s(%#08x) = %#08x, want %#08x", sass.MufuName(sub), x, got, want)
+				t.Errorf("MUFU.%s(%#08x) = %#08x, want %#08x", sass.OpMUFU.SubOpName(sub), x, got, want)
 			}
 		}
 	}

@@ -146,10 +146,11 @@ func AppendLoadImm32(dst []Inst, f Family, r Reg, v uint32) []Inst {
 }
 
 // Encode writes the instruction into dst, which must be at least InstBytes
-// long. It validates immediate ranges and the three-source multiplexing rule.
+// long. It validates the modifiers (Inst.Check), immediate ranges and the
+// three-source multiplexing rule.
 func (c *Codec) Encode(in Inst, dst []byte) error {
-	if !in.Op.Valid() {
-		return fmt.Errorf("sass: encode: invalid opcode %d", in.Op)
+	if !in.legal() {
+		return fmt.Errorf("sass: encode: %w", in.Check())
 	}
 	if len(dst) < c.InstBytes() {
 		return fmt.Errorf("sass: encode %v: buffer too small (%d < %d)", in.Op, len(dst), c.InstBytes())
@@ -195,61 +196,44 @@ func (c *Codec) Encode(in Inst, dst []byte) error {
 }
 
 // Decode parses one instruction from src. It accepts only what Encode can
-// write back: an opcode byte outside the family's permutation, a 64-bit MOVIH
-// whose field exceeds MovihMax and a Volta three-source op with a non-zero
-// immediate are illegal encodings.
+// write back: an opcode byte outside the family's permutation, a modifier the
+// opcode's row does not name (Inst.Check), a 64-bit MOVIH whose field exceeds
+// MovihMax and a Volta three-source op with a non-zero immediate are illegal
+// encodings.
 func (c *Codec) Decode(src []byte) (Inst, error) {
 	if len(src) < c.InstBytes() {
 		return Inst{}, fmt.Errorf("sass: decode: short buffer (%d < %d)", len(src), c.InstBytes())
 	}
+	// Both layouts keep the opcode in byte 0 and the mods in byte 1.
+	op := c.dec[src[0]]
+	if op < 0 {
+		return Inst{}, fmt.Errorf("sass: decode: illegal %v opcode byte %#02x", c.family, src[0])
+	}
+	in := Inst{Op: Opcode(op), Mods: Mods(src[1])}
 	if c.family == Volta {
-		op := c.dec[src[0]]
-		if op < 0 {
-			return Inst{}, fmt.Errorf("sass: decode: illegal %v opcode byte %#02x", c.family, src[0])
-		}
-		in := Inst{
-			Op:      Opcode(op),
-			Mods:    Mods(src[1]),
-			Pred:    Pred(src[2] & 7),
-			PredNeg: src[2]&(1<<3) != 0,
-			Dst:     Reg(src[3]),
-			Src1:    Reg(src[4]),
-			Src2:    Reg(src[5]),
-			Src3:    Reg(src[6]),
-			Imm:     int64(binary.LittleEndian.Uint64(src[8:16])),
-		}
+		in.Pred, in.PredNeg = Pred(src[2]&7), src[2]&(1<<3) != 0
+		in.Dst, in.Src1, in.Src2, in.Src3 = Reg(src[3]), Reg(src[4]), Reg(src[5]), Reg(src[6])
+		in.Imm = int64(binary.LittleEndian.Uint64(src[8:16]))
 		if in.Imm != 0 && in.HasSrc3() {
 			return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: %v carries immediate %d", c.family, in.Op, in.Imm)
 		}
-		return in, nil
-	}
-	w := binary.LittleEndian.Uint64(src[:8])
-	op := c.dec[byte(w)]
-	if op < 0 {
-		return Inst{}, fmt.Errorf("sass: decode: illegal %v opcode byte %#02x", c.family, byte(w))
-	}
-	in := Inst{
-		Op:      Opcode(op),
-		Mods:    Mods(w >> 8),
-		Pred:    Pred(w >> 16 & 7),
-		PredNeg: w&(1<<19) != 0,
-		Dst:     Reg(w >> 20),
-		Src1:    Reg(w >> 28),
-		Src2:    Reg(w >> 36),
-		Src3:    RZ,
-	}
-	raw := w >> 44 & 0xFFFFF
-	if in.HasSrc3() {
-		in.Src3 = Reg(raw)
-		return in, nil
-	}
-	if in.Op == OpMOVIH && raw > MovihMax {
-		return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: MOVIH immediate %#x over %#x", c.family, raw, MovihMax)
-	}
-	if immUnsigned(in.Op) || in.Op == OpMOVIH {
-		in.Imm = int64(raw)
 	} else {
-		in.Imm = int64(raw<<44) >> 44 // sign-extend 20 bits
+		w := binary.LittleEndian.Uint64(src[:8])
+		in.Pred, in.PredNeg = Pred(w>>16&7), w&(1<<19) != 0
+		in.Dst, in.Src1, in.Src2, in.Src3 = Reg(w>>20), Reg(w>>28), Reg(w>>36), RZ
+		switch raw := w >> 44 & 0xFFFFF; {
+		case in.HasSrc3():
+			in.Src3 = Reg(raw)
+		case in.Op == OpMOVIH && raw > MovihMax:
+			return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: MOVIH immediate %#x over %#x", c.family, raw, MovihMax)
+		case immUnsigned(in.Op) || in.Op == OpMOVIH:
+			in.Imm = int64(raw)
+		default:
+			in.Imm = int64(raw<<44) >> 44 // sign-extend 20 bits
+		}
+	}
+	if !in.legal() {
+		return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: %w", c.family, in.Check())
 	}
 	return in, nil
 }

@@ -3,29 +3,64 @@ package sass
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// rowMods lists, per opcode, every Mods value its row names: the ones Check
+// accepts. Every test instruction draws its modifiers from here.
+var rowMods = func() (t [NumOpcodes][]Mods) {
+	for op := range t {
+		in := NewInst(Opcode(op))
+		for m := 0; m < 256; m++ {
+			if in.Mods = Mods(m); in.Check() == nil {
+				t[op] = append(t[op], in.Mods)
+			}
+		}
+	}
+	return t
+}()
+
+// TestRowModsCount pins how many (opcode, Mods) pairs the rows name, out of
+// the 14 080 an opcode and a Mods byte can spell.
+func TestRowModsCount(t *testing.T) {
+	n := 0
+	for op := range rowMods {
+		if len(rowMods[op]) == 0 {
+			t.Errorf("%v takes no Mods value", Opcode(op))
+		}
+		n += len(rowMods[op])
+	}
+	if n != 326 {
+		t.Fatalf("the rows name %d (opcode, Mods) pairs, want 326", n)
+	}
+}
+
 // randomInst produces a valid, encodable instruction for the given family.
 func randomInst(r *rand.Rand, f Family) Inst {
+	return randomInstOf(r, f, Opcode(r.Intn(NumOpcodes)))
+}
+
+// randomInstOf produces a valid, encodable op for the given family, its
+// modifiers drawn from the op's row.
+func randomInstOf(r *rand.Rand, f Family, op Opcode) Inst {
 	in := Inst{
-		Op:      Opcode(r.Intn(NumOpcodes)),
+		Op:      op,
 		Pred:    Pred(r.Intn(8)),
 		PredNeg: r.Intn(2) == 0,
 		Dst:     Reg(r.Intn(256)),
 		Src1:    Reg(r.Intn(256)),
 		Src2:    Reg(r.Intn(256)),
 		Src3:    RZ,
-		Mods:    Mods(r.Intn(256)),
-	}
-	if in.HasSrc3() {
-		in.Src3 = Reg(r.Intn(256))
-		in.Imm = 0
-		return in
+		Mods:    rowMods[op][r.Intn(len(rowMods[op]))],
 	}
 	switch {
+	case in.HasSrc3():
+		in.Src3 = Reg(r.Intn(256))
+	case in.Op == OpS2R:
+		in.Imm = int64(r.Intn(NumSpecialRegs))
 	case f == Volta:
 		in.Imm = r.Int63() - r.Int63()
 	case in.Op == OpMOVIH:
@@ -65,9 +100,10 @@ func TestCodecRoundTripAllFamilies(t *testing.T) {
 func TestCodecQuickRoundTrip(t *testing.T) {
 	c := CodecFor(Pascal)
 	fn := func(opRaw uint8, mods uint8, dst, s1, s2 uint8, immRaw int32, predRaw uint8, neg bool) bool {
+		op := Opcode(int(opRaw) % NumOpcodes)
 		in := Inst{
-			Op:      Opcode(int(opRaw) % NumOpcodes),
-			Mods:    Mods(mods),
+			Op:      op,
+			Mods:    rowMods[op][int(mods)%len(rowMods[op])],
 			Pred:    Pred(predRaw % 8),
 			PredNeg: neg,
 			Dst:     Reg(dst),
@@ -78,6 +114,8 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 		switch {
 		case in.HasSrc3():
 			in.Src3 = Reg(s2)
+		case in.Op == OpS2R:
+			in.Imm = int64(uint32(immRaw) % NumSpecialRegs)
 		case in.Op == OpMOVIH:
 			in.Imm = int64(uint32(immRaw) % (MovihMax + 1))
 		case immUnsigned(in.Op):
@@ -151,6 +189,17 @@ func TestCodecRejectsIllegalOpcodeByte(t *testing.T) {
 	}
 }
 
+// plain is the Mods of an instruction without modifiers.
+var plain = MakeMods(0, false, false, PT)
+
+// patchMods returns a patch that rewrites a word's Mods byte, byte 1 in both
+// layouts.
+func patchMods(f func(Mods) Mods) func(word []byte) {
+	return func(w []byte) { w[1] = byte(f(Mods(w[1]))) }
+}
+
+func setWide(m Mods) Mods { return m | modWide }
+
 // unencodable are words no encoder writes: each is a legal instruction's
 // word with the one field patched.
 var unencodable = []struct {
@@ -159,18 +208,38 @@ var unencodable = []struct {
 	legal Inst
 	patch func(word []byte)
 }{
-	{"64-bit MOVIH field one past MovihMax", Kepler, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ, Imm: MovihMax},
+	{"64-bit MOVIH field one past MovihMax", Kepler, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ, Imm: MovihMax, Mods: plain},
 		func(w []byte) { w[7], w[6], w[5] = 0x01, 0, w[5]&0x0f }},
-	{"64-bit MOVIH field all ones", Pascal, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ},
+	{"64-bit MOVIH field all ones", Pascal, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ, Mods: plain},
 		func(w []byte) { w[7], w[6], w[5] = 0xff, 0xff, w[5]|0xf0 }},
-	{"Volta IMAD with an immediate", Volta, Inst{Op: OpIMAD, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9},
+	{"Volta IMAD with an immediate", Volta, Inst{Op: OpIMAD, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9, Mods: plain},
 		func(w []byte) { w[8] = 5 }},
-	{"Volta FFMA with an immediate", Volta, Inst{Op: OpFFMA, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9},
+	{"Volta FFMA with an immediate", Volta, Inst{Op: OpFFMA, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9, Mods: plain},
 		func(w []byte) { w[15] = 0x80 }},
+	// The executor reads and writes one register for these: .W is no form
+	// of theirs.
+	{"IMUL.W", Kepler, Inst{Op: OpIMUL, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: RZ, Mods: plain}, patchMods(setWide)},
+	{"SHL.W", Maxwell, Inst{Op: OpSHL, Pred: PT, Dst: 2, Src1: 4, Src2: RZ, Src3: RZ, Imm: 3, Mods: plain}, patchMods(setWide)},
+	{"SHR.W", Pascal, Inst{Op: OpSHR, Pred: PT, Dst: 2, Src1: 4, Src2: RZ, Src3: RZ, Imm: 3, Mods: plain}, patchMods(setWide)},
+	{"LOP.W", Volta, Inst{Op: OpLOP, Pred: PT, Dst: 2, Src1: 4, Src2: 6, Src3: RZ, Mods: MakeMods(LopXor, false, false, PT)}, patchMods(setWide)},
+	{"FFMA.W", Kepler, Inst{Op: OpFFMA, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: 9, Mods: plain}, patchMods(setWide)},
+	{"MOVIH.W", Kepler, Inst{Op: OpMOVIH, Pred: PT, Dst: 4, Src1: RZ, Src2: RZ, Src3: RZ, Imm: 0x12, Mods: plain}, patchMods(setWide)},
+	{"ISETP.W", Volta, Inst{Op: OpISETP, Pred: PT, Dst: RZ, Src1: 2, Src2: 4, Src3: RZ, Mods: MakeMods(CmpLT, false, true, 1)}, patchMods(setWide)},
+	{"FADD with the flag bit", Pascal, Inst{Op: OpFADD, Pred: PT, Dst: 1, Src1: 2, Src2: 3, Src3: RZ, Mods: plain},
+		patchMods(func(m Mods) Mods { return m | modFlag })},
+	{"LOP sub-op 4", Kepler, Inst{Op: OpLOP, Pred: PT, Dst: 2, Src1: 4, Src2: 6, Src3: RZ, Mods: MakeMods(LopNot, false, false, PT)},
+		patchMods(func(m Mods) Mods { return m&^7 | 4 })},
+	{"ATOM sub-op 7", Volta, Inst{Op: OpATOM, Pred: PT, Dst: 1, Src1: 4, Src2: 6, Src3: RZ, Mods: MakeMods(AtomXor, false, false, PT)},
+		patchMods(func(m Mods) Mods { return m | 7 })},
+	{"LDSA with an Aux predicate", Volta, Inst{Op: OpLDSA, Pred: PT, Dst: 5, Src1: RZ, Src2: RZ, Src3: RZ, Imm: 2, Mods: plain},
+		patchMods(func(m Mods) Mods { return m.withAux(3) })},
+	{"S2R of a special register outside the table", Volta, Inst{Op: OpS2R, Pred: PT, Dst: 5, Src1: RZ, Src2: RZ, Src3: RZ, Imm: SRSMID, Mods: plain},
+		func(w []byte) { w[8] = NumSpecialRegs }},
 }
 
 // TestCodecRejectsUnencodable: a word no encoder writes is an illegal
-// encoding, not an instruction Encode then refuses.
+// encoding, not an instruction Encode then refuses. Where the patch is to the
+// modifiers, Encode refuses the instruction they spell.
 func TestCodecRejectsUnencodable(t *testing.T) {
 	for _, row := range unencodable {
 		c := CodecFor(row.f)
@@ -185,11 +254,19 @@ func TestCodecRejectsUnencodable(t *testing.T) {
 		if got, err := c.Decode(word); err == nil {
 			t.Errorf("%s: decoded to %+v, which Encode refuses (%v)", row.name, got, c.Encode(got, make([]byte, c.InstBytes())))
 		}
+		if bad := row.legal; Mods(word[1]) != bad.Mods {
+			bad.Mods = Mods(word[1])
+			if err := c.Encode(bad, make([]byte, c.InstBytes())); err == nil {
+				t.Errorf("%s: Encode accepts %+v", row.name, bad)
+			}
+		}
 	}
 }
 
 // FuzzCodecFixedPoint: for both layouts, any word Decode accepts must Encode,
-// and the word Encode writes must decode to the same instruction.
+// and the word Encode writes must decode to the same instruction. The text
+// round trips too: Format, then ParseInst, gives back the same opcode,
+// modifiers, guard and operands.
 func FuzzCodecFixedPoint(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
 	for _, fam := range []Family{Kepler, Volta} {
@@ -222,6 +299,12 @@ func FuzzCodecFixedPoint(f *testing.F) {
 			}
 			if back, err := c.Decode(again); err != nil || back != in {
 				t.Fatalf("%v: % x decodes to %+v, re-encoded % x decodes to %+v (%v)", fam, word[:c.InstBytes()], in, again, back, err)
+			}
+			text := Format(in)
+			back, err := ParseInst(text)
+			if err != nil || back.Op != in.Op || back.Mods != in.Mods || back.Pred != in.Pred || back.PredNeg != in.PredNeg ||
+				!reflect.DeepEqual(back.Operands(), in.Operands()) {
+				t.Fatalf("%v: % x decodes to %+v, which prints as %q and assembles to %+v (%v)", fam, word[:c.InstBytes()], in, text, back, err)
 			}
 		}
 	})
@@ -337,11 +420,8 @@ func TestPatchCallTarget(t *testing.T) {
 			return w & (1<<44 - 1)
 		}
 		for i := 0; i < 2000; i++ {
-			call := randomInst(r, f)
-			for call.HasSrc3() {
-				call = randomInst(r, f)
-			}
-			call.Op, call.Imm = OpCAL, int64(r.Intn(Imm20UMax+1))
+			call := randomInstOf(r, f, OpCAL)
+			call.Imm = int64(r.Intn(Imm20UMax + 1))
 			target := int64(r.Intn(Imm20UMax + 1))
 			if f == Volta {
 				target = r.Int63() - r.Int63()

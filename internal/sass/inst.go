@@ -2,7 +2,8 @@ package sass
 
 // Mods packs the per-opcode modifier bits of an instruction. The field is a
 // union: its meaning depends on the opcode, exactly as modifier bits do in
-// real machine encodings.
+// real machine encodings. Which values each opcode takes is its row of the
+// operand-shape table (shape.go); Inst.Check refuses any other.
 //
 // Layout (8 bits):
 //
@@ -60,9 +61,6 @@ const (
 
 var cmpNames = [...]string{"EQ", "NE", "LT", "LE", "GT", "GE"}
 
-// CmpName returns the assembly suffix for a comparison sub-op.
-func CmpName(s int) string { return numbered(cmpNames[:], "CMP", int64(s)) }
-
 // Atomic sub-operations (ATOM, RED).
 const (
 	AtomAdd = iota
@@ -75,9 +73,6 @@ const (
 )
 
 var atomNames = [...]string{"ADD", "MIN", "MAX", "EXCH", "AND", "OR", "XOR"}
-
-// AtomName returns the assembly suffix for an atomic sub-op.
-func AtomName(s int) string { return numbered(atomNames[:], "ATOM", int64(s)) }
 
 // MUFU sub-operations.
 const (
@@ -92,9 +87,6 @@ const (
 
 var mufuNames = [...]string{"RCP", "RSQ", "SQRT", "SIN", "COS", "EX2", "LG2"}
 
-// MufuName returns the assembly suffix for a MUFU sub-op.
-func MufuName(s int) string { return numbered(mufuNames[:], "MUFU", int64(s)) }
-
 // SHFL modes.
 const (
 	ShflUp = iota
@@ -105,9 +97,6 @@ const (
 
 var shflNames = [...]string{"UP", "DOWN", "BFLY", "IDX"}
 
-// ShflName returns the assembly suffix for a SHFL mode.
-func ShflName(s int) string { return numbered(shflNames[:], "SHFL", int64(s)) }
-
 // VOTE modes.
 const (
 	VoteBallot = iota
@@ -116,9 +105,6 @@ const (
 )
 
 var voteNames = [...]string{"BALLOT", "ANY", "ALL"}
-
-// VoteName returns the assembly suffix for a VOTE mode.
-func VoteName(s int) string { return numbered(voteNames[:], "VOTE", int64(s)) }
 
 // LOP sub-operations.
 const (
@@ -130,14 +116,17 @@ const (
 
 var lopNames = [...]string{"AND", "OR", "XOR", "NOT"}
 
-// LopName returns the assembly suffix for a LOP sub-op.
-func LopName(s int) string { return numbered(lopNames[:], "LOP", int64(s)) }
-
 // P2R modes.
 const (
 	P2RPack   = iota // Dst = all predicates packed into low bits
 	P2RSingle        // Dst = Aux predicate as 0/1
 )
+
+// SubOpName returns the assembly suffix that spells sub-op s of the opcode:
+// "" for a value no suffix spells (P2R's pack mode, an LDC bank, the one
+// sub-op of an opcode without a vocabulary), "SUB<s>" for one its row does not
+// name.
+func (op Opcode) SubOpName(s int) string { return numbered(op.shape().subOps, "SUB", int64(s)) }
 
 // Inst is one decoded machine instruction. It is the working representation
 // shared by the assembler, the simulator's execution engine, and the NVBit

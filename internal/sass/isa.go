@@ -96,9 +96,9 @@ var predNames = [...]string{"P0", "P1", "P2", "P3", "P4", "P5", "P6", "PT"}
 func (p Pred) String() string { return numbered(predNames[:], "P", int64(p)) }
 
 // numbered returns names[i], or prefix followed by i in decimal for an index
-// the table does not name (only a hand-built Inst carries one).
+// past the table (only a hand-built Inst carries one).
 func numbered(names []string, prefix string, i int64) string {
-	if i >= 0 && i < int64(len(names)) && names[i] != "" {
+	if i >= 0 && i < int64(len(names)) {
 		return names[i]
 	}
 	return prefix + strconv.FormatInt(i, 10)

@@ -185,6 +185,22 @@ func TestLivenessStraightLine(t *testing.T) {
 	}
 }
 
+// TestLivenessMOVIHReadsItsDestination: MOVIH completes the constant MOVI
+// began in its destination, keeping the low 20 bits, so that register is live
+// into the MOVIH and the MOVI is what kills it.
+func TestLivenessMOVIHReadsItsDestination(t *testing.T) {
+	hi := NewInst(OpMOVIH)
+	hi.Dst, hi.Imm = 1, 0x123
+	prog := []Inst{mkMOVI(1, 0x45678), hi, mkSTG(2, 1), NewInst(OpEXIT)}
+	l := AnalyzeLiveness(prog)
+	if in1, _ := l.liveIn(1); !in1.Has(1) {
+		t.Fatalf("liveIn(MOVIH) = %v, want R1 among them", in1.Regs())
+	}
+	if in0, _ := l.liveIn(0); in0 != regs(2, 3) {
+		t.Fatalf("liveIn(MOVI) = %v, want R2 and R3", in0.Regs())
+	}
+}
+
 func TestLivenessLoop(t *testing.T) {
 	// 0: MOVI R0, 10
 	// 1: IADD R1, R1, R1   (loop body; R1 loop-carried)

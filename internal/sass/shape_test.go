@@ -14,61 +14,34 @@ func TestEveryOpcodeHasShape(t *testing.T) {
 	}
 }
 
-// spellableSubOps is how many sub-op values the assembly syntax can name for
-// the opcode; opcodes without a sub-op suffix print none and parse as 0.
-func spellableSubOps(op Opcode) int {
-	switch op {
-	case OpISETP, OpFSETP:
-		return len(cmpNames)
-	case OpLOP:
-		return len(lopNames)
-	case OpSHFL:
-		return len(shflNames)
-	case OpATOM, OpRED:
-		return len(atomNames)
-	case OpMUFU:
-		return len(mufuNames)
-	case OpVOTE:
-		return len(voteNames)
-	case OpP2R:
-		return 2
-	case OpLDC:
-		return 8 // the constant bank
-	}
-	return 1
-}
-
-// everyInst calls f with every opcode × spellable sub-op × wide/narrow ×
-// flag, under a few register, immediate and guard assignments.
+// everyInst calls f with every opcode × every Mods value its row names
+// (sub-op, flag, .W and Aux), under a few register, immediate and guard
+// assignments.
 func everyInst(f func(Inst)) {
 	regs := [][4]Reg{{1, 2, 3, 4}, {RZ, RZ, RZ, RZ}, {10, 20, 30, 40}, {254, 252, 6, 7}}
 	imms := []int64{0, 9, 10, -16, 0x1234}
 	for op := Opcode(0); op.Valid(); op++ {
-		for sub := 0; sub < spellableSubOps(op); sub++ {
-			for _, wide := range []bool{false, true} {
-				for _, flag := range []bool{false, op == OpISETP || op == OpATOM || op == OpRED} {
-					for k, rs := range regs {
-						in := NewInst(op)
-						in.Dst, in.Src1, in.Src2, in.Src3 = rs[0], rs[1], rs[2], rs[3]
-						in.Imm = imms[(int(op)+sub+k)%len(imms)]
-						if op == OpS2R {
-							in.Imm = int64((sub + k) % NumSpecialRegs)
-						}
-						in.Mods = MakeMods(sub, wide, flag, Pred((sub+k)%8))
-						if k%2 == 1 {
-							in.Pred, in.PredNeg = Pred(k), k == 1
-						}
-						f(in)
-					}
+		for j, m := range rowMods[op] {
+			for k, rs := range regs {
+				in := NewInst(op)
+				in.Dst, in.Src1, in.Src2, in.Src3 = rs[0], rs[1], rs[2], rs[3]
+				in.Imm = imms[(int(op)+j+k)%len(imms)]
+				if op == OpS2R {
+					in.Imm = int64((j + k) % NumSpecialRegs)
 				}
+				in.Mods = m
+				if k%2 == 1 {
+					in.Pred, in.PredNeg = Pred(k), k == 1
+				}
+				f(in)
 			}
 		}
 	}
 }
 
 // TestFormatParseFixedPointExhaustive: Format → ParseInst → Format is a fixed
-// point, and parsing recovers the same operands, for every opcode, sub-op
-// variant and width. AppendFormat writes the same text after whatever the
+// point, and parsing recovers the same modifiers and operands, for every
+// opcode and every Mods value its row names. AppendFormat writes the same text after whatever the
 // destination already holds, from a nil destination too.
 func TestFormatParseFixedPointExhaustive(t *testing.T) {
 	n := 0
@@ -90,7 +63,7 @@ func TestFormatParseFixedPointExhaustive(t *testing.T) {
 		if again := Format(got); again != text {
 			t.Fatalf("not a fixed point:\nfirst:  %q\nsecond: %q", text, again)
 		}
-		if !reflect.DeepEqual(got.Operands(), in.Operands()) || got.Pred != in.Pred || got.PredNeg != in.PredNeg {
+		if !reflect.DeepEqual(got.Operands(), in.Operands()) || got.Mods != in.Mods || got.Pred != in.Pred || got.PredNeg != in.PredNeg {
 			t.Fatalf("%q parsed to different operands:\n got %+v\nwant %+v", text, got.Operands(), in.Operands())
 		}
 	})

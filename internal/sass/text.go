@@ -2,6 +2,7 @@ package sass
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -32,33 +33,14 @@ func AppendFormat(dst []byte, in Inst) []byte {
 	return append(dst, " ;"...)
 }
 
+// appendSuffix writes the modifiers the opcode's row spells: the sub-op's
+// name, the flag suffix and .W.
 func appendSuffix(dst []byte, in Inst) []byte {
-	sub, flag := "", ""
-	switch in.Op {
-	case OpISETP:
-		sub, flag = CmpName(in.Mods.SubOp()), ".U32"
-	case OpFSETP:
-		sub = CmpName(in.Mods.SubOp())
-	case OpLOP:
-		sub = LopName(in.Mods.SubOp())
-	case OpATOM, OpRED:
-		sub, flag = AtomName(in.Mods.SubOp()), ".F"
-	case OpMUFU:
-		sub = MufuName(in.Mods.SubOp())
-	case OpSHFL:
-		sub = ShflName(in.Mods.SubOp())
-	case OpVOTE:
-		sub = VoteName(in.Mods.SubOp())
-	case OpP2R:
-		if in.Mods.SubOp() == P2RSingle {
-			sub = "ONE"
-		}
-	}
-	if sub != "" {
+	if sub := in.Op.SubOpName(in.Mods.SubOp()); sub != "" {
 		dst = append(append(dst, '.'), sub...)
 	}
-	if in.Mods.Flag() {
-		dst = append(dst, flag...)
+	if flag := in.Op.shape().flag; in.Mods.Flag() && flag != "" {
+		dst = append(append(dst, '.'), flag...)
 	}
 	if in.Mods.Wide() {
 		dst = append(dst, ".W"...)
@@ -97,9 +79,9 @@ func appendOperands(dst []byte, in *Inst) []byte {
 			case in.Imm > 0:
 				dst = append(dst, "+0x"...)
 				dst = strconv.AppendInt(dst, in.Imm, 16)
-			case in.Imm < 0:
+			case in.Imm < 0: // as unsigned, so that the most negative offset prints too
 				dst = append(dst, "-0x"...)
-				dst = strconv.AppendInt(dst, -in.Imm, 16)
+				dst = strconv.AppendUint(dst, uint64(-in.Imm), 16)
 			}
 			dst = append(dst, ']')
 		case fFrame:
@@ -160,26 +142,29 @@ func ParseInst(s string) (Inst, error) {
 		return in, fmt.Errorf("sass: unknown opcode %q", parts[0])
 	}
 	in.Op = op
+	sh := op.shape()
 	subOp, wide, flag := 0, false, false
 	for _, sfx := range parts[1:] {
+		n := slices.Index(sh.subOps, sfx)
 		switch {
+		case sfx == "":
+			return in, fmt.Errorf("sass: empty suffix in %q", mnem)
 		case sfx == "W":
 			wide = true
-		case sfx == "U32" && op == OpISETP, sfx == "F" && (op == OpATOM || op == OpRED):
+		case sfx == sh.flag:
 			flag = true
-		case sfx == "ONE" && op == OpP2R:
-			subOp = P2RSingle
-		default:
-			n, ok := subOpByName(op, sfx)
-			if !ok {
-				return in, fmt.Errorf("sass: unknown suffix %q for %v", sfx, op)
-			}
+		case n >= 0:
 			subOp = n
+		default:
+			return in, fmt.Errorf("sass: unknown suffix %q for %v", sfx, op)
 		}
 	}
 	in.Mods = MakeMods(subOp, wide, flag, PT)
 	if err := parseOperands(&in, rest); err != nil {
 		return in, fmt.Errorf("sass: %v: %w (in %q)", op, err, s)
+	}
+	if err := in.Check(); err != nil {
+		return in, fmt.Errorf("sass: %w (in %q)", err, s)
 	}
 	return in, nil
 }
@@ -195,32 +180,6 @@ var opsByName = func() map[string]Opcode {
 func opByName(s string) (Opcode, bool) {
 	op, ok := opsByName[s]
 	return op, ok
-}
-
-func subOpByName(op Opcode, sfx string) (int, bool) {
-	find := func(names []string) (int, bool) {
-		for i, n := range names {
-			if n == sfx {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	switch op {
-	case OpISETP, OpFSETP:
-		return find(cmpNames[:])
-	case OpLOP:
-		return find(lopNames[:])
-	case OpATOM, OpRED:
-		return find(atomNames[:])
-	case OpMUFU:
-		return find(mufuNames[:])
-	case OpSHFL:
-		return find(shflNames[:])
-	case OpVOTE:
-		return find(voteNames[:])
-	}
-	return 0, false
 }
 
 func parseReg(s string) (Reg, error) {
@@ -282,12 +241,14 @@ func parseMRef(s string) (base Reg, off int64, err error) {
 	if err != nil {
 		return RZ, 0, err
 	}
-	off, err = parseImm(inner[i+1:])
+	// A negative offset is parsed with its sign, so that the most negative
+	// one parses too.
+	if inner[i] == '+' {
+		i++
+	}
+	off, err = parseImm(inner[i:])
 	if err != nil {
 		return RZ, 0, err
-	}
-	if inner[i] == '-' {
-		off = -off
 	}
 	return base, off, nil
 }

@@ -1,33 +1,11 @@
 package sass
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
-
-// textSafeInst produces a random instruction whose modifier sub-fields are in
-// the range the assembly syntax can spell for that opcode.
-func textSafeInst(r *rand.Rand) Inst {
-	in := randomInst(r, Volta)
-	sub := in.Mods.SubOp() % spellableSubOps(in.Op)
-	if in.Op == OpS2R {
-		in.Imm = int64(r.Intn(NumSpecialRegs))
-	}
-	wide := in.Mods.Wide()
-	switch in.Op {
-	case OpMOV, OpIADD, OpSHL, OpSHR, OpLOP, OpIMUL, OpIMAD, OpFFMA,
-		OpLDG, OpSTG, OpLDS, OpSTS, OpLDL, OpSTL, OpLDC, OpATOM, OpRED, OpMATCH, OpISETP:
-	default:
-		wide = false
-	}
-	flag := in.Mods.Flag()
-	if in.Op != OpISETP && in.Op != OpATOM && in.Op != OpRED {
-		flag = false
-	}
-	in.Mods = MakeMods(sub, wide, flag, in.Mods.Aux())
-	return in
-}
 
 // TestFormatParseFixedPoint checks the core text property: formatting, then
 // parsing, then formatting again reproduces the same text for every opcode.
@@ -35,7 +13,7 @@ func TestFormatParseFixedPoint(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	seen := make(map[Opcode]bool)
 	for i := 0; i < 10000; i++ {
-		in := textSafeInst(r)
+		in := randomInst(r, Volta)
 		text := Format(in)
 		got, err := ParseInst(text)
 		if err != nil {
@@ -94,6 +72,11 @@ func TestParsePreservesSemantics(t *testing.T) {
 			i.Dst, i.Src1, i.Imm = 4, 5, 2
 			return i
 		}()},
+		{"STL [R4-0x8000000000000000], R5 ;", func() Inst {
+			i := NewInst(OpSTL)
+			i.Src1, i.Src2, i.Imm = 4, 5, math.MinInt64
+			return i
+		}()},
 		{"SAVEPUSH 24 ;", func() Inst {
 			i := NewInst(OpSAVEPUSH)
 			i.Imm = 24
@@ -144,6 +127,11 @@ func TestFormatExamples(t *testing.T) {
 			i.Pred, i.PredNeg, i.Imm = 0, true, -3
 			return i
 		}(), "@!P0 BRA -3 ;"},
+		{func() Inst {
+			i := NewInst(OpSTL)
+			i.Src1, i.Src2, i.Imm = 4, 5, math.MinInt64
+			return i
+		}(), "STL [R4-0x8000000000000000], R5 ;"},
 		{NewInst(OpEXIT), "EXIT ;"},
 	}
 	for _, c := range cases {
@@ -199,6 +187,21 @@ func TestParseProgramErrors(t *testing.T) {
 		"IADD R1, R2, R3",    // missing operand
 		"VOTE.ANY R1, P2",    // register where the mode writes a predicate
 		"S2R R1, SR_NOWHERE", // unknown special register
+		// Modifiers the rows do not name.
+		"IMUL.W R2, R4, R6",
+		"SHL.W R2, R4, RZ, 3",
+		"SHR.W R2, R4, RZ, 3",
+		"LOP.AND.W R2, R4, R6, 0",
+		"FFMA.W R2, R4, R6, R8",
+		"MOVIH.W R2, 0x12",
+		"ISETP.LT.W P0, R2, R4, 0",
+		"FADD.U32 R2, R4, R6",
+		"ATOM.ADD.U32 R2, [R4], R6",
+		"ISETP.LT.F P0, R2, R4, 0",
+		"LOP.ADD R2, R4, R6, 0",
+		"P2R.ANY R2",
+		"LDC.ONE R2, c[1][R4]",
+		"ISETP..LT P0, R2, R4, 0",
 	} {
 		if _, err := ParseProgram(src); err == nil {
 			t.Errorf("%q accepted", src)
