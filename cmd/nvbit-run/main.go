@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -92,15 +93,14 @@ type appConfig struct {
 }
 
 // modes is a set of the ways nvbit-run runs: standalone (in-process, the
-// default), connect (-connect) and campaign (-campaign). modeTool narrows
-// standalone and connect to runs with a tool: -tool none refuses the flag.
+// default), connect (-connect) and campaign (-campaign). Which tools read a
+// session's spec flags is the registry's to say (registry.New).
 type modes uint8
 
 const (
 	modeStandalone modes = 1 << iota
 	modeConnect
 	modeCampaign
-	modeTool
 
 	session = modeStandalone | modeConnect // a workload run under a tool
 	every   = session | modeCampaign
@@ -115,19 +115,19 @@ func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 	on := func(m modes, name string) string { honoured[name] = m; return name }
 	c := &appConfig{
 		honoured:     honoured,
-		tool:         cc.String(on(session, "tool"), "", "tool: none, instrcount, instrcount-bb, memdiv, ophisto, ophisto-sampled, cachesim, itrace, memtrace, memcheck, faultinject"),
+		tool:         cc.String(on(session, "tool"), "", "tool: "+strings.Join(registry.Names(), ", ")),
 		out:          cc.String(on(session, "out"), "", "write tool reports to this file instead of stdout"),
-		backpressure: cc.String(on(session|modeTool, "backpressure"), "drop", "channel tools (cachesim, itrace, memcheck, memtrace): drop or block when buffers fill"),
+		backpressure: cc.String(on(session, "backpressure"), "drop", "drop or block when a channel's buffers fill"),
 		traceJSON:    cc.String(on(modeStandalone, "trace"), "", "write a chrome://tracing activity timeline (JSON) to this file"),
 		metrics:      cc.Bool(on(modeStandalone, "metrics"), false, "print the per-kernel metrics table after the run"),
-		jitCacheDir:  cc.String(on(modeStandalone|modeTool, "jit-cache"), "", "persist compiled and instrumented code to this directory and reuse it across runs"),
+		jitCacheDir:  cc.String(on(modeStandalone, "jit-cache"), "", "persist compiled and instrumented code to this directory and reuse it across runs"),
 		workload:     cc.String(on(every, "workload"), "specaccel:ostencil", "workload: specaccel:<name> or ml:<Network>"),
 		connect:      cc.String(on(modeConnect, "connect"), "", "run as a session of the nvbitd daemon at this unix socket instead of in-process"),
-		fiGroup:      cc.String(on(every|modeTool, "fi-group"), "gpr", "faultinject: instruction group (gpr, fp32, fp64, ld, all)"),
-		fiModel:      cc.String(on(every|modeTool, "fi-model"), "flip", "faultinject: injection model (flip, flip2, rand, zero; campaigns also accept mix)"),
-		fiTarget:     cc.Uint64(on(session|modeTool, "fi-target"), 0, "faultinject: dynamic thread-instruction index to corrupt"),
-		fiBit:        cc.Uint(on(session|modeTool, "fi-bit"), 0, "faultinject: bit position for flip/flip2 models"),
-		fiValue:      cc.Uint(on(session|modeTool, "fi-value"), 0, "faultinject: replacement value for the rand model"),
+		fiGroup:      cc.String(on(every, "fi-group"), "gpr", "fault injection: instruction group (gpr, fp32, fp64, ld, all)"),
+		fiModel:      cc.String(on(every, "fi-model"), "flip", "fault injection: injection model (flip, flip2, rand, zero; campaigns also accept mix)"),
+		fiTarget:     cc.Uint64(on(session, "fi-target"), 0, "fault injection: dynamic thread-instruction index to corrupt"),
+		fiBit:        cc.Uint(on(session, "fi-bit"), 0, "fault injection: bit position for flip/flip2 models"),
+		fiValue:      cc.Uint(on(session, "fi-value"), 0, "fault injection: replacement value for the rand model"),
 		campaignDir:  cc.String(on(modeCampaign, "campaign"), "", "fault-injection campaign directory: plan a campaign there if absent, resume it otherwise"),
 		campaignRuns: cc.Int(on(modeCampaign, "campaign-runs"), 1000, "campaign: planned number of injection runs"),
 		campaignMax:  cc.Int(on(modeCampaign, "campaign-max-runs"), 0, "campaign: stop this invocation after N runs (0 = finish the campaign)"),
@@ -136,34 +136,26 @@ func newFlags(fs *flag.FlagSet) (*appConfig, *cliconf.Set) {
 		sizeName:     cc.String(on(every, "size"), "medium", "specaccel size: small, medium, large"),
 		familyName:   cc.String(on(modeStandalone, "family"), "volta", "device family"),
 		schedName:    cc.String(on(modeStandalone, "scheduler"), "sequential", "CTA scheduler: sequential or parallel (one worker per SM)"),
-		injectName:   cc.String(on(session|modeTool, "inject"), "trampoline", "injection codegen mode: trampoline, full-save, or inline"),
+		injectName:   cc.String(on(session, "inject"), "trampoline", "injection codegen mode: trampoline, full-save, or inline"),
 		cpuProfile:   cc.String(on(every, "cpuprofile"), "", "write a CPU profile of the run to this file (go tool pprof)"),
 	}
 	return c, cc
 }
 
-// refusal says why a mode, or a run without a tool, refuses a flag.
+// refusal says why a mode refuses a flag.
 var refusal = map[modes]string{
 	modeStandalone: "in a standalone run: docs/nvbit-run.md lists the modes that read it",
 	modeConnect:    "with -connect: the daemon owns its devices (see docs/nvbitd.md)",
 	modeCampaign:   "with -campaign: campaigns run their victims on simulator instances of their own (see docs/faultinjection.md)",
-	modeTool:       "with -tool none: a run without a tool instruments nothing",
 }
 
 // refuse returns a usage error naming the first flag, in name order, that
-// the user set and mode m does not read; tool is false for -tool none.
-func (c *appConfig) refuse(fs *flag.FlagSet, cc *cliconf.Set, m modes, tool bool) error {
+// the user set and mode m does not read.
+func (c *appConfig) refuse(fs *flag.FlagSet, cc *cliconf.Set, m modes) error {
 	var err error
 	fs.VisitAll(func(f *flag.Flag) {
-		why := m
-		if h := c.honoured[f.Name]; h&m != 0 {
-			if tool || h&modeTool == 0 {
-				return
-			}
-			why = modeTool
-		}
-		if err == nil && cc.Explicit(f.Name) {
-			err = fmt.Errorf("-%s is not available %s", f.Name, refusal[why])
+		if err == nil && c.honoured[f.Name]&m == 0 && cc.Explicit(f.Name) {
+			err = fmt.Errorf("-%s is not available %s", f.Name, refusal[m])
 		}
 	})
 	return err
@@ -230,7 +222,8 @@ exit codes:
 		m = modeConnect
 	}
 	// Outside a campaign the run builds its tool here, which parses and
-	// validates the session's spec, in connect mode before the daemon does.
+	// validates the session's spec, in connect mode before the daemon does:
+	// the registry refuses a spec flag the tool does not read.
 	var spec nvbitd.OpenSpec
 	var inst *registry.Instance
 	if m != modeCampaign {
@@ -248,9 +241,12 @@ exit codes:
 		}
 		spec.Tool = inst.Name // a daemon is sent "none", as before, not ""
 	}
-	tool := inst == nil || inst.Name != "none" // a campaign injects its own faults
-	if err := c.refuse(fs, cc, m, tool); err != nil {
+	if err := c.refuse(fs, cc, m); err != nil {
 		usage(err)
+	}
+	// A cache keeps instrumented code, so it is for tools that inject some.
+	if cc.Explicit("jit-cache") && !slices.Contains(registry.ReadsOf(inst.Name), "inject") {
+		usage(fmt.Errorf("-jit-cache is not available with -tool %s: it instruments nothing", inst.Name))
 	}
 	if *c.cpuProfile != "" {
 		f, err := os.Create(*c.cpuProfile)
@@ -348,6 +344,7 @@ exit codes:
 		}
 		opts = append(opts, nvbit.WithJITCache(jc))
 	}
+	tool := inst.Name != "none"
 	var nv *nvbit.NVBit
 	if tool {
 		if nv, err = nvbit.Attach(api, inst.Tool, opts...); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,17 +67,18 @@ func TestCampaignRefusesIgnoredFlags(t *testing.T) {
 
 // TestToolNoneRefusesJITFlags: a run without a tool instruments nothing, so
 // -jit-cache and -inject are usage errors there, refused before the cache
-// directory is made; the run itself still works without them.
+// directory is made: -jit-cache by the run, -inject by the none tool's
+// registry row. The run itself still works without them.
 func TestToolNoneRefusesJITFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		env  []string
 		args []string
-		flag string
+		want string
 	}{
-		{"jit-cache", nil, []string{"-tool", "none", "-jit-cache", "DIR"}, "-jit-cache"},
-		{"inject, no tool named", nil, []string{"-inject", "full-save"}, "-inject"},
-		{"inject from the environment", []string{"NVBIT_INJECT=inline"}, []string{"-tool", "none"}, "-inject"},
+		{"jit-cache", nil, []string{"-tool", "none", "-jit-cache", "DIR"}, "-jit-cache is not available with -tool none"},
+		{"inject, no tool named", nil, []string{"-inject", "full-save"}, "tool none does not read inject"},
+		{"inject from the environment", []string{"NVBIT_INJECT=inline"}, []string{"-tool", "none"}, "tool none does not read inject"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "d")
@@ -85,8 +87,8 @@ func TestToolNoneRefusesJITFlags(t *testing.T) {
 				args = append(args, strings.ReplaceAll(a, "DIR", dir))
 			}
 			code, stderr := runMain(t, tc.env, args...)
-			if want := tc.flag + " is not available with -tool none"; code != exitUsage || !strings.Contains(stderr, want) {
-				t.Errorf("exit %d, stderr %q; want exit %d naming %q", code, stderr, exitUsage, want)
+			if code != exitUsage || !strings.Contains(stderr, tc.want) {
+				t.Errorf("exit %d, stderr %q; want exit %d naming %q", code, stderr, exitUsage, tc.want)
 			}
 			if _, err := os.Stat(dir); !os.IsNotExist(err) {
 				t.Errorf("a refused run created %s (%v)", dir, err)
@@ -98,42 +100,50 @@ func TestToolNoneRefusesJITFlags(t *testing.T) {
 	}
 }
 
-// modeRows is what each mode reads, as docs/nvbit-run.md's Modes column says:
-// one letter per column of modeColumns, "." where the mode refuses the flag.
+// modeRows is what each mode and tool reads, one cell per column of
+// modeColumns (spaces group them): "r" where the run reads the flag, "." where
+// it refuses it naming the flag (the mode does, or for -jit-cache the run
+// with a tool that instruments nothing), "t" where the tool's registry row
+// refuses it naming the tool and the field, "-" where the flag would change
+// the column's mode and the cell is not run. docs/nvbit-run.md's Modes and
+// Tools columns say the same.
 var modeRows = map[string]string{
-	"backpressure":      "S.C..",
-	"campaign":          "....K",
-	"campaign-max-runs": "....K",
-	"campaign-runs":     "....K",
-	"connect":           "..Cc.",
-	"cpuprofile":        "SsCcK",
-	"family":            "Ss...",
-	"fi-bit":            "S.C..",
-	"fi-group":          "S.C.K",
-	"fi-model":          "S.C.K",
-	"fi-target":         "S.C..",
-	"fi-value":          "S.C..",
-	"inject":            "S.C..",
-	"jit-cache":         "S....",
-	"metrics":           "Ss...",
-	"out":               "SsCc.",
-	"scheduler":         "Ss...",
-	"seed":              "....K",
-	"size":              "SsCcK",
-	"tool":              "SsCc.",
-	"trace":             "Ss...",
-	"workers":           "....K",
-	"workload":          "SsCcK",
+	"backpressure":      "rttt rttt .",
+	"campaign":          "---- ---- -",
+	"campaign-max-runs": ".... .... r",
+	"campaign-runs":     ".... .... r",
+	"connect":           "---- ---- .",
+	"cpuprofile":        "rrrr rrrr r",
+	"family":            "rrrr .... .",
+	"fi-bit":            "trtt trtt .",
+	"fi-group":          "trtt trtt r",
+	"fi-model":          "trtt trtt r",
+	"fi-target":         "trtt trtt .",
+	"fi-value":          "trtt trtt .",
+	"inject":            "rrrt rrrt .",
+	"jit-cache":         "rrr. .... .",
+	"metrics":           "rrrr .... .",
+	"out":               "---- ---- .",
+	"scheduler":         "rrrr .... .",
+	"seed":              ".... .... r",
+	"size":              "rrrr rrrr r",
+	"tool":              "---- ---- .",
+	"trace":             "rrrr .... .",
+	"workers":           ".... .... r",
+	"workload":          "rrrr rrrr r",
 }
 
 // TestModeFlagTable runs every flag in every mode: standalone and connect,
-// each with a tool and with -tool none, and campaign. A mode either reads
-// the flag or refuses it with exit 64 naming it; none ignores one. The runs
-// a mode accepts are cut short by an -out file that cannot be created or a
-// campaign plan that cannot be read, so each exits 1 at once.
+// each with a channel tool, faultinject, instrcount and -tool none, and
+// campaign. A run either reads the flag or refuses it with exit 64, naming
+// the flag or, where the tool's row does not read its spec field, the tool
+// and the field; none ignores one. The runs that read it are cut short by an
+// -out file that cannot be created or a campaign plan that cannot be read, so
+// each exits 1 at once.
 func TestModeFlagTable(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "missing", "report")
+	sock := filepath.Join(dir, "no.sock")
 	plan := filepath.Join(dir, "campaign")
 	if err := os.Mkdir(plan, 0o755); err != nil {
 		t.Fatal(err)
@@ -141,18 +151,27 @@ func TestModeFlagTable(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(plan, "plan.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	modeColumns := []struct {
+	type column struct {
+		name, tool string
+		args       []string
+	}
+	var modeColumns []column
+	for _, mode := range []struct {
 		name string
 		args []string
-	}{
-		{"standalone", []string{"-tool=instrcount", "-out=" + out}},
-		{"standalone, -tool none", []string{"-tool=none", "-out=" + out}},
-		{"connect", []string{"-connect=" + filepath.Join(dir, "no.sock"), "-tool=instrcount", "-out=" + out}},
-		{"connect, -tool none", []string{"-connect=" + filepath.Join(dir, "no.sock"), "-tool=none", "-out=" + out}},
-		{"campaign", []string{"-campaign=" + plan}},
+	}{{"standalone", nil}, {"connect", []string{"-connect=" + sock}}} {
+		for _, tool := range []string{"memtrace", "faultinject", "instrcount", "none"} {
+			args := append(slices.Clip(mode.args), "-tool="+tool, "-out="+out)
+			name := mode.name // instrcount's column is the mode's own
+			if tool != "instrcount" {
+				name += ", -tool " + tool
+			}
+			modeColumns = append(modeColumns, column{name, tool, args})
+		}
 	}
+	modeColumns = append(modeColumns, column{"campaign", "", []string{"-campaign=" + plan}})
 	values := map[string]string{
-		"tool": "instrcount", "connect": filepath.Join(dir, "no.sock"), "campaign": plan,
+		"tool": "instrcount", "connect": sock, "campaign": plan,
 		"backpressure": "block", "campaign-max-runs": "3", "campaign-runs": "5",
 		"cpuprofile": filepath.Join(dir, "cpu.prof"), "family": "kepler",
 		"fi-bit": "3", "fi-group": "fp32", "fi-model": "rand", "fi-target": "9", "fi-value": "7",
@@ -163,31 +182,47 @@ func TestModeFlagTable(t *testing.T) {
 	fs := flag.NewFlagSet("nvbit-run", flag.ContinueOnError)
 	newFlags(fs)
 	fs.VisitAll(func(f *flag.Flag) {
-		row, ok := modeRows[f.Name]
-		if !ok {
-			t.Errorf("-%s has no row in modeRows", f.Name)
+		row := strings.ReplaceAll(modeRows[f.Name], " ", "")
+		if len(row) != len(modeColumns) {
+			t.Errorf("-%s: modeRows has %q, want a cell for each of %d columns", f.Name, modeRows[f.Name], len(modeColumns))
 			return
 		}
 		for i, col := range modeColumns {
-			base := strings.Join(col.args, " ")
 			// A column's own -tool, -connect or -campaign is read by
 			// construction, and -campaign or -connect added to another
 			// column makes that column's run a different mode.
-			if strings.Contains(base, "-"+f.Name+"=") || f.Name == "campaign" && i < 4 || f.Name == "connect" && i < 2 {
+			base := strings.Join(col.args, " ")
+			skip := strings.Contains(base, "-"+f.Name+"=") || f.Name == "campaign" && col.tool != "" ||
+				f.Name == "connect" && strings.HasPrefix(col.name, "standalone")
+			if skip != (row[i] == '-') {
+				t.Errorf("-%s/%s: cell %q, but the column is %s", f.Name, col.name, row[i], map[bool]string{true: "not run", false: "run"}[skip])
+			}
+			if skip {
 				continue
 			}
 			t.Run(f.Name+"/"+col.name, func(t *testing.T) {
 				t.Parallel()
 				args := append([]string{"-workload=specaccel:cg", "-size=small", "-" + f.Name + "=" + values[f.Name]}, col.args...)
 				code, stderr := runMain(t, nil, args...)
-				refused := strings.Contains(stderr, "-"+f.Name+" is not available")
-				if row[i] == '.' && (code != exitUsage || !refused) {
-					t.Errorf("%v: exit %d, stderr %q; want exit %d refusing -%s", args, code, stderr, exitUsage, f.Name)
+				var want string
+				switch row[i] {
+				case '.':
+					want = "-" + f.Name + " is not available"
+				case 't':
+					want = "tool " + col.tool + " does not read " + specField[f.Name]
 				}
-				if row[i] != '.' && (code != exitFailure || strings.Contains(stderr, "is not available")) {
+				if want != "" && (code != exitUsage || !strings.Contains(stderr, want)) {
+					t.Errorf("%v: exit %d, stderr %q; want exit %d naming %q", args, code, stderr, exitUsage, want)
+				}
+				if want == "" && (code != exitFailure || strings.Contains(stderr, "is not available") || strings.Contains(stderr, "does not read")) {
 					t.Errorf("%v: exit %d, stderr %q; want the flag read and the run cut short (exit %d)", args, code, stderr, exitFailure)
 				}
 			})
 		}
 	})
+	for name, field := range specField {
+		if in, _ := readers(field); len(in) == 0 {
+			t.Errorf("-%s fills %s, which no tool reads", name, field)
+		}
+	}
 }

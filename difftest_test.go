@@ -3,6 +3,7 @@ package main_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,7 +46,11 @@ func diffRun(t *testing.T, toolName string, mode nvbit.InjectionMode, sched gpus
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := registry.New(toolName, registry.Options{Policy: "block"})
+	var o registry.Options
+	if slices.Contains(registry.ReadsOf(toolName), "policy") {
+		o.Policy = "block"
+	}
+	inst, err := registry.New(toolName, o)
 	if err != nil {
 		t.Fatal(err)
 	}

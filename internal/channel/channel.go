@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nvbitgo/internal/enum"
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/profile"
 )
@@ -55,26 +56,13 @@ const (
 	Block
 )
 
-func (p Policy) String() string {
-	switch p {
-	case Drop:
-		return "drop"
-	case Block:
-		return "block"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
+var policyNames = []string{"drop", "block"}
 
-// ParsePolicy maps a command-line or wire name to a Policy; the empty name
-// is the default, Drop.
+func (p Policy) String() string { return enum.Name(policyNames, "Policy", p) }
+
+// ParsePolicy maps a command-line or wire name ("drop", "block") to a Policy.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "drop":
-		return Drop, nil
-	case "block":
-		return Block, nil
-	}
-	return Drop, fmt.Errorf("channel: unknown backpressure policy %q (want drop or block)", s)
+	return enum.Parse[Policy](policyNames, "backpressure policy", s)
 }
 
 // Per-SM control block layout (ctrlBytes each, at CtrlAddr() + sm*ctrlBytes):

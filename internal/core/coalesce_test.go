@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -988,7 +989,11 @@ func suiteRun(t *testing.T, w suiteWorkload, toolName string, tool core.Tool, fa
 	var inst *registry.Instance
 	var nv *core.NVBit
 	if toolName != "" {
-		if inst, err = registry.New(toolName, registry.Options{Policy: "block"}); err != nil {
+		var o registry.Options
+		if slices.Contains(registry.ReadsOf(toolName), "policy") {
+			o.Policy = "block"
+		}
+		if inst, err = registry.New(toolName, o); err != nil {
 			t.Fatal(err)
 		}
 		tool = inst.Tool

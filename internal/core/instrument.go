@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"nvbitgo/internal/enum"
 	"nvbitgo/internal/sass"
 )
 
@@ -271,24 +272,14 @@ const (
 	InjectInline
 )
 
-var injectionModeNames = [...]string{"trampoline", "full-save", "inline"}
+var injectionModeNames = []string{"trampoline", "full-save", "inline"}
 
-func (m InjectionMode) String() string {
-	if m >= InjectTrampoline && int(m) < len(injectionModeNames) {
-		return injectionModeNames[m]
-	}
-	return fmt.Sprintf("InjectionMode(%d)", int(m))
-}
+func (m InjectionMode) String() string { return enum.Name(injectionModeNames, "InjectionMode", m) }
 
 // ParseInjectionMode converts a flag-style mode name ("trampoline",
 // "full-save", "inline") into an InjectionMode.
 func ParseInjectionMode(s string) (InjectionMode, error) {
-	for i, name := range injectionModeNames {
-		if s == name {
-			return InjectionMode(i), nil
-		}
-	}
-	return InjectTrampoline, fmt.Errorf("nvbit: unknown injection mode %q (want trampoline, full-save or inline)", s)
+	return enum.Parse[InjectionMode](injectionModeNames, "injection mode", s)
 }
 
 // hasWork reports whether the instruction carries instrumentation requests.

@@ -552,7 +552,11 @@ func TestAttachAndSessionAreOneAttachment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := registry.New(tool, registry.Options{Policy: "block"})
+		var o registry.Options
+		if slices.Contains(registry.ReadsOf(tool), "policy") {
+			o.Policy = "block"
+		}
+		inst, err := registry.New(tool, o)
 		if err != nil {
 			t.Fatal(err)
 		}

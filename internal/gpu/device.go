@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nvbitgo/internal/enum"
 	"nvbitgo/internal/sass"
 )
 
@@ -40,25 +41,14 @@ const (
 	SchedulerParallelSM
 )
 
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedulerSequential:
-		return "sequential"
-	case SchedulerParallelSM:
-		return "parallel"
-	}
-	return fmt.Sprintf("SchedulerKind(%d)", int(k))
-}
+var schedulerNames = []string{"sequential", "parallel"}
 
-// ParseScheduler maps a command-line name to a SchedulerKind.
+func (k SchedulerKind) String() string { return enum.Name(schedulerNames, "SchedulerKind", k) }
+
+// ParseScheduler maps a command-line name ("sequential", "parallel") to a
+// SchedulerKind.
 func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "", "sequential", "seq":
-		return SchedulerSequential, nil
-	case "parallel", "parallel-sm", "par":
-		return SchedulerParallelSM, nil
-	}
-	return 0, fmt.Errorf("gpu: unknown scheduler %q (want sequential or parallel)", s)
+	return enum.Parse[SchedulerKind](schedulerNames, "scheduler", s)
 }
 
 // Config describes a simulated device.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -566,6 +567,39 @@ func TestRefusedConnectionsLeaveNoEntry(t *testing.T) {
 	}
 	if r, err := s.Report(); err != nil || r.Launches == 0 || r.Text == "" {
 		t.Fatalf("session after the refused ones: report %+v, error %v", r, err)
+	}
+}
+
+// TestOpenRefusesFieldsTheToolIgnores: the daemon judges an open's spec where
+// nvbit-run does, in the registry. A field the tool does not read, set to
+// other than its default, refuses the open, naming the tool and the field,
+// and binds no hook on the pool device. The spec every field at its default
+// spelled out, which nvbit-run sends, still opens and reports.
+func TestOpenRefusesFieldsTheToolIgnores(t *testing.T) {
+	srv, sock := startServerOn(t, nvbitd.Config{Family: sass.Volta, Devices: 1, QueueLimit: -1})
+	hooks := srv.PoolHookCount(0)
+	_, err := nvbitd.Dial(sock, nvbitd.OpenSpec{Tool: "instrcount", Options: registry.Options{Policy: "block"}})
+	if want := "tool instrcount does not read policy"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("open of instrcount with policy block: err = %v, want %q", err, want)
+	}
+	if got := srv.PoolHookCount(0); got != hooks {
+		t.Errorf("a refused open left %d hooks bound, want %d", got, hooks)
+	}
+
+	s, err := nvbitd.Dial(sock, nvbitd.DefaultsSpec)
+	if err != nil {
+		t.Fatalf("open of %+v: %v", nvbitd.DefaultsSpec, err)
+	}
+	defer s.Close()
+	if err := findBenchmark(t, "cg").Run(s, specaccel.Small); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := standaloneReport(t, nvbitd.DefaultsSpec.Tool, "cg"); r.Text != want {
+		t.Errorf("report %q, want standalone's %q", r.Text, want)
 	}
 }
 

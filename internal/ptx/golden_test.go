@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -231,7 +232,13 @@ func corpus(t *testing.T) []source {
 			if name == "none" {
 				continue // injects nothing
 			}
-			inst, err := registry.New(name, registry.Options{Policy: pol.String()})
+			// A tool without a channel reads no policy: both its rows
+			// build it at the default.
+			var o registry.Options
+			if slices.Contains(registry.ReadsOf(name), "policy") {
+				o.Policy = pol.String()
+			}
+			inst, err := registry.New(name, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,13 +22,14 @@ import (
 //	bits 44..63  imm (20-bit; signed except JMP/CAL which are unsigned word
 //	             indexes and MOVIH which is unsigned and at most MovihMax).
 //	             Three-source ops (IMAD, FFMA) multiplex src3 into the low 8
-//	             immediate bits and require Imm == 0.
+//	             immediate bits, require Imm == 0 and leave bits 52..63 zero.
 //
 // 128-bit word (Volta):
 //
-//	byte 0 opcode, byte 1 mods, byte 2 guard (bits 0..2 pred, bit 3 neg),
-//	byte 3 dst, byte 4 src1, byte 5 src2, byte 6 src3, byte 7 reserved,
-//	bytes 8..15 imm (little-endian 64-bit; zero for three-source ops).
+//	byte 0 opcode, byte 1 mods, byte 2 guard (bits 0..2 pred, bit 3 neg,
+//	bits 4..7 zero), byte 3 dst, byte 4 src1, byte 5 src2, byte 6 src3,
+//	byte 7 reserved (zero), bytes 8..15 imm (little-endian 64-bit; zero for
+//	three-source ops).
 //
 // Opcode numbering is permuted per family with a deterministic shuffle, so a
 // raw byte stream can only be disassembled with the right family codec —
@@ -195,11 +196,12 @@ func (c *Codec) Encode(in Inst, dst []byte) error {
 	return nil
 }
 
-// Decode parses one instruction from src. It accepts only what Encode can
-// write back: an opcode byte outside the family's permutation, a modifier the
-// opcode's row does not name (Inst.Check), a 64-bit MOVIH whose field exceeds
-// MovihMax and a Volta three-source op with a non-zero immediate are illegal
-// encodings.
+// Decode parses one instruction from src. It accepts only words Encode writes
+// back byte for byte: an opcode byte outside the family's permutation, a
+// modifier the opcode's row does not name (Inst.Check), a 64-bit MOVIH whose
+// field exceeds MovihMax, a 64-bit three-source op with bits over src3's in
+// its immediate field, a set Volta reserved bit (guard bits 4..7, byte 7) and
+// a Volta three-source op with a non-zero immediate are illegal encodings.
 func (c *Codec) Decode(src []byte) (Inst, error) {
 	if len(src) < c.InstBytes() {
 		return Inst{}, fmt.Errorf("sass: decode: short buffer (%d < %d)", len(src), c.InstBytes())
@@ -211,6 +213,9 @@ func (c *Codec) Decode(src []byte) (Inst, error) {
 	}
 	in := Inst{Op: Opcode(op), Mods: Mods(src[1])}
 	if c.family == Volta {
+		if src[2]>>4 != 0 || src[7] != 0 {
+			return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: reserved bits set (guard %#02x, byte 7 %#02x)", c.family, src[2], src[7])
+		}
 		in.Pred, in.PredNeg = Pred(src[2]&7), src[2]&(1<<3) != 0
 		in.Dst, in.Src1, in.Src2, in.Src3 = Reg(src[3]), Reg(src[4]), Reg(src[5]), Reg(src[6])
 		in.Imm = int64(binary.LittleEndian.Uint64(src[8:16]))
@@ -222,6 +227,8 @@ func (c *Codec) Decode(src []byte) (Inst, error) {
 		in.Pred, in.PredNeg = Pred(w>>16&7), w&(1<<19) != 0
 		in.Dst, in.Src1, in.Src2, in.Src3 = Reg(w>>20), Reg(w>>28), Reg(w>>36), RZ
 		switch raw := w >> 44 & 0xFFFFF; {
+		case in.HasSrc3() && raw > 0xFF:
+			return Inst{}, fmt.Errorf("sass: decode: illegal %v encoding: %v immediate field %#x over src3's 8 bits", c.family, in.Op, raw)
 		case in.HasSrc3():
 			in.Src3 = Reg(raw)
 		case in.Op == OpMOVIH && raw > MovihMax:

@@ -109,9 +109,6 @@ type Tool struct {
 	l2    *lru
 	stats Stats
 	shift uint
-	// SkipLibraries excludes binary-only modules (for the compiler-view
-	// comparison, as in the paper's Section 6.1 experiments).
-	SkipLibraries bool
 }
 
 // New returns a cache-simulator tool with the given hierarchy model.
@@ -151,9 +148,6 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	}
 	f := p.Launch.Func
 	if n.IsInstrumented(f) {
-		return
-	}
-	if f.Module.FromCubin && t.SkipLibraries {
 		return
 	}
 	insts, err := n.GetInstrs(f)

@@ -27,9 +27,9 @@ package faultinject
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
+	"nvbitgo/internal/enum"
 	"nvbitgo/internal/sass"
 	"nvbitgo/nvbit"
 )
@@ -58,24 +58,13 @@ const (
 	NumGroups
 )
 
-var groupNames = [NumGroups]string{"gpr", "fp32", "fp64", "ld", "all"}
+var groupNames = []string{"gpr", "fp32", "fp64", "ld", "all"}
 
-func (g Group) String() string {
-	if g >= 0 && g < NumGroups {
-		return groupNames[g]
-	}
-	return fmt.Sprintf("Group(%d)", int(g))
-}
+func (g Group) String() string { return enum.Name(groupNames, "Group", g) }
 
 // ParseGroup resolves a group name (as accepted by nvbit-run -fi-group).
 func ParseGroup(s string) (Group, error) {
-	for g, n := range groupNames {
-		if s == n {
-			return Group(g), nil
-		}
-	}
-	return 0, fmt.Errorf("faultinject: unknown instruction group %q (have %s)",
-		s, strings.Join(groupNames[:], ", "))
+	return enum.Parse[Group](groupNames, "instruction group", s)
 }
 
 // Model is an NVBitFI bit-flip model: how the targeted register value is
@@ -95,24 +84,13 @@ const (
 	NumModels
 )
 
-var modelNames = [NumModels]string{"flip", "flip2", "rand", "zero"}
+var modelNames = []string{"flip", "flip2", "rand", "zero"}
 
-func (m Model) String() string {
-	if m >= 0 && m < NumModels {
-		return modelNames[m]
-	}
-	return fmt.Sprintf("Model(%d)", int(m))
-}
+func (m Model) String() string { return enum.Name(modelNames, "Model", m) }
 
 // ParseModel resolves a model name (as accepted by nvbit-run -fi-model).
 func ParseModel(s string) (Model, error) {
-	for m, n := range modelNames {
-		if s == n {
-			return Model(m), nil
-		}
-	}
-	return 0, fmt.Errorf("faultinject: unknown injection model %q (have %s)",
-		s, strings.Join(modelNames[:], ", "))
+	return enum.Parse[Model](modelNames, "injection model", s)
 }
 
 // Injection specifies one fault: which dynamic thread-instruction of which

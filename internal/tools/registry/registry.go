@@ -7,10 +7,13 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"nvbitgo/internal/channel"
 	"nvbitgo/internal/core"
@@ -27,14 +30,15 @@ import (
 
 // Options is a session's choices other than the tool, in their wire
 // spelling: nvbit-run's flags fill it, nvbitd's open frame carries it (the
-// JSON names are the frame's), and New alone parses and validates it. Zero
-// values select the documented defaults.
+// JSON names are the frame's), and New alone parses and validates it. An
+// empty or zero field selects its default; a tool's row says which fields
+// it reads, and New refuses any other set to a value but its default.
 type Options struct {
-	Policy string `json:"policy,omitempty"` // channel tools' backpressure: drop (also "") or block
-	Inject string `json:"inject,omitempty"` // codegen mode: trampoline (also ""), full-save or inline
+	Policy string `json:"policy,omitempty"` // channel tools' backpressure (-backpressure): drop (default) or block
+	Inject string `json:"inject,omitempty"` // codegen mode: trampoline (default), full-save or inline
 	// Fault-injection configuration (tool "faultinject").
-	FIGroup  string `json:"fiGroup,omitempty"`  // instruction group; "" selects gpr
-	FIModel  string `json:"fiModel,omitempty"`  // injection model; "" selects flip
+	FIGroup  string `json:"fiGroup,omitempty"`  // instruction group; gpr by default
+	FIModel  string `json:"fiModel,omitempty"`  // injection model; flip by default
 	FITarget uint64 `json:"fiTarget,omitempty"` // dynamic thread-instruction index to corrupt
 	FIBit    uint   `json:"fiBit,omitempty"`    // bit position for flip/flip2
 	FIValue  uint32 `json:"fiValue,omitempty"`  // replacement value for rand
@@ -69,89 +73,105 @@ type parsed struct {
 	fault  faultinject.Injection
 }
 
-// builders maps every tool name to its constructor.
-var builders = map[string]func(parsed) *Instance{
-	"none": func(parsed) *Instance {
+// row is one catalog entry: the spec fields its tool reads, by their JSON
+// names in Options order, and its constructor.
+type row struct {
+	reads []string
+	build func(parsed) *Instance
+}
+
+// The read sets: every tool that injects code reads the injection mode.
+var (
+	instruments = []string{"inject"}
+	channelTool = []string{"policy", "inject"}
+	faultTool   = []string{"inject", "fiGroup", "fiModel", "fiTarget", "fiBit", "fiValue"}
+)
+
+// rows maps every tool name to its entry. It is the one place that says
+// which tool reads which spec field.
+var rows = map[string]row{
+	"none": {nil, func(parsed) *Instance {
 		return &Instance{Tool: noop{}, Report: func(io.Writer, *core.NVBit) (bool, error) { return false, nil }}
-	},
-	"instrcount":      func(parsed) *Instance { return newInstrcount(false) },
-	"instrcount-bb":   func(parsed) *Instance { return newInstrcount(true) },
-	"memdiv":          newMemdiv,
-	"cachesim":        newCachesim,
-	"itrace":          newItrace,
-	"memtrace":        newMemtrace,
-	"memcheck":        newMemcheck,
-	"faultinject":     newFaultinject,
-	"ophisto":         func(parsed) *Instance { return newOphisto(false) },
-	"ophisto-sampled": func(parsed) *Instance { return newOphisto(true) },
+	}},
+	"instrcount":      {instruments, func(parsed) *Instance { return newInstrcount(false) }},
+	"instrcount-bb":   {instruments, func(parsed) *Instance { return newInstrcount(true) }},
+	"memdiv":          {instruments, newMemdiv},
+	"cachesim":        {channelTool, newCachesim},
+	"itrace":          {channelTool, newItrace},
+	"memtrace":        {channelTool, newMemtrace},
+	"memcheck":        {channelTool, newMemcheck},
+	"faultinject":     {faultTool, newFaultinject},
+	"ophisto":         {instruments, func(parsed) *Instance { return newOphisto(false) }},
+	"ophisto-sampled": {instruments, func(parsed) *Instance { return newOphisto(true) }},
 }
 
 // Names returns every registered tool name, sorted.
 func Names() []string {
-	out := make([]string, 0, len(builders))
-	for n := range builders {
+	out := make([]string, 0, len(rows))
+	for n := range rows {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// ReadsOf returns the JSON names of the spec fields the named tool reads, in
+// Options order; none, and a name outside the catalog, read nothing.
+func ReadsOf(name string) []string { return slices.Clone(rows[name].reads) }
+
+// fieldNames are Options' JSON names, in declaration order.
+var fieldNames = [...]string{"policy", "inject", "fiGroup", "fiModel", "fiTarget", "fiBit", "fiValue"}
+
 // New constructs the named tool; "" names none. It parses and validates all
-// of o whatever the tool, so a spec is refused or accepted the same way by
+// of o whatever the tool, then refuses a field the tool does not read set to
+// other than its default, so a spec is refused or accepted the same way by
 // every front end. Unknown names fail with an error listing the catalog.
 func New(name string, o Options) (*Instance, error) {
 	if name == "" {
 		name = "none"
 	}
-	b, ok := builders[name]
+	r, ok := rows[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown tool %q (have %v)", name, Names())
 	}
-	policy, err := channel.ParsePolicy(o.Policy)
-	if err != nil {
+	policy, err1 := orDefault(o.Policy, channel.ParsePolicy)
+	inject, err2 := orDefault(o.Inject, core.ParseInjectionMode)
+	group, err3 := orDefault(o.FIGroup, faultinject.ParseGroup)
+	model, err4 := orDefault(o.FIModel, faultinject.ParseModel)
+	if err := cmp.Or(err1, err2, err3, err4); err != nil {
 		return nil, err
-	}
-	inject := core.InjectTrampoline
-	if o.Inject != "" {
-		if inject, err = core.ParseInjectionMode(o.Inject); err != nil {
-			return nil, err
-		}
-	}
-	fault, err := parseFault(o)
-	if err != nil {
-		return nil, err
-	}
-	inst := b(parsed{policy, fault})
-	inst.Name, inst.Inject = name, inject
-	return inst, nil
-}
-
-// parseFault parses o's fault fields into the injection faultinject runs.
-func parseFault(o Options) (faultinject.Injection, error) {
-	groupName, modelName := o.FIGroup, o.FIModel
-	if groupName == "" {
-		groupName = "gpr"
-	}
-	if modelName == "" {
-		modelName = "flip"
-	}
-	group, err := faultinject.ParseGroup(groupName)
-	if err != nil {
-		return faultinject.Injection{}, err
-	}
-	model, err := faultinject.ParseModel(modelName)
-	if err != nil {
-		return faultinject.Injection{}, err
 	}
 	// The device rule masks the bit position into the register, so an
 	// out-of-range one would silently flip some other bit (or, for the top
 	// pair, only one).
 	if model == faultinject.ModelFlip && o.FIBit > faultinject.MaxFlipBit ||
 		model == faultinject.ModelFlip2 && o.FIBit > faultinject.MaxFlip2Bit {
-		return faultinject.Injection{}, fmt.Errorf("faultinject: bit %d out of range for model %s (flip takes 0..%d, flip2 0..%d)",
+		return nil, fmt.Errorf("faultinject: bit %d out of range for model %s (flip takes 0..%d, flip2 0..%d)",
 			o.FIBit, model, faultinject.MaxFlipBit, faultinject.MaxFlip2Bit)
 	}
-	return faultinject.Injection{Group: group, Target: o.FITarget, Model: model, Bit: o.FIBit, Value: o.FIValue}, nil
+	set := [len(fieldNames)]bool{policy != channel.Drop, inject != core.InjectTrampoline, group != faultinject.GroupGPR,
+		model != faultinject.ModelFlip, o.FITarget != 0, o.FIBit != 0, o.FIValue != 0}
+	var ignored []string
+	for i, f := range fieldNames {
+		if set[i] && !slices.Contains(r.reads, f) {
+			ignored = append(ignored, f)
+		}
+	}
+	if ignored != nil {
+		return nil, fmt.Errorf("tool %s does not read %s", name, strings.Join(ignored, ", "))
+	}
+	fault := faultinject.Injection{Group: group, Target: o.FITarget, Model: model, Bit: o.FIBit, Value: o.FIValue}
+	inst := r.build(parsed{policy, fault})
+	inst.Name, inst.Inject = name, inject
+	return inst, nil
+}
+
+// orDefault parses a spec field's name; the empty name is the zero default.
+func orDefault[T ~int](s string, parse func(string) (T, error)) (T, error) {
+	if s == "" {
+		return 0, nil
+	}
+	return parse(s)
 }
 
 func newInstrcount(perBB bool) *Instance {

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +45,8 @@ func TestFaultSpecValidation(t *testing.T) {
 }
 
 // TestNewParsesTheSpec: "" builds the none tool, and the built instance
-// carries its name and parsed injection mode, trampolines by default.
+// carries its name and parsed injection mode, trampolines by default. None
+// injects nothing, so it refuses any other mode.
 func TestNewParsesTheSpec(t *testing.T) {
 	for _, c := range []struct {
 		tool, inject string
@@ -52,7 +54,6 @@ func TestNewParsesTheSpec(t *testing.T) {
 		mode         core.InjectionMode
 	}{
 		{"", "", "none", core.InjectTrampoline},
-		{"none", "inline", "none", core.InjectInline},
 		{"memcheck", "full-save", "memcheck", core.InjectFullSave},
 		{"instrcount", "trampoline", "instrcount", core.InjectTrampoline},
 	} {
@@ -63,5 +64,72 @@ func TestNewParsesTheSpec(t *testing.T) {
 		if _, none := inst.Tool.(noop); none != (c.name == "none") {
 			t.Errorf("New(%q) built %T", c.tool, inst.Tool)
 		}
+	}
+	if _, err := New("none", Options{Inject: "inline"}); err == nil || err.Error() != "tool none does not read inject" {
+		t.Errorf("none with inline: err = %v", err)
+	}
+}
+
+// readTable is which spec fields each tool reads. Every row but none injects
+// code and so reads the injection mode.
+var readTable = map[string][]string{
+	"none":            nil,
+	"instrcount":      {"inject"},
+	"instrcount-bb":   {"inject"},
+	"memdiv":          {"inject"},
+	"ophisto":         {"inject"},
+	"ophisto-sampled": {"inject"},
+	"cachesim":        {"policy", "inject"},
+	"itrace":          {"policy", "inject"},
+	"memcheck":        {"policy", "inject"},
+	"memtrace":        {"policy", "inject"},
+	"faultinject":     {"inject", "fiGroup", "fiModel", "fiTarget", "fiBit", "fiValue"},
+}
+
+// TestReadTable pins which tool reads which spec field, and holds New to it:
+// each field set to a value other than its default builds every tool that
+// reads it and is refused, naming the tool and the field, by every other;
+// set to its default, or left empty, it builds every tool.
+func TestReadTable(t *testing.T) {
+	if names := Names(); len(names) != len(readTable) {
+		t.Fatalf("catalog %v, table of %d tools", names, len(readTable))
+	}
+	for _, name := range Names() {
+		if got, want := ReadsOf(name), readTable[name]; !slices.Equal(got, want) {
+			t.Errorf("ReadsOf(%q) = %v, want %v", name, got, want)
+		}
+	}
+	for _, c := range []struct {
+		field               string
+		set, dflt, wireDflt Options
+	}{
+		{"policy", Options{Policy: "block"}, Options{}, Options{Policy: "drop"}},
+		{"inject", Options{Inject: "full-save"}, Options{}, Options{Inject: "trampoline"}},
+		{"fiGroup", Options{FIGroup: "fp32"}, Options{}, Options{FIGroup: "gpr"}},
+		{"fiModel", Options{FIModel: "zero"}, Options{}, Options{FIModel: "flip"}},
+		{"fiTarget", Options{FITarget: 9}, Options{}, Options{}},
+		{"fiBit", Options{FIBit: 5}, Options{}, Options{}},
+		{"fiValue", Options{FIValue: 7}, Options{}, Options{}},
+	} {
+		for _, name := range Names() {
+			reads := slices.Contains(readTable[name], c.field)
+			_, err := New(name, c.set)
+			if reads && err != nil {
+				t.Errorf("%s with %s set: %v", name, c.field, err)
+			}
+			if want := "tool " + name + " does not read " + c.field; !reads && (err == nil || err.Error() != want) {
+				t.Errorf("%s with %s set: err = %v, want %q", name, c.field, err, want)
+			}
+			for _, o := range []Options{c.dflt, c.wireDflt} {
+				if _, err := New(name, o); err != nil {
+					t.Errorf("%s with %s at its default (%+v): %v", name, c.field, o, err)
+				}
+			}
+		}
+	}
+	// Every field the spec sets but the tool ignores is named.
+	_, err := New("instrcount", Options{Policy: "block", FIBit: 5})
+	if want := "tool instrcount does not read policy, fiBit"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }

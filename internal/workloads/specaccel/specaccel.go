@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"nvbitgo/internal/driver"
+	"nvbitgo/internal/enum"
 	"nvbitgo/internal/gpu"
 )
 
@@ -29,16 +30,13 @@ const (
 	Large
 )
 
-func (s Size) String() string { return [...]string{"small", "medium", "large"}[s] }
+var sizeNames = []string{"small", "medium", "large"}
 
-// ParseSize resolves a size name.
+func (s Size) String() string { return enum.Name(sizeNames, "Size", s) }
+
+// ParseSize resolves a size name ("small", "medium", "large").
 func ParseSize(name string) (Size, error) {
-	for s := Small; s <= Large; s++ {
-		if name == s.String() {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("specaccel: unknown size %q (want small, medium or large)", name)
+	return enum.Parse[Size](sizeNames, "specaccel size", name)
 }
 
 // Find returns the suite benchmark with the given name.
