@@ -203,6 +203,9 @@ func TestModeFlagTable(t *testing.T) {
 			t.Run(f.Name+"/"+col.name, func(t *testing.T) {
 				t.Parallel()
 				args := append([]string{"-workload=specaccel:cg", "-size=small", "-" + f.Name + "=" + values[f.Name]}, col.args...)
+				if f.Name == "fi-value" && row[i] == 'r' {
+					args = append(args, "-fi-model=rand") // flip, the default model, reads no value
+				}
 				code, stderr := runMain(t, nil, args...)
 				var want string
 				switch row[i] {

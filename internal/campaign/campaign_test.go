@@ -838,6 +838,22 @@ func TestRNG(t *testing.T) {
 	}
 }
 
+// TestDrawnInjectionsPassCheck: every injection a mix manifest draws passes
+// faultinject's Check — its model reads each field drawn for it, in range —
+// and the draw covers every model.
+func TestDrawnInjectionsPassCheck(t *testing.T) {
+	models := map[faultinject.Model]bool{}
+	for _, r := range drawManifest(smallCfg(400, 7), faultinject.GroupGPR, 1<<20) {
+		if err := r.Injection.Check(); err != nil {
+			t.Fatalf("run %d (%v): %v", r.ID, r.Injection, err)
+		}
+		models[r.Injection.Model] = true
+	}
+	if len(models) != int(faultinject.NumModels) {
+		t.Fatalf("400 draws hit models %v, want all %d", models, faultinject.NumModels)
+	}
+}
+
 // TestAcceptanceCampaign is the campaign engine's acceptance bar: a 1000-run
 // campaign over a SpecAccel victim across 4 workers, killed mid-campaign and
 // resumed, with every run classified, none lost or duplicated, and each one

@@ -7,6 +7,7 @@ import (
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/tools/emu"
+	"nvbitgo/internal/tools/instrcount"
 	"nvbitgo/nvbit"
 )
 
@@ -105,59 +106,28 @@ STAGE:
 }
 `
 
-const wfftTallyPTX = `
-.toolfunc wfft_tally(.param .u64 ctr)
-{
-	.reg .u64 %rd<4>;
-	ld.param.u64 %rd0, [ctr];
-	mov.u64 %rd2, 1;
-	red.global.add.u64 [%rd0], %rd2;
-	ret;
-}
-`
-
 // wfftTool combines instruction emulation with instruction counting — the
 // paper's "trace instruction sets that do not exist" composition: the proxy
 // WFFT32 is both counted and replaced by its emulator.
 type wfftTool struct {
+	*instrcount.Tool
 	emulate bool
-	ctr     uint64
 }
 
 func (t *wfftTool) AtInit(n *nvbit.NVBit) {
-	if err := n.RegisterToolPTX(wfftTallyPTX); err != nil {
-		panic(err)
-	}
+	t.Tool.AtInit(n)
 	if t.emulate {
 		if err := emu.RegisterDeviceFunctions(n); err != nil {
 			panic(err)
 		}
 	}
-	var err error
-	if t.ctr, err = n.Malloc(8); err != nil {
-		panic(err)
-	}
 }
 
-func (t *wfftTool) AtTerm(n *nvbit.NVBit) {}
-
 func (t *wfftTool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name string, p *nvbit.CallParams) {
-	if exit || cbid != nvbit.CBLaunchKernel {
-		return
-	}
-	f := p.Launch.Func
-	if n.IsInstrumented(f) {
-		return
-	}
-	insts, err := n.GetInstrs(f)
-	if err != nil {
-		panic(err)
-	}
-	for _, i := range insts {
-		n.InsertCallArgs(i, "wfft_tally", nvbit.IPointBefore, nvbit.ArgDevPtr(t.ctr))
-	}
-	if t.emulate {
-		if _, err := emu.Apply(n, f); err != nil {
+	first := !exit && cbid == nvbit.CBLaunchKernel && !n.IsInstrumented(p.Launch.Func)
+	t.Tool.AtCUDACall(n, exit, cbid, name, p)
+	if first && t.emulate {
+		if _, err := emu.Apply(n, p.Launch.Func); err != nil {
 			panic(err)
 		}
 	}
@@ -179,7 +149,7 @@ type WFFTResult struct {
 // tool on one warp.
 func WFFT() (WFFTResult, error) {
 	measure := func(src, entry string, emulate bool) (float64, error) {
-		tool := &wfftTool{emulate: emulate}
+		tool := &wfftTool{Tool: instrcount.New(), emulate: emulate}
 		_, nv, err := run(tool, func(ctx *driver.Context) error {
 			mod, err := ctx.ModuleLoadPTX("fft", src)
 			if err != nil {
@@ -206,11 +176,7 @@ func WFFT() (WFFTResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		count, err := nv.ReadU64(tool.ctr)
-		if err != nil {
-			return 0, err
-		}
-		return float64(count) / 32, nil // one warp: thread-level / 32
+		return float64(tool.AppInstrs(nv)) / 32, nil // one warp: thread-level / 32
 	}
 	proxy, err := measure(proxyFFTPTX, "fft32", true)
 	if err != nil {

@@ -84,12 +84,17 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 	}
 
 	var launch Stats
-	var spans *profile.Shard
+	// spans holds one KindSMSpan record per SM that runs a CTA, filled by
+	// the backend in its SM's slot; nil when tracing is off.
+	var spans []profile.Record
+	if prof != nil {
+		spans = make([]profile.Record, min(d.cfg.NumSMs, nCTA))
+	}
 	var err error
 	if d.cfg.Scheduler == SchedulerParallelSM {
-		spans, err = d.launchParallelSM(spec, nCTA, &launch, smCycles, smWarps)
+		err = d.launchParallelSM(spec, nCTA, &launch, smCycles, smWarps, spans)
 	} else {
-		spans, err = d.launchSequential(spec, nCTA, &launch, smCycles, smWarps)
+		err = d.launchSequential(spec, nCTA, &launch, smCycles, smWarps, spans)
 	}
 	if err != nil {
 		if prof != nil {
@@ -126,13 +131,13 @@ func (d *Device) Launch(spec LaunchSpec) (Stats, error) {
 
 // emitKernelRecord emits the KindKernel activity record for one launch,
 // followed by its per-SM KindSMSpan children (spans) in ascending SM order.
-// SM spans are produced by the scheduler workers into per-worker shards
-// (parallel) or synthesized in SM order (sequential); either way the merge
-// order is fixed, so record IDs and ordering are deterministic. A failed
-// launch has no spans, so only its kernel record (with its fault outcome)
-// is emitted — partial SM spans would depend on cross-SM cancellation
-// timing.
-func emitKernelRecord(prof *profile.Collector, spec LaunchSpec, start time.Duration, nCTA int, launch Stats, smWarps []uint64, spans *profile.Shard, lerr error) {
+// Each SM's span is written into its own slot by the worker that ran the SM
+// (parallel) or synthesized from the per-SM accumulators (sequential);
+// either way the emission order is fixed, so record IDs and ordering are
+// deterministic. A failed launch has no spans, so only its kernel record
+// (with its fault outcome) is emitted — partial SM spans would depend on
+// cross-SM cancellation timing.
+func emitKernelRecord(prof *profile.Collector, spec LaunchSpec, start time.Duration, nCTA int, launch Stats, smWarps []uint64, spans []profile.Record, lerr error) {
 	var warpsRetired uint64
 	for _, w := range smWarps {
 		warpsRetired += w
@@ -161,8 +166,9 @@ func emitKernelRecord(prof *profile.Collector, spec LaunchSpec, start time.Durat
 		}
 	}
 	kid := prof.Emit(rec)
-	if spans != nil {
-		prof.MergeShard(spans, kid)
+	for _, r := range spans {
+		r.Parent = kid
+		prof.Emit(r)
 	}
 }
 
@@ -174,9 +180,8 @@ func (d *Device) ctasOnSM(sm, nCTA int) int {
 
 // launchSequential is the reference backend: one goroutine walks the CTAs in
 // linear order, so every counter — including shared-L2 hit/miss attribution —
-// is fully deterministic. With a collector in spec.Prof it returns the
-// launch's per-SM spans.
-func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) (*profile.Shard, error) {
+// is fully deterministic. With tracing on it fills the launch's per-SM spans.
+func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64, spans []profile.Record) error {
 	ctx := d.newExecContext(spec, d.l2)
 	defer d.releaseContext(ctx)
 	warpsPerCTA := uint64(len(ctx.warps))
@@ -184,31 +189,29 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 		sm := cta % d.cfg.NumSMs
 		cycles, err := ctx.runCTA(cta, sm)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		smCycles[sm] += cycles
 		smWarps[sm] += warpsPerCTA
 	}
 	launch.Add(ctx.stats)
-	if prof := spec.Prof; prof != nil {
-		// Synthesize the per-SM spans in ascending SM order from the
-		// per-SM accumulators (the single walking context has no
-		// per-worker wall clocks; span content matches the parallel
-		// backend's, timing fields cover the whole launch).
-		sh := profile.NewShard(d.cfg.NumSMs)
-		t := prof.Now()
-		for sm := 0; sm < d.cfg.NumSMs && sm < nCTA; sm++ {
-			sh.Append(profile.Record{
+	if spans != nil {
+		// Synthesize the per-SM spans from the per-SM accumulators (the
+		// single walking context has no per-worker wall clocks; span
+		// content matches the parallel backend's, timing fields cover the
+		// whole launch).
+		t := spec.Prof.Now()
+		for sm := range spans {
+			spans[sm] = profile.Record{
 				Kind: profile.KindSMSpan, Name: spec.Name, Kernel: spec.Name,
 				SM: sm, Start: t, Dur: 0,
 				CTAs:         d.ctasOnSM(sm, nCTA),
 				WarpsRetired: smWarps[sm],
 				Cycles:       smCycles[sm],
-			})
+			}
 		}
-		return sh, nil
 	}
-	return nil, nil
+	return nil
 }
 
 // launchParallelSM runs one worker goroutine per SM. Worker i owns SM i
@@ -219,9 +222,9 @@ func (d *Device) launchSequential(spec LaunchSpec, nCTA int, launch *Stats, smCy
 // launch in ascending SM order after all workers join, so aggregate counts
 // are bit-identical run to run; only the L2 hit/miss split (and the cycle
 // counts derived from it) can differ from the sequential backend. See
-// docs/scheduler.md. With a collector in spec.Prof it returns the launch's
-// per-SM spans.
-func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64) (*profile.Shard, error) {
+// docs/scheduler.md. With tracing on each worker writes its SM's span into
+// its own slot of spans.
+func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCycles, smWarps []uint64, spans []profile.Record) error {
 	// The workers capture the two fields they read, not spec: a closure
 	// copies a captured struct of up to 128 bytes into each worker's closure.
 	prof, name := spec.Prof, spec.Name
@@ -246,9 +249,6 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 		ctx := d.newExecContext(spec, newCache(l2Lines, l2Ways))
 		ctx.locked = true
 		ctx.cancel = &cancel
-		if prof != nil {
-			ctx.shard = profile.NewShard(1)
-		}
 		ctxs[i] = ctx
 		warpsPerCTA := uint64(len(ctx.warps))
 		wg.Add(1)
@@ -278,16 +278,15 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 				ctas++
 			}
 			if prof != nil {
-				// This worker's span goes into its private shard; the
-				// launching goroutine merges shards in ascending SM
-				// order after the join.
-				ctx.shard.Append(profile.Record{
+				// Only this worker writes slot sm; the launching
+				// goroutine reads the slots after the join.
+				spans[sm] = profile.Record{
 					Kind: profile.KindSMSpan, Name: name, Kernel: name,
 					SM: sm, Start: t0, Dur: prof.Now() - t0,
 					CTAs:         ctas,
 					WarpsRetired: smWarps[sm],
 					Cycles:       smCycles[sm],
-				})
+				}
 			}
 		}(i, ctx)
 	}
@@ -300,7 +299,7 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 	}()
 	for _, err := range errs {
 		if err != nil && err != errLaunchCanceled {
-			return nil, err // lowest-SM fault, deterministically
+			return err // lowest-SM fault, deterministically
 		}
 	}
 	// Merge the per-SM shards in ascending SM order: fixed order makes the
@@ -308,16 +307,7 @@ func (d *Device) launchParallelSM(spec LaunchSpec, nCTA int, launch *Stats, smCy
 	for _, ctx := range ctxs {
 		launch.Add(ctx.stats)
 	}
-	if prof != nil {
-		sh := profile.NewShard(nWorkers)
-		for _, ctx := range ctxs {
-			for _, r := range ctx.shard.Records() {
-				sh.Append(r)
-			}
-		}
-		return sh, nil
-	}
-	return nil, nil
+	return nil
 }
 
 // errLaunchCanceled marks a worker stopped by a peer's fault; it is never
@@ -360,11 +350,6 @@ type execContext struct {
 	l1s    []*cache // per-SM L1 models (indexed by c.sm)
 	l2     *cache   // shared L2 (sequential) or a private shard (parallel)
 	locked bool     // route global atomics through the device stripe locks
-
-	// shard buffers this worker's activity records (per-SM spans) until
-	// the launching goroutine merges them in SM order; nil when tracing
-	// is off.
-	shard *profile.Shard
 
 	// Watchdog: every CTA gets wdBudget warp instructions; wdLeft counts
 	// down in step. A per-CTA (not per-launch) budget keeps watchdog faults
@@ -413,7 +398,6 @@ func (d *Device) newExecContext(spec LaunchSpec, l2 *cache) *execContext {
 	c.locked = false
 	c.cancel = nil
 	c.heedCancel = false
-	c.shard = nil
 	c.ch = nil
 	c.wdBudget = d.watchdogBudget()
 
@@ -462,7 +446,6 @@ func (d *Device) releaseContext(c *execContext) {
 	c.banks[1] = nil
 	c.spec.Params = nil
 	c.l2 = nil
-	c.shard = nil
 	c.spec.FlushHook = nil
 	d.ctxFree = append(d.ctxFree, c)
 }

@@ -240,9 +240,10 @@ func (c *Collector) MergeShard(s *Shard, parent uint64) {
 	s.dropped = 0
 }
 
-// Shard is a bounded single-writer record buffer one scheduler worker owns.
-// Workers append without synchronization; the launching goroutine merges
-// shards into the collector in ascending SM order after the workers join.
+// Shard is a bounded single-writer record buffer one SM's goroutine owns (a
+// channel keeps one per SM for its flush spans). The owner appends without
+// synchronization; shards are merged into the collector in ascending SM
+// order once their writers are done.
 type Shard struct {
 	recs    []Record
 	cap     int
@@ -273,7 +274,3 @@ func (s *Shard) Append(r Record) {
 
 // Len returns the number of buffered records.
 func (s *Shard) Len() int { return len(s.recs) }
-
-// Records exposes the buffered records (shared backing array; callers must
-// not retain it past the shard's next Append).
-func (s *Shard) Records() []Record { return s.recs }

@@ -140,8 +140,8 @@ func sameMetadata(a *ptx.Module, b *driver.Cubin) error {
 // A row that moved because its source changed (a tool's PTX) takes a new
 // version too; that costs every cache one compile per module.
 const (
-	pinnedCompilerVersion = 1
-	pinnedCompileGolden   = "1ba919ef06d7b4170ce14255e7eff38466b1f8ae6b7d986205ac4955763e10d9"
+	pinnedCompilerVersion = 2
+	pinnedCompileGolden   = "aeede3f67ab7efbc5967e3f503402dd818790394542b73215860c0227f0b7374"
 )
 
 func TestCompilerVersionPinsGolden(t *testing.T) {

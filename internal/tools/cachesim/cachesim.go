@@ -3,61 +3,22 @@
 // cache simulators can be built around these mechanisms", Section 6.1, and
 // the CMP$im-style simulators cited in Section 1).
 //
-// Every warp-level global memory instruction is instrumented with a device
-// function that appends one record per executing lane — the 64-bit address
-// plus access flags — to a device→host streaming channel, claiming slots
-// with the channel's warp-aggregated reserve fragment. Delivered buffers are
-// replayed through a configurable two-level set-associative LRU cache model
-// at each launch-exit drain. The result is an offline cache simulator whose
-// input is a dynamically collected, full-fidelity address trace — including
-// addresses issued inside binary-only libraries — and whose completeness is
-// a policy knob: ChannelBlock trades device spin time for a lossless trace.
+// Every lane-level global access reaches it through the memaccess stream —
+// one record per executing lane, streamed device→host over a channel — and
+// each delivered access is replayed through a configurable two-level
+// set-associative LRU cache model at the launch-exit drain. The result is an
+// offline cache simulator whose input is a dynamically collected,
+// full-fidelity address trace — including addresses issued inside
+// binary-only libraries — and whose completeness is a policy knob:
+// ChannelBlock trades device spin time for a lossless trace.
 package cachesim
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"nvbitgo/internal/tools/memaccess"
 	"nvbitgo/nvbit"
 )
-
-// Record flags.
-const (
-	FlagStore = 1 << 0
-	FlagWide  = 1 << 1 // 8-byte access
-	FlagAtom  = 1 << 2
-)
-
-// recBytes is the size of one trace record: u64 address + u32 flags + u32 pad.
-const recBytes = 16
-
-// toolPTX is the pushing device function; the channel writes its claim and
-// commit at the two markers (nvbit.ChannelConfig.ToolPTX). Guard-false lanes
-// retire before the claim, so the always-true %p1 makes every remaining lane
-// claim its own slot; %rd1 receives each lane's record address.
-const toolPTX = `
-.toolfunc cachesim_rec(.param .u32 pred, .param .u64 base, .param .u32 off, .param .u32 flags, .param .u64 ctrl)
-{
-	.reg .u32 %r<11>;
-	.reg .u64 %rd<6>;
-	.reg .pred %p<5>;
-	ld.param.u32 %r0, [pred];
-	setp.eq.u32 %p0, %r0, 0;
-	@%p0 ret;
-	setp.ne.u32 %p1, %r0, 0;
-@RESERVE@
-	// Reconstruct and store the access address.
-	ld.param.u64 %rd0, [base];
-	ld.param.u32 %r0, [off];
-	cvt.u64.u32 %rd4, %r0;
-	add.u64 %rd0, %rd0, %rd4;
-	st.global.u64 [%rd1], %rd0;
-	ld.param.u32 %r0, [flags];
-	st.global.u32 [%rd1+8], %r0;
-@COMMIT@
-	ret;
-}
-`
 
 // Config describes the modelled cache hierarchy.
 type Config struct {
@@ -104,7 +65,7 @@ func (s Stats) L1HitRate() float64 {
 // Tool is the cache-simulator tool.
 type Tool struct {
 	cfg   Config
-	ch    *nvbit.Channel
+	acc   *memaccess.Collector
 	l1    *lru
 	l2    *lru
 	stats Stats
@@ -120,19 +81,10 @@ func New(cfg Config) *Tool {
 	return t
 }
 
-// AtInit opens the trace channel, which registers the device function.
+// AtInit opens the access stream, which registers the device function.
 func (t *Tool) AtInit(n *nvbit.NVBit) {
 	var err error
-	t.ch, err = n.OpenChannel(nvbit.ChannelConfig{
-		Name:         "cachesim",
-		RecordBytes:  recBytes,
-		TotalRecords: t.cfg.Capacity,
-		Policy:       t.cfg.Policy,
-		OnBatch:      t.replay,
-		ToolPTX:      toolPTX,
-		PushPred:     "%p1",
-	})
-	if err != nil {
+	if t.acc, err = memaccess.Open(n, "cachesim", t.cfg.Capacity, t.cfg.Policy, t.replay); err != nil {
 		panic(fmt.Sprintf("cachesim: %v", err))
 	}
 }
@@ -146,59 +98,28 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	if cbid != nvbit.CBLaunchKernel || exit {
 		return
 	}
-	f := p.Launch.Func
-	if n.IsInstrumented(f) {
-		return
-	}
-	insts, err := n.GetInstrs(f)
-	if err != nil {
+	if err := t.acc.Instrument(n, p.Launch.Func); err != nil {
 		panic(fmt.Sprintf("cachesim: %v", err))
-	}
-	for _, i := range insts {
-		if i.GetMemOpSpace() != nvbit.MemGlobal {
-			continue
-		}
-		mref, ok := i.MemOperand()
-		if !ok {
-			continue
-		}
-		flags := uint32(0)
-		if i.IsStore() {
-			flags |= FlagStore
-		}
-		if mref.Wide {
-			flags |= FlagWide
-		}
-		n.InsertCallArgs(i, "cachesim_rec", nvbit.IPointBefore,
-			nvbit.ArgSitePred(),
-			nvbit.ArgReg64(int(mref.Base)),
-			nvbit.ArgConst32(uint32(mref.Offset)),
-			nvbit.ArgConst32(flags),
-			nvbit.ArgDevPtr(t.ch.CtrlAddr()))
 	}
 }
 
-// replay is the channel's OnBatch consumer: it runs each delivered buffer
+// replay is the access stream's consumer: it runs each delivered lane access
 // through the cache model.
-func (t *Tool) replay(data []byte) {
-	for off := 0; off+recBytes <= len(data); off += recBytes {
-		addr := binary.LittleEndian.Uint64(data[off:])
-		flags := binary.LittleEndian.Uint32(data[off+8:])
-		line := addr >> t.shift
-		t.stats.Accesses++
-		if flags&FlagStore != 0 {
-			t.stats.Stores++
-		}
-		if t.l1.access(line) {
-			t.stats.L1Hits++
-			continue
-		}
-		t.stats.L1Misses++
-		if t.l2.access(line) {
-			t.stats.L2Hits++
-		} else {
-			t.stats.L2Misses++
-		}
+func (t *Tool) replay(addr uint64, _ int, s *memaccess.Site) {
+	line := addr >> t.shift
+	t.stats.Accesses++
+	if s.IsStore {
+		t.stats.Stores++
+	}
+	if t.l1.access(line) {
+		t.stats.L1Hits++
+		return
+	}
+	t.stats.L1Misses++
+	if t.l2.access(line) {
+		t.stats.L2Hits++
+	} else {
+		t.stats.L2Misses++
 	}
 }
 
@@ -211,7 +132,7 @@ func (t *Tool) Stats() Stats {
 }
 
 // ChannelStats returns the trace channel's counter snapshot.
-func (t *Tool) ChannelStats() nvbit.ChannelStats { return t.ch.Stats() }
+func (t *Tool) ChannelStats() nvbit.ChannelStats { return t.acc.Stats() }
 
 // lru is a set-associative LRU cache model (host side).
 type lru struct {

@@ -103,6 +103,34 @@ type Injection struct {
 	Value  uint32 `json:"value"` // ModelRand replacement word
 }
 
+// Check is the one statement of which fields each model reads and in what
+// range: flip reads a bit in 0..MaxFlipBit, flip2 a bit in 0..MaxFlip2Bit,
+// rand a value, and zero neither. A field the model does not read must be
+// zero, and a bit past the range is refused because masks would silently
+// flip some other bit (or, for flip2's top pair, only one).
+func (inj Injection) Check() error {
+	maxBit, readsBit := uint(0), true
+	switch inj.Model {
+	case ModelFlip:
+		maxBit = MaxFlipBit
+	case ModelFlip2:
+		maxBit = MaxFlip2Bit
+	case ModelRand, ModelZero:
+		readsBit = false
+	default:
+		return fmt.Errorf("faultinject: unknown model %v", inj.Model)
+	}
+	switch {
+	case readsBit && inj.Bit > maxBit:
+		return fmt.Errorf("faultinject: bit %d out of range for model %s (takes 0..%d)", inj.Bit, inj.Model, maxBit)
+	case !readsBit && inj.Bit != 0:
+		return fmt.Errorf("faultinject: model %s does not read bit (%d)", inj.Model, inj.Bit)
+	case inj.Model != ModelRand && inj.Value != 0:
+		return fmt.Errorf("faultinject: model %s does not read value (%#x)", inj.Model, inj.Value)
+	}
+	return nil
+}
+
 // masks folds the injection model into the device update rule
 // new = (old AND and) XOR xor.
 func (inj Injection) masks() (and, xor uint32) {

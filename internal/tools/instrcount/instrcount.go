@@ -39,9 +39,6 @@ const toolPTX = `
 
 // Tool counts executed thread-level instructions.
 type Tool struct {
-	// SkipLibraries reproduces a compiler-based tool's blindness: when
-	// set, kernels in binary-only (cubin) modules are not instrumented.
-	SkipLibraries bool
 	// PerBasicBlock switches to the optimized block-level counting
 	// sketched in Section 3 (one injection per basic block, counting the
 	// block size) instead of per-instruction injection. Falls back to
@@ -83,12 +80,8 @@ func (t *Tool) AtCUDACall(n *nvbit.NVBit, exit bool, cbid nvbit.CBID, name strin
 	if n.IsInstrumented(f) {
 		return
 	}
-	isLib := f.Module.FromCubin
-	if isLib && t.SkipLibraries {
-		return
-	}
 	ctr := t.appCtr
-	if isLib {
+	if f.Module.FromCubin {
 		ctr = t.libCtr
 	}
 	if t.PerBasicBlock {

@@ -123,12 +123,3 @@ func TestLibraryAttribution(t *testing.T) {
 		t.Fatalf("library fraction = %v, want 1", f)
 	}
 }
-
-func TestSkipLibrariesReproducesCompilerBlindness(t *testing.T) {
-	tool := New()
-	tool.SkipLibraries = true
-	nv, _ := runApp(t, tool, true)
-	if tool.Total(nv) != 0 {
-		t.Fatalf("compiler-blind tool still counted %d library instructions", tool.Total(nv))
-	}
-}

@@ -141,14 +141,6 @@ func New(name string, o Options) (*Instance, error) {
 	if err := cmp.Or(err1, err2, err3, err4); err != nil {
 		return nil, err
 	}
-	// The device rule masks the bit position into the register, so an
-	// out-of-range one would silently flip some other bit (or, for the top
-	// pair, only one).
-	if model == faultinject.ModelFlip && o.FIBit > faultinject.MaxFlipBit ||
-		model == faultinject.ModelFlip2 && o.FIBit > faultinject.MaxFlip2Bit {
-		return nil, fmt.Errorf("faultinject: bit %d out of range for model %s (flip takes 0..%d, flip2 0..%d)",
-			o.FIBit, model, faultinject.MaxFlipBit, faultinject.MaxFlip2Bit)
-	}
 	set := [len(fieldNames)]bool{policy != channel.Drop, inject != core.InjectTrampoline, group != faultinject.GroupGPR,
 		model != faultinject.ModelFlip, o.FITarget != 0, o.FIBit != 0, o.FIValue != 0}
 	var ignored []string
@@ -161,6 +153,9 @@ func New(name string, o Options) (*Instance, error) {
 		return nil, fmt.Errorf("tool %s does not read %s", name, strings.Join(ignored, ", "))
 	}
 	fault := faultinject.Injection{Group: group, Target: o.FITarget, Model: model, Bit: o.FIBit, Value: o.FIValue}
+	if err := fault.Check(); err != nil {
+		return nil, err
+	}
 	inst := r.build(parsed{policy, fault})
 	inst.Name, inst.Inject = name, inject
 	return inst, nil

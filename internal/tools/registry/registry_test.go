@@ -11,7 +11,7 @@ import (
 // TestFaultSpecValidation: New is where a session's spec is parsed, for both
 // front ends. A spec it cannot parse is refused, whatever the tool, and so is
 // a fault the device rule would silently rewrite (the bit position is masked
-// into the register).
+// into the register) or a fault field its model does not read.
 func TestFaultSpecValidation(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -25,8 +25,12 @@ func TestFaultSpecValidation(t *testing.T) {
 		{"flip bit 40 (would flip bit 8)", "faultinject", Options{FIBit: 40}, "out of range"},
 		{"flip2 top pair", "faultinject", Options{FIModel: "flip2", FIBit: 30}, ""},
 		{"flip2 at bit 31 (would flip one bit)", "faultinject", Options{FIModel: "flip2", FIBit: 31}, "out of range"},
-		{"rand ignores the bit", "faultinject", Options{FIModel: "rand", FIBit: 99, FIValue: 7}, ""},
-		{"zero ignores the bit", "faultinject", Options{FIModel: "zero", FIBit: 99}, ""},
+		{"rand with a value", "faultinject", Options{FIModel: "rand", FIValue: 7}, ""},
+		{"rand with a bit", "faultinject", Options{FIModel: "rand", FIBit: 99, FIValue: 7}, "model rand does not read bit"},
+		{"zero with a bit", "faultinject", Options{FIModel: "zero", FIBit: 99}, "model zero does not read bit"},
+		{"zero with a value", "faultinject", Options{FIModel: "zero", FIValue: 5}, "model zero does not read value"},
+		{"flip with a value", "faultinject", Options{FIModel: "flip", FIBit: 3, FIValue: 7}, "model flip does not read value"},
+		{"flip2 with a value", "faultinject", Options{FIModel: "flip2", FIValue: 7}, "model flip2 does not read value"},
 		{"unknown model", "faultinject", Options{FIModel: "stuck"}, "unknown injection model"},
 		{"unknown group", "faultinject", Options{FIGroup: "fp128"}, "fp128"},
 		{"unknown model, another tool", "instrcount", Options{FIModel: "stuck"}, "unknown injection model"},
@@ -113,7 +117,11 @@ func TestReadTable(t *testing.T) {
 	} {
 		for _, name := range Names() {
 			reads := slices.Contains(readTable[name], c.field)
-			_, err := New(name, c.set)
+			o := c.set
+			if reads && c.field == "fiValue" {
+				o.FIModel = "rand" // flip, the default model, reads no value
+			}
+			_, err := New(name, o)
 			if reads && err != nil {
 				t.Errorf("%s with %s set: %v", name, c.field, err)
 			}
