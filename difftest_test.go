@@ -311,9 +311,10 @@ func TestDifferentialSaveSets(t *testing.T) {
 
 // boundaryCounter instruments only LOP (logic-op) instructions, so the
 // boundary kernels below expose exactly one instrumentation site. Its tool
-// function is a tally with a deliberately padded working set (six u64
-// pairs) so that the baseline kernel's spare dead registers do not already
-// cover it and the trampoline→inline flip lands inside the probe range.
+// function is a tally with a deliberately padded working set (five u64
+// pairs live at once, beside the counter's argument pair) so that the
+// baseline kernel's spare dead registers do not already cover it and the
+// trampoline→inline flip lands inside the probe range.
 type boundaryCounter struct {
 	counter uint64
 }
@@ -323,11 +324,15 @@ const boundaryToolPTX = `
 {
 	.reg .u64 %rd<12>;
 	ld.param.u64 %rd0, [counter];
-	mov.u64 %rd2, 7;
-	mov.u64 %rd4, 7;
-	mov.u64 %rd6, 7;
-	mov.u64 %rd8, 7;
+	mov.u64 %rd2, 0;
+	mov.u64 %rd4, 0;
+	mov.u64 %rd6, 0;
+	mov.u64 %rd8, 0;
 	mov.u64 %rd10, 1;
+	add.u64 %rd2, %rd2, %rd4;
+	add.u64 %rd6, %rd6, %rd8;
+	add.u64 %rd2, %rd2, %rd6;
+	add.u64 %rd10, %rd10, %rd2;
 	red.global.add.u64 [%rd0], %rd10;
 	ret;
 }

@@ -127,15 +127,15 @@ func (cfg Config) ExpandToolPTX() (string, error) {
 	if cfg.Policy == Drop {
 		line("bra nvch_skip;")
 	} else {
-		// Wait (load-only, see above) until a flush makes room, then
-		// re-claim.
+		// Wait (load-only, see above) until a flush has reset the shard,
+		// then re-claim. Head only grows within an epoch and the failed
+		// claim took it to the claim's end (r(6), warp-uniform), so a head
+		// below that means a new epoch, whether or not it has room: a
+		// claim that fails in it wedges it, and the flush follows.
 		fmt.Fprintf(&b, "nvch_wait:\n")
 		line("ld.global.u64 %s, [%s+%d];", rd(2), rd(0), offHead)
 		line("cvt.u32.u64 %s, %s;", r(0), rd(2))
-		line("add.u32 %s, %s, %s;", r(6), r(0), r(2))
-		line("ld.global.u64 %s, [%s+%d];", rd(3), rd(0), offCap)
-		line("cvt.u32.u64 %s, %s;", r(5), rd(3))
-		line("setp.gt.u32 %s, %s, %s;", p(1), r(6), r(5))
+		line("setp.ge.u32 %s, %s, %s;", p(1), r(0), r(6))
 		line("@%s bra nvch_wait;", p(1))
 		line("bra nvch_retry;")
 	}

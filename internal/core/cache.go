@@ -48,8 +48,11 @@ import (
 // that predicate-matched calls, since removed, added to the plan. Schema v5
 // marks the generator that no longer pads an ordered function's save set.
 // Schema v6 hashes an ArgDevPtr argument as (span ordinal, span size, offset,
-// load form) instead of its address.
-const codeKeyDomain = "nvbitgo/code/v6"
+// load form) instead of its address. Schema v7 hashes the same fields: it
+// marks tool functions whose locals are allocated by live range, which
+// shrinks every trampoline's frame, and IMAD.W's narrow sources, which frees
+// registers the save sets and the inline pool held.
+const codeKeyDomain = "nvbitgo/code/v7"
 
 // codeKey fingerprints one function plus its instrumentation plan.
 func (n *NVBit) codeKey(fs *funcState) jitcache.Key {

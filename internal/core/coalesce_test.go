@@ -11,6 +11,7 @@ import (
 	"nvbitgo/internal/core"
 	"nvbitgo/internal/driver"
 	"nvbitgo/internal/gpu"
+	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
 	"nvbitgo/internal/tools/registry"
 	"nvbitgo/internal/workloads/mlsuite"
@@ -65,11 +66,30 @@ func recFunc(name, params, value string) string {
 `
 }
 
-// hazardToolPTX: rec32/rec64 move freely; recload reads application memory;
-// recctx reads the saved context, recatom takes a value back from an atomic
-// and recvote exchanges values across the warp, so those three never move;
-// nop is the empty function of the transparency runs.
+// wideValue is a value for recFunc that holds sixteen registers live at
+// once where rec32's holds one: it records 16v+136.
+func wideValue() string {
+	var b strings.Builder
+	b.WriteString("\tld.param.u32 %r5, [v];\n\t.reg .u32 %w<16>;\n")
+	for k := 0; k < 16; k++ {
+		fmt.Fprintf(&b, "\tadd.u32 %%w%d, %%r5, %d;\n", k, k+1)
+	}
+	for step := 1; step < 16; step *= 2 {
+		for k := 0; k < 16; k += 2 * step {
+			fmt.Fprintf(&b, "\tadd.u32 %%w%d, %%w%d, %%w%d;\n", k, k, k+step)
+		}
+	}
+	b.WriteString("\tcvt.u64.u32 %rd4, %w0;")
+	return b.String()
+}
+
+// hazardToolPTX: rec32/rec64 move freely, and so does recwide, rec32 with a
+// bigger working set; recload reads application memory; recctx reads the
+// saved context, recatom takes a value back from an atomic and recvote
+// exchanges values across the warp, so those three never move; nop is the
+// empty function of the transparency runs.
 var hazardToolPTX = recFunc("rec32", ".param .u32 v", "\tld.param.u32 %r5, [v];\n\tcvt.u64.u32 %rd4, %r5;") +
+	recFunc("recwide", ".param .u32 v", wideValue()) +
 	recFunc("rec64", ".param .u64 v", "\tld.param.u64 %rd4, [v];") +
 	recFunc("recload", ".param .u64 addr", "\tld.param.u64 %rd8, [addr];\n\tld.global.u32 %r5, [%rd8];\n\tcvt.u64.u32 %rd4, %r5;") +
 	recFunc("recctx", ".param .u32 reg", "\tld.param.u32 %r5, [reg];\n\trdreg.b32 %r6, %r5;\n\tcvt.u64.u32 %rd4, %r6;") +
@@ -417,11 +437,13 @@ var hazardCases = []hazardCase{
 		p.mustStart = []int{c}
 		p.mustJoin = []int{c + 1}
 	}, check: func(t *testing.T, perSite, merged hazardRun) {
-		// The per-site build gives C a bracket on each side of it and every
-		// other site one; the coalesced build has one bracket per visit.
-		regs := perSite.stats.SavedRegs / (perSite.stats.Visits + 1)
-		if merged.stats.SavedRegs != merged.stats.Visits*regs {
-			t.Errorf("%d registers saved over %d visits of a %d-register function, want one bracket each", merged.stats.SavedRegs, merged.stats.Visits, regs)
+		// The coalesced build has one bracket per visit: the tally's frame,
+		// which at C's visit also holds the registers both its calls read.
+		regs := toolRegs(t, "rec32")
+		c := slices.IndexFunc(merged.raw, func(in sass.Inst) bool { return in.Op == sass.OpISETP })
+		want := (merged.stats.Visits-1)*regs + max(regs, int(merged.raw[c-1].Dst)+1, int(merged.raw[c].Src1)+1)
+		if merged.stats.SavedRegs != want {
+			t.Errorf("%d registers saved over %d visits of a %d-register function, want %d: one bracket each", merged.stats.SavedRegs, merged.stats.Visits, regs, want)
 		}
 	}},
 	{name: "a loading body next to STG and RED", ptx: chainPTX, grid: 2, block: 64, plan: func(p *planner) {
@@ -472,7 +494,8 @@ var hazardCases = []hazardCase{
 	{name: "marshalling reads of a visit exhaust the dead registers", ptx: deadArgPTX(24), grid: 2, block: 64, plan: func(p *planner) {
 		// Each addition's call passes a register the application never reads
 		// again, so it stays out of the inline pool only until its call: at
-		// the k-th addition 24-k of them are still kept. Alone, the early
+		// the k-th addition 24-k of them are still kept. recwide's working
+		// set is bigger than the first addition's pool: alone, the early
 		// additions cannot inline and the late ones can; their visit, whose
 		// calls all rename into the pool of its first instruction, cannot.
 		first := p.op(0, sass.OpLDG) + 1
@@ -481,7 +504,7 @@ var hazardCases = []hazardCase{
 				return false
 			}
 			mov := p.find(0, func(in sass.Inst) bool { return in.Op == sass.OpMOVI && in.Imm == int64(100+k-first) })
-			p.rec(i, core.IPointBefore, "rec32", core.ArgReg(int(p.insts[mov].Raw().Dst)))
+			p.rec(i, core.IPointBefore, "recwide", core.ArgReg(int(p.insts[mov].Raw().Dst)))
 			return true
 		})
 		p.mustStart = []int{first}
@@ -503,6 +526,23 @@ var hazardCases = []hazardCase{
 				merged.stats.TrampolinesEmitted, merged.stats.Visits, merged.stats.InlinedSites, cover)
 		}
 	}},
+}
+
+// toolRegs is the register count of one of hazardToolPTX's functions, which
+// the two families compile alike.
+func toolRegs(t *testing.T, name string) int {
+	t.Helper()
+	m, err := ptx.Compile("hazard", hazardToolPTX, sass.Volta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range m.Funcs {
+		if f.Name == name {
+			return f.NumRegs
+		}
+	}
+	t.Fatalf("no tool function %s", name)
+	return 0
 }
 
 // hazardTool runs a plan the first time a kernel is launched.

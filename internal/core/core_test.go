@@ -726,8 +726,8 @@ func TestJITStatsPopulated(t *testing.T) {
 	if st.Visits != 4 || st.SitesPerVisit() != float64(st.InstrsLifted)/4 {
 		t.Fatalf("%d visits, %.2f sites each, want 4 covering %d sites", st.Visits, st.SitesPerVisit(), st.InstrsLifted)
 	}
-	if st.SavedRegs != 4*24 {
-		t.Fatalf("SavedRegs %d, want the tally's 24 registers once for each of 4 visits", st.SavedRegs)
+	if st.SavedRegs != 4*6 {
+		t.Fatalf("SavedRegs %d, want the tally's 6 registers once for each of 4 visits", st.SavedRegs)
 	}
 	if st.SwapBytes == 0 {
 		t.Fatal("no swap recorded")

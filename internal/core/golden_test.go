@@ -276,10 +276,10 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 // device-independent artifact; this pins what materialization makes of it:
 // the order device addresses are handed out in and the encoded bytes.
 var materializedGolden = map[string]string{
-	"Kepler/trampoline": "5bf328852f1ba561888126d3952394e9421c84468e681b967d8d8b3b80458d78",
-	"Kepler/inline":     "e1cfb30a74737e01351717eb794f2ee79528b817b05477988610e0012f28d18b",
-	"Volta/trampoline":  "98df9848313f986218087bd7fc0982aa50ac6a4c7b7111cabed1080fbf7f669b",
-	"Volta/inline":      "d8c497940fa75fa3ded3ae009331945321b7c364a4fa9412c0b2e0038898f8d5",
+	"Kepler/trampoline": "c2366296a379ee441e32ca52d0946c29dc5d61386c75b5f219bda5b502cb370b",
+	"Kepler/inline":     "aeb879791817090dddec5e6a983f7f0747fca396b439aee689463936c89ea5e4",
+	"Volta/trampoline":  "583da3c5dae9a26f63572ec0462f0612e11db694275d96139975822868a552b5",
+	"Volta/inline":      "9c6187260fb1e8bc4802b3d9f77758aa0a2fd1e45167856f8893164e24fc2142",
 }
 
 func TestMaterializedCodeGolden(t *testing.T) {
@@ -312,12 +312,12 @@ func TestMaterializedCodeGolden(t *testing.T) {
 // primed cache directory, so a change to what is hashed, or to the order,
 // shows here and not only in a manual run of two binaries over one directory.
 var codeKeyGolden = map[string]string{
-	"Kepler/trampoline": "eb20a6efb7c61c3a5a0e89140c8190e19b406f95f8e81d26451b644105947ec8",
-	"Kepler/full-save":  "ecff1d4f3112d5b967e2644bf8b50930855df348a443f2300930ddc2747cdc1a",
-	"Kepler/inline":     "b8132f7c67982efab8ee7f947007d86c453098ecb8344d30d219ad4624587b0b",
-	"Volta/trampoline":  "5705a2504f4db6f8fa4a3ebbf95c85b382393670c90c6dc684dab15991be9086",
-	"Volta/full-save":   "11eb497566ecae21bddfbe9358fd7c1ee3c7660079742867dd3dba6eb082f26f",
-	"Volta/inline":      "0b8cd835f6be3d7574bc3bebffb728647fadccd8f1fa66788798d78ce0d6bd33",
+	"Kepler/trampoline": "212b3b6755a6bf41b7e6c76da807af0dbc2b554dd2edf0a151904cc7d00e9ce3",
+	"Kepler/full-save":  "ea251b7a98819074a961bc105ecb8a5580370729be338e2058df50b7fd412231",
+	"Kepler/inline":     "149821d98a67460db967201ba82dbbec65c6b386a83a2383c5ab0d9e476a9abd",
+	"Volta/trampoline":  "911c1f2198dd25d1cd221615de85b45f6499b17e45aceb420809f6f7056f8c16",
+	"Volta/full-save":   "c9a2085afac2f52d481ff5258a7f8dde37a8fbf5054e3bfc937e9c1e7a5e4e2e",
+	"Volta/inline":      "592f2a5f4294ae4aaf981d61548f1afd6489d7b21c8ee979e87d3a6d6a9830df",
 }
 
 func TestCodeKeyGolden(t *testing.T) {

@@ -241,3 +241,42 @@ func FuzzOpcodeDefUse(f *testing.F) {
 		p.check(t, in, rand.New(rand.NewSource(seed)))
 	})
 }
+
+// TestIMADWideSourcesAreNarrow: IMAD.W multiplies two 32-bit sources and adds
+// a 64-bit pair, so the registers above its sources are neither read nor
+// listed as uses. Re-randomising R13 and R15 around IMAD.W R10, R12, R14, R16
+// leaves R10 and R11 as they were.
+func TestIMADWideSourcesAreNarrow(t *testing.T) {
+	in, err := sass.ParseInst("IMAD.W R10, R12, R14, R16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, uses, _, _ := sass.DefUse(in); uses.Has(13) || uses.Has(15) {
+		t.Errorf("DefUse(%s) lists %v as uses", sass.Format(in), uses.Regs())
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, f := range []sass.Family{sass.Kepler, sass.Volta} {
+		p := newOpProbe(t, f)
+		word := make([]byte, p.d.Codec().InstBytes())
+		if err := p.d.Codec().Encode(in, word); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.d.WriteCode(CodeAddr(p.h.entry), word); err != nil {
+			t.Fatal(err)
+		}
+		var a regFile
+		for k := range a.r {
+			for i := range a.r[k] {
+				a.r[k][i] = r.Uint32()
+			}
+		}
+		b := a
+		for i := range b.r[13] {
+			b.r[13][i], b.r[15][i] = r.Uint32(), r.Uint32()
+		}
+		ra, rb := p.run(t, &a), p.run(t, &b)
+		if ra.r[10] != rb.r[10] || ra.r[11] != rb.r[11] {
+			t.Errorf("%v: R10:R11 depends on R13 or R15", f)
+		}
+	}
+}

@@ -19,6 +19,7 @@ type compiler struct {
 	nextReg int
 	maxReg  int // highest physical GPR touched
 	maxPred int
+	locals  []local // a tool function's locals, in the order lowering names them
 
 	params     []Param
 	paramBytes int
@@ -97,6 +98,11 @@ func compileFunc(pm *pmodule, pf *pfunc, family sass.Family) (*Func, error) {
 		}
 		c.out[fx.instIdx].Imm = rel
 	}
+	if pf.tool {
+		if err := c.colourLocals(); err != nil {
+			return nil, err
+		}
+	}
 	return &Func{Insts: c.out, FuncInfo: FuncInfo{
 		Name:        pf.name,
 		Entry:       pf.entry,
@@ -149,16 +155,18 @@ func (c *compiler) layoutParams() error {
 	return nil
 }
 
-// allocRegs maps every declared virtual register to a physical one. The
-// allocator is a deterministic linear assigner (no live-range reuse): pairs
-// are even-aligned, predicates are P0.. in declaration order. The base of
-// the local area depends on the function kind (see deviceABI in ptx.go).
+// allocRegs maps every declared virtual register to a physical one: pairs
+// are even-aligned, predicates are P0.. in declaration order, and general
+// registers are handed out linearly from the base of the function kind's
+// local area (see deviceABI in ptx.go). A tool function's registers are
+// only names at this point: they start at R16, above every register the ABI
+// fixes, and colourLocals gives them registers once the body is lowered.
 func (c *compiler) allocRegs() error {
 	switch {
 	case c.f.entry:
 		c.nextReg = 4
 	case c.f.tool:
-		c.nextReg = abiArgBase + abiMaxArgs // R16: everything below is saved by the trampoline
+		c.nextReg = abiArgBase + abiMaxArgs
 	default:
 		c.nextReg = calleeRegBase
 	}
@@ -182,18 +190,29 @@ func (c *compiler) allocRegs() error {
 				if c.nextReg+1 >= sass.NumRegs {
 					return fmt.Errorf("function %s: out of registers", c.f.name)
 				}
-				c.touchReg(sass.Reg(c.nextReg), true)
+				c.name(sass.Reg(c.nextReg), true)
 				c.nextReg += 2
 			default:
 				if c.nextReg >= sass.NumRegs {
 					return fmt.Errorf("function %s: out of registers", c.f.name)
 				}
-				c.touchReg(sass.Reg(c.nextReg), false)
+				c.name(sass.Reg(c.nextReg), false)
 				c.nextReg++
 			}
 		}
 	}
 	return nil
+}
+
+// name records register r (a pair when wide) as a local: a physical
+// register in an entry or a device function, a name to colour in a tool
+// function.
+func (c *compiler) name(r sass.Reg, wide bool) {
+	if c.f.tool {
+		c.locals = append(c.locals, local{reg: r, wide: wide})
+		return
+	}
+	c.touchReg(r, wide)
 }
 
 // physical is member k of a declaration: consecutive registers, pairs or
@@ -296,7 +315,7 @@ func (c *compiler) tmp(wide bool) sass.Reg {
 	}
 	r := sass.Reg(c.nextReg)
 	c.nextReg += n
-	c.touchReg(r, wide)
+	c.name(r, wide)
 	return r
 }
 

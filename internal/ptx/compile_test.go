@@ -259,37 +259,6 @@ func TestDeviceFunctionCall(t *testing.T) {
 	}
 }
 
-func TestToolFuncRegisterBase(t *testing.T) {
-	src := `
-.toolfunc count(.param .u32 pred, .param .u64 ctr)
-{
-	.reg .u32 %r<2>;
-	.reg .u64 %rd<2>;
-	ld.param.u32 %r0, [pred];
-	ld.param.u64 %rd0, [ctr];
-	red.global.add.u64 [%rd0], %rd0;
-	ret;
-}
-`
-	m := mustCompile(t, src, sass.Volta)
-	f := m.Funcs[0]
-	if f.Entry {
-		t.Fatal("toolfunc parsed as entry")
-	}
-	// Locals must start at R16, right above the ABI argument registers,
-	// keeping the trampoline save set small.
-	for _, name := range []string{"%r0", "%rd0"} {
-		_ = name
-	}
-	if f.NumRegs <= 16 || f.NumRegs > 24 {
-		t.Fatalf("toolfunc NumRegs = %d, want a small set just above R16", f.NumRegs)
-	}
-	// Params map to ABI registers: pred -> R4, ctr -> pair (R6,R7).
-	if f.Params[0].Offset != 4 || f.Params[1].Offset != 6 {
-		t.Fatalf("ABI parameter registers = %d,%d want 4,6", f.Params[0].Offset, f.Params[1].Offset)
-	}
-}
-
 func TestImmediateLegalization(t *testing.T) {
 	src := `
 .visible .entry bigimm(.param .u64 out)

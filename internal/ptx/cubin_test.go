@@ -140,8 +140,8 @@ func sameMetadata(a *ptx.Module, b *driver.Cubin) error {
 // A row that moved because its source changed (a tool's PTX) takes a new
 // version too; that costs every cache one compile per module.
 const (
-	pinnedCompilerVersion = 2
-	pinnedCompileGolden   = "aeede3f67ab7efbc5967e3f503402dd818790394542b73215860c0227f0b7374"
+	pinnedCompilerVersion = 3
+	pinnedCompileGolden   = "323be5223959bf21122dfbd389aae621ff85c2c9da7ab73dc961c90eee0723b4"
 )
 
 func TestCompilerVersionPinsGolden(t *testing.T) {

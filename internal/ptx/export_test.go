@@ -27,6 +27,21 @@ func RuleHits(src string, hits []int) {
 	}
 }
 
+// IsToolFunc reports whether src declares name as a .toolfunc. The source
+// must parse.
+func IsToolFunc(src, name string) bool {
+	pm, err := parse(src)
+	if err != nil {
+		panic(err)
+	}
+	for _, pf := range pm.funcs {
+		if pf.name == name {
+			return pf.tool
+		}
+	}
+	return false
+}
+
 // typeList names the types of a set, in declaration order.
 func typeList(set ptype) []string {
 	var out []string

@@ -3,6 +3,7 @@ package ptx_test
 import (
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // from a socket). It must never panic, and whatever it accepts must be
 // loadable: every instruction encodes for the family and decodes back to
 // itself, branches and relocations stay inside the function, and the
-// register budget fits the register file.
+// register budget fits the register file. A tool function's frame, the
+// registers a trampoline saves, covers every register its body touches, and
+// its body writes no argument register unless it calls or sets a result.
 // seedCompile adds the corpus both fuzzers start from.
 func seedCompile(f *testing.F) {
 	doc, err := os.ReadFile("../../docs/ptx-dialect.md")
@@ -42,6 +45,36 @@ func seedCompile(f *testing.F) {
 	st.global.u32 [%rd0], %r1;
 }
 .func triple(.param .u32 v, .param .u64 w)
+{
+	.reg .u32 %t<2>;
+	ld.param.u32 %t0, [v];
+	mul.lo.u32 %t1, %t0, 3;
+	setret.u32 %t1;
+	ret;
+}
+`)
+	// A tool function with a loop, a guarded definition and a call.
+	f.Add(`
+.toolfunc loop(.param .u64 ctr, .param .u32 n)
+{
+	.reg .u32 %r<4>;
+	.reg .u64 %rd<2>;
+	.reg .pred %p<2>;
+	ld.param.u64 %rd0, [ctr];
+	ld.param.u32 %r0, [n];
+	mov.u32 %r1, 0;
+L:
+	call triple, (%r1), (%r2);
+	setp.eq.u32 %p1, %r2, 6;
+	@%p1 add.u32 %r2, %r2, %r0;
+	cvt.u64.u32 %rd1, %r2;
+	red.global.add.u64 [%rd0], %rd1;
+	add.u32 %r1, %r1, 1;
+	setp.lt.u32 %p0, %r1, %r0;
+	@%p0 bra L;
+	ret;
+}
+.func triple(.param .u32 v)
 {
 	.reg .u32 %t<2>;
 	ld.param.u32 %t0, [v];
@@ -83,6 +116,10 @@ func FuzzCompile(f *testing.F) {
 				}
 				if fn.NumRegs > sass.NumRegs || len(fn.Lines) != len(fn.Insts) {
 					t.Fatalf("%v: %s: NumRegs %d, %d lines for %d instructions", fam, fn.Name, fn.NumRegs, len(fn.Lines), len(fn.Insts))
+				}
+				if ptx.IsToolFunc(src, fn.Name) {
+					calls := slices.ContainsFunc(fn.Insts, func(in sass.Inst) bool { return in.Op == sass.OpCAL })
+					checkFrame(t, fam, fn, calls || strings.Contains(src, "setret"))
 				}
 			}
 		}

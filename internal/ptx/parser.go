@@ -109,7 +109,7 @@ type pregs struct {
 type pfunc struct {
 	name   string
 	entry  bool
-	tool   bool // .toolfunc: locals sit right above the ABI registers
+	tool   bool // .toolfunc: locals are allocated by live range (colour.go)
 	params []pparam
 	regs   []pregs // declaration order, which is allocation order
 	shared []pshared

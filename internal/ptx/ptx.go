@@ -95,7 +95,7 @@ type Module struct {
 // keys them by it, so it changes whenever Compile's output for some source
 // does: testdata/compile_golden.txt pins that output, and a test fails when
 // the golden is re-recorded under an unchanged version.
-const CompilerVersion = 2
+const CompilerVersion = 3
 
 // Compile parses and compiles a PTX source for the target family.
 func Compile(name, src string, family sass.Family) (*Module, error) {

@@ -283,18 +283,18 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 // function contains indirect control flow).
 func (l *Liveness) Conservative() bool { return l.conservative }
 
-// liveIn returns the registers and predicates live immediately before the
+// LiveIn returns the registers and predicates live immediately before the
 // instruction at word index pc.
-func (l *Liveness) liveIn(pc int) (RegSet, PredSet) {
+func (l *Liveness) LiveIn(pc int) (RegSet, PredSet) {
 	if l.conservative || pc < 0 || pc >= len(l.in) {
 		return allRegs(), AllPreds
 	}
 	return l.in[pc], l.pin[pc]
 }
 
-// liveOut returns the registers and predicates live immediately after the
+// LiveOut returns the registers and predicates live immediately after the
 // instruction at word index pc.
-func (l *Liveness) liveOut(pc int) (RegSet, PredSet) {
+func (l *Liveness) LiveOut(pc int) (RegSet, PredSet) {
 	if l.conservative || pc < 0 || pc >= len(l.out) {
 		return allRegs(), AllPreds
 	}

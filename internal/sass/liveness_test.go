@@ -165,16 +165,16 @@ func TestLivenessStraightLine(t *testing.T) {
 	}
 	// Before the MOVI: R2 live (used by STG, global base pair R2,R3); R0
 	// dead (defined here), R1 dead.
-	in0, _ := l.liveIn(0)
+	in0, _ := l.LiveIn(0)
 	if in0 != regs(2, 3) {
 		t.Fatalf("liveIn(0) = %v", in0.Regs())
 	}
-	out1, _ := l.liveOut(1)
+	out1, _ := l.LiveOut(1)
 	if !out1.Has(1) || out1.Has(0) {
 		t.Fatalf("liveOut(1) = %v: R1 must be live, R0 dead after last use", out1.Regs())
 	}
 	// Nothing is live after the EXIT.
-	out3, pout3 := l.liveOut(3)
+	out3, pout3 := l.LiveOut(3)
 	if !out3.Empty() || pout3 != 0 {
 		t.Fatalf("liveOut(EXIT) = %v", out3.Regs())
 	}
@@ -193,10 +193,10 @@ func TestLivenessMOVIHReadsItsDestination(t *testing.T) {
 	hi.Dst, hi.Imm = 1, 0x123
 	prog := []Inst{mkMOVI(1, 0x45678), hi, mkSTG(2, 1), NewInst(OpEXIT)}
 	l := AnalyzeLiveness(prog)
-	if in1, _ := l.liveIn(1); !in1.Has(1) {
+	if in1, _ := l.LiveIn(1); !in1.Has(1) {
 		t.Fatalf("liveIn(MOVIH) = %v, want R1 among them", in1.Regs())
 	}
-	if in0, _ := l.liveIn(0); in0 != regs(2, 3) {
+	if in0, _ := l.LiveIn(0); in0 != regs(2, 3) {
 		t.Fatalf("liveIn(MOVI) = %v, want R2 and R3", in0.Regs())
 	}
 }
@@ -227,16 +227,16 @@ func TestLivenessLoop(t *testing.T) {
 	l := AnalyzeLiveness(prog)
 	// R1 is loop-carried: live around the back edge, including at the
 	// loop header's entry.
-	in1, _ := l.liveIn(1)
+	in1, _ := l.LiveIn(1)
 	if !in1.Has(1) || !in1.Has(0) || !in1.Has(2) || !in1.Has(4) {
 		t.Fatalf("liveIn(loop body) = %v", in1.Regs())
 	}
 	// P0 is live out of the ISETP (consumed by the BRA) and dead after it.
-	_, pout3 := l.liveOut(3)
+	_, pout3 := l.LiveOut(3)
 	if !pout3.Has(0) {
 		t.Fatal("P0 not live out of ISETP")
 	}
-	_, pout4 := l.liveOut(4)
+	_, pout4 := l.LiveOut(4)
 	if pout4.Has(0) {
 		t.Fatalf("P0 should be dead after the backward branch: %b", pout4)
 	}
@@ -252,14 +252,14 @@ func TestLivenessGuardedDefDoesNotKill(t *testing.T) {
 		NewInst(OpEXIT),
 	}
 	l := AnalyzeLiveness(prog)
-	in0, _ := l.liveIn(0)
+	in0, _ := l.LiveIn(0)
 	if !in0.Has(0) {
 		t.Fatalf("guarded def killed R0: liveIn(0) = %v", in0.Regs())
 	}
 	// The unguarded variant does kill.
 	prog[0] = mkMOVI(0, 1)
 	l = AnalyzeLiveness(prog)
-	in0, _ = l.liveIn(0)
+	in0, _ = l.LiveIn(0)
 	if in0.Has(0) {
 		t.Fatalf("unguarded def failed to kill R0: liveIn(0) = %v", in0.Regs())
 	}
@@ -274,14 +274,14 @@ func TestLivenessCallAndReturnConservative(t *testing.T) {
 		NewInst(OpEXIT),
 	}
 	l := AnalyzeLiveness(prog)
-	in1, pin1 := l.liveIn(1)
+	in1, pin1 := l.LiveIn(1)
 	if in1 != allRegs() || pin1 != AllPreds {
 		t.Fatal("everything must be live before a CAL (callee body unknown)")
 	}
 	// RET escapes the function: everything live across it.
 	prog = []Inst{mkMOVI(0, 1), NewInst(OpRET)}
 	l = AnalyzeLiveness(prog)
-	out1, _ := l.liveOut(1)
+	out1, _ := l.LiveOut(1)
 	if out1 != allRegs() {
 		t.Fatal("everything must be live out of a RET")
 	}
@@ -299,11 +299,11 @@ func TestLivenessICFFallsBack(t *testing.T) {
 	if rs != allRegs() || ps != AllPreds {
 		t.Fatal("conservative analysis must report everything live")
 	}
-	rs, _ = l.liveIn(0)
+	rs, _ = l.LiveIn(0)
 	if rs != allRegs() {
 		t.Fatal("conservative liveIn must report everything live")
 	}
-	rs, _ = l.liveOut(0)
+	rs, _ = l.LiveOut(0)
 	if rs != allRegs() {
 		t.Fatal("conservative liveOut must report everything live")
 	}
@@ -314,7 +314,7 @@ func TestLivenessBranchOutOfBodyEscapes(t *testing.T) {
 	bra.Imm = 100 // leaves the function body
 	prog := []Inst{mkMOVI(0, 1), bra}
 	l := AnalyzeLiveness(prog)
-	out1, _ := l.liveOut(1)
+	out1, _ := l.LiveOut(1)
 	if out1 != allRegs() {
 		t.Fatal("a branch leaving the body must make everything live")
 	}

@@ -133,7 +133,7 @@ var opShapes = [NumOpcodes]opShape{
 	OpSEL:   ops(dst, src1, src2, auxIn),
 	OpIADD:  ops(dstW, src1W, src2W, imm),
 	OpIMUL:  ops(dst, src1, src2),
-	OpIMAD:  ops(dstW, src1W, src2W, src3W),
+	OpIMAD:  ops(dstW, src1, src2, src3W), // .W: 32x32 unsigned product plus a 64-bit addend
 	OpISETP: ops(auxOut, src1, src2, imm).named(cmpNames[:], "U32"),
 	OpSHL:   ops(dst, src1, src2, imm),
 	OpSHR:   ops(dst, src1, src2, imm),
