@@ -276,9 +276,9 @@ func cgDigests(fam sass.Family, mode core.InjectionMode, toolName string) ([]str
 // device-independent artifact; this pins what materialization makes of it:
 // the order device addresses are handed out in and the encoded bytes.
 var materializedGolden = map[string]string{
-	"Kepler/trampoline": "c2366296a379ee441e32ca52d0946c29dc5d61386c75b5f219bda5b502cb370b",
+	"Kepler/trampoline": "9e7403f26cf3d6a553333c22b678f7d1930b57b7bc3aebb3efd8667105a565d9",
 	"Kepler/inline":     "aeb879791817090dddec5e6a983f7f0747fca396b439aee689463936c89ea5e4",
-	"Volta/trampoline":  "583da3c5dae9a26f63572ec0462f0612e11db694275d96139975822868a552b5",
+	"Volta/trampoline":  "56de3b6ff54ae7420209089653053b82fc9fb5fce0079c0d92c255b04ce97329",
 	"Volta/inline":      "9c6187260fb1e8bc4802b3d9f77758aa0a2fd1e45167856f8893164e24fc2142",
 }
 

@@ -178,47 +178,58 @@ func (l *toolLoader) saveRestore(nRegs int) (save, restore gpu.CodeAddr, err err
 		return r[0], r[1], nil
 	}
 	hal := l.n.hal
-	// The save routine, then the restore routine.
+	// The save routine, then the restore routine, encoded as they are
+	// appended: a frame needs one routine pair per register count, so a
+	// device holds several, and encoding them costs only their bytes.
+	ib := hal.Codec().InstBytes()
+	raw := make([]byte, 0, (2*nRegs+8)*ib)
+	add := func(in sass.Inst) {
+		if n := len(raw); err == nil {
+			raw = raw[:n+ib]
+			err = hal.Codec().Encode(in, raw[n:])
+		}
+	}
 	push := sass.NewInst(sass.OpSAVEPUSH)
 	push.Imm = int64(nRegs)
-	code := []sass.Inst{push}
+	add(push)
 	for r := 0; r < nRegs; r++ {
 		in := sass.NewInst(sass.OpSTSA)
 		in.Imm, in.Src1 = int64(r), sass.Reg(r)
-		code = append(code, in)
+		add(in)
 	}
-	code = append(code, sass.NewInst(sass.OpSTSP))
+	add(sass.NewInst(sass.OpSTSP))
 	if hal.SaveBarrierState {
-		code = append(code, sass.NewInst(sass.OpSTSB))
+		add(sass.NewInst(sass.OpSTSB))
 	}
-	code = append(code, sass.NewInst(sass.OpRET))
-	nSave := len(code)
+	add(sass.NewInst(sass.OpRET))
+	nSave := len(raw) / ib
 
 	if hal.SaveBarrierState {
-		code = append(code, sass.NewInst(sass.OpLDSB))
+		add(sass.NewInst(sass.OpLDSB))
 	}
-	code = append(code, sass.NewInst(sass.OpLDSP))
+	add(sass.NewInst(sass.OpLDSP))
 	for r := 0; r < nRegs; r++ {
 		in := sass.NewInst(sass.OpLDSA)
 		in.Dst, in.Imm = sass.Reg(r), int64(r)
-		code = append(code, in)
+		add(in)
 	}
-	code = append(code, sass.NewInst(sass.OpSAVEPOP), sass.NewInst(sass.OpRET))
+	add(sass.NewInst(sass.OpSAVEPOP))
+	add(sass.NewInst(sass.OpRET))
 
 	// Encode both routines before touching device state, then place and
 	// write them together: a codec error costs no device code space, an
 	// allocation failure leaks nothing, and the cache only ever records the
-	// save/restore addresses as a pair.
-	raw, err := hal.Codec().EncodeAll(code)
+	// save/restore addresses as a pair. They are carved out of trampoline
+	// space, so a routine built for a new register count mid-run lands in
+	// code the device already backs.
 	if err != nil {
 		return 0, 0, err
 	}
-	dev := l.n.Device()
-	s, err := dev.AllocCode(len(code))
+	s, err := l.allocTramp(len(raw) / ib)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := dev.WriteCode(s, raw); err != nil {
+	if err := l.n.Device().WriteCode(s, raw); err != nil {
 		return 0, 0, err
 	}
 	l.saves[nRegs] = [2]gpu.CodeAddr{s, s + gpu.CodeAddr(nSave)}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"nvbitgo/internal/sass"
 )
@@ -31,6 +32,28 @@ var callClobbers = func() sass.RegSet {
 	return s
 }()
 
+// node is what colouring learns about one local.
+type node struct {
+	conflict sass.RegSet // names and fixed registers live with it
+	avoid    sass.RegSet // registers it may not take
+	defs     int         // instructions that write it
+	def      int         // the last of them
+	colour   int         // -1 until coloured
+	used     bool
+}
+
+// colourScratch is the storage colouring one function needs. A tool's
+// functions are compiled at every attach, so it is kept across compiles.
+type colourScratch struct {
+	live   sass.Liveness
+	nodes  []node
+	rets   []int
+	at     []int32
+	regMap map[sass.Reg]sass.Reg
+}
+
+var colourPool = sync.Pool{New: func() any { return &colourScratch{regMap: make(map[sass.Reg]sass.Reg)} }}
+
 // colourLocals gives a tool function's locals registers by live range. A
 // trampoline saves the prefix of the register file its tool function
 // reaches, so every register a local does not need is a save and a restore
@@ -51,13 +74,22 @@ var callClobbers = func() sass.RegSet {
 // and calls nothing: it is the argument, and its move goes, as does any move
 // the colouring turns into a copy onto itself.
 func (c *compiler) colourLocals() error {
-	body := slices.Clone(c.out)
+	sc := colourPool.Get().(*colourScratch)
+	defer colourPool.Put(sc)
+	// A return reads as an exit while liveness runs: nothing is live after
+	// it.
+	body := c.out
+	sc.rets = sc.rets[:0]
 	for i := range body {
 		if body[i].Op == sass.OpRET {
-			body[i].Op = sass.OpEXIT
+			body[i].Op, sc.rets = sass.OpEXIT, append(sc.rets, i)
 		}
 	}
-	live := sass.AnalyzeLiveness(body)
+	live := &sc.live
+	live.Reanalyze(body)
+	for _, i := range sc.rets {
+		body[i].Op = sass.OpRET
+	}
 
 	argEnd := abiArgBase // first register above the arguments
 	for _, p := range c.params {
@@ -71,17 +103,10 @@ func (c *compiler) colourLocals() error {
 			owner[int(l.reg)+k] = int16(i + 1)
 		}
 	}
-	type node struct {
-		conflict sass.RegSet // names and fixed registers live with it
-		avoid    sass.RegSet // registers it may not take
-		defs     int         // instructions that write it
-		def      int         // the last of them
-		colour   int         // -1 until coloured
-		used     bool
-	}
-	nodes := make([]node, len(c.locals))
+	sc.nodes = slices.Grow(sc.nodes[:0], len(c.locals))[:len(c.locals)]
+	nodes := sc.nodes
 	for i := range nodes {
-		nodes[i].colour = -1
+		nodes[i] = node{colour: -1}
 	}
 	// interfere records that everything in s is live at one point.
 	interfere := func(s sass.RegSet) {
@@ -158,7 +183,8 @@ func (c *compiler) colourLocals() error {
 		}
 	}
 
-	regMap := make(map[sass.Reg]sass.Reg, len(c.locals))
+	regMap := sc.regMap
+	clear(regMap)
 	for i, l := range c.locals {
 		if n := nodes[i]; n.used {
 			for k := 0; k < l.width(); k++ {
@@ -170,7 +196,9 @@ func (c *compiler) colourLocals() error {
 	// Drop the moves onto themselves and re-aim branches and call
 	// relocations at what is left.
 	selfMove := func(in sass.Inst) bool { return in.Op == sass.OpMOV && in.Dst == in.Src1 }
-	at := make([]int32, len(renamed)+1) // old index -> new index
+	sc.at = slices.Grow(sc.at[:0], len(renamed)+1)[:len(renamed)+1]
+	at := sc.at // old index -> new index
+	at[0] = 0
 	for i, in := range renamed {
 		at[i+1] = at[i]
 		if !selfMove(in) {

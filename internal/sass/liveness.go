@@ -201,16 +201,34 @@ func AnalyzeLiveness(insts []Inst) *Liveness { return AnalyzeLivenessWith(insts,
 // Generator adds what injected calls read, which keeps those registers and
 // predicates live back to where the application last wrote them.
 func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness {
-	if HasICF(insts) {
-		return &Liveness{conservative: true}
+	l := new(Liveness)
+	l.analyze(insts, uses, puses)
+	return l
+}
+
+// Reanalyze is AnalyzeLiveness into l, reusing the storage of l's previous
+// result: a caller that analyzes many small bodies keeps one Liveness.
+func (l *Liveness) Reanalyze(insts []Inst) { l.analyze(insts, nil, nil) }
+
+// zeroed returns s resized to n, all zero, reusing its storage when it fits.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+func (l *Liveness) analyze(insts []Inst, uses []RegSet, puses []PredSet) {
+	if l.conservative = HasICF(insts); l.conservative {
+		return
 	}
 	n := len(insts)
-	l := &Liveness{
-		defs: make([]RegSet, n), uses: make([]RegSet, n),
-		in: make([]RegSet, n), out: make([]RegSet, n),
-		pdefs: make([]PredSet, n), puses: make([]PredSet, n),
-		pin: make([]PredSet, n), pout: make([]PredSet, n),
-	}
+	l.defs, l.uses = zeroed(l.defs, n), zeroed(l.uses, n)
+	l.in, l.out = zeroed(l.in, n), zeroed(l.out, n)
+	l.pdefs, l.puses = zeroed(l.pdefs, n), zeroed(l.puses, n)
+	l.pin, l.pout = zeroed(l.pin, n), zeroed(l.pout, n)
 	for pc, in := range insts {
 		l.defs[pc], l.uses[pc], l.pdefs[pc], l.puses[pc] = DefUse(in)
 		if uses != nil {
@@ -276,7 +294,6 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 			}
 		}
 	}
-	return l
 }
 
 // Conservative reports whether the analysis fell back to all-live (the
