@@ -23,6 +23,9 @@ func (l local) width() int {
 	return 1
 }
 
+// in reports whether s holds l, or either half of it.
+func (l local) in(s sass.RegSet) bool { return s.Has(l.reg) || l.wide && s.Has(l.reg+1) }
+
 // callClobbers is what a callee may write: the argument registers (its
 // arguments, its result and its own calls' arguments) and the device
 // functions' local area.
@@ -34,6 +37,7 @@ var callClobbers = func() sass.RegSet {
 
 // node is what colouring learns about one local.
 type node struct {
+	local
 	conflict sass.RegSet // names and fixed registers live with it
 	avoid    sass.RegSet // registers it may not take
 	defs     int         // instructions that write it
@@ -45,14 +49,18 @@ type node struct {
 // colourScratch is the storage colouring one function needs. A tool's
 // functions are compiled at every attach, so it is kept across compiles.
 type colourScratch struct {
-	live   sass.Liveness
-	nodes  []node
-	rets   []int
-	at     []int32
-	regMap map[sass.Reg]sass.Reg
+	live  sass.Liveness
+	nodes []node
+	rets  []int
+	at    []int32
+	to    [sass.NumRegs]sass.Reg // name -> register
 }
 
-var colourPool = sync.Pool{New: func() any { return &colourScratch{regMap: make(map[sass.Reg]sass.Reg)} }}
+// colourPool's scratch starts at a size that holds a typical tool function,
+// so colouring the first few allocates it once.
+var colourPool = sync.Pool{New: func() any {
+	return &colourScratch{nodes: make([]node, 0, 32), at: make([]int32, 0, 64)}
+}}
 
 // colourLocals gives a tool function's locals registers by live range. A
 // trampoline saves the prefix of the register file its tool function
@@ -97,16 +105,19 @@ func (c *compiler) colourLocals() error {
 	}
 	args := sass.RegRange(argEnd).Diff(sass.RegRange(abiArgBase))
 
-	var owner [sass.NumRegs]int16 // name -> local index + 1
-	for i, l := range c.locals {
-		for k := 0; k < l.width(); k++ {
-			owner[int(l.reg)+k] = int16(i + 1)
-		}
+	// The locals are the names from R16 up, in the order lowering gave
+	// them out.
+	sc.nodes = slices.Grow(sc.nodes[:0], c.nextReg-(abiArgBase+abiMaxArgs))
+	for r := abiArgBase + abiMaxArgs; r < c.nextReg; {
+		n := node{local: local{reg: sass.Reg(r), wide: c.pairs.Has(sass.Reg(r))}, colour: -1}
+		sc.nodes, r = append(sc.nodes, n), r+n.width()
 	}
-	sc.nodes = slices.Grow(sc.nodes[:0], len(c.locals))[:len(c.locals)]
 	nodes := sc.nodes
-	for i := range nodes {
-		nodes[i] = node{colour: -1}
+	var owner [sass.NumRegs]int16 // name -> node index + 1
+	for i, n := range nodes {
+		for k := 0; k < n.width(); k++ {
+			owner[int(n.reg)+k] = int16(i + 1)
+		}
 	}
 	// interfere records that everything in s is live at one point.
 	interfere := func(s sass.RegSet) {
@@ -131,21 +142,16 @@ func (c *compiler) colourLocals() error {
 		}
 		interfere(out.Union(defs))
 		coalesce = coalesce && in.Op != sass.OpCAL && defs.Intersect(args).Empty()
-		if in.Op == sass.OpCAL {
-			for i, l := range c.locals {
-				if out.Has(l.reg) || l.wide && out.Has(l.reg+1) {
-					nodes[i].avoid = nodes[i].avoid.Union(callClobbers)
-				}
-			}
-		}
-		for i, l := range c.locals {
+		for i := range nodes {
 			n := &nodes[i]
-			written := defs.Has(l.reg) || l.wide && defs.Has(l.reg+1)
-			if written {
+			if in.Op == sass.OpCAL && n.in(out) {
+				n.avoid = n.avoid.Union(callClobbers)
+			}
+			if n.in(defs) {
 				n.defs++
 				n.def = pc
 			}
-			n.used = n.used || written || uses.Has(l.reg) || l.wide && uses.Has(l.reg+1)
+			n.used = n.used || n.in(defs) || n.in(uses)
 		}
 	}
 	fixed := sass.RegRange(abiArgBase + abiMaxArgs)
@@ -153,27 +159,27 @@ func (c *compiler) colourLocals() error {
 		n := &nodes[i]
 		n.avoid = n.avoid.Union(n.conflict.Intersect(fixed))
 		if in := c.out[n.def]; coalesce && n.defs == 1 && in.Op == sass.OpMOV && !in.Guarded() &&
-			in.Mods.Wide() == c.locals[i].wide && int(in.Src1) >= abiArgBase &&
-			int(in.Src1)+c.locals[i].width() <= argEnd && (!in.Mods.Wide() || in.Src1%2 == 0) {
+			in.Mods.Wide() == n.wide && int(in.Src1) >= abiArgBase &&
+			int(in.Src1)+n.width() <= argEnd && (!in.Mods.Wide() || in.Src1%2 == 0) {
 			n.colour = int(in.Src1)
 		}
 	}
-	for i, l := range c.locals {
+	for i := range nodes {
 		n := &nodes[i]
 		if !n.used || n.colour >= 0 {
 			continue
 		}
 		taken := n.avoid
-		for j, o := range c.locals {
-			if m := nodes[j]; j != i && m.colour >= 0 && (n.conflict.Has(o.reg) || o.wide && n.conflict.Has(o.reg+1)) {
-				taken.AddRange(sass.Reg(m.colour), o.width())
+		for j, m := range nodes {
+			if j != i && m.colour >= 0 && m.in(n.conflict) {
+				taken.AddRange(sass.Reg(m.colour), m.width())
 			}
 		}
-		for r := 0; r+l.width() <= sass.NumRegs; r++ {
+		for r := 0; r+n.width() <= sass.NumRegs; r++ {
 			if r == abiArgBase {
 				r = argEnd
 			}
-			if (!l.wide || r%2 == 0) && !taken.Has(sass.Reg(r)) && (!l.wide || !taken.Has(sass.Reg(r+1))) {
+			if (!n.wide || r%2 == 0) && !taken.Has(sass.Reg(r)) && (!n.wide || !taken.Has(sass.Reg(r+1))) {
 				n.colour = r
 				break
 			}
@@ -183,16 +189,18 @@ func (c *compiler) colourLocals() error {
 		}
 	}
 
-	regMap := sc.regMap
-	clear(regMap)
-	for i, l := range c.locals {
-		if n := nodes[i]; n.used {
-			for k := 0; k < l.width(); k++ {
-				regMap[l.reg+sass.Reg(k)] = sass.Reg(n.colour + k)
+	for r := range sc.to {
+		sc.to[r] = sass.Reg(r)
+	}
+	for _, n := range nodes {
+		if n.used {
+			for k := 0; k < n.width(); k++ {
+				sc.to[n.reg+sass.Reg(k)] = sass.Reg(n.colour + k)
 			}
 		}
 	}
-	renamed := sass.RenameBody(c.out, regMap, nil)
+	renamed := c.out
+	sass.RenameRegs(renamed, &sc.to)
 	// Drop the moves onto themselves and re-aim branches and call
 	// relocations at what is left.
 	selfMove := func(in sass.Inst) bool { return in.Op == sass.OpMOV && in.Dst == in.Src1 }

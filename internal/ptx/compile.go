@@ -19,7 +19,7 @@ type compiler struct {
 	nextReg int
 	maxReg  int // highest physical GPR touched
 	maxPred int
-	locals  []local // a tool function's locals, in the order lowering names them
+	pairs   sass.RegSet // a tool function's local names that start a pair
 
 	params     []Param
 	paramBytes int
@@ -209,7 +209,9 @@ func (c *compiler) allocRegs() error {
 // function.
 func (c *compiler) name(r sass.Reg, wide bool) {
 	if c.f.tool {
-		c.locals = append(c.locals, local{reg: r, wide: wide})
+		if wide {
+			c.pairs.Add(r)
+		}
 		return
 	}
 	c.touchReg(r, wide)

@@ -184,6 +184,9 @@ type Liveness struct {
 
 	pdefs, puses []PredSet
 	pin, pout    []PredSet
+
+	regBuf  []RegSet  // one array behind defs, uses, in and out
+	predBuf []PredSet // and behind the four predicate slices
 }
 
 // AnalyzeLiveness runs the backward liveness fixed point over the function
@@ -210,14 +213,16 @@ func AnalyzeLivenessWith(insts []Inst, uses []RegSet, puses []PredSet) *Liveness
 // result: a caller that analyzes many small bodies keeps one Liveness.
 func (l *Liveness) Reanalyze(insts []Inst) { l.analyze(insts, nil, nil) }
 
-// zeroed returns s resized to n, all zero, reusing its storage when it fits.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// quarters returns buf resized to 4n and zeroed, reusing its storage when it
+// fits, and its four length-n quarters.
+func quarters[T any](buf []T, n int) (all, a, b, c, d []T) {
+	if cap(buf) < 4*n {
+		buf = make([]T, 4*n)
+	} else {
+		buf = buf[:4*n]
+		clear(buf)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return buf, buf[:n:n], buf[n : 2*n : 2*n], buf[2*n : 3*n : 3*n], buf[3*n:]
 }
 
 func (l *Liveness) analyze(insts []Inst, uses []RegSet, puses []PredSet) {
@@ -225,10 +230,8 @@ func (l *Liveness) analyze(insts []Inst, uses []RegSet, puses []PredSet) {
 		return
 	}
 	n := len(insts)
-	l.defs, l.uses = zeroed(l.defs, n), zeroed(l.uses, n)
-	l.in, l.out = zeroed(l.in, n), zeroed(l.out, n)
-	l.pdefs, l.puses = zeroed(l.pdefs, n), zeroed(l.puses, n)
-	l.pin, l.pout = zeroed(l.pin, n), zeroed(l.pout, n)
+	l.regBuf, l.defs, l.uses, l.in, l.out = quarters(l.regBuf, n)
+	l.predBuf, l.pdefs, l.puses, l.pin, l.pout = quarters(l.predBuf, n)
 	for pc, in := range insts {
 		l.defs[pc], l.uses[pc], l.pdefs[pc], l.puses[pc] = DefUse(in)
 		if uses != nil {

@@ -61,6 +61,21 @@ func BodyFootprint(insts []Inst) (Footprint, bool) {
 	return fp, true
 }
 
+// RenameRegs rewrites, in place, every general-purpose register r of the
+// body to to[r]; RZ stays. It is RenameBody for a caller that owns the body
+// and renames every register, such as a compiler giving names registers.
+func RenameRegs(insts []Inst, to *[NumRegs]Reg) {
+	for i := range insts {
+		in := &insts[i]
+		sh := in.shape()
+		for _, s := range sh.slots {
+			if r, _, ok := in.reg(sh, s); ok && *r != RZ {
+				*r = to[*r]
+			}
+		}
+	}
+}
+
 func mapReg(m map[Reg]Reg, r Reg) Reg {
 	if n, ok := m[r]; ok {
 		return n

@@ -1,6 +1,9 @@
 package sass
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func inst(op Opcode, f func(*Inst)) Inst {
 	in := NewInst(op)
@@ -97,5 +100,18 @@ func TestRenameBody(t *testing.T) {
 	}
 	if out[6] != body[6] {
 		t.Errorf("RET changed: %+v", out[6])
+	}
+	// RenameRegs is the same register rewrite, in place, through a table.
+	var to [NumRegs]Reg
+	for r := range to {
+		to[r] = Reg(r)
+	}
+	for r, n := range regMap {
+		to[r] = n
+	}
+	inPlace := slices.Clone(body)
+	RenameRegs(inPlace, &to)
+	if want := RenameBody(body, regMap, nil); !slices.Equal(inPlace, want) {
+		t.Errorf("RenameRegs gave\n%s\nwant\n%s", FormatProgram(inPlace), FormatProgram(want))
 	}
 }
