@@ -373,8 +373,9 @@ func parseHeader(text string, line int) (*pfunc, error) {
 	s, ok := strings.CutPrefix(trim(strings.TrimPrefix(text, ".visible")), ".entry")
 	if f.entry = ok; !ok {
 		// NVBit instrumentation functions: callable only from trampolines
-		// (which save all caller state), so their locals may sit right
-		// above the ABI argument registers. See deviceABI in ptx.go.
+		// (which save the prefix of the register file they reach), so
+		// their locals may take any register but the arguments; colour.go
+		// allocates them by live range.
 		if s, f.tool = strings.CutPrefix(s, ".toolfunc"); !f.tool {
 			if s, ok = strings.CutPrefix(s, ".func"); !ok {
 				return nil, fmt.Errorf("line %d: expected .entry or .func in %q", line, text)
